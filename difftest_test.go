@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"odh/internal/relational"
@@ -22,7 +23,10 @@ import (
 // Maintenance passes (flush, reorganize, coalesce, retention) are
 // interleaved so the comparisons cover every on-disk layout the store can
 // be in — including v2 (no sub block) and v3 blobs folding the same
-// TIME_BUCKET queries through entirely different code paths.
+// TIME_BUCKET queries through entirely different code paths. While each
+// reorganize, coalesce, cold, retention and stub pass executes, one reader
+// per configuration keeps comparing queries against the baseline, so the
+// passes interleave during scans, not just between them.
 
 type diffConfig struct {
 	name string
@@ -79,13 +83,22 @@ func diffNorm(v relational.Value) string {
 
 func diffFetch(t *testing.T, h *Historian, sql string) (raw []string, norm []string) {
 	t.Helper()
-	res, err := h.Query(sql)
+	raw, norm, err := diffRows(h, sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
+	return raw, norm
+}
+
+// diffRows is diffFetch for goroutines that may not call t.Fatal.
+func diffRows(h *Historian, sql string) (raw []string, norm []string, err error) {
+	res, err := h.Query(sql)
+	if err != nil {
+		return nil, nil, err
+	}
 	rows, err := res.FetchAll()
 	if err != nil {
-		t.Fatalf("%s: %v", sql, err)
+		return nil, nil, err
 	}
 	for _, row := range rows {
 		rawCells := make([]string, len(row))
@@ -98,7 +111,7 @@ func diffFetch(t *testing.T, h *Historian, sql string) (raw []string, norm []str
 		norm = append(norm, strings.Join(normCells, "|"))
 	}
 	sort.Strings(norm)
-	return raw, norm
+	return raw, norm, nil
 }
 
 func TestDifferentialODHvsRelational(t *testing.T) {
@@ -292,6 +305,68 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		}
 	}
 
+	// racing runs step on every historian while one reader per historian
+	// keeps running queries (templates, like compare's) and holding each
+	// result to the relational baseline's. The data does not change during
+	// a step, so the baseline's answers are taken once, up front.
+	racing := func(round int, queries []string, step func(i int, h *Historian) error) {
+		t.Helper()
+		want := make([]string, len(queries))
+		for q, tmpl := range queries {
+			_, norm := diffFetch(t, ref, fmt.Sprintf(tmpl, "REF"))
+			want[q] = strings.Join(norm, "\n")
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, h := range hs {
+			wg.Add(1)
+			go func(i int, h *Historian) {
+				defer wg.Done()
+				for n := i; ; n++ {
+					tmpl := queries[n%len(queries)]
+					_, norm, err := diffRows(h, fmt.Sprintf(tmpl, "D"))
+					if err != nil {
+						t.Errorf("round %d: %s during maintenance: %q: %v", round, configs[i].name, tmpl, err)
+						return
+					}
+					if got := strings.Join(norm, "\n"); got != want[n%len(queries)] {
+						t.Errorf("round %d: %s during maintenance: %q diverged from the relational baseline (%d rows)",
+							round, configs[i].name, tmpl, len(norm))
+						return
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}(i, h)
+		}
+		for i, h := range hs {
+			if err := step(i, h); err != nil {
+				t.Errorf("round %d: %s: %v", round, configs[i].name, err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	// someQueries draws n templates from their own generator, so racing
+	// reads leave the main workload's random sequence alone.
+	qrng := rand.New(rand.NewSource(20260925))
+	someQueries := func(n int) []string {
+		saved := rng
+		rng = qrng
+		defer func() { rng = saved }()
+		out := make([]string, n)
+		for i := range out {
+			out[i] = templates[rng.Intn(len(templates))]()
+		}
+		return out
+	}
+
 	rebuildRef := func(round int) {
 		t.Helper()
 		// Retention is batch-granular, so the surviving set is whatever the
@@ -371,26 +446,30 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			}
 		}
 		if round%211 == 210 {
-			for _, h := range hs {
-				if err := h.Reorganize("env", maxTS/2); err != nil {
-					t.Fatal(err)
-				}
-			}
+			racing(round, someQueries(6), func(_ int, h *Historian) error {
+				return h.Reorganize("env", maxTS/2)
+			})
 		}
 		if round%307 == 306 {
-			for _, h := range hs {
-				if _, _, err := h.Coalesce("env"); err != nil {
-					t.Fatal(err)
-				}
-			}
+			racing(round, someQueries(6), func(_ int, h *Historian) error {
+				_, _, err := h.Coalesce("env")
+				return err
+			})
 		}
 		if round%389 == 388 {
+			// Retention is batch-granular and drops nothing at or above the
+			// cutoff: only windows above it stay comparable while it runs.
 			cutoff := maxTS / 3
-			for _, h := range hs {
-				if _, err := h.DropBefore("env", cutoff); err != nil {
-					t.Fatal(err)
-				}
-			}
+			above := fmt.Sprintf("ts >= %d AND ts < %d", cutoff, maxTS+1)
+			racing(round, []string{
+				`SELECT id, ts, a, b FROM %s WHERE ` + above,
+				fmt.Sprintf(`SELECT id, ts, a, b FROM %%s WHERE id = %d AND `, sources[qrng.Intn(len(sources))].id) + above,
+				`SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM %s WHERE ` + above,
+				`SELECT id, COUNT(*), SUM(a) FROM %s WHERE ` + above + ` GROUP BY id`,
+			}, func(_ int, h *Historian) error {
+				_, err := h.DropBefore("env", cutoff)
+				return err
+			})
 			rebuildRef(round)
 		}
 		if round%251 == 250 {
@@ -398,11 +477,13 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			// tier is lossless, so tiered and untiered stores must keep
 			// returning byte-identical rows for every template.
 			pol := TierPolicy{ColdAfterMs: maxTS + 1 - maxTS/2}
-			for _, i := range []int{1, 3} {
-				if _, err := hs[i].TierSchema("env", pol, maxTS+1); err != nil {
-					t.Fatal(err)
+			racing(round, someQueries(6), func(i int, h *Historian) error {
+				if i%2 == 0 {
+					return nil
 				}
-			}
+				_, err := h.TierSchema("env", pol, maxTS+1)
+				return err
+			})
 		}
 
 		compare(round, templates[rng.Intn(len(templates))]())
@@ -442,14 +523,13 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		preStub[i], _ = diffFetch(t, hs[0], fmt.Sprintf(tmpl, "D"))
 	}
 	stubPol := TierPolicy{ColdAfterMs: maxTS + 1 - (3*maxTS)/4, StubAfterMs: maxTS + 1 - maxTS/2}
-	for _, h := range hs {
+	racing(rounds, aggTemplates, func(_ int, h *Historian) error {
 		if err := h.Flush(); err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if _, err := h.TierSchema("env", stubPol, maxTS+1); err != nil {
-			t.Fatal(err)
-		}
-	}
+		_, err := h.TierSchema("env", stubPol, maxTS+1)
+		return err
+	})
 	if st, err := hs[0].TierStats(); err != nil || st.StubBlobs == 0 {
 		t.Fatalf("stub epilogue produced no stubs: %+v err=%v", st, err)
 	}

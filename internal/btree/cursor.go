@@ -8,24 +8,30 @@ import (
 
 // Cursor iterates leaf entries in ascending key order. A cursor takes a
 // read snapshot of each leaf it visits (the copy keeps pin lifetimes short
-// and makes iteration safe while other goroutines read). Writers must not
-// run concurrently with an open cursor unless the caller coordinates; the
-// historian's scan paths hold the tree read lock per leaf, which matches
-// the paper's dirty-read isolation (readers may see a mix of old and new
-// batches but never a torn page).
+// and makes iteration safe while other goroutines read) and holds the tree
+// read lock only per leaf. Writers to other keys may run while a cursor is
+// open: it never sees a torn page, stays strictly ascending through leaf
+// splits, and visits every entry that exists for its whole lifetime
+// exactly once. An entry written or deleted during the walk may be seen
+// in either state, and a deleted value's overflow chain may be gone when
+// Value follows it — so whoever opens a cursor must exclude the writers
+// of the key range it reads for the cursor's lifetime. For the
+// historian's batch trees that coordinator is tsstore's per-owner shard
+// latch: the record walker (tsstore/walk.go) opens and drops its cursors
+// inside one shared hold, and rewriteLocked, the only writer, runs under
+// the exclusive hold.
 type Cursor struct {
 	t     *Tree
 	leaf  pagestore.PageID
 	cells []cursorCell
 	pos   int
 	err   error
-	// onLoadLeaf, when set, runs immediately before each leaf snapshot is
-	// taken (including the initial seek's). The tsstore blob cache uses it
-	// to record invalidation versions no later than the moment the value
-	// bytes are captured; anything observed through Key/Value afterwards
-	// is at least as old as what the hook saw. It is called without the
-	// tree lock held.
-	onLoadLeaf func()
+	// floor and last bound what a newly loaded leaf may yield: keys >= floor
+	// (the seek target) and > last (the final key of the previous leaf
+	// snapshot). A leaf that splits after it was snapshotted moves its
+	// upper half to a new right sibling, which the walk then reaches again;
+	// the bounds keep the cursor strictly ascending through that.
+	floor, last []byte
 }
 
 type cursorCell struct {
@@ -36,33 +42,23 @@ type cursorCell struct {
 
 // Seek positions the cursor at the first entry with key >= target.
 func (t *Tree) Seek(target []byte) *Cursor {
-	return t.SeekWithLoadHook(target, nil)
-}
-
-// SeekWithLoadHook is Seek with a callback fired before every leaf
-// snapshot the cursor takes, the initial one included. See
-// Cursor.onLoadLeaf.
-func (t *Tree) SeekWithLoadHook(target []byte, onLoadLeaf func()) *Cursor {
-	c := &Cursor{t: t, onLoadLeaf: onLoadLeaf}
+	c := &Cursor{t: t, floor: target}
+	// One lock hold from the descent to the leaf copy: a split in between
+	// would leave the copy without the keys the descent aimed at.
 	t.mu.RLock()
 	leafID, err := t.findLeaf(target)
+	if err == nil {
+		err = c.loadLeaf(leafID)
+	}
 	t.mu.RUnlock()
 	if err != nil {
 		c.err = err
 		return c
 	}
-	if err := c.loadLeaf(leafID); err != nil {
-		c.err = err
-		return c
+	// The first key >= target may be on the next leaf.
+	if c.skipBelow(); c.pos >= len(c.cells) {
+		c.advanceLeaf()
 	}
-	// Position within the leaf; key may belong to the next leaf if the
-	// target is past this leaf's last entry.
-	for c.pos = 0; c.pos < len(c.cells); c.pos++ {
-		if bytes.Compare(c.cells[c.pos].key, target) >= 0 {
-			return c
-		}
-	}
-	c.advanceLeaf()
 	return c
 }
 
@@ -71,16 +67,8 @@ func (t *Tree) First() *Cursor {
 	return t.Seek(nil)
 }
 
-// loadLeaf snapshots the cells of leaf pid.
+// loadLeaf snapshots the cells of leaf pid. Caller holds t.mu.
 func (c *Cursor) loadLeaf(pid pagestore.PageID) error {
-	if c.onLoadLeaf != nil {
-		// Fire before taking the tree lock: the hook must run no later
-		// than the cell copy, and must not nest under t.mu (it may take
-		// its own locks).
-		c.onLoadLeaf()
-	}
-	c.t.mu.RLock()
-	defer c.t.mu.RUnlock()
 	fr, err := c.t.store.Get(pid)
 	if err != nil {
 		return err
@@ -101,32 +89,46 @@ func (c *Cursor) loadLeaf(pid pagestore.PageID) error {
 	return nil
 }
 
-// advanceLeaf moves to the next non-empty leaf (skipping empty leaves left
-// by deletions); the cursor becomes invalid at the end of the tree.
-func (c *Cursor) advanceLeaf() {
-	for {
-		c.t.mu.RLock()
-		fr, err := c.t.store.Get(c.leaf)
-		if err != nil {
-			c.t.mu.RUnlock()
-			c.err = err
-			c.cells = nil
+// skipBelow moves past the cells of a fresh snapshot that the cursor's
+// bounds exclude.
+func (c *Cursor) skipBelow() {
+	for c.pos < len(c.cells) {
+		key := c.cells[c.pos].key
+		if bytes.Compare(key, c.floor) >= 0 && (c.last == nil || bytes.Compare(key, c.last) > 0) {
 			return
 		}
-		next := node{fr.Data()}.next()
-		fr.Unpin()
+		c.pos++
+	}
+}
+
+// advanceLeaf moves to the next leaf with an entry in bounds (skipping
+// empty leaves left by deletions); the cursor becomes invalid at the end
+// of the tree.
+func (c *Cursor) advanceLeaf() {
+	for {
+		if n := len(c.cells); n > 0 && (c.last == nil || bytes.Compare(c.cells[n-1].key, c.last) > 0) {
+			c.last = c.cells[n-1].key
+		}
+		// The sibling pointer is read fresh, with the sibling's copy, under
+		// one lock hold: the chain is then the current one, splits included.
+		c.t.mu.RLock()
+		fr, err := c.t.store.Get(c.leaf)
+		next := pagestore.InvalidPage
+		if err == nil {
+			next = node{fr.Data()}.next()
+			fr.Unpin()
+			if next != pagestore.InvalidPage {
+				err = c.loadLeaf(next)
+			}
+		}
 		c.t.mu.RUnlock()
-		if next == pagestore.InvalidPage {
+		if err != nil || next == pagestore.InvalidPage {
+			c.err = err
 			c.cells = nil
 			c.pos = 0
 			return
 		}
-		if err := c.loadLeaf(next); err != nil {
-			c.err = err
-			c.cells = nil
-			return
-		}
-		if len(c.cells) > 0 {
+		if c.skipBelow(); c.pos < len(c.cells) {
 			return
 		}
 	}

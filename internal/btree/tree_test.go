@@ -119,53 +119,6 @@ func TestManyKeysRandomOrder(t *testing.T) {
 	}
 }
 
-// TestSeekWithLoadHook pins the hook contract the tsstore blob cache
-// relies on: the callback fires before every leaf snapshot — the initial
-// seek's and each advance across a leaf boundary — so a version recorded
-// in the hook is never newer than any cell bytes later read from that
-// leaf copy.
-func TestSeekWithLoadHook(t *testing.T) {
-	tr := newTree(t, "loadhook")
-	const n = 2000
-	val := bytes.Repeat([]byte("v"), 32)
-	for i := 0; i < n; i++ {
-		if err := tr.Put(keyenc.SourceTime(1, int64(i)), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	loads := 0
-	seen := 0
-	c := tr.SeekWithLoadHook(nil, func() { loads++ })
-	if loads == 0 {
-		t.Fatal("hook did not fire for the initial seek")
-	}
-	lastLoads := loads
-	for c.Valid() {
-		if loads > lastLoads {
-			// New leaf: its cells were copied after (not before) the hook.
-			lastLoads = loads
-		}
-		if _, err := c.Value(); err != nil {
-			t.Fatal(err)
-		}
-		seen++
-		c.Next()
-	}
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if seen != n {
-		t.Fatalf("walked %d entries, want %d", seen, n)
-	}
-	if loads < 2 {
-		t.Fatalf("expected a multi-leaf walk, got %d leaf loads", loads)
-	}
-	// Plain Seek still works with no hook.
-	if c := tr.Seek(nil); !c.Valid() {
-		t.Fatal("plain Seek broken")
-	}
-}
-
 func TestRangeScanBounds(t *testing.T) {
 	tr := newTree(t, "range")
 	for i := 0; i < 100; i++ {

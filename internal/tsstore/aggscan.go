@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
-	"odh/internal/btree"
-	"odh/internal/keyenc"
 	"odh/internal/model"
 )
 
@@ -59,8 +58,9 @@ type AggSpec struct {
 	WantTags []int
 	// Preds are conjunctive tag predicates applied to every row.
 	Preds []TagPred
-	// BucketMs, when positive, groups rows by bucketFloor(ts, BucketMs)
-	// (the executor's TIME_BUCKET grid).
+	// BucketMs, when positive, groups rows by model.BucketFloor(ts,
+	// BucketMs) — the executor's TIME_BUCKET evaluation, so a summary fold
+	// replaces it for whole blobs without any grid drift.
 	BucketMs int64
 	// ByID groups rows by source id.
 	ByID bool
@@ -104,17 +104,6 @@ type AggResult struct {
 	BlobsSkipped int64
 }
 
-// bucketFloor floor-aligns ts to the bucket grid. It must match the
-// executor's TIME_BUCKET evaluation exactly: both delegate to
-// model.BucketFloor, so a summary fold replaces that evaluation for
-// whole blobs without any grid drift.
-func bucketFloor(ts, width int64) int64 {
-	if width <= 0 {
-		return ts
-	}
-	return model.BucketFloor(ts, width)
-}
-
 // matchPreds applies the conjunctive predicates to one row's tag values.
 func matchPreds(vals []float64, preds []TagPred) bool {
 	for _, p := range preds {
@@ -145,9 +134,7 @@ func matchPreds(vals []float64, preds []TagPred) bool {
 
 // aggSpecEx is an AggSpec with derived scan state precomputed once.
 type aggSpecEx struct {
-	spec  *AggSpec
-	cache *blobCache
-	sig   string
+	spec    *AggSpec
 	tags    []int      // tags to fold (sorted, deduped, in [0, NTags))
 	zones   []TagRange // inclusive hull of Preds for zone-map skipping
 	ntags   int
@@ -157,8 +144,6 @@ type aggSpecEx struct {
 
 func (s *Store) prepAggSpec(spec *AggSpec) *aggSpecEx {
 	sp := &aggSpecEx{spec: spec, ntags: spec.NTags, subBase: s.cfg.SubBucketMs, ctx: spec.Opts.Ctx}
-	sp.cache = s.scanCache(spec.Opts)
-	sp.sig = tagsSig(spec.WantTags)
 	if spec.WantTags == nil {
 		sp.tags = make([]int, spec.NTags)
 		for t := range sp.tags {
@@ -243,7 +228,7 @@ func classifySummary(sum *blobSummary, t1, t2 int64, sp *aggSpecEx, foldable, al
 		}
 	}
 	if sum.firstTS >= t1 && sum.lastTS < t2 {
-		if w := sp.spec.BucketMs; w <= 0 || bucketFloor(sum.firstTS, w) == bucketFloor(sum.lastTS, w) {
+		if w := sp.spec.BucketMs; w <= 0 || model.BucketFloor(sum.firstTS, w) == model.BucketFloor(sum.lastTS, w) {
 			return classCovered
 		}
 	}
@@ -278,10 +263,35 @@ func subFoldAligned(sum *blobSummary, t1, t2, base int64, sp *aggSpecEx) bool {
 // aggKey identifies one output group.
 type aggKey struct{ id, bucket int64 }
 
+// aggOrder places a contribution in the serial fold order: the part's
+// owner ordinal, then the contributing record's base timestamp and home
+// (the order a walker hands records out). Parts of one owner split the
+// window by row timestamp, so a record straddling two parts contributes
+// to both; ordering groups by their first contribution's aggOrder rather
+// than by part makes the emission order the serial one however the
+// window was split.
+type aggOrder struct {
+	owner int
+	ts    int64
+	home  int
+}
+
+func (a aggOrder) before(b aggOrder) bool {
+	if a.owner != b.owner {
+		return a.owner < b.owner
+	}
+	if a.ts != b.ts {
+		return a.ts < b.ts
+	}
+	return a.home < b.home
+}
+
 // aggPartial is one part's accumulation state; parts never share one.
 type aggPartial struct {
 	groups map[aggKey]*AggGroup
 	order  []aggKey
+	first  []aggOrder // parallel to order: each group's first contribution
+	at     aggOrder   // the contribution being folded
 
 	summaryHits              int64
 	bytesNotDecoded          int64
@@ -301,7 +311,7 @@ func (pt *aggPartial) keyFor(src, ts int64, sp *aggSpecEx) aggKey {
 		k.id = src
 	}
 	if sp.spec.BucketMs > 0 {
-		k.bucket = bucketFloor(ts, sp.spec.BucketMs)
+		k.bucket = model.BucketFloor(ts, sp.spec.BucketMs)
 	}
 	return k
 }
@@ -323,6 +333,7 @@ func (pt *aggPartial) group(k aggKey, sp *aggSpecEx) *AggGroup {
 	}
 	pt.groups[k] = g
 	pt.order = append(pt.order, k)
+	pt.first = append(pt.first, pt.at)
 	return g
 }
 
@@ -418,386 +429,111 @@ func (pt *aggPartial) foldRow(src, ts int64, vals []float64, sp *aggSpecEx) {
 	}
 }
 
-// foldBatchRows folds a decoded RTS/IRTS batch, filtering to the part
-// range (a boundary blob's rows may spill outside it).
-func (pt *aggPartial) foldBatchRows(src int64, batch *DecodedBatch, r scanRange, sp *aggSpecEx) {
-	for i, ts := range batch.Timestamps {
-		if ts >= r.t1 && ts < r.t2 {
-			pt.foldRow(src, ts, batch.Rows[i], sp)
-		}
-	}
-}
-
-// foldMGRows folds a decoded MG record with per-member attribution,
-// mirroring mgIter.fillQueue's slot/source/window filters.
-func (pt *aggPartial) foldMGRows(batch *DecodedBatch, members []int64, onlySource int64, r scanRange, sp *aggSpecEx) {
-	for i, slot := range batch.Slots {
-		if slot >= len(members) {
-			continue
-		}
-		src := members[slot]
-		if onlySource != 0 && src != onlySource {
-			continue
-		}
-		ts := batch.Timestamps[i]
-		if ts < r.t1 || ts >= r.t2 {
-			continue
-		}
-		pt.foldRow(src, ts, batch.Rows[i], sp)
-	}
-}
-
 // aggPart is one independently runnable slice of an aggregate scan.
 type aggPart func(*aggPartial) error
 
-// aggBufferPart folds a dirty-read buffer snapshot (already range
-// filtered). Buffered points carry the same estimated cost as in scans.
-func aggBufferPart(points []model.Point, sp *aggSpecEx) aggPart {
+// aggWalkPart folds everything one walker hands out, classifying each
+// stored record against its summary within the chunk window. An MG record
+// may fold from its summary only when rows need no per-member
+// attribution: no source filter, no GROUP BY id, and every stored slot
+// maps to a known member (row folds drop unknown slots, so a summary fold
+// must too); MG rows are slot-ordered and never carry sub-summaries.
+func (s *Store) aggWalkPart(w *walker, owner int, sp *aggSpecEx) aggPart {
+	w.subBase, w.ntags = sp.subBase, sp.ntags
 	return func(pt *aggPartial) error {
-		for _, p := range points {
-			pt.blobBytesRead += pointBlobBytes(len(p.Values))
-			pt.foldRow(p.Source, p.TS, p.Values, sp)
+		for !w.done {
+			ch, err := w.step()
+			if err != nil {
+				return err
+			}
+			for i := range ch.recs {
+				pt.at = aggOrder{owner: owner, ts: ch.recs[i].ts, home: ch.recs[i].home.seq}
+				if err := s.aggRecord(pt, w, &ch.recs[i], ch.lo, ch.hi, sp); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
 }
 
-// aggBatchPart walks one source's RTS/IRTS records over a part range,
-// classifying each against its summary. The cache protocol (version
-// snapshot at leaf load, version check at insert) is identical to
-// batchIter's; see blobCache.vers.
-func (s *Store) aggBatchPart(tree *btree.Tree, source int64, r scanRange, lookback int64, sp *aggSpecEx) aggPart {
-	return func(pt *aggPartial) error {
-		cache := sp.cache
-		loTS := r.t1
-		if lookback > 0 {
-			if loTS > math.MinInt64+lookback+1 {
-				loTS = r.t1 - lookback - 1
-			} else {
-				loTS = math.MinInt64
-			}
+func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64, sp *aggSpecEx) error {
+	if rec.buffered != nil {
+		// Buffered points carry the same estimated cost as in scans.
+		for _, p := range rec.buffered {
+			pt.blobBytesRead += pointBlobBytes(len(p.Values))
+			pt.at.ts = p.TS // each buffered row is its own contribution
+			pt.foldRow(p.Source, p.TS, p.Values, sp)
 		}
-		hi := keyenc.SourceTime(source, r.t2)
-		treeID := s.treeID(tree)
-		var vers [cacheVerSlots]uint64
-		var cur *btree.Cursor
-		seekKey := keyenc.SourceTime(source, loTS)
-		if cache != nil {
-			cur = tree.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&vers) })
-		} else {
-			cur = tree.Seek(seekKey)
-		}
-		for cur.Valid() {
-			if err := ctxErr(sp.ctx); err != nil {
-				return err
-			}
-			key := cur.Key()
-			if keyCompare(key, hi) >= 0 {
-				return nil
-			}
-			src, baseTS, err := keyenc.DecodeSourceTime(key)
-			if err != nil {
-				return err
-			}
-			if src != source {
-				return nil
-			}
-			bk := blobKey{tree: treeID, source: source, ts: baseTS}
-			if cache != nil {
-				if e, ok := cache.get(bk, sp.sig); ok {
-					cur.Next()
-					if !e.overlaps(sp.zones) {
-						pt.blobsSkipped++
-						continue
-					}
-					if e.summary != nil {
-						switch classifySummary(e.summary, r.t1, r.t2, sp, true, true) {
-						case classExcluded:
-							continue
-						case classCovered:
-							pt.summaryHits++
-							pt.bytesNotDecoded += e.blobLen
-							pt.foldSummary(source, e.summary, sp)
-							continue
-						case classSubFoldable:
-							if e.sub != nil && subFoldAligned(e.summary, r.t1, r.t2, e.sub.base, sp) {
-								pt.subBucketFolds++
-								pt.subBucketBytesNotDecoded += e.blobLen
-								pt.foldSubSummaries(source, e.summary, e.sub, r.t1, r.t2, sp)
-								continue
-							}
-						}
-					}
-					cache.noteSaved(e.blobLen)
-					pt.foldBatchRows(source, e.batch, r, sp)
-					continue
-				}
-			}
-			// Read the insert-guard version before Next() can reload the
-			// snapshot; see batchIter.loadOne.
-			var ver uint64
-			if cache != nil {
-				ver = vers[bk.slot()]
-			}
-			blob, err := cur.Value()
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					cur.Next()
-					continue
-				}
-				return err
-			}
-			cur.Next()
-			if !BlobOverlaps(blob, sp.zones) {
-				pt.blobsSkipped++
-				continue
-			}
-			sum, haveSum := parseBlobSummary(blob, baseTS)
-			if haveSum {
-				switch classifySummary(sum, r.t1, r.t2, sp, true, true) {
-				case classExcluded:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					continue
-				case classCovered:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					pt.foldSummary(source, sum, sp)
-					continue
-				case classSubFoldable:
-					// A v3 blob folds from its persisted mini-summaries
-					// with zero decode (stubs included: the block survives
-					// stubbing). v1/v2 blobs fall through to the decode,
-					// which computes and caches sub-summaries lazily.
-					if blob[0]&flagSubBuckets != 0 {
-						if sub, ok := parseBlobSubSummaries(blob, baseTS); ok && subFoldAligned(sum, r.t1, r.t2, sub.base, sp) {
-							pt.subBucketFolds++
-							pt.subBucketBytesNotDecoded += int64(len(blob))
-							pt.foldSubSummaries(source, sum, sub, r.t1, r.t2, sp)
-							continue
-						}
-					}
-				}
-			}
-			if IsStubBlob(blob) {
-				if !haveSum {
-					if s.lenient() {
-						s.noteCorruptBlob()
-						continue
-					}
-					return fmt.Errorf("tsstore: corrupt stub blob source=%d ts=%d", source, baseTS)
-				}
-				// A boundary-classified stub needs per-row resolution (a
-				// window or predicate the summary cannot prove) and its
-				// rows are gone: fail loudly, never under-count.
-				return &StubbedRangeError{Tree: treeName(treeID), Source: source, TS: baseTS, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-			}
-			batch, err := DecodeBlob(blob, baseTS, sp.spec.WantTags)
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					continue
-				}
-				return err
-			}
-			pt.blobBytesRead += int64(len(blob))
-			if cache != nil {
-				es := sum
-				if !haveSum {
-					// Legacy blob: the decode pays for a summary future
-					// aggregate scans fold from the cache (lazy upgrade).
-					es = summaryFromBatch(batch, sp.ntags)
-				}
-				// Sub-summaries ride along the same way: parsed from v3
-				// headers, computed from the decoded rows for v1/v2 blobs
-				// (at the store's base width), so later aggregate scans
-				// sub-fold straddling records straight from the cache.
-				var sub *subSummaries
-				if blob[0]&flagSubBuckets != 0 {
-					sub, _ = parseBlobSubSummaries(blob, baseTS)
-				} else if sp.subBase > 0 {
-					sub = subSummariesFromBatch(batch, sp.ntags, sp.subBase)
-				}
-				zones, hasZones := blobZoneMaps(blob)
-				cache.put(bk, sp.sig, ver, batch, zones, hasZones, int64(len(blob)), es, sub)
-			}
-			pt.foldBatchRows(source, batch, r, sp)
-		}
-		return cur.Err()
+		return nil
 	}
-}
-
-// aggMGPart walks one group's MG records over a part range. A record may
-// fold from its summary only when rows need no per-member attribution:
-// no source filter, no GROUP BY id, and every stored slot maps to a known
-// member (mgIter drops unknown slots, so a fold must too).
-func (s *Store) aggMGPart(group int64, r scanRange, onlySource int64, sp *aggSpecEx) aggPart {
-	return func(pt *aggPartial) error {
-		cache := sp.cache
-		members := s.cat.GroupMembers(group)
-		window := s.groupWindow(group)
-		lo := r.t1
-		if lo > math.MinInt64+window {
-			lo = r.t1 - window
-		}
-		hi := keyenc.SourceTime(group, r.t2)
-		var vers [cacheVerSlots]uint64
-		var cur *btree.Cursor
-		seekKey := keyenc.SourceTime(group, lo)
-		if cache != nil {
-			cur = s.mg.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&vers) })
-		} else {
-			cur = s.mg.Seek(seekKey)
-		}
-		mgFoldable := onlySource == 0 && !sp.spec.ByID
-		for cur.Valid() {
-			if err := ctxErr(sp.ctx); err != nil {
-				return err
-			}
-			key := cur.Key()
-			if keyCompare(key, hi) >= 0 {
-				return nil
-			}
-			grp, ts, err := keyenc.DecodeSourceTime(key)
-			if err != nil || grp != group {
-				return nil
-			}
-			bk := blobKey{tree: cacheTreeMG, source: group, ts: ts}
-			if cache != nil {
-				if e, ok := cache.get(bk, sp.sig); ok {
-					cur.Next()
-					if !e.overlaps(sp.zones) {
-						pt.blobsSkipped++
-						continue
-					}
-					if e.summary != nil {
-						foldable := mgFoldable && e.summary.members <= len(members)
-						switch classifySummary(e.summary, r.t1, r.t2, sp, foldable, false) {
-						case classExcluded:
-							continue
-						case classCovered:
-							pt.summaryHits++
-							pt.bytesNotDecoded += e.blobLen
-							pt.foldSummary(0, e.summary, sp)
-							continue
-						}
-					}
-					cache.noteSaved(e.blobLen)
-					pt.foldMGRows(e.batch, members, onlySource, r, sp)
-					continue
-				}
-			}
-			var ver uint64
-			if cache != nil {
-				ver = vers[bk.slot()]
-			}
-			blob, err := cur.Value()
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					cur.Next()
-					continue
-				}
-				return err
-			}
-			cur.Next()
-			if !BlobOverlaps(blob, sp.zones) {
-				pt.blobsSkipped++
-				continue
-			}
-			sum, haveSum := parseBlobSummary(blob, ts)
-			if haveSum {
-				foldable := mgFoldable && sum.members <= len(members)
-				switch classifySummary(sum, r.t1, r.t2, sp, foldable, false) {
-				case classExcluded:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					continue
-				case classCovered:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					pt.foldSummary(0, sum, sp)
-					continue
-				}
-			}
-			if IsStubBlob(blob) {
-				if !haveSum {
-					if s.lenient() {
-						s.noteCorruptBlob()
-						continue
-					}
-					return fmt.Errorf("tsstore: corrupt stub blob group=%d ts=%d", group, ts)
-				}
-				return &StubbedRangeError{Tree: "ts.mg", Source: group, TS: ts, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-			}
-			batch, err := DecodeBlob(blob, ts, sp.spec.WantTags)
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					continue
-				}
-				return err
-			}
-			pt.blobBytesRead += int64(len(blob))
-			if cache != nil {
-				es := sum
-				if !haveSum {
-					es = summaryFromBatch(batch, sp.ntags)
-				}
-				// No sub-summaries for MG: subSummariesFromBatch returns
-				// nil for slot-ordered batches, and MG blobs never carry
-				// the v3 block.
-				zones, hasZones := blobZoneMaps(blob)
-				cache.put(bk, sp.sig, ver, batch, zones, hasZones, int64(len(blob)), es, nil)
-			}
-			pt.foldMGRows(batch, members, onlySource, r, sp)
-		}
-		return cur.Err()
+	if !rec.overlaps(sp.zones) {
+		pt.blobsSkipped++
+		return nil
 	}
+	mg := rec.home.tree == s.mg
+	src := rec.home.id
+	if mg {
+		src = 0
+	}
+	if sum := rec.summary(); sum != nil {
+		foldable := !mg || (w.only == 0 && !sp.spec.ByID && sum.members <= len(w.members))
+		switch classifySummary(sum, lo, hi, sp, foldable, !mg) {
+		case classExcluded:
+			if rec.hit == nil {
+				pt.summaryHits++
+				pt.bytesNotDecoded += rec.size()
+			}
+			return nil
+		case classCovered:
+			pt.summaryHits++
+			pt.bytesNotDecoded += rec.size()
+			pt.foldSummary(src, sum, sp)
+			return nil
+		case classSubFoldable:
+			// A v3 blob folds from its persisted mini-summaries with zero
+			// decode (stubs included: the block survives stubbing). v1/v2
+			// blobs fall through to the decode, which computes and caches
+			// sub-summaries lazily.
+			if sub := rec.subSummaries(); sub != nil && subFoldAligned(sum, lo, hi, sub.base, sp) {
+				pt.subBucketFolds++
+				pt.subBucketBytesNotDecoded += rec.size()
+				pt.foldSubSummaries(src, sum, sub, lo, hi, sp)
+				return nil
+			}
+		}
+	}
+	// Boundary: per-row resolution. A stub here fails loudly (its rows are
+	// gone), never under-counts.
+	batch, err := w.decode(rec, lo, hi)
+	if batch == nil {
+		return err
+	}
+	if rec.hit == nil {
+		pt.blobBytesRead += rec.size()
+	}
+	w.eachRow(rec, batch, lo, hi, func(src, ts int64, vals []float64) { pt.foldRow(src, ts, vals, sp) })
+	return nil
 }
 
 // historicalAggParts decomposes one source's aggregate exactly like
-// HistoricalScanOpts decomposes its scan: batch parts per ts-disjoint
-// range, MG record parts for group-ingesting sources, and the dirty-read
-// buffer snapshot.
-func (s *Store) historicalAggParts(source int64, sp *aggSpecEx, workers int) ([]aggPart, error) {
+// HistoricalScanOpts decomposes its scan: one walk per ts-disjoint range.
+func (s *Store) historicalAggParts(source int64, owner int, sp *aggSpecEx, workers int) ([]aggPart, error) {
 	ds, ok := s.cat.Source(source)
 	if !ok {
 		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
 	}
 	spec := sp.spec
-	stats := s.cat.Stats(source)
-	ranges := splitScanRange(spec.T1, spec.T2, stats, workers)
 	var parts []aggPart
-	if ds.IngestStructure() == model.MG {
-		if stats.BatchCount > 0 {
-			tree := s.treeFor(ds.HistoricalStructure())
-			for _, r := range ranges {
-				parts = append(parts, s.aggBatchPart(tree, source, r, stats.MaxSpanMs, sp))
-			}
-		}
-		for _, r := range ranges {
-			parts = append(parts, s.aggMGPart(ds.Group, r, source, sp))
-		}
-		if buf := s.snapshotGroupBuffer(ds.Group, spec.T1, spec.T2, source); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
-	} else {
-		tree := s.treeFor(ds.IngestStructure())
-		for _, r := range ranges {
-			parts = append(parts, s.aggBatchPart(tree, source, r, stats.MaxSpanMs, sp))
-		}
-		if buf := s.snapshotSourceBuffer(source, spec.T1, spec.T2); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
+	for _, r := range splitScanRange(spec.T1, spec.T2, s.cat.Stats(source), workers) {
+		parts = append(parts, s.aggWalkPart(s.sourceWalker(ds, r.t1, r.t2, spec.WantTags, spec.Opts), owner, sp))
 	}
 	return parts, nil
 }
 
 // runAggParts executes the parts (on the worker pool when allowed) and
-// merges their partials in part order, which keeps group emission order
-// identical between serial and parallel runs.
+// merges their partials, emitting groups in first-contribution order (see
+// aggOrder), which is identical between serial and parallel runs.
 func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggResult, error) {
 	partials := make([]*aggPartial, len(parts))
 	for i := range partials {
@@ -845,6 +581,7 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 	}
 	res := &AggResult{}
 	idx := make(map[aggKey]int)
+	var first []aggOrder // parallel to res.Groups
 	for _, pt := range partials {
 		res.SummaryHits += pt.summaryHits
 		res.BytesNotDecoded += pt.bytesNotDecoded
@@ -852,13 +589,17 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 		res.SubBucketBytesNotDecoded += pt.subBucketBytesNotDecoded
 		res.BlobBytesRead += pt.blobBytesRead
 		res.BlobsSkipped += pt.blobsSkipped
-		for _, k := range pt.order {
+		for i, k := range pt.order {
 			g := pt.groups[k]
 			j, ok := idx[k]
 			if !ok {
 				idx[k] = len(res.Groups)
 				res.Groups = append(res.Groups, *g)
+				first = append(first, pt.first[i])
 				continue
+			}
+			if pt.first[i].before(first[j]) {
+				first[j] = pt.first[i]
 			}
 			dst := &res.Groups[j]
 			dst.Rows += g.Rows
@@ -874,6 +615,16 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 			}
 		}
 	}
+	perm := make([]int, len(first))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(a, b int) bool { return first[perm[a]].before(first[perm[b]]) })
+	groups := make([]AggGroup, len(perm))
+	for i, j := range perm {
+		groups[i] = res.Groups[j]
+	}
+	res.Groups = groups
 	s.summaryHits.Add(res.SummaryHits)
 	s.bytesNotDecoded.Add(res.BytesNotDecoded)
 	s.subBucketFolds.Add(res.SubBucketFolds)
@@ -886,7 +637,7 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 func (s *Store) AggregateHistorical(source int64, spec AggSpec) (*AggResult, error) {
 	sp := s.prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
-	parts, err := s.historicalAggParts(source, sp, workers)
+	parts, err := s.historicalAggParts(source, 0, sp, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -900,8 +651,8 @@ func (s *Store) AggregateMulti(sources []int64, spec AggSpec) (*AggResult, error
 	sp := s.prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
 	var parts []aggPart
-	for _, src := range sources {
-		p, err := s.historicalAggParts(src, sp, 1)
+	for i, src := range sources {
+		p, err := s.historicalAggParts(src, i, sp, 1)
 		if err != nil {
 			continue
 		}
@@ -911,42 +662,13 @@ func (s *Store) AggregateMulti(sources []int64, spec AggSpec) (*AggResult, error
 }
 
 // AggregateSlice aggregates every source of a schema over the window, the
-// pushdown twin of SliceScanOpts (including its partition elimination).
+// pushdown twin of SliceScanOpts.
 func (s *Store) AggregateSlice(schemaID int64, spec AggSpec) (*AggResult, error) {
 	sp := s.prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
-	full := scanRange{spec.T1, spec.T2}
 	var parts []aggPart
-	for _, g := range s.cat.GroupsBySchema(schemaID) {
-		for _, src := range s.cat.GroupMembers(g) {
-			ds, ok := s.cat.Source(src)
-			if !ok {
-				continue
-			}
-			stats := s.cat.Stats(src)
-			if stats.BatchCount == 0 {
-				continue
-			}
-			parts = append(parts, s.aggBatchPart(s.treeFor(ds.HistoricalStructure()), src, full, stats.MaxSpanMs, sp))
-		}
-		parts = append(parts, s.aggMGPart(g, full, 0, sp))
-		if buf := s.snapshotGroupBuffer(g, spec.T1, spec.T2, 0); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
-	}
-	for _, src := range s.cat.SourcesBySchema(schemaID) {
-		ds, ok := s.cat.Source(src)
-		if !ok || ds.IngestStructure() == model.MG {
-			continue
-		}
-		stats := s.cat.Stats(src)
-		if stats.PointCount > 0 && (stats.LastTS < spec.T1 || stats.FirstTS >= spec.T2) && s.bufferEmpty(src) {
-			continue // partition elimination: no data in range
-		}
-		parts = append(parts, s.aggBatchPart(s.treeFor(ds.IngestStructure()), src, full, stats.MaxSpanMs, sp))
-		if buf := s.snapshotSourceBuffer(src, spec.T1, spec.T2); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
+	for i, w := range s.sliceWalkers(schemaID, spec.T1, spec.T2, spec.WantTags, spec.Opts) {
+		parts = append(parts, s.aggWalkPart(w, i, sp))
 	}
 	return s.runAggParts(parts, sp, workers)
 }

@@ -35,7 +35,7 @@ func refFold(points []model.Point, spec AggSpec) map[aggKey]*AggGroup {
 			k.id = p.Source
 		}
 		if spec.BucketMs > 0 {
-			k.bucket = bucketFloor(p.TS, spec.BucketMs)
+			k.bucket = model.BucketFloor(p.TS, spec.BucketMs)
 		}
 		g, ok := out[k]
 		if !ok {
@@ -584,8 +584,8 @@ func TestBucketFloorMatchesTimeBucket(t *testing.T) {
 		{0, 10, 0}, {9, 10, 0}, {10, 10, 10}, {-1, 10, -10}, {-10, 10, -10}, {-11, 10, -20},
 		{1_000_007, 1000, 1_000_000},
 	} {
-		if got := bucketFloor(tc.ts, tc.w); got != tc.want {
-			t.Fatalf("bucketFloor(%d, %d) = %d, want %d", tc.ts, tc.w, got, tc.want)
+		if got := model.BucketFloor(tc.ts, tc.w); got != tc.want {
+			t.Fatalf("BucketFloor(%d, %d) = %d, want %d", tc.ts, tc.w, got, tc.want)
 		}
 	}
 }

@@ -14,8 +14,7 @@ import (
 // measures as the VTI blocker (Table 8). Entries are keyed by the blob's
 // B+tree identity (tree, source/group id, base timestamp) plus the decode
 // variant (which tags were materialized), and invalidated whenever a
-// writer Puts or Deletes that key — flush, MG row merge, reorganization,
-// retention, and coalescing all go through Store.invalidateBlob.
+// writer Puts or Deletes that key — every writer is rewriteLocked.
 
 // Cache tree ids, one per batch tree a blob key can live in.
 const (
@@ -34,7 +33,7 @@ type blobKey struct {
 }
 
 // cacheVerSlots is the size of the key-hashed version array used to close
-// the read/insert race (see blobCache.snapshotAll).
+// the read/insert race (see blobCache.vers).
 const cacheVerSlots = 256
 
 func (k blobKey) slot() int {
@@ -109,15 +108,12 @@ type blobCache struct {
 	curBytes int64
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	entries  map[blobKey]map[string]*cacheEntry
-	// vers closes the stale-insert race: a reader snapshots the version
-	// array (snapshotAll) at the moment its btree cursor copies a leaf —
-	// i.e. no later than the raw blob bytes are captured — and put drops
-	// the insert when an invalidation bumped the key's slot after that
-	// snapshot, so a decode of the old blob can never be cached over the
-	// new one. Snapshotting any later (e.g. just before decoding) reopens
-	// the race: a writer could overwrite the key and invalidate between
-	// the leaf copy and the snapshot, and the stale decode would pass the
-	// version check.
+	// vers closes the stale-insert race: a walker step misses in get and
+	// copies the record bytes under the owner's latch, which excludes the
+	// key's writer, so the slot version get returned is the one the bytes
+	// were written under. The decode happens after the latch is released;
+	// put drops the insert when an invalidation bumped the slot since, so
+	// a decode of the old blob can never be cached over the new one.
 	vers [cacheVerSlots]uint64
 
 	hits, misses, bytesSaved, evictions, invalidations int64
@@ -131,26 +127,23 @@ func newBlobCache(maxBytes int64) *blobCache {
 	}
 }
 
-// get returns the cached decode of (bk, sig), promoting it in the LRU.
-// Bytes saved are not credited here: a hit may still be zone-skipped by
-// the caller, in which case the raw path would not have read the blob
-// either — the caller credits served hits via noteSaved.
-func (c *blobCache) get(bk blobKey, sig string) (*cacheEntry, bool) {
+// get returns the cached decode of (bk, sig), promoting it in the LRU, or
+// nil and the key's current version — the guard a later put of the
+// caller's own decode must pass (see vers). Bytes saved are not credited
+// here: a hit may still be zone-skipped by the caller, in which case the
+// raw path would not have read the blob either — the caller credits
+// served hits via noteSaved.
+func (c *blobCache) get(bk blobKey, sig string) (*cacheEntry, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	variants, ok := c.entries[bk]
+	e, ok := c.entries[bk][sig]
 	if !ok {
 		c.misses++
-		return nil, false
-	}
-	e, ok := variants[sig]
-	if !ok {
-		c.misses++
-		return nil, false
+		return nil, c.vers[bk.slot()]
 	}
 	c.hits++
 	c.lru.MoveToFront(e.elem)
-	return e, true
+	return e, 0
 }
 
 // noteSaved credits the encoded bytes a served hit avoided re-reading.
@@ -161,18 +154,8 @@ func (c *blobCache) noteSaved(n int64) {
 	c.mu.Unlock()
 }
 
-// snapshotAll copies the full version array into dst. Scan iterators call
-// this from the cursor's leaf-load hook, so every key's version is pinned
-// at (or before) the moment that key's value bytes were copied out of the
-// tree; the per-key version passed to put comes from this snapshot.
-func (c *blobCache) snapshotAll(dst *[cacheVerSlots]uint64) {
-	c.mu.Lock()
-	*dst = c.vers
-	c.mu.Unlock()
-}
-
-// put caches a decoded blob unless the key was invalidated since ver was
-// snapshotted. The batch becomes shared and must not be mutated.
+// put caches a decoded blob unless the key was invalidated since get
+// returned ver. The batch becomes shared and must not be mutated.
 func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch, zones []zoneMap, hasZones bool, blobLen int64, summary *blobSummary, sub *subSummaries) {
 	size := decodedSize(batch, zones)
 	if size > c.maxBytes {

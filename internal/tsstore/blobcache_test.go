@@ -166,38 +166,37 @@ func TestBlobCacheEviction(t *testing.T) {
 }
 
 // TestBlobCacheStaleInsertDropped drives the version-slot protocol
-// directly: an insert whose version was snapshotted before an
-// invalidation must be dropped.
+// directly: an insert whose version was read (by the missing get) before
+// an invalidation must be dropped.
 func TestBlobCacheStaleInsertDropped(t *testing.T) {
 	c := newBlobCache(1 << 20)
 	bk := blobKey{tree: cacheTreeRTS, source: 7, ts: 100}
 	batch := &DecodedBatch{Timestamps: []int64{100}, Rows: [][]float64{{1}}}
 
-	var vers [cacheVerSlots]uint64
-	c.snapshotAll(&vers) // leaf-load-time snapshot
-	c.invalidateKey(bk)  // writer overwrote the blob between copy and insert
-	c.put(bk, "*", vers[bk.slot()], batch, nil, false, 64, nil, nil)
-	if _, ok := c.get(bk, "*"); ok {
+	_, ver := c.get(bk, "*") // the miss under the latch, with the byte copy
+	c.invalidateKey(bk)      // writer overwrote the blob between copy and insert
+	c.put(bk, "*", ver, batch, nil, false, 64, nil, nil)
+	e, ver := c.get(bk, "*")
+	if e != nil {
 		t.Fatal("stale insert was served")
 	}
-	// A fresh snapshot inserts fine.
-	c.snapshotAll(&vers)
-	c.put(bk, "*", vers[bk.slot()], batch, nil, false, 64, nil, nil)
-	if _, ok := c.get(bk, "*"); !ok {
+	// A fresh version inserts fine.
+	c.put(bk, "*", ver, batch, nil, false, 64, nil, nil)
+	if e, _ := c.get(bk, "*"); e == nil {
 		t.Fatal("fresh insert missing")
 	}
 	// Invalidation removes the live entry too.
 	c.invalidateKey(bk)
-	if _, ok := c.get(bk, "*"); ok {
+	if e, _ := c.get(bk, "*"); e != nil {
 		t.Fatal("entry survived invalidation")
 	}
 }
 
 // TestBlobCacheLeafCopySnapshotRace replays the stale-cache race the
-// leaf-load hook closes: a cursor copies its leaf, a writer then
-// overwrites a record on that leaf (an in-place MG row merge during
-// ordinary ingest) and invalidates the key, and only then does the
-// reader decode its — now stale — leaf copy and offer it to the cache.
+// version guard closes: a walker step copies its records, a writer then
+// overwrites one of them (an in-place MG row merge during ordinary
+// ingest) and invalidates the key, and only then does the reader decode
+// its — now stale — copy and offer it to the cache.
 // The insert must be dropped: the reader itself may serve the old bytes
 // (dirty-read isolation), but later cached scans must see the new ones.
 func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
@@ -221,9 +220,12 @@ func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
 	}
 	group := mgs[0].Group
 
-	// The reader's cursor copies the leaf (and snapshots cache versions)
-	// at Seek, i.e. now — before the overwrite below.
-	stale := f.store.newMGIter(nil, group, f.store.cache, math.MinInt64, math.MaxInt64, 0, nil, nil)
+	// The reader's first step copies every record (and reads their cache
+	// versions) now — before the overwrite below; records decode lazily.
+	stale := &scanIter{w: f.store.groupWalker(group, 0, math.MinInt64, math.MaxInt64, nil, ScanOptions{})}
+	if _, ok := stale.Next(); !ok {
+		t.Fatal(stale.Err())
+	}
 
 	// Overwrite window 2's record in place: a duplicate-timestamp arrival
 	// for member 0 replaces the stored value and invalidates the key.
@@ -235,7 +237,7 @@ func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain the stale reader: it decodes old bytes from its leaf copy and
+	// Drain the stale reader: it decodes old bytes from its copy and
 	// offers them to the cache; the version check must reject the insert.
 	for {
 		if _, ok := stale.Next(); !ok {

@@ -1,7 +1,8 @@
 package tsstore
 
 import (
-	"odh/internal/keyenc"
+	"math"
+
 	"odh/internal/model"
 )
 
@@ -34,101 +35,51 @@ func (s *Store) CoalesceSource(source int64) (CoalesceResult, error) {
 	if structure == model.MG {
 		structure = ds.HistoricalStructure()
 	}
-	tree := s.treeFor(structure)
-
-	// Collect the source's batches and find undersized ones.
-	lo := keyenc.SourceTime(source, -1<<62)
-	hi := keyenc.PrefixSuccessor(keyenc.PrefixInt64(source))
-	type rec struct {
-		key    []byte
-		count  int
-		bytes  int
-		points []model.Point
-	}
-	var recs []rec
-	small := 0
-	err := tree.Scan(lo, hi, func(k, v []byte) bool {
-		_, baseTS, err := keyenc.DecodeSourceTime(k)
-		if err != nil {
-			return true
+	del, put, err := s.rewriteRange(s.treeFor(structure), source, math.MinInt64, math.MaxInt64, func(recs []stored) (del, put []stored, err error) {
+		// Cold blobs were already compacted at a larger granularity and
+		// stubs have no payload; both stay where the tier pass put them.
+		hot, all := decodeRecords(source, recs, func(r stored) bool { return BlobTier(r.blob) == TierHot })
+		res.BatchesBefore, res.BytesBefore = len(hot), blobBytes(hot)
+		small := false
+		for _, r := range hot {
+			rows, _, _, _ := blobSpan(r)
+			small = small || int(rows)*2 < s.cfg.BatchSize
 		}
-		if BlobTier(v) != TierHot {
-			// Cold blobs were already compacted at a larger granularity and
-			// stubs have no payload; both stay where the tier pass put them.
-			return true
+		if !small || len(hot) < 2 {
+			return nil, nil, nil
 		}
-		batch, err := DecodeBlob(v, baseTS, nil)
-		if err != nil {
-			return true
-		}
-		pts := make([]model.Point, len(batch.Timestamps))
-		for i := range pts {
-			pts[i] = model.Point{Source: source, TS: batch.Timestamps[i], Values: batch.Rows[i]}
-		}
-		recs = append(recs, rec{
-			key:    append([]byte(nil), k...),
-			count:  len(pts),
-			bytes:  len(v),
-			points: pts,
-		})
-		if len(pts)*2 < s.cfg.BatchSize {
-			small++
-		}
-		return true
+		// Rebuild the full history (a source's total history fits the
+		// maintenance window by assumption; callers with huge histories run
+		// DropBefore first or coalesce after retention).
+		return hot, s.encodeRuns(ds, schema, all, structure, s.encodeOptsFor(schema), s.cfg.BatchSize), nil
 	})
-	if err != nil {
-		return res, err
-	}
-	res.BatchesBefore = len(recs)
-	for _, r := range recs {
-		res.BytesBefore += int64(r.bytes)
-	}
-	res.BatchesAfter = res.BatchesBefore
-	res.BytesAfter = res.BytesBefore
-	if small == 0 || len(recs) < 2 {
-		return res, nil
-	}
+	res.BatchesAfter = res.BatchesBefore - len(del) + len(put)
+	res.BytesAfter = res.BytesBefore - blobBytes(del) + blobBytes(put)
+	return res, err
+}
 
-	// Rebuild the full history: merge all points in timestamp order (a
-	// source's total history fits the maintenance window by assumption;
-	// callers with huge histories run DropBefore first or coalesce after
-	// retention).
-	var all []model.Point
+// decodeRecords decodes the records pick accepts (nil = all) into one
+// timestamp-sorted point run — the read half of every content-preserving
+// rewrite. It returns the records it decoded; unreadable ones are left
+// for fsck, never destroyed.
+func decodeRecords(source int64, recs []stored, pick func(stored) bool) (picked []stored, pts []model.Point) {
 	for _, r := range recs {
-		all = append(all, r.points...)
+		if pick != nil && !pick(r) {
+			continue
+		}
+		batch, err := DecodeBlob(r.blob, r.ts, nil)
+		if err != nil {
+			continue
+		}
+		for i, ts := range batch.Timestamps {
+			pts = append(pts, model.Point{Source: source, TS: ts, Values: batch.Rows[i]})
+		}
+		picked = append(picked, r)
 	}
 	// Batches can overlap after out-of-order ingest; restore global order
 	// with a stable merge (mostly-sorted input).
-	insertionSortPoints(all)
-	treeID := s.treeID(tree)
-	for _, r := range recs {
-		err := tree.Delete(r.key)
-		if _, ts, derr := keyenc.DecodeSourceTime(r.key); derr == nil {
-			s.invalidateBlob(treeID, source, ts)
-		}
-		if err != nil {
-			return res, err
-		}
-	}
-	// Reset stats contributions from the deleted batches.
-	if err := s.cat.UpdateStats(source, model.SourceStats{
-		BatchCount: -int64(len(recs)),
-		PointCount: -int64(len(all)),
-		BlobBytes:  -res.BytesBefore,
-	}); err != nil {
-		return res, err
-	}
-	n, err := s.writeHistoricalBatches(ds, schema, all)
-	if err != nil {
-		return res, err
-	}
-	res.BatchesAfter = n
-	res.BytesAfter = 0
-	err = tree.Scan(lo, hi, func(k, v []byte) bool {
-		res.BytesAfter += int64(len(v))
-		return true
-	})
-	return res, err
+	insertionSortPoints(pts)
+	return picked, pts
 }
 
 // insertionSortPoints sorts nearly-sorted point slices in place.

@@ -8,8 +8,8 @@ import (
 )
 
 // The parallel scan scheduler fans the independent parts of a scan —
-// disjoint sources, and ts-disjoint sub-ranges of one source's batch
-// walk — across a bounded worker pool. Each worker drains its part
+// disjoint owners, and ts-disjoint sub-ranges of one source's walk —
+// across a bounded worker pool. Each worker drains its part
 // iterator up to a per-part byte budget and delivers one result over a
 // capacity-1 channel, so an abandoned scan (e.g. a LIMIT that stops
 // early) never strands a blocked goroutine and never holds more than
@@ -18,9 +18,8 @@ import (
 // prefix, then continues the same iterator serially on its own
 // goroutine — the fan-out covers the first maxPartBufferBytes of every
 // part, the oversized tails stream like a serial scan. Results are
-// consumed in the original part order and fed to the same
-// mergeIter/concatIter the serial path uses, which keeps the output
-// byte-identical to a serial scan.
+// consumed in the original part order and concatenated, which keeps the
+// output byte-identical to a serial scan.
 
 // ScanOptions tunes one scan; the zero value is the serial, cached
 // behavior of the plain scan methods.

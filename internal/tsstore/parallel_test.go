@@ -86,9 +86,10 @@ func TestDrainPartsBoundedHandoff(t *testing.T) {
 // live ingest, background flushes, and retention with the decode cache
 // enabled. Under -race this covers the cache's concurrent get/put/
 // invalidate paths and the scheduler's channel protocol. While racing,
-// readers only assert weak invariants (rows in window, timestamps
-// sorted); after quiescing, cached and uncached scans must agree
-// exactly.
+// every read must be an exact dirty read (see feed): each row acked
+// before it started exactly once, nothing beyond what writers had started
+// when it ended, single-source scans ascending; after quiescing, cached
+// and uncached scans must agree exactly.
 func TestConcurrentParallelQueries(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16, MaxOpenMGRows: 4, BlobCacheBytes: 256 << 10}, 4)
 	s := f.schema(t, "race", 2)
@@ -101,6 +102,15 @@ func TestConcurrentParallelQueries(t *testing.T) {
 	sources := append([]*model.DataSource{rts, irts}, mgs...)
 
 	const perSource = 1500
+	streams := map[int64][]model.Point{}
+	for _, ds := range sources {
+		pts := make([]model.Point, perSource)
+		for i := range pts {
+			pts[i] = model.Point{TS: int64(i+1)*ds.IntervalMs + int64(ds.GroupSlot), Values: []float64{0, float64(ds.ID)}}
+		}
+		streams[ds.ID] = pts
+	}
+	fd := newFeed(streams)
 	var wg, writers sync.WaitGroup
 	var stop atomic.Bool
 
@@ -111,8 +121,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < perSource; i++ {
-				p := model.Point{Source: ds.ID, TS: int64(i+1)*ds.IntervalMs + int64(ds.GroupSlot), Values: []float64{float64(i % 7), float64(ds.ID)}}
-				if err := f.store.Write(p); err != nil {
+				if err := fd.write(f.store, ds.ID, i); err != nil {
 					t.Error(err)
 					return
 				}
@@ -130,7 +139,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 			}
 		}
 	}()
-	// Periodic retention on a prefix that writers have long passed.
+	// Periodic retention on a prefix below the readers' window.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -142,6 +151,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		}
 	}()
 	// Readers: fanned-out single-source scans and schema slices.
+	const t1 = 100
 	for r := 0; r < 4; r++ {
 		r := r
 		wg.Add(1)
@@ -149,52 +159,13 @@ func TestConcurrentParallelQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				ds := sources[(r+i)%len(sources)]
-				t1, t2 := int64(100), int64(1+perSource)*ds.IntervalMs
-				it, err := f.store.HistoricalScanOpts(ds.ID, t1, t2, nil, ScanOptions{Workers: 4, NoCache: i%2 == 0})
+				err := fd.readHistorical(f.store, ds.ID, t1, ScanOptions{Workers: 4, NoCache: i%2 == 0})
+				if err == nil && i%8 == 0 {
+					err = fd.readSlice(f.store, s.ID, t1, ScanOptions{Workers: 4})
+				}
 				if err != nil {
 					t.Error(err)
 					return
-				}
-				last := int64(math.MinInt64)
-				for {
-					p, ok := it.Next()
-					if !ok {
-						break
-					}
-					if p.TS < t1 || p.TS >= t2 {
-						t.Errorf("row %d outside [%d,%d)", p.TS, t1, t2)
-						return
-					}
-					if p.TS < last {
-						t.Errorf("timestamps regressed: %d after %d", p.TS, last)
-						return
-					}
-					last = p.TS
-				}
-				if err := it.Err(); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%8 == 0 {
-					sl, err := f.store.SliceScanOpts(s.ID, t1, t2, nil, ScanOptions{Workers: 4})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for {
-						p, ok := sl.Next()
-						if !ok {
-							break
-						}
-						if p.TS < t1 || p.TS >= t2 {
-							t.Errorf("slice row %d outside [%d,%d)", p.TS, t1, t2)
-							return
-						}
-					}
-					if err := sl.Err(); err != nil {
-						t.Error(err)
-						return
-					}
 				}
 			}
 		}()

@@ -1,9 +1,6 @@
 package tsstore
 
-import (
-	"odh/internal/keyenc"
-	"odh/internal/model"
-)
+import "odh/internal/model"
 
 // The reorganizer implements the third and fourth rows of the paper's
 // Table 1: low-frequency data ingests through MG (one record per
@@ -27,9 +24,8 @@ type ReorgResult struct {
 
 // ReorganizeGroup converts the MG records of one group with ts < upTo into
 // per-source RTS/IRTS batches, deletes them from the MG tree, and advances
-// the group's watermark. It is safe to run while ingest continues; the
-// affected stripe is strictly below any timestamps still being written
-// when upTo is chosen below the oldest open buffer row.
+// the group's watermark. The whole stripe moves in one rewrite under the
+// group's latch, so ingest and queries may run throughout.
 func (s *Store) ReorganizeGroup(group int64, upTo int64) (ReorgResult, error) {
 	res := ReorgResult{}
 	members := s.cat.GroupMembers(group)
@@ -48,136 +44,65 @@ func (s *Store) ReorganizeGroup(group int64, upTo int64) (ReorgResult, error) {
 	if !ok {
 		return res, nil
 	}
-
-	// Gather the stripe per member.
-	perSource := make(map[int64][]model.Point, len(members))
-	var keys [][]byte
-	var reclaimedBlobBytes, reclaimedPoints int64
-	lo := keyenc.SourceTime(group, wm)
-	hi := keyenc.SourceTime(group, upTo)
-	err := s.mg.Scan(lo, hi, func(k, v []byte) bool {
-		_, ts, err := keyenc.DecodeSourceTime(k)
-		if err != nil {
-			return true
-		}
-		batch, err := DecodeBlob(v, ts, nil)
-		if err != nil {
-			return true
-		}
-		for i, slot := range batch.Slots {
-			if slot >= len(members) {
-				continue
+	_, _, err := s.rewriteRange(s.mg, group, wm, upTo, func(recs []stored) (del, put []stored, err error) {
+		// Gather the stripe per member. MG records are time-ordered, so
+		// each member's points arrive sorted.
+		perSource := make(map[int64][]model.Point, len(members))
+		for _, r := range recs {
+			batch, err := DecodeBlob(r.blob, r.ts, nil)
+			if err != nil {
+				continue // unreadable: leave it for fsck
 			}
-			src := members[slot]
-			// Each member's exact timestamp is the window base plus its
-			// stored offset, carried in the decoded batch.
-			perSource[src] = append(perSource[src], model.Point{Source: src, TS: batch.Timestamps[i], Values: batch.Rows[i]})
-			reclaimedPoints++
+			for i, slot := range batch.Slots {
+				if slot < len(members) {
+					src := members[slot]
+					perSource[src] = append(perSource[src], model.Point{Source: src, TS: batch.Timestamps[i], Values: batch.Rows[i]})
+				}
+			}
+			del = append(del, r)
 		}
-		reclaimedBlobBytes += int64(len(v))
-		keys = append(keys, append([]byte(nil), k...))
-		res.RecordsConverted++
-		return true
+		// The members' per-source ranges share the group's latch.
+		for _, src := range members {
+			ds, ok := s.cat.Source(src)
+			if pts := perSource[src]; ok && len(pts) > 0 {
+				runs := s.encodeRuns(ds, schema, pts, ds.HistoricalStructure(), s.encodeOptsFor(schema), s.cfg.BatchSize)
+				if err := s.rewriteLocked(s.treeFor(ds.HistoricalStructure()), src, nil, runs); err != nil {
+					return nil, nil, err
+				}
+				res.BatchesWritten += len(runs)
+				res.PointsMoved += len(pts)
+			}
+		}
+		res.RecordsConverted = len(del)
+		return del, nil, nil
 	})
 	if err != nil {
 		return res, err
 	}
-	if res.RecordsConverted == 0 {
-		return res, s.setWatermark(group, upTo)
+	if res.RecordsConverted > 0 {
+		res.Groups = 1
 	}
-
-	// Write per-source batches. MG scans are time-ordered, so each
-	// member's points arrive sorted.
-	for _, src := range members {
-		pts := perSource[src]
-		if len(pts) == 0 {
-			continue
-		}
-		ds, ok := s.cat.Source(src)
-		if !ok {
-			continue
-		}
-		n, err := s.writeHistoricalBatches(ds, schema, pts)
-		if err != nil {
-			return res, err
-		}
-		res.BatchesWritten += n
-		res.PointsMoved += len(pts)
-	}
-
-	// Remove the converted MG records and advance the watermark.
-	for _, k := range keys {
-		err := s.mg.Delete(k)
-		if _, ts, derr := keyenc.DecodeSourceTime(k); derr == nil {
-			s.invalidateBlob(cacheTreeMG, group, ts)
-		}
-		if err != nil {
-			return res, err
-		}
-	}
-	if err := s.cat.UpdateGroupStats(group, model.SourceStats{
-		BatchCount: -int64(res.RecordsConverted),
-		PointCount: -reclaimedPoints,
-		BlobBytes:  -reclaimedBlobBytes,
-	}); err != nil {
-		return res, err
-	}
-	res.Groups = 1
 	return res, s.setWatermark(group, upTo)
 }
 
-// writeHistoricalBatches packs a sorted per-source point run into RTS or
-// IRTS batches of at most batchSize points, splitting RTS runs at gaps.
-func (s *Store) writeHistoricalBatches(ds *model.DataSource, schema *model.SchemaType, pts []model.Point) (int, error) {
-	n, _, err := s.writeBatchesOpts(ds, schema, pts, ds.HistoricalStructure(), s.encodeOptsFor(schema), s.cfg.BatchSize)
-	return n, err
+// encodeRuns packs a sorted per-source point run into RTS or IRTS records
+// of at most batchSize points, splitting RTS runs at gaps: the encoder
+// behind the reorganizer and coalescing (store defaults) and the cold
+// pass (larger batches, max-effort codecs).
+func (s *Store) encodeRuns(ds *model.DataSource, schema *model.SchemaType, pts []model.Point, structure model.Structure, opts encodeOpts, batchSize int) []stored {
+	var out []stored
+	for _, run := range splitBatchRuns(pts, structure, ds.IntervalMs, batchSize) {
+		out = append(out, stored{ts: run[0].TS, blob: encodeRun(ds, schema, run, structure, opts)})
+	}
+	return out
 }
 
-// writeBatchesOpts is the parameterized batch writer behind both the
-// reorganizer (store defaults) and the cold compaction pass, which rewrites
-// aged history at a larger batch granularity with max-effort encoding. It
-// returns the batch count and the blob bytes written.
-func (s *Store) writeBatchesOpts(ds *model.DataSource, schema *model.SchemaType, pts []model.Point, structure model.Structure, opts encodeOpts, batchSize int) (int, int64, error) {
-	ntags := len(schema.Tags)
-	tree := s.treeFor(structure)
-	batches := 0
-	var blobBytes int64
-	flush := func(run []model.Point) error {
-		if len(run) == 0 {
-			return nil
-		}
-		var blob []byte
-		if structure == model.RTS {
-			blob = EncodeRTS(run, ntags, ds.IntervalMs, opts)
-		} else {
-			blob = EncodeIRTS(run, ntags, opts)
-		}
-		err := tree.Put(keyenc.SourceTime(ds.ID, run[0].TS), blob)
-		s.invalidateBlob(s.treeID(tree), ds.ID, run[0].TS)
-		if err != nil {
-			return err
-		}
-		first, last := run[0].TS, run[len(run)-1].TS
-		if err := s.cat.UpdateStats(ds.ID, model.SourceStats{
-			BatchCount: 1,
-			PointCount: int64(len(run)),
-			BlobBytes:  int64(len(blob)),
-			FirstTS:    first,
-			LastTS:     last,
-			MaxSpanMs:  last - first,
-		}); err != nil {
-			return err
-		}
-		batches++
-		blobBytes += int64(len(blob))
-		return nil
+// encodeRun encodes one batch run in the given structure.
+func encodeRun(ds *model.DataSource, schema *model.SchemaType, run []model.Point, structure model.Structure, opts encodeOpts) []byte {
+	if structure == model.RTS {
+		return EncodeRTS(run, len(schema.Tags), ds.IntervalMs, opts)
 	}
-	for _, run := range splitBatchRuns(pts, structure, ds.IntervalMs, batchSize) {
-		if err := flush(run); err != nil {
-			return batches, blobBytes, err
-		}
-	}
-	return batches, blobBytes, nil
+	return EncodeIRTS(run, len(schema.Tags), opts)
 }
 
 // splitBatchRuns partitions a sorted point slice into batch runs of at
@@ -185,9 +110,7 @@ func (s *Store) writeBatchesOpts(ds *model.DataSource, schema *model.SchemaType,
 // each run's time span at batchSize sampling intervals so batches stay
 // aligned with the data's natural cadence; retention (which drops whole
 // batches) then keeps working after reorganization, coalescing, and cold
-// compaction. The returned runs alias pts. The split is deterministic:
-// the cold pass dry-runs it for key-collision checks before the writer
-// replays it.
+// compaction. The returned runs alias pts.
 func splitBatchRuns(pts []model.Point, structure model.Structure, intervalMs int64, batchSize int) [][]model.Point {
 	maxSpan := int64(0)
 	if intervalMs > 0 {
@@ -210,10 +133,12 @@ func splitBatchRuns(pts []model.Point, structure model.Structure, intervalMs int
 }
 
 // writeHistoricalPoint stores a single point directly in the source's
-// historical structure (the MG duplicate-sample overflow path).
+// historical structure (the MG duplicate-sample overflow path). Caller
+// holds the group's latch.
 func (s *Store) writeHistoricalPoint(ds *model.DataSource, schema *model.SchemaType, p model.Point) error {
-	_, err := s.writeHistoricalBatches(ds, schema, []model.Point{p.Clone()})
-	return err
+	structure := ds.HistoricalStructure()
+	return s.rewriteLocked(s.treeFor(structure), ds.ID, nil,
+		s.encodeRuns(ds, schema, []model.Point{p}, structure, s.encodeOptsFor(schema), s.cfg.BatchSize))
 }
 
 // Reorganize converts every group of a schema up to the given timestamp.

@@ -1,14 +1,11 @@
 package tsstore
 
 import (
-	"errors"
 	"math"
 	"testing"
 
 	"odh/internal/model"
 )
-
-var errOutOfOrder = errors.New("scan out of order")
 
 func TestDropBeforeRTS(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 10}, 0)
@@ -101,6 +98,46 @@ func TestDropBeforeMG(t *testing.T) {
 	}
 }
 
+// TestDropBeforeKeepsPointCount pins the statistics the planner's row
+// estimates read: after flush + DropBefore a source's (or MG group's)
+// PointCount is the row count of a full scan, not the count ever written.
+func TestDropBeforeKeepsPointCount(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 8}, 4)
+	s := f.schema(t, "ptcount", 1)
+	rts := f.source(t, s.ID, true, 10)
+	var mgs []*model.DataSource
+	for i := 0; i < 4; i++ {
+		mgs = append(mgs, f.source(t, s.ID, true, 10_000))
+	}
+	for i := 0; i < 1000; i++ { // straddles the cutoff
+		f.store.Write(model.Point{Source: rts.ID, TS: 60_000 + int64(i*10), Values: []float64{1}})
+	}
+	for w := int64(1); w <= 12; w++ {
+		for _, ds := range mgs[:1+w%4] { // partially filled rows too
+			f.store.Write(model.Point{Source: ds.ID, TS: w * 10_000, Values: []float64{float64(w)}})
+		}
+	}
+	f.store.Flush()
+	res, err := f.store.DropBefore(s.ID, 65_000)
+	if err != nil || res.RecordsDropped == 0 {
+		t.Fatalf("drop: %+v err=%v", res, err)
+	}
+	it, _ := f.store.HistoricalScan(rts.ID, math.MinInt64, math.MaxInt64, nil)
+	if st, n := f.cat.Stats(rts.ID), len(collect(t, it)); st.PointCount != int64(n) || n == 0 || n == 1000 {
+		t.Fatalf("source PointCount = %d, scan has %d rows", st.PointCount, n)
+	}
+	it, _ = f.store.SliceScan(s.ID, math.MinInt64, math.MaxInt64, nil)
+	mgRows := 0
+	for _, p := range collect(t, it) {
+		if p.Source != rts.ID {
+			mgRows++
+		}
+	}
+	if st := f.cat.GroupStats(mgs[0].Group); st.PointCount != int64(mgRows) || mgRows == 0 {
+		t.Fatalf("group PointCount = %d, scan has %d rows", st.PointCount, mgRows)
+	}
+}
+
 func TestDropBeforeThenIngestContinues(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 4}, 0)
 	s := f.schema(t, "cont", 1)
@@ -127,21 +164,26 @@ func TestDropBeforeThenIngestContinues(t *testing.T) {
 // TestConcurrentIngestAndQuery exercises the dirty-read path under
 // concurrency: writers stream points while readers continuously scan.
 // The race detector validates synchronization; the assertions validate
-// that readers only ever see monotonically complete prefixes.
+// that every scan is an exact dirty read (see feed): every row acked
+// before it started exactly once, nothing past what writers had started
+// when it ended, timestamps ascending.
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 32}, 0)
 	s := f.schema(t, "conc", 2)
+	const perSource = 2000
 	var ids []int64
+	streams := map[int64][]model.Point{}
 	for i := 0; i < 4; i++ {
 		ds := f.source(t, s.ID, true, 10)
 		ids = append(ids, ds.ID)
+		streams[ds.ID] = regularStream(perSource, 10)
 	}
-	const perSource = 2000
+	fd := newFeed(streams)
 	done := make(chan error, len(ids)+2)
 	for _, id := range ids {
 		go func(id int64) {
 			for i := 0; i < perSource; i++ {
-				if err := f.store.Write(model.Point{Source: id, TS: int64(i * 10), Values: []float64{float64(i), 1}}); err != nil {
+				if err := fd.write(f.store, id, i); err != nil {
 					done <- err
 					return
 				}
@@ -152,24 +194,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func() {
 			for scan := 0; scan < 50; scan++ {
-				it, err := f.store.HistoricalScan(ids[scan%len(ids)], 0, math.MaxInt64, nil)
-				if err != nil {
-					done <- err
-					return
-				}
-				prev := int64(-1)
-				for {
-					p, ok := it.Next()
-					if !ok {
-						break
-					}
-					if p.TS <= prev {
-						done <- errOutOfOrder
-						return
-					}
-					prev = p.TS
-				}
-				if err := it.Err(); err != nil {
+				if err := fd.readHistorical(f.store, ids[scan%len(ids)], 0, ScanOptions{}); err != nil {
 					done <- err
 					return
 				}
@@ -184,9 +209,8 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 	f.store.Flush()
 	for _, id := range ids {
-		it, _ := f.store.HistoricalScan(id, 0, math.MaxInt64, nil)
-		if got := len(collect(t, it)); got != perSource {
-			t.Fatalf("source %d: %d points, want %d", id, got, perSource)
+		if err := fd.readHistorical(f.store, id, 0, ScanOptions{}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -1,14 +1,11 @@
 package tsstore
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"odh/internal/btree"
-	"odh/internal/keyenc"
 	"odh/internal/model"
 )
 
@@ -36,39 +33,6 @@ type Iterator interface {
 // and must feed the blob-bytes accounting (the paper's cost unit), so the
 // estimate cannot be zero.
 func pointBlobBytes(ntags int) int64 { return 8 + 8*int64(ntags) }
-
-// sliceIterAdapter iterates a materialized point slice, accruing the
-// estimated blob bytes of each point it serves.
-type sliceIterAdapter struct {
-	points   []model.Point
-	i        int
-	perPoint int64
-	accrued  int64
-}
-
-// newSliceIter wraps buffered points, sizing the per-point byte estimate
-// from the row width.
-func newSliceIter(points []model.Point) *sliceIterAdapter {
-	it := &sliceIterAdapter{points: points}
-	if len(points) > 0 {
-		it.perPoint = pointBlobBytes(len(points[0].Values))
-	}
-	return it
-}
-
-func (it *sliceIterAdapter) Next() (model.Point, bool) {
-	if it.i >= len(it.points) {
-		return model.Point{}, false
-	}
-	p := it.points[it.i]
-	it.i++
-	it.accrued += it.perPoint
-	return p, true
-}
-
-func (it *sliceIterAdapter) Err() error          { return nil }
-func (it *sliceIterAdapter) BlobBytes() int64    { return it.accrued }
-func (it *sliceIterAdapter) BlobsSkipped() int64 { return 0 }
 
 // emptyIter yields nothing; zero blob bytes is its true cost.
 type emptyIter struct{}
@@ -118,586 +82,106 @@ func (it *concatIter) BlobsSkipped() int64 {
 	return total
 }
 
-// mergeIter k-way merges timestamp-sorted inputs.
-type mergeIter struct {
-	iters []Iterator
-	heads []model.Point
-	live  []bool
-	err   error
-	init  bool
-}
-
-func newMergeIter(iters []Iterator) *mergeIter {
-	return &mergeIter{
-		iters: iters,
-		heads: make([]model.Point, len(iters)),
-		live:  make([]bool, len(iters)),
-	}
-}
-
-func (it *mergeIter) prime() {
-	for i, sub := range it.iters {
-		p, ok := sub.Next()
-		it.heads[i], it.live[i] = p, ok
-		if !ok && sub.Err() != nil && it.err == nil {
-			it.err = sub.Err()
-		}
-	}
-	it.init = true
-}
-
-func (it *mergeIter) Next() (model.Point, bool) {
-	if !it.init {
-		it.prime()
-	}
-	if it.err != nil {
-		return model.Point{}, false
-	}
-	best := -1
-	for i, ok := range it.live {
-		if !ok {
-			continue
-		}
-		if best == -1 || it.heads[i].TS < it.heads[best].TS ||
-			(it.heads[i].TS == it.heads[best].TS && it.heads[i].Source < it.heads[best].Source) {
-			best = i
-		}
-	}
-	if best == -1 {
-		return model.Point{}, false
-	}
-	out := it.heads[best]
-	p, ok := it.iters[best].Next()
-	it.heads[best], it.live[best] = p, ok
-	if !ok && it.iters[best].Err() != nil && it.err == nil {
-		it.err = it.iters[best].Err()
-	}
-	return out, true
-}
-
-func (it *mergeIter) Err() error { return it.err }
-
-func (it *mergeIter) BlobBytes() int64 {
-	var total int64
-	for _, sub := range it.iters {
-		total += sub.BlobBytes()
-	}
-	return total
-}
-
-func (it *mergeIter) BlobsSkipped() int64 {
-	var total int64
-	for _, sub := range it.iters {
-		total += sub.BlobsSkipped()
-	}
-	return total
-}
-
-// batchIter decodes RTS/IRTS batch records of one source from a tree range
-// and yields the points inside [t1, t2) in timestamp order. Batches are
+// scanIter yields the rows of one walker in timestamp order. Records are
 // keyed by their first timestamp but may overlap (out-of-order ingest
-// splits a batch); the iterator merges overlapping batches by holding
-// points back until every batch that could precede them has been loaded.
-type batchIter struct {
-	store     *Store
-	cur       *btree.Cursor
-	hi        []byte
-	source    int64
-	t1, t2    int64
-	wantTags  []int
+// splits a batch, and an owner's homes interleave); the iterator decodes
+// a chunk's records lazily, in key order, and holds rows back until no
+// undecoded record of the chunk could still precede them.
+type scanIter struct {
+	w         *walker
 	tagRanges []TagRange
-	skipped   int64
-	queue     []model.Point // pending points, sorted by ts
+	ch        chunk
+	ri        int           // next record of ch to decode
+	queue     []model.Point // pending rows of ch, sorted by ts
 	qi        int
-	nextBase  int64 // first timestamp of the batch under the cursor
-	done      bool  // no more batches in range
 	err       error
-	ctx       context.Context // nil = never canceled
-	cache     *blobCache      // nil = bypass
-	treeID    uint8
-	sig       string // cache variant: canonical wantTags signature
-	// vers is the cache version array snapshotted by the cursor's
-	// leaf-load hook — pinned no later than the moment the current cell's
-	// bytes were copied out of the tree, which is what makes the put-time
-	// version check sound (see blobCache.vers).
-	vers [cacheVerSlots]uint64
-	// BlobBytesRead accumulates decoded blob sizes; the executor reports
-	// it as the query's I/O cost, matching the paper's cost unit. Cache
-	// hits do not add to it — nothing was read — they count in the
-	// cache's BytesSaved instead.
-	BlobBytesRead int64
+	skipped   int64
+	// bytesRead accumulates decoded blob sizes plus the estimate for
+	// buffered rows; the executor reports it as the query's I/O cost,
+	// matching the paper's cost unit. Cache hits do not add to it —
+	// nothing was read — they count in the cache's BytesSaved instead.
+	bytesRead int64
 }
 
-// treeID maps a batch tree to its cache namespace.
-func (s *Store) treeID(tree *btree.Tree) uint8 {
-	switch tree {
-	case s.rts:
-		return cacheTreeRTS
-	case s.irts:
-		return cacheTreeIRTS
-	default:
-		return cacheTreeMG
-	}
-}
-
-// newBatchIter scans tree for source's batches overlapping [t1, t2).
-// lookback widens the scan start so a batch beginning before t1 but
-// spilling into the window is found. A non-nil ctx is observed before
-// every blob load, so canceling it stops the walk mid-scan.
-func (s *Store) newBatchIter(ctx context.Context, tree *btree.Tree, cache *blobCache, source, t1, t2, lookback int64, wantTags []int, tagRanges []TagRange) *batchIter {
-	loTS := t1
-	if lookback > 0 {
-		if loTS > math.MinInt64+lookback+1 {
-			loTS = t1 - lookback - 1
-		} else {
-			loTS = math.MinInt64
-		}
-	}
-	it := &batchIter{
-		store:     s,
-		source:    source,
-		t1:        t1,
-		t2:        t2,
-		wantTags:  wantTags,
-		tagRanges: tagRanges,
-		hi:        keyenc.SourceTime(source, t2),
-		ctx:       ctx,
-		cache:     cache,
-		treeID:    s.treeID(tree),
-	}
-	seekKey := keyenc.SourceTime(source, loTS)
-	if cache != nil {
-		it.sig = tagsSig(wantTags)
-		it.cur = tree.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&it.vers) })
-	} else {
-		it.cur = tree.Seek(seekKey)
-	}
-	it.peek()
-	return it
-}
-
-// peek records the base timestamp of the batch under the cursor, or marks
-// the iterator done when the cursor left the (source, [lo, t2)) range.
-func (it *batchIter) peek() {
-	if !it.cur.Valid() {
-		it.err = it.cur.Err()
-		it.done = true
-		return
-	}
-	key := it.cur.Key()
-	if keyCompare(key, it.hi) >= 0 {
-		it.done = true
-		return
-	}
-	src, baseTS, err := keyenc.DecodeSourceTime(key)
-	if err != nil {
-		it.err = err
-		it.done = true
-		return
-	}
-	if src != it.source {
-		it.done = true
-		return
-	}
-	it.nextBase = baseTS
-}
-
-// loadOne decodes the batch under the cursor into the queue and advances.
-// In lenient mode an unreadable or undecodable record is quarantined
-// (skipped and counted) instead of failing the scan; a broken tree walk
-// still aborts either way, since the cursor cannot advance past it.
-func (it *batchIter) loadOne() {
-	if err := ctxErr(it.ctx); err != nil {
-		it.err = err
-		it.done = true
-		return
-	}
-	baseTS := it.nextBase
-	bk := blobKey{tree: it.treeID, source: it.source, ts: baseTS}
-	if it.cache != nil {
-		if e, ok := it.cache.get(bk, it.sig); ok {
-			it.cur.Next()
-			it.peek()
-			// The skip decision replays against the zone maps captured at
-			// decode time, so hits behave exactly like the raw-blob path.
-			if !e.overlaps(it.tagRanges) {
-				it.skipped++
-				return
-			}
-			it.cache.noteSaved(e.blobLen)
-			it.enqueue(e.batch)
-			return
-		}
-	}
-	// The version guarding the cache insert was snapshotted when the
-	// cursor copied this cell's leaf (the load hook), so it predates the
-	// bytes Value() returns; read it before Next() can reload it.
-	var ver uint64
-	if it.cache != nil {
-		ver = it.vers[bk.slot()]
-	}
-	blob, err := it.cur.Value()
-	if err != nil {
-		if it.store.lenient() {
-			it.store.noteCorruptBlob()
-			it.cur.Next()
-			it.peek()
-			return
-		}
-		it.err = err
-		it.done = true
-		return
-	}
-	it.cur.Next()
-	it.peek()
-	if !BlobOverlaps(blob, it.tagRanges) {
-		it.skipped++
-		return
-	}
-	if IsStubBlob(blob) {
-		sum, ok := parseBlobSummary(blob, baseTS)
-		if !ok {
-			// A stub without a readable summary is corruption, not policy.
-			if it.store.lenient() {
-				it.store.noteCorruptBlob()
-				return
-			}
-			it.err = fmt.Errorf("tsstore: corrupt stub blob source=%d ts=%d", it.source, baseTS)
-			it.done = true
-			return
-		}
-		if sum.rows == 0 || sum.lastTS < it.t1 || sum.firstTS >= it.t2 {
-			return // every stubbed row falls outside the window: nothing lost
-		}
-		// Rows inside the window were dropped by tier policy: degrade
-		// loudly rather than silently return fewer rows. Lenient mode
-		// never swallows this — a stub is not a corrupt record.
-		it.err = &StubbedRangeError{Tree: treeName(it.treeID), Source: it.source, TS: baseTS, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-		it.done = true
-		return
-	}
-	batch, err := DecodeBlob(blob, baseTS, it.wantTags)
-	if err != nil {
-		if it.store.lenient() {
-			it.store.noteCorruptBlob()
-			return
-		}
-		it.err = err
-		it.done = true
-		return
-	}
-	it.BlobBytesRead += int64(len(blob))
-	if it.cache != nil {
-		zones, hasZones := blobZoneMaps(blob)
-		it.cache.put(bk, it.sig, ver, batch, zones, hasZones, int64(len(blob)), cacheSummary(blob, baseTS, batch), nil)
-	}
-	it.enqueue(batch)
-}
-
-// enqueue appends the batch's in-range rows to the pending queue. When a
-// cache is attached the batch is (or may become) shared across readers,
-// so row values are copied on emission — callers own the Points an
-// Iterator yields and may mutate them.
-func (it *batchIter) enqueue(batch *DecodedBatch) {
-	// Compact the emitted prefix before appending.
-	if it.qi > 0 {
-		it.queue = append(it.queue[:0], it.queue[it.qi:]...)
-		it.qi = 0
-	}
-	shared := it.cache != nil
-	before := len(it.queue)
-	for i, ts := range batch.Timestamps {
-		if ts >= it.t1 && ts < it.t2 {
-			vals := batch.Rows[i]
-			if shared {
-				vals = append([]float64(nil), vals...)
-			}
-			it.queue = append(it.queue, model.Point{Source: it.source, TS: ts, Values: vals})
-		}
-	}
-	// Batches rarely overlap; only re-sort when they do.
-	if before > 0 && len(it.queue) > before && it.queue[before].TS < it.queue[before-1].TS {
-		sort.SliceStable(it.queue, func(a, b int) bool { return it.queue[a].TS < it.queue[b].TS })
-	}
-}
-
-func (it *batchIter) Next() (model.Point, bool) {
-	for {
-		if it.err != nil {
-			return model.Point{}, false
-		}
+func (it *scanIter) Next() (model.Point, bool) {
+	for it.err == nil {
 		if it.qi < len(it.queue) {
-			// Safe to emit only when no unloaded batch could still start
-			// before this point.
-			if it.done || it.queue[it.qi].TS < it.nextBase {
+			if it.ri >= len(it.ch.recs) || it.queue[it.qi].TS < it.ch.recs[it.ri].ts {
 				p := it.queue[it.qi]
 				it.qi++
 				return p, true
 			}
-		} else if it.done {
-			return model.Point{}, false
-		}
-		it.loadOne()
-	}
-}
-
-func (it *batchIter) Err() error          { return it.err }
-func (it *batchIter) BlobBytes() int64    { return it.BlobBytesRead }
-func (it *batchIter) BlobsSkipped() int64 { return it.skipped }
-
-func keyCompare(a, b []byte) int { return bytes.Compare(a, b) }
-
-// mgIter decodes MG records of one group in [t1, t2), yielding points for
-// every reported member, or only onlySource when it is non-zero.
-type mgIter struct {
-	store         *Store
-	cur           *btree.Cursor
-	hi            []byte
-	group         int64
-	members       []int64
-	onlySource    int64
-	wantTags      []int
-	tagRanges     []TagRange
-	skipped       int64
-	t1, t2        int64
-	queue         []model.Point
-	qi            int
-	err           error
-	ctx           context.Context // nil = never canceled
-	cache         *blobCache      // nil = bypass
-	sig           string
-	vers          [cacheVerSlots]uint64 // see batchIter.vers
-	BlobBytesRead int64
-}
-
-// groupWindow returns the bucketing window of an MG group (its first
-// member's sampling interval).
-func (s *Store) groupWindow(group int64) int64 {
-	members := s.cat.GroupMembers(group)
-	if len(members) == 0 {
-		return 1
-	}
-	ds, ok := s.cat.Source(members[0])
-	if !ok || ds.IntervalMs <= 0 {
-		return 1
-	}
-	return ds.IntervalMs
-}
-
-// newMGIter scans group records whose window overlaps [t1, t2); the scan
-// starts one window early because a record's members may carry offsets up
-// to the window size. Emitted points are filtered to the exact range.
-func (s *Store) newMGIter(ctx context.Context, group int64, cache *blobCache, t1, t2 int64, onlySource int64, wantTags []int, tagRanges []TagRange) *mgIter {
-	window := s.groupWindow(group)
-	lo := t1
-	if lo > math.MinInt64+window {
-		lo = t1 - window
-	}
-	it := &mgIter{
-		store:      s,
-		group:      group,
-		members:    s.cat.GroupMembers(group),
-		onlySource: onlySource,
-		wantTags:   wantTags,
-		tagRanges:  tagRanges,
-		t1:         t1,
-		t2:         t2,
-		hi:         keyenc.SourceTime(group, t2),
-		ctx:        ctx,
-		cache:      cache,
-	}
-	seekKey := keyenc.SourceTime(group, lo)
-	if cache != nil {
-		it.sig = tagsSig(wantTags)
-		it.cur = s.mg.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&it.vers) })
-	} else {
-		it.cur = s.mg.Seek(seekKey)
-	}
-	return it
-}
-
-func (it *mgIter) Next() (model.Point, bool) {
-	for {
-		if it.qi < len(it.queue) {
-			p := it.queue[it.qi]
-			it.qi++
-			return p, true
-		}
-		if it.err != nil || !it.cur.Valid() {
-			if it.err == nil {
-				it.err = it.cur.Err()
+		} else if it.ri >= len(it.ch.recs) {
+			if it.w.done {
+				break
 			}
-			return model.Point{}, false
-		}
-		if err := ctxErr(it.ctx); err != nil {
-			it.err = err
-			return model.Point{}, false
-		}
-		key := it.cur.Key()
-		if keyCompare(key, it.hi) >= 0 {
-			return model.Point{}, false
-		}
-		grp, ts, err := keyenc.DecodeSourceTime(key)
-		if err != nil || grp != it.group {
-			return model.Point{}, false
-		}
-		bk := blobKey{tree: cacheTreeMG, source: it.group, ts: ts}
-		if it.cache != nil {
-			if e, ok := it.cache.get(bk, it.sig); ok {
-				it.cur.Next()
-				if !e.overlaps(it.tagRanges) {
-					it.skipped++
-					continue
-				}
-				it.cache.noteSaved(e.blobLen)
-				it.fillQueue(e.batch)
-				continue
-			}
-		}
-		// Read before Next() can reload the snapshot; see batchIter.
-		var ver uint64
-		if it.cache != nil {
-			ver = it.vers[bk.slot()]
-		}
-		blob, err := it.cur.Value()
-		if err != nil {
-			if it.store.lenient() {
-				it.store.noteCorruptBlob()
-				it.cur.Next()
-				continue
-			}
-			it.err = err
-			return model.Point{}, false
-		}
-		it.cur.Next()
-		if !BlobOverlaps(blob, it.tagRanges) {
-			it.skipped++
+			it.ch, it.err = it.w.step()
+			it.ri = 0
 			continue
 		}
-		if IsStubBlob(blob) {
-			// MG records never tier today, but the read path stays honest
-			// if one ever does: same contract as batchIter.
-			sum, ok := parseBlobSummary(blob, ts)
-			if !ok {
-				if it.store.lenient() {
-					it.store.noteCorruptBlob()
-					continue
-				}
-				it.err = fmt.Errorf("tsstore: corrupt stub blob group=%d ts=%d", it.group, ts)
-				return model.Point{}, false
-			}
-			if sum.rows == 0 || sum.lastTS < it.t1 || sum.firstTS >= it.t2 {
-				continue
-			}
-			it.err = &StubbedRangeError{Tree: "ts.mg", Source: it.group, TS: ts, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-			return model.Point{}, false
-		}
-		batch, err := DecodeBlob(blob, ts, it.wantTags)
-		if err != nil {
-			if it.store.lenient() {
-				it.store.noteCorruptBlob()
-				continue
-			}
-			it.err = err
-			return model.Point{}, false
-		}
-		it.BlobBytesRead += int64(len(blob))
-		if it.cache != nil {
-			zones, hasZones := blobZoneMaps(blob)
-			it.cache.put(bk, it.sig, ver, batch, zones, hasZones, int64(len(blob)), cacheSummary(blob, ts, batch), nil)
-		}
-		it.fillQueue(batch)
+		it.err = it.load(&it.ch.recs[it.ri])
+		it.ri++
 	}
+	return model.Point{}, false
 }
 
-// fillQueue replaces the pending queue with the record's in-range member
-// points. When a cache is attached the batch is (or may become) shared,
-// so row values are copied on emission — callers own emitted Points.
-func (it *mgIter) fillQueue(batch *DecodedBatch) {
-	it.queue = it.queue[:0]
+// load decodes one record of the current chunk into the queue.
+func (it *scanIter) load(rec *walkRec) error {
+	it.queue = append(it.queue[:0], it.queue[it.qi:]...)
 	it.qi = 0
-	shared := it.cache != nil
-	for i, slot := range batch.Slots {
-		if slot >= len(it.members) {
-			continue
+	if rec.buffered != nil {
+		for _, p := range rec.buffered {
+			it.bytesRead += pointBlobBytes(len(p.Values))
 		}
-		src := it.members[slot]
-		if it.onlySource != 0 && src != it.onlySource {
-			continue
+		it.queue = append(it.queue, rec.buffered...)
+	} else {
+		if !rec.overlaps(it.tagRanges) {
+			it.skipped++
+			return nil
 		}
-		pts := batch.Timestamps[i]
-		if pts < it.t1 || pts >= it.t2 {
-			continue
+		batch, err := it.w.decode(rec, it.ch.lo, it.ch.hi)
+		if batch == nil {
+			return err
 		}
-		vals := batch.Rows[i]
-		if shared {
-			vals = append([]float64(nil), vals...)
+		if rec.hit == nil {
+			it.bytesRead += int64(len(rec.blob))
 		}
-		it.queue = append(it.queue, model.Point{Source: src, TS: pts, Values: vals})
+		// A cached batch is (or may become) shared across readers, so row
+		// values are copied on emission — callers own the Points they get.
+		shared := it.w.cache != nil
+		it.w.eachRow(rec, batch, it.ch.lo, it.ch.hi, func(src, ts int64, vals []float64) {
+			if shared {
+				vals = append([]float64(nil), vals...)
+			}
+			it.queue = append(it.queue, model.Point{Source: src, TS: ts, Values: vals})
+		})
 	}
+	// Records rarely overlap; re-sort only when they do (or when MG rows,
+	// stored in slot order, are out of time order).
+	byTS := func(a, b int) bool { return it.queue[a].TS < it.queue[b].TS }
+	if !sort.SliceIsSorted(it.queue, byTS) {
+		sort.SliceStable(it.queue, byTS)
+	}
+	return nil
 }
 
-func (it *mgIter) Err() error          { return it.err }
-func (it *mgIter) BlobBytes() int64    { return it.BlobBytesRead }
-func (it *mgIter) BlobsSkipped() int64 { return it.skipped }
+func (it *scanIter) Err() error          { return it.err }
+func (it *scanIter) BlobBytes() int64    { return it.bytesRead }
+func (it *scanIter) BlobsSkipped() int64 { return it.skipped }
 
-// snapshotSourceBuffer copies the buffered points of one source that fall
-// in [t1, t2) — the dirty-read path ("the query component adopts a 'dirty
-// read' isolation level to access uncommitted rows from concurrent
-// insertions").
-func (s *Store) snapshotSourceBuffer(source, t1, t2 int64) []model.Point {
-	sh := s.shardFor(source)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	buf, ok := sh.buffers[source]
-	if !ok {
-		return nil
+// assemble concatenates scan parts in order, draining them on the worker
+// pool first when the scan fans out.
+func (s *Store) assemble(ctx context.Context, parts []Iterator, workers int) Iterator {
+	if workers > 1 && len(parts) > 1 {
+		parts = s.drainParts(ctx, parts, workers)
 	}
-	var out []model.Point
-	for _, p := range buf.points {
-		if p.TS >= t1 && p.TS < t2 {
-			out = append(out, p.Clone())
-		}
+	switch len(parts) {
+	case 0:
+		return emptyIter{}
+	case 1:
+		return parts[0]
 	}
-	return out
-}
-
-// snapshotGroupBuffer copies buffered MG rows of a group in [t1, t2),
-// optionally restricted to one source.
-func (s *Store) snapshotGroupBuffer(group, t1, t2, onlySource int64) []model.Point {
-	sh := s.shardFor(group)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	gb, ok := sh.groups[group]
-	if !ok {
-		return nil
-	}
-	var out []model.Point
-	for _, row := range gb.rows {
-		for slot, present := range row.present {
-			if !present {
-				continue
-			}
-			pts := row.tss[slot]
-			if pts < t1 || pts >= t2 {
-				continue
-			}
-			src := gb.members[slot]
-			if onlySource != 0 && src != onlySource {
-				continue
-			}
-			vals := make([]float64, len(row.values[slot]))
-			copy(vals, row.values[slot])
-			out = append(out, model.Point{Source: src, TS: pts, Values: vals})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		return out[i].Source < out[j].Source
-	})
-	return out
+	return &concatIter{iters: parts}
 }
 
 // HistoricalScan returns the points of one source with t1 <= ts < t2, in
@@ -709,57 +193,20 @@ func (s *Store) HistoricalScan(source, t1, t2 int64, wantTags []int, tagRanges .
 }
 
 // HistoricalScanOpts is HistoricalScan with scan tuning. With Workers > 1
-// the batch walk (and the MG record walk, for group-ingesting sources) is
-// split into ts-disjoint sub-ranges drained on the worker pool; because
-// the sub-ranges partition the window by timestamp and the merge is
-// stable, the output is identical to the serial scan.
+// the walk is split into ts-disjoint sub-ranges drained on the worker
+// pool; because the sub-ranges partition the window by timestamp, their
+// concatenation is identical to the serial scan.
 func (s *Store) HistoricalScanOpts(source, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
 	ds, ok := s.cat.Source(source)
 	if !ok {
 		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
 	}
-	cache := s.scanCache(opts)
 	workers := clampWorkers(opts.Workers)
-	stats := s.cat.Stats(source)
-	ranges := splitScanRange(t1, t2, stats, workers)
 	var parts []Iterator
-	if ds.IngestStructure() == model.MG {
-		// Reorganized history lives per-source in RTS/IRTS; the remainder
-		// is still in the group's MG records and buffer. Every point lives
-		// in exactly one structure, so scanning all three over the full
-		// range is exact; the watermark only gates whether the per-source
-		// tree can contain anything.
-		if stats.BatchCount > 0 {
-			tree := s.treeFor(ds.HistoricalStructure())
-			for _, r := range ranges {
-				parts = append(parts, s.newBatchIter(opts.Ctx, tree, cache, source, r.t1, r.t2, stats.MaxSpanMs, wantTags, tagRanges))
-			}
-		}
-		for _, r := range ranges {
-			parts = append(parts, s.newMGIter(opts.Ctx, ds.Group, cache, r.t1, r.t2, source, wantTags, tagRanges))
-		}
-		if buf := s.snapshotGroupBuffer(ds.Group, t1, t2, source); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
-		}
-	} else {
-		tree := s.treeFor(ds.IngestStructure())
-		for _, r := range ranges {
-			parts = append(parts, s.newBatchIter(opts.Ctx, tree, cache, source, r.t1, r.t2, stats.MaxSpanMs, wantTags, tagRanges))
-		}
-		if buf := s.snapshotSourceBuffer(source, t1, t2); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
-		}
+	for _, r := range splitScanRange(t1, t2, s.cat.Stats(source), workers) {
+		parts = append(parts, &scanIter{w: s.sourceWalker(ds, r.t1, r.t2, wantTags, opts), tagRanges: tagRanges})
 	}
-	if workers > 1 && len(parts) > 1 {
-		parts = s.drainParts(opts.Ctx, parts, workers)
-	}
-	if len(parts) == 0 {
-		return emptyIter{}, nil
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return newMergeIter(parts), nil
+	return s.assemble(opts.Ctx, parts, workers), nil
 }
 
 // SliceScan returns points of every source of a schema in [t1, t2) —
@@ -776,51 +223,26 @@ func (s *Store) SliceScan(schemaID int64, t1, t2 int64, wantTags []int, tagRange
 // pool and concatenated in their original order, so the output matches
 // the serial scan exactly.
 func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	cache := s.scanCache(opts)
-	workers := clampWorkers(opts.Workers)
 	var parts []Iterator
-	// MG groups first: each group covers groupSize sources per record.
+	for _, w := range s.sliceWalkers(schemaID, t1, t2, wantTags, opts) {
+		parts = append(parts, &scanIter{w: w, tagRanges: tagRanges})
+	}
+	return s.assemble(opts.Ctx, parts, clampWorkers(opts.Workers)), nil
+}
+
+// sliceWalkers returns one walker per owner of a schema's rows: MG groups
+// first (each record covers groupSize sources), then the RTS/IRTS sources.
+func (s *Store) sliceWalkers(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions) []*walker {
+	var ws []*walker
 	for _, g := range s.cat.GroupsBySchema(schemaID) {
-		// Reorganized stripes and duplicate-sample overflow points live in
-		// the members' per-source trees.
-		for _, src := range s.cat.GroupMembers(g) {
-			ds, ok := s.cat.Source(src)
-			if !ok {
-				continue
-			}
-			stats := s.cat.Stats(src)
-			if stats.BatchCount == 0 {
-				continue
-			}
-			parts = append(parts, s.newBatchIter(opts.Ctx, s.treeFor(ds.HistoricalStructure()), cache, src, t1, t2, stats.MaxSpanMs, wantTags, tagRanges))
-		}
-		parts = append(parts, s.newMGIter(opts.Ctx, g, cache, t1, t2, 0, wantTags, tagRanges))
-		if buf := s.snapshotGroupBuffer(g, t1, t2, 0); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
-		}
+		ws = append(ws, s.groupWalker(g, 0, t1, t2, wantTags, opts))
 	}
-	// RTS/IRTS sources: per-source seeks.
 	for _, src := range s.cat.SourcesBySchema(schemaID) {
-		ds, ok := s.cat.Source(src)
-		if !ok || ds.IngestStructure() == model.MG {
-			continue
-		}
-		stats := s.cat.Stats(src)
-		if stats.PointCount > 0 && (stats.LastTS < t1 || stats.FirstTS >= t2) && s.bufferEmpty(src) {
-			continue // partition elimination: source has no data in range
-		}
-		parts = append(parts, s.newBatchIter(opts.Ctx, s.treeFor(ds.IngestStructure()), cache, src, t1, t2, stats.MaxSpanMs, wantTags, tagRanges))
-		if buf := s.snapshotSourceBuffer(src, t1, t2); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
+		if ds, ok := s.cat.Source(src); ok && ds.IngestStructure() != model.MG {
+			ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))
 		}
 	}
-	if workers > 1 && len(parts) > 1 {
-		parts = s.drainParts(opts.Ctx, parts, workers)
-	}
-	if len(parts) == 0 {
-		return emptyIter{}, nil
-	}
-	return &concatIter{iters: parts}, nil
+	return ws
 }
 
 // MultiHistoricalScan concatenates historical scans for an explicit list
@@ -844,22 +266,7 @@ func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags 
 		}
 		parts = append(parts, it)
 	}
-	if workers > 1 && len(parts) > 1 {
-		parts = s.drainParts(opts.Ctx, parts, workers)
-	}
-	if len(parts) == 0 {
-		return emptyIter{}, nil
-	}
-	return &concatIter{iters: parts}, nil
-}
-
-// bufferEmpty reports whether a source has no buffered points.
-func (s *Store) bufferEmpty(source int64) bool {
-	sh := s.shardFor(source)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	buf, ok := sh.buffers[source]
-	return !ok || len(buf.points) == 0
+	return s.assemble(opts.Ctx, parts, workers), nil
 }
 
 func (s *Store) treeFor(st model.Structure) *btree.Tree {

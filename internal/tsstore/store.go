@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -41,8 +40,8 @@ type Config struct {
 	// query. The default is strict: a corrupt blob fails the scan with the
 	// underlying error so callers cannot silently miss data.
 	LenientScan bool
-	// Shards overrides the ingest-lock shard count (rounded to a power of
-	// two). Zero sizes it from GOMAXPROCS; 1 gives a single global lock.
+	// Shards overrides the latch shard count (rounded to a power of two).
+	// Zero picks the default (1024); 1 gives a single global lock.
 	Shards int
 	// BlobCacheBytes budgets the decoded-ValueBlob cache (decoded bytes
 	// held). Zero disables caching: every scan decodes from the pagestore.
@@ -114,19 +113,15 @@ type Stats struct {
 	TierBytesReclaimed int64
 }
 
-// Stats.add accumulates other into st (shard aggregation).
-func (st *Stats) add(other Stats) {
+// Add accumulates every counter of other into st: shard aggregation
+// inside one store, and multi-store aggregation such as a cluster summing
+// its shard copies' snapshots.
+func (st *Stats) Add(other *Stats) {
 	st.PointsWritten += other.PointsWritten
 	st.BatchesFlushed += other.BatchesFlushed
 	st.BlobBytes += other.BlobBytes
 	st.MGPartialRows += other.MGPartialRows
 	st.CorruptBlobsSkipped += other.CorruptBlobsSkipped
-}
-
-// Add accumulates every counter of other into st — multi-store
-// aggregation, e.g. a cluster summing its shard copies' snapshots.
-func (st *Stats) Add(other *Stats) {
-	st.add(*other)
 	st.ParallelScans += other.ParallelScans
 	st.ParallelParts += other.ParallelParts
 	st.SummaryHits += other.SummaryHits
@@ -138,16 +133,21 @@ func (st *Stats) Add(other *Stats) {
 	st.TierBytesReclaimed += other.TierBytesReclaimed
 }
 
-// maxShards caps the ingest shard count.
-const maxShards = 64
+// maxShards is the default and the largest latch shard count. Shards are
+// hash buckets of owners, and a reader of one owner excludes the writers
+// of every owner in its bucket for the length of a walker step, so the
+// count is sized to keep unrelated owners apart, not to the core count.
+const maxShards = 1024
 
-// shard is one latch domain of the ingest path: RTS/IRTS source buffers
-// hash here by source id and MG group buffers by group id, so writers of
-// different sources (or groups) never contend. The two maps are disjoint
-// namespaces — a source id colliding numerically with a group id is
-// harmless. The B-trees and the catalog have their own internal locks
-// and never call back into the shard, so holding a shard lock across a
-// batch flush cannot deadlock.
+// shard is one latch domain: owners hash here — RTS/IRTS sources by
+// source id, MG groups by group id — and mu covers every home of its
+// owners' rows: the ingest buffer and the owner's key ranges in the batch
+// trees (see walk.go for the reader/writer rule), so writers of different
+// owners never contend. The two maps are disjoint namespaces — a source
+// id colliding numerically with a group id is harmless. The B-trees, the
+// blob cache and the catalog have their own internal locks and never call
+// back into the shard, so holding a shard lock across a rewrite cannot
+// deadlock.
 type shard struct {
 	mu      sync.RWMutex
 	buffers map[int64]*sourceBuffer
@@ -203,12 +203,12 @@ type Store struct {
 	tierBytesReclaimed atomic.Int64
 }
 
-// shardCount picks the ingest shard count: a power of two sized from
-// GOMAXPROCS (or the override), capped at maxShards.
+// shardCount picks the latch shard count: maxShards, or the override
+// rounded up to a power of two and capped at maxShards.
 func shardCount(override int) int {
 	n := override
 	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+		n = maxShards
 	}
 	if n > maxShards {
 		n = maxShards
@@ -220,14 +220,26 @@ func shardCount(override int) int {
 	return p
 }
 
-// shardFor returns the shard owning key (a source id for RTS/IRTS, a
-// group id for MG).
-func (s *Store) shardFor(key int64) *shard {
-	h := uint64(key) * 0x9E3779B97F4A7C15
-	return s.shards[uint32(h>>32)&s.shardMask]
+// ownerOf returns the owner of a source's rows: its MG group when it
+// ingests through MG, else the source itself.
+func ownerOf(ds *model.DataSource) int64 {
+	if ds.IngestStructure() == model.MG {
+		return ds.Group
+	}
+	return ds.ID
 }
 
-// Shards returns the ingest shard count.
+// ownerHash spreads owner ids (Fibonacci hashing).
+func ownerHash(owner int64) uint32 {
+	return uint32((uint64(owner) * 0x9E3779B97F4A7C15) >> 32)
+}
+
+// shardFor returns the shard of an owner.
+func (s *Store) shardFor(owner int64) *shard {
+	return s.shards[ownerHash(owner)&s.shardMask]
+}
+
+// Shards returns the latch shard count.
 func (s *Store) Shards() int { return len(s.shards) }
 
 // sourceBuffer accumulates points for one RTS/IRTS source.
@@ -304,17 +316,6 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 	return s, nil
 }
 
-// invalidateBlob drops any cached decode of the blob record at
-// (tree, source-or-group, baseTS). It must be called for every Put or
-// Delete on a batch tree — flush, MG row merge, reorganization,
-// retention, and coalescing — and is called even when the tree operation
-// failed, since a failed operation may still have dirtied pages.
-func (s *Store) invalidateBlob(tree uint8, source, ts int64) {
-	if s.cache != nil {
-		s.cache.invalidateKey(blobKey{tree: tree, source: source, ts: ts})
-	}
-}
-
 // BlobCacheStats snapshots the decoded-blob cache counters; all zeros
 // when the cache is disabled.
 func (s *Store) BlobCacheStats() CacheStats {
@@ -335,7 +336,7 @@ func (s *Store) Stats() Stats {
 	var st Stats
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		st.add(sh.stats)
+		st.Add(&sh.stats)
 		sh.mu.RUnlock()
 	}
 	st.CorruptBlobsSkipped += s.corruptBlobs.Load()
@@ -395,24 +396,18 @@ func (s *Store) resolve(p model.Point) (resolved, error) {
 	return resolved{ds: ds, schema: schema, p: p}, nil
 }
 
-// writeResolved routes a validated point into its shard: RTS/IRTS shard by
-// source id, MG by group id (every member of a group serializes on one
-// shard, which the windowed row merge requires).
+// writeResolved routes a validated point into its owner's shard (every
+// member of an MG group serializes on one shard, which the windowed row
+// merge requires).
 func (s *Store) writeResolved(r resolved) error {
-	switch r.ds.IngestStructure() {
-	case model.RTS, model.IRTS:
-		sh := s.shardFor(r.ds.ID)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		sh.stats.PointsWritten++
-		return s.writeBuffered(sh, r.ds, r.schema, r.p)
-	default:
-		sh := s.shardFor(r.ds.Group)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		sh.stats.PointsWritten++
+	sh := s.shardFor(ownerOf(r.ds))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.stats.PointsWritten++
+	if r.ds.IngestStructure() == model.MG {
 		return s.writeMG(sh, r.ds, r.schema, r.p)
 	}
+	return s.writeBuffered(sh, r.ds, r.schema, r.p)
 }
 
 // Write ingests one operational record through the writer API. It is the
@@ -491,10 +486,10 @@ func (s *Store) resolveBatch(points []model.Point) ([]resolved, error) {
 	return rs, nil
 }
 
-// WriteBatchParallel ingests a batch using up to workers goroutines, one
-// per ingest shard bucket, so sources living on different shards are
-// buffered concurrently. Per-source point order is preserved (a source's
-// points all land in one bucket, processed in order). workers <= 1 falls
+// WriteBatchParallel ingests a batch using up to workers goroutines. The
+// points are dealt to the workers by owner, so different owners are
+// buffered concurrently and per-source point order is preserved (a
+// source's points all go to one worker, in order). workers <= 1 falls
 // back to the sequential path. On error the batch may be partially
 // buffered — the same non-transactional contract as sequential ingest.
 func (s *Store) WriteBatchParallel(points []model.Point, workers int) error {
@@ -509,47 +504,29 @@ func (s *Store) WriteBatchParallel(points []model.Point, workers int) error {
 	if err != nil {
 		return err
 	}
-	buckets := make([][]resolved, len(s.shards))
+	hands := make([][]resolved, workers)
 	for _, r := range rs {
-		key := r.ds.ID
-		if r.ds.IngestStructure() == model.MG {
-			key = r.ds.Group
-		}
-		h := uint64(key) * 0x9E3779B97F4A7C15
-		idx := uint32(h>>32) & s.shardMask
-		buckets[idx] = append(buckets[idx], r)
+		i := ownerHash(ownerOf(r.ds)) % uint32(workers)
+		hands[i] = append(hands[i], r)
 	}
-	work := make(chan []resolved, len(buckets))
-	nonEmpty := 0
-	for _, b := range buckets {
-		if len(b) > 0 {
-			work <- b
-			nonEmpty++
-		}
-	}
-	close(work)
-	if workers > nonEmpty {
-		workers = nonEmpty
-	}
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	var firstErr atomic.Pointer[error]
-	for w := 0; w < workers; w++ {
+	for i, hand := range hands {
 		wg.Add(1)
-		go func() {
+		go func(i int, hand []resolved) {
 			defer wg.Done()
-			for bucket := range work {
-				for _, r := range bucket {
-					if err := s.writeResolved(r); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
+			for _, r := range hand {
+				if errs[i] = s.writeResolved(r); errs[i] != nil {
+					return
 				}
 			}
-		}()
+		}(i, hand)
 	}
 	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return *ep
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -678,33 +655,26 @@ func (s *Store) flushSourceLocked(sh *shard, buf *sourceBuffer) error {
 		return nil
 	}
 	pts := buf.points
-	ntags := len(buf.schema.Tags)
-	opts := s.encodeOptsFor(buf.schema)
-	var blob []byte
-	var tree *btree.Tree
-	switch buf.ds.IngestStructure() {
-	case model.RTS:
-		blob = EncodeRTS(pts, ntags, buf.ds.IntervalMs, opts)
-		tree = s.rts
-	default:
-		blob = EncodeIRTS(pts, ntags, opts)
-		tree = s.irts
+	structure := buf.ds.IngestStructure()
+	tree := s.treeFor(structure)
+	var old []stored
+	if structure == model.IRTS {
+		// An out-of-order run can start at the first timestamp of a batch
+		// already stored — the record key. Irregular sources may repeat a
+		// timestamp, so these are distinct samples: the batches merge under
+		// the shared key rather than the new one replacing the old.
+		existing, err := tree.Get(keyenc.SourceTime(buf.ds.ID, pts[0].TS))
+		if err == nil {
+			old = []stored{{ts: pts[0].TS, blob: existing}}
+			_, was := decodeRecords(buf.ds.ID, old, nil)
+			pts = append(was, pts...)
+			insertionSortPoints(pts)
+		} else if err != btree.ErrNotFound {
+			return err
+		}
 	}
-	key := keyenc.SourceTime(buf.ds.ID, pts[0].TS)
-	err := tree.Put(key, blob)
-	s.invalidateBlob(s.treeID(tree), buf.ds.ID, pts[0].TS)
-	if err != nil {
-		return err
-	}
-	first, last := pts[0].TS, pts[len(pts)-1].TS
-	if err := s.cat.UpdateStats(buf.ds.ID, model.SourceStats{
-		BatchCount: 1,
-		PointCount: int64(len(pts)),
-		BlobBytes:  int64(len(blob)),
-		FirstTS:    first,
-		LastTS:     last,
-		MaxSpanMs:  last - first,
-	}); err != nil {
+	blob := encodeRun(buf.ds, buf.schema, pts, structure, s.encodeOptsFor(buf.schema))
+	if err := s.rewriteLocked(tree, buf.ds.ID, old, []stored{{ts: pts[0].TS, blob: blob}}); err != nil {
 		return err
 	}
 	sh.stats.BatchesFlushed++
@@ -722,9 +692,9 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 	if !ok {
 		return nil
 	}
-	key := keyenc.SourceTime(gb.group, ts)
-	var oldBytes, oldPoints int64
-	if existing, err := s.mg.Get(key); err == nil {
+	var old []stored
+	if existing, err := s.mg.Get(keyenc.SourceTime(gb.group, ts)); err == nil {
+		old = []stored{{ts: ts, blob: existing}}
 		if batch, derr := DecodeBlob(existing, ts, nil); derr == nil {
 			for i, slot := range batch.Slots {
 				if slot >= len(row.present) {
@@ -735,7 +705,6 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 					row.values[slot] = batch.Rows[i]
 					row.tss[slot] = batch.Timestamps[i]
 					row.reported++
-					oldPoints++
 					continue
 				}
 				// Both the stored record and the new row carry a point for
@@ -744,8 +713,7 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 				// through the per-source overflow path, unless it is a
 				// true duplicate.
 				if batch.Timestamps[i] == row.tss[slot] {
-					oldPoints++ // replaced in place
-					continue
+					continue // replaced in place
 				}
 				src := gb.members[slot]
 				if ds, ok := s.cat.Source(src); ok {
@@ -755,10 +723,8 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 						return err
 					}
 				}
-				oldPoints++
 			}
 		}
-		oldBytes = int64(len(existing))
 	} else if err != btree.ErrNotFound {
 		return err
 	}
@@ -769,24 +735,9 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 		}
 	}
 	blob := EncodeMG(row.present, row.values, offsets, len(gb.schema.Tags), s.encodeOptsFor(gb.schema))
-	err := s.mg.Put(key, blob)
 	// An MG row merge overwrites the record in place during ordinary
-	// ingest, not just on maintenance — any cached decode is now stale.
-	s.invalidateBlob(cacheTreeMG, gb.group, ts)
-	if err != nil {
-		return err
-	}
-	newRecord := int64(1)
-	if oldBytes > 0 {
-		newRecord = 0
-	}
-	if err := s.cat.UpdateGroupStats(gb.group, model.SourceStats{
-		BatchCount: newRecord,
-		PointCount: int64(row.reported) - oldPoints,
-		BlobBytes:  int64(len(blob)) - oldBytes,
-		FirstTS:    ts,
-		LastTS:     ts,
-	}); err != nil {
+	// ingest, not just on maintenance.
+	if err := s.rewriteLocked(s.mg, gb.group, old, []stored{{ts: ts, blob: blob}}); err != nil {
 		return err
 	}
 	delete(gb.rows, ts)

@@ -607,11 +607,10 @@ func TestBlobBytesReadAccounting(t *testing.T) {
 	}
 	it, _ := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
 	collect(t, it)
-	bi, ok := it.(*batchIter)
-	if !ok {
-		t.Fatalf("expected single batchIter, got %T", it)
+	if _, ok := it.(*scanIter); !ok {
+		t.Fatalf("expected single scanIter, got %T", it)
 	}
-	if bi.BlobBytesRead != st.BlobBytes {
-		t.Fatalf("BlobBytesRead %d != stats %d", bi.BlobBytesRead, st.BlobBytes)
+	if it.BlobBytes() != st.BlobBytes {
+		t.Fatalf("BlobBytes %d != stats %d", it.BlobBytes(), st.BlobBytes)
 	}
 }

@@ -2,10 +2,10 @@ package tsstore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"odh/internal/btree"
-	"odh/internal/keyenc"
 	"odh/internal/model"
 )
 
@@ -96,18 +96,6 @@ func (e *StubbedRangeError) Error() string {
 // Unwrap ties the error to ErrStubbedBlob for errors.Is.
 func (e *StubbedRangeError) Unwrap() error { return ErrStubbedBlob }
 
-// treeName names a cache tree id like BlobRef.Tree.
-func treeName(id uint8) string {
-	switch id {
-	case cacheTreeRTS:
-		return "ts.rts"
-	case cacheTreeIRTS:
-		return "ts.irts"
-	default:
-		return "ts.mg"
-	}
-}
-
 // TierSchema runs one lifecycle pass over every source of a schema: first
 // the cold pass (coalesce + re-encode records older than the cold cutoff),
 // then the stub pass (truncate records older than the stub cutoff), so a
@@ -137,7 +125,7 @@ func (s *Store) TierSchema(schemaID int64, pol TierPolicy, now int64) (TierResul
 				// straddling it would keep its rows forever (stubbing skips
 				// straddlers), starving the stub tier whenever the cold
 				// granularity exceeds the gap between the two cutoffs.
-				splitAt := int64(0)
+				splitAt := int64(math.MinInt64)
 				if pol.StubAfterMs > 0 {
 					splitAt = now - pol.StubAfterMs
 				}
@@ -163,221 +151,70 @@ func (s *Store) TierSchema(schemaID int64, pol TierPolicy, now int64) (TierResul
 // — the inputs are the already-round-tripped floats a scan of the hot
 // record returned, and the cold codecs are verified lossless.
 func (s *Store) coldCompactSource(tree *btree.Tree, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff, splitAt int64, batchPoints int, res *TierResult) error {
-	lo := keyenc.SourceTime(ds.ID, -1<<62)
 	// A record keyed at or past the cutoff starts there, so its last
-	// timestamp cannot be older; the scan stops at the cutoff key.
-	hi := keyenc.SourceTime(ds.ID, cutoff)
-	type rec struct {
-		key    []byte
-		bytes  int64
-		points []model.Point
-	}
-	var recs []rec
-	survivors := make(map[int64]bool)
-	err := tree.Scan(lo, hi, func(k, v []byte) bool {
-		_, baseTS, err := keyenc.DecodeSourceTime(k)
-		if err != nil {
-			return true
-		}
-		if BlobTier(v) != TierHot {
-			return true // already compacted or stubbed
-		}
-		last, haveLast := blobLastTS(v, baseTS)
-		if haveLast && last >= cutoff {
-			survivors[baseTS] = true // straddles the cutoff; stays hot
-			return true
-		}
-		batch, err := DecodeBlob(v, baseTS, nil)
-		if err != nil {
-			return true // unreadable: leave it for fsck, never destroy
-		}
-		if !haveLast {
-			// Legacy pre-summary blob: find the true last timestamp from
-			// the decode (MG-origin timestamps are slot-ordered, so take
-			// the maximum rather than the tail).
-			last = baseTS
-			for _, ts := range batch.Timestamps {
-				if ts > last {
-					last = ts
-				}
-			}
-			if last >= cutoff {
-				survivors[baseTS] = true
-				return true
-			}
-		}
-		pts := make([]model.Point, len(batch.Timestamps))
-		for i := range pts {
-			pts[i] = model.Point{Source: ds.ID, TS: batch.Timestamps[i], Values: batch.Rows[i]}
-		}
-		recs = append(recs, rec{key: append([]byte(nil), k...), bytes: int64(len(v)), points: pts})
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	var all []model.Point
-	var bytesBefore, pointCount int64
-	for _, r := range recs {
-		all = append(all, r.points...)
-		bytesBefore += r.bytes
-		pointCount += int64(len(r.points))
-	}
-	insertionSortPoints(all)
-	// Partition at the stub cutoff so no rewritten run straddles it (the
-	// stub pass would skip such a run as a straddler forever).
-	parts := [][]model.Point{all}
-	if splitAt > 0 {
+	// timestamp cannot be older; the range stops at the cutoff key.
+	del, put, err := s.rewriteRange(tree, ds.ID, math.MinInt64, cutoff, func(recs []stored) (del, put []stored, err error) {
+		del, all := decodeRecords(ds.ID, recs, func(r stored) bool {
+			// Compacted or stubbed already, or straddling the cutoff: stays.
+			_, _, last, ok := blobSpan(r)
+			return BlobTier(r.blob) == TierHot && ok && last < cutoff
+		})
+		// Partition at the stub cutoff so no rewritten run straddles it (the
+		// stub pass would skip such a run as a straddler forever).
 		cut := sort.Search(len(all), func(i int) bool { return all[i].TS >= splitAt })
-		if cut > 0 && cut < len(all) {
-			parts = [][]model.Point{all[:cut], all[cut:]}
+		for _, part := range [][]model.Point{all[:cut], all[cut:]} {
+			put = append(put, s.encodeRuns(ds, schema, part, structure, s.coldOpts(schema), batchPoints)...)
 		}
-	}
-	// A rewritten run must never land on the key of a record the pass
-	// keeps: after out-of-order ingest a straddler can share a first
-	// timestamp with a re-split run, and Put would overwrite it. The
-	// collision is vanishingly rare — skip the source this round; the
-	// straddler ages past the cutoff and the next pass retries.
-	if len(survivors) > 0 {
-		for _, part := range parts {
-			for _, run := range splitBatchRuns(part, structure, ds.IntervalMs, batchPoints) {
-				if survivors[run[0].TS] {
-					return nil
-				}
-			}
-		}
-	}
+		return del, put, nil
+	})
+	res.ColdCompacted += len(del)
+	res.ColdWritten += len(put)
+	res.BytesBefore += blobBytes(del)
+	res.BytesAfter += blobBytes(put)
+	s.coldCompactions.Add(int64(len(del)))
+	return err
+}
+
+// coldOpts is the cold tier's encoding: summary format, max-effort
+// lossless columns.
+func (s *Store) coldOpts(schema *model.SchemaType) encodeOpts {
 	opts := s.encodeOptsFor(schema)
 	opts.cold = true
 	opts.legacy = false
-	treeID := s.treeID(tree)
-	for _, r := range recs {
-		err := tree.Delete(r.key)
-		if _, ts, derr := keyenc.DecodeSourceTime(r.key); derr == nil {
-			s.invalidateBlob(treeID, ds.ID, ts)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if err := s.cat.UpdateStats(ds.ID, model.SourceStats{
-		BatchCount: -int64(len(recs)),
-		PointCount: -pointCount,
-		BlobBytes:  -bytesBefore,
-	}); err != nil {
-		return err
-	}
-	var n int
-	var bytesAfter int64
-	for _, part := range parts {
-		pn, pb, err := s.writeBatchesOpts(ds, schema, part, structure, opts, batchPoints)
-		if err != nil {
-			return err
-		}
-		n += pn
-		bytesAfter += pb
-	}
-	res.ColdCompacted += len(recs)
-	res.ColdWritten += n
-	res.BytesBefore += bytesBefore
-	res.BytesAfter += bytesAfter
-	s.coldCompactions.Add(int64(len(recs)))
-	return nil
+	return opts
 }
 
 // stubSource truncates one source's records whose data ends before the
 // cutoff to summary-only stubs, in place under the same key. Legacy
 // pre-summary blobs are first re-encoded losslessly into the summary
 // format (from the decode's round-tripped values, so the summary matches
-// what scans were already serving) and the stub is that header.
+// what scans were already serving) and the stub is that header. Row
+// counts stay in the catalog: the summary still answers COUNT/SUM/AVG and
+// partition elimination still needs the source's time range.
 func (s *Store) stubSource(tree *btree.Tree, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff int64, res *TierResult) error {
-	lo := keyenc.SourceTime(ds.ID, -1<<62)
-	hi := keyenc.SourceTime(ds.ID, cutoff)
-	type rec struct {
-		key  []byte
-		ts   int64
-		old  int64
-		stub []byte
-	}
-	var recs []rec
-	err := tree.Scan(lo, hi, func(k, v []byte) bool {
-		_, baseTS, err := keyenc.DecodeSourceTime(k)
-		if err != nil {
-			return true
-		}
-		if IsStubBlob(v) {
-			return true // already stubbed
-		}
-		last, haveLast := blobLastTS(v, baseTS)
-		if haveLast && last >= cutoff {
-			return true // straddles the cutoff; keep rows
-		}
-		var stub []byte
-		if haveLast {
-			stub, _ = makeStubBlob(v)
-		}
-		if stub == nil {
-			batch, derr := DecodeBlob(v, baseTS, nil)
-			if derr != nil {
-				return true // unreadable: leave it for fsck
+	del, put, err := s.rewriteRange(tree, ds.ID, math.MinInt64, cutoff, func(recs []stored) (del, put []stored, err error) {
+		for _, r := range recs {
+			_, _, last, ok := blobSpan(r)
+			if IsStubBlob(r.blob) || !ok || last >= cutoff {
+				continue // already stubbed, unreadable, or straddling: keep rows
 			}
-			last = baseTS
-			for _, ts := range batch.Timestamps {
-				if ts > last {
-					last = ts
-				}
+			stub, ok := makeStubBlob(r.blob)
+			if !ok {
+				_, pts := decodeRecords(ds.ID, []stored{r}, nil)
+				stub, ok = makeStubBlob(encodeRun(ds, schema, pts, structure, s.coldOpts(schema)))
 			}
-			if last >= cutoff {
-				return true
-			}
-			pts := make([]model.Point, len(batch.Timestamps))
-			for i := range pts {
-				pts[i] = model.Point{Source: ds.ID, TS: batch.Timestamps[i], Values: batch.Rows[i]}
-			}
-			opts := s.encodeOptsFor(schema)
-			opts.cold = true
-			opts.legacy = false
-			var full []byte
-			if structure == model.RTS {
-				full = EncodeRTS(pts, len(schema.Tags), ds.IntervalMs, opts)
-			} else {
-				full = EncodeIRTS(pts, len(schema.Tags), opts)
-			}
-			stub, _ = makeStubBlob(full)
-			if stub == nil {
-				return true
+			if ok {
+				del = append(del, r)
+				put = append(put, stored{ts: r.ts, blob: stub})
 			}
 		}
-		recs = append(recs, rec{key: append([]byte(nil), k...), ts: baseTS, old: int64(len(v)), stub: stub})
-		return true
+		return del, put, nil
 	})
-	if err != nil {
-		return err
-	}
-	treeID := s.treeID(tree)
-	for _, r := range recs {
-		err := tree.Put(r.key, r.stub)
-		// The record changed under its key: any cached decode is stale.
-		s.invalidateBlob(treeID, ds.ID, r.ts)
-		if err != nil {
-			return err
-		}
-		// Row counts stay: the summary still answers COUNT/SUM/AVG and
-		// partition elimination still needs the source's time range.
-		if err := s.cat.UpdateStats(ds.ID, model.SourceStats{
-			BlobBytes: int64(len(r.stub)) - r.old,
-		}); err != nil {
-			return err
-		}
-		res.Stubbed++
-		res.BytesBefore += r.old
-		res.BytesAfter += int64(len(r.stub))
-	}
-	s.stubTransitions.Add(int64(len(recs)))
-	return nil
+	res.Stubbed += len(put)
+	res.BytesBefore += blobBytes(del)
+	res.BytesAfter += blobBytes(put)
+	s.stubTransitions.Add(int64(len(put)))
+	return err
 }
 
 // TierStats walks the three batch trees and counts records per tier from

@@ -362,14 +362,15 @@ func TestTierRetentionDropsStubs(t *testing.T) {
 	}
 }
 
-// TestTierConcurrentWithScans exercises tier passes racing reads and
-// ingest on other sources — the CI race-detector target for the tier
-// lifecycle's lock and cache-invalidation protocol.
+// TestTierConcurrentWithScans exercises tier passes racing reads of the
+// tiered source and of a source under another schema (TierSchema tiers
+// every source of its schema) — the race-detector target for the tier
+// lifecycle's latch and cache-invalidation protocol.
 func TestTierConcurrentWithScans(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16, BlobCacheBytes: 1 << 20}, 0)
 	s := f.schema(t, "env", 2)
 	tiered := f.source(t, s.ID, true, 10)
-	hot := f.source(t, s.ID, true, 10)
+	hot := f.source(t, f.schema(t, "env-hot", 2).ID, true, 10)
 	writeRegular(t, f, tiered, 0, 320, 2)
 	writeRegular(t, f, hot, 0, 320, 2)
 	now := f.cat.Stats(tiered.ID).LastTS + 1

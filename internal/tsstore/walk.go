@@ -1,0 +1,507 @@
+package tsstore
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"sort"
+
+	"odh/internal/btree"
+	"odh/internal/keyenc"
+	"odh/internal/model"
+)
+
+// The record walker is the only reader of the three batch trees, and
+// rewriteLocked (rewrite.go) their only writer. The rule between the two:
+//
+// Every row belongs to one owner — its source, or its MG group when the
+// source ingests through MG — and the owner's shard latch covers all of
+// the owner's homes: the ingest buffer and its key ranges in the batch
+// trees (for a group: the ts.mg records, the group buffer, and every
+// member's reorganized ts.rts/ts.irts range). A rewrite holds the latch
+// exclusively, so it is atomic to a walker step, which holds it shared.
+// A step copies what it hands out — buffered rows and record bytes,
+// overflow chains included — and keeps no cursor, leaf or buffer
+// reference past the latch; the next step resumes by timestamp: every
+// row below `from` was handed out, none at or above it. Flush, MG merge,
+// coalescing, cold compaction and reorganization move rows between
+// records and homes but never change a row's timestamp, so a walk racing
+// them still hands out every row exactly once. The latch is never held
+// while the consumer runs, so a slow client cannot stall ingest.
+
+// stepBytes is the encoded record bytes after which a step looks for a
+// place to end, so long walks re-seek about once per this many bytes. A
+// step ends where no record it handed out reaches across — a record split
+// by a chunk window could not fold from its summary, and a split stub
+// could not be answered at all — and gives up looking for such a place
+// (overlapping out-of-order batches can chain) after maxStepBytes.
+const (
+	stepBytes    = 128 << 10
+	maxStepBytes = 8 * stepBytes
+)
+
+// home is one key range an owner's rows can live in: a prefix of one
+// batch tree.
+type home struct {
+	tree *btree.Tree
+	id   int64 // source id, or group id in ts.mg
+	seq  int   // position among the walker's homes; the buffer comes last
+	span int64 // bound on how far a record's rows reach past its key
+}
+
+// walker hands out one owner's records over [t1, t2) in base-timestamp
+// order, chunk by chunk. Not safe for concurrent use.
+type walker struct {
+	s       *Store
+	sh      *shard // the owner's latch
+	owner   int64
+	homes   []home
+	buffer  home      // the pseudo-home of buffered rows
+	recs    []walkRec // chunk backing, reused: a chunk dies at the next step
+	members []int64   // MG owners: slot -> source id
+	only    int64     // MG owners: restrict MG and buffered rows to this member; 0 = all
+	window  int64     // MG owners: the group's bucketing window
+	t2      int64
+	from    int64 // resume point; rows in [from, t2) remain
+	started bool
+	done    bool
+
+	ctx      context.Context // nil = never canceled
+	cache    *blobCache      // nil = bypass
+	sig      string          // cache variant: canonical wantTags signature
+	wantTags []int
+	// subBase/ntags are set by aggregate walks: decodes of pre-v3 blobs
+	// then cache sub-bucket summaries at this base width (lazy upgrade).
+	subBase int64
+	ntags   int
+}
+
+// walkRec is one record a step handed out: the cached decode when the
+// cache had it, else a private copy of the stored bytes; or, as a
+// pseudo-record, the owner's buffered rows of the chunk window.
+type walkRec struct {
+	home     *home
+	ts       int64 // base timestamp (the key's time part); rows are >= ts
+	blob     []byte
+	hit      *cacheEntry
+	ver      uint64 // cache insert guard, read under the latch with the bytes
+	buffered []model.Point
+	sum      *blobSummary
+	parsed   bool
+}
+
+// chunk is the output of one step: every row of the owner with
+// lo <= ts < hi lives in exactly one of recs. Records may carry rows
+// outside the window (consumers filter); recs is sorted by ts.
+type chunk struct {
+	lo, hi int64
+	recs   []walkRec
+}
+
+func (s *Store) newWalker(owner int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
+	w := &walker{
+		s: s, sh: s.shardFor(owner), owner: owner,
+		from: t1, t2: t2, done: t1 >= t2,
+		ctx: opts.Ctx, cache: s.scanCache(opts), wantTags: wantTags,
+	}
+	if w.cache != nil {
+		w.sig = tagsSig(wantTags)
+	}
+	return w
+}
+
+// sourceWalker walks every home of one source's rows.
+func (s *Store) sourceWalker(ds *model.DataSource, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
+	if ds.IngestStructure() == model.MG {
+		return s.groupWalker(ds.Group, ds.ID, t1, t2, wantTags, opts)
+	}
+	w := s.newWalker(ds.ID, t1, t2, wantTags, opts)
+	w.homes = []home{{tree: s.treeFor(ds.IngestStructure()), id: ds.ID}}
+	return w
+}
+
+// groupWalker walks an MG group's rows, all members' or only one's:
+// reorganized history and duplicate-sample overflow live per source in
+// RTS/IRTS, the rest in the group's MG records and buffer.
+func (s *Store) groupWalker(group, only int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
+	w := s.newWalker(group, t1, t2, wantTags, opts)
+	w.members = s.cat.GroupMembers(group)
+	w.only = only
+	w.window = s.groupWindow(group)
+	for _, src := range w.members {
+		if ds, ok := s.cat.Source(src); ok && (only == 0 || src == only) {
+			w.homes = append(w.homes, home{tree: s.treeFor(ds.HistoricalStructure()), id: src, seq: len(w.homes)})
+		}
+	}
+	w.homes = append(w.homes, home{tree: s.mg, id: group, seq: len(w.homes)})
+	return w
+}
+
+// treeID maps a batch tree to its cache namespace.
+func (s *Store) treeID(tree *btree.Tree) uint8 {
+	switch tree {
+	case s.rts:
+		return cacheTreeRTS
+	case s.irts:
+		return cacheTreeIRTS
+	default:
+		return cacheTreeMG
+	}
+}
+
+// groupWindow returns the bucketing window of an MG group (its first
+// member's sampling interval).
+func (s *Store) groupWindow(group int64) int64 {
+	members := s.cat.GroupMembers(group)
+	if len(members) == 0 {
+		return 1
+	}
+	ds, ok := s.cat.Source(members[0])
+	if !ok || ds.IntervalMs <= 0 {
+		return 1
+	}
+	return ds.IntervalMs
+}
+
+// recCursor walks one home's records with base timestamp in [lo, hi).
+// It is the only user of btree cursors on the batch trees.
+type recCursor struct {
+	home *home
+	cur  *btree.Cursor
+	hi   []byte
+	ts   int64 // base timestamp under the cursor, when ok
+	ok   bool
+}
+
+func openRecCursor(h *home, lo, hi int64) (recCursor, error) {
+	c := recCursor{home: h, cur: h.tree.Seek(keyenc.SourceTime(h.id, lo)), hi: keyenc.SourceTime(h.id, hi)}
+	return c, c.settle()
+}
+
+// settle decodes the key under the cursor; ok turns false past the range.
+func (c *recCursor) settle() error {
+	c.ok = false
+	if !c.cur.Valid() {
+		return c.cur.Err()
+	}
+	key := c.cur.Key()
+	if bytes.Compare(key, c.hi) >= 0 {
+		return nil
+	}
+	_, ts, err := keyenc.DecodeSourceTime(key)
+	if err != nil {
+		return err
+	}
+	c.ts, c.ok = ts, true
+	return nil
+}
+
+func (c *recCursor) next() error {
+	c.cur.Next()
+	return c.settle()
+}
+
+// readRange returns the records of one home keyed in [lo, hi) — the
+// maintenance read. The caller holds the home's latch exclusively.
+func readRange(h *home, lo, hi int64) ([]stored, error) {
+	c, err := openRecCursor(h, lo, hi)
+	var recs []stored
+	for err == nil && c.ok {
+		var blob []byte
+		if blob, err = c.cur.Value(); err == nil {
+			recs = append(recs, stored{ts: c.ts, blob: blob})
+			err = c.next()
+		}
+	}
+	return recs, err
+}
+
+// satSub is a - b saturating at math.MinInt64 (b >= 0).
+func satSub(a, b int64) int64 {
+	if a < math.MinInt64+b {
+		return math.MinInt64
+	}
+	return a - b
+}
+
+// step hands out the next chunk. After the last chunk w.done is true.
+func (w *walker) step() (chunk, error) {
+	ch := chunk{lo: w.from, hi: w.t2, recs: w.recs[:0]}
+	err := ctxErr(w.ctx)
+	if err == nil {
+		w.sh.mu.RLock()
+		if err = w.gather(&ch); err == nil {
+			w.addBuffered(&ch)
+		}
+		w.sh.mu.RUnlock()
+	}
+	w.started = true
+	w.recs = ch.recs
+	w.from = ch.hi
+	w.done = err != nil || ch.hi >= w.t2
+	return ch, err
+}
+
+// gather merges the homes' cursors by base timestamp into ch.recs and
+// cuts the chunk at the first record left behind: its rows, like those of
+// every later record, are >= its key. Caller holds the latch.
+func (w *walker) gather(ch *chunk) error {
+	curs := make([]recCursor, 0, len(w.homes))
+	for i := range w.homes {
+		h := &w.homes[i]
+		// A record keyed before lo can still spill rows into the window:
+		// by at most the widest batch span, or one window for MG records.
+		lookback := w.window
+		if h.tree != w.s.mg {
+			st := w.s.cat.Stats(h.id)
+			if st.BatchCount <= 0 || (st.PointCount > 0 && (st.LastTS < ch.lo || st.FirstTS >= w.t2)) {
+				continue // partition elimination: nothing persisted in range
+			}
+			if lookback = st.MaxSpanMs; lookback > 0 {
+				lookback++
+			}
+		}
+		h.span = lookback
+		c, err := openRecCursor(h, satSub(ch.lo, lookback), w.t2)
+		if err != nil {
+			return err
+		}
+		curs = append(curs, c)
+	}
+	var taken int64
+	reach, reached := int64(math.MinInt64), 0 // latest row timestamp of recs[:reached]
+	for {
+		var c *recCursor
+		for i := range curs {
+			if curs[i].ok && (c == nil || curs[i].ts < c.ts) {
+				c = &curs[i]
+			}
+		}
+		if c == nil {
+			return nil
+		}
+		if taken >= stepBytes && c.ts > ch.lo {
+			for ; reached < len(ch.recs); reached++ {
+				reach = max(reach, ch.recs[reached].lastTS())
+			}
+			if c.ts > reach || taken >= maxStepBytes {
+				ch.hi = c.ts
+				for n := len(ch.recs); n > 0 && ch.recs[n-1].ts >= ch.hi; n-- {
+					ch.recs = ch.recs[:n-1] // another home's record at the cut itself
+				}
+				return nil
+			}
+		}
+		rec, keep, err := w.take(c, ch.lo)
+		if err != nil {
+			return err
+		}
+		if keep {
+			ch.recs = append(ch.recs, rec)
+			taken += rec.size()
+		}
+		if err := c.next(); err != nil {
+			return err
+		}
+	}
+}
+
+// take copies the record under the cursor. Records keyed below lo on a
+// later step were all handed out before; they matter again only when
+// their rows reach lo, which the summary header tells without a decode.
+func (w *walker) take(c *recCursor, lo int64) (rec walkRec, keep bool, err error) {
+	rec = walkRec{home: c.home, ts: c.ts}
+	revisit := w.started && c.ts < lo
+	if w.cache != nil {
+		rec.hit, rec.ver = w.cache.get(blobKey{tree: w.s.treeID(c.home.tree), source: c.home.id, ts: c.ts}, w.sig)
+	}
+	if rec.hit == nil {
+		if rec.blob, err = c.cur.Value(); err != nil {
+			// An unreadable value is quarantined in lenient mode; a broken
+			// tree walk still aborts, since the cursor cannot pass it.
+			if !w.s.lenient() {
+				return rec, false, err
+			}
+			if !revisit {
+				w.s.noteCorruptBlob()
+			}
+			return rec, false, nil
+		}
+	}
+	if revisit {
+		if sum := rec.summary(); sum != nil && sum.lastTS < lo {
+			return rec, false, nil
+		}
+	}
+	return rec, true, nil
+}
+
+// addBuffered appends the owner's buffered rows inside the chunk window
+// as a pseudo-record — the dirty read ("the query component adopts a
+// 'dirty read' isolation level to access uncommitted rows from concurrent
+// insertions"). Caller holds the latch.
+func (w *walker) addBuffered(ch *chunk) {
+	var out []model.Point
+	if w.members == nil {
+		if buf, ok := w.sh.buffers[w.owner]; ok {
+			for _, p := range buf.points {
+				if p.TS >= ch.lo && p.TS < ch.hi {
+					out = append(out, p.Clone())
+				}
+			}
+		}
+	} else if gb, ok := w.sh.groups[w.owner]; ok {
+		for _, row := range gb.rows {
+			for slot, present := range row.present {
+				src := gb.members[slot]
+				if !present || row.tss[slot] < ch.lo || row.tss[slot] >= ch.hi || (w.only != 0 && src != w.only) {
+					continue
+				}
+				out = append(out, model.Point{Source: src, TS: row.tss[slot], Values: append([]float64(nil), row.values[slot]...)})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].TS != out[j].TS {
+				return out[i].TS < out[j].TS
+			}
+			return out[i].Source < out[j].Source
+		})
+	}
+	if len(out) == 0 {
+		return
+	}
+	// After every stored record that starts at or before the first row, so
+	// equal timestamps keep persisted-before-buffered order.
+	i := sort.Search(len(ch.recs), func(i int) bool { return ch.recs[i].ts > out[0].TS })
+	ch.recs = append(ch.recs, walkRec{})
+	copy(ch.recs[i+1:], ch.recs[i:])
+	w.buffer.seq = len(w.homes)
+	ch.recs[i] = walkRec{home: &w.buffer, ts: out[0].TS, buffered: out}
+}
+
+// size is the record's encoded length.
+func (r *walkRec) size() int64 {
+	if r.hit != nil {
+		return r.hit.blobLen
+	}
+	return int64(len(r.blob))
+}
+
+// overlaps applies the zone-map skip decision: could any row satisfy
+// every tag range?
+func (r *walkRec) overlaps(ranges []TagRange) bool {
+	if r.hit != nil {
+		return r.hit.overlaps(ranges)
+	}
+	return BlobOverlaps(r.blob, ranges)
+}
+
+// summary returns the record's header summary (the cached one on a hit),
+// or nil for a legacy blob or a damaged header.
+func (r *walkRec) summary() *blobSummary {
+	if !r.parsed {
+		r.parsed = true
+		if r.hit != nil {
+			r.sum = r.hit.summary
+		} else {
+			r.sum, _ = parseBlobSummary(r.blob, r.ts)
+		}
+	}
+	return r.sum
+}
+
+// lastTS bounds the record's newest row timestamp: exact from the
+// summary, else by the home's widest span.
+func (r *walkRec) lastTS() int64 {
+	if sum := r.summary(); sum != nil {
+		return sum.lastTS
+	}
+	return r.ts + r.home.span
+}
+
+// subSummaries returns the record's sub-bucket mini-summaries, or nil.
+func (r *walkRec) subSummaries() *subSummaries {
+	if r.hit != nil {
+		return r.hit.sub
+	}
+	if r.blob[0]&flagSubBuckets == 0 {
+		return nil
+	}
+	sub, _ := parseBlobSubSummaries(r.blob, r.ts)
+	return sub
+}
+
+// decode returns the rows of a stored record handed out in a chunk with
+// window [lo, hi). A nil batch with a nil error means the record
+// contributes nothing: quarantined in lenient mode, or a stub whose rows
+// all fall outside the window. A stub with rows inside it fails with
+// StubbedRangeError — dropped by tier policy, never silently missing, and
+// never quarantined: a stub is not a corrupt record.
+func (w *walker) decode(r *walkRec, lo, hi int64) (*DecodedBatch, error) {
+	if r.hit != nil {
+		w.cache.noteSaved(r.hit.blobLen)
+		return r.hit.batch, nil
+	}
+	if err := ctxErr(w.ctx); err != nil {
+		return nil, err
+	}
+	var batch *DecodedBatch
+	var err error
+	if IsStubBlob(r.blob) {
+		sum := r.summary()
+		switch {
+		case sum == nil:
+			err = fmt.Errorf("tsstore: corrupt stub blob %s source=%d ts=%d", r.home.tree.Name(), r.home.id, r.ts)
+		case sum.rows == 0 || sum.lastTS < lo || sum.firstTS >= hi:
+			return nil, nil
+		default:
+			return nil, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: sum.firstTS, LastTS: sum.lastTS}
+		}
+	} else {
+		batch, err = DecodeBlob(r.blob, r.ts, w.wantTags)
+	}
+	if err != nil {
+		if w.s.lenient() {
+			w.s.noteCorruptBlob()
+			return nil, nil
+		}
+		return nil, err
+	}
+	if w.cache != nil {
+		// Summaries ride along so aggregate walks fold hits without the
+		// batch: parsed from the header, or computed from the decoded rows
+		// for legacy blobs (the lazy upgrade).
+		var sub *subSummaries
+		if r.blob[0]&flagSubBuckets != 0 {
+			sub, _ = parseBlobSubSummaries(r.blob, r.ts)
+		} else if w.subBase > 0 {
+			sub = subSummariesFromBatch(batch, w.ntags, w.subBase)
+		}
+		zones, hasZones := blobZoneMaps(r.blob)
+		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
+			batch, zones, hasZones, int64(len(r.blob)), cacheSummary(r.blob, r.ts, batch), sub)
+	}
+	return batch, nil
+}
+
+// eachRow calls fn for the rows of a decoded record that belong to the
+// walk within [lo, hi): MG rows are attributed to their member by slot
+// (unknown slots dropped) and filtered to the walker's member, if any.
+func (w *walker) eachRow(r *walkRec, batch *DecodedBatch, lo, hi int64, fn func(src, ts int64, vals []float64)) {
+	for i, ts := range batch.Timestamps {
+		src := r.home.id
+		if batch.Structure == model.MG {
+			slot := batch.Slots[i]
+			if slot >= len(w.members) {
+				continue
+			}
+			if src = w.members[slot]; w.only != 0 && src != w.only {
+				continue
+			}
+		}
+		if ts >= lo && ts < hi {
+			fn(src, ts, batch.Rows[i])
+		}
+	}
+}

@@ -123,8 +123,8 @@ type Options struct {
 	// IngestWorkers sets the fan-out of Writer.WriteBatchParallel when the
 	// caller passes no explicit worker count (default GOMAXPROCS).
 	IngestWorkers int
-	// IngestShards overrides the ingest-lock shard count (default: sized
-	// from GOMAXPROCS; 1 restores the old fully serialized write path).
+	// IngestShards overrides the latch shard count (default 1024; 1
+	// restores the old fully serialized write path).
 	IngestShards int
 	// PoolPartitions overrides the buffer pool's latch partition count
 	// (default: sized from GOMAXPROCS and the pool size).
