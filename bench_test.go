@@ -451,47 +451,15 @@ func benchQueryFixture(b *testing.B, opts Options) (*Historian, int64, int64) {
 	return h, ds.ID, int64(nPts+1) * 10
 }
 
-// BenchmarkParallelScan measures the fanned-out read path against the
-// serial one on the same 200k-point history (no cache, so every
-// iteration pays the full read + decode). On a single-core host the two
-// converge; the fan-out pays off with cores.
-func BenchmarkParallelScan(b *testing.B) {
-	run := func(b *testing.B, workers int) {
-		// DisableAggPushdown: the aggregate shape would otherwise fold
-		// from summaries and never exercise the fanned-out decode path
-		// this benchmark exists to measure.
-		h, src, maxTS := benchQueryFixture(b, Options{QueryWorkers: workers, DisableAggPushdown: true})
-		q := `SELECT COUNT(*), SUM(t1), MAX(t0) FROM V WHERE id = ` + strconv.FormatInt(src, 10) +
-			` AND ts >= 0 AND ts < ` + strconv.FormatInt(maxTS, 10)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := h.Query(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := res.FetchAll(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := h.TotalStats()
-		b.ReportMetric(float64(st.ParallelParts)/float64(max64(st.ParallelScans, 1)), "fanout")
-		if secs := b.Elapsed().Seconds(); secs > 0 {
-			b.ReportMetric(float64(b.N)*200_000/secs, "rows/s")
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 0) })
-	b.Run("workers-4", func(b *testing.B) { run(b, 4) })
-}
-
 // BenchmarkBlobCache measures repeated scans of the same history with
 // the decoded-ValueBlob cache off and on: the cached runs skip the
 // pagestore read and the column decode (the paper's dominant
 // row-assembly overhead).
 func BenchmarkBlobCache(b *testing.B) {
 	run := func(b *testing.B, cacheBytes int64) {
-		// DisableAggPushdown for the same reason as BenchmarkParallelScan:
-		// keep the cached decode path under measurement.
+		// DisableAggPushdown: the aggregate shape would otherwise fold from
+		// summaries and never exercise the cached decode path under
+		// measurement.
 		h, src, maxTS := benchQueryFixture(b, Options{BlobCacheBytes: cacheBytes, DisableAggPushdown: true})
 		q := `SELECT COUNT(*), SUM(t1), MAX(t0) FROM V WHERE id = ` + strconv.FormatInt(src, 10) +
 			` AND ts >= 0 AND ts < ` + strconv.FormatInt(maxTS, 10)

@@ -6,6 +6,9 @@
 //	odh-cli -cluster N        interactive shell over an in-process
 //	                          replicated cluster (-replicas, -quorum)
 //	odh-cli -dir DIR fsck     offline integrity check; exit 1 when damaged
+//	odh-cli -dir DIR upgrade  rewrite records of older ValueBlob formats at
+//	                          the current one, flush, then fsck; exit 1
+//	                          when the upgraded store is damaged
 //
 // Besides SQL, the local shell accepts dot commands:
 //
@@ -17,6 +20,8 @@
 //	                 batches, older than STUB_MS truncate to summary-only
 //	                 stubs (0 disables either transition); the reference
 //	                 "now" is the schema's newest timestamp
+//	.upgrade         rewrite records of older ValueBlob formats at the
+//	                 current one, so aggregates fold them from headers
 //	.flush           flush ingest buffers
 //	.fsck            verify pages, B-trees, and blobs in place
 //	.quit
@@ -57,7 +62,7 @@ func main() {
 	clusterReplicas := flag.Int("replicas", 2, "with -cluster: copies per shard")
 	clusterQuorum := flag.Int("quorum", 0, "with -cluster: write acks required (0 = majority of replicas)")
 	lenient := flag.Bool("recover", false, "lenient recovery: scans skip corrupt blobs instead of failing")
-	queryWorkers := flag.Int("query-workers", 0, "parallel degree cap for virtual-table scans (0 = serial)")
+	queryWorkers := flag.Int("query-workers", 0, "parallel degree cap for pushed-down aggregates (0 = serial)")
 	blobCache := flag.Int64("blob-cache", 0, "decoded-ValueBlob cache budget in bytes (0 = off)")
 	flag.Parse()
 
@@ -80,7 +85,12 @@ func main() {
 	}
 	defer h.Close()
 
-	if flag.Arg(0) == "fsck" {
+	if cmd := flag.Arg(0); cmd == "fsck" || cmd == "upgrade" {
+		if cmd == "upgrade" {
+			if err := upgrade(h); err != nil {
+				log.Fatal(err)
+			}
+		}
 		rep, err := h.VerifyIntegrity()
 		if err != nil {
 			log.Fatal(err)
@@ -115,13 +125,23 @@ func main() {
 	}
 }
 
+// upgrade rewrites old-format records and makes the pass durable.
+func upgrade(h *odh.Historian) error {
+	res, err := h.UpgradeBlobs()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("upgraded %d of %d records, bytes %d -> %d\n", res.Rewritten, res.Records, res.BytesBefore, res.BytesAfter)
+	return h.Flush()
+}
+
 func dotCommand(h *odh.Historian, line string) bool {
 	cmd, arg, _ := strings.Cut(line, " ")
 	switch cmd {
 	case ".quit", ".exit":
 		return false
 	case ".help":
-		fmt.Println("SQL statements end at the newline. Dot commands: .schema .tables .stats [id] .tier SCHEMA COLD_MS STUB_MS .flush .fsck .quit")
+		fmt.Println("SQL statements end at the newline. Dot commands: .schema .tables .stats [id] .tier SCHEMA COLD_MS STUB_MS .upgrade .flush .fsck .quit")
 	case ".fsck":
 		rep, err := h.VerifyIntegrity()
 		if err != nil {
@@ -129,6 +149,10 @@ func dotCommand(h *odh.Historian, line string) bool {
 			break
 		}
 		fmt.Println(rep)
+	case ".upgrade":
+		if err := upgrade(h); err != nil {
+			fmt.Println("error:", err)
+		}
 	case ".flush":
 		if err := h.Flush(); err != nil {
 			fmt.Println("error:", err)

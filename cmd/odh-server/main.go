@@ -35,7 +35,7 @@ func main() {
 		dir     = flag.String("dir", "", "historian directory (empty = in-memory)")
 		initSQL = flag.String("init", "", "semicolon-separated SQL statements run at startup")
 		batchSz = flag.Int("batch", 128, "ODH batch size b")
-		workers = flag.Int("query-workers", 0, "parallel degree cap for virtual-table scans (0 = serial)")
+		workers = flag.Int("query-workers", 0, "parallel degree cap for pushed-down aggregates (0 = serial)")
 
 		idleTimeout  = flag.Duration("idle-timeout", 0, "disconnect a client idle for this long (0 = never)")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "drop a client that stops reading replies for this long (0 = never)")

@@ -45,12 +45,17 @@ func diffConfigs() []diffConfig {
 	// The serial pair writes v2 blobs (sub-bucket summaries disabled), the
 	// parallel pair writes v3 at a 100 ms base — small enough that every
 	// RTS blob straddles bucket edges, so the bucketed templates fold from
-	// sub-summaries on one side and decode on the other.
+	// sub-summaries on one side and decode on the other. The last one keeps
+	// writing pre-summary v1 blobs, which only the maintenance schedule's
+	// UpgradeBlobs step brings to v3: its store is a mix of both throughout.
+	legacy := mk("legacy+cache+sub", 0, 16<<20, 100)
+	legacy.opts.legacyBlobFormat = true
 	return []diffConfig{
 		mk("serial", 0, 0, -1),
 		mk("serial+cache", 0, 16<<20, -1),
 		mk("parallel+sub", 4, 0, 100),
 		mk("parallel+cache+sub", 4, 16<<20, 100),
+		legacy,
 	}
 }
 
@@ -164,7 +169,7 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			}
 		}
 		// 2 RTS + 1 IRTS + 4 MG (one group); registration order fixes IDs,
-		// so all four historians assign identical source IDs and slots.
+		// so all historians assign identical source IDs and slots.
 		reg(true, 10)
 		reg(true, 10)
 		reg(false, 10)
@@ -186,10 +191,10 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		}
 	}
 
-	// Preload a dense burst on the RTS sources so range scans clear the
+	// Preload a dense burst on the RTS sources so aggregates clear the
 	// optimizer's cost threshold and actually fan out; without it every
-	// scan in this miniature workload would be planned serial and the
-	// four configurations would not differ.
+	// one in this miniature workload would be planned serial and the
+	// configurations would not differ.
 	var preload []string
 	for _, src := range sources[:2] {
 		for k := 0; k < 10000; k++ {
@@ -213,6 +218,7 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		}
 	}
 
+	upgraded := make([]int, len(hs)) // records UpgradeBlobs rewrote, per configuration
 	var pendingRef []string
 	flushRef := func() {
 		t.Helper()
@@ -370,7 +376,7 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 	rebuildRef := func(round int) {
 		t.Helper()
 		// Retention is batch-granular, so the surviving set is whatever the
-		// store kept; all four configurations must keep the same rows, and
+		// store kept; all configurations must keep the same rows, and
 		// the baseline is rebuilt from that agreed-on state.
 		full := `SELECT id, ts, a, b FROM D WHERE ts >= 0 AND ts < ` + strconv.FormatInt(maxTS+1, 10)
 		raw0, _ := diffFetch(t, hs[0], full)
@@ -472,8 +478,18 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			})
 			rebuildRef(round)
 		}
+		if round%233 == 232 {
+			// The explicit format upgrade: nothing to do where every flush
+			// wrote the store's current format, everything flushed since
+			// the last pass on the legacy writer.
+			racing(round, someQueries(6), func(i int, h *Historian) error {
+				res, err := h.UpgradeBlobs()
+				upgraded[i] += res.Rewritten
+				return err
+			})
+		}
 		if round%251 == 250 {
-			// Cold-compact two of the four configurations only: the cold
+			// Cold-compact every other configuration only: the cold
 			// tier is lossless, so tiered and untiered stores must keep
 			// returning byte-identical rows for every template.
 			pol := TierPolicy{ColdAfterMs: maxTS + 1 - maxTS/2}
@@ -495,7 +511,12 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		t.Fatalf("parallel+cache config never hit its cache: %+v", st)
 	}
 	if st := hs[2].TotalStats(); st.ParallelScans == 0 {
-		t.Fatalf("parallel config never fanned out a scan: %+v", st)
+		t.Fatalf("parallel config never fanned out an aggregate: %+v", st)
+	}
+	for i, n := range upgraded {
+		if legacy := configs[i].opts.legacyBlobFormat; (n > 0) != legacy {
+			t.Fatalf("%s: UpgradeBlobs rewrote %d records (legacy writer: %v)", configs[i].name, n, legacy)
+		}
 	}
 	if st := hs[0].TotalStats(); st.SummaryHits == 0 || st.BytesNotDecoded == 0 {
 		t.Fatalf("aggregate templates never folded a summary: %+v", st)

@@ -23,7 +23,6 @@ func (pc *planContext) buildScan(acc *tableAccess) (Operator, error) {
 		} else if len(acc.idList) > 0 {
 			vs.sources = acc.idList
 		}
-		vs.workers = pc.e.parallelDegree(acc.estCost)
 		vs.ctx = pc.ctx
 		op = vs
 	} else if acc.index != nil {

@@ -21,8 +21,8 @@ type Engine struct {
 	rel *relational.DB
 	ts  *tsstore.Store
 	cat *catalog.Catalog
-	// queryWorkers caps the parallel degree of virtual-table scans;
-	// <= 1 keeps every scan serial. Atomic: SetQueryWorkers may be
+	// queryWorkers caps the parallel degree of pushed-down aggregates;
+	// <= 1 keeps every aggregate serial. Atomic: SetQueryWorkers may be
 	// called while other goroutines are planning queries.
 	queryWorkers atomic.Int64
 	// aggPushdownOff disables the summary-aggregate rewrite (zero value =
@@ -38,10 +38,11 @@ func New(rel *relational.DB, ts *tsstore.Store) *Engine {
 	return &Engine{rel: rel, ts: ts, cat: ts.Catalog()}
 }
 
-// SetQueryWorkers caps the parallel degree virtual-table scans may use.
-// The planner picks each scan's degree from its blob-bytes cost estimate,
-// never exceeding n; n <= 1 disables parallel scans. Safe to call on a
-// live engine; queries planned afterwards use the new cap.
+// SetQueryWorkers caps the parallel degree a pushed-down aggregate may
+// use (row scans are always serial: their consumer pulls one row at a
+// time). The planner picks each aggregate's degree from its blob-bytes
+// cost estimate, never exceeding n; n <= 1 keeps aggregates serial. Safe
+// to call on a live engine; queries planned afterwards use the new cap.
 func (e *Engine) SetQueryWorkers(n int) { e.queryWorkers.Store(int64(n)) }
 
 // SetAggPushdown enables or disables rewriting aggregates over a virtual
@@ -57,12 +58,12 @@ func (e *Engine) SetAggPushdown(on bool) { e.aggPushdownOff.Store(!on) }
 func (e *Engine) SetQueryTimeout(d time.Duration) { e.queryTimeout.Store(int64(d)) }
 
 // parallelCostUnit is the estimated blob-bytes of work that justifies one
-// additional scan worker: fanning out cheaper scans costs more in
-// goroutine and channel overhead than the decode work it spreads.
+// additional aggregate worker: fanning out cheaper aggregates costs more
+// in goroutine overhead than the decode work it spreads.
 const parallelCostUnit = 64 << 10
 
-// parallelDegree converts a scan's blob-bytes cost estimate into a worker
-// count in [1, queryWorkers].
+// parallelDegree converts an aggregate's blob-bytes cost estimate into a
+// worker count in [1, queryWorkers].
 func (e *Engine) parallelDegree(estCost float64) int {
 	limit := int(e.queryWorkers.Load())
 	if limit <= 1 || estCost < 2*parallelCostUnit {

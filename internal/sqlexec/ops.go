@@ -127,9 +127,6 @@ type virtualScan struct {
 	sources    []int64
 	t1, t2     int64
 	tagRanges  []tsstore.TagRange
-	// workers is the parallel degree the planner chose from the blob-bytes
-	// cost estimate; <= 1 scans serially.
-	workers int
 	// ctx cancels the scan (threaded into ScanOptions.Ctx).
 	ctx context.Context
 
@@ -188,7 +185,7 @@ func (s *virtualScan) open() error {
 		s.routerDone = true
 	}
 	var err error
-	opts := tsstore.ScanOptions{Workers: s.workers, Ctx: s.ctx}
+	opts := tsstore.ScanOptions{Ctx: s.ctx}
 	if s.historical {
 		s.iter, err = s.store.HistoricalScanOpts(s.source, s.t1, s.t2, s.wantTags, opts, s.tagRanges...)
 	} else if len(s.sources) > 0 {
@@ -233,17 +230,13 @@ func (s *virtualScan) Next() (Row, bool, error) {
 }
 
 func (s *virtualScan) Describe(indent string) string {
-	par := ""
-	if s.workers > 1 {
-		par = fmt.Sprintf(", parallel=%d", s.workers)
-	}
 	if s.historical {
-		return fmt.Sprintf("%sVirtualHistoricalScan(%s, id=%d, ts=[%d,%d)%s)\n", indent, s.schema.Name, s.source, s.t1, s.t2, par)
+		return fmt.Sprintf("%sVirtualHistoricalScan(%s, id=%d, ts=[%d,%d))\n", indent, s.schema.Name, s.source, s.t1, s.t2)
 	}
 	if len(s.sources) > 0 {
-		return fmt.Sprintf("%sVirtualMultiScan(%s, %d ids, ts=[%d,%d)%s)\n", indent, s.schema.Name, len(s.sources), s.t1, s.t2, par)
+		return fmt.Sprintf("%sVirtualMultiScan(%s, %d ids, ts=[%d,%d))\n", indent, s.schema.Name, len(s.sources), s.t1, s.t2)
 	}
-	return fmt.Sprintf("%sVirtualSliceScan(%s, ts=[%d,%d)%s)\n", indent, s.schema.Name, s.t1, s.t2, par)
+	return fmt.Sprintf("%sVirtualSliceScan(%s, ts=[%d,%d))\n", indent, s.schema.Name, s.t1, s.t2)
 }
 
 // --- filter ---

@@ -23,9 +23,8 @@ import (
 //   - sub-bucket foldable: predicates are provable but the blob straddles
 //     the bucket grid (or a window edge that lands on the sub-bucket base
 //     grid) — when the query grid is a positive integral multiple of the
-//     base width, the blob folds from its per-sub-bucket mini-summaries
-//     (v3 header block, or lazily computed and cached for v1/v2 blobs),
-//     still zero decode;
+//     base width, the blob folds from the per-sub-bucket mini-summaries in
+//     its header, still zero decode;
 //   - boundary: anything unprovable — the blob is decoded (through the
 //     decoded-blob cache when enabled) and its rows folded one by one.
 //
@@ -33,9 +32,9 @@ import (
 // returns, so a fold is bit-identical to decoding and aggregating, except
 // that SUM folds add per-blob subtotals rather than individual values
 // (floating-point addition is not associative; exact for integral data).
-// Legacy pre-summary blobs always take the boundary path, but the decode
-// lazily computes their summary and caches it, so repeated aggregate scans
-// over old data fold from the cache.
+// A blob written before its header carried a summary (or a sub-bucket
+// block) takes the boundary path every time; UpgradeBlobs rewrites such
+// records at the current format.
 
 // TagPred is one pushed-down predicate bound on a tag, kept exact
 // (strictness preserved) so full coverage can be proven from a summary.
@@ -134,16 +133,15 @@ func matchPreds(vals []float64, preds []TagPred) bool {
 
 // aggSpecEx is an AggSpec with derived scan state precomputed once.
 type aggSpecEx struct {
-	spec    *AggSpec
-	tags    []int      // tags to fold (sorted, deduped, in [0, NTags))
-	zones   []TagRange // inclusive hull of Preds for zone-map skipping
-	ntags   int
-	subBase int64           // store's sub-bucket base width (0 = disabled)
-	ctx     context.Context // from Opts.Ctx; observed between records
+	spec  *AggSpec
+	tags  []int      // tags to fold (sorted, deduped, in [0, NTags))
+	zones []TagRange // inclusive hull of Preds for zone-map skipping
+	ntags int
+	ctx   context.Context // from Opts.Ctx; observed between records
 }
 
-func (s *Store) prepAggSpec(spec *AggSpec) *aggSpecEx {
-	sp := &aggSpecEx{spec: spec, ntags: spec.NTags, subBase: s.cfg.SubBucketMs, ctx: spec.Opts.Ctx}
+func prepAggSpec(spec *AggSpec) *aggSpecEx {
+	sp := &aggSpecEx{spec: spec, ntags: spec.NTags, ctx: spec.Opts.Ctx}
 	if spec.WantTags == nil {
 		sp.tags = make([]int, spec.NTags)
 		for t := range sp.tags {
@@ -439,7 +437,6 @@ type aggPart func(*aggPartial) error
 // maps to a known member (row folds drop unknown slots, so a summary fold
 // must too); MG rows are slot-ordered and never carry sub-summaries.
 func (s *Store) aggWalkPart(w *walker, owner int, sp *aggSpecEx) aggPart {
-	w.subBase, w.ntags = sp.subBase, sp.ntags
 	return func(pt *aggPartial) error {
 		for !w.done {
 			ch, err := w.step()
@@ -467,7 +464,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		}
 		return nil
 	}
-	if !rec.overlaps(sp.zones) {
+	if !rec.hdr.overlaps(sp.zones) {
 		pt.blobsSkipped++
 		return nil
 	}
@@ -476,7 +473,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 	if mg {
 		src = 0
 	}
-	if sum := rec.summary(); sum != nil {
+	if sum := rec.hdr.summary(rec.ts); sum != nil {
 		foldable := !mg || (w.only == 0 && !sp.spec.ByID && sum.members <= len(w.members))
 		switch classifySummary(sum, lo, hi, sp, foldable, !mg) {
 		case classExcluded:
@@ -492,10 +489,9 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 			return nil
 		case classSubFoldable:
 			// A v3 blob folds from its persisted mini-summaries with zero
-			// decode (stubs included: the block survives stubbing). v1/v2
-			// blobs fall through to the decode, which computes and caches
-			// sub-summaries lazily.
-			if sub := rec.subSummaries(); sub != nil && subFoldAligned(sum, lo, hi, sub.base, sp) {
+			// decode (stubs included: the block survives stubbing); v1/v2
+			// blobs fall through to the decode.
+			if sub := rec.hdr.subSummaries(sum); sub != nil && subFoldAligned(sum, lo, hi, sub.base, sp) {
 				pt.subBucketFolds++
 				pt.subBucketBytesNotDecoded += rec.size()
 				pt.foldSubSummaries(src, sum, sub, lo, hi, sp)
@@ -516,8 +512,63 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 	return nil
 }
 
-// historicalAggParts decomposes one source's aggregate exactly like
-// HistoricalScanOpts decomposes its scan: one walk per ts-disjoint range.
+// maxScanWorkers caps an aggregate's fan-out regardless of options.
+const maxScanWorkers = 64
+
+func clampWorkers(n int) int {
+	if n > maxScanWorkers {
+		return maxScanWorkers
+	}
+	if n < 1 {
+		return 1
+	}
+	return n
+}
+
+// scanRange is one ts-disjoint slice of a scan window.
+type scanRange struct{ t1, t2 int64 }
+
+// splitScanRange partitions [t1, t2) into up to k ts-disjoint sub-ranges
+// that cover exactly the same window. Boundaries are spread over the
+// source's recorded data range so the split lands where batches actually
+// are; a window (or data range) too small to split returns one range.
+// Because the sub-ranges partition by timestamp, concatenating their
+// scans yields exactly the rows of the full-range scan, in the same
+// order: equal-timestamp points always land in the same sub-range.
+func splitScanRange(t1, t2 int64, stats model.SourceStats, k int) []scanRange {
+	if k <= 1 || stats.PointCount == 0 {
+		return []scanRange{{t1, t2}}
+	}
+	lo, hi := stats.FirstTS, stats.LastTS
+	if hi < math.MaxInt64 {
+		hi++ // cover LastTS itself; ranges are half-open
+	}
+	if lo < t1 {
+		lo = t1
+	}
+	if hi > t2 {
+		hi = t2
+	}
+	if hi <= lo {
+		return []scanRange{{t1, t2}}
+	}
+	span := uint64(hi) - uint64(lo)
+	if span < uint64(k)*2 || span > 1<<62 {
+		return []scanRange{{t1, t2}}
+	}
+	step := span / uint64(k)
+	out := make([]scanRange, 0, k)
+	prev := t1
+	for i := 1; i < k; i++ {
+		b := lo + int64(step*uint64(i))
+		out = append(out, scanRange{prev, b})
+		prev = b
+	}
+	return append(out, scanRange{prev, t2})
+}
+
+// historicalAggParts decomposes one source's aggregate into one walk per
+// ts-disjoint range.
 func (s *Store) historicalAggParts(source int64, owner int, sp *aggSpecEx, workers int) ([]aggPart, error) {
 	ds, ok := s.cat.Source(source)
 	if !ok {
@@ -635,7 +686,7 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 // AggregateHistorical computes the aggregates of one source over
 // [spec.T1, spec.T2), the pushdown twin of HistoricalScanOpts.
 func (s *Store) AggregateHistorical(source int64, spec AggSpec) (*AggResult, error) {
-	sp := s.prepAggSpec(&spec)
+	sp := prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
 	parts, err := s.historicalAggParts(source, 0, sp, workers)
 	if err != nil {
@@ -646,9 +697,9 @@ func (s *Store) AggregateHistorical(source int64, spec AggSpec) (*AggResult, err
 
 // AggregateMulti aggregates an explicit source list (the id IN (...)
 // pushdown). Each source stays serial inside; the fan-out is across
-// sources, like MultiHistoricalScanOpts. Unknown ids contribute nothing.
+// sources. Unknown ids contribute nothing.
 func (s *Store) AggregateMulti(sources []int64, spec AggSpec) (*AggResult, error) {
-	sp := s.prepAggSpec(&spec)
+	sp := prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
 	var parts []aggPart
 	for i, src := range sources {
@@ -664,7 +715,7 @@ func (s *Store) AggregateMulti(sources []int64, spec AggSpec) (*AggResult, error
 // AggregateSlice aggregates every source of a schema over the window, the
 // pushdown twin of SliceScanOpts.
 func (s *Store) AggregateSlice(schemaID int64, spec AggSpec) (*AggResult, error) {
-	sp := s.prepAggSpec(&spec)
+	sp := prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
 	var parts []aggPart
 	for i, w := range s.sliceWalkers(schemaID, spec.T1, spec.T2, spec.WantTags, spec.Opts) {

@@ -378,10 +378,71 @@ func TestAggregateFoldsWithoutDecoding(t *testing.T) {
 	}
 }
 
-// TestLegacyBlobLazySummaryUpgrade verifies pre-summary blobs aggregate
-// correctly (decode path) and that the decode caches a computed summary
-// so the next aggregate folds without decoding.
-func TestLegacyBlobLazySummaryUpgrade(t *testing.T) {
+// upgradeAndCheck runs the explicit upgrade over a store of old-format
+// records and asserts its contract: before it aggregates decode (no folds)
+// and equal the decode plan; UpgradeBlobs rewrites every record once; after
+// it the first aggregate folds from headers with the same answer, scans are
+// byte-identical, fsck is clean and a second pass rewrites nothing.
+func upgradeAndCheck(t *testing.T, s *Store, source int64, spec AggSpec, records int) (before, after *AggResult) {
+	t.Helper()
+	scan := func() []model.Point {
+		it, err := s.HistoricalScan(source, spec.T1, spec.T2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return collect(t, it)
+	}
+	before, err := s.AggregateHistorical(source, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.BlobBytesRead == 0 {
+		t.Fatalf("old-format records did not decode: %+v", before)
+	}
+	// With or without their decodes in the cache: no header, no fold.
+	again, err := s.AggregateHistorical(source, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*AggResult{before, again} {
+		if res.SummaryHits != 0 || res.SubBucketFolds != 0 {
+			t.Fatalf("old-format records must take the decode path every time: %+v", res)
+		}
+	}
+	rowsBefore := scan()
+	compareAgg(t, "before-upgrade", before, refFold(rowsBefore, spec), spec)
+
+	up, err := s.UpgradeBlobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Records != records || up.Rewritten != records {
+		t.Fatalf("UpgradeBlobs = %+v, want %d of %d records rewritten", up, records, records)
+	}
+	after, err = s.AggregateHistorical(source, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.BlobBytesRead != 0 {
+		t.Fatalf("first aggregate after upgrade decoded %d bytes, want 0", after.BlobBytesRead)
+	}
+	sameAggResult(t, "upgrade", before, after)
+	if rowsAfter := scan(); !pointsEqual(rowsBefore, rowsAfter) {
+		t.Fatal("upgrade changed scan results")
+	}
+	if checked, corrupt, err := s.VerifyBlobs(); err != nil || len(corrupt) != 0 || checked != records {
+		t.Fatalf("fsck after upgrade: checked=%d corrupt=%v err=%v", checked, corrupt, err)
+	}
+	if up, err = s.UpgradeBlobs(); err != nil || up.Rewritten != 0 || up.Records != records {
+		t.Fatalf("second UpgradeBlobs = %+v err=%v, want 0 rewritten", up, err)
+	}
+	return before, after
+}
+
+// TestLegacyBlobSummaryUpgrade verifies pre-summary blobs aggregate
+// correctly through the decode path — every time, cache or not — and fold
+// from their headers once UpgradeBlobs has rewritten them.
+func TestLegacyBlobSummaryUpgrade(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16, LegacyBlobFormat: true, BlobCacheBytes: 1 << 20}, 0)
 	schema := f.schema(t, "old", 1)
 	ds := f.source(t, schema.ID, true, 10)
@@ -395,24 +456,10 @@ func TestLegacyBlobLazySummaryUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := AggSpec{T1: math.MinInt64 / 2, T2: math.MaxInt64 / 2, NTags: 1}
-	first, err := f.store.AggregateHistorical(ds.ID, spec)
-	if err != nil {
-		t.Fatal(err)
+	_, after := upgradeAndCheck(t, f.store, ds.ID, spec, 8)
+	if after.SummaryHits != 8 {
+		t.Fatalf("aggregate after upgrade SummaryHits = %d, want 8", after.SummaryHits)
 	}
-	if first.SummaryHits != 0 || first.BlobBytesRead == 0 {
-		t.Fatalf("legacy blobs must decode on first aggregate: %+v", first)
-	}
-	second, err := f.store.AggregateHistorical(ds.ID, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.SummaryHits != 8 {
-		t.Fatalf("second aggregate SummaryHits = %d, want 8 (cached lazy summaries)", second.SummaryHits)
-	}
-	if second.BlobBytesRead != 0 {
-		t.Fatalf("second aggregate decoded %d bytes, want 0", second.BlobBytesRead)
-	}
-	sameAggResult(t, "legacy-upgrade", first, second)
 }
 
 // TestAggregateSubBucketFolds checks the sub-bucket path end to end: a
@@ -508,11 +555,10 @@ func TestAggregateSubBucketFolds(t *testing.T) {
 	}
 }
 
-// TestLegacyBlobLazySubBucketUpgrade verifies v1 blobs written before
-// sub-bucket summaries existed still ride the sub-bucket path: the first
-// bucketed aggregate decodes and caches computed sub-summaries, the
-// second folds from them without decoding.
-func TestLegacyBlobLazySubBucketUpgrade(t *testing.T) {
+// TestLegacyBlobSubBucketUpgrade verifies blobs written before sub-bucket
+// summaries existed decode under a bucketed aggregate until UpgradeBlobs
+// gives them the block, then fold from it.
+func TestLegacyBlobSubBucketUpgrade(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16, LegacyBlobFormat: true, BlobCacheBytes: 1 << 20, SubBucketMs: 40}, 0)
 	schema := f.schema(t, "oldsb", 1)
 	ds := f.source(t, schema.ID, true, 10)
@@ -526,24 +572,10 @@ func TestLegacyBlobLazySubBucketUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := AggSpec{T1: math.MinInt64 / 2, T2: math.MaxInt64 / 2, NTags: 1, BucketMs: 40}
-	first, err := f.store.AggregateHistorical(ds.ID, spec)
-	if err != nil {
-		t.Fatal(err)
+	_, after := upgradeAndCheck(t, f.store, ds.ID, spec, 8)
+	if after.SubBucketFolds != 8 {
+		t.Fatalf("aggregate after upgrade SubBucketFolds = %d, want 8", after.SubBucketFolds)
 	}
-	if first.SubBucketFolds != 0 || first.BlobBytesRead == 0 {
-		t.Fatalf("legacy blobs must decode on first aggregate: %+v", first)
-	}
-	second, err := f.store.AggregateHistorical(ds.ID, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.SubBucketFolds != 8 {
-		t.Fatalf("second aggregate SubBucketFolds = %d, want 8 (cached lazy sub-summaries)", second.SubBucketFolds)
-	}
-	if second.BlobBytesRead != 0 {
-		t.Fatalf("second aggregate decoded %d bytes, want 0", second.BlobBytesRead)
-	}
-	sameAggResult(t, "legacy-sub-upgrade", first, second)
 }
 
 // TestSubFoldAligned pins the alignment rules that make a sub-bucket fold

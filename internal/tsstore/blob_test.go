@@ -141,6 +141,13 @@ func TestBlobRoundtripQuick(t *testing.T) {
 	}
 }
 
+// blobOverlaps is the zone-map skip decision for raw bytes: peek at the
+// header only, no column decode.
+func blobOverlaps(b []byte, ranges []TagRange) bool {
+	h, _ := parseBlobHeader(b)
+	return h.overlaps(ranges)
+}
+
 func TestBlobOverlapsZoneMaps(t *testing.T) {
 	// Tag 0 in [1, 4], tag 1 all NULL.
 	vals := [][]float64{{1, model.NullValue}, {4, model.NullValue}}
@@ -159,17 +166,17 @@ func TestBlobOverlapsZoneMaps(t *testing.T) {
 		{[]TagRange{{Tag: 9, Lo: 0, Hi: 1}}, true},    // out-of-range tag: no skip
 	}
 	for i, c := range cases {
-		if got := BlobOverlaps(blob, c.ranges); got != c.want {
-			t.Fatalf("case %d: BlobOverlaps = %v, want %v", i, got, c.want)
+		if got := blobOverlaps(blob, c.ranges); got != c.want {
+			t.Fatalf("case %d: overlaps = %v, want %v", i, got, c.want)
 		}
 	}
 	// IRTS and MG headers must be peekable too.
 	irts := EncodeIRTS(mkPoints(1, 0, 10, vals), 2, encodeOpts{})
-	if BlobOverlaps(irts, []TagRange{{Tag: 0, Lo: 50, Hi: 60}}) {
+	if blobOverlaps(irts, []TagRange{{Tag: 0, Lo: 50, Hi: 60}}) {
 		t.Fatal("IRTS zone map not consulted")
 	}
 	mg := EncodeMG([]bool{true, true}, vals, []int64{0, 5}, 2, encodeOpts{})
-	if BlobOverlaps(mg, []TagRange{{Tag: 0, Lo: 50, Hi: 60}}) {
+	if blobOverlaps(mg, []TagRange{{Tag: 0, Lo: 50, Hi: 60}}) {
 		t.Fatal("MG zone map not consulted")
 	}
 }

@@ -67,22 +67,13 @@ func tagsSig(wantTags []int) string {
 // cacheEntry is one decoded blob variant. The DecodedBatch is shared by
 // every reader that hits the entry and must be treated as immutable.
 type cacheEntry struct {
-	bk       blobKey
-	sig      string
-	batch    *DecodedBatch
-	zones    []zoneMap // parsed header zone maps; nil when the blob had none
-	hasZones bool
-	// summary lets aggregate scans fold the record without touching the
-	// batch: parsed from the header for summary-format blobs, computed
-	// from the decoded batch for legacy blobs (the lazy upgrade path).
-	// Like the batch, it is only valid for the tags sig selects.
-	summary *blobSummary
-	// sub holds the per-sub-bucket mini-summaries at the store's base
-	// width: parsed from v3 headers, computed from the decoded batch for
-	// v1/v2 blobs on their first aggregate decode (the same lazy upgrade
-	// as summary). nil when unavailable (MG batches, plain row scans,
-	// sub-buckets disabled). Valid only for the tags sig selects.
-	sub     *subSummaries
+	bk    blobKey
+	sig   string
+	batch *DecodedBatch
+	// hdr is the blob's own header (detached from the payload), so a hit
+	// makes exactly the zone-skip and fold decisions the stored bytes
+	// would have.
+	hdr     blobHeader
 	blobLen int64 // encoded size: the bytes a hit saves
 	size    int64 // decoded memory footprint charged against the budget
 	elem    *list.Element
@@ -156,8 +147,8 @@ func (c *blobCache) noteSaved(n int64) {
 
 // put caches a decoded blob unless the key was invalidated since get
 // returned ver. The batch becomes shared and must not be mutated.
-func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch, zones []zoneMap, hasZones bool, blobLen int64, summary *blobSummary, sub *subSummaries) {
-	size := decodedSize(batch, zones)
+func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch, hdr blobHeader, blobLen int64) {
+	size := decodedSize(batch, hdr)
 	if size > c.maxBytes {
 		return // larger than the whole budget: not cacheable
 	}
@@ -174,7 +165,7 @@ func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch,
 	if old, ok := variants[sig]; ok {
 		c.removeLocked(old)
 	}
-	e := &cacheEntry{bk: bk, sig: sig, batch: batch, zones: zones, hasZones: hasZones, summary: summary, sub: sub, blobLen: blobLen, size: size}
+	e := &cacheEntry{bk: bk, sig: sig, batch: batch, hdr: hdr, blobLen: blobLen, size: size}
 	e.elem = c.lru.PushFront(e)
 	variants[sig] = e
 	c.curBytes += size
@@ -215,17 +206,8 @@ func (c *blobCache) removeLocked(e *cacheEntry) {
 	}
 }
 
-// overlaps applies the same skip decision BlobOverlaps would have made on
-// the raw blob, using the zone maps captured at decode time.
-func (e *cacheEntry) overlaps(ranges []TagRange) bool {
-	if len(ranges) == 0 || !e.hasZones {
-		return true
-	}
-	return zonesOverlap(e.zones, ranges)
-}
-
 // decodedSize estimates the in-memory footprint of a cached decode.
-func decodedSize(batch *DecodedBatch, zones []zoneMap) int64 {
+func decodedSize(batch *DecodedBatch, hdr blobHeader) int64 {
 	n := int64(len(batch.Timestamps))
 	var cells int64
 	for _, row := range batch.Rows {
@@ -233,7 +215,7 @@ func decodedSize(batch *DecodedBatch, zones []zoneMap) int64 {
 	}
 	const entryOverhead = 128 // entry struct, map cell, list element
 	return entryOverhead + n*8 /* timestamps */ + int64(len(batch.Slots))*8 +
-		cells*8 + n*24 /* row headers */ + int64(len(zones))*16
+		cells*8 + n*24 /* row headers */ + int64(len(hdr.b))
 }
 
 // stats snapshots the cache counters.

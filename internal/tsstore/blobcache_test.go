@@ -175,13 +175,13 @@ func TestBlobCacheStaleInsertDropped(t *testing.T) {
 
 	_, ver := c.get(bk, "*") // the miss under the latch, with the byte copy
 	c.invalidateKey(bk)      // writer overwrote the blob between copy and insert
-	c.put(bk, "*", ver, batch, nil, false, 64, nil, nil)
+	c.put(bk, "*", ver, batch, blobHeader{}, 64)
 	e, ver := c.get(bk, "*")
 	if e != nil {
 		t.Fatal("stale insert was served")
 	}
 	// A fresh version inserts fine.
-	c.put(bk, "*", ver, batch, nil, false, 64, nil, nil)
+	c.put(bk, "*", ver, batch, blobHeader{}, 64)
 	if e, _ := c.get(bk, "*"); e == nil {
 		t.Fatal("fresh insert missing")
 	}

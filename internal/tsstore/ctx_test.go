@@ -42,8 +42,9 @@ func TestScanCtxCancelSerial(t *testing.T) {
 	}
 }
 
-// TestScanCtxCancelParallel verifies pool workers observe a pre-canceled
-// context: the fanned-out scan returns the ctx error without decoding.
+// TestScanCtxCancelParallel verifies a scan asked for workers (which row
+// scans ignore) still observes a pre-canceled context: it returns the ctx
+// error without decoding.
 func TestScanCtxCancelParallel(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16}, 0)
 	s := f.schema(t, "ctxpar", 2)

@@ -1,44 +1,77 @@
 package tsstore
 
 import (
+	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"odh/internal/model"
 )
 
-// FuzzValueBlobDecode asserts DecodeBlob never panics or over-allocates on
-// adversarial bytes — every outcome must be a decoded batch or an error.
-// Seeds cover all three structures plus both layouts so mutations explore
-// deep decode paths, not just header rejection.
+// FuzzValueBlobDecode asserts that no bytes make the header parser, any
+// header accessor or DecodeBlob panic or over-allocate, and that whatever
+// they accept is consistent: the header's fields agree with the decode,
+// the accessors agree with each other, a stub keeps exactly the header,
+// and a re-encode (the upgrade path) decodes to the same rows. Seeds are
+// the golden fixtures — every structure, tier, format version and shape —
+// so mutations explore deep paths, not just header rejection.
 func FuzzValueBlobDecode(f *testing.F) {
-	pts := make([]model.Point, 12)
-	for i := range pts {
-		pts[i] = model.Point{
-			Source: 7,
-			TS:     int64(1000 + i*50 + i%3), // slightly irregular
-			Values: []float64{float64(i), 20.5 - float64(i), model.NullValue}[:3],
-		}
+	for _, fx := range goldenFixtures() {
+		f.Add(fx.blob)
 	}
-	f.Add(EncodeRTS(pts, 3, 50, encodeOpts{}))
-	f.Add(EncodeRTS(pts, 3, 50, encodeOpts{layout: layoutRowOriented}))
-	f.Add(EncodeRTS(pts, 3, 50, encodeOpts{disable: true}))
-	f.Add(EncodeIRTS(pts, 3, encodeOpts{}))
-	// v3 frames: sub-bucket blocks at several base widths, so mutations
-	// explore truncated/corrupt sub arrays, not just the v2 header shapes.
-	f.Add(EncodeRTS(pts, 3, 50, encodeOpts{subBucketMs: 100}))
-	f.Add(EncodeRTS(pts, 3, 50, encodeOpts{subBucketMs: 25}))
-	f.Add(EncodeIRTS(pts, 3, encodeOpts{subBucketMs: 200}))
-	present := []bool{true, false, true, true}
-	rows := [][]float64{{1.5}, nil, {2.5}, {model.NullValue}}
-	offsets := []int64{3, 0, 7, 12}
-	f.Add(EncodeMG(present, rows, offsets, 1, encodeOpts{}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 
+	const baseTS = 1000
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		batch, err := DecodeBlob(blob, 1000, nil)
+		h, parsed := parseBlobHeader(blob)
+		// Every accessor answers — absent or present — on any header.
+		_ = h.overlaps([]TagRange{{Tag: 0, Lo: -1, Hi: 1}})
+		sum := h.summary(baseTS)
+		sub := h.subSummaries(sum)
+		rows, first, last, spanOK := h.span(baseTS)
+		if spanOK != (sum != nil) || (sum != nil && (rows != sum.rows || first != sum.firstTS || last != sum.lastTS)) {
+			t.Fatalf("span (%d,%d,%d,%v) disagrees with summary %+v", rows, first, last, spanOK, sum)
+		}
+		if !parsed && (sum != nil || sub != nil) {
+			t.Fatal("an unparsed header produced a summary")
+		}
+		if sub != nil {
+			// Anything the sub-bucket accessor accepts satisfies the fold
+			// invariants the aggregate path relies on.
+			if sub.base <= 0 || len(sub.buckets) == 0 || len(sub.buckets) > maxSubBucketsRead {
+				t.Fatalf("accepted sub block with base=%d buckets=%d", sub.base, len(sub.buckets))
+			}
+			var total int64
+			for _, b := range sub.buckets {
+				total += b.rows
+				for _, nn := range b.nonNull {
+					if nn < 0 || nn > b.rows {
+						t.Fatalf("accepted sub bucket with nonNull=%d rows=%d", nn, b.rows)
+					}
+				}
+			}
+			if total != sum.rows {
+				t.Fatalf("accepted sub block totaling %d rows against a %d-row summary", total, sum.rows)
+			}
+		}
+		if stub, ok := makeStubBlob(blob); ok {
+			sh, ok := parseBlobHeader(stub)
+			if !ok || len(sh.payload()) != 0 || sh.payOff != h.payOff || stub[0] != blob[0]|flagStub || !bytes.Equal(stub[1:], blob[1:h.payOff]) {
+				t.Fatal("stub does not carry the blob's header")
+			}
+			if _, err := DecodeBlob(stub, baseTS, nil); !errors.Is(err, ErrStubbedBlob) {
+				t.Fatalf("DecodeBlob(stub) = %v", err)
+			}
+		}
+
+		batch, err := DecodeBlob(blob, baseTS, nil)
 		if err != nil {
 			return
+		}
+		if !parsed {
+			t.Fatal("decoded a blob whose header does not parse")
 		}
 		// Structural postconditions on anything that decodes cleanly.
 		if len(batch.Timestamps) != len(batch.Rows) {
@@ -47,39 +80,40 @@ func FuzzValueBlobDecode(f *testing.F) {
 		if batch.Slots != nil && len(batch.Slots) != len(batch.Rows) {
 			t.Fatalf("%d slots for %d rows", len(batch.Slots), len(batch.Rows))
 		}
+		if batch.Structure != model.MG && len(batch.Rows) != h.count || len(batch.Rows) > h.count {
+			t.Fatalf("header count %d, decoded %d rows", h.count, len(batch.Rows))
+		}
+		for _, row := range batch.Rows {
+			if len(row) != h.ntags {
+				t.Fatalf("header ntags %d, decoded row of %d", h.ntags, len(row))
+			}
+		}
 		// Partial-column decode must be consistent too.
-		if _, err := DecodeBlob(blob, 1000, []int{0}); err != nil {
+		if _, err := DecodeBlob(blob, baseTS, []int{0}); err != nil {
 			t.Fatalf("full decode succeeded but wantTags decode failed: %v", err)
 		}
-		// Zone-map peeking must never panic either.
-		_ = BlobOverlaps(blob, []TagRange{{Tag: 0, Lo: -1, Hi: 1}})
-		// v3 frames: the sub-bucket parser must reject corrupt blocks
-		// typed (ok=false), never panic, and anything it accepts must
-		// satisfy the fold invariants the aggregate path relies on.
-		if len(blob) > 0 && blob[0]&flagSubBuckets != 0 {
-			sub, ok := parseBlobSubSummaries(blob, 1000)
-			if !ok {
-				return
+		// The upgrade path: a lossless re-encode at the current format
+		// decodes to the same rows, and its header matches its own rows.
+		// (A header may claim millions of zero-tag rows in a few bytes;
+		// round-tripping those only slows the fuzzer down.)
+		if len(batch.Rows) > 1<<12 {
+			return
+		}
+		again := h.reencode(batch, baseTS, encodeOpts{subBucketMs: 60})
+		back, err := DecodeBlob(again, baseTS, nil)
+		if err != nil {
+			t.Fatalf("re-encoded blob does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(back.Timestamps, batch.Timestamps) || !reflect.DeepEqual(back.Slots, batch.Slots) || len(back.Rows) != len(batch.Rows) {
+			t.Fatal("re-encode changed the rows' timestamps or slots")
+		}
+		for i := range back.Rows {
+			if !valuesEqual(back.Rows[i], batch.Rows[i]) {
+				t.Fatalf("re-encode changed row %d: %v -> %v", i, batch.Rows[i], back.Rows[i])
 			}
-			if sub.base <= 0 || len(sub.buckets) == 0 || len(sub.buckets) > maxSubBucketsRead {
-				t.Fatalf("accepted sub block with base=%d buckets=%d", sub.base, len(sub.buckets))
-			}
-			sum, okSum := parseBlobSummary(blob, 1000)
-			if !okSum {
-				t.Fatal("sub block parsed but summary did not")
-			}
-			var rows int64
-			for _, b := range sub.buckets {
-				rows += b.rows
-				for _, nn := range b.nonNull {
-					if nn < 0 || nn > b.rows {
-						t.Fatalf("accepted sub bucket with nonNull=%d rows=%d", nn, b.rows)
-					}
-				}
-			}
-			if rows != sum.rows {
-				t.Fatalf("accepted sub block totaling %d rows against a %d-row summary", rows, sum.rows)
-			}
+		}
+		if keyed := len(batch.Timestamps) == 0 || batch.Structure == model.MG || batch.Timestamps[0] == baseTS; keyed && !blobIntact(again, baseTS) {
+			t.Fatal("re-encoded blob fails fsck")
 		}
 	})
 }

@@ -1,0 +1,175 @@
+package tsstore
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"odh/internal/compress"
+	"odh/internal/model"
+)
+
+// updateGolden rewrites testdata/blob_encoding.golden from the current
+// encoders. The committed file was captured at the commit before the header
+// module existed; regenerate it only for a deliberate format change.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/blob_encoding.golden")
+
+const goldenPath = "testdata/blob_encoding.golden"
+
+// goldenFixture is one encoded ValueBlob of the pinned table.
+type goldenFixture struct {
+	name string
+	blob []byte
+}
+
+// goldenFixtures encodes structure × tier × format version × shape with the
+// package's encoders: every byte any store on disk may hold comes out of
+// one of these code paths.
+func goldenFixtures() []goldenFixture {
+	type shape struct {
+		name     string
+		rows     int
+		interval int64
+		opts     encodeOpts
+		value    func(row, tag int) float64
+	}
+	mixed := func(row, tag int) float64 {
+		if (row+tag)%7 == 3 {
+			return model.NullValue
+		}
+		return float64(row*(tag+1)) + 0.25*float64(tag)
+	}
+	shapes := []shape{
+		{name: "tag", rows: 40, interval: 50, value: mixed},
+		{name: "row", rows: 40, interval: 50, opts: encodeOpts{layout: layoutRowOriented}, value: mixed},
+		{name: "lossy", rows: 40, interval: 50, opts: encodeOpts{policies: []compress.Policy{{MaxDev: 0.5}, {}, {MaxDev: 2}}},
+			value: func(row, tag int) float64 { return float64((row*37+tag*11)%23) + 0.125*float64(row%5) }},
+		{name: "allnull", rows: 40, interval: 50, value: func(row, tag int) float64 {
+			if tag == 2 {
+				return model.NullValue
+			}
+			return mixed(row, tag)
+		}},
+		{name: "empty", rows: 0, interval: 50, value: mixed},
+		// 60 rows 100 ms apart against a 10 ms base: 591 sub-buckets, over
+		// the writer's cap, so v3 skips the block.
+		{name: "manysub", rows: 60, interval: 100, value: mixed},
+	}
+	versions := []struct {
+		name string
+		set  func(o *encodeOpts)
+	}{
+		{"v1", func(o *encodeOpts) { o.legacy = true }},
+		{"v2", func(o *encodeOpts) { o.subBucketMs = 0 }},
+		{"v3", func(o *encodeOpts) { o.subBucketMs = 10 }},
+	}
+	const ntags = 3
+	var out []goldenFixture
+	for _, structure := range []string{"rts", "irts", "mg"} {
+		for _, sh := range shapes {
+			pts := make([]model.Point, sh.rows)
+			for i := range pts {
+				ts := 1000 + int64(i)*sh.interval
+				if structure != "rts" {
+					ts += int64(i % 3) // irregular, still non-decreasing
+				}
+				vals := make([]float64, ntags)
+				for tag := range vals {
+					vals[tag] = sh.value(i, tag)
+				}
+				pts[i] = model.Point{Source: 7, TS: ts, Values: vals}
+			}
+			for _, ver := range versions {
+				for _, cold := range []bool{false, true} {
+					if cold && structure == "mg" {
+						continue // only the per-source trees tier
+					}
+					opts := sh.opts
+					ver.set(&opts)
+					opts.cold = cold
+					var blob []byte
+					switch structure {
+					case "rts":
+						blob = EncodeRTS(pts, ntags, sh.interval, opts)
+					case "irts":
+						blob = EncodeIRTS(pts, ntags, opts)
+					default:
+						// One member per point plus absent members, offsets
+						// relative to the record's window base.
+						members := len(pts) + 2
+						present := make([]bool, members)
+						rows := make([][]float64, members)
+						offsets := make([]int64, members)
+						for i, p := range pts {
+							slot := i + i/20 // leaves slots 20 and 41 absent
+							present[slot], rows[slot], offsets[slot] = true, p.Values, p.TS-1000
+						}
+						blob = EncodeMG(present, rows, offsets, ntags, opts)
+					}
+					tier := "hot"
+					if cold {
+						tier = "cold"
+					}
+					name := fmt.Sprintf("%s/%s/%s/%s", structure, sh.name, ver.name, tier)
+					out = append(out, goldenFixture{name, blob})
+					if stub, ok := makeStubBlob(blob); ok {
+						out = append(out, goldenFixture{name + "/stub", stub})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestBlobEncodingGolden pins the encoded bytes of every blob shape the
+// store can write: a digest mismatch is a format break, which readers of
+// existing stores would see as corruption.
+func TestBlobEncodingGolden(t *testing.T) {
+	fixtures := goldenFixtures()
+	blobs := make(map[string][]byte, len(fixtures))
+	var got []string
+	for _, fx := range fixtures {
+		blobs[fx.name] = fx.blob
+		got = append(got, fmt.Sprintf("%s %d %x", fx.name, len(fx.blob), sha256.Sum256(fx.blob)))
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d fixtures encoded, golden file pins %d (a stub or fixture appeared or vanished)", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("encoding changed:\n got %s\nwant %s", got[i], want[i])
+		}
+	}
+
+	// A stub is the blob's header, byte for byte, with only the stub bit
+	// added; legacy blobs have no header worth keeping and refuse.
+	for _, fx := range fixtures {
+		if !strings.HasSuffix(fx.name, "/stub") {
+			continue
+		}
+		full := blobs[strings.TrimSuffix(fx.name, "/stub")]
+		if len(fx.blob) > len(full) || fx.blob[0] != full[0]|flagStub || !bytes.Equal(fx.blob[1:], full[1:len(fx.blob)]) {
+			t.Errorf("%s is not a header prefix of its blob", fx.name)
+		}
+	}
+	for name := range blobs {
+		if strings.Contains(name, "/v1/") && strings.HasSuffix(name, "/stub") {
+			t.Errorf("%s: a pre-summary blob produced a stub", name)
+		}
+	}
+}

@@ -23,69 +23,10 @@ func TestClampWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelScanAbandonedEarly makes sure abandoning a fanned-out scan
-// after one row leaks no goroutine sends: every part goroutine's single
-// buffered send completes even when never drained.
-func TestParallelScanAbandonedEarly(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 16, BlobCacheBytes: 1 << 20}, 0)
-	s := f.schema(t, "abandon", 2)
-	ds := f.source(t, s.ID, true, 10)
-	fillSource(t, f, ds, 2000)
-	for i := 0; i < 50; i++ {
-		it, err := f.store.HistoricalScanOpts(ds.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := it.Next(); !ok {
-			t.Fatal("no rows")
-		}
-		// Walk away mid-scan (LIMIT 1 shape). Workers must not block.
-	}
-}
-
-// TestDrainPartsBoundedHandoff pins the scheduler's memory bound: a part
-// whose decoded size exceeds the per-part budget is buffered only up to
-// the budget and handed back live, and the consumer's serial continuation
-// reproduces the full part — points, error state, and byte accounting.
-func TestDrainPartsBoundedHandoff(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 16}, 0)
-	mkPoints := func(n int, src int64) []model.Point {
-		pts := make([]model.Point, n)
-		for i := range pts {
-			pts[i] = model.Point{Source: src, TS: int64(i + 1), Values: []float64{float64(i), 1}}
-		}
-		return pts
-	}
-	big, small := mkPoints(1000, 1), mkPoints(5, 2)
-	wantBytes := newSliceIter(big).perPoint * int64(len(big))
-
-	// Budget covers ~10 points of the big part: it must be handed back.
-	parts := f.store.drainPartsBounded(nil, []Iterator{newSliceIter(big), newSliceIter(small)}, 2, 10*pointBlobBytes(2))
-	gotBig := collect(t, parts[0])
-	gotSmall := collect(t, parts[1])
-	if !pointsEqual(gotBig, big) || !pointsEqual(gotSmall, small) {
-		t.Fatalf("bounded drain lost rows: %d/%d and %d/%d", len(gotBig), len(big), len(gotSmall), len(small))
-	}
-	pi := parts[0].(*partIter)
-	if pi.res.rest == nil {
-		t.Fatal("oversized part was fully materialized instead of handed back")
-	}
-	if got := int64(len(pi.res.points)) * pointBlobBytes(2); got > 11*pointBlobBytes(2) {
-		t.Fatalf("worker buffered %d bytes past its budget", got)
-	}
-	if parts[1].(*partIter).res.rest != nil {
-		t.Fatal("small part should have been fully materialized")
-	}
-	// Accounting spans prefix + tail once drained.
-	if got := parts[0].BlobBytes(); got != wantBytes {
-		t.Fatalf("handed-back part BlobBytes = %d, want %d", got, wantBytes)
-	}
-}
-
-// TestConcurrentParallelQueries runs parallel fanned-out readers against
-// live ingest, background flushes, and retention with the decode cache
-// enabled. Under -race this covers the cache's concurrent get/put/
-// invalidate paths and the scheduler's channel protocol. While racing,
+// TestConcurrentParallelQueries runs concurrent readers (scans, and
+// aggregates that fan out) against live ingest, background flushes, and
+// retention with the decode cache enabled. Under -race this covers the
+// cache's concurrent get/put/invalidate paths. While racing,
 // every read must be an exact dirty read (see feed): each row acked
 // before it started exactly once, nothing beyond what writers had started
 // when it ended, single-source scans ascending; after quiescing, cached

@@ -30,10 +30,11 @@ func (s *Store) latch(tree *btree.Tree, id int64) *shard {
 // false for an unreadable record. The bounds are true minima and maxima
 // (MG member offsets are stored in slot order, not time order).
 func blobSpan(r stored) (rows, first, last int64, ok bool) {
-	if sum, ok := parseBlobSummary(r.blob, r.ts); ok {
-		return sum.rows, sum.firstTS, sum.lastTS, true
+	h, _ := parseBlobHeader(r.blob)
+	if rows, first, last, ok = h.span(r.ts); ok {
+		return rows, first, last, true
 	}
-	batch, err := DecodeBlob(r.blob, r.ts, []int{})
+	batch, err := h.decode(r.ts, []int{})
 	if err != nil {
 		return 0, r.ts, r.ts, false
 	}

@@ -34,6 +34,42 @@ type Iterator interface {
 // estimate cannot be zero.
 func pointBlobBytes(ntags int) int64 { return 8 + 8*int64(ntags) }
 
+// ScanOptions tunes one scan or aggregate; the zero value is the serial,
+// cached behavior of the plain scan methods.
+type ScanOptions struct {
+	// Workers bounds how many parts of an aggregate fold concurrently, each
+	// worker into its own partial; values <= 1 keep it on the calling
+	// goroutine. Row scans ignore it: their consumer pulls rows serially,
+	// so workers could only materialize parts ahead of it, which measured
+	// slower than not doing so (EXPERIMENTS.md, "Fast-path findings").
+	Workers int
+	// NoCache bypasses the decoded-blob cache for this scan (reads and
+	// inserts); used to cross-check cached results and by verification.
+	NoCache bool
+	// Ctx, when non-nil, cancels the scan: iterators observe it before
+	// each walker step and blob decode, aggregate workers between parts
+	// and records. A canceled scan stops decoding and reports ctx.Err()
+	// through Iterator.Err (or the aggregate call's error).
+	Ctx context.Context
+}
+
+// ctxErr is a nil-safe ctx.Err for the scan paths (nil ctx = no
+// cancellation, the historical behavior).
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// scanCache resolves the cache a scan should use (nil = bypass).
+func (s *Store) scanCache(opts ScanOptions) *blobCache {
+	if opts.NoCache {
+		return nil
+	}
+	return s.cache
+}
+
 // emptyIter yields nothing; zero blob bytes is its true cost.
 type emptyIter struct{}
 
@@ -135,7 +171,7 @@ func (it *scanIter) load(rec *walkRec) error {
 		}
 		it.queue = append(it.queue, rec.buffered...)
 	} else {
-		if !rec.overlaps(it.tagRanges) {
+		if !rec.hdr.overlaps(it.tagRanges) {
 			it.skipped++
 			return nil
 		}
@@ -169,12 +205,8 @@ func (it *scanIter) Err() error          { return it.err }
 func (it *scanIter) BlobBytes() int64    { return it.bytesRead }
 func (it *scanIter) BlobsSkipped() int64 { return it.skipped }
 
-// assemble concatenates scan parts in order, draining them on the worker
-// pool first when the scan fans out.
-func (s *Store) assemble(ctx context.Context, parts []Iterator, workers int) Iterator {
-	if workers > 1 && len(parts) > 1 {
-		parts = s.drainParts(ctx, parts, workers)
-	}
+// concat yields the parts one after another on the caller's goroutine.
+func concat(parts []Iterator) Iterator {
 	switch len(parts) {
 	case 0:
 		return emptyIter{}
@@ -192,21 +224,13 @@ func (s *Store) HistoricalScan(source, t1, t2 int64, wantTags []int, tagRanges .
 	return s.HistoricalScanOpts(source, t1, t2, wantTags, ScanOptions{}, tagRanges...)
 }
 
-// HistoricalScanOpts is HistoricalScan with scan tuning. With Workers > 1
-// the walk is split into ts-disjoint sub-ranges drained on the worker
-// pool; because the sub-ranges partition the window by timestamp, their
-// concatenation is identical to the serial scan.
+// HistoricalScanOpts is HistoricalScan with scan tuning.
 func (s *Store) HistoricalScanOpts(source, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
 	ds, ok := s.cat.Source(source)
 	if !ok {
 		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
 	}
-	workers := clampWorkers(opts.Workers)
-	var parts []Iterator
-	for _, r := range splitScanRange(t1, t2, s.cat.Stats(source), workers) {
-		parts = append(parts, &scanIter{w: s.sourceWalker(ds, r.t1, r.t2, wantTags, opts), tagRanges: tagRanges})
-	}
-	return s.assemble(opts.Ctx, parts, workers), nil
+	return &scanIter{w: s.sourceWalker(ds, t1, t2, wantTags, opts), tagRanges: tagRanges}, nil
 }
 
 // SliceScan returns points of every source of a schema in [t1, t2) —
@@ -218,16 +242,13 @@ func (s *Store) SliceScan(schemaID int64, t1, t2 int64, wantTags []int, tagRange
 	return s.SliceScanOpts(schemaID, t1, t2, wantTags, ScanOptions{}, tagRanges...)
 }
 
-// SliceScanOpts is SliceScan with scan tuning. With Workers > 1 the
-// per-source and per-group parts are drained concurrently on the worker
-// pool and concatenated in their original order, so the output matches
-// the serial scan exactly.
+// SliceScanOpts is SliceScan with scan tuning.
 func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
 	var parts []Iterator
 	for _, w := range s.sliceWalkers(schemaID, t1, t2, wantTags, opts) {
 		parts = append(parts, &scanIter{w: w, tagRanges: tagRanges})
 	}
-	return s.assemble(opts.Ctx, parts, clampWorkers(opts.Workers)), nil
+	return concat(parts), nil
 }
 
 // sliceWalkers returns one walker per owner of a schema's rows: MG groups
@@ -251,22 +272,16 @@ func (s *Store) MultiHistoricalScan(sources []int64, t1, t2 int64, wantTags []in
 	return s.MultiHistoricalScanOpts(sources, t1, t2, wantTags, ScanOptions{}, tagRanges...)
 }
 
-// MultiHistoricalScanOpts is MultiHistoricalScan with scan tuning. With
-// Workers > 1 each source's (serial) historical scan becomes one part on
-// the worker pool; parts are concatenated in list order.
+// MultiHistoricalScanOpts is MultiHistoricalScan with scan tuning.
 func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	workers := clampWorkers(opts.Workers)
 	parts := make([]Iterator, 0, len(sources))
 	for _, src := range sources {
-		// Each part stays serial inside; the fan-out is across sources.
-		it, err := s.HistoricalScanOpts(src, t1, t2, wantTags, ScanOptions{NoCache: opts.NoCache, Ctx: opts.Ctx}, tagRanges...)
-		if err != nil {
-			// Unknown ids in the IN list simply contribute no rows.
-			continue
+		// Unknown ids in the IN list simply contribute no rows.
+		if it, err := s.HistoricalScanOpts(src, t1, t2, wantTags, opts, tagRanges...); err == nil {
+			parts = append(parts, it)
 		}
-		parts = append(parts, it)
 	}
-	return s.assemble(opts.Ctx, parts, workers), nil
+	return concat(parts), nil
 }
 
 func (s *Store) treeFor(st model.Structure) *btree.Tree {

@@ -89,8 +89,8 @@ type Stats struct {
 	// CorruptBlobsSkipped counts batch records that lenient scans could
 	// not read or decode and therefore quarantined.
 	CorruptBlobsSkipped int64
-	// ParallelScans counts scans that fanned parts onto the worker pool;
-	// ParallelParts counts the parts they dispatched.
+	// ParallelScans counts aggregates that fanned parts onto the worker
+	// pool; ParallelParts counts the parts they dispatched.
 	ParallelScans int64
 	ParallelParts int64
 	// SummaryHits counts blob records an aggregate scan folded from their
@@ -355,7 +355,8 @@ func (s *Store) Stats() Stats {
 // SubBucketMs returns the resolved sub-bucket base width (0 = disabled).
 func (s *Store) SubBucketMs() int64 { return s.cfg.SubBucketMs }
 
-// encodeOptsFor builds the blob codec options for a schema.
+// encodeOptsFor builds the blob codec options for a schema; nil encodes
+// every tag losslessly.
 func (s *Store) encodeOptsFor(schema *model.SchemaType) encodeOpts {
 	opts := encodeOpts{
 		disable:     s.cfg.DisableCompression,
@@ -365,9 +366,11 @@ func (s *Store) encodeOptsFor(schema *model.SchemaType) encodeOpts {
 	if s.cfg.RowOrientedBlobs {
 		opts.layout = layoutRowOriented
 	}
-	opts.policies = make([]compress.Policy, len(schema.Tags))
-	for i, t := range schema.Tags {
-		opts.policies[i] = t.Compression
+	if schema != nil {
+		opts.policies = make([]compress.Policy, len(schema.Tags))
+		for i, t := range schema.Tags {
+			opts.policies[i] = t.Compression
+		}
 	}
 	return opts
 }
@@ -917,48 +920,8 @@ func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
 			src, ts, kerr := keyenc.DecodeSourceTime(cur.Key())
 			checked++
 			blob, verr := cur.Value()
-			switch {
-			case kerr != nil || verr != nil:
+			if kerr != nil || verr != nil || !blobIntact(blob, ts) {
 				corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
-			case IsStubBlob(blob):
-				// A stub's remaining contract is its summary header: the
-				// payload was dropped by tier policy, so a row decode is
-				// expected to fail and fsck only requires the header (and
-				// its zone maps — plus the sub-bucket block when the blob
-				// claims one) to parse.
-				_, sumOK := parseBlobSummary(blob, ts)
-				_, zonesOK := blobZoneMaps(blob)
-				subOK := true
-				if len(blob) > 0 && blob[0]&flagSubBuckets != 0 {
-					_, subOK = parseBlobSubSummaries(blob, ts)
-				}
-				if !sumOK || !zonesOK || !subOK {
-					corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
-				}
-			default:
-				batch, derr := DecodeBlob(blob, ts, nil)
-				switch {
-				case derr != nil:
-					corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
-				default:
-					// A summary that disagrees with its own columns would
-					// make pushdown answers drift from decode answers —
-					// flag it even though the row data itself is readable.
-					sum, sumOK := parseBlobSummary(blob, ts)
-					if sumOK && !summaryMatches(sum, batch) {
-						corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
-						break
-					}
-					// Same contract one level down: a v3 sub-bucket block
-					// must fold bit-identically to decoding the rows it
-					// covers.
-					if blob[0]&flagSubBuckets != 0 {
-						sub, ok := parseBlobSubSummaries(blob, ts)
-						if !ok || !subSummariesMatch(sub, batch, len(sub.buckets[0].nonNull)) {
-							corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
-						}
-					}
-				}
 			}
 			cur.Next()
 		}
@@ -967,6 +930,30 @@ func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
 		}
 	}
 	return checked, corrupt, nil
+}
+
+// blobIntact is the per-record check of VerifyBlobs. A summary that
+// disagrees with its own columns would make pushdown answers drift from
+// decode answers, so it fails even though the rows themselves are
+// readable; same one level down for a sub-bucket block. A stub's remaining
+// contract is its header: the payload was dropped by tier policy, so only
+// the summary (and the sub-bucket block when it claims one) must read.
+func blobIntact(blob []byte, ts int64) bool {
+	h, ok := parseBlobHeader(blob)
+	if !ok {
+		return false
+	}
+	sum := h.summary(ts)
+	sub := h.subSummaries(sum)
+	if h.subOff != 0 && sub == nil {
+		return false
+	}
+	if h.tier() == TierStub {
+		return sum != nil
+	}
+	batch, err := h.decode(ts, nil)
+	return err == nil && (sum == nil || summaryMatches(sum, batch)) &&
+		(sub == nil || subSummariesMatch(sub, batch, h.ntags))
 }
 
 // TreeSizes reports entry counts of the three batch trees (for tests and

@@ -195,7 +195,7 @@ func (s *Store) stubSource(tree *btree.Tree, structure model.Structure, ds *mode
 	del, put, err := s.rewriteRange(tree, ds.ID, math.MinInt64, cutoff, func(recs []stored) (del, put []stored, err error) {
 		for _, r := range recs {
 			_, _, last, ok := blobSpan(r)
-			if IsStubBlob(r.blob) || !ok || last >= cutoff {
+			if BlobTier(r.blob) == TierStub || !ok || last >= cutoff {
 				continue // already stubbed, unreadable, or straddling: keep rows
 			}
 			stub, ok := makeStubBlob(r.blob)

@@ -73,7 +73,7 @@ func TestTierColdCompaction(t *testing.T) {
 				t.Error(kerr)
 				return false
 			}
-			if last, ok := blobLastTS(v, baseTS); ok && last < cutoff {
+			if _, _, last, ok := blobSpan(stored{ts: baseTS, blob: v}); ok && last < cutoff {
 				t.Errorf("hot record with lastTS=%d survived below cutoff %d", last, cutoff)
 			}
 		}
@@ -442,8 +442,9 @@ func TestMakeStubBlobRoundTrip(t *testing.T) {
 		pts[i] = model.Point{TS: int64(i) * 10, Values: []float64{float64(i), float64(i % 3)}}
 	}
 	blob := EncodeRTS(pts, 2, 10, encodeOpts{policies: []compress.Policy{{}, {}}})
-	sumFull, ok := parseBlobSummary(blob, 0)
-	if !ok {
+	full, _ := parseBlobHeader(blob)
+	sumFull := full.summary(0)
+	if sumFull == nil {
 		t.Fatal("full blob has no summary")
 	}
 	stub, ok := makeStubBlob(blob)
@@ -453,11 +454,12 @@ func TestMakeStubBlobRoundTrip(t *testing.T) {
 	if len(stub) >= len(blob) {
 		t.Fatalf("stub (%d bytes) not smaller than blob (%d bytes)", len(stub), len(blob))
 	}
-	if BlobTier(stub) != TierStub || !IsStubBlob(stub) {
+	if BlobTier(stub) != TierStub {
 		t.Fatal("stub tier bit missing")
 	}
-	sumStub, ok := parseBlobSummary(stub, 0)
-	if !ok {
+	sh, _ := parseBlobHeader(stub)
+	sumStub := sh.summary(0)
+	if sumStub == nil {
 		t.Fatal("stub summary unreadable")
 	}
 	if !reflect.DeepEqual(sumFull, sumStub) {
@@ -469,7 +471,7 @@ func TestMakeStubBlobRoundTrip(t *testing.T) {
 	if _, ok := makeStubBlob(stub); ok {
 		t.Fatal("re-stubbing a stub must fail")
 	}
-	if zones, ok := blobZoneMaps(stub); !ok || len(zones) != 2 {
+	if sh.zoneOff == 0 || sh.ntags != 2 || sh.zone(1) != full.zone(1) {
 		t.Fatal("stub zone maps unreadable")
 	}
 }

@@ -71,10 +71,6 @@ type walker struct {
 	cache    *blobCache      // nil = bypass
 	sig      string          // cache variant: canonical wantTags signature
 	wantTags []int
-	// subBase/ntags are set by aggregate walks: decodes of pre-v3 blobs
-	// then cache sub-bucket summaries at this base width (lazy upgrade).
-	subBase int64
-	ntags   int
 }
 
 // walkRec is one record a step handed out: the cached decode when the
@@ -87,8 +83,9 @@ type walkRec struct {
 	hit      *cacheEntry
 	ver      uint64 // cache insert guard, read under the latch with the bytes
 	buffered []model.Point
-	sum      *blobSummary
-	parsed   bool
+	// hdr is the record's header, parsed once when the record is taken (the
+	// cached one on a hit): every skip, fold and decode below asks it.
+	hdr blobHeader
 }
 
 // chunk is the output of one step: every row of the owner with
@@ -293,13 +290,18 @@ func (w *walker) gather(ch *chunk) error {
 				return nil
 			}
 		}
-		rec, keep, err := w.take(c, ch.lo)
+		// Taken in place: a record carries its parsed header, too large to
+		// be worth copying around.
+		ch.recs = append(ch.recs, walkRec{home: c.home, ts: c.ts})
+		rec := &ch.recs[len(ch.recs)-1]
+		keep, err := w.take(c, rec, ch.lo)
 		if err != nil {
 			return err
 		}
 		if keep {
-			ch.recs = append(ch.recs, rec)
 			taken += rec.size()
+		} else {
+			ch.recs = ch.recs[:len(ch.recs)-1]
 		}
 		if err := c.next(); err != nil {
 			return err
@@ -307,34 +309,37 @@ func (w *walker) gather(ch *chunk) error {
 	}
 }
 
-// take copies the record under the cursor. Records keyed below lo on a
-// later step were all handed out before; they matter again only when
-// their rows reach lo, which the summary header tells without a decode.
-func (w *walker) take(c *recCursor, lo int64) (rec walkRec, keep bool, err error) {
-	rec = walkRec{home: c.home, ts: c.ts}
+// take copies the record under the cursor into rec. Records keyed below
+// lo on a later step were all handed out before; they matter again only
+// when their rows reach lo, which the summary header tells without a
+// decode.
+func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err error) {
 	revisit := w.started && c.ts < lo
 	if w.cache != nil {
 		rec.hit, rec.ver = w.cache.get(blobKey{tree: w.s.treeID(c.home.tree), source: c.home.id, ts: c.ts}, w.sig)
 	}
-	if rec.hit == nil {
+	if rec.hit != nil {
+		rec.hdr = rec.hit.hdr
+	} else {
 		if rec.blob, err = c.cur.Value(); err != nil {
 			// An unreadable value is quarantined in lenient mode; a broken
 			// tree walk still aborts, since the cursor cannot pass it.
 			if !w.s.lenient() {
-				return rec, false, err
+				return false, err
 			}
 			if !revisit {
 				w.s.noteCorruptBlob()
 			}
-			return rec, false, nil
+			return false, nil
 		}
+		rec.hdr, _ = parseBlobHeader(rec.blob)
 	}
 	if revisit {
-		if sum := rec.summary(); sum != nil && sum.lastTS < lo {
-			return rec, false, nil
+		if _, _, last, ok := rec.hdr.span(rec.ts); ok && last < lo {
+			return false, nil
 		}
 	}
-	return rec, true, nil
+	return true, nil
 }
 
 // addBuffered appends the owner's buffered rows inside the chunk window
@@ -388,48 +393,13 @@ func (r *walkRec) size() int64 {
 	return int64(len(r.blob))
 }
 
-// overlaps applies the zone-map skip decision: could any row satisfy
-// every tag range?
-func (r *walkRec) overlaps(ranges []TagRange) bool {
-	if r.hit != nil {
-		return r.hit.overlaps(ranges)
-	}
-	return BlobOverlaps(r.blob, ranges)
-}
-
-// summary returns the record's header summary (the cached one on a hit),
-// or nil for a legacy blob or a damaged header.
-func (r *walkRec) summary() *blobSummary {
-	if !r.parsed {
-		r.parsed = true
-		if r.hit != nil {
-			r.sum = r.hit.summary
-		} else {
-			r.sum, _ = parseBlobSummary(r.blob, r.ts)
-		}
-	}
-	return r.sum
-}
-
 // lastTS bounds the record's newest row timestamp: exact from the
 // summary, else by the home's widest span.
 func (r *walkRec) lastTS() int64 {
-	if sum := r.summary(); sum != nil {
-		return sum.lastTS
+	if _, _, last, ok := r.hdr.span(r.ts); ok {
+		return last
 	}
 	return r.ts + r.home.span
-}
-
-// subSummaries returns the record's sub-bucket mini-summaries, or nil.
-func (r *walkRec) subSummaries() *subSummaries {
-	if r.hit != nil {
-		return r.hit.sub
-	}
-	if r.blob[0]&flagSubBuckets == 0 {
-		return nil
-	}
-	sub, _ := parseBlobSubSummaries(r.blob, r.ts)
-	return sub
 }
 
 // decode returns the rows of a stored record handed out in a chunk with
@@ -448,18 +418,18 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (*DecodedBatch, error) {
 	}
 	var batch *DecodedBatch
 	var err error
-	if IsStubBlob(r.blob) {
-		sum := r.summary()
+	if r.hdr.tier() == TierStub {
+		rows, first, last, ok := r.hdr.span(r.ts)
 		switch {
-		case sum == nil:
+		case !ok:
 			err = fmt.Errorf("tsstore: corrupt stub blob %s source=%d ts=%d", r.home.tree.Name(), r.home.id, r.ts)
-		case sum.rows == 0 || sum.lastTS < lo || sum.firstTS >= hi:
+		case rows == 0 || last < lo || first >= hi:
 			return nil, nil
 		default:
-			return nil, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: sum.firstTS, LastTS: sum.lastTS}
+			return nil, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: first, LastTS: last}
 		}
 	} else {
-		batch, err = DecodeBlob(r.blob, r.ts, w.wantTags)
+		batch, err = r.hdr.decode(r.ts, w.wantTags)
 	}
 	if err != nil {
 		if w.s.lenient() {
@@ -469,18 +439,8 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (*DecodedBatch, error) {
 		return nil, err
 	}
 	if w.cache != nil {
-		// Summaries ride along so aggregate walks fold hits without the
-		// batch: parsed from the header, or computed from the decoded rows
-		// for legacy blobs (the lazy upgrade).
-		var sub *subSummaries
-		if r.blob[0]&flagSubBuckets != 0 {
-			sub, _ = parseBlobSubSummaries(r.blob, r.ts)
-		} else if w.subBase > 0 {
-			sub = subSummariesFromBatch(batch, w.ntags, w.subBase)
-		}
-		zones, hasZones := blobZoneMaps(r.blob)
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
-			batch, zones, hasZones, int64(len(r.blob)), cacheSummary(r.blob, r.ts, batch), sub)
+			batch, r.hdr.detached(), int64(len(r.blob)))
 	}
 	return batch, nil
 }

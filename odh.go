@@ -71,6 +71,8 @@ type (
 	TierResult = tsstore.TierResult
 	// TierStats is a census of persisted batch records by tier.
 	TierStats = tsstore.TierStats
+	// UpgradeResult summarizes one Historian.UpgradeBlobs pass.
+	UpgradeResult = tsstore.UpgradeResult
 	// StubbedRangeError is the typed error a raw-row scan returns when it
 	// touches a range whose rows were dropped by tier policy.
 	StubbedRangeError = tsstore.StubbedRangeError
@@ -120,18 +122,13 @@ type Options struct {
 	// inject fault wrappers here); it wins over dir's WAL file and
 	// implies EnableRecoveryLog.
 	WALBacking walog.File
-	// IngestWorkers sets the fan-out of Writer.WriteBatchParallel when the
-	// caller passes no explicit worker count (default GOMAXPROCS).
-	IngestWorkers int
-	// IngestShards overrides the latch shard count (default 1024; 1
-	// restores the old fully serialized write path).
-	IngestShards int
 	// PoolPartitions overrides the buffer pool's latch partition count
 	// (default: sized from GOMAXPROCS and the pool size).
 	PoolPartitions int
-	// QueryWorkers caps the parallel degree of virtual-table scans. The
-	// optimizer picks each scan's degree from its blob-bytes cost
-	// estimate, up to this cap. Zero (or 1) keeps queries serial.
+	// QueryWorkers caps the parallel degree of pushed-down aggregates. The
+	// optimizer picks each aggregate's degree from its blob-bytes cost
+	// estimate, up to this cap. Zero (or 1) keeps them serial; row scans
+	// always are.
 	QueryWorkers int
 	// BlobCacheBytes budgets the decoded-ValueBlob cache shared by all
 	// scans (approximate decoded bytes held). Repeated queries over the
@@ -139,7 +136,7 @@ type Options struct {
 	// the paper's dominant row-assembly overhead. Zero disables caching.
 	BlobCacheBytes int64
 	// QueryTimeout bounds every query submitted without its own context
-	// deadline: planning, scan workers, and row pulls all fail with
+	// deadline: planning, aggregate workers, and row pulls all fail with
 	// context.DeadlineExceeded once it elapses. Zero = unbounded. Queries
 	// run through QueryContext with a deadline keep their own bound.
 	QueryTimeout time.Duration
@@ -154,7 +151,8 @@ type Options struct {
 	// that straddle bucket edges without decoding them. Zero picks the
 	// default (60 000 ms — one minute); negative disables sub-bucket
 	// blocks, writing the v2 (whole-blob summary) format. Readers handle
-	// every format regardless of this setting.
+	// every format regardless of this setting; UpgradeBlobs brings older
+	// records to the one it selects.
 	SubBucketMs int64
 	// TierPolicies configures the storage lifecycle per schema name:
 	// TierNow applies each policy to its schema. Schemas without an entry
@@ -174,7 +172,7 @@ type Historian struct {
 	rel      *relational.DB
 	engine   *sqlexec.Engine
 	wal      *walog.Log
-	workers  int // default WriteBatchParallel fan-out
+	workers  int // WriteBatchParallel fan-out
 	tierPols map[string]TierPolicy
 }
 
@@ -246,7 +244,6 @@ func Open(dir string, opts Options) (*Historian, error) {
 		RowOrientedBlobs:   opts.RowOrientedBlobs,
 		LenientScan:        opts.Recovery == RecoverLenient,
 		Log:                wal,
-		Shards:             opts.IngestShards,
 		BlobCacheBytes:     opts.BlobCacheBytes,
 		LegacyBlobFormat:   opts.legacyBlobFormat,
 		SubBucketMs:        opts.SubBucketMs,
@@ -260,10 +257,6 @@ func Open(dir string, opts Options) (*Historian, error) {
 		page.Close()
 		return nil, err
 	}
-	workers := opts.IngestWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	engine := sqlexec.New(rel, ts)
 	engine.SetQueryWorkers(opts.QueryWorkers)
 	engine.SetAggPushdown(!opts.DisableAggPushdown)
@@ -276,7 +269,7 @@ func Open(dir string, opts Options) (*Historian, error) {
 		rel:      rel,
 		engine:   engine,
 		wal:      wal,
-		workers:  workers,
+		workers:  runtime.GOMAXPROCS(0),
 		tierPols: opts.TierPolicies,
 	}
 	if wal != nil {
@@ -358,7 +351,7 @@ func (h *Historian) Query(sql string) (*Result, error) {
 }
 
 // QueryContext is Query under a context: canceling ctx (or exceeding its
-// deadline) aborts planning, the parallel scan workers, and subsequent
+// deadline) aborts planning, scans and aggregate workers, and subsequent
 // Result.Next calls with the context's error. When ctx carries no deadline
 // and Options.QueryTimeout is set, that timeout applies.
 func (h *Historian) QueryContext(ctx context.Context, sql string) (*Result, error) {
@@ -439,6 +432,17 @@ func (h *Historian) TierNow(now int64) (TierResult, error) {
 		}
 	}
 	return total, nil
+}
+
+// UpgradeBlobs rewrites, in place, every batch record written before the
+// current ValueBlob format (no header summary, or no sub-bucket block
+// while Options.SubBucketMs enables them), so aggregates fold those
+// records from their headers instead of decoding them. Query results are
+// unchanged bit for bit; summary-only stubs and already-current records
+// are not touched, so a second call rewrites nothing. Call Flush to make
+// the pass durable.
+func (h *Historian) UpgradeBlobs() (UpgradeResult, error) {
+	return h.ts.UpgradeBlobs()
 }
 
 // TierStats walks the persisted batch trees and reports blob counts and
@@ -614,7 +618,7 @@ func (w *Writer) WritePoint(source, ts int64, values ...float64) error {
 func (w *Writer) WriteBatch(points []Point) error { return w.h.ts.WriteBatch(points) }
 
 // WriteBatchParallel ingests a batch with the points fanned out across the
-// ingest shards (Options.IngestWorkers goroutines by default). Points of
+// ingest shards (GOMAXPROCS goroutines). Points of
 // the same source keep their order; points of different sources are
 // buffered concurrently. Best for large mixed-source batches — a batch
 // touching one source degenerates to the sequential path.

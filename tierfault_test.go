@@ -2,6 +2,7 @@ package odh
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"odh/internal/fault"
@@ -168,5 +169,92 @@ func checkAggAgainst(t *testing.T, h *Historian, wantGrand, wantByID []string, w
 		if !got[line] {
 			t.Fatalf("%s: GROUP BY id missing %q in %v", where, line, byID)
 		}
+	}
+}
+
+// TestUpgradeFaultCrashSafety is the same promise for the format upgrade,
+// which replaces every old-format record under its own key: a crashed or
+// torn UpgradeBlobs never loses or duplicates a row — every record stays
+// readable at its old or its new format — and a retry finishes the job.
+func TestUpgradeFaultCrashSafety(t *testing.T) {
+	ff := fault.Wrap(pagestore.NewMemFile())
+	open := func(legacy bool) *Historian {
+		h, err := Open("", Options{
+			BatchSize: 16, GroupSize: 3, PoolPages: 16,
+			BlobCacheBytes: 1 << 20, Backing: ff, legacyBlobFormat: legacy,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	h := open(true)
+	writeFaultWorkload(t, h, 120)
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const scan = `SELECT id, ts, a, b FROM D`
+	wantRows, _ := diffFetch(t, h, scan)
+	wantGrand, _ := diffFetch(t, h, `SELECT COUNT(*), COUNT(a), SUM(a), MIN(b), MAX(b) FROM D`)
+	wantByID, _ := diffFetch(t, h, `SELECT id, COUNT(*), SUM(a) FROM D GROUP BY id`)
+	check := func(h *Historian, where string) {
+		t.Helper()
+		if rows, _ := diffFetch(t, h, scan); fmt.Sprint(rows) != fmt.Sprint(wantRows) {
+			t.Fatalf("%s: scan returned %d rows, want the original %d exactly", where, len(rows), len(wantRows))
+		}
+		checkAggAgainst(t, h, wantGrand, wantByID, where)
+	}
+	verify := func(h *Historian, where string) {
+		t.Helper()
+		rep, err := h.VerifyIntegrity()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%s: integrity check failed:\n%s", where, rep)
+		}
+	}
+
+	// Crash before anything lands: the reopened store is the pre-upgrade
+	// checkpoint, every record still at its old format.
+	h = open(false)
+	ff.FailWritesAfter(0)
+	_, upErr := h.UpgradeBlobs()
+	flushErr := h.Flush()
+	ff.FailWritesAfter(fault.Unlimited)
+	if upErr == nil && flushErr == nil {
+		t.Fatal("injected write failure never surfaced from the upgrade")
+	}
+	h = open(false) // crash: abandon the handle without Close
+	check(h, "after crashed upgrade")
+	verify(h, "after crashed upgrade")
+
+	// Torn upgrade without a crash: some records rewritten, some not. The
+	// live handle answers exactly, and the retry upgrades the rest.
+	ff.FailWritesAfter(3)
+	_, upErr = h.UpgradeBlobs()
+	flushErr = h.Flush()
+	ff.FailWritesAfter(fault.Unlimited)
+	if upErr == nil && flushErr == nil {
+		t.Fatal("injected write failure never surfaced from the upgrade")
+	}
+	check(h, "after torn upgrade")
+	if _, err := h.UpgradeBlobs(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(h, "after recovered upgrade")
+
+	// The finished upgrade survives a crash/reopen with nothing left to do.
+	h = open(false)
+	check(h, "after reopen on upgraded store")
+	verify(h, "after reopen on upgraded store")
+	if up, err := h.UpgradeBlobs(); err != nil || up.Rewritten != 0 || up.Records == 0 {
+		t.Fatalf("UpgradeBlobs on the upgraded store = %+v (err %v), want 0 rewritten", up, err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
