@@ -2,20 +2,23 @@ package sqlexec
 
 import (
 	"fmt"
+	"strings"
 
 	"odh/internal/relational"
 	"odh/internal/sqlparse"
 )
 
-// aggState accumulates one aggregate function over one group.
+// aggState accumulates one aggregate function over one group. It is the
+// one place SQL aggregate semantics live: NULL inputs are skipped, COUNT
+// of nothing is 0 and every other aggregate of nothing is NULL. Rows
+// arrive through add; partial results over disjoint row sets (a shard's
+// partial aggregate, a ValueBlob summary fold) arrive through merge.
 type aggState struct {
-	fn    string // COUNT, SUM, AVG, MIN, MAX
-	star  bool
-	count int64
-	sum   float64
-	min   relational.Value
-	max   relational.Value
-	any   bool
+	fn       string // COUNT, SUM, AVG, MIN, MAX
+	star     bool
+	count    int64            // non-NULL inputs (every row for COUNT(*))
+	sum      relational.Value // NULL until a non-NULL input arrives
+	min, max relational.Value // likewise
 }
 
 func (a *aggState) add(v relational.Value) {
@@ -26,15 +29,39 @@ func (a *aggState) add(v relational.Value) {
 	if v.IsNull() {
 		return // SQL aggregates skip NULLs
 	}
-	a.count++
-	a.sum += v.AsFloat()
-	if !a.any || relational.Compare(v, a.min) < 0 {
-		a.min = v
+	if a.sum.IsNull() {
+		// Rows sum up from +0.0 as blob summaries do, so a summary fold and
+		// a decode-and-add agree bit for bit.
+		a.sum = relational.Float(0)
 	}
-	if !a.any || relational.Compare(v, a.max) > 0 {
-		a.max = v
+	a.merge(aggState{count: 1, sum: relational.Float(v.AsFloat()), min: v, max: v})
+}
+
+// merge folds in b, the same function's state over a disjoint set of rows.
+// Sums of integer partials stay integral; one float partial makes the
+// total a float.
+func (a *aggState) merge(b aggState) {
+	a.count += b.count
+	switch a.fn {
+	case "SUM", "AVG":
+		switch {
+		case b.sum.IsNull():
+		case a.sum.IsNull():
+			a.sum = b.sum
+		case a.sum.Kind == relational.KindFloat || b.sum.Kind == relational.KindFloat:
+			a.sum = relational.Float(a.sum.AsFloat() + b.sum.AsFloat())
+		default:
+			a.sum = relational.Int(a.sum.AsInt() + b.sum.AsInt())
+		}
+	case "MIN":
+		if !b.min.IsNull() && (a.min.IsNull() || relational.Compare(b.min, a.min) < 0) {
+			a.min = b.min
+		}
+	case "MAX":
+		if !b.max.IsNull() && (a.max.IsNull() || relational.Compare(b.max, a.max) > 0) {
+			a.max = b.max
+		}
 	}
-	a.any = true
 }
 
 func (a *aggState) result() relational.Value {
@@ -42,45 +69,128 @@ func (a *aggState) result() relational.Value {
 	case "COUNT":
 		return relational.Int(a.count)
 	case "SUM":
-		if a.count == 0 {
-			return relational.Null
-		}
-		return relational.Float(a.sum)
+		return a.sum
 	case "AVG":
-		if a.count == 0 {
+		if a.count <= 0 || a.sum.IsNull() {
 			return relational.Null
 		}
-		return relational.Float(a.sum / float64(a.count))
+		return relational.Float(a.sum.AsFloat() / float64(a.count))
 	case "MIN":
-		if !a.any {
-			return relational.Null
-		}
 		return a.min
 	case "MAX":
-		if !a.any {
-			return relational.Null
-		}
 		return a.max
 	}
 	return relational.Null
 }
 
 // aggItem is one output column of an aggregation: either a group-by key
-// (keyIdx >= 0) or an aggregate over an input expression.
+// (key >= 0) or an aggregate call over an input expression.
 type aggItem struct {
-	keyIdx int // index into group keys; -1 for aggregates
-	fn     string
-	star   bool
-	arg    boundExpr
-	name   string
-	kind   relational.Kind
+	name string        // output column name: the alias, else the rendering
+	expr sqlparse.Expr // the select item
+	key  int           // index into the GROUP BY keys; -1 for aggregates
+	fn   string
+	star bool
+	arg  sqlparse.Expr // aggregate argument; nil for COUNT(*)
+}
+
+// aggShape is an aggregated query's select list and GROUP BY, classified
+// once. The hash aggregate binds it to its input, the summary pushdown
+// maps it onto an AggSpec, and the scatter/gather planner decomposes it
+// into per-shard partials — none of them re-reads the statement.
+type aggShape struct {
+	keys  []sqlparse.Expr
+	items []aggItem
+}
+
+// classifyAggShape enforces the two rules of an aggregated select list:
+// no star, and every non-aggregate item names a GROUP BY expression.
+func classifyAggShape(sel *sqlparse.SelectStmt) (*aggShape, error) {
+	sh := &aggShape{keys: sel.GroupBy}
+	for _, item := range sel.Items {
+		if item.Star {
+			return nil, fmt.Errorf("sqlexec: SELECT * cannot be combined with aggregation")
+		}
+		it := aggItem{name: item.Alias, expr: item.Expr, key: -1}
+		if it.name == "" {
+			it.name = item.Expr.String()
+		}
+		if fe, ok := item.Expr.(*sqlparse.FuncExpr); ok && fe.IsAggregate() {
+			it.fn, it.star = fe.Name, fe.Star
+			if !fe.Star {
+				it.arg = fe.Args[0]
+			}
+		} else {
+			for i, g := range sh.keys {
+				if strings.EqualFold(item.Expr.String(), g.String()) {
+					it.key = i
+					break
+				}
+			}
+			if it.key < 0 {
+				return nil, fmt.Errorf("sqlexec: %s must appear in GROUP BY or an aggregate", item.Expr)
+			}
+		}
+		sh.items = append(sh.items, it)
+	}
+	return sh, nil
+}
+
+// aggGroup is one group's key tuple and its aggregate states.
+type aggGroup struct {
+	keys   []relational.Value
+	states []aggState // one per output item; idle for group-key items
+}
+
+// aggGroups hash-groups aggregate states by key tuple and remembers
+// first-arrival order.
+type aggGroups struct {
+	proto []aggState // fn/star per output item, copied into each new group
+	byKey map[string]*aggGroup
+	order []*aggGroup
+	buf   []byte
+}
+
+func newAggGroups(proto []aggState) *aggGroups {
+	return &aggGroups{proto: proto, byKey: map[string]*aggGroup{}}
+}
+
+// group finds or creates the group of a key tuple (copied on creation).
+// The map key spells each value's rendering and kind, so 1 and '1' and
+// 1.0 stay distinct groups.
+func (t *aggGroups) group(keys []relational.Value) *aggGroup {
+	t.buf = t.buf[:0]
+	for _, v := range keys {
+		t.buf = append(append(t.buf, v.String()...), 0)
+		t.buf = append(append(t.buf, v.Kind.String()...), 1)
+	}
+	g, ok := t.byKey[string(t.buf)]
+	if !ok {
+		g = &aggGroup{
+			keys:   append([]relational.Value(nil), keys...),
+			states: append([]aggState(nil), t.proto...),
+		}
+		t.byKey[string(t.buf)] = g
+		t.order = append(t.order, g)
+	}
+	return g
+}
+
+// all returns the groups in first-arrival order. A grand total (no group
+// keys) yields one group even over empty input.
+func (t *aggGroups) all(grandTotal bool) []*aggGroup {
+	if grandTotal && len(t.order) == 0 {
+		t.group(nil)
+	}
+	return t.order
 }
 
 // aggregateOp hash-groups its input and emits one row per group.
 type aggregateOp struct {
 	child Operator
+	shape *aggShape
 	keys  []boundExpr // group-by key expressions
-	items []aggItem
+	args  []boundExpr // per item: the bound aggregate argument, or nil
 	cols  []ColMeta
 	done  bool
 	out   []Row
@@ -90,14 +200,13 @@ type aggregateOp struct {
 func (a *aggregateOp) Columns() []ColMeta { return a.cols }
 func (a *aggregateOp) BlobBytes() int64   { return a.child.BlobBytes() }
 
-type groupEntry struct {
-	keyVals []relational.Value
-	states  []*aggState
-}
-
 func (a *aggregateOp) run() error {
-	groups := make(map[string]*groupEntry)
-	var order []string
+	proto := make([]aggState, len(a.shape.items))
+	for i, item := range a.shape.items {
+		proto[i] = aggState{fn: item.fn, star: item.star}
+	}
+	groups := newAggGroups(proto)
+	keyVals := make([]relational.Value, len(a.keys))
 	for {
 		row, ok, err := a.child.Next()
 		if err != nil {
@@ -106,60 +215,30 @@ func (a *aggregateOp) run() error {
 		if !ok {
 			break
 		}
-		keyVals := make([]relational.Value, len(a.keys))
-		keyStr := ""
 		for i, k := range a.keys {
-			v, err := k.eval(row)
-			if err != nil {
+			if keyVals[i], err = k.eval(row); err != nil {
 				return err
 			}
-			keyVals[i] = v
-			keyStr += v.String() + "\x00" + fmt.Sprint(v.Kind) + "\x01"
 		}
-		g, ok := groups[keyStr]
-		if !ok {
-			g = &groupEntry{keyVals: keyVals}
-			for _, item := range a.items {
-				if item.keyIdx >= 0 {
-					g.states = append(g.states, nil)
-				} else {
-					g.states = append(g.states, &aggState{fn: item.fn, star: item.star})
+		g := groups.group(keyVals)
+		for i, item := range a.shape.items {
+			if item.key >= 0 {
+				continue
+			}
+			v := relational.Null // COUNT(*) counts the row itself
+			if a.args[i] != nil {
+				if v, err = a.args[i].eval(row); err != nil {
+					return err
 				}
-			}
-			groups[keyStr] = g
-			order = append(order, keyStr)
-		}
-		for i, item := range a.items {
-			if item.keyIdx >= 0 {
-				continue
-			}
-			if item.star {
-				g.states[i].add(relational.Null)
-				continue
-			}
-			v, err := item.arg.eval(row)
-			if err != nil {
-				return err
 			}
 			g.states[i].add(v)
 		}
 	}
-	// Grand-total aggregation with no keys yields one row even for empty
-	// input.
-	if len(a.keys) == 0 && len(order) == 0 {
-		g := &groupEntry{}
-		for _, item := range a.items {
-			g.states = append(g.states, &aggState{fn: item.fn, star: item.star})
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-	for _, key := range order {
-		g := groups[key]
-		row := make(Row, len(a.items))
-		for i, item := range a.items {
-			if item.keyIdx >= 0 {
-				row[i] = g.keyVals[item.keyIdx]
+	for _, g := range groups.all(len(a.keys) == 0) {
+		row := make(Row, len(a.shape.items))
+		for i, item := range a.shape.items {
+			if item.key >= 0 {
+				row[i] = g.keys[item.key]
 			} else {
 				row[i] = g.states[i].result()
 			}
@@ -186,7 +265,7 @@ func (a *aggregateOp) Next() (Row, bool, error) {
 
 func (a *aggregateOp) Describe(indent string) string {
 	return fmt.Sprintf("%sAggregate(%d keys, %d columns)\n%s",
-		indent, len(a.keys), len(a.items), a.child.Describe(indent+"  "))
+		indent, len(a.keys), len(a.shape.items), a.child.Describe(indent+"  "))
 }
 
 // hasAggregates reports whether any select item contains an aggregate call.

@@ -6,33 +6,21 @@ import (
 	"math"
 	"strings"
 
-	"odh/internal/relational"
 	"odh/internal/sqlparse"
 )
 
 // buildScan constructs the access operator for one table plus its filter.
 func (pc *planContext) buildScan(acc *tableAccess) (Operator, error) {
 	var op Operator
-	if acc.src.isVirtual() {
-		vs := newVirtualScan(pc.e.ts, acc.src.schema, acc.src.binding(), pc.wantTags[acc.src.binding()])
-		vs.t1, vs.t2 = acc.t1, acc.t2
-		vs.tagRanges = acc.tagRanges
-		if acc.idEq != nil {
-			vs.historical = true
-			vs.source = *acc.idEq
-		} else if len(acc.idList) > 0 {
-			vs.sources = acc.idList
-		}
-		vs.ctx = pc.ctx
-		op = vs
-	} else if acc.index != nil {
-		if acc.prefixVals != nil {
-			op = newRelIndexPrefix(acc.src.rel, acc.index, acc.src.binding(), acc.prefixVals)
-		} else {
-			op = newRelIndexRange(acc.src.rel, acc.index, acc.src.binding(), acc.rangeLo, acc.rangeHi)
-		}
-	} else {
+	switch {
+	case acc.src.isVirtual():
+		op = pc.newVirtualScan(acc)
+	case acc.index == nil:
 		op = newRelSeqScan(acc.src.rel, acc.src.binding())
+	case acc.prefixVals != nil:
+		op = newRelIndexPrefix(acc.src.rel, acc.index, acc.src.binding(), acc.prefixVals)
+	default:
+		op = newRelIndexRange(acc.src.rel, acc.index, acc.src.binding(), acc.rangeLo, acc.rangeHi)
 	}
 	return pc.applyFilter(op, acc.conjuncts)
 }
@@ -76,14 +64,10 @@ func (pc *planContext) buildJoinTree() (Operator, error) {
 // first, then connected tables via index nested-loop (when the inner has a
 // matching index) or hash join.
 func (pc *planContext) buildRelationalJoins(sources []*tableSource) (Operator, error) {
-	remaining := map[string]*tableSource{}
-	for _, src := range sources {
-		remaining[src.binding()] = src
-	}
 	// Seed with the cheapest access.
-	var seed *tableSource
+	seed := sources[0]
 	for _, src := range sources {
-		if seed == nil || pc.access[src.binding()].estCost < pc.access[seed.binding()].estCost {
+		if pc.access[src.binding()].estCost < pc.access[seed.binding()].estCost {
 			seed = src
 		}
 	}
@@ -91,50 +75,30 @@ func (pc *planContext) buildRelationalJoins(sources []*tableSource) (Operator, e
 	if err != nil {
 		return nil, err
 	}
-	delete(remaining, seed.binding())
-	joined := map[string]bool{seed.binding(): true}
+	return pc.joinRest(cur, map[string]bool{seed.binding(): true}, sources, true)
+}
 
+// joinRest joins every source not yet in joined onto cur along the
+// equijoin predicates. indexNL lets a table with an index on its join
+// column and no filter of its own be probed per outer row instead of
+// hashed.
+func (pc *planContext) joinRest(cur Operator, joined map[string]bool, sources []*tableSource, indexNL bool) (Operator, error) {
+	remaining := map[string]*tableSource{}
+	for _, src := range sources {
+		if !joined[src.binding()] {
+			remaining[src.binding()] = src
+		}
+	}
 	for len(remaining) > 0 {
-		jp, next, flipped := pc.nextJoin(joined, remaining)
+		jp, next := pc.nextJoin(joined, remaining)
 		if next == nil {
-			// Disconnected table: cross-join via hash join on a constant
-			// is not supported; reject clearly.
+			// Disconnected table: a cross join is not supported; reject
+			// clearly.
 			return nil, fmt.Errorf("sqlexec: no join predicate connects table %q", anyKey(remaining))
 		}
-		outerCol, innerCol := jp.leftCol, jp.rightCol
-		if flipped {
-			outerCol, innerCol = jp.rightCol, jp.leftCol
-		}
-		outerOrd, err := resolveColumn(&sqlparse.ColumnRef{Name: outerCol}, cur.Columns())
-		if err != nil {
-			// The column may need qualification when names collide.
-			outerOrd, err = resolveColumn(&sqlparse.ColumnRef{Table: jpBind(jp, !flipped), Name: outerCol}, cur.Columns())
-			if err != nil {
-				return nil, err
-			}
-		}
-		acc := pc.access[next.binding()]
-		// Prefer an index nested-loop when the inner table has an index
-		// whose first column is the join column and no cheaper pushdown.
-		var innerIdx *relational.Index
-		for _, idx := range next.rel.Indexes() {
-			if strings.EqualFold(next.rel.Columns()[idx.ColumnOrdinals()[0]].Name, innerCol) {
-				innerIdx = idx
-				break
-			}
-		}
-		if innerIdx != nil && len(acc.conjuncts) == 0 {
-			cur = newNLRelJoin(cur, next.rel, innerIdx, next.binding(), outerOrd)
-		} else {
-			innerScan, err := pc.buildScan(acc)
-			if err != nil {
-				return nil, err
-			}
-			innerOrd, err := resolveColumn(&sqlparse.ColumnRef{Table: next.binding(), Name: innerCol}, innerScan.Columns())
-			if err != nil {
-				return nil, err
-			}
-			cur = newHashJoin(cur, innerScan, outerOrd, innerOrd)
+		var err error
+		if cur, err = pc.joinOnto(cur, jp, next, indexNL); err != nil {
+			return nil, err
 		}
 		joined[next.binding()] = true
 		delete(remaining, next.binding())
@@ -142,11 +106,29 @@ func (pc *planContext) buildRelationalJoins(sources []*tableSource) (Operator, e
 	return cur, nil
 }
 
-func jpBind(jp joinPred, left bool) string {
-	if left {
-		return jp.leftBind
+// joinOnto joins next onto cur along jp, whose left side is already in cur.
+func (pc *planContext) joinOnto(cur Operator, jp joinPred, next *tableSource, indexNL bool) (Operator, error) {
+	outerOrd, err := resolveColumn(&sqlparse.ColumnRef{Table: jp.leftBind, Name: jp.leftCol}, cur.Columns())
+	if err != nil {
+		return nil, err
 	}
-	return jp.rightBind
+	acc := pc.access[next.binding()]
+	if indexNL && len(acc.conjuncts) == 0 {
+		for _, idx := range next.rel.Indexes() {
+			if strings.EqualFold(next.rel.Columns()[idx.ColumnOrdinals()[0]].Name, jp.rightCol) {
+				return newNLRelJoin(cur, next.rel, idx, next.binding(), outerOrd), nil
+			}
+		}
+	}
+	inner, err := pc.buildScan(acc)
+	if err != nil {
+		return nil, err
+	}
+	innerOrd, err := resolveColumn(&sqlparse.ColumnRef{Table: next.binding(), Name: jp.rightCol}, inner.Columns())
+	if err != nil {
+		return nil, err
+	}
+	return newHashJoin(cur, inner, outerOrd, innerOrd), nil
 }
 
 func anyKey(m map[string]*tableSource) string {
@@ -157,22 +139,17 @@ func anyKey(m map[string]*tableSource) string {
 }
 
 // nextJoin finds a join predicate connecting the joined set to a remaining
-// table. flipped reports that the predicate's right side is in the joined
-// set.
-func (pc *planContext) nextJoin(joined map[string]bool, remaining map[string]*tableSource) (joinPred, *tableSource, bool) {
+// table, oriented so its left side is the joined one.
+func (pc *planContext) nextJoin(joined map[string]bool, remaining map[string]*tableSource) (joinPred, *tableSource) {
 	for _, jp := range pc.joins {
-		if joined[jp.leftBind] {
-			if src, ok := remaining[jp.rightBind]; ok {
-				return jp, src, false
-			}
+		if src, ok := remaining[jp.rightBind]; ok && joined[jp.leftBind] {
+			return jp, src
 		}
-		if joined[jp.rightBind] {
-			if src, ok := remaining[jp.leftBind]; ok {
-				return jp, src, true
-			}
+		if src, ok := remaining[jp.leftBind]; ok && joined[jp.rightBind] {
+			return jp.flipped(), src
 		}
 	}
-	return joinPred{}, nil, false
+	return joinPred{}, nil
 }
 
 // buildFusedJoins plans a query joining one virtual table with relational
@@ -184,19 +161,15 @@ func (pc *planContext) nextJoin(joined map[string]bool, remaining map[string]*ta
 //	then hash-join the relational side onto it.
 func (pc *planContext) buildFusedJoins(virtual *tableSource) (Operator, error) {
 	vAcc := pc.access[virtual.binding()]
-	// Find the join predicate binding the virtual table's id.
+	// Find the join predicate binding the virtual table's id, oriented so
+	// its left side is the virtual id.
 	var vJoin *joinPred
-	for i := range pc.joins {
-		jp := &pc.joins[i]
-		if jp.leftBind == virtual.binding() && strings.EqualFold(jp.leftCol, virtual.schema.IDColumn()) {
-			vJoin = jp
-			break
+	for _, jp := range pc.joins {
+		if jp.rightBind == virtual.binding() {
+			jp = jp.flipped()
 		}
-		if jp.rightBind == virtual.binding() && strings.EqualFold(jp.rightCol, virtual.schema.IDColumn()) {
-			// Normalize: left side is the virtual id.
-			jp.leftBind, jp.rightBind = jp.rightBind, jp.leftBind
-			jp.leftCol, jp.rightCol = jp.rightCol, jp.leftCol
-			vJoin = jp
+		if jp.leftBind == virtual.binding() && strings.EqualFold(jp.leftCol, virtual.schema.IDColumn()) {
+			vJoin = &jp
 			break
 		}
 	}
@@ -218,26 +191,15 @@ func (pc *planContext) buildFusedJoins(virtual *tableSource) (Operator, error) {
 	driver := pc.byBind[vJoin.rightBind]
 	driverAcc := pc.access[driver.binding()]
 	drivingRows := driverAcc.estRows
-	for _, src := range pc.sources {
-		if src.isVirtual() || src == driver {
-			continue
-		}
+	for _, src := range relSources {
 		acc := pc.access[src.binding()]
-		if rows := float64(src.rel.RowCount()); rows > 0 && acc.estRows < rows {
+		if rows := float64(src.rel.RowCount()); src != driver && rows > 0 && acc.estRows < rows {
 			drivingRows *= acc.estRows / rows
 		}
 	}
-	if drivingRows < 1 {
-		drivingRows = 1
-	}
+	drivingRows = math.Max(drivingRows, 1)
 
-	stats := pc.e.cat.SchemaStats(virtual.schema.ID)
-	nSources := math.Max(float64(pc.e.cat.SourceCount(virtual.schema.ID)), 1)
-	frac := windowFraction(stats, vAcc.t1, vAcc.t2)
-	perSource := float64(stats.BlobBytes) / nSources
-
-	costRelFirst := driverAcc.estCost +
-		drivingRows*(perSource*frac+costPerSeek+costPerRouterLookup)
+	costRelFirst := driverAcc.estCost + drivingRows*vAcc.virt.byID(1).total()
 	costOpFirst := vAcc.estCost + float64(driver.rel.RowCount())*8
 
 	if costRelFirst <= costOpFirst {
@@ -250,13 +212,9 @@ func (pc *planContext) buildFusedJoins(virtual *tableSource) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		join := newNLVirtualJoin(rel, pc.e.ts, virtual.schema, virtual.binding(),
-			pc.wantTags[virtual.binding()], outerOrd, vAcc.t1, vAcc.t2)
-		join.tagRanges = vAcc.tagRanges
-		join.ctx = pc.ctx
 		// Virtual-side single-table predicates still apply (time bounds
 		// were pushed, but re-checking is exact and cheap).
-		return pc.applyFilter(join, vAcc.conjuncts)
+		return pc.applyFilter(newNLVirtualJoin(rel, pc.newVirtualScan(vAcc), outerOrd), vAcc.conjuncts)
 	}
 
 	pc.planNote = fmt.Sprintf("plan=operational-first cost=%.0f (alternative relational-first=%.0f)", costOpFirst, costRelFirst)
@@ -264,62 +222,13 @@ func (pc *planContext) buildFusedJoins(virtual *tableSource) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	leftOrd, err := resolveColumn(&sqlparse.ColumnRef{Table: virtual.binding(), Name: virtual.schema.IDColumn()}, vScan.Columns())
+	// Hash-join each relational table onto the stream: the driver first, on
+	// the virtual id, then the rest by their join predicates.
+	cur, err := pc.joinOnto(vScan, *vJoin, driver, false)
 	if err != nil {
 		return nil, err
 	}
-	// Hash-join each relational table onto the stream; the driver first.
-	cur := vScan
-	done := map[string]bool{virtual.binding(): true}
-	leftKeyOrd := leftOrd
-	// Join the driver on the virtual id.
-	driverScan, err := pc.buildScan(driverAcc)
-	if err != nil {
-		return nil, err
-	}
-	innerOrd, err := resolveColumn(&sqlparse.ColumnRef{Table: driver.binding(), Name: vJoin.rightCol}, driverScan.Columns())
-	if err != nil {
-		return nil, err
-	}
-	cur = newHashJoin(cur, driverScan, leftKeyOrd, innerOrd)
-	done[driver.binding()] = true
-	// Then the remaining relational tables by their join predicates.
-	for {
-		remaining := map[string]*tableSource{}
-		for _, src := range relSources {
-			if !done[src.binding()] {
-				remaining[src.binding()] = src
-			}
-		}
-		if len(remaining) == 0 {
-			break
-		}
-		jp, next, flipped := pc.nextJoin(done, remaining)
-		if next == nil {
-			return nil, fmt.Errorf("sqlexec: no join predicate connects table %q", anyKey(remaining))
-		}
-		outerCol, innerCol := jp.leftCol, jp.rightCol
-		outerBind, _ := jp.leftBind, jp.rightBind
-		if flipped {
-			outerCol, innerCol = jp.rightCol, jp.leftCol
-			outerBind = jp.rightBind
-		}
-		outerOrd, err := resolveColumn(&sqlparse.ColumnRef{Table: outerBind, Name: outerCol}, cur.Columns())
-		if err != nil {
-			return nil, err
-		}
-		innerScan, err := pc.buildScan(pc.access[next.binding()])
-		if err != nil {
-			return nil, err
-		}
-		innerOrd, err := resolveColumn(&sqlparse.ColumnRef{Table: next.binding(), Name: innerCol}, innerScan.Columns())
-		if err != nil {
-			return nil, err
-		}
-		cur = newHashJoin(cur, innerScan, outerOrd, innerOrd)
-		done[next.binding()] = true
-	}
-	return cur, nil
+	return pc.joinRest(cur, map[string]bool{virtual.binding(): true, driver.binding(): true}, relSources, false)
 }
 
 // buildSelectCtx compiles a full SELECT into an operator tree. ctx is
@@ -358,11 +267,15 @@ func (e *Engine) buildSelectCtx(ctx context.Context, stmt *sqlparse.SelectStmt) 
 	// header summaries instead of decoding columns; the rewrite replaces
 	// the scan + filter + aggregate subtree when it is exactly equivalent.
 	aggregated := hasAggregates(stmt.Items) || len(stmt.GroupBy) > 0
+	var shape *aggShape
 	var root Operator
 	var err error
 	pushed := false
 	if aggregated {
-		root, pushed = pc.tryAggPushdown()
+		if shape, err = classifyAggShape(stmt); err != nil {
+			return nil, nil, err
+		}
+		root, pushed = pc.tryAggPushdown(shape)
 	}
 	if !pushed {
 		root, err = pc.buildJoinTree()
@@ -379,7 +292,7 @@ func (e *Engine) buildSelectCtx(ctx context.Context, stmt *sqlparse.SelectStmt) 
 	// Aggregation or plain projection.
 	if aggregated {
 		if !pushed {
-			root, err = pc.buildAggregate(root)
+			root, err = pc.buildAggregate(root, shape)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -491,53 +404,27 @@ func (pc *planContext) buildProjection(child Operator) (Operator, error) {
 	return &projectOp{child: child, exprs: exprs, cols: outCols}, nil
 }
 
-// buildAggregate compiles GROUP BY + aggregate select items.
-func (pc *planContext) buildAggregate(child Operator) (Operator, error) {
+// buildAggregate binds the classified select list and GROUP BY to the
+// child's columns.
+func (pc *planContext) buildAggregate(child Operator, shape *aggShape) (Operator, error) {
 	inCols := child.Columns()
-	agg := &aggregateOp{child: child}
-	groupStrs := make([]string, len(pc.stmt.GroupBy))
-	for i, g := range pc.stmt.GroupBy {
+	agg := &aggregateOp{child: child, shape: shape, args: make([]boundExpr, len(shape.items))}
+	for _, g := range shape.keys {
 		b, err := bind(g, inCols)
 		if err != nil {
 			return nil, err
 		}
 		agg.keys = append(agg.keys, b)
-		groupStrs[i] = strings.ToUpper(g.String())
 	}
-	for _, item := range pc.stmt.Items {
-		if item.Star {
-			return nil, fmt.Errorf("sqlexec: SELECT * cannot be combined with aggregation")
-		}
-		name := item.Alias
-		if name == "" {
-			name = item.Expr.String()
-		}
-		if fe, ok := item.Expr.(*sqlparse.FuncExpr); ok && fe.IsAggregate() {
-			it := aggItem{keyIdx: -1, fn: fe.Name, star: fe.Star, name: name, kind: exprKind(item.Expr, inCols)}
-			if !fe.Star {
-				b, err := bind(fe.Args[0], inCols)
-				if err != nil {
-					return nil, err
-				}
-				it.arg = b
+	for i, item := range shape.items {
+		if item.arg != nil {
+			b, err := bind(item.arg, inCols)
+			if err != nil {
+				return nil, err
 			}
-			agg.items = append(agg.items, it)
-			agg.cols = append(agg.cols, ColMeta{Name: name, Kind: it.kind})
-			continue
+			agg.args[i] = b
 		}
-		// Non-aggregate item must match a GROUP BY expression.
-		keyIdx := -1
-		for i, gs := range groupStrs {
-			if strings.ToUpper(item.Expr.String()) == gs {
-				keyIdx = i
-				break
-			}
-		}
-		if keyIdx < 0 {
-			return nil, fmt.Errorf("sqlexec: %s must appear in GROUP BY or an aggregate", item.Expr)
-		}
-		agg.items = append(agg.items, aggItem{keyIdx: keyIdx, name: name, kind: exprKind(item.Expr, inCols)})
-		agg.cols = append(agg.cols, ColMeta{Name: name, Kind: exprKind(item.Expr, inCols)})
+		agg.cols = append(agg.cols, ColMeta{Name: item.name, Kind: exprKind(item.expr, inCols)})
 	}
 	return agg, nil
 }

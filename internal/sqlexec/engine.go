@@ -62,18 +62,14 @@ func (e *Engine) SetQueryTimeout(d time.Duration) { e.queryTimeout.Store(int64(d
 // in goroutine overhead than the decode work it spreads.
 const parallelCostUnit = 64 << 10
 
-// parallelDegree converts an aggregate's blob-bytes cost estimate into a
-// worker count in [1, queryWorkers].
-func (e *Engine) parallelDegree(estCost float64) int {
+// parallelDegree converts an aggregate's cost — the bytes it expects to
+// decode, not the bytes it sweeps — into a worker count in [1, queryWorkers].
+func (e *Engine) parallelDegree(c blobCost) int {
 	limit := int(e.queryWorkers.Load())
-	if limit <= 1 || estCost < 2*parallelCostUnit {
+	if limit <= 1 || c.decoded < 2*parallelCostUnit {
 		return 1
 	}
-	deg := int(estCost / parallelCostUnit)
-	if deg > limit {
-		deg = limit
-	}
-	return deg
+	return min(int(c.decoded/parallelCostUnit), limit)
 }
 
 // Rel exposes the relational database (for loaders and tests).

@@ -19,27 +19,32 @@ import (
 	"odh/internal/sqlparse"
 )
 
-// foldKind says how one scatter column folds across shards.
-type foldKind int
-
-const (
-	foldKey   foldKind = iota // group-by key: defines the group
-	foldCount                 // partial counts sum
-	foldSum                   // partial sums add, NULL partials skipped
-	foldMin                   // relational minimum, NULL partials skipped
-	foldMax                   // relational maximum, NULL partials skipped
-)
-
-// finalItem produces one output column of the gathered result from the
-// folded scatter columns.
+// finalItem produces one output column of the gathered result: a group
+// key passed through from its scatter column, or an aggregate re-folded
+// from the shards' partials of it.
 type finalItem struct {
 	name string
 	kind relational.Kind
-	// src is the scatter column this item passes through; avg items use
-	// the avgSum/avgCount pair instead and finalize as ΣSUM / ΣCOUNT.
-	src              int
-	avg              bool
-	avgSum, avgCount int
+	fn   string // "" for a group key
+	key  int    // group keys: position in the group's key tuple
+	// src is the scatter column of the function's partial (for AVG, its SUM
+	// partial; cnt is then its COUNT partial, and the item finalizes as
+	// ΣSUM / ΣCOUNT).
+	src, cnt int
+}
+
+// partial reads one shard row's contribution to the item as an aggregate
+// state to merge. NULL partials (an aggregate over an empty shard subset)
+// merge as nothing.
+func (fi finalItem) partial(row Row) aggState {
+	v := row[fi.src]
+	switch fi.fn {
+	case "COUNT":
+		return aggState{count: v.AsInt()}
+	case "AVG":
+		return aggState{count: row[fi.cnt].AsInt(), sum: v}
+	}
+	return aggState{sum: v, min: v, max: v}
 }
 
 // GatherPlan is a compiled scatter/gather strategy for one SELECT.
@@ -62,8 +67,8 @@ type GatherPlan struct {
 	Columns []string
 
 	aggregate bool
-	kinds     []foldKind // per scatter column
-	keyIdx    []int      // scatter columns that are group keys
+	kinds     []string // per scatter column: the function it is a partial of, "" for a group key
+	keyIdx    []int    // scatter columns that are group keys
 	finals    []finalItem
 	visible   int // finals[:visible] are the query's output columns
 
@@ -102,92 +107,54 @@ func PlanGather(sel *sqlparse.SelectStmt) (*GatherPlan, error) {
 		return &GatherPlan{limit: sel.Limit, orderItems: sel.OrderBy}, nil
 	}
 
+	sh, err := classifyAggShape(sel)
+	if err != nil {
+		return nil, err
+	}
 	p := &GatherPlan{aggregate: true, limit: sel.Limit}
-	groupStrs := make([]string, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		groupStrs[i] = strings.ToUpper(g.String())
-	}
-	keyCols := map[string]bool{} // uppercase group exprs present as scatter keys
 	var scatterItems []string
-
-	addScatter := func(item string, kind foldKind) int {
+	addScatter := func(item, fn string) int {
 		scatterItems = append(scatterItems, item)
-		p.kinds = append(p.kinds, kind)
-		idx := len(p.kinds) - 1
-		if kind == foldKey {
-			p.keyIdx = append(p.keyIdx, idx)
+		p.kinds = append(p.kinds, fn)
+		if fn == "" {
+			p.keyIdx = append(p.keyIdx, len(p.kinds)-1)
 		}
-		return idx
+		return len(p.kinds) - 1
 	}
-
-	for _, item := range sel.Items {
-		if item.Star {
-			return nil, fmt.Errorf("sqlexec: SELECT * cannot be combined with aggregation")
-		}
-		name := item.Alias
-		if name == "" {
-			name = item.Expr.String()
-		}
-		if fe, ok := item.Expr.(*sqlparse.FuncExpr); ok && fe.IsAggregate() {
-			switch fe.Name {
-			case "COUNT":
-				src := addScatter(fe.String(), foldCount)
-				p.finals = append(p.finals, finalItem{name: name, kind: relational.KindInt, src: src})
-			case "SUM":
-				src := addScatter(fe.String(), foldSum)
-				p.finals = append(p.finals, finalItem{name: name, kind: relational.KindFloat, src: src})
-			case "MIN":
-				src := addScatter(fe.String(), foldMin)
-				p.finals = append(p.finals, finalItem{name: name, kind: relational.KindFloat, src: src})
-			case "MAX":
-				src := addScatter(fe.String(), foldMax)
-				p.finals = append(p.finals, finalItem{name: name, kind: relational.KindFloat, src: src})
-			default: // AVG
-				if fe.Star {
-					return nil, fmt.Errorf("cluster: AVG(*) does not compose across shards")
-				}
-				arg := fe.Args[0].String()
-				sumIdx := addScatter("SUM("+arg+")", foldSum)
-				cntIdx := addScatter("COUNT("+arg+")", foldCount)
-				p.finals = append(p.finals, finalItem{
-					name: name, kind: relational.KindFloat,
-					avg: true, avgSum: sumIdx, avgCount: cntIdx,
-				})
+	shipped := make([]bool, len(sh.keys)) // GROUP BY keys present in the select list
+	for _, it := range sh.items {
+		fi := finalItem{name: it.name, fn: it.fn, kind: relational.KindFloat}
+		switch it.fn {
+		case "":
+			shipped[it.key] = true
+			fi.kind = relational.KindNull
+			if fe, ok := it.expr.(*sqlparse.FuncExpr); ok && fe.Name == "TIME_BUCKET" {
+				fi.kind = relational.KindTime
 			}
-			continue
+			addScatter(it.expr.String(), "")
+			fi.key = len(p.keyIdx) - 1
+		case "AVG":
+			// AVG decomposes into a SUM+COUNT pair so it composes exactly.
+			fi.src = addScatter("SUM("+it.arg.String()+")", "SUM")
+			fi.cnt = addScatter("COUNT("+it.arg.String()+")", "COUNT")
+		case "COUNT":
+			fi.kind = relational.KindInt
+			fi.src = addScatter(it.expr.String(), it.fn)
+		default:
+			fi.src = addScatter(it.expr.String(), it.fn)
 		}
-		// Non-aggregate item must match a GROUP BY expression — the same
-		// rule (and message) the single-node aggregate builder enforces.
-		upper := strings.ToUpper(item.Expr.String())
-		matched := false
-		for _, gs := range groupStrs {
-			if upper == gs {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("sqlexec: %s must appear in GROUP BY or an aggregate", item.Expr)
-		}
-		src := addScatter(item.Expr.String(), foldKey)
-		keyCols[upper] = true
-		kind := relational.KindNull
-		if fe, ok := item.Expr.(*sqlparse.FuncExpr); ok && fe.Name == "TIME_BUCKET" {
-			kind = relational.KindTime
-		}
-		p.finals = append(p.finals, finalItem{name: name, kind: kind, src: src})
+		p.finals = append(p.finals, fi)
 	}
 	p.visible = len(p.finals)
 
 	// GROUP BY keys absent from the select list still define groups: ship
 	// them as hidden scatter columns so the fold keeps distinct groups
 	// distinct, then project them away at the end.
-	for i, g := range sel.GroupBy {
-		if keyCols[groupStrs[i]] {
-			continue
+	for i, g := range sh.keys {
+		if !shipped[i] {
+			addScatter(g.String(), "")
+			p.finals = append(p.finals, finalItem{name: g.String(), key: len(p.keyIdx) - 1})
 		}
-		src := addScatter(g.String(), foldKey)
-		p.finals = append(p.finals, finalItem{name: g.String(), src: src})
 	}
 
 	visibleCols := make([]ColMeta, p.visible)
@@ -255,18 +222,12 @@ func renderShardSQL(sel *sqlparse.SelectStmt, items []string) string {
 	return sb.String()
 }
 
-// gatherGroup is one group's folded state at the coordinator.
-type gatherGroup struct {
-	keys  []relational.Value
-	cells []relational.Value
-}
-
 // GatherAccum folds per-shard partial rows under a GatherPlan. Fold may
 // be called once per shard in any order; Result finalizes.
 type GatherAccum struct {
 	plan   *GatherPlan
-	groups map[string]*gatherGroup
-	order  []string // group keys in first-arrival order (for determinism)
+	groups *aggGroups // keyed by the scatter key columns
+	keys   []relational.Value
 
 	// concat mode
 	rows        []Row
@@ -277,7 +238,11 @@ type GatherAccum struct {
 
 // NewGatherAccum builds an accumulator for plan.
 func NewGatherAccum(plan *GatherPlan) *GatherAccum {
-	return &GatherAccum{plan: plan, groups: map[string]*gatherGroup{}}
+	proto := make([]aggState, len(plan.finals))
+	for i, fi := range plan.finals {
+		proto[i] = aggState{fn: fi.fn}
+	}
+	return &GatherAccum{plan: plan, groups: newAggGroups(proto), keys: make([]relational.Value, len(plan.keyIdx))}
 }
 
 // Fold merges one shard's rows. cols is the shard-reported column list;
@@ -291,27 +256,14 @@ func (a *GatherAccum) Fold(cols []string, rows []Row) error {
 		if len(row) != len(a.plan.kinds) {
 			return fmt.Errorf("cluster: aggregate gather: shard row has %d columns, plan has %d", len(row), len(a.plan.kinds))
 		}
-		var kb strings.Builder
-		for _, i := range a.plan.keyIdx {
-			kb.WriteString(row[i].String())
-			kb.WriteByte('\x00')
-			fmt.Fprint(&kb, row[i].Kind)
-			kb.WriteByte('\x01')
+		for k, i := range a.plan.keyIdx {
+			a.keys[k] = row[i]
 		}
-		key := kb.String()
-		g, ok := a.groups[key]
-		if !ok {
-			g = &gatherGroup{cells: make([]relational.Value, len(row))}
-			copy(g.cells, row)
-			for _, i := range a.plan.keyIdx {
-				g.keys = append(g.keys, row[i])
+		g := a.groups.group(a.keys)
+		for i, fi := range a.plan.finals {
+			if fi.fn != "" {
+				g.states[i].merge(fi.partial(row))
 			}
-			a.groups[key] = g
-			a.order = append(a.order, key)
-			continue
-		}
-		for i, kind := range a.plan.kinds {
-			g.cells[i] = mergeCell(kind, g.cells[i], row[i])
 		}
 	}
 	return nil
@@ -337,95 +289,31 @@ func (a *GatherAccum) foldConcat(cols []string, rows []Row) error {
 	return nil
 }
 
-// mergeCell folds one shard's partial aggregate cell into the running
-// one. NULL partials (an aggregate over an empty shard subset) are
-// skipped; COUNT partials sum, SUM partials add kind-aware, MIN/MAX
-// compare with the relational ordering.
-func mergeCell(kind foldKind, acc, next relational.Value) relational.Value {
-	switch kind {
-	case foldKey:
-		return acc
-	case foldCount:
-		return relational.Int(acc.AsInt() + next.AsInt())
-	case foldSum:
-		if next.IsNull() {
-			return acc
-		}
-		if acc.IsNull() {
-			return next
-		}
-		if acc.Kind == relational.KindFloat || next.Kind == relational.KindFloat {
-			return relational.Float(acc.AsFloat() + next.AsFloat())
-		}
-		return relational.Int(acc.AsInt() + next.AsInt())
-	case foldMin:
-		if next.IsNull() {
-			return acc
-		}
-		if acc.IsNull() || relational.Compare(next, acc) < 0 {
-			return next
-		}
-		return acc
-	default: // foldMax
-		if next.IsNull() {
-			return acc
-		}
-		if acc.IsNull() || relational.Compare(next, acc) > 0 {
-			return next
-		}
-		return acc
-	}
-}
-
-// defaultCell is the SQL zero-shard answer for one scatter column: COUNT
-// of nothing is 0, every other aggregate of nothing is NULL.
-func defaultCell(kind foldKind) relational.Value {
-	if kind == foldCount {
-		return relational.Int(0)
-	}
-	return relational.Null
-}
-
-// Result finalizes the gather: AVG pairs divide (NULL when the fold saw
-// zero non-NULL values), HAVING filters the folded groups, ORDER BY runs
+// Result finalizes the gather: every aggregate state yields its SQL
+// result, HAVING filters the folded groups, ORDER BY runs
 // over the final values with a bounded top-k merge when LIMIT is set,
 // and hidden columns are projected away.
 func (a *GatherAccum) Result() ([]Row, error) {
 	if !a.plan.aggregate {
 		return a.resultConcat()
 	}
-	// Grand-total aggregation yields one row even when no shard
-	// contributed one (every shard empty, or all unavailable rows were
-	// withheld by the caller before folding).
-	if len(a.plan.keyIdx) == 0 && len(a.groups) == 0 {
-		cells := make([]relational.Value, len(a.plan.kinds))
-		for i, k := range a.plan.kinds {
-			cells[i] = defaultCell(k)
-		}
-		a.groups[""] = &gatherGroup{cells: cells}
-		a.order = append(a.order, "")
-	}
-
 	type finalRow struct {
 		keys []relational.Value
 		row  Row
 		sort []relational.Value // pre-evaluated ORDER BY key values
 	}
-	finals := make([]*finalRow, 0, len(a.groups))
-	for _, key := range a.order {
-		g := a.groups[key]
+	// Grand-total aggregation yields one row even when no shard
+	// contributed one (every shard empty, or all unavailable rows were
+	// withheld by the caller before folding).
+	groups := a.groups.all(len(a.plan.keyIdx) == 0)
+	finals := make([]*finalRow, 0, len(groups))
+	for _, g := range groups {
 		row := make(Row, len(a.plan.finals))
 		for i, fi := range a.plan.finals {
-			if !fi.avg {
-				row[i] = g.cells[fi.src]
-				continue
-			}
-			cnt := g.cells[fi.avgCount].AsInt()
-			sum := g.cells[fi.avgSum]
-			if cnt <= 0 || sum.IsNull() {
-				row[i] = relational.Null
+			if fi.fn == "" {
+				row[i] = g.keys[fi.key]
 			} else {
-				row[i] = relational.Float(sum.AsFloat() / float64(cnt))
+				row[i] = g.states[i].result()
 			}
 		}
 		if a.plan.having != nil {
@@ -489,7 +377,6 @@ func (a *GatherAccum) Result() ([]Row, error) {
 func (a *GatherAccum) resultConcat() ([]Row, error) {
 	rows := a.rows
 	if len(a.concatKeys) > 0 {
-		var evalErr error
 		sortVals := make([][]relational.Value, len(rows))
 		for i, row := range rows {
 			sortVals[i] = make([]relational.Value, len(a.concatKeys))
@@ -518,9 +405,6 @@ func (a *GatherAccum) resultConcat() ([]Row, error) {
 			}
 			return false
 		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
 		sorted := make([]Row, len(rows))
 		for i, j := range idx {
 			sorted[i] = rows[j]

@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"odh/internal/model"
@@ -32,12 +31,17 @@ type relSeqScan struct {
 	cur     *relational.RowCursor
 }
 
-func newRelSeqScan(t *relational.Table, binding string) *relSeqScan {
+// relColumns lays a relational table's columns out under a binding.
+func relColumns(t *relational.Table, binding string) []ColMeta {
 	cols := make([]ColMeta, len(t.Columns()))
 	for i, c := range t.Columns() {
 		cols[i] = ColMeta{Table: binding, Name: c.Name, Kind: c.Type}
 	}
-	return &relSeqScan{table: t, binding: binding, cols: cols}
+	return cols
+}
+
+func newRelSeqScan(t *relational.Table, binding string) *relSeqScan {
+	return &relSeqScan{table: t, binding: binding, cols: relColumns(t, binding)}
 }
 
 func (s *relSeqScan) Columns() []ColMeta { return s.cols }
@@ -71,11 +75,7 @@ type relIndexScan struct {
 }
 
 func newRelIndexRange(t *relational.Table, idx *relational.Index, binding string, lo, hi relational.Value) *relIndexScan {
-	cols := make([]ColMeta, len(t.Columns()))
-	for i, c := range t.Columns() {
-		cols[i] = ColMeta{Table: binding, Name: c.Name, Kind: c.Type}
-	}
-	return &relIndexScan{table: t, index: idx, binding: binding, cols: cols, lo: lo, hi: hi}
+	return &relIndexScan{table: t, index: idx, binding: binding, cols: relColumns(t, binding), lo: lo, hi: hi}
 }
 
 func newRelIndexPrefix(t *relational.Table, idx *relational.Index, binding string, prefix []relational.Value) *relIndexScan {
@@ -111,31 +111,72 @@ func (s *relIndexScan) Describe(indent string) string {
 
 // --- virtual table scan (the VTI role) ---
 
-// virtualScan assembles relational rows (id, timestamp, tags...) from the
-// batch stores. mode selects the access path the planner chose.
-type virtualScan struct {
-	store    *tsstore.Store
-	schema   *model.SchemaType
-	binding  string
-	cols     []ColMeta
-	wantTags []int // tag ordinals to decode; nil = all
-
-	// historical mode: one source; multi mode: a pushed IN-list of
-	// sources; slice mode: all sources of the schema.
-	historical bool
-	source     int64
-	sources    []int64
-	t1, t2     int64
-	tagRanges  []tsstore.TagRange
-	// ctx cancels the scan (threaded into ScanOptions.Ctx).
-	ctx context.Context
-
-	iter       tsstore.Iterator
-	routerDone bool
-	routerCost int64 // number of router metadata lookups performed
+// sourceSel names the sources one virtual-table access reads. It owns
+// every decision that hangs on that choice: the router lookup, which
+// store call serves a scan or an aggregate, and how EXPLAIN names it.
+type sourceSel struct {
+	schema *model.SchemaType
+	ids    []int64 // nil = every source of the schema
+	// one: ids is the single source of an `id = n` conjunct — the
+	// historical path, which (unlike an IN list) rejects an unknown id.
+	one bool
 }
 
-func newVirtualScan(store *tsstore.Store, schema *model.SchemaType, binding string, wantTags []int) *virtualScan {
+// mode names the access path: Historical, Multi or Slice.
+func (s sourceSel) mode() string {
+	switch {
+	case s.one:
+		return "Historical"
+	case s.ids != nil:
+		return "Multi"
+	}
+	return "Slice"
+}
+
+// String names the target for EXPLAIN.
+func (s sourceSel) String() string {
+	switch {
+	case s.one:
+		return fmt.Sprintf("%s, id=%d", s.schema.Name, s.ids[0])
+	case s.ids != nil:
+		return fmt.Sprintf("%s, %d ids", s.schema.Name, len(s.ids))
+	}
+	return s.schema.Name
+}
+
+// lookup runs the data router's metadata probe: the router resolves the
+// placement of every source the access will touch by reading catalog
+// metadata, the per-query overhead the paper profiles on LQ1.
+func (s sourceSel) lookup(store *tsstore.Store) {
+	ids := s.ids
+	if ids == nil {
+		ids = store.Catalog().SourcesBySchema(s.schema.ID)
+	}
+	store.Catalog().RouterLookup(ids)
+}
+
+func (s sourceSel) scan(store *tsstore.Store, t1, t2 int64, wantTags []int, opts tsstore.ScanOptions, zones []tsstore.TagRange) (tsstore.Iterator, error) {
+	switch {
+	case s.one:
+		return store.HistoricalScanOpts(s.ids[0], t1, t2, wantTags, opts, zones...)
+	case s.ids != nil:
+		return store.MultiHistoricalScanOpts(s.ids, t1, t2, wantTags, opts, zones...)
+	}
+	return store.SliceScanOpts(s.schema.ID, t1, t2, wantTags, opts, zones...)
+}
+
+func (s sourceSel) aggregate(store *tsstore.Store, spec tsstore.AggSpec) (*tsstore.AggResult, error) {
+	switch {
+	case s.one:
+		return store.AggregateHistorical(s.ids[0], spec)
+	case s.ids != nil:
+		return store.AggregateMulti(s.ids, spec)
+	}
+	return store.AggregateSlice(s.schema.ID, spec)
+}
+
+// virtualColumns lays a virtual table out as (id, timestamp, tags...).
+func virtualColumns(schema *model.SchemaType, binding string) []ColMeta {
 	cols := make([]ColMeta, 0, len(schema.Tags)+2)
 	cols = append(cols,
 		ColMeta{Table: binding, Name: schema.IDColumn(), Kind: relational.KindInt},
@@ -144,14 +185,32 @@ func newVirtualScan(store *tsstore.Store, schema *model.SchemaType, binding stri
 	for _, tag := range schema.Tags {
 		cols = append(cols, ColMeta{Table: binding, Name: tag.Name, Kind: relational.KindFloat})
 	}
+	return cols
+}
+
+// virtualScan assembles relational rows (id, timestamp, tags...) from the
+// batch stores over the planner's access descriptor.
+type virtualScan struct {
+	store    *tsstore.Store
+	sel      sourceSel
+	cols     []ColMeta
+	wantTags []int // tag ordinals to decode; nil = all
+	t1, t2   int64
+	zones    []tsstore.TagRange
+	ctx      context.Context // cancels the scan (threaded into ScanOptions.Ctx)
+	iter     tsstore.Iterator
+}
+
+func (pc *planContext) newVirtualScan(acc *tableAccess) *virtualScan {
 	return &virtualScan{
-		store:    store,
-		schema:   schema,
-		binding:  binding,
-		cols:     cols,
-		wantTags: wantTags,
-		t1:       math.MinInt64,
-		t2:       math.MaxInt64,
+		store:    pc.e.ts,
+		sel:      acc.virt.sel,
+		cols:     acc.src.columns(),
+		wantTags: pc.wantTags[acc.src.binding()],
+		t1:       acc.virt.t1,
+		t2:       acc.virt.t2,
+		zones:    acc.virt.zones(),
+		ctx:      pc.ctx,
 	}
 }
 
@@ -164,44 +223,14 @@ func (s *virtualScan) BlobBytes() int64 {
 	return s.iter.BlobBytes()
 }
 
-// open runs the data-router metadata lookup (the paper's per-query
-// overhead) and builds the underlying iterator.
+// open runs the router lookup, then builds the underlying iterator.
 func (s *virtualScan) open() error {
-	if !s.routerDone {
-		// The router resolves the placement of every source the scan will
-		// touch by reading catalog metadata, exactly the overhead the
-		// paper profiles on LQ1.
-		if s.historical {
-			s.store.Catalog().RouterLookup([]int64{s.source})
-			s.routerCost = 1
-		} else if len(s.sources) > 0 {
-			s.store.Catalog().RouterLookup(s.sources)
-			s.routerCost = int64(len(s.sources))
-		} else {
-			sources := s.store.Catalog().SourcesBySchema(s.schema.ID)
-			s.store.Catalog().RouterLookup(sources)
-			s.routerCost = int64(len(sources))
-		}
-		s.routerDone = true
-	}
-	var err error
-	opts := tsstore.ScanOptions{Ctx: s.ctx}
-	if s.historical {
-		s.iter, err = s.store.HistoricalScanOpts(s.source, s.t1, s.t2, s.wantTags, opts, s.tagRanges...)
-	} else if len(s.sources) > 0 {
-		s.iter, err = s.store.MultiHistoricalScanOpts(s.sources, s.t1, s.t2, s.wantTags, opts, s.tagRanges...)
-	} else {
-		s.iter, err = s.store.SliceScanOpts(s.schema.ID, s.t1, s.t2, s.wantTags, opts, s.tagRanges...)
+	s.sel.lookup(s.store)
+	iter, err := s.sel.scan(s.store, s.t1, s.t2, s.wantTags, tsstore.ScanOptions{Ctx: s.ctx}, s.zones)
+	if err == nil {
+		s.iter = iter
 	}
 	return err
-}
-
-// BlobsSkipped reports zone-map skips for EXPLAIN ANALYZE-style tests.
-func (s *virtualScan) BlobsSkipped() int64 {
-	if s.iter == nil {
-		return 0
-	}
-	return s.iter.BlobsSkipped()
 }
 
 func (s *virtualScan) Next() (Row, bool, error) {
@@ -210,33 +239,33 @@ func (s *virtualScan) Next() (Row, bool, error) {
 			return nil, false, err
 		}
 	}
+	return s.next(nil)
+}
+
+// next assembles the open iterator's next point into a row behind prefix
+// (the outer row of a join; nil for a plain scan): decoded columns become
+// relational values — the VTI overhead the paper measures at >80% of
+// extraction time.
+func (s *virtualScan) next(prefix Row) (Row, bool, error) {
 	p, ok := s.iter.Next()
 	if !ok {
 		return nil, false, s.iter.Err()
 	}
-	// Row assembly: decoded columns become relational values — the VTI
-	// overhead the paper measures at >80% of extraction time.
-	row := make(Row, len(s.cols))
-	row[0] = relational.Int(p.Source)
-	row[1] = relational.Time(p.TS)
-	for i, v := range p.Values {
+	row := make(Row, 0, len(prefix)+len(s.cols))
+	row = append(row, prefix...)
+	row = append(row, relational.Int(p.Source), relational.Time(p.TS))
+	for _, v := range p.Values {
 		if model.IsNull(v) {
-			row[2+i] = relational.Null
+			row = append(row, relational.Null)
 		} else {
-			row[2+i] = relational.Float(v)
+			row = append(row, relational.Float(v))
 		}
 	}
 	return row, true, nil
 }
 
 func (s *virtualScan) Describe(indent string) string {
-	if s.historical {
-		return fmt.Sprintf("%sVirtualHistoricalScan(%s, id=%d, ts=[%d,%d))\n", indent, s.schema.Name, s.source, s.t1, s.t2)
-	}
-	if len(s.sources) > 0 {
-		return fmt.Sprintf("%sVirtualMultiScan(%s, %d ids, ts=[%d,%d))\n", indent, s.schema.Name, len(s.sources), s.t1, s.t2)
-	}
-	return fmt.Sprintf("%sVirtualSliceScan(%s, ts=[%d,%d))\n", indent, s.schema.Name, s.t1, s.t2)
+	return fmt.Sprintf("%sVirtual%sScan(%s, ts=[%d,%d))\n", indent, s.sel.mode(), s.sel, s.t1, s.t2)
 }
 
 // --- filter ---
@@ -429,39 +458,22 @@ func (j *hashJoin) Describe(indent string) string {
 
 // nlVirtualJoin drives historical scans of the virtual table from outer
 // rows — the paper's "relational-first" plan: extract matching sensors,
-// then extract the operational records for each sensor id.
+// then extract the operational records for each sensor id. The inner is
+// one virtualScan re-aimed at each driven source.
 type nlVirtualJoin struct {
-	outer         Operator
-	store         *tsstore.Store
-	schema        *model.SchemaType
-	binding       string
-	wantTags      []int
-	tagRanges     []tsstore.TagRange
-	outerKey      int   // ordinal of the join key (sensor id) in outer rows
-	t1, t2        int64 // pushed time bounds for the inner scans
-	ctx           context.Context
-	cols          []ColMeta
-	inner         tsstore.Iterator
-	innerCols     int
-	cur           Row
-	blobBytes     int64
-	routerLookups int64
+	outer     Operator
+	inner     *virtualScan
+	outerKey  int // ordinal of the join key (sensor id) in outer rows
+	cols      []ColMeta
+	cur       Row
+	blobBytes int64
 }
 
-func newNLVirtualJoin(outer Operator, store *tsstore.Store, schema *model.SchemaType, binding string, wantTags []int, outerKey int, t1, t2 int64) *nlVirtualJoin {
-	vcols := make([]ColMeta, 0, len(schema.Tags)+2)
-	vcols = append(vcols,
-		ColMeta{Table: binding, Name: schema.IDColumn(), Kind: relational.KindInt},
-		ColMeta{Table: binding, Name: schema.TSColumn(), Kind: relational.KindTime},
-	)
-	for _, tag := range schema.Tags {
-		vcols = append(vcols, ColMeta{Table: binding, Name: tag.Name, Kind: relational.KindFloat})
-	}
-	cols := append(append([]ColMeta{}, outer.Columns()...), vcols...)
+func newNLVirtualJoin(outer Operator, inner *virtualScan, outerKey int) *nlVirtualJoin {
+	inner.sel.one = true
 	return &nlVirtualJoin{
-		outer: outer, store: store, schema: schema, binding: binding,
-		wantTags: wantTags, outerKey: outerKey, t1: t1, t2: t2,
-		cols: cols, innerCols: len(vcols),
+		outer: outer, inner: inner, outerKey: outerKey,
+		cols: append(append([]ColMeta{}, outer.Columns()...), inner.cols...),
 	}
 }
 
@@ -470,26 +482,13 @@ func (j *nlVirtualJoin) BlobBytes() int64   { return j.blobBytes }
 
 func (j *nlVirtualJoin) Next() (Row, bool, error) {
 	for {
-		if j.inner != nil {
-			p, ok := j.inner.Next()
-			if ok {
-				out := make(Row, 0, len(j.cols))
-				out = append(out, j.cur...)
-				out = append(out, relational.Int(p.Source), relational.Time(p.TS))
-				for _, v := range p.Values {
-					if model.IsNull(v) {
-						out = append(out, relational.Null)
-					} else {
-						out = append(out, relational.Float(v))
-					}
-				}
-				return out, true, nil
-			}
-			if err := j.inner.Err(); err != nil {
-				return nil, false, err
+		if j.inner.iter != nil {
+			row, ok, err := j.inner.next(j.cur)
+			if ok || err != nil {
+				return row, ok, err
 			}
 			j.blobBytes += j.inner.BlobBytes()
-			j.inner = nil
+			j.inner.iter = nil
 		}
 		row, ok, err := j.outer.Next()
 		if !ok || err != nil {
@@ -499,24 +498,19 @@ func (j *nlVirtualJoin) Next() (Row, bool, error) {
 		if key.IsNull() {
 			continue
 		}
-		source := key.AsInt()
-		// Router lookup per driven source (metadata before data access).
-		j.store.Catalog().RouterLookup([]int64{source})
-		j.routerLookups++
-		iter, err := j.store.HistoricalScanOpts(source, j.t1, j.t2, j.wantTags, tsstore.ScanOptions{Ctx: j.ctx}, j.tagRanges...)
-		if err != nil {
+		j.inner.sel.ids = []int64{key.AsInt()}
+		if j.inner.open() != nil {
 			// Sensors present in the relational table but never registered
 			// as data sources contribute no rows (inner join semantics).
 			continue
 		}
 		j.cur = row
-		j.inner = iter
 	}
 }
 
 func (j *nlVirtualJoin) Describe(indent string) string {
 	return fmt.Sprintf("%sNLJoin->VirtualHistorical(%s, ts=[%d,%d))\n%s",
-		indent, j.schema.Name, j.t1, j.t2, j.outer.Describe(indent+"  "))
+		indent, j.inner.sel.schema.Name, j.inner.t1, j.inner.t2, j.outer.Describe(indent+"  "))
 }
 
 // --- index nested-loop join with a relational inner ---
@@ -535,11 +529,7 @@ type nlRelJoin struct {
 }
 
 func newNLRelJoin(outer Operator, t *relational.Table, idx *relational.Index, binding string, outerKey int) *nlRelJoin {
-	icols := make([]ColMeta, len(t.Columns()))
-	for i, c := range t.Columns() {
-		icols[i] = ColMeta{Table: binding, Name: c.Name, Kind: c.Type}
-	}
-	cols := append(append([]ColMeta{}, outer.Columns()...), icols...)
+	cols := append(append([]ColMeta{}, outer.Columns()...), relColumns(t, binding)...)
 	return &nlRelJoin{outer: outer, table: t, index: idx, binding: binding, outerKey: outerKey, cols: cols}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"odh/internal/model"
@@ -36,29 +37,17 @@ func (t *tableSource) binding() string { return t.ref.Binding() }
 func (t *tableSource) isVirtual() bool { return t.schema != nil }
 
 // columns returns the source's column layout under its binding.
-func (e *Engine) sourceColumns(src *tableSource) []ColMeta {
-	if src.isVirtual() {
-		cols := []ColMeta{
-			{Table: src.binding(), Name: src.schema.IDColumn(), Kind: relational.KindInt},
-			{Table: src.binding(), Name: src.schema.TSColumn(), Kind: relational.KindTime},
-		}
-		for _, tag := range src.schema.Tags {
-			cols = append(cols, ColMeta{Table: src.binding(), Name: tag.Name, Kind: relational.KindFloat})
-		}
-		return cols
+func (t *tableSource) columns() []ColMeta {
+	if t.isVirtual() {
+		return virtualColumns(t.schema, t.binding())
 	}
-	cols := make([]ColMeta, len(src.rel.Columns()))
-	for i, c := range src.rel.Columns() {
-		cols[i] = ColMeta{Table: src.binding(), Name: c.Name, Kind: c.Type}
-	}
-	return cols
+	return relColumns(t.rel, t.binding())
 }
 
 // joinPred is an equijoin between two bindings.
 type joinPred struct {
 	leftBind, leftCol   string
 	rightBind, rightCol string
-	expr                sqlparse.Expr
 }
 
 // tableAccess carries the chosen access path for one table.
@@ -66,11 +55,8 @@ type tableAccess struct {
 	src       *tableSource
 	conjuncts []sqlparse.Expr // single-table predicates (applied as filter)
 
-	// Virtual pushdowns.
-	t1, t2    int64
-	idEq      *int64
-	idList    []int64 // id IN (...) pushdown
-	tagRanges []tsstore.TagRange
+	// virt is the access descriptor of a virtual table (nil for relational).
+	virt *virtualAccess
 
 	// Relational access path.
 	index      *relational.Index
@@ -79,7 +65,7 @@ type tableAccess struct {
 	rangeHi    relational.Value
 
 	estRows float64
-	estCost float64
+	estCost float64 // bytes; virt.cost.total() for a virtual table
 }
 
 // planContext accumulates per-query planning state.
@@ -206,7 +192,7 @@ func (pc *planContext) bindingOf(ref *sqlparse.ColumnRef) (string, bool) {
 	}
 	found := ""
 	for _, src := range pc.sources {
-		for _, col := range pc.e.sourceColumns(src) {
+		for _, col := range src.columns() {
 			if strings.EqualFold(col.Name, ref.Name) {
 				if found != "" && found != src.binding() {
 					return "", false // ambiguous
@@ -216,6 +202,11 @@ func (pc *planContext) bindingOf(ref *sqlparse.ColumnRef) (string, bool) {
 		}
 	}
 	return found, found != ""
+}
+
+// flipped swaps the predicate's sides.
+func (jp joinPred) flipped() joinPred {
+	return joinPred{leftBind: jp.rightBind, leftCol: jp.rightCol, rightBind: jp.leftBind, rightCol: jp.leftCol}
 }
 
 // asJoinPred recognizes `a.x = b.y` between two different tables.
@@ -234,7 +225,7 @@ func asJoinPred(e sqlparse.Expr, pc *planContext) (joinPred, bool) {
 	if !ok1 || !ok2 || lb == rb {
 		return joinPred{}, false
 	}
-	return joinPred{leftBind: lb, leftCol: lc.Name, rightBind: rb, rightCol: rc.Name, expr: e}, true
+	return joinPred{leftBind: lb, leftCol: lc.Name, rightBind: rb, rightCol: rc.Name}, true
 }
 
 // analyzeAccess derives pushdowns and cost for each table.
@@ -249,194 +240,82 @@ func (pc *planContext) analyzeAccess() {
 	}
 }
 
-// literalValue extracts a literal (or nil).
-func literalValue(e sqlparse.Expr) *relational.Value {
-	if lit, ok := e.(*sqlparse.Literal); ok {
-		v := lit.Val
-		return &v
-	}
-	return nil
+// colPred is one WHERE conjunct destructured into comparisons of a single
+// column against literals — the one form both consumers of a conjunct's
+// meaning read: the relational index chooser and the virtual-table access
+// descriptor.
+type colPred struct {
+	col  string             // column name (the conjunct already belongs to one table)
+	cmps []litCmp           // col op lit; BETWEEN contributes >= and <=
+	in   []relational.Value // col IN (lit, ...)
+	// whole: cmps / in say everything the conjunct says (false for a
+	// BETWEEN with one non-literal bound).
+	whole bool
 }
 
-// asTimeMs coerces a literal to Unix milliseconds.
-func asTimeMs(v relational.Value) (int64, bool) {
-	switch v.Kind {
-	case relational.KindTime, relational.KindInt:
-		return v.I, true
-	case relational.KindFloat:
-		return int64(v.F), true
-	case relational.KindString:
-		return 0, false
-	}
-	return 0, false
+// litCmp is `col op lit` with op one of = != < <= > >=.
+type litCmp struct {
+	op  string
+	lit relational.Value
 }
 
-func asTimeBound(v relational.Value) (int64, bool) {
-	if v.Kind == relational.KindString {
-		if ms, ok := ParseTimestamp(v.S); ok {
-			return ms, true
-		}
-		return 0, false
-	}
-	return asTimeMs(v)
-}
+var comparisonOps = map[string]bool{"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
 
-// analyzeVirtual extracts time bounds and id equality for a virtual table
-// and estimates the slice-scan cost.
-func (pc *planContext) analyzeVirtual(acc *tableAccess) {
-	acc.t1, acc.t2 = math.MinInt64, math.MaxInt64
-	for _, conj := range acc.conjuncts {
-		switch x := conj.(type) {
-		case *sqlparse.BetweenExpr:
-			if col, ok := x.Target.(*sqlparse.ColumnRef); ok && strings.EqualFold(col.Name, acc.src.schema.TSColumn()) {
-				if lo := literalValue(x.Lo); lo != nil {
-					if ms, ok := asTimeBound(*lo); ok && ms > acc.t1 {
-						acc.t1 = ms
-					}
-				}
-				if hi := literalValue(x.Hi); hi != nil {
-					if ms, ok := asTimeBound(*hi); ok && ms+1 < acc.t2 {
-						acc.t2 = ms + 1 // BETWEEN is inclusive
-					}
-				}
-			}
-		case *sqlparse.InExpr:
-			// id IN (...) restricts the scan to the listed sources.
-			col, ok := x.Target.(*sqlparse.ColumnRef)
-			if !ok || !strings.EqualFold(col.Name, acc.src.schema.IDColumn()) {
-				continue
-			}
-			ids := make([]int64, 0, len(x.List))
-			seen := make(map[int64]bool, len(x.List))
-			for _, item := range x.List {
-				lit := literalValue(item)
-				if lit == nil {
-					ids = nil
-					break
-				}
-				if id, okID := asTimeMs(*lit); okID {
-					// IN is a membership test: a duplicate literal must not
-					// scan (and return) its source twice.
-					if !seen[id] {
-						seen[id] = true
-						ids = append(ids, id)
-					}
-				} else {
-					ids = nil
-					break
-				}
-			}
-			if len(ids) > 0 {
-				acc.idList = ids
-			}
-		case *sqlparse.BinaryExpr:
-			col, ok := x.L.(*sqlparse.ColumnRef)
-			lit := literalValue(x.R)
-			op := x.Op
-			if !ok || lit == nil {
-				// Allow literal-on-left comparisons by mirroring.
-				if colR, okR := x.R.(*sqlparse.ColumnRef); okR {
-					if litL := literalValue(x.L); litL != nil {
-						col, lit, ok = colR, litL, true
-						op = mirrorOp(op)
-					}
-				}
-			}
-			if !ok || lit == nil {
-				continue
-			}
-			if strings.EqualFold(col.Name, acc.src.schema.TSColumn()) {
-				ms, convertible := asTimeBound(*lit)
-				if !convertible {
-					continue
-				}
-				switch op {
-				case ">=":
-					if ms > acc.t1 {
-						acc.t1 = ms
-					}
-				case ">":
-					if ms+1 > acc.t1 {
-						acc.t1 = ms + 1
-					}
-				case "<=":
-					if ms+1 < acc.t2 {
-						acc.t2 = ms + 1
-					}
-				case "<":
-					if ms < acc.t2 {
-						acc.t2 = ms
-					}
-				case "=":
-					if ms > acc.t1 {
-						acc.t1 = ms
-					}
-					if ms+1 < acc.t2 {
-						acc.t2 = ms + 1
-					}
-				}
-			} else if strings.EqualFold(col.Name, acc.src.schema.IDColumn()) && op == "=" {
-				if id, okID := asTimeMs(*lit); okID {
-					v := id
-					acc.idEq = &v
-				}
-			}
+// destructure recognizes `col op lit`, `lit op col` (mirrored), `col
+// BETWEEN lit AND lit` and `col IN (lit, ...)`; ok is false for any other
+// shape, which stays with the filter alone.
+func destructure(conj sqlparse.Expr) (p colPred, ok bool) {
+	lit := func(e sqlparse.Expr) (relational.Value, bool) {
+		l, isLit := e.(*sqlparse.Literal)
+		if !isLit {
+			return relational.Null, false
 		}
+		return l.Val, true
 	}
-	// Tag predicates become zone-map pushdowns: a blob whose per-tag
-	// min/max range excludes the predicate is skipped without decoding.
-	tagBounds := collectColumnBounds(acc.conjuncts, func(col string) (relational.Kind, bool) {
-		if acc.src.schema.TagIndex(matchTagName(acc.src.schema, col)) >= 0 {
-			return relational.KindFloat, true
+	switch x := conj.(type) {
+	case *sqlparse.BetweenExpr:
+		col, isCol := x.Target.(*sqlparse.ColumnRef)
+		if !isCol {
+			return p, false
 		}
-		return relational.KindNull, false
-	})
-	for col, b := range tagBounds {
-		idx := acc.src.schema.TagIndex(matchTagName(acc.src.schema, col))
-		if idx < 0 {
-			continue
+		p.col = col.Name
+		if v, isLit := lit(x.Lo); isLit {
+			p.cmps = append(p.cmps, litCmp{">=", v})
 		}
-		r := tsstore.TagRange{Tag: idx, Lo: math.Inf(-1), Hi: math.Inf(1)}
-		if !b.lo.IsNull() {
-			r.Lo = b.lo.AsFloat()
+		if v, isLit := lit(x.Hi); isLit {
+			p.cmps = append(p.cmps, litCmp{"<=", v})
 		}
-		if !b.hi.IsNull() {
-			r.Hi = b.hi.AsFloat()
+		p.whole = len(p.cmps) == 2
+		return p, len(p.cmps) > 0
+	case *sqlparse.InExpr:
+		col, isCol := x.Target.(*sqlparse.ColumnRef)
+		if !isCol {
+			return p, false
 		}
-		if !math.IsInf(r.Lo, -1) || !math.IsInf(r.Hi, 1) {
-			acc.tagRanges = append(acc.tagRanges, r)
+		p.col, p.whole = col.Name, true
+		for _, item := range x.List {
+			v, isLit := lit(item)
+			if !isLit {
+				return p, false
+			}
+			p.in = append(p.in, v)
 		}
+		return p, true
+	case *sqlparse.BinaryExpr:
+		op := x.Op
+		col, isCol := x.L.(*sqlparse.ColumnRef)
+		v, isLit := lit(x.R)
+		if !isCol || !isLit {
+			col, isCol = x.R.(*sqlparse.ColumnRef)
+			v, isLit = lit(x.L)
+			op = mirrorOp(op)
+		}
+		if !isCol || !isLit || !comparisonOps[op] {
+			return p, false
+		}
+		return colPred{col: col.Name, cmps: []litCmp{{op, v}}, whole: true}, true
 	}
-
-	stats := pc.e.cat.SchemaStats(acc.src.schema.ID)
-	frac := windowFraction(stats, acc.t1, acc.t2)
-	nSources := float64(pc.e.cat.SourceCount(acc.src.schema.ID))
-	if acc.idEq != nil {
-		perSource := 0.0
-		if nSources > 0 {
-			perSource = float64(stats.BlobBytes) / nSources
-		}
-		acc.estCost = perSource*frac + costPerSeek + costPerRouterLookup
-		acc.estRows = float64(stats.PointCount) / math.Max(nSources, 1) * frac
-	} else if len(acc.idList) > 0 {
-		perSource := 0.0
-		if nSources > 0 {
-			perSource = float64(stats.BlobBytes) / nSources
-		}
-		n := float64(len(acc.idList))
-		acc.estCost = n * (perSource*frac + costPerSeek + costPerRouterLookup)
-		acc.estRows = float64(stats.PointCount) / math.Max(nSources, 1) * frac * n
-	} else {
-		// Slice scans over MG groups seek once per group record stream,
-		// not once per source — the MG structure's advantage for slice
-		// queries (paper Table 1).
-		seekStreams := nSources
-		if groups := pc.e.cat.GroupsBySchema(acc.src.schema.ID); len(groups) > 0 {
-			seekStreams = float64(len(groups))
-		}
-		acc.estCost = float64(stats.BlobBytes)*frac + seekStreams*costPerSeek*frac + nSources*costPerRouterLookup
-		acc.estRows = float64(stats.PointCount) * frac
-	}
+	return p, false
 }
 
 func mirrorOp(op string) string {
@@ -453,25 +332,305 @@ func mirrorOp(op string) string {
 	return op
 }
 
-// windowFraction estimates the fraction of stored data inside [t1, t2).
-func windowFraction(stats model.SourceStats, t1, t2 int64) float64 {
-	if stats.PointCount == 0 {
+// timeLit brackets a literal compared against the timestamp column by the
+// nearest integer milliseconds at or below and at or above it (equal when
+// the literal is itself integral; timestamp strings parse). ok is false
+// when no integer bound says what the comparison says: unparseable
+// strings, NULL, NaN, and floats beyond 2^53, where the filter's float64
+// comparison no longer tells neighbouring timestamps apart.
+func timeLit(v relational.Value) (floor, ceil int64, ok bool) {
+	switch v.Kind {
+	case relational.KindInt, relational.KindTime:
+		return v.I, v.I, true
+	case relational.KindFloat:
+		if math.Abs(v.F) <= 1<<53 {
+			return int64(math.Floor(v.F)), int64(math.Ceil(v.F)), true
+		}
+	case relational.KindString:
+		if ms, parsed := ParseTimestamp(v.S); parsed {
+			return ms, ms, true
+		}
+	}
+	return 0, 0, false
+}
+
+// intLit converts a literal that must be an exact integer (a source id, a
+// TIME_BUCKET width). Strings never qualify: against an integer column
+// they compare by kind, not by value.
+func intLit(v relational.Value) (int64, bool) {
+	floor, ceil, ok := timeLit(v)
+	return floor, ok && floor == ceil && v.Kind != relational.KindString
+}
+
+// tagLit converts a literal to the float64 a tag comparison sees. Integers
+// beyond 2^53 lose precision in the conversion and NaN never compares, so
+// both are declined.
+func tagLit(v relational.Value) (float64, bool) {
+	switch v.Kind {
+	case relational.KindInt:
+		return float64(v.I), v.I <= 1<<53 && v.I >= -(1<<53)
+	case relational.KindFloat:
+		return v.F, !math.IsNaN(v.F)
+	}
+	return 0, false
+}
+
+// satInc is ms+1 saturating at MaxInt64 — the exclusive edge of an
+// inclusive bound. No scan returns a row at MaxInt64 (every window is
+// half-open), so the saturated edge loses nothing a query could see.
+func satInc(ms int64) int64 {
+	if ms == math.MaxInt64 {
+		return ms
+	}
+	return ms + 1
+}
+
+// virtualAccess is everything the planner decides about reading one
+// virtual table, derived from the table's conjuncts in one pass. Row scans,
+// the fused join's inner scans and the aggregate pushdown all read it.
+type virtualAccess struct {
+	// t1, t2: the half-open window [t1, t2) the timestamp conjuncts allow.
+	t1, t2 int64
+	sel    sourceSel         // `id = n`, `id IN (...)`, or the whole schema
+	preds  []tsstore.TagPred // tag conjuncts, strictness kept
+	// exact: every conjunct was absorbed losslessly into the fields above,
+	// so they may replace the filter (the aggregate pushdown's
+	// precondition). A conjunct absorbed inexactly only ever loosens them:
+	// row plans keep the filter, which re-checks every row.
+	exact bool
+	cost  blobCost // the selection read as a row scan
+
+	stats    model.SourceStats // the schema's persisted totals
+	nSources float64
+}
+
+// absorb folds one destructured conjunct into the descriptor and reports
+// whether that was lossless.
+func (va *virtualAccess) absorb(p colPred) bool {
+	schema := va.sel.schema
+	exact := p.whole
+	switch {
+	case strings.EqualFold(p.col, schema.TSColumn()):
+		if p.in != nil {
+			return false
+		}
+		for _, c := range p.cmps {
+			// A fractional literal is bracketed by its floor and ceiling, which
+			// is as tight as integer timestamps allow and never tighter than
+			// the predicate; only an integral one counts as exact.
+			floor, ceil, ok := timeLit(c.lit)
+			if !ok {
+				exact = false
+				continue
+			}
+			exact = exact && floor == ceil
+			switch c.op {
+			case ">=":
+				va.t1 = max(va.t1, ceil)
+			case ">":
+				va.t1 = max(va.t1, satInc(floor))
+			case "<=":
+				va.t2 = min(va.t2, satInc(floor))
+			case "<":
+				va.t2 = min(va.t2, ceil)
+			case "=":
+				va.t1, va.t2 = max(va.t1, ceil), min(va.t2, satInc(floor))
+			default:
+				exact = false
+			}
+		}
+	case strings.EqualFold(p.col, schema.IDColumn()):
+		// One id conjunct selects the sources; a second one is left to the
+		// filter rather than intersected.
+		lits := p.in
+		if len(p.cmps) == 1 && p.cmps[0].op == "=" {
+			lits = []relational.Value{p.cmps[0].lit}
+		}
+		if lits == nil || va.sel.ids != nil {
+			return false
+		}
+		// IN is a membership test: a duplicate literal must not scan (and
+		// return) its source twice.
+		ids := make([]int64, 0, len(lits))
+		for _, lit := range lits {
+			id, ok := intLit(lit)
+			if !ok {
+				return false
+			}
+			if !slices.Contains(ids, id) {
+				ids = append(ids, id)
+			}
+		}
+		va.sel.ids, va.sel.one = ids, p.in == nil
+	default:
+		tag := schema.TagIndex(matchTagName(schema, p.col))
+		if tag < 0 || p.in != nil {
+			return false
+		}
+		pred := tsstore.TagPred{Tag: tag, Lo: math.Inf(-1), Hi: math.Inf(1)}
+		for _, c := range p.cmps {
+			v, ok := tagLit(c.lit)
+			if !ok {
+				exact = false
+				continue
+			}
+			switch c.op {
+			case "=":
+				pred.Lo, pred.Hi = v, v
+			case "<":
+				pred.Hi, pred.HiStrict = v, true
+			case "<=":
+				pred.Hi = v
+			case ">":
+				pred.Lo, pred.LoStrict = v, true
+			case ">=":
+				pred.Lo = v
+			default:
+				exact = false
+			}
+		}
+		if !math.IsInf(pred.Lo, -1) || !math.IsInf(pred.Hi, 1) {
+			va.preds = append(va.preds, pred)
+		}
+	}
+	return exact
+}
+
+// zones derives the zone-map hulls of the tag predicates: a blob whose
+// per-tag min/max range misses one is skipped without decoding. Strict
+// bounds loosen to inclusive, which is safe for skipping.
+func (va *virtualAccess) zones() []tsstore.TagRange {
+	var out []tsstore.TagRange
+	for _, p := range va.preds {
+		out = append(out, tsstore.TagRange{Tag: p.Tag, Lo: p.Lo, Hi: p.Hi})
+	}
+	return out
+}
+
+// blobCost is the planner's one currency (paper §3): "the expected size,
+// in bytes, of the ValueBlobs that need to be accessed", plus the fixed
+// charges of reaching them. Scan costing, fused-join ordering, the
+// pushdown's est-decoded note and the parallel degree all read it.
+type blobCost struct {
+	swept   float64 // blob bytes inside the window that the access walks over
+	decoded float64 // of swept, the bytes column-decoded: all of them for a row scan, boundary blobs only for a summary fold
+	seeks   float64 // B-tree descents, costPerSeek bytes each
+	lookups float64 // data-router metadata probes, costPerRouterLookup bytes each
+	subBase int64   // > 0: a TIME_BUCKET grid folds from sub-bucket summaries of this width
+}
+
+func (c blobCost) total() float64 {
+	return c.swept + c.seeks*costPerSeek + c.lookups*costPerRouterLookup
+}
+
+// String renders a fold's estimate for EXPLAIN.
+func (c blobCost) String() string {
+	pct, sub := 0.0, ""
+	if c.swept > 0 {
+		pct = 100 * (1 - c.decoded/c.swept)
+	}
+	if c.subBase > 0 {
+		sub = fmt.Sprintf(", sub-bucket foldable @%dms", c.subBase)
+	}
+	return fmt.Sprintf("est-decoded=%.0fB of %.0fB swept blob bytes (%.0f%% summary-folded%s)", c.decoded, c.swept, pct, sub)
+}
+
+// byID prices row-scanning n sources by id over the window: each pays its
+// share of the schema's blob bytes, one seek and one router lookup. It is
+// also what the relational-first fused plan pays per driving row.
+func (va *virtualAccess) byID(n float64) blobCost {
+	perSource := 0.0
+	if va.nSources > 0 {
+		perSource = float64(va.stats.BlobBytes) / va.nSources
+	}
+	bytes := perSource * va.fraction() * n
+	return blobCost{swept: bytes, decoded: bytes, seeks: n, lookups: n}
+}
+
+// folded re-prices the access as a summary fold: a window edge cuts at
+// most one blob per record stream, two edges per stream; everything else
+// folds from header summaries undecoded.
+func (va *virtualAccess) folded(bucketMs, subBase int64) blobCost {
+	c := va.cost
+	streams := math.Max(va.nSources, 1)
+	if va.sel.ids != nil {
+		streams = float64(len(va.sel.ids))
+	}
+	avgBlob := 0.0
+	if va.stats.BatchCount > 0 {
+		avgBlob = float64(va.stats.BlobBytes) / float64(va.stats.BatchCount)
+	}
+	c.decoded = math.Min(c.swept, 2*streams*avgBlob)
+	if bucketMs <= 0 {
+		return c
+	}
+	// A TIME_BUCKET grid adds an interior bucket edge every bucketMs across
+	// the effective window, and every edge cuts one straddling blob per
+	// stream that must be decoded — unless the store writes sub-bucket
+	// summaries at a base this width is a multiple of, in which case
+	// straddlers fold from the mini-summaries and only the two window edges
+	// remain decoded.
+	if subBase > 0 && bucketMs%subBase == 0 {
+		c.subBase = subBase
+	} else if lo, hi := va.dataWindow(); hi > lo {
+		edges := (hi - lo) / float64(bucketMs)
+		c.decoded = math.Min(c.swept, c.decoded+edges*streams*avgBlob)
+	}
+	return c
+}
+
+// dataWindow clips the window to the span that holds persisted data.
+func (va *virtualAccess) dataWindow() (lo, hi float64) {
+	return math.Max(float64(va.t1), float64(va.stats.FirstTS)), math.Min(float64(va.t2), float64(va.stats.LastTS))
+}
+
+// fraction estimates the share of stored data inside the window.
+func (va *virtualAccess) fraction() float64 {
+	span := float64(va.stats.LastTS - va.stats.FirstTS)
+	if va.stats.PointCount == 0 || span <= 0 {
 		return 1
 	}
-	span := float64(stats.LastTS - stats.FirstTS)
-	if span <= 0 {
-		return 1
-	}
-	lo := math.Max(float64(t1), float64(stats.FirstTS))
-	hi := math.Min(float64(t2), float64(stats.LastTS))
+	lo, hi := va.dataWindow()
 	if hi <= lo {
 		return 0.001 // off-range queries still touch boundary batches
 	}
-	frac := (hi - lo) / span
-	if frac > 1 {
-		frac = 1
+	return math.Min((hi-lo)/span, 1)
+}
+
+// analyzeVirtual builds a virtual table's access descriptor and costs it.
+func (pc *planContext) analyzeVirtual(acc *tableAccess) {
+	schema := acc.src.schema
+	cat := pc.e.cat
+	va := &virtualAccess{
+		t1: math.MinInt64, t2: math.MaxInt64, exact: true,
+		sel:      sourceSel{schema: schema},
+		stats:    cat.SchemaStats(schema.ID),
+		nSources: float64(cat.SourceCount(schema.ID)),
 	}
-	return frac
+	acc.virt = va
+	for _, conj := range acc.conjuncts {
+		if p, ok := destructure(conj); !ok || !va.absorb(p) {
+			va.exact = false
+		}
+	}
+	frac := va.fraction()
+	if va.sel.ids != nil {
+		n := float64(len(va.sel.ids))
+		va.cost = va.byID(n)
+		acc.estRows = float64(va.stats.PointCount) / math.Max(va.nSources, 1) * frac * n
+	} else {
+		// Slice scans over MG groups seek once per group record stream,
+		// not once per source — the MG structure's advantage for slice
+		// queries (paper Table 1).
+		seekStreams := va.nSources
+		if groups := cat.GroupsBySchema(schema.ID); len(groups) > 0 {
+			seekStreams = float64(len(groups))
+		}
+		bytes := float64(va.stats.BlobBytes) * frac
+		va.cost = blobCost{swept: bytes, decoded: bytes, seeks: seekStreams * frac, lookups: va.nSources}
+		acc.estRows = float64(va.stats.PointCount) * frac
+	}
+	acc.estCost = va.cost.total()
 }
 
 // colBounds accumulates the literal range a table's conjuncts pin one
@@ -479,84 +638,6 @@ func windowFraction(stats model.SourceStats, t1, t2 int64) float64 {
 type colBounds struct {
 	lo, hi relational.Value // inclusive; Null = open
 	eq     bool             // exact equality (lo == hi from '=')
-}
-
-// collectColumnBounds derives per-column ranges from a table's conjuncts:
-// '=', '<', '<=', '>', '>=' comparisons against literals and BETWEEN.
-// Exclusive bounds are treated as inclusive — the scan re-checks the exact
-// predicate, so this only loosens the range.
-func collectColumnBounds(conjuncts []sqlparse.Expr, kindOf func(col string) (relational.Kind, bool)) map[string]*colBounds {
-	bounds := map[string]*colBounds{}
-	get := func(name string) *colBounds {
-		key := strings.ToLower(name)
-		b, ok := bounds[key]
-		if !ok {
-			b = &colBounds{lo: relational.Null, hi: relational.Null}
-			bounds[key] = b
-		}
-		return b
-	}
-	tightenLo := func(b *colBounds, v relational.Value) {
-		if b.lo.IsNull() || relational.Compare(v, b.lo) > 0 {
-			b.lo = v
-		}
-	}
-	tightenHi := func(b *colBounds, v relational.Value) {
-		if b.hi.IsNull() || relational.Compare(v, b.hi) < 0 {
-			b.hi = v
-		}
-	}
-	for _, conj := range conjuncts {
-		switch x := conj.(type) {
-		case *sqlparse.BetweenExpr:
-			col, ok := x.Target.(*sqlparse.ColumnRef)
-			if !ok {
-				continue
-			}
-			kind, known := kindOf(col.Name)
-			if !known {
-				continue
-			}
-			if lo := literalValue(x.Lo); lo != nil {
-				tightenLo(get(col.Name), coerceLiteral(*lo, kind))
-			}
-			if hi := literalValue(x.Hi); hi != nil {
-				tightenHi(get(col.Name), coerceLiteral(*hi, kind))
-			}
-		case *sqlparse.BinaryExpr:
-			col, ok := x.L.(*sqlparse.ColumnRef)
-			lit := literalValue(x.R)
-			op := x.Op
-			if !ok || lit == nil {
-				if colR, okR := x.R.(*sqlparse.ColumnRef); okR {
-					if litL := literalValue(x.L); litL != nil {
-						col, lit, ok = colR, litL, true
-						op = mirrorOp(op)
-					}
-				}
-			}
-			if !ok || lit == nil {
-				continue
-			}
-			kind, known := kindOf(col.Name)
-			if !known {
-				continue
-			}
-			v := coerceLiteral(*lit, kind)
-			b := get(col.Name)
-			switch op {
-			case "=":
-				tightenLo(b, v)
-				tightenHi(b, v)
-				b.eq = true
-			case "<", "<=":
-				tightenHi(b, v)
-			case ">", ">=":
-				tightenLo(b, v)
-			}
-		}
-	}
-	return bounds
 }
 
 // analyzeRelational picks the best index for a relational table.
@@ -570,14 +651,45 @@ func (pc *planContext) analyzeRelational(acc *tableAccess) {
 	// Default: sequential scan.
 	acc.estRows = rows
 	acc.estCost = rows * avgRow
-	bounds := collectColumnBounds(acc.conjuncts, func(col string) (relational.Kind, bool) {
+	// Per-column ranges from the comparisons. Exclusive bounds are treated
+	// as inclusive — the filter re-checks the exact predicate, so this only
+	// loosens the range.
+	bounds := map[string]*colBounds{}
+	for _, conj := range acc.conjuncts {
+		p, ok := destructure(conj)
+		if !ok || p.in != nil {
+			continue
+		}
+		kind, known := relational.KindNull, false
 		for _, c := range t.Columns() {
-			if strings.EqualFold(c.Name, col) {
-				return c.Type, true
+			if strings.EqualFold(c.Name, p.col) {
+				kind, known = c.Type, true
 			}
 		}
-		return relational.KindNull, false
-	})
+		if !known {
+			continue
+		}
+		key := strings.ToLower(p.col)
+		b := bounds[key]
+		if b == nil {
+			b = &colBounds{lo: relational.Null, hi: relational.Null}
+			bounds[key] = b
+		}
+		for _, c := range p.cmps {
+			v := coerceLiteral(c.lit, kind)
+			if c.op == "=" || c.op == ">" || c.op == ">=" {
+				if b.lo.IsNull() || relational.Compare(v, b.lo) > 0 {
+					b.lo = v
+				}
+			}
+			if c.op == "=" || c.op == "<" || c.op == "<=" {
+				if b.hi.IsNull() || relational.Compare(v, b.hi) < 0 {
+					b.hi = v
+				}
+			}
+			b.eq = b.eq || c.op == "="
+		}
+	}
 	// Probe each bounded column's index for its match count; the probes
 	// double as histogram statistics (per-column selectivities compose
 	// multiplicatively, independence assumed).

@@ -2,7 +2,6 @@ package sqlexec
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"odh/internal/model"
@@ -15,474 +14,103 @@ import (
 // table into a tsstore summary scan: blobs fully inside the window whose
 // header summary proves every predicate fold from the header alone, so
 // only boundary blobs are column-decoded. The rewrite fires only when it
-// is exactly equivalent to the scan + filter + hash-aggregate plan —
-// every WHERE conjunct must be absorbed losslessly into the AggSpec, and
-// every select item must be a supported aggregate or a group key.
+// is exactly equivalent to the scan + filter + hash-aggregate plan — the
+// access descriptor must have absorbed every WHERE conjunct losslessly,
+// and every select item must be a supported aggregate or a group key.
 
-// aggPushKind enumerates how one output column is materialized from an
-// AggGroup.
-type aggPushKind uint8
-
-const (
-	pushKeyID aggPushKind = iota
-	pushKeyBucket
-	pushCountStar
-	pushCount // COUNT(tag)
-	pushSum
-	pushAvg
-	pushMin
-	pushMax
-)
-
-type aggPushItem struct {
-	kind aggPushKind
-	tag  int // tag ordinal for per-tag aggregates
+// pushCol says how one output column is read off an AggGroup.
+type pushCol struct {
+	fn     string // "" for a group key
+	bucket bool   // group keys: the TIME_BUCKET grid (else the id column)
+	tag    int    // aggregates: the tag ordinal, -1 for COUNT(*)
 }
 
-// groupKeyKind classifies a GROUP BY expression the pushdown supports.
-type groupKeyKind uint8
-
-const (
-	keyNone groupKeyKind = iota
-	keyID                // GROUP BY <id column>
-	keyBucket            // GROUP BY TIME_BUCKET(w, <ts column>)
-)
-
-// tryAggPushdown attempts the rewrite; ok is false when the query shape
-// is not exactly expressible as an AggSpec (the caller falls back to the
-// generic plan, which also surfaces any semantic errors).
-func (pc *planContext) tryAggPushdown() (Operator, bool) {
-	if pc.e.aggPushdownOff.Load() {
-		return nil, false
-	}
-	if len(pc.sources) != 1 || !pc.sources[0].isVirtual() {
+// tryAggPushdown attempts the rewrite; ok is false when the query is not
+// exactly expressible as an AggSpec and the generic plan must run.
+func (pc *planContext) tryAggPushdown(sh *aggShape) (Operator, bool) {
+	if pc.e.aggPushdownOff.Load() || len(pc.sources) != 1 || !pc.sources[0].isVirtual() {
 		return nil, false
 	}
 	src := pc.sources[0]
 	schema := src.schema
-	acc := pc.access[src.binding()]
-
+	va := pc.access[src.binding()].virt
+	if !va.exact {
+		return nil, false
+	}
 	spec := tsstore.AggSpec{
-		T1:    math.MinInt64,
-		T2:    math.MaxInt64,
-		NTags: len(schema.Tags),
-	}
-	var idEq *int64
-	var idList []int64
-	for _, conj := range acc.conjuncts {
-		if !pc.absorbConjunct(conj, schema, &spec, &idEq, &idList) {
-			return nil, false
-		}
-	}
-	if idEq != nil && idList != nil {
-		return nil, false // combined id pushdowns: let the generic plan sort it out
+		T1: va.t1, T2: va.t2,
+		NTags:    len(schema.Tags),
+		Preds:    va.preds,
+		WantTags: pc.wantTags[src.binding()],
 	}
 
 	// GROUP BY: only the id column and one TIME_BUCKET grid are liftable.
-	keyKinds := make([]groupKeyKind, len(pc.stmt.GroupBy))
-	for i, g := range pc.stmt.GroupBy {
-		k := pc.classifyGroupKey(g, schema)
-		if k == keyNone {
+	bucketKey := make([]bool, len(sh.keys))
+	for i, g := range sh.keys {
+		if col, ok := g.(*sqlparse.ColumnRef); ok && strings.EqualFold(col.Name, schema.IDColumn()) {
+			spec.ByID = true
+		} else if w, ok := bucketWidth(g, schema); ok && (spec.BucketMs == 0 || spec.BucketMs == w) {
+			spec.BucketMs, bucketKey[i] = w, true
+		} else {
 			return nil, false
 		}
-		if k == keyBucket {
-			w, ok := bucketWidth(g)
-			if !ok || (spec.BucketMs != 0 && spec.BucketMs != w) {
+	}
+
+	// Select items: group keys or direct aggregate calls over tags (id and
+	// timestamp aggregates stay on the generic path).
+	inCols := src.columns()
+	op := &aggPushdownOp{store: pc.e.ts, sel: va.sel}
+	for _, it := range sh.items {
+		c := pushCol{fn: it.fn, tag: -1}
+		switch {
+		case it.key >= 0:
+			c.bucket = bucketKey[it.key]
+		case !it.star:
+			col, ok := it.arg.(*sqlparse.ColumnRef)
+			if !ok {
 				return nil, false
 			}
-			spec.BucketMs = w
-		} else {
-			spec.ByID = true
-		}
-		keyKinds[i] = k
-	}
-
-	// Select items: group keys or direct aggregate calls over tags.
-	groupStrs := make([]string, len(pc.stmt.GroupBy))
-	for i, g := range pc.stmt.GroupBy {
-		groupStrs[i] = strings.ToUpper(g.String())
-	}
-	inCols := pc.e.sourceColumns(src)
-	var items []aggPushItem
-	var cols []ColMeta
-	for _, item := range pc.stmt.Items {
-		if item.Star {
-			return nil, false
-		}
-		name := item.Alias
-		if name == "" {
-			name = item.Expr.String()
-		}
-		push, ok := pc.classifyAggItem(item.Expr, schema, groupStrs, keyKinds)
-		if !ok {
-			return nil, false
-		}
-		items = append(items, push)
-		cols = append(cols, ColMeta{Name: name, Kind: exprKind(item.Expr, inCols)})
-	}
-
-	spec.WantTags = pc.wantTags[src.binding()]
-
-	// Cost: only boundary blobs (a window edge cuts at most one blob per
-	// record stream, two edges per stream) are decoded; everything else
-	// folds from summaries. The parallel degree follows the decoded bytes,
-	// not the swept bytes — fanning out a fold-only scan buys nothing.
-	stats := pc.e.cat.SchemaStats(schema.ID)
-	frac := windowFraction(stats, spec.T1, spec.T2)
-	nSources := math.Max(float64(pc.e.cat.SourceCount(schema.ID)), 1)
-	avgBlob := 0.0
-	if stats.BatchCount > 0 {
-		avgBlob = float64(stats.BlobBytes) / float64(stats.BatchCount)
-	}
-	var estSwept, streams float64
-	switch {
-	case idEq != nil:
-		estSwept = float64(stats.BlobBytes) / nSources * frac
-		streams = 1
-	case idList != nil:
-		estSwept = float64(stats.BlobBytes) / nSources * frac * float64(len(idList))
-		streams = float64(len(idList))
-	default:
-		estSwept = float64(stats.BlobBytes) * frac
-		streams = nSources
-	}
-	estDecoded := math.Min(estSwept, 2*streams*avgBlob)
-	subNote := ""
-	if spec.BucketMs > 0 {
-		// A TIME_BUCKET grid adds an interior bucket edge every BucketMs
-		// across the effective window, and every edge cuts one straddling
-		// blob per stream that must be decoded — unless the store writes
-		// sub-bucket summaries at a base this width is a multiple of, in
-		// which case straddlers fold from the mini-summaries and only the
-		// two window edges remain decoded.
-		if base := pc.e.ts.SubBucketMs(); base > 0 && spec.BucketMs%base == 0 {
-			subNote = fmt.Sprintf(", sub-bucket foldable @%dms", base)
-		} else if stats.PointCount > 0 {
-			lo := math.Max(float64(spec.T1), float64(stats.FirstTS))
-			hi := math.Min(float64(spec.T2), float64(stats.LastTS))
-			if hi > lo {
-				edges := (hi - lo) / float64(spec.BucketMs)
-				estDecoded = math.Min(estSwept, estDecoded+edges*streams*avgBlob)
+			if c.tag = schema.TagIndex(matchTagName(schema, col.Name)); c.tag < 0 {
+				return nil, false
 			}
 		}
+		op.items = append(op.items, c)
+		op.cols = append(op.cols, ColMeta{Name: it.name, Kind: exprKind(it.expr, inCols)})
 	}
-	pct := 0.0
-	if estSwept > 0 {
-		pct = 100 * (1 - estDecoded/estSwept)
-	}
-	note := fmt.Sprintf("agg-pushdown est-decoded=%.0fB of %.0fB swept blob bytes (%.0f%% summary-folded%s)",
-		estDecoded, estSwept, pct, subNote)
-	if pc.planNote == "" {
-		pc.planNote = note
-	} else {
-		pc.planNote += "\n" + note
-	}
-	spec.Opts = tsstore.ScanOptions{Workers: pc.e.parallelDegree(estDecoded), Ctx: pc.ctx}
 
-	op := &aggPushdownOp{
-		store:  pc.e.ts,
-		schema: schema,
-		spec:   spec,
-		items:  items,
-		cols:   cols,
-	}
-	if idEq != nil {
-		op.source = *idEq
-		op.historical = true
-	}
-	op.sources = idList
+	// The parallel degree follows the decoded bytes, not the swept bytes —
+	// fanning out a fold-only scan buys nothing.
+	cost := va.folded(spec.BucketMs, pc.e.ts.SubBucketMs())
+	pc.planNote = "agg-pushdown " + cost.String()
+	spec.Opts = tsstore.ScanOptions{Workers: pc.e.parallelDegree(cost), Ctx: pc.ctx}
+	op.spec = spec
 	return op, true
 }
 
-// absorbConjunct translates one WHERE conjunct into AggSpec fields. It
-// must be exact: if the conjunct cannot be represented without loosening
-// (e.g. a fractional time literal that asTimeMs would truncate), it
-// reports false and the pushdown is abandoned.
-func (pc *planContext) absorbConjunct(conj sqlparse.Expr, schema *model.SchemaType, spec *tsstore.AggSpec, idEq **int64, idList *[]int64) bool {
-	switch x := conj.(type) {
-	case *sqlparse.BetweenExpr:
-		col, ok := x.Target.(*sqlparse.ColumnRef)
-		if !ok {
-			return false
-		}
-		loLit, hiLit := literalValue(x.Lo), literalValue(x.Hi)
-		if loLit == nil || hiLit == nil {
-			return false
-		}
-		if strings.EqualFold(col.Name, schema.TSColumn()) {
-			lo, ok1 := exactTimeMs(*loLit)
-			hi, ok2 := exactTimeMs(*hiLit)
-			if !ok1 || !ok2 || hi == math.MaxInt64 {
-				return false
-			}
-			tightenWindow(spec, lo, hi+1)
-			return true
-		}
-		if tag := schema.TagIndex(matchTagName(schema, col.Name)); tag >= 0 {
-			lo, ok1 := exactTagLit(*loLit)
-			hi, ok2 := exactTagLit(*hiLit)
-			if !ok1 || !ok2 {
-				return false
-			}
-			spec.Preds = append(spec.Preds, tsstore.TagPred{Tag: tag, Lo: lo, Hi: hi})
-			return true
-		}
-		return false
-	case *sqlparse.InExpr:
-		col, ok := x.Target.(*sqlparse.ColumnRef)
-		if !ok || !strings.EqualFold(col.Name, schema.IDColumn()) {
-			return false
-		}
-		seen := make(map[int64]bool, len(x.List))
-		ids := make([]int64, 0, len(x.List))
-		for _, item := range x.List {
-			lit := literalValue(item)
-			if lit == nil {
-				return false
-			}
-			id, okID := exactTimeMs(*lit)
-			if !okID {
-				return false
-			}
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-		if len(ids) == 0 || *idList != nil {
-			return false
-		}
-		*idList = ids
-		return true
-	case *sqlparse.BinaryExpr:
-		col, okCol := x.L.(*sqlparse.ColumnRef)
-		lit := literalValue(x.R)
-		op := x.Op
-		if !okCol || lit == nil {
-			if colR, okR := x.R.(*sqlparse.ColumnRef); okR {
-				if litL := literalValue(x.L); litL != nil {
-					col, lit, okCol = colR, litL, true
-					op = mirrorOp(op)
-				}
-			}
-		}
-		if !okCol || lit == nil {
-			return false
-		}
-		switch {
-		case strings.EqualFold(col.Name, schema.TSColumn()):
-			ms, convertible := exactTimeMs(*lit)
-			if !convertible {
-				return false
-			}
-			switch op {
-			case ">=":
-				tightenWindow(spec, ms, math.MaxInt64)
-			case ">":
-				if ms == math.MaxInt64 {
-					return false
-				}
-				tightenWindow(spec, ms+1, math.MaxInt64)
-			case "<=":
-				if ms == math.MaxInt64 {
-					return false
-				}
-				tightenWindow(spec, math.MinInt64, ms+1)
-			case "<":
-				tightenWindow(spec, math.MinInt64, ms)
-			case "=":
-				if ms == math.MaxInt64 {
-					return false
-				}
-				tightenWindow(spec, ms, ms+1)
-			default:
-				return false
-			}
-			return true
-		case strings.EqualFold(col.Name, schema.IDColumn()):
-			if op != "=" {
-				return false
-			}
-			id, okID := exactTimeMs(*lit)
-			if !okID || (*idEq != nil && **idEq != id) {
-				return false
-			}
-			*idEq = &id
-			return true
-		default:
-			tag := schema.TagIndex(matchTagName(schema, col.Name))
-			if tag < 0 {
-				return false
-			}
-			v, okV := exactTagLit(*lit)
-			if !okV {
-				return false
-			}
-			p := tsstore.TagPred{Tag: tag, Lo: math.Inf(-1), Hi: math.Inf(1)}
-			switch op {
-			case "=":
-				p.Lo, p.Hi = v, v
-			case "<":
-				p.Hi, p.HiStrict = v, true
-			case "<=":
-				p.Hi = v
-			case ">":
-				p.Lo, p.LoStrict = v, true
-			case ">=":
-				p.Lo = v
-			default:
-				return false
-			}
-			spec.Preds = append(spec.Preds, p)
-			return true
-		}
-	}
-	return false
-}
-
-func tightenWindow(spec *tsstore.AggSpec, t1, t2 int64) {
-	if t1 > spec.T1 {
-		spec.T1 = t1
-	}
-	if t2 < spec.T2 {
-		spec.T2 = t2
-	}
-}
-
-// exactTimeMs converts a literal to milliseconds only when the conversion
-// is lossless — unlike asTimeMs, a fractional float is rejected rather
-// than truncated, because the absorbed bound replaces the re-checking
-// filter.
-func exactTimeMs(v relational.Value) (int64, bool) {
-	switch v.Kind {
-	case relational.KindTime, relational.KindInt:
-		return v.I, true
-	case relational.KindFloat:
-		if v.F != math.Trunc(v.F) || v.F < -9.2e18 || v.F > 9.2e18 {
-			return 0, false
-		}
-		return int64(v.F), true
-	case relational.KindString:
-		if ms, ok := ParseTimestamp(v.S); ok {
-			return ms, true
-		}
-	}
-	return 0, false
-}
-
-// exactTagLit converts a literal to the float64 a tag comparison would
-// see. Integers beyond 2^53 lose precision in the conversion, so they are
-// rejected.
-func exactTagLit(v relational.Value) (float64, bool) {
-	switch v.Kind {
-	case relational.KindInt:
-		if v.I > 1<<53 || v.I < -(1<<53) {
-			return 0, false
-		}
-		return float64(v.I), true
-	case relational.KindFloat:
-		if math.IsNaN(v.F) {
-			return 0, false
-		}
-		return v.F, true
-	}
-	return 0, false
-}
-
-// classifyGroupKey recognizes the two liftable GROUP BY shapes.
-func (pc *planContext) classifyGroupKey(g sqlparse.Expr, schema *model.SchemaType) groupKeyKind {
-	switch x := g.(type) {
-	case *sqlparse.ColumnRef:
-		if strings.EqualFold(x.Name, schema.IDColumn()) {
-			return keyID
-		}
-	case *sqlparse.FuncExpr:
-		if x.Name != "TIME_BUCKET" || x.Star || len(x.Args) != 2 {
-			return keyNone
-		}
-		if _, ok := bucketWidth(x); !ok {
-			return keyNone
-		}
-		if col, ok := x.Args[1].(*sqlparse.ColumnRef); ok && strings.EqualFold(col.Name, schema.TSColumn()) {
-			return keyBucket
-		}
-	}
-	return keyNone
-}
-
-// bucketWidth extracts a positive integral TIME_BUCKET width literal.
-func bucketWidth(g sqlparse.Expr) (int64, bool) {
+// bucketWidth recognizes TIME_BUCKET(w, <ts column>) with a positive
+// integral literal width.
+func bucketWidth(g sqlparse.Expr, schema *model.SchemaType) (int64, bool) {
 	fe, ok := g.(*sqlparse.FuncExpr)
-	if !ok || len(fe.Args) != 2 {
+	if !ok || fe.Name != "TIME_BUCKET" || len(fe.Args) != 2 {
 		return 0, false
 	}
-	lit := literalValue(fe.Args[0])
-	if lit == nil {
+	lit, isLit := fe.Args[0].(*sqlparse.Literal)
+	col, isCol := fe.Args[1].(*sqlparse.ColumnRef)
+	if !isLit || !isCol || !strings.EqualFold(col.Name, schema.TSColumn()) {
 		return 0, false
 	}
-	w, ok := exactTimeMs(*lit)
-	if !ok || w <= 0 {
-		return 0, false
-	}
-	return w, true
-}
-
-// classifyAggItem maps one select item onto an AggGroup field.
-func (pc *planContext) classifyAggItem(e sqlparse.Expr, schema *model.SchemaType, groupStrs []string, keyKinds []groupKeyKind) (aggPushItem, bool) {
-	if fe, ok := e.(*sqlparse.FuncExpr); ok && fe.IsAggregate() {
-		if fe.Star {
-			if fe.Name != "COUNT" {
-				return aggPushItem{}, false
-			}
-			return aggPushItem{kind: pushCountStar}, true
-		}
-		col, ok := fe.Args[0].(*sqlparse.ColumnRef)
-		if !ok {
-			return aggPushItem{}, false
-		}
-		tag := schema.TagIndex(matchTagName(schema, col.Name))
-		if tag < 0 {
-			return aggPushItem{}, false // id/ts aggregates stay on the generic path
-		}
-		switch fe.Name {
-		case "COUNT":
-			return aggPushItem{kind: pushCount, tag: tag}, true
-		case "SUM":
-			return aggPushItem{kind: pushSum, tag: tag}, true
-		case "AVG":
-			return aggPushItem{kind: pushAvg, tag: tag}, true
-		case "MIN":
-			return aggPushItem{kind: pushMin, tag: tag}, true
-		case "MAX":
-			return aggPushItem{kind: pushMax, tag: tag}, true
-		}
-		return aggPushItem{}, false
-	}
-	// Non-aggregate items must name a GROUP BY key (buildAggregate's rule).
-	str := strings.ToUpper(e.String())
-	for i, gs := range groupStrs {
-		if str == gs {
-			if keyKinds[i] == keyID {
-				return aggPushItem{kind: pushKeyID}, true
-			}
-			return aggPushItem{kind: pushKeyBucket}, true
-		}
-	}
-	return aggPushItem{}, false
+	w, ok := intLit(lit.Val)
+	return w, ok && w > 0
 }
 
 // aggPushdownOp runs one tsstore aggregate scan and emits its groups as
 // rows. It replaces the scan + filter + hash-aggregate subtree.
 type aggPushdownOp struct {
-	store  *tsstore.Store
-	schema *model.SchemaType
-	spec   tsstore.AggSpec
-	items  []aggPushItem
-	cols   []ColMeta
-
-	historical bool
-	source     int64
-	sources    []int64 // id IN (...) mode; empty + !historical = slice mode
+	store *tsstore.Store
+	sel   sourceSel
+	spec  tsstore.AggSpec
+	items []pushCol
+	cols  []ColMeta
 
 	res  *tsstore.AggResult
 	rows []Row
@@ -505,20 +133,9 @@ func (a *aggPushdownOp) BlobBytes() int64 {
 
 func (a *aggPushdownOp) run() error {
 	// Router metadata lookups mirror the scan path it replaces.
-	cat := a.store.Catalog()
+	a.sel.lookup(a.store)
 	var err error
-	switch {
-	case a.historical:
-		cat.RouterLookup([]int64{a.source})
-		a.res, err = a.store.AggregateHistorical(a.source, a.spec)
-	case len(a.sources) > 0:
-		cat.RouterLookup(a.sources)
-		a.res, err = a.store.AggregateMulti(a.sources, a.spec)
-	default:
-		cat.RouterLookup(cat.SourcesBySchema(a.schema.ID))
-		a.res, err = a.store.AggregateSlice(a.schema.ID, a.spec)
-	}
-	if err != nil {
+	if a.res, err = a.sel.aggregate(a.store, a.spec); err != nil {
 		return err
 	}
 	for gi := range a.res.Groups {
@@ -526,59 +143,37 @@ func (a *aggPushdownOp) run() error {
 	}
 	// Grand-total aggregation yields one row even for empty input.
 	if !a.spec.ByID && a.spec.BucketMs == 0 && len(a.rows) == 0 {
-		empty := tsstore.AggGroup{
-			NonNull: make([]int64, a.spec.NTags),
-			Sum:     make([]float64, a.spec.NTags),
-			Min:     make([]float64, a.spec.NTags),
-			Max:     make([]float64, a.spec.NTags),
-		}
-		for t := range empty.Min {
-			empty.Min[t] = math.Inf(1)
-			empty.Max[t] = math.Inf(-1)
-		}
-		a.rows = append(a.rows, a.materialize(&empty))
+		a.rows = append(a.rows, a.materialize(nil))
 	}
 	return nil
 }
 
-// materialize renders one group with the executor's SQL semantics:
-// aggregates over zero non-NULL values are NULL (COUNT is 0).
+// materialize renders one group (nil = the empty grand total): each
+// aggregate is an aggState merged with the group's partial for its tag, so
+// the executor's NULL/empty semantics apply unchanged.
 func (a *aggPushdownOp) materialize(g *tsstore.AggGroup) Row {
 	row := make(Row, len(a.items))
-	for i, item := range a.items {
-		switch item.kind {
-		case pushKeyID:
-			row[i] = relational.Int(g.ID)
-		case pushKeyBucket:
+	for i, c := range a.items {
+		switch {
+		case c.fn == "" && c.bucket:
 			row[i] = relational.Time(g.Bucket)
-		case pushCountStar:
-			row[i] = relational.Int(g.Rows)
-		case pushCount:
-			row[i] = relational.Int(g.NonNull[item.tag])
-		case pushSum:
-			if g.NonNull[item.tag] == 0 {
-				row[i] = relational.Null
-			} else {
-				row[i] = relational.Float(g.Sum[item.tag])
+		case c.fn == "":
+			row[i] = relational.Int(g.ID)
+		default:
+			s := aggState{fn: c.fn}
+			switch {
+			case g == nil:
+			case c.tag < 0:
+				s.merge(aggState{count: g.Rows})
+			case g.NonNull[c.tag] > 0:
+				s.merge(aggState{
+					count: g.NonNull[c.tag],
+					sum:   relational.Float(g.Sum[c.tag]),
+					min:   relational.Float(g.Min[c.tag]),
+					max:   relational.Float(g.Max[c.tag]),
+				})
 			}
-		case pushAvg:
-			if g.NonNull[item.tag] == 0 {
-				row[i] = relational.Null
-			} else {
-				row[i] = relational.Float(g.Sum[item.tag] / float64(g.NonNull[item.tag]))
-			}
-		case pushMin:
-			if g.NonNull[item.tag] == 0 {
-				row[i] = relational.Null
-			} else {
-				row[i] = relational.Float(g.Min[item.tag])
-			}
-		case pushMax:
-			if g.NonNull[item.tag] == 0 {
-				row[i] = relational.Null
-			} else {
-				row[i] = relational.Float(g.Max[item.tag])
-			}
+			row[i] = s.result()
 		}
 	}
 	return row
@@ -599,19 +194,6 @@ func (a *aggPushdownOp) Next() (Row, bool, error) {
 }
 
 func (a *aggPushdownOp) Describe(indent string) string {
-	mode := "slice"
-	target := a.schema.Name
-	if a.historical {
-		mode = "historical"
-		target = fmt.Sprintf("%s, id=%d", a.schema.Name, a.source)
-	} else if len(a.sources) > 0 {
-		mode = "multi"
-		target = fmt.Sprintf("%s, %d ids", a.schema.Name, len(a.sources))
-	}
-	par := ""
-	if a.spec.Opts.Workers > 1 {
-		par = fmt.Sprintf(", parallel=%d", a.spec.Opts.Workers)
-	}
 	grp := ""
 	if a.spec.ByID {
 		grp += ", by-id"
@@ -619,6 +201,9 @@ func (a *aggPushdownOp) Describe(indent string) string {
 	if a.spec.BucketMs > 0 {
 		grp += fmt.Sprintf(", bucket=%dms", a.spec.BucketMs)
 	}
-	return fmt.Sprintf("%sAggPushdown(%s, %s, ts=[%d,%d), %d preds%s%s)\n",
-		indent, target, mode, a.spec.T1, a.spec.T2, len(a.spec.Preds), grp, par)
+	if a.spec.Opts.Workers > 1 {
+		grp += fmt.Sprintf(", parallel=%d", a.spec.Opts.Workers)
+	}
+	return fmt.Sprintf("%sAggPushdown(%s, %s, ts=[%d,%d), %d preds%s)\n",
+		indent, a.sel, strings.ToLower(a.sel.mode()), a.spec.T1, a.spec.T2, len(a.spec.Preds), grp)
 }

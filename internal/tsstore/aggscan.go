@@ -335,27 +335,30 @@ func (pt *aggPartial) group(k aggKey, sp *aggSpecEx) *AggGroup {
 	return g
 }
 
+// merge folds a partial aggregate over disjoint rows — a blob summary, one
+// of its sub-buckets, or another part's group — into g, for the given tags.
+func (g *AggGroup) merge(rows int64, nonNull []int64, sum, min, max []float64, tags []int) {
+	g.Rows += rows
+	for _, tag := range tags {
+		if tag >= len(nonNull) || nonNull[tag] == 0 {
+			continue
+		}
+		g.NonNull[tag] += nonNull[tag]
+		g.Sum[tag] += sum[tag]
+		if min[tag] < g.Min[tag] {
+			g.Min[tag] = min[tag]
+		}
+		if max[tag] > g.Max[tag] {
+			g.Max[tag] = max[tag]
+		}
+	}
+}
+
 // foldSummary folds a fully-covered record's summary into its group.
 func (pt *aggPartial) foldSummary(src int64, sum *blobSummary, sp *aggSpecEx) {
 	// classifySummary proved every row shares one bucket, so the first
 	// timestamp names it.
-	g := pt.group(pt.keyFor(src, sum.firstTS, sp), sp)
-	g.Rows += sum.rows
-	for _, tag := range sp.tags {
-		if tag >= len(sum.nonNull) {
-			continue
-		}
-		g.NonNull[tag] += sum.nonNull[tag]
-		g.Sum[tag] += sum.sum[tag]
-		if sum.nonNull[tag] > 0 {
-			if sum.min[tag] < g.Min[tag] {
-				g.Min[tag] = sum.min[tag]
-			}
-			if sum.max[tag] > g.Max[tag] {
-				g.Max[tag] = sum.max[tag]
-			}
-		}
-	}
+	pt.group(pt.keyFor(src, sum.firstTS, sp), sp).merge(sum.rows, sum.nonNull, sum.sum, sum.min, sum.max, sp.tags)
 }
 
 // foldSubSummaries folds the sub-buckets of one record that lie inside
@@ -381,23 +384,7 @@ func (pt *aggPartial) foldSubSummaries(src int64, sum *blobSummary, sub *subSumm
 		if sum.lastTS >= t2 && start+sub.base > t2 {
 			continue
 		}
-		g := pt.group(pt.keyFor(src, start, sp), sp)
-		g.Rows += b.rows
-		for _, tag := range sp.tags {
-			if tag >= len(b.nonNull) {
-				continue
-			}
-			g.NonNull[tag] += b.nonNull[tag]
-			g.Sum[tag] += b.sum[tag]
-			if b.nonNull[tag] > 0 {
-				if b.min[tag] < g.Min[tag] {
-					g.Min[tag] = b.min[tag]
-				}
-				if b.max[tag] > g.Max[tag] {
-					g.Max[tag] = b.max[tag]
-				}
-			}
-		}
+		pt.group(pt.keyFor(src, start, sp), sp).merge(b.rows, b.nonNull, b.sum, b.min, b.max, sp.tags)
 	}
 }
 
@@ -652,18 +639,7 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 			if pt.first[i].before(first[j]) {
 				first[j] = pt.first[i]
 			}
-			dst := &res.Groups[j]
-			dst.Rows += g.Rows
-			for t := range dst.NonNull {
-				dst.NonNull[t] += g.NonNull[t]
-				dst.Sum[t] += g.Sum[t]
-				if g.Min[t] < dst.Min[t] {
-					dst.Min[t] = g.Min[t]
-				}
-				if g.Max[t] > dst.Max[t] {
-					dst.Max[t] = g.Max[t]
-				}
-			}
+			res.Groups[j].merge(g.Rows, g.NonNull, g.Sum, g.Min, g.Max, sp.tags)
 		}
 	}
 	perm := make([]int, len(first))
