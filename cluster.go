@@ -2,6 +2,7 @@ package odh
 
 import (
 	"context"
+	"strconv"
 	"time"
 
 	"odh/internal/cluster"
@@ -153,10 +154,6 @@ func (c *Cluster) QueryContext(ctx context.Context, sql string) (*ClusterQueryRe
 	return c.c.QueryContext(ctx, sql)
 }
 
-// SetAggPushdown toggles the storage-level aggregate pushdown on every
-// live replica (default on; bench/diagnostic knob).
-func (c *Cluster) SetAggPushdown(on bool) { c.c.SetAggPushdown(on) }
-
 // ClusterTotalStats aggregates storage counters across every live
 // replica — most usefully the summary-pushdown pair (SummaryHits /
 // BytesNotDecoded), which shows aggregate scatter queries folding from
@@ -254,31 +251,8 @@ func (c *Cluster) VerifyCluster() (*ClusterIntegrityReport, error) {
 	}
 	for _, d := range divergent {
 		rep.DivergentShards = append(rep.DivergentShards,
-			"shard "+itoa(d.Shard)+": "+d.Detail)
+			"shard "+strconv.Itoa(d.Shard)+": "+d.Detail)
 	}
 	rep.SkippedCopies = notes
 	return rep, nil
-}
-
-// itoa avoids pulling strconv into the public surface for one call site.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

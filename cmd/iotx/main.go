@@ -3,16 +3,19 @@
 //
 // Usage:
 //
-//	iotx -exp table2|table3|fig5|fig6|table7|table8|fig7|compress|plans|all
-//	     [-scale 1.0] [-queries 20] [-seed 1]
+//	iotx -exp table2|table3|fig5|fig6|table7|table8|fig7|compress|plans|ablations|all
+//	     [-scale 1.0] [-queries 20] [-seed 1] [-quick]
 //
 // The default scale runs every experiment in seconds on a laptop; -scale
-// multiplies dataset sizes toward the paper's full scale.
+// multiplies dataset sizes toward the paper's full scale. It is the one
+// way to regenerate the paper's artifacts (EXPERIMENTS.md records a dated
+// run); the system itself is measured by bench/ (bash bench/run.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,78 +24,79 @@ import (
 	"odh/internal/iotx"
 )
 
+// order lists the experiments in the paper's order; -exp all runs them all.
+var order = []string{"table2", "table3", "fig5", "fig6", "table7", "table8", "fig7", "compress", "plans", "ablations"}
+
+var runners = map[string]func(io.Writer, iotx.Scale, bool) error{
+	"table2":    runTable2,
+	"table3":    runTable3,
+	"fig5":      runFigure5,
+	"fig6":      runFigure6,
+	"table7":    runTable7,
+	"table8":    runTable8,
+	"fig7":      runFigure7,
+	"compress":  runCompression,
+	"plans":     runPlans,
+	"ablations": runAblations,
+}
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("iotx", flag.ContinueOnError)
 	var (
-		exp     = flag.String("exp", "all", "experiment: table2, table3, fig5, fig6, table7, table8, fig7, compress, plans, all")
-		scaleF  = flag.Float64("scale", 1.0, "dataset scale multiplier (1.0 = reduced default scale)")
-		queries = flag.Int("queries", 0, "queries per template for table8 (0 = default)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		quick   = flag.Bool("quick", false, "run reduced sweeps (fig5: 5 datasets, fig6: 4)")
-		export  = flag.String("export", "", "export a dataset as CSV instead of running experiments: td:i,j or ld:i")
-		out     = flag.String("out", "", "output file for -export (default stdout)")
+		exp     = fs.String("exp", "all", "experiments, comma-separated: "+strings.Join(order, ", ")+", all")
+		scaleF  = fs.Float64("scale", 1.0, "dataset scale multiplier (1.0 = reduced default scale)")
+		queries = fs.Int("queries", 0, "queries per template for table8 (0 = default)")
+		seed    = fs.Int64("seed", 1, "random seed")
+		quick   = fs.Bool("quick", false, "run reduced sweeps (fig5: 5 datasets, fig6: 4)")
+		export  = fs.String("export", "", "export a dataset as CSV instead of running experiments: td:i,j or ld:i")
+		out     = fs.String("out", "", "output file for -export (default stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	scale := iotx.DefaultScale()
 	scale.Seed = *seed
 	if *scaleF != 1.0 {
-		scale.TDAccountUnit = int(float64(scale.TDAccountUnit) * *scaleF)
-		scale.LDSensorUnit = int(float64(scale.LDSensorUnit) * *scaleF)
-		if scale.TDAccountUnit < 1 {
-			scale.TDAccountUnit = 1
-		}
-		if scale.LDSensorUnit < 1 {
-			scale.LDSensorUnit = 1
-		}
+		scale.TDAccountUnit = max(1, int(float64(scale.TDAccountUnit)**scaleF))
+		scale.LDSensorUnit = max(1, int(float64(scale.LDSensorUnit)**scaleF))
 	}
 	if *queries > 0 {
 		scale.QueriesPerTpl = *queries
 	}
 
 	if *export != "" {
-		if err := exportDataset(scale, *export, *out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return exportDataset(w, scale, *export, *out)
 	}
-
-	runners := map[string]func(iotx.Scale, bool) error{
-		"table2":   runTable2,
-		"table3":   runTable3,
-		"fig5":     runFigure5,
-		"fig6":     runFigure6,
-		"table7":   runTable7,
-		"table8":   runTable8,
-		"fig7":     runFigure7,
-		"compress": runCompression,
-		"plans":    runPlans,
-	}
-	order := []string{"table2", "table3", "fig5", "fig6", "table7", "table8", "fig7", "compress", "plans"}
 
 	selected := strings.Split(*exp, ",")
 	if *exp == "all" {
 		selected = order
 	}
 	for _, name := range selected {
-		run, ok := runners[name]
+		runExp, ok := runners[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+			return fmt.Errorf("unknown experiment %q", name)
 		}
 		start := time.Now()
-		if err := run(scale, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+		if err := runExp(w, scale, *quick); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // exportDataset writes one generated dataset as an IoT-X CSV (the form
 // the paper's simulator replays).
-func exportDataset(scale iotx.Scale, spec, outPath string) error {
-	w := os.Stdout
+func exportDataset(w io.Writer, scale iotx.Scale, spec, outPath string) error {
 	if outPath != "" {
 		f, err := os.Create(outPath)
 		if err != nil {
@@ -136,9 +140,9 @@ func pct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }
 func f0(f float64) string  { return strconv.FormatFloat(f, 'f', 0, 64) }
 func mb(b int64) string    { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }
 
-func runTable2(scale iotx.Scale, _ bool) error {
-	fmt.Println("Table 2: Performance Test on WAMS under different PMU Settings")
-	fmt.Printf("(scaled: fleet sizes / %d; CPU normalized to real-time arrival rate)\n", scale.CaseStudyDivisor)
+func runTable2(w io.Writer, scale iotx.Scale, _ bool) error {
+	fmt.Fprintln(w, "Table 2: Performance Test on WAMS under different PMU Settings")
+	fmt.Fprintf(w, "(scaled: fleet sizes / %d; CPU normalized to real-time arrival rate)\n", scale.CaseStudyDivisor)
 	rows, err := iotx.RunTable2(scale)
 	if err != nil {
 		return err
@@ -150,14 +154,14 @@ func runTable2(scale iotx.Scale, _ bool) error {
 			pct(r.AvgCPU), pct(r.MaxCPU), f0(float64(r.PointsIn)), f0(r.AvgInsert),
 		})
 	}
-	fmt.Print(iotx.FormatTable(
+	fmt.Fprint(w, iotx.FormatTable(
 		[]string{"#", "PMU Setting", "Cores", "Avg CPU", "Max CPU", "Points", "Insert pts/s"}, cells))
 	return nil
 }
 
-func runTable3(scale iotx.Scale, _ bool) error {
-	fmt.Println("Table 3: ODH test for connected vehicles")
-	fmt.Printf("(scaled: fleet sizes / %d)\n", scale.CaseStudyDivisor)
+func runTable3(w io.Writer, scale iotx.Scale, _ bool) error {
+	fmt.Fprintln(w, "Table 3: ODH test for connected vehicles")
+	fmt.Fprintf(w, "(scaled: fleet sizes / %d)\n", scale.CaseStudyDivisor)
 	rows, err := iotx.RunTable3(scale)
 	if err != nil {
 		return err
@@ -169,7 +173,7 @@ func runTable3(scale iotx.Scale, _ bool) error {
 			f0(r.AvgIOBytesSec), pct(r.AvgCPU), r3(r.MBWritten),
 		})
 	}
-	fmt.Print(iotx.FormatTable(
+	fmt.Fprint(w, iotx.FormatTable(
 		[]string{"#", "Vehicles", "Avg Insert (pts/s)", "Avg IO (B/s)", "Avg CPU", "MB written"}, cells))
 	return nil
 }
@@ -187,8 +191,8 @@ func insertSeries(points []iotx.InsertSeriesPoint) string {
 		[]string{"Dataset", "System", "Avg tput (pts/s)", "Max tput", "Avg CPU", "Offered (pts/s)", "Storage (MB)"}, cells)
 }
 
-func runFigure5(scale iotx.Scale, quick bool) error {
-	fmt.Println("Figure 5: Insert throughput and CPU rate for the TD datasets")
+func runFigure5(w io.Writer, scale iotx.Scale, quick bool) error {
+	fmt.Fprintln(w, "Figure 5: Insert throughput and CPU rate for the TD datasets")
 	var pairs [][2]int
 	if quick {
 		pairs = [][2]int{{1, 1}, {1, 5}, {3, 3}, {5, 1}, {5, 5}}
@@ -197,12 +201,12 @@ func runFigure5(scale iotx.Scale, quick bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(insertSeries(points))
+	fmt.Fprint(w, insertSeries(points))
 	return nil
 }
 
-func runFigure6(scale iotx.Scale, quick bool) error {
-	fmt.Println("Figure 6: Insert throughput and CPU rate for the LD datasets")
+func runFigure6(w io.Writer, scale iotx.Scale, quick bool) error {
+	fmt.Fprintln(w, "Figure 6: Insert throughput and CPU rate for the LD datasets")
 	maxI := 10
 	if quick {
 		maxI = 4
@@ -211,12 +215,12 @@ func runFigure6(scale iotx.Scale, quick bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(insertSeries(points))
+	fmt.Fprint(w, insertSeries(points))
 	return nil
 }
 
-func runTable7(scale iotx.Scale, _ bool) error {
-	fmt.Println("Table 7: Storage Cost for Selected Datasets (in MB)")
+func runTable7(w io.Writer, scale iotx.Scale, _ bool) error {
+	fmt.Fprintln(w, "Table 7: Storage Cost for Selected Datasets (in MB)")
 	rows, err := iotx.RunTable7(scale)
 	if err != nil {
 		return err
@@ -233,13 +237,13 @@ func runTable7(scale iotx.Scale, _ bool) error {
 		}
 		cells = append(cells, row)
 	}
-	fmt.Print(iotx.FormatTable(header, cells))
+	fmt.Fprint(w, iotx.FormatTable(header, cells))
 	return nil
 }
 
-func runTable8(scale iotx.Scale, _ bool) error {
-	fmt.Println("Table 8: Query performance for the three candidates")
-	fmt.Printf("(TD(5,2) and LD(5) at reduced scale; %d queries per template)\n", scale.QueriesPerTpl)
+func runTable8(w io.Writer, scale iotx.Scale, _ bool) error {
+	fmt.Fprintln(w, "Table 8: Query performance for the three candidates")
+	fmt.Fprintf(w, "(TD(5,2) and LD(5) at reduced scale; %d queries per template)\n", scale.QueriesPerTpl)
 	results, err := iotx.RunTable8(scale)
 	if err != nil {
 		return err
@@ -261,13 +265,13 @@ func runTable8(scale iotx.Scale, _ bool) error {
 		}
 		cells = append(cells, row)
 	}
-	fmt.Print(iotx.FormatTable(
+	fmt.Fprint(w, iotx.FormatTable(
 		[]string{"Query", "ODH dp/s", "ODH CPU", "RDB dp/s", "RDB CPU", "MySQL dp/s", "MySQL CPU"}, cells))
 	return nil
 }
 
-func runFigure7(scale iotx.Scale, quick bool) error {
-	fmt.Println("Figure 7: The number of tags vs data throughput for LD(10)")
+func runFigure7(w io.Writer, scale iotx.Scale, quick bool) error {
+	fmt.Fprintln(w, "Figure 7: The number of tags vs data throughput for LD(10)")
 	var tags []int
 	if quick {
 		tags = []int{1, 5, 10, 15}
@@ -280,17 +284,17 @@ func runFigure7(scale iotx.Scale, quick bool) error {
 	for _, p := range points {
 		cells = append(cells, []string{strconv.Itoa(p.Tags), p.System, f0(p.Throughput)})
 	}
-	fmt.Print(iotx.FormatTable([]string{"Tags", "System", "Avg tput (pts/s)"}, cells))
+	fmt.Fprint(w, iotx.FormatTable([]string{"Tags", "System", "Avg tput (pts/s)"}, cells))
 	return nil
 }
 
-func runCompression(scale iotx.Scale, _ bool) error {
-	fmt.Println("Compression (§5.3): linear compression on LD(1), max deviation 0.1")
+func runCompression(w io.Writer, scale iotx.Scale, _ bool) error {
+	fmt.Fprintln(w, "Compression (§5.3): linear compression on LD(1), max deviation 0.1")
 	res, err := iotx.RunCompression(scale)
 	if err != nil {
 		return err
 	}
-	fmt.Print(iotx.FormatTable(
+	fmt.Fprint(w, iotx.FormatTable(
 		[]string{"Variant", "Storage (MB)"},
 		[][]string{
 			{"ODH lossless", mb(res.ODHLossless)},
@@ -301,15 +305,33 @@ func runCompression(scale iotx.Scale, _ bool) error {
 	return nil
 }
 
-func runPlans(scale iotx.Scale, _ bool) error {
-	fmt.Println("Query plan study (§5.3): LQ4 optimizer choices")
+func runPlans(w io.Writer, scale iotx.Scale, _ bool) error {
+	fmt.Fprintln(w, "Query plan study (§5.3): LQ4 optimizer choices")
 	res, err := iotx.RunPlanStudy(scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("-- one-sensor bounding box:")
-	fmt.Println(res.SmallAreaPlan)
-	fmt.Println("-- continent-sized box (la1=10, la2=80, lo1=-150, lo2=-50):")
-	fmt.Println(res.LargeAreaPlan)
+	fmt.Fprintln(w, "-- one-sensor bounding box:")
+	fmt.Fprintln(w, res.SmallAreaPlan)
+	fmt.Fprintln(w, "-- continent-sized box (la1=10, la2=80, lo1=-150, lo2=-50):")
+	fmt.Fprintln(w, res.LargeAreaPlan)
+	return nil
+}
+
+func runAblations(w io.Writer, scale iotx.Scale, _ bool) error {
+	fmt.Fprintln(w, "Ablations: design choices quantified (each arm on a fresh ODH candidate)")
+	rows, err := iotx.RunAblations(scale)
+	if err != nil {
+		return err
+	}
+	var cells [][]string
+	for _, r := range rows {
+		bytes := ""
+		if r.Bytes > 0 {
+			bytes = strconv.FormatInt(r.Bytes, 10)
+		}
+		cells = append(cells, []string{r.Ablation, r.Arm, f0(r.Value), r.Unit, bytes})
+	}
+	fmt.Fprint(w, iotx.FormatTable([]string{"Ablation", "Arm", "Value", "Unit", "Bytes"}, cells))
 	return nil
 }

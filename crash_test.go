@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -332,5 +333,66 @@ func TestKillMidGroupCommitRecovery(t *testing.T) {
 		if n < healthy {
 			t.Fatalf("source %d: recovered %d points, want at least the %d pre-crash ones", ds.ID, n, healthy)
 		}
+	}
+}
+
+// TestCrashRecoveryKeepsRepeatedTimestamps crashes a historian whose
+// irregular source logged three samples at one timestamp after its last
+// flush, and reopens over the same bytes. Every acked sample must come
+// back exactly once: the replay's dedup may skip only what the pages
+// already held, never a sample that merely shares a timestamp with one the
+// replay itself just applied.
+func TestCrashRecoveryKeepsRepeatedTimestamps(t *testing.T) {
+	pagesFile := fault.Wrap(pagestore.NewMemFile())
+	walFile := fault.Wrap(pagestore.NewMemFile())
+	h, err := Open("", Options{BatchSize: 64, Backing: pagesFile, WALBacking: walFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := setupEnviron(t, h)
+	src, err := h.RegisterSource(DataSource{SchemaID: schema.ID, Regular: false, IntervalMs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := h.Writer()
+	write := func(tss ...int64) {
+		t.Helper()
+		for _, ts := range tss {
+			if err := w.WritePoint(src.ID, ts, float64(ts), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(10, 20)
+	if err := h.Flush(); err != nil { // durable, and the log recycled
+		t.Fatal(err)
+	}
+	logged := []int64{50, 100, 100, 100, 150}
+	write(logged...)
+	// Crash: abandon h without Close; the five points live only in the log.
+
+	h2, err := Open("", Options{BatchSize: 64, Backing: pagesFile.Inner(), WALBacking: walFile.Inner()})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer h2.Close()
+	res, err := h2.Query(fmt.Sprintf("SELECT timestamp FROM environ_data_v WHERE id = %d", src.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := res.FetchAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, r := range rows {
+		got = append(got, r[0].AsInt())
+	}
+	want := append([]int64{10, 20}, logged...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("recovered timestamps %v, want %v", got, want)
+	}
+	if rep, err := h2.VerifyIntegrity(); err != nil || !rep.OK() {
+		t.Fatalf("fsck after recovery: %v\n%s", err, rep)
 	}
 }

@@ -429,43 +429,6 @@ func TestCountRange(t *testing.T) {
 	}
 }
 
-// benchKeySpace bounds benchmark trees so b.N escalation cannot grow the
-// tree (and the run time) without limit; past the key space, puts become
-// replacements, which is the same code path.
-const benchKeySpace = 200_000
-
-func BenchmarkPutSequential(b *testing.B) {
-	tr := newTree(b, "bench-seq")
-	val := bytes.Repeat([]byte{1}, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Put(keyenc.AppendInt64(nil, int64(i%benchKeySpace)), val)
-	}
-}
-
-func BenchmarkPutRandom(b *testing.B) {
-	tr := newTree(b, "bench-rand")
-	val := bytes.Repeat([]byte{1}, 64)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Put(keyenc.AppendInt64(nil, rng.Int63n(benchKeySpace)), val)
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	tr := newTree(b, "bench-get")
-	val := bytes.Repeat([]byte{1}, 64)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		tr.Put(keyenc.AppendInt64(nil, int64(i)), val)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Get(keyenc.AppendInt64(nil, int64(i%n)))
-	}
-}
-
 func TestConcurrentReadersDuringWrites(t *testing.T) {
 	tr := newTree(t, "rw")
 	const writers = 2

@@ -534,17 +534,6 @@ func (c *Cluster) TotalTSStats() tsstore.Stats {
 	return total
 }
 
-// SetAggPushdown toggles the storage-level aggregate pushdown on every
-// live copy's engine (operator/bench knob; default on).
-func (c *Cluster) SetAggPushdown(on bool) {
-	c.forEachCopy(func(cp *shardCopy) error {
-		if n := cp.n.Load(); n != nil {
-			n.Engine.SetAggPushdown(on)
-		}
-		return nil
-	})
-}
-
 // CopyStatus is the liveness view of one shard copy.
 type CopyStatus struct {
 	Shard        int

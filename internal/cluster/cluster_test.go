@@ -145,32 +145,3 @@ func TestRoutingIsStable(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkClusterScaling measures write fan-out across node counts.
-func BenchmarkClusterScaling(b *testing.B) {
-	for _, nodes := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("nodes-%d", nodes), func(b *testing.B) {
-			c, err := New(nodes, NodeOptions{BatchSize: 64})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.CreateSchema(model.SchemaType{Name: "s", Tags: []model.TagDef{{Name: "v"}}}); err != nil {
-				b.Fatal(err)
-			}
-			schema, _ := c.Node(0).Cat.SchemaByName("s")
-			for i := 1; i <= 64; i++ {
-				if err := c.RegisterSource(model.DataSource{ID: int64(i), SchemaID: schema.ID, Regular: true, IntervalMs: 10}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := int64(i%64 + 1)
-				if err := c.Write(model.Point{Source: src, TS: int64(i) * 10, Values: []float64{1}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

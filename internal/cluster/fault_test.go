@@ -362,6 +362,62 @@ func TestHintedHandoffRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCatchUpKeepsRepeatedTimestamps is the hinted-handoff half of the
+// replay-dedup regression: an irregular source reports three samples at
+// one timestamp while a replica is down. Catch-up must apply all three —
+// the dedup may skip only what the copy held before the replay began, and
+// the first replayed sample at ts = 100 used to make the next two look
+// already applied (acked rows lost on that copy, nil error).
+func TestCatchUpKeepsRepeatedTimestamps(t *testing.T) {
+	c := newReplicatedCluster(t, 2, 2, 1)
+	if err := c.CreateSchema(model.SchemaType{Name: "vehicle", Tags: []model.TagDef{{Name: "speed"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateVirtualTable("vehicle_v", "vehicle"); err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := c.Node(0).Cat.SchemaByName("vehicle")
+	if err := c.RegisterSource(model.DataSource{ID: 1, SchemaID: schema.ID, Regular: false, IntervalMs: 10}); err != nil {
+		t.Fatal(err)
+	}
+	write := func(tss ...int64) {
+		t.Helper()
+		for i, ts := range tss {
+			if err := c.Write(model.Point{Source: 1, TS: ts, Values: []float64{float64(ts) + float64(i)/10}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(10, 20) // on both copies before the outage
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	write(50, 100, 100, 100, 150) // hinted
+	if err := c.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CatchUp(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.HintsReplayed != 5 || st.HintsDeduped != 0 {
+		t.Fatalf("hints replayed %d, deduped %d; want 5 and 0", st.HintsReplayed, st.HintsDeduped)
+	}
+	if divergent, _, err := c.VerifyReplicas(); err != nil || len(divergent) != 0 {
+		t.Fatalf("replicas diverged after catch-up: %v (%v)", divergent, err)
+	}
+	// Read from the caught-up node alone.
+	if err := c.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Query(`SELECT timestamp, speed FROM vehicle_v WHERE id = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderRows(res.Rows), "10|10\n20|20.1\n50|50\n100|100.1\n100|100.2\n100|100.3\n150|150.4\n"; got != want {
+		t.Fatalf("caught-up copy holds\n%swant\n%s", got, want)
+	}
+}
+
 // TestNodeLossMidQuery makes a scatter read die partway through one
 // copy's scan: the node is restarted so its blob pages are out of the
 // buffer pool, then a read fault is armed so the scan starts cleanly and

@@ -374,3 +374,73 @@ func TestScatterCancelNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestScatterAggBytesPinned pins the distributed summary fold: three
+// aggregate scatter queries over a 3-node R=2 cluster holding 8 sources x
+// 2500 points fold entirely from blob-header summaries on every shard —
+// not one payload byte decodes — while the same queries with the storage
+// pushdown off decode exactly the bytes the folds avoided. The counts are
+// deterministic; they move only with the blob format, the fold
+// eligibility rules or the byte accounting.
+func TestScatterAggBytesPinned(t *testing.T) {
+	c, err := NewReplicated(Options{
+		Nodes: 3, Replicas: 2, WriteQuorum: 1, ReplicaTimeout: -1, Seed: 42,
+		Node: NodeOptions{BatchSize: 64, GroupSize: 8, PoolPages: 64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateSchema(model.SchemaType{
+		Name: "bench", IDName: "id", TSName: "ts",
+		Tags: []model.TagDef{{Name: "v0"}, {Name: "v1"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateVirtualTable("V", "bench"); err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := c.Node(0).Cat.SchemaByName("bench")
+	for i := int64(1); i <= 8; i++ {
+		if err := c.RegisterSource(model.DataSource{ID: i, SchemaID: schema.ID, Regular: true, IntervalMs: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 2500; j++ {
+		for i := int64(1); i <= 8; i++ {
+			p := model.Point{Source: i, TS: 1000 + int64(j)*10, Values: []float64{float64(j % 100), float64(i)}}
+			if err := c.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	run := func(pushdown bool) (decoded, notDecoded, folds int64) {
+		c.forEachCopy(func(cp *shardCopy) error {
+			cp.n.Load().Engine.SetAggPushdown(pushdown)
+			return nil
+		})
+		before := c.TotalTSStats()
+		for _, q := range []string{
+			`SELECT id, COUNT(*), SUM(v0), MIN(v0), MAX(v0), AVG(v1) FROM V GROUP BY id`,
+			`SELECT TIME_BUCKET(100000, ts), COUNT(*), MAX(v0) FROM V GROUP BY TIME_BUCKET(100000, ts) ORDER BY TIME_BUCKET(100000, ts) LIMIT 8`,
+			`SELECT id, COUNT(*), AVG(v0) FROM V GROUP BY id HAVING COUNT(*) > 100 ORDER BY AVG(v0) DESC, id LIMIT 4`,
+		} {
+			res, err := c.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded += res.BlobBytes
+		}
+		after := c.TotalTSStats()
+		return decoded, after.BytesNotDecoded - before.BytesNotDecoded, after.SummaryHits - before.SummaryHits
+	}
+	if decoded, notDecoded, folds := run(true); decoded != 0 || notDecoded != 242712 || folds != 960 {
+		t.Fatalf("pushdown: decoded=%d notDecoded=%d folds=%d, want 0 242712 960", decoded, notDecoded, folds)
+	}
+	if decoded, notDecoded, folds := run(false); decoded != 242712 || notDecoded != 0 || folds != 0 {
+		t.Fatalf("decode: decoded=%d notDecoded=%d folds=%d, want 242712 0 0", decoded, notDecoded, folds)
+	}
+}

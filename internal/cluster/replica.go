@@ -270,7 +270,7 @@ func (c *Cluster) reopenCopy(cp *shardCopy) error {
 	if err != nil {
 		return fmt.Errorf("cluster: restart shard %d copy %d: %w", cp.shard, cp.replica, err)
 	}
-	if _, _, err := n.TS.RecoverFromLogDedup(wal); err != nil {
+	if _, _, err := n.TS.ReplayDedup(wal, n.TS.WriteRecovered); err != nil {
 		return fmt.Errorf("cluster: replay shard %d copy %d: %w", cp.shard, cp.replica, err)
 	}
 	cp.pageF, cp.walF = pageF, walF
@@ -356,22 +356,9 @@ func (c *Cluster) catchUpCopy(cp *shardCopy) error {
 	}
 	// Replay through the normal write path so replayed hints are
 	// themselves protected by the copy's recovery log.
-	err := cp.hints.Replay(func(payload []byte) error {
-		p, derr := tsstore.DecodePointWAL(payload)
-		if derr != nil {
-			return derr
-		}
-		has, herr := n.TS.HasPoint(p.Source, p.TS)
-		if herr != nil {
-			return herr
-		}
-		if has {
-			c.stats.hintsDeduped.Add(1)
-			return nil
-		}
-		c.stats.hintsReplayed.Add(1)
-		return n.TS.Write(p)
-	})
+	replayed, deduped, err := n.TS.ReplayDedup(cp.hints, n.TS.Write)
+	c.stats.hintsReplayed.Add(int64(replayed))
+	c.stats.hintsDeduped.Add(int64(deduped))
 	if err != nil {
 		return err // copy stays stale; CatchUp can be retried
 	}

@@ -90,7 +90,7 @@ func TestCSVRoundtripSparseLD(t *testing.T) {
 
 func TestCSVReplayDrivesWS1(t *testing.T) {
 	scale := tinyScale()
-	cfg := scale.tdConfig(1, 1)
+	cfg := scale.TDConfigFor(1, 1)
 	var buf bytes.Buffer
 	if _, err := ExportCSV(&buf, NewTDGen(cfg), TDTagNames); err != nil {
 		t.Fatal(err)

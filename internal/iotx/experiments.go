@@ -28,8 +28,7 @@ type Scale struct {
 	Seed             int64
 }
 
-// DefaultScale returns the reduced scale used by `go test -bench` and the
-// iotx CLI without flags.
+// DefaultScale returns the reduced scale the iotx CLI runs without flags.
 func DefaultScale() Scale {
 	return Scale{
 		TDAccountUnit:    20,
@@ -45,7 +44,8 @@ func DefaultScale() Scale {
 	}
 }
 
-func (s Scale) tdConfig(i, j int) TDConfig {
+// TDConfigFor returns the scaled TD(i, j) configuration.
+func (s Scale) TDConfigFor(i, j int) TDConfig {
 	return TDConfig{
 		I: i, J: j,
 		AccountUnit: s.TDAccountUnit,
@@ -55,7 +55,8 @@ func (s Scale) tdConfig(i, j int) TDConfig {
 	}
 }
 
-func (s Scale) ldConfig(i int) LDConfig {
+// LDConfigFor returns the scaled LD(i) configuration.
+func (s Scale) LDConfigFor(i int) LDConfig {
 	return LDConfig{
 		I:              i,
 		SensorUnit:     s.LDSensorUnit,
@@ -68,13 +69,6 @@ func (s Scale) ldConfig(i int) LDConfig {
 func (s Scale) sysConfig() SystemConfig {
 	return SystemConfig{BatchSize: s.BatchSize}
 }
-
-// TDConfigFor exposes the scaled TD(i, j) configuration (for external
-// benches and ablations).
-func (s Scale) TDConfigFor(i, j int) TDConfig { return s.tdConfig(i, j) }
-
-// LDConfigFor exposes the scaled LD(i) configuration.
-func (s Scale) LDConfigFor(i int) LDConfig { return s.ldConfig(i) }
 
 // --- E1: Table 2, WAMS PMU case study ---
 
@@ -100,10 +94,7 @@ func RunTable2(scale Scale) ([]Table2Row, error) {
 	}{{2000, 25}, {3000, 50}, {5000, 50}}
 	var rows []Table2Row
 	for _, set := range settings {
-		pmus := set.pmus / scale.CaseStudyDivisor
-		if pmus < 1 {
-			pmus = 1
-		}
+		pmus := max(1, set.pmus/scale.CaseStudyDivisor)
 		sys, err := NewODH(scale.sysConfig())
 		if err != nil {
 			return nil, err
@@ -162,10 +153,7 @@ type Table3Row struct {
 func RunTable3(scale Scale) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, fleet := range []int{100_000, 200_000, 300_000} {
-		vehicles := fleet / scale.CaseStudyDivisor
-		if vehicles < 1 {
-			vehicles = 1
-		}
+		vehicles := max(1, fleet/scale.CaseStudyDivisor)
 		sys, err := NewODH(scale.sysConfig())
 		if err != nil {
 			return nil, err
@@ -238,7 +226,7 @@ func RunFigure5(scale Scale, pairs [][2]int) ([]InsertSeriesPoint, error) {
 	builders, order := candidates(scale)
 	var out []InsertSeriesPoint
 	for _, p := range pairs {
-		cfg := scale.tdConfig(p[0], p[1])
+		cfg := scale.TDConfigFor(p[0], p[1])
 		offered := float64(cfg.Accounts()) * cfg.FreqHz()
 		for _, name := range order {
 			sys, err := builders[name]()
@@ -268,7 +256,7 @@ func RunFigure6(scale Scale, maxI int) ([]InsertSeriesPoint, error) {
 	builders, order := candidates(scale)
 	var out []InsertSeriesPoint
 	for i := 1; i <= maxI; i++ {
-		cfg := scale.ldConfig(i)
+		cfg := scale.LDConfigFor(i)
 		offered := float64(cfg.Sensors()) * 1000 / float64(cfg.MeanIntervalMs)
 		for _, name := range order {
 			sys, err := builders[name]()
@@ -321,7 +309,7 @@ func RunTable7(scale Scale) ([]StorageRow, error) {
 		return nil
 	}
 	for _, p := range [][2]int{{1, 1}, {1, 2}, {1, 4}, {2, 1}} {
-		cfg := scale.tdConfig(p[0], p[1])
+		cfg := scale.TDConfigFor(p[0], p[1])
 		if err := run(cfg.Label(), func(sys *System) (WS1Result, error) {
 			return RunWS1TD(sys, cfg)
 		}); err != nil {
@@ -329,7 +317,7 @@ func RunTable7(scale Scale) ([]StorageRow, error) {
 		}
 	}
 	for _, i := range []int{1, 2} {
-		cfg := scale.ldConfig(i)
+		cfg := scale.LDConfigFor(i)
 		if err := run(cfg.Label(), func(sys *System) (WS1Result, error) {
 			return RunWS1LD(sys, cfg, 0)
 		}); err != nil {
@@ -346,8 +334,8 @@ func RunTable7(scale Scale) ([]StorageRow, error) {
 // per system, as the paper's Table 8 lays them out.
 func RunTable8(scale Scale) ([]WS2Result, error) {
 	builders, order := candidates(scale)
-	tdCfg := scale.tdConfig(5, 2)
-	ldCfg := scale.ldConfig(5)
+	tdCfg := scale.TDConfigFor(5, 2)
+	ldCfg := scale.LDConfigFor(5)
 	var out []WS2Result
 	for _, name := range order {
 		sys, err := builders[name]()
@@ -386,8 +374,6 @@ type TagWidthPoint struct {
 	// Throughput is data values (tag values) per second, the paper's
 	// "data throughput" for Figure 7.
 	Throughput float64
-	// RecordsPerSec is operational records per second.
-	RecordsPerSec float64
 }
 
 // RunFigure7 varies the LD(10) observation width from 1 to 15 tags and
@@ -398,19 +384,14 @@ func RunFigure7(scale Scale, tagCounts []int) ([]TagWidthPoint, error) {
 			tagCounts = append(tagCounts, n)
 		}
 	}
+	builders, _ := candidates(scale)
 	var out []TagWidthPoint
 	for _, tags := range tagCounts {
-		cfg := scale.ldConfig(10)
+		cfg := scale.LDConfigFor(10)
 		cfg.TagCount = tags
 		cfg.Dense = true
-		for _, build := range []struct {
-			name string
-			fn   func() (*System, error)
-		}{
-			{"ODH", func() (*System, error) { return NewODH(scale.sysConfig()) }},
-			{"RDB", func() (*System, error) { return NewRDB(scale.sysConfig()) }},
-		} {
-			sys, err := build.fn()
+		for _, name := range []string{"ODH", "RDB"} {
+			sys, err := builders[name]()
 			if err != nil {
 				return nil, err
 			}
@@ -419,11 +400,7 @@ func RunFigure7(scale Scale, tagCounts []int) ([]TagWidthPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, TagWidthPoint{
-				Tags: tags, System: build.name,
-				Throughput:    res.ValuesPerSec,
-				RecordsPerSec: res.AvgThroughput,
-			})
+			out = append(out, TagWidthPoint{Tags: tags, System: name, Throughput: res.ValuesPerSec})
 		}
 	}
 	return out, nil
@@ -433,57 +410,38 @@ func RunFigure7(scale Scale, tagCounts []int) ([]TagWidthPoint, error) {
 
 // CompressionResult reports the lossy-compression storage experiment.
 type CompressionResult struct {
-	Dataset          string
-	MaxDev           float64
-	ODHLossless      int64
-	ODHLossy         int64
-	RDB              int64
-	FactorVsRDB      float64 // RDB bytes / ODH lossy bytes
-	FactorVsLossless float64
+	ODHLossless int64
+	ODHLossy    int64
+	RDB         int64
+	FactorVsRDB float64 // RDB bytes / ODH lossy bytes
 }
 
 // RunCompression reproduces the paper's note: linear compression on LD(1)
 // with a 0.1 maximum deviation versus the relational baseline.
 func RunCompression(scale Scale) (CompressionResult, error) {
-	cfg := scale.ldConfig(1)
-	out := CompressionResult{Dataset: cfg.Label(), MaxDev: 0.1}
-
-	odh, err := NewODH(scale.sysConfig())
-	if err != nil {
+	cfg := scale.LDConfigFor(1)
+	storage := func(build func(SystemConfig) (*System, error), maxDev float64) (int64, error) {
+		sys, err := build(scale.sysConfig())
+		if err != nil {
+			return 0, err
+		}
+		res, err := RunWS1LD(sys, cfg, maxDev)
+		sys.Close()
+		return res.StorageBytes, err
+	}
+	var out CompressionResult
+	var err error
+	if out.ODHLossless, err = storage(NewODH, 0); err != nil {
 		return out, err
 	}
-	resLossless, err := RunWS1LD(odh, cfg, 0)
-	odh.Close()
-	if err != nil {
+	if out.ODHLossy, err = storage(NewODH, 0.1); err != nil {
 		return out, err
 	}
-	out.ODHLossless = resLossless.StorageBytes
-
-	odhLossy, err := NewODH(scale.sysConfig())
-	if err != nil {
+	if out.RDB, err = storage(NewRDB, 0); err != nil {
 		return out, err
 	}
-	resLossy, err := RunWS1LD(odhLossy, cfg, 0.1)
-	odhLossy.Close()
-	if err != nil {
-		return out, err
-	}
-	out.ODHLossy = resLossy.StorageBytes
-
-	rdb, err := NewRDB(scale.sysConfig())
-	if err != nil {
-		return out, err
-	}
-	resRDB, err := RunWS1LD(rdb, cfg, 0)
-	rdb.Close()
-	if err != nil {
-		return out, err
-	}
-	out.RDB = resRDB.StorageBytes
-
 	if out.ODHLossy > 0 {
 		out.FactorVsRDB = float64(out.RDB) / float64(out.ODHLossy)
-		out.FactorVsLossless = float64(out.ODHLossless) / float64(out.ODHLossy)
 	}
 	return out, nil
 }
@@ -501,7 +459,7 @@ type PlanStudyResult struct {
 // one-sensor bounding box and a country-sized box.
 func RunPlanStudy(scale Scale) (PlanStudyResult, error) {
 	out := PlanStudyResult{}
-	cfg := scale.ldConfig(1)
+	cfg := scale.LDConfigFor(1)
 	sys, err := NewODH(scale.sysConfig())
 	if err != nil {
 		return out, err

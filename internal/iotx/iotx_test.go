@@ -148,7 +148,7 @@ func TestLDGeneratorTagTruncation(t *testing.T) {
 
 func TestWS1AllCandidatesTD(t *testing.T) {
 	scale := tinyScale()
-	cfg := scale.tdConfig(1, 1)
+	cfg := scale.TDConfigFor(1, 1)
 	for _, build := range []func() (*System, error){
 		func() (*System, error) { return NewODH(scale.sysConfig()) },
 		func() (*System, error) { return NewRDB(scale.sysConfig()) },
@@ -183,7 +183,7 @@ func TestWS1AllCandidatesTD(t *testing.T) {
 
 func TestWS1LDRoundtrip(t *testing.T) {
 	scale := tinyScale()
-	cfg := scale.ldConfig(1)
+	cfg := scale.LDConfigFor(1)
 	sys, err := NewODH(scale.sysConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestWS1LDRoundtrip(t *testing.T) {
 
 func TestWS2TemplatesRunOnAllCandidates(t *testing.T) {
 	scale := tinyScale()
-	tdCfg := scale.tdConfig(1, 1)
-	ldCfg := scale.ldConfig(1)
+	tdCfg := scale.TDConfigFor(1, 1)
+	ldCfg := scale.LDConfigFor(1)
 	for _, build := range []struct {
 		name string
 		fn   func() (*System, error)
@@ -254,7 +254,7 @@ func TestWS2ResultsAgreeAcrossCandidates(t *testing.T) {
 	// The same template with the same seed must return identical row
 	// counts from ODH and RDB: both hold the same dataset.
 	scale := tinyScale()
-	tdCfg := scale.tdConfig(1, 2)
+	tdCfg := scale.TDConfigFor(1, 2)
 	counts := map[string]int64{}
 	for _, build := range []struct {
 		name string
@@ -377,19 +377,6 @@ func TestRunCompression(t *testing.T) {
 	}
 	if res.FactorVsRDB <= 1 {
 		t.Fatalf("factor %.2f", res.FactorVsRDB)
-	}
-}
-
-func TestRunPlanStudy(t *testing.T) {
-	res, err := RunPlanStudy(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.SmallAreaPlan, "relational-first") {
-		t.Fatalf("small area plan:\n%s", res.SmallAreaPlan)
-	}
-	if !strings.Contains(res.LargeAreaPlan, "operational-first") {
-		t.Fatalf("large area plan:\n%s", res.LargeAreaPlan)
 	}
 }
 

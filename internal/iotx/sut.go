@@ -162,10 +162,7 @@ func (s *System) SetupTD(gen *TDGen) error {
 		if err := s.cat.CreateVirtualTable("TRADE", schema.ID); err != nil {
 			return err
 		}
-		intervalMs := int64(1000 / cfg.FreqHz())
-		if intervalMs < 1 {
-			intervalMs = 1
-		}
+		intervalMs := max(1, int64(1000/cfg.FreqHz()))
 		batch := make([]model.DataSource, cfg.Accounts())
 		for i := range batch {
 			batch[i] = model.DataSource{
@@ -227,12 +224,7 @@ func (s *System) SetupTD(gen *TDGen) error {
 			relational.Int(c.CID), relational.Str(c.LName), relational.Str(c.FName),
 			relational.Int(c.Tier), relational.Time(c.DOB),
 		})
-		if c.DOB < dobLo {
-			dobLo = c.DOB
-		}
-		if c.DOB > dobHi {
-			dobHi = c.DOB
-		}
+		dobLo, dobHi = min(dobLo, c.DOB), max(dobHi, c.DOB)
 	}
 	if err := cust.InsertBatch(custRows); err != nil {
 		return err
@@ -333,18 +325,8 @@ func (s *System) SetupLD(gen *LDGen, maxDev float64) error {
 			relational.Int(sr.SensorID), relational.Str(sr.Name),
 			relational.Float(sr.Lat), relational.Float(sr.Lon),
 		})
-		if sr.Lat < latLo {
-			latLo = sr.Lat
-		}
-		if sr.Lat > latHi {
-			latHi = sr.Lat
-		}
-		if sr.Lon < lonLo {
-			lonLo = sr.Lon
-		}
-		if sr.Lon > lonHi {
-			lonHi = sr.Lon
-		}
+		latLo, latHi = min(latLo, sr.Lat), max(latHi, sr.Lat)
+		lonLo, lonHi = min(lonLo, sr.Lon), max(lonHi, sr.Lon)
 	}
 	if err := ls.InsertBatch(rows); err != nil {
 		return err
@@ -416,20 +398,6 @@ func (s *System) IOStats() pagestore.Stats { return s.page.Stats() }
 // BlobBytes returns the persisted ValueBlob payload (ODH candidates);
 // metadata and page slack excluded.
 func (s *System) BlobBytes() int64 { return int64(s.ts.BlobBytesTotal()) }
-
-// Reorganize converts MG stripes for historical-query experiments (no-op
-// for relational candidates).
-func (s *System) Reorganize(upTo int64) error {
-	if !s.IsODH {
-		return nil
-	}
-	for _, schema := range s.cat.Schemas() {
-		if _, err := s.ts.Reorganize(schema.ID, upTo); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // simulatedDuration computes the dataset time covered by points written
 // so far (for CPU-at-real-time-rate accounting).

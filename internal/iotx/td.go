@@ -64,11 +64,7 @@ func (c TDConfig) Accounts() int { return c.I * c.AccountUnit }
 // average of five accounts per customer, with its load unit lowered from
 // 1000 to 200 customers per 1000 accounts).
 func (c TDConfig) Customers() int {
-	n := c.Accounts() / 5
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, c.Accounts()/5)
 }
 
 // FreqHz returns the per-account trade frequency.

@@ -80,9 +80,7 @@ func RunWS1(sys *System, dataset string, stream pointStream, startTS int64) (WS1
 		}
 		res.Points++
 		tp.Add(1)
-		if p.TS > lastTS {
-			lastTS = p.TS
-		}
+		lastTS = max(lastTS, p.TS)
 		if p.TS-windowStart >= cpuWindowMs {
 			cpu.SampleSimulated(time.Duration(p.TS-windowStart) * time.Millisecond)
 			windowStart = p.TS
@@ -95,7 +93,7 @@ func RunWS1(sys *System, dataset string, stream pointStream, startTS int64) (WS1
 	res.Simulated = simulatedDuration(startTS, lastTS)
 	res.AvgThroughput = tp.Avg()
 	res.MaxThroughput = tp.Max()
-	res.ValuesPerSec = res.AvgThroughput * float64(res.Values) / float64(maxI64(res.Points, 1))
+	res.ValuesPerSec = res.AvgThroughput * float64(res.Values) / float64(max(res.Points, 1))
 	res.AvgCPU = cpu.AvgLoad()
 	res.MaxCPU = cpu.MaxLoad()
 	if res.Simulated > 0 {
@@ -113,13 +111,6 @@ func RunWS1(sys *System, dataset string, stream pointStream, startTS int64) (WS1
 		res.IOBytesPerSec = float64(res.IOBytesWritten) / sec
 	}
 	return res, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RunWS1TD generates a fresh TD dataset and drives sys through it.

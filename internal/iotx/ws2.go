@@ -44,7 +44,7 @@ var Templates = map[string]templateGen{
 	// TQ2: slice query over a 1-10 s window.
 	"TQ2": func(rng *rand.Rand, p *QueryParams) string {
 		span := int64(1000 + rng.Intn(9000))
-		t := p.TDStartTS + rng.Int63n(maxInt64(p.TDEndTS-p.TDStartTS-span, 1))
+		t := p.TDStartTS + rng.Int63n(max(p.TDEndTS-p.TDStartTS-span, 1))
 		return fmt.Sprintf(`SELECT * FROM TRADE WHERE T_DTS BETWEEN %d AND %d`, t, t+span)
 	},
 	// TQ3: fuse with ACCOUNT, single data source involved.
@@ -56,7 +56,7 @@ var Templates = map[string]templateGen{
 	// TQ4: fuse with ACCOUNT and CUSTOMER, multiple data sources.
 	"TQ4": func(rng *rand.Rand, p *QueryParams) string {
 		span := (p.DOBHi - p.DOBLo) / 10
-		lo := p.DOBLo + rng.Int63n(maxInt64(p.DOBHi-p.DOBLo-span, 1))
+		lo := p.DOBLo + rng.Int63n(max(p.DOBHi-p.DOBLo-span, 1))
 		return fmt.Sprintf(
 			`SELECT CA_NAME, T_DTS, T_CHRG FROM TRADE t, ACCOUNT a, CUSTOMER c WHERE a.CA_ID = t.T_CA_ID AND a.CA_C_ID = c.C_ID AND C_DOB BETWEEN %d AND %d`,
 			lo, lo+span)
@@ -72,7 +72,7 @@ var Templates = map[string]templateGen{
 		// Low-frequency data: widen the window to the mean interval scale
 		// so slices are non-empty, as the paper's parameters do.
 		span *= 60
-		t := p.LDStartTS + rng.Int63n(maxInt64(p.LDEndTS-p.LDStartTS-span, 1))
+		t := p.LDStartTS + rng.Int63n(max(p.LDEndTS-p.LDStartTS-span, 1))
 		return fmt.Sprintf(
 			`SELECT Timestamp, SensorId, AirTemperature FROM Observation WHERE Timestamp BETWEEN %d AND %d`, t, t+span)
 	},
@@ -100,13 +100,6 @@ var (
 	TDTemplateIDs = []string{"TQ1", "TQ2", "TQ3", "TQ4"}
 	LDTemplateIDs = []string{"LQ1", "LQ2", "LQ3", "LQ4"}
 )
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // RunWS2Template runs n concrete queries from one template against a
 // candidate and reports throughput and CPU.

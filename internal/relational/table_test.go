@@ -305,14 +305,3 @@ func TestValueCompare(t *testing.T) {
 		t.Fatal("3 = 3.0 must hold")
 	}
 }
-
-func BenchmarkInsertWithTwoIndexes(b *testing.B) {
-	db := newDB(b, ProfileRDB)
-	tbl := tradeTable(b, db)
-	tbl.CreateIndex("by_dts", "T_DTS")
-	tbl.CreateIndex("by_ca", "T_CA_ID")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.Insert([]Value{Time(int64(i)), Int(int64(i % 1000)), Float(1), Float(2)})
-	}
-}

@@ -449,62 +449,3 @@ func TestManyConnSoak(t *testing.T) {
 		t.Errorf("ForcedCloses = %d after clean soak, want 0", fc)
 	}
 }
-
-// BenchmarkServerBatchIngest compares the binary batched path against
-// per-line WRITE over a real TCP connection; the points/sec metrics are
-// the acceptance numbers (batch must be >= 5x line). Both arms ingest
-// the same mixed-source stream — the shape a gateway aggregating a fleet
-// produces, which also lets the batch path fan out across ingest shards.
-func BenchmarkServerBatchIngest(b *testing.B) {
-	const batchPoints = 1000
-	const sources = 16
-	run := func(b *testing.B, batch bool) {
-		addr, _, _ := startServerWith(b, sources, Options{})
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		r := bufio.NewReader(conn)
-		ts := int64(0)
-		if batch {
-			fmt.Fprintln(conn, "HELLO 2")
-			if line, _ := r.ReadString('\n'); strings.TrimSpace(line) != "HELLO 2" {
-				b.Fatalf("HELLO -> %q", line)
-			}
-		}
-		points := make([]odh.Point, batchPoints)
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			if batch {
-				for j := range points {
-					if j%sources == 0 {
-						ts += 1000
-					}
-					points[j] = odh.Point{Source: int64(j%sources) + 1, TS: ts, Values: []float64{float64(j), 2}}
-				}
-				if err := WriteBatchFrame(conn, points); err != nil {
-					b.Fatal(err)
-				}
-				if line, _ := r.ReadString('\n'); !strings.HasPrefix(line, "OK") {
-					b.Fatalf("BATCH -> %q", line)
-				}
-				total += batchPoints
-			} else {
-				if i%sources == 0 {
-					ts += 1000
-				}
-				fmt.Fprintf(conn, "WRITE %d %d %g 2\n", i%sources+1, ts, float64(i%97))
-				if line, _ := r.ReadString('\n'); strings.TrimSpace(line) != "OK" {
-					b.Fatalf("WRITE -> %q", line)
-				}
-				total++
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "points/sec")
-	}
-	b.Run("batch-frame", func(b *testing.B) { run(b, true) })
-	b.Run("write-line", func(b *testing.B) { run(b, false) })
-}

@@ -209,36 +209,6 @@ func TestExplainFusedPlansNameBothCosts(t *testing.T) {
 	}
 }
 
-func BenchmarkTQ1Historical(b *testing.B) {
-	e := newEngine(b)
-	tdFixture(b, e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Query(`SELECT * FROM TRADE WHERE T_CA_ID = 3`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.FetchAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFusedTQ3(b *testing.B) {
-	e := newEngine(b)
-	tdFixture(b, e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Query(`SELECT T_DTS, T_CHRG FROM TRADE t, ACCOUNT a WHERE a.CA_ID = t.T_CA_ID AND a.CA_NAME = 'acct_7'`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.FetchAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestTimeBucketDownsampling(t *testing.T) {
 	e := newEngine(t)
 	cat := e.cat

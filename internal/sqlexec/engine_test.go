@@ -17,6 +17,11 @@ import (
 // newEngine builds an empty engine over an in-memory page store.
 func newEngine(t testing.TB) *Engine {
 	t.Helper()
+	return newEngineWith(t, tsstore.Config{BatchSize: 16})
+}
+
+func newEngineWith(t testing.TB, cfg tsstore.Config) *Engine {
+	t.Helper()
 	page, err := pagestore.Open(pagestore.NewMemFile(), pagestore.Options{PoolPages: 16384})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +31,7 @@ func newEngine(t testing.TB) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := tsstore.Open(page, cat, tsstore.Config{BatchSize: 16})
+	ts, err := tsstore.Open(page, cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

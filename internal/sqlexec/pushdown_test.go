@@ -9,6 +9,7 @@ import (
 
 	"odh/internal/model"
 	"odh/internal/relational"
+	"odh/internal/tsstore"
 )
 
 // rowKey canonicalizes a row for multiset comparison, bit-exact for
@@ -167,21 +168,54 @@ func TestAggPushdownNearEquality(t *testing.T) {
 	}
 }
 
-// TestAggPushdownBlobBytes pins the accounting fix: the pushdown reports
-// only the bytes it decoded, not the bytes it folded from summaries.
-func TestAggPushdownBlobBytes(t *testing.T) {
-	e := newEngine(t)
-	tdFixture(t, e)
-	sql := `SELECT COUNT(*), SUM(T_TRADE_PRICE) FROM TRADE`
-	push, ref := runBoth(t, e, sql)
-	if push.BlobBytes() != 0 {
-		t.Fatalf("full-window pushdown decoded %d bytes, want 0 (all summary folds)", push.BlobBytes())
+// TestAggPushdownBytesPinned pins the pushdown's byte economics on a dense
+// 200 000-point history (one RTS source at 10 ms, four tags, 128-point
+// batches): a grand total and a TIME_BUCKET roll-up over a window that
+// clips the first and last batch decode only those boundary blobs and fold
+// the rest from header summaries, while the fallback decodes every blob in
+// the window. The counts are deterministic; they move only with the blob
+// format, the fold eligibility rules or the byte accounting.
+func TestAggPushdownBytesPinned(t *testing.T) {
+	const nPts = 200_000
+	e := newEngineWith(t, tsstore.Config{BatchSize: 128})
+	schema, err := e.cat.CreateSchema(model.SchemaType{
+		Name: "scan", IDName: "id", TSName: "ts",
+		Tags: []model.TagDef{{Name: "t0"}, {Name: "t1"}, {Name: "t2"}, {Name: "t3"}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ref.BlobBytes() == 0 {
-		t.Fatalf("fallback read no blob bytes; fixture not flushed?")
+	if err := e.cat.CreateVirtualTable("V", schema.ID); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := e.cat.RegisterSource(model.DataSource{SchemaID: schema.ID, Regular: true, IntervalMs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nPts; i++ {
+		p := model.Point{Source: ds.ID, TS: int64(i+1) * 10,
+			Values: []float64{float64(i % 97), float64(i), 3.5, float64(i % 11)}}
+		if err := e.ts.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.ts.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	where := fmt.Sprintf(` FROM V WHERE id = %d AND ts >= 15 AND ts < %d`, ds.ID, (nPts+1)*10-5)
+	var decoded, fallback int64
+	for _, sql := range []string{
+		`SELECT COUNT(*), SUM(t1), AVG(t2), MIN(t0), MAX(t0)` + where,
+		`SELECT TIME_BUCKET(100000, ts), COUNT(*), MAX(t1)` + where + ` GROUP BY TIME_BUCKET(100000, ts)`,
+	} {
+		push, ref := runBoth(t, e, sql)
+		decoded += push.BlobBytes()
+		fallback += ref.BlobBytes()
 	}
 	st := e.ts.Stats()
-	if st.SummaryHits == 0 || st.BytesNotDecoded == 0 {
-		t.Fatalf("summary counters not plumbed: %+v", st)
+	if decoded != 19746 || fallback != 2778518 || st.SummaryHits != 3104 ||
+		decoded+st.BytesNotDecoded != fallback || st.SubBucketFolds != 0 {
+		t.Fatalf("decoded=%d fallback=%d folds=%d notDecoded=%d subFolds=%d, want 19746 2778518 3104 %d 0",
+			decoded, fallback, st.SummaryHits, st.BytesNotDecoded, st.SubBucketFolds, fallback-decoded)
 	}
 }

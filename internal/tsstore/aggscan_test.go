@@ -307,7 +307,7 @@ func runAggTrial(t *testing.T, seed int64, legacy bool) {
 			}
 		}
 		{
-			it, err := f.store.SliceScan(schema.ID, spec.T1, spec.T2, nil)
+			it, err := f.store.SliceScanOpts(schema.ID, spec.T1, spec.T2, nil, ScanOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -619,5 +619,68 @@ func TestBucketFloorMatchesTimeBucket(t *testing.T) {
 		if got := model.BucketFloor(tc.ts, tc.w); got != tc.want {
 			t.Fatalf("BucketFloor(%d, %d) = %d, want %d", tc.ts, tc.w, got, tc.want)
 		}
+	}
+}
+
+// denseFixture builds the 200 000-point dense history (one RTS source at
+// 10 ms, four tags, 128-point batches, all flushed) whose byte and fold
+// counts are pinned exactly below and in tier_test.go. The counts are
+// deterministic, so any drift is a change to the blob format, the fold
+// eligibility rules or the byte accounting — update the constants only with
+// such a change. It returns the source and the end of the history.
+func denseFixture(t testing.TB, cfg Config) (*fixture, *model.DataSource, int64) {
+	t.Helper()
+	const nPts = 200_000
+	cfg.BatchSize = 128
+	f := newFixture(t, cfg, 0)
+	ds := f.source(t, f.schema(t, "scan", 4).ID, true, 10)
+	for i := 0; i < nPts; i++ {
+		p := model.Point{Source: ds.ID, TS: int64(i+1) * 10,
+			Values: []float64{float64(i % 97), float64(i), 3.5, float64(i % 11)}}
+		if err := f.store.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return f, ds, int64(nPts+1) * 10
+}
+
+// TestAggregateSubBucketBytesPinned pins what the sub-bucket block buys on
+// the shape the whole-blob summary cannot answer: TIME_BUCKET widths below
+// a blob's 1280 ms span over a window cut off the bucket grid. With 1 s
+// sub-buckets only the two window-edge blobs decode and every straddler
+// folds from its mini-summaries; without the block every straddler decodes.
+func TestAggregateSubBucketBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                            string
+		subMs                           int64
+		decoded, swept, subFolds, folds int64
+	}{
+		{"sub-1000ms", 1000, 1982, 3157436, 1962, 1162},
+		{"no-sub-block", -1, 1525454, 2428332, 0, 1162},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, ds, end := denseFixture(t, Config{SubBucketMs: tc.subMs})
+			var decoded int64
+			for _, spec := range []AggSpec{
+				{BucketMs: 1000, WantTags: []int{0, 1}},
+				{BucketMs: 5000, WantTags: []int{1, 2}},
+			} {
+				spec.T1, spec.T2, spec.NTags = 15, end-5, 4
+				res, err := f.store.AggregateHistorical(ds.ID, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded += res.BlobBytesRead
+			}
+			st := f.store.Stats()
+			swept := decoded + st.BytesNotDecoded + st.SubBucketBytesNotDecoded
+			if decoded != tc.decoded || swept != tc.swept || st.SubBucketFolds != tc.subFolds || st.SummaryHits != tc.folds {
+				t.Fatalf("decoded=%d swept=%d subFolds=%d folds=%d, want %d %d %d %d",
+					decoded, swept, st.SubBucketFolds, st.SummaryHits, tc.decoded, tc.swept, tc.subFolds, tc.folds)
+			}
+		})
 	}
 }

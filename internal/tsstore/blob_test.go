@@ -238,46 +238,3 @@ func TestZoneMapLossyBoundsStillSafe(t *testing.T) {
 		t.Fatal("zone maps dropped all rows under lossy compression")
 	}
 }
-
-func BenchmarkZoneMapSkip(b *testing.B) {
-	for _, withRanges := range []bool{true, false} {
-		name := "with-zonemap-pushdown"
-		if !withRanges {
-			name = "full-decode"
-		}
-		b.Run(name, func(b *testing.B) {
-			f := newFixture(b, Config{BatchSize: 100}, 0)
-			s := f.schema(b, "zb", 4)
-			ds := f.source(b, s.ID, true, 10)
-			for i := 0; i < 20000; i++ {
-				f.store.Write(model.Point{Source: ds.ID, TS: int64(i * 10),
-					Values: []float64{float64(i), 1, 2, 3}})
-			}
-			f.store.Flush()
-			var ranges []TagRange
-			if withRanges {
-				ranges = []TagRange{{Tag: 0, Lo: 10000, Hi: 10050}}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				it, err := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil, ranges...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for {
-					p, ok := it.Next()
-					if !ok {
-						break
-					}
-					if !withRanges || (p.Values[0] >= 10000 && p.Values[0] <= 10050) {
-						n++
-					}
-				}
-				if withRanges && n != 51 {
-					b.Fatalf("matches = %d", n)
-				}
-			}
-		})
-	}
-}

@@ -140,7 +140,7 @@ func runReferenceTrial(t *testing.T, seed int64) {
 	for trial := 0; trial < 4; trial++ {
 		t1 := int64(1_000_000) + rng.Int63n(maxTS-999_999)
 		t2 := t1 + rng.Int63n(maxTS-t1+2)
-		it, err := f.store.SliceScan(schema.ID, t1, t2, nil)
+		it, err := f.store.SliceScanOpts(schema.ID, t1, t2, nil, ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,9 +41,9 @@ func TestRecoveryDoesNotReappend(t *testing.T) {
 	}
 	f2 := newFixture(t, Config{BatchSize: 1000, Log: l2}, 0)
 	s2 := f2.schema(t, "w", 1)
-	ds2 := f2.source(t, s2.ID, true, 10)
-	if n, err := f2.store.RecoverFromLog(l2); err != nil || n != 30 {
-		t.Fatalf("recover = %d, %v; want 30", n, err)
+	f2.source(t, s2.ID, true, 10)
+	if n, skipped, err := f2.store.ReplayDedup(l2, f2.store.WriteRecovered); err != nil || n != 30 || skipped != 0 {
+		t.Fatalf("recover = %d applied, %d skipped, %v; want 30, 0", n, skipped, err)
 	}
 	if got := l2.Size(); got != sizeBefore {
 		t.Fatalf("log grew during recovery: %d -> %d bytes (records re-appended)", sizeBefore, got)
@@ -60,9 +60,8 @@ func TestRecoveryDoesNotReappend(t *testing.T) {
 	f3 := newFixture(t, Config{BatchSize: 1000, Log: l3}, 0)
 	s3 := f3.schema(t, "w", 1)
 	f3.source(t, s3.ID, true, 10)
-	_ = ds2
-	if n, err := f3.store.RecoverFromLog(l3); err != nil || n != 30 {
-		t.Fatalf("second recover = %d, %v; want 30", n, err)
+	if n, skipped, err := f3.store.ReplayDedup(l3, f3.store.WriteRecovered); err != nil || n != 30 || skipped != 0 {
+		t.Fatalf("second recover = %d applied, %d skipped, %v; want 30, 0", n, skipped, err)
 	}
 	it, _ := f3.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
 	if got := len(collect(t, it)); got != 30 {
@@ -107,25 +106,59 @@ func TestFlushWithCommitOrdering(t *testing.T) {
 	}
 }
 
-func TestHasPointSeesBufferedAndPersisted(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 4}, 0)
-	s := f.schema(t, "h", 1)
-	ds := f.source(t, s.ID, true, 10)
-	for i := 0; i < 6; i++ { // 4 persisted in a batch, 2 buffered
-		if err := f.store.Write(model.Point{Source: ds.ID, TS: int64(i * 10), Values: []float64{float64(i)}}); err != nil {
+// TestRecoveryKeepsRepeatedTimestamps is the regression for crash recovery
+// dropping acked rows with a nil error: the dedup used to ask whether a
+// point at (source, ts) was visible, and the replay's own first sample at
+// ts = 100 made the second and third look already applied. A replay may
+// skip exactly the points the store held before it began, buffered or
+// persisted, and never one it wrote itself.
+func TestRecoveryKeepsRepeatedTimestamps(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "ingest.wal")
+	l, err := walog.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFixture(t, Config{BatchSize: 1000, Log: l}, 0)
+	ds := f.source(t, f.schema(t, "w", 1).ID, false, 10) // irregular: timestamps may repeat
+	logged := []int64{50, 100, 100, 100, 150}
+	for i, ts := range logged {
+		if err := f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 6; i++ {
-		ok, err := f.store.HasPoint(ds.ID, int64(i*10))
-		if err != nil {
-			t.Fatal(err)
+	l.Sync()
+	l.Close() // crash: nothing was flushed
+
+	l2, err := walog.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	f2 := newFixture(t, Config{BatchSize: 1000}, 0)
+	f2.source(t, f2.schema(t, "w", 1).ID, false, 10)
+	// One of the three samples at ts = 100 is already there: one record skips.
+	if err := f2.store.Write(model.Point{Source: ds.ID, TS: 100, Values: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	replay := func(when string, wantApplied, wantSkipped int) {
+		t.Helper()
+		applied, skipped, err := f2.store.ReplayDedup(l2, f2.store.WriteRecovered)
+		if err != nil || applied != wantApplied || skipped != wantSkipped {
+			t.Fatalf("%s: %d applied, %d skipped, %v; want %d, %d", when, applied, skipped, err, wantApplied, wantSkipped)
 		}
-		if !ok {
-			t.Fatalf("HasPoint(%d) = false, want true", i*10)
+		it, _ := f2.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
+		seen := map[float64]bool{}
+		for _, p := range collect(t, it) {
+			seen[p.Values[0]] = true
+		}
+		if len(seen) != len(logged) {
+			t.Fatalf("%s: store holds samples %v, want the %d distinct ones", when, seen, len(logged))
 		}
 	}
-	if ok, _ := f.store.HasPoint(ds.ID, 5); ok {
-		t.Fatal("HasPoint(5) = true for a timestamp never written")
+	replay("one held", 4, 1)
+	replay("all held, buffered", 0, 5)
+	if err := f2.store.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	replay("all held, persisted", 0, 5)
 }

@@ -136,9 +136,8 @@ func splitBatchRuns(pts []model.Point, structure model.Structure, intervalMs int
 // historical structure (the MG duplicate-sample overflow path). Caller
 // holds the group's latch.
 func (s *Store) writeHistoricalPoint(ds *model.DataSource, schema *model.SchemaType, p model.Point) error {
-	structure := ds.HistoricalStructure()
-	return s.rewriteLocked(s.treeFor(structure), ds.ID, nil,
-		s.encodeRuns(ds, schema, []model.Point{p}, structure, s.encodeOptsFor(schema), s.cfg.BatchSize))
+	_, err := s.putRunLocked(ds, schema, ds.HistoricalStructure(), []model.Point{p})
+	return err
 }
 
 // Reorganize converts every group of a schema up to the given timestamp.

@@ -86,7 +86,7 @@ func TestDropBeforeMG(t *testing.T) {
 	if res.RecordsDropped == 0 {
 		t.Fatal("nothing dropped from MG")
 	}
-	it, _ := f.store.SliceScan(s.ID, 0, math.MaxInt64, nil)
+	it, _ := f.store.SliceScanOpts(s.ID, 0, math.MaxInt64, nil, ScanOptions{})
 	pts := collect(t, it)
 	for _, p := range pts {
 		if p.TS < cutoff-900000 {
@@ -126,7 +126,7 @@ func TestDropBeforeKeepsPointCount(t *testing.T) {
 	if st, n := f.cat.Stats(rts.ID), len(collect(t, it)); st.PointCount != int64(n) || n == 0 || n == 1000 {
 		t.Fatalf("source PointCount = %d, scan has %d rows", st.PointCount, n)
 	}
-	it, _ = f.store.SliceScan(s.ID, math.MinInt64, math.MaxInt64, nil)
+	it, _ = f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{})
 	mgRows := 0
 	for _, p := range collect(t, it) {
 		if p.Source != rts.ID {

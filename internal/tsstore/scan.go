@@ -233,16 +233,11 @@ func (s *Store) HistoricalScanOpts(source, t1, t2 int64, wantTags []int, opts Sc
 	return &scanIter{w: s.sourceWalker(ds, t1, t2, wantTags, opts), tagRanges: tagRanges}, nil
 }
 
-// SliceScan returns points of every source of a schema in [t1, t2) —
+// SliceScanOpts returns points of every source of a schema in [t1, t2) —
 // the paper's slice query ("data generated by multiple data sources for a
 // short time window"). MG groups serve slices directly from their
 // time-keyed records; RTS/IRTS sources are visited per source. Output is
 // grouped per source/group, not globally time-sorted.
-func (s *Store) SliceScan(schemaID int64, t1, t2 int64, wantTags []int, tagRanges ...TagRange) (Iterator, error) {
-	return s.SliceScanOpts(schemaID, t1, t2, wantTags, ScanOptions{}, tagRanges...)
-}
-
-// SliceScanOpts is SliceScan with scan tuning.
 func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
 	var parts []Iterator
 	for _, w := range s.sliceWalkers(schemaID, t1, t2, wantTags, opts) {
@@ -266,13 +261,8 @@ func (s *Store) sliceWalkers(schemaID int64, t1, t2 int64, wantTags []int, opts 
 	return ws
 }
 
-// MultiHistoricalScan concatenates historical scans for an explicit list
+// MultiHistoricalScanOpts concatenates historical scans for an explicit list
 // of sources (the id IN (...) pushdown). Output is grouped per source.
-func (s *Store) MultiHistoricalScan(sources []int64, t1, t2 int64, wantTags []int, tagRanges ...TagRange) (Iterator, error) {
-	return s.MultiHistoricalScanOpts(sources, t1, t2, wantTags, ScanOptions{}, tagRanges...)
-}
-
-// MultiHistoricalScanOpts is MultiHistoricalScan with scan tuning.
 func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
 	parts := make([]Iterator, 0, len(sources))
 	for _, src := range sources {

@@ -300,7 +300,7 @@ func TestMultiAndSliceScanParallelEquivalence(t *testing.T) {
 	}
 	for _, w := range windows {
 		for _, opts := range []ScanOptions{{Workers: 4}, {Workers: 4, NoCache: true}, {NoCache: true}, {}} {
-			multiRef, err := f.store.MultiHistoricalScan(ids, w[0], w[1], nil)
+			multiRef, err := f.store.MultiHistoricalScanOpts(ids, w[0], w[1], nil, ScanOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestMultiAndSliceScanParallelEquivalence(t *testing.T) {
 			if !pointsEqual(collect(t, multiRef), collect(t, multiGot)) {
 				t.Fatalf("multi scan diverged for window %v opts %+v", w, opts)
 			}
-			sliceRef, err := f.store.SliceScan(s.ID, w[0], w[1], nil)
+			sliceRef, err := f.store.SliceScanOpts(s.ID, w[0], w[1], nil, ScanOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -657,33 +657,53 @@ func (s *Store) flushSourceLocked(sh *shard, buf *sourceBuffer) error {
 	if len(buf.points) == 0 {
 		return nil
 	}
-	pts := buf.points
-	structure := buf.ds.IngestStructure()
-	tree := s.treeFor(structure)
-	var old []stored
-	if structure == model.IRTS {
-		// An out-of-order run can start at the first timestamp of a batch
-		// already stored — the record key. Irregular sources may repeat a
-		// timestamp, so these are distinct samples: the batches merge under
-		// the shared key rather than the new one replacing the old.
-		existing, err := tree.Get(keyenc.SourceTime(buf.ds.ID, pts[0].TS))
-		if err == nil {
-			old = []stored{{ts: pts[0].TS, blob: existing}}
-			_, was := decodeRecords(buf.ds.ID, old, nil)
-			pts = append(was, pts...)
-			insertionSortPoints(pts)
-		} else if err != btree.ErrNotFound {
-			return err
-		}
-	}
-	blob := encodeRun(buf.ds, buf.schema, pts, structure, s.encodeOptsFor(buf.schema))
-	if err := s.rewriteLocked(tree, buf.ds.ID, old, []stored{{ts: pts[0].TS, blob: blob}}); err != nil {
+	blob, err := s.putRunLocked(buf.ds, buf.schema, buf.ds.IngestStructure(), buf.points)
+	if err != nil {
 		return err
 	}
 	sh.stats.BatchesFlushed++
 	sh.stats.BlobBytes += int64(len(blob))
 	buf.points = buf.points[:0]
 	return nil
+}
+
+// putRunLocked stores one timestamp-ordered run of a source's points as a
+// single record of its per-source tree and returns the encoded blob. The
+// run's first timestamp is the record key, and a record may already sit
+// under it: an out-of-order run, or a group member's repeated sample
+// overflowing its MG row, can start where a stored batch starts. Irregular
+// sources may repeat a timestamp, so these are distinct samples: the
+// batches merge under the shared key rather than the new one replacing
+// the old. (A regular source has one sample per interval, so its run does
+// replace.) Caller holds the source's latch.
+func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, structure model.Structure, pts []model.Point) ([]byte, error) {
+	tree := s.treeFor(structure)
+	var old []stored
+	// The catalog's bounds for the source's per-source records answer the
+	// common case — a run newer than anything stored has no record at its
+	// key — without a lookup in the tree, whose lock every scan of the
+	// structure shares: rewriteLocked keeps LastTS at or above every
+	// record's last timestamp, hence above every key. Statistics that count
+	// no batch (none stored yet, or the entry was lost or unreadable) vouch
+	// for nothing, and the tree is asked.
+	mayCollide := false
+	if structure == model.IRTS {
+		st := s.cat.Stats(ds.ID)
+		mayCollide = st.BatchCount <= 0 || pts[0].TS <= st.LastTS
+	}
+	if mayCollide {
+		existing, err := tree.Get(keyenc.SourceTime(ds.ID, pts[0].TS))
+		if err == nil {
+			old = []stored{{ts: pts[0].TS, blob: existing}}
+			_, was := decodeRecords(ds.ID, old, nil)
+			pts = append(was, pts...)
+			insertionSortPoints(pts)
+		} else if err != btree.ErrNotFound {
+			return nil, err
+		}
+	}
+	blob := encodeRun(ds, schema, pts, structure, s.encodeOptsFor(schema))
+	return blob, s.rewriteLocked(tree, ds.ID, old, []stored{{ts: pts[0].TS, blob: blob}})
 }
 
 // flushMGRowLocked persists and removes one group row, merging with any
@@ -815,60 +835,60 @@ func (s *Store) FlushWith(commit func() error) error {
 	return nil
 }
 
-// RecoverFromLog replays a recovery log into the store (used after a crash
-// before buffered points reached a batch). Replay bypasses the attached
-// log — the records are already in it.
-func (s *Store) RecoverFromLog(l *walog.Log) (int, error) {
-	n := 0
-	err := l.Replay(func(payload []byte) error {
-		p, err := DecodePointWAL(payload)
-		if err != nil {
-			return err
-		}
-		n++
-		return s.WriteRecovered(p)
-	})
-	return n, err
-}
-
-// RecoverFromLogDedup replays a recovery log, skipping records whose
-// point is already visible in the store. FlushWith commits the page store
-// before recycling the log, so a crash between commit and reset leaves a
-// log whose records are already durable — blind replay would apply them
-// twice. Returns the number of points applied and skipped.
-func (s *Store) RecoverFromLogDedup(l *walog.Log) (applied, skipped int, err error) {
+// ReplayDedup replays a log of WAL-encoded points through apply, skipping
+// the records whose points the store already held when the replay began.
+// Crash recovery needs it because FlushWith commits the page store before
+// recycling the log, so a crash between the two leaves records that are
+// already durable (apply is WriteRecovered: the records are in the log
+// already); hinted-handoff catch-up because a write that timed out at the
+// coordinator may have landed anyway (apply is Write).
+//
+// Asking per record whether a point at (source, ts) is visible would not
+// do: scans dirty-read the buffer the replay itself is filling, and an
+// irregular source may log several samples at one timestamp, so every
+// sample after the first would pass for a duplicate of it and be dropped.
+// Instead the first record at a (source, ts) counts the points visible
+// there — the replay has written none yet — and only that many of the
+// log's records at that key are skipped. Nothing but the replay may write
+// to the store until it returns. Returns the points applied and skipped.
+//
+// Memory is one small map entry per distinct (source, ts) in the log, so
+// it is bounded by the log's length: the recovery log is recycled at
+// every Flush, and a copy's hint log is itself held in memory, at more
+// bytes per record than its entry here. An entry cannot be dropped when
+// its source's timestamps move on — arrival order is not time order, and
+// a late record at a forgotten key would count the replay's own write.
+func (s *Store) ReplayDedup(l *walog.Log, apply func(model.Point) error) (applied, skipped int, err error) {
+	held := make(map[[2]int64]int) // (source, ts) -> held points no record has matched yet
 	err = l.Replay(func(payload []byte) error {
 		p, derr := DecodePointWAL(payload)
 		if derr != nil {
 			return derr
 		}
-		ok, herr := s.HasPoint(p.Source, p.TS)
-		if herr != nil {
-			return herr
+		key := [2]int64{p.Source, p.TS}
+		n, seen := held[key]
+		if !seen {
+			it, serr := s.HistoricalScan(p.Source, p.TS, p.TS+1, nil)
+			if serr != nil {
+				return serr
+			}
+			for _, ok := it.Next(); ok; _, ok = it.Next() {
+				n++
+			}
+			if serr = it.Err(); serr != nil {
+				return serr
+			}
 		}
-		if ok {
+		if n > 0 {
+			held[key] = n - 1
 			skipped++
 			return nil
 		}
+		held[key] = 0
 		applied++
-		return s.WriteRecovered(p)
+		return apply(p)
 	})
 	return applied, skipped, err
-}
-
-// HasPoint reports whether a point for source at exactly ts is visible to
-// scans — buffered or persisted. Replication catch-up uses it to
-// deduplicate hinted records that may already have been applied before
-// the replica crashed or timed out.
-func (s *Store) HasPoint(source, ts int64) (bool, error) {
-	it, err := s.HistoricalScan(source, ts, ts+1, nil)
-	if err != nil {
-		return false, err
-	}
-	if _, ok := it.Next(); !ok {
-		return false, it.Err()
-	}
-	return true, nil
 }
 
 // watermark returns the reorg watermark of a group (math.MinInt64 when

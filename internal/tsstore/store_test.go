@@ -3,14 +3,13 @@ package tsstore
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"odh/internal/catalog"
 	"odh/internal/compress"
+	"odh/internal/keyenc"
 	"odh/internal/model"
 	"odh/internal/pagestore"
-	"odh/internal/walog"
 )
 
 type fixture struct {
@@ -185,6 +184,41 @@ func TestIRTSOutOfOrderSplits(t *testing.T) {
 	}
 }
 
+// A run that starts at a stored batch's key merges with it even when the
+// catalog's statistics for the source count no batch (lost or unreadable):
+// the flush skips the tree lookup only on statistics that vouch for it.
+func TestIRTSSharedKeyMergesWithoutStats(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 100}, 0)
+	s := f.schema(t, "v", 1)
+	ds := f.source(t, s.ID, false, 100)
+	f.store.Write(model.Point{Source: ds.ID, TS: 1000, Values: []float64{1}})
+	f.store.Write(model.Point{Source: ds.ID, TS: 2000, Values: []float64{2}})
+	f.store.Flush()
+	st := f.cat.Stats(ds.ID)
+	if st.BatchCount != 1 || st.PointCount != 2 {
+		t.Fatalf("stats after first flush: %+v", st)
+	}
+	lost := model.SourceStats{BatchCount: -st.BatchCount, PointCount: -st.PointCount, BlobBytes: -st.BlobBytes}
+	if err := f.cat.UpdateStats(ds.ID, lost); err != nil {
+		t.Fatal(err)
+	}
+	f.store.Write(model.Point{Source: ds.ID, TS: 1000, Values: []float64{3}}) // a second sample at the stored key
+	f.store.Flush()
+	// Scans skip a source whose statistics count no batch, so read the
+	// record itself.
+	blob, err := f.store.irts.Get(keyenc.SourceTime(ds.ID, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pts := decodeRecords(ds.ID, []stored{{ts: 1000, blob: blob}}, nil)
+	if len(pts) != 3 || pts[0].TS != 1000 || pts[1].TS != 1000 || pts[2].TS != 2000 {
+		t.Fatalf("record after shared-key flush: %+v", pts)
+	}
+	if got := pts[0].Values[0] + pts[1].Values[0]; got != 4 {
+		t.Fatalf("samples at 1000: %+v", pts[:2])
+	}
+}
+
 func TestMGWriteAndSliceScan(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 8}, 4)
 	s := f.schema(t, "meter", 2)
@@ -207,7 +241,7 @@ func TestMGWriteAndSliceScan(t *testing.T) {
 	if mg != 4 {
 		t.Fatalf("mg records = %d, want 4", mg)
 	}
-	it, err := f.store.SliceScan(s.ID, 1000000, 1000000+1, nil)
+	it, err := f.store.SliceScanOpts(s.ID, 1000000, 1000000+1, nil, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +280,66 @@ func TestMGPartialRowFlush(t *testing.T) {
 	if got := len(collect(t, it)); got != 3 {
 		t.Fatalf("historical scan over partial rows = %d, want 3", got)
 	}
+}
+
+// TestMGOverflowKeepsRepeatedSamples is the regression for the MG overflow
+// path overwriting a stored record with a nil error: a group member that
+// reports three times at one timestamp keeps its first sample in the MG
+// row and sends the second and third to its per-source tree, where both
+// land on the key (source, ts). They must merge under it like an
+// out-of-order IRTS flush does; the third used to replace the second, and
+// the catalog still counted both.
+func TestMGOverflowKeepsRepeatedSamples(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 8}, 4)
+	s := f.schema(t, "meter", 1)
+	a := f.source(t, s.ID, false, 900000) // irregular, 15 min -> MG, IRTS history
+	b := f.source(t, s.ID, false, 900000)
+	written := []model.Point{
+		{Source: a.ID, TS: 1000, Values: []float64{1}},
+		{Source: a.ID, TS: 1000, Values: []float64{2}},
+		{Source: a.ID, TS: 1000, Values: []float64{4}},
+		{Source: b.ID, TS: 1000, Values: []float64{8}},
+		{Source: a.ID, TS: 901000, Values: []float64{16}},
+		{Source: b.ID, TS: 901000, Values: []float64{32}},
+	}
+	check := func(when string) {
+		t.Helper()
+		var sum float64
+		for _, ds := range []*model.DataSource{a, b} {
+			it, err := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range collect(t, it) {
+				sum += p.Values[0]
+			}
+		}
+		if sum != 63 { // distinct powers of two: the sum names the samples present
+			t.Fatalf("%s: scans hold sample set %v of 63", when, sum)
+		}
+		agg, err := f.store.AggregateHistorical(a.ID, AggSpec{T1: 0, T2: math.MaxInt64, NTags: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(agg.Groups) != 1 || agg.Groups[0].Rows != 4 || agg.Groups[0].Sum[0] != 23 {
+			t.Fatalf("%s: aggregate over the member = %+v, want 4 rows summing to 23", when, agg.Groups)
+		}
+		// The member's per-source statistics cover its two overflow samples,
+		// in one record; its first sample is the group's.
+		if st := f.cat.Stats(a.ID); st.PointCount != 2 || st.BatchCount != 1 {
+			t.Fatalf("%s: member stats = %+v, want 2 points in 1 batch", when, st)
+		}
+	}
+	for _, p := range written {
+		if err := f.store.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("buffered")
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed")
 }
 
 func TestMGHistoricalScanSingleSource(t *testing.T) {
@@ -393,7 +487,7 @@ func TestReorganizeMGToRTS(t *testing.T) {
 		}
 	}
 	// Slice scans must also stitch across the watermark.
-	it2, _ := f.store.SliceScan(s.ID, 0, math.MaxInt64, nil)
+	it2, _ := f.store.SliceScanOpts(s.ID, 0, math.MaxInt64, nil, ScanOptions{})
 	if got := len(collect(t, it2)); got != rounds*4 {
 		t.Fatalf("slice after reorg = %d, want %d", got, rounds*4)
 	}
@@ -502,46 +596,6 @@ func TestRowOrientedAblationDecodesAllTags(t *testing.T) {
 		if p.Values[3] != float64(i) {
 			t.Fatalf("tag 3 at %d = %v", i, p.Values[3])
 		}
-	}
-}
-
-func TestWALRecovery(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "ingest.wal")
-	l, err := walog.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newFixture(t, Config{BatchSize: 1000, Log: l}, 0)
-	s := f.schema(t, "w", 1)
-	ds := f.source(t, s.ID, true, 10)
-	for i := 0; i < 50; i++ {
-		f.store.Write(model.Point{Source: ds.ID, TS: int64(i * 10), Values: []float64{float64(i)}})
-	}
-	l.Sync()
-	// Simulate crash: buffered points never flushed. A new store recovers
-	// them from the log.
-	l.Close()
-
-	l2, err := walog.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	f2 := newFixture(t, Config{BatchSize: 1000}, 0)
-	s2 := f2.schema(t, "w", 1)
-	ds2 := f2.source(t, s2.ID, true, 10)
-	_ = ds2
-	n, err := f2.store.RecoverFromLog(l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Fatalf("recovered %d points, want 50", n)
-	}
-	it, _ := f2.store.HistoricalScan(ds2.ID, 0, math.MaxInt64, nil)
-	if got := len(collect(t, it)); got != 50 {
-		t.Fatalf("post-recovery scan = %d", got)
 	}
 }
 

@@ -475,3 +475,45 @@ func TestMakeStubBlobRoundTrip(t *testing.T) {
 		t.Fatal("stub zone maps unreadable")
 	}
 }
+
+// TestTierBytesPinned pins the byte economics of the lifecycle on the
+// dense fixture: the cold pass (8x batch coalescing + max-effort
+// re-encode) and the stub pass (summary-only headers), and that a
+// full-window aggregate over pure stubs folds one summary per stub.
+func TestTierBytesPinned(t *testing.T) {
+	f, ds, end := denseFixture(t, Config{})
+	census := func() TierStats {
+		st, err := f.store.TierStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	hot := census()
+	if hot.HotBlobs != 1563 || hot.HotBytes != 1389259 {
+		t.Fatalf("hot census = %+v, want 1563 blobs, 1389259 bytes", hot)
+	}
+	res, err := f.store.TierSchema(ds.SchemaID, TierPolicy{ColdAfterMs: 1}, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := census()
+	if cold.ColdBytes+cold.HotBytes != 252246 || res.BytesReclaimed != 1137013 {
+		t.Fatalf("cold pass left %d bytes, reclaimed %d, want 252246 and 1137013 (%+v)",
+			cold.ColdBytes+cold.HotBytes, res.BytesReclaimed, cold)
+	}
+	if _, err := f.store.TierSchema(ds.SchemaID, TierPolicy{ColdAfterMs: 1, StubAfterMs: 1}, end); err != nil {
+		t.Fatal(err)
+	}
+	stub := census()
+	if stub.StubBlobs != 196 || stub.StubBytes != 47562 || stub.HotBlobs+stub.ColdBlobs != 0 {
+		t.Fatalf("stub census = %+v, want 196 stubs of 47562 bytes and nothing else", stub)
+	}
+	agg, err := f.store.AggregateHistorical(ds.ID, AggSpec{T1: 0, T2: end, NTags: 4, WantTags: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(agg.Groups) != 1 || agg.Groups[0].Rows != 200_000 || agg.SummaryHits != 196 || agg.BlobBytesRead != 0 {
+		t.Fatalf("aggregate over stubs = %+v, want 200000 rows from 196 folds, nothing decoded", agg)
+	}
+}

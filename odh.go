@@ -273,11 +273,9 @@ func Open(dir string, opts Options) (*Historian, error) {
 		tierPols: opts.TierPolicies,
 	}
 	if wal != nil {
-		// Buffered points from a previous crash re-enter the buffers.
-		// Dedup replay: Flush commits the page store before recycling the
-		// log, so a crash between the two leaves records that are already
-		// persisted — blind replay would double-apply them.
-		if _, _, err := ts.RecoverFromLogDedup(wal); err != nil {
+		// Buffered points from a previous crash re-enter the buffers,
+		// minus the ones a flush had already made durable.
+		if _, _, err := ts.ReplayDedup(wal, ts.WriteRecovered); err != nil {
 			page.Close()
 			return nil, fmt.Errorf("odh: recovery: %w", err)
 		}
