@@ -1,5 +1,7 @@
 package compress
 
+import "encoding/binary"
+
 // BitWriter packs integers of arbitrary bit width into a byte slice,
 // most-significant bit first. The quantization codec uses it to store
 // b-bit symbols.
@@ -58,57 +60,74 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitReader reads back bit sequences written by BitWriter.
+// BitReader reads back bit sequences written by BitWriter. Reads never
+// fail one by one: past the end of the buffer they return zero bits and
+// Err reports ErrCorrupt, so a decode loop checks once per value instead of
+// once per field.
 type BitReader struct {
 	buf  []byte
-	pos  int // next byte index
-	cur  uint64
-	nCur uint
+	pos  int    // next byte to load into cur; runs past len(buf) over zero padding
+	cur  uint64 // unread bits, left-aligned
+	nCur uint   // number of valid bits in cur
 }
 
 // NewBitReader reads from buf.
 func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
 
-// ReadBits returns the next `width` bits. It reports ErrCorrupt when the
-// stream is exhausted.
-func (r *BitReader) ReadBits(width uint) (uint64, error) {
-	if width == 0 {
-		return 0, nil
+// refill tops cur up to at least 56 valid bits, a word at a time while
+// eight bytes remain. Bits loaded beyond the last whole byte are loaded
+// again, identically, by the next refill; past the end cur fills with zeros.
+// Kept out of line so that need stays small enough to inline into the decode
+// loops.
+//
+//go:noinline
+func (r *BitReader) refill() {
+	if r.pos+8 <= len(r.buf) {
+		r.cur |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.nCur
+		r.pos += int(63-r.nCur) >> 3
+		r.nCur |= 56
+		return
 	}
-	if width > 32 {
-		hi, err := r.ReadBits(width - 32)
-		if err != nil {
-			return 0, err
+	for ; r.nCur <= 56; r.nCur += 8 {
+		if r.pos < len(r.buf) {
+			r.cur |= uint64(r.buf[r.pos]) << (56 - r.nCur)
 		}
-		lo, err := r.ReadBits(32)
-		if err != nil {
-			return 0, err
-		}
-		return hi<<32 | lo, nil
-	}
-	for r.nCur < width {
-		if r.pos >= len(r.buf) {
-			return 0, ErrCorrupt
-		}
-		r.cur = r.cur<<8 | uint64(r.buf[r.pos])
 		r.pos++
-		r.nCur += 8
 	}
-	r.nCur -= width
-	v := r.cur >> r.nCur
-	if width < 64 {
-		v &= (1 << width) - 1
-	}
-	if r.nCur > 0 {
-		r.cur &= (1 << r.nCur) - 1
-	} else {
-		r.cur = 0
-	}
-	return v, nil
 }
 
-// ReadBit returns the next bit.
-func (r *BitReader) ReadBit() (bool, error) {
-	v, err := r.ReadBits(1)
-	return v == 1, err
+// need makes at least width unread bits (width <= 56) available to take.
+func (r *BitReader) need(width uint) {
+	if r.nCur < width {
+		r.refill()
+	}
+}
+
+// take returns the next width bits, which a preceding need must cover: a
+// decode loop asks once for a value's control bits and takes them one by one.
+func (r *BitReader) take(width uint) uint64 {
+	v := r.cur >> (64 - width)
+	r.cur <<= width
+	r.nCur -= width
+	return v
+}
+
+// ReadBits returns the next `width` bits, width 0..64.
+func (r *BitReader) ReadBits(width uint) uint64 {
+	var hi uint64
+	if width > 56 {
+		r.need(width - 32)
+		hi = r.take(width-32) << 32
+		width = 32
+	}
+	r.need(width)
+	return hi | r.take(width)
+}
+
+// Err reports ErrCorrupt once a read has run past the end of the buffer.
+func (r *BitReader) Err() error {
+	if 8*r.pos-int(r.nCur) > 8*len(r.buf) {
+		return ErrCorrupt
+	}
+	return nil
 }

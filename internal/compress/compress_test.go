@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -122,8 +124,8 @@ func TestBitpackRoundtrip(t *testing.T) {
 	}
 	r := NewBitReader(w.Bytes())
 	for i, it := range items {
-		got, err := r.ReadBits(it.width)
-		if err != nil {
+		got := r.ReadBits(it.width)
+		if err := r.Err(); err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
 		if got != it.v {
@@ -134,11 +136,11 @@ func TestBitpackRoundtrip(t *testing.T) {
 
 func TestBitReaderExhaustion(t *testing.T) {
 	r := NewBitReader([]byte{0xAB})
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatal(err)
+	if v := r.ReadBits(8); v != 0xAB || r.Err() != nil {
+		t.Fatalf("ReadBits(8) = %#x, %v", v, r.Err())
 	}
-	if _, err := r.ReadBits(1); err == nil {
-		t.Fatal("read past end accepted")
+	if v := r.ReadBits(1); v != 0 || r.Err() == nil {
+		t.Fatalf("read past end accepted: %d, %v", v, r.Err())
 	}
 }
 
@@ -153,7 +155,7 @@ func TestLinearLosslessOnLine(t *testing.T) {
 	if len(enc) > 64 {
 		t.Fatalf("collinear run encoded to %d bytes", len(enc))
 	}
-	dec, _, err := DecompressLinear(enc)
+	dec, _, err := DecompressLinear(enc, MaxColumnValues)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestLinearCompressesSmoothData(t *testing.T) {
 func TestLinearEdgeCases(t *testing.T) {
 	for _, vals := range [][]float64{nil, {7}, {7, 7}, {7, 8}} {
 		enc := CompressLinear(nil, vals, 0.5)
-		dec, _, err := DecompressLinear(enc)
+		dec, _, err := DecompressLinear(enc, MaxColumnValues)
 		if err != nil {
 			t.Fatalf("%v: %v", vals, err)
 		}
@@ -220,7 +222,7 @@ func TestQuantRoundtripWithinBound(t *testing.T) {
 	}
 	for _, bits := range []uint{1, 4, 8, 12, 16, 32} {
 		enc := CompressQuant(nil, vals, bits)
-		dec, err := DecompressQuant(enc)
+		dec, err := DecompressQuant(enc, MaxColumnValues)
 		if err != nil {
 			t.Fatalf("bits %d: %v", bits, err)
 		}
@@ -255,7 +257,7 @@ func TestQuantRatio(t *testing.T) {
 
 func TestQuantDegenerate(t *testing.T) {
 	vals := []float64{5, 5, 5, 5}
-	dec, err := DecompressQuant(CompressQuant(nil, vals, 8))
+	dec, err := DecompressQuant(CompressQuant(nil, vals, 8), MaxColumnValues)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,7 @@ func TestQuantDegenerate(t *testing.T) {
 			t.Fatalf("constant block decoded to %v", v)
 		}
 	}
-	if _, err := DecompressQuant(CompressQuant(nil, nil, 8)); err != nil {
+	if _, err := DecompressQuant(CompressQuant(nil, nil, 8), MaxColumnValues); err != nil {
 		t.Fatalf("empty block: %v", err)
 	}
 }
@@ -272,7 +274,7 @@ func TestQuantDegenerate(t *testing.T) {
 func TestXORLossless(t *testing.T) {
 	if err := quick.Check(func(vals []float64) bool {
 		enc := CompressXOR(nil, vals)
-		dec, err := DecompressXOR(enc)
+		dec, err := DecompressXOR(enc, MaxColumnValues)
 		if err != nil || len(dec) != len(vals) {
 			return false
 		}
@@ -411,6 +413,109 @@ func BenchmarkXORDecompress(b *testing.B) {
 	b.SetBytes(int64(len(vals) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DecompressXOR(enc)
+		DecompressXOR(enc, MaxColumnValues)
+	}
+}
+
+// columnShapes are value series that between them make EncodeColumn and
+// EncodeColumnMaxEffort pick every codec.
+func columnShapes(rng *rand.Rand, n int) map[string][]float64 {
+	shapes := map[string][]float64{
+		"constant": make([]float64, n),
+		"ramp":     make([]float64, n),
+		"noisy":    make([]float64, n),
+		"smooth":   make([]float64, n),
+		"steps":    make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		shapes["constant"][i] = 7.25
+		shapes["ramp"][i] = float64(3 * i)
+		shapes["noisy"][i] = rng.Float64() * 100
+		shapes["smooth"][i] = 20 + 0.01*float64(i) + 0.001*rng.Float64()
+		shapes["steps"][i] = 220 + float64(i%16)*0.25
+	}
+	return shapes
+}
+
+// TestDecodeColumnNIsAPrefix: for every codec and every limit,
+// DecodeColumnN(b, n) is DecodeColumn(b)[:n], bit for bit.
+func TestDecodeColumnNIsAPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	seen := map[Codec]bool{}
+	for _, n := range []int{0, 1, 2, 3, 17, 300} {
+		for name, vals := range columnShapes(rng, n) {
+			cols := [][]byte{
+				EncodeColumn(nil, vals, Policy{}),
+				EncodeColumn(nil, vals, Policy{MaxDev: 0.5}),
+				EncodeColumn(nil, vals, Policy{Disable: true}),
+				EncodeColumnMaxEffort(nil, vals),
+			}
+			for ci, col := range cols {
+				seen[ColumnCodec(col)] = true
+				full, err := DecodeColumn(col)
+				if err != nil || len(full) != n {
+					t.Fatalf("%s/%d n=%d: full decode %d values, %v", name, ci, n, len(full), err)
+				}
+				for _, limit := range []int{0, 1, 2, n / 2, n - 1, n, n + 5} {
+					if limit < 0 {
+						continue
+					}
+					got, err := DecodeColumnN(col, limit)
+					if err != nil {
+						t.Fatalf("%s/%d n=%d limit=%d: %v", name, ci, n, limit, err)
+					}
+					want := full[:min(limit, n)]
+					if len(got) != len(want) {
+						t.Fatalf("%s/%d n=%d limit=%d: %d values, want %d", name, ci, n, limit, len(got), len(want))
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s/%d (%v) n=%d limit=%d: value %d = %v, want %v", name, ci, ColumnCodec(col), n, limit, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []Codec{CodecRaw, CodecLinear, CodecQuant, CodecXOR, CodecDelta} {
+		if !seen[c] {
+			t.Fatalf("no shape exercised codec %v", c)
+		}
+	}
+}
+
+// TestDecodersDoNotAllocateFromUntrustedCount: a few bytes claiming millions
+// of values are rejected before a slice is made for them.
+func TestDecodersDoNotAllocateFromUntrustedCount(t *testing.T) {
+	huge := []byte{0x80, 0x80, 0x80, 0x08} // uvarint 1<<24
+	cases := map[string]func() error{
+		"xor":   func() error { _, err := DecodeColumn(append([]byte{byte(CodecXOR)}, huge...)); return err },
+		"raw":   func() error { _, err := DecodeColumn(append([]byte{byte(CodecRaw)}, huge...)); return err },
+		"delta": func() error { _, err := DecodeColumn(append([]byte{byte(CodecDelta)}, huge...)); return err },
+		"quant": func() error { _, err := DecodeColumn(append([]byte{byte(CodecQuant)}, append(huge, 8)...)); return err },
+		"linear": func() error {
+			_, err := DecodeColumn(append([]byte{byte(CodecLinear)}, append(huge, huge...)...))
+			return err
+		},
+		"deltas": func() error { _, _, err := Deltas(huge); return err },
+		"dod":    func() error { _, _, err := DeltaOfDeltas(huge); return err },
+	}
+	for name, decode := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte column", name, grew, len(huge)+1)
+		}
+	}
+	// A linear column's value count is bounded by the caller's limit alone:
+	// a constant run of any length is legitimately one nine-byte segment.
+	run := CompressLinear([]byte{byte(CodecLinear)}, make([]float64, 1<<20), 0)
+	if got, err := DecodeColumnN(run, 10); err != nil || len(got) != 10 {
+		t.Fatalf("constant run, limit 10: %d values, %v", len(got), err)
 	}
 }

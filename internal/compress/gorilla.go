@@ -58,60 +58,41 @@ func CompressXOR(dst []byte, values []float64) []byte {
 	return w.Bytes()
 }
 
-// DecompressXOR reconstructs values written by CompressXOR. Like the
-// quantization codec, it consumes the whole framed block.
-func DecompressXOR(b []byte) ([]float64, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > 1<<24 {
-		return nil, ErrCorrupt
+// DecompressXOR reconstructs the first limit values written by CompressXOR
+// (all of them when limit is MaxColumnValues). Like the quantization codec,
+// it consumes the whole framed block.
+func DecompressXOR(b []byte, limit int) ([]float64, error) {
+	// The first value takes 64 bits, every later one at least one.
+	n, b, err := columnCount(b, limit, 1)
+	if err != nil {
+		return nil, err
 	}
-	b = b[k:]
 	out := make([]float64, n)
 	if n == 0 {
 		return out, nil
 	}
 	r := NewBitReader(b)
-	first, err := r.ReadBits(64)
-	if err != nil {
-		return nil, err
+	prev := r.ReadBits(64)
+	if r.Err() != nil {
+		return nil, ErrCorrupt
 	}
-	out[0] = math.Float64frombits(first)
-	prev := first
+	out[0] = math.Float64frombits(prev)
 	var lead, width uint
-	for i := 1; i < int(n); i++ {
-		same, err := r.ReadBit()
-		if err != nil {
-			return nil, err
-		}
-		if !same {
-			out[i] = math.Float64frombits(prev)
-			continue
-		}
-		newWindow, err := r.ReadBit()
-		if err != nil {
-			return nil, err
-		}
-		if newWindow {
-			l, err := r.ReadBits(5)
-			if err != nil {
-				return nil, err
+	for i := 1; i < n; i++ {
+		r.need(13) // both control bits and a new window's eleven
+		if r.take(1) == 1 {
+			if r.take(1) == 1 {
+				lw := r.take(11) // 5-bit leading-zero count, 6-bit length
+				lead, width = uint(lw>>6), uint(lw&63)+1
 			}
-			wdt, err := r.ReadBits(6)
-			if err != nil {
-				return nil, err
+			if width == 0 || lead+width > 64 {
+				return nil, ErrCorrupt
 			}
-			lead = uint(l)
-			width = uint(wdt) + 1
+			prev ^= r.ReadBits(width) << (64 - lead - width)
 		}
-		if width == 0 || lead+width > 64 {
+		if r.Err() != nil {
 			return nil, ErrCorrupt
 		}
-		bits, err := r.ReadBits(width)
-		if err != nil {
-			return nil, err
-		}
-		trail := 64 - lead - width
-		prev ^= bits << trail
 		out[i] = math.Float64frombits(prev)
 	}
 	return out, nil

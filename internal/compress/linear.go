@@ -43,16 +43,18 @@ func CompressLinear(dst []byte, values []float64, maxDev float64) []byte {
 	return dst
 }
 
-// DecompressLinear reconstructs the full value slice written by
-// CompressLinear and returns the remaining bytes.
-func DecompressLinear(b []byte) ([]float64, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > 1<<24 {
+// DecompressLinear reconstructs the first limit values of the slice written
+// by CompressLinear and returns the remaining bytes.
+func DecompressLinear(b []byte, limit int) ([]float64, []byte, error) {
+	full, k := binary.Uvarint(b)
+	if k <= 0 || full > MaxColumnValues {
 		return nil, nil, ErrCorrupt
 	}
 	b = b[k:]
+	// A segment takes at least nine bytes; the value count is bounded by
+	// the limit alone, since a constant run of any length is one segment.
 	nseg, k := binary.Uvarint(b)
-	if k <= 0 || nseg > n+1 {
+	if k <= 0 || nseg > full+1 || nseg*9 > uint64(len(b)-k) {
 		return nil, nil, ErrCorrupt
 	}
 	b = b[k:]
@@ -76,8 +78,9 @@ func DecompressLinear(b []byte) ([]float64, []byte, error) {
 		segs[i].val = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
 	}
+	n := min(int(full), max(limit, 0))
 	out := make([]float64, n)
-	if n == 0 {
+	if full == 0 {
 		return out, b, nil
 	}
 	if len(segs) == 0 {
@@ -86,16 +89,20 @@ func DecompressLinear(b []byte) ([]float64, []byte, error) {
 	// Interpolate between consecutive spike points.
 	for s := 0; s+1 < len(segs); s++ {
 		a, c := segs[s], segs[s+1]
-		if a.idx < 0 || c.idx >= int(n) || c.idx <= a.idx {
+		if a.idx < 0 || c.idx >= int(full) || c.idx <= a.idx {
 			return nil, nil, ErrCorrupt
 		}
 		span := float64(c.idx - a.idx)
-		out[a.idx] = a.val
-		for i := a.idx + 1; i < c.idx; i++ {
+		if a.idx < n {
+			out[a.idx] = a.val
+		}
+		for i := a.idx + 1; i < c.idx && i < n; i++ {
 			t := float64(i-a.idx) / span
 			out[i] = a.val + t*(c.val-a.val)
 		}
-		out[c.idx] = c.val
+		if c.idx < n {
+			out[c.idx] = c.val
+		}
 	}
 	// A single segment means a constant run.
 	if len(segs) == 1 {
@@ -173,7 +180,7 @@ func midSlope(lo, hi float64) float64 {
 // the EXPERIMENTS error-bound report.
 func MaxLinearError(values []float64, maxDev float64) float64 {
 	enc := CompressLinear(nil, values, maxDev)
-	dec, _, err := DecompressLinear(enc)
+	dec, _, err := DecompressLinear(enc, MaxColumnValues)
 	if err != nil || len(dec) != len(values) {
 		return math.Inf(1)
 	}

@@ -61,14 +61,14 @@ func appendIntDelta(dst []byte, ints []int64) []byte {
 	return w.Bytes()
 }
 
-// decodeIntDelta decodes a CodecDelta payload (codec byte stripped) back
-// into float64s.
-func decodeIntDelta(b []byte) ([]float64, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > 1<<24 {
-		return nil, ErrCorrupt
+// decodeIntDelta decodes the first limit values of a CodecDelta payload
+// (codec byte stripped) back into float64s.
+func decodeIntDelta(b []byte, limit int) ([]float64, error) {
+	// Two varints of at least a byte each, then at least a bit per value.
+	n, b, err := columnCount(b, limit, 1)
+	if err != nil {
+		return nil, err
 	}
-	b = b[k:]
 	out := make([]float64, n)
 	if n == 0 {
 		return out, nil
@@ -88,36 +88,21 @@ func decodeIntDelta(b []byte) ([]float64, error) {
 	prev := v0 + delta
 	out[1] = float64(prev)
 	r := NewBitReader(b)
-	for i := 2; i < int(n); i++ {
-		var width uint
-		zero, err := r.ReadBit()
-		if err != nil {
-			return nil, err
-		}
-		if !zero {
-			// control bit 0: delta repeats
-			prev += delta
-			out[i] = float64(prev)
-			continue
-		}
-		for _, w := range []uint{7, 10, 16, 32} {
-			more, err := r.ReadBit()
-			if err != nil {
-				return nil, err
+	for i := 2; i < n; i++ {
+		r.need(5) // the control prefix is at most five bits; a leading 0 repeats the delta
+		if r.take(1) == 1 {
+			width := uint(64)
+			for _, w := range [...]uint{7, 10, 16, 32} {
+				if r.take(1) == 0 {
+					width = w
+					break
+				}
 			}
-			if !more {
-				width = w
-				break
-			}
+			delta += Unzigzag(r.ReadBits(width))
 		}
-		if width == 0 {
-			width = 64
+		if r.Err() != nil {
+			return nil, ErrCorrupt
 		}
-		dod, err := r.ReadBits(width)
-		if err != nil {
-			return nil, err
-		}
-		delta += Unzigzag(dod)
 		prev += delta
 		out[i] = float64(prev)
 	}

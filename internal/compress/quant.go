@@ -58,32 +58,29 @@ func CompressQuant(dst []byte, values []float64, bits uint) []byte {
 	return w.Bytes()
 }
 
-// DecompressQuant reconstructs a block written by CompressQuant. Each value
-// is the center of its quantization level. Because the bit stream is
-// zero-padded to a byte boundary, DecompressQuant consumes the entire
-// remaining slice belonging to the block; callers must frame blocks
-// externally (the ValueBlob framing stores per-column lengths).
-func DecompressQuant(b []byte) ([]float64, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > 1<<24 {
-		return nil, ErrCorrupt
-	}
-	b = b[k:]
-	if len(b) < 1 {
+// DecompressQuant reconstructs the first limit values of a block written by
+// CompressQuant. Each value is the center of its quantization level.
+// Because the bit stream is zero-padded to a byte boundary, DecompressQuant
+// consumes the entire remaining slice belonging to the block; callers must
+// frame blocks externally (the ValueBlob framing stores per-column lengths).
+func DecompressQuant(b []byte, limit int) ([]float64, error) {
+	n, b, err := columnCount(b, limit, 0)
+	if err != nil || len(b) < 1 {
 		return nil, ErrCorrupt
 	}
 	bits := uint(b[0])
 	b = b[1:]
-	out := make([]float64, n)
 	if n == 0 {
-		return out, nil
+		return []float64{}, nil
 	}
-	if len(b) < 16 {
+	// The encoder writes 1..32 bits per symbol, after the block's range.
+	if bits < 1 || bits > 32 || len(b) < 16 || uint64(n)*uint64(bits) > 8*uint64(len(b)-16) {
 		return nil, ErrCorrupt
 	}
 	lo := math.Float64frombits(binary.LittleEndian.Uint64(b))
 	hi := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	b = b[16:]
+	out := make([]float64, n)
 	if hi == lo {
 		for i := range out {
 			out[i] = lo
@@ -94,11 +91,7 @@ func DecompressQuant(b []byte) ([]float64, error) {
 	step := (hi - lo) / float64(levels)
 	r := NewBitReader(b)
 	for i := range out {
-		sym, err := r.ReadBits(bits)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = lo + (float64(sym)+0.5)*step
+		out[i] = lo + (float64(r.ReadBits(bits))+0.5)*step
 	}
 	return out, nil
 }

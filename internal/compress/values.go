@@ -83,27 +83,53 @@ func EncodeColumn(dst []byte, values []float64, pol Policy) []byte {
 	return CompressQuant(dst, values, bits)
 }
 
+// MaxColumnValues bounds the value count any column may declare; as a
+// decode limit it means "the whole column".
+const MaxColumnValues = 1 << 24
+
 // DecodeColumn decodes one column produced by EncodeColumn. b must contain
 // exactly the column's bytes (the blob framing stores lengths).
-func DecodeColumn(b []byte) ([]float64, error) {
+func DecodeColumn(b []byte) ([]float64, error) { return DecodeColumnN(b, MaxColumnValues) }
+
+// DecodeColumnN decodes the first limit values of a column (fewer when the
+// column holds fewer): DecodeColumn(b)[:limit] without paying for the rest.
+// Bytes behind the last value it returns are not inspected.
+func DecodeColumnN(b []byte, limit int) ([]float64, error) {
 	if len(b) == 0 {
 		return nil, ErrCorrupt
 	}
 	codec, payload := Codec(b[0]), b[1:]
 	switch codec {
 	case CodecRaw:
-		return decodeRaw(payload)
+		return decodeRaw(payload, limit)
 	case CodecLinear:
-		vals, _, err := DecompressLinear(payload)
+		vals, _, err := DecompressLinear(payload, limit)
 		return vals, err
 	case CodecQuant:
-		return DecompressQuant(payload)
+		return DecompressQuant(payload, limit)
 	case CodecXOR:
-		return DecompressXOR(payload)
+		return DecompressXOR(payload, limit)
 	case CodecDelta:
-		return decodeIntDelta(payload)
+		return decodeIntDelta(payload, limit)
 	}
 	return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, b[0])
+}
+
+// columnCount reads a column's leading value count and returns how many
+// values to decode — at most limit — with the bytes after the count. The
+// count is untrusted: nothing is allocated for values that the bytes left,
+// at minBits each, could not hold.
+func columnCount(b []byte, limit int, minBits uint64) (int, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > MaxColumnValues {
+		return 0, nil, ErrCorrupt
+	}
+	b = b[k:]
+	n = min(n, uint64(max(limit, 0)))
+	if n*minBits > 8*uint64(len(b)) {
+		return 0, nil, ErrCorrupt
+	}
+	return int(n), b, nil
 }
 
 // ColumnCodec peeks at the codec byte of an encoded column.
@@ -123,14 +149,10 @@ func appendRaw(dst []byte, values []float64) []byte {
 	return dst
 }
 
-func decodeRaw(b []byte) ([]float64, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > 1<<24 {
-		return nil, ErrCorrupt
-	}
-	b = b[k:]
-	if len(b) < int(n)*8 {
-		return nil, ErrCorrupt
+func decodeRaw(b []byte, limit int) ([]float64, error) {
+	n, b, err := columnCount(b, limit, 64)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]float64, n)
 	for i := range out {

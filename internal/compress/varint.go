@@ -61,7 +61,9 @@ func Deltas(b []byte) ([]int64, []byte, error) {
 		return nil, nil, ErrCorrupt
 	}
 	b = b[k:]
-	if n > 1<<24 {
+	// Every value takes at least one byte: a count the bytes cannot hold is
+	// rejected before anything is allocated for it.
+	if n > uint64(len(b)) {
 		return nil, nil, fmt.Errorf("%w: implausible count %d", ErrCorrupt, n)
 	}
 	out := make([]int64, n)
@@ -115,7 +117,9 @@ func DeltaOfDeltas(b []byte) ([]int64, []byte, error) {
 		return nil, nil, ErrCorrupt
 	}
 	b = b[k:]
-	if n > 1<<24 {
+	// Every value takes at least one byte: a count the bytes cannot hold is
+	// rejected before anything is allocated for it.
+	if n > uint64(len(b)) {
 		return nil, nil, fmt.Errorf("%w: implausible count %d", ErrCorrupt, n)
 	}
 	out := make([]int64, n)

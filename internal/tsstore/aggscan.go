@@ -488,7 +488,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 	}
 	// Boundary: per-row resolution. A stub here fails loudly (its rows are
 	// gone), never under-counts.
-	batch, err := w.decode(rec, lo, hi)
+	batch, _, err := w.decode(rec, lo, hi)
 	if batch == nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 
 	"odh/internal/compress"
 	"odh/internal/model"
@@ -322,31 +323,55 @@ func subSummariesMatch(sub *subSummaries, batch *DecodedBatch, ntags int) bool {
 	return true
 }
 
-// decodeColumns reconstructs rows from the layout written by encodeColumns.
-// wantTags selects which tag indexes to decode (nil = all); unselected tags
-// come back NULL. Row-oriented blobs always decode every tag (that is the
-// cost the tag-oriented layout avoids).
-func decodeColumns(b []byte, count, ntags int, rowOriented bool, wantTags []int) ([][]float64, error) {
+// countBits returns how many of the bits [from, to) of bm are set.
+func countBits(bm []byte, from, to int) int {
+	n := 0
+	for ; from < to && from%8 != 0; from++ {
+		if getBit(bm, from) {
+			n++
+		}
+	}
+	for ; from+8 <= to; from += 8 {
+		n += bits.OnesCount8(bm[from/8])
+	}
+	for ; from < to; from++ {
+		if getBit(bm, from) {
+			n++
+		}
+	}
+	return n
+}
+
+// decodeColumns reconstructs rows [i0, i1) of the count rows in the layout
+// written by encodeColumns. wantTags selects which tag indexes to decode
+// (nil = all); unselected tags come back NULL. A column is decoded only as
+// far as row i1 reaches into it, and never further than its stripe of the
+// presence bitmap says it goes: the bitmap, whose length the blob's own
+// bytes bound, is what sizes every allocation here. Row-oriented blobs
+// always decode every tag of every row (that is the cost the tag-oriented
+// layout avoids), so their callers pass the full range.
+func decodeColumns(b []byte, count, ntags int, rowOriented bool, wantTags []int, i0, i1 int) ([][]float64, error) {
 	bmLen := bitmapLen(count * ntags)
 	if len(b) < bmLen {
 		return nil, ErrCorruptBlob
 	}
 	bm := b[:bmLen]
 	b = b[bmLen:]
-	rows := make([][]float64, count)
-	backing := make([]float64, count*ntags)
+	rows := make([][]float64, i1-i0)
+	backing := make([]float64, len(rows)*ntags)
+	for i := range backing {
+		backing[i] = model.NullValue
+	}
 	for i := range rows {
-		rows[i] = backing[i*ntags : (i+1)*ntags]
-		for j := range rows[i] {
-			rows[i][j] = model.NullValue
-		}
+		// Capped, so that appending to one row cannot reach into the next.
+		rows[i] = backing[i*ntags : (i+1)*ntags : (i+1)*ntags]
 	}
 	if rowOriented {
 		colLen, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b[n:])) < colLen {
 			return nil, ErrCorruptBlob
 		}
-		vals, err := compress.DecodeColumn(b[n : n+int(colLen)])
+		vals, err := compress.DecodeColumnN(b[n:n+int(colLen)], countBits(bm, 0, count*ntags))
 		if err != nil {
 			return nil, err
 		}
@@ -383,20 +408,22 @@ func decodeColumns(b []byte, count, ntags int, rowOriented bool, wantTags []int)
 		}
 		col := b[n : n+int(colLen)]
 		b = b[n+int(colLen):]
-		if !want[tag] {
+		if !want[tag] || i0 == i1 {
 			continue // the tag-oriented win: skip without decoding
 		}
-		vals, err := compress.DecodeColumn(col)
+		// The column holds the present values only: the window's start at
+		// the number present before row i0.
+		vi := countBits(bm, tag*count, tag*count+i0)
+		vals, err := compress.DecodeColumnN(col, vi+countBits(bm, tag*count+i0, tag*count+i1))
 		if err != nil {
 			return nil, err
 		}
-		vi := 0
-		for row := 0; row < count; row++ {
+		for row := i0; row < i1; row++ {
 			if getBit(bm, tag*count+row) {
 				if vi >= len(vals) {
 					return nil, ErrCorruptBlob
 				}
-				rows[row][tag] = vals[vi]
+				rows[row-i0][tag] = vals[vi]
 				vi++
 			}
 		}
@@ -504,11 +531,63 @@ type DecodedBatch struct {
 // wantTags selects tag columns (nil = all).
 func DecodeBlob(b []byte, baseTS int64, wantTags []int) (*DecodedBatch, error) {
 	h, _ := parseBlobHeader(b)
-	return h.decode(baseTS, wantTags)
+	return h.decodeAll(baseTS, wantTags)
 }
 
-// decode runs the structure's payload codec behind a parsed header.
-func (h *blobHeader) decode(baseTS int64, wantTags []int) (*DecodedBatch, error) {
+// decodeAll decodes every row of the record.
+func (h *blobHeader) decodeAll(baseTS int64, wantTags []int) (*DecodedBatch, error) {
+	return h.decode(baseTS, wantTags, math.MinInt64, math.MaxInt64)
+}
+
+// rtsRowRange returns the rows [i0, i1) of an RTS record whose timestamps
+// baseTS + i*interval lie in [lo, last]. A record whose arithmetic is not
+// plainly increasing (a non-positive interval, timestamps that would wrap)
+// takes the full range and leaves the filtering to the consumer.
+func rtsRowRange(baseTS, interval int64, count int, lo, last int64) (int, int) {
+	if count == 0 || interval <= 0 ||
+		uint64(count-1) > (math.MaxInt64-uint64(max(baseTS, 0)))/uint64(interval) {
+		return 0, count
+	}
+	// Differences of ordered int64s are exact in uint64.
+	step, i0, i1 := uint64(interval), uint64(0), uint64(0)
+	if lo > baseTS {
+		d := uint64(lo) - uint64(baseTS)
+		if i0 = d / step; d%step != 0 {
+			i0++
+		}
+	}
+	if last >= baseTS {
+		i1 = min((uint64(last)-uint64(baseTS))/step+1, uint64(count))
+	}
+	return int(min(i0, i1)), int(i1)
+}
+
+// rowRange returns the smallest index range [i0, i1) that holds every
+// timestamp in [lo, last]; ts need not be sorted, so rows outside the
+// window can fall inside the range.
+func rowRange(ts []int64, lo, last int64) (int, int) {
+	i0, i1 := 0, 0
+	for i, t := range ts {
+		if t >= lo && t <= last {
+			if i1 == 0 {
+				i0 = i
+			}
+			i1 = i + 1
+		}
+	}
+	return i0, i1
+}
+
+// decode runs the structure's payload codec behind a parsed header, for
+// the rows with timestamps in [lo, last] (both inclusive, so the full
+// int64 range names every row): an RTS or IRTS record with tag-oriented
+// columns decodes and materialises only the smallest row range holding
+// them — possibly with rows outside the window in it, which consumers
+// filter as they always did — and each column only up to that range's end.
+// MG records (slot order, one window wide) and row-oriented records (one
+// interleaved column) always decode whole, as does any record the window
+// covers: whole tells which a result is.
+func (h *blobHeader) decode(baseTS int64, wantTags []int, lo, last int64) (*DecodedBatch, error) {
 	if h.tier() == TierStub {
 		// The payload is gone by design, not by damage: surface the typed
 		// error so scans can distinguish tier degradation from corruption
@@ -522,13 +601,17 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int) (*DecodedBatch, error)
 	rowOriented := h.flags&flagRowOriented != 0
 	switch h.structure {
 	case blobRTS:
-		rows, err := decodeColumns(b, h.count, h.ntags, rowOriented, wantTags)
+		i0, i1 := 0, h.count
+		if !rowOriented {
+			i0, i1 = rtsRowRange(baseTS, h.interval, h.count, lo, last)
+		}
+		rows, err := decodeColumns(b, h.count, h.ntags, rowOriented, wantTags, i0, i1)
 		if err != nil {
 			return nil, err
 		}
-		ts := make([]int64, h.count)
+		ts := make([]int64, i1-i0)
 		for i := range ts {
-			ts[i] = baseTS + int64(i)*h.interval
+			ts[i] = baseTS + int64(i0+i)*h.interval
 		}
 		return &DecodedBatch{Structure: model.RTS, Timestamps: ts, Rows: rows}, nil
 	case blobIRTS:
@@ -536,11 +619,15 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int) (*DecodedBatch, error)
 		if err != nil || len(ts) != h.count {
 			return nil, ErrCorruptBlob
 		}
-		rows, err := decodeColumns(rest, h.count, h.ntags, rowOriented, wantTags)
+		i0, i1 := 0, h.count
+		if !rowOriented {
+			i0, i1 = rowRange(ts, lo, last)
+		}
+		rows, err := decodeColumns(rest, h.count, h.ntags, rowOriented, wantTags, i0, i1)
 		if err != nil {
 			return nil, err
 		}
-		return &DecodedBatch{Structure: model.IRTS, Timestamps: ts, Rows: rows}, nil
+		return &DecodedBatch{Structure: model.IRTS, Timestamps: ts[i0:i1], Rows: rows}, nil
 	}
 	memberCount := h.count
 	bmLen := bitmapLen(memberCount)
@@ -558,7 +645,7 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int) (*DecodedBatch, error)
 	if err != nil || len(offsets) != reported {
 		return nil, ErrCorruptBlob
 	}
-	rows, err := decodeColumns(rest, reported, h.ntags, rowOriented, wantTags)
+	rows, err := decodeColumns(rest, reported, h.ntags, rowOriented, wantTags, 0, reported)
 	if err != nil {
 		return nil, err
 	}
@@ -576,6 +663,12 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int) (*DecodedBatch, error)
 		ts[i] = baseTS + off
 	}
 	return &DecodedBatch{Structure: model.MG, Timestamps: ts, Rows: rows, Slots: slots}, nil
+}
+
+// whole reports whether batch, a decode of this header's record, holds
+// every row of it and not a window's row range.
+func (h *blobHeader) whole(batch *DecodedBatch) bool {
+	return h.structure == blobMG || len(batch.Timestamps) == h.count
 }
 
 // reencode encodes a decoded batch back into a blob of the structure and

@@ -21,6 +21,10 @@ type feed struct {
 	sufMin  map[int64][]int64 // sufMin[s][i] = min TS of streams[s][i:]
 	started map[int64]*atomic.Int64
 	acked   map[int64]*atomic.Int64
+	maxTS   int64
+	// window, when positive, makes the readers scan short windows of this
+	// width at starts spread over the streams' range, not [t1, +inf).
+	window int64
 }
 
 func newFeed(streams map[int64][]model.Point) *feed {
@@ -29,6 +33,7 @@ func newFeed(streams map[int64][]model.Point) *feed {
 		for i := range pts {
 			pts[i].Source = src
 			pts[i].Values[0] = float64(i)
+			fd.maxTS = max(fd.maxTS, pts[i].TS)
 		}
 		sm := make([]int64, len(pts)+1)
 		sm[len(pts)] = math.MaxInt64
@@ -89,6 +94,16 @@ func (fd *feed) check(got []model.Point, t1, t2 int64, ackedBefore, startedAfter
 	return nil
 }
 
+// bounds is the window of the reader's i-th read: [t1, +inf), or the i-th
+// short window at or after t1.
+func (fd *feed) bounds(i int, t1 int64) (lo, hi int64) {
+	if fd.window <= 0 {
+		return t1, math.MaxInt64
+	}
+	lo = t1 + int64(i)*7919%(fd.maxTS-t1+1)
+	return lo, lo + fd.window
+}
+
 // readMode is one reader configuration of the exactness table.
 type readMode struct {
 	name string
@@ -123,14 +138,15 @@ func (fd *feed) readers(t *testing.T, s *Store, schemaID int64, t1 int64, stop <
 				}
 				mode := readModes[(i/3)%len(readModes)]
 				src := srcs[(i/(3*len(readModes)))%len(srcs)]
+				lo, hi := fd.bounds(i, t1)
 				var err error
 				switch i % 3 {
 				case 0:
-					err = fd.readHistorical(s, src, t1, mode.opts)
+					err = fd.readHistorical(s, src, lo, hi, mode.opts)
 				case 1:
-					err = fd.readSlice(s, schemaID, t1, mode.opts)
+					err = fd.readSlice(s, schemaID, lo, hi, mode.opts)
 				default:
-					err = fd.readAggregate(s, src, t1, mode.opts)
+					err = fd.readAggregate(s, src, lo, hi, mode.opts)
 				}
 				if err != nil {
 					t.Errorf("%s: %v", mode.name, err)
@@ -141,9 +157,9 @@ func (fd *feed) readers(t *testing.T, s *Store, schemaID int64, t1 int64, stop <
 	}
 }
 
-func (fd *feed) readHistorical(s *Store, src, t1 int64, opts ScanOptions) error {
+func (fd *feed) readHistorical(s *Store, src, t1, t2 int64, opts ScanOptions) error {
 	before := map[int64]int64{src: fd.acked[src].Load()}
-	it, err := s.HistoricalScanOpts(src, t1, math.MaxInt64, nil, opts)
+	it, err := s.HistoricalScanOpts(src, t1, t2, nil, opts)
 	if err != nil {
 		return err
 	}
@@ -156,15 +172,15 @@ func (fd *feed) readHistorical(s *Store, src, t1 int64, opts ScanOptions) error 
 			return fmt.Errorf("historical %d: timestamps regressed: %d after %d", src, got[i].TS, got[i-1].TS)
 		}
 	}
-	if err := fd.check(got, t1, math.MaxInt64, before, fd.snapshot(fd.started)); err != nil {
+	if err := fd.check(got, t1, t2, before, fd.snapshot(fd.started)); err != nil {
 		return fmt.Errorf("historical: %w", err)
 	}
 	return nil
 }
 
-func (fd *feed) readSlice(s *Store, schemaID, t1 int64, opts ScanOptions) error {
+func (fd *feed) readSlice(s *Store, schemaID, t1, t2 int64, opts ScanOptions) error {
 	before := fd.snapshot(fd.acked)
-	it, err := s.SliceScanOpts(schemaID, t1, math.MaxInt64, nil, opts)
+	it, err := s.SliceScanOpts(schemaID, t1, t2, nil, opts)
 	if err != nil {
 		return err
 	}
@@ -172,7 +188,7 @@ func (fd *feed) readSlice(s *Store, schemaID, t1 int64, opts ScanOptions) error 
 	if err != nil {
 		return fmt.Errorf("slice: %w", err)
 	}
-	if err := fd.check(got, t1, math.MaxInt64, before, fd.snapshot(fd.started)); err != nil {
+	if err := fd.check(got, t1, t2, before, fd.snapshot(fd.started)); err != nil {
 		return fmt.Errorf("slice: %w", err)
 	}
 	return nil
@@ -180,9 +196,9 @@ func (fd *feed) readSlice(s *Store, schemaID, t1 int64, opts ScanOptions) error 
 
 // readAggregate checks COUNT and SUM exactly: the window ends below every
 // timestamp not yet acked, so its rows are fixed before the read starts.
-func (fd *feed) readAggregate(s *Store, src, t1 int64, opts ScanOptions) error {
+func (fd *feed) readAggregate(s *Store, src, t1, t2 int64, opts ScanOptions) error {
 	n := fd.acked[src].Load()
-	t2 := fd.sufMin[src][n]
+	t2 = min(t2, fd.sufMin[src][n])
 	var rows int64
 	var sum float64
 	for i, p := range fd.streams[src][:n] {
@@ -303,6 +319,21 @@ func TestReadersExactUnderMutation(t *testing.T) {
 		}
 		return ts
 	}
+	// coldPass compacts everything older than two seconds into cold records
+	// eight batches wide, which raises the source's MaxSpanMs — and with it
+	// every later scan's lookback — eightfold.
+	coldPass := func(e *env, i int) error {
+		if i%64 != 0 {
+			return nil
+		}
+		_, err := e.f.store.TierSchema(e.schema, TierPolicy{ColdAfterMs: 2000}, latest(e))
+		return err
+	}
+	// short makes an env's readers scan windows narrower than one record.
+	short := func(e *env, window int64) *env {
+		e.fd.window = window
+		return e
+	}
 	cases := []struct {
 		name   string
 		build  func(t *testing.T) *env
@@ -346,14 +377,11 @@ func TestReadersExactUnderMutation(t *testing.T) {
 				_, err := e.f.store.Reorganize(e.schema, latest(e)-60_000)
 				return err
 			}},
-		{"tier-cold", func(t *testing.T) *env { return single(t, true, regularStream(3000, 10)) }, 0,
-			func(e *env, i int) error {
-				if i%64 != 0 {
-					return nil
-				}
-				_, err := e.f.store.TierSchema(e.schema, TierPolicy{ColdAfterMs: 2000}, latest(e))
-				return err
-			}},
+		{"tier-cold", func(t *testing.T) *env { return single(t, true, regularStream(3000, 10)) }, 0, coldPass},
+		// Short windows over the widened lookback: records behind the window
+		// are pruned by span, the one across it decodes a row range.
+		{"tier-cold-short-windows-rts", func(t *testing.T) *env { return short(single(t, true, regularStream(3000, 10)), 50) }, 0, coldPass},
+		{"tier-cold-short-windows-irts", func(t *testing.T) *env { return short(single(t, false, jitteredStream(3000)), 50) }, 0, coldPass},
 		// Stubbing and retention are not content-preserving; they run below
 		// the readers' window, whose records they still shift around.
 		{"tier-stub-drop-below-window", func(t *testing.T) *env { return single(t, true, regularStream(3000, 10)) }, 15_000,
@@ -388,14 +416,22 @@ func TestReadersExactUnderMutation(t *testing.T) {
 			}
 			close(stop)
 			wg.Wait()
-			// Quiesced: every mode returns exactly everything.
+			// Quiesced: every mode returns exactly everything, and exactly
+			// each short window when the readers used those.
+			windows := [][2]int64{{tc.t1, math.MaxInt64}}
+			for i := 0; e.fd.window > 0 && i < 100; i++ {
+				lo, hi := e.fd.bounds(i, tc.t1)
+				windows = append(windows, [2]int64{lo, hi})
+			}
 			for src := range e.fd.streams {
 				for _, mode := range readModes {
-					if err := e.fd.readHistorical(e.f.store, src, tc.t1, mode.opts); err != nil {
-						t.Errorf("quiesced %s: %v", mode.name, err)
-					}
-					if err := e.fd.readAggregate(e.f.store, src, tc.t1, mode.opts); err != nil {
-						t.Errorf("quiesced %s: %v", mode.name, err)
+					for _, w := range windows {
+						if err := e.fd.readHistorical(e.f.store, src, w[0], w[1], mode.opts); err != nil {
+							t.Errorf("quiesced %s: %v", mode.name, err)
+						}
+						if err := e.fd.readAggregate(e.f.store, src, w[0], w[1], mode.opts); err != nil {
+							t.Errorf("quiesced %s: %v", mode.name, err)
+						}
 					}
 				}
 			}

@@ -3,9 +3,12 @@ package tsstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"odh/internal/compress"
 	"odh/internal/model"
 )
 
@@ -13,15 +16,17 @@ import (
 // header accessor or DecodeBlob panic or over-allocate, and that whatever
 // they accept is consistent: the header's fields agree with the decode,
 // the accessors agree with each other, a stub keeps exactly the header,
-// and a re-encode (the upgrade path) decodes to the same rows. Seeds are
-// the golden fixtures — every structure, tier, format version and shape —
-// so mutations explore deep paths, not just header rejection.
+// a re-encode (the upgrade path) decodes to the same rows, and a decode of
+// a window's row range yields the rows of the full decode. Seeds are the
+// golden fixtures — every structure, tier, format version and shape — so
+// mutations explore deep paths, not just header rejection.
 func FuzzValueBlobDecode(f *testing.F) {
 	for _, fx := range goldenFixtures() {
 		f.Add(fx.blob)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
+	f.Add(hugeCountBlob)
 
 	const baseTS = 1000
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -99,6 +104,15 @@ func FuzzValueBlobDecode(f *testing.F) {
 		if len(batch.Rows) > 1<<12 {
 			return
 		}
+		// A range decode is the full decode, restricted to the window.
+		if n := len(batch.Timestamps); n > 0 {
+			ts := batch.Timestamps
+			for _, w := range [][2]int64{{ts[n/3], ts[2*n/3]}, {ts[n/2], ts[n/2]}, {ts[0] + 1, ts[n-1] - 1}, {math.MinInt64, ts[n/2]}, {ts[n/2], math.MaxInt64 - 1}} {
+				if w[0] <= w[1] && w[1] < math.MaxInt64 {
+					checkWindowedDecode(t, &h, baseTS, nil, batch, w[0], w[1]+1)
+				}
+			}
+		}
 		again := h.reencode(batch, baseTS, encodeOpts{subBucketMs: 60})
 		back, err := DecodeBlob(again, baseTS, nil)
 		if err != nil {
@@ -116,6 +130,26 @@ func FuzzValueBlobDecode(f *testing.F) {
 			t.Fatal("re-encoded blob fails fsck")
 		}
 	})
+}
+
+// hugeCountBlob is an eight-row, one-tag RTS record whose five-byte XOR
+// column claims 1<<24 values: decoders used to allocate for the claim
+// before reading a payload byte.
+var hugeCountBlob = []byte{blobRTS, 1, 8, 20, 0xFF, 5, byte(compress.CodecXOR), 0x80, 0x80, 0x80, 0x08}
+
+// TestDecodeDoesNotAllocateFromUntrustedCount: the blob layer bounds every
+// column decode by the rows its own presence bitmap has.
+func TestDecodeDoesNotAllocateFromUntrustedCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBlob(hugeCountBlob, 1000, nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, compress.ErrCorrupt) {
+		t.Fatalf("err = %v, want compress.ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding an %d-byte blob allocated %d bytes", len(hugeCountBlob), grew)
+	}
 }
 
 // FuzzWALPointDecode asserts the WAL point codec rejects corrupt records

@@ -34,7 +34,7 @@ func blobSpan(r stored) (rows, first, last int64, ok bool) {
 	if rows, first, last, ok = h.span(r.ts); ok {
 		return rows, first, last, true
 	}
-	batch, err := h.decode(r.ts, []int{})
+	batch, err := h.decodeAll(r.ts, []int{})
 	if err != nil {
 		return 0, r.ts, r.ts, false
 	}

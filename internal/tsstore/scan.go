@@ -20,7 +20,9 @@ type Iterator interface {
 	// Err returns the first error the iterator hit, if any.
 	Err() error
 	// BlobBytes returns the total ValueBlob bytes decoded so far — the
-	// paper's query cost unit, surfaced to the executor for reporting.
+	// paper's query cost unit, surfaced to the executor for reporting. A
+	// record decoded for any of its rows charges its full encoded length; a
+	// record pruned by its header's span charges nothing.
 	BlobBytes() int64
 	// BlobsSkipped returns the number of batch records whose zone maps
 	// excluded every pushed tag range, so they were never decoded.
@@ -175,16 +177,15 @@ func (it *scanIter) load(rec *walkRec) error {
 			it.skipped++
 			return nil
 		}
-		batch, err := it.w.decode(rec, it.ch.lo, it.ch.hi)
+		batch, shared, err := it.w.decode(rec, it.ch.lo, it.ch.hi)
 		if batch == nil {
 			return err
 		}
 		if rec.hit == nil {
 			it.bytesRead += int64(len(rec.blob))
 		}
-		// A cached batch is (or may become) shared across readers, so row
-		// values are copied on emission — callers own the Points they get.
-		shared := it.w.cache != nil
+		// Callers own the Points they get: rows of a batch other readers
+		// can see are copied on emission, rows of a private one handed over.
 		it.w.eachRow(rec, batch, it.ch.lo, it.ch.hi, func(src, ts int64, vals []float64) {
 			if shared {
 				vals = append([]float64(nil), vals...)

@@ -971,7 +971,7 @@ func blobIntact(blob []byte, ts int64) bool {
 	if h.tier() == TierStub {
 		return sum != nil
 	}
-	batch, err := h.decode(ts, nil)
+	batch, err := h.decodeAll(ts, nil)
 	return err == nil && (sum == nil || summaryMatches(sum, batch)) &&
 		(sub == nil || subSummariesMatch(sub, batch, h.ntags))
 }

@@ -73,7 +73,7 @@ func (s *Store) upgradedBlob(r stored) ([]byte, bool) {
 	if h.hasSummary() && (h.subOff != 0 || s.cfg.SubBucketMs <= 0 || h.structure == blobMG) {
 		return nil, false
 	}
-	batch, err := h.decode(r.ts, nil)
+	batch, err := h.decodeAll(r.ts, nil)
 	if err != nil {
 		return nil, false
 	}

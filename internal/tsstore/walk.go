@@ -64,7 +64,7 @@ type walker struct {
 	window  int64     // MG owners: the group's bucketing window
 	t2      int64
 	from    int64 // resume point; rows in [from, t2) remain
-	started bool
+	started bool  // a step has run: records keyed below from were met before
 	done    bool
 
 	ctx      context.Context // nil = never canceled
@@ -309,12 +309,11 @@ func (w *walker) gather(ch *chunk) error {
 	}
 }
 
-// take copies the record under the cursor into rec. Records keyed below
-// lo on a later step were all handed out before; they matter again only
-// when their rows reach lo, which the summary header tells without a
-// decode.
+// take copies the record under the cursor into rec and reports whether
+// the chunk keeps it. A record whose rows all end before lo — one an
+// earlier step handed out, or one the lookback reached — is dropped on its
+// header's word, whatever its payload holds: no consumer ever sees it.
 func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err error) {
-	revisit := w.started && c.ts < lo
 	if w.cache != nil {
 		rec.hit, rec.ver = w.cache.get(blobKey{tree: w.s.treeID(c.home.tree), source: c.home.id, ts: c.ts}, w.sig)
 	}
@@ -327,17 +326,17 @@ func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 			if !w.s.lenient() {
 				return false, err
 			}
-			if !revisit {
+			// Counted once, by the step that first met the record: later
+			// steps look back over it again.
+			if !w.started || c.ts >= lo {
 				w.s.noteCorruptBlob()
 			}
 			return false, nil
 		}
 		rec.hdr, _ = parseBlobHeader(rec.blob)
 	}
-	if revisit {
-		if _, _, last, ok := rec.hdr.span(rec.ts); ok && last < lo {
-			return false, nil
-		}
+	if _, _, last, ok := rec.hdr.span(rec.ts); ok && last < lo {
+		return false, nil
 	}
 	return true, nil
 }
@@ -403,46 +402,48 @@ func (r *walkRec) lastTS() int64 {
 }
 
 // decode returns the rows of a stored record handed out in a chunk with
-// window [lo, hi). A nil batch with a nil error means the record
-// contributes nothing: quarantined in lenient mode, or a stub whose rows
-// all fall outside the window. A stub with rows inside it fails with
-// StubbedRangeError — dropped by tier policy, never silently missing, and
-// never quarantined: a stub is not a corrupt record.
-func (w *walker) decode(r *walkRec, lo, hi int64) (*DecodedBatch, error) {
+// window [lo, hi) — all of them when the window covers the record, else
+// the row range the window needs (see blobHeader.decode). shared says the
+// batch is, or may become, visible to other readers through the cache, so
+// its rows must be copied before they are handed on; only a whole-record
+// decode is cached, since a row range has no key that names it. A nil
+// batch with a nil error means the record contributes nothing: its span
+// misses the window (nothing behind the header is read, stub or not), or
+// it is quarantined in lenient mode. A stub with rows inside the window
+// fails with StubbedRangeError — dropped by tier policy, never silently
+// missing, and never quarantined: a stub is not a corrupt record.
+func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, shared bool, err error) {
+	rows, first, last, spanOK := r.hdr.span(r.ts)
+	if spanOK && (rows == 0 || last < lo || first >= hi) {
+		return nil, false, nil
+	}
 	if r.hit != nil {
 		w.cache.noteSaved(r.hit.blobLen)
-		return r.hit.batch, nil
+		return r.hit.batch, true, nil
 	}
 	if err := ctxErr(w.ctx); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var batch *DecodedBatch
-	var err error
-	if r.hdr.tier() == TierStub {
-		rows, first, last, ok := r.hdr.span(r.ts)
-		switch {
-		case !ok:
-			err = fmt.Errorf("tsstore: corrupt stub blob %s source=%d ts=%d", r.home.tree.Name(), r.home.id, r.ts)
-		case rows == 0 || last < lo || first >= hi:
-			return nil, nil
-		default:
-			return nil, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: first, LastTS: last}
-		}
-	} else {
-		batch, err = r.hdr.decode(r.ts, w.wantTags)
+	switch {
+	case r.hdr.tier() != TierStub:
+		batch, err = r.hdr.decode(r.ts, w.wantTags, lo, hi-1)
+	case spanOK:
+		return nil, false, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: first, LastTS: last}
+	default:
+		err = fmt.Errorf("tsstore: corrupt stub blob %s source=%d ts=%d", r.home.tree.Name(), r.home.id, r.ts)
 	}
 	if err != nil {
 		if w.s.lenient() {
 			w.s.noteCorruptBlob()
-			return nil, nil
+			return nil, false, nil
 		}
-		return nil, err
+		return nil, false, err
 	}
-	if w.cache != nil {
+	if shared = w.cache != nil && r.hdr.whole(batch); shared {
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
 			batch, r.hdr.detached(), int64(len(r.blob)))
 	}
-	return batch, nil
+	return batch, shared, nil
 }
 
 // eachRow calls fn for the rows of a decoded record that belong to the

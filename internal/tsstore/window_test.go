@@ -1,0 +1,348 @@
+package tsstore
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"odh/internal/compress"
+	"odh/internal/keyenc"
+	"odh/internal/model"
+)
+
+// A scan pays for its window, not for its records. These tests pin the
+// three rules that make it so: a record the window's span misses is never
+// decoded, a record it cuts is decoded for a row range that yields exactly
+// the rows of a full decode, and only a full decode enters the cache.
+
+// windowRows is what a consumer gets from a decode of one record for the
+// window [lo, hi): the batch's rows after eachRow's filter.
+func windowRows(batch *DecodedBatch, lo, hi int64) []model.Point {
+	w := &walker{}
+	for _, slot := range batch.Slots { // MG: every slot is a known member
+		for slot >= len(w.members) {
+			w.members = append(w.members, int64(len(w.members)+1))
+		}
+	}
+	var out []model.Point
+	w.eachRow(&walkRec{home: &home{id: 7}}, batch, lo, hi, func(src, ts int64, vals []float64) {
+		out = append(out, model.Point{Source: src, TS: ts, Values: vals})
+	})
+	return out
+}
+
+// checkWindowedDecode fails unless decoding the record behind h for the
+// window [lo, hi) hands a consumer exactly the rows a full decode does.
+func checkWindowedDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int, full *DecodedBatch, lo, hi int64) {
+	t.Helper()
+	part, err := h.decode(baseTS, wantTags, lo, hi-1)
+	if err != nil {
+		t.Fatalf("window [%d,%d) wantTags %v: full decode succeeded, range decode failed: %v", lo, hi, wantTags, err)
+	}
+	if len(part.Timestamps) != len(part.Rows) || len(part.Rows) > len(full.Rows) {
+		t.Fatalf("window [%d,%d): range decode has %d timestamps, %d rows; the record has %d", lo, hi, len(part.Timestamps), len(part.Rows), len(full.Rows))
+	}
+	if got, want := windowRows(part, lo, hi), windowRows(full, lo, hi); !pointsEqual(got, want) {
+		t.Fatalf("window [%d,%d) wantTags %v: range decode yields %d rows, full decode then filter %d\n got %v\nwant %v", lo, hi, wantTags, len(got), len(want), got, want)
+	}
+	if lo == math.MinInt64 && hi == math.MaxInt64 && !h.whole(part) {
+		t.Fatalf("a decode of every row does not count as whole (%d of %d rows)", len(part.Rows), len(full.Rows))
+	}
+}
+
+// TestWindowedDecodeIsFullDecodeRestricted: for random RTS and IRTS
+// records — unsorted and duplicate timestamps, NULL-heavy bitmaps, hot and
+// cold codecs, lossy policies, both layouts — random tag selections and
+// random windows, the range decode yields full-decode-then-filter.
+func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	const ntags = 4
+	partial := 0
+	for round := 0; round < 400; round++ {
+		n := rng.Intn(200)
+		if round%20 == 0 {
+			n = rng.Intn(3)
+		}
+		regular := rng.Intn(2) == 0
+		interval := int64(1 + rng.Intn(50))
+		base := int64(rng.Intn(2000)) - 1000
+		nullShare := []float64{0, 0.1, 0.9, 1}[rng.Intn(4)]
+		pts := make([]model.Point, n)
+		ts := base
+		for i := range pts {
+			switch {
+			case regular:
+				ts = base + int64(i)*interval
+			case rng.Intn(10) == 0:
+				ts -= int64(rng.Intn(100)) // out of order
+			case rng.Intn(4) != 0: // else: a duplicate timestamp
+				ts += int64(rng.Intn(30))
+			}
+			vals := make([]float64, ntags)
+			for tag := range vals {
+				switch {
+				case rng.Float64() < nullShare:
+					vals[tag] = model.NullValue
+				case tag == 0:
+					vals[tag] = 42 // constant: linear
+				case tag == 1:
+					vals[tag] = float64(3 * i) // integral ramp: delta when cold
+				case tag == 2:
+					vals[tag] = 20 + 0.01*float64(i) + 0.001*rng.Float64() // smooth
+				default:
+					vals[tag] = rng.Float64() * 100
+				}
+			}
+			pts[i] = model.Point{TS: ts, Values: vals}
+		}
+		opts := encodeOpts{cold: rng.Intn(2) == 0, disable: rng.Intn(8) == 0}
+		if rng.Intn(2) == 0 {
+			opts.subBucketMs = 60
+		}
+		if rng.Intn(3) == 0 {
+			opts.policies = []compress.Policy{{}, {MaxDev: 0.5}, {MaxDev: 0.01}, {MaxDev: 2}}
+		}
+		if rng.Intn(6) == 0 {
+			opts.layout = layoutRowOriented
+		}
+		var blob []byte
+		if regular {
+			blob = EncodeRTS(pts, ntags, interval, opts)
+		} else {
+			blob = EncodeIRTS(pts, ntags, opts)
+		}
+		h, ok := parseBlobHeader(blob)
+		if !ok {
+			t.Fatalf("round %d: encoded blob does not parse", round)
+		}
+		for _, wantTags := range [][]int{nil, {}, {rng.Intn(ntags)}, {3, 0}, {1, 9, -1}} {
+			full, err := h.decodeAll(base, wantTags)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+			checkWindowedDecode(t, &h, base, wantTags, full, lo, hi)
+			for q := 0; q < 8; q++ {
+				lo = base - 100 + int64(rng.Intn(int(interval)*(n+1)+200))
+				hi = lo + 1 + int64(rng.Intn(400))
+				switch q {
+				case 0:
+					lo = math.MinInt64
+				case 1:
+					hi = math.MaxInt64
+				}
+				checkWindowedDecode(t, &h, base, wantTags, full, lo, hi)
+				if part, _ := h.decode(base, wantTags, lo, hi-1); !h.whole(part) {
+					partial++
+				}
+			}
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no window ever decoded less than a whole record")
+	}
+}
+
+// TestRTSRowRangeExtremes: the index arithmetic neither overflows nor
+// disagrees with the timestamps a decode reconstructs.
+func TestRTSRowRangeExtremes(t *testing.T) {
+	cases := []struct {
+		base, interval int64
+		count          int
+		lo, last       int64
+	}{
+		{0, 10, 5, math.MinInt64, math.MaxInt64},
+		{math.MinInt64 + 5, 1 << 40, 100, math.MaxInt64 - 3, math.MaxInt64},
+		{math.MaxInt64 - 40, 10, 5, math.MinInt64, 0},
+		{math.MaxInt64 - 40, 10, 5, math.MaxInt64 - 15, math.MaxInt64},
+		{math.MaxInt64 - 40, 10, 6, 0, math.MaxInt64}, // would wrap: full range
+		{-7, 3, 10, -7, -7},
+		{-7, 3, 10, -6, -5},
+		{100, 0, 4, 0, 50},  // no interval: full range
+		{100, -5, 4, 0, 50}, // negative interval: full range
+		{0, 7, 0, 0, 100},
+	}
+	for _, c := range cases {
+		i0, i1 := rtsRowRange(c.base, c.interval, c.count, c.lo, c.last)
+		if i0 < 0 || i0 > i1 || i1 > c.count {
+			t.Fatalf("%+v: range [%d,%d) outside the record", c, i0, i1)
+		}
+		for i := 0; i < c.count; i++ {
+			ts := c.base + int64(i)*c.interval // wraps as decode's does
+			if in := ts >= c.lo && ts <= c.last; in && (i < i0 || i >= i1) {
+				t.Fatalf("%+v: row %d (ts %d) is in the window but outside [%d,%d)", c, i, ts, i0, i1)
+			}
+		}
+	}
+}
+
+// coldThenHot builds a schema of nsrc irregular sources, each with one
+// 1024-point cold record (which raises MaxSpanMs, and so every scan's
+// lookback, to its 512 s) followed by eight 128-point hot records, one
+// point per 500 ms. It returns the points written, per source.
+func coldThenHot(t *testing.T, cfg Config, nsrc int) (*fixture, *model.SchemaType, map[int64][]model.Point) {
+	t.Helper()
+	cfg.BatchSize = 128
+	f := newFixture(t, cfg, 0)
+	s := f.schema(t, "meter", 4)
+	truth := map[int64][]model.Point{}
+	const n = 2048
+	for i := 0; i < nsrc; i++ {
+		ds := f.source(t, s.ID, false, 500)
+		for j := 0; j < n; j++ {
+			p := model.Point{Source: ds.ID, TS: int64(j)*500 + int64(j%3), Values: []float64{float64(j % 11), float64(j), 0.5 * float64(j%7), float64(ds.ID)}}
+			truth[ds.ID] = append(truth[ds.ID], p.Clone())
+			if err := f.store.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Cold cutoff between record 8 and 9: the first 1024 points compact.
+	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1}, 1024*500); err != nil || res.ColdWritten != nsrc {
+		t.Fatalf("cold pass: %+v, %v; want one cold record per source", res, err)
+	}
+	for id := range truth {
+		if st := f.cat.Stats(id); st.MaxSpanMs < 500_000 || st.BatchCount != 9 {
+			t.Fatalf("source %d: stats %+v, want 9 records and a cold-wide MaxSpanMs", id, st)
+		}
+	}
+	return f, s, truth
+}
+
+func inWindow(truth map[int64][]model.Point, t1, t2 int64) map[int64][]model.Point {
+	out := map[int64][]model.Point{}
+	for id, pts := range truth {
+		for _, p := range pts {
+			if p.TS >= t1 && p.TS < t2 {
+				out[id] = append(out[id], p)
+			}
+		}
+	}
+	return out
+}
+
+func bySource(pts []model.Point) map[int64][]model.Point {
+	out := map[int64][]model.Point{}
+	for _, p := range pts {
+		out[p.Source] = append(out[p.Source], p)
+	}
+	return out
+}
+
+func sameBySource(t *testing.T, label string, got, want map[int64][]model.Point) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: rows of %d sources, want %d", label, len(got), len(want))
+	}
+	for id := range want {
+		if !pointsEqual(got[id], want[id]) {
+			t.Fatalf("%s: source %d: got %d rows %v, want %d rows %v", label, id, len(got[id]), got[id], len(want[id]), want[id])
+		}
+	}
+}
+
+// TestSliceScanNeverReadsPayloadsOutsideItsWindow: with the payload (not
+// the header) of every record outside a 5 s window overwritten with
+// garbage, a strict slice of that window still returns its exact rows —
+// nothing behind the header of a record the window misses is looked at.
+func TestSliceScanNeverReadsPayloadsOutsideItsWindow(t *testing.T) {
+	f, s, truth := coldThenHot(t, Config{}, 3)
+	const t1, t2 = 900_000, 905_000 // inside the seventh hot record of every source (points 1800-1809)
+	poisoned := 0
+	for id := range truth {
+		recs, err := readRange(&home{tree: f.store.irts, id: id}, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			h, ok := parseBlobHeader(r.blob)
+			_, first, last, spanOK := h.span(r.ts)
+			if !ok || !spanOK {
+				t.Fatalf("source %d ts %d: header does not parse", id, r.ts)
+			}
+			if last >= t1 && first < t2 {
+				continue
+			}
+			for i := h.payOff; i < len(r.blob); i++ {
+				r.blob[i] = 0xA5
+			}
+			if _, err := DecodeBlob(r.blob, r.ts, nil); err == nil {
+				t.Fatalf("source %d ts %d: poisoned payload still decodes", id, r.ts)
+			}
+			if err := f.store.irts.Put(keyenc.SourceTime(id, r.ts), r.blob); err != nil {
+				t.Fatal(err)
+			}
+			poisoned++
+		}
+	}
+	if poisoned != 3*8 {
+		t.Fatalf("poisoned %d records, want all but one of each source's nine", poisoned)
+	}
+	want := inWindow(truth, t1, t2)
+	for _, opts := range []ScanOptions{{}, {NoCache: true}} {
+		it, err := f.store.SliceScanOpts(s.ID, t1, t2, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collect(t, it) // fails on a strict scan's decode error
+		if len(got) != 3*10 {
+			t.Fatalf("slice returned %d rows, want 30", len(got))
+		}
+		sameBySource(t, "slice", bySource(got), want)
+		// One record per source was decoded; pruned ones charge nothing.
+		var wantBytes int64
+		for id := range truth {
+			blob, err := f.store.irts.Get(keyenc.SourceTime(id, truth[id][1024+6*128].TS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes += int64(len(blob))
+		}
+		if it.BlobBytes() != wantBytes {
+			t.Fatalf("BlobBytes = %d, want %d: the encoded length of the one record per source the window cuts", it.BlobBytes(), wantBytes)
+		}
+	}
+}
+
+// TestSliceDoesNotEnterTheCache: a window inside its records decodes row
+// ranges, which have no cache key — the LRU is as it was — while a scan
+// that covers whole records still fills it and is served from it.
+func TestSliceDoesNotEnterTheCache(t *testing.T) {
+	f, s, truth := coldThenHot(t, Config{BlobCacheBytes: 8 << 20}, 3)
+	slice := func(t1, t2 int64) {
+		it, err := f.store.SliceScanOpts(s.ID, t1, t2, nil, ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBySource(t, "slice", bySource(collect(t, it)), inWindow(truth, t1, t2))
+	}
+	slice(900_000, 905_000) // inside a hot record
+	slice(100_000, 105_000) // inside the cold record
+	if st := f.store.BlobCacheStats(); st.Entries != 0 || st.SizeBytes != 0 {
+		t.Fatalf("slices of windows inside their records entered the cache: %+v", st)
+	}
+	all := func() map[int64][]model.Point {
+		it, err := f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bySource(collect(t, it))
+	}
+	sameBySource(t, "first whole-history scan", all(), truth)
+	filled := f.store.BlobCacheStats()
+	if filled.Entries != 3*9 {
+		t.Fatalf("a whole-history scan cached %d records, want 27: %+v", filled.Entries, filled)
+	}
+	sameBySource(t, "second whole-history scan", all(), truth)
+	if st := f.store.BlobCacheStats(); st.Hits-filled.Hits != 3*9 || st.Entries != filled.Entries {
+		t.Fatalf("second whole-history scan: %+v after %+v, want 27 more hits", st, filled)
+	}
+	// Hits serve any window, and a slice still leaves the LRU alone.
+	slice(900_000, 905_000)
+	if st := f.store.BlobCacheStats(); st.Entries != filled.Entries || st.Evictions != 0 {
+		t.Fatalf("a slice over a warm cache changed it: %+v", st)
+	}
+}
