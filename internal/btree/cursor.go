@@ -2,14 +2,16 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 
 	"odh/internal/pagestore"
 )
 
 // Cursor iterates leaf entries in ascending key order. A cursor takes a
-// read snapshot of each leaf it visits (the copy keeps pin lifetimes short
-// and makes iteration safe while other goroutines read) and holds the tree
-// read lock only per leaf. Writers to other keys may run while a cursor is
+// read snapshot of each leaf it visits — one copy of the page into a
+// buffer the cursor owns, which keeps pin lifetimes short and makes
+// iteration safe while other goroutines read — and holds the tree read
+// lock only per leaf. Writers to other keys may run while a cursor is
 // open: it never sees a torn page, stays strictly ascending through leaf
 // splits, and visits every entry that exists for its whole lifetime
 // exactly once. An entry written or deleted during the walk may be seen
@@ -20,45 +22,33 @@ import (
 // latch: the record walker (tsstore/walk.go) opens and drops its cursors
 // inside one shared hold, and rewriteLocked, the only writer, runs under
 // the exclusive hold.
+//
+// View lifetime: Key, and Value of a value stored inline, return views of
+// the snapshot. They are valid until the cursor moves (Next, Reset) and
+// must not be modified; a caller that keeps an entry past that copies it
+// (AppendValue, or append([]byte(nil), ...)). Value of an overflow value
+// is a fresh allocation the caller owns. The zero Cursor is invalid until
+// Reset.
 type Cursor struct {
-	t     *Tree
-	leaf  pagestore.PageID
-	cells []cursorCell
-	pos   int
-	err   error
+	t    *Tree
+	leaf pagestore.PageID
+	page []byte // the snapshot: a private copy of the leaf page
+	n    int    // cells in the snapshot
+	pos  int
+	err  error
 	// floor and last bound what a newly loaded leaf may yield: keys >= floor
-	// (the seek target) and > last (the final key of the previous leaf
-	// snapshot). A leaf that splits after it was snapshotted moves its
-	// upper half to a new right sibling, which the walk then reaches again;
-	// the bounds keep the cursor strictly ascending through that.
+	// (the seek target, which the cursor retains) and > last (the final key
+	// of the previous leaf snapshot, copied out of it; empty = none). A leaf
+	// that splits after it was snapshotted moves its upper half to a new
+	// right sibling, which the walk then reaches again; the bounds keep the
+	// cursor strictly ascending through that.
 	floor, last []byte
 }
 
-type cursorCell struct {
-	key []byte
-	val []byte
-	ovf bool
-}
-
-// Seek positions the cursor at the first entry with key >= target.
+// Seek positions a new cursor at the first entry with key >= target.
 func (t *Tree) Seek(target []byte) *Cursor {
-	c := &Cursor{t: t, floor: target}
-	// One lock hold from the descent to the leaf copy: a split in between
-	// would leave the copy without the keys the descent aimed at.
-	t.mu.RLock()
-	leafID, err := t.findLeaf(target)
-	if err == nil {
-		err = c.loadLeaf(leafID)
-	}
-	t.mu.RUnlock()
-	if err != nil {
-		c.err = err
-		return c
-	}
-	// The first key >= target may be on the next leaf.
-	if c.skipBelow(); c.pos >= len(c.cells) {
-		c.advanceLeaf()
-	}
+	c := new(Cursor)
+	c.Reset(t, target)
 	return c
 }
 
@@ -67,38 +57,48 @@ func (t *Tree) First() *Cursor {
 	return t.Seek(nil)
 }
 
-// loadLeaf snapshots the cells of leaf pid. Caller holds t.mu.
+// Reset re-aims the cursor at the first entry of t with key >= target,
+// reusing the buffers of its earlier life. target must stay unmodified
+// while the cursor is in use.
+func (c *Cursor) Reset(t *Tree, target []byte) {
+	c.t, c.floor, c.last, c.n, c.pos = t, target, c.last[:0], 0, 0
+	// One lock hold from the descent to the leaf copy: a split in between
+	// would leave the copy without the keys the descent aimed at.
+	t.mu.RLock()
+	leafID, err := t.findLeaf(target)
+	if err == nil {
+		err = c.loadLeaf(leafID)
+	}
+	t.mu.RUnlock()
+	// The first key >= target may be on the next leaf.
+	if c.err = err; err == nil && c.pos >= c.n {
+		c.advanceLeaf()
+	}
+}
+
+// loadLeaf snapshots leaf pid and lands on its first cell inside the
+// cursor's bounds. Caller holds t.mu.
 func (c *Cursor) loadLeaf(pid pagestore.PageID) error {
 	fr, err := c.t.store.Get(pid)
 	if err != nil {
 		return err
 	}
-	defer fr.Unpin()
-	n := node{fr.Data()}
-	c.leaf = pid
-	c.cells = c.cells[:0]
-	for i := 0; i < n.ncells(); i++ {
-		key, val, ovf := n.leafCell(i)
-		c.cells = append(c.cells, cursorCell{
-			key: append([]byte(nil), key...),
-			val: append([]byte(nil), val...),
-			ovf: ovf,
-		})
+	if c.page == nil {
+		c.page = make([]byte, pagestore.PageSize)
 	}
-	c.pos = 0
-	return nil
-}
-
-// skipBelow moves past the cells of a fresh snapshot that the cursor's
-// bounds exclude.
-func (c *Cursor) skipBelow() {
-	for c.pos < len(c.cells) {
-		key := c.cells[c.pos].key
-		if bytes.Compare(key, c.floor) >= 0 && (c.last == nil || bytes.Compare(key, c.last) > 0) {
-			return
+	copy(c.page, fr.Data())
+	fr.Unpin()
+	n := node{c.page}
+	c.leaf, c.n = pid, n.ncells()
+	c.pos, _ = n.search(c.floor)
+	if len(c.last) > 0 {
+		i, found := n.search(c.last)
+		if found {
+			i++
 		}
-		c.pos++
+		c.pos = max(c.pos, i)
 	}
+	return nil
 }
 
 // advanceLeaf moves to the next leaf with an entry in bounds (skipping
@@ -106,8 +106,10 @@ func (c *Cursor) skipBelow() {
 // of the tree.
 func (c *Cursor) advanceLeaf() {
 	for {
-		if n := len(c.cells); n > 0 && (c.last == nil || bytes.Compare(c.cells[n-1].key, c.last) > 0) {
-			c.last = c.cells[n-1].key
+		if c.n > 0 {
+			if key := (node{c.page}).cellKey(c.n - 1); bytes.Compare(key, c.last) > 0 {
+				c.last = append(c.last[:0], key...)
+			}
 		}
 		// The sibling pointer is read fresh, with the sibling's copy, under
 		// one lock hold: the chain is then the current one, splits included.
@@ -124,48 +126,75 @@ func (c *Cursor) advanceLeaf() {
 		c.t.mu.RUnlock()
 		if err != nil || next == pagestore.InvalidPage {
 			c.err = err
-			c.cells = nil
-			c.pos = 0
+			c.n, c.pos = 0, 0
 			return
 		}
-		if c.skipBelow(); c.pos < len(c.cells) {
+		if c.pos < c.n {
 			return
 		}
 	}
 }
 
 // Valid reports whether the cursor is positioned at an entry.
-func (c *Cursor) Valid() bool { return c.err == nil && c.pos < len(c.cells) }
+func (c *Cursor) Valid() bool { return c.err == nil && c.pos < c.n }
 
 // Err returns the first error the cursor encountered, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// Key returns the current entry's key. Valid only while Valid() is true.
-func (c *Cursor) Key() []byte { return c.cells[c.pos].key }
+// Key returns a view of the current entry's key. Valid only while Valid()
+// is true and until the cursor moves.
+func (c *Cursor) Key() []byte { return node{c.page}.cellKey(c.pos) }
 
-// Value returns the current entry's value, fetching overflow chains as
-// needed.
+// Value returns the current entry's value: a view (see Cursor) when it is
+// stored inline, the reassembled overflow chain otherwise.
 func (c *Cursor) Value() ([]byte, error) {
-	cell := c.cells[c.pos]
-	if !cell.ovf {
-		return cell.val, nil
+	_, val, ovf := node{c.page}.leafCell(c.pos)
+	if !ovf {
+		return val, nil
+	}
+	return c.appendValue(nil, -1)
+}
+
+// AppendValue appends the current entry's value to dst: the copying read,
+// into a buffer the caller owns and may reuse.
+func (c *Cursor) AppendValue(dst []byte) ([]byte, error) {
+	return c.appendValue(dst, -1)
+}
+
+// AppendHead appends up to limit leading bytes of the current entry's
+// value to dst, out of an inline value or out of the first page of an
+// overflow chain (so it can come back shorter than limit when the value is
+// longer). It reads at most that one page and allocates only to grow dst: a
+// caller after the front of a multi-page value (a ValueBlob header) does
+// not pay for the rest.
+func (c *Cursor) AppendHead(dst []byte, limit int) ([]byte, error) {
+	return c.appendValue(dst, limit)
+}
+
+func (c *Cursor) appendValue(dst []byte, head int) ([]byte, error) {
+	_, val, ovf := node{c.page}.leafCell(c.pos)
+	if !ovf {
+		if head >= 0 {
+			val = val[:min(head, len(val))]
+		}
+		return append(dst, val...), nil
 	}
 	c.t.mu.RLock()
 	defer c.t.mu.RUnlock()
-	return c.t.readOverflow(cell.val)
+	return c.t.appendOverflow(dst, val, head)
 }
 
 // ValueSize returns the stored size of the current value without fetching
 // overflow pages; the query planner uses it to account blob bytes.
 func (c *Cursor) ValueSize() int {
-	cell := c.cells[c.pos]
-	if !cell.ovf {
-		return len(cell.val)
+	_, val, ovf := node{c.page}.leafCell(c.pos)
+	if !ovf {
+		return len(val)
 	}
-	if len(cell.val) < 8 {
+	if len(val) < 8 {
 		return 0
 	}
-	return int(uint32(cell.val[0]) | uint32(cell.val[1])<<8 | uint32(cell.val[2])<<16 | uint32(cell.val[3])<<24)
+	return int(binary.LittleEndian.Uint32(val))
 }
 
 // Next advances to the following entry.
@@ -174,13 +203,14 @@ func (c *Cursor) Next() {
 		return
 	}
 	c.pos++
-	if c.pos >= len(c.cells) {
+	if c.pos >= c.n {
 		c.advanceLeaf()
 	}
 }
 
 // Scan invokes fn for every entry with lo <= key < hi (hi nil = unbounded).
-// Iteration stops early when fn returns false.
+// Iteration stops early when fn returns false. key and val are only valid
+// during the call (see Cursor).
 func (t *Tree) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 	c := t.Seek(lo)
 	for c.Valid() {

@@ -3,6 +3,7 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"odh/internal/pagestore"
@@ -50,15 +51,27 @@ func Open(store *pagestore.Store, name string) (*Tree, error) {
 		fr.Unpin()
 		return t, nil
 	}
-	// Create descriptor + empty leaf root.
-	descID, descFr, err := store.Allocate()
-	if err != nil {
+	if err := t.create(); err != nil {
 		return nil, err
 	}
-	rootID, rootFr, err := store.Allocate()
-	if err != nil {
-		descFr.Unpin()
+	if err := store.SetRoot("btree:"+name, t.desc); err != nil {
 		return nil, err
+	}
+	return t, nil
+}
+
+// create writes the descriptor and an empty leaf root.
+func (t *Tree) create() error {
+	t.store.BeginWrite()
+	defer t.store.EndWrite()
+	descID, descFr, err := t.store.Allocate()
+	if err != nil {
+		return err
+	}
+	defer descFr.Unpin()
+	rootID, rootFr, err := t.store.Allocate()
+	if err != nil {
+		return err
 	}
 	initNode(rootFr.Data(), typeLeaf)
 	rootFr.MarkDirty()
@@ -67,11 +80,7 @@ func Open(store *pagestore.Store, name string) (*Tree, error) {
 	binary.LittleEndian.PutUint32(descFr.Data(), uint32(rootID))
 	binary.LittleEndian.PutUint16(descFr.Data()[12:], 1)
 	descFr.MarkDirty()
-	descFr.Unpin()
-	if err := store.SetRoot("btree:"+name, descID); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return nil
 }
 
 // saveDesc persists the descriptor page. Caller holds t.mu for writing.
@@ -125,6 +134,10 @@ func (t *Tree) Put(key, val []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// Every page write of a tree mutation happens inside one section of the
+	// store's writer gate, so a flush sees the mutation whole or not at all.
+	t.store.BeginWrite()
+	defer t.store.EndWrite()
 	split, err := t.insert(t.root, key, val)
 	if err != nil {
 		return err
@@ -394,7 +407,7 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	}
 	_, val, ovf := n.leafCell(idx)
 	if ovf {
-		return t.readOverflow(val)
+		return t.appendOverflow(nil, val, -1)
 	}
 	out := make([]byte, len(val))
 	copy(out, val)
@@ -419,6 +432,8 @@ func (t *Tree) Has(key []byte) (bool, error) {
 func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.store.BeginWrite()
+	defer t.store.EndWrite()
 	leafID, err := t.findLeaf(key)
 	if err != nil {
 		return err
@@ -554,30 +569,50 @@ func (t *Tree) writeOverflow(val []byte) ([]byte, error) {
 	return ref, nil
 }
 
-// readOverflow reassembles a value from its overflow chain.
-func (t *Tree) readOverflow(ref []byte) ([]byte, error) {
+// appendOverflow appends the value behind ref to dst — or, with head >= 0,
+// only its first head bytes as far as the first chain page holds them —
+// trusting nothing it reads: the claimed length must fit in the pages the
+// store has, no page may claim a chunk larger than a page holds, and the
+// chain may neither end short of the length nor run past it (a cycle
+// does). Caller holds t.mu.
+func (t *Tree) appendOverflow(dst, ref []byte, head int) ([]byte, error) {
 	if len(ref) < 8 {
 		return nil, errCorrupt
 	}
 	total := int(binary.LittleEndian.Uint32(ref))
 	pid := pagestore.PageID(binary.LittleEndian.Uint32(ref[4:]))
-	out := make([]byte, 0, total)
-	for pid != pagestore.InvalidPage {
+	pages := (total + ovfChunkSize - 1) / ovfChunkSize
+	if pages >= int(t.store.NumPages()) {
+		return nil, fmt.Errorf("%w: overflow value of %d bytes in a store of %d pages", errCorrupt, total, t.store.NumPages())
+	}
+	if head >= 0 {
+		pages = min(pages, 1)
+	} else {
+		dst = slices.Grow(dst, total)
+	}
+	start := len(dst)
+	for ; pages > 0 && pid != pagestore.InvalidPage; pages-- {
 		fr, err := t.store.Get(pid)
 		if err != nil {
 			return nil, err
 		}
 		d := fr.Data()
-		next := pagestore.PageID(binary.LittleEndian.Uint32(d))
 		chunk := int(binary.LittleEndian.Uint16(d[4:]))
-		out = append(out, d[ovfHeaderSize:ovfHeaderSize+chunk]...)
+		if chunk > ovfChunkSize || len(dst)-start+chunk > total {
+			fr.Unpin()
+			return nil, fmt.Errorf("%w: overflow page %d holds %d bytes of a %d-byte value", errCorrupt, pid, chunk, total)
+		}
+		if head >= 0 {
+			chunk = min(chunk, head)
+		}
+		dst = append(dst, d[ovfHeaderSize:ovfHeaderSize+chunk]...)
+		pid = pagestore.PageID(binary.LittleEndian.Uint32(d))
 		fr.Unpin()
-		pid = next
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("%w: overflow chain length %d != %d", errCorrupt, len(out), total)
+	if head < 0 && (len(dst)-start != total || pid != pagestore.InvalidPage) {
+		return nil, fmt.Errorf("%w: overflow chain does not end with its %d-byte value (read %d)", errCorrupt, total, len(dst)-start)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // freeOverflow releases the chain referenced by ref.

@@ -113,10 +113,12 @@ func String(b []byte) (string, []byte, error) {
 // SourceTime builds the composite (source id, timestamp) key used by the
 // RTS and IRTS batch stores and by relational (id, ts) indexes.
 func SourceTime(source int64, ts int64) []byte {
-	k := make([]byte, 0, 16)
-	k = AppendInt64(k, source)
-	k = AppendInt64(k, ts)
-	return k
+	return AppendSourceTime(make([]byte, 0, 16), source, ts)
+}
+
+// AppendSourceTime appends the SourceTime key to dst.
+func AppendSourceTime(dst []byte, source int64, ts int64) []byte {
+	return AppendInt64(AppendInt64(dst, source), ts)
 }
 
 // DecodeSourceTime splits a key built by SourceTime.

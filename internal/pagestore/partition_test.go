@@ -91,7 +91,9 @@ func TestConcurrentGetAcrossPartitions(t *testing.T) {
 }
 
 // TestConcurrentAllocateAndFlush interleaves allocation, mutation, and
-// full flushes, then verifies the on-disk image end to end.
+// full flushes, then verifies the on-disk image end to end. The writers
+// follow the store's rule: a pinned frame changes only inside a
+// BeginWrite section, which is what keeps Flush from copying it mid-write.
 func TestConcurrentAllocateAndFlush(t *testing.T) {
 	s, err := Open(NewMemFile(), Options{PoolPages: 256, PoolPartitions: 4})
 	if err != nil {
@@ -105,14 +107,17 @@ func TestConcurrentAllocateAndFlush(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
+				s.BeginWrite()
 				id, fr, err := s.Allocate()
 				if err != nil {
+					s.EndWrite()
 					t.Error(err)
 					return
 				}
 				copy(fr.Data(), fmt.Sprintf("w%d-i%d-p%d", w, i, id))
 				fr.MarkDirty()
 				fr.Unpin()
+				s.EndWrite()
 				if i%10 == 0 {
 					if err := s.Flush(); err != nil {
 						t.Error(err)

@@ -1,7 +1,6 @@
 package pagestore
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -133,7 +132,10 @@ type frame struct {
 	data  [PageSize]byte
 	pins  int
 	dirty bool
-	lru   *list.Element // position in lru list when unpinned; nil while pinned
+	// Neighbours in the partition's LRU list. A frame is on the list exactly
+	// while it is unpinned; the links live in the frame so that pinning and
+	// unpinning allocate nothing.
+	newer, older *frame
 }
 
 // blockIO is a per-lock-domain I/O scratch: a block buffer plus the stats
@@ -152,7 +154,8 @@ type partition struct {
 	mu     sync.Mutex
 	cap    int
 	frames map[PageID]*frame
-	lru    *list.List // of PageID, front = most recently used
+	mru    *frame // most and least recently used of the unpinned frames
+	lru    *frame
 	io     blockIO
 }
 
@@ -162,12 +165,21 @@ type partition struct {
 // reading or writing the data and call MarkDirty before Unpin after
 // mutation.
 //
-// Lock order: metaMu before any partition latch, partitions in index
-// order. numPages and closed are atomics so the hot Get path takes only
-// its page's partition latch.
+// A pin protects a page from eviction, not from Flush. What orders page
+// writers against Flush is the store's writer gate: whoever changes the
+// bytes of a pinned frame does so between BeginWrite and EndWrite (a shared
+// hold, so writers of different pages do not meet there), and Flush,
+// SetRoot and Close copy frames out under the exclusive hold — a page image
+// caught half-way through an update would carry a valid checksum. Readers
+// never take the gate.
+//
+// Lock order: the writer gate, then metaMu, then partition latches in
+// index order. numPages and closed are atomics so the hot Get path takes
+// only its page's partition latch.
 type Store struct {
 	file   File
 	closed atomic.Bool
+	gate   sync.RWMutex // the writer gate
 
 	numPages atomic.Uint32
 
@@ -224,7 +236,6 @@ func Open(f File, opts Options) (*Store, error) {
 		s.parts[i] = &partition{
 			cap:    perCap,
 			frames: make(map[PageID]*frame, perCap),
-			lru:    list.New(),
 		}
 	}
 	size, err := f.Size()
@@ -482,25 +493,32 @@ func (s *Store) Free(id PageID) error {
 	return nil
 }
 
-// Get pins page id into the buffer pool and returns a Frame handle.
+// Get pins page id into the buffer pool and returns a Frame handle. It is
+// small enough to inline, so a caller that unpins the frame before
+// returning keeps the handle on its stack.
 func (s *Store) Get(id PageID) (*Frame, error) {
+	h, err := s.pinPage(id)
+	if err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+func (s *Store) pinPage(id PageID) (Frame, error) {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return Frame{}, ErrClosed
 	}
 	if id == InvalidPage || uint32(id) >= s.numPages.Load() {
 		// A reference to a page this epoch never allocated is a dangling
 		// pointer — after a crash it means the referencing page was flushed
 		// but its target was not, so scans treat it as corruption.
-		return nil, fmt.Errorf("%w: %d (have %d): %w", ErrPageRange, id, s.numPages.Load(), ErrCorrupt)
+		return Frame{}, fmt.Errorf("%w: %d (have %d): %w", ErrPageRange, id, s.numPages.Load(), ErrCorrupt)
 	}
 	p := s.part(id)
 	p.mu.Lock()
 	fr, err := p.pin(s, id)
 	p.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return &Frame{s: s, f: fr}, nil
+	return Frame{s: s, f: fr}, err
 }
 
 // pin brings page id into the partition (reading it if absent) and pins
@@ -508,9 +526,8 @@ func (s *Store) Get(id PageID) (*Frame, error) {
 func (p *partition) pin(s *Store, id PageID) (*frame, error) {
 	if fr, ok := p.frames[id]; ok {
 		p.io.stats.Hits++
-		if fr.pins == 0 && fr.lru != nil {
-			p.lru.Remove(fr.lru)
-			fr.lru = nil
+		if fr.pins == 0 {
+			p.unlist(fr)
 		}
 		fr.pins++
 		return fr, nil
@@ -535,49 +552,70 @@ func (p *partition) pinFresh(s *Store, id PageID) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	clear(fr.data[:])
 	fr.pins = 1
 	return fr, nil
 }
 
-// newFrame finds a slot for page id, evicting the least recently used
-// unpinned frame if the partition is full. Caller holds p.mu.
-func (p *partition) newFrame(s *Store, id PageID) (*frame, error) {
-	if len(p.frames) >= p.cap {
-		if err := p.evictOne(s); err != nil {
-			return nil, err
-		}
+// newFrame finds a slot for page id. A full partition evicts its least
+// recently used unpinned frame and hands that frame's memory on, whatever
+// bytes it holds: the caller reads or clears the page. Caller holds p.mu.
+func (p *partition) newFrame(s *Store, id PageID) (fr *frame, err error) {
+	if len(p.frames) < p.cap {
+		fr = &frame{}
+	} else if fr, err = p.evictOne(s); err != nil {
+		return nil, err
 	}
-	fr := &frame{id: id}
+	fr.id = id
 	p.frames[id] = fr
 	return fr, nil
 }
 
-// evictOne writes back and drops the LRU unpinned frame. Caller holds p.mu.
-func (p *partition) evictOne(s *Store) error {
-	back := p.lru.Back()
-	if back == nil {
-		return ErrPoolFull
+// evictOne writes back and drops the LRU unpinned frame, returning it for
+// reuse. Caller holds p.mu.
+func (p *partition) evictOne(s *Store) (*frame, error) {
+	fr := p.lru
+	if fr == nil {
+		return nil, ErrPoolFull
 	}
-	id := back.Value.(PageID)
-	fr := p.frames[id]
 	if fr.dirty {
-		if err := s.writeBlock(&p.io, blockFor(id), id, 0, fr.data[:]); err != nil {
-			return err
+		if err := s.writeBlock(&p.io, blockFor(fr.id), fr.id, 0, fr.data[:]); err != nil {
+			return nil, err
 		}
 		fr.dirty = false
 	}
-	p.lru.Remove(back)
-	delete(p.frames, id)
+	p.unlist(fr)
+	delete(p.frames, fr.id)
 	p.io.stats.Evictions++
-	return nil
+	return fr, nil
 }
 
 // unpin releases one pin. Caller holds p.mu.
 func (p *partition) unpin(fr *frame) {
 	fr.pins--
 	if fr.pins == 0 {
-		fr.lru = p.lru.PushFront(fr.id)
+		fr.older, p.mru = p.mru, fr
+		if fr.older != nil {
+			fr.older.newer = fr
+		} else {
+			p.lru = fr
+		}
 	}
+}
+
+// unlist takes an unpinned frame off the LRU list. Caller holds p.mu.
+func (p *partition) unlist(fr *frame) {
+	if fr.newer != nil {
+		fr.newer.older = fr.older
+	} else {
+		p.mru = fr.older
+	}
+	if fr.older != nil {
+		fr.older.newer = fr.newer
+	} else {
+		p.lru = fr.newer
+	}
+	fr.newer, fr.older = nil, nil
 }
 
 // SetRoot records a named root page in the meta page. Higher layers use
@@ -624,10 +662,21 @@ func (s *Store) Roots() []string {
 	return names
 }
 
-// lockAll acquires the meta lock and every partition latch in fixed
-// (index) order — the flush/close path's global quiesce. unlockAll
-// releases them in reverse.
+// BeginWrite opens a page-writing section: until the matching EndWrite no
+// Flush runs, so the section may change pinned frames (and MarkDirty them)
+// without a flush copying one mid-update. Sections of different goroutines
+// overlap; what they exclude is Flush, SetRoot and Close, none of which may
+// be called from inside one.
+func (s *Store) BeginWrite() { s.gate.RLock() }
+
+// EndWrite closes the section BeginWrite opened.
+func (s *Store) EndWrite() { s.gate.RUnlock() }
+
+// lockAll acquires the writer gate exclusively, the meta lock and every
+// partition latch in fixed (index) order — the flush/close path's global
+// quiesce. unlockAll releases them in reverse.
 func (s *Store) lockAll() {
+	s.gate.Lock()
 	s.metaMu.Lock()
 	for _, p := range s.parts {
 		p.mu.Lock()
@@ -639,6 +688,7 @@ func (s *Store) unlockAll() {
 		s.parts[i].mu.Unlock()
 	}
 	s.metaMu.Unlock()
+	s.gate.Unlock()
 }
 
 // Flush writes all dirty frames and the meta page to the file and syncs it.
@@ -651,9 +701,10 @@ func (s *Store) Flush() error {
 	return s.flushLocked()
 }
 
-// flushLocked runs the two-phase flush protocol. Caller holds the meta
-// lock and every partition latch (lockAll), so no new dirty pages can
-// slip in between the data sync and the meta write.
+// flushLocked runs the two-phase flush protocol. Caller holds the writer
+// gate, the meta lock and every partition latch (lockAll), so no frame
+// changes under the copy and no new dirty pages can slip in between the
+// data sync and the meta write.
 func (s *Store) flushLocked() error {
 	// Write dirty pages in ascending id order: the I/O is sequential on
 	// disk, and a crash mid-flush tears a deterministic prefix of the
@@ -805,10 +856,12 @@ type Frame struct {
 // ID returns the page id this frame holds.
 func (fr *Frame) ID() PageID { return fr.f.id }
 
-// Data returns the page bytes. Mutations must be followed by MarkDirty.
+// Data returns the page bytes. Mutations happen inside a BeginWrite
+// section and must be followed by MarkDirty.
 func (fr *Frame) Data() []byte { return fr.f.data[:] }
 
 // MarkDirty records that the page was modified and must be written back.
+// Call it inside the BeginWrite section that made the change.
 func (fr *Frame) MarkDirty() { fr.f.dirty = true }
 
 // Unpin releases the frame. It is idempotent.

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -184,5 +185,55 @@ func TestGetMissingRow(t *testing.T) {
 	tbl := tradeTable(t, db)
 	if _, err := tbl.Get(12345); err == nil {
 		t.Fatal("missing rowid found")
+	}
+}
+
+// TestCursorsHandOutStableRows: the B-tree cursor under a RowCursor or an
+// IndexCursor only lends its keys and inline values until it moves; the
+// rows these cursors return are decoded copies, so a caller may keep every
+// one of them while the scan goes on over many leaves.
+func TestCursorsHandOutStableRows(t *testing.T) {
+	db := newDB(t, ProfileRDB)
+	tbl, err := db.CreateTable("NOTES", []Column{{Name: "k", Type: KindInt}, {Name: "note", Type: KindString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := tbl.CreateIndex("by_k", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	note := func(i int) string { return strings.Repeat("n", i%40) + strconv.Itoa(i) }
+	for i := 0; i < n; i++ {
+		if _, err := tbl.Insert([]Value{Int(int64(i)), Str(note(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type row struct {
+		rowid int64
+		vals  []Value
+	}
+	drain := func(next func() (int64, []Value, bool)) []row {
+		var rows []row
+		for {
+			rowid, vals, ok := next()
+			if !ok {
+				return rows
+			}
+			rows = append(rows, row{rowid, vals})
+		}
+	}
+	rc := tbl.Cursor()
+	ic := idx.Cursor(Null, Null)
+	for name, rows := range map[string][]row{"RowCursor": drain(rc.Next), "IndexCursor": drain(ic.Next)} {
+		if rc.Err() != nil || ic.Err() != nil || len(rows) != n {
+			t.Fatalf("%s: %d rows, errors %v %v; want %d", name, len(rows), rc.Err(), ic.Err(), n)
+		}
+		for i, r := range rows {
+			stored, err := tbl.Get(r.rowid)
+			if err != nil || r.vals[0].I != int64(i) || r.vals[1].S != note(i) || stored[1].S != r.vals[1].S {
+				t.Fatalf("%s: row %d kept as %v, stored %v (%v)", name, i, r.vals, stored, err)
+			}
+		}
 	}
 }

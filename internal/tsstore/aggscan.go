@@ -425,6 +425,7 @@ type aggPart func(*aggPartial) error
 // must too); MG rows are slot-ordered and never carry sub-summaries.
 func (s *Store) aggWalkPart(w *walker, owner int, sp *aggSpecEx) aggPart {
 	return func(pt *aggPartial) error {
+		defer w.release()
 		for !w.done {
 			ch, err := w.step()
 			if err != nil {

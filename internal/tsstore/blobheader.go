@@ -177,26 +177,8 @@ func parseBlobHeader(b []byte) (blobHeader, bool) {
 	}
 	h := blobHeader{flags: b[0], structure: b[0] & structMask}
 	r := blobReader{b: b, off: 1}
-	h.ntags = int(r.uvarint(1 << 16))
-	switch h.structure {
-	case blobRTS:
-		h.count = int(r.uvarint(1 << 24))
-		h.interval = r.varint()
-	case blobIRTS:
-		h.count = int(r.uvarint(1 << 24))
-	case blobMG:
-		h.count = int(r.uvarint(1 << 20))
-	default:
-		r.bad = true
-	}
-	if h.flags&flagZoneMaps != 0 {
-		h.zoneOff = r.off
-		r.skip(h.ntags * 16)
-	}
+	h.prelude(&r)
 	if h.flags&flagSummaries != 0 {
-		h.rows = int64(r.uvarint(1 << 24))
-		h.firstDelta, h.spanMs = r.varint(), r.varint()
-		h.sumOff = r.off
 		for tag := 0; tag < h.ntags && !r.bad; tag++ {
 			r.uvarint(math.MaxUint64)
 			r.skip(8)
@@ -222,6 +204,48 @@ func parseBlobHeader(b []byte) (blobHeader, bool) {
 	}
 	h.b, h.payOff = b, r.off
 	return h, true
+}
+
+// prelude walks the front of a header — the fixed fields, past the zone
+// maps, the head of the summary block — which is as far as span needs.
+func (h *blobHeader) prelude(r *blobReader) {
+	h.ntags = int(r.uvarint(1 << 16))
+	switch h.structure {
+	case blobRTS:
+		h.count = int(r.uvarint(1 << 24))
+		h.interval = r.varint()
+	case blobIRTS:
+		h.count = int(r.uvarint(1 << 24))
+	case blobMG:
+		h.count = int(r.uvarint(1 << 20))
+	default:
+		r.bad = true
+	}
+	if h.flags&flagZoneMaps != 0 {
+		h.zoneOff = r.off
+		r.skip(h.ntags * 16)
+	}
+	if h.flags&flagSummaries != 0 {
+		h.rows = int64(r.uvarint(1 << 24))
+		h.firstDelta, h.spanMs = r.varint(), r.varint()
+		h.sumOff = r.off
+	}
+}
+
+// headLastTS reads a record's latest row timestamp off the leading bytes
+// of its blob (what the first page of its overflow chain holds is plenty),
+// touching nothing behind the summary's head. ok is false when head is too
+// short for that, or for a pre-summary blob: the caller then reads the
+// whole blob and asks span.
+func headLastTS(head []byte, baseTS int64) (last int64, ok bool) {
+	if len(head) == 0 {
+		return 0, false
+	}
+	h := blobHeader{flags: head[0], structure: head[0] & structMask}
+	r := blobReader{b: head, off: 1}
+	h.prelude(&r)
+	_, _, last, ok = h.span(baseTS)
+	return last, ok && !r.bad
 }
 
 // appendBlobHeader writes the header every encoder shares. count and

@@ -151,6 +151,7 @@ func (it *scanIter) Next() (model.Point, bool) {
 			}
 		} else if it.ri >= len(it.ch.recs) {
 			if it.w.done {
+				it.w.release()
 				break
 			}
 			it.ch, it.err = it.w.step()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"odh/internal/btree"
 	"odh/internal/keyenc"
@@ -21,14 +22,15 @@ import (
 // trees (for a group: the ts.mg records, the group buffer, and every
 // member's reorganized ts.rts/ts.irts range). A rewrite holds the latch
 // exclusively, so it is atomic to a walker step, which holds it shared.
-// A step copies what it hands out — buffered rows and record bytes,
-// overflow chains included — and keeps no cursor, leaf or buffer
-// reference past the latch; the next step resumes by timestamp: every
-// row below `from` was handed out, none at or above it. Flush, MG merge,
-// coalescing, cold compaction and reorganization move rows between
-// records and homes but never change a row's timestamp, so a walk racing
-// them still hands out every row exactly once. The latch is never held
-// while the consumer runs, so a slow client cannot stall ingest.
+// A step copies what it hands out — buffered rows and the bytes of the
+// records the chunk keeps, overflow chains included, into a buffer the
+// walker owns — and reads no tree page past the latch; the next step
+// resumes by timestamp: every row below `from` was handed out, none at or
+// above it. Flush, MG merge, coalescing, cold compaction and
+// reorganization move rows between records and homes but never change a
+// row's timestamp, so a walk racing them still hands out every row exactly
+// once. The latch is never held while the consumer runs, so a slow client
+// cannot stall ingest.
 
 // stepBytes is the encoded record bytes after which a step looks for a
 // place to end, so long walks re-seek about once per this many bytes. A
@@ -40,6 +42,11 @@ const (
 	stepBytes    = 128 << 10
 	maxStepBytes = 8 * stepBytes
 )
+
+// headBytes is how much of a record take reads to decide whether the chunk
+// keeps it: enough for the header of a 60-tag record up to its span (16
+// bytes of zone map per tag in front of it). A wider record is read whole.
+const headBytes = 1024
 
 // home is one key range an owner's rows can live in: a prefix of one
 // batch tree.
@@ -57,11 +64,10 @@ type walker struct {
 	sh      *shard // the owner's latch
 	owner   int64
 	homes   []home
-	buffer  home      // the pseudo-home of buffered rows
-	recs    []walkRec // chunk backing, reused: a chunk dies at the next step
-	members []int64   // MG owners: slot -> source id
-	only    int64     // MG owners: restrict MG and buffered rows to this member; 0 = all
-	window  int64     // MG owners: the group's bucketing window
+	buffer  home    // the pseudo-home of buffered rows
+	members []int64 // MG owners: slot -> source id
+	only    int64   // MG owners: restrict MG and buffered rows to this member; 0 = all
+	window  int64   // MG owners: the group's bucketing window
 	t2      int64
 	from    int64 // resume point; rows in [from, t2) remain
 	started bool  // a step has run: records keyed below from were met before
@@ -71,10 +77,35 @@ type walker struct {
 	cache    *blobCache      // nil = bypass
 	sig      string          // cache variant: canonical wantTags signature
 	wantTags []int
+
+	*walkScratch // held from the first step until release
+}
+
+// walkScratch is the memory a walker's steps reuse: a chunk dies at the
+// next step, and its backing, the bytes of its records and the cursors
+// (leaf snapshots, seek keys) that gathered it are the next chunk's. A
+// walker is short-lived — a slice opens one per source — so the scratch
+// outlives it: release hands it to the next walker.
+type walkScratch struct {
+	recs []walkRec // chunk backing
+	buf  []byte    // the bytes of the chunk's records
+	curs []recCursor
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
+
+// release gives the scratch up. The consumer calls it when it is through
+// with the last chunk; nothing a chunk handed out is valid after it.
+func (w *walker) release() {
+	if w.walkScratch != nil {
+		clear(w.recs[:cap(w.recs)]) // cache entries, buffered rows
+		scratchPool.Put(w.walkScratch)
+		w.walkScratch = nil
+	}
 }
 
 // walkRec is one record a step handed out: the cached decode when the
-// cache had it, else a private copy of the stored bytes; or, as a
+// cache had it, else the step's copy of the stored bytes; or, as a
 // pseudo-record, the owner's buffered rows of the chunk window.
 type walkRec struct {
 	home     *home
@@ -162,18 +193,22 @@ func (s *Store) groupWindow(group int64) int64 {
 }
 
 // recCursor walks one home's records with base timestamp in [lo, hi).
-// It is the only user of btree cursors on the batch trees.
+// It is the only user of btree cursors on the batch trees; reopening one
+// reuses its leaf snapshot and key buffers.
 type recCursor struct {
-	home *home
-	cur  *btree.Cursor
-	hi   []byte
-	ts   int64 // base timestamp under the cursor, when ok
-	ok   bool
+	home   *home
+	cur    btree.Cursor
+	lo, hi []byte
+	ts     int64 // base timestamp under the cursor, when ok
+	ok     bool
 }
 
-func openRecCursor(h *home, lo, hi int64) (recCursor, error) {
-	c := recCursor{home: h, cur: h.tree.Seek(keyenc.SourceTime(h.id, lo)), hi: keyenc.SourceTime(h.id, hi)}
-	return c, c.settle()
+func (c *recCursor) open(h *home, lo, hi int64) error {
+	c.home = h
+	c.lo = keyenc.AppendSourceTime(c.lo[:0], h.id, lo)
+	c.hi = keyenc.AppendSourceTime(c.hi[:0], h.id, hi)
+	c.cur.Reset(h.tree, c.lo)
+	return c.settle()
 }
 
 // settle decodes the key under the cursor; ok turns false past the range.
@@ -200,13 +235,15 @@ func (c *recCursor) next() error {
 }
 
 // readRange returns the records of one home keyed in [lo, hi) — the
-// maintenance read. The caller holds the home's latch exclusively.
+// maintenance read, which keeps what it reads: every blob is its own copy.
+// The caller holds the home's latch exclusively.
 func readRange(h *home, lo, hi int64) ([]stored, error) {
-	c, err := openRecCursor(h, lo, hi)
+	var c recCursor
+	err := c.open(h, lo, hi)
 	var recs []stored
 	for err == nil && c.ok {
 		var blob []byte
-		if blob, err = c.cur.Value(); err == nil {
+		if blob, err = c.cur.AppendValue(nil); err == nil {
 			recs = append(recs, stored{ts: c.ts, blob: blob})
 			err = c.next()
 		}
@@ -224,7 +261,11 @@ func satSub(a, b int64) int64 {
 
 // step hands out the next chunk. After the last chunk w.done is true.
 func (w *walker) step() (chunk, error) {
+	if w.walkScratch == nil {
+		w.walkScratch = scratchPool.Get().(*walkScratch)
+	}
 	ch := chunk{lo: w.from, hi: w.t2, recs: w.recs[:0]}
+	w.buf = w.buf[:0]
 	err := ctxErr(w.ctx)
 	if err == nil {
 		w.sh.mu.RLock()
@@ -244,7 +285,7 @@ func (w *walker) step() (chunk, error) {
 // cuts the chunk at the first record left behind: its rows, like those of
 // every later record, are >= its key. Caller holds the latch.
 func (w *walker) gather(ch *chunk) error {
-	curs := make([]recCursor, 0, len(w.homes))
+	n := 0
 	for i := range w.homes {
 		h := &w.homes[i]
 		// A record keyed before lo can still spill rows into the window:
@@ -260,12 +301,15 @@ func (w *walker) gather(ch *chunk) error {
 			}
 		}
 		h.span = lookback
-		c, err := openRecCursor(h, satSub(ch.lo, lookback), w.t2)
-		if err != nil {
+		if n == len(w.curs) {
+			w.curs = append(w.curs, recCursor{})
+		}
+		if err := w.curs[n].open(h, satSub(ch.lo, lookback), w.t2); err != nil {
 			return err
 		}
-		curs = append(curs, c)
+		n++
 	}
+	curs := w.curs[:n]
 	var taken int64
 	reach, reached := int64(math.MinInt64), 0 // latest row timestamp of recs[:reached]
 	for {
@@ -309,18 +353,29 @@ func (w *walker) gather(ch *chunk) error {
 	}
 }
 
-// take copies the record under the cursor into rec and reports whether
-// the chunk keeps it. A record whose rows all end before lo — one an
-// earlier step handed out, or one the lookback reached — is dropped on its
-// header's word, whatever its payload holds: no consumer ever sees it.
+// take reads the record under the cursor into rec and reports whether the
+// chunk keeps it. A record whose rows all end before lo — one an earlier
+// step handed out, or one the lookback reached — is dropped on its header's
+// word, whatever its payload holds: no consumer ever sees it, and of its
+// bytes only the head is read (one page, copied nowhere that outlives this
+// call). A kept record's bytes go to the step's buffer.
 func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err error) {
 	if w.cache != nil {
 		rec.hit, rec.ver = w.cache.get(blobKey{tree: w.s.treeID(c.home.tree), source: c.home.id, ts: c.ts}, w.sig)
 	}
+	start := len(w.buf)
 	if rec.hit != nil {
 		rec.hdr = rec.hit.hdr
 	} else {
-		if rec.blob, err = c.cur.Value(); err != nil {
+		val, err := c.cur.AppendHead(w.buf, headBytes)
+		if err == nil {
+			w.buf = val[:start] // keeps what the head grew
+			if last, ok := headLastTS(val[start:], rec.ts); ok && last < lo {
+				return false, nil
+			}
+			val, err = c.cur.AppendValue(w.buf)
+		}
+		if err != nil {
 			// An unreadable value is quarantined in lenient mode; a broken
 			// tree walk still aborts, since the cursor cannot pass it.
 			if !w.s.lenient() {
@@ -333,9 +388,14 @@ func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 			}
 			return false, nil
 		}
+		w.buf = val
+		rec.blob = val[start:len(val):len(val)]
 		rec.hdr, _ = parseBlobHeader(rec.blob)
 	}
+	// The same rule on the whole header: a cache hit, or a header whose
+	// summary starts beyond the head.
 	if _, _, last, ok := rec.hdr.span(rec.ts); ok && last < lo {
+		w.buf = w.buf[:start]
 		return false, nil
 	}
 	return true, nil
