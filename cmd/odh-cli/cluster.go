@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -10,17 +9,15 @@ import (
 	"strings"
 	"time"
 
-	"odh"
+	"odh/internal/cluster"
 )
-
-func asPartial(err error, pe **odh.PartialResultError) bool { return errors.As(err, pe) }
 
 // clusterShell runs the interactive shell against an in-process
 // replicated cluster — the operator's sandbox for failover drills: kill
 // a node, watch queries degrade explicitly, restart it, replay its
 // hints, verify the replicas converged.
 func clusterShell(nodes, replicas, quorum int) {
-	c, err := odh.OpenCluster(odh.ClusterOptions{
+	c, err := cluster.NewReplicated(cluster.Options{
 		Nodes:       nodes,
 		Replicas:    replicas,
 		WriteQuorum: quorum,
@@ -53,7 +50,7 @@ func clusterShell(nodes, replicas, quorum int) {
 	}
 }
 
-func clusterDot(c *odh.Cluster, line string) bool {
+func clusterDot(c *cluster.Cluster, line string) bool {
 	cmd, arg, _ := strings.Cut(line, " ")
 	arg = strings.TrimSpace(arg)
 	nodeArg := func() (int, bool) {
@@ -117,24 +114,12 @@ func clusterDot(c *odh.Cluster, line string) bool {
 			fmt.Println("flushed")
 		}
 	case ".fsck":
-		rep, err := c.VerifyCluster()
+		rep, err := c.Verify()
 		if err != nil {
 			fmt.Println("error:", err)
 			break
 		}
-		fmt.Printf("%d copies checked\n", rep.CopiesChecked)
-		for _, p := range rep.StorageProblems {
-			fmt.Println("storage:", p)
-		}
-		for _, d := range rep.DivergentShards {
-			fmt.Println("divergent:", d)
-		}
-		for _, s := range rep.SkippedCopies {
-			fmt.Println("stale (run .catchup):", s)
-		}
-		if rep.OK() {
-			fmt.Println("ok: replicas consistent, storage intact")
-		}
+		fmt.Println(rep)
 	case ".kill":
 		if n, ok := nodeArg(); ok {
 			report(c.KillNode(n), fmt.Sprintf("node %d killed", n))
@@ -180,11 +165,11 @@ func report(err error, okMsg string) {
 	fmt.Println(okMsg)
 }
 
-func runClusterSQL(c *odh.Cluster, sql string) {
+func runClusterSQL(c *cluster.Cluster, sql string) {
 	start := time.Now()
 	upper := strings.ToUpper(strings.TrimSpace(sql))
 	if !strings.HasPrefix(upper, "SELECT") && !strings.HasPrefix(upper, "EXPLAIN") {
-		if err := c.Exec(sql); err != nil {
+		if err := c.ExecAll(sql); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
@@ -192,15 +177,12 @@ func runClusterSQL(c *odh.Cluster, sql string) {
 		return
 	}
 	res, err := c.Query(sql)
-	var pe *odh.PartialResultError
-	switch {
-	case err == nil:
-	case asPartial(err, &pe):
-		// Degraded but explicit: print what survived, then name the gap.
-	default:
+	if err != nil && (res == nil || len(res.Unavailable) == 0) {
 		fmt.Println("error:", err)
 		return
 	}
+	// A partial result is degraded but explicit: print what survived, then
+	// name the gap.
 	fmt.Println(strings.Join(res.Columns, " | "))
 	for n, row := range res.Rows {
 		if n == 40 {
@@ -214,7 +196,7 @@ func runClusterSQL(c *odh.Cluster, sql string) {
 		fmt.Println(strings.Join(cells, " | "))
 	}
 	fmt.Printf("(%d rows, %v, %d blob bytes read)\n", len(res.Rows), time.Since(start).Round(time.Microsecond), res.BlobBytes)
-	if pe != nil {
-		fmt.Printf("PARTIAL RESULT: shards %v unavailable — %v\n", pe.Shards, err)
+	if err != nil {
+		fmt.Printf("PARTIAL RESULT: shards %v unavailable — %v\n", res.Unavailable, err)
 	}
 }

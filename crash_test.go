@@ -10,6 +10,7 @@ import (
 
 	"odh/internal/fault"
 	"odh/internal/pagestore"
+	"odh/internal/walog"
 )
 
 // TestTornWriteMidFlushRecovery is the headline crash simulation: power
@@ -394,5 +395,65 @@ func TestCrashRecoveryKeepsRepeatedTimestamps(t *testing.T) {
 	}
 	if rep, err := h2.VerifyIntegrity(); err != nil || !rep.OK() {
 		t.Fatalf("fsck after recovery: %v\n%s", err, rep)
+	}
+}
+
+// TestCloseReleasesEverythingOnFlushFailure: a Close whose final flush
+// fails (here the page file's syncs are armed) used to return at the flush
+// error with the recovery log's writer goroutine still running and the page
+// store still open. It must report the error and release both anyway — a
+// cluster's KillNode relies on it — and a second Close must do nothing.
+func TestCloseReleasesEverythingOnFlushFailure(t *testing.T) {
+	pageF := fault.Wrap(pagestore.NewMemFile())
+	walF := fault.Wrap(pagestore.NewMemFile())
+	h, err := Open("", Options{BatchSize: 8, Backing: pageF, WALBacking: walF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := setupEnviron(t, h)
+	src, err := h.RegisterSource(DataSource{SchemaID: schema.ID, Regular: true, IntervalMs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Flush(); err != nil { // metadata is durable, the points below are not
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := h.Writer().WritePoint(src.ID, int64(i*10), float64(i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pageF.FailSyncsAfter(0)
+	if err := h.Close(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Close over failing syncs = %v, want the injected fault", err)
+	}
+	// Log.Close returns only after its writer goroutine has exited, so a
+	// closed log is a stopped one.
+	if err := h.wal.Append([]byte("x")); !errors.Is(err, walog.ErrClosed) {
+		t.Fatalf("append after failed Close = %v, want walog.ErrClosed (the log's writer is still running)", err)
+	}
+	if err := h.page.Flush(); !errors.Is(err, pagestore.ErrClosed) {
+		t.Fatalf("page flush after failed Close = %v, want pagestore.ErrClosed (the store is still open)", err)
+	}
+	io := pageF.Counters()
+	if err := h.Close(); err != nil {
+		t.Fatalf("second Close = %v, want a no-op", err)
+	}
+	if got := pageF.Counters(); got != io {
+		t.Fatalf("second Close touched the page file (%+v -> %+v)", io, got)
+	}
+	// Nothing was lost: the log still holds what the pages do not.
+	h2, err := Open("", Options{BatchSize: 8, Backing: fault.Wrap(pageF.Inner()), WALBacking: fault.Wrap(walF.Inner())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	res, err := h2.Query(`SELECT COUNT(*) FROM environ_data_v`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := res.FetchAll()
+	if err != nil || rows[0][0].AsInt() != 20 {
+		t.Fatalf("reopened historian holds %v rows (err %v), want 20", rows, err)
 	}
 }

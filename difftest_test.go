@@ -583,211 +583,3 @@ func mustQuery(t *testing.T, h *Historian, sql string) {
 		t.Fatalf("%s: %v", sql, err)
 	}
 }
-
-// TestDifferentialClusterVsSingleNode drives the same deterministic
-// workload into a single-node historian and a replicated cluster (3
-// nodes, R=2, quorum 1) across 1000 rounds (120 under -short) of
-// interleaved writes, scheduled kill/restart/catch-up/flush drills, and
-// per-round query comparisons drawn from templates covering row scans,
-// GROUP BY folds, AVG, HAVING, ORDER BY/LIMIT top-k, and TIME_BUCKET
-// roll-ups. Replication, hinted handoff, failover, and the aggregate
-// gather are all pure routing — so after sorting, every query must
-// return byte-identical normalized rows on both sides. Values are
-// integer-valued floats so cross-shard SUM/AVG re-folding stays exact.
-func TestDifferentialClusterVsSingleNode(t *testing.T) {
-	single, err := Open("", Options{BatchSize: 16, GroupSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	c, err := OpenCluster(ClusterOptions{
-		Nodes:          3,
-		Replicas:       2,
-		WriteQuorum:    1,
-		ReplicaTimeout: -1, // deterministic: no timeout goroutines
-		Seed:           3,
-		BatchSize:      16,
-		GroupSize:      4,
-		PoolPages:      32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	schema, err := single.CreateSchema(SchemaType{
-		Name: "env", IDName: "id", TSName: "ts",
-		Tags: []TagDef{{Name: "a"}, {Name: "b"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := single.CreateVirtualTable("D", "env"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateSchema(SchemaType{
-		Name: "env", IDName: "id", TSName: "ts",
-		Tags: []TagDef{{Name: "a"}, {Name: "b"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateVirtualTable("D", "env"); err != nil {
-		t.Fatal(err)
-	}
-	cSchema, ok := c.Schema("env")
-	if !ok {
-		t.Fatal("cluster schema missing")
-	}
-	const nSources = 10
-	for i := 1; i <= nSources; i++ {
-		if _, err := single.RegisterSource(DataSource{
-			ID: int64(i), SchemaID: schema.ID, Regular: true, IntervalMs: 10,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RegisterSource(DataSource{
-			ID: int64(i), SchemaID: cSchema.ID, Regular: true, IntervalMs: 10,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(20260808))
-	var ts int64 = 1000
-	writeBoth := func(rounds int) {
-		t.Helper()
-		for r := 0; r < rounds; r++ {
-			for src := int64(1); src <= nSources; src++ {
-				a, b := float64(rng.Intn(16)), float64(rng.Intn(64))
-				if err := single.Writer().WritePoint(src, ts, a, b); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Write(Point{Source: src, TS: ts, Values: []float64{a, b}}); err != nil {
-					t.Fatalf("cluster write (quorum 1 must survive one dead node): %v", err)
-				}
-			}
-			ts += 10
-		}
-	}
-
-	// clusterFetch mirrors diffFetch's normalization for the gathered
-	// cluster result; both sides sort, so scatter order cannot matter.
-	clusterFetch := func(sql string) []string {
-		t.Helper()
-		res, err := c.Query(sql)
-		if err != nil {
-			t.Fatalf("cluster %s: %v", sql, err)
-		}
-		norm := make([]string, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				cells[i] = diffNorm(v)
-			}
-			norm = append(norm, strings.Join(cells, "|"))
-		}
-		sort.Strings(norm)
-		return norm
-	}
-	// Query templates. Aggregate ORDER BY keys always end with a group
-	// key so the order is total and LIMIT selects the same set on both
-	// sides; the non-aggregate LIMIT orders by (ts, id), which is unique
-	// per row. AVG folds stay bit-exact because per-shard SUMs over
-	// integer-valued floats are exact and the final division sees the
-	// same operands on both sides.
-	templates := func() []string {
-		hi := ts
-		lo := ts - 300
-		return []string{
-			fmt.Sprintf(`SELECT id, ts, a, b FROM D WHERE id = %d`, rng.Int63n(nSources)+1),
-			fmt.Sprintf(`SELECT id, ts, a, b FROM D WHERE ts BETWEEN %d AND %d`, lo, hi),
-			`SELECT id, COUNT(*), SUM(a), MIN(b), MAX(b) FROM D GROUP BY id`,
-			`SELECT COUNT(*) FROM D`,
-			`SELECT id, AVG(a) FROM D GROUP BY id`,
-			fmt.Sprintf(`SELECT id, COUNT(*), AVG(a) FROM D GROUP BY id HAVING COUNT(*) > %d ORDER BY AVG(a) DESC, id LIMIT %d`, rng.Intn(40), 1+rng.Intn(10)),
-			fmt.Sprintf(`SELECT TIME_BUCKET(200, ts), COUNT(*), AVG(b) FROM D WHERE id = %d GROUP BY TIME_BUCKET(200, ts) ORDER BY TIME_BUCKET(200, ts) LIMIT 6`, rng.Int63n(nSources)+1),
-			fmt.Sprintf(`SELECT id, SUM(a) FROM D GROUP BY id HAVING SUM(a) > %d`, rng.Intn(500)),
-			fmt.Sprintf(`SELECT id, ts, a FROM D WHERE ts BETWEEN %d AND %d ORDER BY ts, id LIMIT 20`, lo, hi),
-		}
-	}
-	compareOne := func(stage, q string) {
-		t.Helper()
-		_, want := diffFetch(t, single, q)
-		got := clusterFetch(q)
-		if strings.Join(want, "\n") != strings.Join(got, "\n") {
-			t.Fatalf("%s: %s\nsingle (%d rows) != cluster (%d rows)\nsingle:\n%s\ncluster:\n%s",
-				stage, q, len(want), len(got), strings.Join(want, "\n"), strings.Join(got, "\n"))
-		}
-	}
-
-	// 1000 rounds: each round writes one timestamp column across all
-	// sources, runs the kill/restart/catch-up/flush drill on a fixed
-	// schedule, and compares one template (picked by the seeded rng)
-	// between the two deployments. Kills land at round 250k+50, the
-	// matching recovery at 250k+120, so compares run healthy, degraded,
-	// and freshly-recovered hundreds of times each; flushes every 97
-	// rounds keep both buffered and summarized blocks in play.
-	rounds := 1000
-	if testing.Short() {
-		rounds = 120
-	}
-	down := -1
-	for r := 1; r <= rounds; r++ {
-		writeBoth(1)
-		switch {
-		case r%250 == 50 && down == -1:
-			k := (r / 250) % 3
-			if err := c.KillNode(k); err != nil {
-				t.Fatal(err)
-			}
-			down = k
-		case r%250 == 120 && down != -1:
-			if err := c.RestartNode(down); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.CatchUp(down); err != nil {
-				t.Fatal(err)
-			}
-			down = -1
-		case r%97 == 0 && down == -1:
-			// Flush only while healthy: flushing a cluster with a dead
-			// node reports the down copies, which is its own contract.
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		qs := templates()
-		compareOne(fmt.Sprintf("round %d", r), qs[rng.Intn(len(qs))])
-	}
-
-	// Final recovery: bring everything back, flush, and run every
-	// template once more over the fully settled dataset.
-	if down != -1 {
-		if err := c.RestartNode(down); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CatchUp(down); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range templates() {
-		compareOne("final", q)
-	}
-
-	if st := c.Stats(); st.Failovers == 0 || st.HintsReplayed == 0 || st.AggGathers == 0 {
-		t.Fatalf("drill exercised no failover/handoff/gather machinery: %+v", st)
-	}
-	if tot := c.TotalStats(); tot.SummaryHits == 0 {
-		t.Fatalf("no summary pushdown on any shard: %+v", tot)
-	}
-	rep, err := c.VerifyCluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() || len(rep.SkippedCopies) != 0 {
-		t.Fatalf("cluster not clean after drill: %+v", rep)
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"odh"
 	"odh/internal/model"
 	"odh/internal/retry"
 	"odh/internal/sqlexec"
@@ -61,7 +62,7 @@ func TestChaosSoak(t *testing.T) {
 		ReplicaTimeout: time.Second,
 		Retry:          retry.Policy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 		Seed:           7,
-		Node:           NodeOptions{BatchSize: 16, GroupSize: 4, PoolPages: 64},
+		Node:           odh.Options{BatchSize: 16, GroupSize: 4, PoolPages: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestChaosSoak(t *testing.T) {
 	if err := c.CreateVirtualTable("meter_v", "meter"); err != nil {
 		t.Fatal(err)
 	}
-	schema, _ := c.Node(0).Cat.SchemaByName("meter")
+	schema, _ := c.Schema("meter")
 	for i := 1; i <= nSources; i++ {
 		if err := c.RegisterSource(model.DataSource{
 			ID: int64(i), SchemaID: schema.ID, Regular: true, IntervalMs: 10,
@@ -489,15 +490,14 @@ func TestChaosSoak(t *testing.T) {
 	if len(notes) != 0 {
 		t.Fatalf("copies still stale after full catch-up: %v", notes)
 	}
-	checked, problems, err := c.VerifyCopies()
-	if err != nil {
-		t.Fatalf("verify copies: %v", err)
+	copies := c.VerifyCopies()
+	for _, ci := range copies {
+		if !ci.OK() {
+			t.Fatalf("storage problems after chaos: shard %d copy %d: err=%v report=%v", ci.Shard, ci.Replica, ci.Err, ci.Report)
+		}
 	}
-	if len(problems) != 0 {
-		t.Fatalf("storage problems after chaos: %v", problems)
-	}
-	if checked != nodes*replicas {
-		t.Fatalf("verified %d copies, want %d", checked, nodes*replicas)
+	if len(copies) != nodes*replicas {
+		t.Fatalf("verified %d copies, want %d", len(copies), nodes*replicas)
 	}
 
 	st := c.Stats()

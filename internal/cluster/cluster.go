@@ -6,19 +6,20 @@
 // router consults per query.
 //
 // The unit of placement is the shard copy: shard s has R copies, copy k
-// living on node (s+k) mod N, each a full storage stack (page store,
-// recovery log, catalog, time-series store, relational DB, SQL engine)
-// over its own fault-injectable files. Writes go to every copy of the
-// home shard and acknowledge on a configurable quorum with per-replica
-// timeouts; a copy that misses a write accumulates a hinted-handoff
+// living on node (s+k) mod N, each an *odh.Historian over its own
+// fault-injectable page file and recovery log: the router sits on top of
+// the historian the way internal/server does, so a copy flushes, recovers,
+// fscks and counts exactly as a single node does. Writes go to every copy
+// of the home shard and acknowledge on a configurable quorum with
+// per-replica timeouts; a copy that misses a write accumulates a hinted-handoff
 // record (WAL point encoding, walog framing) at the coordinator and is
 // excluded from reads until CatchUp replays its hints. Reads fail over
 // across copies with bounded jittered exponential backoff and degrade to
 // a *sqlexec.PartialResultError naming the shards with zero live fresh
 // copies. KillNode / RestartNode / StallNode are the chaos surface: a
 // kill arms every fault on the copy's files (in-flight I/O fails, nothing
-// lands after the crash point) and a restart reopens the stacks from the
-// surviving backing files with deduplicating WAL replay.
+// lands after the crash point) and a restart reopens the historians from
+// the surviving backing files (odh.Open replays the log with dedup).
 //
 // Known degraded-mode limits: relational DML and metadata changes
 // (ExecAll, CreateSchema, RegisterSource) have no hinted handoff — a
@@ -31,18 +32,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"odh/internal/catalog"
+	"odh"
 	"odh/internal/fault"
 	"odh/internal/model"
 	"odh/internal/pagestore"
-	"odh/internal/relational"
 	"odh/internal/retry"
-	"odh/internal/sqlexec"
-	"odh/internal/tsstore"
 	"odh/internal/walog"
 )
 
@@ -93,55 +92,6 @@ func Retryable(err error) bool {
 		errors.Is(err, context.DeadlineExceeded))
 }
 
-// NodeOptions configures each node's storage stack.
-type NodeOptions struct {
-	BatchSize int
-	GroupSize int
-	PoolPages int
-}
-
-// Node is one shard copy's data server: a full storage stack plus a SQL
-// engine.
-type Node struct {
-	Page   *pagestore.Store
-	Cat    *catalog.Catalog
-	TS     *tsstore.Store
-	Rel    *relational.DB
-	Engine *sqlexec.Engine
-}
-
-// newNodeWithFiles builds a stack over explicit backing files. wal may be
-// nil (legacy single-copy mode: no recovery log, no crash restart).
-func newNodeWithFiles(f pagestore.File, wal walog.File, opts NodeOptions) (*Node, *walog.Log, error) {
-	if opts.PoolPages <= 0 {
-		opts.PoolPages = 4096
-	}
-	page, err := pagestore.Open(f, pagestore.Options{PoolPages: opts.PoolPages})
-	if err != nil {
-		return nil, nil, err
-	}
-	cat, err := catalog.Open(page, opts.GroupSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	var l *walog.Log
-	if wal != nil {
-		l, err = walog.OpenFile(wal, walog.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	ts, err := tsstore.Open(page, cat, tsstore.Config{BatchSize: opts.BatchSize, Log: l})
-	if err != nil {
-		return nil, nil, err
-	}
-	rel, err := relational.Open(page, relational.ProfileRDB)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Node{Page: page, Cat: cat, TS: ts, Rel: rel, Engine: sqlexec.New(rel, ts)}, l, nil
-}
-
 // Options configures a replicated cluster.
 type Options struct {
 	// Nodes is the data-server count.
@@ -166,8 +116,9 @@ type Options struct {
 	// failover rounds) when the caller's context carries no deadline of
 	// its own. 0 disables.
 	QueryTimeout time.Duration
-	// Node configures each copy's storage stack.
-	Node NodeOptions
+	// Node configures each copy's historian, exactly as for a single
+	// node; the cluster sets Backing and WALBacking itself, per copy.
+	Node odh.Options
 }
 
 func (o Options) withDefaults() Options {
@@ -223,8 +174,7 @@ type statsCounters struct {
 
 // Cluster is a set of shard copies with a source-hash router.
 type Cluster struct {
-	opts   Options
-	legacy bool // NewWithFiles: external files, no WAL, no kill/restart
+	opts Options
 
 	nodes  []*nodeState
 	shards [][]*shardCopy // [shard][replica]
@@ -241,13 +191,6 @@ type nodeState struct {
 	stallNs atomic.Int64
 }
 
-// New builds an n-node in-process cluster with one copy per shard (no
-// replication) — the pre-replication constructor, kept for single-copy
-// deployments and tests.
-func New(n int, opts NodeOptions) (*Cluster, error) {
-	return NewReplicated(Options{Nodes: n, Node: opts})
-}
-
 // NewReplicated builds a cluster with opts.Replicas copies per shard.
 func NewReplicated(opts Options) (*Cluster, error) {
 	if opts.Nodes <= 0 {
@@ -258,69 +201,34 @@ func NewReplicated(opts Options) (*Cluster, error) {
 	for i := 0; i < opts.Nodes; i++ {
 		c.nodes = append(c.nodes, &nodeState{})
 	}
-	for s := 0; s < opts.Nodes; s++ {
-		copies := make([]*shardCopy, opts.Replicas)
+	c.shards = make([][]*shardCopy, opts.Nodes)
+	for s := range c.shards {
 		for k := 0; k < opts.Replicas; k++ {
-			cp, err := c.newReplicatedCopy(s, k, (s+k)%opts.Nodes)
+			cp, err := c.newCopy(s, k, (s+k)%opts.Nodes)
 			if err != nil {
 				c.Close()
 				return nil, err
 			}
-			copies[k] = cp
+			c.shards[s] = append(c.shards[s], cp)
 		}
-		c.shards = append(c.shards, copies)
 	}
 	return c, nil
 }
 
-// NewWithFiles builds a single-copy cluster with one node per backing
-// file, so tests can inject faults into individual data servers. Copies
-// built this way carry no recovery log and cannot be killed/restarted.
-func NewWithFiles(files []pagestore.File, opts NodeOptions) (*Cluster, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("cluster: need at least one node")
-	}
-	o := Options{Nodes: len(files), Node: opts, ReplicaTimeout: -1}.withDefaults()
-	c := &Cluster{opts: o, legacy: true, rng: rand.New(rand.NewSource(o.Seed))}
-	for range files {
-		c.nodes = append(c.nodes, &nodeState{})
-	}
-	for s, f := range files {
-		n, _, err := newNodeWithFiles(f, nil, opts)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		cp := &shardCopy{shard: s, replica: 0, host: s, pageBack: f}
-		cp.n.Store(n)
-		c.shards = append(c.shards, []*shardCopy{cp})
-	}
-	return c, nil
-}
-
-// Close flushes and releases every live copy.
+// Close closes every live copy's historian (pages commit before the
+// recovery log recycles, as on a single node), stops the hint logs, and
+// returns the first error.
 func (c *Cluster) Close() error {
 	var first error
-	for _, copies := range c.shards {
-		for _, cp := range copies {
-			if cp == nil {
-				continue
-			}
-			n := cp.n.Load()
-			if n == nil || c.nodes[cp.host].down.Load() {
-				continue
-			}
-			if err := n.TS.Flush(); err != nil && first == nil {
+	c.forEachCopy(func(cp *shardCopy) error {
+		if h := cp.h.Swap(nil); h != nil {
+			if err := h.Close(); err != nil && first == nil {
 				first = err
-			}
-			if err := n.Page.Close(); err != nil && first == nil {
-				first = err
-			}
-			if wal := cp.wal.Load(); wal != nil {
-				wal.Close()
 			}
 		}
-	}
+		cp.hints.Close()
+		return nil
+	})
 	return first
 }
 
@@ -334,19 +242,10 @@ func (c *Cluster) Replicas() int { return c.opts.Replicas }
 // of Replicas unless configured).
 func (c *Cluster) Quorum() int { return c.opts.WriteQuorum }
 
-// Node returns node i's primary stack — the first copy of shard i, which
-// lives on node i (for inspection in tests).
-func (c *Cluster) Node(i int) *Node { return c.shards[i][0].n.Load() }
-
 // shardOf routes a data source to its home shard.
 func (c *Cluster) shardOf(source int64) int {
 	h := uint64(source) * 0x9E3779B97F4A7C15 // Fibonacci hashing
 	return int(h % uint64(len(c.shards)))
-}
-
-// homeNode routes a data source to its home shard's primary stack.
-func (c *Cluster) homeNode(source int64) *Node {
-	return c.shards[c.shardOf(source)][0].n.Load()
 }
 
 // forEachCopy visits every copy in shard-then-replica order.
@@ -361,49 +260,48 @@ func (c *Cluster) forEachCopy(fn func(cp *shardCopy) error) error {
 	return nil
 }
 
-// CreateSchema registers a schema type on every copy (metadata is
-// replicated so any node can answer any query shape). Issue while
-// healthy: metadata changes have no hinted handoff.
-func (c *Cluster) CreateSchema(st model.SchemaType) error {
+// onEveryCopy applies a metadata change to every copy's historian, then
+// checkpoints it. Metadata is not covered by the point WAL, so a crash
+// before the next flush would otherwise leave the copy's recovery log
+// referencing sources its reopened catalog has never heard of. Metadata
+// changes are rare; the synchronous checkpoint is the price of making
+// them durable. Issue them while healthy: they have no hinted handoff, and
+// the first down or failing copy aborts the sweep.
+func (c *Cluster) onEveryCopy(apply func(h *odh.Historian) error) error {
 	return c.forEachCopy(func(cp *shardCopy) error {
-		n := cp.n.Load()
-		if n == nil {
+		h := c.live(cp)
+		if h == nil {
 			return &NodeError{Node: cp.host, Err: ErrNodeDown}
 		}
-		if _, err := n.Cat.CreateSchema(st); err != nil {
+		if err := apply(h); err != nil {
 			return err
 		}
-		return c.checkpointMeta(cp, n)
+		return h.Flush()
 	})
 }
 
-// checkpointMeta commits a copy's page store after a metadata change.
-// Metadata is not covered by the point WAL, so a crash before the next
-// flush would otherwise leave the copy's recovery log referencing
-// sources its reopened catalog has never heard of. Metadata changes are
-// rare; the synchronous checkpoint is the price of making them durable.
-func (c *Cluster) checkpointMeta(cp *shardCopy, n *Node) error {
-	if cp.walBack == nil {
-		return nil // legacy copies have no crash/restart path
+// CreateSchema registers a schema type on every copy (metadata is
+// replicated so any node can answer any query shape).
+func (c *Cluster) CreateSchema(st model.SchemaType) error {
+	return c.onEveryCopy(func(h *odh.Historian) error {
+		_, err := h.CreateSchema(st)
+		return err
+	})
+}
+
+// Schema looks up a schema type by name on any live copy (metadata is
+// replicated); false when the name is unknown or no copy is up.
+func (c *Cluster) Schema(name string) (*model.SchemaType, bool) {
+	if h := c.anyLive(); h != nil {
+		return h.Schema(name)
 	}
-	return n.Page.Flush()
+	return nil, false
 }
 
 // CreateVirtualTable registers the virtual table on every copy.
 func (c *Cluster) CreateVirtualTable(table, schemaName string) error {
-	return c.forEachCopy(func(cp *shardCopy) error {
-		n := cp.n.Load()
-		if n == nil {
-			return &NodeError{Node: cp.host, Err: ErrNodeDown}
-		}
-		s, ok := n.Cat.SchemaByName(schemaName)
-		if !ok {
-			return fmt.Errorf("cluster: unknown schema %q", schemaName)
-		}
-		if err := n.Cat.CreateVirtualTable(table, s.ID); err != nil {
-			return err
-		}
-		return c.checkpointMeta(cp, n)
+	return c.onEveryCopy(func(h *odh.Historian) error {
+		return h.CreateVirtualTable(table, schemaName)
 	})
 }
 
@@ -414,18 +312,9 @@ func (c *Cluster) RegisterSource(ds model.DataSource) error {
 	if ds.ID == 0 {
 		return fmt.Errorf("cluster: sources must carry explicit ids")
 	}
-	return c.forEachCopy(func(cp *shardCopy) error {
-		n := cp.n.Load()
-		if n == nil {
-			return &NodeError{Node: cp.host, Err: ErrNodeDown}
-		}
-		if _, ok := n.Cat.SchemaByID(ds.SchemaID); !ok {
-			return fmt.Errorf("cluster: unknown schema %d", ds.SchemaID)
-		}
-		if _, err := n.Cat.RegisterSource(ds); err != nil {
-			return err
-		}
-		return c.checkpointMeta(cp, n)
+	return c.onEveryCopy(func(h *odh.Historian) error {
+		_, err := h.RegisterSource(ds)
+		return err
 	})
 }
 
@@ -457,20 +346,17 @@ func (c *Cluster) Write(p model.Point) error {
 	return fmt.Errorf("%w: %d/%d acks: %w", ErrNoQuorum, acks, c.opts.WriteQuorum, joinNodeErrors(errs))
 }
 
-// Flush flushes every copy's ingest buffers and commits its page store
-// before recycling its recovery log. A failing copy does not abort the
-// sweep: healthy copies still flush, and the per-copy failures come back
-// aggregated as NodeErrors — one dead data server degrades the cluster
-// instead of wedging it.
-func (c *Cluster) Flush() error {
+// onLiveCopies runs op on every live copy's historian. A failing copy
+// does not abort the sweep: healthy copies still run, and the per-copy
+// failures (down copies included) come back aggregated as NodeErrors —
+// one dead data server degrades the cluster instead of wedging it.
+func (c *Cluster) onLiveCopies(op func(h *odh.Historian) error) error {
 	var errs []error
 	c.forEachCopy(func(cp *shardCopy) error {
-		n := cp.n.Load()
-		if n == nil || c.nodes[cp.host].down.Load() {
+		h := c.live(cp)
+		if h == nil {
 			errs = append(errs, &NodeError{Node: cp.host, Err: ErrNodeDown})
-			return nil
-		}
-		if err := n.TS.FlushWith(n.Page.Flush); err != nil {
+		} else if err := op(h); err != nil {
 			errs = append(errs, &NodeError{Node: cp.host, Err: err})
 		}
 		return nil
@@ -478,25 +364,22 @@ func (c *Cluster) Flush() error {
 	return joinNodeErrors(errs)
 }
 
+// Flush checkpoints every live copy (Historian.Flush: ingest buffers,
+// page commit, then the recovery-log recycle), degrading past failing
+// copies.
+func (c *Cluster) Flush() error {
+	return c.onLiveCopies((*odh.Historian).Flush)
+}
+
 // ExecAll runs a DDL or DML statement on every copy (relational tables
-// and their contents are replicated). Like Flush, it continues past
-// failing copies and aggregates their errors, so replicas that can apply
-// the statement do. There is no relational hinted handoff: a copy that
-// misses a statement stays diverged until rebuilt.
+// and their contents are replicated), degrading past failing copies so
+// replicas that can apply the statement do. There is no relational hinted
+// handoff: a copy that misses a statement stays diverged until rebuilt.
 func (c *Cluster) ExecAll(sql string) error {
-	var errs []error
-	c.forEachCopy(func(cp *shardCopy) error {
-		n := cp.n.Load()
-		if n == nil || c.nodes[cp.host].down.Load() {
-			errs = append(errs, &NodeError{Node: cp.host, Err: ErrNodeDown})
-			return nil
-		}
-		if _, err := n.Engine.Query(sql); err != nil {
-			errs = append(errs, &NodeError{Node: cp.host, Err: err})
-		}
-		return nil
+	return c.onLiveCopies(func(h *odh.Historian) error {
+		_, err := h.Query(sql)
+		return err
 	})
-	return joinNodeErrors(errs)
 }
 
 // Stats returns a snapshot of replication and failover counters.
@@ -518,19 +401,27 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// TotalTSStats sums the time-series store counters across every live
-// copy — the cluster-wide view of ingest volume and of the summary-level
-// aggregate pushdown (SummaryHits / BytesNotDecoded) working per shard.
-// Down copies contribute nothing; their counters return after restart.
-func (c *Cluster) TotalTSStats() tsstore.Stats {
-	var total tsstore.Stats
+// TotalStats sums every live copy's Historian.TotalStats — the
+// cluster-wide view of ingest volume and of the summary-level aggregate
+// pushdown (SummaryHits / BytesNotDecoded) working per shard. Down copies
+// contribute nothing; their counters return after restart.
+func (c *Cluster) TotalStats() odh.HistorianStats {
+	var total odh.HistorianStats
+	sum := reflect.ValueOf(&total).Elem()
 	c.forEachCopy(func(cp *shardCopy) error {
-		if n := cp.n.Load(); n != nil {
-			s := n.TS.Stats()
-			total.Add(&s)
+		if h := c.live(cp); h != nil {
+			st := reflect.ValueOf(h.TotalStats())
+			for i := 0; i < sum.NumField(); i++ {
+				if f := sum.Field(i); f.CanInt() {
+					f.SetInt(f.Int() + st.Field(i).Int())
+				}
+			}
 		}
 		return nil
 	})
+	if n := total.PoolHits + total.PoolMisses; n > 0 {
+		total.PoolHitRate = float64(total.PoolHits) / float64(n)
+	}
 	return total
 }
 
@@ -564,7 +455,7 @@ func (c *Cluster) Status() []NodeStatus {
 			Shard:        cp.shard,
 			Replica:      cp.replica,
 			Host:         cp.host,
-			Up:           cp.n.Load() != nil && !c.nodes[cp.host].down.Load(),
+			Up:           c.live(cp) != nil,
 			PendingHints: cp.pendingHints.Load(),
 			CatchingUp:   cp.catchingUp.Load(),
 		})

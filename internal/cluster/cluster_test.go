@@ -4,18 +4,23 @@ import (
 	"fmt"
 	"testing"
 
+	"odh"
 	"odh/internal/model"
 )
 
 func newCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
-	c, err := New(n, NodeOptions{BatchSize: 8, GroupSize: 4})
+	c, err := NewReplicated(Options{Nodes: n, Node: odh.Options{BatchSize: 8, GroupSize: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
 }
+
+// primary returns node i's primary historian — the first copy of shard i,
+// which lives on node i.
+func primary(c *Cluster, i int) *odh.Historian { return c.shards[i][0].h.Load() }
 
 func setup(t *testing.T, c *Cluster, nSources int) {
 	t.Helper()
@@ -31,7 +36,7 @@ func setup(t *testing.T, c *Cluster, nSources int) {
 	if err := c.ExecAll(`CREATE TABLE fleet (id BIGINT, depot VARCHAR(8))`); err != nil {
 		t.Fatal(err)
 	}
-	schema, _ := c.Node(0).Cat.SchemaByName("vehicle")
+	schema, _ := c.Schema("vehicle")
 	for i := 1; i <= nSources; i++ {
 		if err := c.RegisterSource(model.DataSource{
 			ID: int64(i), SchemaID: schema.ID, Regular: true, IntervalMs: 100,
@@ -64,7 +69,7 @@ func TestWriteRoutingAndScatterQuery(t *testing.T) {
 	// Data must be spread over more than one node.
 	withData := 0
 	for i := 0; i < c.Nodes(); i++ {
-		if c.Node(i).TS.Stats().PointsWritten > 0 {
+		if primary(c, i).TotalStats().PointsWritten > 0 {
 			withData++
 		}
 	}
@@ -114,12 +119,12 @@ func TestFusedQueryAcrossCluster(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := New(0, NodeOptions{}); err == nil {
+	if _, err := NewReplicated(Options{}); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
 	c := newCluster(t, 2)
 	c.CreateSchema(model.SchemaType{Name: "s", Tags: []model.TagDef{{Name: "a"}}})
-	schema, _ := c.Node(0).Cat.SchemaByName("s")
+	schema, _ := c.Schema("s")
 	if err := c.RegisterSource(model.DataSource{SchemaID: schema.ID}); err == nil {
 		t.Fatal("auto-id source accepted in cluster mode")
 	}
@@ -128,16 +133,16 @@ func TestClusterValidation(t *testing.T) {
 func TestRoutingIsStable(t *testing.T) {
 	c := newCluster(t, 4)
 	for src := int64(1); src < 100; src++ {
-		a := c.homeNode(src)
-		b := c.homeNode(src)
+		a := c.shardOf(src)
+		b := c.shardOf(src)
 		if a != b {
 			t.Fatal("routing not deterministic")
 		}
 	}
 	// Reasonably balanced.
-	counts := map[*Node]int{}
+	counts := map[int]int{}
 	for src := int64(1); src <= 1000; src++ {
-		counts[c.homeNode(src)]++
+		counts[c.shardOf(src)]++
 	}
 	for _, n := range counts {
 		if n < 150 || n > 350 {

@@ -17,6 +17,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -249,8 +250,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // of scanning to completion.
 func (c *Cluster) execOnCopy(ctx context.Context, cp *shardCopy, sql string) (*copyResult, error) {
 	ns := c.nodes[cp.host]
-	n := cp.n.Load()
-	if n == nil {
+	h := c.live(cp)
+	if h == nil {
 		return nil, ErrNodeDown
 	}
 	var runCtx context.Context
@@ -265,7 +266,7 @@ func (c *Cluster) execOnCopy(ctx context.Context, cp *shardCopy, sql string) (*c
 		if err := c.stallGateCtx(runCtx, ns); err != nil {
 			return nil, err
 		}
-		res, err := n.Engine.QueryCtx(runCtx, sql)
+		res, err := h.QueryContext(runCtx, sql)
 		if err != nil {
 			return nil, err
 		}
@@ -317,13 +318,14 @@ func (c *Cluster) classifyScatter(sql string) (*scatterPlan, error) {
 	if !ok || sel.Explain {
 		return nil, nil
 	}
-	relOnly := true
-	for _, tr := range sel.From {
-		if c.isVirtualTable(tr.Name) {
-			relOnly = false
-			break
-		}
+	// Metadata is replicated, so one live copy's catalog answers for all.
+	var vtables []string
+	if h := c.anyLive(); h != nil {
+		vtables = h.VirtualTables()
 	}
+	relOnly := !slices.ContainsFunc(sel.From, func(tr sqlparse.TableRef) bool {
+		return slices.Contains(vtables, tr.Name)
+	})
 	if relOnly {
 		// Replicated data: any one shard computes the complete answer,
 		// post-aggregate clauses included; scattering would count every
@@ -338,21 +340,4 @@ func (c *Cluster) classifyScatter(sql string) (*scatterPlan, error) {
 		return nil, nil
 	}
 	return &scatterPlan{gather: gather}, nil
-}
-
-// isVirtualTable checks the name against any live copy's catalog.
-func (c *Cluster) isVirtualTable(name string) bool {
-	found := false
-	c.forEachCopy(func(cp *shardCopy) error {
-		if found {
-			return nil
-		}
-		if n := cp.n.Load(); n != nil {
-			if _, ok := n.Cat.VirtualTable(name); ok {
-				found = true
-			}
-		}
-		return nil
-	})
-	return found
 }

@@ -7,26 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"odh"
 	"odh/internal/fault"
 	"odh/internal/model"
-	"odh/internal/pagestore"
 	"odh/internal/retry"
 	"odh/internal/sqlexec"
 )
 
-// newFaultCluster builds a 3-node cluster whose nodes run on fault-
-// injectable files, with a pool small enough that flushes must touch them.
+// newFaultCluster builds a 3-node single-copy cluster and returns each
+// node's own fault-injectable page file, with a pool small enough that
+// flushes must touch it.
 func newFaultCluster(t *testing.T) (*Cluster, []*fault.File) {
 	t.Helper()
-	ffs := make([]*fault.File, 3)
-	files := make([]pagestore.File, 3)
+	c := newReplicatedCluster(t, 3, 1, 1)
+	ffs := make([]*fault.File, c.Nodes())
 	for i := range ffs {
-		ffs[i] = fault.Wrap(pagestore.NewMemFile())
-		files[i] = ffs[i]
-	}
-	c, err := NewWithFiles(files, NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16})
-	if err != nil {
-		t.Fatal(err)
+		ffs[i] = c.shards[i][0].pageF
 	}
 	return c, ffs
 }
@@ -39,30 +35,26 @@ func TestFlushDegradesPastFailingNode(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	schema, _ := c.Node(0).Cat.SchemaByName("vehicle")
-	// Register sources across all nodes and leave points buffered (batch
-	// size 8, 5 points each) so Flush has real work on every node.
-	victim := -1
+	schema, _ := c.Schema("vehicle")
+	// Register sources across all nodes (each registration checkpoints),
+	// then leave points buffered (batch size 8, 5 points each) so Flush has
+	// real work on every node.
 	for id := int64(1); id <= 24; id++ {
 		if err := c.RegisterSource(model.DataSource{ID: id, SchemaID: schema.ID, Regular: true, IntervalMs: 10}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for id := int64(1); id <= 24; id++ {
 		for j := int64(0); j < 5; j++ {
 			if err := c.Write(model.Point{Source: id, TS: j * 10, Values: []float64{float64(j), 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if victim == -1 {
-			for i := 0; i < c.Nodes(); i++ {
-				if c.Node(i) == c.homeNode(id) {
-					victim = i
-				}
-			}
-		}
 	}
+	victim := c.shardOf(1) // shard s's only copy lives on node s
 	before := make([]int64, c.Nodes())
 	for i := range before {
-		before[i] = c.Node(i).TS.Stats().BatchesFlushed
+		before[i] = primary(c, i).TotalStats().BatchesFlushed
 	}
 	ffs[victim].FailWritesAfter(0)
 	err := c.Flush()
@@ -85,7 +77,7 @@ func TestFlushDegradesPastFailingNode(t *testing.T) {
 		if i == victim {
 			continue
 		}
-		if got := c.Node(i).TS.Stats().BatchesFlushed; got <= before[i] {
+		if got := primary(c, i).TotalStats().BatchesFlushed; got <= before[i] {
 			t.Fatalf("healthy node %d did not flush (batches %d -> %d)", i, before[i], got)
 		}
 	}
@@ -94,7 +86,7 @@ func TestFlushDegradesPastFailingNode(t *testing.T) {
 func TestExecAllDegradesPastFailingNode(t *testing.T) {
 	c, _ := newFaultCluster(t)
 	// Diverge node 1 so the replicated DDL fails there and only there.
-	if _, err := c.Node(1).Engine.Query(`CREATE TABLE fleet (id BIGINT, depot VARCHAR(8))`); err != nil {
+	if _, err := primary(c, 1).Query(`CREATE TABLE fleet (id BIGINT, depot VARCHAR(8))`); err != nil {
 		t.Fatal(err)
 	}
 	err := c.ExecAll(`CREATE TABLE fleet (id BIGINT, depot VARCHAR(8))`)
@@ -105,7 +97,7 @@ func TestExecAllDegradesPastFailingNode(t *testing.T) {
 	// Nodes 0 and 2 must have applied the statement anyway.
 	for _, i := range []int{0, 2} {
 		if err := func() error {
-			_, qerr := c.Node(i).Engine.Query(fmt.Sprintf(`INSERT INTO fleet VALUES (%d, 'north')`, i))
+			_, qerr := primary(c, i).Query(fmt.Sprintf(`INSERT INTO fleet VALUES (%d, 'north')`, i))
 			return qerr
 		}(); err != nil {
 			t.Fatalf("node %d missing replicated table: %v", i, err)
@@ -127,7 +119,7 @@ func newReplicatedCluster(t *testing.T, nodes, replicas, quorum int) *Cluster {
 		ReplicaTimeout: -1,
 		Retry:          retry.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
 		Seed:           42,
-		Node:           NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16},
+		Node:           odh.Options{BatchSize: 8, GroupSize: 4, PoolPages: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +141,7 @@ func seedReplicated(t *testing.T, c *Cluster, nSources, pointsPer int) {
 	if err := c.CreateVirtualTable("vehicle_v", "vehicle"); err != nil {
 		t.Fatal(err)
 	}
-	schema, _ := c.Node(0).Cat.SchemaByName("vehicle")
+	schema, _ := c.Schema("vehicle")
 	for i := 1; i <= nSources; i++ {
 		if err := c.RegisterSource(model.DataSource{
 			ID: int64(i), SchemaID: schema.ID, Regular: true, IntervalMs: 100,
@@ -376,7 +368,7 @@ func TestCatchUpKeepsRepeatedTimestamps(t *testing.T) {
 	if err := c.CreateVirtualTable("vehicle_v", "vehicle"); err != nil {
 		t.Fatal(err)
 	}
-	schema, _ := c.Node(0).Cat.SchemaByName("vehicle")
+	schema, _ := c.Schema("vehicle")
 	if err := c.RegisterSource(model.DataSource{ID: 1, SchemaID: schema.ID, Regular: false, IntervalMs: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -496,5 +488,102 @@ func TestAggGatherRejectsNonComposable(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].AsFloat() != 250 {
 		t.Fatalf("relational AVG = %v, want 250", res.Rows)
+	}
+}
+
+// TestFsckFlushFailureLosesNoAckedRow fails the page device (writes and
+// syncs) under one node of an R=2 cluster, runs the cluster fsck over it,
+// then crashes and recovers that node. The fsck's checkpoint is the
+// historian's own Flush — pages commit before the recovery log recycles —
+// so a failed commit leaves the log intact and the restart replays every
+// acked row. The cluster's hand-rolled fsck used to flush the buffers
+// (recycling the log) before the page commit, so the rows since the copy's
+// last checkpoint were in neither place once the commit failed.
+func TestFsckFlushFailureLosesNoAckedRow(t *testing.T) {
+	c := newReplicatedCluster(t, 2, 2, 1)
+	seedReplicated(t, c, 4, 5)
+	for src := int64(1); src <= 4; src++ {
+		for j := 0; j < 5; j++ { // acked on both copies, not yet checkpointed
+			if err := c.Write(model.Point{Source: src, TS: int64(3000 + j*100), Values: []float64{7, float64(src)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const q = `SELECT * FROM vehicle_v`
+	res, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 40 {
+		t.Fatalf("healthy rows = %d, want 40", len(res.Rows))
+	}
+	acked := renderSorted(res.Rows)
+
+	c.forEachCopy(func(cp *shardCopy) error {
+		if cp.host == 1 {
+			cp.pageF.FailWritesAfter(0)
+			cp.pageF.FailSyncsAfter(0)
+		}
+		return nil
+	})
+	for _, ci := range c.VerifyCopies() {
+		if ci.Host == 1 && !errors.Is(ci.Err, fault.ErrInjected) {
+			t.Fatalf("fsck of shard %d copy %d over a failing device: err=%v report=%v, want the injected fault", ci.Shard, ci.Replica, ci.Err, ci.Report)
+		}
+		if ci.Host == 0 && !ci.OK() {
+			t.Fatalf("healthy shard %d copy %d: err=%v report=%v", ci.Shard, ci.Replica, ci.Err, ci.Report)
+		}
+	}
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CatchUp(1); err != nil {
+		t.Fatal(err)
+	}
+	divergent, notes, err := c.VerifyReplicas()
+	if err != nil || len(divergent) != 0 || len(notes) != 0 {
+		t.Fatalf("after recovery: divergent=%v skipped=%v err=%v", divergent, notes, err)
+	}
+	// Node 1 alone must hold every acked row.
+	if err := c.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	res, err = c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderSorted(res.Rows); got != acked {
+		t.Fatalf("recovered node lost acked rows: has %d of 40\ngot:\n%s\nwant:\n%s", len(res.Rows), got, acked)
+	}
+}
+
+// TestCloseFailureKeepsRecoveryLog is the same ordering through
+// Cluster.Close: a copy whose page commit fails at close keeps its log, so
+// reopening its files finds every acked row.
+func TestCloseFailureKeepsRecoveryLog(t *testing.T) {
+	c := newReplicatedCluster(t, 1, 1, 1)
+	seedReplicated(t, c, 2, 5)
+	cp := c.shards[0][0]
+	cp.pageF.FailWritesAfter(0)
+	cp.pageF.FailSyncsAfter(0)
+	if err := c.Close(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Close over a failing device = %v, want the injected fault", err)
+	}
+	h, err := odh.Open("", odh.Options{BatchSize: 8, GroupSize: 4, PoolPages: 16,
+		Backing: fault.Wrap(cp.pageBack), WALBacking: fault.Wrap(cp.walBack)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	res, err := h.Query(`SELECT COUNT(*) FROM vehicle_v`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := res.FetchAll()
+	if err != nil || rows[0][0].AsInt() != 10 {
+		t.Fatalf("reopened copy holds %v rows (err %v), want 10", rows, err)
 	}
 }

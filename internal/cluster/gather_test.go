@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"odh"
 	"odh/internal/model"
-	"odh/internal/pagestore"
 	"odh/internal/retry"
 	"odh/internal/sqlexec"
 )
@@ -19,20 +19,21 @@ import (
 // refNode builds a single-node historian with the same storage knobs as
 // newReplicatedCluster's copies: the ground truth a distributed
 // aggregation must match byte-for-byte.
-func refNode(t *testing.T) *Node {
+func refNode(t *testing.T) *odh.Historian {
 	t.Helper()
-	n, _, err := newNodeWithFiles(pagestore.NewMemFile(), nil, NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16})
+	h, err := odh.Open("", odh.Options{BatchSize: 8, GroupSize: 4, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	t.Cleanup(func() { h.Close() })
+	return h
 }
 
 // seedGatherPair writes an identical skewed workload into the cluster
 // and the reference node: per-source point counts differ (so aggregate
 // ORDER BY has no ties), source 9 exists but has zero points (empty
 // group), and values vary per source and per point.
-func seedGatherPair(t *testing.T, c *Cluster, ref *Node) {
+func seedGatherPair(t *testing.T, c *Cluster, ref *odh.Historian) {
 	t.Helper()
 	st := model.SchemaType{
 		Name: "vehicle",
@@ -44,8 +45,8 @@ func seedGatherPair(t *testing.T, c *Cluster, ref *Node) {
 	if err := c.CreateVirtualTable("vehicle_v", "vehicle"); err != nil {
 		t.Fatal(err)
 	}
-	schema, _ := ref.Cat.CreateSchema(st)
-	if err := ref.Cat.CreateVirtualTable("vehicle_v", schema.ID); err != nil {
+	schema, _ := ref.CreateSchema(st)
+	if err := ref.CreateVirtualTable("vehicle_v", "vehicle"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 9; i++ {
@@ -53,7 +54,7 @@ func seedGatherPair(t *testing.T, c *Cluster, ref *Node) {
 		if err := c.RegisterSource(ds); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.Cat.RegisterSource(ds); err != nil {
+		if _, err := ref.RegisterSource(ds); err != nil {
 			t.Fatal(err)
 		}
 		if i == 9 {
@@ -67,7 +68,7 @@ func seedGatherPair(t *testing.T, c *Cluster, ref *Node) {
 			if err := c.Write(p); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.TS.Write(p); err != nil {
+			if err := ref.Writer().Write(p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -75,7 +76,7 @@ func seedGatherPair(t *testing.T, c *Cluster, ref *Node) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.TS.Flush(); err != nil {
+	if err := ref.Flush(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,7 +139,7 @@ func TestAggGatherComposesVsSingleNode(t *testing.T) {
 
 	// The per-shard partial queries keep the aggregate-only shape, so
 	// they ride the storage summary pushdown — visible cluster-wide.
-	ts := c.TotalTSStats()
+	ts := c.TotalStats()
 	if ts.SummaryHits == 0 || ts.BytesNotDecoded == 0 {
 		t.Fatalf("aggregate scatter did not ride the summary pushdown: %+v", ts)
 	}
@@ -147,9 +148,9 @@ func TestAggGatherComposesVsSingleNode(t *testing.T) {
 	}
 }
 
-func refFetch(t *testing.T, ref *Node, q string) string {
+func refFetch(t *testing.T, ref *odh.Historian, q string) string {
 	t.Helper()
-	res, err := ref.Engine.Query(q)
+	res, err := ref.Query(q)
 	if err != nil {
 		t.Fatalf("single node %q: %v", q, err)
 	}
@@ -307,7 +308,7 @@ func TestQueryTimeoutOptionBoundsScatter(t *testing.T) {
 		Retry:          retry.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
 		Seed:           42,
 		QueryTimeout:   50 * time.Millisecond,
-		Node:           NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16},
+		Node:           odh.Options{BatchSize: 8, GroupSize: 4, PoolPages: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +339,7 @@ func TestScatterCancelNoGoroutineLeak(t *testing.T) {
 		ReplicaTimeout: 20 * time.Millisecond,
 		Retry:          retry.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
 		Seed:           42,
-		Node:           NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16},
+		Node:           odh.Options{BatchSize: 8, GroupSize: 4, PoolPages: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,48 +382,45 @@ func TestScatterCancelNoGoroutineLeak(t *testing.T) {
 // not one payload byte decodes — while the same queries with the storage
 // pushdown off decode exactly the bytes the folds avoided. The counts are
 // deterministic; they move only with the blob format, the fold
-// eligibility rules or the byte accounting.
+// eligibility rules or the byte accounting. The pushdown is a per-copy
+// odh.Options field like any other, so each side is its own cluster.
 func TestScatterAggBytesPinned(t *testing.T) {
-	c, err := NewReplicated(Options{
-		Nodes: 3, Replicas: 2, WriteQuorum: 1, ReplicaTimeout: -1, Seed: 42,
-		Node: NodeOptions{BatchSize: 64, GroupSize: 8, PoolPages: 64},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.CreateSchema(model.SchemaType{
-		Name: "bench", IDName: "id", TSName: "ts",
-		Tags: []model.TagDef{{Name: "v0"}, {Name: "v1"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateVirtualTable("V", "bench"); err != nil {
-		t.Fatal(err)
-	}
-	schema, _ := c.Node(0).Cat.SchemaByName("bench")
-	for i := int64(1); i <= 8; i++ {
-		if err := c.RegisterSource(model.DataSource{ID: i, SchemaID: schema.ID, Regular: true, IntervalMs: 10}); err != nil {
+	run := func(pushdown bool) (decoded, notDecoded, folds int64) {
+		c, err := NewReplicated(Options{
+			Nodes: 3, Replicas: 2, WriteQuorum: 1, ReplicaTimeout: -1, Seed: 42,
+			Node: odh.Options{BatchSize: 64, GroupSize: 8, PoolPages: 64, DisableAggPushdown: !pushdown},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for j := 0; j < 2500; j++ {
+		defer c.Close()
+		if err := c.CreateSchema(model.SchemaType{
+			Name: "bench", IDName: "id", TSName: "ts",
+			Tags: []model.TagDef{{Name: "v0"}, {Name: "v1"}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CreateVirtualTable("V", "bench"); err != nil {
+			t.Fatal(err)
+		}
+		schema, _ := c.Schema("bench")
 		for i := int64(1); i <= 8; i++ {
-			p := model.Point{Source: i, TS: 1000 + int64(j)*10, Values: []float64{float64(j % 100), float64(i)}}
-			if err := c.Write(p); err != nil {
+			if err := c.RegisterSource(model.DataSource{ID: i, SchemaID: schema.ID, Regular: true, IntervalMs: 10}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	run := func(pushdown bool) (decoded, notDecoded, folds int64) {
-		c.forEachCopy(func(cp *shardCopy) error {
-			cp.n.Load().Engine.SetAggPushdown(pushdown)
-			return nil
-		})
-		before := c.TotalTSStats()
+		for j := 0; j < 2500; j++ {
+			for i := int64(1); i <= 8; i++ {
+				p := model.Point{Source: i, TS: 1000 + int64(j)*10, Values: []float64{float64(j % 100), float64(i)}}
+				if err := c.Write(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		before := c.TotalStats()
 		for _, q := range []string{
 			`SELECT id, COUNT(*), SUM(v0), MIN(v0), MAX(v0), AVG(v1) FROM V GROUP BY id`,
 			`SELECT TIME_BUCKET(100000, ts), COUNT(*), MAX(v0) FROM V GROUP BY TIME_BUCKET(100000, ts) ORDER BY TIME_BUCKET(100000, ts) LIMIT 8`,
@@ -434,7 +432,7 @@ func TestScatterAggBytesPinned(t *testing.T) {
 			}
 			decoded += res.BlobBytes
 		}
-		after := c.TotalTSStats()
+		after := c.TotalStats()
 		return decoded, after.BytesNotDecoded - before.BytesNotDecoded, after.SummaryHits - before.SummaryHits
 	}
 	if decoded, notDecoded, folds := run(true); decoded != 0 || notDecoded != 242712 || folds != 960 {

@@ -7,12 +7,12 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"odh"
 	"odh/internal/fault"
 	"odh/internal/model"
 	"odh/internal/pagestore"
@@ -20,22 +20,22 @@ import (
 	"odh/internal/walog"
 )
 
-// shardCopy is one replica of one shard: a full storage stack over
+// shardCopy is one replica of one shard: a historian over
 // fault-injectable files whose inner backings survive simulated crashes.
 type shardCopy struct {
 	shard   int // shard index
 	replica int // replica ordinal; 0 is the preferred read copy
 	host    int // node hosting this copy
 
-	pageBack pagestore.File // inner backing; survives kill/restart
-	walBack  walog.File     // inner backing of the recovery log; nil in legacy mode
+	// Inner backings of the page store and the recovery log; they survive
+	// kill/restart.
+	pageBack, walBack *pagestore.MemFile
 
-	mu    sync.Mutex // serializes kill / restart
+	mu    sync.Mutex // serializes kill / restart / stall
 	pageF *fault.File
 	walF  *fault.File
 
-	n   atomic.Pointer[Node]
-	wal atomic.Pointer[walog.Log]
+	h atomic.Pointer[odh.Historian] // nil once killed
 
 	// hints is the coordinator-side hinted-handoff log for this copy:
 	// WAL-point-encoded records the copy missed, in walog framing. A copy
@@ -52,31 +52,64 @@ type shardCopy struct {
 	inflight atomic.Int64
 }
 
-// newReplicatedCopy builds copy k of shard s on the given host node, with
-// fresh in-memory backings wrapped in fault files and an attached
-// recovery log.
-func (c *Cluster) newReplicatedCopy(s, k, host int) (*shardCopy, error) {
+// newCopy builds copy k of shard s on the given host node over fresh
+// in-memory backings.
+func (c *Cluster) newCopy(s, k, host int) (*shardCopy, error) {
+	hints, err := walog.OpenFile(pagestore.NewMemFile(), walog.Options{})
+	if err != nil {
+		return nil, err
+	}
 	cp := &shardCopy{
 		shard:    s,
 		replica:  k,
 		host:     host,
 		pageBack: pagestore.NewMemFile(),
 		walBack:  pagestore.NewMemFile(),
+		hints:    hints,
 	}
-	cp.pageF = fault.Wrap(cp.pageBack.(*pagestore.MemFile))
-	cp.walF = fault.Wrap(cp.walBack.(*pagestore.MemFile))
-	n, wal, err := newNodeWithFiles(cp.pageF, cp.walF, c.opts.Node)
-	if err != nil {
+	if err := c.openCopy(cp); err != nil {
+		hints.Close()
 		return nil, err
 	}
-	hints, err := walog.OpenFile(pagestore.NewMemFile(), walog.Options{})
-	if err != nil {
-		return nil, err
-	}
-	cp.hints = hints
-	cp.n.Store(n)
-	cp.wal.Store(wal)
 	return cp, nil
+}
+
+// openCopy wraps the copy's backings in fresh fault files and opens a
+// historian over them with the cluster's per-copy options; odh.Open
+// recovers the last page checkpoint and replays the recovery log with
+// dedup. The caller holds cp.mu or owns cp outright.
+func (c *Cluster) openCopy(cp *shardCopy) error {
+	opts := c.opts.Node
+	pageF, walF := fault.Wrap(cp.pageBack), fault.Wrap(cp.walBack)
+	opts.Backing, opts.WALBacking = pageF, walF
+	h, err := odh.Open("", opts)
+	if err != nil {
+		return fmt.Errorf("cluster: open shard %d copy %d: %w", cp.shard, cp.replica, err)
+	}
+	cp.pageF, cp.walF = pageF, walF
+	cp.h.Store(h)
+	return nil
+}
+
+// live returns the copy's historian, or nil while its node is down
+// (killed, or not yet through RestartNode).
+func (c *Cluster) live(cp *shardCopy) *odh.Historian {
+	if c.nodes[cp.host].down.Load() {
+		return nil
+	}
+	return cp.h.Load()
+}
+
+// anyLive returns the first live copy's historian — enough for metadata
+// lookups, since metadata is replicated — or nil when every node is down.
+func (c *Cluster) anyLive() (h *odh.Historian) {
+	c.forEachCopy(func(cp *shardCopy) error {
+		if h == nil {
+			h = c.live(cp)
+		}
+		return nil
+	})
+	return h
 }
 
 // writeCopy applies one point to a copy, observing liveness, injected
@@ -85,7 +118,8 @@ func (c *Cluster) newReplicatedCopy(s, k, host int) (*shardCopy, error) {
 // caller's buffer reuse.
 func (c *Cluster) writeCopy(cp *shardCopy, p model.Point) error {
 	ns := c.nodes[cp.host]
-	if ns.down.Load() {
+	h := c.live(cp)
+	if h == nil {
 		return ErrNodeDown
 	}
 	if cp.pendingHints.Load() > 0 || cp.catchingUp.Load() {
@@ -94,13 +128,9 @@ func (c *Cluster) writeCopy(cp *shardCopy, p model.Point) error {
 		// outage instead of interleaving old hinted points after new ones.
 		return ErrReplicaStale
 	}
-	n := cp.n.Load()
-	if n == nil {
-		return ErrNodeDown
-	}
 	if c.opts.ReplicaTimeout <= 0 {
 		c.stallGate(ns)
-		return n.TS.Write(p)
+		return h.Writer().Write(p)
 	}
 	q := p
 	q.Values = append([]float64(nil), p.Values...)
@@ -108,7 +138,7 @@ func (c *Cluster) writeCopy(cp *shardCopy, p model.Point) error {
 	return c.withTimeout(func() error {
 		defer cp.inflight.Add(-1)
 		c.stallGate(ns)
-		return n.TS.Write(q)
+		return h.Writer().Write(q)
 	})
 }
 
@@ -154,9 +184,6 @@ func (c *Cluster) withTimeout(op func() error) error {
 // reapplication — so "hinted" is conservative: the copy is stale until
 // proven caught-up, never silently short.
 func (c *Cluster) hint(cp *shardCopy, p model.Point) {
-	if cp.hints == nil {
-		return
-	}
 	cp.hintMu.Lock()
 	defer cp.hintMu.Unlock()
 	if err := cp.hints.Append(tsstore.EncodePointWAL(p)); err == nil {
@@ -166,10 +193,10 @@ func (c *Cluster) hint(cp *shardCopy, p model.Point) {
 }
 
 // readable reports whether a copy may answer reads: its node is up, its
-// stack is open, and it has no pending hints (a stale copy could silently
-// miss acked writes). The returned error explains exclusion.
+// historian is open, and it has no pending hints (a stale copy could
+// silently miss acked writes). The returned error explains exclusion.
 func (c *Cluster) readable(cp *shardCopy) error {
-	if c.nodes[cp.host].down.Load() || cp.n.Load() == nil {
+	if c.live(cp) == nil {
 		return ErrNodeDown
 	}
 	if cp.pendingHints.Load() > 0 || cp.catchingUp.Load() {
@@ -180,13 +207,11 @@ func (c *Cluster) readable(cp *shardCopy) error {
 
 // KillNode simulates a crash of node i: every fault on its copies' files
 // is armed so in-flight I/O fails and nothing reaches the backing after
-// the crash point, the recovery logs' writer goroutines stop, and the
-// stacks are dropped. Data durability follows the single-node model: last
+// the crash point, then the historians are closed — their final flush
+// fails against the armed files, the recovery logs' writer goroutines stop
+// — and dropped. Data durability follows the single-node model: last
 // page-store checkpoint plus recovery-log replay.
 func (c *Cluster) KillNode(i int) error {
-	if c.legacy {
-		return fmt.Errorf("cluster: kill/restart requires a replicated cluster")
-	}
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("cluster: no node %d", i)
 	}
@@ -201,36 +226,26 @@ func (c *Cluster) KillNode(i int) error {
 		}
 		cp.mu.Lock()
 		defer cp.mu.Unlock()
-		if cp.pageF != nil {
-			cp.pageF.FailWritesAfter(0)
-			cp.pageF.FailReadsAfter(0)
-			cp.pageF.FailSyncsAfter(0)
+		for _, f := range []*fault.File{cp.pageF, cp.walF} {
+			f.FailWritesAfter(0)
+			f.FailReadsAfter(0)
+			f.FailSyncsAfter(0)
 		}
-		if cp.walF != nil {
-			cp.walF.FailWritesAfter(0)
-			cp.walF.FailReadsAfter(0)
-			cp.walF.FailSyncsAfter(0)
+		if h := cp.h.Swap(nil); h != nil {
+			_ = h.Close() // fails by design, against the files armed above
 		}
-		if wal := cp.wal.Load(); wal != nil {
-			wal.Close() // in-flight appends fail against the armed file
-		}
-		cp.n.Store(nil)
-		cp.wal.Store(nil)
 		return nil
 	})
 	return nil
 }
 
 // RestartNode recovers node i after a kill: each hosted copy gets fresh
-// fault wrappers over the surviving backings and a reopened stack (the
+// fault wrappers over the surviving backings and a reopened historian (the
 // page store recovers its last checkpoint, the recovery log truncates any
-// torn tail), then replays its recovery log with dedup — a record whose
-// point already reached a committed batch is skipped. Copies that missed
-// writes while down stay stale until CatchUp drains their hints.
+// torn tail and replays with dedup — a record whose point already reached
+// a committed batch is skipped). Copies that missed writes while down stay
+// stale until CatchUp drains their hints.
 func (c *Cluster) RestartNode(i int) error {
-	if c.legacy {
-		return fmt.Errorf("cluster: kill/restart requires a replicated cluster")
-	}
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("cluster: no node %d", i)
 	}
@@ -243,7 +258,15 @@ func (c *Cluster) RestartNode(i int) error {
 		if cp.host != i {
 			return nil
 		}
-		if err := c.reopenCopy(cp); err != nil && firstErr == nil {
+		cp.mu.Lock()
+		defer cp.mu.Unlock()
+		if cp.h.Load() != nil {
+			return nil // reopened by an earlier, partly failed restart
+		}
+		if cp.pendingHints.Load() > 0 {
+			cp.catchingUp.Store(true)
+		}
+		if err := c.openCopy(cp); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		return nil
@@ -253,29 +276,6 @@ func (c *Cluster) RestartNode(i int) error {
 	}
 	ns.down.Store(false)
 	c.stats.restarts.Add(1)
-	return nil
-}
-
-// reopenCopy rebuilds one copy's stack from its backing files after a
-// simulated crash.
-func (c *Cluster) reopenCopy(cp *shardCopy) error {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.pendingHints.Load() > 0 {
-		cp.catchingUp.Store(true)
-	}
-	pageF := fault.Wrap(cp.pageBack.(*pagestore.MemFile))
-	walF := fault.Wrap(cp.walBack.(*pagestore.MemFile))
-	n, wal, err := newNodeWithFiles(pageF, walF, c.opts.Node)
-	if err != nil {
-		return fmt.Errorf("cluster: restart shard %d copy %d: %w", cp.shard, cp.replica, err)
-	}
-	if _, _, err := n.TS.ReplayDedup(wal, n.TS.WriteRecovered); err != nil {
-		return fmt.Errorf("cluster: replay shard %d copy %d: %w", cp.shard, cp.replica, err)
-	}
-	cp.pageF, cp.walF = pageF, walF
-	cp.wal.Store(wal)
-	cp.n.Store(n)
 	return nil
 }
 
@@ -294,12 +294,8 @@ func (c *Cluster) StallNode(i int, d time.Duration) error {
 		}
 		cp.mu.Lock()
 		defer cp.mu.Unlock()
-		if cp.pageF != nil {
-			cp.pageF.SetLatency(d)
-		}
-		if cp.walF != nil {
-			cp.walF.SetLatency(d)
-		}
+		cp.pageF.SetLatency(d)
+		cp.walF.SetLatency(d)
 		return nil
 	})
 	return nil
@@ -330,14 +326,8 @@ func (c *Cluster) CatchUp(i int) error {
 }
 
 func (c *Cluster) catchUpCopy(cp *shardCopy) error {
-	if cp.hints == nil {
-		return nil
-	}
-	if c.nodes[cp.host].down.Load() {
-		return ErrNodeDown
-	}
-	n := cp.n.Load()
-	if n == nil {
+	h := c.live(cp)
+	if h == nil {
 		return ErrNodeDown
 	}
 	cp.hintMu.Lock()
@@ -356,7 +346,7 @@ func (c *Cluster) catchUpCopy(cp *shardCopy) error {
 	}
 	// Replay through the normal write path so replayed hints are
 	// themselves protected by the copy's recovery log.
-	replayed, deduped, err := n.TS.ReplayDedup(cp.hints, n.TS.Write)
+	replayed, deduped, err := h.ReplayLog(cp.hints)
 	c.stats.hintsReplayed.Add(int64(replayed))
 	c.stats.hintsDeduped.Add(int64(deduped))
 	if err != nil {
@@ -421,23 +411,14 @@ func (c *Cluster) VerifyReplicas() (divergent []ShardDivergence, notes []string,
 // fingerprintCopy hashes the full contents of every virtual table on one
 // copy, row order included.
 func (c *Cluster) fingerprintCopy(cp *shardCopy) (uint64, int, error) {
-	n := cp.n.Load()
-	if n == nil {
+	h := c.live(cp)
+	if h == nil {
 		return 0, 0, ErrNodeDown
 	}
-	h := fnv.New64a()
+	sum := fnv.New64a()
 	rows := 0
-	tables := n.Cat.VirtualTables()
-	sort.Strings(tables)
-	for _, table := range tables {
-		// The TS column name is per-schema (TSName overrides "timestamp").
-		st, ok := n.Cat.VirtualTable(table)
-		if !ok {
-			return 0, 0, fmt.Errorf("fingerprint: virtual table %q vanished", table)
-		}
-		res, err := n.Engine.Query(fmt.Sprintf(
-			"SELECT * FROM %s WHERE %s >= %d AND %s <= %d",
-			table, st.TSColumn(), -int64(1)<<62, st.TSColumn(), int64(1)<<62))
+	for _, table := range h.VirtualTables() {
+		res, err := h.Query("SELECT * FROM " + table)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -450,51 +431,102 @@ func (c *Cluster) fingerprintCopy(cp *shardCopy) (uint64, int, error) {
 			for i, v := range row {
 				cells[i] = v.String()
 			}
-			fmt.Fprintln(h, table, strings.Join(cells, "|"))
+			fmt.Fprintln(sum, table, strings.Join(cells, "|"))
 			rows++
 		}
 	}
-	return h.Sum64(), rows, nil
+	return sum.Sum64(), rows, nil
 }
 
-// VerifyCopies runs the storage-level integrity checks (page graph, blob
-// decode) on every readable copy, returning the number of copies checked
-// and any problems found.
-func (c *Cluster) VerifyCopies() (checked int, problems []string, err error) {
-	cerr := c.forEachCopy(func(cp *shardCopy) error {
-		n := cp.n.Load()
-		if n == nil || c.nodes[cp.host].down.Load() {
-			problems = append(problems, fmt.Sprintf("shard %d copy %d on node %d: down", cp.shard, cp.replica, cp.host))
-			return nil
-		}
-		if err := n.TS.Flush(); err != nil {
-			problems = append(problems, fmt.Sprintf("shard %d copy %d: flush: %v", cp.shard, cp.replica, err))
-			return nil
-		}
-		if err := n.Page.Flush(); err != nil {
-			problems = append(problems, fmt.Sprintf("shard %d copy %d: page flush: %v", cp.shard, cp.replica, err))
-			return nil
-		}
-		if _, corruptPages, perr := n.Page.VerifyPages(); perr != nil {
-			problems = append(problems, fmt.Sprintf("shard %d copy %d: page walk: %v", cp.shard, cp.replica, perr))
+// CopyIntegrity is one copy's storage-level fsck.
+type CopyIntegrity struct {
+	Shard, Replica, Host int
+	// Report is the copy's Historian.VerifyIntegrity (pages, trees,
+	// blobs); nil when Err says why it could not run — ErrNodeDown for a
+	// down copy, a flush or device failure otherwise.
+	Report *odh.IntegrityReport
+	Err    error
+}
+
+// OK reports whether the copy was checked and verified clean.
+func (ci CopyIntegrity) OK() bool { return ci.Err == nil && ci.Report.OK() }
+
+// VerifyCopies runs each copy's own fsck, down copies included: a copy
+// that cannot be checked is a finding, not a gap in the list.
+func (c *Cluster) VerifyCopies() []CopyIntegrity {
+	var out []CopyIntegrity
+	c.forEachCopy(func(cp *shardCopy) error {
+		ci := CopyIntegrity{Shard: cp.shard, Replica: cp.replica, Host: cp.host}
+		if h := c.live(cp); h == nil {
+			ci.Err = ErrNodeDown
 		} else {
-			for _, pid := range corruptPages {
-				problems = append(problems, fmt.Sprintf("shard %d copy %d: corrupt page %v", cp.shard, cp.replica, pid))
-			}
+			ci.Report, ci.Err = h.VerifyIntegrity()
 		}
-		nblobs, corrupt, berr := n.TS.VerifyBlobs()
-		if berr != nil {
-			problems = append(problems, fmt.Sprintf("shard %d copy %d: blob walk: %v", cp.shard, cp.replica, berr))
-		}
-		for _, ref := range corrupt {
-			problems = append(problems, fmt.Sprintf("shard %d copy %d: corrupt blob %v", cp.shard, cp.replica, ref))
-		}
-		_ = nblobs
-		checked++
+		out = append(out, ci)
 		return nil
 	})
-	if cerr != nil {
-		return checked, problems, cerr
+	return out
+}
+
+// IntegrityReport is Verify's findings: every copy's storage-level fsck
+// plus the cross-replica divergence check.
+type IntegrityReport struct {
+	// Copies has one entry per shard copy, in shard-then-replica order.
+	Copies []CopyIntegrity
+	// DivergentShards lists shards whose replica contents disagree.
+	DivergentShards []ShardDivergence
+	// SkippedCopies lists copies excluded from the divergence check (down
+	// or awaiting catch-up) — expected to lag, not corrupt.
+	SkippedCopies []string
+}
+
+// OK reports whether every copy verified clean and the replicas agree.
+func (r *IntegrityReport) OK() bool {
+	for _, ci := range r.Copies {
+		if !ci.OK() {
+			return false
+		}
 	}
-	return checked, problems, nil
+	return len(r.DivergentShards) == 0
+}
+
+// String renders the fsck-style summary.
+func (r *IntegrityReport) String() string {
+	var b strings.Builder
+	for _, ci := range r.Copies {
+		fmt.Fprintf(&b, "shard %d copy %d on node %d: ", ci.Shard, ci.Replica, ci.Host)
+		switch {
+		case ci.Err != nil:
+			fmt.Fprintf(&b, "NOT CHECKED: %v\n", ci.Err)
+		case ci.Report.OK():
+			fmt.Fprintf(&b, "%d pages, %d trees, %d blobs clean\n",
+				ci.Report.PagesChecked, ci.Report.TreesChecked, ci.Report.BlobsChecked)
+		default:
+			fmt.Fprintf(&b, "DAMAGED\n%v\n", ci.Report)
+		}
+	}
+	for _, d := range r.DivergentShards {
+		fmt.Fprintf(&b, "divergent: shard %d: %s\n", d.Shard, d.Detail)
+	}
+	for _, s := range r.SkippedCopies {
+		fmt.Fprintf(&b, "not compared: %s\n", s)
+	}
+	if r.OK() {
+		b.WriteString("ok: replicas consistent, storage intact")
+	} else {
+		b.WriteString("integrity: FAILED")
+	}
+	return b.String()
+}
+
+// Verify fscks the cluster: each copy's pages, trees and blobs, then a
+// cross-replica full-content comparison per shard. The error is non-nil
+// only when the comparison itself cannot run.
+func (c *Cluster) Verify() (*IntegrityReport, error) {
+	rep := &IntegrityReport{Copies: c.VerifyCopies()}
+	var err error
+	if rep.DivergentShards, rep.SkippedCopies, err = c.VerifyReplicas(); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }

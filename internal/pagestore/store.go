@@ -728,15 +728,19 @@ func (s *Store) flushLocked() error {
 		if err := s.writeBlock(&d.p.io, blockFor(d.fr.id), d.fr.id, 0, d.fr.data[:]); err != nil {
 			return err
 		}
-		d.fr.dirty = false
 	}
 	// Sync data pages before the meta page points at them: a crash between
 	// the two syncs leaves the previous meta epoch valid and every page it
-	// references fully on disk.
+	// references fully on disk. A frame is clean only once that sync has
+	// succeeded, so a flush retried after a failure (Close does) writes and
+	// syncs the same pages again before any meta page can name them.
 	if len(dirty) > 0 {
 		if err := s.file.Sync(); err != nil {
 			return err
 		}
+	}
+	for _, d := range dirty {
+		d.fr.dirty = false
 	}
 	if err := s.flushMeta(); err != nil {
 		return err
@@ -745,6 +749,8 @@ func (s *Store) flushLocked() error {
 }
 
 // Close flushes and closes the store. Further operations return ErrClosed.
+// A failed flush still closes the file — the first error comes back, and
+// what reached the file is whatever the last successful Flush committed.
 func (s *Store) Close() error {
 	if s.closed.Load() {
 		return nil
@@ -754,11 +760,12 @@ func (s *Store) Close() error {
 	if s.closed.Load() {
 		return nil
 	}
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
+	err := s.flushLocked()
 	s.closed.Store(true)
-	return s.file.Close()
+	if cerr := s.file.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // NumPages returns the total number of pages (including meta and free pages).

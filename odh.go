@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"odh/internal/catalog"
@@ -174,6 +175,7 @@ type Historian struct {
 	wal      *walog.Log
 	workers  int // WriteBatchParallel fan-out
 	tierPols map[string]TierPolicy
+	closed   atomic.Bool
 }
 
 // Open opens (creating if necessary) a historian. dir == "" opens an
@@ -231,14 +233,28 @@ func Open(dir string, opts Options) (*Historian, error) {
 		PoolPartitions: opts.PoolPartitions,
 	})
 	if err != nil {
+		if wal != nil {
+			wal.Close()
+		}
 		return nil, err
 	}
-	cat, err := catalog.Open(page, opts.GroupSize)
-	if err != nil {
-		page.Close()
+	h := &Historian{
+		dir:      dir,
+		page:     page,
+		wal:      wal,
+		workers:  runtime.GOMAXPROCS(0),
+		tierPols: opts.TierPolicies,
+	}
+	// A failed open releases what it acquired: the page file and the
+	// recovery log's writer goroutine.
+	fail := func(err error) (*Historian, error) {
+		h.release()
 		return nil, err
 	}
-	ts, err := tsstore.Open(page, cat, tsstore.Config{
+	if h.cat, err = catalog.Open(page, opts.GroupSize); err != nil {
+		return fail(err)
+	}
+	h.ts, err = tsstore.Open(page, h.cat, tsstore.Config{
 		BatchSize:          opts.BatchSize,
 		DisableCompression: opts.DisableCompression,
 		RowOrientedBlobs:   opts.RowOrientedBlobs,
@@ -249,35 +265,20 @@ func Open(dir string, opts Options) (*Historian, error) {
 		SubBucketMs:        opts.SubBucketMs,
 	})
 	if err != nil {
-		page.Close()
-		return nil, err
+		return fail(err)
 	}
-	rel, err := relational.Open(page, relational.ProfileRDB)
-	if err != nil {
-		page.Close()
-		return nil, err
+	if h.rel, err = relational.Open(page, relational.ProfileRDB); err != nil {
+		return fail(err)
 	}
-	engine := sqlexec.New(rel, ts)
-	engine.SetQueryWorkers(opts.QueryWorkers)
-	engine.SetAggPushdown(!opts.DisableAggPushdown)
-	engine.SetQueryTimeout(opts.QueryTimeout)
-	h := &Historian{
-		dir:      dir,
-		page:     page,
-		cat:      cat,
-		ts:       ts,
-		rel:      rel,
-		engine:   engine,
-		wal:      wal,
-		workers:  runtime.GOMAXPROCS(0),
-		tierPols: opts.TierPolicies,
-	}
+	h.engine = sqlexec.New(h.rel, h.ts)
+	h.engine.SetQueryWorkers(opts.QueryWorkers)
+	h.engine.SetAggPushdown(!opts.DisableAggPushdown)
+	h.engine.SetQueryTimeout(opts.QueryTimeout)
 	if wal != nil {
 		// Buffered points from a previous crash re-enter the buffers,
 		// minus the ones a flush had already made durable.
-		if _, _, err := ts.ReplayDedup(wal, ts.WriteRecovered); err != nil {
-			page.Close()
-			return nil, fmt.Errorf("odh: recovery: %w", err)
+		if _, _, err := h.ts.ReplayDedup(wal, h.ts.WriteRecovered); err != nil {
+			return fail(fmt.Errorf("odh: recovery: %w", err))
 		}
 	}
 	return h, nil
@@ -286,16 +287,30 @@ func Open(dir string, opts Options) (*Historian, error) {
 // Close flushes buffers and releases the historian. The page store
 // commits before the recovery log resets, so a crash anywhere in Close
 // loses nothing: either the log still holds the points or the pages do.
+// A failed flush still stops the log's writer and closes both files; the
+// first error comes back and a second Close does nothing.
 func (h *Historian) Close() error {
-	if err := h.ts.FlushWith(h.page.Flush); err != nil {
-		return err
+	if h.closed.Swap(true) {
+		return nil
 	}
+	err := h.Flush()
+	if rerr := h.release(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// release closes the recovery log and the page store, whatever state the
+// buffers are in, and returns the first error.
+func (h *Historian) release() error {
+	var err error
 	if h.wal != nil {
-		if err := h.wal.Close(); err != nil {
-			return err
-		}
+		err = h.wal.Close()
 	}
-	return h.page.Close()
+	if cerr := h.page.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // CreateSchema registers a schema type; the ID field is assigned.
@@ -488,6 +503,15 @@ func (h *Historian) Tables() []string { return h.rel.Tables() }
 // buffered points are never exposed to a crash window between the two.
 func (h *Historian) Flush() error {
 	return h.ts.FlushWith(h.page.Flush)
+}
+
+// ReplayLog writes the point records of l the historian does not already
+// hold, through the normal write path — so what it applies is itself
+// covered by the recovery log — and skips the rest: the same dedup Open
+// runs over its own log. It is how a cluster replays the hinted-handoff
+// log of a copy that missed writes; l is not modified.
+func (h *Historian) ReplayLog(l *walog.Log) (applied, skipped int, err error) {
+	return h.ts.ReplayDedup(l, h.ts.Write)
 }
 
 // HistorianStats aggregates storage and ingest counters.
