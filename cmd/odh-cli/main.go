@@ -7,8 +7,10 @@
 //	                          replicated cluster (-replicas, -quorum)
 //	odh-cli -dir DIR fsck     offline integrity check; exit 1 when damaged
 //	odh-cli -dir DIR upgrade  rewrite records of older ValueBlob formats at
-//	                          the current one, flush, then fsck; exit 1
-//	                          when the upgraded store is damaged
+//	                          the current one, re-derive the catalog's
+//	                          per-source statistics from the records,
+//	                          flush, then fsck; exit 1 when the upgraded
+//	                          store is damaged
 //
 // Besides SQL, the local shell accepts dot commands:
 //
@@ -21,7 +23,8 @@
 //	                 stubs (0 disables either transition); the reference
 //	                 "now" is the schema's newest timestamp
 //	.upgrade         rewrite records of older ValueBlob formats at the
-//	                 current one, so aggregates fold them from headers
+//	                 current one, so aggregates fold them from headers,
+//	                 and re-derive the catalog statistics from the records
 //	.flush           flush ingest buffers
 //	.fsck            verify pages, B-trees, and blobs in place
 //	.quit
@@ -61,7 +64,7 @@ func main() {
 	clusterNodes := flag.Int("cluster", 0, "run an in-process replicated cluster shell with this many nodes")
 	clusterReplicas := flag.Int("replicas", 2, "with -cluster: copies per shard")
 	clusterQuorum := flag.Int("quorum", 0, "with -cluster: write acks required (0 = majority of replicas)")
-	lenient := flag.Bool("recover", false, "lenient recovery: scans skip corrupt blobs instead of failing")
+	lenient := flag.Bool("recover", false, "lenient recovery: scans skip corrupt blobs instead of failing, and an unreadable statistics entry does not fail the open")
 	queryWorkers := flag.Int("query-workers", 0, "parallel degree cap for pushed-down aggregates (0 = serial)")
 	blobCache := flag.Int64("blob-cache", 0, "decoded-ValueBlob cache budget in bytes (0 = off)")
 	flag.Parse()
@@ -131,7 +134,7 @@ func upgrade(h *odh.Historian) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("upgraded %d of %d records, bytes %d -> %d\n", res.Rewritten, res.Records, res.BytesBefore, res.BytesAfter)
+	fmt.Printf("upgraded %d of %d records, bytes %d -> %d; statistics of %d homes re-derived\n", res.Rewritten, res.Records, res.BytesBefore, res.BytesAfter, res.StatsMoved)
 	return h.Flush()
 }
 
@@ -206,8 +209,15 @@ func dotCommand(h *odh.Historian, line string) bool {
 			break
 		}
 		st := h.Stats(id)
-		fmt.Printf("batches=%d points=%d blobBytes=%d range=[%d, %d] maxSpan=%dms\n",
-			st.BatchCount, st.PointCount, st.BlobBytes, st.FirstTS, st.LastTS, st.MaxSpanMs)
+		coldLast := "none"
+		if st.HasCold {
+			coldLast = strconv.FormatInt(st.ColdLastTS, 10)
+		}
+		fmt.Printf("batches=%d points=%d blobBytes=%d range=[%d, %d] maxSpan=%dms hotSpan=%dms coldLast=%s\n",
+			st.BatchCount, st.PointCount, st.BlobBytes, st.FirstTS, st.LastTS, st.MaxSpanMs, st.HotSpanMs, coldLast)
+		if st.Unknown {
+			fmt.Println("the stored entry was unreadable: scans trust none of this until .upgrade re-derives it")
+		}
 	case ".tier":
 		fields := strings.Fields(arg)
 		if len(fields) != 3 {

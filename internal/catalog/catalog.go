@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -39,6 +40,10 @@ type Catalog struct {
 	bySchemaName map[string]*model.SchemaType
 	bySchemaID   map[int64]*model.SchemaType
 	srcCache     map[int64]*model.DataSource
+	// statsMem holds every record of the stats tree, keyed like the tree
+	// (source id, or negated group id). Reads are served from it; an update
+	// writes the tree first, so it never runs ahead of a failed Put.
+	statsMem     map[int64]model.SourceStats
 	groupMembers map[int64][]int64 // group id -> ordered member source ids
 	openGroup    map[int64]int64   // schema id -> group currently filling
 	vtableCache  map[string]int64
@@ -46,8 +51,32 @@ type Catalog struct {
 	sourceCount  map[int64]int64             // sources per schema
 }
 
-// Open loads (or initializes) the catalog inside store.
+// CorruptStatsError reports a statistics entry that does not decode. ID is
+// the entry's key: a source id, or a negated MG group id. It unwraps to
+// pagestore.ErrCorrupt.
+type CorruptStatsError struct{ ID int64 }
+
+func (e *CorruptStatsError) Error() string {
+	return fmt.Sprintf("catalog: corrupt statistics entry %d (open in recovery mode, then upgrade to re-derive it)", e.ID)
+}
+
+// Unwrap ties the error to the corruption sentinel for errors.Is.
+func (e *CorruptStatsError) Unwrap() error { return pagestore.ErrCorrupt }
+
+// Open loads (or initializes) the catalog inside store. A statistics entry
+// that does not decode fails it with a CorruptStatsError: scans eliminate
+// sources and bound their lookback by those statistics.
 func Open(store *pagestore.Store, groupSize int) (*Catalog, error) {
+	return open(store, groupSize, false)
+}
+
+// OpenLenient is Open for recovery: an undecodable statistics entry is
+// kept as Unknown, which makes scans of its source trust nothing.
+func OpenLenient(store *pagestore.Store, groupSize int) (*Catalog, error) {
+	return open(store, groupSize, true)
+}
+
+func open(store *pagestore.Store, groupSize int, lenient bool) (*Catalog, error) {
 	if groupSize <= 0 {
 		groupSize = DefaultGroupSize
 	}
@@ -56,6 +85,7 @@ func Open(store *pagestore.Store, groupSize int) (*Catalog, error) {
 		bySchemaName: make(map[string]*model.SchemaType),
 		bySchemaID:   make(map[int64]*model.SchemaType),
 		srcCache:     make(map[int64]*model.DataSource),
+		statsMem:     make(map[int64]model.SourceStats),
 		groupMembers: make(map[int64][]int64),
 		openGroup:    make(map[int64]int64),
 		vtableCache:  make(map[string]int64),
@@ -78,14 +108,14 @@ func Open(store *pagestore.Store, groupSize int) (*Catalog, error) {
 	if c.counters, err = btree.Open(store, "cat.counters"); err != nil {
 		return nil, err
 	}
-	if err := c.load(); err != nil {
+	if err := c.load(lenient); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // load rebuilds the in-memory caches from the persistent trees.
-func (c *Catalog) load() error {
+func (c *Catalog) load(lenient bool) error {
 	if err := c.schemas.Scan(nil, nil, func(k, v []byte) bool {
 		var s model.SchemaType
 		if json.Unmarshal(v, &s) == nil {
@@ -131,35 +161,45 @@ func (c *Catalog) load() error {
 	}); err != nil {
 		return err
 	}
-	return c.stats.Scan(nil, nil, func(k, v []byte) bool {
+	var corrupt error
+	err := c.stats.Scan(nil, nil, func(k, v []byte) bool {
 		id, _, err := keyenc.Int64(k)
 		if err != nil {
 			return true
 		}
 		st, err := decodeStats(v)
 		if err != nil {
-			return true
-		}
-		var schemaID int64
-		if id < 0 {
-			// Group stats live under the negated group id.
-			members := c.groupMembers[-id]
-			if len(members) == 0 {
-				return true
+			if !lenient {
+				corrupt = &CorruptStatsError{ID: id}
+				return false
 			}
-			schemaID = c.srcCache[members[0]].SchemaID
-		} else {
-			ds, ok := c.srcCache[id]
-			if !ok {
-				return true
-			}
-			schemaID = ds.SchemaID
+			st = model.SourceStats{Unknown: true}
 		}
-		agg := c.schemaAgg[schemaID]
-		agg.Merge(st)
-		c.schemaAgg[schemaID] = agg
+		c.statsMem[id] = st
+		c.mergeAgg(id, st)
 		return true
 	})
+	if err == nil {
+		err = corrupt
+	}
+	return err
+}
+
+// mergeAgg folds delta into the aggregate of the schema that the stats key
+// (source id, or negated group id) belongs to. Caller holds c.mu.
+func (c *Catalog) mergeAgg(key int64, delta model.SourceStats) {
+	if key < 0 {
+		members := c.groupMembers[-key]
+		if len(members) == 0 {
+			return
+		}
+		key = members[0]
+	}
+	if ds, ok := c.srcCache[key]; ok {
+		agg := c.schemaAgg[ds.SchemaID]
+		agg.Merge(delta)
+		c.schemaAgg[ds.SchemaID] = agg
+	}
 }
 
 // nextID allocates a monotonically increasing id for the named counter.
@@ -423,84 +463,76 @@ func (c *Catalog) VirtualTables() []string {
 }
 
 // Stats returns the persisted statistics for a source (zero value when the
-// source has no persisted batches yet).
+// source has no persisted batches yet): a memory read.
 func (c *Catalog) Stats(source int64) model.SourceStats {
-	v, err := c.stats.Get(keyenc.AppendInt64(nil, source))
-	if err != nil {
-		return model.SourceStats{}
-	}
-	st, err := decodeStats(v)
-	if err != nil {
-		return model.SourceStats{}
-	}
-	return st
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.statsMem[source]
 }
+
+// GroupStats returns the persisted statistics of an MG group. They are
+// stored under the negated group id so groups and sources share one tree
+// without colliding. Per-member statistics are not maintained on the MG
+// path — one MG record carries up to groupSize sources, and the
+// reorganizer establishes per-source stats when it converts MG data to
+// RTS/IRTS.
+func (c *Catalog) GroupStats(group int64) model.SourceStats { return c.Stats(-group) }
 
 // UpdateStats merges delta into a source's persisted statistics and the
 // schema-level aggregate used by the cost model.
 func (c *Catalog) UpdateStats(source int64, delta model.SourceStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := keyenc.AppendInt64(nil, source)
-	st := model.SourceStats{}
-	if v, err := c.stats.Get(key); err == nil {
-		if dec, err := decodeStats(v); err == nil {
-			st = dec
-		}
-	}
-	st.Merge(delta)
-	if err := c.stats.Put(key, encodeStats(st)); err != nil {
-		return err
-	}
-	if ds, ok := c.srcCache[source]; ok {
-		agg := c.schemaAgg[ds.SchemaID]
-		agg.Merge(delta)
-		c.schemaAgg[ds.SchemaID] = agg
-	}
-	return nil
+	return c.mergeStats(source, delta)
 }
 
-// UpdateGroupStats merges delta into an MG group's statistics (stored
-// under the negated group id so groups and sources share one tree without
-// colliding) and the schema-level aggregate. Per-member statistics are not
-// maintained on the MG path — one MG record carries up to groupSize
-// sources, and the reorganizer establishes per-source stats when it
-// converts MG data to RTS/IRTS.
+// UpdateGroupStats is UpdateStats for an MG group.
 func (c *Catalog) UpdateGroupStats(group int64, delta model.SourceStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := keyenc.AppendInt64(nil, -group)
-	st := model.SourceStats{}
-	if v, err := c.stats.Get(key); err == nil {
-		if dec, err := decodeStats(v); err == nil {
-			st = dec
-		}
-	}
-	st.Merge(delta)
-	if err := c.stats.Put(key, encodeStats(st)); err != nil {
-		return err
-	}
-	if members := c.groupMembers[group]; len(members) > 0 {
-		if ds, ok := c.srcCache[members[0]]; ok {
-			agg := c.schemaAgg[ds.SchemaID]
-			agg.Merge(delta)
-			c.schemaAgg[ds.SchemaID] = agg
-		}
-	}
-	return nil
+	return c.mergeStats(-group, delta)
 }
 
-// GroupStats returns the persisted statistics of an MG group.
-func (c *Catalog) GroupStats(group int64) model.SourceStats {
-	v, err := c.stats.Get(keyenc.AppendInt64(nil, -group))
-	if err != nil {
-		return model.SourceStats{}
+func (c *Catalog) mergeStats(key int64, delta model.SourceStats) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.statsMem[key]
+	st.Merge(delta)
+	return c.putStats(key, st, delta)
+}
+
+// SetStats replaces a source's statistics with ones re-derived from its
+// records — exact counts, tight span bounds, no longer Unknown — and
+// reports whether that changed them.
+func (c *Catalog) SetStats(source int64, st model.SourceStats) (bool, error) {
+	return c.setStats(source, st)
+}
+
+// SetGroupStats is SetStats for an MG group.
+func (c *Catalog) SetGroupStats(group int64, st model.SourceStats) (bool, error) {
+	return c.setStats(-group, st)
+}
+
+func (c *Catalog) setStats(key int64, st model.SourceStats) (bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.statsMem[key]
+	if old == st {
+		return false, nil
 	}
-	st, err := decodeStats(v)
-	if err != nil {
-		return model.SourceStats{}
+	// The aggregate's counts move by the difference; its bounds only widen.
+	delta := st
+	delta.BatchCount -= old.BatchCount
+	delta.PointCount -= old.PointCount
+	delta.BlobBytes -= old.BlobBytes
+	return true, c.putStats(key, st, delta)
+}
+
+// putStats writes an entry through: the tree, then the memory copy and
+// the schema aggregate. Caller holds c.mu.
+func (c *Catalog) putStats(key int64, st, delta model.SourceStats) error {
+	if err := c.stats.Put(keyenc.AppendInt64(nil, key), encodeStats(st)); err != nil {
+		return err
 	}
-	return st
+	c.statsMem[key] = st
+	c.mergeAgg(key, delta)
+	return nil
 }
 
 // SchemaStats returns the aggregate statistics of all sources of a schema,
@@ -514,8 +546,9 @@ func (c *Catalog) SchemaStats(schemaID int64) model.SourceStats {
 // RouterLookup models the paper's data-router metadata access: every ODH
 // query resolves its sources' placement through catalog reads before data
 // access ("for each query, the data router looks up the metadata to locate
-// the required data ... currently completed by SQL statements"). It
-// returns the stats rows it read, so the caller observes real I/O cost.
+// the required data ... currently completed by SQL statements"). The
+// paper's router pays a query per lookup; statistics here are resident, so
+// the probe is a memory read per source.
 func (c *Catalog) RouterLookup(sources []int64) []model.SourceStats {
 	out := make([]model.SourceStats, 0, len(sources))
 	for _, id := range sources {
@@ -579,24 +612,50 @@ func decodeSource(b []byte) (*model.DataSource, error) {
 	return &ds, nil
 }
 
+// A stats record is six varints, then (since the per-tier span bounds) a
+// flag byte and the HotSpanMs and ColdLastTS varints. A six-varint record
+// decodes to the bounds its writer trusted: every record as wide as the
+// widest, non-hot records anywhere.
+const (
+	statsHasCold = 1 << iota
+	statsUnknown
+)
+
 func encodeStats(st model.SourceStats) []byte {
 	b := binary.AppendVarint(nil, st.BatchCount)
 	b = binary.AppendVarint(b, st.PointCount)
 	b = binary.AppendVarint(b, st.BlobBytes)
 	b = binary.AppendVarint(b, st.FirstTS)
 	b = binary.AppendVarint(b, st.LastTS)
-	return binary.AppendVarint(b, st.MaxSpanMs)
+	b = binary.AppendVarint(b, st.MaxSpanMs)
+	var flags byte
+	if st.HasCold {
+		flags |= statsHasCold
+	}
+	if st.Unknown {
+		flags |= statsUnknown
+	}
+	b = binary.AppendVarint(append(b, flags), st.HotSpanMs)
+	return binary.AppendVarint(b, st.ColdLastTS)
 }
 
 func decodeStats(b []byte) (model.SourceStats, error) {
 	var st model.SourceStats
-	for _, dst := range []*int64{&st.BatchCount, &st.PointCount, &st.BlobBytes, &st.FirstTS, &st.LastTS, &st.MaxSpanMs} {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return st, fmt.Errorf("catalog: corrupt stats record")
+	varints := func(dsts ...*int64) error {
+		for _, dst := range dsts {
+			v, n := binary.Varint(b)
+			if n <= 0 {
+				return fmt.Errorf("catalog: corrupt stats record")
+			}
+			*dst, b = v, b[n:]
 		}
-		*dst = v
-		b = b[n:]
+		return nil
 	}
-	return st, nil
+	if err := varints(&st.BatchCount, &st.PointCount, &st.BlobBytes, &st.FirstTS, &st.LastTS, &st.MaxSpanMs); err != nil || len(b) == 0 {
+		st.HotSpanMs, st.HasCold, st.ColdLastTS = st.MaxSpanMs, true, math.MaxInt64
+		return st, err
+	}
+	st.HasCold, st.Unknown = b[0]&statsHasCold != 0, b[0]&statsUnknown != 0
+	b = b[1:]
+	return st, varints(&st.HotSpanMs, &st.ColdLastTS)
 }

@@ -1,9 +1,15 @@
 package catalog
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"odh/internal/fault"
+	"odh/internal/keyenc"
 	"odh/internal/model"
 	"odh/internal/pagestore"
 )
@@ -343,5 +349,163 @@ func TestSchemasOrderedByID(t *testing.T) {
 	}
 	if c.GroupSize() != DefaultGroupSize {
 		t.Fatalf("GroupSize = %d", c.GroupSize())
+	}
+}
+
+// treeStats decodes the stats tree afresh, keyed like statsMem.
+func treeStats(t *testing.T, c *Catalog) map[int64]model.SourceStats {
+	t.Helper()
+	out := map[int64]model.SourceStats{}
+	err := c.stats.Scan(nil, nil, func(k, v []byte) bool {
+		id, _, kerr := keyenc.Int64(k)
+		st, derr := decodeStats(v)
+		if kerr != nil || derr != nil {
+			t.Errorf("stats entry %x: %v, %v", k, kerr, derr)
+		}
+		out[id] = st
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func sameStats(t *testing.T, when string, got, want map[int64]model.SourceStats) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", when, len(got), len(want))
+	}
+	for id, st := range want {
+		if got[id] != st {
+			t.Fatalf("%s: entry %d is %+v, want %+v", when, id, got[id], st)
+		}
+	}
+}
+
+// TestStatsWriteThrough: reads are served from the memory copy of the stats
+// tree, so the two must agree — after any sequence of merges and
+// replacements, to a catalog opened afresh, and when a Put fails: the
+// memory copy then stays what the tree still holds.
+func TestStatsWriteThrough(t *testing.T) {
+	file := fault.Wrap(pagestore.NewMemFile())
+	// A pool far smaller than the stats tree: a Put has to read its leaf.
+	store, err := pagestore.Open(file, pagestore.Options{PoolPages: 16, PoolPartitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	c, err := Open(store, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := c.CreateSchemaType("t", envTags())
+	var list []model.DataSource
+	for i := 0; i < 2000; i++ {
+		ds := model.DataSource{SchemaID: s.ID, IntervalMs: 10}
+		if i%10 == 0 {
+			ds.IntervalMs = 60_000 // low frequency: joins an MG group
+		}
+		list = append(list, ds)
+	}
+	srcs, err := c.RegisterSources(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(25))
+	// update applies one random change to one random entry.
+	update := func() (key int64, err error) {
+		ds := srcs[rng.Intn(len(srcs))]
+		first := rng.Int63n(1_000_000) - 500_000
+		st := model.SourceStats{
+			BatchCount: rng.Int63n(5) - 1, PointCount: rng.Int63n(600) - 100, BlobBytes: rng.Int63n(1 << 20),
+			FirstTS: first, LastTS: first + rng.Int63n(100_000), MaxSpanMs: rng.Int63n(600_000),
+		}
+		if st.HotSpanMs = st.MaxSpanMs; rng.Intn(3) == 0 {
+			st.HotSpanMs, st.HasCold, st.ColdLastTS = rng.Int63n(st.MaxSpanMs+1), true, first
+		}
+		set := rng.Intn(8) == 0
+		switch {
+		case ds.Group != 0 && set:
+			_, err = c.SetGroupStats(ds.Group, st)
+			return -ds.Group, err
+		case ds.Group != 0:
+			return -ds.Group, c.UpdateGroupStats(ds.Group, st)
+		case set:
+			_, err = c.SetStats(ds.ID, st)
+			return ds.ID, err
+		}
+		return ds.ID, c.UpdateStats(ds.ID, st)
+	}
+	for i := 0; i < 5000; i++ {
+		if _, err := update(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameStats(t, "after random updates", c.statsMem, treeStats(t, c))
+	if len(c.statsMem) < 1000 {
+		t.Fatalf("only %d entries: the tree fits the pool", len(c.statsMem))
+	}
+
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Open(store, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStats(t, "after reopen", c2.statsMem, c.statsMem)
+	if got, want := c2.SchemaStats(s.ID), c.SchemaStats(s.ID); got.BatchCount != want.BatchCount || got.PointCount != want.PointCount || got.BlobBytes != want.BlobBytes {
+		t.Fatalf("schema aggregate after reopen %+v, kept up by the updates %+v", got, want)
+	}
+
+	file.FailReadsAfter(0)
+	failed := 0
+	for i := 0; i < 200; i++ {
+		before := map[int64]model.SourceStats{}
+		for k, v := range c.statsMem {
+			before[k] = v
+		}
+		if key, err := update(); err != nil {
+			failed++
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatal(err)
+			}
+			if c.statsMem[key] != before[key] {
+				t.Fatalf("entry %d moved to %+v although its Put failed: %v", key, c.statsMem[key], err)
+			}
+		}
+	}
+	file.FailReadsAfter(fault.Unlimited)
+	if failed == 0 {
+		t.Fatal("no Put failed: the injection reached nothing")
+	}
+	sameStats(t, "after failed Puts", c.statsMem, treeStats(t, c))
+}
+
+// TestStatsCodec: a record round-trips with its span bounds and flags; one
+// written before the per-tier bounds (six varints) decodes to what its
+// writer's lookback trusted; anything cut short in between is corrupt.
+func TestStatsCodec(t *testing.T) {
+	for _, st := range []model.SourceStats{
+		{},
+		{BatchCount: 9, PointCount: 2048, BlobBytes: 70_000, FirstTS: -5, LastTS: 1_023_501, MaxSpanMs: 511_500, HotSpanMs: 63_501, HasCold: true, ColdLastTS: -5},
+		{BatchCount: 1, PointCount: 1, MaxSpanMs: 7, HotSpanMs: 7, Unknown: true},
+	} {
+		enc := encodeStats(st)
+		if got, err := decodeStats(enc); err != nil || got != st {
+			t.Fatalf("round trip of %+v: %+v, %v", st, got, err)
+		}
+		legacy := enc[:len(enc)-1-len(binary.AppendVarint(binary.AppendVarint(nil, st.HotSpanMs), st.ColdLastTS))]
+		want := st
+		want.HotSpanMs, want.HasCold, want.ColdLastTS, want.Unknown = st.MaxSpanMs, true, math.MaxInt64, false
+		if got, err := decodeStats(legacy); err != nil || got != want {
+			t.Fatalf("six-varint record of %+v: %+v, %v; want %+v", st, got, err, want)
+		}
+		for n := 0; n < len(enc); n++ {
+			if _, err := decodeStats(enc[:n]); n != len(legacy) && err == nil {
+				t.Fatalf("%+v cut to %d of %d bytes decoded", st, n, len(enc))
+			}
+		}
 	}
 }

@@ -187,10 +187,30 @@ type SourceStats struct {
 	BlobBytes int64
 	// FirstTS and LastTS bound the persisted data.
 	FirstTS, LastTS int64
-	// MaxSpanMs is the widest timestamp span of any single batch; scans
-	// starting at t may need to look back this far for an overlapping
-	// batch.
-	MaxSpanMs int64
+	// The span bounds say how far before a timestamp a record can be keyed
+	// and still hold a row at or after it (Covers is the invariant, which
+	// holds for every record ever put: removals never shrink a bound).
+	// MaxSpanMs is the widest reach — last row timestamp minus key — of any
+	// record, HotSpanMs that of any hot-tier record, and ColdLastTS the
+	// largest key of any cold or stub record, when HasCold says there ever
+	// was one (timestamps may be <= 0, so no value of ColdLastTS can).
+	MaxSpanMs, HotSpanMs int64
+	ColdLastTS           int64
+	HasCold              bool
+	// Unknown marks an entry the catalog could not read: its counts and
+	// bounds restart from zero and vouch for nothing until the statistics
+	// are re-derived from the records (UpgradeBlobs).
+	Unknown bool
+}
+
+// Covers reports whether the span bounds account for a record keyed at key
+// whose newest row is at last: a scan trusts them to find every record
+// that reaches into its window.
+func (s *SourceStats) Covers(key, last int64, hot bool) bool {
+	if hot {
+		return last-key <= s.HotSpanMs
+	}
+	return s.HasCold && key <= s.ColdLastTS && last-key <= s.MaxSpanMs
 }
 
 // BucketFloor floor-aligns ts to the bucket grid of the given width: the
@@ -223,7 +243,9 @@ func (s *SourceStats) Merge(other SourceStats) {
 	s.BatchCount += other.BatchCount
 	s.PointCount += other.PointCount
 	s.BlobBytes += other.BlobBytes
-	if other.MaxSpanMs > s.MaxSpanMs {
-		s.MaxSpanMs = other.MaxSpanMs
+	s.MaxSpanMs = max(s.MaxSpanMs, other.MaxSpanMs)
+	s.HotSpanMs = max(s.HotSpanMs, other.HotSpanMs)
+	if other.HasCold && (!s.HasCold || other.ColdLastTS > s.ColdLastTS) {
+		s.HasCold, s.ColdLastTS = true, other.ColdLastTS
 	}
 }

@@ -104,3 +104,32 @@ func TestSourceStatsMerge(t *testing.T) {
 		t.Fatalf("zero-point merge moved bounds: %+v", s)
 	}
 }
+
+func TestSourceStatsSpanBounds(t *testing.T) {
+	var s SourceStats
+	if s.Covers(10, 10, false) || !s.Covers(10, 10, true) || s.Covers(10, 11, true) {
+		t.Fatalf("empty statistics cover only a zero-reach hot record: %+v", s)
+	}
+	s.Merge(SourceStats{BatchCount: 1, PointCount: 8, FirstTS: -100, LastTS: -60, MaxSpanMs: 40, HotSpanMs: 40})
+	s.Merge(SourceStats{BatchCount: 1, PointCount: 64, FirstTS: -900, LastTS: -400, MaxSpanMs: 500, HasCold: true, ColdLastTS: -900})
+	s.Merge(SourceStats{BatchCount: 1, PointCount: 64, FirstTS: -1500, LastTS: -1000, MaxSpanMs: 450, HasCold: true, ColdLastTS: -1500})
+	// Removals never shrink a bound.
+	s.Merge(SourceStats{BatchCount: -3, PointCount: -136})
+	if s.MaxSpanMs != 500 || s.HotSpanMs != 40 || !s.HasCold || s.ColdLastTS != -900 {
+		t.Fatalf("bounds after merges: %+v", s)
+	}
+	for _, c := range []struct {
+		key, last int64
+		hot, want bool
+	}{
+		{-100, -60, true, true},
+		{-100, -59, true, false},    // reaches past HotSpanMs
+		{-900, -400, false, true},   // the negative key is a key like any other
+		{-899, -400, false, false},  // keyed after ColdLastTS
+		{-1500, -999, false, false}, // reaches past MaxSpanMs
+	} {
+		if got := s.Covers(c.key, c.last, c.hot); got != c.want {
+			t.Errorf("Covers(%d, %d, hot=%v) = %v, want %v", c.key, c.last, c.hot, got, c.want)
+		}
+	}
+}

@@ -430,8 +430,8 @@ func upgradeAndCheck(t *testing.T, s *Store, source int64, spec AggSpec, records
 	if rowsAfter := scan(); !pointsEqual(rowsBefore, rowsAfter) {
 		t.Fatal("upgrade changed scan results")
 	}
-	if checked, corrupt, err := s.VerifyBlobs(); err != nil || len(corrupt) != 0 || checked != records {
-		t.Fatalf("fsck after upgrade: checked=%d corrupt=%v err=%v", checked, corrupt, err)
+	if checked, corrupt, stale, err := s.VerifyBlobs(); err != nil || len(corrupt) != 0 || len(stale) != 0 || checked != records {
+		t.Fatalf("fsck after upgrade: checked=%d corrupt=%v stale=%v err=%v", checked, corrupt, stale, err)
 	}
 	if up, err = s.UpgradeBlobs(); err != nil || up.Rewritten != 0 || up.Records != records {
 		t.Fatalf("second UpgradeBlobs = %+v err=%v, want 0 rewritten", up, err)

@@ -129,15 +129,15 @@ func TestVerifyBlobs(t *testing.T) {
 	if err := f.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	checked, corrupt, err := f.store.VerifyBlobs()
+	checked, corrupt, stale, err := f.store.VerifyBlobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked != 4 || len(corrupt) != 0 {
+	if checked != 4 || len(corrupt) != 0 || len(stale) != 0 {
 		t.Fatalf("clean store: checked=%d corrupt=%v, want 4 clean", checked, corrupt)
 	}
 	corruptOneBlob(t, f, src.ID, 160)
-	checked, corrupt, err = f.store.VerifyBlobs()
+	checked, corrupt, _, err = f.store.VerifyBlobs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -435,8 +435,8 @@ func TestReadersExactUnderMutation(t *testing.T) {
 					}
 				}
 			}
-			if _, corrupt, err := e.f.store.VerifyBlobs(); err != nil || len(corrupt) != 0 {
-				t.Fatalf("fsck: corrupt=%v err=%v", corrupt, err)
+			if _, corrupt, stale, err := e.f.store.VerifyBlobs(); err != nil || len(corrupt) != 0 || len(stale) != 0 {
+				t.Fatalf("fsck: corrupt=%v stale=%v err=%v", corrupt, stale, err)
 			}
 		})
 	}

@@ -70,108 +70,139 @@ func lookups(page *pagestore.Store) int64 {
 	return st.Hits + st.Misses
 }
 
-// TestLookbackReadsOnlyHeads: over a store of one cold and eight hot
-// records per source, all of them multi-page values, a short window's walk
-// reaches back over records whose rows end before it. With every overflow
-// page after the first of each such record made unreadable, a strict slice
-// scan and a strict slice aggregate still return the oracle's rows, and the
-// buffer pool sees exactly one lookup per pruned record. Per source, in this
-// store of one-leaf trees: 4 to get there (the catalog's stats entry and the
-// seek, a descent and a leaf copy each), one head page per record met, and
-// the 2-page chain of the one record kept; the last source's cursor then
+// TestLookbackReadsOnlyHeads: a short window's walk seeks back by the span
+// bound of the tier that can still reach it, and of the records it meets
+// there whose rows end before the window it reads one head page each. Over
+// stores of multi-page records, with every overflow page after the first of
+// each record behind the window made unreadable — met or, under the all-time
+// MaxSpanMs the seek used before the per-tier bounds, would have been — a
+// strict slice scan and a strict slice aggregate still return the oracle's
+// rows, and the buffer pool's lookups are pinned. Per source, in these
+// stores of one-leaf trees: 2 to seek (a descent and a leaf copy; the
+// statistics are a memory read), one head page per record met, and of the
+// one record kept its head and then its chain; the last source's cursor then
 // finds the end of the tree (1) unless a later record stops it first.
 func TestLookbackReadsOnlyHeads(t *testing.T) {
 	const nsrc = 3
-	f, s, truth := coldThenHot(t, Config{DisableCompression: true}, nsrc)
-	windows := []struct {
-		name            string
-		t1, t2          int64
-		pruned          int   // lookback-only records per source
-		scan, aggregate int64 // pinned pool lookups
-	}{
-		// Starts one millisecond after the cold record's last row: the lookback
-		// just reaches the cold record (key 0), the first hot record holds
-		// the rows.
-		{"behind the cold record", 511_501, 516_000, 1, nsrc * (4 + 2 + 2), nsrc * (4 + 2 + 2)},
-		// Inside the last hot record: the lookback (512 s, the cold record's
-		// span) reaches the seven hot records before it.
-		{"behind seven hot records", 1_000_000, 1_005_000, 7, nsrc*(4+8+2) + 1, nsrc*(4+8+2) + 1},
+	type window struct {
+		name    string
+		t1, t2  int64
+		behind  int   // records per source within MaxSpanMs that end before the window
+		lookups int64 // pinned pool lookups, of the scan and of the aggregate
 	}
-	for _, win := range windows {
-		poisoned := 0
-		for id := range truth {
-			lookback := f.cat.Stats(id).MaxSpanMs + 1
-			recs, err := readRange(&home{tree: f.store.irts, id: id}, win.t1-lookback, win.t2)
+	stores := []struct {
+		name       string
+		coldPoints int
+		windows    []window
+	}{
+		// One cold record (key 0, rows to 511 500), then eight hot ones.
+		{"cold then hot", 1024, []window{
+			// Starts one millisecond after the cold record's last row, so
+			// lo-MaxSpanMs still reaches ColdLastTS: the seek goes back the
+			// cold record's 512 s and meets it (1); the first hot record holds
+			// the rows (head + 2-page chain).
+			{"behind the cold record", 511_501, 516_000, 1, nsrc * (2 + 1 + 3)},
+			// Inside the last hot record. No non-hot record is keyed within
+			// 512 s of the window, so the seek goes back HotSpanMs (63.5 s) and
+			// lands on the record it keeps; the seven hot records between are
+			// never met.
+			{"behind seven hot records", 1_000_000, 1_005_000, 7, nsrc*(2+0+3) + 1},
+		}},
+		// Sixteen hot records, no tier pass ever: ColdLastTS has no value,
+		// only the hot bound applies. The window starts one millisecond after
+		// the last row of the record keyed 896 001, which the seek just meets.
+		{"never tiered", 0, []window{
+			{"behind a hot record", 959_503, 964_000, 1, nsrc*(2+1+3) + 1},
+		}},
+		// Tiered up to the newest record: two cold records, the second keyed
+		// 512 001 (9-page chain). Every window is within MaxSpanMs of
+		// ColdLastTS, so the bound is the all-time one, as before.
+		{"all cold", 2048, []window{
+			{"inside the last cold record", 1_000_000, 1_005_000, 0, nsrc*(2+0+1+9) + 1},
+		}},
+	}
+	for _, st := range stores {
+		f, s, truth := tieredRecords(t, Config{DisableCompression: true}, nsrc, st.coldPoints)
+		for _, win := range st.windows {
+			name := st.name + ", " + win.name
+			poisoned := 0
+			for id := range truth {
+				lookback := f.cat.Stats(id).MaxSpanMs + 1
+				recs, err := readRange(&home{tree: f.store.irts, id: id}, win.t1-lookback, win.t2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept := 0
+				for _, r := range recs {
+					if _, _, last, ok := blobSpan(r); !ok {
+						t.Fatalf("source %d ts %d: no span", id, r.ts)
+					} else if last >= win.t1 {
+						kept++
+						continue
+					}
+					chain := overflowChain(t, f.page, r.blob)
+					if len(chain) < 2 {
+						t.Fatalf("source %d ts %d: a %d-byte record in %d page(s); the test needs multi-page values", id, r.ts, len(r.blob), len(chain))
+					}
+					poisonChainTail(t, f.page, chain)
+					poisoned++
+				}
+				if kept != 1 {
+					t.Fatalf("%s: source %d keeps %d records, want 1", name, id, kept)
+				}
+			}
+			if poisoned != nsrc*win.behind {
+				t.Fatalf("%s: poisoned %d records behind the window, want %d", name, poisoned, nsrc*win.behind)
+			}
+			want := inWindow(truth, win.t1, win.t2)
+
+			before := lookups(f.page)
+			it, err := f.store.SliceScanOpts(s.ID, win.t1, win.t2, nil, ScanOptions{NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept := 0
-			for _, r := range recs {
-				if _, _, last, ok := blobSpan(r); !ok {
-					t.Fatalf("source %d ts %d: no span", id, r.ts)
-				} else if last >= win.t1 {
-					kept++
-					continue
-				}
-				chain := overflowChain(t, f.page, r.blob)
-				if len(chain) < 2 {
-					t.Fatalf("source %d ts %d: a %d-byte record in %d page(s); the test needs multi-page values", id, r.ts, len(r.blob), len(chain))
-				}
-				poisonChainTail(t, f.page, chain)
-				poisoned++
+			sameBySource(t, name+": slice", bySource(collect(t, it)), want)
+			if got := lookups(f.page) - before; got != win.lookups {
+				t.Errorf("%s: SliceScanOpts looked up %d pages, want %d", name, got, win.lookups)
 			}
-			if kept != 1 {
-				t.Fatalf("%s: source %d keeps %d records, want 1", win.name, id, kept)
-			}
-		}
-		if poisoned != nsrc*win.pruned {
-			t.Fatalf("%s: poisoned %d lookback-only records, want %d", win.name, poisoned, nsrc*win.pruned)
-		}
-		want := inWindow(truth, win.t1, win.t2)
 
-		before := lookups(f.page)
-		it, err := f.store.SliceScanOpts(s.ID, win.t1, win.t2, nil, ScanOptions{NoCache: true})
+			before = lookups(f.page)
+			res, err := f.store.AggregateSlice(s.ID, AggSpec{T1: win.t1, T2: win.t2, NTags: 4, ByID: true, Opts: ScanOptions{NoCache: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := lookups(f.page) - before; got != win.lookups {
+				t.Errorf("%s: AggregateSlice looked up %d pages, want %d", name, got, win.lookups)
+			}
+			if len(res.Groups) != len(want) {
+				t.Fatalf("%s: %d groups, want %d", name, len(res.Groups), len(want))
+			}
+			for _, g := range res.Groups {
+				var sum float64
+				for _, p := range want[g.ID] {
+					sum += p.Values[1]
+				}
+				if g.Rows != int64(len(want[g.ID])) || g.Sum[1] != sum {
+					t.Errorf("%s: source %d: %d rows sum %v, want %d rows sum %v", name, g.ID, g.Rows, g.Sum[1], len(want[g.ID]), sum)
+				}
+			}
+		}
+		if st.coldPoints != 1024 {
+			continue
+		}
+		// The poisoned tails are really unreadable: a walk that needs them fails.
+		it, err := f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBySource(t, win.name+": slice", bySource(collect(t, it)), want)
-		if got := lookups(f.page) - before; got != win.scan {
-			t.Errorf("%s: SliceScanOpts looked up %d pages, want %d", win.name, got, win.scan)
-		}
-
-		before = lookups(f.page)
-		res, err := f.store.AggregateSlice(s.ID, AggSpec{T1: win.t1, T2: win.t2, NTags: 4, ByID: true, Opts: ScanOptions{NoCache: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := lookups(f.page) - before; got != win.aggregate {
-			t.Errorf("%s: AggregateSlice looked up %d pages, want %d", win.name, got, win.aggregate)
-		}
-		if len(res.Groups) != len(want) {
-			t.Fatalf("%s: %d groups, want %d", win.name, len(res.Groups), len(want))
-		}
-		for _, g := range res.Groups {
-			var sum float64
-			for _, p := range want[g.ID] {
-				sum += p.Values[1]
-			}
-			if g.Rows != int64(len(want[g.ID])) || g.Sum[1] != sum {
-				t.Errorf("%s: source %d: %d rows sum %v, want %d rows sum %v", win.name, g.ID, g.Rows, g.Sum[1], len(want[g.ID]), sum)
+		for {
+			if _, ok := it.Next(); !ok {
+				break
 			}
 		}
-	}
-	// The poisoned tails are really unreadable: a walk that needs them fails.
-	it, err := f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, ok := it.Next(); !ok {
-			break
+		if it.Err() == nil {
+			t.Fatal("a whole-history scan read the poisoned records without an error")
 		}
-	}
-	if it.Err() == nil {
-		t.Fatal("a whole-history scan read the poisoned records without an error")
 	}
 }
 

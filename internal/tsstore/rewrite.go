@@ -50,6 +50,24 @@ func blobSpan(r stored) (rows, first, last int64, ok bool) {
 	return int64(len(batch.Timestamps)), first, last, true
 }
 
+// recordStats is one record's contribution to its home's statistics, read
+// from its header: counts, row bounds, and the span bounds of its tier —
+// its reach is measured from its key, which is where a seek must land to
+// meet it.
+func recordStats(r stored) model.SourceStats {
+	rows, first, last, _ := blobSpan(r)
+	st := model.SourceStats{
+		BatchCount: 1, PointCount: rows, BlobBytes: int64(len(r.blob)),
+		FirstTS: first, LastTS: last, MaxSpanMs: last - r.ts,
+	}
+	if BlobTier(r.blob) == TierHot {
+		st.HotSpanMs = st.MaxSpanMs
+	} else {
+		st.HasCold, st.ColdLastTS = true, r.ts
+	}
+	return st
+}
+
 // rewriteLocked is the only writer of the three batch trees: for the key
 // range (tree, id) it removes the records in del and stores the records
 // in put, drops their cached decodes, and applies the catalog statistics
@@ -97,11 +115,7 @@ func (s *Store) rewriteLocked(tree *btree.Tree, id int64, del, put []stored) err
 			if old, ok := olds[r.ts]; ok {
 				subtract(old)
 			}
-			rows, first, last, _ := blobSpan(r)
-			plus.Merge(model.SourceStats{
-				BatchCount: 1, PointCount: rows, BlobBytes: int64(len(r.blob)),
-				FirstTS: first, LastTS: last, MaxSpanMs: last - first,
-			})
+			plus.Merge(recordStats(r))
 		}
 		return nil
 	}

@@ -689,7 +689,7 @@ func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, str
 	mayCollide := false
 	if structure == model.IRTS {
 		st := s.cat.Stats(ds.ID)
-		mayCollide = st.BatchCount <= 0 || pts[0].TS <= st.LastTS
+		mayCollide = st.Unknown || st.BatchCount <= 0 || pts[0].TS <= st.LastTS
 	}
 	if mayCollide {
 		existing, err := tree.Get(keyenc.SourceTime(ds.ID, pts[0].TS))
@@ -928,8 +928,13 @@ func (r BlobRef) String() string {
 // VerifyBlobs decodes every persisted batch record in the three trees and
 // reports the ones that fail — the blob-level half of fsck (page- and
 // tree-level checks live in pagestore.VerifyPages and btree.Check). It
-// keeps going past corrupt records; only a broken tree walk aborts.
-func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
+// also holds every per-source record against what a scan's lookback
+// trusts, its home's span bounds (model.SourceStats.Covers): stale names,
+// once per home, the first record they do not account for — a window just
+// past such a record's key would silently miss its rows — or whose home's
+// statistics are Unknown. UpgradeBlobs repairs both. It keeps going past
+// corrupt records; only a broken tree walk aborts.
+func (s *Store) VerifyBlobs() (checked int, corrupt, stale []BlobRef, err error) {
 	trees := []struct {
 		name string
 		t    *btree.Tree
@@ -940,16 +945,25 @@ func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
 			src, ts, kerr := keyenc.DecodeSourceTime(cur.Key())
 			checked++
 			blob, verr := cur.Value()
-			if kerr != nil || verr != nil || !blobIntact(blob, ts) {
-				corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
+			ref := BlobRef{Tree: tr.name, Source: src, TS: ts}
+			switch n := len(stale); {
+			case kerr != nil || verr != nil || !blobIntact(blob, ts):
+				corrupt = append(corrupt, ref)
+			case tr.t == s.mg || (n > 0 && stale[n-1].Tree == ref.Tree && stale[n-1].Source == src):
+				// An MG record's reach is its window; or the home is named already.
+			default:
+				_, _, last, _ := blobSpan(stored{ts: ts, blob: blob})
+				if st := s.cat.Stats(src); st.Unknown || !st.Covers(ts, last, BlobTier(blob) == TierHot) {
+					stale = append(stale, ref)
+				}
 			}
 			cur.Next()
 		}
 		if cerr := cur.Err(); cerr != nil {
-			return checked, corrupt, cerr
+			return checked, corrupt, stale, cerr
 		}
 	}
-	return checked, corrupt, nil
+	return checked, corrupt, stale, nil
 }
 
 // blobIntact is the per-record check of VerifyBlobs. A summary that

@@ -236,12 +236,12 @@ func TestTierStubAggregatesAndScanError(t *testing.T) {
 	}
 
 	// fsck accepts stubs: the payload is gone by policy, not corruption.
-	checked, corrupt, err := f.store.VerifyBlobs()
+	checked, corrupt, stale, err := f.store.VerifyBlobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked == 0 || len(corrupt) != 0 {
-		t.Fatalf("VerifyBlobs checked=%d corrupt=%v", checked, corrupt)
+	if checked == 0 || len(corrupt) != 0 || len(stale) != 0 {
+		t.Fatalf("VerifyBlobs checked=%d corrupt=%v stale=%v", checked, corrupt, stale)
 	}
 
 	ts, err := f.store.TierStats()
@@ -431,8 +431,8 @@ func TestTierConcurrentWithScans(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, corrupt, err := f.store.VerifyBlobs(); err != nil || len(corrupt) != 0 {
-		t.Fatalf("post-race fsck: corrupt=%v err=%v", corrupt, err)
+	if _, corrupt, stale, err := f.store.VerifyBlobs(); err != nil || len(corrupt) != 0 || len(stale) != 0 {
+		t.Fatalf("post-race fsck: corrupt=%v stale=%v err=%v", corrupt, stale, err)
 	}
 }
 

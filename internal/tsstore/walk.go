@@ -288,16 +288,29 @@ func (w *walker) gather(ch *chunk) error {
 	n := 0
 	for i := range w.homes {
 		h := &w.homes[i]
-		// A record keyed before lo can still spill rows into the window:
-		// by at most the widest batch span, or one window for MG records.
+		// A record keyed before lo can still spill rows into the window: by
+		// one window for MG records, else by what the home's statistics say
+		// of every record ever put (SourceStats.Covers) — a non-hot record
+		// reaches lo only when keyed in [lo-MaxSpanMs, ColdLastTS], a hot one
+		// only when keyed at or after lo-HotSpanMs. Statistics the catalog
+		// could not read eliminate nothing and bound nothing. The seek starts
+		// a millisecond before either bound.
 		lookback := w.window
 		if h.tree != w.s.mg {
 			st := w.s.cat.Stats(h.id)
-			if st.BatchCount <= 0 || (st.PointCount > 0 && (st.LastTS < ch.lo || st.FirstTS >= w.t2)) {
+			switch {
+			case st.Unknown:
+				lookback = math.MaxInt64
+			case st.BatchCount <= 0 || (st.PointCount > 0 && (st.LastTS < ch.lo || st.FirstTS >= w.t2)):
 				continue // partition elimination: nothing persisted in range
-			}
-			if lookback = st.MaxSpanMs; lookback > 0 {
-				lookback++
+			default:
+				lookback = st.MaxSpanMs
+				if !st.HasCold || st.ColdLastTS < satSub(ch.lo, lookback+1) {
+					lookback = st.HotSpanMs
+				}
+				if lookback > 0 {
+					lookback++
+				}
 			}
 		}
 		h.span = lookback
@@ -458,7 +471,10 @@ func (r *walkRec) lastTS() int64 {
 	if _, _, last, ok := r.hdr.span(r.ts); ok {
 		return last
 	}
-	return r.ts + r.home.span
+	if last := r.ts + r.home.span; last >= r.ts {
+		return last
+	}
+	return math.MaxInt64 // statistics that bound nothing
 }
 
 // decode returns the rows of a stored record handed out in a chunk with

@@ -177,10 +177,19 @@ func TestRTSRowRangeExtremes(t *testing.T) {
 }
 
 // coldThenHot builds a schema of nsrc irregular sources, each with one
-// 1024-point cold record (which raises MaxSpanMs, and so every scan's
-// lookback, to its 512 s) followed by eight 128-point hot records, one
-// point per 500 ms. It returns the points written, per source.
+// 1024-point cold record (which raises MaxSpanMs to its 512 s; ColdLastTS
+// says no scan past it needs to look back that far) followed by eight
+// 128-point hot records, one point per 500 ms. It returns the points
+// written, per source.
 func coldThenHot(t *testing.T, cfg Config, nsrc int) (*fixture, *model.SchemaType, map[int64][]model.Point) {
+	t.Helper()
+	return tieredRecords(t, cfg, nsrc, 1024)
+}
+
+// tieredRecords builds coldThenHot's store with the cold cutoff after the
+// first coldPoints points of each source: sixteen hot records when 0, two
+// cold records and no hot one when 2048.
+func tieredRecords(t *testing.T, cfg Config, nsrc, coldPoints int) (*fixture, *model.SchemaType, map[int64][]model.Point) {
 	t.Helper()
 	cfg.BatchSize = 128
 	f := newFixture(t, cfg, 0)
@@ -200,13 +209,16 @@ func coldThenHot(t *testing.T, cfg Config, nsrc int) (*fixture, *model.SchemaTyp
 	if err := f.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Cold cutoff between record 8 and 9: the first 1024 points compact.
-	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1}, 1024*500); err != nil || res.ColdWritten != nsrc {
-		t.Fatalf("cold pass: %+v, %v; want one cold record per source", res, err)
+	// A cutoff between two 128-point records: the points before it compact,
+	// 1024 to a cold record.
+	cold := coldPoints / 1024
+	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1}, int64(coldPoints)*500); err != nil || res.ColdWritten != nsrc*cold {
+		t.Fatalf("cold pass: %+v, %v; want %d cold record(s) per source", res, err, cold)
 	}
 	for id := range truth {
-		if st := f.cat.Stats(id); st.MaxSpanMs < 500_000 || st.BatchCount != 9 {
-			t.Fatalf("source %d: stats %+v, want 9 records and a cold-wide MaxSpanMs", id, st)
+		st := f.cat.Stats(id)
+		if want := int64(cold + (n-coldPoints)/128); st.BatchCount != want || st.HasCold != (cold > 0) || (cold > 0 && st.MaxSpanMs < 500_000) {
+			t.Fatalf("source %d: stats %+v, want %d records, cold-wide MaxSpanMs: %v", id, st, want, cold > 0)
 		}
 	}
 	return f, s, truth

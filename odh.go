@@ -251,7 +251,11 @@ func Open(dir string, opts Options) (*Historian, error) {
 		h.release()
 		return nil, err
 	}
-	if h.cat, err = catalog.Open(page, opts.GroupSize); err != nil {
+	openCatalog := catalog.Open
+	if opts.Recovery == RecoverLenient {
+		openCatalog = catalog.OpenLenient
+	}
+	if h.cat, err = openCatalog(page, opts.GroupSize); err != nil {
 		return fail(err)
 	}
 	h.ts, err = tsstore.Open(page, h.cat, tsstore.Config{

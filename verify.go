@@ -31,7 +31,8 @@ const (
 )
 
 // IntegrityReport is VerifyIntegrity's findings, layer by layer: page
-// checksums, B-tree structure, and ValueBlob decodability.
+// checksums, B-tree structure, ValueBlob decodability, and whether the
+// catalog's statistics account for the records.
 type IntegrityReport struct {
 	// PagesChecked / CorruptPages cover the on-disk page checksums.
 	PagesChecked int
@@ -44,11 +45,16 @@ type IntegrityReport struct {
 	// operational trees; entries read "tree/source/ts".
 	BlobsChecked int
 	CorruptBlobs []string
+	// StaleStats names, once per source and tree, a record its source's
+	// catalog span bounds do not account for (or whose entry was unreadable
+	// at open): a scan's lookback trusts those bounds, so a short window
+	// could miss the record's rows. Historian.UpgradeBlobs re-derives them.
+	StaleStats []string
 }
 
 // OK reports whether every layer verified clean.
 func (r *IntegrityReport) OK() bool {
-	return len(r.CorruptPages) == 0 && len(r.CorruptTrees) == 0 && len(r.CorruptBlobs) == 0
+	return len(r.CorruptPages) == 0 && len(r.CorruptTrees) == 0 && len(r.CorruptBlobs) == 0 && len(r.StaleStats) == 0
 }
 
 // String renders the fsck-style summary.
@@ -65,6 +71,9 @@ func (r *IntegrityReport) String() string {
 	fmt.Fprintf(&b, "blobs: %d checked, %d corrupt\n", r.BlobsChecked, len(r.CorruptBlobs))
 	for _, s := range r.CorruptBlobs {
 		fmt.Fprintf(&b, "  corrupt blob %s\n", s)
+	}
+	for _, s := range r.StaleStats {
+		fmt.Fprintf(&b, "  statistics do not bound %s (run upgrade)\n", s)
 	}
 	if r.OK() {
 		b.WriteString("integrity: OK")
@@ -109,10 +118,13 @@ func (h *Historian) VerifyIntegrity() (*IntegrityReport, error) {
 			rep.CorruptTrees = append(rep.CorruptTrees, fmt.Sprintf("%s: %v", name, err))
 		}
 	}
-	blobs, corruptBlobs, err := h.ts.VerifyBlobs()
+	blobs, corruptBlobs, stale, err := h.ts.VerifyBlobs()
 	rep.BlobsChecked = blobs
 	for _, ref := range corruptBlobs {
 		rep.CorruptBlobs = append(rep.CorruptBlobs, ref.String())
+	}
+	for _, ref := range stale {
+		rep.StaleStats = append(rep.StaleStats, ref.String())
 	}
 	if err != nil {
 		// The blob walk itself broke (structural damage below the blobs);
