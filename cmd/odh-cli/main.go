@@ -25,7 +25,8 @@
 //	.upgrade         rewrite records of older ValueBlob formats at the
 //	                 current one, so aggregates fold them from headers,
 //	                 and re-derive the catalog statistics from the records
-//	.flush           flush ingest buffers
+//	.flush           checkpoint: drain ingest buffers, commit pages,
+//	                 recycle the recovery log
 //	.fsck            verify pages, B-trees, and blobs in place
 //	.quit
 //

@@ -12,6 +12,11 @@
 //
 //	odh-server -dir ./data -init "CREATE TABLE sensor_info (id BIGINT, area VARCHAR(8))"
 //
+// A directory-backed server keeps a recovery log beside its pages: a point
+// answered OK is replayed from the log at the next start, a FLUSH answered
+// OK has committed everything acked before it to the pages, and the log
+// recycles only at such a checkpoint (FLUSH, or the clean shutdown).
+//
 // SIGINT or SIGTERM drains the server: accepting stops, in-flight
 // commands finish, and stragglers are cut off after -drain-timeout.
 package main
@@ -45,7 +50,7 @@ func main() {
 	)
 	flag.Parse()
 
-	h, err := odh.Open(*dir, odh.Options{BatchSize: *batchSz, QueryWorkers: *workers})
+	h, err := odh.Open(*dir, odh.Options{BatchSize: *batchSz, QueryWorkers: *workers, EnableRecoveryLog: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,14 +74,15 @@ func main() {
 		MaxInflightBytes: *maxInflight,
 		OnError:          func(err error) { log.Printf("conn: %v", err) },
 	})
+	// Handlers go in before the address is announced: a signal sent by
+	// whoever read it must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("odh-server listening on %s (dir=%q)", bound, *dir)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down (drain timeout %v)", *drainTimeout)
 	srv.Close()

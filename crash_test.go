@@ -157,13 +157,20 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 				return nil
 			}
+			// Both spellings of the checkpoint are on the schedule.
+			flush := func() error {
+				if rng.Intn(2) == 0 {
+					return w.Flush()
+				}
+				return h.Flush()
+			}
 			// Healthy phase: build up real on-disk state.
 			for i, n := 0, 3+rng.Intn(5); i < n; i++ {
 				if err := writeSome(); err != nil {
 					t.Fatal(err)
 				}
 				if rng.Intn(3) == 0 {
-					if err := h.Flush(); err != nil {
+					if err := flush(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -181,7 +188,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					crashed = true
 					break
 				}
-				if err := h.Flush(); err != nil {
+				if err := flush(); err != nil {
 					crashed = true
 				}
 			}

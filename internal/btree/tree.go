@@ -414,18 +414,6 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Has reports whether key exists.
-func (t *Tree) Has(key []byte) (bool, error) {
-	_, err := t.Get(key)
-	if err == nil {
-		return true, nil
-	}
-	if err == ErrNotFound {
-		return false, nil
-	}
-	return false, err
-}
-
 // Delete removes key. Empty leaves are left in place (the historian
 // workload is append-dominated; space is reclaimed when overflow chains are
 // freed and on page reuse).

@@ -114,7 +114,6 @@ type LDGen struct {
 	state   []float64 // per sensor: base temperature offset
 	events  eventHeap
 	endTS   int64
-	count   int64
 	baseID  int64
 }
 
@@ -239,11 +238,7 @@ func (g *LDGen) Next() (model.Point, bool) {
 				vals[tag] = g.state[idx]*0.1 + phase*3 + g.rng.NormFloat64()*0.05
 			}
 		}
-		g.count++
 		return model.Point{Source: ev.source, TS: ev.ts, Values: vals}, true
 	}
 	return model.Point{}, false
 }
-
-// Generated returns the number of points emitted so far.
-func (g *LDGen) Generated() int64 { return g.count }

@@ -130,7 +130,7 @@ func newSystem(name string, isODH bool, profile relational.Profile, cfg SystemCo
 
 // Close releases the candidate's storage.
 func (s *System) Close() error {
-	if err := s.ts.Flush(); err != nil {
+	if err := s.FlushOperational(); err != nil {
 		return err
 	}
 	return s.page.Close()
@@ -372,21 +372,20 @@ func (s *System) flushPending() error {
 	return err
 }
 
-// FlushOperational drains write buffers on either path.
+// FlushOperational drains write buffers on either path and commits the
+// candidate's pages: the store's checkpoint, which on a relational
+// candidate has no ingest buffer to drain first.
 func (s *System) FlushOperational() error {
-	if s.IsODH {
-		return s.ts.Flush()
+	if err := s.flushPending(); err != nil {
+		return err
 	}
-	return s.flushPending()
+	return s.ts.Flush()
 }
 
 // StorageBytes returns the candidate's total storage footprint after a
 // flush (page store size, the paper's "actual storage size").
 func (s *System) StorageBytes() (int64, error) {
 	if err := s.FlushOperational(); err != nil {
-		return 0, err
-	}
-	if err := s.page.Flush(); err != nil {
 		return 0, err
 	}
 	return s.page.SizeBytes(), nil

@@ -117,7 +117,6 @@ type TDGen struct {
 	prices []float64 // per-account price walk
 	events eventHeap
 	endTS  int64
-	count  int64
 }
 
 // NewTDGen builds a generator for cfg.
@@ -202,7 +201,6 @@ func (g *TDGen) Next() (model.Point, bool) {
 		// Price random walk; charge/commission/tax from small menus.
 		g.prices[ev.source] *= 1 + (g.rng.Float64()-0.5)*0.002
 		price := g.prices[ev.source]
-		g.count++
 		return model.Point{
 			Source: ev.source,
 			TS:     ev.ts,
@@ -216,9 +214,6 @@ func (g *TDGen) Next() (model.Point, bool) {
 	}
 	return model.Point{}, false
 }
-
-// Generated returns the number of points emitted so far.
-func (g *TDGen) Generated() int64 { return g.count }
 
 // event is one pending record emission.
 type event struct {

@@ -13,7 +13,7 @@ import (
 )
 
 // Policy bounds a retry loop. The zero value retries never (one attempt,
-// no delay); use Defaults() or fill the fields for real backoff.
+// no delay); fill the fields for real backoff.
 type Policy struct {
 	// MaxAttempts is the total number of tries including the first.
 	// Values < 1 mean one attempt.
@@ -23,12 +23,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the schedule. Zero means no cap.
 	MaxDelay time.Duration
-}
-
-// Defaults is a conservative interactive policy: 4 attempts, 10ms base,
-// 250ms cap — under a second of total waiting in the worst case.
-func Defaults() Policy {
-	return Policy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 }
 
 // Delay returns the jittered backoff to sleep before retry number i

@@ -7,10 +7,13 @@
 //	HELLO <version>                        -> "HELLO <negotiated>"
 //	WRITE <source> <ts-ms> <v1> [v2 ...]   -> "OK" | "ERR <msg>"
 //	SQL <statement>                        -> header, rows, "OK <n>" | "ERR <msg>"
-//	FLUSH                                  -> "OK"
+//	FLUSH                                  -> "OK" | "ERR <msg>"
 //	PING                                   -> "PONG"
 //	STATS                                  -> "<name> <value>" lines, "OK"
 //	QUIT                                   -> "BYE" and closes the connection
+//
+// FLUSH is the historian's checkpoint (odh.Historian.Flush): "OK" means
+// every point this server acked before it is in committed pages.
 //
 // NULL tag values are spelled "null" in WRITE; non-finite values (nan,
 // inf) are rejected because NaN is the storage engine's NULL sentinel.

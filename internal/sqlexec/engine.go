@@ -72,9 +72,6 @@ func (e *Engine) parallelDegree(c blobCost) int {
 	return min(int(c.decoded/parallelCostUnit), limit)
 }
 
-// Rel exposes the relational database (for loaders and tests).
-func (e *Engine) Rel() *relational.DB { return e.rel }
-
 // TS exposes the batch store.
 func (e *Engine) TS() *tsstore.Store { return e.ts }
 

@@ -232,11 +232,6 @@ func ParseTimestamp(s string) (int64, bool) {
 	return 0, false
 }
 
-// FormatTimestamp renders Unix milliseconds in the canonical literal form.
-func FormatTimestamp(ms int64) string {
-	return time.UnixMilli(ms).UTC().Format("2006-01-02 15:04:05")
-}
-
 // compareCoerced compares values, coercing string literals against
 // timestamps ('2013-11-18 00:00:00' BETWEEN on a TIMESTAMP column).
 func compareCoerced(a, b relational.Value) int {

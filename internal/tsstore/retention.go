@@ -22,12 +22,14 @@ type DropResult struct {
 // recent data.
 func (s *Store) DropBefore(schemaID int64, cutoff int64) (DropResult, error) {
 	res := DropResult{}
-	// Per-source RTS/IRTS batches.
+	// Per-source batches, all in the tree of the source's historical structure.
 	for _, src := range s.cat.SourcesBySchema(schemaID) {
-		for _, tree := range []*btree.Tree{s.rts, s.irts} {
-			if err := s.dropRange(tree, src, cutoff, &res); err != nil {
-				return res, err
-			}
+		ds, ok := s.cat.Source(src)
+		if !ok {
+			continue
+		}
+		if err := s.dropRange(s.treeFor(ds.HistoricalStructure()), src, cutoff, &res); err != nil {
+			return res, err
 		}
 	}
 	// MG records per group; a record's window must end before the cutoff.

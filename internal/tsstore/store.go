@@ -160,8 +160,9 @@ type shard struct {
 // the same source (or MG group) serialize on its shard, preserving
 // per-source arrival order.
 type Store struct {
-	cfg Config
-	cat *catalog.Catalog
+	cfg  Config
+	page *pagestore.Store
+	cat  *catalog.Catalog
 
 	rts, irts, mg *btree.Tree
 	watermarks    *btree.Tree // group id -> reorg watermark ts
@@ -171,9 +172,9 @@ type Store struct {
 
 	// logMu orders WAL appends against log recycling when a recovery log
 	// is attached: writers hold it shared across append + buffer insert,
-	// Flush holds it exclusively across drain + reset. Without it a flush
-	// racing a writer could truncate an appended record whose point had
-	// not yet reached a buffer — an acked write lost without any crash.
+	// Flush holds it exclusively across drain + commit + reset. Without it
+	// a flush racing a writer could truncate an appended record whose point
+	// had not yet reached a buffer — an acked write lost without any crash.
 	logMu sync.RWMutex
 
 	// corruptBlobs is kept outside the shards: scans quarantine records
@@ -282,11 +283,15 @@ func windowBase(ts, window int64) int64 {
 	return ts - b
 }
 
-// Open opens the batch stores inside store using cat for metadata.
+// Open opens the batch stores inside store using cat for metadata. With a
+// recovery log attached it then replays the log: the points a crash left
+// buffered re-enter the buffers, minus the ones a checkpoint had already
+// committed (see Flush).
 func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, error) {
 	s := &Store{
-		cfg: cfg.withDefaults(),
-		cat: cat,
+		cfg:  cfg.withDefaults(),
+		page: store,
+		cat:  cat,
 	}
 	n := shardCount(s.cfg.Shards)
 	s.shards = make([]*shard, n)
@@ -312,6 +317,14 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 	}
 	if s.cfg.BlobCacheBytes > 0 {
 		s.cache = newBlobCache(s.cfg.BlobCacheBytes)
+	}
+	if s.cfg.Log != nil {
+		// Unlogged: the records are in the log already, and appending them
+		// again would apply them twice after a second crash before the next
+		// checkpoint.
+		if _, _, err := s.replay(s.cfg.Log, false); err != nil {
+			return nil, fmt.Errorf("tsstore: recovery: %w", err)
+		}
 	}
 	return s, nil
 }
@@ -418,94 +431,55 @@ func (s *Store) writeResolved(r resolved) error {
 // buffer and becomes a persisted batch when b points accumulate. Writes
 // for different sources proceed in parallel.
 func (s *Store) Write(p model.Point) error {
-	r, err := s.resolve(p)
-	if err != nil {
-		return err
-	}
-	if s.cfg.Log != nil {
-		s.logMu.RLock()
-		defer s.logMu.RUnlock()
-		if err := s.cfg.Log.Append(EncodePointWAL(p)); err != nil {
-			return err
-		}
-	}
-	return s.writeResolved(r)
+	return s.ingest([]model.Point{p}, 1, true)
 }
 
-// WriteRecovered ingests one point without appending it to the attached
-// recovery log — the replay path. Routing recovery through Write would
-// re-append every replayed record to the log it was just read from, so a
-// second crash before the next flush would apply them twice.
-func (s *Store) WriteRecovered(p model.Point) error {
-	r, err := s.resolve(p)
-	if err != nil {
-		return err
-	}
-	return s.writeResolved(r)
-}
-
-// WriteBatch ingests a slice of points. The whole batch is validated
-// first and logged with a single group commit before any point enters a
-// buffer, so the WAL-before-buffer ordering of Write holds batch-wide.
+// WriteBatch ingests a slice of points.
 func (s *Store) WriteBatch(points []model.Point) error {
-	if s.cfg.Log != nil {
-		s.logMu.RLock()
-		defer s.logMu.RUnlock()
-	}
-	rs, err := s.resolveBatch(points)
-	if err != nil {
-		return err
-	}
-	for _, r := range rs {
-		if err := s.writeResolved(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// resolveBatch validates every point and appends the batch to the WAL.
-func (s *Store) resolveBatch(points []model.Point) ([]resolved, error) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	rs := make([]resolved, len(points))
-	for i, p := range points {
-		r, err := s.resolve(p)
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = r
-	}
-	if s.cfg.Log != nil {
-		recs := make([][]byte, len(points))
-		for i, p := range points {
-			recs[i] = EncodePointWAL(p)
-		}
-		if err := s.cfg.Log.AppendBatch(recs); err != nil {
-			return nil, err
-		}
-	}
-	return rs, nil
+	return s.ingest(points, 1, true)
 }
 
 // WriteBatchParallel ingests a batch using up to workers goroutines. The
 // points are dealt to the workers by owner, so different owners are
 // buffered concurrently and per-source point order is preserved (a
-// source's points all go to one worker, in order). workers <= 1 falls
-// back to the sequential path. On error the batch may be partially
-// buffered — the same non-transactional contract as sequential ingest.
+// source's points all go to one worker, in order). workers <= 1 buffers
+// them sequentially. On error the batch may be partially buffered — the
+// same non-transactional contract as sequential ingest.
 func (s *Store) WriteBatchParallel(points []model.Point, workers int) error {
-	if workers <= 1 || len(points) < 2 || len(s.shards) == 1 {
-		return s.WriteBatch(points)
+	return s.ingest(points, workers, true)
+}
+
+// ingest is the one write path: the whole batch is validated first and,
+// when logged, appended to the recovery log with a single group commit
+// before any point enters a buffer — all under a shared hold of logMu, so
+// no checkpoint recycles a record whose point is not buffered yet.
+func (s *Store) ingest(points []model.Point, workers int, logged bool) error {
+	rs := make([]resolved, len(points))
+	for i, p := range points {
+		r, err := s.resolve(p)
+		if err != nil {
+			return err
+		}
+		rs[i] = r
 	}
-	if s.cfg.Log != nil {
+	if logged && s.cfg.Log != nil {
 		s.logMu.RLock()
 		defer s.logMu.RUnlock()
+		recs := make([][]byte, len(points))
+		for i, p := range points {
+			recs[i] = EncodePointWAL(p)
+		}
+		if err := s.cfg.Log.AppendBatch(recs); err != nil {
+			return err
+		}
 	}
-	rs, err := s.resolveBatch(points)
-	if err != nil {
-		return err
+	if workers <= 1 || len(rs) < 2 || len(s.shards) == 1 {
+		for _, r := range rs {
+			if err := s.writeResolved(r); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	hands := make([][]resolved, workers)
 	for _, r := range rs {
@@ -775,24 +749,18 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 	return nil
 }
 
-// Flush persists every open buffer (partially filled batches included) and
-// recycles the recovery log if one is attached. It quiesces ingest by
-// taking every shard lock in index order for the duration: recycling the
-// log is only safe while no writer can slip a point into a buffer after
-// its WAL record was appended — that record would be truncated away while
-// the point is still volatile. Writers resume as soon as Flush returns.
+// Flush is the checkpoint, the only one: it persists every open buffer
+// (partially filled batches included), syncs the recovery log, commits the
+// page store and only then recycles the log — the one place in the tree a
+// recovery log is reset. A crash or a failed step anywhere in that order
+// leaves every acked point in the committed pages or in the still-intact
+// log, so when Flush returns nil everything acked before it is in
+// committed pages. It quiesces ingest by taking every shard lock in index
+// order for the duration: recycling the log is only safe while no writer
+// can slip a point into a buffer after its WAL record was appended — that
+// record would be truncated away while the point is still volatile.
+// Writers resume as soon as Flush returns.
 func (s *Store) Flush() error {
-	return s.FlushWith(nil)
-}
-
-// FlushWith persists every open buffer like Flush, then runs commit (when
-// non-nil) before recycling the recovery log — all while ingest stays
-// quiesced. Passing the page store's Flush as commit closes the crash
-// window where the log was recycled before the batches it protected were
-// durable in the page store: the order becomes drain buffers → sync WAL →
-// commit pages → reset WAL, so a crash at any point recovers from either
-// the committed pages or the still-intact log.
-func (s *Store) FlushWith(commit func() error) error {
 	if s.cfg.Log != nil {
 		s.logMu.Lock()
 		defer s.logMu.Unlock()
@@ -824,10 +792,8 @@ func (s *Store) FlushWith(commit func() error) error {
 			return err
 		}
 	}
-	if commit != nil {
-		if err := commit(); err != nil {
-			return err
-		}
+	if err := s.page.Flush(); err != nil {
+		return err
 	}
 	if s.cfg.Log != nil {
 		return s.cfg.Log.Reset()
@@ -835,13 +801,20 @@ func (s *Store) FlushWith(commit func() error) error {
 	return nil
 }
 
-// ReplayDedup replays a log of WAL-encoded points through apply, skipping
-// the records whose points the store already held when the replay began.
-// Crash recovery needs it because FlushWith commits the page store before
-// recycling the log, so a crash between the two leaves records that are
-// already durable (apply is WriteRecovered: the records are in the log
-// already); hinted-handoff catch-up because a write that timed out at the
-// coordinator may have landed anyway (apply is Write).
+// Replay writes the point records of l the store does not already hold
+// through the normal write path — so what it applies is itself covered by
+// the recovery log — and skips the rest. It is how a cluster catches a copy
+// up from its hinted-handoff log: a write that timed out at the coordinator
+// may have landed anyway. l is not modified.
+func (s *Store) Replay(l *walog.Log) (applied, skipped int, err error) {
+	return s.replay(l, true)
+}
+
+// replay ingests a log of WAL-encoded points, skipping the records whose
+// points the store already held when the replay began. Crash recovery
+// (Open) needs it because Flush commits the page store before recycling
+// the log, so a crash between the two leaves records that are already
+// durable.
 //
 // Asking per record whether a point at (source, ts) is visible would not
 // do: scans dirty-read the buffer the replay itself is filling, and an
@@ -858,7 +831,7 @@ func (s *Store) FlushWith(commit func() error) error {
 // bytes per record than its entry here. An entry cannot be dropped when
 // its source's timestamps move on — arrival order is not time order, and
 // a late record at a forgotten key would count the replay's own write.
-func (s *Store) ReplayDedup(l *walog.Log, apply func(model.Point) error) (applied, skipped int, err error) {
+func (s *Store) replay(l *walog.Log, logged bool) (applied, skipped int, err error) {
 	held := make(map[[2]int64]int) // (source, ts) -> held points no record has matched yet
 	err = l.Replay(func(payload []byte) error {
 		p, derr := DecodePointWAL(payload)
@@ -886,7 +859,7 @@ func (s *Store) ReplayDedup(l *walog.Log, apply func(model.Point) error) (applie
 		}
 		held[key] = 0
 		applied++
-		return apply(p)
+		return s.ingest([]model.Point{p}, 1, logged)
 	})
 	return applied, skipped, err
 }

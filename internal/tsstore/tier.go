@@ -118,25 +118,22 @@ func (s *Store) TierSchema(schemaID int64, pol TierPolicy, now int64) (TierResul
 		if !ok {
 			continue
 		}
-		for _, structure := range []model.Structure{model.RTS, model.IRTS} {
-			tree := s.treeFor(structure)
-			if pol.ColdAfterMs > 0 {
-				// Never coalesce across the stub cutoff: a cold blob
-				// straddling it would keep its rows forever (stubbing skips
-				// straddlers), starving the stub tier whenever the cold
-				// granularity exceeds the gap between the two cutoffs.
-				splitAt := int64(math.MinInt64)
-				if pol.StubAfterMs > 0 {
-					splitAt = now - pol.StubAfterMs
-				}
-				if err := s.coldCompactSource(tree, structure, ds, schema, now-pol.ColdAfterMs, splitAt, batchPoints, &res); err != nil {
-					return res, err
-				}
-			}
+		if pol.ColdAfterMs > 0 {
+			// Never coalesce across the stub cutoff: a cold blob
+			// straddling it would keep its rows forever (stubbing skips
+			// straddlers), starving the stub tier whenever the cold
+			// granularity exceeds the gap between the two cutoffs.
+			splitAt := int64(math.MinInt64)
 			if pol.StubAfterMs > 0 {
-				if err := s.stubSource(tree, structure, ds, schema, now-pol.StubAfterMs, &res); err != nil {
-					return res, err
-				}
+				splitAt = now - pol.StubAfterMs
+			}
+			if err := s.coldCompactSource(ds, schema, now-pol.ColdAfterMs, splitAt, batchPoints, &res); err != nil {
+				return res, err
+			}
+		}
+		if pol.StubAfterMs > 0 {
+			if err := s.stubSource(ds, schema, now-pol.StubAfterMs, &res); err != nil {
+				return res, err
 			}
 		}
 	}
@@ -150,10 +147,11 @@ func (s *Store) TierSchema(schemaID int64, pol TierPolicy, now int64) (TierResul
 // granularity, re-encode at maximum effort. Values round-trip bit-exactly
 // — the inputs are the already-round-tripped floats a scan of the hot
 // record returned, and the cold codecs are verified lossless.
-func (s *Store) coldCompactSource(tree *btree.Tree, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff, splitAt int64, batchPoints int, res *TierResult) error {
+func (s *Store) coldCompactSource(ds *model.DataSource, schema *model.SchemaType, cutoff, splitAt int64, batchPoints int, res *TierResult) error {
+	structure := ds.HistoricalStructure() // the one tree a source's own records live in
 	// A record keyed at or past the cutoff starts there, so its last
 	// timestamp cannot be older; the range stops at the cutoff key.
-	del, put, err := s.rewriteRange(tree, ds.ID, math.MinInt64, cutoff, func(recs []stored) (del, put []stored, err error) {
+	del, put, err := s.rewriteRange(s.treeFor(structure), ds.ID, math.MinInt64, cutoff, func(recs []stored) (del, put []stored, err error) {
 		del, all := decodeRecords(ds.ID, recs, func(r stored) bool {
 			// Compacted or stubbed already, or straddling the cutoff: stays.
 			_, _, last, ok := blobSpan(r)
@@ -191,8 +189,9 @@ func (s *Store) coldOpts(schema *model.SchemaType) encodeOpts {
 // what scans were already serving) and the stub is that header. Row
 // counts stay in the catalog: the summary still answers COUNT/SUM/AVG and
 // partition elimination still needs the source's time range.
-func (s *Store) stubSource(tree *btree.Tree, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff int64, res *TierResult) error {
-	del, put, err := s.rewriteRange(tree, ds.ID, math.MinInt64, cutoff, func(recs []stored) (del, put []stored, err error) {
+func (s *Store) stubSource(ds *model.DataSource, schema *model.SchemaType, cutoff int64, res *TierResult) error {
+	structure := ds.HistoricalStructure()
+	del, put, err := s.rewriteRange(s.treeFor(structure), ds.ID, math.MinInt64, cutoff, func(recs []stored) (del, put []stored, err error) {
 		for _, r := range recs {
 			_, _, last, ok := blobSpan(r)
 			if BlobTier(r.blob) == TierStub || !ok || last >= cutoff {

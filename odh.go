@@ -66,7 +66,7 @@ type (
 	// Result is a SQL statement outcome (pull rows with Next/FetchAll).
 	Result = sqlexec.Result
 	// TierPolicy ages a schema's batch records through the storage tiers
-	// (hot → cold → summary-only stub); see Historian.TierNow.
+	// (hot → cold → summary-only stub); see Historian.TierSchema.
 	TierPolicy = tsstore.TierPolicy
 	// TierResult summarizes one tier pass.
 	TierResult = tsstore.TierResult
@@ -155,10 +155,6 @@ type Options struct {
 	// every format regardless of this setting; UpgradeBlobs brings older
 	// records to the one it selects.
 	SubBucketMs int64
-	// TierPolicies configures the storage lifecycle per schema name:
-	// TierNow applies each policy to its schema. Schemas without an entry
-	// never tier. See TierPolicy for the cutoffs.
-	TierPolicies map[string]TierPolicy
 	// legacyBlobFormat writes pre-summary (v1) blobs; a test hook for the
 	// backward-compatibility suite, deliberately unexported.
 	legacyBlobFormat bool
@@ -166,16 +162,15 @@ type Options struct {
 
 // Historian is an operational data historian instance.
 type Historian struct {
-	dir      string
-	page     *pagestore.Store
-	cat      *catalog.Catalog
-	ts       *tsstore.Store
-	rel      *relational.DB
-	engine   *sqlexec.Engine
-	wal      *walog.Log
-	workers  int // WriteBatchParallel fan-out
-	tierPols map[string]TierPolicy
-	closed   atomic.Bool
+	dir     string
+	page    *pagestore.Store
+	cat     *catalog.Catalog
+	ts      *tsstore.Store
+	rel     *relational.DB
+	engine  *sqlexec.Engine
+	wal     *walog.Log
+	workers int // WriteBatchParallel fan-out
+	closed  atomic.Bool
 }
 
 // Open opens (creating if necessary) a historian. dir == "" opens an
@@ -239,11 +234,10 @@ func Open(dir string, opts Options) (*Historian, error) {
 		return nil, err
 	}
 	h := &Historian{
-		dir:      dir,
-		page:     page,
-		wal:      wal,
-		workers:  runtime.GOMAXPROCS(0),
-		tierPols: opts.TierPolicies,
+		dir:     dir,
+		page:    page,
+		wal:     wal,
+		workers: runtime.GOMAXPROCS(0),
 	}
 	// A failed open releases what it acquired: the page file and the
 	// recovery log's writer goroutine.
@@ -258,6 +252,8 @@ func Open(dir string, opts Options) (*Historian, error) {
 	if h.cat, err = openCatalog(page, opts.GroupSize); err != nil {
 		return fail(err)
 	}
+	// Opening the store replays wal: buffered points from a previous crash
+	// re-enter the buffers, minus the ones a checkpoint had made durable.
 	h.ts, err = tsstore.Open(page, h.cat, tsstore.Config{
 		BatchSize:          opts.BatchSize,
 		DisableCompression: opts.DisableCompression,
@@ -278,20 +274,11 @@ func Open(dir string, opts Options) (*Historian, error) {
 	h.engine.SetQueryWorkers(opts.QueryWorkers)
 	h.engine.SetAggPushdown(!opts.DisableAggPushdown)
 	h.engine.SetQueryTimeout(opts.QueryTimeout)
-	if wal != nil {
-		// Buffered points from a previous crash re-enter the buffers,
-		// minus the ones a flush had already made durable.
-		if _, _, err := h.ts.ReplayDedup(wal, h.ts.WriteRecovered); err != nil {
-			return fail(fmt.Errorf("odh: recovery: %w", err))
-		}
-	}
 	return h, nil
 }
 
-// Close flushes buffers and releases the historian. The page store
-// commits before the recovery log resets, so a crash anywhere in Close
-// loses nothing: either the log still holds the points or the pages do.
-// A failed flush still stops the log's writer and closes both files; the
+// Close checkpoints (Flush) and releases the historian. A failed
+// checkpoint still stops the log's writer and closes both files; the
 // first error comes back and a second Close does nothing.
 func (h *Historian) Close() error {
 	if h.closed.Swap(true) {
@@ -430,27 +417,6 @@ func (h *Historian) TierSchema(schemaName string, pol TierPolicy, now int64) (Ti
 	return h.ts.TierSchema(s.ID, pol, now)
 }
 
-// TierNow applies every configured Options.TierPolicies entry with the
-// given reference time — the periodic lifecycle pass an operator schedules
-// next to Reorganize and DropBefore. Schemas without a policy are
-// untouched; unknown schema names in the map are errors.
-func (h *Historian) TierNow(now int64) (TierResult, error) {
-	total := TierResult{}
-	for name, pol := range h.tierPols {
-		res, err := h.TierSchema(name, pol, now)
-		total.ColdCompacted += res.ColdCompacted
-		total.ColdWritten += res.ColdWritten
-		total.Stubbed += res.Stubbed
-		total.BytesBefore += res.BytesBefore
-		total.BytesAfter += res.BytesAfter
-		total.BytesReclaimed += res.BytesReclaimed
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 // UpgradeBlobs rewrites, in place, every batch record written before the
 // current ValueBlob format (no header summary, or no sub-bucket block
 // while Options.SubBucketMs enables them), so aggregates fold those
@@ -502,12 +468,11 @@ func (h *Historian) VirtualTables() []string { return h.cat.VirtualTables() }
 // Tables lists the relational table names.
 func (h *Historian) Tables() []string { return h.rel.Tables() }
 
-// Flush persists all ingest buffers and syncs the page store. The page
-// commit happens before the recovery log recycles (via FlushWith), so
-// buffered points are never exposed to a crash window between the two.
-func (h *Historian) Flush() error {
-	return h.ts.FlushWith(h.page.Flush)
-}
+// Flush is the historian's one checkpoint (tsstore.Store.Flush): ingest
+// buffers drain into batches, the recovery log syncs, the page store
+// commits, and only then does the log recycle. When it returns nil, every
+// point acked before the call is in committed pages.
+func (h *Historian) Flush() error { return h.ts.Flush() }
 
 // ReplayLog writes the point records of l the historian does not already
 // hold, through the normal write path — so what it applies is itself
@@ -515,7 +480,7 @@ func (h *Historian) Flush() error {
 // runs over its own log. It is how a cluster replays the hinted-handoff
 // log of a copy that missed writes; l is not modified.
 func (h *Historian) ReplayLog(l *walog.Log) (applied, skipped int, err error) {
-	return h.ts.ReplayDedup(l, h.ts.Write)
+	return h.ts.Replay(l)
 }
 
 // HistorianStats aggregates storage and ingest counters.
@@ -627,7 +592,10 @@ func (h *Historian) PoolPartitionStats() []pagestore.Stats {
 
 // Writer is the ODH writer API ("a set of carefully designed writer APIs
 // that are highly efficient for the operational data model"). Writes are
-// non-transactional; points become durable when their batch flushes.
+// non-transactional: an acked point sits in an ingest buffer, a full batch
+// in a dirty page, and both are durable only in the recovery log (when one
+// is attached, under its sync policy) until the next checkpoint — Flush —
+// commits the pages.
 type Writer struct {
 	h *Historian
 }
@@ -652,5 +620,6 @@ func (w *Writer) WriteBatchParallel(points []Point) error {
 	return w.h.ts.WriteBatchParallel(points, w.h.workers)
 }
 
-// Flush forces all buffered points into persisted batches.
-func (w *Writer) Flush() error { return w.h.ts.Flush() }
+// Flush is Historian.Flush: when it returns nil, every point acked before
+// the call is in committed pages.
+func (w *Writer) Flush() error { return w.h.Flush() }
