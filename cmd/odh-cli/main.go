@@ -172,7 +172,7 @@ func dotCommand(h *odh.Historian, line string) bool {
 			fmt.Printf("pool: hits=%d misses=%d evictions=%d hitRate=%.1f%%\n",
 				total.PoolHits, total.PoolMisses, total.PoolEvictions, 100*total.PoolHitRate)
 			if total.WALRecords > 0 {
-				fmt.Printf("wal: records=%d groupCommits=%d coalescing=%.1fx\n",
+				fmt.Printf("wal: records=%d (one per ingest call) groupCommits=%d coalescing=%.1fx\n",
 					total.WALRecords, total.WALGroupCommits,
 					float64(total.WALRecords)/float64(total.WALGroupCommits))
 			}

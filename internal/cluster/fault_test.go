@@ -410,6 +410,125 @@ func TestCatchUpKeepsRepeatedTimestamps(t *testing.T) {
 	}
 }
 
+// TestCatchUpBatchesHints: a hint log is N one-point frames, and catch-up
+// re-ingests them a few thousand at a time — the copy's recovery log takes
+// a group commit per batch, not per hint — while still skipping the hint
+// of a write the copy had taken.
+func TestCatchUpBatchesHints(t *testing.T) {
+	const n = 600
+	c := newReplicatedCluster(t, 2, 2, 1)
+	if err := c.CreateSchema(model.SchemaType{Name: "vehicle", Tags: []model.TagDef{{Name: "speed"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateVirtualTable("vehicle_v", "vehicle"); err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := c.Schema("vehicle")
+	if err := c.RegisterSource(model.DataSource{ID: 1, SchemaID: schema.ID, Regular: false, IntervalMs: 10}); err != nil {
+		t.Fatal(err)
+	}
+	landed := model.Point{Source: 1, TS: 5, Values: []float64{5}}
+	if err := c.Write(landed); err != nil { // on both copies
+		t.Fatal(err)
+	}
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := c.Write(model.Point{Source: 1, TS: int64(10 + i), Values: []float64{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	var behind *shardCopy
+	c.forEachCopy(func(cp *shardCopy) error {
+		if cp.host == 1 && cp.shard == c.shardOf(1) {
+			behind = cp
+		}
+		return nil
+	})
+	c.hint(behind, landed) // as after a write that timed out at the coordinator and landed anyway
+	before := behind.h.Load().TotalStats().WALGroupCommits
+	if err := c.CatchUp(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := behind.h.Load().TotalStats().WALGroupCommits - before; got > n/100+1 {
+		t.Fatalf("catch-up over %d hints took %d group commits on the copy's log, want at most %d", n+1, got, n/100+1)
+	}
+	if st := c.Stats(); st.HintsReplayed != n || st.HintsDeduped != 1 {
+		t.Fatalf("hints replayed %d, deduped %d; want %d and 1", st.HintsReplayed, st.HintsDeduped, n)
+	}
+	if divergent, notes, err := c.VerifyReplicas(); err != nil || len(divergent) != 0 || len(notes) != 0 {
+		t.Fatalf("after catch-up: divergent %v, skipped %v, %v", divergent, notes, err)
+	}
+}
+
+// TestLostHintKeepsCopyStale: a hint that cannot be queued used to be
+// dropped and the copy left readable — a replica that missed an acked
+// write and answered reads short, with no error anywhere. The copy must
+// stay out of reads, through a catch-up too: nothing remembers what it
+// missed.
+func TestLostHintKeepsCopyStale(t *testing.T) {
+	c, err := NewReplicated(Options{
+		Nodes: 2, Replicas: 2, WriteQuorum: 1, Seed: 42,
+		ReplicaTimeout: 20 * time.Millisecond,
+		Retry:          retry.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
+		Node:           odh.Options{BatchSize: 8, GroupSize: 4, PoolPages: 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	seedReplicated(t, c, 1, 3)
+	var behind *shardCopy
+	c.forEachCopy(func(cp *shardCopy) error {
+		if cp.host == 1 && cp.shard == c.shardOf(1) {
+			behind = cp
+		}
+		return nil
+	})
+	behind.hints.Close() // the hint log dies under the coordinator
+	if err := c.StallNode(1, 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(model.Point{Source: 1, TS: 5000, Values: []float64{1, 1}}); err != nil {
+		t.Fatalf("write with one stalled replica at quorum 1: %v", err)
+	}
+	if err := c.HealNode(1); err != nil {
+		t.Fatal(err)
+	}
+	for behind.inflight.Load() > 0 { // the abandoned write finishes its stall
+		time.Sleep(time.Millisecond)
+	}
+	if c.Stats().HintsQueued != 0 {
+		t.Fatal("a hint was counted as queued on a closed hint log")
+	}
+	if err := c.readable(behind); !errors.Is(err, ErrReplicaStale) {
+		t.Fatalf("copy that lost a hint is readable (%v): it may answer short", err)
+	}
+	if err := c.CatchUp(1); !errors.Is(err, ErrReplicaStale) {
+		t.Fatalf("CatchUp over a lost hint = %v, want it to report the copy still stale", err)
+	}
+	if err := c.readable(behind); !errors.Is(err, ErrReplicaStale) {
+		t.Fatalf("catch-up made a copy that lost a hint readable (%v)", err)
+	}
+	// The healthy copy answers in full; without it the shard is reported
+	// missing, not answered short by the stale copy.
+	const q = `SELECT * FROM vehicle_v WHERE id = 1`
+	if res, err := c.Query(q); err != nil || len(res.Rows) != 4 {
+		t.Fatalf("query with the healthy copy up: %d rows, %v; want 4", len(res.Rows), err)
+	}
+	if err := c.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	var partial *sqlexec.PartialResultError
+	if _, err := c.Query(q); !errors.As(err, &partial) {
+		t.Fatalf("query with only the stale copy left = %v, want a partial-result error", err)
+	}
+}
+
 // TestNodeLossMidQuery makes a scatter read die partway through one
 // copy's scan: the node is restarted so its blob pages are out of the
 // buffer pool, then a read fault is armed so the scan starts cleanly and

@@ -37,14 +37,17 @@ type shardCopy struct {
 
 	h atomic.Pointer[odh.Historian] // nil once killed
 
-	// hints is the coordinator-side hinted-handoff log for this copy:
-	// WAL-point-encoded records the copy missed, in walog framing. A copy
-	// with pending hints is stale — excluded from reads — until CatchUp
-	// replays them.
+	// hints is the coordinator-side hinted-handoff log for this copy: one
+	// one-point frame record (tsstore.LogFrame) per write the copy missed.
+	// A copy with pending hints is stale — excluded from reads — until
+	// CatchUp replays them. hintLost is set when a hint could not be
+	// queued: the copy missed a write nothing remembers, so no catch-up
+	// makes it whole and it stays stale until it is rebuilt from a peer.
 	hints        *walog.Log
 	hintMu       sync.Mutex
 	pendingHints atomic.Int64
 	catchingUp   atomic.Bool
+	hintLost     atomic.Bool
 
 	// inflight counts writes handed to timeout goroutines that have not
 	// finished. Catch-up waits for it to reach zero so an abandoned slow
@@ -122,7 +125,7 @@ func (c *Cluster) writeCopy(cp *shardCopy, p model.Point) error {
 	if h == nil {
 		return ErrNodeDown
 	}
-	if cp.pendingHints.Load() > 0 || cp.catchingUp.Load() {
+	if cp.stale() {
 		// A stale copy takes new writes as hints, not directly: hints
 		// replay in arrival order, so per-source ordering survives the
 		// outage instead of interleaving old hinted points after new ones.
@@ -186,10 +189,17 @@ func (c *Cluster) withTimeout(op func() error) error {
 func (c *Cluster) hint(cp *shardCopy, p model.Point) {
 	cp.hintMu.Lock()
 	defer cp.hintMu.Unlock()
-	if err := cp.hints.Append(tsstore.EncodePointWAL(p)); err == nil {
-		cp.pendingHints.Add(1)
-		c.stats.hintsQueued.Add(1)
+	if err := tsstore.LogFrame(cp.hints, []model.Point{p}); err != nil {
+		cp.hintLost.Store(true)
+		return
 	}
+	cp.pendingHints.Add(1)
+	c.stats.hintsQueued.Add(1)
+}
+
+// stale reports whether a copy may be missing acked writes.
+func (cp *shardCopy) stale() bool {
+	return cp.pendingHints.Load() > 0 || cp.catchingUp.Load() || cp.hintLost.Load()
 }
 
 // readable reports whether a copy may answer reads: its node is up, its
@@ -199,7 +209,7 @@ func (c *Cluster) readable(cp *shardCopy) error {
 	if c.live(cp) == nil {
 		return ErrNodeDown
 	}
-	if cp.pendingHints.Load() > 0 || cp.catchingUp.Load() {
+	if cp.stale() {
 		return ErrReplicaStale
 	}
 	return nil
@@ -332,7 +342,7 @@ func (c *Cluster) catchUpCopy(cp *shardCopy) error {
 	}
 	cp.hintMu.Lock()
 	defer cp.hintMu.Unlock()
-	if cp.pendingHints.Load() == 0 && !cp.catchingUp.Load() {
+	if !cp.stale() {
 		return nil
 	}
 	// Wait out abandoned timed-out writes: one could otherwise apply its
@@ -357,6 +367,9 @@ func (c *Cluster) catchUpCopy(cp *shardCopy) error {
 	}
 	cp.pendingHints.Store(0)
 	cp.catchingUp.Store(false)
+	if cp.hintLost.Load() {
+		return fmt.Errorf("%w: shard %d copy %d lost a hint and must be rebuilt from a peer", ErrReplicaStale, cp.shard, cp.replica)
+	}
 	return nil
 }
 

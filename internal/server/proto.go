@@ -95,6 +95,10 @@ func DecodeBatchFrame(payload []byte) ([]odh.Point, error) {
 		return nil, fmt.Errorf("batch frame: %d points cannot fit in %d payload bytes", n, len(payload))
 	}
 	points := make([]odh.Point, 0, n)
+	// Every point's Values is carved from one slab that dies with the
+	// frame: whoever keeps a point copies it. It is sized by the bytes the
+	// payload holds beyond the point headers, not by a declared count.
+	slab := make([]float64, (len(payload)-batchHeaderBytes-n*pointHeaderBytes)/8)
 	off := batchHeaderBytes
 	for i := 0; i < n; i++ {
 		if off+pointHeaderBytes > len(payload) {
@@ -109,7 +113,12 @@ func DecodeBatchFrame(payload []byte) ([]odh.Point, error) {
 		if off+8*nvals > len(payload) {
 			return nil, fmt.Errorf("batch frame: point %d declares %d values past the payload end", i, nvals)
 		}
-		p.Values = make([]float64, nvals)
+		if nvals > len(slab) {
+			// The values sit where a later point's header must: the frame
+			// is rejected below, by the same check as ever.
+			slab = make([]float64, nvals)
+		}
+		p.Values, slab = slab[:nvals:nvals], slab[nvals:]
 		for j := 0; j < nvals; j++ {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
 			if math.IsInf(v, 0) {

@@ -323,3 +323,24 @@ func TestStatsCommand(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeBatchFrameAllocsFlat: a decoded frame costs the point slice
+// and one slab of values, whatever its point count — not an allocation
+// per point.
+func TestDecodeBatchFrameAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		points := make([]odh.Point, n)
+		for i := range points {
+			points[i] = odh.Point{Source: int64(i), TS: int64(i), Values: []float64{1, 2, 3, 4}}
+		}
+		payload := mustEncode(t, points)
+		return testing.AllocsPerRun(20, func() {
+			if got, err := DecodeBatchFrame(payload); err != nil || len(got) != n || got[n-1].Values[3] != 4 {
+				t.Fatalf("decoded %d points, %v", len(got), err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(1000); large > small || large > 2 {
+		t.Fatalf("a 1000-point frame decodes in %.0f allocations, a 10-point frame in %.0f: want 2 for both", large, small)
+	}
+}

@@ -19,6 +19,17 @@ import (
 // reopen over the same file sees is what the last checkpoint committed.
 func crashFixture(t *testing.T, file pagestore.File, logPath string) (*fixture, *walog.Log) {
 	t.Helper()
+	f, l, err := openCrashed(t, file, logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, l
+}
+
+// openCrashed is crashFixture with the failure of the store's Open (its
+// replay of the log) returned.
+func openCrashed(t *testing.T, file pagestore.File, logPath string) (*fixture, *walog.Log, error) {
+	t.Helper()
 	l, err := walog.Open(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -33,10 +44,7 @@ func crashFixture(t *testing.T, file pagestore.File, logPath string) (*fixture, 
 		t.Fatal(err)
 	}
 	st, err := Open(page, cat, Config{BatchSize: 1000, Log: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{store: st, cat: cat, page: page}, l
+	return &fixture{store: st, cat: cat, page: page}, l, err
 }
 
 // scanCount counts the points a full historical scan of source returns.
@@ -138,6 +146,13 @@ func TestFlushCommitOrdering(t *testing.T) {
 // skip exactly the points the store held before it began, buffered or
 // persisted, and never one it wrote itself.
 func TestRecoveryKeepsRepeatedTimestamps(t *testing.T) {
+	// The repeats sit in one frame record or in a record each: the dedup
+	// is per point either way.
+	t.Run("one call", func(t *testing.T) { testRecoveryKeepsRepeatedTimestamps(t, true) })
+	t.Run("a call per point", func(t *testing.T) { testRecoveryKeepsRepeatedTimestamps(t, false) })
+}
+
+func testRecoveryKeepsRepeatedTimestamps(t *testing.T, oneCall bool) {
 	logPath := filepath.Join(t.TempDir(), "ingest.wal")
 	l, err := walog.Open(logPath)
 	if err != nil {
@@ -146,10 +161,18 @@ func TestRecoveryKeepsRepeatedTimestamps(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 1000, Log: l}, 0)
 	ds := f.source(t, f.schema(t, "w", 1).ID, false, 10) // irregular: timestamps may repeat
 	logged := []int64{50, 100, 100, 100, 150}
+	var frame []model.Point
 	for i, ts := range logged {
-		if err := f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: []float64{float64(i)}}); err != nil {
-			t.Fatal(err)
+		frame = append(frame, model.Point{Source: ds.ID, TS: ts, Values: []float64{float64(i)}})
+	}
+	if !oneCall {
+		for _, p := range frame {
+			if err := f.store.Write(p); err != nil {
+				t.Fatal(err)
+			}
 		}
+	} else if err := f.store.WriteBatch(frame); err != nil {
+		t.Fatal(err)
 	}
 	l.Sync()
 	l.Close() // crash: nothing was flushed
@@ -186,4 +209,56 @@ func TestRecoveryKeepsRepeatedTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay("all held, persisted", 0, 5)
+}
+
+// TestMGRepeatAfterFullRowKept is the regression for a silent row loss: a
+// group member that repeats a timestamp after its MG row flushed full
+// opens a second row at the same key, and when that one flushes the merge
+// with the stored record used to take an equal timestamp for "the same
+// point" and drop the stored sample — while the same repeat into a
+// still-open row was kept (TestMGOverflowKeepsRepeatedSamples). Four
+// writes to a two-member irregular group are four rows, before a crash
+// and after the replay of their log.
+func TestMGRepeatAfterFullRowKept(t *testing.T) {
+	file := pagestore.NewMemFile()
+	logPath := filepath.Join(t.TempDir(), "ingest.wal")
+	f, l := crashFixture(t, file, logPath)
+	s := f.schema(t, "meter", 1)
+	a := f.source(t, s.ID, false, 900000) // irregular, 15 min -> MG, IRTS history
+	b := f.source(t, s.ID, false, 900000)
+	if err := f.store.Flush(); err != nil { // the catalog is committed, the log empty
+		t.Fatal(err)
+	}
+	check := func(when string, st *Store) {
+		t.Helper()
+		var sum float64
+		rows := 0
+		for _, ds := range []*model.DataSource{a, b} {
+			it, err := st.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range collect(t, it) {
+				sum += p.Values[0]
+				rows++
+			}
+		}
+		if rows != 4 || sum != 15 { // distinct powers of two: the sum names the samples present
+			t.Fatalf("%s: %d rows holding sample set %v, want 4 rows, set 15", when, rows, sum)
+		}
+	}
+	for i, src := range []int64{a.ID, b.ID, a.ID, b.ID} { // the second write fills the row, the fourth its successor
+		if err := f.store.Write(model.Point{Source: src, TS: 1000, Values: []float64{float64(int(1) << i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("written", f.store)
+	l.Close() // crash: the pages hold the catalog, the log the four writes
+
+	f2, _ := crashFixture(t, file, logPath)
+	check("replayed", f2.store)
+	if err := f2.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("replayed and flushed", f2.store)
 }

@@ -450,9 +450,9 @@ func (s *Store) WriteBatchParallel(points []model.Point, workers int) error {
 }
 
 // ingest is the one write path: the whole batch is validated first and,
-// when logged, appended to the recovery log with a single group commit
-// before any point enters a buffer — all under a shared hold of logMu, so
-// no checkpoint recycles a record whose point is not buffered yet.
+// when logged, appended to the recovery log as one frame record before any
+// point enters a buffer — all under a shared hold of logMu, so no
+// checkpoint recycles a record whose point is not buffered yet.
 func (s *Store) ingest(points []model.Point, workers int, logged bool) error {
 	rs := make([]resolved, len(points))
 	for i, p := range points {
@@ -465,11 +465,7 @@ func (s *Store) ingest(points []model.Point, workers int, logged bool) error {
 	if logged && s.cfg.Log != nil {
 		s.logMu.RLock()
 		defer s.logMu.RUnlock()
-		recs := make([][]byte, len(points))
-		for i, p := range points {
-			recs[i] = EncodePointWAL(p)
-		}
-		if err := s.cfg.Log.AppendBatch(recs); err != nil {
+		if err := LogFrame(s.cfg.Log, points); err != nil {
 			return err
 		}
 	}
@@ -705,13 +701,12 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 					continue
 				}
 				// Both the stored record and the new row carry a point for
-				// this member (a partial flush raced a late arrival). Keep
+				// this member (a partial flush raced a late arrival, or the
+				// member reported again after its row flushed full). Keep
 				// the new one in the record and preserve the old one
-				// through the per-source overflow path, unless it is a
-				// true duplicate.
-				if batch.Timestamps[i] == row.tss[slot] {
-					continue // replaced in place
-				}
+				// through the per-source overflow path — at an equal
+				// timestamp too: the two are distinct writes, exactly as
+				// when writeMG meets the repeat in a still-open row.
 				src := gb.members[slot]
 				if ds, ok := s.cat.Source(src); ok {
 					if err := s.writeHistoricalPoint(ds, gb.schema, model.Point{
@@ -810,20 +805,26 @@ func (s *Store) Replay(l *walog.Log) (applied, skipped int, err error) {
 	return s.replay(l, true)
 }
 
-// replay ingests a log of WAL-encoded points, skipping the records whose
-// points the store already held when the replay began. Crash recovery
-// (Open) needs it because Flush commits the page store before recycling
-// the log, so a crash between the two leaves records that are already
-// durable.
+// replay ingests the points of a log's records, skipping the ones the
+// store already held when the replay began. Crash recovery (Open) needs it
+// because Flush commits the page store before recycling the log, so a crash
+// between the two leaves records that are already durable.
 //
-// Asking per record whether a point at (source, ts) is visible would not
-// do: scans dirty-read the buffer the replay itself is filling, and an
+// Asking per point whether one at (source, ts) is visible would not do:
+// scans dirty-read the buffer the replay itself is filling, and an
 // irregular source may log several samples at one timestamp, so every
 // sample after the first would pass for a duplicate of it and be dropped.
-// Instead the first record at a (source, ts) counts the points visible
+// Instead the first point at a (source, ts) counts the points visible
 // there — the replay has written none yet — and only that many of the
-// log's records at that key are skipped. Nothing but the replay may write
+// log's points at that key are skipped. Nothing but the replay may write
 // to the store until it returns. Returns the points applied and skipped.
+//
+// The survivors are ingested in batches, a record's together and those of
+// small records (a hint log is one-point frames) gathered up to
+// replayBatch, so a replay costs one ingest — when logged, one group
+// commit — per batch and not per point. The count of a key is unaffected:
+// it is taken once, before any survivor at that key exists, and a write at
+// another key cannot change it.
 //
 // Memory is one small map entry per distinct (source, ts) in the log, so
 // it is bounded by the log's length: the recovery log is recycled at
@@ -832,35 +833,51 @@ func (s *Store) Replay(l *walog.Log) (applied, skipped int, err error) {
 // its source's timestamps move on — arrival order is not time order, and
 // a late record at a forgotten key would count the replay's own write.
 func (s *Store) replay(l *walog.Log, logged bool) (applied, skipped int, err error) {
+	const replayBatch = 4096
 	held := make(map[[2]int64]int) // (source, ts) -> held points no record has matched yet
-	err = l.Replay(func(payload []byte) error {
-		p, derr := DecodePointWAL(payload)
+	var pending []model.Point
+	flush := func() error {
+		err := s.ingest(pending, 1, logged)
+		pending = pending[:0]
+		return err
+	}
+	err = l.Replay(func(kind byte, payload []byte) error {
+		points, derr := decodeLogRecord(kind, payload)
 		if derr != nil {
 			return derr
 		}
-		key := [2]int64{p.Source, p.TS}
-		n, seen := held[key]
-		if !seen {
-			it, serr := s.HistoricalScan(p.Source, p.TS, p.TS+1, nil)
-			if serr != nil {
-				return serr
+		for _, p := range points {
+			key := [2]int64{p.Source, p.TS}
+			n, seen := held[key]
+			if !seen {
+				it, serr := s.HistoricalScan(p.Source, p.TS, p.TS+1, nil)
+				if serr != nil {
+					return serr
+				}
+				for _, ok := it.Next(); ok; _, ok = it.Next() {
+					n++
+				}
+				if serr = it.Err(); serr != nil {
+					return serr
+				}
 			}
-			for _, ok := it.Next(); ok; _, ok = it.Next() {
-				n++
+			if n > 0 {
+				held[key] = n - 1
+				skipped++
+				continue
 			}
-			if serr = it.Err(); serr != nil {
-				return serr
-			}
+			held[key] = 0
+			applied++
+			pending = append(pending, p)
 		}
-		if n > 0 {
-			held[key] = n - 1
-			skipped++
-			return nil
+		if len(pending) >= replayBatch {
+			return flush()
 		}
-		held[key] = 0
-		applied++
-		return s.ingest([]model.Point{p}, 1, logged)
+		return nil
 	})
+	if err == nil && len(pending) > 0 {
+		err = flush()
+	}
 	return applied, skipped, err
 }
 
@@ -972,46 +989,4 @@ func (s *Store) TreeSizes() (rts, irts, mg uint64) {
 // BlobBytesTotal reports total persisted ValueBlob bytes across structures.
 func (s *Store) BlobBytesTotal() uint64 {
 	return s.rts.ValueBytes() + s.irts.ValueBytes() + s.mg.ValueBytes()
-}
-
-// --- WAL point codec ---
-
-// EncodePointWAL seals one point into the recovery-log payload format
-// (varint source, varint ts, uvarint value count, float64 bits). The
-// cluster's replication layer reuses the same encoding for hinted-handoff
-// records, so a hint log replays with the same codec as a recovery log.
-func EncodePointWAL(p model.Point) []byte {
-	b := binary.AppendVarint(nil, p.Source)
-	b = binary.AppendVarint(b, p.TS)
-	b = binary.AppendUvarint(b, uint64(len(p.Values)))
-	for _, v := range p.Values {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
-}
-
-// DecodePointWAL is the inverse of EncodePointWAL.
-func DecodePointWAL(b []byte) (model.Point, error) {
-	var p model.Point
-	var n int
-	if p.Source, n = binary.Varint(b); n <= 0 {
-		return p, fmt.Errorf("tsstore: corrupt WAL point")
-	}
-	b = b[n:]
-	if p.TS, n = binary.Varint(b); n <= 0 {
-		return p, fmt.Errorf("tsstore: corrupt WAL point")
-	}
-	b = b[n:]
-	count, n := binary.Uvarint(b)
-	// Bound count before the length math: count*8 wraps for adversarial
-	// values, which would pass the check and then fail the allocation.
-	if n <= 0 || count > 1<<20 || uint64(len(b[n:])) < count*8 {
-		return p, fmt.Errorf("tsstore: corrupt WAL point")
-	}
-	b = b[n:]
-	p.Values = make([]float64, count)
-	for i := range p.Values {
-		p.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return p, nil
 }

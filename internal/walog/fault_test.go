@@ -54,15 +54,26 @@ func TestSyncOnAppendPolicy(t *testing.T) {
 	}
 }
 
+// TestSyncEveryPolicy pins what SyncEvery counts: records, whatever their
+// size and kind. The historian logs one record per ingest call, so under
+// SyncEvery: N a crash loses at most the last N acked calls — a
+// thousand-point frame counts once, like a single point.
 func TestSyncEveryPolicy(t *testing.T) {
 	l, ff := newFaultLog(t, Options{SyncEvery: 4})
+	frame := make([]byte, 40_000)
 	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte("p")); err != nil {
+		var err error
+		if i%2 == 0 {
+			err = l.Append([]byte("p"))
+		} else {
+			err = l.AppendKind(1, [][]byte{frame})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c := ff.Counters(); c.Syncs != 2 {
-		t.Fatalf("Syncs = %d with SyncEvery=4 over 10 appends, want 2", c.Syncs)
+		t.Fatalf("Syncs = %d with SyncEvery=4 over 10 one-record appends, want 2", c.Syncs)
 	}
 	// An explicit Sync resets the cadence counter.
 	if err := l.Sync(); err != nil {
@@ -71,8 +82,15 @@ func TestSyncEveryPolicy(t *testing.T) {
 	if err := l.Append([]byte("p")); err != nil {
 		t.Fatal(err)
 	}
-	if c := ff.Counters(); c.Syncs != 3 {
+	if c := ff.Counters(); c.Syncs != 2+1 {
 		t.Fatalf("Syncs = %d after explicit sync + 1 append, want 3", c.Syncs)
+	}
+	// An append of several records counts each of them.
+	if err := l.AppendKind(1, [][]byte{frame, frame, frame}); err != nil {
+		t.Fatal(err)
+	}
+	if c := ff.Counters(); c.Syncs != 2+1+1 {
+		t.Fatalf("Syncs = %d after a 3-record append on top of 1 unsynced record, want 4", c.Syncs)
 	}
 }
 
@@ -99,7 +117,7 @@ func TestTornAppendTruncatedOnReopen(t *testing.T) {
 		t.Fatalf("reopen after torn append: %v", err)
 	}
 	var got []string
-	if err := l2.Replay(func(p []byte) error {
+	if err := l2.Replay(func(_ byte, p []byte) error {
 		got = append(got, string(p))
 		return nil
 	}); err != nil {

@@ -31,7 +31,7 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 	}
 	wg.Wait()
 	seen := make(map[string]bool, writers*perWriter)
-	if err := l.Replay(func(p []byte) error {
+	if err := l.Replay(func(_ byte, p []byte) error {
 		if seen[string(p)] {
 			return fmt.Errorf("duplicate record %q", p)
 		}
@@ -116,7 +116,7 @@ func TestAppendBatchSingleCommit(t *testing.T) {
 		t.Fatalf("Records=%d GroupCommits=%d, want 100/1", st.Records, st.GroupCommits)
 	}
 	i := 0
-	if err := l.Replay(func(p []byte) error {
+	if err := l.Replay(func(_ byte, p []byte) error {
 		if string(p) != fmt.Sprintf("batch-%03d", i) {
 			return fmt.Errorf("record %d = %q out of order", i, p)
 		}
@@ -136,7 +136,7 @@ func TestAppendBatchEmptyAndOversized(t *testing.T) {
 	if err := l.AppendBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := l.AppendBatch([][]byte{make([]byte, maxRecord+1)}); err != ErrTooLarge {
+	if err := l.AppendBatch([][]byte{make([]byte, MaxRecord+1)}); err != ErrTooLarge {
 		t.Fatalf("oversized batch record: %v, want ErrTooLarge", err)
 	}
 	if l.Size() != 0 {
@@ -209,7 +209,7 @@ func TestTornGroupCommitRecovered(t *testing.T) {
 	}
 	defer l2.Close()
 	n := 0
-	if err := l2.Replay(func(p []byte) error {
+	if err := l2.Replay(func(_ byte, p []byte) error {
 		if string(p) != fmt.Sprintf("pre-%02d", n) {
 			return fmt.Errorf("record %d = %q", n, p)
 		}

@@ -27,12 +27,19 @@ import (
 	"sync/atomic"
 )
 
-// record framing: length u32, crc32(payload) u32, payload.
+// record framing: a u32 word holding the payload length in its low 24
+// bits and the record kind in its top byte, a crc32 u32, the payload. A
+// kind tells the consumer which payload format a record holds, so formats
+// can follow one another inside one file. The top byte was always zero
+// before kinds existed, so every older log reads as kind 0; a kind-0
+// checksum covers the payload alone, as it did then, any other kind's the
+// kind byte and then the payload.
 const recordHeader = 8
 
-// maxRecord bounds a single record so replay cannot allocate absurd sizes
-// from a corrupt length field.
-const maxRecord = 16 << 20
+// MaxRecord is the largest payload of a single record: what the 24-bit
+// length can say, which also bounds what replay allocates from a corrupt
+// length field.
+const MaxRecord = 1<<24 - 1
 
 // maxGroupReqs bounds how many waiting requests one group commit absorbs,
 // keeping worst-case commit latency and scratch growth bounded.
@@ -43,7 +50,7 @@ const maxGroupReqs = 1024
 const maxScratch = 4 << 20
 
 // ErrTooLarge reports an oversized append.
-var ErrTooLarge = fmt.Errorf("walog: record exceeds %d bytes", maxRecord)
+var ErrTooLarge = fmt.Errorf("walog: record exceeds %d bytes", MaxRecord)
 
 // ErrClosed reports an append to a closed log.
 var ErrClosed = errors.New("walog: log is closed")
@@ -69,7 +76,10 @@ type Options struct {
 	// append coalesced into the same batch.
 	SyncOnAppend bool
 	// SyncEvery, when > 0, syncs after every Nth record — an intermediate
-	// point on the durability/throughput curve. Ignored if SyncOnAppend.
+	// point on the durability/throughput curve: a crash loses at most the
+	// last N records. The historian logs one record per ingest call, so
+	// there N records are N acked calls of whatever size. Ignored if
+	// SyncOnAppend.
 	SyncEvery int
 }
 
@@ -84,11 +94,11 @@ type Stats struct {
 	Syncs int64
 }
 
-// appendReq is one waiting Append/AppendBatch call.
+// appendReq is one waiting append call.
 type appendReq struct {
-	single []byte   // one-record fast path (avoids a slice header alloc)
-	batch  [][]byte // multi-record path; nil when single is set
-	done   chan error
+	kind  byte // record kind of every payload of the request
+	batch [][]byte
+	done  chan error
 }
 
 var reqPool = sync.Pool{
@@ -156,16 +166,12 @@ func (l *Log) scanEnd() (int64, error) {
 		if _, err := l.f.ReadAt(hdr, off); err != nil {
 			return off, nil // EOF or short read: stop at last good record
 		}
-		length := binary.LittleEndian.Uint32(hdr)
-		want := binary.LittleEndian.Uint32(hdr[4:])
-		if length > maxRecord {
-			return off, nil
-		}
+		kind, length, want := parseHeader(hdr)
 		payload := make([]byte, length)
 		if _, err := l.f.ReadAt(payload, off+recordHeader); err != nil {
 			return off, nil
 		}
-		if crc32.ChecksumIEEE(payload) != want {
+		if checksum(kind, payload) != want {
 			return off, nil
 		}
 		off += recordHeader + int64(length)
@@ -204,15 +210,10 @@ func (l *Log) commitGroup(group []*appendReq) {
 	buf := l.scratch[:0]
 	records := 0
 	for _, r := range group {
-		if r.single != nil {
-			buf = appendRecord(buf, r.single)
-			records++
-			continue
-		}
 		for _, p := range r.batch {
-			buf = appendRecord(buf, p)
-			records++
+			buf = appendRecord(buf, r.kind, p)
 		}
+		records += len(r.batch)
 	}
 	l.scratch = buf
 	var err error
@@ -244,57 +245,63 @@ func (l *Log) commitGroup(group []*appendReq) {
 }
 
 // appendRecord seals one payload (header + body) onto buf.
-func appendRecord(buf, payload []byte) []byte {
+func appendRecord(buf []byte, kind byte, payload []byte) []byte {
 	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(kind)<<24|uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], checksum(kind, payload))
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
 }
 
-// submit enqueues a request and waits for its group to commit.
-func (l *Log) submit(req *appendReq) error {
+// parseHeader splits a record header into kind, payload length and crc.
+func parseHeader(hdr []byte) (kind byte, length int, crc uint32) {
+	word := binary.LittleEndian.Uint32(hdr)
+	return byte(word >> 24), int(word & MaxRecord), binary.LittleEndian.Uint32(hdr[4:])
+}
+
+// checksum is the crc a record of the given kind carries.
+func checksum(kind byte, payload []byte) uint32 {
+	if kind == 0 {
+		return crc32.ChecksumIEEE(payload)
+	}
+	return crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, payload)
+}
+
+// Append writes one record of kind 0 and applies the configured sync
+// policy. Under the default policy it does not sync; call Sync for
+// durability points. Concurrent appends are coalesced into one group
+// commit.
+func (l *Log) Append(payload []byte) error { return l.AppendKind(0, [][]byte{payload}) }
+
+// AppendBatch is AppendKind for records of kind 0.
+func (l *Log) AppendBatch(payloads [][]byte) error { return l.AppendKind(0, payloads) }
+
+// AppendKind writes every payload as its own record of the given kind
+// through a single group commit (one write, at most one fsync). It returns
+// when all of them are committed; records from concurrent appenders may
+// interleave between batches but each batch's records stay in order.
+func (l *Log) AppendKind(kind byte, payloads [][]byte) error {
+	if len(payloads) == 0 {
+		return nil
+	}
+	for _, p := range payloads {
+		if len(p) > MaxRecord {
+			return ErrTooLarge
+		}
+	}
 	l.sendMu.RLock()
 	if l.closed.Load() {
 		l.sendMu.RUnlock()
 		return ErrClosed
 	}
+	req := reqPool.Get().(*appendReq)
+	req.kind, req.batch = kind, payloads
 	l.reqs <- req
 	l.sendMu.RUnlock()
 	err := <-req.done
-	req.single, req.batch = nil, nil
+	req.batch = nil
 	reqPool.Put(req)
 	return err
-}
-
-// Append writes one record and applies the configured sync policy. Under
-// the default policy it does not sync; call Sync for durability points.
-// Concurrent appends are coalesced into one group commit.
-func (l *Log) Append(payload []byte) error {
-	if len(payload) > maxRecord {
-		return ErrTooLarge
-	}
-	req := reqPool.Get().(*appendReq)
-	req.single = payload
-	return l.submit(req)
-}
-
-// AppendBatch writes every payload as its own record through a single
-// group commit (one write, at most one fsync). It returns when all of
-// them are committed; records from concurrent appenders may interleave
-// between batches but each batch's records stay in order.
-func (l *Log) AppendBatch(payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	for _, p := range payloads {
-		if len(p) > maxRecord {
-			return ErrTooLarge
-		}
-	}
-	req := reqPool.Get().(*appendReq)
-	req.batch = payloads
-	return l.submit(req)
 }
 
 // Sync flushes appended records to stable storage.
@@ -322,19 +329,19 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Replay invokes fn for every valid record in order. A corrupt record ends
-// replay without error (bounded-loss semantics); other I/O failures are
-// reported.
-func (l *Log) Replay(fn func(payload []byte) error) error {
-	return l.Records(func(_ int64, payload []byte) error { return fn(payload) })
+// Replay invokes fn for every valid record in order with the record's kind.
+// A corrupt record ends replay without error (bounded-loss semantics);
+// other I/O failures are reported.
+func (l *Log) Replay(fn func(kind byte, payload []byte) error) error {
+	return l.Records(func(_ int64, kind byte, payload []byte) error { return fn(kind, payload) })
 }
 
 // Records invokes fn for every valid record in order, passing the byte
-// offset the record starts at — the exported record iteration used for
+// offset the record starts at and its kind — the exported record iteration used for
 // replication shipping and hinted-handoff replay, where a consumer resumes
 // from the offset it last acknowledged. Like Replay, a corrupt record ends
 // iteration without error; other I/O failures are reported.
-func (l *Log) Records(fn func(off int64, payload []byte) error) error {
+func (l *Log) Records(fn func(off int64, kind byte, payload []byte) error) error {
 	l.mu.Lock()
 	end := l.off
 	l.mu.Unlock()
@@ -347,19 +354,15 @@ func (l *Log) Records(fn func(off int64, payload []byte) error) error {
 			}
 			return fmt.Errorf("walog: replay: %w", err)
 		}
-		length := binary.LittleEndian.Uint32(hdr)
-		want := binary.LittleEndian.Uint32(hdr[4:])
-		if length > maxRecord {
-			return nil
-		}
+		kind, length, want := parseHeader(hdr)
 		payload := make([]byte, length)
 		if _, err := l.f.ReadAt(payload, off+recordHeader); err != nil {
 			return nil
 		}
-		if crc32.ChecksumIEEE(payload) != want {
+		if checksum(kind, payload) != want {
 			return nil
 		}
-		if err := fn(off, payload); err != nil {
+		if err := fn(off, kind, payload); err != nil {
 			return err
 		}
 		off += recordHeader + int64(length)

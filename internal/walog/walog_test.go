@@ -30,7 +30,7 @@ func TestAppendReplay(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	if err := l.Replay(func(p []byte) error {
+	if err := l.Replay(func(_ byte, p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	}); err != nil {
@@ -64,7 +64,7 @@ func TestReplayAfterReopen(t *testing.T) {
 	}
 	defer l2.Close()
 	n := 0
-	l2.Replay(func(p []byte) error { n++; return nil })
+	l2.Replay(func(_ byte, p []byte) error { n++; return nil })
 	if n != 10 {
 		t.Fatalf("replayed %d, want 10", n)
 	}
@@ -72,7 +72,7 @@ func TestReplayAfterReopen(t *testing.T) {
 	l2.Append([]byte{99})
 	n = 0
 	var last byte
-	l2.Replay(func(p []byte) error { n++; last = p[0]; return nil })
+	l2.Replay(func(_ byte, p []byte) error { n++; last = p[0]; return nil })
 	if n != 11 || last != 99 {
 		t.Fatalf("after reopen append: %d records, last %d", n, last)
 	}
@@ -106,7 +106,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("torn tail not truncated: size %d, want %d", l2.Size(), size)
 	}
 	n := 0
-	l2.Replay(func(p []byte) error { n++; return nil })
+	l2.Replay(func(_ byte, p []byte) error { n++; return nil })
 	if n != 2 {
 		t.Fatalf("replayed %d, want 2", n)
 	}
@@ -133,7 +133,7 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 	}
 	defer l2.Close()
 	n := 0
-	l2.Replay(func(p []byte) error { n++; return nil })
+	l2.Replay(func(_ byte, p []byte) error { n++; return nil })
 	if n != 1 {
 		t.Fatalf("replay past corruption: %d records", n)
 	}
@@ -149,7 +149,7 @@ func TestReset(t *testing.T) {
 		t.Fatalf("size after reset = %d", l.Size())
 	}
 	n := 0
-	l.Replay(func(p []byte) error { n++; return nil })
+	l.Replay(func(_ byte, p []byte) error { n++; return nil })
 	if n != 0 {
 		t.Fatal("records survived reset")
 	}
@@ -157,7 +157,7 @@ func TestReset(t *testing.T) {
 
 func TestTooLarge(t *testing.T) {
 	l, _ := openLog(t)
-	if err := l.Append(make([]byte, maxRecord+1)); err != ErrTooLarge {
+	if err := l.Append(make([]byte, MaxRecord+1)); err != ErrTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestReplayCallbackError(t *testing.T) {
 	l.Append([]byte("a"))
 	l.Append([]byte("b"))
 	wantErr := fmt.Errorf("stop")
-	err := l.Replay(func(p []byte) error { return wantErr })
+	err := l.Replay(func(_ byte, p []byte) error { return wantErr })
 	if err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}

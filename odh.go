@@ -114,9 +114,13 @@ type Options struct {
 	Recovery RecoveryMode
 	// WALSyncOnAppend fsyncs the recovery log after every append
 	// (zero loss, slowest); WALSyncEvery > 0 fsyncs every N appends
-	// instead. With neither set the log syncs only on flush/rotation,
-	// bounding loss to one batch per source. Concurrent appends are
-	// group-committed, so the fsync cost amortizes across writers.
+	// instead. An append is one ingest call — a Write, a WriteBatch, a
+	// wire BATCH frame — logged as one record whatever its point count,
+	// so WALSyncEvery: N bounds a power loss to the last N acked calls.
+	// With neither set the log syncs only at checkpoints (Flush), and a
+	// power loss costs what the OS had not written out since the last
+	// one. Concurrent appends are group-committed, so the fsync cost
+	// amortizes across writers.
 	WALSyncOnAppend bool
 	WALSyncEvery    int
 	// WALBacking overrides the recovery log's backing file (crash tests
@@ -474,8 +478,8 @@ func (h *Historian) Tables() []string { return h.rel.Tables() }
 // point acked before the call is in committed pages.
 func (h *Historian) Flush() error { return h.ts.Flush() }
 
-// ReplayLog writes the point records of l the historian does not already
-// hold, through the normal write path — so what it applies is itself
+// ReplayLog writes the points in l's records that the historian does not
+// already hold, in batches through the normal write path — so what it applies is itself
 // covered by the recovery log — and skips the rest: the same dedup Open
 // runs over its own log. It is how a cluster replays the hinted-handoff
 // log of a copy that missed writes; l is not modified.
@@ -501,9 +505,11 @@ type HistorianStats struct {
 	PoolMisses    int64
 	PoolEvictions int64
 	PoolHitRate   float64
-	// WALRecords / WALGroupCommits count recovery-log appends and the
-	// write syscalls that carried them; their ratio is the achieved
-	// group-commit coalescing factor. Zero when no log is attached.
+	// WALRecords / WALGroupCommits count recovery-log records and the
+	// write syscalls that carried them. A record is the frame of one
+	// ingest call, not a point, so their ratio — the group-commit
+	// coalescing factor — counts calls of different writers that shared
+	// a write. Zero when no log is attached.
 	WALRecords      int64
 	WALGroupCommits int64
 	// CorruptBlobsSkipped counts blobs quarantined by lenient scans.
