@@ -241,9 +241,9 @@ func dotCommand(h *odh.Historian, line string) bool {
 			fmt.Println("error:", err)
 			break
 		}
-		fmt.Printf("tiered %s (now=%d): coldCompacted=%d coldWritten=%d stubbed=%d bytes %d -> %d (reclaimed %d)\n",
-			fields[0], now, res.ColdCompacted, res.ColdWritten, res.Stubbed,
-			res.BytesBefore, res.BytesAfter, res.BytesReclaimed)
+		fmt.Printf("tiered %s (now=%d): %d records replaced by %d, stubbed=%d bytes %d -> %d (reclaimed %d)\n",
+			fields[0], now, res.Deleted, res.Rewritten, res.Stubbed,
+			res.BytesBefore, res.BytesAfter, res.BytesBefore-res.BytesAfter)
 	case ".schema":
 		for _, s := range h.Schemas() {
 			tags := make([]string, len(s.Tags))

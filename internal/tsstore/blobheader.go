@@ -331,6 +331,21 @@ func (h *blobHeader) payload() []byte { return h.b[h.payOff:] }
 // payload is gone. ok is false for a pre-summary blob (nothing to keep).
 func (h *blobHeader) stubLen() (int, bool) { return h.payOff, h.hasSummary() }
 
+// rekeyStub returns a stub as stored under the key timestamp to instead of
+// from. Of a stub's bytes the key anchors only the summary's first-row
+// offset — there is no payload whose timestamps it would anchor too — so
+// that offset is all that changes: the span, the sums and the sub-bucket
+// grid read the same under either key.
+func rekeyStub(stub []byte, from, to int64) []byte {
+	h, _ := parseBlobHeader(stub)
+	head := func(firstDelta int64) []byte {
+		return binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(nil, uint64(h.rows)), firstDelta), h.spanMs)
+	}
+	at := h.sumOff - len(head(h.firstDelta))
+	out := append(append([]byte(nil), stub[:at]...), head(h.firstDelta+from-to)...)
+	return append(out, stub[h.sumOff:]...)
+}
+
 // detached returns the header over a private copy of its own bytes, so the
 // decoded-blob cache can keep it without pinning the payload.
 func (h *blobHeader) detached() blobHeader {

@@ -211,14 +211,17 @@ func testRecoveryKeepsRepeatedTimestamps(t *testing.T, oneCall bool) {
 	replay("all held, persisted", 0, 5)
 }
 
-// TestMGRepeatAfterFullRowKept is the regression for a silent row loss: a
-// group member that repeats a timestamp after its MG row flushed full
-// opens a second row at the same key, and when that one flushes the merge
-// with the stored record used to take an equal timestamp for "the same
-// point" and drop the stored sample — while the same repeat into a
-// still-open row was kept (TestMGOverflowKeepsRepeatedSamples). Four
-// writes to a two-member irregular group are four rows, before a crash
-// and after the replay of their log.
+// TestMGRepeatAfterFullRowKept is the regression for two silent row
+// losses of four writes to a two-member irregular group. A member that
+// repeats a timestamp after its MG row flushed full opens a second row at
+// the same key, and when that one flushed, the merge with the stored
+// record took an equal timestamp for "the same point" and dropped the
+// stored sample — while the same repeat into a still-open row was kept
+// (TestMGOverflowKeepsRepeatedSamples). And the reorganizer put each
+// member's run at the key of the member's overflow record, replacing it.
+// The four writes are four rows before a crash, after the replay of their
+// log, after a reorganization — a second one plans nothing — and after a
+// reopen.
 func TestMGRepeatAfterFullRowKept(t *testing.T) {
 	file := pagestore.NewMemFile()
 	logPath := filepath.Join(t.TempDir(), "ingest.wal")
@@ -255,10 +258,76 @@ func TestMGRepeatAfterFullRowKept(t *testing.T) {
 	check("written", f.store)
 	l.Close() // crash: the pages hold the catalog, the log the four writes
 
+	f2, l2 := crashFixture(t, file, logPath)
+	check("replayed", f2.store)
+	if err := f2.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("replayed and flushed", f2.store)
+	if res, err := f2.store.ReorganizeGroup(a.Group, 10_000_000); err != nil || res.RowsMoved != 2 {
+		t.Fatalf("reorganize = %+v, %v; want 2 rows moved", res, err)
+	}
+	check("reorganized", f2.store)
+	if again, err := f2.store.ReorganizeGroup(a.Group, 10_000_000); err != nil || again != (MaintenanceResult{}) {
+		t.Fatalf("second reorganize = %+v, %v; want nothing read or written", again, err)
+	}
+	if err := f2.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	f3, _ := crashFixture(t, file, logPath)
+	check("reorganized and reopened", f3.store)
+}
+
+// TestRegularResendKeepsItsBatch is the regression for a regular source
+// losing a stored batch to a re-sent sample: the run that re-sends the
+// batch's first timestamp was put under the batch's key and replaced the
+// whole record — a full batch, its first sample again, one sample more, and
+// a full scan returned 2 rows while the catalog counted one batch and one
+// point too many. Under the collision rule the re-sent sample replaces the
+// one at its own timestamp and every other stored row stays: in memory,
+// after a crash leaves the writes to the recovery log, and in the
+// checkpoint that follows.
+func TestRegularResendKeepsItsBatch(t *testing.T) {
+	file := pagestore.NewMemFile()
+	logPath := filepath.Join(t.TempDir(), "ingest.wal")
+	f, l := crashFixture(t, file, logPath)
+	ds := f.source(t, f.schema(t, "r", 1).ID, true, 10)
+	if err := f.store.Flush(); err != nil { // the catalog is committed, the log empty
+		t.Fatal(err)
+	}
+	write := func(ts int64, v float64) {
+		t.Helper()
+		if err := f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: []float64{v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ { // one full batch, ts 0 to 9990
+		write(int64(i*10), float64(i))
+	}
+	write(0, -1) // its first sample again, with another value
+	write(10_000, 1000)
+	check := func(when string, st *Store) {
+		t.Helper()
+		it, err := st.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := collect(t, it)
+		if len(pts) != 1001 || pts[0].Values[0] != -1 || pts[1].Values[0] != 1 || pts[1000].TS != 10_000 {
+			t.Fatalf("%s: a full scan returns %d rows starting %v, want 1001 starting with the re-sent sample", when, len(pts), pts[:min(2, len(pts))])
+		}
+	}
+	check("written", f.store)
+	l.Close() // crash: the pages hold the catalog, the log every write
+
 	f2, _ := crashFixture(t, file, logPath)
 	check("replayed", f2.store)
 	if err := f2.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	check("replayed and flushed", f2.store)
+	if st := f2.cat.Stats(ds.ID); st.PointCount != 1001 || st.BatchCount != 2 {
+		t.Fatalf("statistics after the checkpoint: %+v, want 1001 points in 2 batches", st)
+	}
 }

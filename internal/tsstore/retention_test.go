@@ -21,11 +21,11 @@ func TestDropBeforeRTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RecordsDropped != 5 {
-		t.Fatalf("dropped %d records, want 5", res.RecordsDropped)
+	if res.Dropped != 5 {
+		t.Fatalf("dropped %d records, want 5", res.Dropped)
 	}
-	if res.BytesReclaimed <= 0 {
-		t.Fatal("no bytes reclaimed")
+	if res.BytesBefore <= 0 || res.BytesAfter != 0 {
+		t.Fatalf("bytes %d -> %d, want some reclaimed and nothing written", res.BytesBefore, res.BytesAfter)
 	}
 	it, _ := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
 	pts := collect(t, it)
@@ -37,7 +37,7 @@ func TestDropBeforeRTS(t *testing.T) {
 	}
 	// Idempotent.
 	res2, err := f.store.DropBefore(s.ID, 500)
-	if err != nil || res2.RecordsDropped != 0 {
+	if err != nil || res2.Dropped != 0 {
 		t.Fatalf("second drop: %+v %v", res2, err)
 	}
 }
@@ -55,7 +55,7 @@ func TestDropBeforeKeepsStraddlingBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RecordsDropped != 0 {
+	if res.Dropped != 0 {
 		t.Fatalf("straddling batch dropped: %+v", res)
 	}
 	it, _ := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
@@ -83,7 +83,7 @@ func TestDropBeforeMG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RecordsDropped == 0 {
+	if res.Dropped == 0 {
 		t.Fatal("nothing dropped from MG")
 	}
 	it, _ := f.store.SliceScanOpts(s.ID, 0, math.MaxInt64, nil, ScanOptions{})
@@ -119,7 +119,7 @@ func TestDropBeforeKeepsPointCount(t *testing.T) {
 	}
 	f.store.Flush()
 	res, err := f.store.DropBefore(s.ID, 65_000)
-	if err != nil || res.RecordsDropped == 0 {
+	if err != nil || res.Dropped == 0 {
 		t.Fatalf("drop: %+v err=%v", res, err)
 	}
 	it, _ := f.store.HistoricalScan(rts.ID, math.MinInt64, math.MaxInt64, nil)
@@ -215,6 +215,12 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
+// batches returns the record counts of the ranges a pass read, before and
+// after it.
+func batches(res MaintenanceResult) (before, after int) {
+	return res.Records, res.Records - res.Deleted + res.Rewritten
+}
+
 func TestCoalesceMergesSmallBatches(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16}, 0)
 	s := f.schema(t, "co", 1)
@@ -230,11 +236,12 @@ func TestCoalesceMergesSmallBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BatchesAfter >= res.BatchesBefore {
-		t.Fatalf("coalesce did not shrink: %d -> %d", res.BatchesBefore, res.BatchesAfter)
+	before, after := batches(res)
+	if after >= before {
+		t.Fatalf("coalesce did not shrink: %d -> %d", before, after)
 	}
-	if res.BatchesAfter > 6 { // 80 points / 16 per batch = 5
-		t.Fatalf("batches after = %d", res.BatchesAfter)
+	if after > 6 { // 80 points / 16 per batch = 5
+		t.Fatalf("batches after = %d", after)
 	}
 	// Data integrity: full ordered history survives.
 	it, _ := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
@@ -251,7 +258,7 @@ func TestCoalesceMergesSmallBatches(t *testing.T) {
 	}
 	// Stats stay consistent.
 	st := f.cat.Stats(ds.ID)
-	if st.PointCount != 80 || st.BatchCount != int64(res.BatchesAfter) {
+	if st.PointCount != 80 || st.BatchCount != int64(after) {
 		t.Fatalf("stats after coalesce: %+v", st)
 	}
 }
@@ -268,8 +275,8 @@ func TestCoalesceNoOpOnHealthyHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BatchesAfter != res.BatchesBefore {
-		t.Fatalf("healthy history rewritten: %d -> %d", res.BatchesBefore, res.BatchesAfter)
+	if res.Deleted != 0 || res.Rewritten != 0 {
+		t.Fatalf("healthy history rewritten: %+v", res)
 	}
 }
 
@@ -296,7 +303,7 @@ func TestCoalesceAfterMGOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BatchesAfter >= res.BatchesBefore {
+	if before, after := batches(res); after >= before {
 		t.Fatalf("no shrink: %+v", res)
 	}
 	it, _ := f.store.HistoricalScan(a.ID, 0, math.MaxInt64, nil)

@@ -1,6 +1,11 @@
 package tsstore
 
 import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"slices"
+
 	"odh/internal/btree"
 	"odh/internal/keyenc"
 	"odh/internal/model"
@@ -11,18 +16,6 @@ import (
 type stored struct {
 	ts   int64
 	blob []byte
-}
-
-// latch returns the shard whose lock covers the key range (tree, id): the
-// range's owner is the group for ts.mg and for the per-source range of a
-// source that ingests through MG, else the source itself (see walk.go).
-func (s *Store) latch(tree *btree.Tree, id int64) *shard {
-	if tree != s.mg {
-		if ds, ok := s.cat.Source(id); ok {
-			id = ownerOf(ds)
-		}
-	}
-	return s.shardFor(id)
 }
 
 // blobSpan reads a record's row count and timestamp bounds: from the
@@ -68,54 +61,51 @@ func recordStats(r stored) model.SourceStats {
 	return st
 }
 
+// change is one key's edit in a rewrite: the record stored there, if any,
+// and the record to store in its place; nil removes it.
+type change struct {
+	ts       int64
+	old, new []byte
+}
+
 // rewriteLocked is the only writer of the three batch trees: for the key
-// range (tree, id) it removes the records in del and stores the records
-// in put, drops their cached decodes, and applies the catalog statistics
-// delta, with row counts and bounds read from the records themselves. A
-// put at the key of a del replaces that record in place. The caller
-// holds s.latch(tree, id) exclusively, which makes the whole rewrite
-// atomic to every walker step of the range's owner.
-func (s *Store) rewriteLocked(tree *btree.Tree, id int64, del, put []stored) error {
+// range (tree, id) it applies changes in key order — the removals, then
+// the stores, one at a key that holds a record replacing it in place —
+// drops their cached decodes, and applies the catalog statistics delta,
+// with row counts and bounds read from the records themselves. The caller
+// holds the latch of the range's owner exclusively, which makes the whole
+// rewrite atomic to every walker step of the range's owner.
+func (s *Store) rewriteLocked(tree *btree.Tree, id int64, changes []change) error {
 	var minus, plus model.SourceStats
-	subtract := func(r stored) {
-		rows, _, _, _ := blobSpan(r)
-		minus.BatchCount--
-		minus.PointCount -= rows
-		minus.BlobBytes -= int64(len(r.blob))
-	}
-	// The cached decode goes even when the tree operation failed: a failed
-	// operation may still have dirtied pages.
-	invalidate := func(ts int64) {
-		if s.cache != nil {
-			s.cache.invalidateKey(blobKey{tree: s.treeID(tree), source: id, ts: ts})
-		}
-	}
-	var olds, news map[int64]stored // only a put at a del's key needs them
-	if len(del) > 0 && len(put) > 0 {
-		olds, news = byTS(del), byTS(put)
-	}
-	apply := func() error {
-		for _, r := range del {
-			if _, ok := news[r.ts]; ok {
-				continue // replaced in place by the put below
+	apply := func() (err error) {
+		for _, stores := range []bool{false, true} {
+			for _, c := range changes {
+				if (c.new != nil) != stores {
+					continue
+				}
+				if key := keyenc.SourceTime(id, c.ts); stores {
+					err = tree.Put(key, c.new)
+				} else {
+					err = tree.Delete(key)
+				}
+				// The cached decode goes even when the tree operation failed: a
+				// failed operation may still have dirtied pages.
+				if s.cache != nil {
+					s.cache.invalidateKey(blobKey{tree: s.treeID(tree), source: id, ts: c.ts})
+				}
+				if err != nil {
+					return err
+				}
+				if c.old != nil {
+					rows, _, _, _ := blobSpan(stored{ts: c.ts, blob: c.old})
+					minus.BatchCount--
+					minus.PointCount -= rows
+					minus.BlobBytes -= int64(len(c.old))
+				}
+				if stores {
+					plus.Merge(recordStats(stored{ts: c.ts, blob: c.new}))
+				}
 			}
-			err := tree.Delete(keyenc.SourceTime(id, r.ts))
-			invalidate(r.ts)
-			if err != nil {
-				return err
-			}
-			subtract(r)
-		}
-		for _, r := range put {
-			err := tree.Put(keyenc.SourceTime(id, r.ts), r.blob)
-			invalidate(r.ts)
-			if err != nil {
-				return err
-			}
-			if old, ok := olds[r.ts]; ok {
-				subtract(old)
-			}
-			plus.Merge(recordStats(r))
 		}
 		return nil
 	}
@@ -137,54 +127,193 @@ func (s *Store) rewriteLocked(tree *btree.Tree, id int64, del, put []stored) err
 	return err
 }
 
-// byTS indexes records by base timestamp.
-func byTS(recs []stored) map[int64]stored {
-	m := make(map[int64]stored, len(recs))
-	for _, r := range recs {
-		m[r.ts] = r
-	}
-	return m
+// rangePlan is a rewrite of one key range (tree, id) in the making. at
+// answers what the plan has at a key — what it put there, else what it
+// read, else, outside the keys read, what the tree holds — so that a put
+// sees what it lands on. The caller holds the range's latch throughout.
+type rangePlan struct {
+	s        *Store
+	tree     *btree.Tree
+	id       int64             // source id, or group id in ts.mg
+	ds       *model.DataSource // nil in ts.mg
+	schema   *model.SchemaType
+	lo, hi   int64            // every record keyed in [lo, hi) is in old
+	old, now map[int64][]byte // as stored; as planned where that differs (nil: removed)
 }
 
-// rewriteRange is the maintenance entry to rewriteLocked: under the
-// range's latch it reads the records of (tree, id) keyed in [lo, hi),
-// lets plan choose what to remove and what to store, applies that, and
-// returns what it applied. Nothing is applied (and nothing returned) when
-// a put would land on the key of a record the plan keeps — after
-// out-of-order ingest a re-split run can share a first timestamp with a
-// record outside the edit, and Put would overwrite it. The collision is
-// vanishingly rare; the pass skips the range this round.
-func (s *Store) rewriteRange(tree *btree.Tree, id, lo, hi int64, plan func(recs []stored) (del, put []stored, err error)) (del, put []stored, err error) {
-	sh := s.latch(tree, id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	recs, err := readRange(&home{tree: tree, id: id}, lo, hi)
-	if err != nil {
-		return nil, nil, err
+func (s *Store) newPlan(tree *btree.Tree, id int64, ds *model.DataSource, schema *model.SchemaType) *rangePlan {
+	return &rangePlan{s: s, tree: tree, id: id, ds: ds, schema: schema, old: map[int64][]byte{}, now: map[int64][]byte{}}
+}
+
+// at returns the record the plan has at ts.
+func (p *rangePlan) at(ts int64) ([]byte, bool, error) {
+	if blob, ok := p.now[ts]; ok {
+		return blob, blob != nil, nil
 	}
-	if del, put, err = plan(recs); err != nil {
-		return nil, nil, err
+	if blob, ok := p.old[ts]; ok || (ts >= p.lo && ts < p.hi) {
+		return blob, ok, nil
 	}
-	if len(put) > 0 {
-		olds, news := byTS(del), byTS(put)
-		for _, r := range recs {
-			if _, stored := news[r.ts]; stored {
-				if _, removed := olds[r.ts]; !removed {
-					return nil, nil, nil
-				}
-			}
+	blob, err := p.tree.Get(keyenc.SourceTime(p.id, ts))
+	if err == nil {
+		p.old[ts] = blob
+	} else if err == btree.ErrNotFound {
+		err = nil
+	}
+	return blob, blob != nil, err
+}
+
+// records returns the plan's records keyed in [lo, hi), in key order.
+func (p *rangePlan) records() (out []stored) {
+	for ts := range p.old {
+		if _, moved := p.now[ts]; !moved && ts >= p.lo && ts < p.hi {
+			out = append(out, stored{ts: ts, blob: p.old[ts]})
 		}
 	}
-	if err := s.rewriteLocked(tree, id, del, put); err != nil {
-		return nil, nil, err
+	for ts, blob := range p.now {
+		if blob != nil && ts >= p.lo && ts < p.hi {
+			out = append(out, stored{ts: ts, blob: blob})
+		}
 	}
-	return del, put, nil
+	slices.SortFunc(out, func(a, b stored) int { return cmp.Compare(a.ts, b.ts) })
+	return out
 }
 
-// blobBytes totals the encoded size of records.
-func blobBytes(recs []stored) (n int64) {
-	for _, r := range recs {
-		n += int64(len(r.blob))
+// put plans rec at its key under the collision rule, which ingest and
+// maintenance share: the record the plan has there is never overwritten.
+// The two merge into one record of the later tier (mergeRows keeps the
+// rows), or, when one is a stub and has no rows to merge, the stub steps
+// aside a millisecond, under the same rule — a stub's key is only where a
+// seek finds it. pts are rec's rows; nil decodes them on a collision.
+func (p *rangePlan) put(rec stored, pts []model.Point) error {
+	occ, taken, err := p.at(rec.ts)
+	if err != nil || !taken {
+		p.now[rec.ts] = rec.blob
+		return err
 	}
-	return n
+	if BlobTier(occ) == TierStub || BlobTier(rec.blob) == TierStub {
+		if BlobTier(occ) != TierStub {
+			occ, rec.blob = rec.blob, occ
+		}
+		p.now[rec.ts] = rec.blob
+		return p.put(stored{ts: rec.ts - 1, blob: rekeyStub(occ, rec.ts, rec.ts-1)}, nil)
+	}
+	picked, rows := decodeRecords(p.id, []stored{{ts: rec.ts, blob: occ}})
+	if len(picked) == 0 {
+		return fmt.Errorf("tsstore: %s source=%d ts=%d: a put meets a record that does not decode: %w", p.tree.Name(), p.id, rec.ts, ErrCorruptBlob)
+	}
+	if pts == nil {
+		_, pts = decodeRecords(p.id, []stored{rec})
+	}
+	opts := p.s.encodeOptsFor(p.schema)
+	if BlobTier(occ) == TierCold || BlobTier(rec.blob) == TierCold {
+		opts = p.s.coldOpts(p.schema)
+	}
+	p.now[rec.ts] = encodeRun(p.ds, p.schema, mergeRows(rows, pts, p.ds.Regular), opts)
+	return nil
+}
+
+// putRuns puts a sorted run of the source's points as records of at most
+// batchSize points (splitBatchRuns).
+func (p *rangePlan) putRuns(pts []model.Point, opts encodeOpts, batchSize int) error {
+	for _, run := range splitBatchRuns(pts, p.ds, batchSize) {
+		if err := p.put(stored{ts: run[0].TS, blob: encodeRun(p.ds, p.schema, run, opts)}, run); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// plan returns the plan's changes in key order. A record it leaves as it
+// was — also one it removed and put back byte for byte — is not among
+// them, so a plan that changes nothing applies nothing.
+func (p *rangePlan) plan() (changes []change) {
+	for ts, blob := range p.now {
+		if old, had := p.old[ts]; (had || blob != nil) && !(had && blob != nil && bytes.Equal(old, blob)) {
+			changes = append(changes, change{ts: ts, old: old, new: blob})
+		}
+	}
+	slices.SortFunc(changes, func(a, b change) int { return cmp.Compare(a.ts, b.ts) })
+	return changes
+}
+
+// mergeRows is the row half of the collision rule: the rows of one record
+// when a sorted run arrives at the key of a stored one, sorted, stored rows
+// first at a shared timestamp. An irregular source may sample twice at one
+// timestamp, so every row stays; a regular source samples once per
+// timestamp, so an arriving sample replaces the stored one at its own
+// timestamp and every other stored row stays.
+func mergeRows(old, arriving []model.Point, regular bool) []model.Point {
+	replaced := map[int64]bool{}
+	for _, p := range arriving {
+		replaced[p.TS] = regular
+	}
+	out := make([]model.Point, 0, len(old)+len(arriving))
+	for _, p := range old {
+		if !replaced[p.TS] {
+			out = append(out, p)
+		}
+	}
+	out = append(out, arriving...)
+	sortPoints(out)
+	return out
+}
+
+// decodeRecords decodes records into one timestamp-sorted point run — the
+// read half of every content-preserving rewrite. It returns the records it
+// decoded; unreadable ones are left for fsck, never destroyed.
+func decodeRecords(source int64, recs []stored) (picked []stored, pts []model.Point) {
+	for _, r := range recs {
+		batch, err := DecodeBlob(r.blob, r.ts, nil)
+		if err != nil {
+			continue
+		}
+		for i, ts := range batch.Timestamps {
+			pts = append(pts, model.Point{Source: source, TS: ts, Values: batch.Rows[i]})
+		}
+		picked = append(picked, r)
+	}
+	// Batches can overlap after out-of-order ingest: restore global order,
+	// stably, so rows at one timestamp keep their record order.
+	sortPoints(pts)
+	return picked, pts
+}
+
+// sortPoints sorts points by timestamp, stably.
+func sortPoints(pts []model.Point) {
+	slices.SortStableFunc(pts, func(a, b model.Point) int { return cmp.Compare(a.TS, b.TS) })
+}
+
+// encodeRun encodes one batch run in the source's per-source structure.
+func encodeRun(ds *model.DataSource, schema *model.SchemaType, run []model.Point, opts encodeOpts) []byte {
+	if ds.Regular {
+		return EncodeRTS(run, len(schema.Tags), ds.IntervalMs, opts)
+	}
+	return EncodeIRTS(run, len(schema.Tags), opts)
+}
+
+// splitBatchRuns partitions a sorted point slice into batch runs of at
+// most batchSize points, splitting RTS runs at sampling gaps and capping
+// each run's time span at batchSize sampling intervals so batches stay
+// aligned with the data's natural cadence; retention (which drops whole
+// batches) then keeps working after reorganization, coalescing, and cold
+// compaction. The returned runs alias pts.
+func splitBatchRuns(pts []model.Point, ds *model.DataSource, batchSize int) [][]model.Point {
+	maxSpan := int64(0)
+	if ds.IntervalMs > 0 {
+		maxSpan = int64(batchSize) * ds.IntervalMs
+	}
+	var runs [][]model.Point
+	start := 0
+	for i := 1; i < len(pts); i++ {
+		gap := ds.Regular && pts[i].TS != pts[i-1].TS+ds.IntervalMs
+		tooWide := maxSpan > 0 && pts[i].TS-pts[start].TS >= maxSpan
+		if gap || tooWide || i-start >= batchSize {
+			runs = append(runs, pts[start:i])
+			start = i
+		}
+	}
+	if start < len(pts) {
+		runs = append(runs, pts[start:])
+	}
+	return runs
 }

@@ -243,15 +243,17 @@ func TestUpgradeRederivesStatistics(t *testing.T) {
 
 // TestSpanBoundsUnderMutation is the property behind the bounded lookback:
 // whatever order out-of-order and duplicate-timestamp ingest, late and
-// repeated MG samples, flushes, coalescing, cold and stub passes, group
-// reorganization and the upgrade pass run in, after every one of them the
-// statistics of every home account for each of its records (the fsck
-// check), and short windows at random places read exactly the rows written
-// there — through the slice scan, the historical scan and the slice
-// aggregate, against a filter of everything written and of a full-history
-// scan.
+// repeated MG samples (exact repeats of a member's newest timestamp too),
+// flushes, coalescing, cold and stub passes, group reorganization and the
+// upgrade pass run in, after every one of them the statistics of every home
+// account for each of its records (the fsck check), and short windows at
+// random places read exactly the rows written there — through the slice
+// scan, the historical scan and the slice aggregate, against a filter of
+// everything written and of a full-history scan. And every maintenance
+// pass is idempotent: run again at once with the same policy, it rewrites
+// nothing.
 func TestSpanBoundsUnderMutation(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { spanBoundsRun(t, seed) })
 	}
 }
@@ -261,9 +263,9 @@ func spanBoundsRun(t *testing.T, seed int64) {
 	f := newFixture(t, Config{BatchSize: 16, MaxOpenMGRows: 3, BlobCacheBytes: 64 << 10}, 4)
 	s := f.schema(t, "span", 2)
 	type stream struct {
-		ds   *model.DataSource
-		cur  int64          // newest timestamp written
-		used map[int64]bool // MG members: timestamps written (an exact repeat would replace)
+		ds  *model.DataSource
+		cur int64 // newest timestamp written
+		mg  bool  // a group member
 	}
 	var streams []*stream
 	streams = append(streams, &stream{ds: f.source(t, s.ID, true, 100)})
@@ -271,7 +273,7 @@ func spanBoundsRun(t *testing.T, seed int64) {
 		streams = append(streams, &stream{ds: f.source(t, s.ID, false, 100)})
 	}
 	for i := 0; i < 4; i++ {
-		streams = append(streams, &stream{ds: f.source(t, s.ID, false, 1500), used: map[int64]bool{}})
+		streams = append(streams, &stream{ds: f.source(t, s.ID, false, 1500), mg: true})
 	}
 	group := streams[len(streams)-1].ds.Group
 	if group == 0 || streams[0].ds.Group != 0 {
@@ -298,23 +300,23 @@ func spanBoundsRun(t *testing.T, seed int64) {
 					step *= int64(2 + rng.Intn(30))
 				}
 				write(st, st.cur+step)
-			case st.used == nil && r < 20: // repeats the newest timestamp
+			case !st.mg && r < 20: // repeats the newest timestamp
 				write(st, st.cur)
-			case st.used == nil && r < 30: // out of order
+			case !st.mg && r < 30: // out of order
 				write(st, st.cur-1-rng.Int63n(3000))
-			case st.used == nil:
+			case !st.mg:
 				write(st, st.cur+rng.Int63n(150))
-			default: // an MG member: the next window, the same one again, or a late one
+			default: // an MG member: its newest timestamp again, the same window, a late one, or the next
 				ts := st.cur + 1100 + rng.Int63n(800)
-				if r < 15 {
+				switch {
+				case r < 8:
+					ts = st.cur
+				case r < 15:
 					ts = st.cur + 1 + rng.Int63n(200)
-				} else if r < 30 {
+				case r < 30:
 					ts = st.cur - 1 - rng.Int63n(6000)
 				}
-				if !st.used[ts] {
-					st.used[ts] = true
-					write(st, ts)
-				}
+				write(st, ts)
 			}
 		}
 	}
@@ -325,28 +327,34 @@ func spanBoundsRun(t *testing.T, seed int64) {
 		}
 		return ts
 	}
+	// A maintenance op draws its policy and returns the pass, which the
+	// loop below runs twice.
+	type pass func() (MaintenanceResult, error)
 	ops := []struct {
 		name   string
 		weight int
-		run    func() error
+		draw   func() pass
 	}{
-		{"burst", 55, func() error { burst(); return nil }},
-		{"flush", 8, func() error { return f.store.Flush() }},
-		{"coalesce", 8, func() error { _, err := f.store.Coalesce(s.ID); return err }},
-		{"cold", 8, func() error {
-			_, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1 + rng.Int63n(20_000), ColdBatchPoints: 64}, oldest())
-			return err
+		{"burst", 55, func() pass { burst(); return nil }},
+		{"flush", 8, func() pass { return func() (MaintenanceResult, error) { return MaintenanceResult{}, f.store.Flush() } }},
+		{"coalesce", 8, func() pass { return func() (MaintenanceResult, error) { return f.store.Coalesce(s.ID) } }},
+		{"cold", 8, func() pass {
+			pol, now := TierPolicy{ColdAfterMs: 1 + rng.Int63n(20_000), ColdBatchPoints: 64}, oldest()
+			return func() (MaintenanceResult, error) { return f.store.TierSchema(s.ID, pol, now) }
 		}},
 		// No write lands more than 6 s behind its stream's newest, so nothing
 		// is ever written below a stub cutoff.
-		{"cold+stub", 5, func() error {
+		{"cold+stub", 5, func() pass {
 			now, after := oldest(), 10_000+rng.Int63n(20_000)
-			_, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: after / 2, StubAfterMs: after, ColdBatchPoints: 64}, now)
+			pol := TierPolicy{ColdAfterMs: after / 2, StubAfterMs: after, ColdBatchPoints: 64}
 			floor = max(floor, now-after)
-			return err
+			return func() (MaintenanceResult, error) { return f.store.TierSchema(s.ID, pol, now) }
 		}},
-		{"reorganize", 8, func() error { _, err := f.store.ReorganizeGroup(group, oldest()-rng.Int63n(20_000)); return err }},
-		{"upgrade", 8, func() error { _, err := f.store.UpgradeBlobs(); return err }},
+		{"reorganize", 8, func() pass {
+			upTo := oldest() - rng.Int63n(20_000)
+			return func() (MaintenanceResult, error) { return f.store.ReorganizeGroup(group, upTo) }
+		}},
+		{"upgrade", 8, func() pass { return f.store.UpgradeBlobs }},
 	}
 	total := 0
 	for _, op := range ops {
@@ -439,10 +447,19 @@ func spanBoundsRun(t *testing.T, seed int64) {
 		r := rng.Intn(total)
 		for _, op := range ops {
 			if r -= op.weight; r < 0 {
-				if err := op.run(); err != nil {
-					t.Fatalf("op %d (%s): %v", i, op.name, err)
+				run := op.draw()
+				if run != nil {
+					if _, err := run(); err != nil {
+						t.Fatalf("op %d (%s): %v", i, op.name, err)
+					}
 				}
 				check(fmt.Sprintf("op %d (%s)", i, op.name))
+				if run != nil {
+					again, err := run()
+					if err != nil || again.Deleted+again.Rewritten+again.Stubbed+again.Dropped+again.RowsMoved+again.StatsMoved != 0 {
+						t.Fatalf("op %d (%s) run again: %+v, %v; want nothing rewritten", i, op.name, again, err)
+					}
+				}
 				break
 			}
 		}

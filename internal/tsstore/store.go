@@ -1,7 +1,6 @@
 package tsstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -165,7 +164,6 @@ type Store struct {
 	cat  *catalog.Catalog
 
 	rts, irts, mg *btree.Tree
-	watermarks    *btree.Tree // group id -> reorg watermark ts
 
 	shards    []*shard
 	shardMask uint32
@@ -310,9 +308,6 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 		return nil, err
 	}
 	if s.mg, err = btree.Open(store, "ts.mg"); err != nil {
-		return nil, err
-	}
-	if s.watermarks, err = btree.Open(store, "ts.wm"); err != nil {
 		return nil, err
 	}
 	if s.cfg.BlobCacheBytes > 0 {
@@ -602,7 +597,8 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 		// low-frequency sources occasionally do this; the extra point goes
 		// straight to the member's per-source historical structure, which
 		// every scan already merges with MG.
-		return s.writeHistoricalPoint(ds, schema, p)
+		_, err := s.putRunLocked(ds, schema, []model.Point{p})
+		return err
 	}
 	row.reported++
 	row.present[slot] = true
@@ -627,7 +623,7 @@ func (s *Store) flushSourceLocked(sh *shard, buf *sourceBuffer) error {
 	if len(buf.points) == 0 {
 		return nil
 	}
-	blob, err := s.putRunLocked(buf.ds, buf.schema, buf.ds.IngestStructure(), buf.points)
+	blob, err := s.putRunLocked(buf.ds, buf.schema, buf.points)
 	if err != nil {
 		return err
 	}
@@ -640,15 +636,13 @@ func (s *Store) flushSourceLocked(sh *shard, buf *sourceBuffer) error {
 // putRunLocked stores one timestamp-ordered run of a source's points as a
 // single record of its per-source tree and returns the encoded blob. The
 // run's first timestamp is the record key, and a record may already sit
-// under it: an out-of-order run, or a group member's repeated sample
-// overflowing its MG row, can start where a stored batch starts. Irregular
-// sources may repeat a timestamp, so these are distinct samples: the
-// batches merge under the shared key rather than the new one replacing
-// the old. (A regular source has one sample per interval, so its run does
-// replace.) Caller holds the source's latch.
-func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, structure model.Structure, pts []model.Point) ([]byte, error) {
-	tree := s.treeFor(structure)
-	var old []stored
+// under it — after an out-of-order run, a regular source re-sending a
+// stored sample, or a group member's repeated sample overflowing its MG
+// row — so the run is put under the collision rule maintenance puts by
+// (rangePlan.put), which loses no stored row. Caller holds the source's
+// latch.
+func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, pts []model.Point) ([]byte, error) {
+	p := s.newPlan(s.treeFor(ds.HistoricalStructure()), ds.ID, ds, schema)
 	// The catalog's bounds for the source's per-source records answer the
 	// common case — a run newer than anything stored has no record at its
 	// key — without a lookup in the tree, whose lock every scan of the
@@ -656,24 +650,13 @@ func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, str
 	// record's last timestamp, hence above every key. Statistics that count
 	// no batch (none stored yet, or the entry was lost or unreadable) vouch
 	// for nothing, and the tree is asked.
-	mayCollide := false
-	if structure == model.IRTS {
-		st := s.cat.Stats(ds.ID)
-		mayCollide = st.Unknown || st.BatchCount <= 0 || pts[0].TS <= st.LastTS
+	if st := s.cat.Stats(ds.ID); !st.Unknown && st.BatchCount > 0 && pts[0].TS > st.LastTS {
+		p.lo, p.hi = pts[0].TS, math.MaxInt64
 	}
-	if mayCollide {
-		existing, err := tree.Get(keyenc.SourceTime(ds.ID, pts[0].TS))
-		if err == nil {
-			old = []stored{{ts: pts[0].TS, blob: existing}}
-			_, was := decodeRecords(ds.ID, old, nil)
-			pts = append(was, pts...)
-			insertionSortPoints(pts)
-		} else if err != btree.ErrNotFound {
-			return nil, err
-		}
+	if err := p.put(stored{ts: pts[0].TS, blob: encodeRun(ds, schema, pts, s.encodeOptsFor(schema))}, pts); err != nil {
+		return nil, err
 	}
-	blob := encodeRun(ds, schema, pts, structure, s.encodeOptsFor(schema))
-	return blob, s.rewriteLocked(tree, ds.ID, old, []stored{{ts: pts[0].TS, blob: blob}})
+	return p.now[pts[0].TS], s.rewriteLocked(p.tree, ds.ID, p.plan())
 }
 
 // flushMGRowLocked persists and removes one group row, merging with any
@@ -685,9 +668,8 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 	if !ok {
 		return nil
 	}
-	var old []stored
-	if existing, err := s.mg.Get(keyenc.SourceTime(gb.group, ts)); err == nil {
-		old = []stored{{ts: ts, blob: existing}}
+	existing, err := s.mg.Get(keyenc.SourceTime(gb.group, ts))
+	if err == nil {
 		if batch, derr := DecodeBlob(existing, ts, nil); derr == nil {
 			for i, slot := range batch.Slots {
 				if slot >= len(row.present) {
@@ -709,9 +691,9 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 				// when writeMG meets the repeat in a still-open row.
 				src := gb.members[slot]
 				if ds, ok := s.cat.Source(src); ok {
-					if err := s.writeHistoricalPoint(ds, gb.schema, model.Point{
+					if _, err := s.putRunLocked(ds, gb.schema, []model.Point{{
 						Source: src, TS: batch.Timestamps[i], Values: batch.Rows[i],
-					}); err != nil {
+					}}); err != nil {
 						return err
 					}
 				}
@@ -729,7 +711,7 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 	blob := EncodeMG(row.present, row.values, offsets, len(gb.schema.Tags), s.encodeOptsFor(gb.schema))
 	// An MG row merge overwrites the record in place during ordinary
 	// ingest, not just on maintenance.
-	if err := s.rewriteLocked(s.mg, gb.group, old, []stored{{ts: ts, blob: blob}}); err != nil {
+	if err := s.rewriteLocked(s.mg, gb.group, []change{{ts: ts, old: existing, new: blob}}); err != nil {
 		return err
 	}
 	delete(gb.rows, ts)
@@ -879,21 +861,6 @@ func (s *Store) replay(l *walog.Log, logged bool) (applied, skipped int, err err
 		err = flush()
 	}
 	return applied, skipped, err
-}
-
-// watermark returns the reorg watermark of a group (math.MinInt64 when
-// nothing was reorganized yet).
-func (s *Store) watermark(group int64) int64 {
-	v, err := s.watermarks.Get(keyenc.AppendInt64(nil, group))
-	if err != nil || len(v) != 8 {
-		return math.MinInt64
-	}
-	return int64(binary.LittleEndian.Uint64(v))
-}
-
-func (s *Store) setWatermark(group, ts int64) error {
-	return s.watermarks.Put(keyenc.AppendInt64(nil, group),
-		binary.LittleEndian.AppendUint64(nil, uint64(ts)))
 }
 
 // lenient reports whether scans quarantine corrupt blobs.

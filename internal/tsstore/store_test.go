@@ -210,7 +210,7 @@ func TestIRTSSharedKeyMergesWithoutStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pts := decodeRecords(ds.ID, []stored{{ts: 1000, blob: blob}}, nil)
+	_, pts := decodeRecords(ds.ID, []stored{{ts: 1000, blob: blob}})
 	if len(pts) != 3 || pts[0].TS != 1000 || pts[1].TS != 1000 || pts[2].TS != 2000 {
 		t.Fatalf("record after shared-key flush: %+v", pts)
 	}
@@ -462,11 +462,11 @@ func TestReorganizeMGToRTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RecordsConverted != 7 {
-		t.Fatalf("converted %d records, want 7", res.RecordsConverted)
+	if res.Records != 7 || res.Deleted != 7 {
+		t.Fatalf("converted %d of %d records read, want 7 of 7", res.Deleted, res.Records)
 	}
-	if res.PointsMoved != 28 {
-		t.Fatalf("moved %d points, want 28", res.PointsMoved)
+	if res.RowsMoved != 28 {
+		t.Fatalf("moved %d points, want 28", res.RowsMoved)
 	}
 	rts, _, mg := f.store.TreeSizes()
 	if mg != 3 {
@@ -486,7 +486,7 @@ func TestReorganizeMGToRTS(t *testing.T) {
 			t.Fatalf("round %d wrong after reorg: %v", round, p.Values)
 		}
 	}
-	// Slice scans must also stitch across the watermark.
+	// Slice scans must also stitch across the reorganized boundary.
 	it2, _ := f.store.SliceScanOpts(s.ID, 0, math.MaxInt64, nil, ScanOptions{})
 	if got := len(collect(t, it2)); got != rounds*4 {
 		t.Fatalf("slice after reorg = %d, want %d", got, rounds*4)
@@ -496,8 +496,50 @@ func TestReorganizeMGToRTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.RecordsConverted != 0 {
-		t.Fatalf("double reorg converted %d", res2.RecordsConverted)
+	if res2 != (MaintenanceResult{}) {
+		t.Fatalf("double reorg: %+v, want nothing read or written", res2)
+	}
+}
+
+// TestReorganizeConvertsLateRecords is the regression for the reorg
+// watermark: a group converted only the stripe between its last upTo and
+// the new one, so an MG record written below an earlier call's upTo stayed
+// in MG through every later call. Every MG record keyed below upTo
+// converts, and a second call plans nothing.
+func TestReorganizeConvertsLateRecords(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 8}, 2)
+	s := f.schema(t, "late", 1)
+	members := []*model.DataSource{f.source(t, s.ID, true, 1_000_000), f.source(t, s.ID, true, 1_000_000)}
+	round := func(ts int64) {
+		t.Helper()
+		for i, ds := range members {
+			if err := f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: []float64{float64(i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mgRecords := func() uint64 { _, _, mg := f.store.TreeSizes(); return mg }
+	group := members[0].Group
+	round(1_000_000)
+	round(3_000_000)
+	round(5_000_000)
+	if _, err := f.store.ReorganizeGroup(group, 4_000_000); err != nil || mgRecords() != 1 {
+		t.Fatalf("first reorganize: %v, %d MG records left, want 1", err, mgRecords())
+	}
+	round(2_000_000) // late, below the first call's upTo
+	res, err := f.store.ReorganizeGroup(group, 10_000_000)
+	if err != nil || res.Deleted != 2 || res.RowsMoved != 4 || mgRecords() != 0 {
+		t.Fatalf("second reorganize = %+v, %v, %d MG records left; want the late record and the newest converted", res, err, mgRecords())
+	}
+	if again, err := f.store.ReorganizeGroup(group, 20_000_000); err != nil || again != (MaintenanceResult{}) {
+		t.Fatalf("third reorganize = %+v, %v; want nothing read or written", again, err)
+	}
+	it, err := f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(collect(t, it)); got != 8 {
+		t.Fatalf("slice after reorganization = %d rows, want 8", got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package tsstore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
@@ -8,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"odh/internal/btree"
 	"odh/internal/compress"
 	"odh/internal/keyenc"
 	"odh/internal/model"
@@ -55,11 +59,11 @@ func TestTierColdCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ColdCompacted == 0 || res.ColdWritten == 0 {
+	if res.Deleted == 0 || res.Rewritten == 0 {
 		t.Fatalf("cold pass did nothing: %+v", res)
 	}
-	if res.ColdWritten >= res.ColdCompacted {
-		t.Fatalf("cold pass did not coalesce: %d records -> %d", res.ColdCompacted, res.ColdWritten)
+	if res.Rewritten >= res.Deleted {
+		t.Fatalf("cold pass did not coalesce: %d records -> %d", res.Deleted, res.Rewritten)
 	}
 	if res.BytesAfter >= res.BytesBefore {
 		t.Fatalf("cold pass grew bytes: %d -> %d", res.BytesBefore, res.BytesAfter)
@@ -97,7 +101,7 @@ func TestTierColdCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.ColdCompacted != 0 || res2.Stubbed != 0 {
+	if res2.Deleted != 0 || res2.Rewritten != 0 || res2.Stubbed != 0 {
 		t.Fatalf("tier pass is not idempotent: %+v", res2)
 	}
 
@@ -105,11 +109,11 @@ func TestTierColdCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.ColdBlobs != int64(res.ColdWritten) {
-		t.Fatalf("TierStats cold count = %d, want %d", ts.ColdBlobs, res.ColdWritten)
+	if ts.ColdBlobs != int64(res.Rewritten) {
+		t.Fatalf("TierStats cold count = %d, want %d", ts.ColdBlobs, res.Rewritten)
 	}
-	if got := f.store.Stats(); got.ColdCompactions != int64(res.ColdCompacted) || got.TierBytesReclaimed != res.BytesReclaimed {
-		t.Fatalf("stats counters = %+v, want cold=%d reclaimed=%d", got, res.ColdCompacted, res.BytesReclaimed)
+	if got := f.store.Stats(); got.ColdCompactions != int64(res.Deleted) || got.TierBytesReclaimed != res.BytesBefore-res.BytesAfter {
+		t.Fatalf("stats counters = %+v, want cold=%d reclaimed=%d", got, res.Deleted, res.BytesBefore-res.BytesAfter)
 	}
 }
 
@@ -300,7 +304,7 @@ func TestTierLegacyBlobUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ColdCompacted == 0 {
+	if res.Deleted == 0 {
 		t.Fatal("cold pass skipped legacy blobs")
 	}
 	after := tierScanAll(t, f.store, ds.ID, 0, math.MaxInt64)
@@ -350,8 +354,8 @@ func TestTierRetentionDropsStubs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drop.RecordsDropped < res.Stubbed {
-		t.Fatalf("retention dropped %d records, want >= %d stubs", drop.RecordsDropped, res.Stubbed)
+	if drop.Dropped < res.Stubbed {
+		t.Fatalf("retention dropped %d records, want >= %d stubs", drop.Dropped, res.Stubbed)
 	}
 	ts, err := f.store.TierStats()
 	if err != nil {
@@ -498,9 +502,9 @@ func TestTierBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := census()
-	if cold.ColdBytes+cold.HotBytes != 252246 || res.BytesReclaimed != 1137013 {
+	if cold.ColdBytes+cold.HotBytes != 252246 || res.BytesBefore-res.BytesAfter != 1137013 {
 		t.Fatalf("cold pass left %d bytes, reclaimed %d, want 252246 and 1137013 (%+v)",
-			cold.ColdBytes+cold.HotBytes, res.BytesReclaimed, cold)
+			cold.ColdBytes+cold.HotBytes, res.BytesBefore-res.BytesAfter, cold)
 	}
 	if _, err := f.store.TierSchema(ds.SchemaID, TierPolicy{ColdAfterMs: 1, StubAfterMs: 1}, end); err != nil {
 		t.Fatal(err)
@@ -515,5 +519,125 @@ func TestTierBytesPinned(t *testing.T) {
 	}
 	if len(agg.Groups) != 1 || agg.Groups[0].Rows != 200_000 || agg.SummaryHits != 196 || agg.BlobBytesRead != 0 {
 		t.Fatalf("aggregate over stubs = %+v, want 200000 rows from 196 folds, nothing decoded", agg)
+	}
+}
+
+// TestTierBytesPinnedIRTS pins the cold pass on the shape the benchmark
+// harness sets its query store up in: irregular sources sampled about every
+// 10 ms with ±50 % jitter, written in frames that mix every source, then
+// one cold pass at half the span. The census and a digest over every (key,
+// record) of the three batch trees are exact: a maintenance change that
+// moves either changes the store's bytes per point.
+func TestTierBytesPinnedIRTS(t *testing.T) {
+	f := newFixture(t, Config{}, 0)
+	s := f.schema(t, "trade", 4)
+	const nsrc, interval, npts, frame = 16, 10, 60_000, 500
+	rng := rand.New(rand.NewSource(11))
+	var srcs []*model.DataSource
+	next, price := make([]int64, nsrc), make([]float64, nsrc)
+	for i := range next {
+		srcs = append(srcs, f.source(t, s.ID, false, interval))
+		next[i], price[i] = 1_000_000+rng.Int63n(interval), 20+rng.Float64()*80
+	}
+	var pts []model.Point
+	first, last := int64(math.MaxInt64), int64(math.MinInt64)
+	for n := 0; n < npts; n++ {
+		i := 0
+		for j := range next {
+			if next[j] < next[i] {
+				i = j
+			}
+		}
+		ts := next[i]
+		next[i] += interval/2 + rng.Int63n(interval)
+		price[i] *= 1 + (rng.Float64()-0.5)*0.002
+		pts = append(pts, model.Point{Source: srcs[i].ID, TS: ts, Values: []float64{
+			price[i], []float64{0.25, 0.5, 1}[rng.Intn(3)], price[i] * 0.001, price[i] * 0.0005}})
+		first, last = min(first, ts), max(last, ts)
+		if len(pts) == frame {
+			if err := f.store.WriteBatch(pts); err != nil {
+				t.Fatal(err)
+			}
+			pts = pts[:0]
+		}
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: (last - first) / 2}, last); err != nil {
+		t.Fatal(err)
+	}
+	census, err := f.store.TierStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, tr := range []*btree.Tree{f.store.rts, f.store.irts, f.store.mg} {
+		cur := tr.First()
+		for ; cur.Valid(); cur.Next() {
+			v, err := cur.Value()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(binary.AppendUvarint(nil, uint64(len(cur.Key()))))
+			h.Write(cur.Key())
+			h.Write(binary.AppendUvarint(nil, uint64(len(v))))
+			h.Write(v)
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := TierStats{HotBlobs: 256, ColdBlobs: 32, HotBytes: 704935, ColdBytes: 601224}
+	if digest := hex.EncodeToString(h.Sum(nil)); census != want || digest != "e6e750a01c6942ced4b7f6a10e54d38fc06101402e0ea864ee3b8d50f18207be" {
+		t.Fatalf("census %+v, digest %s; want %+v, e6e750a0…", census, digest, want)
+	}
+}
+
+// TestLateWriteStepsStubAside: a stub has no rows to merge with, so a run
+// that lands on its key — here a late sample at a stubbed record's first
+// timestamp — moves the stub to the nearest free key below instead of
+// overwriting it. The stub keeps folding into aggregates and failing raw
+// scans of its range, the late sample is counted beside it, and the store
+// passes fsck.
+func TestLateWriteStepsStubAside(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 16}, 0)
+	s := f.schema(t, "env", 1)
+	ds := f.source(t, s.ID, false, 10) // irregular: the late sample is a second one at its timestamp
+	for i := 0; i < 64; i++ {
+		if err := f.store.Write(model.Point{Source: ds.ID, TS: int64(i * 10), Values: []float64{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := f.store.TierSchema(s.ID, TierPolicy{StubAfterMs: 1}, f.cat.Stats(ds.ID).LastTS+1); err != nil || res.Stubbed != 3 {
+		t.Fatalf("stub pass = %+v, %v; want the records at 0, 160 and 320 stubbed", res, err)
+	}
+	if err := f.store.Write(model.Point{Source: ds.ID, TS: 160, Values: []float64{100}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := f.store.irts.Get(keyenc.SourceTime(ds.ID, 159)); err != nil || BlobTier(blob) != TierStub {
+		t.Fatalf("record at 159: tier %v, %v; want the stub stepped aside", BlobTier(blob), err)
+	}
+	agg, err := f.store.AggregateHistorical(ds.ID, AggSpec{T1: 0, T2: math.MaxInt64, NTags: 1})
+	if err != nil || len(agg.Groups) != 1 || agg.Groups[0].Rows != 65 || agg.Groups[0].Sum[0] != 164 {
+		t.Fatalf("aggregate = %+v, %v; want 65 rows summing to 164", agg.Groups, err)
+	}
+	it, err := f.store.HistoricalScan(ds.ID, 150, 170, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
+	}
+	if !errors.Is(it.Err(), ErrStubbedBlob) {
+		t.Fatalf("raw scan over the stubbed range: %v, want ErrStubbedBlob", it.Err())
+	}
+	if _, corrupt, stale, err := f.store.VerifyBlobs(); err != nil || len(corrupt) != 0 || len(stale) != 0 {
+		t.Fatalf("fsck: corrupt=%v stale=%v err=%v", corrupt, stale, err)
 	}
 }

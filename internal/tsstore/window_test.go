@@ -212,7 +212,7 @@ func tieredRecords(t *testing.T, cfg Config, nsrc, coldPoints int) (*fixture, *m
 	// A cutoff between two 128-point records: the points before it compact,
 	// 1024 to a cold record.
 	cold := coldPoints / 1024
-	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1}, int64(coldPoints)*500); err != nil || res.ColdWritten != nsrc*cold {
+	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1}, int64(coldPoints)*500); err != nil || res.Rewritten != nsrc*cold {
 		t.Fatalf("cold pass: %+v, %v; want %d cold record(s) per source", res, err, cold)
 	}
 	for id := range truth {

@@ -68,12 +68,12 @@ type (
 	// TierPolicy ages a schema's batch records through the storage tiers
 	// (hot → cold → summary-only stub); see Historian.TierSchema.
 	TierPolicy = tsstore.TierPolicy
-	// TierResult summarizes one tier pass.
-	TierResult = tsstore.TierResult
+	// MaintenanceResult summarizes one maintenance pass (TierSchema,
+	// UpgradeBlobs): records read, deleted, rewritten, stubbed and dropped,
+	// bytes before and after, statistics re-derived.
+	MaintenanceResult = tsstore.MaintenanceResult
 	// TierStats is a census of persisted batch records by tier.
 	TierStats = tsstore.TierStats
-	// UpgradeResult summarizes one Historian.UpgradeBlobs pass.
-	UpgradeResult = tsstore.UpgradeResult
 	// StubbedRangeError is the typed error a raw-row scan returns when it
 	// touches a range whose rows were dropped by tier policy.
 	StubbedRangeError = tsstore.StubbedRangeError
@@ -371,8 +371,11 @@ func (h *Historian) Plan(sql string) (string, error) {
 	return h.engine.Plan(sql)
 }
 
-// Reorganize converts MG records of a schema older than upTo into
-// per-source RTS/IRTS batches (Table 1's historical layout).
+// Reorganize converts the MG records of a schema keyed below upTo into
+// per-source RTS/IRTS batches (Table 1's historical layout) — every one,
+// including late records written below the upTo of an earlier call. A
+// converted run that starts where a per-source record starts merges with
+// it; a second call with the same upTo converts nothing.
 func (h *Historian) Reorganize(schemaName string, upTo int64) error {
 	s, ok := h.cat.SchemaByName(schemaName)
 	if !ok {
@@ -391,19 +394,19 @@ func (h *Historian) DropBefore(schemaName string, cutoff int64) (int, error) {
 		return 0, fmt.Errorf("odh: unknown schema type %q", schemaName)
 	}
 	res, err := h.ts.DropBefore(s.ID, cutoff)
-	return res.RecordsDropped, err
+	return res.Dropped, err
 }
 
 // Coalesce merges a schema's fragmented small batches back into full
 // ones (maintenance after out-of-order ingest or MG overflow). It
-// returns the batch counts before and after.
+// returns the schema's per-source batch counts before and after.
 func (h *Historian) Coalesce(schemaName string) (before, after int, err error) {
 	s, ok := h.cat.SchemaByName(schemaName)
 	if !ok {
 		return 0, 0, fmt.Errorf("odh: unknown schema type %q", schemaName)
 	}
 	res, err := h.ts.Coalesce(s.ID)
-	return res.BatchesBefore, res.BatchesAfter, err
+	return res.Records, res.Records - res.Deleted + res.Rewritten, err
 }
 
 // TierSchema runs one storage-lifecycle pass over a schema with an
@@ -413,10 +416,10 @@ func (h *Historian) Coalesce(schemaName string) (before, after int, err error) {
 // keep answering COUNT/SUM/AVG/MIN/MAX (raw-row scans over them fail with
 // ErrStubbed). Timestamps are the schema's own clock — pass whatever
 // "now" the data's timestamps are relative to.
-func (h *Historian) TierSchema(schemaName string, pol TierPolicy, now int64) (TierResult, error) {
+func (h *Historian) TierSchema(schemaName string, pol TierPolicy, now int64) (MaintenanceResult, error) {
 	s, ok := h.cat.SchemaByName(schemaName)
 	if !ok {
-		return TierResult{}, fmt.Errorf("odh: unknown schema type %q", schemaName)
+		return MaintenanceResult{}, fmt.Errorf("odh: unknown schema type %q", schemaName)
 	}
 	return h.ts.TierSchema(s.ID, pol, now)
 }
@@ -428,7 +431,7 @@ func (h *Historian) TierSchema(schemaName string, pol TierPolicy, now int64) (Ti
 // unchanged bit for bit; summary-only stubs and already-current records
 // are not touched, so a second call rewrites nothing. Call Flush to make
 // the pass durable.
-func (h *Historian) UpgradeBlobs() (UpgradeResult, error) {
+func (h *Historian) UpgradeBlobs() (MaintenanceResult, error) {
 	return h.ts.UpgradeBlobs()
 }
 
