@@ -326,25 +326,33 @@ func TestRunFigure5Subset(t *testing.T) {
 	scale := tinyScale()
 	scale.TDAccountUnit = 20
 	scale.TDDuration = 10 * time.Second
-	points, err := RunFigure5(scale, [][2]int{{1, 1}, {2, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 6 { // 2 datasets x 3 systems
-		t.Fatalf("%d points", len(points))
-	}
-	byKey := map[string]InsertSeriesPoint{}
-	for _, p := range points {
-		byKey[p.Dataset+"/"+p.System] = p
+	// Each run lasts milliseconds, so one preemption of one system's run
+	// (other test binaries share the machine) can swing its rate several
+	// fold. Each system keeps its best rate over a few sweeps: noise only
+	// ever slows a run down.
+	const sweeps = 3
+	best := map[string]float64{}
+	for range sweeps {
+		points, err := RunFigure5(scale, [][2]int{{1, 1}, {2, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(points) != 6 { // 2 datasets x 3 systems
+			t.Fatalf("%d points", len(points))
+		}
+		for _, p := range points {
+			key := p.Dataset + "/" + p.System
+			best[key] = max(best[key], p.Throughput)
+		}
 	}
 	// Headline result: ODH writes at least as fast as both baselines.
 	// The real gap is 5x+; a 30% margin absorbs scheduler noise on small
 	// CI machines without masking a genuine inversion.
 	for _, ds := range []string{"TD(1,1)", "TD(2,1)"} {
-		odh := byKey[ds+"/ODH"]
-		rdb := byKey[ds+"/RDB"]
-		if odh.Throughput < rdb.Throughput*0.7 {
-			t.Fatalf("%s: ODH %.0f well below RDB %.0f", ds, odh.Throughput, rdb.Throughput)
+		odh, rdb := best[ds+"/ODH"], best[ds+"/RDB"]
+		t.Logf("%s: ODH %.0f, RDB %.0f points/s (best of %d)", ds, odh, rdb, sweeps)
+		if odh < rdb*0.7 {
+			t.Fatalf("%s: ODH %.0f well below RDB %.0f", ds, odh, rdb)
 		}
 	}
 }

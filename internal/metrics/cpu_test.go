@@ -84,9 +84,16 @@ func TestSampleSimulatedTracksMax(t *testing.T) {
 	if !m.Supported() {
 		t.Skip("no procfs")
 	}
+	// Burn until the process clock has ticked past the meter's start: a
+	// fixed loop can finish inside one clock tick (10 ms).
 	x := 0.0
-	for i := 0; i < 10_000_000; i++ {
-		x += float64(i)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		for i := 0; i < 1_000_000; i++ {
+			x += float64(i)
+		}
+		if cpu, _ := ProcessCPUTime(); cpu > m.lastCPU || time.Now().After(deadline) {
+			break
+		}
 	}
 	_ = x
 	m.SampleSimulated(time.Millisecond) // tiny window -> huge load

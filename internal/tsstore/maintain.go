@@ -252,9 +252,8 @@ func (s *Store) maintain(group int64, sources []int64, pol policy, res *Maintena
 
 // reorganize plans the group's MG records keyed below upTo (plans ends in
 // the group's range) into its members' per-source ranges: each member's
-// rows — MG records are time-ordered, so they come sorted — become runs
-// of its range, put under the collision rule, and the records go. An
-// unreadable record stays for fsck.
+// rows become runs of its range (putRuns sorts them), put under the
+// collision rule, and the records go. An unreadable record stays for fsck.
 func (s *Store) reorganize(plans []*rangePlan, upTo int64, res *MaintenanceResult) error {
 	mg := plans[len(plans)-1]
 	members := s.cat.GroupMembers(mg.id)

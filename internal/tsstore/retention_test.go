@@ -281,8 +281,8 @@ func TestCoalesceNoOpOnHealthyHistory(t *testing.T) {
 }
 
 func TestCoalesceAfterMGOverflow(t *testing.T) {
-	// Duplicate same-window samples create single-point overflow batches;
-	// coalesce folds them into proper IRTS batches.
+	// Exact repeats of a member's open timestamp create single-point
+	// overflow batches; coalesce folds them into proper IRTS batches.
 	f := newFixture(t, Config{BatchSize: 8}, 2)
 	s := f.schema(t, "ovco", 1)
 	a := f.source(t, s.ID, false, 10000)
@@ -290,9 +290,9 @@ func TestCoalesceAfterMGOverflow(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		ts := int64(i * 10000)
 		f.store.Write(model.Point{Source: a.ID, TS: ts, Values: []float64{1}})
+		// A repeat while a's row at ts is open -> overflow path.
+		f.store.Write(model.Point{Source: a.ID, TS: ts, Values: []float64{3}})
 		f.store.Write(model.Point{Source: b.ID, TS: ts, Values: []float64{2}})
-		// Duplicate window sample for a -> overflow path.
-		f.store.Write(model.Point{Source: a.ID, TS: ts + 3, Values: []float64{3}})
 	}
 	f.store.Flush()
 	before := f.cat.Stats(a.ID)

@@ -212,9 +212,13 @@ func (p *rangePlan) put(rec stored, pts []model.Point) error {
 	return nil
 }
 
-// putRuns puts a sorted run of the source's points as records of at most
-// batchSize points (splitBatchRuns).
+// putRuns puts the source's points as records of at most batchSize points
+// (splitBatchRuns). It sorts pts first, stably, so each record's key is its
+// smallest timestamp whatever order the caller gathered them in: a member's
+// rows come from its group's MG records in key order, and an out-of-order
+// member sits in records whose key order is not its time order.
 func (p *rangePlan) putRuns(pts []model.Point, opts encodeOpts, batchSize int) error {
+	sortPoints(pts)
 	for _, run := range splitBatchRuns(pts, p.ds, batchSize) {
 		if err := p.put(stored{ts: run[0].TS, blob: encodeRun(p.ds, p.schema, run, opts)}, run); err != nil {
 			return err

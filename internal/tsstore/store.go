@@ -3,6 +3,7 @@ package tsstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,8 +30,8 @@ type Config struct {
 	// RowOrientedBlobs stores row-major blobs instead of tag-oriented
 	// columns (layout ablation; single-tag queries must decode everything).
 	RowOrientedBlobs bool
-	// MaxOpenMGRows bounds how many distinct timestamps an MG group buffer
-	// may hold before the oldest row is flushed partially filled.
+	// MaxOpenMGRows bounds how many rows an MG group buffer may hold open
+	// before the oldest is flushed partially filled.
 	MaxOpenMGRows int
 	// Log, when non-nil, records buffered points for bounded-loss recovery.
 	Log *walog.Log
@@ -248,37 +249,44 @@ type sourceBuffer struct {
 	points []model.Point
 }
 
-// groupBuffer accumulates per-window rows for one MG group. Timestamps
-// bucket into windows of the group's sampling interval so jittered
-// low-frequency sources still pack together; each member's exact
-// timestamp is kept as an offset from the window base.
+// groupBuffer holds the open rows of one MG group. A row opens at its first
+// sample, is keyed at that timestamp and spans one group window
+// (groupWindow): a sample joins the oldest open row that spans it and does
+// not hold its member yet, else opens a row of its own. So a jittered
+// low-frequency member that samples twice inside one window fills the next
+// row, and every row stays within [key, key+window) — the reach a reader's
+// lookback assumes. Each member's exact timestamp is kept as an offset
+// from the key.
 type groupBuffer struct {
 	group    int64
 	schema   *model.SchemaType
 	members  []int64       // slot -> source id
 	slots    map[int64]int // source id -> slot
 	windowMs int64
-	rows     map[int64]*mgRow // window base -> row
-	order    []int64          // window bases in arrival order
+	rows     []*mgRow // open rows, oldest first
 }
 
 type mgRow struct {
+	key      int64 // the first sample's timestamp
 	present  []bool
 	values   [][]float64
 	tss      []int64 // per slot: the member's exact timestamp
 	reported int
 }
 
-// windowBase floor-aligns ts to the window grid (correct for negatives).
-func windowBase(ts, window int64) int64 {
-	if window <= 1 {
-		return ts
+// spans reports whether a sample at ts may join the row.
+func (r *mgRow) spans(ts, window int64) bool {
+	return ts >= r.key && uint64(ts-r.key) < uint64(window)
+}
+
+// fit grows the row's slots to a membership of n.
+func (r *mgRow) fit(n int) {
+	if len(r.present) >= n {
+		return
 	}
-	b := ts % window
-	if b < 0 {
-		b += window
-	}
-	return ts - b
+	r.present = append(r.present, make([]bool, n-len(r.present))...)
+	r.values = append(r.values, make([][]float64, n-len(r.values))...)
+	r.tss = append(r.tss, make([]int64, n-len(r.tss))...)
 }
 
 // Open opens the batch stores inside store using cat for metadata. With a
@@ -539,17 +547,12 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 	gb, ok := sh.groups[ds.Group]
 	if !ok {
 		members := s.cat.GroupMembers(ds.Group)
-		window := ds.IntervalMs
-		if window <= 0 {
-			window = 1
-		}
 		gb = &groupBuffer{
 			group:    ds.Group,
 			schema:   schema,
 			members:  members,
 			slots:    make(map[int64]int, len(members)),
-			windowMs: window,
-			rows:     make(map[int64]*mgRow),
+			windowMs: s.groupWindow(ds.Group),
 		}
 		for slot, id := range members {
 			gb.slots[id] = slot
@@ -569,50 +572,39 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 			return fmt.Errorf("tsstore: source %d not in group %d", ds.ID, ds.Group)
 		}
 	}
-	bucket := windowBase(p.TS, gb.windowMs)
-	row, ok := gb.rows[bucket]
-	if !ok {
-		row = &mgRow{
-			present: make([]bool, len(gb.members)),
-			values:  make([][]float64, len(gb.members)),
-			tss:     make([]int64, len(gb.members)),
+	var row *mgRow
+	for _, r := range gb.rows {
+		if r.spans(p.TS, gb.windowMs) && (slot >= len(r.present) || !r.present[slot]) {
+			row = r
+			break
 		}
-		gb.rows[bucket] = row
-		gb.order = append(gb.order, bucket)
-	} else if len(row.present) < len(gb.members) {
-		// Membership grew after the row was created.
-		grownPresent := make([]bool, len(gb.members))
-		copy(grownPresent, row.present)
-		row.present = grownPresent
-		grownValues := make([][]float64, len(gb.members))
-		copy(grownValues, row.values)
-		row.values = grownValues
-		grownTss := make([]int64, len(gb.members))
-		copy(grownTss, row.tss)
-		row.tss = grownTss
 	}
-	if row.present[slot] {
-		// A second sample from the same member inside one window cannot
-		// share the MG record (one point per member per record). Jittered
-		// low-frequency sources occasionally do this; the extra point goes
-		// straight to the member's per-source historical structure, which
-		// every scan already merges with MG.
-		_, err := s.putRunLocked(ds, schema, []model.Point{p})
-		return err
+	if row == nil {
+		for _, r := range gb.rows {
+			if r.key == p.TS {
+				// A row of its own would take the key of an open row that
+				// holds the member already: a repeat of a timestamp the member
+				// has open. It cannot share an MG record (one point per member
+				// per record), so it goes straight to the member's per-source
+				// historical structure, which every scan merges with MG.
+				_, err := s.putRunLocked(ds, schema, []model.Point{p})
+				return err
+			}
+		}
+		row = &mgRow{key: p.TS}
+		gb.rows = append(gb.rows, row)
 	}
+	row.fit(len(gb.members))
 	row.reported++
 	row.present[slot] = true
 	row.tss[slot] = p.TS
-	vals := make([]float64, len(p.Values))
-	copy(vals, p.Values)
-	row.values[slot] = vals
+	row.values[slot] = append([]float64(nil), p.Values...)
 	if row.reported >= len(gb.members) {
-		return s.flushMGRowLocked(sh, gb, bucket)
+		return s.flushMGRowLocked(sh, gb, row)
 	}
-	if len(gb.order) > s.cfg.MaxOpenMGRows {
-		oldest := gb.order[0]
+	if len(gb.rows) > s.cfg.MaxOpenMGRows {
 		sh.stats.MGPartialRows++
-		return s.flushMGRowLocked(sh, gb, oldest)
+		return s.flushMGRowLocked(sh, gb, gb.rows[0])
 	}
 	return nil
 }
@@ -659,15 +651,13 @@ func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, pts
 	return p.now[pts[0].TS], s.rewriteLocked(p.tree, ds.ID, p.plan())
 }
 
-// flushMGRowLocked persists and removes one group row, merging with any
-// record already stored at (group, ts): a partially filled row may have
+// flushMGRowLocked persists and removes one open group row, merging with
+// any record already stored at (group, key): a row keyed there may have
 // been flushed earlier (open-row cap) and late members must not clobber
-// it. Caller holds the group's shard lock.
-func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
-	row, ok := gb.rows[ts]
-	if !ok {
-		return nil
-	}
+// it. Both span [key, key+window), so the merged record does too. Caller
+// holds the group's shard lock.
+func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, row *mgRow) error {
+	ts := row.key
 	existing, err := s.mg.Get(keyenc.SourceTime(gb.group, ts))
 	if err == nil {
 		if batch, derr := DecodeBlob(existing, ts, nil); derr == nil {
@@ -714,13 +704,7 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 	if err := s.rewriteLocked(s.mg, gb.group, []change{{ts: ts, old: existing, new: blob}}); err != nil {
 		return err
 	}
-	delete(gb.rows, ts)
-	for i, o := range gb.order {
-		if o == ts {
-			gb.order = append(gb.order[:i], gb.order[i+1:]...)
-			break
-		}
-	}
+	gb.rows = slices.DeleteFunc(gb.rows, func(r *mgRow) bool { return r == row })
 	sh.stats.BatchesFlushed++
 	sh.stats.BlobBytes += int64(len(blob))
 	return nil
@@ -757,8 +741,8 @@ func (s *Store) Flush() error {
 			}
 		}
 		for _, gb := range sh.groups {
-			for len(gb.order) > 0 {
-				if err := s.flushMGRowLocked(sh, gb, gb.order[0]); err != nil {
+			for len(gb.rows) > 0 {
+				if err := s.flushMGRowLocked(sh, gb, gb.rows[0]); err != nil {
 					return err
 				}
 			}

@@ -285,10 +285,11 @@ func TestMGPartialRowFlush(t *testing.T) {
 // TestMGOverflowKeepsRepeatedSamples is the regression for the MG overflow
 // path overwriting a stored record with a nil error: a group member that
 // reports three times at one timestamp keeps its first sample in the MG
-// row and sends the second and third to its per-source tree, where both
-// land on the key (source, ts). They must merge under it like an
-// out-of-order IRTS flush does; the third used to replace the second, and
-// the catalog still counted both.
+// row and sends the second and third — exact repeats of a timestamp it has
+// open, the only samples a first-fit row turns away — to its per-source
+// tree, where both land on the key (source, ts). They must merge under it
+// like an out-of-order IRTS flush does; the third used to replace the
+// second, and the catalog still counted both.
 func TestMGOverflowKeepsRepeatedSamples(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 8}, 4)
 	s := f.schema(t, "meter", 1)
@@ -324,8 +325,8 @@ func TestMGOverflowKeepsRepeatedSamples(t *testing.T) {
 		if len(agg.Groups) != 1 || agg.Groups[0].Rows != 4 || agg.Groups[0].Sum[0] != 23 {
 			t.Fatalf("%s: aggregate over the member = %+v, want 4 rows summing to 23", when, agg.Groups)
 		}
-		// The member's per-source statistics cover its two overflow samples,
-		// in one record; its first sample is the group's.
+		// The member's per-source statistics cover its two exact repeats, in
+		// one record; its first sample and its next one are the group's.
 		if st := f.cat.Stats(a.ID); st.PointCount != 2 || st.BatchCount != 1 {
 			t.Fatalf("%s: member stats = %+v, want 2 points in 1 batch", when, st)
 		}
@@ -454,23 +455,23 @@ func TestReorganizeMGToRTS(t *testing.T) {
 			f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: []float64{float64(i), float64(round)}})
 		}
 	}
-	// Reorg works at window (bucket) granularity: round k writes at
-	// 1000000+900000k, which buckets to 900000(k+1); a cut at
-	// 1000000+6*900000 therefore captures rounds 0..6 (7 records).
+	// Reorg works at record granularity: a record is keyed at its first
+	// sample, round k's at 1000000+900000k, so a cut at 1000000+6*900000
+	// captures rounds 0..5 (6 records).
 	cut := int64(1000000 + 6*900000)
 	res, err := f.store.Reorganize(s.ID, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Records != 7 || res.Deleted != 7 {
-		t.Fatalf("converted %d of %d records read, want 7 of 7", res.Deleted, res.Records)
+	if res.Records != 6 || res.Deleted != 6 {
+		t.Fatalf("converted %d of %d records read, want 6 of 6", res.Deleted, res.Records)
 	}
-	if res.RowsMoved != 28 {
-		t.Fatalf("moved %d points, want 28", res.RowsMoved)
+	if res.RowsMoved != 24 {
+		t.Fatalf("moved %d points, want 24", res.RowsMoved)
 	}
 	rts, _, mg := f.store.TreeSizes()
-	if mg != 3 {
-		t.Fatalf("mg records after reorg = %d, want 3", mg)
+	if mg != 4 {
+		t.Fatalf("mg records after reorg = %d, want 4", mg)
 	}
 	if rts == 0 {
 		t.Fatal("no RTS batches written by reorg")

@@ -67,7 +67,7 @@ type walker struct {
 	buffer  home    // the pseudo-home of buffered rows
 	members []int64 // MG owners: slot -> source id
 	only    int64   // MG owners: restrict MG and buffered rows to this member; 0 = all
-	window  int64   // MG owners: the group's bucketing window
+	window  int64   // MG owners: the group's window (groupWindow)
 	t2      int64
 	from    int64 // resume point; rows in [from, t2) remain
 	started bool  // a step has run: records keyed below from were met before
@@ -150,8 +150,9 @@ func (s *Store) sourceWalker(ds *model.DataSource, t1, t2 int64, wantTags []int,
 }
 
 // groupWalker walks an MG group's rows, all members' or only one's:
-// reorganized history and duplicate-sample overflow live per source in
-// RTS/IRTS, the rest in the group's MG records and buffer.
+// reorganized history and the repeats of a timestamp a member has open in
+// the buffer (see writeMG) live per source in RTS/IRTS, the rest in the
+// group's MG records and buffer.
 func (s *Store) groupWalker(group, only int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
 	w := s.newWalker(group, t1, t2, wantTags, opts)
 	w.members = s.cat.GroupMembers(group)
@@ -178,8 +179,12 @@ func (s *Store) treeID(tree *btree.Tree) uint8 {
 	}
 }
 
-// groupWindow returns the bucketing window of an MG group (its first
-// member's sampling interval).
+// groupWindow returns the window of an MG group: how far an MG record's
+// rows reach past its key. The writer spans each row over it, the walker
+// looks back by it, the maintenance planner ages records by it — one
+// function, so the three cannot disagree. It is the sampling interval of
+// the group's first member, whose slot no later registration changes, so
+// the window never shrinks under records already written.
 func (s *Store) groupWindow(group int64) int64 {
 	members := s.cat.GroupMembers(group)
 	if len(members) == 0 {
