@@ -462,7 +462,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		src = 0
 	}
 	if sum := rec.hdr.summary(rec.ts); sum != nil {
-		foldable := !mg || (w.only == 0 && !sp.spec.ByID && sum.members <= len(w.members))
+		foldable := !mg || (w.slot == allMembers && !sp.spec.ByID && sum.members <= len(w.members))
 		switch classifySummary(sum, lo, hi, sp, foldable, !mg) {
 		case classExcluded:
 			if rec.hit == nil {

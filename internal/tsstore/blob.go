@@ -536,8 +536,11 @@ func DecodeBlob(b []byte, baseTS int64, wantTags []int) (*DecodedBatch, error) {
 
 // decodeAll decodes every row of the record.
 func (h *blobHeader) decodeAll(baseTS int64, wantTags []int) (*DecodedBatch, error) {
-	return h.decode(baseTS, wantTags, math.MinInt64, math.MaxInt64)
+	return h.decode(baseTS, wantTags, allMembers, math.MinInt64, math.MaxInt64)
 }
+
+// allMembers is the member selection of a decode that wants every row.
+const allMembers = -1
 
 // rtsRowRange returns the rows [i0, i1) of an RTS record whose timestamps
 // baseTS + i*interval lie in [lo, last]. A record whose arithmetic is not
@@ -584,10 +587,13 @@ func rowRange(ts []int64, lo, last int64) (int, int) {
 // columns decodes and materialises only the smallest row range holding
 // them — possibly with rows outside the window in it, which consumers
 // filter as they always did — and each column only up to that range's end.
-// MG records (slot order, one window wide) and row-oriented records (one
-// interleaved column) always decode whole, as does any record the window
-// covers: whole tells which a result is.
-func (h *blobHeader) decode(baseTS int64, wantTags []int, lo, last int64) (*DecodedBatch, error) {
+// An MG record (slot order, one window wide) decodes whole for slot
+// allMembers; for a member slot it yields that member's row alone, decoded
+// the same way as a one-row range, when the member bitmap has the slot and
+// its timestamp lies in [lo, last], and no row — decoding nothing — when
+// not. Row-oriented records (one interleaved column) always decode whole,
+// as does any record the window covers: whole tells which a result is.
+func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int64) (*DecodedBatch, error) {
 	if h.tier() == TierStub {
 		// The payload is gone by design, not by damage: surface the typed
 		// error so scans can distinguish tier degradation from corruption
@@ -636,39 +642,82 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, lo, last int64) (*Deco
 	}
 	memberBM := b[:bmLen]
 	b = b[bmLen:]
+	if slot >= 0 && (slot >= memberCount || !getBit(memberBM, slot)) {
+		return &DecodedBatch{Structure: model.MG}, nil
+	}
 	reportedU, n := binary.Uvarint(b)
 	if n <= 0 || reportedU > uint64(memberCount) {
 		return nil, ErrCorruptBlob
 	}
 	reported := int(reportedU)
 	offsets, rest, err := compress.Deltas(b[n:])
-	if err != nil || len(offsets) != reported {
+	if err != nil || len(offsets) != reported || countBits(memberBM, 0, memberCount) != reported {
 		return nil, ErrCorruptBlob
 	}
-	rows, err := decodeColumns(rest, reported, h.ntags, rowOriented, wantTags, 0, reported)
+	// Rows are in slot order: the member's is the count of members before it.
+	i0, i1 := 0, reported
+	if slot >= 0 && !rowOriented {
+		i0 = countBits(memberBM, 0, slot)
+		if t := baseTS + offsets[i0]; t < lo || t > last {
+			return &DecodedBatch{Structure: model.MG}, nil
+		}
+		i1 = i0 + 1
+	}
+	rows, err := decodeColumns(rest, reported, h.ntags, rowOriented, wantTags, i0, i1)
 	if err != nil {
 		return nil, err
 	}
-	slots := make([]int, 0, reported)
-	for slot := 0; slot < memberCount; slot++ {
-		if getBit(memberBM, slot) {
-			slots = append(slots, slot)
+	var slots []int
+	if i1-i0 < reported {
+		slots = []int{slot}
+	} else {
+		slots = make([]int, 0, reported)
+		for s := 0; s < memberCount; s++ {
+			if getBit(memberBM, s) {
+				slots = append(slots, s)
+			}
 		}
 	}
-	if len(slots) != reported {
-		return nil, ErrCorruptBlob
-	}
-	ts := make([]int64, reported)
-	for i, off := range offsets {
-		ts[i] = baseTS + off
+	ts := make([]int64, i1-i0)
+	for i := range ts {
+		ts[i] = baseTS + offsets[i0+i]
 	}
 	return &DecodedBatch{Structure: model.MG, Timestamps: ts, Rows: rows, Slots: slots}, nil
 }
 
 // whole reports whether batch, a decode of this header's record, holds
-// every row of it and not a window's row range.
+// every row of it — not a window's row range, not one member's row. It is
+// the one rule for what enters the decoded-blob cache, whose key names a
+// record and the tags decoded, never a part of the record's rows.
 func (h *blobHeader) whole(batch *DecodedBatch) bool {
-	return h.structure == blobMG || len(batch.Timestamps) == h.count
+	rows := h.count
+	if h.structure == blobMG {
+		// The payload opens with the member bitmap, which a decode checked
+		// against the reported count.
+		rows = countBits(h.payload(), 0, h.count)
+	}
+	return len(batch.Timestamps) == rows
+}
+
+// lacksMember reports whether an MG record's member bitmap says slot has no
+// row in it. It reads the bitmap alone, so a record's head can answer; a
+// stub, whose bitmap is gone, and a head too short to hold the slot's bit
+// lack nothing.
+func (h *blobHeader) lacksMember(slot int) bool {
+	if h.structure != blobMG || h.payOff == 0 || h.tier() == TierStub || slot < 0 {
+		return false
+	}
+	if slot >= h.count {
+		return true
+	}
+	p := h.payload()
+	return slot/8 < len(p) && !getBit(p, slot)
+}
+
+// headLacksMember is lacksMember asked of the leading bytes of a blob.
+func headLacksMember(head []byte, slot int) bool {
+	h, _ := parseBlobHeader(head)
+	return h.lacksMember(slot)
 }
 
 // reencode encodes a decoded batch back into a blob of the structure and

@@ -19,9 +19,10 @@ import (
 // they accept is consistent: the header's fields agree with the decode,
 // the accessors agree with each other, a stub keeps exactly the header,
 // a re-encode (the upgrade path) decodes to the same rows, and a decode of
-// a window's row range yields the rows of the full decode. Seeds are the
-// golden fixtures — every structure, tier, format version and shape — so
-// mutations explore deep paths, not just header rejection.
+// a window's row range, or of one MG member's row, yields the rows of the
+// full decode. Seeds are the golden fixtures — every structure, tier,
+// format version and shape — so mutations explore deep paths, not just
+// header rejection.
 func FuzzValueBlobDecode(f *testing.F) {
 	for _, fx := range goldenFixtures() {
 		f.Add(fx.blob)
@@ -112,6 +113,26 @@ func FuzzValueBlobDecode(f *testing.F) {
 			for _, w := range [][2]int64{{ts[n/3], ts[2*n/3]}, {ts[n/2], ts[n/2]}, {ts[0] + 1, ts[n-1] - 1}, {math.MinInt64, ts[n/2]}, {ts[n/2], math.MaxInt64 - 1}} {
 				if w[0] <= w[1] && w[1] < math.MaxInt64 {
 					checkWindowedDecode(t, &h, baseTS, nil, batch, w[0], w[1]+1)
+				}
+			}
+		}
+		// A member decode is the full decode, restricted to the member: the
+		// first, middle and last reported slots and one the bitmap lacks.
+		if slots := batch.Slots; batch.Structure == model.MG {
+			absent := 0
+			for _, s := range slots {
+				if s == absent {
+					absent++
+				}
+			}
+			probe, mid := []int{absent}, int64(baseTS)
+			if n := len(slots); n > 0 {
+				probe, mid = append(probe, slots[0], slots[n/2], slots[n-1]), batch.Timestamps[n/2]
+			}
+			for _, slot := range probe {
+				checkMemberDecode(t, &h, baseTS, nil, batch, slot, math.MinInt64, math.MaxInt64)
+				if mid < math.MaxInt64 {
+					checkMemberDecode(t, &h, baseTS, nil, batch, slot, mid, mid+1)
 				}
 			}
 		}

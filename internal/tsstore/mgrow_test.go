@@ -89,6 +89,41 @@ func windowsExact(t *testing.T, f *fixture, schemaID int64, sources []*model.Dat
 	}
 }
 
+// reopenableFixture opens a fixture over an in-memory file and returns it
+// with a reopen that flushes, closes and opens the same file again, in
+// place: after it the fixture holds what a restart finds.
+func reopenableFixture(t *testing.T, cfg Config, groupSize int) (*fixture, func()) {
+	t.Helper()
+	file := pagestore.NewMemFile()
+	f := &fixture{}
+	open := func() {
+		page, err := pagestore.Open(file, pagestore.Options{PoolPages: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := catalog.Open(page, groupSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(page, cat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*f = fixture{store: st, cat: cat, page: page}
+	}
+	open()
+	t.Cleanup(func() { f.page.Close() })
+	return f, func() {
+		if err := f.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.page.Close(); err != nil {
+			t.Fatal(err)
+		}
+		open()
+	}
+}
+
 // TestMGWindowIsTheGroups is the regression for a writer and a reader that
 // disagreed about an MG group's window: the writer bucketed rows by the
 // interval of whichever member wrote first, the reader looked back by the
@@ -98,34 +133,7 @@ func windowsExact(t *testing.T, f *fixture, schemaID int64, sources []*model.Dat
 // writer spans rows over groupWindow too, so every record is within the
 // reader's lookback: buffered, flushed and after a reopen.
 func TestMGWindowIsTheGroups(t *testing.T) {
-	file := pagestore.NewMemFile()
-	var f *fixture
-	open := func() {
-		page, err := pagestore.Open(file, pagestore.Options{PoolPages: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat, err := catalog.Open(page, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := Open(page, cat, Config{BatchSize: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f = &fixture{store: st, cat: cat, page: page}
-	}
-	reopen := func() {
-		if err := f.store.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.page.Close(); err != nil {
-			t.Fatal(err)
-		}
-		open()
-	}
-	open()
-	t.Cleanup(func() { f.page.Close() })
+	f, reopen := reopenableFixture(t, Config{BatchSize: 8}, 4)
 	s := f.schema(t, "mixed", 1)
 	a := f.source(t, s.ID, false, 1000)
 	b := f.source(t, s.ID, false, 10000)
@@ -238,4 +246,97 @@ func TestReorganizeSortsMemberRows(t *testing.T) {
 	}
 	windows = append(windows, [2]int64{math.MinInt64, math.MaxInt64})
 	windowsExact(t, f, s.ID, members, truth, windows, "reorganized")
+}
+
+// TestMemberAggregateIsDecodeAndFilter: COUNT/SUM/MIN/MAX over one MG
+// member, whole and time-bucketed, decode that member's row of each record
+// and nothing else of it — and must equal the reference of decoding every
+// record whole (a group scan) and keeping the member's rows. Buffered,
+// flushed and after a reopen, with the cache on and off, for every member.
+func TestMemberAggregateIsDecodeAndFilter(t *testing.T) {
+	f, reopen := reopenableFixture(t, Config{BatchSize: 8, BlobCacheBytes: 1 << 20}, 8)
+	const ntags = 2
+	s := f.schema(t, "member", ntags)
+	var members []*model.DataSource
+	for i := 0; i < 6; i++ {
+		members = append(members, f.source(t, s.ID, false, 1000))
+	}
+	rng := rand.New(rand.NewSource(35))
+	var truth []model.Point
+	cur := make([]int64, len(members))
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			k := rng.Intn(len(members))
+			cur[k] += 700 + rng.Int63n(600)
+			vals := make([]float64, ntags)
+			for tag := range vals {
+				if vals[tag] = math.Round(rng.Float64()*1000) / 4; rng.Intn(6) == 0 {
+					vals[tag] = model.NullValue
+				}
+			}
+			p := model.Point{Source: members[k].ID, TS: cur[k], Values: vals}
+			truth = append(truth, p)
+			if err := f.store.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		it, err := f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		group := collect(t, it)
+		if len(group) != len(truth) {
+			t.Fatalf("%s: the group scan returns %d rows, %d were written", when, len(group), len(truth))
+		}
+		end := slices.Max(cur) + 1
+		specs := []AggSpec{
+			{T1: math.MinInt64, T2: math.MaxInt64},
+			{T1: end / 3, T2: 2 * end / 3},
+			{T1: math.MinInt64, T2: math.MaxInt64, BucketMs: 7000},
+			{T1: end / 4, T2: end - 5000, BucketMs: 60_000},
+		}
+		for _, ds := range members {
+			var mine []model.Point
+			for _, p := range group {
+				if p.Source == ds.ID {
+					mine = append(mine, p)
+				}
+			}
+			for _, spec := range specs {
+				spec.NTags = ntags
+				want := refFold(mine, spec)
+				for _, opts := range []ScanOptions{{}, {NoCache: true}} {
+					spec.Opts = opts
+					got, err := f.store.AggregateHistorical(ds.ID, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareAgg(t, fmt.Sprintf("%s: member %d [%d,%d) bucket %d NoCache=%v", when, ds.ID, spec.T1, spec.T2, spec.BucketMs, opts.NoCache), got, want, spec)
+				}
+			}
+		}
+		// Through the cache the member aggregates used, the group still reads whole.
+		it, err = f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := collect(t, it); len(got) != len(truth) {
+			t.Fatalf("%s: after the member aggregates the cached group scan returns %d rows, want %d", when, len(got), len(truth))
+		}
+	}
+	write(300)
+	if _, _, mg := f.store.TreeSizes(); mg == 0 {
+		t.Fatal("no MG record flushed: the buffered check would read the buffer alone")
+	}
+	check("buffered")
+	write(300)
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed")
+	reopen()
+	check("reopened")
 }

@@ -66,12 +66,16 @@ type walker struct {
 	homes   []home
 	buffer  home    // the pseudo-home of buffered rows
 	members []int64 // MG owners: slot -> source id
-	only    int64   // MG owners: restrict MG and buffered rows to this member; 0 = all
+	slot    int     // MG owners: restrict MG and buffered rows to this member's slot, or allMembers
 	window  int64   // MG owners: the group's window (groupWindow)
 	t2      int64
 	from    int64 // resume point; rows in [from, t2) remain
 	started bool  // a step has run: records keyed below from were met before
 	done    bool
+
+	// What the walk did so far: records take dropped on their header's
+	// word, records decoded and the rows those decodes materialised.
+	dropped, decoded, decodedRows int
 
 	ctx      context.Context // nil = never canceled
 	cache    *blobCache      // nil = bypass
@@ -129,7 +133,7 @@ type chunk struct {
 
 func (s *Store) newWalker(owner int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
 	w := &walker{
-		s: s, sh: s.shardFor(owner), owner: owner,
+		s: s, sh: s.shardFor(owner), owner: owner, slot: allMembers,
 		from: t1, t2: t2, done: t1 >= t2,
 		ctx: opts.Ctx, cache: s.scanCache(opts), wantTags: wantTags,
 	}
@@ -152,13 +156,20 @@ func (s *Store) sourceWalker(ds *model.DataSource, t1, t2 int64, wantTags []int,
 // groupWalker walks an MG group's rows, all members' or only one's:
 // reorganized history and the repeats of a timestamp a member has open in
 // the buffer (see writeMG) live per source in RTS/IRTS, the rest in the
-// group's MG records and buffer.
+// group's MG records and buffer. A walk of one member decodes its row of an
+// MG record and nothing else of it, and drops a record without the member
+// on its head.
 func (s *Store) groupWalker(group, only int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
 	w := s.newWalker(group, t1, t2, wantTags, opts)
 	w.members = s.cat.GroupMembers(group)
-	w.only = only
 	w.window = s.groupWindow(group)
-	for _, src := range w.members {
+	if only != 0 {
+		w.slot = math.MaxInt32 // not a member: a slot no record has
+	}
+	for slot, src := range w.members {
+		if src == only {
+			w.slot = slot
+		}
 		if ds, ok := s.cat.Source(src); ok && (only == 0 || src == only) {
 			w.homes = append(w.homes, home{tree: s.treeFor(ds.HistoricalStructure()), id: src, seq: len(w.homes)})
 		}
@@ -373,10 +384,11 @@ func (w *walker) gather(ch *chunk) error {
 
 // take reads the record under the cursor into rec and reports whether the
 // chunk keeps it. A record whose rows all end before lo — one an earlier
-// step handed out, or one the lookback reached — is dropped on its header's
-// word, whatever its payload holds: no consumer ever sees it, and of its
-// bytes only the head is read (one page, copied nowhere that outlives this
-// call). A kept record's bytes go to the step's buffer.
+// step handed out, or one the lookback reached — and, in a walk of one MG
+// member, an MG record whose member bitmap lacks it are dropped on their
+// header's word, whatever the payload holds: no consumer ever sees them,
+// and of their bytes only the head is read (one page, copied nowhere that
+// outlives this call). A kept record's bytes go to the step's buffer.
 func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err error) {
 	if w.cache != nil {
 		rec.hit, rec.ver = w.cache.get(blobKey{tree: w.s.treeID(c.home.tree), source: c.home.id, ts: c.ts}, w.sig)
@@ -388,7 +400,9 @@ func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 		val, err := c.cur.AppendHead(w.buf, headBytes)
 		if err == nil {
 			w.buf = val[:start] // keeps what the head grew
-			if last, ok := headLastTS(val[start:], rec.ts); ok && last < lo {
+			head := val[start:]
+			if last, ok := headLastTS(head, rec.ts); ok && last < lo || w.slot != allMembers && headLacksMember(head, w.slot) {
+				w.dropped++
 				return false, nil
 			}
 			val, err = c.cur.AppendValue(w.buf)
@@ -410,9 +424,10 @@ func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 		rec.blob = val[start:len(val):len(val)]
 		rec.hdr, _ = parseBlobHeader(rec.blob)
 	}
-	// The same rule on the whole header: a cache hit, or a header whose
-	// summary starts beyond the head.
-	if _, _, last, ok := rec.hdr.span(rec.ts); ok && last < lo {
+	// The same rules on the whole header: a cache hit, or a header that
+	// reaches beyond the head.
+	if _, _, last, ok := rec.hdr.span(rec.ts); ok && last < lo || rec.hdr.lacksMember(w.slot) {
+		w.dropped++
 		w.buf = w.buf[:start]
 		return false, nil
 	}
@@ -437,7 +452,7 @@ func (w *walker) addBuffered(ch *chunk) {
 		for _, row := range gb.rows {
 			for slot, present := range row.present {
 				src := gb.members[slot]
-				if !present || row.tss[slot] < ch.lo || row.tss[slot] >= ch.hi || (w.only != 0 && src != w.only) {
+				if !present || row.tss[slot] < ch.lo || row.tss[slot] >= ch.hi || (w.slot != allMembers && slot != w.slot) {
 					continue
 				}
 				out = append(out, model.Point{Source: src, TS: row.tss[slot], Values: append([]float64(nil), row.values[slot]...)})
@@ -484,10 +499,12 @@ func (r *walkRec) lastTS() int64 {
 
 // decode returns the rows of a stored record handed out in a chunk with
 // window [lo, hi) — all of them when the window covers the record, else
-// the row range the window needs (see blobHeader.decode). shared says the
+// the row range the window needs, and of an MG record in a walk of one
+// member that member's row alone (see blobHeader.decode). shared says the
 // batch is, or may become, visible to other readers through the cache, so
 // its rows must be copied before they are handed on; only a whole-record
-// decode is cached, since a row range has no key that names it. A nil
+// decode is cached (blobHeader.whole), since a row range or one member's
+// row has no key that names it. A nil
 // batch with a nil error means the record contributes nothing: its span
 // misses the window (nothing behind the header is read, stub or not), or
 // it is quarantined in lenient mode. A stub with rows inside the window
@@ -507,7 +524,7 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, shared b
 	}
 	switch {
 	case r.hdr.tier() != TierStub:
-		batch, err = r.hdr.decode(r.ts, w.wantTags, lo, hi-1)
+		batch, err = r.hdr.decode(r.ts, w.wantTags, w.slot, lo, hi-1)
 	case spanOK:
 		return nil, false, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: first, LastTS: last}
 	default:
@@ -520,6 +537,8 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, shared b
 		}
 		return nil, false, err
 	}
+	w.decoded++
+	w.decodedRows += len(batch.Rows)
 	if shared = w.cache != nil && r.hdr.whole(batch); shared {
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
 			batch, r.hdr.detached(), int64(len(r.blob)))
@@ -535,12 +554,10 @@ func (w *walker) eachRow(r *walkRec, batch *DecodedBatch, lo, hi int64, fn func(
 		src := r.home.id
 		if batch.Structure == model.MG {
 			slot := batch.Slots[i]
-			if slot >= len(w.members) {
+			if slot >= len(w.members) || w.slot != allMembers && slot != w.slot {
 				continue
 			}
-			if src = w.members[slot]; w.only != 0 && src != w.only {
-				continue
-			}
+			src = w.members[slot]
 		}
 		if ts >= lo && ts < hi {
 			fn(src, ts, batch.Rows[i])

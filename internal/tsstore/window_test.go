@@ -12,13 +12,14 @@ import (
 
 // A scan pays for its window, not for its records. These tests pin the
 // three rules that make it so: a record the window's span misses is never
-// decoded, a record it cuts is decoded for a row range that yields exactly
-// the rows of a full decode, and only a full decode enters the cache.
+// decoded, a record it cuts is decoded for a row range — of an MG record in
+// a walk of one member, for that member's row — that yields exactly the
+// rows of a full decode, and only a full decode enters the cache.
 
 // windowRows is what a consumer gets from a decode of one record for the
 // window [lo, hi): the batch's rows after eachRow's filter.
 func windowRows(batch *DecodedBatch, lo, hi int64) []model.Point {
-	w := &walker{}
+	w := &walker{slot: allMembers}
 	for _, slot := range batch.Slots { // MG: every slot is a known member
 		for slot >= len(w.members) {
 			w.members = append(w.members, int64(len(w.members)+1))
@@ -35,7 +36,7 @@ func windowRows(batch *DecodedBatch, lo, hi int64) []model.Point {
 // window [lo, hi) hands a consumer exactly the rows a full decode does.
 func checkWindowedDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int, full *DecodedBatch, lo, hi int64) {
 	t.Helper()
-	part, err := h.decode(baseTS, wantTags, lo, hi-1)
+	part, err := h.decode(baseTS, wantTags, allMembers, lo, hi-1)
 	if err != nil {
 		t.Fatalf("window [%d,%d) wantTags %v: full decode succeeded, range decode failed: %v", lo, hi, wantTags, err)
 	}
@@ -132,7 +133,7 @@ func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
 					hi = math.MaxInt64
 				}
 				checkWindowedDecode(t, &h, base, wantTags, full, lo, hi)
-				if part, _ := h.decode(base, wantTags, lo, hi-1); !h.whole(part) {
+				if part, _ := h.decode(base, wantTags, allMembers, lo, hi-1); !h.whole(part) {
 					partial++
 				}
 			}
@@ -140,6 +141,145 @@ func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
 	}
 	if partial == 0 {
 		t.Fatal("no window ever decoded less than a whole record")
+	}
+}
+
+// memberRows is what a decode of an MG record yields for one member slot
+// and the window [lo, hi): the slot's rows with timestamps in it.
+func memberRows(batch *DecodedBatch, slot int, lo, hi int64) []model.Point {
+	var out []model.Point
+	for i, s := range batch.Slots {
+		if ts := batch.Timestamps[i]; s == slot && ts >= lo && ts < hi {
+			out = append(out, model.Point{TS: ts, Values: batch.Rows[i]})
+		}
+	}
+	return out
+}
+
+// checkMemberDecode fails unless decoding the MG record behind h for one
+// member slot and the window [lo, hi) yields exactly the full decode's rows
+// of that slot in the window, bit for bit, and counts as whole exactly when
+// it holds every row the record reports.
+func checkMemberDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int, full *DecodedBatch, slot int, lo, hi int64) {
+	t.Helper()
+	part, err := h.decode(baseTS, wantTags, slot, lo, hi-1)
+	if err != nil {
+		t.Fatalf("slot %d window [%d,%d) wantTags %v: full decode succeeded, member decode failed: %v", slot, lo, hi, wantTags, err)
+	}
+	if len(part.Timestamps) != len(part.Rows) || len(part.Slots) != len(part.Rows) {
+		t.Fatalf("slot %d: member decode has %d timestamps, %d slots, %d rows", slot, len(part.Timestamps), len(part.Slots), len(part.Rows))
+	}
+	got, want := memberRows(part, slot, lo, hi), memberRows(full, slot, lo, hi)
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = got[i].TS == want[i].TS && len(got[i].Values) == len(want[i].Values)
+		for j := 0; same && j < len(got[i].Values); j++ {
+			same = math.Float64bits(got[i].Values[j]) == math.Float64bits(want[i].Values[j])
+		}
+	}
+	if !same {
+		t.Fatalf("slot %d window [%d,%d) wantTags %v: member decode yields %v, full decode then filter %v", slot, lo, hi, wantTags, got, want)
+	}
+	if h.flags&flagRowOriented == 0 && len(part.Rows) > len(want) {
+		t.Fatalf("slot %d window [%d,%d): a tag-oriented member decode materialised %d rows for %d of the member's", slot, lo, hi, len(part.Rows), len(want))
+	}
+	if h.whole(part) != (len(part.Rows) == len(full.Rows)) {
+		t.Fatalf("slot %d: whole() = %v for %d of %d reported rows", slot, h.whole(part), len(part.Rows), len(full.Rows))
+	}
+}
+
+// TestMemberDecodeIsFullDecodeRestricted: for random MG records — 1 to 130
+// members, some missing, NULL-heavy bitmaps, lossy, cold and raw codecs,
+// both layouts — every slot (those past the member count too), random tag
+// selections and random windows, the member decode yields the full decode
+// filtered to the slot and the window, and the cache's whole() rule holds.
+// A slot the bitmap lacks decodes nothing: with everything behind the
+// bitmap cut off it still yields no rows and no error, and a record's head
+// says so.
+func TestMemberDecodeIsFullDecodeRestricted(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const ntags = 4
+	one, whole := 0, 0
+	for round := 0; round < 300; round++ {
+		members := 1 + rng.Intn(130)
+		presentShare := []float64{0.05, 0.5, 0.9, 1}[rng.Intn(4)]
+		nullShare := []float64{0, 0.1, 0.9, 1}[rng.Intn(4)]
+		window := int64(1 + rng.Intn(30_000))
+		base := int64(rng.Intn(2000)) - 1000
+		present := make([]bool, members)
+		rows := make([][]float64, members)
+		offsets := make([]int64, members)
+		reported := 0
+		for slot := range present {
+			if present[slot] = rng.Float64() < presentShare; present[slot] {
+				reported++
+			}
+			offsets[slot] = rng.Int63n(window)
+			rows[slot] = make([]float64, ntags)
+			for tag := range rows[slot] {
+				switch {
+				case rng.Float64() < nullShare:
+					rows[slot][tag] = model.NullValue
+				case tag == 0:
+					rows[slot][tag] = 42
+				case tag == 1:
+					rows[slot][tag] = float64(3 * slot)
+				case tag == 2:
+					rows[slot][tag] = 20 + 0.01*float64(slot) + 0.001*rng.Float64()
+				default:
+					rows[slot][tag] = rng.Float64() * 100
+				}
+			}
+		}
+		opts := encodeOpts{cold: rng.Intn(2) == 0, disable: rng.Intn(8) == 0}
+		if rng.Intn(3) == 0 {
+			opts.policies = []compress.Policy{{}, {MaxDev: 0.5}, {MaxDev: 0.01}, {MaxDev: 2}}
+		}
+		if rng.Intn(6) == 0 {
+			opts.layout = layoutRowOriented
+		}
+		blob := EncodeMG(present, rows, offsets, ntags, opts)
+		h, ok := parseBlobHeader(blob)
+		if !ok {
+			t.Fatalf("round %d: encoded blob does not parse", round)
+		}
+		cut, _ := parseBlobHeader(blob[:h.payOff+bitmapLen(members)])
+		head, _ := parseBlobHeader(blob[:min(len(blob), headBytes)])
+		for _, wantTags := range [][]int{nil, {}, {rng.Intn(ntags)}, {3, 0}, {1, 9, -1}} {
+			full, err := h.decodeAll(base, wantTags)
+			if err != nil || len(full.Rows) != reported || !h.whole(full) {
+				t.Fatalf("round %d: full decode: %d of %d rows, %v", round, len(full.Rows), reported, err)
+			}
+			for slot := 0; slot < members+3; slot++ {
+				lacks := slot >= members || !present[slot]
+				if h.lacksMember(slot) != lacks || head.payOff != 0 && head.lacksMember(slot) != lacks {
+					t.Fatalf("round %d slot %d: lacksMember says %v, the record %v", round, slot, h.lacksMember(slot), lacks)
+				}
+				if lacks {
+					if none, err := cut.decode(base, wantTags, slot, math.MinInt64, math.MaxInt64); err != nil || len(none.Rows) != 0 {
+						t.Fatalf("round %d slot %d: a slot the bitmap lacks read past the bitmap: %d rows, %v", round, slot, len(none.Rows), err)
+					}
+				}
+				checkMemberDecode(t, &h, base, wantTags, full, slot, math.MinInt64, math.MaxInt64)
+				for q := 0; q < 3; q++ {
+					lo := base - 100 + rng.Int63n(window+200)
+					hi := lo + 1 + rng.Int63n(window/2+1)
+					checkMemberDecode(t, &h, base, wantTags, full, slot, lo, hi)
+				}
+				if !lacks {
+					part, _ := h.decode(base, wantTags, slot, math.MinInt64, math.MaxInt64)
+					if len(part.Rows) == 1 {
+						one++
+					}
+					if h.whole(part) {
+						whole++
+					}
+				}
+			}
+		}
+	}
+	if one == 0 || whole == 0 {
+		t.Fatalf("%d one-row member decodes, %d whole ones: the generator misses a case", one, whole)
 	}
 }
 
