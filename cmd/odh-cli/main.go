@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"odh"
+	"odh/internal/relational"
 	"odh/internal/retry"
 )
 
@@ -288,6 +289,7 @@ func runSQL(h *odh.Historian, sql string) {
 	}
 	fmt.Println(strings.Join(res.Columns, " | "))
 	n := 0
+	var line []byte
 	for {
 		row, ok, err := res.Next()
 		if err != nil {
@@ -299,16 +301,20 @@ func runSQL(h *odh.Historian, sql string) {
 		}
 		n++
 		if n <= 40 {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				cells[i] = v.String()
-			}
-			fmt.Println(strings.Join(cells, " | "))
+			line = printRow(line, row)
 		} else if n == 41 {
 			fmt.Println("... (display truncated; counting remaining rows)")
 		}
 	}
 	fmt.Printf("(%d rows, %v, %d blob bytes read)\n", n, time.Since(start).Round(time.Microsecond), res.BlobBytes())
+}
+
+// printRow prints one result row as the shells show it, cells separated
+// by " | ", encoded into line (returned for reuse by the next row).
+func printRow(line []byte, row []odh.Value) []byte {
+	line = append(relational.AppendRow(line[:0], row, " | "), '\n')
+	os.Stdout.Write(line)
+	return line
 }
 
 // remoteShell speaks the wire protocol to a running odh-server. When

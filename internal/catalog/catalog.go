@@ -7,10 +7,12 @@
 package catalog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,7 +50,12 @@ type Catalog struct {
 	openGroup    map[int64]int64   // schema id -> group currently filling
 	vtableCache  map[string]int64
 	schemaAgg    map[int64]model.SourceStats // aggregated stats per schema
-	sourceCount  map[int64]int64             // sources per schema
+	// schemaSources lists each schema's source ids, and schemaOwn its
+	// sources that ingest into their own records (RTS/IRTS, not MG), both
+	// in ascending id order: a slice query reads them without a pass over
+	// every source of every schema.
+	schemaSources map[int64][]int64
+	schemaOwn     map[int64][]*model.DataSource
 }
 
 // CorruptStatsError reports a statistics entry that does not decode. ID is
@@ -81,16 +88,17 @@ func open(store *pagestore.Store, groupSize int, lenient bool) (*Catalog, error)
 		groupSize = DefaultGroupSize
 	}
 	c := &Catalog{
-		groupSize:    groupSize,
-		bySchemaName: make(map[string]*model.SchemaType),
-		bySchemaID:   make(map[int64]*model.SchemaType),
-		srcCache:     make(map[int64]*model.DataSource),
-		statsMem:     make(map[int64]model.SourceStats),
-		groupMembers: make(map[int64][]int64),
-		openGroup:    make(map[int64]int64),
-		vtableCache:  make(map[string]int64),
-		schemaAgg:    make(map[int64]model.SourceStats),
-		sourceCount:  make(map[int64]int64),
+		groupSize:     groupSize,
+		bySchemaName:  make(map[string]*model.SchemaType),
+		bySchemaID:    make(map[int64]*model.SchemaType),
+		srcCache:      make(map[int64]*model.DataSource),
+		statsMem:      make(map[int64]model.SourceStats),
+		groupMembers:  make(map[int64][]int64),
+		openGroup:     make(map[int64]int64),
+		vtableCache:   make(map[string]int64),
+		schemaAgg:     make(map[int64]model.SourceStats),
+		schemaSources: make(map[int64][]int64),
+		schemaOwn:     make(map[int64][]*model.DataSource),
 	}
 	var err error
 	if c.schemas, err = btree.Open(store, "cat.schemas"); err != nil {
@@ -132,7 +140,7 @@ func (c *Catalog) load(lenient bool) error {
 			return true
 		}
 		c.srcCache[ds.ID] = ds
-		c.sourceCount[ds.SchemaID]++
+		c.indexSource(ds)
 		if ds.Group != 0 {
 			c.groupMembers[ds.Group] = append(c.groupMembers[ds.Group], ds.ID)
 		}
@@ -336,10 +344,25 @@ func (c *Catalog) RegisterSources(list []model.DataSource) ([]*model.DataSource,
 			return nil, err
 		}
 		c.srcCache[stored.ID] = &stored
-		c.sourceCount[stored.SchemaID]++
+		c.indexSource(&stored)
 		out = append(out, &stored)
 	}
 	return out, nil
+}
+
+// indexSource files a source under its schema, keeping the schema's lists
+// in ascending id order (registration order is usually ascending, which
+// makes the insert an append). Caller holds c.mu for writing.
+func (c *Catalog) indexSource(ds *model.DataSource) {
+	ids := c.schemaSources[ds.SchemaID]
+	i, _ := slices.BinarySearch(ids, ds.ID)
+	c.schemaSources[ds.SchemaID] = slices.Insert(ids, i, ds.ID)
+	if ds.IngestStructure() == model.MG {
+		return
+	}
+	own := c.schemaOwn[ds.SchemaID]
+	i, _ = slices.BinarySearchFunc(own, ds.ID, func(o *model.DataSource, id int64) int { return cmp.Compare(o.ID, id) })
+	c.schemaOwn[ds.SchemaID] = slices.Insert(own, i, ds)
 }
 
 // assignGroup places ds into the schema's currently filling MG group,
@@ -372,25 +395,27 @@ func (c *Catalog) Source(id int64) (*model.DataSource, bool) {
 }
 
 // SourcesBySchema returns the ids of every source of a schema type, in
-// ascending order.
+// ascending order (a copy the caller owns).
 func (c *Catalog) SourcesBySchema(schemaID int64) []int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []int64
-	for id, ds := range c.srcCache {
-		if ds.SchemaID == schemaID {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(c.schemaSources[schemaID])
+}
+
+// OwnRecordSources returns the sources of a schema type that ingest into
+// records of their own (RTS/IRTS; MG members share their group's), in
+// ascending id order (a copy the caller owns).
+func (c *Catalog) OwnRecordSources(schemaID int64) []*model.DataSource {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return slices.Clone(c.schemaOwn[schemaID])
 }
 
 // SourceCount returns the number of sources registered for a schema.
 func (c *Catalog) SourceCount(schemaID int64) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.sourceCount[schemaID]
+	return int64(len(c.schemaSources[schemaID]))
 }
 
 // GroupMembers returns the ordered member sources of an MG group.

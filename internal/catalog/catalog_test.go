@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"odh/internal/fault"
@@ -248,6 +249,89 @@ func TestSourcesBySchema(t *testing.T) {
 	if got := c.SourcesBySchema(b.ID); len(got) != 1 {
 		t.Fatalf("schema b sources = %v", got)
 	}
+}
+
+// TestSchemaSourceLists holds the per-schema lists to what a pass over
+// every source computes — ascending ids whatever the registration order,
+// the own-record sources being the non-MG ones — before and after a
+// reopen, and checks callers get copies.
+func TestSchemaSourceLists(t *testing.T) {
+	f := pagestore.NewMemFile()
+	open := func() (*Catalog, *pagestore.Store) {
+		store, err := pagestore.Open(f, pagestore.Options{PoolPages: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(store, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, store
+	}
+	c, store := open()
+	a, _ := c.CreateSchemaType("a", envTags())
+	b, _ := c.CreateSchemaType("b", envTags())
+	rng := rand.New(rand.NewSource(5))
+	for _, id := range rng.Perm(60) {
+		ds := model.DataSource{ID: int64(100 + id), SchemaID: a.ID, Regular: id%3 == 0, IntervalMs: 10}
+		switch {
+		case id%2 == 0:
+			ds.IntervalMs = 900000 // low frequency: an MG member
+		case id%5 == 0:
+			ds.SchemaID = b.ID
+		}
+		if _, err := c.RegisterSource(ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // auto ids (1, 2, 3) file in front of the explicit ones
+		if _, err := c.RegisterSource(model.DataSource{SchemaID: a.ID, IntervalMs: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(c *Catalog) {
+		t.Helper()
+		for _, s := range []*model.SchemaType{a, b} {
+			var wantIDs []int64
+			var wantOwn []int64
+			for id, ds := range c.srcCache {
+				if ds.SchemaID != s.ID {
+					continue
+				}
+				wantIDs = append(wantIDs, id)
+				if ds.IngestStructure() != model.MG {
+					wantOwn = append(wantOwn, id)
+				}
+			}
+			slices.Sort(wantIDs)
+			slices.Sort(wantOwn)
+			if got := c.SourcesBySchema(s.ID); !slices.Equal(got, wantIDs) {
+				t.Fatalf("schema %s: SourcesBySchema = %v, want %v", s.Name, got, wantIDs)
+			}
+			var own []int64
+			for _, ds := range c.OwnRecordSources(s.ID) {
+				own = append(own, ds.ID)
+			}
+			if !slices.Equal(own, wantOwn) {
+				t.Fatalf("schema %s: OwnRecordSources = %v, want %v", s.Name, own, wantOwn)
+			}
+			if got := c.SourceCount(s.ID); got != int64(len(wantIDs)) {
+				t.Fatalf("schema %s: SourceCount = %d, want %d", s.Name, got, len(wantIDs))
+			}
+		}
+		ids := c.SourcesBySchema(a.ID)
+		ids[0] = -1
+		if c.SourcesBySchema(a.ID)[0] == -1 {
+			t.Fatal("SourcesBySchema hands out the catalog's own list")
+		}
+	}
+	check(c)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, store = open()
+	defer store.Close()
+	check(c)
 }
 
 func TestRouterLookup(t *testing.T) {

@@ -94,19 +94,42 @@ func (v Value) AsInt() int64 {
 	return 0
 }
 
-// String renders the value for result display.
+// String renders the value for result display: what AppendText appends.
 func (v Value) String() string {
-	switch v.Kind {
-	case KindNull:
-		return "NULL"
-	case KindInt, KindTime:
-		return strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case KindString:
+	if v.Kind == KindString {
 		return v.S
 	}
-	return "?"
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the value's display rendering to dst without
+// allocating beyond dst's growth: NULL, integers and timestamps in base
+// 10, floats in the shortest 'g' form that round-trips, strings verbatim.
+func (v Value) AppendText(dst []byte) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt, KindTime:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case KindString:
+		return append(dst, v.S...)
+	}
+	return append(dst, '?')
+}
+
+// AppendRow appends one result line's cells, rendered by AppendText and
+// separated by sep: the encoder the wire protocol and the shells share.
+func AppendRow(dst []byte, vals []Value, sep string) []byte {
+	for i, v := range vals {
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = v.AppendText(dst)
+	}
+	return dst
 }
 
 // Compare orders two values: NULL < numbers < strings; numeric kinds

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"odh"
+	"odh/internal/relational"
 )
 
 // Default budgets and timeouts (see Options).
@@ -342,7 +343,9 @@ func (s *Server) handleWrite(w *odh.Writer, rest string) error {
 }
 
 // handleSQL executes one SQL command under the server's query timeout and
-// streams the result.
+// streams the result: a header line, one line per row — its cells' text
+// separated by tabs, appended into one reused buffer and written once —
+// then "OK n".
 func (s *Server) handleSQL(out io.Writer, sql string) {
 	ctx := context.Background()
 	if s.opts.QueryTimeout > 0 {
@@ -370,6 +373,7 @@ func (s *Server) handleSQL(out io.Writer, sql string) {
 	}
 	fmt.Fprintln(out, strings.Join(res.Columns, "\t"))
 	n := 0
+	line := make([]byte, 0, 256)
 	for {
 		row, ok, err := res.Next()
 		if err != nil {
@@ -380,14 +384,11 @@ func (s *Server) handleSQL(out io.Writer, sql string) {
 		if !ok {
 			break
 		}
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		fmt.Fprintln(out, strings.Join(cells, "\t"))
+		line = append(relational.AppendRow(line[:0], row, "\t"), '\n')
+		out.Write(line)
 		n++
 	}
-	fmt.Fprintf(out, "OK %d\n", n)
+	out.Write(append(strconv.AppendInt(append(line[:0], "OK "...), int64(n), 10), '\n'))
 }
 
 // noteQueryErr counts timeout-caused query failures.

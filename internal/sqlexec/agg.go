@@ -161,7 +161,7 @@ func newAggGroups(proto []aggState) *aggGroups {
 func (t *aggGroups) group(keys []relational.Value) *aggGroup {
 	t.buf = t.buf[:0]
 	for _, v := range keys {
-		t.buf = append(append(t.buf, v.String()...), 0)
+		t.buf = append(v.AppendText(t.buf), 0)
 		t.buf = append(append(t.buf, v.Kind.String()...), 1)
 	}
 	g, ok := t.byKey[string(t.buf)]

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -116,7 +117,9 @@ func (r *Result) Close() {
 	}
 }
 
-// Next pulls the next result row of a SELECT.
+// Next pulls the next result row of a SELECT. The row is lent: it is
+// valid until the next call to Next, and a caller that keeps it copies it
+// (FetchAll does).
 func (r *Result) Next() (Row, bool, error) {
 	if r.root == nil {
 		return nil, false, r.err
@@ -150,7 +153,7 @@ func (r *Result) Next() (Row, bool, error) {
 	return row, true, nil
 }
 
-// FetchAll drains the result.
+// FetchAll drains the result into rows the caller owns.
 func (r *Result) FetchAll() ([]Row, error) {
 	var out []Row
 	for {
@@ -161,7 +164,7 @@ func (r *Result) FetchAll() ([]Row, error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, row)
+		out = append(out, slices.Clone(row))
 	}
 }
 

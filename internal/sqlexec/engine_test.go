@@ -46,6 +46,15 @@ func newEngineWith(t testing.TB, cfg tsstore.Config) *Engine {
 // ACCOUNT and CUSTOMER, mirroring the paper's simplified TPC-E schema.
 func tdFixture(t testing.TB, e *Engine) (accounts []int64) {
 	t.Helper()
+	return tdFixtureOf(t, e, nil)
+}
+
+// tdFixtureOf is tdFixture writing the trades of the accounts keep accepts
+// only (nil keeps all): every engine gets the same relational tables and
+// sources, and the engines of a partition hold disjoint trades whose union
+// is tdFixture's.
+func tdFixtureOf(t testing.TB, e *Engine, keep func(acct int64) bool) (accounts []int64) {
+	t.Helper()
 	cat := e.cat
 	schema, err := cat.CreateSchema(model.SchemaType{
 		Name:   "trade",
@@ -83,6 +92,9 @@ func tdFixture(t testing.TB, e *Engine) (accounts []int64) {
 		ts := int64(1000000)
 		for i := 0; i < 50; i++ {
 			ts += int64(40 + rng.Intn(20))
+			if keep != nil && !keep(acct) {
+				continue
+			}
 			if err := e.ts.Write(model.Point{
 				Source: acct, TS: ts,
 				Values: []float64{100 + float64(i), 0.5, 0.25, 0.1},
@@ -101,6 +113,13 @@ func tdFixture(t testing.TB, e *Engine) (accounts []int64) {
 // ldFixture loads a miniature LD dataset: virtual Observation (sparse
 // weather schema subset) plus relational LinkedSensor.
 func ldFixture(t testing.TB, e *Engine) (sensors []int64) {
+	t.Helper()
+	return ldFixtureOf(t, e, nil)
+}
+
+// ldFixtureOf is ldFixture writing the observations of the sensors keep
+// accepts only (nil keeps all), like tdFixtureOf.
+func ldFixtureOf(t testing.TB, e *Engine, keep func(sensor int64) bool) (sensors []int64) {
 	t.Helper()
 	cat := e.cat
 	schema, err := cat.CreateSchema(model.SchemaType{
@@ -143,6 +162,9 @@ func ldFixture(t testing.TB, e *Engine) (sensors []int64) {
 	for round := 0; round < 12; round++ {
 		ts := int64(2000000 + round*1380000)
 		for i, src := range sensors {
+			if keep != nil && !keep(src) {
+				continue
+			}
 			vals := []float64{model.NullValue, model.NullValue, model.NullValue}
 			vals[0] = 15 + float64(round) // AirTemperature always present
 			if i%2 == 0 {

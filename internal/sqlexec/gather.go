@@ -247,7 +247,8 @@ func NewGatherAccum(plan *GatherPlan) *GatherAccum {
 
 // Fold merges one shard's rows. cols is the shard-reported column list;
 // aggregate plans fold positionally and ignore it, concat plans use it
-// to bind ORDER BY once.
+// to bind ORDER BY once. A concat plan keeps the rows themselves, so they
+// must be the caller's own (FetchAll's), never rows lent by Result.Next.
 func (a *GatherAccum) Fold(cols []string, rows []Row) error {
 	if !a.plan.aggregate {
 		return a.foldConcat(cols, rows)

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"odh/internal/model"
@@ -14,7 +15,9 @@ import (
 type Operator interface {
 	// Columns describes the output layout.
 	Columns() []ColMeta
-	// Next produces the next row; ok is false when exhausted.
+	// Next produces the next row; ok is false when exhausted. The row is
+	// lent: it is valid until the next call to Next, and a caller that
+	// keeps a row past that copies it. Producers reassemble one buffer.
 	Next() (row Row, ok bool, err error)
 	// BlobBytes reports the ValueBlob bytes this subtree read.
 	BlobBytes() int64
@@ -199,6 +202,7 @@ type virtualScan struct {
 	zones    []tsstore.TagRange
 	ctx      context.Context // cancels the scan (threaded into ScanOptions.Ctx)
 	iter     tsstore.Iterator
+	row      Row // the lent row, reassembled by every next
 }
 
 func (pc *planContext) newVirtualScan(acc *tableAccess) *virtualScan {
@@ -242,17 +246,19 @@ func (s *virtualScan) Next() (Row, bool, error) {
 	return s.next(nil)
 }
 
-// next assembles the open iterator's next point into a row behind prefix
-// (the outer row of a join; nil for a plain scan): decoded columns become
-// relational values — the VTI overhead the paper measures at >80% of
-// extraction time.
+// next assembles the open iterator's next point into the scan's row
+// buffer behind prefix (the outer row of a join; nil for a plain scan):
+// decoded columns become relational values — the VTI overhead the paper
+// measures at >80% of extraction time.
 func (s *virtualScan) next(prefix Row) (Row, bool, error) {
 	p, ok := s.iter.Next()
 	if !ok {
 		return nil, false, s.iter.Err()
 	}
-	row := make(Row, 0, len(prefix)+len(s.cols))
-	row = append(row, prefix...)
+	if s.row == nil {
+		s.row = make(Row, 0, len(prefix)+len(s.cols))
+	}
+	row := append(s.row[:0], prefix...)
 	row = append(row, relational.Int(p.Source), relational.Time(p.TS))
 	for _, v := range p.Values {
 		if model.IsNull(v) {
@@ -261,6 +267,7 @@ func (s *virtualScan) next(prefix Row) (Row, bool, error) {
 			row = append(row, relational.Float(v))
 		}
 	}
+	s.row = row
 	return row, true, nil
 }
 
@@ -305,6 +312,7 @@ type projectOp struct {
 	child Operator
 	exprs []boundExpr
 	cols  []ColMeta
+	out   Row // the lent row, one cell per expression
 }
 
 func (p *projectOp) Columns() []ColMeta { return p.cols }
@@ -315,14 +323,16 @@ func (p *projectOp) Next() (Row, bool, error) {
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	out := make(Row, len(p.exprs))
+	if p.out == nil {
+		p.out = make(Row, len(p.exprs))
+	}
 	for i, e := range p.exprs {
-		out[i], err = e.eval(row)
+		p.out[i], err = e.eval(row)
 		if err != nil {
 			return nil, false, err
 		}
 	}
-	return out, true, nil
+	return p.out, true, nil
 }
 
 func (p *projectOp) Describe(indent string) string {
@@ -365,6 +375,8 @@ func (l *limitOp) Describe(indent string) string {
 // hashJoin builds a table on the right child's key and probes with the
 // left child (inner equijoin). The paper's "operational-first" plan is a
 // virtual slice scan on the left hash-joined against the relational table.
+// The table keeps copies of the right rows; the left row in hand needs
+// none, because the left child is not advanced while its matches are out.
 type hashJoin struct {
 	left, right       Operator
 	leftKey, rightKey int
@@ -374,6 +386,7 @@ type hashJoin struct {
 	pendingLeft       Row
 	pendingMatches    []Row
 	pi                int
+	out               Row // the lent row: pendingLeft then one match
 }
 
 type joinKey struct {
@@ -412,7 +425,7 @@ func (j *hashJoin) build() error {
 			break
 		}
 		if k, ok := keyOf(row[j.rightKey]); ok {
-			j.table[k] = append(j.table[k], row)
+			j.table[k] = append(j.table[k], slices.Clone(row))
 		}
 	}
 	j.built = true
@@ -429,10 +442,8 @@ func (j *hashJoin) Next() (Row, bool, error) {
 		if j.pi < len(j.pendingMatches) {
 			right := j.pendingMatches[j.pi]
 			j.pi++
-			out := make(Row, 0, len(j.cols))
-			out = append(out, j.pendingLeft...)
-			out = append(out, right...)
-			return out, true, nil
+			j.out = append(append(j.out[:0], j.pendingLeft...), right...)
+			return j.out, true, nil
 		}
 		row, ok, err := j.left.Next()
 		if !ok || err != nil {
@@ -459,7 +470,9 @@ func (j *hashJoin) Describe(indent string) string {
 // nlVirtualJoin drives historical scans of the virtual table from outer
 // rows — the paper's "relational-first" plan: extract matching sensors,
 // then extract the operational records for each sensor id. The inner is
-// one virtualScan re-aimed at each driven source.
+// one virtualScan re-aimed at each driven source, assembling its rows
+// behind cur, the outer row in hand (valid while the outer child is not
+// advanced).
 type nlVirtualJoin struct {
 	outer     Operator
 	inner     *virtualScan
@@ -516,7 +529,8 @@ func (j *nlVirtualJoin) Describe(indent string) string {
 // --- index nested-loop join with a relational inner ---
 
 // nlRelJoin drives relational index lookups from outer rows (e.g. TQ1's
-// trades-by-account via the T_CA_ID index).
+// trades-by-account via the T_CA_ID index). cur is the outer row in hand,
+// valid while the outer child is not advanced.
 type nlRelJoin struct {
 	outer    Operator
 	table    *relational.Table
@@ -526,6 +540,7 @@ type nlRelJoin struct {
 	cols     []ColMeta
 	cur      Row
 	inner    *relational.IndexCursor
+	out      Row // the lent row: cur then the inner match
 }
 
 func newNLRelJoin(outer Operator, t *relational.Table, idx *relational.Index, binding string, outerKey int) *nlRelJoin {
@@ -541,10 +556,8 @@ func (j *nlRelJoin) Next() (Row, bool, error) {
 		if j.inner != nil {
 			_, vals, ok := j.inner.Next()
 			if ok {
-				out := make(Row, 0, len(j.cols))
-				out = append(out, j.cur...)
-				out = append(out, vals...)
-				return out, true, nil
+				j.out = append(append(j.out[:0], j.cur...), vals...)
+				return j.out, true, nil
 			}
 			if err := j.inner.Err(); err != nil {
 				return nil, false, err
@@ -571,6 +584,8 @@ func (j *nlRelJoin) Describe(indent string) string {
 
 // --- sort ---
 
+// sortOp materialises its input, copying each lent row, and emits the
+// copies in order.
 type sortOp struct {
 	child Operator
 	keys  []boundExpr
@@ -593,7 +608,7 @@ func (s *sortOp) Next() (Row, bool, error) {
 			if !ok {
 				break
 			}
-			s.rows = append(s.rows, row)
+			s.rows = append(s.rows, slices.Clone(row))
 		}
 		var evalErr error
 		sort.SliceStable(s.rows, func(a, b int) bool {

@@ -255,10 +255,8 @@ func (s *Store) sliceWalkers(schemaID int64, t1, t2 int64, wantTags []int, opts 
 	for _, g := range s.cat.GroupsBySchema(schemaID) {
 		ws = append(ws, s.groupWalker(g, 0, t1, t2, wantTags, opts))
 	}
-	for _, src := range s.cat.SourcesBySchema(schemaID) {
-		if ds, ok := s.cat.Source(src); ok && ds.IngestStructure() != model.MG {
-			ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))
-		}
+	for _, ds := range s.cat.OwnRecordSources(schemaID) {
+		ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))
 	}
 	return ws
 }

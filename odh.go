@@ -59,11 +59,16 @@ type (
 	CompressionPolicy = compress.Policy
 	// SourceStats are the catalog's per-source statistics.
 	SourceStats = model.SourceStats
-	// Value is one SQL value.
+	// Value is one SQL value. Value.AppendText appends the rendering
+	// String returns without allocating.
 	Value = relational.Value
-	// Row is one SQL result row.
+	// Row is one SQL result row. A Row from Result.Next is lent: it is
+	// valid until the next call to Next, which overwrites it in place;
+	// copy it (slices.Clone) to keep it. Rows from FetchAll are the
+	// caller's.
 	Row = sqlexec.Row
-	// Result is a SQL statement outcome (pull rows with Next/FetchAll).
+	// Result is a SQL statement outcome: pull lent rows with Next, or
+	// owned rows with FetchAll.
 	Result = sqlexec.Result
 	// TierPolicy ages a schema's batch records through the storage tiers
 	// (hot → cold → summary-only stub); see Historian.TierSchema.
@@ -353,7 +358,8 @@ func (h *Historian) Stats(source int64) SourceStats {
 func (h *Historian) Writer() *Writer { return &Writer{h: h} }
 
 // Query parses and executes one SQL statement (SELECT, CREATE TABLE,
-// CREATE INDEX, CREATE VIRTUAL TABLE, INSERT, EXPLAIN SELECT).
+// CREATE INDEX, CREATE VIRTUAL TABLE, INSERT, EXPLAIN SELECT). A SELECT's
+// rows stream from Result.Next, each valid until the next call (see Row).
 func (h *Historian) Query(sql string) (*Result, error) {
 	return h.engine.Query(sql)
 }
