@@ -21,7 +21,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"table8":    8,  // query templates
 		"fig7":      8,  // 4 tag counts x 2 candidates
 		"compress":  4,
-		"ablations": 10, // arms
+		"ablations": 8, // arms
 	}
 	for _, name := range order {
 		t.Run(name, func(t *testing.T) {

@@ -6,11 +6,12 @@
 //	odh-cli -cluster N        interactive shell over an in-process
 //	                          replicated cluster (-replicas, -quorum)
 //	odh-cli -dir DIR fsck     offline integrity check; exit 1 when damaged
-//	odh-cli -dir DIR upgrade  rewrite records of older ValueBlob formats at
-//	                          the current one, re-derive the catalog's
-//	                          per-source statistics from the records,
-//	                          flush, then fsck; exit 1 when the upgraded
-//	                          store is damaged
+//	odh-cli -dir DIR upgrade  bring a store written before the ValueBlob
+//	                          format marker to the current format (which
+//	                          Open requires): rewrite its older records,
+//	                          re-derive the catalog's per-source statistics,
+//	                          verify and mark a copy, then swap it in; with
+//	                          -recover, corrupt blobs do not stop the mark
 //
 // Besides SQL, the local shell accepts dot commands:
 //
@@ -22,9 +23,8 @@
 //	                 batches, older than STUB_MS truncate to summary-only
 //	                 stubs (0 disables either transition); the reference
 //	                 "now" is the schema's newest timestamp
-//	.upgrade         rewrite records of older ValueBlob formats at the
-//	                 current one, so aggregates fold them from headers,
-//	                 and re-derive the catalog statistics from the records
+//	.upgrade         re-derive the catalog statistics from the records
+//	                 (the repair fsck's "run upgrade" asks for)
 //	.flush           checkpoint: drain ingest buffers, commit pages,
 //	                 recycle the recovery log
 //	.fsck            verify pages, B-trees, and blobs in place
@@ -84,18 +84,20 @@ func main() {
 	if *lenient {
 		opts.Recovery = odh.RecoverLenient
 	}
+	if flag.Arg(0) == "upgrade" {
+		// Upgrade verifies the store before it marks it: no fsck follows.
+		if err := printUpgrade(odh.Upgrade(*dir, opts)); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	h, err := odh.Open(*dir, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer h.Close()
 
-	if cmd := flag.Arg(0); cmd == "fsck" || cmd == "upgrade" {
-		if cmd == "upgrade" {
-			if err := upgrade(h); err != nil {
-				log.Fatal(err)
-			}
-		}
+	if flag.Arg(0) == "fsck" {
 		rep, err := h.VerifyIntegrity()
 		if err != nil {
 			log.Fatal(err)
@@ -130,14 +132,12 @@ func main() {
 	}
 }
 
-// upgrade rewrites old-format records and makes the pass durable.
-func upgrade(h *odh.Historian) error {
-	res, err := h.UpgradeBlobs()
-	if err != nil {
-		return err
+// printUpgrade prints what an upgrade pass did, or passes its error on.
+func printUpgrade(res odh.MaintenanceResult, err error) error {
+	if err == nil {
+		fmt.Printf("upgraded %d of %d records, bytes %d -> %d; statistics of %d homes re-derived\n", res.Rewritten, res.Records, res.BytesBefore, res.BytesAfter, res.StatsMoved)
 	}
-	fmt.Printf("upgraded %d of %d records, bytes %d -> %d; statistics of %d homes re-derived\n", res.Rewritten, res.Records, res.BytesBefore, res.BytesAfter, res.StatsMoved)
-	return h.Flush()
+	return err
 }
 
 func dotCommand(h *odh.Historian, line string) bool {
@@ -155,7 +155,11 @@ func dotCommand(h *odh.Historian, line string) bool {
 		}
 		fmt.Println(rep)
 	case ".upgrade":
-		if err := upgrade(h); err != nil {
+		err := printUpgrade(h.UpgradeBlobs())
+		if err == nil {
+			err = h.Flush()
+		}
+		if err != nil {
 			fmt.Println("error:", err)
 		}
 	case ".flush":

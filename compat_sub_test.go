@@ -1,81 +1,22 @@
 package odh
 
-import (
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-// Backward compatibility, second generation: stores written with whole-blob
-// summaries but before the sub-bucket mini-summary block (v2, no
-// flagSubBuckets) must keep scanning, aggregating, and verifying under a
-// sub-bucket-enabled historian; repeated bucketed aggregates must upgrade
-// lazily through the blob cache, and a reorganize must rewrite the touched
-// records with on-disk sub-bucket blocks. The golden store under
-// testdata/presub was generated by TestRegenGoldenPreSubBucketStore (run
-// with ODH_REGEN_GOLDEN=1) with SubBucketMs < 0 and is committed so format
-// drift against real v2 bytes is caught.
+import "testing"
 
 const goldenPreSubDir = "testdata/presub"
 
-func TestRegenGoldenPreSubBucketStore(t *testing.T) {
-	if os.Getenv("ODH_REGEN_GOLDEN") == "" {
-		t.Skip("set ODH_REGEN_GOLDEN=1 to regenerate testdata/presub")
-	}
-	if err := os.RemoveAll(goldenPreSubDir); err != nil {
-		t.Fatal(err)
-	}
-	h, err := Open(goldenPreSubDir, Options{
-		BatchSize: 16, GroupSize: 4, SubBucketMs: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildGoldenWorkload(t, h)
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// openGoldenStoreCopy copies a golden page file into a temp dir and opens
-// it with the given options.
-func openGoldenStoreCopy(t *testing.T, srcDir string, opts Options) *Historian {
-	t.Helper()
-	src, err := os.Open(filepath.Join(srcDir, "odh.pages"))
-	if err != nil {
-		t.Fatalf("golden store %s missing (regenerate with ODH_REGEN_GOLDEN=1): %v", srcDir, err)
-	}
-	defer src.Close()
-	dir := t.TempDir()
-	dst, err := os.Create(filepath.Join(dir, "odh.pages"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.Copy(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
-	}
-	h, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("open golden store %s: %v", srcDir, err)
-	}
-	t.Cleanup(func() { h.Close() })
-	return h
-}
-
+// TestPreSubBucketStoreCompat: a store of whole-blob summaries without
+// sub-bucket blocks is refused, then upgraded: its per-source records gain
+// the block (MG records never carry one, so they stay), and bucketed
+// aggregates over windows off the bucket grid fold from it.
 func TestPreSubBucketStoreCompat(t *testing.T) {
 	// Base 40 ms: RTS blobs (16 points at 10 ms) span 160 ms, so every
 	// bucketed query below has them straddling bucket edges.
 	base := Options{BatchSize: 16, GroupSize: 4, BlobCacheBytes: 1 << 20, SubBucketMs: 40}
-	h := openGoldenStoreCopy(t, goldenPreSubDir, base)
-	noPush := base
-	noPush.DisableAggPushdown = true
-	ref := openGoldenStoreCopy(t, goldenPreSubDir, noPush)
-
+	dir, up := upgradeGoldenStore(t, goldenPreSubDir, base)
+	if up.Rewritten >= up.Records {
+		t.Fatalf("Upgrade rewrote %d of %d records; the MG records have nothing to gain", up.Rewritten, up.Records)
+	}
+	h, ref := openUpgradedPair(t, dir, base)
 	// Unaligned windows at base-multiple widths: the shapes only the
 	// sub-bucket path can fold without decoding.
 	queries := []string{
@@ -85,103 +26,10 @@ func TestPreSubBucketStoreCompat(t *testing.T) {
 		`SELECT TIME_BUCKET(120, ts), COUNT(*), MIN(b) FROM D WHERE ts >= 7 AND ts < 4321 GROUP BY TIME_BUCKET(120, ts)`,
 		`SELECT id, TIME_BUCKET(200, ts), AVG(b) FROM D GROUP BY id, TIME_BUCKET(200, ts)`,
 	}
-	check := func(stage string) {
-		t.Helper()
-		for _, sql := range queries {
-			_, got := diffFetch(t, h, sql)
-			_, want := diffFetch(t, ref, sql)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: %s: pushdown diverged from decode plan:\n got %v\nwant %v", stage, sql, got, want)
-			}
-		}
-	}
-	check("v2")
-	if rows, _ := diffFetch(t, h, queries[0]); len(rows) == 0 {
-		t.Fatal("golden store scanned empty")
-	}
-
-	// v2 blobs have no sub-bucket block: every bucketed pass decodes the
-	// straddlers, with or without the earlier decodes in the cache.
 	before := h.TotalStats()
-	for _, sql := range queries[2:] {
-		diffFetch(t, h, sql)
+	samePlans(t, h, ref, queries)
+	if after := h.TotalStats(); after.SubBucketFolds <= before.SubBucketFolds {
+		t.Fatalf("bucketed aggregates over the upgraded store never sub-folded: before=%d after=%d", before.SubBucketFolds, after.SubBucketFolds)
 	}
-	if after := h.TotalStats(); after.SubBucketFolds != before.SubBucketFolds {
-		t.Fatalf("v2 records sub-folded without a block: before=%d after=%d", before.SubBucketFolds, after.SubBucketFolds)
-	}
-
-	// The fsck's sub-summary cross-check must accept v2 records.
-	rep, err := h.VerifyIntegrity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("pre-sub-bucket store failed verification:\n%s", rep)
-	}
-
-	// The explicit upgrade (on its own copy: the rest of this test wants a
-	// mixed v2/v3 store) gives the per-source records their block, and the
-	// very next bucketed pass folds from it. MG records never carry one.
-	up := openGoldenStoreCopy(t, goldenPreSubDir, base)
-	if res := checkUpgrade(t, up, queries); res.Rewritten == 0 || res.Rewritten >= res.Records {
-		t.Fatalf("UpgradeBlobs rewrote %d of %d v2 records", res.Rewritten, res.Records)
-	}
-	before = up.TotalStats()
-	for i, sql := range queries {
-		got, _ := diffFetch(t, up, sql)
-		if want, _ := diffFetch(t, ref, sql); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("upgraded: %s diverged from decode plan", queries[i])
-		}
-	}
-	if after := up.TotalStats(); after.SubBucketFolds <= before.SubBucketFolds {
-		t.Fatalf("bucketed aggregates after upgrade never sub-folded: before=%d after=%d", before.SubBucketFolds, after.SubBucketFolds)
-	}
-
-	// Reorganize and coalesce run the current (sub-bucket) encoder over
-	// whatever they rewrite; results must stay equivalent either way.
-	if err := h.Reorganize("env", 3000); err != nil {
-		t.Fatal(err)
-	}
-	ref.Reorganize("env", 3000)
-	if _, _, err := h.Coalesce("env"); err != nil {
-		t.Fatal(err)
-	}
-	ref.Coalesce("env")
-	check("post-reorg")
-
-	// New flushes into the v2 store write v3 blobs. The appended range
-	// lands under fresh record keys no scan has decoded, so sub-bucket
-	// folds over it can only come from on-disk sub blocks — proving the
-	// mixed v2/v3 store folds the new format, not just lazy cache entries.
-	for _, hh := range []*Historian{h, ref} {
-		w := hh.Writer()
-		for i := 0; i < 320; i++ {
-			if err := w.WritePoint(1, int64(6010+i*10), float64(i%7), float64(i%23)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := hh.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	preAppend := h.TotalStats()
-	appendQ := `SELECT TIME_BUCKET(40, ts), COUNT(*), SUM(a) FROM D WHERE ts >= 6040 AND ts < 9200 GROUP BY TIME_BUCKET(40, ts)`
-	_, got := diffFetch(t, h, appendQ)
-	_, want := diffFetch(t, ref, appendQ)
-	if fmt.Sprint(got) != fmt.Sprint(want) || len(got) == 0 {
-		t.Fatalf("appended range diverged:\n got %v\nwant %v", got, want)
-	}
-	postAppend := h.TotalStats()
-	if postAppend.SubBucketFolds <= preAppend.SubBucketFolds {
-		t.Fatalf("fresh flushes did not produce on-disk sub-bucket blocks: before=%d after=%d",
-			preAppend.SubBucketFolds, postAppend.SubBucketFolds)
-	}
-	check("post-append")
-	rep, err = h.VerifyIntegrity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("store failed verification after reorg upgrade:\n%s", rep)
-	}
+	checkGoldenTruth(t, h, 0)
 }

@@ -15,15 +15,15 @@ import (
 
 // Differential harness: the same randomized IoT workload is driven into
 // four ODH historians — {serial, parallel} × {cache off, cache on}, with
-// sub-bucket summaries disabled on the serial pair and enabled (100 ms
-// base) on the parallel pair — and mirrored into a plain relational
-// table. Every query template must return byte-identical rows across the
-// four ODH configurations (same engine, same data, so even row order must
-// match) and the same multiset of rows as the relational baseline.
-// Maintenance passes (flush, reorganize, coalesce, retention) are
-// interleaved so the comparisons cover every on-disk layout the store can
-// be in — including v2 (no sub block) and v3 blobs folding the same
-// TIME_BUCKET queries through entirely different code paths. While each
+// sub-bucket summaries at a base no bucketed template can use on the
+// serial pair and at a 100 ms base on the parallel pair — and mirrored
+// into a plain relational table. Every query template must return
+// byte-identical rows across the four ODH configurations (same engine,
+// same data, so even row order must match) and the same multiset of rows
+// as the relational baseline. Maintenance passes (flush, reorganize,
+// coalesce, retention) are interleaved so the comparisons cover every
+// on-disk layout the store can be in, the same TIME_BUCKET queries
+// decoding on one pair and folding sub-buckets on the other. While each
 // reorganize, coalesce, cold, retention and stub pass executes, one reader
 // per configuration keeps comparing queries against the baseline, so the
 // passes interleave during scans, not just between them.
@@ -42,20 +42,16 @@ func diffConfigs() []diffConfig {
 		o.SubBucketMs = subMs
 		return diffConfig{name: name, opts: o}
 	}
-	// The serial pair writes v2 blobs (sub-bucket summaries disabled), the
-	// parallel pair writes v3 at a 100 ms base — small enough that every
-	// RTS blob straddles bucket edges, so the bucketed templates fold from
-	// sub-summaries on one side and decode on the other. The last one keeps
-	// writing pre-summary v1 blobs, which only the maintenance schedule's
-	// UpgradeBlobs step brings to v3: its store is a mix of both throughout.
-	legacy := mk("legacy+cache+sub", 0, 16<<20, 100)
-	legacy.opts.legacyBlobFormat = true
+	// The serial pair writes sub-bucket blocks at the default 60 000 ms
+	// base, which no template's bucket width (50 to 50 000 ms) is a
+	// multiple of, so its bucketed templates decode; the parallel pair
+	// writes them at a 100 ms base — small enough that every RTS blob
+	// straddles bucket edges — so the same templates fold from sub-summaries.
 	return []diffConfig{
-		mk("serial", 0, 0, -1),
-		mk("serial+cache", 0, 16<<20, -1),
+		mk("serial", 0, 0, 0),
+		mk("serial+cache", 0, 16<<20, 0),
 		mk("parallel+sub", 4, 0, 100),
 		mk("parallel+cache+sub", 4, 16<<20, 100),
-		legacy,
 	}
 }
 
@@ -479,9 +475,8 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			rebuildRef(round)
 		}
 		if round%233 == 232 {
-			// The explicit format upgrade: nothing to do where every flush
-			// wrote the store's current format, everything flushed since
-			// the last pass on the legacy writer.
+			// The statistics repair: every flush wrote the store's one
+			// format, so it rewrites no record.
 			racing(round, someQueries(6), func(i int, h *Historian) error {
 				res, err := h.UpgradeBlobs()
 				upgraded[i] += res.Rewritten
@@ -514,15 +509,15 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		t.Fatalf("parallel config never fanned out an aggregate: %+v", st)
 	}
 	for i, n := range upgraded {
-		if legacy := configs[i].opts.legacyBlobFormat; (n > 0) != legacy {
-			t.Fatalf("%s: UpgradeBlobs rewrote %d records (legacy writer: %v)", configs[i].name, n, legacy)
+		if n != 0 {
+			t.Fatalf("%s: UpgradeBlobs rewrote %d records of the store's own format", configs[i].name, n)
 		}
 	}
 	if st := hs[0].TotalStats(); st.SummaryHits == 0 || st.BytesNotDecoded == 0 {
 		t.Fatalf("aggregate templates never folded a summary: %+v", st)
 	}
 	if st := hs[0].TotalStats(); st.SubBucketFolds != 0 {
-		t.Fatalf("sub-bucket-disabled config reported sub folds: %+v", st)
+		t.Fatalf("a template sub-folded on the default base, which no width is a multiple of: %+v", st)
 	}
 	for _, i := range []int{2, 3} {
 		if st := hs[i].TotalStats(); st.SubBucketFolds == 0 || st.SubBucketBytesNotDecoded == 0 {

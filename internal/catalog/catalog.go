@@ -122,6 +122,29 @@ func open(store *pagestore.Store, groupSize int, lenient bool) (*Catalog, error)
 	return c, nil
 }
 
+// formatKey names the blob-format marker's entry in the counters tree.
+var formatKey = keyenc.AppendString(nil, "blob-format")
+
+// FormatMarked reports whether the store is marked as holding only batch
+// records of ValueBlob format v. The catalog only persists the marker; the
+// format is the batch store's. A marker naming another format is an error.
+func (c *Catalog) FormatMarked(v uint64) (bool, error) {
+	got, err := c.counters.Get(formatKey)
+	if err == btree.ErrNotFound {
+		return false, nil
+	}
+	if err == nil && (len(got) != 8 || binary.LittleEndian.Uint64(got) != v) {
+		err = fmt.Errorf("catalog: the store is marked with ValueBlob format %x, this build reads format %d", got, v)
+	}
+	return err == nil, err
+}
+
+// MarkFormat marks the store as holding only batch records of ValueBlob
+// format v; the marker is durable at the next checkpoint.
+func (c *Catalog) MarkFormat(v uint64) error {
+	return c.counters.Put(formatKey, binary.LittleEndian.AppendUint64(nil, v))
+}
+
 // load rebuilds the in-memory caches from the persistent trees.
 func (c *Catalog) load(lenient bool) error {
 	if err := c.schemas.Scan(nil, nil, func(k, v []byte) bool {

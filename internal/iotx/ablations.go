@@ -19,8 +19,7 @@ type AblationRow struct {
 // codecs see temporal locality; MG columns run across group members, so
 // its savings come from the data model and lossy policies instead), MG
 // grouping against per-source batches for low-frequency sources (Table
-// 1's rationale), and tag-oriented against row-oriented blobs on a
-// single-tag slice query.
+// 1's rationale).
 func RunAblations(scale Scale) ([]AblationRow, error) {
 	td, ld, b := scale.TDConfigFor(2, 2), scale.LDConfigFor(2), scale.BatchSize
 	type measure func(sys *System) (value float64, unit string, bytes int64, err error)
@@ -37,13 +36,6 @@ func RunAblations(scale Scale) ([]AblationRow, error) {
 		res, err := RunWS1LD(sys, ld, 0)
 		return res.AvgThroughput, "pts/s", res.StorageBytes, err
 	}
-	ldSingleTagSlice := func(sys *System) (float64, string, int64, error) {
-		if _, err := RunWS1LD(sys, ld, 0); err != nil {
-			return 0, "", 0, err
-		}
-		res, err := RunWS2Template(sys, "LQ2", scale.QueriesPerTpl, scale.Seed)
-		return res.DPPerSec, "dp/s", 0, err
-	}
 
 	var rows []AblationRow
 	for _, a := range []struct {
@@ -59,8 +51,6 @@ func RunAblations(scale Scale) ([]AblationRow, error) {
 		{"compression (TD)", "off", SystemConfig{BatchSize: b, DisableCompression: true}, tdIngestBlobs},
 		{"low-frequency ingest (LD)", "MG groups of 64", SystemConfig{BatchSize: b, GroupSize: 64}, ldIngest},
 		{"low-frequency ingest (LD)", "per-source (groups of 1)", SystemConfig{BatchSize: b, GroupSize: 1}, ldIngest},
-		{"blob layout (LQ2)", "tag-oriented", SystemConfig{BatchSize: b}, ldSingleTagSlice},
-		{"blob layout (LQ2)", "row-oriented", SystemConfig{BatchSize: b, RowOrientedBlobs: true}, ldSingleTagSlice},
 	} {
 		sys, err := NewODH(a.cfg)
 		if err != nil {

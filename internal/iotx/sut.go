@@ -64,7 +64,6 @@ type SystemConfig struct {
 	GroupSize          int // ODH MG group capacity
 	PoolPages          int
 	DisableCompression bool // ODH compression ablation
-	RowOrientedBlobs   bool // ODH blob-layout ablation
 }
 
 func (c SystemConfig) withDefaults() SystemConfig {
@@ -108,7 +107,6 @@ func newSystem(name string, isODH bool, profile relational.Profile, cfg SystemCo
 	ts, err := tsstore.Open(page, cat, tsstore.Config{
 		BatchSize:          cfg.BatchSize,
 		DisableCompression: cfg.DisableCompression,
-		RowOrientedBlobs:   cfg.RowOrientedBlobs,
 	})
 	if err != nil {
 		return nil, err

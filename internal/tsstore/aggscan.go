@@ -476,9 +476,9 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 			pt.foldSummary(src, sum, sp)
 			return nil
 		case classSubFoldable:
-			// A v3 blob folds from its persisted mini-summaries with zero
-			// decode (stubs included: the block survives stubbing); v1/v2
-			// blobs fall through to the decode.
+			// A blob folds from its persisted mini-summaries with zero
+			// decode (stubs included: the block survives stubbing); one
+			// without a block (MG, or a span past the cap) decodes.
 			if sub := rec.hdr.subSummaries(sum); sub != nil && subFoldAligned(sum, lo, hi, sub.base, sp) {
 				pt.subBucketFolds++
 				pt.subBucketBytesNotDecoded += rec.size()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"odh/internal/keyenc"
 	"odh/internal/model"
 )
 
@@ -129,32 +130,28 @@ func sameAggResult(t *testing.T, label string, a, b *AggResult) {
 // and NULL values, NULL gaps, duplicate timestamps, empty tag columns)
 // through flushes and reorganizations and asserts summary-folded
 // aggregates match the decode-and-group reference bit for bit, across
-// {serial, parallel} x {cache off, cache on} and for the legacy blob
-// format (lazy summary upgrade).
+// {serial, parallel} x {cache off, cache on}.
 func TestAggregatePropertyVsDecodeReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(string(rune('a'+seed)), func(t *testing.T) {
-			runAggTrial(t, seed, false)
-		})
-		t.Run(string(rune('a'+seed))+"-legacy", func(t *testing.T) {
-			runAggTrial(t, seed, true)
+			runAggTrial(t, seed)
 		})
 	}
 }
 
-func runAggTrial(t *testing.T, seed int64, legacy bool) {
+func runAggTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	// Sub-bucket base varies per trial: disabled, a width no bucket list
-	// entry is a multiple of, and two bases that make several widths
-	// sub-bucket foldable (with legacy/v2 blobs exercising lazy folds).
-	subMs := []int64{-1, 13, 100, 1000}[rng.Intn(4)]
+	// Sub-bucket base varies per trial: the default (only the 60 000 ms
+	// bucket list entry is a multiple of it), a width no entry is a
+	// multiple of, and two bases that make several widths sub-bucket
+	// foldable.
+	subMs := []int64{0, 13, 100, 1000}[rng.Intn(4)]
 	f := newFixture(t, Config{
-		BatchSize:        4 + rng.Intn(12),
-		MaxOpenMGRows:    1 + rng.Intn(4),
-		BlobCacheBytes:   1 << 20,
-		LegacyBlobFormat: legacy,
-		SubBucketMs:      subMs,
+		BatchSize:      4 + rng.Intn(12),
+		MaxOpenMGRows:  1 + rng.Intn(4),
+		BlobCacheBytes: 1 << 20,
+		SubBucketMs:    subMs,
 	}, 2+rng.Intn(3))
 	ntags := 1 + rng.Intn(3)
 	schema := f.schema(t, "agg", ntags)
@@ -378,40 +375,57 @@ func TestAggregateFoldsWithoutDecoding(t *testing.T) {
 	}
 }
 
-// upgradeAndCheck runs the explicit upgrade over a store of old-format
-// records and asserts its contract: before it aggregates decode (no folds)
-// and equal the decode plan; UpgradeBlobs rewrites every record once; after
-// it the first aggregate folds from headers with the same answer, scans are
-// byte-identical, fsck is clean and a second pass rewrites nothing.
-func upgradeAndCheck(t *testing.T, s *Store, source int64, spec AggSpec, records int) (before, after *AggResult) {
+// writeOldFormat ingests 128 one-tag points at 10 ms as eight 16-point RTS
+// records, then rewrites each in place as an older writer left it: without
+// its sub-bucket block or, presummary, without its header summary too. No
+// writer produces either any more, so the records are stripped by hand;
+// UpgradeBlobs is what still reads them.
+func writeOldFormat(t *testing.T, cfg Config, presummary bool) (*fixture, *model.DataSource, []model.Point) {
 	t.Helper()
-	scan := func() []model.Point {
-		it, err := s.HistoricalScan(source, spec.T1, spec.T2, nil)
-		if err != nil {
+	cfg.BatchSize = 16
+	f := newFixture(t, cfg, 0)
+	ds := f.source(t, f.schema(t, "old", 1).ID, true, 10)
+	var pts []model.Point
+	for i := 0; i < 16*8; i++ {
+		p := model.Point{Source: ds.ID, TS: int64(1000 + i*10), Values: []float64{float64(i)}}
+		if err := f.store.Write(p); err != nil {
 			t.Fatal(err)
 		}
-		return collect(t, it)
+		pts = append(pts, p)
 	}
-	before, err := s.AggregateHistorical(source, spec)
-	if err != nil {
+	if err := f.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if before.BlobBytesRead == 0 {
-		t.Fatalf("old-format records did not decode: %+v", before)
+	recs, err := readRange(&home{tree: f.store.rts, id: ds.ID}, math.MinInt64, math.MaxInt64)
+	if err != nil || len(recs) != 8 {
+		t.Fatalf("read %d records (%v), want 8", len(recs), err)
 	}
-	// With or without their decodes in the cache: no header, no fold.
-	again, err := s.AggregateHistorical(source, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range []*AggResult{before, again} {
-		if res.SummaryHits != 0 || res.SubBucketFolds != 0 {
-			t.Fatalf("old-format records must take the decode path every time: %+v", res)
+	for _, r := range recs {
+		h, _ := parseBlobHeader(r.blob)
+		if !h.hasSummary() || h.subOff == 0 {
+			t.Fatalf("record at %d was written without a summary or sub-bucket block", r.ts)
+		}
+		cut, flags := h.subOff, r.blob[0]&^flagSubBuckets
+		if presummary {
+			cut, flags = h.zoneOff+16*h.ntags, flags&^flagSummaries
+		}
+		old := append(append([]byte{flags}, r.blob[1:cut]...), h.payload()...)
+		if err := f.store.rts.Put(keyenc.SourceTime(ds.ID, r.ts), old); err != nil {
+			t.Fatal(err)
 		}
 	}
-	rowsBefore := scan()
-	compareAgg(t, "before-upgrade", before, refFold(rowsBefore, spec), spec)
+	return f, ds, pts
+}
 
+// upgradeAndCheck runs the explicit upgrade over the eight old-format
+// records of writeOldFormat and asserts its contract: UpgradeBlobs
+// rewrites every record once; after it the first aggregate folds from
+// headers and equals the decode-and-group reference over the points
+// written, scans return exactly those points, fsck is clean and a second
+// pass rewrites nothing.
+func upgradeAndCheck(t *testing.T, s *Store, source int64, pts []model.Point, spec AggSpec) *AggResult {
+	t.Helper()
+	const records = 8
 	up, err := s.UpgradeBlobs()
 	if err != nil {
 		t.Fatal(err)
@@ -419,16 +433,20 @@ func upgradeAndCheck(t *testing.T, s *Store, source int64, spec AggSpec, records
 	if up.Records != records || up.Rewritten != records {
 		t.Fatalf("UpgradeBlobs = %+v, want %d of %d records rewritten", up, records, records)
 	}
-	after, err = s.AggregateHistorical(source, spec)
+	after, err := s.AggregateHistorical(source, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.BlobBytesRead != 0 {
 		t.Fatalf("first aggregate after upgrade decoded %d bytes, want 0", after.BlobBytesRead)
 	}
-	sameAggResult(t, "upgrade", before, after)
-	if rowsAfter := scan(); !pointsEqual(rowsBefore, rowsAfter) {
-		t.Fatal("upgrade changed scan results")
+	compareAgg(t, "after-upgrade", after, refFold(pts, spec), spec)
+	it, err := s.HistoricalScan(source, spec.T1, spec.T2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := collect(t, it); !pointsEqual(rows, pts) {
+		t.Fatalf("scan after upgrade returned %d points, want the %d written", len(rows), len(pts))
 	}
 	if checked, corrupt, stale, err := s.VerifyBlobs(); err != nil || len(corrupt) != 0 || len(stale) != 0 || checked != records {
 		t.Fatalf("fsck after upgrade: checked=%d corrupt=%v stale=%v err=%v", checked, corrupt, stale, err)
@@ -436,28 +454,21 @@ func upgradeAndCheck(t *testing.T, s *Store, source int64, spec AggSpec, records
 	if up, err = s.UpgradeBlobs(); err != nil || up.Rewritten != 0 || up.Records != records {
 		t.Fatalf("second UpgradeBlobs = %+v err=%v, want 0 rewritten", up, err)
 	}
-	return before, after
+	return after
 }
 
-// TestLegacyBlobSummaryUpgrade verifies pre-summary blobs aggregate
-// correctly through the decode path — every time, cache or not — and fold
-// from their headers once UpgradeBlobs has rewritten them.
+// TestLegacyBlobSummaryUpgrade verifies pre-summary records, which a
+// served store does not hold, are named by fsck as corrupt until
+// UpgradeBlobs rewrites them from their decode, and fold from their
+// headers afterwards.
 func TestLegacyBlobSummaryUpgrade(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 16, LegacyBlobFormat: true, BlobCacheBytes: 1 << 20}, 0)
-	schema := f.schema(t, "old", 1)
-	ds := f.source(t, schema.ID, true, 10)
-	for i := 0; i < 16*8; i++ {
-		p := model.Point{Source: ds.ID, TS: int64(1000 + i*10), Values: []float64{float64(i)}}
-		if err := f.store.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.store.Flush(); err != nil {
-		t.Fatal(err)
+	f, ds, pts := writeOldFormat(t, Config{BlobCacheBytes: 1 << 20}, true)
+	checked, corrupt, _, err := f.store.VerifyBlobs()
+	if err != nil || checked != 8 || len(corrupt) != 8 {
+		t.Fatalf("fsck over pre-summary records: checked=%d corrupt=%v err=%v, want all 8 named", checked, corrupt, err)
 	}
 	spec := AggSpec{T1: math.MinInt64 / 2, T2: math.MaxInt64 / 2, NTags: 1}
-	_, after := upgradeAndCheck(t, f.store, ds.ID, spec, 8)
-	if after.SummaryHits != 8 {
+	if after := upgradeAndCheck(t, f.store, ds.ID, pts, spec); after.SummaryHits != 8 {
 		t.Fatalf("aggregate after upgrade SummaryHits = %d, want 8", after.SummaryHits)
 	}
 }
@@ -555,25 +566,24 @@ func TestAggregateSubBucketFolds(t *testing.T) {
 	}
 }
 
-// TestLegacyBlobSubBucketUpgrade verifies blobs written before sub-bucket
-// summaries existed decode under a bucketed aggregate until UpgradeBlobs
-// gives them the block, then fold from it.
+// TestLegacyBlobSubBucketUpgrade verifies records written before
+// sub-bucket summaries existed decode under a bucketed aggregate — every
+// time, cache or not — until UpgradeBlobs gives them the block, then fold
+// from it.
 func TestLegacyBlobSubBucketUpgrade(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 16, LegacyBlobFormat: true, BlobCacheBytes: 1 << 20, SubBucketMs: 40}, 0)
-	schema := f.schema(t, "oldsb", 1)
-	ds := f.source(t, schema.ID, true, 10)
-	for i := 0; i < 16*8; i++ {
-		p := model.Point{Source: ds.ID, TS: int64(1000 + i*10), Values: []float64{float64(i)}}
-		if err := f.store.Write(p); err != nil {
+	f, ds, pts := writeOldFormat(t, Config{BlobCacheBytes: 1 << 20, SubBucketMs: 40}, false)
+	spec := AggSpec{T1: math.MinInt64 / 2, T2: math.MaxInt64 / 2, NTags: 1, BucketMs: 40}
+	for i := 0; i < 2; i++ {
+		res, err := f.store.AggregateHistorical(ds.ID, spec)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if res.SummaryHits != 0 || res.SubBucketFolds != 0 || i == 0 && res.BlobBytesRead == 0 {
+			t.Fatalf("records without a sub-bucket block must take the decode path every time: %+v", res)
+		}
+		compareAgg(t, "before-upgrade", res, refFold(pts, spec), spec)
 	}
-	if err := f.store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	spec := AggSpec{T1: math.MinInt64 / 2, T2: math.MaxInt64 / 2, NTags: 1, BucketMs: 40}
-	_, after := upgradeAndCheck(t, f.store, ds.ID, spec, 8)
-	if after.SubBucketFolds != 8 {
+	if after := upgradeAndCheck(t, f.store, ds.ID, pts, spec); after.SubBucketFolds != 8 {
 		t.Fatalf("aggregate after upgrade SubBucketFolds = %d, want 8", after.SubBucketFolds)
 	}
 }
@@ -652,6 +662,8 @@ func denseFixture(t testing.TB, cfg Config) (*fixture, *model.DataSource, int64)
 // a blob's 1280 ms span over a window cut off the bucket grid. With 1 s
 // sub-buckets only the two window-edge blobs decode and every straddler
 // folds from its mini-summaries; without the block every straddler decodes.
+// A 1 ms base is how a store writes no block: a blob's 1280 ms span would
+// need more sub-buckets than the writer's cap, so it skips the block.
 func TestAggregateSubBucketBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name                            string
@@ -659,7 +671,7 @@ func TestAggregateSubBucketBytesPinned(t *testing.T) {
 		decoded, swept, subFolds, folds int64
 	}{
 		{"sub-1000ms", 1000, 1982, 3157436, 1962, 1162},
-		{"no-sub-block", -1, 1525454, 2428332, 0, 1162},
+		{"no-sub-block", 1, 1525454, 2428332, 0, 1162},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, ds, end := denseFixture(t, Config{SubBucketMs: tc.subMs})

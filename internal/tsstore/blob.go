@@ -17,6 +17,11 @@ import (
 	"odh/internal/model"
 )
 
+// BlobFormat is the ValueBlob format this codec writes and a served store
+// holds only: header summaries, and sub-bucket blocks where a record's span
+// allows them. The catalog persists it as the store's format marker.
+const BlobFormat = 3
+
 // ErrCorruptBlob reports an undecodable ValueBlob.
 var ErrCorruptBlob = errors.New("tsstore: corrupt value blob")
 
@@ -59,22 +64,12 @@ func (s *tagStat) note(v float64) {
 	}
 }
 
-// blobLayout controls how tag values are arranged inside a blob.
-type blobLayout uint8
-
-const (
-	layoutTagOriented blobLayout = iota // per-tag columns, skippable
-	layoutRowOriented                   // single interleaved column (ablation)
-)
-
 // encodeOpts carries per-store encoding configuration into the blob codec.
 type encodeOpts struct {
-	layout      blobLayout
 	policies    []compress.Policy // per tag; nil means lossless for all
 	disable     bool              // raw storage (compression ablation)
-	legacy      bool              // write the pre-summary format (compat tests)
 	cold        bool              // cold tier: max-effort lossless columns
-	subBucketMs int64             // v3 sub-bucket base width; <=0 writes v2
+	subBucketMs int64             // sub-bucket base width; 0 writes no block (MG)
 }
 
 func (o encodeOpts) policy(tag int) compress.Policy {
@@ -96,8 +91,8 @@ func setBit(bm []byte, i int)      { bm[i/8] |= 1 << (i % 8) }
 func getBit(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 
 // encodeColumns encodes the tag values of rows (each row has ntags values,
-// NaN = NULL) with a presence bitmap and either tag-oriented columns or a
-// single row-major column. It also returns per-tag statistics over the
+// NaN = NULL) as a presence bitmap and one column per tag (the paper's
+// tag-oriented layout). It also returns per-tag statistics over the
 // values a later decode will yield: for a lossy policy the freshly encoded
 // column is round-tripped so the stats (and the zone maps and summary
 // built from them) agree bit-for-bit with the decode path.
@@ -123,36 +118,6 @@ func encodeColumns(rows [][]float64, ntags int, opts encodeOpts) ([]byte, []tagS
 		effRows = rows // replaced lazily if a lossy policy adjusts values
 	}
 	dst := append([]byte(nil), bm...)
-	if opts.layout == layoutRowOriented {
-		// One interleaved column of all present values in row-major order.
-		// The interleaved column is always lossless (or raw), so the
-		// original values are exactly what decodes back.
-		var vals []float64
-		for row := 0; row < count; row++ {
-			for tag := 0; tag < ntags; tag++ {
-				if !model.IsNull(rows[row][tag]) {
-					vals = append(vals, rows[row][tag])
-				}
-			}
-		}
-		var col []byte
-		if opts.cold && !opts.disable {
-			col = compress.EncodeColumnMaxEffort(nil, vals)
-		} else {
-			col = compress.EncodeColumn(nil, vals, compress.Policy{Disable: opts.disable})
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(col)))
-		dst = append(dst, col...)
-		for tag := 0; tag < ntags; tag++ {
-			for row := 0; row < count; row++ {
-				if !model.IsNull(rows[row][tag]) {
-					stats[tag].note(rows[row][tag])
-				}
-			}
-		}
-		// The interleaved column is lossless, so effRows stays the input.
-		return dst, stats, effRows
-	}
 	for tag := 0; tag < ntags; tag++ {
 		var vals []float64
 		for row := 0; row < count; row++ {
@@ -218,8 +183,7 @@ func sameRows(a, b [][]float64) bool {
 //
 // The header summaries recomputed from a full decode: what VerifyBlobs and
 // the tests compare a parsed header against. Nothing on the query path
-// calls these — a blob without a header block folds by decoding, and
-// UpgradeBlobs gives it the block.
+// calls these.
 
 // summaryFromBatch computes the summary a header should carry from a full
 // decode of its blob.
@@ -347,10 +311,8 @@ func countBits(bm []byte, from, to int) int {
 // (nil = all); unselected tags come back NULL. A column is decoded only as
 // far as row i1 reaches into it, and never further than its stripe of the
 // presence bitmap says it goes: the bitmap, whose length the blob's own
-// bytes bound, is what sizes every allocation here. Row-oriented blobs
-// always decode every tag of every row (that is the cost the tag-oriented
-// layout avoids), so their callers pass the full range.
-func decodeColumns(b []byte, count, ntags int, rowOriented bool, wantTags []int, i0, i1 int) ([][]float64, error) {
+// bytes bound, is what sizes every allocation here.
+func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]float64, error) {
 	bmLen := bitmapLen(count * ntags)
 	if len(b) < bmLen {
 		return nil, ErrCorruptBlob
@@ -365,29 +327,6 @@ func decodeColumns(b []byte, count, ntags int, rowOriented bool, wantTags []int,
 	for i := range rows {
 		// Capped, so that appending to one row cannot reach into the next.
 		rows[i] = backing[i*ntags : (i+1)*ntags : (i+1)*ntags]
-	}
-	if rowOriented {
-		colLen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < colLen {
-			return nil, ErrCorruptBlob
-		}
-		vals, err := compress.DecodeColumnN(b[n:n+int(colLen)], countBits(bm, 0, count*ntags))
-		if err != nil {
-			return nil, err
-		}
-		vi := 0
-		for row := 0; row < count; row++ {
-			for tag := 0; tag < ntags; tag++ {
-				if getBit(bm, tag*count+row) {
-					if vi >= len(vals) {
-						return nil, ErrCorruptBlob
-					}
-					rows[row][tag] = vals[vi]
-					vi++
-				}
-			}
-		}
-		return rows, nil
 	}
 	want := make([]bool, ntags)
 	if wantTags == nil {
@@ -583,16 +522,15 @@ func rowRange(ts []int64, lo, last int64) (int, int) {
 
 // decode runs the structure's payload codec behind a parsed header, for
 // the rows with timestamps in [lo, last] (both inclusive, so the full
-// int64 range names every row): an RTS or IRTS record with tag-oriented
-// columns decodes and materialises only the smallest row range holding
-// them — possibly with rows outside the window in it, which consumers
-// filter as they always did — and each column only up to that range's end.
-// An MG record (slot order, one window wide) decodes whole for slot
-// allMembers; for a member slot it yields that member's row alone, decoded
-// the same way as a one-row range, when the member bitmap has the slot and
-// its timestamp lies in [lo, last], and no row — decoding nothing — when
-// not. Row-oriented records (one interleaved column) always decode whole,
-// as does any record the window covers: whole tells which a result is.
+// int64 range names every row): an RTS or IRTS record decodes and
+// materialises only the smallest row range holding them — possibly with
+// rows outside the window in it, which consumers filter as they always did
+// — and each column only up to that range's end. An MG record (slot order,
+// one window wide) decodes whole for slot allMembers; for a member slot it
+// yields that member's row alone, decoded the same way as a one-row range,
+// when the member bitmap has the slot and its timestamp lies in [lo, last],
+// and no row — decoding nothing — when not. A record the window covers
+// decodes whole: whole tells which a result is.
 func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int64) (*DecodedBatch, error) {
 	if h.tier() == TierStub {
 		// The payload is gone by design, not by damage: surface the typed
@@ -604,14 +542,10 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 		return nil, ErrCorruptBlob
 	}
 	b := h.payload()
-	rowOriented := h.flags&flagRowOriented != 0
 	switch h.structure {
 	case blobRTS:
-		i0, i1 := 0, h.count
-		if !rowOriented {
-			i0, i1 = rtsRowRange(baseTS, h.interval, h.count, lo, last)
-		}
-		rows, err := decodeColumns(b, h.count, h.ntags, rowOriented, wantTags, i0, i1)
+		i0, i1 := rtsRowRange(baseTS, h.interval, h.count, lo, last)
+		rows, err := decodeColumns(b, h.count, h.ntags, wantTags, i0, i1)
 		if err != nil {
 			return nil, err
 		}
@@ -625,11 +559,8 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 		if err != nil || len(ts) != h.count {
 			return nil, ErrCorruptBlob
 		}
-		i0, i1 := 0, h.count
-		if !rowOriented {
-			i0, i1 = rowRange(ts, lo, last)
-		}
-		rows, err := decodeColumns(rest, h.count, h.ntags, rowOriented, wantTags, i0, i1)
+		i0, i1 := rowRange(ts, lo, last)
+		rows, err := decodeColumns(rest, h.count, h.ntags, wantTags, i0, i1)
 		if err != nil {
 			return nil, err
 		}
@@ -656,14 +587,14 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 	}
 	// Rows are in slot order: the member's is the count of members before it.
 	i0, i1 := 0, reported
-	if slot >= 0 && !rowOriented {
+	if slot >= 0 {
 		i0 = countBits(memberBM, 0, slot)
 		if t := baseTS + offsets[i0]; t < lo || t > last {
 			return &DecodedBatch{Structure: model.MG}, nil
 		}
 		i1 = i0 + 1
 	}
-	rows, err := decodeColumns(rest, reported, h.ntags, rowOriented, wantTags, i0, i1)
+	rows, err := decodeColumns(rest, reported, h.ntags, wantTags, i0, i1)
 	if err != nil {
 		return nil, err
 	}
@@ -747,8 +678,7 @@ func (h *blobHeader) reencode(batch *DecodedBatch, baseTS int64, opts encodeOpts
 // preserved byte for byte — zone maps, summary and sub-buckets survive, so
 // aggregate folds over the stub stay bit-identical to decoding the payload
 // — and everything after it is dropped. ok is false for blobs that are
-// already stubs and for pre-summary blobs (nothing to keep): callers
-// re-encode those with the summary format first.
+// already stubs and for pre-summary blobs (nothing to keep).
 func makeStubBlob(b []byte) ([]byte, bool) {
 	h, _ := parseBlobHeader(b)
 	n, ok := h.stubLen()

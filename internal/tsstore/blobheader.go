@@ -14,7 +14,7 @@ import (
 // and everyone else asks the parsed blobHeader.
 //
 //	flag byte   structure (low 2 bits) | flagSubBuckets | flagCold |
-//	            flagStub | flagSummaries | flagZoneMaps | flagRowOriented
+//	            flagStub | flagSummaries | flagZoneMaps; 0x80 is freed
 //	ntags       uvarint
 //	RTS:        uvarint count, varint interval
 //	IRTS:       uvarint count
@@ -32,17 +32,18 @@ import (
 // Floats are little-endian IEEE bits. baseTS is the record key's timestamp
 // (0 for MG, whose summary bounds member offsets from the window base).
 
-// Blob format bytes. The tag-oriented flag is set when values are stored
-// as per-tag columns (the paper's "tag-oriented approach"); without it the
-// blob holds one row-major column (the layout ablation).
+// Blob format bytes. Values are always stored as per-tag columns (the
+// paper's "tag-oriented approach").
 const (
 	blobRTS  = 1
 	blobIRTS = 2
 	blobMG   = 3
 
-	flagRowOriented = 0x80
-	flagZoneMaps    = 0x40
-	flagSummaries   = 0x20
+	// flagFreed marked the row-oriented layout, which no build writes: a
+	// blob with it set does not parse, so none is read as per-tag columns.
+	flagFreed     = 0x80
+	flagZoneMaps  = 0x40
+	flagSummaries = 0x20
 	// The tier and sub-bucket bits live in what used to be a 5-bit format
 	// field: the three structures only ever used values 1-3, so readers
 	// from before each bit existed (whose structure switch covers the
@@ -170,9 +171,10 @@ type blobHeader struct {
 
 // parseBlobHeader walks a blob's prelude once, bounds-checking every
 // section. A header that does not parse comes back with only its flag byte
-// set: every accessor then reports "absent" and decode reports corruption.
+// set (none with the freed bit): every accessor then reports "absent" and
+// decode reports corruption. A pre-summary header parses, for the upgrade.
 func parseBlobHeader(b []byte) (blobHeader, bool) {
-	if len(b) == 0 {
+	if len(b) == 0 || b[0]&flagFreed != 0 {
 		return blobHeader{}, false
 	}
 	h := blobHeader{flags: b[0], structure: b[0] & structMask}
@@ -235,8 +237,8 @@ func (h *blobHeader) prelude(r *blobReader) {
 // headLastTS reads a record's latest row timestamp off the leading bytes
 // of its blob (what the first page of its overflow chain holds is plenty),
 // touching nothing behind the summary's head. ok is false when head is too
-// short for that, or for a pre-summary blob: the caller then reads the
-// whole blob and asks span.
+// short for that, or carries no summary: the caller then reads the whole
+// blob and asks span.
 func headLastTS(head []byte, baseTS int64) (last int64, ok bool) {
 	if len(head) == 0 {
 		return 0, false
@@ -257,9 +259,9 @@ func headLastTS(head []byte, baseTS int64) (last int64, ok bool) {
 // slot order, not time order, so it never carries sub-buckets).
 func appendBlobHeader(dst []byte, structure byte, ntags, count int, interval int64, opts encodeOpts, stats []tagStat, baseTS int64, ts []int64, effRows [][]float64) []byte {
 	flagAt := len(dst)
-	flags := structure | flagZoneMaps
-	if opts.layout == layoutRowOriented {
-		flags |= flagRowOriented
+	flags := structure | flagZoneMaps | flagSummaries
+	if opts.cold {
+		flags |= flagCold
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(ntags))
@@ -270,13 +272,6 @@ func appendBlobHeader(dst []byte, structure byte, ntags, count int, interval int
 	for i := range stats {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(stats[i].min))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(stats[i].max))
-	}
-	if opts.legacy {
-		return dst
-	}
-	dst[flagAt] |= flagSummaries
-	if opts.cold {
-		dst[flagAt] |= flagCold
 	}
 	var first, last int64
 	for i, t := range ts {
@@ -335,15 +330,18 @@ func (h *blobHeader) stubLen() (int, bool) { return h.payOff, h.hasSummary() }
 // from. Of a stub's bytes the key anchors only the summary's first-row
 // offset — there is no payload whose timestamps it would anchor too — so
 // that offset is all that changes: the span, the sums and the sub-bucket
-// grid read the same under either key.
-func rekeyStub(stub []byte, from, to int64) []byte {
+// grid read the same under either key. ok is false for a stub with no
+// summary, or no header that parses: a damaged record, no offset to move.
+func rekeyStub(stub []byte, from, to int64) ([]byte, bool) {
 	h, _ := parseBlobHeader(stub)
-	head := func(firstDelta int64) []byte {
-		return binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(nil, uint64(h.rows)), firstDelta), h.spanMs)
+	if !h.hasSummary() {
+		return nil, false
 	}
-	at := h.sumOff - len(head(h.firstDelta))
-	out := append(append([]byte(nil), stub[:at]...), head(h.firstDelta+from-to)...)
-	return append(out, stub[h.sumOff:]...)
+	// The summary's head follows the zone maps; it is re-encoded whole, so a
+	// varint its writer padded moves nothing behind it.
+	out := append([]byte(nil), stub[:h.zoneOff+16*h.ntags]...)
+	out = binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(out, uint64(h.rows)), h.firstDelta+from-to), h.spanMs)
+	return append(out, stub[h.sumOff:]...), true
 }
 
 // detached returns the header over a private copy of its own bytes, so the

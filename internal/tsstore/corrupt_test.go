@@ -1,8 +1,14 @@
 package tsstore
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
+	"odh/internal/btree"
 	"odh/internal/keyenc"
 	"odh/internal/model"
 )
@@ -147,6 +153,76 @@ func TestVerifyBlobs(t *testing.T) {
 	if corrupt[0].Tree != "ts.rts" || corrupt[0].Source != src.ID || corrupt[0].TS != 160 {
 		t.Fatalf("corrupt ref = %+v, want ts.rts/%d/160", corrupt[0], src.ID)
 	}
+}
+
+// TestPutRefusesDamagedStub: the collision rule steps a stub it lands on a
+// millisecond aside by re-anchoring the stub's summary, so a stub-flagged
+// record without one is corrupt, and a put that meets it — the ingest
+// flush's or maintenance's — fails typed, naming the record, with the tree
+// as it was.
+func TestPutRefusesDamagedStub(t *testing.T) {
+	plant := func(t *testing.T, tree *btree.Tree, src, ts int64) []stored {
+		t.Helper()
+		if err := tree.Put(keyenc.SourceTime(src, ts), damagedStub); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := readRange(&home{tree: tree, id: src}, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	refused := func(t *testing.T, tree *btree.Tree, src, ts int64, before []stored, err error) {
+		t.Helper()
+		name := fmt.Sprintf("%s source=%d ts=%d", tree.Name(), src, ts)
+		if !errors.Is(err, ErrCorruptBlob) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("err = %v, want ErrCorruptBlob naming %s", err, name)
+		}
+		after, err := readRange(&home{tree: tree, id: src}, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("the refused put changed the tree: %d records -> %d", len(before), len(after))
+		}
+	}
+	t.Run("ingest", func(t *testing.T) {
+		f := newFixture(t, Config{BatchSize: 8}, 0)
+		src := f.source(t, f.schema(t, "pmu", 2).ID, true, 10)
+		writeRTSRun(t, f, src, 0, 32) // records at 0, 80, 160, 240
+		if err := f.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		before := plant(t, f.store.rts, src.ID, 240)
+		var err error
+		for i := int64(0); i < 8 && err == nil; i++ { // the eighth point flushes a run keyed 240
+			err = f.store.Write(model.Point{Source: src.ID, TS: 240 + i*10, Values: []float64{1, 2}})
+		}
+		refused(t, f.store.rts, src.ID, 240, before, err)
+	})
+	t.Run("coalesce", func(t *testing.T) {
+		f := newFixture(t, Config{BatchSize: 8}, 0)
+		sch := f.schema(t, "env", 1)
+		src := f.source(t, sch.ID, false, 10)
+		// Records of three points at 0, 30, ..., 150: undersized, so Coalesce
+		// re-splits them into runs of eight, the second keyed 80.
+		for i := int64(0); i < 16; i++ {
+			if err := f.store.Write(model.Point{Source: src.ID, TS: i * 10, Values: []float64{float64(i)}}); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 2 {
+				if err := f.store.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := f.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		before := plant(t, f.store.irts, src.ID, 80)
+		_, err := f.store.Coalesce(sch.ID)
+		refused(t, f.store.irts, src.ID, 80, before, err)
+	})
 }
 
 func TestWALPointDecodeRejectsHugeCount(t *testing.T) {

@@ -2,6 +2,7 @@ package tsstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -20,20 +21,50 @@ import (
 // the accessors agree with each other, a stub keeps exactly the header,
 // a re-encode (the upgrade path) decodes to the same rows, and a decode of
 // a window's row range, or of one MG member's row, yields the rows of the
-// full decode. Seeds are the golden fixtures — every structure, tier,
-// format version and shape — so mutations explore deep paths, not just
-// header rejection.
+// full decode. A blob with the freed flag bit fails typed, and a stub
+// moves a millisecond aside (rekeyStub) or is refused, never panics. Seeds
+// are the golden fixtures — every structure, tier and shape — each also
+// with the freed bit set and torn by its last byte, so mutations explore
+// deep paths, not just header rejection; and a pre-summary record, which
+// the upgrade still reads.
 func FuzzValueBlobDecode(f *testing.F) {
-	for _, fx := range goldenFixtures() {
+	fixtures := goldenFixtures()
+	for _, fx := range fixtures {
 		f.Add(fx.blob)
+	}
+	for _, fx := range fixtures {
+		f.Add(append([]byte{fx.blob[0] | flagFreed}, fx.blob[1:]...))
+	}
+	for _, fx := range fixtures {
+		f.Add(fx.blob[:len(fx.blob)-1])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Add(hugeCountBlob)
+	f.Add(preSummaryBlob)
+	f.Add(damagedStub)
 
 	const baseTS = 1000
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		h, parsed := parseBlobHeader(blob)
+		if len(blob) > 0 && blob[0]&flagFreed != 0 {
+			if _, err := DecodeBlob(blob, baseTS, nil); parsed || !errors.Is(err, ErrCorruptBlob) {
+				t.Fatalf("a blob with the freed flag bit parsed (%v) or decoded (%v)", parsed, err)
+			}
+		}
+		if parsed && h.tier() == TierStub {
+			moved, ok := rekeyStub(blob, baseTS, baseTS-1)
+			if ok != h.hasSummary() {
+				t.Fatalf("rekeyStub ok = %v for a stub with summary %v", ok, h.hasSummary())
+			}
+			if ok {
+				mh, _ := parseBlobHeader(moved)
+				rows, first, last, _ := h.span(baseTS)
+				if mr, mf, ml, ok := mh.span(baseTS - 1); !ok || mr != rows || mf != first || ml != last {
+					t.Fatal("a re-keyed stub's span moved")
+				}
+			}
+		}
 		// Every accessor answers — absent or present — on any header.
 		_ = h.overlaps([]TagRange{{Tag: 0, Lo: -1, Hi: 1}})
 		sum := h.summary(baseTS)
@@ -159,6 +190,22 @@ func FuzzValueBlobDecode(f *testing.F) {
 // column claims 1<<24 values: decoders used to allocate for the claim
 // before reading a payload byte.
 var hugeCountBlob = []byte{blobRTS, 1, 8, 20, 0xFF, 5, byte(compress.CodecXOR), 0x80, 0x80, 0x80, 0x08}
+
+// preSummaryBlob is a two-row, one-tag RTS record as the writer before
+// header summaries left it — zone maps, then the payload — built by hand,
+// since no code writes one any more.
+var preSummaryBlob = func() []byte {
+	b := []byte{blobRTS | flagZoneMaps, 1, 2, 20}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1.5))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2.5))
+	col := compress.EncodeColumn(nil, []float64{1.5, 2.5}, compress.Policy{})
+	b = binary.AppendUvarint(append(b, 0b11), uint64(len(col)))
+	return append(b, col...)
+}()
+
+// damagedStub is a stub-flagged record whose header parses but carries no
+// summary: nothing a writer produces, but what a damaged page can hold.
+var damagedStub = []byte{flagStub | blobRTS, 1, 4, 10}
 
 // TestDecodeDoesNotAllocateFromUntrustedCount: the blob layer bounds every
 // column decode by the rows its own presence bitmap has.

@@ -26,9 +26,10 @@ type goldenFixture struct {
 	blob []byte
 }
 
-// goldenFixtures encodes structure × tier × format version × shape with the
-// package's encoders: every byte any store on disk may hold comes out of
-// one of these code paths.
+// goldenFixtures encodes structure × tier × shape with the package's
+// encoders at the one format a served store holds (v3: summary and, where
+// the span allows, sub-bucket blocks): every byte the store writes comes
+// out of one of these code paths.
 func goldenFixtures() []goldenFixture {
 	type shape struct {
 		name     string
@@ -45,7 +46,6 @@ func goldenFixtures() []goldenFixture {
 	}
 	shapes := []shape{
 		{name: "tag", rows: 40, interval: 50, value: mixed},
-		{name: "row", rows: 40, interval: 50, opts: encodeOpts{layout: layoutRowOriented}, value: mixed},
 		{name: "lossy", rows: 40, interval: 50, opts: encodeOpts{policies: []compress.Policy{{MaxDev: 0.5}, {}, {MaxDev: 2}}},
 			value: func(row, tag int) float64 { return float64((row*37+tag*11)%23) + 0.125*float64(row%5) }},
 		{name: "allnull", rows: 40, interval: 50, value: func(row, tag int) float64 {
@@ -56,16 +56,8 @@ func goldenFixtures() []goldenFixture {
 		}},
 		{name: "empty", rows: 0, interval: 50, value: mixed},
 		// 60 rows 100 ms apart against a 10 ms base: 591 sub-buckets, over
-		// the writer's cap, so v3 skips the block.
+		// the writer's cap, so the writer skips the block.
 		{name: "manysub", rows: 60, interval: 100, value: mixed},
-	}
-	versions := []struct {
-		name string
-		set  func(o *encodeOpts)
-	}{
-		{"v1", func(o *encodeOpts) { o.legacy = true }},
-		{"v2", func(o *encodeOpts) { o.subBucketMs = 0 }},
-		{"v3", func(o *encodeOpts) { o.subBucketMs = 10 }},
 	}
 	const ntags = 3
 	var out []goldenFixture
@@ -83,42 +75,40 @@ func goldenFixtures() []goldenFixture {
 				}
 				pts[i] = model.Point{Source: 7, TS: ts, Values: vals}
 			}
-			for _, ver := range versions {
-				for _, cold := range []bool{false, true} {
-					if cold && structure == "mg" {
-						continue // only the per-source trees tier
+			for _, cold := range []bool{false, true} {
+				if cold && structure == "mg" {
+					continue // only the per-source trees tier
+				}
+				opts := sh.opts
+				opts.subBucketMs = 10
+				opts.cold = cold
+				var blob []byte
+				switch structure {
+				case "rts":
+					blob = EncodeRTS(pts, ntags, sh.interval, opts)
+				case "irts":
+					blob = EncodeIRTS(pts, ntags, opts)
+				default:
+					// One member per point plus absent members, offsets
+					// relative to the record's window base.
+					members := len(pts) + 2
+					present := make([]bool, members)
+					rows := make([][]float64, members)
+					offsets := make([]int64, members)
+					for i, p := range pts {
+						slot := i + i/20 // leaves slots 20 and 41 absent
+						present[slot], rows[slot], offsets[slot] = true, p.Values, p.TS-1000
 					}
-					opts := sh.opts
-					ver.set(&opts)
-					opts.cold = cold
-					var blob []byte
-					switch structure {
-					case "rts":
-						blob = EncodeRTS(pts, ntags, sh.interval, opts)
-					case "irts":
-						blob = EncodeIRTS(pts, ntags, opts)
-					default:
-						// One member per point plus absent members, offsets
-						// relative to the record's window base.
-						members := len(pts) + 2
-						present := make([]bool, members)
-						rows := make([][]float64, members)
-						offsets := make([]int64, members)
-						for i, p := range pts {
-							slot := i + i/20 // leaves slots 20 and 41 absent
-							present[slot], rows[slot], offsets[slot] = true, p.Values, p.TS-1000
-						}
-						blob = EncodeMG(present, rows, offsets, ntags, opts)
-					}
-					tier := "hot"
-					if cold {
-						tier = "cold"
-					}
-					name := fmt.Sprintf("%s/%s/%s/%s", structure, sh.name, ver.name, tier)
-					out = append(out, goldenFixture{name, blob})
-					if stub, ok := makeStubBlob(blob); ok {
-						out = append(out, goldenFixture{name + "/stub", stub})
-					}
+					blob = EncodeMG(present, rows, offsets, ntags, opts)
+				}
+				tier := "hot"
+				if cold {
+					tier = "cold"
+				}
+				name := fmt.Sprintf("%s/%s/v3/%s", structure, sh.name, tier)
+				out = append(out, goldenFixture{name, blob})
+				if stub, ok := makeStubBlob(blob); ok {
+					out = append(out, goldenFixture{name + "/stub", stub})
 				}
 			}
 		}
@@ -157,7 +147,7 @@ func TestBlobEncodingGolden(t *testing.T) {
 	}
 
 	// A stub is the blob's header, byte for byte, with only the stub bit
-	// added; legacy blobs have no header worth keeping and refuse.
+	// added.
 	for _, fx := range fixtures {
 		if !strings.HasSuffix(fx.name, "/stub") {
 			continue
@@ -165,11 +155,6 @@ func TestBlobEncodingGolden(t *testing.T) {
 		full := blobs[strings.TrimSuffix(fx.name, "/stub")]
 		if len(fx.blob) > len(full) || fx.blob[0] != full[0]|flagStub || !bytes.Equal(fx.blob[1:], full[1:len(fx.blob)]) {
 			t.Errorf("%s is not a header prefix of its blob", fx.name)
-		}
-	}
-	for name := range blobs {
-		if strings.Contains(name, "/v1/") && strings.HasSuffix(name, "/stub") {
-			t.Errorf("%s: a pre-summary blob produced a stub", name)
 		}
 	}
 }

@@ -128,12 +128,14 @@ func (s *Store) Reorganize(schemaID int64, upTo int64) (MaintenanceResult, error
 }
 
 // UpgradeBlobs rewrites in place every record written before the current
-// blob format — no header summary, or no sub-bucket block while the store
-// writes them — losslessly and in its tier, so aggregates fold it from its
-// header; stubs, unreadable records and current ones stay. It then
-// re-derives every range's statistics from its records' headers: how a
-// store written before the per-tier span bounds gets them, and the repair
-// for statistics that drifted, were lost, or understate a record's reach.
+// blob format — no header summary, or no sub-bucket block — losslessly and
+// in its tier, so aggregates fold it from its header; stubs, unreadable
+// records and current ones stay, and a row-oriented record (a removed
+// layout) fails the pass with ErrCorruptBlob. It then re-derives every
+// range's statistics from its records' headers: how a store written before
+// the per-tier span bounds gets them, and the repair for statistics that
+// drifted, were lost, or understate a record's reach. On a store marked as
+// holding the current format only the repair has work to do.
 func (s *Store) UpgradeBlobs() (MaintenanceResult, error) {
 	pol := noMaintenance
 	pol.upgrade = true
@@ -330,6 +332,9 @@ func (p *rangePlan) age(pol policy, window int64, res *MaintenanceResult) (err e
 	}
 	if pol.upgrade {
 		for _, r := range p.records() {
+			if len(r.blob) > 0 && r.blob[0]&flagFreed != 0 {
+				return p.corrupt(r.ts, "a row-oriented record, a blob layout no build reads any more")
+			}
 			if blob, ok := p.s.upgradedBlob(r); ok {
 				p.now[r.ts] = blob
 			}
@@ -353,22 +358,16 @@ func (p *rangePlan) recompact(recs []stored, opts encodeOpts, batchSize int, spl
 }
 
 // stub truncates the records whose rows end before the cutoff to summary-
-// only stubs under the same key; a pre-summary record is re-encoded first,
-// from its decode, so the stub's summary matches what scans were serving.
-// Row counts stay in the catalog: the summary still answers COUNT/SUM/AVG,
-// and partition elimination still needs the source's time range.
+// only stubs under the same key. Row counts stay in the catalog: the
+// summary still answers COUNT/SUM/AVG, and partition elimination still
+// needs the source's time range.
 func (p *rangePlan) stub(before int64, res *MaintenanceResult) {
 	for _, r := range p.records() {
 		_, _, last, ok := blobSpan(r)
 		if BlobTier(r.blob) == TierStub || !ok || last >= before {
-			continue // already a stub, unreadable, or straddling: rows stay
+			continue // already a stub, without a summary, or straddling: rows stay
 		}
-		stub, ok := makeStubBlob(r.blob)
-		if !ok {
-			_, pts := decodeRecords(p.id, []stored{r})
-			stub, ok = makeStubBlob(encodeRun(p.ds, p.schema, pts, p.s.coldOpts(p.schema)))
-		}
-		if ok {
+		if stub, ok := makeStubBlob(r.blob); ok {
 			p.now[r.ts] = stub
 			res.Stubbed++
 			p.s.stubTransitions.Add(1)
@@ -384,7 +383,7 @@ func (s *Store) upgradedBlob(r stored) ([]byte, bool) {
 	if !ok || h.tier() == TierStub {
 		return nil, false
 	}
-	if h.hasSummary() && (h.subOff != 0 || s.cfg.SubBucketMs <= 0 || h.structure == blobMG) {
+	if h.hasSummary() && (h.subOff != 0 || h.structure == blobMG) {
 		return nil, false
 	}
 	batch, err := h.decodeAll(r.ts, nil)
@@ -394,7 +393,6 @@ func (s *Store) upgradedBlob(r stored) ([]byte, bool) {
 	// No per-tag policies: a lossy codec applied to values that already
 	// went through one could move them again.
 	opts := s.encodeOptsFor(nil)
-	opts.legacy = false
 	opts.cold = h.tier() == TierCold
 	blob := h.reencode(batch, r.ts, opts)
 	// A summarized blob may gain nothing: with no rows, or a span past the

@@ -18,29 +18,14 @@ type stored struct {
 	blob []byte
 }
 
-// blobSpan reads a record's row count and timestamp bounds: from the
-// summary header, or by decoding the timestamps of a legacy blob. ok is
-// false for an unreadable record. The bounds are true minima and maxima
+// blobSpan reads a record's row count and timestamp bounds from its
+// summary header. ok is false for a record without one — unreadable, or
+// written before the summary format, which a served store does not hold —
+// whose bounds are then its key. The bounds are true minima and maxima
 // (MG member offsets are stored in slot order, not time order).
 func blobSpan(r stored) (rows, first, last int64, ok bool) {
 	h, _ := parseBlobHeader(r.blob)
-	if rows, first, last, ok = h.span(r.ts); ok {
-		return rows, first, last, true
-	}
-	batch, err := h.decodeAll(r.ts, []int{})
-	if err != nil {
-		return 0, r.ts, r.ts, false
-	}
-	first, last = r.ts, r.ts
-	for i, ts := range batch.Timestamps {
-		if i == 0 || ts < first {
-			first = ts
-		}
-		if i == 0 || ts > last {
-			last = ts
-		}
-	}
-	return int64(len(batch.Timestamps)), first, last, true
+	return h.span(r.ts)
 }
 
 // recordStats is one record's contribution to its home's statistics, read
@@ -194,12 +179,16 @@ func (p *rangePlan) put(rec stored, pts []model.Point) error {
 		if BlobTier(occ) != TierStub {
 			occ, rec.blob = rec.blob, occ
 		}
+		moved, ok := rekeyStub(occ, rec.ts, rec.ts-1)
+		if !ok {
+			return p.corrupt(rec.ts, "a put meets a stub without a summary")
+		}
 		p.now[rec.ts] = rec.blob
-		return p.put(stored{ts: rec.ts - 1, blob: rekeyStub(occ, rec.ts, rec.ts-1)}, nil)
+		return p.put(stored{ts: rec.ts - 1, blob: moved}, nil)
 	}
 	picked, rows := decodeRecords(p.id, []stored{{ts: rec.ts, blob: occ}})
 	if len(picked) == 0 {
-		return fmt.Errorf("tsstore: %s source=%d ts=%d: a put meets a record that does not decode: %w", p.tree.Name(), p.id, rec.ts, ErrCorruptBlob)
+		return p.corrupt(rec.ts, "a put meets a record that does not decode")
 	}
 	if pts == nil {
 		_, pts = decodeRecords(p.id, []stored{rec})
@@ -210,6 +199,12 @@ func (p *rangePlan) put(rec stored, pts []model.Point) error {
 	}
 	p.now[rec.ts] = encodeRun(p.ds, p.schema, mergeRows(rows, pts, p.ds.Regular), opts)
 	return nil
+}
+
+// corrupt is the error of a plan that meets, at ts, a record it cannot
+// work with: the plan refuses, and the tree stays as it was.
+func (p *rangePlan) corrupt(ts int64, what string) error {
+	return fmt.Errorf("tsstore: %s source=%d ts=%d: %s: %w", p.tree.Name(), p.id, ts, what, ErrCorruptBlob)
 }
 
 // putRuns puts the source's points as records of at most batchSize points

@@ -27,9 +27,6 @@ type Config struct {
 	BatchSize int
 	// DisableCompression stores raw columns (compression ablation).
 	DisableCompression bool
-	// RowOrientedBlobs stores row-major blobs instead of tag-oriented
-	// columns (layout ablation; single-tag queries must decode everything).
-	RowOrientedBlobs bool
 	// MaxOpenMGRows bounds how many rows an MG group buffer may hold open
 	// before the oldest is flushed partially filled.
 	MaxOpenMGRows int
@@ -46,16 +43,11 @@ type Config struct {
 	// BlobCacheBytes budgets the decoded-ValueBlob cache (decoded bytes
 	// held). Zero disables caching: every scan decodes from the pagestore.
 	BlobCacheBytes int64
-	// LegacyBlobFormat writes blobs in the pre-summary format (no header
-	// aggregate block). Test hook for the backward-compatibility suite;
-	// readers handle both formats regardless.
-	LegacyBlobFormat bool
 	// SubBucketMs is the base width of the per-sub-bucket mini-summaries
-	// written into v3 blobs (format flag 0x04): TIME_BUCKET grids that are
-	// positive integral multiples of this width fold straddling blobs
-	// without decoding. Zero picks DefaultSubBucketMs; negative disables
-	// sub-bucket blocks (v2 write format). Readers handle every format
-	// regardless.
+	// written into per-source blobs (format flag 0x04): TIME_BUCKET
+	// grids that are positive integral multiples of this width fold
+	// straddling blobs without decoding. Zero picks DefaultSubBucketMs; a
+	// negative width fails Open.
 	SubBucketMs int64
 }
 
@@ -71,11 +63,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxOpenMGRows <= 0 {
 		c.MaxOpenMGRows = 4
 	}
-	switch {
-	case c.SubBucketMs == 0:
+	if c.SubBucketMs == 0 {
 		c.SubBucketMs = DefaultSubBucketMs
-	case c.SubBucketMs < 0:
-		c.SubBucketMs = 0 // disabled: write the v2 (whole-blob summary) format
 	}
 	return c
 }
@@ -294,6 +283,9 @@ func (r *mgRow) fit(n int) {
 // buffered re-enter the buffers, minus the ones a checkpoint had already
 // committed (see Flush).
 func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, error) {
+	if cfg.SubBucketMs < 0 {
+		return nil, fmt.Errorf("tsstore: Config.SubBucketMs = %d: a sub-bucket base width must be positive (0 picks the default)", cfg.SubBucketMs)
+	}
 	s := &Store{
 		cfg:  cfg.withDefaults(),
 		page: store,
@@ -368,7 +360,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// SubBucketMs returns the resolved sub-bucket base width (0 = disabled).
+// SubBucketMs returns the resolved sub-bucket base width, always positive.
 func (s *Store) SubBucketMs() int64 { return s.cfg.SubBucketMs }
 
 // encodeOptsFor builds the blob codec options for a schema; nil encodes
@@ -376,11 +368,7 @@ func (s *Store) SubBucketMs() int64 { return s.cfg.SubBucketMs }
 func (s *Store) encodeOptsFor(schema *model.SchemaType) encodeOpts {
 	opts := encodeOpts{
 		disable:     s.cfg.DisableCompression,
-		legacy:      s.cfg.LegacyBlobFormat,
 		subBucketMs: s.cfg.SubBucketMs,
-	}
-	if s.cfg.RowOrientedBlobs {
-		opts.layout = layoutRowOriented
 	}
 	if schema != nil {
 		opts.policies = make([]compress.Policy, len(schema.Tags))
@@ -907,28 +895,29 @@ func (s *Store) VerifyBlobs() (checked int, corrupt, stale []BlobRef, err error)
 	return checked, corrupt, stale, nil
 }
 
-// blobIntact is the per-record check of VerifyBlobs. A summary that
-// disagrees with its own columns would make pushdown answers drift from
-// decode answers, so it fails even though the rows themselves are
-// readable; same one level down for a sub-bucket block. A stub's remaining
-// contract is its header: the payload was dropped by tier policy, so only
-// the summary (and the sub-bucket block when it claims one) must read.
+// blobIntact is the per-record check of VerifyBlobs. Every record of a
+// served store carries a header summary — one without is a pre-summary
+// record, which only the upgrade reads — and a summary that disagrees with
+// its own columns would make pushdown answers drift from decode answers,
+// so it fails even though the rows themselves are readable; same one level
+// down for a sub-bucket block. A stub's remaining contract is its header:
+// the payload was dropped by tier policy, so only the summary (and the
+// sub-bucket block when it claims one) must read.
 func blobIntact(blob []byte, ts int64) bool {
-	h, ok := parseBlobHeader(blob)
-	if !ok {
+	h, _ := parseBlobHeader(blob)
+	sum := h.summary(ts)
+	if sum == nil {
 		return false
 	}
-	sum := h.summary(ts)
 	sub := h.subSummaries(sum)
 	if h.subOff != 0 && sub == nil {
 		return false
 	}
 	if h.tier() == TierStub {
-		return sum != nil
+		return true
 	}
 	batch, err := h.decodeAll(ts, nil)
-	return err == nil && (sum == nil || summaryMatches(sum, batch)) &&
-		(sub == nil || subSummariesMatch(sub, batch, h.ntags))
+	return err == nil && summaryMatches(sum, batch) && (sub == nil || subSummariesMatch(sub, batch, h.ntags))
 }
 
 // TreeSizes reports entry counts of the three batch trees (for tests and

@@ -3,6 +3,7 @@ package tsstore
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"odh/internal/catalog"
@@ -620,25 +621,21 @@ func TestCompressionShrinksBlobBytes(t *testing.T) {
 	}
 }
 
-func TestRowOrientedAblationDecodesAllTags(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 8, RowOrientedBlobs: true}, 0)
-	s := f.schema(t, "row", 4)
-	ds := f.source(t, s.ID, true, 10)
-	for i := 0; i < 16; i++ {
-		f.store.Write(model.Point{Source: ds.ID, TS: int64(i * 10), Values: []float64{1, 2, 3, float64(i)}})
+// TestNegativeSubBucketMsRefused: a negative base width once meant "write
+// no sub-bucket blocks", a format no writer produces any more; Open names
+// the field instead of quietly picking the default.
+func TestNegativeSubBucketMsRefused(t *testing.T) {
+	page, err := pagestore.Open(pagestore.NewMemFile(), pagestore.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.store.Flush()
-	// Even with projection, row-oriented blobs return every tag (they
-	// cannot skip columns) — verify values are correct.
-	it, _ := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, []int{3})
-	pts := collect(t, it)
-	if len(pts) != 16 {
-		t.Fatalf("got %d", len(pts))
+	defer page.Close()
+	cat, err := catalog.Open(page, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range pts {
-		if p.Values[3] != float64(i) {
-			t.Fatalf("tag 3 at %d = %v", i, p.Values[3])
-		}
+	if _, err := Open(page, cat, Config{SubBucketMs: -1}); err == nil || !strings.Contains(err.Error(), "Config.SubBucketMs") {
+		t.Fatalf("Open with SubBucketMs -1 = %v, want an error naming the field", err)
 	}
 }
 

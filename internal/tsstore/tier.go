@@ -64,12 +64,10 @@ func (e *StubbedRangeError) Error() string {
 // Unwrap ties the error to ErrStubbedBlob for errors.Is.
 func (e *StubbedRangeError) Unwrap() error { return ErrStubbedBlob }
 
-// coldOpts is the cold tier's encoding: summary format, max-effort
-// lossless columns.
+// coldOpts is the cold tier's encoding: max-effort lossless columns.
 func (s *Store) coldOpts(schema *model.SchemaType) encodeOpts {
 	opts := s.encodeOptsFor(schema)
 	opts.cold = true
-	opts.legacy = false
 	return opts
 }
 

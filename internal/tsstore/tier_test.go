@@ -288,53 +288,6 @@ func TestTierStubNotQuarantinedByLenientScan(t *testing.T) {
 	}
 }
 
-func TestTierLegacyBlobUpgrade(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 16, LegacyBlobFormat: true}, 0)
-	s := f.schema(t, "env", 2)
-	ds := f.source(t, s.ID, true, 10)
-	dsStub := f.source(t, s.ID, true, 10)
-	writeRegular(t, f, ds, 0, 160, 2)
-	writeRegular(t, f, dsStub, 0, 160, 2)
-	before := tierScanAll(t, f.store, ds.ID, 0, math.MaxInt64)
-	now := f.cat.Stats(ds.ID).LastTS + 1
-
-	// Cold pass reads legacy (pre-summary) blobs through the decode
-	// fallback and writes summary-format cold blobs.
-	res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Deleted == 0 {
-		t.Fatal("cold pass skipped legacy blobs")
-	}
-	after := tierScanAll(t, f.store, ds.ID, 0, math.MaxInt64)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("legacy cold upgrade changed scan results")
-	}
-
-	// Stubbing straight from legacy re-encodes the header first; the
-	// summary then answers aggregates.
-	agg, err := f.store.AggregateHistorical(dsStub.ID, AggSpec{T1: 0, T2: math.MaxInt64, NTags: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.store.TierSchema(s.ID, TierPolicy{StubAfterMs: 1}, now); err != nil {
-		t.Fatal(err)
-	}
-	agg2, err := f.store.AggregateHistorical(dsStub.ID, AggSpec{T1: 0, T2: math.MaxInt64, NTags: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg.Groups) != 1 || len(agg2.Groups) != 1 || agg.Groups[0].Rows != agg2.Groups[0].Rows {
-		t.Fatalf("legacy stub aggregate drifted: %+v vs %+v", agg.Groups, agg2.Groups)
-	}
-	for tg := range agg.Groups[0].Sum {
-		if math.Float64bits(agg.Groups[0].Sum[tg]) != math.Float64bits(agg2.Groups[0].Sum[tg]) {
-			t.Fatalf("legacy stub sum drifted on tag %d", tg)
-		}
-	}
-}
-
 func TestTierRetentionDropsStubs(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16}, 0)
 	s := f.schema(t, "env", 1)

@@ -53,7 +53,7 @@ func checkWindowedDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []i
 
 // TestWindowedDecodeIsFullDecodeRestricted: for random RTS and IRTS
 // records — unsorted and duplicate timestamps, NULL-heavy bitmaps, hot and
-// cold codecs, lossy policies, both layouts — random tag selections and
+// cold codecs, lossy policies — random tag selections and
 // random windows, the range decode yields full-decode-then-filter.
 func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -102,9 +102,6 @@ func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
 		}
 		if rng.Intn(3) == 0 {
 			opts.policies = []compress.Policy{{}, {MaxDev: 0.5}, {MaxDev: 0.01}, {MaxDev: 2}}
-		}
-		if rng.Intn(6) == 0 {
-			opts.layout = layoutRowOriented
 		}
 		var blob []byte
 		if regular {
@@ -180,8 +177,8 @@ func checkMemberDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int
 	if !same {
 		t.Fatalf("slot %d window [%d,%d) wantTags %v: member decode yields %v, full decode then filter %v", slot, lo, hi, wantTags, got, want)
 	}
-	if h.flags&flagRowOriented == 0 && len(part.Rows) > len(want) {
-		t.Fatalf("slot %d window [%d,%d): a tag-oriented member decode materialised %d rows for %d of the member's", slot, lo, hi, len(part.Rows), len(want))
+	if len(part.Rows) > len(want) {
+		t.Fatalf("slot %d window [%d,%d): a member decode materialised %d rows for %d of the member's", slot, lo, hi, len(part.Rows), len(want))
 	}
 	if h.whole(part) != (len(part.Rows) == len(full.Rows)) {
 		t.Fatalf("slot %d: whole() = %v for %d of %d reported rows", slot, h.whole(part), len(part.Rows), len(full.Rows))
@@ -189,8 +186,8 @@ func checkMemberDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int
 }
 
 // TestMemberDecodeIsFullDecodeRestricted: for random MG records — 1 to 130
-// members, some missing, NULL-heavy bitmaps, lossy, cold and raw codecs,
-// both layouts — every slot (those past the member count too), random tag
+// members, some missing, NULL-heavy bitmaps, lossy, cold and raw codecs —
+// every slot (those past the member count too), random tag
 // selections and random windows, the member decode yields the full decode
 // filtered to the slot and the window, and the cache's whole() rule holds.
 // A slot the bitmap lacks decodes nothing: with everything behind the
@@ -234,9 +231,6 @@ func TestMemberDecodeIsFullDecodeRestricted(t *testing.T) {
 		opts := encodeOpts{cold: rng.Intn(2) == 0, disable: rng.Intn(8) == 0}
 		if rng.Intn(3) == 0 {
 			opts.policies = []compress.Policy{{}, {MaxDev: 0.5}, {MaxDev: 0.01}, {MaxDev: 2}}
-		}
-		if rng.Intn(6) == 0 {
-			opts.layout = layoutRowOriented
 		}
 		blob := EncodeMG(present, rows, offsets, ntags, opts)
 		h, ok := parseBlobHeader(blob)

@@ -27,7 +27,9 @@ package odh
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -89,6 +91,11 @@ type (
 // the same range keep answering from the stub headers.
 var ErrStubbed = tsstore.ErrStubbedBlob
 
+// ErrNeedsUpgrade matches (via errors.Is) Open's error for a store written
+// before the ValueBlob format marker, whose records may be of a format a
+// served store no longer reads: Upgrade (odh-cli -dir DIR upgrade) it.
+var ErrNeedsUpgrade = errors.New("odh: the store predates the ValueBlob format marker")
+
 // NullValue is the NULL tag value for Point.Values.
 var NullValue = model.NullValue
 
@@ -108,11 +115,9 @@ type Options struct {
 	EnableRecoveryLog bool
 	// DisableCompression stores raw tag columns (ablation).
 	DisableCompression bool
-	// RowOrientedBlobs disables the tag-oriented blob layout (ablation).
-	RowOrientedBlobs bool
 	// Backing overrides the page-store file (crash tests inject fault
 	// wrappers here); when set it wins over dir's page file. The recovery
-	// log still lives in dir when enabled.
+	// log still lives in dir when enabled. Upgrade refuses it.
 	Backing pagestore.File
 	// Recovery selects how reads treat corrupt ValueBlobs: fail fast
 	// (the default) or quarantine-and-continue (RecoverLenient).
@@ -159,14 +164,8 @@ type Options struct {
 	// mini-summaries written into ValueBlob headers: TIME_BUCKET queries
 	// whose width is a positive integral multiple of this base fold blobs
 	// that straddle bucket edges without decoding them. Zero picks the
-	// default (60 000 ms — one minute); negative disables sub-bucket
-	// blocks, writing the v2 (whole-blob summary) format. Readers handle
-	// every format regardless of this setting; UpgradeBlobs brings older
-	// records to the one it selects.
+	// default (60 000 ms — one minute); a negative width fails Open.
 	SubBucketMs int64
-	// legacyBlobFormat writes pre-summary (v1) blobs; a test hook for the
-	// backward-compatibility suite, deliberately unexported.
-	legacyBlobFormat bool
 }
 
 // Historian is an operational data historian instance.
@@ -184,8 +183,97 @@ type Historian struct {
 
 // Open opens (creating if necessary) a historian. dir == "" opens an
 // in-memory historian for tests and benchmarks; otherwise the directory
-// holds the page store file and optional recovery log.
+// holds the page store file and optional recovery log. A store written
+// before the ValueBlob format marker is refused with ErrNeedsUpgrade, its
+// files untouched.
 func Open(dir string, opts Options) (*Historian, error) {
+	return open(dir, opts, true)
+}
+
+// Upgrade brings the store in dir, written before the ValueBlob format
+// marker, to the format a served store holds and marks it, for Open to
+// accept; nothing may be serving it. On a copy of the page file, opened as
+// Open opens a store minus the marker check and the recovery log (the
+// first Open replays it), it runs the UpgradeBlobs pass, requires
+// VerifyIntegrity to be clean — else the report is the error — marks and
+// checkpoints the copy, and only then renames it over the page file: a
+// failure or crash at any step leaves the store as it was. On a marked
+// store it rewrites nothing. Under RecoverLenient corrupt blobs alone do
+// not stop the mark: lenient scans skip them, fsck names them.
+func Upgrade(dir string, opts Options) (res MaintenanceResult, err error) {
+	if dir == "" || opts.Backing != nil {
+		return res, errors.New("odh: Upgrade works on a store directory")
+	}
+	pages := filepath.Join(dir, "odh.pages")
+	scratch := pages + ".upgrade"
+	if err = copyFile(scratch, pages); err != nil {
+		return res, fmt.Errorf("odh: upgrade: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(scratch)
+		}
+	}()
+	if opts.Backing, err = openPageFile(scratch); err != nil {
+		return res, err
+	}
+	opts.EnableRecoveryLog, opts.WALBacking = false, nil
+	h, err := open(dir, opts, false)
+	if err != nil {
+		opts.Backing.Close()
+		return res, err
+	}
+	var rep *IntegrityReport
+	if res, err = h.ts.UpgradeBlobs(); err == nil {
+		rep, err = h.VerifyIntegrity()
+	}
+	if err == nil && !rep.OK() && !(opts.Recovery == RecoverLenient && len(rep.CorruptPages)+len(rep.CorruptTrees)+len(rep.StaleStats) == 0) {
+		err = fmt.Errorf("odh: upgrade: the store stays unmarked: it failed verification (corrupt blobs alone do not stop a lenient upgrade, odh-cli -recover):\n%s", rep)
+	}
+	if err == nil {
+		err = h.cat.MarkFormat(tsstore.BlobFormat)
+	}
+	if cerr := h.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(scratch, pages)
+	}
+	var d *os.File
+	if err == nil {
+		d, err = os.Open(dir) // the rename is durable once the directory is
+	}
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	return res, err
+}
+
+// copyFile replaces dst with a copy of src.
+func copyFile(dst, src string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := os.Create(dst)
+	if err == nil {
+		_, err = io.Copy(out, in)
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// openPageFile opens a directory store's page file; tests wrap what it
+// returns to inject I/O faults.
+var openPageFile = func(path string) (pagestore.File, error) { return pagestore.OpenOSFile(path) }
+
+// open is the one assembly of a historian; checkFormat refuses a store
+// that is not marked with the current ValueBlob format.
+func open(dir string, opts Options, checkFormat bool) (*Historian, error) {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = tsstore.DefaultBatchSize
 	}
@@ -196,7 +284,6 @@ func Open(dir string, opts Options) (*Historian, error) {
 		opts.PoolPages = 4096
 	}
 	var file pagestore.File
-	var wal *walog.Log
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("odh: create dir: %w", err)
@@ -208,44 +295,22 @@ func Open(dir string, opts Options) (*Historian, error) {
 	case dir == "":
 		file = pagestore.NewMemFile()
 	default:
-		f, err := pagestore.OpenOSFile(filepath.Join(dir, "odh.pages"))
+		f, err := openPageFile(filepath.Join(dir, "odh.pages"))
 		if err != nil {
 			return nil, err
 		}
 		file = f
-	}
-	walOpts := walog.Options{
-		SyncOnAppend: opts.WALSyncOnAppend,
-		SyncEvery:    opts.WALSyncEvery,
-	}
-	switch {
-	case opts.WALBacking != nil:
-		l, err := walog.OpenFile(opts.WALBacking, walOpts)
-		if err != nil {
-			return nil, err
-		}
-		wal = l
-	case dir != "" && opts.EnableRecoveryLog:
-		l, err := walog.OpenPath(filepath.Join(dir, "ingest.wal"), walOpts)
-		if err != nil {
-			return nil, err
-		}
-		wal = l
 	}
 	page, err := pagestore.Open(file, pagestore.Options{
 		PoolPages:      opts.PoolPages,
 		PoolPartitions: opts.PoolPartitions,
 	})
 	if err != nil {
-		if wal != nil {
-			wal.Close()
-		}
 		return nil, err
 	}
 	h := &Historian{
 		dir:     dir,
 		page:    page,
-		wal:     wal,
 		workers: runtime.GOMAXPROCS(0),
 	}
 	// A failed open releases what it acquired: the page file and the
@@ -261,16 +326,44 @@ func Open(dir string, opts Options) (*Historian, error) {
 	if h.cat, err = openCatalog(page, opts.GroupSize); err != nil {
 		return fail(err)
 	}
+	// A store without a schema holds no records: it is marked now, so the
+	// marker becomes durable at the checkpoint its first schema does.
+	marked := len(h.cat.Schemas()) == 0
+	if marked {
+		err = h.cat.MarkFormat(tsstore.BlobFormat)
+	} else {
+		marked, err = h.cat.FormatMarked(tsstore.BlobFormat)
+	}
+	if err == nil && !marked && checkFormat {
+		err = fmt.Errorf("%w: run `odh-cli -dir %s upgrade`", ErrNeedsUpgrade, dir)
+	}
+	if err != nil {
+		// Closing the page store would checkpoint it: a refused open closes
+		// its file instead, leaving every byte as it found them.
+		file.Close()
+		return nil, err
+	}
+	walOpts := walog.Options{
+		SyncOnAppend: opts.WALSyncOnAppend,
+		SyncEvery:    opts.WALSyncEvery,
+	}
+	switch {
+	case opts.WALBacking != nil:
+		h.wal, err = walog.OpenFile(opts.WALBacking, walOpts)
+	case dir != "" && opts.EnableRecoveryLog:
+		h.wal, err = walog.OpenPath(filepath.Join(dir, "ingest.wal"), walOpts)
+	}
+	if err != nil {
+		return fail(err)
+	}
 	// Opening the store replays wal: buffered points from a previous crash
 	// re-enter the buffers, minus the ones a checkpoint had made durable.
 	h.ts, err = tsstore.Open(page, h.cat, tsstore.Config{
 		BatchSize:          opts.BatchSize,
 		DisableCompression: opts.DisableCompression,
-		RowOrientedBlobs:   opts.RowOrientedBlobs,
 		LenientScan:        opts.Recovery == RecoverLenient,
-		Log:                wal,
+		Log:                h.wal,
 		BlobCacheBytes:     opts.BlobCacheBytes,
-		LegacyBlobFormat:   opts.legacyBlobFormat,
 		SubBucketMs:        opts.SubBucketMs,
 	})
 	if err != nil {
@@ -430,13 +523,10 @@ func (h *Historian) TierSchema(schemaName string, pol TierPolicy, now int64) (Ma
 	return h.ts.TierSchema(s.ID, pol, now)
 }
 
-// UpgradeBlobs rewrites, in place, every batch record written before the
-// current ValueBlob format (no header summary, or no sub-bucket block
-// while Options.SubBucketMs enables them), so aggregates fold those
-// records from their headers instead of decoding them. Query results are
-// unchanged bit for bit; summary-only stubs and already-current records
-// are not touched, so a second call rewrites nothing. Call Flush to make
-// the pass durable.
+// UpgradeBlobs is the statistics repair of a served store: it re-derives
+// every source's catalog statistics from its records' headers (its format
+// half, Upgrade's first step, finds nothing to rewrite in a served store).
+// Call Flush to make the pass durable.
 func (h *Historian) UpgradeBlobs() (MaintenanceResult, error) {
 	return h.ts.UpgradeBlobs()
 }

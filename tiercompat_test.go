@@ -2,131 +2,26 @@ package odh
 
 import (
 	"errors"
-	"io"
-	"math"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"testing"
 )
 
-// Tiered-store compatibility: the golden store under testdata/tiered
-// was generated by TestRegenGoldenTieredStore (run with
-// ODH_REGEN_GOLDEN=1) and holds a committed mix of hot, cold and stub
-// blobs. Opening those real bytes with today's code must keep scans
-// over the row-bearing tiers, aggregate pushdown over the stubs, the
-// typed stub error on raw scans, and the fsck working — so tier-format
-// drift is caught against genuine old bytes, not just a fresh encode.
-
-const goldenTieredDir = "testdata/tiered"
-
-// The golden store's reference clock and tier cutoffs: records whose
-// last timestamp falls below now-ColdAfterMs are cold (4000 here),
-// below now-StubAfterMs stubs (2000 here).
+// The tiered golden store holds a committed mix of hot, cold and stub
+// records: records whose last timestamp fell below 4000 were compacted
+// cold, below 2000 truncated to stubs.
 const (
-	goldenTieredNow  = 6_000_000
-	goldenColdBelow  = int64(4000)
-	goldenStubBelow  = int64(2000)
-	goldenTieredSrcs = 7
-	goldenTieredRows = 600 * goldenTieredSrcs
+	goldenTieredDir = "testdata/tiered"
+	goldenStubBelow = int64(2000)
 )
 
-func TestRegenGoldenTieredStore(t *testing.T) {
-	if os.Getenv("ODH_REGEN_GOLDEN") == "" {
-		t.Skip("set ODH_REGEN_GOLDEN=1 to regenerate testdata/tiered")
-	}
-	if err := os.RemoveAll(goldenTieredDir); err != nil {
-		t.Fatal(err)
-	}
-	h, err := Open(goldenTieredDir, Options{BatchSize: 16, GroupSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildGoldenWorkload(t, h)
-	pol := TierPolicy{
-		ColdAfterMs: goldenTieredNow - goldenColdBelow,
-		StubAfterMs: goldenTieredNow - goldenStubBelow,
-	}
-	res, err := h.TierSchema("env", pol, goldenTieredNow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rewritten == 0 || res.Stubbed == 0 {
-		t.Fatalf("golden tiered store lacks a tier mix: %+v", res)
-	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// goldenPoint mirrors one write of buildGoldenWorkload.
-type goldenPoint struct {
-	src   int // registration index 0..6
-	ts    int64
-	a, b  float64
-	aNull bool
-}
-
-// replayGoldenWorkload regenerates the exact point stream
-// buildGoldenWorkload wrote (same seed, same draw order), so the compat
-// checks compare the committed bytes against independently computed
-// truth rather than against another code path over the same bytes.
-func replayGoldenWorkload() []goldenPoint {
-	type srcDef struct {
-		regular  bool
-		interval int64
-	}
-	srcs := []srcDef{
-		{true, 10}, {true, 10}, {false, 25},
-		{true, 10_000}, {true, 10_000}, {true, 10_000}, {true, 10_000},
-	}
-	rng := rand.New(rand.NewSource(42))
-	var pts []goldenPoint
-	for i := 0; i < 600; i++ {
-		for s, def := range srcs {
-			ts := int64(i+1) * def.interval
-			if !def.regular {
-				ts += rng.Int63n(10)
-			}
-			a := float64(rng.Intn(8))
-			b := float64(rng.Intn(100))
-			null := rng.Intn(5) == 0
-			if null {
-				a = NullValue
-			}
-			pts = append(pts, goldenPoint{src: s, ts: ts, a: a, b: b, aNull: null})
-		}
-	}
-	return pts
-}
-
+// TestTieredStoreCompat: a tiered store is refused, then upgraded — its hot
+// and cold records gain sub-bucket blocks in their tiers, its stubs stay
+// byte for byte — and keeps answering aggregates over the stubbed prefix
+// from their headers while a raw scan into it fails with the typed error.
 func TestTieredStoreCompat(t *testing.T) {
-	src, err := os.Open(filepath.Join(goldenTieredDir, "odh.pages"))
-	if err != nil {
-		t.Fatalf("golden tiered store missing (regenerate with ODH_REGEN_GOLDEN=1): %v", err)
-	}
-	defer src.Close()
-	dir := t.TempDir()
-	dst, err := os.Create(filepath.Join(dir, "odh.pages"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.Copy(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
-	}
-	h, err := Open(dir, Options{BatchSize: 16, GroupSize: 4, BlobCacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatalf("open tiered store: %v", err)
-	}
-	defer h.Close()
-
-	// The committed bytes really hold all three tiers.
+	base := Options{BatchSize: 16, GroupSize: 4, BlobCacheBytes: 1 << 20}
+	dir, _ := upgradeGoldenStore(t, goldenTieredDir, base)
+	h, ref := openUpgradedPair(t, dir, base)
 	ts, err := h.TierStats()
 	if err != nil {
 		t.Fatal(err)
@@ -135,74 +30,19 @@ func TestTieredStoreCompat(t *testing.T) {
 		t.Fatalf("golden store lost its tier mix: %+v", ts)
 	}
 
-	// fsck accepts the tiered bytes.
-	rep, err := h.VerifyIntegrity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("tiered store failed verification:\n%s", rep)
-	}
-
-	// Grand aggregates over the whole history — including the stubbed
-	// prefix — must match truth replayed from the generator bit for bit.
-	truth := replayGoldenWorkload()
-	var rows, nonNullA int64
-	var sumA float64
-	minB, maxB := math.Inf(1), math.Inf(-1)
-	perSrc := make([]struct {
-		count int64
-		sumA  float64
-	}, goldenTieredSrcs)
-	for _, p := range truth {
-		rows++
-		perSrc[p.src].count++
-		if !p.aNull {
-			nonNullA++
-			sumA += p.a
-			perSrc[p.src].sumA += p.a
-		}
-		minB = math.Min(minB, p.b)
-		maxB = math.Max(maxB, p.b)
-	}
-	if rows != goldenTieredRows {
-		t.Fatalf("replay produced %d rows, want %d", rows, goldenTieredRows)
-	}
-	grand, _ := diffFetch(t, h, `SELECT COUNT(*), COUNT(a), SUM(a), MIN(b), MAX(b) FROM D`)
-	wantGrand := strings.Join([]string{
-		strconv.FormatInt(rows, 10),
-		strconv.FormatInt(nonNullA, 10),
-		floatCell(sumA, nonNullA == 0),
-		floatCell(minB, false),
-		floatCell(maxB, false),
-	}, "|")
-	if len(grand) != 1 || grand[0] != wantGrand {
-		t.Fatalf("grand total over tiered store:\n got %v\nwant %s", grand, wantGrand)
-	}
-
-	// Per-source groups, in registration-id order.
-	byID, _ := diffFetch(t, h, `SELECT id, COUNT(*), SUM(a) FROM D GROUP BY id`)
-	if len(byID) != goldenTieredSrcs {
-		t.Fatalf("GROUP BY id produced %d groups, want %d", len(byID), goldenTieredSrcs)
-	}
-	sort.Slice(byID, func(i, j int) bool {
-		a, _ := strconv.ParseInt(strings.SplitN(byID[i], "|", 2)[0], 10, 64)
-		b, _ := strconv.ParseInt(strings.SplitN(byID[j], "|", 2)[0], 10, 64)
-		return a < b
+	// The decode plan reads rows, so it is the reference past the stubs.
+	samePlans(t, h, ref, []string{
+		`SELECT id, ts, a, b FROM D WHERE ts >= 2500 AND ts < 100000000`,
+		`SELECT COUNT(*), COUNT(a), SUM(a), MIN(b), MAX(b) FROM D WHERE ts >= 2500`,
+		`SELECT id, COUNT(*), SUM(a) FROM D WHERE ts >= 2500 GROUP BY id`,
+		`SELECT TIME_BUCKET(1000, ts), COUNT(*), MAX(b) FROM D WHERE ts >= 2500 AND ts < 8000 GROUP BY TIME_BUCKET(1000, ts)`,
 	})
-	for i, line := range byID {
-		cells := strings.Split(line, "|")
-		wantCount := strconv.FormatInt(perSrc[i].count, 10)
-		wantSum := floatCell(perSrc[i].sumA, false)
-		if len(cells) != 3 || cells[1] != wantCount || cells[2] != wantSum {
-			t.Fatalf("group %d = %q, want count=%s sum=%s", i, line, wantCount, wantSum)
-		}
-	}
+	checkGoldenTruth(t, h, 2500)
 
 	// A covered TIME_BUCKET over the stubbed prefix folds from stub
 	// summaries: every stub's span fits inside the one 2000ms bucket.
 	var bRows, bNonNull int64
-	for _, p := range truth {
+	for _, p := range replayGoldenWorkload() {
 		if p.ts < goldenStubBelow {
 			bRows++
 			if !p.aNull {
@@ -215,30 +55,6 @@ func TestTieredStoreCompat(t *testing.T) {
 	wantBucket := "0|" + strconv.FormatInt(bRows, 10) + "|" + strconv.FormatInt(bNonNull, 10)
 	if len(bucket) != 1 || bucket[0] != wantBucket {
 		t.Fatalf("covered bucket over stubs:\n got %v\nwant %s", bucket, wantBucket)
-	}
-
-	// Row scans over the cold and hot tiers return every surviving row;
-	// stubs whose window misses the scan skip silently.
-	scanned, _ := diffFetch(t, h, `SELECT id, ts, a, b FROM D WHERE ts >= 2500 AND ts < 100000000`)
-	var wantScan int
-	for _, p := range truth {
-		if p.ts >= 2500 {
-			wantScan++
-		}
-	}
-	if len(scanned) != wantScan {
-		t.Fatalf("row scan over cold+hot tiers returned %d rows, want %d", len(scanned), wantScan)
-	}
-
-	// The store predates sub-bucket blocks: the upgrade gives them to the
-	// hot and cold records and leaves the stubs (and every answer) alone.
-	if up := checkUpgrade(t, h, []string{
-		`SELECT COUNT(*), COUNT(a), SUM(a), MIN(b), MAX(b) FROM D`,
-		`SELECT id, COUNT(*), SUM(a) FROM D GROUP BY id`,
-		`SELECT TIME_BUCKET(2000, ts), COUNT(*), COUNT(a) FROM D WHERE ts >= 0 AND ts < 2000 GROUP BY TIME_BUCKET(2000, ts)`,
-		`SELECT id, ts, a, b FROM D WHERE ts >= 2500 AND ts < 100000000`,
-	}); up.Rewritten == 0 {
-		t.Fatalf("UpgradeBlobs found nothing to rewrite in the v2 tiered store: %+v", up)
 	}
 
 	// A raw scan that reaches into the stubbed prefix fails loudly with

@@ -1,8 +1,10 @@
 package odh
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"odh/internal/fault"
@@ -172,89 +174,109 @@ func checkAggAgainst(t *testing.T, h *Historian, wantGrand, wantByID []string, w
 	}
 }
 
-// TestUpgradeFaultCrashSafety is the same promise for the format upgrade,
-// which replaces every old-format record under its own key: a crashed or
-// torn UpgradeBlobs never loses or duplicates a row — every record stays
-// readable at its old or its new format — and a retry finishes the job.
+// TestUpgradeFaultCrashSafety holds Upgrade to its promise on a copy of
+// the pre-summary golden store whose page files are fault-wrapped: Upgrade
+// writes only a copy of the page file, and renames it over the store once
+// the copy is upgraded, verified and marked. So a write that fails anywhere
+// — before the first lands, inside the pass, at the marker's checkpoint,
+// at the last — leaves the page file byte for byte as it was, Open refusing
+// it, and the re-run after the fault clears upgrades it with every row
+// intact.
 func TestUpgradeFaultCrashSafety(t *testing.T) {
-	ff := fault.Wrap(pagestore.NewMemFile())
-	open := func(legacy bool) *Historian {
-		h, err := Open("", Options{
-			BatchSize: 16, GroupSize: 3, PoolPages: 16,
-			BlobCacheBytes: 1 << 20, Backing: ff, legacyBlobFormat: legacy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	h := open(true)
-	writeFaultWorkload(t, h, 120)
-	if err := h.Flush(); err != nil {
+	dir := copyStore(t, goldenPreSummaryDir)
+	pages := filepath.Join(dir, "odh.pages")
+	golden, err := os.ReadFile(pages)
+	if err != nil {
 		t.Fatal(err)
 	}
-	const scan = `SELECT id, ts, a, b FROM D`
-	wantRows, _ := diffFetch(t, h, scan)
-	wantGrand, _ := diffFetch(t, h, `SELECT COUNT(*), COUNT(a), SUM(a), MIN(b), MAX(b) FROM D`)
-	wantByID, _ := diffFetch(t, h, `SELECT id, COUNT(*), SUM(a) FROM D GROUP BY id`)
-	check := func(h *Historian, where string) {
-		t.Helper()
-		if rows, _ := diffFetch(t, h, scan); fmt.Sprint(rows) != fmt.Sprint(wantRows) {
-			t.Fatalf("%s: scan returned %d rows, want the original %d exactly", where, len(rows), len(wantRows))
-		}
-		checkAggAgainst(t, h, wantGrand, wantByID, where)
-	}
-	verify := func(h *Historian, where string) {
-		t.Helper()
-		rep, err := h.VerifyIntegrity()
+	// Each page file opened gets a fault wrapper armed with failAfter; last
+	// is the newest one.
+	failAfter, last := fault.Unlimited, (*fault.File)(nil)
+	defer func(orig func(string) (pagestore.File, error)) { openPageFile = orig }(openPageFile)
+	openPageFile = func(path string) (pagestore.File, error) {
+		f, err := pagestore.OpenOSFile(path)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if !rep.OK() {
-			t.Fatalf("%s: integrity check failed:\n%s", where, rep)
-		}
+		last = fault.Wrap(f)
+		last.FailWritesAfter(failAfter)
+		return last, nil
 	}
+	opts := Options{BatchSize: 16, GroupSize: 4, PoolPages: 16, BlobCacheBytes: 1 << 20}
 
-	// Crash before anything lands: the reopened store is the pre-upgrade
-	// checkpoint, every record still at its old format.
-	h = open(false)
-	ff.FailWritesAfter(0)
-	_, upErr := h.UpgradeBlobs()
-	flushErr := h.Flush()
-	ff.FailWritesAfter(fault.Unlimited)
-	if upErr == nil && flushErr == nil {
-		t.Fatal("injected write failure never surfaced from the upgrade")
+	// The tear points are counted on dry runs over other copies: the writes
+	// of the pass up to its verified checkpoint, and of a whole Upgrade.
+	h, err := open(copyStore(t, goldenPreSummaryDir), opts, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	h = open(false) // crash: abandon the handle without Close
-	check(h, "after crashed upgrade")
-	verify(h, "after crashed upgrade")
-
-	// Torn upgrade without a crash: some records rewritten, some not. The
-	// live handle answers exactly, and the retry upgrades the rest.
-	ff.FailWritesAfter(3)
-	_, upErr = h.UpgradeBlobs()
-	flushErr = h.Flush()
-	ff.FailWritesAfter(fault.Unlimited)
-	if upErr == nil && flushErr == nil {
-		t.Fatal("injected write failure never surfaced from the upgrade")
-	}
-	check(h, "after torn upgrade")
 	if _, err := h.UpgradeBlobs(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Flush(); err != nil {
+	if rep, err := h.VerifyIntegrity(); err != nil || !rep.OK() {
+		t.Fatalf("dry run: %v\n%s", err, rep)
+	}
+	passWrites := int(last.Counters().Writes)
+	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check(h, "after recovered upgrade")
+	if _, err := Upgrade(copyStore(t, goldenPreSummaryDir), opts); err != nil {
+		t.Fatal(err)
+	}
+	allWrites := int(last.Counters().Writes)
+	if passWrites <= 3 || allWrites <= passWrites+1 {
+		t.Fatalf("dry runs wrote %d pages in the pass, %d in all: too few to tear inside each step", passWrites, allWrites)
+	}
 
-	// The finished upgrade survives a crash/reopen with nothing left to do.
-	h = open(false)
-	check(h, "after reopen on upgraded store")
-	verify(h, "after reopen on upgraded store")
-	if up, err := h.UpgradeBlobs(); err != nil || up.Rewritten != 0 || up.Records == 0 {
-		t.Fatalf("UpgradeBlobs on the upgraded store = %+v (err %v), want 0 rewritten", up, err)
+	for _, tear := range []struct {
+		where  string
+		writes int
+	}{
+		{"before the first write", 0},
+		{"inside the pass", 3},
+		{"at the marker's checkpoint", passWrites},
+		{"at the last write", allWrites - 1},
+	} {
+		failAfter = tear.writes
+		_, err := Upgrade(dir, opts)
+		failAfter = fault.Unlimited
+		if err == nil {
+			t.Fatalf("torn %s: the injected write failure never surfaced from Upgrade", tear.where)
+		}
+		if now, err := os.ReadFile(pages); err != nil || !bytes.Equal(now, golden) {
+			t.Fatalf("torn %s: Upgrade changed the page file (err %v)", tear.where, err)
+		}
+		if _, err := os.Stat(pages + ".upgrade"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("torn %s: the copy was left behind (stat: %v)", tear.where, err)
+		}
+		if h, err := Open(dir, opts); !errors.Is(err, ErrNeedsUpgrade) {
+			if err == nil {
+				h.Close()
+			}
+			t.Fatalf("torn %s: Open = %v, want ErrNeedsUpgrade", tear.where, err)
+		}
+	}
+
+	// The re-run upgrades every record, and every row is intact.
+	up, err := Upgrade(dir, opts)
+	if err != nil || up.Rewritten == 0 || up.Rewritten != up.Records {
+		t.Fatalf("re-run after the tears = %+v (err %v), want every pre-summary record rewritten", up, err)
+	}
+	if h, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenTruth(t, h, 0)
+	rep, err := h.VerifyIntegrity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("integrity check failed after the re-run:\n%s", rep)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if again, err := Upgrade(dir, opts); err != nil || again.Rewritten != 0 || again.Records != up.Records {
+		t.Fatalf("Upgrade on the upgraded store = %+v (err %v), want 0 of %d records rewritten", again, err, up.Records)
 	}
 }
