@@ -359,7 +359,6 @@ func (s *Server) handleSQL(out io.Writer, sql string) {
 		fmt.Fprintf(out, "ERR %v\n", err)
 		return
 	}
-	defer res.Close()
 	if res.PlanText != "" {
 		for _, line := range strings.Split(strings.TrimRight(res.PlanText, "\n"), "\n") {
 			fmt.Fprintln(out, line)

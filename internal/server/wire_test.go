@@ -133,7 +133,6 @@ func TestWireAllocatesPerQueryNotPerRow(t *testing.T) {
 					break
 				}
 			}
-			res.Close()
 			if res.RowCount != int64(2*n) {
 				t.Fatalf("%s: %d rows, want %d", sql, res.RowCount, 2*n)
 			}

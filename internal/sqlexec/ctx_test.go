@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestQueryCtxCanceled verifies a canceled context aborts row pulls with
@@ -18,84 +17,9 @@ func TestQueryCtxCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
 	cancel()
 	_, err = res.FetchAll()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-}
-
-// TestQueryTimeoutEngineDefault verifies SetQueryTimeout bounds queries
-// submitted without their own deadline.
-func TestQueryTimeoutEngineDefault(t *testing.T) {
-	e := newEngine(t)
-	tdFixture(t, e)
-	e.SetQueryTimeout(time.Nanosecond)
-
-	res, err := e.Query(`SELECT T_DTS, T_TRADE_PRICE FROM TRADE WHERE T_CA_ID = 1 AND T_DTS BETWEEN 0 AND 10000000`)
-	if err != nil {
-		// Planning itself may observe the expired deadline via the scan.
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("want DeadlineExceeded, got %v", err)
-		}
-		return
-	}
-	defer res.Close()
-	time.Sleep(time.Millisecond) // ensure the 1ns deadline has passed
-	_, err = res.FetchAll()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded, got %v", err)
-	}
-
-	// Removing the bound restores unbounded queries.
-	e.SetQueryTimeout(0)
-	res2, err := e.Query(`SELECT COUNT(*) FROM TRADE WHERE T_CA_ID = 1 AND T_DTS BETWEEN 0 AND 10000000`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res2.FetchAll(); err != nil {
-		t.Fatalf("unbounded query failed: %v", err)
-	}
-}
-
-// TestQueryCtxCallerDeadlineWins verifies the engine default applies only
-// when the caller's context carries no deadline: a generous caller deadline
-// lets the query complete even under a tiny SetQueryTimeout.
-func TestQueryCtxCallerDeadlineWins(t *testing.T) {
-	e := newEngine(t)
-	tdFixture(t, e)
-	e.SetQueryTimeout(time.Nanosecond)
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	res, err := e.QueryCtx(ctx, `SELECT COUNT(*) FROM TRADE WHERE T_CA_ID = 1 AND T_DTS BETWEEN 0 AND 10000000`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := res.FetchAll()
-	if err != nil {
-		t.Fatalf("query with generous caller deadline failed: %v", err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("want 1 row, got %d", len(rows))
-	}
-}
-
-// TestResultCloseIdempotent exercises Close before, between, and after
-// Next calls.
-func TestResultCloseIdempotent(t *testing.T) {
-	e := newEngine(t)
-	tdFixture(t, e)
-	e.SetQueryTimeout(time.Minute)
-
-	res, err := e.Query(`SELECT T_DTS FROM TRADE WHERE T_CA_ID = 2 AND T_DTS BETWEEN 0 AND 10000000`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := res.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
-	}
-	res.Close()
-	res.Close() // idempotent
 }

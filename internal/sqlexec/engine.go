@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"odh/internal/catalog"
 	"odh/internal/relational"
@@ -29,9 +28,6 @@ type Engine struct {
 	// aggPushdownOff disables the summary-aggregate rewrite (zero value =
 	// enabled). Atomic for the same live-reconfiguration reason.
 	aggPushdownOff atomic.Bool
-	// queryTimeout (nanoseconds) bounds each query that arrives without
-	// its own deadline; 0 = unbounded. Atomic for live reconfiguration.
-	queryTimeout atomic.Int64
 }
 
 // New builds an engine over the two stores.
@@ -51,12 +47,6 @@ func (e *Engine) SetQueryWorkers(n int) { e.queryWorkers.Store(int64(n)) }
 // forces the decode-and-group plan — the escape hatch for comparing the
 // two paths and for the benchmark's fallback arm.
 func (e *Engine) SetAggPushdown(on bool) { e.aggPushdownOff.Store(!on) }
-
-// SetQueryTimeout bounds every query submitted without its own context
-// deadline: execution (including row pulls from Result.Next) fails with
-// context.DeadlineExceeded once d elapses. d <= 0 removes the bound.
-// Safe to call on a live engine.
-func (e *Engine) SetQueryTimeout(d time.Duration) { e.queryTimeout.Store(int64(d)) }
 
 // parallelCostUnit is the estimated blob-bytes of work that justifies one
 // additional aggregate worker: fanning out cheaper aggregates costs more
@@ -88,10 +78,8 @@ type Result struct {
 	root Operator
 	err  error
 	// ctx cancels the query; Next observes it between rows, and the scan
-	// iterators underneath observe it between blob loads. cancel releases
-	// the deadline timer when the engine attached one.
+	// iterators underneath observe it between blob loads.
 	ctx       context.Context
-	cancel    context.CancelFunc
 	ctxChecks int
 	// DataPoints counts the operational values pulled so far (non-NULL
 	// values from virtual tables; for relational-only queries, non-NULL
@@ -106,17 +94,6 @@ type Result struct {
 // relational-heavy plans.
 const ctxCheckRows = 64
 
-// Close releases the query's cancellation resources (the deadline timer
-// when a query timeout applied). Next calls it automatically when the
-// result is exhausted or fails; callers abandoning a result mid-stream
-// should call it themselves. Idempotent.
-func (r *Result) Close() {
-	if r.cancel != nil {
-		r.cancel()
-		r.cancel = nil
-	}
-}
-
 // Next pulls the next result row of a SELECT. The row is lent: it is
 // valid until the next call to Next, and a caller that keeps it copies it
 // (FetchAll does).
@@ -129,7 +106,6 @@ func (r *Result) Next() (Row, bool, error) {
 			r.ctxChecks = 0
 			if err := r.ctx.Err(); err != nil {
 				r.err = fmt.Errorf("sqlexec: query canceled: %w", err)
-				r.Close()
 				return nil, false, r.err
 			}
 		}
@@ -137,11 +113,9 @@ func (r *Result) Next() (Row, bool, error) {
 	row, ok, err := r.root.Next()
 	if err != nil {
 		r.err = err
-		r.Close()
 		return nil, false, err
 	}
 	if !ok {
-		r.Close()
 		return nil, false, nil
 	}
 	r.RowCount++
@@ -176,46 +150,18 @@ func (r *Result) BlobBytes() int64 {
 	return r.root.BlobBytes()
 }
 
-// Query parses and executes one statement without a caller deadline
-// (the engine's query timeout, when set, still applies).
+// Query parses and executes one statement without a caller deadline.
 func (e *Engine) Query(sql string) (*Result, error) {
 	return e.QueryCtx(context.Background(), sql)
 }
 
 // QueryCtx parses and executes one statement under ctx: canceling it (or
-// exceeding its deadline, or the engine's SetQueryTimeout default when
-// ctx carries no deadline) aborts planning, the scan workers, and row
-// pulls with the context's error.
+// exceeding its deadline) aborts planning, the scan workers, and row pulls
+// with the context's error.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var cancel context.CancelFunc
-	if d := time.Duration(e.queryTimeout.Load()); d > 0 {
-		if _, has := ctx.Deadline(); !has {
-			ctx, cancel = context.WithTimeout(ctx, d)
-		}
-	}
-	res, err := e.queryCtx(ctx, sql)
-	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
-		return nil, err
-	}
-	if res.root == nil {
-		// DDL/DML/EXPLAIN complete inside queryCtx; nothing left to cancel.
-		if cancel != nil {
-			cancel()
-		}
-		return res, nil
-	}
-	res.ctx = ctx
-	res.cancel = cancel
-	return res, nil
-}
-
-func (e *Engine) queryCtx(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -230,7 +176,7 @@ func (e *Engine) queryCtx(ctx context.Context, sql string) (*Result, error) {
 		for i, c := range root.Columns() {
 			cols[i] = c.Name
 		}
-		res := &Result{Columns: cols, root: root}
+		res := &Result{Columns: cols, root: root, ctx: ctx}
 		if s.Explain {
 			res.PlanText = e.explainText(root, pc)
 			res.root = nil

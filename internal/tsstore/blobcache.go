@@ -14,7 +14,7 @@ import (
 // measures as the VTI blocker (Table 8). Entries are keyed by the blob's
 // B+tree identity (tree, source/group id, base timestamp) plus the decode
 // variant (which tags were materialized), and invalidated whenever a
-// writer Puts or Deletes that key — every writer is rewriteLocked.
+// writer Puts or Deletes that key — every write ends in rewriteLocked.
 
 // Cache tree ids, one per batch tree a blob key can live in.
 const (

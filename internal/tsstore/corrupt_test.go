@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,74 +156,162 @@ func TestVerifyBlobs(t *testing.T) {
 	}
 }
 
-// TestPutRefusesDamagedStub: the collision rule steps a stub it lands on a
-// millisecond aside by re-anchoring the stub's summary, so a stub-flagged
-// record without one is corrupt, and a put that meets it — the ingest
-// flush's or maintenance's — fails typed, naming the record, with the tree
-// as it was.
+// TestPutRefusesDamagedStub: the collision rule, which every writer of the
+// batch trees puts by, never overwrites the record at its key, and a record
+// it cannot merge with — one that does not decode, or a stub-flagged one
+// without a summary, which it could not step aside — fails the put typed,
+// naming the record. Each writer meets such a record: the ingest flush of
+// an RTS and an IRTS source, an MG row flush onto the group's record, a
+// member's exact repeat overflowing its open row, an MG row flush whose
+// displaced sample lands on the member's record, Coalesce and Reorganize.
+// The trees and the catalog stay as they were, fsck still names the record,
+// and the rows that were to land stay buffered: the next Flush fails the
+// same way. Before the MG row flush put by the rule, it overwrote an
+// unreadable group record and returned nil.
 func TestPutRefusesDamagedStub(t *testing.T) {
-	plant := func(t *testing.T, tree *btree.Tree, src, ts int64) []stored {
-		t.Helper()
-		if err := tree.Put(keyenc.SourceTime(src, ts), damagedStub); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := readRange(&home{tree: tree, id: src}, math.MinInt64, math.MaxInt64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
+	type writer struct {
+		name string
+		// setup returns the key (tree, id, ts) that act and the next Flush
+		// both put at; the test damages the record there before act.
+		setup func(t *testing.T, f *fixture) (tree *btree.Tree, id, ts int64, act func() error)
 	}
-	refused := func(t *testing.T, tree *btree.Tree, src, ts int64, before []stored, err error) {
-		t.Helper()
-		name := fmt.Sprintf("%s source=%d ts=%d", tree.Name(), src, ts)
-		if !errors.Is(err, ErrCorruptBlob) || !strings.Contains(err.Error(), name) {
-			t.Fatalf("err = %v, want ErrCorruptBlob naming %s", err, name)
-		}
-		after, err := readRange(&home{tree: tree, id: src}, math.MinInt64, math.MaxInt64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(after, before) {
-			t.Fatalf("the refused put changed the tree: %d records -> %d", len(before), len(after))
+	perSource := func(regular bool) func(t *testing.T, f *fixture) (*btree.Tree, int64, int64, func() error) {
+		return func(t *testing.T, f *fixture) (*btree.Tree, int64, int64, func() error) {
+			src := f.source(t, f.schema(t, "pmu", 1).ID, regular, 10)
+			put := func(from int64) (err error) { // the eighth point flushes a run keyed from
+				for i := int64(0); i < 8 && err == nil; i++ {
+					err = f.store.Write(model.Point{Source: src.ID, TS: from + i*10, Values: []float64{float64(i)}})
+				}
+				return err
+			}
+			for from := int64(0); from < 320; from += 80 {
+				if err := put(from); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return f.store.treeFor(src.HistoricalStructure()), src.ID, 240, func() error { return put(240) }
 		}
 	}
-	t.Run("ingest", func(t *testing.T) {
-		f := newFixture(t, Config{BatchSize: 8}, 0)
-		src := f.source(t, f.schema(t, "pmu", 2).ID, true, 10)
-		writeRTSRun(t, f, src, 0, 32) // records at 0, 80, 160, 240
-		if err := f.store.Flush(); err != nil {
-			t.Fatal(err)
+	// mg sets up a group of a and b whose record at 0 holds both, and a's
+	// repeat at 0 in an open row: flushing it displaces a's stored sample
+	// into a's per-source range at 0. onGroup damages the group's record,
+	// else a's per-source one.
+	mg := func(onGroup bool, act func(f *fixture, a *model.DataSource) error) func(t *testing.T, f *fixture) (*btree.Tree, int64, int64, func() error) {
+		return func(t *testing.T, f *fixture) (*btree.Tree, int64, int64, func() error) {
+			sch := f.schema(t, "env", 1)
+			a, b := f.source(t, sch.ID, false, 1000), f.source(t, sch.ID, false, 1000)
+			if a.Group == 0 || a.Group != b.Group {
+				t.Fatalf("sources not grouped: %d vs %d", a.Group, b.Group)
+			}
+			for _, src := range []*model.DataSource{a, b, a} {
+				if err := f.store.Write(model.Point{Source: src.ID, TS: 0, Values: []float64{float64(src.ID)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tree, id := f.store.irts, a.ID
+			if onGroup {
+				tree, id = f.store.mg, a.Group
+			}
+			return tree, id, 0, func() error { return act(f, a) }
 		}
-		before := plant(t, f.store.rts, src.ID, 240)
-		var err error
-		for i := int64(0); i < 8 && err == nil; i++ { // the eighth point flushes a run keyed 240
-			err = f.store.Write(model.Point{Source: src.ID, TS: 240 + i*10, Values: []float64{1, 2}})
-		}
-		refused(t, f.store.rts, src.ID, 240, before, err)
-	})
-	t.Run("coalesce", func(t *testing.T) {
-		f := newFixture(t, Config{BatchSize: 8}, 0)
+	}
+	flush := func(f *fixture, _ *model.DataSource) error { return f.store.Flush() }
+	ingest := []writer{
+		{"rts", perSource(true)},
+		{"irts", perSource(false)},
+		{"mg_row", mg(true, flush)},
+		{"mg_overflow", mg(false, func(f *fixture, a *model.DataSource) error {
+			return f.store.Write(model.Point{Source: a.ID, TS: 0, Values: []float64{2}})
+		})},
+		{"mg_displaced", mg(false, flush)},
+	}
+	coalesce := writer{"coalesce", func(t *testing.T, f *fixture) (*btree.Tree, int64, int64, func() error) {
 		sch := f.schema(t, "env", 1)
 		src := f.source(t, sch.ID, false, 10)
 		// Records of three points at 0, 30, ..., 150: undersized, so Coalesce
-		// re-splits them into runs of eight, the second keyed 80.
+		// re-splits them into runs of eight, the second keyed 80 — where the
+		// buffered point at 80 flushes too.
 		for i := int64(0); i < 16; i++ {
 			if err := f.store.Write(model.Point{Source: src.ID, TS: i * 10, Values: []float64{float64(i)}}); err != nil {
 				t.Fatal(err)
 			}
-			if i%3 == 2 {
+			if i%3 == 2 || i == 15 {
 				if err := f.store.Flush(); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if err := f.store.Flush(); err != nil {
+		if err := f.store.Write(model.Point{Source: src.ID, TS: 80, Values: []float64{8}}); err != nil {
 			t.Fatal(err)
 		}
-		before := plant(t, f.store.irts, src.ID, 80)
-		_, err := f.store.Coalesce(sch.ID)
-		refused(t, f.store.irts, src.ID, 80, before, err)
+		return f.store.irts, src.ID, 80, func() error { _, err := f.store.Coalesce(sch.ID); return err }
+	}}
+	reorganize := writer{"reorganize", mg(false, func(f *fixture, a *model.DataSource) error {
+		_, err := f.store.Reorganize(a.SchemaID, math.MaxInt64)
+		return err
+	})}
+	// snapshot is every home's records and statistics.
+	snapshot := func(t *testing.T, f *fixture) (recs [][]stored, stats []model.SourceStats) {
+		t.Helper()
+		for _, sch := range f.cat.Schemas() {
+			var homes []home
+			for _, src := range f.cat.SourcesBySchema(sch.ID) {
+				ds, _ := f.cat.Source(src)
+				homes = append(homes, home{tree: f.store.treeFor(ds.HistoricalStructure()), id: src})
+				stats = append(stats, f.cat.Stats(src))
+			}
+			for _, g := range f.cat.GroupsBySchema(sch.ID) {
+				homes = append(homes, home{tree: f.store.mg, id: g})
+				stats = append(stats, f.cat.GroupStats(g))
+			}
+			for _, h := range homes {
+				r, err := readRange(&h, math.MinInt64, math.MaxInt64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, r)
+			}
+		}
+		return recs, stats
+	}
+	run := func(t *testing.T, w writer) {
+		for _, damage := range []struct {
+			name string
+			blob []byte
+		}{{"undecodable", []byte{blobMG}}, {"stub", damagedStub}} {
+			t.Run(damage.name, func(t *testing.T) {
+				f := newFixture(t, Config{BatchSize: 8}, 2)
+				tree, id, ts, act := w.setup(t, f)
+				if err := tree.Put(keyenc.SourceTime(id, ts), damage.blob); err != nil {
+					t.Fatal(err)
+				}
+				recs, stats := snapshot(t, f)
+				name := fmt.Sprintf("%s source=%d ts=%d", tree.Name(), id, ts)
+				for _, step := range []struct {
+					what string
+					do   func() error
+				}{{w.name, act}, {"the next Flush", f.store.Flush}} {
+					if err := step.do(); !errors.Is(err, ErrCorruptBlob) || !strings.Contains(err.Error(), name) {
+						t.Fatalf("%s: err = %v, want ErrCorruptBlob naming %s", step.what, err, name)
+					}
+					if r, s := snapshot(t, f); !reflect.DeepEqual(r, recs) || !reflect.DeepEqual(s, stats) {
+						t.Fatalf("%s: the refused put changed the trees or the catalog", step.what)
+					}
+					_, corrupt, _, err := f.store.VerifyBlobs()
+					if err != nil || !slices.Contains(corrupt, BlobRef{Tree: tree.Name(), Source: id, TS: ts}) {
+						t.Fatalf("%s: fsck finds %v, %v: want it to name %s", step.what, corrupt, err, name)
+					}
+				}
+			})
+		}
+	}
+	t.Run("ingest", func(t *testing.T) {
+		for _, w := range ingest {
+			t.Run(w.name, func(t *testing.T) { run(t, w) })
+		}
 	})
+	t.Run(coalesce.name, func(t *testing.T) { run(t, coalesce) })
+	t.Run(reorganize.name, func(t *testing.T) { run(t, reorganize) })
 }
 
 func TestWALPointDecodeRejectsHugeCount(t *testing.T) {

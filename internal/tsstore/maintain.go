@@ -210,46 +210,12 @@ func (s *Store) maintain(group int64, sources []int64, pol policy, res *Maintena
 			return err
 		}
 	}
-	// Per-source ranges first: a reorganization's puts land before its MG
-	// deletes, so one that fails part-way duplicates rows, never loses them.
 	for _, p := range plans {
 		if err := p.age(pol, window, res); err != nil {
 			return err
 		}
-		changes := p.plan()
-		for _, c := range changes {
-			if c.old != nil {
-				res.Deleted++
-				res.BytesBefore += int64(len(c.old))
-			}
-			if c.new != nil {
-				res.Rewritten++
-				res.BytesAfter += int64(len(c.new))
-			}
-		}
-		if err := s.rewriteLocked(p.tree, p.id, changes); err != nil {
-			return err
-		}
-		if !pol.upgrade {
-			continue
-		}
-		var st model.SourceStats
-		for _, r := range p.records() {
-			st.Merge(recordStats(r))
-		}
-		set := s.cat.SetStats
-		if p.ds == nil {
-			set = s.cat.SetGroupStats
-		}
-		moved, err := set(p.id, st)
-		if moved {
-			res.StatsMoved++
-		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	return s.apply(plans, res, pol.upgrade)
 }
 
 // reorganize plans the group's MG records keyed below upTo (plans ends in

@@ -53,13 +53,14 @@ type change struct {
 	old, new []byte
 }
 
-// rewriteLocked is the only writer of the three batch trees: for the key
-// range (tree, id) it applies changes in key order — the removals, then
-// the stores, one at a key that holds a record replacing it in place —
-// drops their cached decodes, and applies the catalog statistics delta,
-// with row counts and bounds read from the records themselves. The caller
-// holds the latch of the range's owner exclusively, which makes the whole
-// rewrite atomic to every walker step of the range's owner.
+// rewriteLocked is the only writer of the three batch trees (apply its one
+// caller): for the key range (tree, id) it applies changes in key order —
+// the removals, then the stores, one at a key that holds a record replacing
+// it in place — drops their cached decodes, and applies the catalog
+// statistics delta, with row counts and bounds read from the records
+// themselves. The caller holds the latch of the range's owner exclusively,
+// which makes the whole rewrite atomic to every walker step of the range's
+// owner.
 func (s *Store) rewriteLocked(tree *btree.Tree, id int64, changes []change) error {
 	var minus, plus model.SourceStats
 	apply := func() (err error) {
@@ -112,6 +113,49 @@ func (s *Store) rewriteLocked(tree *btree.Tree, id int64, changes []change) erro
 	return err
 }
 
+// apply is where every write to a batch tree ends — the ingest flush, the
+// MG row flush and maintenance plan under the owner's latch, then apply the
+// plans here, in order, per-source ranges before the MG range: rows moving
+// out of MG that fail part-way are duplicated, never lost. res, when not
+// nil, counts the changes; rederive re-derives each range's statistics.
+func (s *Store) apply(plans []*rangePlan, res *MaintenanceResult, rederive bool) error {
+	for _, p := range plans {
+		changes := p.plan()
+		for _, c := range changes {
+			if res != nil && c.old != nil {
+				res.Deleted++
+				res.BytesBefore += int64(len(c.old))
+			}
+			if res != nil && c.new != nil {
+				res.Rewritten++
+				res.BytesAfter += int64(len(c.new))
+			}
+		}
+		if err := s.rewriteLocked(p.tree, p.id, changes); err != nil {
+			return err
+		}
+		if !rederive {
+			continue
+		}
+		var st model.SourceStats
+		for _, r := range p.records() {
+			st.Merge(recordStats(r))
+		}
+		set := s.cat.SetStats
+		if p.ds == nil {
+			set = s.cat.SetGroupStats
+		}
+		moved, err := set(p.id, st)
+		if moved {
+			res.StatsMoved++
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // rangePlan is a rewrite of one key range (tree, id) in the making. at
 // answers what the plan has at a key — what it put there, else what it
 // read, else, outside the keys read, what the tree holds — so that a put
@@ -124,6 +168,7 @@ type rangePlan struct {
 	schema   *model.SchemaType
 	lo, hi   int64            // every record keyed in [lo, hi) is in old
 	old, now map[int64][]byte // as stored; as planned where that differs (nil: removed)
+	spilled  []*rangePlan     // ts.mg: the puts of member samples a merge displaced, in slot order
 }
 
 func (s *Store) newPlan(tree *btree.Tree, id int64, ds *model.DataSource, schema *model.SchemaType) *rangePlan {
@@ -163,17 +208,21 @@ func (p *rangePlan) records() (out []stored) {
 	return out
 }
 
-// put plans rec at its key under the collision rule, which ingest and
-// maintenance share: the record the plan has there is never overwritten.
-// The two merge into one record of the later tier (mergeRows keeps the
-// rows), or, when one is a stub and has no rows to merge, the stub steps
-// aside a millisecond, under the same rule — a stub's key is only where a
-// seek finds it. pts are rec's rows; nil decodes them on a collision.
+// put plans rec at its key under the collision rule, which every writer of
+// the batch trees shares: the record the plan has there is never
+// overwritten. The two merge into one record of the later tier (mergeRows
+// keeps the rows), or, when one is a stub and has no rows to merge, the
+// stub steps aside a millisecond, under the same rule — a stub's key is
+// only where a seek finds it. In ts.mg they merge by member slot
+// (mergeRow). pts are rec's rows (an MG record's: mgRow.samples).
 func (p *rangePlan) put(rec stored, pts []model.Point) error {
 	occ, taken, err := p.at(rec.ts)
 	if err != nil || !taken {
 		p.now[rec.ts] = rec.blob
 		return err
+	}
+	if p.ds == nil {
+		return p.mergeRow(rec.ts, occ, pts)
 	}
 	if BlobTier(occ) == TierStub || BlobTier(rec.blob) == TierStub {
 		if BlobTier(occ) != TierStub {
@@ -190,15 +239,61 @@ func (p *rangePlan) put(rec stored, pts []model.Point) error {
 	if len(picked) == 0 {
 		return p.corrupt(rec.ts, "a put meets a record that does not decode")
 	}
-	if pts == nil {
-		_, pts = decodeRecords(p.id, []stored{rec})
-	}
 	opts := p.s.encodeOptsFor(p.schema)
 	if BlobTier(occ) == TierCold || BlobTier(rec.blob) == TierCold {
 		opts = p.s.coldOpts(p.schema)
 	}
 	p.now[rec.ts] = encodeRun(p.ds, p.schema, mergeRows(rows, pts, p.ds.Regular), opts)
 	return nil
+}
+
+// mergeRow is the MG half of the collision rule: an arriving row merges
+// with the record at its key by member slot. A member in both keeps the
+// arriving sample in the record; the stored one, a distinct write, goes to
+// the member's per-source range under the same rule, in slot order. Both
+// rows span [key, key+window), so the merged one does too. MG records never
+// tier: an occupant that does not decode as an MG row fails the put.
+func (p *rangePlan) mergeRow(ts int64, occ []byte, pts []model.Point) error {
+	batch, err := DecodeBlob(occ, ts, nil)
+	if err != nil || batch.Structure != model.MG {
+		return p.corrupt(ts, "an MG row meets a record that does not decode as one")
+	}
+	merged := slices.Clone(pts)
+	for i, slot := range batch.Slots {
+		if slot >= len(merged) {
+			merged = append(merged, make([]model.Point, slot+1-len(merged))...)
+		}
+		old := model.Point{Source: merged[slot].Source, TS: batch.Timestamps[i], Values: batch.Rows[i]}
+		if merged[slot].Values == nil {
+			merged[slot] = old
+			continue
+		}
+		ds, ok := p.s.cat.Source(old.Source)
+		if !ok {
+			return fmt.Errorf("tsstore: %s source=%d ts=%d: member %d is not in the catalog", p.tree.Name(), p.id, ts, old.Source)
+		}
+		m, err := p.s.planRun(ds, p.schema, []model.Point{old})
+		if err != nil {
+			return err
+		}
+		p.spilled = append(p.spilled, m)
+	}
+	p.now[ts] = encodeRow(ts, merged, p.schema, p.s.encodeOptsFor(p.schema))
+	return nil
+}
+
+// encodeRow encodes an MG row keyed at key from its samples, one per member
+// slot, nil Values where the member has none.
+func encodeRow(key int64, samples []model.Point, schema *model.SchemaType, opts encodeOpts) []byte {
+	present := make([]bool, len(samples))
+	values := make([][]float64, len(samples))
+	offsets := make([]int64, len(samples))
+	for slot, p := range samples {
+		if p.Values != nil {
+			present[slot], values[slot], offsets[slot] = true, p.Values, p.TS-key
+		}
+	}
+	return EncodeMG(present, values, offsets, len(schema.Tags), opts)
 }
 
 // corrupt is the error of a plan that meets, at ts, a record it cannot

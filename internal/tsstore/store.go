@@ -73,7 +73,6 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	PointsWritten  int64
 	BatchesFlushed int64
-	BlobBytes      int64
 	MGPartialRows  int64 // MG rows flushed before every member reported
 	// CorruptBlobsSkipped counts batch records that lenient scans could
 	// not read or decode and therefore quarantined.
@@ -102,26 +101,6 @@ type Stats struct {
 	TierBytesReclaimed int64
 }
 
-// Add accumulates every counter of other into st: shard aggregation
-// inside one store, and multi-store aggregation such as a cluster summing
-// its shard copies' snapshots.
-func (st *Stats) Add(other *Stats) {
-	st.PointsWritten += other.PointsWritten
-	st.BatchesFlushed += other.BatchesFlushed
-	st.BlobBytes += other.BlobBytes
-	st.MGPartialRows += other.MGPartialRows
-	st.CorruptBlobsSkipped += other.CorruptBlobsSkipped
-	st.ParallelScans += other.ParallelScans
-	st.ParallelParts += other.ParallelParts
-	st.SummaryHits += other.SummaryHits
-	st.BytesNotDecoded += other.BytesNotDecoded
-	st.SubBucketFolds += other.SubBucketFolds
-	st.SubBucketBytesNotDecoded += other.SubBucketBytesNotDecoded
-	st.ColdCompactions += other.ColdCompactions
-	st.StubTransitions += other.StubTransitions
-	st.TierBytesReclaimed += other.TierBytesReclaimed
-}
-
 // maxShards is the default and the largest latch shard count. Shards are
 // hash buckets of owners, and a reader of one owner excludes the writers
 // of every owner in its bucket for the length of a walker step, so the
@@ -141,7 +120,6 @@ type shard struct {
 	mu      sync.RWMutex
 	buffers map[int64]*sourceBuffer
 	groups  map[int64]*groupBuffer
-	stats   Stats
 }
 
 // Store is the ODH storage component over one page store. Writes for
@@ -165,9 +143,12 @@ type Store struct {
 	// had not yet reached a buffer — an acked write lost without any crash.
 	logMu sync.RWMutex
 
-	// corruptBlobs is kept outside the shards: scans quarantine records
-	// without knowing (or locking) a shard.
-	corruptBlobs atomic.Int64
+	// The activity counters (Stats), kept outside the shards: scans count
+	// without knowing (or locking) a shard, and Stats locks none.
+	pointsWritten  atomic.Int64
+	batchesFlushed atomic.Int64
+	mgPartialRows  atomic.Int64
+	corruptBlobs   atomic.Int64
 
 	// cache holds decoded ValueBlobs for the read path; nil when
 	// Config.BlobCacheBytes is zero.
@@ -256,10 +237,8 @@ type groupBuffer struct {
 }
 
 type mgRow struct {
-	key      int64 // the first sample's timestamp
-	present  []bool
-	values   [][]float64
-	tss      []int64 // per slot: the member's exact timestamp
+	key      int64         // the first sample's timestamp
+	samples  []model.Point // per slot: the member's sample; nil Values when it has none
 	reported int
 }
 
@@ -270,12 +249,9 @@ func (r *mgRow) spans(ts, window int64) bool {
 
 // fit grows the row's slots to a membership of n.
 func (r *mgRow) fit(n int) {
-	if len(r.present) >= n {
-		return
+	if len(r.samples) < n {
+		r.samples = append(r.samples, make([]model.Point, n-len(r.samples))...)
 	}
-	r.present = append(r.present, make([]bool, n-len(r.present))...)
-	r.values = append(r.values, make([][]float64, n-len(r.values))...)
-	r.tss = append(r.tss, make([]int64, n-len(r.tss))...)
 }
 
 // Open opens the batch stores inside store using cat for metadata. With a
@@ -339,25 +315,23 @@ func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 // BatchSize returns the configured b.
 func (s *Store) BatchSize() int { return s.cfg.BatchSize }
 
-// Stats returns a snapshot of activity counters aggregated across shards.
+// Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
-	var st Stats
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		st.Add(&sh.stats)
-		sh.mu.RUnlock()
+	return Stats{
+		PointsWritten:            s.pointsWritten.Load(),
+		BatchesFlushed:           s.batchesFlushed.Load(),
+		MGPartialRows:            s.mgPartialRows.Load(),
+		CorruptBlobsSkipped:      s.corruptBlobs.Load(),
+		ParallelScans:            s.parallelScans.Load(),
+		ParallelParts:            s.parallelParts.Load(),
+		SummaryHits:              s.summaryHits.Load(),
+		BytesNotDecoded:          s.bytesNotDecoded.Load(),
+		SubBucketFolds:           s.subBucketFolds.Load(),
+		SubBucketBytesNotDecoded: s.subBucketBytesNotDecoded.Load(),
+		ColdCompactions:          s.coldCompactions.Load(),
+		StubTransitions:          s.stubTransitions.Load(),
+		TierBytesReclaimed:       s.tierBytesReclaimed.Load(),
 	}
-	st.CorruptBlobsSkipped += s.corruptBlobs.Load()
-	st.ParallelScans = s.parallelScans.Load()
-	st.ParallelParts = s.parallelParts.Load()
-	st.SummaryHits = s.summaryHits.Load()
-	st.BytesNotDecoded = s.bytesNotDecoded.Load()
-	st.SubBucketFolds = s.subBucketFolds.Load()
-	st.SubBucketBytesNotDecoded = s.subBucketBytesNotDecoded.Load()
-	st.ColdCompactions = s.coldCompactions.Load()
-	st.StubTransitions = s.stubTransitions.Load()
-	st.TierBytesReclaimed = s.tierBytesReclaimed.Load()
-	return st
 }
 
 // SubBucketMs returns the resolved sub-bucket base width, always positive.
@@ -410,7 +384,6 @@ func (s *Store) writeResolved(r resolved) error {
 	sh := s.shardFor(ownerOf(r.ds))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.stats.PointsWritten++
 	if r.ds.IngestStructure() == model.MG {
 		return s.writeMG(sh, r.ds, r.schema, r.p)
 	}
@@ -460,6 +433,7 @@ func (s *Store) ingest(points []model.Point, workers int, logged bool) error {
 			return err
 		}
 	}
+	s.pointsWritten.Add(int64(len(rs)))
 	if workers <= 1 || len(rs) < 2 || len(s.shards) == 1 {
 		for _, r := range rs {
 			if err := s.writeResolved(r); err != nil {
@@ -509,7 +483,7 @@ func (s *Store) writeBuffered(sh *shard, ds *model.DataSource, schema *model.Sch
 			// A gap or drift breaks the implicit-timestamp contract; close
 			// the batch and start a new run.
 			if p.TS != last+ds.IntervalMs {
-				if err := s.flushSourceLocked(sh, buf); err != nil {
+				if err := s.flushSourceLocked(buf); err != nil {
 					return err
 				}
 			}
@@ -517,7 +491,7 @@ func (s *Store) writeBuffered(sh *shard, ds *model.DataSource, schema *model.Sch
 			if p.TS < last {
 				// Out-of-order point: close the batch so each blob's
 				// timestamps stay monotonic.
-				if err := s.flushSourceLocked(sh, buf); err != nil {
+				if err := s.flushSourceLocked(buf); err != nil {
 					return err
 				}
 			}
@@ -525,7 +499,7 @@ func (s *Store) writeBuffered(sh *shard, ds *model.DataSource, schema *model.Sch
 	}
 	buf.points = append(buf.points, p.Clone())
 	if len(buf.points) >= s.cfg.BatchSize {
-		return s.flushSourceLocked(sh, buf)
+		return s.flushSourceLocked(buf)
 	}
 	return nil
 }
@@ -562,7 +536,7 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 	}
 	var row *mgRow
 	for _, r := range gb.rows {
-		if r.spans(p.TS, gb.windowMs) && (slot >= len(r.present) || !r.present[slot]) {
+		if r.spans(p.TS, gb.windowMs) && (slot >= len(r.samples) || r.samples[slot].Values == nil) {
 			row = r
 			break
 		}
@@ -575,8 +549,7 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 				// has open. It cannot share an MG record (one point per member
 				// per record), so it goes straight to the member's per-source
 				// historical structure, which every scan merges with MG.
-				_, err := s.putRunLocked(ds, schema, []model.Point{p})
-				return err
+				return s.putRunLocked(ds, schema, []model.Point{p})
 			}
 		}
 		row = &mgRow{key: p.TS}
@@ -584,44 +557,46 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 	}
 	row.fit(len(gb.members))
 	row.reported++
-	row.present[slot] = true
-	row.tss[slot] = p.TS
-	row.values[slot] = append([]float64(nil), p.Values...)
+	row.samples[slot] = p.Clone()
 	if row.reported >= len(gb.members) {
-		return s.flushMGRowLocked(sh, gb, row)
+		return s.flushMGRowLocked(gb, row)
 	}
 	if len(gb.rows) > s.cfg.MaxOpenMGRows {
-		sh.stats.MGPartialRows++
-		return s.flushMGRowLocked(sh, gb, gb.rows[0])
+		s.mgPartialRows.Add(1)
+		return s.flushMGRowLocked(gb, gb.rows[0])
 	}
 	return nil
 }
 
 // flushSourceLocked persists and clears one source buffer. Caller holds
 // the buffer's shard lock.
-func (s *Store) flushSourceLocked(sh *shard, buf *sourceBuffer) error {
+func (s *Store) flushSourceLocked(buf *sourceBuffer) error {
 	if len(buf.points) == 0 {
 		return nil
 	}
-	blob, err := s.putRunLocked(buf.ds, buf.schema, buf.points)
-	if err != nil {
+	if err := s.putRunLocked(buf.ds, buf.schema, buf.points); err != nil {
 		return err
 	}
-	sh.stats.BatchesFlushed++
-	sh.stats.BlobBytes += int64(len(blob))
+	s.batchesFlushed.Add(1)
 	buf.points = buf.points[:0]
 	return nil
 }
 
 // putRunLocked stores one timestamp-ordered run of a source's points as a
-// single record of its per-source tree and returns the encoded blob. The
-// run's first timestamp is the record key, and a record may already sit
-// under it — after an out-of-order run, a regular source re-sending a
-// stored sample, or a group member's repeated sample overflowing its MG
-// row — so the run is put under the collision rule maintenance puts by
-// (rangePlan.put), which loses no stored row. Caller holds the source's
-// latch.
-func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, pts []model.Point) ([]byte, error) {
+// single record of its per-source tree. Caller holds the source's latch.
+func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, pts []model.Point) error {
+	p, err := s.planRun(ds, schema, pts)
+	if err != nil {
+		return err
+	}
+	return s.apply([]*rangePlan{p}, nil, false)
+}
+
+// planRun plans a run as one record of its source's range, keyed at its
+// first timestamp, where a record may sit already — after an out-of-order
+// run, a regular source's re-send, or an MG member's displaced or repeated
+// sample — so it is put under the collision rule, which loses no row.
+func (s *Store) planRun(ds *model.DataSource, schema *model.SchemaType, pts []model.Point) (*rangePlan, error) {
 	p := s.newPlan(s.treeFor(ds.HistoricalStructure()), ds.ID, ds, schema)
 	// The catalog's bounds for the source's per-source records answer the
 	// common case — a run newer than anything stored has no record at its
@@ -633,68 +608,23 @@ func (s *Store) putRunLocked(ds *model.DataSource, schema *model.SchemaType, pts
 	if st := s.cat.Stats(ds.ID); !st.Unknown && st.BatchCount > 0 && pts[0].TS > st.LastTS {
 		p.lo, p.hi = pts[0].TS, math.MaxInt64
 	}
-	if err := p.put(stored{ts: pts[0].TS, blob: encodeRun(ds, schema, pts, s.encodeOptsFor(schema))}, pts); err != nil {
-		return nil, err
-	}
-	return p.now[pts[0].TS], s.rewriteLocked(p.tree, ds.ID, p.plan())
+	return p, p.put(stored{ts: pts[0].TS, blob: encodeRun(ds, schema, pts, s.encodeOptsFor(schema))}, pts)
 }
 
-// flushMGRowLocked persists and removes one open group row, merging with
-// any record already stored at (group, key): a row keyed there may have
-// been flushed earlier (open-row cap) and late members must not clobber
-// it. Both span [key, key+window), so the merged record does too. Caller
-// holds the group's shard lock.
-func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, row *mgRow) error {
-	ts := row.key
-	existing, err := s.mg.Get(keyenc.SourceTime(gb.group, ts))
-	if err == nil {
-		if batch, derr := DecodeBlob(existing, ts, nil); derr == nil {
-			for i, slot := range batch.Slots {
-				if slot >= len(row.present) {
-					continue
-				}
-				if !row.present[slot] {
-					row.present[slot] = true
-					row.values[slot] = batch.Rows[i]
-					row.tss[slot] = batch.Timestamps[i]
-					row.reported++
-					continue
-				}
-				// Both the stored record and the new row carry a point for
-				// this member (a partial flush raced a late arrival, or the
-				// member reported again after its row flushed full). Keep
-				// the new one in the record and preserve the old one
-				// through the per-source overflow path — at an equal
-				// timestamp too: the two are distinct writes, exactly as
-				// when writeMG meets the repeat in a still-open row.
-				src := gb.members[slot]
-				if ds, ok := s.cat.Source(src); ok {
-					if _, err := s.putRunLocked(ds, gb.schema, []model.Point{{
-						Source: src, TS: batch.Timestamps[i], Values: batch.Rows[i],
-					}}); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	} else if err != btree.ErrNotFound {
+// flushMGRowLocked persists and removes one open group row, put under the
+// collision rule: a row keyed where one was flushed before (by the open-row
+// cap, or before a member's repeat) merges with it; a failed put leaves the
+// row buffered. Caller holds the group's shard lock.
+func (s *Store) flushMGRowLocked(gb *groupBuffer, row *mgRow) error {
+	mg := s.newPlan(s.mg, gb.group, nil, gb.schema)
+	if err := mg.put(stored{ts: row.key, blob: encodeRow(row.key, row.samples, gb.schema, s.encodeOptsFor(gb.schema))}, row.samples); err != nil {
 		return err
 	}
-	offsets := make([]int64, len(row.tss))
-	for slot, pts := range row.tss {
-		if row.present[slot] {
-			offsets[slot] = pts - ts
-		}
-	}
-	blob := EncodeMG(row.present, row.values, offsets, len(gb.schema.Tags), s.encodeOptsFor(gb.schema))
-	// An MG row merge overwrites the record in place during ordinary
-	// ingest, not just on maintenance.
-	if err := s.rewriteLocked(s.mg, gb.group, []change{{ts: ts, old: existing, new: blob}}); err != nil {
+	if err := s.apply(append(mg.spilled, mg), nil, false); err != nil {
 		return err
 	}
 	gb.rows = slices.DeleteFunc(gb.rows, func(r *mgRow) bool { return r == row })
-	sh.stats.BatchesFlushed++
-	sh.stats.BlobBytes += int64(len(blob))
+	s.batchesFlushed.Add(1)
 	return nil
 }
 
@@ -724,13 +654,13 @@ func (s *Store) Flush() error {
 	}()
 	for _, sh := range s.shards {
 		for _, buf := range sh.buffers {
-			if err := s.flushSourceLocked(sh, buf); err != nil {
+			if err := s.flushSourceLocked(buf); err != nil {
 				return err
 			}
 		}
 		for _, gb := range sh.groups {
 			for len(gb.rows) > 0 {
-				if err := s.flushMGRowLocked(sh, gb, gb.rows[0]); err != nil {
+				if err := s.flushMGRowLocked(gb, gb.rows[0]); err != nil {
 					return err
 				}
 			}

@@ -13,8 +13,10 @@ import (
 	"odh/internal/model"
 )
 
-// The record walker is the only reader of the three batch trees, and
-// rewriteLocked (rewrite.go) their only writer. The rule between the two:
+// The record walker is the only reader of the three batch trees — but for
+// the write path's own reads (readRange, rangePlan.at) under the owner's
+// exclusive latch — and rewriteLocked (rewrite.go), which only apply calls,
+// their only writer. The rule between the two:
 //
 // Every row belongs to one owner — its source, or its MG group when the
 // source ingests through MG — and the owner's shard latch covers all of
@@ -450,12 +452,11 @@ func (w *walker) addBuffered(ch *chunk) {
 		}
 	} else if gb, ok := w.sh.groups[w.owner]; ok {
 		for _, row := range gb.rows {
-			for slot, present := range row.present {
-				src := gb.members[slot]
-				if !present || row.tss[slot] < ch.lo || row.tss[slot] >= ch.hi || (w.slot != allMembers && slot != w.slot) {
+			for slot, p := range row.samples {
+				if p.Values == nil || p.TS < ch.lo || p.TS >= ch.hi || (w.slot != allMembers && slot != w.slot) {
 					continue
 				}
-				out = append(out, model.Point{Source: src, TS: row.tss[slot], Values: append([]float64(nil), row.values[slot]...)})
+				out = append(out, p.Clone())
 			}
 		}
 		sort.Slice(out, func(i, j int) bool {

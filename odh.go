@@ -34,7 +34,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"odh/internal/catalog"
 	"odh/internal/compress"
@@ -137,9 +136,6 @@ type Options struct {
 	// inject fault wrappers here); it wins over dir's WAL file and
 	// implies EnableRecoveryLog.
 	WALBacking walog.File
-	// PoolPartitions overrides the buffer pool's latch partition count
-	// (default: sized from GOMAXPROCS and the pool size).
-	PoolPartitions int
 	// QueryWorkers caps the parallel degree of pushed-down aggregates. The
 	// optimizer picks each aggregate's degree from its blob-bytes cost
 	// estimate, up to this cap. Zero (or 1) keeps them serial; row scans
@@ -150,11 +146,6 @@ type Options struct {
 	// same history then skip the pagestore read and the column decode —
 	// the paper's dominant row-assembly overhead. Zero disables caching.
 	BlobCacheBytes int64
-	// QueryTimeout bounds every query submitted without its own context
-	// deadline: planning, aggregate workers, and row pulls all fail with
-	// context.DeadlineExceeded once it elapses. Zero = unbounded. Queries
-	// run through QueryContext with a deadline keep their own bound.
-	QueryTimeout time.Duration
 	// DisableAggPushdown turns off rewriting COUNT/SUM/AVG/MIN/MAX (and
 	// TIME_BUCKET/id group-bys) over virtual tables into ValueBlob header
 	// summary folds, forcing the decode-and-group plan (ablation and
@@ -301,10 +292,7 @@ func open(dir string, opts Options, checkFormat bool) (*Historian, error) {
 		}
 		file = f
 	}
-	page, err := pagestore.Open(file, pagestore.Options{
-		PoolPages:      opts.PoolPages,
-		PoolPartitions: opts.PoolPartitions,
-	})
+	page, err := pagestore.Open(file, pagestore.Options{PoolPages: opts.PoolPages})
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +363,6 @@ func open(dir string, opts Options, checkFormat bool) (*Historian, error) {
 	h.engine = sqlexec.New(h.rel, h.ts)
 	h.engine.SetQueryWorkers(opts.QueryWorkers)
 	h.engine.SetAggPushdown(!opts.DisableAggPushdown)
-	h.engine.SetQueryTimeout(opts.QueryTimeout)
 	return h, nil
 }
 
@@ -459,8 +446,7 @@ func (h *Historian) Query(sql string) (*Result, error) {
 
 // QueryContext is Query under a context: canceling ctx (or exceeding its
 // deadline) aborts planning, scans and aggregate workers, and subsequent
-// Result.Next calls with the context's error. When ctx carries no deadline
-// and Options.QueryTimeout is set, that timeout applies.
+// Result.Next calls with the context's error.
 func (h *Historian) QueryContext(ctx context.Context, sql string) (*Result, error) {
 	return h.engine.QueryCtx(ctx, sql)
 }
