@@ -93,20 +93,8 @@ func clusterDot(c *cluster.Cluster, line string) bool {
 			}
 		}
 	case ".stats":
-		st := c.Stats()
-		fmt.Printf("writes: acked=%d quorumFailures=%d replicaErrors=%d hints: queued=%d replayed=%d deduped=%d\n",
-			st.WritesAcked, st.WriteQuorumFailures, st.ReplicaWriteErrors, st.HintsQueued, st.HintsReplayed, st.HintsDeduped)
-		fmt.Printf("queries=%d partial=%d failovers=%d backoffs=%d aggGathers=%d\n",
-			st.Queries, st.PartialQueries, st.Failovers, st.Backoffs, st.AggGathers)
-		fmt.Printf("kills=%d restarts=%d\n", st.Kills, st.Restarts)
-		total := c.TotalStats()
-		fmt.Printf("storage: points=%d batches=%d blobBytes=%d parallelScans=%d\n",
-			total.PointsWritten, total.BatchesFlushed, total.BlobBytes, total.ParallelScans)
-		if total.SummaryHits > 0 || total.SubBucketFolds > 0 {
-			fmt.Printf("aggPushdown: summaryHits=%d bytesNotDecoded=%d subBucketFolds=%d subBucketBytesNotDecoded=%d\n",
-				total.SummaryHits, total.BytesNotDecoded,
-				total.SubBucketFolds, total.SubBucketBytesNotDecoded)
-		}
+		printCounters(c.Stats())
+		printCounters(c.TotalStats())
 	case ".flush":
 		if err := c.Flush(); err != nil {
 			fmt.Println("degraded flush:", err)

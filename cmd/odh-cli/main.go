@@ -30,10 +30,10 @@
 //	.fsck            verify pages, B-trees, and blobs in place
 //	.quit
 //
-// The remote shell maps .stats to the server's STATS command (serving
-// layer counters), .flush to FLUSH, .ping to PING, and sends everything
-// else as SQL; when the server sheds load with "ERR busy" the statement
-// is resent up to -retries times with jittered exponential backoff.
+// The remote shell maps .stats to the server's STATS command (every
+// counter, named as the local .stats names them), .flush to FLUSH, .ping
+// to PING, and sends the rest as SQL; a statement the server sheds with
+// "ERR busy" is resent up to -retries times with jittered backoff.
 //
 // The cluster shell adds failover-drill commands: .cluster (topology
 // and staleness), .kill/.restart/.stall/.heal for fault injection, and
@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"odh"
+	"odh/internal/metrics"
 	"odh/internal/relational"
 	"odh/internal/retry"
 )
@@ -140,6 +141,12 @@ func printUpgrade(res odh.MaintenanceResult, err error) error {
 	return err
 }
 
+// printCounters prints one "<name> <value>" line per counter of st, the
+// lines a server's STATS reply sends.
+func printCounters(st any) {
+	metrics.Walk(st, func(name string, v any) { fmt.Println(name, v) })
+}
+
 func dotCommand(h *odh.Historian, line string) bool {
 	cmd, arg, _ := strings.Cut(line, " ")
 	switch cmd {
@@ -171,37 +178,11 @@ func dotCommand(h *odh.Historian, line string) bool {
 	case ".stats":
 		arg = strings.TrimSpace(arg)
 		if arg == "" {
-			total := h.TotalStats()
-			fmt.Printf("points=%d batches=%d blobBytes=%d storage=%d bytes\n",
-				total.PointsWritten, total.BatchesFlushed, total.BlobBytes, total.StorageBytes)
-			fmt.Printf("pool: hits=%d misses=%d evictions=%d hitRate=%.1f%%\n",
-				total.PoolHits, total.PoolMisses, total.PoolEvictions, 100*total.PoolHitRate)
-			if total.WALRecords > 0 {
-				fmt.Printf("wal: records=%d (one per ingest call) groupCommits=%d coalescing=%.1fx\n",
-					total.WALRecords, total.WALGroupCommits,
-					float64(total.WALRecords)/float64(total.WALGroupCommits))
-			}
-			if lookups := total.BlobCacheHits + total.BlobCacheMisses; lookups > 0 {
-				fmt.Printf("blobCache: hits=%d misses=%d hitRate=%.1f%% bytesSaved=%d size=%d evictions=%d invalidations=%d\n",
-					total.BlobCacheHits, total.BlobCacheMisses,
-					100*float64(total.BlobCacheHits)/float64(lookups),
-					total.BlobCacheBytesSaved, total.BlobCacheSizeBytes,
-					total.BlobCacheEvictions, total.BlobCacheInvalidations)
-			}
-			if total.ParallelScans > 0 {
-				fmt.Printf("parallel: scans=%d parts=%d avgFanout=%.1f\n",
-					total.ParallelScans, total.ParallelParts,
-					float64(total.ParallelParts)/float64(total.ParallelScans))
-			}
-			if total.SummaryHits > 0 || total.SubBucketFolds > 0 {
-				fmt.Printf("aggPushdown: summaryHits=%d bytesNotDecoded=%d subBucketFolds=%d subBucketBytesNotDecoded=%d\n",
-					total.SummaryHits, total.BytesNotDecoded,
-					total.SubBucketFolds, total.SubBucketBytesNotDecoded)
-			}
-			if tiers, err := h.TierStats(); err == nil {
-				fmt.Printf("tiers: hot=%d (%d bytes) cold=%d (%d bytes) stub=%d (%d bytes) reclaimed=%d bytes\n",
-					tiers.HotBlobs, tiers.HotBytes, tiers.ColdBlobs, tiers.ColdBytes,
-					tiers.StubBlobs, tiers.StubBytes, total.TierBytesReclaimed)
+			printCounters(h.TotalStats())
+			if tiers, err := h.TierStats(); err != nil {
+				fmt.Println("error:", err)
+			} else {
+				printCounters(tiers)
 			}
 			for i, ps := range h.PoolPartitionStats() {
 				fmt.Printf("  partition %d: hits=%d misses=%d evictions=%d hitRate=%.1f%%\n",
@@ -260,9 +241,6 @@ func dotCommand(h *odh.Historian, line string) bool {
 		for _, name := range h.VirtualTables() {
 			fmt.Printf("virtual table %s\n", name)
 		}
-		total := h.TotalStats()
-		fmt.Printf("points=%d batches=%d storage=%d bytes\n",
-			total.PointsWritten, total.BatchesFlushed, total.StorageBytes)
 	case ".tables":
 		for _, name := range h.Tables() {
 			fmt.Printf("table %s\n", name)
@@ -367,8 +345,7 @@ func remoteShell(addr string, maxRetries int) {
 			fmt.Println("SQL runs on the server. Dot commands: .stats .flush .ping .quit")
 		case line == ".stats":
 			// The server's STATS reply is "<name> <value>" lines then "OK":
-			// the serving-layer counters (connections, ingest, admission
-			// sheds, query timeouts, forced closes).
+			// the serving layer's counters, then the historian's.
 			fmt.Fprintln(conn, "STATS")
 			for {
 				l, ok := reply()

@@ -32,13 +32,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"odh"
 	"odh/internal/fault"
+	"odh/internal/metrics"
 	"odh/internal/model"
 	"odh/internal/pagestore"
 	"odh/internal/retry"
@@ -407,15 +407,9 @@ func (c *Cluster) Stats() Stats {
 // contribute nothing; their counters return after restart.
 func (c *Cluster) TotalStats() odh.HistorianStats {
 	var total odh.HistorianStats
-	sum := reflect.ValueOf(&total).Elem()
 	c.forEachCopy(func(cp *shardCopy) error {
 		if h := c.live(cp); h != nil {
-			st := reflect.ValueOf(h.TotalStats())
-			for i := 0; i < sum.NumField(); i++ {
-				if f := sum.Field(i); f.CanInt() {
-					f.SetInt(f.Int() + st.Field(i).Int())
-				}
-			}
+			metrics.Add(&total, h.TotalStats())
 		}
 		return nil
 	})

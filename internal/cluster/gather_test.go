@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"odh"
+	"odh/internal/metrics"
 	"odh/internal/model"
 	"odh/internal/retry"
 	"odh/internal/sqlexec"
@@ -89,6 +90,57 @@ func renderSorted(rows []sqlexec.Row) string {
 	lines := strings.Split(strings.TrimRight(renderRows(rows), "\n"), "\n")
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// TestTotalStatsSumsEveryLiveCopy: the cluster roll-up is, counter by
+// counter, the sum of every live copy's TotalStats — the store counters
+// HistorianStats embeds included — with PoolHitRate recomputed from the
+// summed hits and misses, before and after a node goes down.
+func TestTotalStatsSumsEveryLiveCopy(t *testing.T) {
+	c := newReplicatedCluster(t, 3, 2, 1)
+	seedGatherPair(t, c, refNode(t))
+	if _, err := c.Query(`SELECT id, COUNT(*), SUM(speed) FROM vehicle_v GROUP BY id`); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		want := map[string]any{}
+		copies := 0
+		c.forEachCopy(func(cp *shardCopy) error {
+			if h := c.live(cp); h != nil {
+				copies++
+				metrics.Walk(h.TotalStats(), func(name string, v any) {
+					if n, ok := v.(int64); ok {
+						sum, _ := want[name].(int64)
+						want[name] = sum + n
+					}
+				})
+			}
+			return nil
+		})
+		hits, misses := want["pool_hits"].(int64), want["pool_misses"].(int64)
+		want["pool_hit_rate"] = float64(hits) / float64(hits+misses)
+		seen := 0
+		metrics.Walk(c.TotalStats(), func(name string, v any) {
+			seen++
+			if v != want[name] {
+				t.Errorf("%s: %s = %v, the %d live copies sum to %v", when, name, v, copies, want[name])
+			}
+		})
+		if seen != len(want) {
+			t.Errorf("%s: the roll-up has %d counters, a copy %d", when, seen, len(want))
+		}
+		for _, name := range []string{"points_written", "summary_hits", "pool_hits"} {
+			if n, _ := want[name].(int64); n == 0 {
+				t.Errorf("%s: no copy counted %s", when, name)
+			}
+		}
+	}
+	check("all up")
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	check("node 1 down")
 }
 
 // TestAggGatherComposesVsSingleNode is the deterministic gather suite:

@@ -1,6 +1,8 @@
 // Package metrics provides the measurement plumbing the IoT-X benchmark
 // reports: process CPU time (for the paper's "Avg/Max CPU Load" columns),
-// windowed throughput meters, and storage accounting helpers.
+// windowed throughput meters, and storage accounting helpers — and the
+// one walk over counter structs behind STATS, odh-cli and the cluster
+// roll-up (Walk, Add).
 package metrics
 
 import (

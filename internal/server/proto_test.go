@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -299,27 +301,91 @@ func TestWriteRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestStatsCommand: STATS names every counter of server.Stats and of
+// odh.HistorianStats (embedded store counters included) exactly once, the
+// serving layer's nine first and unchanged, and each value is what a
+// snapshot of the quiesced server reads.
 func TestStatsCommand(t *testing.T) {
-	addr := startServer(t)
+	addr, srv, h := startServerWith(t, 1, Options{})
 	c := dial(t, addr)
-	c.send(t, "PING")
-	c.read(t)
-	c.send(t, "STATS")
-	seen := map[string]bool{}
-	for {
-		line := c.read(t)
-		if line == "OK" {
-			break
+	for i := 0; i < 10; i++ {
+		c.send(t, fmt.Sprintf("WRITE 1 %d %d 3.5", 1000+i*1000, 20+i))
+		if got := c.read(t); got != "OK" {
+			t.Fatalf("WRITE -> %q", got)
 		}
-		name, _, ok := strings.Cut(line, " ")
+	}
+	c.send(t, "FLUSH")
+	if got := c.read(t); got != "OK" {
+		t.Fatalf("FLUSH -> %q", got)
+	}
+	// The predicate excludes every flushed record by its zone map.
+	c.send(t, "SQL SELECT COUNT(*) FROM environ_data_v WHERE id = 1 AND temperature > 100")
+	for line := c.read(t); !strings.HasPrefix(line, "OK "); line = c.read(t) {
+		if strings.HasPrefix(line, "ERR") {
+			t.Fatal(line)
+		}
+	}
+	c.send(t, "STATS")
+	var lines []string
+	for line := c.read(t); line != "OK"; line = c.read(t) {
+		lines = append(lines, line)
+	}
+
+	// The counters, listed here by reflection, not by metrics.Walk.
+	var want []string
+	var names []string
+	var collect func(v reflect.Value)
+	collect = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, sf := v.Field(i), v.Type().Field(i)
+			switch {
+			case sf.Anonymous:
+				collect(f)
+			case f.Kind() == reflect.Int64:
+				names, want = append(names, sf.Name), append(want, strconv.FormatInt(f.Int(), 10))
+			case f.Kind() == reflect.Float64:
+				names, want = append(names, sf.Name), append(want, fmt.Sprint(f.Float()))
+			}
+		}
+	}
+	collect(reflect.ValueOf(srv.Stats()))
+	collect(reflect.ValueOf(h.TotalStats()))
+	if len(lines) != len(want) {
+		t.Fatalf("STATS sent %d counters, the two structs hold %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	seen := map[string]bool{}
+	got := map[string]string{}
+	for i, line := range lines {
+		name, value, ok := strings.Cut(line, " ")
 		if !ok {
 			t.Fatalf("malformed stats line %q", line)
 		}
-		seen[name] = true
+		if seen[name] {
+			t.Fatalf("STATS names %q twice", name)
+		}
+		seen[name], got[name] = true, value
+		if strings.ReplaceAll(name, "_", "") != strings.ToLower(names[i]) {
+			t.Errorf("line %d is %q, want field %s", i, name, names[i])
+		}
+		if value != want[i] {
+			t.Errorf("%s = %s, a snapshot reads %s", name, value, want[i])
+		}
 	}
-	for _, want := range []string{"conns_accepted", "conns_active", "points_ingested", "queued_bytes", "queries_timed_out", "forced_closes"} {
-		if !seen[want] {
-			t.Errorf("STATS missing %q (got %v)", want, seen)
+	first := []string{"conns_accepted", "conns_active", "frames_ingested", "points_ingested", "batches_shed", "shed_bytes", "queued_bytes", "queries_timed_out", "forced_closes"}
+	for i, name := range first {
+		if n, _, _ := strings.Cut(lines[i], " "); n != name {
+			t.Errorf("line %d names %q, want %q", i, n, name)
+		}
+	}
+	if got["points_ingested"] != "10" || got["points_written"] != "10" {
+		t.Errorf("points_ingested %s, points_written %s, want 10 each", got["points_ingested"], got["points_written"])
+	}
+	if got["zone_skips"] == "0" || got["zone_skips"] != got["batches_flushed"] {
+		t.Errorf("zone_skips %s, want every one of the %s records flushed", got["zone_skips"], got["batches_flushed"])
+	}
+	for _, name := range []string{"mg_partial_rows", "blob_cache_hits", "io_bytes_read", "wal_group_commits", "pool_hit_rate"} {
+		if !seen[name] {
+			t.Errorf("STATS lacks %s", name)
 		}
 	}
 }

@@ -13,7 +13,9 @@
 //	QUIT                                   -> "BYE" and closes the connection
 //
 // FLUSH is the historian's checkpoint (odh.Historian.Flush): "OK" means
-// every point this server acked before it is in committed pages.
+// every point this server acked before it is in committed pages. STATS
+// names every counter, the server's (Stats) then the historian's
+// (odh.HistorianStats), in snake_case (metrics.Walk).
 //
 // NULL tag values are spelled "null" in WRITE; non-finite values (nan,
 // inf) are rejected because NaN is the storage engine's NULL sentinel.
@@ -45,6 +47,7 @@ import (
 	"time"
 
 	"odh"
+	"odh/internal/metrics"
 	"odh/internal/relational"
 )
 
@@ -119,8 +122,8 @@ type Server struct {
 	forcedCloses    atomic.Int64
 }
 
-// Stats is a snapshot of the serving layer's counters, surfaced by the
-// STATS command and the CLI's .stats view.
+// Stats is a snapshot of the serving layer's counters, the first lines of
+// the STATS reply.
 type Stats struct {
 	// ConnsAccepted counts sessions ever started; ConnsActive counts
 	// sessions currently open.
@@ -184,18 +187,12 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// writeStats renders the STATS reply.
+// writeStats renders the STATS reply: the serving layer's counters, then
+// the historian's, one "<name> <value>" line each (metrics.Walk).
 func (s *Server) writeStats(out io.Writer) {
-	st := s.Stats()
-	fmt.Fprintf(out, "conns_accepted %d\n", st.ConnsAccepted)
-	fmt.Fprintf(out, "conns_active %d\n", st.ConnsActive)
-	fmt.Fprintf(out, "frames_ingested %d\n", st.FramesIngested)
-	fmt.Fprintf(out, "points_ingested %d\n", st.PointsIngested)
-	fmt.Fprintf(out, "batches_shed %d\n", st.BatchesShed)
-	fmt.Fprintf(out, "shed_bytes %d\n", st.ShedBytes)
-	fmt.Fprintf(out, "queued_bytes %d\n", st.QueuedBytes)
-	fmt.Fprintf(out, "queries_timed_out %d\n", st.QueriesTimedOut)
-	fmt.Fprintf(out, "forced_closes %d\n", st.ForcedCloses)
+	for _, st := range []any{s.Stats(), s.h.TotalStats()} {
+		metrics.Walk(st, func(name string, v any) { fmt.Fprintln(out, name, v) })
+	}
 	fmt.Fprintln(out, "OK")
 }
 

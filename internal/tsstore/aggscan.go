@@ -99,8 +99,6 @@ type AggResult struct {
 	// BlobBytesRead totals bytes actually decoded (boundary blobs) plus
 	// the estimated bytes of buffered points, matching scan accounting.
 	BlobBytesRead int64
-	// BlobsSkipped counts zone-map exclusions (same meaning as scans).
-	BlobsSkipped int64
 }
 
 // matchPreds applies the conjunctive predicates to one row's tag values.
@@ -296,7 +294,6 @@ type aggPartial struct {
 	subBucketFolds           int64
 	subBucketBytesNotDecoded int64
 	blobBytesRead            int64
-	blobsSkipped             int64
 }
 
 func newAggPartial() *aggPartial {
@@ -453,7 +450,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		return nil
 	}
 	if !rec.hdr.overlaps(sp.zones) {
-		pt.blobsSkipped++
+		s.zoneSkips.Add(1)
 		return nil
 	}
 	mg := rec.home.tree == s.mg
@@ -627,7 +624,6 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 		res.SubBucketFolds += pt.subBucketFolds
 		res.SubBucketBytesNotDecoded += pt.subBucketBytesNotDecoded
 		res.BlobBytesRead += pt.blobBytesRead
-		res.BlobsSkipped += pt.blobsSkipped
 		for i, k := range pt.order {
 			g := pt.groups[k]
 			j, ok := idx[k]

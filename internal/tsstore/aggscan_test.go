@@ -149,7 +149,7 @@ func runAggTrial(t *testing.T, seed int64) {
 	subMs := []int64{0, 13, 100, 1000}[rng.Intn(4)]
 	f := newFixture(t, Config{
 		BatchSize:      4 + rng.Intn(12),
-		MaxOpenMGRows:  1 + rng.Intn(4),
+		maxOpenMGRows:  1 + rng.Intn(4),
 		BlobCacheBytes: 1 << 20,
 		SubBucketMs:    subMs,
 	}, 2+rng.Intn(3))

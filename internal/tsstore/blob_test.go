@@ -191,6 +191,7 @@ func TestZoneMapSkipInScan(t *testing.T) {
 	}
 	f.store.Flush()
 	// A range matching only batch 7's values must skip the other 9 blobs.
+	before := f.store.Stats().ZoneSkips
 	it, err := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil, TagRange{Tag: 0, Lo: 700, Hi: 709})
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +200,20 @@ func TestZoneMapSkipInScan(t *testing.T) {
 	if len(pts) != 10 {
 		t.Fatalf("scan returned %d points, want 10 (zone maps must not drop matches)", len(pts))
 	}
-	if it.BlobsSkipped() != 9 {
-		t.Fatalf("skipped %d blobs, want 9", it.BlobsSkipped())
+	if n := f.store.Stats().ZoneSkips - before; n != 9 {
+		t.Fatalf("skipped %d blobs, want 9", n)
+	}
+	// An aggregate under the same predicate skips the same nine.
+	before = f.store.Stats().ZoneSkips
+	res, err := f.store.AggregateHistorical(ds.ID, AggSpec{T1: 0, T2: math.MaxInt64, NTags: 1, Preds: []TagPred{{Tag: 0, Lo: 700, Hi: 709}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) != 1 || res.Groups[0].Rows != 10 {
+		t.Fatalf("aggregate groups %+v, want one of 10 rows", res.Groups)
+	}
+	if n := f.store.Stats().ZoneSkips - before; n != 9 {
+		t.Fatalf("aggregate skipped %d blobs, want 9", n)
 	}
 }
 

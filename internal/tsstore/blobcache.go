@@ -79,17 +79,6 @@ type cacheEntry struct {
 	elem    *list.Element
 }
 
-// CacheStats is a point-in-time snapshot of blob cache counters.
-type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	BytesSaved    int64 // encoded bytes of hits actually served (zone-skipped hits excluded)
-	Evictions     int64
-	Invalidations int64
-	SizeBytes     int64 // current decoded bytes held
-	Entries       int64
-}
-
 // blobCache is a byte-budgeted LRU over decoded blobs. All methods are
 // safe for concurrent use; the mutex is only ever held alone, so it has
 // no ordering relationship with shard latches or tree locks.
@@ -216,19 +205,4 @@ func decodedSize(batch *DecodedBatch, hdr blobHeader) int64 {
 	const entryOverhead = 128 // entry struct, map cell, list element
 	return entryOverhead + n*8 /* timestamps */ + int64(len(batch.Slots))*8 +
 		cells*8 + n*24 /* row headers */ + int64(len(hdr.b))
-}
-
-// stats snapshots the cache counters.
-func (c *blobCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		BytesSaved:    c.bytesSaved,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		SizeBytes:     c.curBytes,
-		Entries:       int64(c.lru.Len()),
-	}
 }

@@ -45,13 +45,13 @@ func TestBlobCacheHitsAndEquivalence(t *testing.T) {
 	truth := fillSource(t, f, ds, 200)
 
 	cold := scanAll(t, f.store, ds.ID, ScanOptions{})
-	st := f.store.BlobCacheStats()
-	if st.Hits != 0 || st.Misses == 0 || st.Entries == 0 {
+	st := f.store.Stats()
+	if st.BlobCacheHits != 0 || st.BlobCacheMisses == 0 || st.BlobCacheEntries == 0 {
 		t.Fatalf("after cold scan: %+v", st)
 	}
 	warm := scanAll(t, f.store, ds.ID, ScanOptions{})
-	st = f.store.BlobCacheStats()
-	if st.Hits == 0 || st.BytesSaved == 0 {
+	st = f.store.Stats()
+	if st.BlobCacheHits == 0 || st.BlobCacheBytesSaved == 0 {
 		t.Fatalf("warm scan did not hit: %+v", st)
 	}
 	if !reflect.DeepEqual(cold, warm) {
@@ -71,7 +71,7 @@ func TestBlobCacheHitsAndEquivalence(t *testing.T) {
 // flush-merge (MG), reorganization, retention, and coalescing must all
 // drop stale decodes so cached scans equal uncached ones.
 func TestBlobCacheInvalidation(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 8, MaxOpenMGRows: 2, BlobCacheBytes: 1 << 20}, 4)
+	f := newFixture(t, Config{BatchSize: 8, maxOpenMGRows: 2, BlobCacheBytes: 1 << 20}, 4)
 	s := f.schema(t, "inv", 2)
 	// MG group of 4 low-frequency sources.
 	var mgs []*model.DataSource
@@ -135,7 +135,7 @@ func TestBlobCacheInvalidation(t *testing.T) {
 	}
 	check("retention")
 
-	if st := f.store.BlobCacheStats(); st.Invalidations == 0 {
+	if st := f.store.Stats(); st.BlobCacheInvalidations == 0 {
 		t.Fatal("maintenance passes performed no invalidations")
 	}
 }
@@ -156,12 +156,12 @@ func TestBlobCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	scanAll(t, f.store, ds.ID, ScanOptions{})
-	st := f.store.BlobCacheStats()
-	if st.Evictions == 0 {
+	st := f.store.Stats()
+	if st.BlobCacheEvictions == 0 {
 		t.Fatalf("expected evictions with a 4 KiB budget: %+v", st)
 	}
-	if st.SizeBytes > 4096 {
-		t.Fatalf("cache exceeded its budget: %d > 4096", st.SizeBytes)
+	if st.BlobCacheSizeBytes > 4096 {
+		t.Fatalf("cache exceeded its budget: %d > 4096", st.BlobCacheSizeBytes)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestBlobCacheStaleInsertDropped(t *testing.T) {
 // The insert must be dropped: the reader itself may serve the old bytes
 // (dirty-read isolation), but later cached scans must see the new ones.
 func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 8, MaxOpenMGRows: 8, BlobCacheBytes: 1 << 20}, 4)
+	f := newFixture(t, Config{BatchSize: 8, maxOpenMGRows: 8, BlobCacheBytes: 1 << 20}, 4)
 	s := f.schema(t, "leafrace", 2)
 	var mgs []*model.DataSource
 	for i := 0; i < 4; i++ {
@@ -267,25 +267,25 @@ func TestBlobCacheBytesSavedExcludesZoneSkips(t *testing.T) {
 	fillSource(t, f, ds, 200) // tag 0 values in [0, 6]
 
 	scanAll(t, f.store, ds.ID, ScanOptions{}) // warm: all misses
-	base := f.store.BlobCacheStats()
+	base := f.store.Stats()
 
 	// Every hit is excluded by the pushed tag range, so nothing is saved.
 	out := scanAll(t, f.store, ds.ID, ScanOptions{}, TagRange{Tag: 0, Lo: 1000, Hi: 2000})
-	st := f.store.BlobCacheStats()
+	st := f.store.Stats()
 	if len(out) != 0 {
 		t.Fatalf("range [1000,2000] matched %d rows", len(out))
 	}
-	if st.Hits == base.Hits {
+	if st.BlobCacheHits == base.BlobCacheHits {
 		t.Fatal("filtered scan did not hit the cache")
 	}
-	if st.BytesSaved != base.BytesSaved {
-		t.Fatalf("zone-skipped hits credited BytesSaved: %d -> %d", base.BytesSaved, st.BytesSaved)
+	if st.BlobCacheBytesSaved != base.BlobCacheBytesSaved {
+		t.Fatalf("zone-skipped hits credited BytesSaved: %d -> %d", base.BlobCacheBytesSaved, st.BlobCacheBytesSaved)
 	}
 
 	// Served hits are credited.
 	scanAll(t, f.store, ds.ID, ScanOptions{})
-	if st = f.store.BlobCacheStats(); st.BytesSaved <= base.BytesSaved {
-		t.Fatalf("served hits not credited: %d -> %d", base.BytesSaved, st.BytesSaved)
+	if st = f.store.Stats(); st.BlobCacheBytesSaved <= base.BlobCacheBytesSaved {
+		t.Fatalf("served hits not credited: %d -> %d", base.BlobCacheBytesSaved, st.BlobCacheBytesSaved)
 	}
 }
 

@@ -36,7 +36,7 @@ func countPoints(t *testing.T, s *Store, source int64) int {
 // lost or duplicated and that per-source catalog watermarks only move
 // forward.
 func TestConcurrentIngestAcrossStructures(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 16, MaxOpenMGRows: 4}, 8)
+	f := newFixture(t, Config{BatchSize: 16, maxOpenMGRows: 4}, 8)
 	schema := f.schema(t, "concurrent", 2)
 
 	const (
@@ -199,14 +199,14 @@ func TestWriteBatchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardConfigOverride pins Config.Shards behavior.
+// TestShardConfigOverride pins the shards override.
 func TestShardConfigOverride(t *testing.T) {
-	f1 := newFixture(t, Config{Shards: 1}, 8)
-	if got := f1.store.Shards(); got != 1 {
+	f1 := newFixture(t, Config{shards: 1}, 8)
+	if got := len(f1.store.shards); got != 1 {
 		t.Fatalf("Shards=1 gave %d shards", got)
 	}
-	f8 := newFixture(t, Config{Shards: 7}, 8)
-	if got := f8.store.Shards(); got != 8 {
+	f8 := newFixture(t, Config{shards: 7}, 8)
+	if got := len(f8.store.shards); got != 8 {
 		t.Fatalf("Shards=7 should round up to 8, got %d", got)
 	}
 }

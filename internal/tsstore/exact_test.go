@@ -279,7 +279,7 @@ func TestReadersExactUnderMutation(t *testing.T) {
 	// overflows to its per-source tree); member 2 reports twice inside an
 	// open window (the duplicate goes straight to its per-source tree).
 	group := func(t *testing.T) *env {
-		f := newFixture(t, Config{BatchSize: 16, MaxOpenMGRows: 2, BlobCacheBytes: 256 << 10}, 4)
+		f := newFixture(t, Config{BatchSize: 16, maxOpenMGRows: 2, BlobCacheBytes: 256 << 10}, 4)
 		s := f.schema(t, "exact", 2)
 		var ids []int64
 		streams := map[int64][]model.Point{}

@@ -32,7 +32,7 @@ func TestClampWorkers(t *testing.T) {
 // when it ended, single-source scans ascending; after quiescing, cached
 // and uncached scans must agree exactly.
 func TestConcurrentParallelQueries(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 16, MaxOpenMGRows: 4, BlobCacheBytes: 256 << 10}, 4)
+	f := newFixture(t, Config{BatchSize: 16, maxOpenMGRows: 4, BlobCacheBytes: 256 << 10}, 4)
 	s := f.schema(t, "race", 2)
 	rts := f.source(t, s.ID, true, 10)
 	irts := f.source(t, s.ID, false, 10)
@@ -148,7 +148,7 @@ func TestBlobCacheSurvivesFailedMaintenance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(page, cat, Config{BatchSize: 8, MaxOpenMGRows: 2, BlobCacheBytes: 1 << 20})
+		st, err := Open(page, cat, Config{BatchSize: 8, maxOpenMGRows: 2, BlobCacheBytes: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}

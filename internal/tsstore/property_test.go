@@ -31,7 +31,7 @@ func TestRandomizedAgainstReferenceModel(t *testing.T) {
 
 func runReferenceTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	f := newFixture(t, Config{BatchSize: 4 + rng.Intn(12), MaxOpenMGRows: 1 + rng.Intn(4)}, 2+rng.Intn(4))
+	f := newFixture(t, Config{BatchSize: 4 + rng.Intn(12), maxOpenMGRows: 1 + rng.Intn(4)}, 2+rng.Intn(4))
 	ntags := 1 + rng.Intn(3)
 	schema := f.schema(t, "ref", ntags)
 

@@ -24,9 +24,6 @@ type Iterator interface {
 	// record decoded for any of its rows charges its full encoded length; a
 	// record pruned by its header's span charges nothing.
 	BlobBytes() int64
-	// BlobsSkipped returns the number of batch records whose zone maps
-	// excluded every pushed tag range, so they were never decoded.
-	BlobsSkipped() int64
 }
 
 // pointBlobBytes estimates the ValueBlob bytes one in-memory point stands
@@ -78,7 +75,6 @@ type emptyIter struct{}
 func (emptyIter) Next() (model.Point, bool) { return model.Point{}, false }
 func (emptyIter) Err() error                { return nil }
 func (emptyIter) BlobBytes() int64          { return 0 }
-func (emptyIter) BlobsSkipped() int64       { return 0 }
 
 // concatIter drains each input in turn.
 type concatIter struct {
@@ -112,14 +108,6 @@ func (it *concatIter) BlobBytes() int64 {
 	return total
 }
 
-func (it *concatIter) BlobsSkipped() int64 {
-	var total int64
-	for _, sub := range it.iters {
-		total += sub.BlobsSkipped()
-	}
-	return total
-}
-
 // scanIter yields the rows of one walker in timestamp order. Records are
 // keyed by their first timestamp but may overlap (out-of-order ingest
 // splits a batch, and an owner's homes interleave); the iterator decodes
@@ -133,7 +121,6 @@ type scanIter struct {
 	queue     []model.Point // pending rows of ch, sorted by ts
 	qi        int
 	err       error
-	skipped   int64
 	// bytesRead accumulates decoded blob sizes plus the estimate for
 	// buffered rows; the executor reports it as the query's I/O cost,
 	// matching the paper's cost unit. Cache hits do not add to it —
@@ -175,7 +162,7 @@ func (it *scanIter) load(rec *walkRec) error {
 		it.queue = append(it.queue, rec.buffered...)
 	} else {
 		if !rec.hdr.overlaps(it.tagRanges) {
-			it.skipped++
+			it.w.s.zoneSkips.Add(1)
 			return nil
 		}
 		batch, shared, err := it.w.decode(rec, it.ch.lo, it.ch.hi)
@@ -203,9 +190,8 @@ func (it *scanIter) load(rec *walkRec) error {
 	return nil
 }
 
-func (it *scanIter) Err() error          { return it.err }
-func (it *scanIter) BlobBytes() int64    { return it.bytesRead }
-func (it *scanIter) BlobsSkipped() int64 { return it.skipped }
+func (it *scanIter) Err() error       { return it.err }
+func (it *scanIter) BlobBytes() int64 { return it.bytesRead }
 
 // concat yields the parts one after another on the caller's goroutine.
 func concat(parts []Iterator) Iterator {

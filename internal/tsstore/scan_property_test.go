@@ -56,9 +56,8 @@ func (it *sliceIterAdapter) Next() (model.Point, bool) {
 	return p, true
 }
 
-func (it *sliceIterAdapter) Err() error          { return nil }
-func (it *sliceIterAdapter) BlobBytes() int64    { return it.accrued }
-func (it *sliceIterAdapter) BlobsSkipped() int64 { return 0 }
+func (it *sliceIterAdapter) Err() error       { return nil }
+func (it *sliceIterAdapter) BlobBytes() int64 { return it.accrued }
 
 // TestConcatIterProperty checks concatenation order and byte accounting,
 // including that buffered-point adapters now report non-zero estimates
@@ -261,7 +260,7 @@ func TestSplitScanRangeProperty(t *testing.T) {
 // slice paths return identical rows serial vs parallel vs cached,
 // including MG groups with a still-unreorganized stripe.
 func TestMultiAndSliceScanParallelEquivalence(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 8, MaxOpenMGRows: 3, BlobCacheBytes: 1 << 20}, 4)
+	f := newFixture(t, Config{BatchSize: 8, maxOpenMGRows: 3, BlobCacheBytes: 1 << 20}, 4)
 	s := f.schema(t, "mixed", 2)
 	var srcs []*model.DataSource
 	for i := 0; i < 2; i++ {
@@ -332,7 +331,7 @@ func TestMultiAndSliceScanParallelEquivalence(t *testing.T) {
 
 // TestZoneSkipParityWithCache verifies zone-map skipping behaves
 // identically on cache hits (replayed zones) and raw reads, both in rows
-// and in the BlobsSkipped counter.
+// and in the ZoneSkips counter.
 func TestZoneSkipParityWithCache(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16, BlobCacheBytes: 1 << 20}, 0)
 	s := f.schema(t, "zones", 2)
@@ -352,12 +351,13 @@ func TestZoneSkipParityWithCache(t *testing.T) {
 	}
 	ranges := []TagRange{{Tag: 0, Lo: 1000, Hi: 2000}}
 	scan := func(opts ScanOptions) ([]model.Point, int64) {
+		before := f.store.Stats().ZoneSkips
 		it, err := f.store.HistoricalScanOpts(ds.ID, math.MinInt64, math.MaxInt64, nil, opts, ranges...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pts := collect(t, it)
-		return pts, it.BlobsSkipped()
+		return pts, f.store.Stats().ZoneSkips - before
 	}
 	rawPts, rawSkip := scan(ScanOptions{NoCache: true})
 	if rawSkip == 0 {
@@ -371,7 +371,7 @@ func TestZoneSkipParityWithCache(t *testing.T) {
 	if hitSkip != rawSkip {
 		t.Fatalf("cache-hit skips = %d, raw skips = %d", hitSkip, rawSkip)
 	}
-	if st := f.store.BlobCacheStats(); st.Hits == 0 {
+	if st := f.store.Stats(); st.BlobCacheHits == 0 {
 		t.Fatalf("zone scan did not hit the cache: %+v", st)
 	}
 }

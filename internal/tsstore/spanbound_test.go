@@ -260,7 +260,7 @@ func TestSpanBoundsUnderMutation(t *testing.T) {
 
 func spanBoundsRun(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	f := newFixture(t, Config{BatchSize: 16, MaxOpenMGRows: 3, BlobCacheBytes: 64 << 10}, 4)
+	f := newFixture(t, Config{BatchSize: 16, maxOpenMGRows: 3, BlobCacheBytes: 64 << 10}, 4)
 	s := f.schema(t, "span", 2)
 	type stream struct {
 		ds  *model.DataSource

@@ -27,9 +27,6 @@ type Config struct {
 	BatchSize int
 	// DisableCompression stores raw columns (compression ablation).
 	DisableCompression bool
-	// MaxOpenMGRows bounds how many rows an MG group buffer may hold open
-	// before the oldest is flushed partially filled.
-	MaxOpenMGRows int
 	// Log, when non-nil, records buffered points for bounded-loss recovery.
 	Log *walog.Log
 	// LenientScan makes scans quarantine unreadable batch records (skip
@@ -37,9 +34,6 @@ type Config struct {
 	// query. The default is strict: a corrupt blob fails the scan with the
 	// underlying error so callers cannot silently miss data.
 	LenientScan bool
-	// Shards overrides the latch shard count (rounded to a power of two).
-	// Zero picks the default (1024); 1 gives a single global lock.
-	Shards int
 	// BlobCacheBytes budgets the decoded-ValueBlob cache (decoded bytes
 	// held). Zero disables caching: every scan decodes from the pagestore.
 	BlobCacheBytes int64
@@ -49,6 +43,12 @@ type Config struct {
 	// straddling blobs without decoding. Zero picks DefaultSubBucketMs; a
 	// negative width fails Open.
 	SubBucketMs int64
+
+	// Test-only overrides of the open MG rows per group before the oldest
+	// flushes partially filled (default 4) and of the latch shard count
+	// (default maxShards; 1 gives a single global lock).
+	maxOpenMGRows int
+	shards        int
 }
 
 // DefaultSubBucketMs is the sub-bucket base width when the caller does not
@@ -60,8 +60,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
-	if c.MaxOpenMGRows <= 0 {
-		c.MaxOpenMGRows = 4
+	if c.maxOpenMGRows <= 0 {
+		c.maxOpenMGRows = 4
 	}
 	if c.SubBucketMs == 0 {
 		c.SubBucketMs = DefaultSubBucketMs
@@ -69,7 +69,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts store activity for the benchmark harness.
+// Stats counts store activity. It is the store's share of the
+// historian's counters: odh.HistorianStats embeds it, and metrics.Walk
+// names each field on STATS and in odh-cli.
 type Stats struct {
 	PointsWritten  int64
 	BatchesFlushed int64
@@ -77,6 +79,9 @@ type Stats struct {
 	// CorruptBlobsSkipped counts batch records that lenient scans could
 	// not read or decode and therefore quarantined.
 	CorruptBlobsSkipped int64
+	// ZoneSkips counts batch records that scans and aggregates never
+	// decoded because their zone maps excluded every pushed tag range.
+	ZoneSkips int64
 	// ParallelScans counts aggregates that fanned parts onto the worker
 	// pool; ParallelParts counts the parts they dispatched.
 	ParallelScans int64
@@ -99,6 +104,17 @@ type Stats struct {
 	ColdCompactions    int64
 	StubTransitions    int64
 	TierBytesReclaimed int64
+	// The decoded-blob cache, all zero when it is off: lookups that hit
+	// and missed, the encoded bytes served hits did not re-read (a hit then
+	// zone-skipped saved nothing), entries evicted, keys invalidated by
+	// writers, and the decoded bytes and entries held.
+	BlobCacheHits          int64
+	BlobCacheMisses        int64
+	BlobCacheBytesSaved    int64
+	BlobCacheEvictions     int64
+	BlobCacheInvalidations int64
+	BlobCacheSizeBytes     int64
+	BlobCacheEntries       int64
 }
 
 // maxShards is the default and the largest latch shard count. Shards are
@@ -149,6 +165,7 @@ type Store struct {
 	batchesFlushed atomic.Int64
 	mgPartialRows  atomic.Int64
 	corruptBlobs   atomic.Int64
+	zoneSkips      atomic.Int64
 
 	// cache holds decoded ValueBlobs for the read path; nil when
 	// Config.BlobCacheBytes is zero.
@@ -209,9 +226,6 @@ func (s *Store) shardFor(owner int64) *shard {
 	return s.shards[ownerHash(owner)&s.shardMask]
 }
 
-// Shards returns the latch shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
 // sourceBuffer accumulates points for one RTS/IRTS source.
 type sourceBuffer struct {
 	ds     *model.DataSource
@@ -267,7 +281,7 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 		page: store,
 		cat:  cat,
 	}
-	n := shardCount(s.cfg.Shards)
+	n := shardCount(s.cfg.shards)
 	s.shards = make([]*shard, n)
 	s.shardMask = uint32(n - 1)
 	for i := range s.shards {
@@ -300,15 +314,6 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 	return s, nil
 }
 
-// BlobCacheStats snapshots the decoded-blob cache counters; all zeros
-// when the cache is disabled.
-func (s *Store) BlobCacheStats() CacheStats {
-	if s.cache == nil {
-		return CacheStats{}
-	}
-	return s.cache.stats()
-}
-
 // Catalog returns the metadata catalog the store writes through.
 func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 
@@ -317,11 +322,12 @@ func (s *Store) BatchSize() int { return s.cfg.BatchSize }
 
 // Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
-	return Stats{
+	st := Stats{
 		PointsWritten:            s.pointsWritten.Load(),
 		BatchesFlushed:           s.batchesFlushed.Load(),
 		MGPartialRows:            s.mgPartialRows.Load(),
 		CorruptBlobsSkipped:      s.corruptBlobs.Load(),
+		ZoneSkips:                s.zoneSkips.Load(),
 		ParallelScans:            s.parallelScans.Load(),
 		ParallelParts:            s.parallelParts.Load(),
 		SummaryHits:              s.summaryHits.Load(),
@@ -332,6 +338,14 @@ func (s *Store) Stats() Stats {
 		StubTransitions:          s.stubTransitions.Load(),
 		TierBytesReclaimed:       s.tierBytesReclaimed.Load(),
 	}
+	if c := s.cache; c != nil {
+		c.mu.Lock()
+		st.BlobCacheHits, st.BlobCacheMisses, st.BlobCacheBytesSaved = c.hits, c.misses, c.bytesSaved
+		st.BlobCacheEvictions, st.BlobCacheInvalidations = c.evictions, c.invalidations
+		st.BlobCacheSizeBytes, st.BlobCacheEntries = c.curBytes, int64(c.lru.Len())
+		c.mu.Unlock()
+	}
+	return st
 }
 
 // SubBucketMs returns the resolved sub-bucket base width, always positive.
@@ -561,7 +575,7 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 	if row.reported >= len(gb.members) {
 		return s.flushMGRowLocked(gb, row)
 	}
-	if len(gb.rows) > s.cfg.MaxOpenMGRows {
+	if len(gb.rows) > s.cfg.maxOpenMGRows {
 		s.mgPartialRows.Add(1)
 		return s.flushMGRowLocked(gb, gb.rows[0])
 	}

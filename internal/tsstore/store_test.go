@@ -263,7 +263,7 @@ func TestMGWriteAndSliceScan(t *testing.T) {
 }
 
 func TestMGPartialRowFlush(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 8, MaxOpenMGRows: 2}, 4)
+	f := newFixture(t, Config{BatchSize: 8, maxOpenMGRows: 2}, 4)
 	s := f.schema(t, "meter", 1)
 	var sources []*model.DataSource
 	for i := 0; i < 4; i++ {

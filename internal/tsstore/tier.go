@@ -72,7 +72,7 @@ func (s *Store) coldOpts(schema *model.SchemaType) encodeOpts {
 }
 
 // TierStats walks the three batch trees and counts records per tier from
-// their format bytes — the census behind Store/TotalStats tier reporting.
+// their format bytes — the census odh-cli's .stats prints after the counters.
 func (s *Store) TierStats() (TierStats, error) {
 	var st TierStats
 	for _, tr := range []*btree.Tree{s.rts, s.irts, s.mg} {

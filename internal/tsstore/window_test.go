@@ -467,7 +467,7 @@ func TestSliceDoesNotEnterTheCache(t *testing.T) {
 	}
 	slice(900_000, 905_000) // inside a hot record
 	slice(100_000, 105_000) // inside the cold record
-	if st := f.store.BlobCacheStats(); st.Entries != 0 || st.SizeBytes != 0 {
+	if st := f.store.Stats(); st.BlobCacheEntries != 0 || st.BlobCacheSizeBytes != 0 {
 		t.Fatalf("slices of windows inside their records entered the cache: %+v", st)
 	}
 	all := func() map[int64][]model.Point {
@@ -478,17 +478,17 @@ func TestSliceDoesNotEnterTheCache(t *testing.T) {
 		return bySource(collect(t, it))
 	}
 	sameBySource(t, "first whole-history scan", all(), truth)
-	filled := f.store.BlobCacheStats()
-	if filled.Entries != 3*9 {
-		t.Fatalf("a whole-history scan cached %d records, want 27: %+v", filled.Entries, filled)
+	filled := f.store.Stats()
+	if filled.BlobCacheEntries != 3*9 {
+		t.Fatalf("a whole-history scan cached %d records, want 27: %+v", filled.BlobCacheEntries, filled)
 	}
 	sameBySource(t, "second whole-history scan", all(), truth)
-	if st := f.store.BlobCacheStats(); st.Hits-filled.Hits != 3*9 || st.Entries != filled.Entries {
+	if st := f.store.Stats(); st.BlobCacheHits-filled.BlobCacheHits != 3*9 || st.BlobCacheEntries != filled.BlobCacheEntries {
 		t.Fatalf("second whole-history scan: %+v after %+v, want 27 more hits", st, filled)
 	}
 	// Hits serve any window, and a slice still leaves the LRU alone.
 	slice(900_000, 905_000)
-	if st := f.store.BlobCacheStats(); st.Entries != filled.Entries || st.Evictions != 0 {
+	if st := f.store.Stats(); st.BlobCacheEntries != filled.BlobCacheEntries || st.BlobCacheEvictions != 0 {
 		t.Fatalf("a slice over a warm cache changed it: %+v", st)
 	}
 }

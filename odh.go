@@ -572,11 +572,12 @@ func (h *Historian) ReplayLog(l *walog.Log) (applied, skipped int, err error) {
 	return h.ts.Replay(l)
 }
 
-// HistorianStats aggregates storage and ingest counters.
+// HistorianStats is the historian's counters: the store's, embedded, and
+// the ones the page store and the recovery log keep. Each is declared
+// once, in the layer that counts it; metrics.Walk names them for STATS
+// and odh-cli, metrics.Add sums them across a cluster.
 type HistorianStats struct {
-	// PointsWritten and BatchesFlushed count ingest activity.
-	PointsWritten  int64
-	BatchesFlushed int64
+	tsstore.Stats
 	// BlobBytes is the persisted ValueBlob payload.
 	BlobBytes int64
 	// StorageBytes is the page store's total size.
@@ -597,76 +598,22 @@ type HistorianStats struct {
 	// a write. Zero when no log is attached.
 	WALRecords      int64
 	WALGroupCommits int64
-	// CorruptBlobsSkipped counts blobs quarantined by lenient scans.
-	CorruptBlobsSkipped int64
-	// BlobCacheHits / BlobCacheMisses / BlobCacheBytesSaved count the
-	// decoded-ValueBlob cache: BytesSaved is the encoded blob bytes that
-	// served hits avoided re-reading and re-decoding (hits whose entry
-	// was zone-skipped saved nothing and are not credited). All zero
-	// when the cache is off.
-	BlobCacheHits          int64
-	BlobCacheMisses        int64
-	BlobCacheBytesSaved    int64
-	BlobCacheEvictions     int64
-	BlobCacheInvalidations int64
-	BlobCacheSizeBytes     int64
-	// ParallelScans / ParallelParts count scans dispatched to the query
-	// worker pool and the parts they fanned out.
-	ParallelScans int64
-	ParallelParts int64
-	// SummaryHits counts blob records an aggregate answered from their
-	// header summary without decoding columns; BytesNotDecoded totals the
-	// encoded blob bytes those folds avoided touching.
-	SummaryHits     int64
-	BytesNotDecoded int64
-	// SubBucketFolds counts straddling blob records an aggregate folded
-	// entirely from their per-sub-bucket mini-summaries without decoding;
-	// SubBucketBytesNotDecoded totals the encoded bytes those folds
-	// skipped. Disjoint from SummaryHits/BytesNotDecoded.
-	SubBucketFolds           int64
-	SubBucketBytesNotDecoded int64
-	// ColdCompactions / StubTransitions / TierBytesReclaimed count the
-	// storage lifecycle: hot records consumed by cold compaction, records
-	// truncated to summary-only stubs, and the net encoded bytes the tier
-	// passes reclaimed.
-	ColdCompactions    int64
-	StubTransitions    int64
-	TierBytesReclaimed int64
 }
 
 // TotalStats returns historian-wide counters.
 func (h *Historian) TotalStats() HistorianStats {
-	ts := h.ts.Stats()
 	ps := h.page.Stats()
 	st := HistorianStats{
-		PointsWritten:            ts.PointsWritten,
-		BatchesFlushed:           ts.BatchesFlushed,
-		BlobBytes:                int64(h.ts.BlobBytesTotal()),
-		StorageBytes:             h.page.SizeBytes(),
-		IOBytesWritten:           ps.BytesWritten,
-		IOBytesRead:              ps.BytesRead,
-		PoolHits:                 ps.Hits,
-		PoolMisses:               ps.Misses,
-		PoolEvictions:            ps.Evictions,
-		PoolHitRate:              ps.HitRate(),
-		CorruptBlobsSkipped:      ts.CorruptBlobsSkipped,
-		ParallelScans:            ts.ParallelScans,
-		ParallelParts:            ts.ParallelParts,
-		SummaryHits:              ts.SummaryHits,
-		BytesNotDecoded:          ts.BytesNotDecoded,
-		SubBucketFolds:           ts.SubBucketFolds,
-		SubBucketBytesNotDecoded: ts.SubBucketBytesNotDecoded,
-		ColdCompactions:          ts.ColdCompactions,
-		StubTransitions:          ts.StubTransitions,
-		TierBytesReclaimed:       ts.TierBytesReclaimed,
+		Stats:          h.ts.Stats(),
+		BlobBytes:      int64(h.ts.BlobBytesTotal()),
+		StorageBytes:   h.page.SizeBytes(),
+		IOBytesWritten: ps.BytesWritten,
+		IOBytesRead:    ps.BytesRead,
+		PoolHits:       ps.Hits,
+		PoolMisses:     ps.Misses,
+		PoolEvictions:  ps.Evictions,
+		PoolHitRate:    ps.HitRate(),
 	}
-	cs := h.ts.BlobCacheStats()
-	st.BlobCacheHits = cs.Hits
-	st.BlobCacheMisses = cs.Misses
-	st.BlobCacheBytesSaved = cs.BytesSaved
-	st.BlobCacheEvictions = cs.Evictions
-	st.BlobCacheInvalidations = cs.Invalidations
-	st.BlobCacheSizeBytes = cs.SizeBytes
 	if h.wal != nil {
 		ws := h.wal.Stats()
 		st.WALRecords = ws.Records
