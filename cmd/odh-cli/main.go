@@ -6,9 +6,9 @@
 //	odh-cli -cluster N        interactive shell over an in-process
 //	                          replicated cluster (-replicas, -quorum)
 //	odh-cli -dir DIR fsck     offline integrity check; exit 1 when damaged
-//	odh-cli -dir DIR upgrade  bring a store written before the ValueBlob
-//	                          format marker to the current format (which
-//	                          Open requires): rewrite its older records,
+//	odh-cli -dir DIR upgrade  bring a store unmarked or marked with an
+//	                          older ValueBlob format to the current format
+//	                          (which Open requires): rewrite its older records,
 //	                          re-derive the catalog's per-source statistics,
 //	                          verify and mark a copy, then swap it in; with
 //	                          -recover, corrupt blobs do not stop the mark

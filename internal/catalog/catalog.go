@@ -127,16 +127,18 @@ var formatKey = keyenc.AppendString(nil, "blob-format")
 
 // FormatMarked reports whether the store is marked as holding only batch
 // records of ValueBlob format v. The catalog only persists the marker; the
-// format is the batch store's. A marker naming another format is an error.
+// format is the batch store's. An unmarked store and one marked with an
+// older format are not marked; a marker naming a newer format, or none
+// that reads, is an error.
 func (c *Catalog) FormatMarked(v uint64) (bool, error) {
 	got, err := c.counters.Get(formatKey)
 	if err == btree.ErrNotFound {
 		return false, nil
 	}
-	if err == nil && (len(got) != 8 || binary.LittleEndian.Uint64(got) != v) {
+	if err == nil && (len(got) != 8 || binary.LittleEndian.Uint64(got) > v) {
 		err = fmt.Errorf("catalog: the store is marked with ValueBlob format %x, this build reads format %d", got, v)
 	}
-	return err == nil, err
+	return err == nil && binary.LittleEndian.Uint64(got) == v, err
 }
 
 // MarkFormat marks the store as holding only batch records of ValueBlob

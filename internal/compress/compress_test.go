@@ -155,7 +155,7 @@ func TestLinearLosslessOnLine(t *testing.T) {
 	if len(enc) > 64 {
 		t.Fatalf("collinear run encoded to %d bytes", len(enc))
 	}
-	dec, _, err := DecompressLinear(enc, MaxColumnValues)
+	dec, _, err := DecompressLinear(nil, enc, MaxColumnValues)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestLinearCompressesSmoothData(t *testing.T) {
 func TestLinearEdgeCases(t *testing.T) {
 	for _, vals := range [][]float64{nil, {7}, {7, 7}, {7, 8}} {
 		enc := CompressLinear(nil, vals, 0.5)
-		dec, _, err := DecompressLinear(enc, MaxColumnValues)
+		dec, _, err := DecompressLinear(nil, enc, MaxColumnValues)
 		if err != nil {
 			t.Fatalf("%v: %v", vals, err)
 		}
@@ -222,7 +222,7 @@ func TestQuantRoundtripWithinBound(t *testing.T) {
 	}
 	for _, bits := range []uint{1, 4, 8, 12, 16, 32} {
 		enc := CompressQuant(nil, vals, bits)
-		dec, err := DecompressQuant(enc, MaxColumnValues)
+		dec, err := DecompressQuant(nil, enc, MaxColumnValues)
 		if err != nil {
 			t.Fatalf("bits %d: %v", bits, err)
 		}
@@ -257,7 +257,7 @@ func TestQuantRatio(t *testing.T) {
 
 func TestQuantDegenerate(t *testing.T) {
 	vals := []float64{5, 5, 5, 5}
-	dec, err := DecompressQuant(CompressQuant(nil, vals, 8), MaxColumnValues)
+	dec, err := DecompressQuant(nil, CompressQuant(nil, vals, 8), MaxColumnValues)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestQuantDegenerate(t *testing.T) {
 			t.Fatalf("constant block decoded to %v", v)
 		}
 	}
-	if _, err := DecompressQuant(CompressQuant(nil, nil, 8), MaxColumnValues); err != nil {
+	if _, err := DecompressQuant(nil, CompressQuant(nil, nil, 8), MaxColumnValues); err != nil {
 		t.Fatalf("empty block: %v", err)
 	}
 }
@@ -274,7 +274,7 @@ func TestQuantDegenerate(t *testing.T) {
 func TestXORLossless(t *testing.T) {
 	if err := quick.Check(func(vals []float64) bool {
 		enc := CompressXOR(nil, vals)
-		dec, err := DecompressXOR(enc, MaxColumnValues)
+		dec, err := DecompressXOR(nil, enc, MaxColumnValues)
 		if err != nil || len(dec) != len(vals) {
 			return false
 		}
@@ -413,7 +413,7 @@ func BenchmarkXORDecompress(b *testing.B) {
 	b.SetBytes(int64(len(vals) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DecompressXOR(enc, MaxColumnValues)
+		DecompressXOR(nil, enc, MaxColumnValues)
 	}
 }
 
@@ -438,7 +438,7 @@ func columnShapes(rng *rand.Rand, n int) map[string][]float64 {
 }
 
 // TestDecodeColumnNIsAPrefix: for every codec and every limit,
-// DecodeColumnN(b, n) is DecodeColumn(b)[:n], bit for bit.
+// DecodeColumnN(b, 0, n) is DecodeColumn(b)[:n], bit for bit.
 func TestDecodeColumnNIsAPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seen := map[Codec]bool{}
@@ -460,9 +460,9 @@ func TestDecodeColumnNIsAPrefix(t *testing.T) {
 					if limit < 0 {
 						continue
 					}
-					got, err := DecodeColumnN(col, limit)
-					if err != nil {
-						t.Fatalf("%s/%d n=%d limit=%d: %v", name, ci, n, limit, err)
+					got, start, err := DecodeColumnN(col, 0, limit)
+					if err != nil || start != 0 {
+						t.Fatalf("%s/%d n=%d limit=%d: start %d, %v", name, ci, n, limit, start, err)
 					}
 					want := full[:min(limit, n)]
 					if len(got) != len(want) {
@@ -497,6 +497,15 @@ func TestDecodersDoNotAllocateFromUntrustedCount(t *testing.T) {
 			_, err := DecodeColumn(append([]byte{byte(CodecLinear)}, append(huge, huge...)...))
 			return err
 		},
+		"segments": func() error { _, err := DecodeColumn(append([]byte{byte(CodecSegments)}, huge...)); return err },
+		// A well-framed two-segment column whose first segment claims the
+		// huge count instead of its 128 values.
+		"segment count": func() error {
+			seg := append(append([]byte{byte(CodecXOR)}, huge...), make([]byte, 8)...)
+			col := append([]byte{byte(CodecSegments), 129, 1, byte(len(seg)), byte(len(seg))}, seg...)
+			_, err := DecodeColumn(append(col, seg...))
+			return err
+		},
 		"deltas": func() error { _, _, err := Deltas(huge); return err },
 		"dod":    func() error { _, _, err := DeltaOfDeltas(huge); return err },
 	}
@@ -515,7 +524,7 @@ func TestDecodersDoNotAllocateFromUntrustedCount(t *testing.T) {
 	// A linear column's value count is bounded by the caller's limit alone:
 	// a constant run of any length is legitimately one nine-byte segment.
 	run := CompressLinear([]byte{byte(CodecLinear)}, make([]float64, 1<<20), 0)
-	if got, err := DecodeColumnN(run, 10); err != nil || len(got) != 10 {
+	if got, _, err := DecodeColumnN(run, 0, 10); err != nil || len(got) != 10 {
 		t.Fatalf("constant run, limit 10: %d values, %v", len(got), err)
 	}
 }

@@ -58,18 +58,18 @@ func CompressXOR(dst []byte, values []float64) []byte {
 	return w.Bytes()
 }
 
-// DecompressXOR reconstructs the first limit values written by CompressXOR
-// (all of them when limit is MaxColumnValues). Like the quantization codec,
-// it consumes the whole framed block.
-func DecompressXOR(b []byte, limit int) ([]float64, error) {
+// DecompressXOR appends the first limit values written by CompressXOR to
+// dst (all of them when limit is MaxColumnValues). Like the quantization
+// codec, it consumes the whole framed block.
+func DecompressXOR(dst []float64, b []byte, limit int) ([]float64, error) {
 	// The first value takes 64 bits, every later one at least one.
 	n, b, err := columnCount(b, limit, 1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	dst, out := grow(dst, n)
 	if n == 0 {
-		return out, nil
+		return dst, nil
 	}
 	r := NewBitReader(b)
 	prev := r.ReadBits(64)
@@ -95,5 +95,5 @@ func DecompressXOR(b []byte, limit int) ([]float64, error) {
 		}
 		out[i] = math.Float64frombits(prev)
 	}
-	return out, nil
+	return dst, nil
 }

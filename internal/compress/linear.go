@@ -43,9 +43,9 @@ func CompressLinear(dst []byte, values []float64, maxDev float64) []byte {
 	return dst
 }
 
-// DecompressLinear reconstructs the first limit values of the slice written
-// by CompressLinear and returns the remaining bytes.
-func DecompressLinear(b []byte, limit int) ([]float64, []byte, error) {
+// DecompressLinear appends the first limit values of the slice written by
+// CompressLinear to dst and returns the remaining bytes.
+func DecompressLinear(dst []float64, b []byte, limit int) ([]float64, []byte, error) {
 	full, k := binary.Uvarint(b)
 	if k <= 0 || full > MaxColumnValues {
 		return nil, nil, ErrCorrupt
@@ -79,9 +79,9 @@ func DecompressLinear(b []byte, limit int) ([]float64, []byte, error) {
 		b = b[8:]
 	}
 	n := min(int(full), max(limit, 0))
-	out := make([]float64, n)
+	dst, out := grow(dst, n)
 	if full == 0 {
-		return out, b, nil
+		return dst, b, nil
 	}
 	if len(segs) == 0 {
 		return nil, nil, ErrCorrupt
@@ -110,7 +110,7 @@ func DecompressLinear(b []byte, limit int) ([]float64, []byte, error) {
 			out[i] = segs[0].val
 		}
 	}
-	return out, b, nil
+	return dst, b, nil
 }
 
 // swingingDoor returns the retained spike points for values under maxDev.
@@ -180,7 +180,7 @@ func midSlope(lo, hi float64) float64 {
 // the EXPERIMENTS error-bound report.
 func MaxLinearError(values []float64, maxDev float64) float64 {
 	enc := CompressLinear(nil, values, maxDev)
-	dec, _, err := DecompressLinear(enc, MaxColumnValues)
+	dec, _, err := DecompressLinear(nil, enc, MaxColumnValues)
 	if err != nil || len(dec) != len(values) {
 		return math.Inf(1)
 	}

@@ -61,17 +61,17 @@ func appendIntDelta(dst []byte, ints []int64) []byte {
 	return w.Bytes()
 }
 
-// decodeIntDelta decodes the first limit values of a CodecDelta payload
-// (codec byte stripped) back into float64s.
-func decodeIntDelta(b []byte, limit int) ([]float64, error) {
+// decodeIntDelta appends the first limit values of a CodecDelta payload
+// (codec byte stripped) to dst as float64s.
+func decodeIntDelta(dst []float64, b []byte, limit int) ([]float64, error) {
 	// Two varints of at least a byte each, then at least a bit per value.
 	n, b, err := columnCount(b, limit, 1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	dst, out := grow(dst, n)
 	if n == 0 {
-		return out, nil
+		return dst, nil
 	}
 	v0, b, err := Varint(b)
 	if err != nil {
@@ -79,7 +79,7 @@ func decodeIntDelta(b []byte, limit int) ([]float64, error) {
 	}
 	out[0] = float64(v0)
 	if n == 1 {
-		return out, nil
+		return dst, nil
 	}
 	delta, b, err := Varint(b)
 	if err != nil {
@@ -106,7 +106,7 @@ func decodeIntDelta(b []byte, limit int) ([]float64, error) {
 		prev += delta
 		out[i] = float64(prev)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // integralColumn converts values to int64 when every value is an integer
@@ -134,8 +134,14 @@ func integralColumn(values []float64) ([]int64, bool) {
 // integral delta-of-delta, XOR, raw — and verifies each by decoding and
 // comparing bit patterns before it may win, so codec bugs or rounding in
 // a candidate can cost size but never correctness. The cold compaction
-// tier uses this; the ingest path keeps the cheap single-codec picks.
+// tier uses this; the ingest path keeps the cheap single-codec picks. A
+// column of more than SegmentValues values picks per segment.
 func EncodeColumnMaxEffort(dst []byte, values []float64) []byte {
+	return appendColumn(dst, values, appendMaxEffort)
+}
+
+// appendMaxEffort appends EncodeColumnMaxEffort's pick for one segment.
+func appendMaxEffort(dst []byte, values []float64) []byte {
 	best := appendRaw(nil, values)
 	consider := func(cand []byte) {
 		if len(cand) >= len(best) {

@@ -58,12 +58,12 @@ func CompressQuant(dst []byte, values []float64, bits uint) []byte {
 	return w.Bytes()
 }
 
-// DecompressQuant reconstructs the first limit values of a block written by
-// CompressQuant. Each value is the center of its quantization level.
+// DecompressQuant appends the first limit values of a block written by
+// CompressQuant to dst. Each value is the center of its quantization level.
 // Because the bit stream is zero-padded to a byte boundary, DecompressQuant
 // consumes the entire remaining slice belonging to the block; callers must
 // frame blocks externally (the ValueBlob framing stores per-column lengths).
-func DecompressQuant(b []byte, limit int) ([]float64, error) {
+func DecompressQuant(dst []float64, b []byte, limit int) ([]float64, error) {
 	n, b, err := columnCount(b, limit, 0)
 	if err != nil || len(b) < 1 {
 		return nil, ErrCorrupt
@@ -71,7 +71,7 @@ func DecompressQuant(b []byte, limit int) ([]float64, error) {
 	bits := uint(b[0])
 	b = b[1:]
 	if n == 0 {
-		return []float64{}, nil
+		return dst, nil
 	}
 	// The encoder writes 1..32 bits per symbol, after the block's range.
 	if bits < 1 || bits > 32 || len(b) < 16 || uint64(n)*uint64(bits) > 8*uint64(len(b)-16) {
@@ -80,12 +80,12 @@ func DecompressQuant(b []byte, limit int) ([]float64, error) {
 	lo := math.Float64frombits(binary.LittleEndian.Uint64(b))
 	hi := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	b = b[16:]
-	out := make([]float64, n)
+	dst, out := grow(dst, n)
 	if hi == lo {
 		for i := range out {
 			out[i] = lo
 		}
-		return out, nil
+		return dst, nil
 	}
 	levels := uint64(1) << bits
 	step := (hi - lo) / float64(levels)
@@ -93,7 +93,7 @@ func DecompressQuant(b []byte, limit int) ([]float64, error) {
 	for i := range out {
 		out[i] = lo + (float64(r.ReadBits(bits))+0.5)*step
 	}
-	return out, nil
+	return dst, nil
 }
 
 // QuantErrorBound returns the worst-case reconstruction error for a block

@@ -18,6 +18,8 @@ const (
 	CodecXOR    Codec = 3 // lossless XOR float compression
 	// CodecDelta = 4 (maxeffort.go): bit-packed integral delta-of-delta,
 	// written only by the cold-tier EncodeColumnMaxEffort path.
+	// CodecSegments = 5 (segments.go): a column of more than SegmentValues
+	// values, framed as a run of columns of the codecs above.
 )
 
 // String names the codec for logs and EXPERIMENTS reports.
@@ -33,6 +35,8 @@ func (c Codec) String() string {
 		return "xor"
 	case CodecDelta:
 		return "delta"
+	case CodecSegments:
+		return "segments"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
@@ -55,32 +59,44 @@ func (p Policy) Lossless() bool { return p.MaxDev == 0 }
 // variability-aware strategy from §3 of the paper: smooth series go to
 // linear compression, fluctuating series go to quantization (lossy) or XOR
 // (lossless). Values must be NaN-free; NULL handling lives in the blob
-// framing's presence bitmap.
+// framing's presence bitmap. The pick is made once for the whole column; a
+// column of more than SegmentValues values is written in segments of it.
 func EncodeColumn(dst []byte, values []float64, pol Policy) []byte {
+	return appendColumn(dst, values, pickCodec(values, pol))
+}
+
+// pickCodec returns the encoder of EncodeColumn's pick for the whole column,
+// which writes each of its segments.
+func pickCodec(values []float64, pol Policy) func(dst []byte, seg []float64) []byte {
 	if pol.Disable {
-		return appendRaw(dst, values)
+		return appendRaw
 	}
 	if pol.Lossless() {
 		// Constant runs collapse under linear with bitwise exactness; for
 		// everything else XOR is the only codec that guarantees bit-exact
 		// reconstruction (linear interpolation can round).
 		if isConstant(values) {
-			dst = append(dst, byte(CodecLinear))
-			return CompressLinear(dst, values, 0)
+			return func(dst []byte, seg []float64) []byte {
+				return CompressLinear(append(dst, byte(CodecLinear)), seg, 0)
+			}
 		}
-		dst = append(dst, byte(CodecXOR))
-		return CompressXOR(dst, values)
+		return func(dst []byte, seg []float64) []byte {
+			return CompressXOR(append(dst, byte(CodecXOR)), seg)
+		}
 	}
 	// Lossy: smoothness decides, mirroring "for smooth values ... linear
 	// compression ... for non-linear high-frequency tag values ...
-	// quantization".
+	// quantization". A segment's range lies inside the column's, so the
+	// column's bit width bounds every segment's error by MaxDev.
 	if isSmooth(values, pol.MaxDev) {
-		dst = append(dst, byte(CodecLinear))
-		return CompressLinear(dst, values, pol.MaxDev)
+		return func(dst []byte, seg []float64) []byte {
+			return CompressLinear(append(dst, byte(CodecLinear)), seg, pol.MaxDev)
+		}
 	}
 	bits := quantBitsFor(values, pol.MaxDev)
-	dst = append(dst, byte(CodecQuant))
-	return CompressQuant(dst, values, bits)
+	return func(dst []byte, seg []float64) []byte {
+		return CompressQuant(append(dst, byte(CodecQuant)), seg, bits)
+	}
 }
 
 // MaxColumnValues bounds the value count any column may declare; as a
@@ -89,28 +105,45 @@ const MaxColumnValues = 1 << 24
 
 // DecodeColumn decodes one column produced by EncodeColumn. b must contain
 // exactly the column's bytes (the blob framing stores lengths).
-func DecodeColumn(b []byte) ([]float64, error) { return DecodeColumnN(b, MaxColumnValues) }
+func DecodeColumn(b []byte) ([]float64, error) {
+	vals, _, err := DecodeColumnN(b, 0, MaxColumnValues)
+	return vals, err
+}
 
-// DecodeColumnN decodes the first limit values of a column (fewer when the
-// column holds fewer): DecodeColumn(b)[:limit] without paying for the rest.
-// Bytes behind the last value it returns are not inspected.
-func DecodeColumnN(b []byte, limit int) ([]float64, error) {
+// DecodeColumnN decodes the values [from, to) of a column (fewer when the
+// column holds fewer) without paying for the values behind to: it returns
+// values [start, start+len(vals)) for a start <= from — the values of from's
+// segment in front of it come along. A column of codecs 0–4 is one segment,
+// so start is 0 and vals is DecodeColumn(b)[:to]; a segmented column
+// decodes only the segments spanning [from, to). Bytes behind the last
+// value it returns are not inspected.
+func DecodeColumnN(b []byte, from, to int) ([]float64, int, error) {
+	if len(b) > 0 && Codec(b[0]) == CodecSegments {
+		return decodeSegments(b[1:], from, to)
+	}
+	vals, err := decodeSegment(nil, b, to)
+	return vals, 0, err
+}
+
+// decodeSegment appends the first limit values of one segment — a column
+// of codecs 0–4, codec byte included — to dst.
+func decodeSegment(dst []float64, b []byte, limit int) ([]float64, error) {
 	if len(b) == 0 {
 		return nil, ErrCorrupt
 	}
 	codec, payload := Codec(b[0]), b[1:]
 	switch codec {
 	case CodecRaw:
-		return decodeRaw(payload, limit)
+		return decodeRaw(dst, payload, limit)
 	case CodecLinear:
-		vals, _, err := DecompressLinear(payload, limit)
+		vals, _, err := DecompressLinear(dst, payload, limit)
 		return vals, err
 	case CodecQuant:
-		return DecompressQuant(payload, limit)
+		return DecompressQuant(dst, payload, limit)
 	case CodecXOR:
-		return DecompressXOR(payload, limit)
+		return DecompressXOR(dst, payload, limit)
 	case CodecDelta:
-		return decodeIntDelta(payload, limit)
+		return decodeIntDelta(dst, payload, limit)
 	}
 	return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, b[0])
 }
@@ -132,10 +165,16 @@ func columnCount(b []byte, limit int, minBits uint64) (int, []byte, error) {
 	return int(n), b, nil
 }
 
-// ColumnCodec peeks at the codec byte of an encoded column.
+// ColumnCodec peeks at the codec byte of an encoded column — of its first
+// segment, when it is segmented.
 func ColumnCodec(b []byte) Codec {
 	if len(b) == 0 {
 		return CodecRaw
+	}
+	if Codec(b[0]) == CodecSegments {
+		if _, _, body, err := segmentTable(b[1:]); err == nil {
+			return Codec(body[0])
+		}
 	}
 	return Codec(b[0])
 }
@@ -149,16 +188,26 @@ func appendRaw(dst []byte, values []float64) []byte {
 	return dst
 }
 
-func decodeRaw(b []byte, limit int) ([]float64, error) {
+func decodeRaw(dst []float64, b []byte, limit int) ([]float64, error) {
 	n, b, err := columnCount(b, limit, 64)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	dst, out := grow(dst, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
-	return out, nil
+	return dst, nil
+}
+
+// grow extends dst by n values and returns it with the window of the new
+// ones, for a decoder to fill.
+func grow(dst []float64, n int) ([]float64, []float64) {
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]float64, 0, len(dst)+n), dst...)
+	}
+	dst = dst[:len(dst)+n]
+	return dst, dst[len(dst)-n:]
 }
 
 // isConstant reports whether all values are bitwise identical.

@@ -475,8 +475,12 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		case classSubFoldable:
 			// A blob folds from its persisted mini-summaries with zero
 			// decode (stubs included: the block survives stubbing); one
-			// without a block (MG, or a span past the cap) decodes.
-			if sub := rec.hdr.subSummaries(sum); sub != nil && subFoldAligned(sum, lo, hi, sub.base, sp) {
+			// without a block (MG, or a span past the cap) decodes. The
+			// block is materialised only for a window on its grid.
+			if !subFoldAligned(sum, lo, hi, rec.hdr.subBase, sp) {
+				break
+			}
+			if sub := rec.hdr.subSummaries(sum); sub != nil {
 				pt.subBucketFolds++
 				pt.subBucketBytesNotDecoded += rec.size()
 				pt.foldSubSummaries(src, sum, sub, lo, hi, sp)

@@ -1,8 +1,10 @@
 package tsstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"odh/internal/keyenc"
@@ -694,5 +696,61 @@ func TestAggregateSubBucketBytesPinned(t *testing.T) {
 					decoded, swept, st.SubBucketFolds, st.SummaryHits, tc.decoded, tc.swept, tc.subFolds, tc.folds)
 			}
 		})
+	}
+}
+
+// TestOffGridAggregateMaterialisesNoBlock: an aggregate whose window edges
+// fall off the sub-bucket grid cannot fold the records it cuts from their
+// blocks, so it decodes them without materialising a block first — it
+// allocates less than one block weighs, where the same aggregate on the
+// grid folds the record from its block — and answers exactly as the
+// row-by-row reference does.
+func TestOffGridAggregateMaterialisesNoBlock(t *testing.T) {
+	const ntags, base = 16, 2
+	f := newFixture(t, Config{BatchSize: 128, SubBucketMs: base}, 0)
+	ds := f.source(t, f.schema(t, "wide", ntags).ID, false, 8)
+	var truth []model.Point
+	for j := 0; j < 4*128; j++ {
+		vals := make([]float64, ntags)
+		for tag := range vals {
+			vals[tag] = float64((j*(tag+3))%97) / 4
+		}
+		p := model.Point{Source: ds.ID, TS: int64(j) * 8, Values: vals}
+		truth = append(truth, p.Clone())
+		if err := f.store.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Each record spans 1,016 ms: 509 two-millisecond buckets of 16 tags.
+	blockBytes := uint64(509 * ntags * 4 * 8)
+	aggregate := func(t1, t2 int64) (*AggResult, uint64) {
+		spec := AggSpec{T1: t1, T2: t2, NTags: ntags, BucketMs: 4 * base, Opts: ScanOptions{NoCache: true}}
+		least := uint64(math.MaxUint64)
+		var res *AggResult
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := f.store.AggregateHistorical(ds.ID, spec)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, least = r, min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		compareAgg(t, fmt.Sprintf("[%d,%d)", t1, t2), res, refFold(truth, spec), spec)
+		return res, least
+	}
+	// Both edges inside the first record: off the grid it decodes, on the
+	// grid it folds from the block.
+	off, offBytes := aggregate(501, 613)
+	if off.SubBucketFolds != 0 || offBytes >= blockBytes {
+		t.Fatalf("off-grid aggregate: %d sub-bucket folds, %d bytes allocated, want none and under one block's %d", off.SubBucketFolds, offBytes, blockBytes)
+	}
+	on, onBytes := aggregate(504, 616)
+	if on.SubBucketFolds != 1 || onBytes < blockBytes {
+		t.Fatalf("on-grid aggregate: %d sub-bucket folds, %d bytes allocated, want 1 and at least a block's %d", on.SubBucketFolds, onBytes, blockBytes)
 	}
 }

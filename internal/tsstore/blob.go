@@ -18,9 +18,17 @@ import (
 )
 
 // BlobFormat is the ValueBlob format this codec writes and a served store
-// holds only: header summaries, and sub-bucket blocks where a record's span
-// allows them. The catalog persists it as the store's format marker.
-const BlobFormat = 3
+// holds only: header summaries, sub-bucket blocks where a record's span
+// allows them, and (v4) every column of more than segmentRows values —
+// an IRTS record's timestamps and every tag's — stored in segments of
+// segmentRows. The catalog persists it as the store's format marker.
+const BlobFormat = 4
+
+// segmentRows is the rows per timestamp segment and the values per value
+// segment: a window decodes the segments holding its rows, not the record
+// from row 0. It is the default batch size, so default hot and MG records
+// are single segments, byte for byte the v3 layout.
+const segmentRows = compress.SegmentValues
 
 // ErrCorruptBlob reports an undecodable ValueBlob.
 var ErrCorruptBlob = errors.New("tsstore: corrupt value blob")
@@ -307,15 +315,16 @@ func countBits(bm []byte, from, to int) int {
 }
 
 // decodeColumns reconstructs rows [i0, i1) of the count rows in the layout
-// written by encodeColumns. wantTags selects which tag indexes to decode
-// (nil = all); unselected tags come back NULL. A column is decoded only as
-// far as row i1 reaches into it, and never further than its stripe of the
-// presence bitmap says it goes: the bitmap, whose length the blob's own
-// bytes bound, is what sizes every allocation here.
-func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]float64, error) {
+// written by encodeColumns, and counts the values it decoded. wantTags
+// selects which tag indexes to decode (nil = all); unselected tags come
+// back NULL. A column is decoded from the segment holding row i0's value
+// only as far as row i1 reaches into it, and never further than its stripe
+// of the presence bitmap says it goes: the bitmap, whose length the blob's
+// own bytes bound, is what sizes every allocation here.
+func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]float64, int, error) {
 	bmLen := bitmapLen(count * ntags)
 	if len(b) < bmLen {
-		return nil, ErrCorruptBlob
+		return nil, 0, ErrCorruptBlob
 	}
 	bm := b[:bmLen]
 	b = b[bmLen:]
@@ -340,10 +349,11 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 			}
 		}
 	}
+	decoded := 0
 	for tag := 0; tag < ntags; tag++ {
 		colLen, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b[n:])) < colLen {
-			return nil, ErrCorruptBlob
+			return nil, 0, ErrCorruptBlob
 		}
 		col := b[n : n+int(colLen)]
 		b = b[n+int(colLen):]
@@ -353,21 +363,22 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 		// The column holds the present values only: the window's start at
 		// the number present before row i0.
 		vi := countBits(bm, tag*count, tag*count+i0)
-		vals, err := compress.DecodeColumnN(col, vi+countBits(bm, tag*count+i0, tag*count+i1))
+		vals, start, err := compress.DecodeColumnN(col, vi, vi+countBits(bm, tag*count+i0, tag*count+i1))
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		decoded += len(vals)
 		for row := i0; row < i1; row++ {
 			if getBit(bm, tag*count+row) {
-				if vi >= len(vals) {
-					return nil, ErrCorruptBlob
+				if vi-start >= len(vals) {
+					return nil, 0, ErrCorruptBlob
 				}
-				rows[row-i0][tag] = vals[vi]
+				rows[row-i0][tag] = vals[vi-start]
 				vi++
 			}
 		}
 	}
-	return rows, nil
+	return rows, decoded, nil
 }
 
 // EncodeRTS packs a run of regular points (identical intervals, contiguous
@@ -394,7 +405,8 @@ func EncodeRTS(points []model.Point, ntags int, intervalMs int64, opts encodeOpt
 }
 
 // EncodeIRTS packs irregular points into an IRTS ValueBlob; timestamps are
-// delta-of-delta encoded. They ride inline and need not be sorted.
+// delta-of-delta encoded (appendTimestamps). They ride inline and need not
+// be sorted.
 func EncodeIRTS(points []model.Point, ntags int, opts encodeOpts) []byte {
 	var base int64
 	if len(points) > 0 {
@@ -409,7 +421,7 @@ func EncodeIRTS(points []model.Point, ntags int, opts encodeOpts) []byte {
 	cols, stats, effRows := encodeColumns(rows, ntags, opts)
 	dst := make([]byte, 0, 64+len(points)*ntags)
 	dst = appendBlobHeader(dst, blobIRTS, ntags, len(points), 0, opts, stats, base, ts, effRows)
-	dst = compress.AppendDeltaOfDeltas(dst, ts)
+	dst = appendTimestamps(dst, ts)
 	return append(dst, cols...)
 }
 
@@ -450,6 +462,154 @@ func EncodeMG(present []bool, rows [][]float64, tsOffsets []int64, ntags int, op
 	return append(dst, cols...)
 }
 
+// appendTimestamps appends an IRTS record's timestamp column. Up to
+// segmentRows rows it is one delta-of-delta stream, as before segments
+// existed; longer, it is segmented:
+//
+//	uvarint 0       a stream opens with its count, which is > segmentRows here
+//	per segment     uvarint len<<1 | sorted, varint min - the previous
+//	                segment's min (the first's: min itself), uvarint max-min
+//	segments        delta-of-delta streams of ts - min, segmentRows rows each
+//
+// The bounds let a window pick its segments without assuming the rows are
+// sorted; sorted says a segment's rows never decrease, so a window stops
+// inside its last segment at the first row past its end.
+func appendTimestamps(dst []byte, ts []int64) []byte {
+	if len(ts) <= segmentRows {
+		return compress.AppendDeltaOfDeltas(dst, ts)
+	}
+	dst = append(dst, 0)
+	var body []byte
+	rel := make([]int64, segmentRows)
+	prevMin := int64(0)
+	for i := 0; i < len(ts); i += segmentRows {
+		seg := ts[i:min(i+segmentRows, len(ts))]
+		lo, hi, sorted := seg[0], seg[0], uint64(1)
+		for j, t := range seg {
+			lo, hi = min(lo, t), max(hi, t)
+			if j > 0 && t < seg[j-1] {
+				sorted = 0
+			}
+		}
+		rel = rel[:len(seg)]
+		for j, t := range seg {
+			rel[j] = t - lo
+		}
+		n := len(body)
+		body = compress.AppendDeltaOfDeltas(body, rel)
+		dst = binary.AppendUvarint(dst, uint64(len(body)-n)<<1|sorted)
+		dst = binary.AppendVarint(dst, lo-prevMin)
+		dst = binary.AppendUvarint(dst, uint64(hi)-uint64(lo))
+		prevMin = lo
+	}
+	return append(dst, body...)
+}
+
+// decodeTimestamps decodes the timestamps of rows [from, from+len(ts)) of
+// an IRTS record of count rows — a range holding every row in [lo, last],
+// possibly with rows outside it — and returns the bytes behind the column.
+// A one-stream column decodes whole. A segmented one decodes the segments
+// from the first whose bounds meet the window to the last, the last only
+// up to its first row past last when it is sorted; none when no segment
+// meets it. Every row decoded must lie in its segment's bounds, in order
+// when the segment says it is sorted, so the bounds a full decode accepts
+// are the truth a window relies on.
+func decodeTimestamps(b []byte, count int, lo, last int64) (ts []int64, from int, rest []byte, err error) {
+	if n, k := binary.Uvarint(b); k <= 0 || n != 0 || count <= segmentRows {
+		ts, rest, err := compress.DeltaOfDeltas(b)
+		if err != nil || len(ts) != count {
+			return nil, 0, nil, ErrCorruptBlob
+		}
+		return ts, 0, rest, nil
+	}
+	nseg := (count + segmentRows - 1) / segmentRows
+	if 3*nseg > len(b) {
+		return nil, 0, nil, ErrCorruptBlob // every entry takes three bytes
+	}
+	// Walk the table: the bytes it accounts for, and the window's first
+	// and last segments, with where the first one's entry and stream start.
+	r := blobReader{b: b, off: 1}
+	var total uint64
+	first, lastSeg, firstEntry, firstOff, firstMin := -1, -1, 0, uint64(0), int64(0)
+	segMin := int64(0)
+	for s := 0; s < nseg && !r.bad; s++ {
+		entry := r.off
+		l := r.uvarint(uint64(2*len(b)+1)) >> 1 // no sum of them wraps
+		segMin += r.varint()
+		span := r.uvarint(uint64(math.MaxInt64) - uint64(segMin))
+		if segMin <= last && segMin+int64(span) >= lo {
+			if first < 0 {
+				first, firstEntry, firstOff, firstMin = s, entry, total, segMin
+			}
+			lastSeg = s
+		}
+		total += l
+	}
+	if r.bad || total > uint64(len(b)-r.off) {
+		return nil, 0, nil, ErrCorruptBlob
+	}
+	body, rest := b[r.off:r.off+int(total)], b[r.off+int(total):]
+	if first < 0 {
+		return nil, 0, rest, nil
+	}
+	r.off, segMin = firstEntry, firstMin
+	off := firstOff
+	ts = make([]int64, 0, (lastSeg-first+1)*segmentRows)
+	for s := first; s <= lastSeg; s++ {
+		lenSorted := r.uvarint(math.MaxUint64)
+		if d := r.varint(); s > first {
+			segMin += d
+		}
+		span := r.uvarint(math.MaxUint64)
+		stream := body[off : off+lenSorted>>1]
+		off += lenSorted >> 1
+		share := min(segmentRows, count-s*segmentRows)
+		stop := lenSorted&1 == 1 && s == lastSeg
+		if ts, err = appendTimestampSegment(ts, stream, share, segMin, span, lenSorted&1 == 1, stop, last); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	return ts, first * segmentRows, rest, nil
+}
+
+// appendTimestampSegment appends the share rows of one timestamp segment,
+// each min plus its stream value, checking each against the segment's
+// bounds and, when sorted, order; with stop it ends at the first row past
+// last (behind it a sorted segment holds no row at or before last).
+func appendTimestampSegment(ts []int64, stream []byte, share int, segMin int64, span uint64, sorted, stop bool, last int64) ([]int64, error) {
+	n, k := binary.Uvarint(stream)
+	if k <= 0 || n != uint64(share) {
+		return nil, ErrCorruptBlob
+	}
+	stream = stream[k:]
+	var v, delta, d int64
+	var err error
+	for i := 0; i < share; i++ {
+		if d, stream, err = compress.Varint(stream); err != nil {
+			return nil, ErrCorruptBlob
+		}
+		switch i {
+		case 0:
+			v = d
+		case 1:
+			delta = d
+			v += delta
+		default:
+			delta += d
+			v += delta
+		}
+		t := segMin + v
+		if uint64(v) > span || sorted && i > 0 && t < ts[len(ts)-1] {
+			return nil, ErrCorruptBlob
+		}
+		if stop && t > last {
+			break
+		}
+		ts = append(ts, t)
+	}
+	return ts, nil
+}
+
 // DecodedBatch is the result of decoding any ValueBlob.
 type DecodedBatch struct {
 	// Structure reports which batch structure the blob used.
@@ -462,6 +622,9 @@ type DecodedBatch struct {
 	Rows [][]float64
 	// Slots maps MG rows to group member slots; nil for RTS/IRTS.
 	Slots []int
+	// decoded counts the timestamps and tag values the decode materialised
+	// (Stats.DecodedValues), the rows a window's segments hold around it too.
+	decoded int
 }
 
 // DecodeBlob decodes a ValueBlob of any structure. baseTS is the timestamp
@@ -545,7 +708,7 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 	switch h.structure {
 	case blobRTS:
 		i0, i1 := rtsRowRange(baseTS, h.interval, h.count, lo, last)
-		rows, err := decodeColumns(b, h.count, h.ntags, wantTags, i0, i1)
+		rows, n, err := decodeColumns(b, h.count, h.ntags, wantTags, i0, i1)
 		if err != nil {
 			return nil, err
 		}
@@ -553,18 +716,18 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 		for i := range ts {
 			ts[i] = baseTS + int64(i0+i)*h.interval
 		}
-		return &DecodedBatch{Structure: model.RTS, Timestamps: ts, Rows: rows}, nil
+		return &DecodedBatch{Structure: model.RTS, Timestamps: ts, Rows: rows, decoded: n + len(ts)}, nil
 	case blobIRTS:
-		ts, rest, err := compress.DeltaOfDeltas(b)
-		if err != nil || len(ts) != h.count {
-			return nil, ErrCorruptBlob
-		}
-		i0, i1 := rowRange(ts, lo, last)
-		rows, err := decodeColumns(rest, h.count, h.ntags, wantTags, i0, i1)
+		ts, from, rest, err := decodeTimestamps(b, h.count, lo, last)
 		if err != nil {
 			return nil, err
 		}
-		return &DecodedBatch{Structure: model.IRTS, Timestamps: ts[i0:i1], Rows: rows}, nil
+		i0, i1 := rowRange(ts, lo, last)
+		rows, n, err := decodeColumns(rest, h.count, h.ntags, wantTags, from+i0, from+i1)
+		if err != nil {
+			return nil, err
+		}
+		return &DecodedBatch{Structure: model.IRTS, Timestamps: ts[i0:i1], Rows: rows, decoded: n + len(ts)}, nil
 	}
 	memberCount := h.count
 	bmLen := bitmapLen(memberCount)
@@ -594,7 +757,7 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 		}
 		i1 = i0 + 1
 	}
-	rows, err := decodeColumns(rest, reported, h.ntags, wantTags, i0, i1)
+	rows, n, err := decodeColumns(rest, reported, h.ntags, wantTags, i0, i1)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +776,57 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 	for i := range ts {
 		ts[i] = baseTS + offsets[i0+i]
 	}
-	return &DecodedBatch{Structure: model.MG, Timestamps: ts, Rows: rows, Slots: slots}, nil
+	return &DecodedBatch{Structure: model.MG, Timestamps: ts, Rows: rows, Slots: slots, decoded: n + len(offsets)}, nil
+}
+
+// segmented reports whether every column of the record holding more than
+// segmentRows values — an IRTS record's timestamps, any tag's — is
+// segmented, as the current format writes it; the upgrade re-encodes a
+// record whose columns are not. A payload that does not parse counts as
+// segmented: the upgrade leaves unreadable records to fsck.
+func (h *blobHeader) segmented() bool {
+	b, rows := h.payload(), h.count
+	if rows <= segmentRows {
+		return true // MG: members bound the rows reported
+	}
+	switch h.structure {
+	case blobIRTS:
+		// A v3 column opens with its row count; a v4 writer segments the
+		// tags' columns wherever it segments the timestamps.
+		n, k := binary.Uvarint(b)
+		return k <= 0 || n == 0
+	case blobMG:
+		bmLen := bitmapLen(rows)
+		if len(b) < bmLen {
+			return true
+		}
+		// Behind the member bitmap: the reported count, then the offsets.
+		rows = countBits(b, 0, h.count)
+		_, n := binary.Uvarint(b[bmLen:])
+		if n <= 0 {
+			return true
+		}
+		var err error
+		if _, b, err = compress.Deltas(b[bmLen+n:]); err != nil {
+			return true
+		}
+	}
+	bmLen := bitmapLen(rows * h.ntags)
+	if len(b) < bmLen {
+		return true
+	}
+	bm, cols := b[:bmLen], b[bmLen:]
+	for tag := 0; tag < h.ntags; tag++ {
+		l, n := binary.Uvarint(cols)
+		if n <= 0 || l == 0 || uint64(len(cols)-n) < l {
+			return true
+		}
+		if countBits(bm, tag*rows, (tag+1)*rows) > segmentRows && compress.Codec(cols[n]) != compress.CodecSegments {
+			return false
+		}
+		cols = cols[n+int(l):]
+	}
+	return true
 }
 
 // whole reports whether batch, a decode of this header's record, holds

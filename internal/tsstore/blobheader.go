@@ -164,7 +164,8 @@ type blobHeader struct {
 	zoneOff   int   // section offsets; 0 = section absent
 	sumOff    int   // the summary's per-tag stats, after the three fields below
 	subOff    int
-	payOff    int // where the payload starts; 0 = the header did not parse
+	subBase   int64 // the sub-bucket block's base width; 0 = no block
+	payOff    int   // where the payload starts; 0 = the header did not parse
 	// The head of the summary block: row count, firstTS-baseTS, lastTS-firstTS.
 	rows, firstDelta, spanMs int64
 }
@@ -190,8 +191,9 @@ func parseBlobHeader(b []byte) (blobHeader, bool) {
 		// The block rides behind the summary block; a blob claiming one
 		// without the other was never written by any encoder.
 		h.subOff = r.off
-		base, k := r.varint(), r.uvarint(maxSubBucketsRead)
-		r.bad = r.bad || h.sumOff == 0 || base <= 0 || k < 1
+		h.subBase = r.varint()
+		k := r.uvarint(maxSubBucketsRead)
+		r.bad = r.bad || h.sumOff == 0 || h.subBase <= 0 || k < 1
 		for i := uint64(0); i < k && !r.bad; i++ {
 			rows := r.uvarint(1 << 24)
 			for tag := 0; tag < h.ntags && !r.bad; tag++ {
@@ -562,13 +564,11 @@ func (h *blobHeader) subSummaries(sum *blobSummary) *subSummaries {
 			}
 		}
 	}
-	for _, left := range nonNull {
+	// Nothing may be left over: every tag's non-NULL count, and the rows.
+	for _, left := range append(nonNull, rows) {
 		if left != 0 {
 			return nil
 		}
-	}
-	if rows != 0 {
-		return nil
 	}
 	return sub
 }

@@ -27,9 +27,11 @@ type goldenFixture struct {
 }
 
 // goldenFixtures encodes structure × tier × shape with the package's
-// encoders at the one format a served store holds (v3: summary and, where
-// the span allows, sub-bucket blocks): every byte the store writes comes
-// out of one of these code paths.
+// encoders at the one format a served store holds (v4: summary, where the
+// span allows sub-bucket blocks, and columns of more than 128 values in
+// segments): every byte the store writes comes out of one of these code
+// paths. Records of 128 rows or fewer are byte for byte what format 3
+// wrote and keep its name; the segmented shapes are named v4.
 func goldenFixtures() []goldenFixture {
 	type shape struct {
 		name     string
@@ -37,6 +39,7 @@ func goldenFixtures() []goldenFixture {
 		interval int64
 		opts     encodeOpts
 		value    func(row, tag int) float64
+		unsorted bool // IRTS and MG: every seventh timestamp steps back
 	}
 	mixed := func(row, tag int) float64 {
 		if (row+tag)%7 == 3 {
@@ -59,6 +62,22 @@ func goldenFixtures() []goldenFixture {
 		// the writer's cap, so the writer skips the block.
 		{name: "manysub", rows: 60, interval: 100, value: mixed},
 	}
+	// Segmented shapes: NULL runs of 50 rows, offset per tag, cross the
+	// 128-row segment boundaries. 129 and 256 rows still carry a
+	// sub-bucket block; 257 and 1,024 span past the writer's cap.
+	runs := func(row, tag int) float64 {
+		if (row+30*tag)/50%2 == 1 {
+			return model.NullValue
+		}
+		return mixed(row, tag)
+	}
+	for _, rows := range []int{129, 256, 257, 1024} {
+		interval := int64(10)
+		if rows > 256 {
+			interval = 20
+		}
+		shapes = append(shapes, shape{name: fmt.Sprintf("seg%d", rows), rows: rows, interval: interval, value: runs, unsorted: true})
+	}
 	const ntags = 3
 	var out []goldenFixture
 	for _, structure := range []string{"rts", "irts", "mg"} {
@@ -68,6 +87,9 @@ func goldenFixtures() []goldenFixture {
 				ts := 1000 + int64(i)*sh.interval
 				if structure != "rts" {
 					ts += int64(i % 3) // irregular, still non-decreasing
+					if sh.unsorted && i%7 == 6 {
+						ts -= 3 * sh.interval
+					}
 				}
 				vals := make([]float64, ntags)
 				for tag := range vals {
@@ -91,7 +113,7 @@ func goldenFixtures() []goldenFixture {
 				default:
 					// One member per point plus absent members, offsets
 					// relative to the record's window base.
-					members := len(pts) + 2
+					members := max(len(pts)+2, len(pts)+(len(pts)-1)/20)
 					present := make([]bool, members)
 					rows := make([][]float64, members)
 					offsets := make([]int64, members)
@@ -105,7 +127,11 @@ func goldenFixtures() []goldenFixture {
 				if cold {
 					tier = "cold"
 				}
-				name := fmt.Sprintf("%s/%s/v3/%s", structure, sh.name, tier)
+				format := "v3"
+				if sh.rows > segmentRows {
+					format = "v4"
+				}
+				name := fmt.Sprintf("%s/%s/%s/%s", structure, sh.name, format, tier)
 				out = append(out, goldenFixture{name, blob})
 				if stub, ok := makeStubBlob(blob); ok {
 					out = append(out, goldenFixture{name + "/stub", stub})

@@ -128,11 +128,13 @@ func (s *Store) Reorganize(schemaID int64, upTo int64) (MaintenanceResult, error
 }
 
 // UpgradeBlobs rewrites in place every record written before the current
-// blob format — no header summary, or no sub-bucket block — losslessly and
-// in its tier, so aggregates fold it from its header; stubs, unreadable
-// records and current ones stay, and a row-oriented record (a removed
-// layout) fails the pass with ErrCorruptBlob. It then re-derives every
-// range's statistics from its records' headers: how a store written before
+// blob format — no header summary, no sub-bucket block, or a column of
+// more than segmentRows values in one piece — losslessly and in its tier,
+// so aggregates fold it from its header and windows decode only their
+// segments; stubs, unreadable records and current ones stay, and a
+// row-oriented record (a removed layout) fails the pass with
+// ErrCorruptBlob. It then re-derives every range's statistics from its
+// records' headers: how a store written before
 // the per-tier span bounds gets them, and the repair for statistics that
 // drifted, were lost, or understate a record's reach. On a store marked as
 // holding the current format only the repair has work to do.
@@ -343,13 +345,15 @@ func (p *rangePlan) stub(before int64, res *MaintenanceResult) {
 
 // upgradedBlob returns r re-encoded at the current format, or false when r
 // stays as it is: a stub (its rows are gone), an unreadable record, or one
-// already current — also one whose re-encode would gain nothing.
+// already current — also one whose re-encode would gain nothing. A v3
+// record reads through the current decoder, its long columns as single
+// segments, so no legacy reader exists.
 func (s *Store) upgradedBlob(r stored) ([]byte, bool) {
 	h, ok := parseBlobHeader(r.blob)
 	if !ok || h.tier() == TierStub {
 		return nil, false
 	}
-	if h.hasSummary() && (h.subOff != 0 || h.structure == blobMG) {
+	if h.hasSummary() && (h.subOff != 0 || h.structure == blobMG) && h.segmented() {
 		return nil, false
 	}
 	batch, err := h.decodeAll(r.ts, nil)
@@ -361,8 +365,8 @@ func (s *Store) upgradedBlob(r stored) ([]byte, bool) {
 	opts := s.encodeOptsFor(nil)
 	opts.cold = h.tier() == TierCold
 	blob := h.reencode(batch, r.ts, opts)
-	// A summarized blob may gain nothing: with no rows, or a span past the
-	// writer's cap, it has no sub-bucket block at any format.
+	// A summarized, segmented blob may gain nothing: with no rows, or a span
+	// past the writer's cap, it has no sub-bucket block at any format.
 	nh, _ := parseBlobHeader(blob)
-	return blob, !h.hasSummary() || nh.subOff != 0
+	return blob, !h.hasSummary() || nh.subOff != 0 || !h.segmented()
 }

@@ -98,6 +98,10 @@ type Stats struct {
 	// avoided reading.
 	SubBucketFolds           int64
 	SubBucketBytesNotDecoded int64
+	// DecodedValues counts the timestamps plus tag values that scan and
+	// aggregate payload decodes materialised: a window's whole segments,
+	// not only its rows (cache hits decode nothing).
+	DecodedValues int64
 	// ColdCompactions counts hot records consumed by cold-tier passes;
 	// StubTransitions counts records truncated to summary-only stubs;
 	// TierBytesReclaimed is the net encoded bytes tier passes removed.
@@ -183,6 +187,7 @@ type Store struct {
 	bytesNotDecoded          atomic.Int64
 	subBucketFolds           atomic.Int64
 	subBucketBytesNotDecoded atomic.Int64
+	decodedValues            atomic.Int64 // see Stats.DecodedValues
 
 	// Tier lifecycle counters (cumulative; see tier.go).
 	coldCompactions    atomic.Int64
@@ -334,6 +339,7 @@ func (s *Store) Stats() Stats {
 		BytesNotDecoded:          s.bytesNotDecoded.Load(),
 		SubBucketFolds:           s.subBucketFolds.Load(),
 		SubBucketBytesNotDecoded: s.subBucketBytesNotDecoded.Load(),
+		DecodedValues:            s.decodedValues.Load(),
 		ColdCompactions:          s.coldCompactions.Load(),
 		StubTransitions:          s.stubTransitions.Load(),
 		TierBytesReclaimed:       s.tierBytesReclaimed.Load(),

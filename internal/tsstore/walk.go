@@ -540,6 +540,7 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, shared b
 	}
 	w.decoded++
 	w.decodedRows += len(batch.Rows)
+	w.s.decodedValues.Add(int64(batch.decoded))
 	if shared = w.cache != nil && r.hdr.whole(batch); shared {
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
 			batch, r.hdr.detached(), int64(len(r.blob)))

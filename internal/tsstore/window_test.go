@@ -52,22 +52,31 @@ func checkWindowedDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []i
 }
 
 // TestWindowedDecodeIsFullDecodeRestricted: for random RTS and IRTS
-// records — unsorted and duplicate timestamps, NULL-heavy bitmaps, hot and
-// cold codecs, lossy policies — random tag selections and
-// random windows, the range decode yields full-decode-then-filter.
+// records — unsorted and duplicate timestamps, NULL-heavy bitmaps and NULL
+// runs, hot and cold codecs, lossy policies, and records of 129, 256, 257
+// and 1,024 rows whose runs cross segment boundaries — random tag
+// selections and random windows, the range decode yields
+// full-decode-then-filter.
 func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const ntags = 4
 	partial := 0
 	for round := 0; round < 400; round++ {
 		n := rng.Intn(200)
-		if round%20 == 0 {
+		switch round % 20 {
+		case 0:
 			n = rng.Intn(3)
+		case 5, 15:
+			n = []int{129, 256, 257, 1024}[round/10%4]
 		}
 		regular := rng.Intn(2) == 0
 		interval := int64(1 + rng.Intn(50))
 		base := int64(rng.Intn(2000)) - 1000
 		nullShare := []float64{0, 0.1, 0.9, 1}[rng.Intn(4)]
+		runLen := 0 // NULL runs of runLen rows, offset per tag
+		if rng.Intn(3) == 0 {
+			nullShare, runLen = 0, 1+rng.Intn(150)
+		}
 		pts := make([]model.Point, n)
 		ts := base
 		for i := range pts {
@@ -82,7 +91,7 @@ func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
 			vals := make([]float64, ntags)
 			for tag := range vals {
 				switch {
-				case rng.Float64() < nullShare:
+				case rng.Float64() < nullShare || runLen > 0 && (i+37*tag)/runLen%2 == 0:
 					vals[tag] = model.NullValue
 				case tag == 0:
 					vals[tag] = 42 // constant: linear
@@ -490,5 +499,66 @@ func TestSliceDoesNotEnterTheCache(t *testing.T) {
 	slice(900_000, 905_000)
 	if st := f.store.Stats(); st.BlobCacheEntries != filled.BlobCacheEntries || st.BlobCacheEvictions != 0 {
 		t.Fatalf("a slice over a warm cache changed it: %+v", st)
+	}
+}
+
+// TestWindowDecodeBounded: a 10-row window over a 1,024-row cold IRTS
+// record — NULL runs crossing its segment boundaries — materialises at
+// most one segment's rows in front of the window and none behind it: at
+// most 128 + 10 timestamps, and as many values per column it wants, as
+// Stats.DecodedValues counts them. A full-range scan still materialises
+// every timestamp and every present value.
+func TestWindowDecodeBounded(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 128}, 0)
+	s := f.schema(t, "meter", 4)
+	ds := f.source(t, s.ID, false, 500)
+	const n = 1024
+	ts := make([]int64, n)
+	present := 0
+	for j := range ts {
+		ts[j] = int64(j)*500 + int64(j%3)
+		vals := make([]float64, 4)
+		for tag := range vals {
+			if (j+40*tag)/53%3 == 0 { // runs of 53 NULLs, offset per tag
+				vals[tag] = model.NullValue
+				continue
+			}
+			vals[tag] = float64(j*(tag+1)) + 0.5
+			present++
+		}
+		if err := f.store.Write(model.Point{Source: ds.ID, TS: ts[j], Values: vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1, ColdBatchPoints: n}, ts[n-1]+2); err != nil || res.Rewritten != 1 {
+		t.Fatalf("cold pass: %+v, %v; want one 1,024-row cold record", res, err)
+	}
+	scan := func(t1, t2 int64, wantTags []int) (rows int, decoded int64) {
+		t.Helper()
+		was := f.store.Stats().DecodedValues
+		it, err := f.store.HistoricalScanOpts(ds.ID, t1, t2, wantTags, ScanOptions{NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = len(collect(t, it))
+		return rows, f.store.Stats().DecodedValues - was
+	}
+	for _, r0 := range []int{0, 300, 250, 124, 1014} { // inside a segment, across a boundary, at the end
+		t1, t2 := ts[r0], ts[r0+9]+1
+		rows, stamps := scan(t1, t2, []int{})
+		if rows != 10 || stamps > 128+10 {
+			t.Fatalf("rows [%d,%d): %d rows, %d timestamps materialised, want 10 and at most 138", r0, r0+10, rows, stamps)
+		}
+		for tag := 0; tag < 4; tag++ {
+			if _, decoded := scan(t1, t2, []int{tag}); decoded-stamps > 128+10 {
+				t.Fatalf("rows [%d,%d) tag %d: %d values materialised, want at most 138", r0, r0+10, tag, decoded-stamps)
+			}
+		}
+	}
+	if rows, decoded := scan(math.MinInt64, math.MaxInt64, nil); rows != n || decoded != int64(n+present) {
+		t.Fatalf("full scan: %d rows, %d values materialised, want %d and %d", rows, decoded, n, n+present)
 	}
 }

@@ -91,9 +91,10 @@ type (
 var ErrStubbed = tsstore.ErrStubbedBlob
 
 // ErrNeedsUpgrade matches (via errors.Is) Open's error for a store written
-// before the ValueBlob format marker, whose records may be of a format a
-// served store no longer reads: Upgrade (odh-cli -dir DIR upgrade) it.
-var ErrNeedsUpgrade = errors.New("odh: the store predates the ValueBlob format marker")
+// before the current ValueBlob format marker — unmarked, or marked with an
+// older format — whose records may be of a format a served store no longer
+// reads: Upgrade (odh-cli -dir DIR upgrade) it.
+var ErrNeedsUpgrade = errors.New("odh: the store predates the current ValueBlob format marker")
 
 // NullValue is the NULL tag value for Point.Values.
 var NullValue = model.NullValue
@@ -174,22 +175,23 @@ type Historian struct {
 
 // Open opens (creating if necessary) a historian. dir == "" opens an
 // in-memory historian for tests and benchmarks; otherwise the directory
-// holds the page store file and optional recovery log. A store written
-// before the ValueBlob format marker is refused with ErrNeedsUpgrade, its
-// files untouched.
+// holds the page store file and optional recovery log. A store not marked
+// with the current ValueBlob format — written before the marker, or marked
+// with an older format — is refused with ErrNeedsUpgrade, its files
+// untouched.
 func Open(dir string, opts Options) (*Historian, error) {
 	return open(dir, opts, true)
 }
 
-// Upgrade brings the store in dir, written before the ValueBlob format
-// marker, to the format a served store holds and marks it, for Open to
-// accept; nothing may be serving it. On a copy of the page file, opened as
+// Upgrade brings the store in dir, unmarked or marked with an older
+// ValueBlob format, to the format a served store holds and marks it, for
+// Open to accept; nothing may be serving it. On a copy of the page file, opened as
 // Open opens a store minus the marker check and the recovery log (the
 // first Open replays it), it runs the UpgradeBlobs pass, requires
 // VerifyIntegrity to be clean — else the report is the error — marks and
 // checkpoints the copy, and only then renames it over the page file: a
-// failure or crash at any step leaves the store as it was. On a marked
-// store it rewrites nothing. Under RecoverLenient corrupt blobs alone do
+// failure or crash at any step leaves the store as it was. On a store
+// marked with the current format it rewrites nothing. Under RecoverLenient corrupt blobs alone do
 // not stop the mark: lenient scans skip them, fsck names them.
 func Upgrade(dir string, opts Options) (res MaintenanceResult, err error) {
 	if dir == "" || opts.Backing != nil {
