@@ -419,6 +419,35 @@ func (c *Catalog) Source(id int64) (*model.DataSource, bool) {
 	return ds, ok
 }
 
+// Lookup is one entry of a batch lookup (Resolve): a source id in, the
+// source and its schema out.
+type Lookup struct {
+	ID     int64
+	Source *model.DataSource // nil: no source has ID
+	Schema *model.SchemaType // nil: the source's schema is missing
+}
+
+// Resolve looks up each entry's source and that source's schema, in
+// order, under one read lock — an ingest frame's validation, which would
+// otherwise take the lock twice per point. It stops at the first entry
+// that does not resolve in full and returns its index, or len(ls) when
+// every entry resolved.
+func (c *Catalog) Resolve(ls []Lookup) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for i := range ls {
+		l := &ls[i]
+		l.Source, l.Schema = c.srcCache[l.ID], nil
+		if l.Source == nil {
+			return i
+		}
+		if l.Schema = c.bySchemaID[l.Source.SchemaID]; l.Schema == nil {
+			return i
+		}
+	}
+	return len(ls)
+}
+
 // SourcesBySchema returns the ids of every source of a schema type, in
 // ascending order (a copy the caller owns).
 func (c *Catalog) SourcesBySchema(schemaID int64) []int64 {

@@ -352,6 +352,56 @@ func TestRouterLookup(t *testing.T) {
 	}
 }
 
+// TestResolve covers the batch lookup behind ingest validation: every
+// entry found, an unknown source, and a source whose schema record was
+// lost (it still loads at reopen, without its schema). Resolve stops at
+// the first entry that does not resolve in full.
+func TestResolve(t *testing.T) {
+	f := pagestore.NewMemFile()
+	store, err := pagestore.Open(f, pagestore.Options{PoolPages: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	c, err := Open(store, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _ := c.CreateSchemaType("environ", envTags())
+	gone, _ := c.CreateSchemaType("gone", envTags())
+	a, _ := c.RegisterSource(model.DataSource{SchemaID: env.ID, Regular: true, IntervalMs: 10})
+	b, _ := c.RegisterSource(model.DataSource{SchemaID: env.ID, IntervalMs: 900000})
+	orphan, _ := c.RegisterSource(model.DataSource{SchemaID: gone.ID, IntervalMs: 10})
+
+	ls := []Lookup{{ID: a.ID}, {ID: b.ID}, {ID: a.ID}, {ID: orphan.ID}}
+	if got := c.Resolve(ls); got != len(ls) {
+		t.Fatalf("Resolve = %d, want %d", got, len(ls))
+	}
+	for i, l := range ls {
+		ds, _ := c.Source(l.ID)
+		schema, _ := c.SchemaByID(ds.SchemaID)
+		if l.Source != ds || l.Schema != schema {
+			t.Fatalf("entry %d: resolved (%v, %v), want (%v, %v)", i, l.Source, l.Schema, ds, schema)
+		}
+	}
+
+	ls = []Lookup{{ID: a.ID}, {ID: 0xDEAD}, {ID: b.ID}}
+	if got := c.Resolve(ls); got != 1 || ls[1].Source != nil || ls[1].Schema != nil || ls[0].Source != a {
+		t.Fatalf("unknown source: Resolve = %d, entries %+v", got, ls)
+	}
+
+	if err := c.schemas.Delete(keyenc.AppendInt64(nil, gone.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = Open(store, 0); err != nil {
+		t.Fatal(err)
+	}
+	ls = []Lookup{{ID: a.ID}, {ID: orphan.ID}, {ID: b.ID}}
+	if got := c.Resolve(ls); got != 1 || ls[1].Source == nil || ls[1].Source.SchemaID != gone.ID || ls[1].Schema != nil {
+		t.Fatalf("missing schema: Resolve = %d, entries %+v", got, ls)
+	}
+}
+
 func TestBatchRegisterMany(t *testing.T) {
 	c, _ := openCatalog(t, 8)
 	s, _ := c.CreateSchemaType("meters", envTags())

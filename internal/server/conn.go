@@ -308,7 +308,7 @@ func (sc *serverConn) applyLoop() {
 		case itemErr:
 			fmt.Fprintf(sc.out, "ERR %v\n", item.err)
 		case itemBatch:
-			err := w.WriteBatchParallel(item.points)
+			err := w.WriteBatch(item.points)
 			sc.s.release(sc, item.reserved)
 			if err != nil {
 				fmt.Fprintf(sc.out, "ERR %v\n", err)

@@ -149,56 +149,6 @@ func TestConcurrentIngestAcrossStructures(t *testing.T) {
 	}
 }
 
-// TestWriteBatchParallelMatchesSequential checks the fan-out path writes
-// exactly what the sequential path would: same point counts per source,
-// same scan results.
-func TestWriteBatchParallelMatchesSequential(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 32}, 8)
-	schema := f.schema(t, "parbatch", 1)
-	const nSources, perSource = 16, 100
-	srcs := make([]*model.DataSource, nSources)
-	for i := range srcs {
-		srcs[i] = f.source(t, schema.ID, true, 10)
-	}
-	// Interleaved mixed-source batch.
-	var batch []model.Point
-	for i := 0; i < perSource; i++ {
-		for _, ds := range srcs {
-			batch = append(batch, model.Point{Source: ds.ID, TS: int64(i+1) * 10, Values: []float64{float64(i)}})
-		}
-	}
-	if err := f.store.WriteBatchParallel(batch, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, ds := range srcs {
-		if n := countPoints(t, f.store, ds.ID); n != perSource {
-			t.Errorf("source %d: %d points, want %d", ds.ID, n, perSource)
-		}
-		st := f.cat.Stats(ds.ID)
-		if st.PointCount != perSource {
-			t.Errorf("source %d catalog count = %d, want %d", ds.ID, st.PointCount, perSource)
-		}
-		if st.FirstTS != 10 || st.LastTS != perSource*10 {
-			t.Errorf("source %d range [%d,%d], want [10,%d]", ds.ID, st.FirstTS, st.LastTS, perSource*10)
-		}
-	}
-	// Unknown source anywhere in the batch fails the whole batch before
-	// any buffering.
-	bad := []model.Point{
-		{Source: srcs[0].ID, TS: 99_999, Values: []float64{1}},
-		{Source: 0xDEAD, TS: 99_999, Values: []float64{1}},
-	}
-	if err := f.store.WriteBatchParallel(bad, 4); err == nil {
-		t.Fatal("batch with unknown source must fail")
-	}
-	if n := countPoints(t, f.store, srcs[0].ID); n != perSource {
-		t.Fatalf("failed batch leaked points: %d", n)
-	}
-}
-
 // TestShardConfigOverride pins the shards override.
 func TestShardConfigOverride(t *testing.T) {
 	f1 := newFixture(t, Config{shards: 1}, 8)

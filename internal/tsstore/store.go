@@ -231,11 +231,22 @@ func (s *Store) shardFor(owner int64) *shard {
 	return s.shards[ownerHash(owner)&s.shardMask]
 }
 
-// sourceBuffer accumulates points for one RTS/IRTS source.
+// sourceBuffer accumulates points for one RTS/IRTS source. Their values
+// live in vals, one slab of BatchSize × tags allocated with the buffer (at
+// the source's first point) and reused by every batch after it: a buffered
+// point's Values is a capacity-limited window of the slab, so buffering a
+// point allocates nothing. Two invariants make the reuse safe. Nothing
+// keeps a buffered point past the flush that empties the buffer: planRun
+// and rangePlan.put encode the run before they return. And the dirty read
+// (walker.addBuffered) copies the points it takes while it holds the
+// latch. An append that outgrows the slab (a buffer a failed flush left
+// full) moves it; the points before still refer to the old array, which
+// stays valid.
 type sourceBuffer struct {
 	ds     *model.DataSource
 	schema *model.SchemaType
 	points []model.Point
+	vals   []float64
 }
 
 // groupBuffer holds the open rows of one MG group. A row opens at its first
@@ -373,41 +384,17 @@ func (s *Store) encodeOptsFor(schema *model.SchemaType) encodeOpts {
 	return opts
 }
 
-// resolved is a point whose source and schema were validated against the
-// catalog — ready to enter a shard.
-type resolved struct {
-	ds     *model.DataSource
-	schema *model.SchemaType
-	p      model.Point
-}
-
-// resolve validates one point against the catalog.
-func (s *Store) resolve(p model.Point) (resolved, error) {
-	ds, ok := s.cat.Source(p.Source)
-	if !ok {
-		return resolved{}, fmt.Errorf("tsstore: unknown data source %d", p.Source)
-	}
-	schema, ok := s.cat.SchemaByID(ds.SchemaID)
-	if !ok {
-		return resolved{}, fmt.Errorf("tsstore: source %d has unknown schema %d", p.Source, ds.SchemaID)
-	}
-	if len(p.Values) != len(schema.Tags) {
-		return resolved{}, fmt.Errorf("tsstore: source %d: %d values for %d tags", p.Source, len(p.Values), len(schema.Tags))
-	}
-	return resolved{ds: ds, schema: schema, p: p}, nil
-}
-
 // writeResolved routes a validated point into its owner's shard (every
 // member of an MG group serializes on one shard, which the windowed row
 // merge requires).
-func (s *Store) writeResolved(r resolved) error {
-	sh := s.shardFor(ownerOf(r.ds))
+func (s *Store) writeResolved(ds *model.DataSource, schema *model.SchemaType, p model.Point) error {
+	sh := s.shardFor(ownerOf(ds))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if r.ds.IngestStructure() == model.MG {
-		return s.writeMG(sh, r.ds, r.schema, r.p)
+	if ds.IngestStructure() == model.MG {
+		return s.writeMG(sh, ds, schema, p)
 	}
-	return s.writeBuffered(sh, r.ds, r.schema, r.p)
+	return s.writeBuffered(sh, ds, schema, p)
 }
 
 // Write ingests one operational record through the writer API. It is the
@@ -415,36 +402,46 @@ func (s *Store) writeResolved(r resolved) error {
 // buffer and becomes a persisted batch when b points accumulate. Writes
 // for different sources proceed in parallel.
 func (s *Store) Write(p model.Point) error {
-	return s.ingest([]model.Point{p}, 1, true)
+	return s.ingest([]model.Point{p}, true)
 }
 
-// WriteBatch ingests a slice of points.
+// WriteBatch ingests a slice of points in one pass (see ingest).
 func (s *Store) WriteBatch(points []model.Point) error {
-	return s.ingest(points, 1, true)
+	return s.ingest(points, true)
 }
 
-// WriteBatchParallel ingests a batch using up to workers goroutines. The
-// points are dealt to the workers by owner, so different owners are
-// buffered concurrently and per-source point order is preserved (a
-// source's points all go to one worker, in order). workers <= 1 buffers
-// them sequentially. On error the batch may be partially buffered — the
-// same non-transactional contract as sequential ingest.
+// WriteBatchParallel is WriteBatch; workers is ignored. It remains only
+// because the benchmark harness calls it by this name — there is one
+// ingest path, and this is not a second one.
 func (s *Store) WriteBatchParallel(points []model.Point, workers int) error {
-	return s.ingest(points, workers, true)
+	return s.WriteBatch(points)
 }
 
-// ingest is the one write path: the whole batch is validated first and,
-// when logged, appended to the recovery log as one frame record before any
-// point enters a buffer — all under a shared hold of logMu, so no
-// checkpoint recycles a record whose point is not buffered yet.
-func (s *Store) ingest(points []model.Point, workers int, logged bool) error {
-	rs := make([]resolved, len(points))
+// ingest is the one write path, one sequential pass per frame. The whole
+// frame is validated first, its sources and schemas resolved under one
+// catalog read lock; when logged, it is appended to the recovery log as one
+// frame record before any point enters a buffer — all under a shared hold
+// of logMu, so no checkpoint recycles a record whose point is not buffered
+// yet. A frame that fails validation logs, buffers and counts nothing; one
+// that fails later (a flush's put) may be partially buffered, the
+// non-transactional contract of the writer API.
+func (s *Store) ingest(points []model.Point, logged bool) error {
+	ls := make([]catalog.Lookup, len(points))
 	for i, p := range points {
-		r, err := s.resolve(p)
-		if err != nil {
-			return err
+		ls[i].ID = p.Source
+	}
+	bad := s.cat.Resolve(ls)
+	for i, p := range points[:bad] {
+		if tags := len(ls[i].Schema.Tags); len(p.Values) != tags {
+			return fmt.Errorf("tsstore: source %d: %d values for %d tags", p.Source, len(p.Values), tags)
 		}
-		rs[i] = r
+	}
+	if bad < len(points) {
+		l := ls[bad]
+		if l.Source == nil {
+			return fmt.Errorf("tsstore: unknown data source %d", l.ID)
+		}
+		return fmt.Errorf("tsstore: source %d has unknown schema %d", l.ID, l.Source.SchemaID)
 	}
 	if logged && s.cfg.Log != nil {
 		s.logMu.RLock()
@@ -453,36 +450,9 @@ func (s *Store) ingest(points []model.Point, workers int, logged bool) error {
 			return err
 		}
 	}
-	s.pointsWritten.Add(int64(len(rs)))
-	if workers <= 1 || len(rs) < 2 || len(s.shards) == 1 {
-		for _, r := range rs {
-			if err := s.writeResolved(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	hands := make([][]resolved, workers)
-	for _, r := range rs {
-		i := ownerHash(ownerOf(r.ds)) % uint32(workers)
-		hands[i] = append(hands[i], r)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i, hand := range hands {
-		wg.Add(1)
-		go func(i int, hand []resolved) {
-			defer wg.Done()
-			for _, r := range hand {
-				if errs[i] = s.writeResolved(r); errs[i] != nil {
-					return
-				}
-			}
-		}(i, hand)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	s.pointsWritten.Add(int64(len(points)))
+	for i, p := range points {
+		if err := s.writeResolved(ls[i].Source, ls[i].Schema, p); err != nil {
 			return err
 		}
 	}
@@ -493,7 +463,12 @@ func (s *Store) ingest(points []model.Point, workers int, logged bool) error {
 func (s *Store) writeBuffered(sh *shard, ds *model.DataSource, schema *model.SchemaType, p model.Point) error {
 	buf, ok := sh.buffers[ds.ID]
 	if !ok {
-		buf = &sourceBuffer{ds: ds, schema: schema, points: make([]model.Point, 0, s.cfg.BatchSize)}
+		buf = &sourceBuffer{
+			ds:     ds,
+			schema: schema,
+			points: make([]model.Point, 0, s.cfg.BatchSize),
+			vals:   make([]float64, 0, s.cfg.BatchSize*len(schema.Tags)),
+		}
 		sh.buffers[ds.ID] = buf
 	}
 	if len(buf.points) > 0 {
@@ -517,7 +492,9 @@ func (s *Store) writeBuffered(sh *shard, ds *model.DataSource, schema *model.Sch
 			}
 		}
 	}
-	buf.points = append(buf.points, p.Clone())
+	n := len(buf.vals)
+	buf.vals = append(buf.vals, p.Values...)
+	buf.points = append(buf.points, model.Point{Source: p.Source, TS: p.TS, Values: buf.vals[n:len(buf.vals):len(buf.vals)]})
 	if len(buf.points) >= s.cfg.BatchSize {
 		return s.flushSourceLocked(buf)
 	}
@@ -598,7 +575,7 @@ func (s *Store) flushSourceLocked(buf *sourceBuffer) error {
 		return err
 	}
 	s.batchesFlushed.Add(1)
-	buf.points = buf.points[:0]
+	buf.points, buf.vals = buf.points[:0], buf.vals[:0]
 	return nil
 }
 
@@ -741,7 +718,7 @@ func (s *Store) replay(l *walog.Log, logged bool) (applied, skipped int, err err
 	held := make(map[[2]int64]int) // (source, ts) -> held points no record has matched yet
 	var pending []model.Point
 	flush := func() error {
-		err := s.ingest(pending, 1, logged)
+		err := s.ingest(pending, logged)
 		pending = pending[:0]
 		return err
 	}

@@ -32,7 +32,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 
 	"odh/internal/catalog"
@@ -162,15 +161,14 @@ type Options struct {
 
 // Historian is an operational data historian instance.
 type Historian struct {
-	dir     string
-	page    *pagestore.Store
-	cat     *catalog.Catalog
-	ts      *tsstore.Store
-	rel     *relational.DB
-	engine  *sqlexec.Engine
-	wal     *walog.Log
-	workers int // WriteBatchParallel fan-out
-	closed  atomic.Bool
+	dir    string
+	page   *pagestore.Store
+	cat    *catalog.Catalog
+	ts     *tsstore.Store
+	rel    *relational.DB
+	engine *sqlexec.Engine
+	wal    *walog.Log
+	closed atomic.Bool
 }
 
 // Open opens (creating if necessary) a historian. dir == "" opens an
@@ -299,9 +297,8 @@ func open(dir string, opts Options, checkFormat bool) (*Historian, error) {
 		return nil, err
 	}
 	h := &Historian{
-		dir:     dir,
-		page:    page,
-		workers: runtime.GOMAXPROCS(0),
+		dir:  dir,
+		page: page,
 	}
 	// A failed open releases what it acquired: the page file and the
 	// recovery log's writer goroutine.
@@ -651,14 +648,10 @@ func (w *Writer) WritePoint(source, ts int64, values ...float64) error {
 // WriteBatch ingests a slice of points.
 func (w *Writer) WriteBatch(points []Point) error { return w.h.ts.WriteBatch(points) }
 
-// WriteBatchParallel ingests a batch with the points fanned out across the
-// ingest shards (GOMAXPROCS goroutines). Points of
-// the same source keep their order; points of different sources are
-// buffered concurrently. Best for large mixed-source batches — a batch
-// touching one source degenerates to the sequential path.
-func (w *Writer) WriteBatchParallel(points []Point) error {
-	return w.h.ts.WriteBatchParallel(points, w.h.workers)
-}
+// WriteBatchParallel is WriteBatch. It remains only because the benchmark
+// harness calls it by this name — there is one ingest path, and this is
+// not a second one.
+func (w *Writer) WriteBatchParallel(points []Point) error { return w.WriteBatch(points) }
 
 // Flush is Historian.Flush: when it returns nil, every point acked before
 // the call is in committed pages.
