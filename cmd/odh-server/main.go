@@ -4,7 +4,7 @@
 //
 //	HELLO <version>
 //	WRITE <source> <ts-ms> <v1> [v2 ...]
-//	BATCH <payloadLen> + binary frame (after HELLO 2)
+//	BATCH <payloadLen> + binary frame (after HELLO 3)
 //	SQL <statement>
 //	FLUSH / PING / STATS / QUIT
 //
@@ -46,7 +46,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "drop a client that stops reading replies for this long (0 = never)")
 		queryTimeout = flag.Duration("query-timeout", 0, "abort SQL commands running longer than this (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", server.DefaultDrainTimeout, "force-close connections this long after shutdown begins")
-		maxInflight  = flag.Int64("max-inflight", server.DefaultMaxInflightBytes, "admission budget: BATCH payload bytes queued across all connections")
+		maxInflight  = flag.Int64("max-inflight", server.DefaultMaxInflightBytes, "admission budget: BATCH frames queued across all connections, each charged the larger of its payload and its decoded size")
 	)
 	flag.Parse()
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -18,7 +19,7 @@ import (
 
 // TestKillDashNine kills a real odh-server process with SIGKILL and
 // restarts it on the same directory: every point a BATCH frame was answered
-// OK for must come back — from committed pages when a FLUSH was answered
+// OK for must come back, its value exactly (COUNT and SUM agree) — from committed pages when a FLUSH was answered
 // OK before the kill, from the recovery log when none was sent — and the
 // store must fsck clean. The load stays far below the buffer pool, so no
 // page is evicted in place between checkpoints (DESIGN "Durability &
@@ -39,7 +40,7 @@ func TestKillDashNine(t *testing.T) {
 
 			srv := startServer(t, bin, dir)
 			conn, r := dial(t, srv.addr)
-			send(t, conn, r, "HELLO 2", "HELLO 2")
+			send(t, conn, r, "HELLO 3", "HELLO 3")
 			acked := 0
 			for f := 0; f < frames; f++ {
 				pts := make([]odh.Point, perFrame)
@@ -66,9 +67,10 @@ func TestKillDashNine(t *testing.T) {
 
 			srv = startServer(t, bin, dir)
 			conn, r = dial(t, srv.addr)
-			send(t, conn, r, "SQL SELECT COUNT(*) FROM environ_v", "COUNT(*)")
-			if got := readLine(t, r); got != fmt.Sprint(acked) {
-				t.Fatalf("restarted server counts %s points, %d were acked", got, acked)
+			send(t, conn, r, "SQL SELECT COUNT(*), SUM(temperature) FROM environ_v", "COUNT(*)\tSUM(temperature)")
+			count, sum, _ := strings.Cut(readLine(t, r), "\t")
+			if got, err := strconv.ParseFloat(sum, 64); count != fmt.Sprint(acked) || err != nil || got != float64(acked*(acked-1)/2) {
+				t.Fatalf("restarted server counts %s points summing to %s, %d were acked summing to %d", count, sum, acked, acked*(acked-1)/2)
 			}
 			conn.Close()
 			// A clean shutdown this time, then fsck the directory in process.

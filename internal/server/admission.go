@@ -1,27 +1,34 @@
 package server
 
-// Admission control bounds the memory held by ingest frames that have
-// been read off the wire but not yet applied. Each BATCH frame reserves
-// its payload size against two budgets — the connection's and the
-// server's — before the payload is read; a frame that cannot reserve is
-// discarded (the length prefix keeps the stream in sync) and answered
-// with "ERR busy" in command order, so a loaded server sheds work instead
-// of growing its heap. The reservation is released after the frame is
-// applied (or dropped).
+import "fmt"
 
-// reserve attempts to admit n payload bytes for sc. Both budgets must
-// admit; a partial reservation is rolled back.
-func (s *Server) reserve(sc *serverConn, n int64) bool {
-	if sc.queued.Add(n) > s.connBudget {
-		sc.queued.Add(-n)
-		return false
+// Admission control bounds the memory held by ingest frames read off the
+// wire but not yet applied. A BATCH frame reserves its payload size against
+// the connection's and the server's budgets before the payload is read,
+// then the rest of its decoded size (up to 64 times the payload for a
+// frame of NULLs). A frame that cannot reserve is skipped — the length
+// prefix keeps the stream in sync — and answered in command order, so a
+// loaded server sheds work instead of growing its heap; a reservation is
+// released once its frame is applied.
+
+// admit reserves more bytes for sc's frame, charged total in all, against
+// both budgets. When it cannot, its error is the reply: a deterministic
+// too-large ERR when total exceeds a budget itself, else "ERR busy".
+func (s *Server) admit(sc *serverConn, more, total int64) error {
+	if b := min(s.connBudget, s.globalBudget); total > b {
+		return fmt.Errorf("frame costing %d bytes can never fit the %d-byte admission budget; send smaller frames", total, b)
 	}
-	if s.queuedBytes.Add(n) > s.globalBudget {
-		s.queuedBytes.Add(-n)
-		sc.queued.Add(-n)
-		return false
+	if sc.queued.Add(more) > s.connBudget {
+		sc.queued.Add(-more)
+	} else if s.queuedBytes.Add(more) > s.globalBudget {
+		s.queuedBytes.Add(-more)
+		sc.queued.Add(-more)
+	} else {
+		return nil
 	}
-	return true
+	s.batchesShed.Add(1)
+	s.shedBytes.Add(total)
+	return errBusy
 }
 
 // release returns n reserved bytes to both budgets.
@@ -31,10 +38,4 @@ func (s *Server) release(sc *serverConn, n int64) {
 	}
 	s.queuedBytes.Add(-n)
 	sc.queued.Add(-n)
-}
-
-// shed records one rejected frame of n payload bytes.
-func (s *Server) shed(n int64) {
-	s.batchesShed.Add(1)
-	s.shedBytes.Add(n)
 }

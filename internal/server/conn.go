@@ -32,8 +32,9 @@ const workQueueDepth = 32
 // session instead.
 const maxDiscardBytes = 4 * MaxBatchFrameBytes
 
-// errServerClosing ends sessions cut off by a drain.
-var errServerClosing = errors.New("server shutting down")
+// errServerClosing ends sessions cut off by a drain; errBusy answers a
+// frame admission sheds.
+var errServerClosing, errBusy = errors.New("server shutting down"), errors.New("busy")
 
 // errLineTooLong wraps bufio.ErrTooLong so hooks can errors.Is on it.
 var errLineTooLong = fmt.Errorf("line exceeds %d bytes: %w", maxLineBytes, bufio.ErrTooLong)
@@ -44,16 +45,15 @@ var errLineTooLong = fmt.Errorf("line exceeds %d bytes: %w", maxLineBytes, bufio
 const (
 	itemLine  = iota // text command to execute
 	itemReply        // precomputed reply line (HELLO)
-	itemBatch        // decoded binary batch holding an admission reservation
-	itemShed         // frame rejected by admission: reply "ERR busy"
-	itemErr          // frame rejected for cause: reply "ERR <err>"
+	itemBatch        // decoded binary frame holding an admission reservation
+	itemErr          // refused (by admission: errBusy, "ERR busy"): reply "ERR <err>"
 	itemFatal        // read side failed: reply "ERR connection: <err>", close
 )
 
 type workItem struct {
 	kind     int
 	line     string
-	points   []odh.Point
+	frame    odh.Frame
 	reserved int64 // admission bytes released after apply
 	err      error
 }
@@ -229,53 +229,42 @@ func (sc *serverConn) readBatch(rest string) (workItem, bool) {
 	if n > maxDiscardBytes {
 		return workItem{kind: itemFatal, err: fmt.Errorf("BATCH length %d exceeds any protocol limit (frame cap %d)", n, MaxBatchFrameBytes)}, true
 	}
-	if sc.version < ProtoVersionBinary {
-		if err := sc.discard(n); err != nil {
-			return workItem{kind: itemFatal, err: err}, true
-		}
-		return workItem{kind: itemErr, err: fmt.Errorf("BATCH requires HELLO %d", ProtoVersionBinary)}, false
+	switch {
+	case sc.version < ProtoVersionBinary:
+		err = fmt.Errorf("BATCH requires HELLO %d", ProtoVersionBinary)
+	case n > MaxBatchFrameBytes:
+		err = fmt.Errorf("frame of %d bytes exceeds the %d-byte cap", n, MaxBatchFrameBytes)
+	default:
+		err = sc.s.admit(sc, n, n)
 	}
-	if n > MaxBatchFrameBytes {
-		if err := sc.discard(n); err != nil {
-			return workItem{kind: itemFatal, err: err}, true
+	sc.armReadDeadline()
+	if err != nil {
+		if _, derr := io.CopyN(io.Discard, sc.r, n); derr != nil {
+			return workItem{kind: itemFatal, err: derr}, true
 		}
-		return workItem{kind: itemErr, err: fmt.Errorf("frame of %d bytes exceeds the %d-byte cap", n, MaxBatchFrameBytes)}, false
-	}
-	// A frame larger than a budget will *never* be admitted, no matter how
-	// idle the server is; answering "ERR busy" would invite retries that
-	// can't succeed. Tell the client to shrink the frame instead.
-	if n > sc.s.connBudget || n > sc.s.globalBudget {
-		if err := sc.discard(n); err != nil {
-			return workItem{kind: itemFatal, err: err}, true
-		}
-		return workItem{kind: itemErr, err: fmt.Errorf("frame of %d bytes can never fit the %d-byte admission budget; send smaller frames", n, min(sc.s.connBudget, sc.s.globalBudget))}, false
-	}
-	if !sc.s.reserve(sc, n) {
-		sc.s.shed(n)
-		if err := sc.discard(n); err != nil {
-			return workItem{kind: itemFatal, err: err}, true
-		}
-		return workItem{kind: itemShed}, false
+		return workItem{kind: itemErr, err: err}, false
 	}
 	payload := make([]byte, n)
-	sc.armReadDeadline()
 	if _, err := io.ReadFull(sc.r, payload); err != nil {
 		sc.s.release(sc, n)
 		return workItem{kind: itemFatal, err: fmt.Errorf("reading %d-byte frame: %w", n, err)}, true
 	}
-	points, err := DecodeBatchFrame(payload)
+	// The frame is charged the larger of its payload and its decoded size,
+	// which its header tells before anything is allocated.
+	charge := n
+	f, err := decodeBatch(payload, func(decoded int64) (err error) {
+		if decoded > n {
+			if err = sc.s.admit(sc, decoded-n, decoded); err == nil {
+				charge = decoded
+			}
+		}
+		return err
+	})
 	if err != nil {
-		sc.s.release(sc, n)
+		sc.s.release(sc, charge)
 		return workItem{kind: itemErr, err: err}, false
 	}
-	return workItem{kind: itemBatch, points: points, reserved: n}, false
-}
-
-// discard consumes n payload bytes without keeping them.
-func (sc *serverConn) discard(n int64) error {
-	sc.armReadDeadline()
-	_, err := io.CopyN(io.Discard, sc.r, n)
-	return err
+	return workItem{kind: itemBatch, frame: f, reserved: charge}, false
 }
 
 // flush pushes buffered replies with slow-client backpressure: when the
@@ -303,19 +292,17 @@ func (sc *serverConn) applyLoop() {
 			return
 		case itemReply:
 			fmt.Fprintln(sc.out, item.line)
-		case itemShed:
-			fmt.Fprintln(sc.out, "ERR busy")
 		case itemErr:
 			fmt.Fprintf(sc.out, "ERR %v\n", item.err)
 		case itemBatch:
-			err := w.WriteBatch(item.points)
+			err := w.WriteFrame(item.frame)
 			sc.s.release(sc, item.reserved)
-			if err != nil {
+			if n := len(item.frame.Points()); err != nil {
 				fmt.Fprintf(sc.out, "ERR %v\n", err)
 			} else {
 				sc.s.framesIngested.Add(1)
-				sc.s.pointsIngested.Add(int64(len(item.points)))
-				fmt.Fprintf(sc.out, "OK %d\n", len(item.points))
+				sc.s.pointsIngested.Add(int64(n))
+				fmt.Fprintf(sc.out, "OK %d\n", n)
 			}
 		case itemLine:
 			failed = sc.applyLine(w, item.line)

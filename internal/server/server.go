@@ -22,8 +22,8 @@
 // Responses to SQL are tab-separated; EXPLAIN output is returned verbatim
 // followed by "OK 0".
 //
-// After "HELLO 2" the connection may also send binary batch frames
-// (layout in proto.go):
+// After "HELLO 3" the connection may also send binary batch frames, each
+// decoded once and logged as received (layout in proto.go):
 //
 //	BATCH <payloadLen>\n<payload>          -> "OK <npoints>" | "ERR busy" | "ERR <msg>"
 //
@@ -75,17 +75,16 @@ type Options struct {
 	// not finished their in-flight commands by then are force-closed
 	// (default DefaultDrainTimeout).
 	DrainTimeout time.Duration
-	// MaxInflightBytes budgets BATCH payload bytes admitted but not yet
-	// applied, across all connections (default DefaultMaxInflightBytes).
-	// Frames that would exceed it are discarded and answered "ERR busy".
-	// A frame larger than the budget itself could never be admitted even
-	// on an idle server, so it gets a deterministic too-large ERR instead
-	// of the retryable-looking busy reply.
+	// MaxInflightBytes budgets BATCH frames admitted but not yet applied,
+	// across all connections (default DefaultMaxInflightBytes), each
+	// charged the larger of its payload and its decoded size. A frame that
+	// would exceed it is discarded and answered "ERR busy"; one larger
+	// than the budget itself, which no retry could get admitted, gets a
+	// deterministic too-large ERR instead.
 	MaxInflightBytes int64
 	// ConnInflightBytes is the per-connection share of the admission
-	// budget (default MaxInflightBytes/4, floored at one max-size frame).
-	// Like MaxInflightBytes, frames that can never fit it are answered
-	// with a deterministic too-large ERR, not "ERR busy".
+	// budget (default MaxInflightBytes/4, floored at one max-size frame),
+	// enforced the same way.
 	ConnInflightBytes int64
 	// OnError, when non-nil, is invoked with every connection-level
 	// failure the protocol loop hits: read failures (oversized lines,

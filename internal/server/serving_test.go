@@ -211,8 +211,8 @@ func TestTornReadReportedAsERR(t *testing.T) {
 func TestAdmissionShedsAndRecovers(t *testing.T) {
 	addr, srv, _ := startServerWith(t, 1, Options{MaxInflightBytes: 64, ConnInflightBytes: 64})
 	c := dial(t, addr)
-	c.send(t, "HELLO 2")
-	if got := c.read(t); got != "HELLO 2" {
+	c.send(t, "HELLO 3")
+	if got := c.read(t); got != "HELLO 3" {
 		t.Fatalf("HELLO -> %q", got)
 	}
 	// A 100-byte frame can never fit the 64-byte budget: deterministic
@@ -228,13 +228,14 @@ func TestAdmissionShedsAndRecovers(t *testing.T) {
 	if shed := srv.Stats().BatchesShed; shed != 0 {
 		t.Fatalf("BatchesShed = %d after a never-fitting frame, want 0", shed)
 	}
-	// Occupy most of the global budget so a one-point frame (42 bytes)
-	// that *could* fit is transiently rejected: that is a shed.
+	// Occupy most of the global budget so a one-point frame (30 bytes,
+	// 56 decoded) that *could* fit is transiently rejected: that is a shed.
 	holder := &serverConn{}
-	if !srv.reserve(holder, 40) {
+	if err := srv.admit(holder, 40, 40); err != nil {
 		t.Fatal("could not stage the budget holder")
 	}
 	onePoint := []odh.Point{{Source: 1, TS: 1000, Values: []float64{1, 2}}}
+	size := int64(len(mustEncode(t, onePoint)))
 	if err := WriteBatchFrame(c.conn, onePoint); err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,8 @@ func TestAdmissionShedsAndRecovers(t *testing.T) {
 		t.Fatalf("same frame after release -> %q", got)
 	}
 	st := srv.Stats()
-	if st.BatchesShed != 1 || st.ShedBytes != 42 {
-		t.Fatalf("shed counters = %d frames / %d bytes, want 1 / 42", st.BatchesShed, st.ShedBytes)
+	if st.BatchesShed != 1 || st.ShedBytes != size {
+		t.Fatalf("shed counters = %d frames / %d bytes, want 1 / %d", st.BatchesShed, st.ShedBytes, size)
 	}
 	if st.QueuedBytes != 0 {
 		t.Fatalf("QueuedBytes = %d after all frames applied, want 0", st.QueuedBytes)
@@ -288,8 +289,8 @@ func TestQueryTimeoutOverWire(t *testing.T) {
 		}
 		defer conn.Close()
 		r := bufio.NewReader(conn)
-		fmt.Fprintln(conn, "HELLO 2")
-		if line, _ := r.ReadString('\n'); strings.TrimSpace(line) != "HELLO 2" {
+		fmt.Fprintln(conn, "HELLO 3")
+		if line, _ := r.ReadString('\n'); strings.TrimSpace(line) != "HELLO 3" {
 			ingestErr <- fmt.Errorf("HELLO -> %q", line)
 			return
 		}
@@ -384,8 +385,8 @@ func TestManyConnSoak(t *testing.T) {
 				}
 				return true
 			}
-			fmt.Fprintln(conn, "HELLO 2")
-			if !expect("HELLO 2", "HELLO") {
+			fmt.Fprintln(conn, "HELLO 3")
+			if !expect("HELLO 3", "HELLO") {
 				return
 			}
 			src := int64(g + 1)

@@ -1,5 +1,7 @@
 package tsstore
 
+import "odh/internal/model"
+
 // WalkCounts is what the walk behind one scan did: records take dropped on
 // their header's word, records decoded, and the rows those decodes
 // materialised.
@@ -10,4 +12,18 @@ type WalkCounts struct{ Dropped, Decoded, DecodedRows int }
 func ScanWalkCounts(it Iterator) WalkCounts {
 	w := it.(*scanIter).w
 	return WalkCounts{Dropped: w.dropped, Decoded: w.decoded, DecodedRows: w.decodedRows}
+}
+
+// RandomFrame and SamePoints are the frame codec's test helpers
+// (logframe_test.go), for the wire fuzzer.
+var (
+	RandomFrame = randomFrame
+	SamePoints  = samePoints
+)
+
+// EncodeFrames is encodeFrames in scratch of its own; the records it
+// returns are the caller's.
+func EncodeFrames(points []model.Point, limit int) [][]byte {
+	var e frameEnc
+	return e.encodeFrames(points, limit)
 }

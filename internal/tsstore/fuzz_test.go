@@ -5,14 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"odh/internal/compress"
 	"odh/internal/model"
-	"odh/internal/walog"
 )
 
 // FuzzValueBlobDecode asserts that no bytes make the header parser, any
@@ -231,39 +229,6 @@ func FuzzWALPointDecode(f *testing.F) {
 		p, err := DecodePointWAL(b)
 		if err == nil && len(p.Values) > 1<<20 {
 			t.Fatalf("accepted %d values from a %d-byte record", len(p.Values), len(b))
-		}
-	})
-}
-
-// FuzzWALFrameDecode asserts the frame codec takes any bytes — a log's
-// checksum proves a record was written, not by whom — without panicking
-// and without sizing anything by a count the payload does not back: the
-// points decoded and the values they hold are bounded by the bytes there.
-// What it accepts survives a round trip through the encoder.
-func FuzzWALFrameDecode(f *testing.F) {
-	var e frameEnc
-	for mode := 0; mode < 3; mode++ {
-		for _, rec := range e.encodeFrames(randomFrame(rand.New(rand.NewSource(int64(mode))), 20, mode), 256) {
-			f.Add(append([]byte(nil), rec...))
-		}
-	}
-	f.Add([]byte{})
-	f.Add([]byte{1, 1, 1, 4, 0, 2, 2, 1, 0x80, 0x80, 0x40}) // one point, 2^20 values declared, none there
-	f.Fuzz(func(t *testing.T, b []byte) {
-		pts, err := decodeFrame(b)
-		if err != nil {
-			return
-		}
-		values := 0
-		for _, p := range pts {
-			values += len(p.Values)
-		}
-		if len(pts) > len(b) || values > 8*len(b) {
-			t.Fatalf("%d points holding %d values accepted from a %d-byte frame", len(pts), values, len(b))
-		}
-		var e frameEnc
-		if again := decodeFrames(t, e.encodeFrames(pts, walog.MaxRecord)); !samePoints(again, pts) {
-			t.Fatalf("a decoded frame of %d points does not survive re-encoding", len(pts))
 		}
 	})
 }

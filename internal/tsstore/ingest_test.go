@@ -20,8 +20,14 @@ import (
 // into open IRTS buffers — resolved, logged, buffered — allocates the same
 // small number of times at 100 points as at 1,000. Buffering a point
 // appends its values into its source's slab, so no allocation scales with
-// the frame.
+// the frame. An LD frame into an MG group does the same at 150 and 1,500
+// points: a sample's values are copied into its row's slab.
 func TestIngestAllocatesPerFrameNotPerPoint(t *testing.T) {
+	t.Run("IRTS", testIngestAllocsIRTS)
+	t.Run("MG", testIngestAllocsMG)
+}
+
+func testIngestAllocsIRTS(t *testing.T) {
 	// Two per frame, the frame's catalog lookup table among them; a
 	// per-point allocation would add 900 at 1,000 points.
 	const maxAllocs = 2
@@ -157,6 +163,50 @@ func TestBufferedValuesOwnedByStore(t *testing.T) {
 				t.Fatalf("source %d flushed:\n got %v\nwant %v", ds.ID, got, want[ds.ID])
 			}
 		}
+	})
+
+	t.Run("MG row refilled across flushes", func(t *testing.T) {
+		const window = 60_000
+		f := newFixture(t, Config{BatchSize: 8}, 3)
+		schema := f.schema(t, "mgrefill", 2)
+		var members []*model.DataSource
+		for range 3 {
+			members = append(members, f.source(t, schema.ID, true, window))
+		}
+		want := map[int64][]model.Point{}
+		check := func(stage string) {
+			t.Helper()
+			for _, ds := range members {
+				if got := scanAll(t, f.store, ds.ID, ScanOptions{}); !samePoints(got, want[ds.ID]) {
+					t.Fatalf("%s, member %d:\n got %v\nwant %v", stage, ds.ID, got, want[ds.ID])
+				}
+			}
+		}
+		for row := range 9 {
+			var frame []model.Point
+			for k, ds := range members {
+				if row%3 == 1 && k == 2 {
+					continue // a partial row: it stays open while later rows flush
+				}
+				v := float64(row*10 + k)
+				frame = append(frame, model.Point{Source: ds.ID, TS: int64(row+1)*window + int64(k), Values: []float64{v, -v}})
+			}
+			if err := f.store.WriteBatch(frame); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range frame {
+				want[p.Source] = append(want[p.Source], p.Clone())
+				p.Values[0], p.Values[1] = math.Inf(1), math.Inf(-1)
+			}
+			check(fmt.Sprintf("after row %d", row))
+		}
+		if st := f.store.Stats(); st.BatchesFlushed < 6 {
+			t.Fatalf("%d rows flushed, want at least the 6 complete ones", st.BatchesFlushed)
+		}
+		if err := f.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check("flushed")
 	})
 
 	t.Run("reader races a refilling buffer", func(t *testing.T) {
@@ -327,5 +377,63 @@ func TestWriteBatchRejectsWholeFrame(t *testing.T) {
 					tc.name, at, written, w, records, r, counts, c)
 			}
 		}
+	}
+}
+
+// testIngestAllocsMG writes LD frames — 15 slots a point, most of them
+// NULL — into one MG group whose last member never reports, with no cap
+// on open rows, so no row ever flushes: every frame opens one row (the
+// row, its samples and its value slab) and fills one slot per point.
+func testIngestAllocsMG(t *testing.T) {
+	// The two of every frame (the IRTS case) and the new row's three: the
+	// row, its samples and its slab. A per-point allocation would add
+	// 1,350 at 1,500 points.
+	const maxAllocs = 5
+	const members, window = 1501, 60_000
+	l, err := walog.Open(t.TempDir() + "/ingest.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	f := newFixture(t, Config{Log: l, maxOpenMGRows: 1 << 20}, members)
+	schema := f.schema(t, "ld", 15)
+	var srcs []int64
+	for range members {
+		srcs = append(srcs, f.source(t, schema.ID, false, window).ID)
+	}
+	var ts int64
+	perFrame := func(n int) float64 {
+		pts := make([]model.Point, n)
+		for i := range pts {
+			v := make([]float64, 15)
+			for j := range v {
+				v[j] = model.NullValue
+			}
+			v[i%15] = float64(i)
+			pts[i] = model.Point{Source: srcs[i], Values: v}
+		}
+		return testing.AllocsPerRun(50, func() {
+			ts += 2 * window // past every open row's window
+			for i := range pts {
+				pts[i].TS = ts + int64(i)
+			}
+			if err := f.store.WriteBatch(pts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := perFrame(150), perFrame(1500)
+	t.Logf("allocations per frame: %.0f at 150 points, %.0f at 1,500", small, large)
+	if st := f.store.Stats(); st.BatchesFlushed != 0 {
+		t.Fatalf("%d rows flushed: they were meant to stay open", st.BatchesFlushed)
+	}
+	if raceEnabled {
+		if large > small+16 {
+			t.Fatalf("MG ingest allocates per point: %.0f per 150-point frame, %.0f per 1,500-point frame", small, large)
+		}
+		return
+	}
+	if small != large || large > maxAllocs {
+		t.Fatalf("a 150-point frame allocates %.0f times, a 1,500-point frame %.0f; want the same, at most %d", small, large, maxAllocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"odh/internal/model"
@@ -23,7 +24,9 @@ const (
 // cannot read, such as one a newer build wrote.
 var ErrUnknownLogRecord = errors.New("tsstore: unknown recovery-log record kind")
 
-var errCorruptFrame = errors.New("tsstore: corrupt WAL frame")
+// ErrCorruptFrame reports a frame whose bytes do not decode: from the
+// recovery log, or from a client's BATCH payload.
+var ErrCorruptFrame = errors.New("tsstore: corrupt frame")
 
 // maxPointValues bounds the value count a log record may declare for one
 // point, before any arithmetic on it.
@@ -47,6 +50,7 @@ const maxPointValues = 1 << 20
 type frameEnc struct {
 	ids, tss, runs, pres, vals, out []byte
 	recs                            [][]byte
+	inf                             bool // the last frame holds ±Inf
 }
 
 var framePool = sync.Pool{New: func() any { return new(frameEnc) }}
@@ -73,11 +77,11 @@ func (e *frameEnc) encodeFrames(points []model.Point, limit int) [][]byte {
 	return e.recs
 }
 
-// appendFrame appends the frame of points, which is not empty, to e.out.
+// appendFrame appends the frame of points to e.out.
 func (e *frameEnc) appendFrame(points []model.Point) {
 	ids, tss, runs, pres, vals := e.ids[:0], e.tss[:0], e.runs[:0], e.pres[:0], e.vals[:0]
 	var lastTS int64
-	runLen, runVals, nulls := 0, 0, false
+	runLen, runVals, nulls, inf := 0, 0, false, false
 	endRun := func() {
 		runs = binary.AppendUvarint(binary.AppendUvarint(runs, uint64(runLen)), uint64(runVals))
 		runLen = 0
@@ -100,11 +104,14 @@ func (e *frameEnc) appendFrame(points []model.Point) {
 				nulls = true
 				continue
 			}
+			inf = inf || math.IsInf(v, 0)
 			pres[base+j/8] |= 1 << (j % 8)
 			vals = binary.LittleEndian.AppendUint64(vals, math.Float64bits(v))
 		}
 	}
-	endRun()
+	if runLen > 0 {
+		endRun()
+	}
 	if !nulls {
 		pres = pres[:0]
 	}
@@ -115,7 +122,7 @@ func (e *frameEnc) appendFrame(points []model.Point) {
 	for _, c := range [][]byte{ids, tss, runs, pres, vals} {
 		e.out = append(e.out, c...)
 	}
-	e.ids, e.tss, e.runs, e.pres, e.vals = ids, tss, runs, pres, vals
+	e.ids, e.tss, e.runs, e.pres, e.vals, e.inf = ids, tss, runs, pres, vals, inf
 }
 
 // LogFrame appends points to l as one frame record — the one encoding of a
@@ -137,46 +144,91 @@ func decodeLogRecord(kind byte, payload []byte) ([]model.Point, error) {
 		p, err := DecodePointWAL(payload)
 		return []model.Point{p}, err
 	case logFrame:
-		return decodeFrame(payload)
+		f, err := DecodeFrame(payload, nil)
+		return f.points, err
 	}
 	return nil, fmt.Errorf("%w %d", ErrUnknownLogRecord, kind)
 }
 
-// decodeFrame is the inverse of one encodeFrames payload. What it
-// allocates is backed by bytes the payload holds, never by a count it
-// only declares.
-func decodeFrame(b []byte) ([]model.Point, error) {
+// AppendFrame appends the frame of points to dst — the bytes a client
+// sends as a BATCH payload and the log keeps as received — and reports
+// whether every value is finite or NULL: the wire refuses ±Inf.
+func AppendFrame(dst []byte, points []model.Point) ([]byte, bool) {
+	e := framePool.Get().(*frameEnc)
+	defer framePool.Put(e)
+	e.out = dst
+	e.appendFrame(points)
+	dst, e.out = e.out, nil
+	return dst, !e.inf
+}
+
+// Frame is a decoded frame: its points, their values windows of one slab,
+// and the bytes they came from. Only DecodeFrame builds one, so the bytes
+// always encode the points, and Store.WriteFrame logs them as they are.
+type Frame struct {
+	raw    []byte
+	points []model.Point
+	vals   []float64
+}
+
+// Points returns the frame's points.
+func (f Frame) Points() []model.Point { return f.points }
+
+// Finite reports whether every value of the frame is finite or NULL.
+func (f Frame) Finite() bool {
+	return !slices.ContainsFunc(f.vals, func(v float64) bool { return math.IsInf(v, 0) })
+}
+
+// DecodeFrame is the inverse of AppendFrame and of each encodeFrames
+// payload. It allocates the points and one slab of values, sized by bytes
+// b holds, never by a count it only declares; with an admit, only once
+// admit accepts their size (else its error is DecodeFrame's): 40 bytes a
+// point and 8 a slab value, up to 64 times len(b) since a NULL costs a
+// presence bit. The frame keeps b.
+func DecodeFrame(b []byte, admit func(decoded int64) error) (Frame, error) {
+	raw := b
 	var hdr [5]uint64 // point count, then four column lengths
 	for i := range hdr {
 		v, k := binary.Uvarint(b)
 		if k <= 0 {
-			return nil, errCorruptFrame
+			return Frame{}, ErrCorruptFrame
 		}
 		hdr[i], b = v, b[k:]
 	}
 	var cols [4][]byte
 	for i := range cols {
 		if hdr[i+1] > uint64(len(b)) {
-			return nil, errCorruptFrame
+			return Frame{}, ErrCorruptFrame
 		}
 		cols[i], b = b[:hdr[i+1]], b[hdr[i+1]:]
 	}
 	ids, tss, runs, pres, vals := cols[0], cols[1], cols[2], cols[3], b
 	if hdr[0] > uint64(len(ids)) { // a point takes a byte of ids at least
-		return nil, errCorruptFrame
+		return Frame{}, ErrCorruptFrame
 	}
-	out := make([]model.Point, hdr[0])
-	nulls := len(pres) > 0
+	// The slab holds the most values the columns back: one a presence bit
+	// in a frame with NULLs, else one per 8 bytes of values.
+	nulls, slabLen := len(pres) > 0, len(vals)/8
+	if nulls {
+		slabLen = 8 * len(pres)
+	}
+	if admit != nil {
+		if err := admit(40*int64(hdr[0]) + 8*int64(slabLen)); err != nil {
+			return Frame{}, err
+		}
+	}
+	f := Frame{raw: raw, points: make([]model.Point, hdr[0]), vals: make([]float64, slabLen)}
+	slab := f.vals
 	var ts int64
 	var runLen, nv uint64
-	for i := range out {
+	for i := range f.points {
 		if runLen == 0 {
 			var k, kv int
 			if runLen, k = binary.Uvarint(runs); k > 0 {
 				nv, kv = binary.Uvarint(runs[k:])
 			}
 			if kv <= 0 || runLen == 0 || nv > maxPointValues {
-				return nil, errCorruptFrame
+				return Frame{}, ErrCorruptFrame
 			}
 			runs = runs[k+kv:]
 		}
@@ -184,32 +236,30 @@ func decodeFrame(b []byte) ([]model.Point, error) {
 		id, k1 := binary.Varint(ids)
 		d, k2 := binary.Varint(tss)
 		// What the point declares must be there: its presence bytes or, in
-		// a frame without them, its values.
+		// a frame without them, its values. Either keeps it in the slab.
 		if k1 <= 0 || k2 <= 0 || (nulls && (nv+7)/8 > uint64(len(pres))) || (!nulls && nv > uint64(len(vals)/8)) {
-			return nil, errCorruptFrame
+			return Frame{}, ErrCorruptFrame
 		}
 		ids, tss, ts = ids[k1:], tss[k2:], ts+d
-		values := make([]float64, nv)
+		values := slab[:nv:nv]
 		for j := range values {
 			if nulls && pres[j/8]>>(j%8)&1 == 0 {
 				values[j] = model.NullValue
-				continue
+			} else if len(vals) < 8 {
+				return Frame{}, ErrCorruptFrame
+			} else {
+				values[j], vals = math.Float64frombits(binary.LittleEndian.Uint64(vals)), vals[8:]
 			}
-			if len(vals) < 8 {
-				return nil, errCorruptFrame
-			}
-			values[j] = math.Float64frombits(binary.LittleEndian.Uint64(vals))
-			vals = vals[8:]
 		}
 		if nulls {
 			pres = pres[(nv+7)/8:]
 		}
-		out[i] = model.Point{Source: id, TS: ts, Values: values}
+		f.points[i], slab = model.Point{Source: id, TS: ts, Values: values}, slab[nv:]
 	}
 	if runLen != 0 || len(ids)+len(tss)+len(runs)+len(pres)+len(vals) != 0 {
-		return nil, errCorruptFrame // columns and count disagree
+		return Frame{}, ErrCorruptFrame // columns and count disagree
 	}
-	return out, nil
+	return f, nil
 }
 
 // EncodePointWAL seals one point into the payload of a logPoint record

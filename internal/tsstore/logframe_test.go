@@ -39,11 +39,11 @@ func decodeFrames(t testing.TB, recs [][]byte) []model.Point {
 	t.Helper()
 	var out []model.Point
 	for i, rec := range recs {
-		pts, err := decodeFrame(rec)
+		f, err := DecodeFrame(rec, nil)
 		if err != nil {
 			t.Fatalf("record %d of %d: %v", i, len(recs), err)
 		}
-		out = append(out, pts...)
+		out = append(out, f.points...)
 	}
 	return out
 }
@@ -104,8 +104,8 @@ func TestWALFrameRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: %d points sealed into %d records, want 1", trial, n, len(recs))
 		}
 		for _, rec := range recs {
-			if one, _ := decodeFrame(rec); len(rec) > limit && len(one) != 1 {
-				t.Fatalf("trial %d: a %d-byte record of %d points passes the %d-byte limit", trial, len(rec), len(one), limit)
+			if one, _ := DecodeFrame(rec, nil); len(rec) > limit && len(one.points) != 1 {
+				t.Fatalf("trial %d: a %d-byte record of %d points passes the %d-byte limit", trial, len(rec), len(one.points), limit)
 			}
 		}
 		if got := decodeFrames(t, recs); !samePoints(got, pts) {
@@ -176,9 +176,9 @@ func TestWALFrameDecodeRejectsHugeCount(t *testing.T) {
 	for name, b := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := decodeFrame(b)
+		_, err := DecodeFrame(b, nil)
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, errCorruptFrame) {
+		if !errors.Is(err, ErrCorruptFrame) {
 			t.Errorf("%s: err = %v, want a corrupt-frame rejection", name, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
@@ -361,5 +361,39 @@ func TestLoggingAllocatesPerCallNotPerPoint(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("sealing a 1000-point call allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestDecodeFrameAllocsFlat: the one frame decoder, behind the wire and
+// replay alike, costs the point slice and one slab of values, whatever the
+// frame's point count — for a TD-shaped frame (4 values a point, no NULL)
+// and an LD-shaped one (15 slots a point, most of them NULL).
+func TestDecodeFrameAllocsFlat(t *testing.T) {
+	for _, shape := range []struct {
+		name          string
+		width, stride int // a value is present every stride slots
+	}{{"TD", 4, 1}, {"LD", 15, 5}} {
+		allocs := func(n int) float64 {
+			points := make([]model.Point, n)
+			for i := range points {
+				v := make([]float64, shape.width)
+				for j := range v {
+					v[j] = model.NullValue
+					if j%shape.stride == 0 {
+						v[j] = float64(i + j)
+					}
+				}
+				points[i] = model.Point{Source: int64(i % 97), TS: int64(i) * 10, Values: v}
+			}
+			b, _ := AppendFrame(nil, points)
+			return testing.AllocsPerRun(20, func() {
+				if f, err := DecodeFrame(b, nil); err != nil || !samePoints(f.points, points) {
+					t.Fatalf("%s: %d points decode to %d, %v", shape.name, n, len(f.points), err)
+				}
+			})
+		}
+		if small, large := allocs(10), allocs(1000); small > 2 || large > 2 {
+			t.Fatalf("%s: a 1,000-point frame decodes in %.0f allocations, a 10-point frame in %.0f: want at most 2 for both", shape.name, large, small)
+		}
 	}
 }

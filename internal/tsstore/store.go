@@ -269,6 +269,7 @@ type groupBuffer struct {
 type mgRow struct {
 	key      int64         // the first sample's timestamp
 	samples  []model.Point // per slot: the member's sample; nil Values when it has none
+	vals     []float64     // the samples' values: one slab a row (see sourceBuffer)
 	reported int
 }
 
@@ -402,12 +403,18 @@ func (s *Store) writeResolved(ds *model.DataSource, schema *model.SchemaType, p 
 // buffer and becomes a persisted batch when b points accumulate. Writes
 // for different sources proceed in parallel.
 func (s *Store) Write(p model.Point) error {
-	return s.ingest([]model.Point{p}, true)
+	return s.ingest([]model.Point{p}, nil, true)
 }
 
 // WriteBatch ingests a slice of points in one pass (see ingest).
 func (s *Store) WriteBatch(points []model.Point) error {
-	return s.ingest(points, true)
+	return s.ingest(points, nil, true)
+}
+
+// WriteFrame is WriteBatch of a frame's points, logged as the frame's bytes
+// (one record: past walog.MaxRecord it fails, nothing buffered).
+func (s *Store) WriteFrame(f Frame) error {
+	return s.ingest(f.points, f.raw, true)
 }
 
 // WriteBatchParallel is WriteBatch; workers is ignored. It remains only
@@ -420,12 +427,13 @@ func (s *Store) WriteBatchParallel(points []model.Point, workers int) error {
 // ingest is the one write path, one sequential pass per frame. The whole
 // frame is validated first, its sources and schemas resolved under one
 // catalog read lock; when logged, it is appended to the recovery log as one
-// frame record before any point enters a buffer — all under a shared hold
-// of logMu, so no checkpoint recycles a record whose point is not buffered
-// yet. A frame that fails validation logs, buffers and counts nothing; one
-// that fails later (a flush's put) may be partially buffered, the
-// non-transactional contract of the writer API.
-func (s *Store) ingest(points []model.Point, logged bool) error {
+// frame record (raw, when the caller has its bytes) before any point
+// enters a buffer — all under a shared hold of logMu, so no checkpoint
+// recycles a record whose point is not buffered yet. A frame that fails
+// validation logs, buffers and counts nothing; one that fails later (a
+// flush's put) may be partially buffered, the non-transactional contract
+// of the writer API.
+func (s *Store) ingest(points []model.Point, raw []byte, logged bool) error {
 	ls := make([]catalog.Lookup, len(points))
 	for i, p := range points {
 		ls[i].ID = p.Source
@@ -446,7 +454,13 @@ func (s *Store) ingest(points []model.Point, logged bool) error {
 	if logged && s.cfg.Log != nil {
 		s.logMu.RLock()
 		defer s.logMu.RUnlock()
-		if err := LogFrame(s.cfg.Log, points); err != nil {
+		var err error
+		if raw != nil {
+			err = s.cfg.Log.AppendKind(logFrame, [][]byte{raw})
+		} else {
+			err = LogFrame(s.cfg.Log, points)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -549,12 +563,14 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 				return s.putRunLocked(ds, schema, []model.Point{p})
 			}
 		}
-		row = &mgRow{key: p.TS}
+		row = &mgRow{key: p.TS, vals: make([]float64, 0, len(gb.members)*len(schema.Tags))}
 		gb.rows = append(gb.rows, row)
 	}
 	row.fit(len(gb.members))
 	row.reported++
-	row.samples[slot] = p.Clone()
+	n := len(row.vals)
+	row.vals = append(row.vals, p.Values...)
+	row.samples[slot] = model.Point{Source: p.Source, TS: p.TS, Values: row.vals[n:len(row.vals):len(row.vals)]}
 	if row.reported >= len(gb.members) {
 		return s.flushMGRowLocked(gb, row)
 	}
@@ -718,7 +734,7 @@ func (s *Store) replay(l *walog.Log, logged bool) (applied, skipped int, err err
 	held := make(map[[2]int64]int) // (source, ts) -> held points no record has matched yet
 	var pending []model.Point
 	flush := func() error {
-		err := s.ingest(pending, logged)
+		err := s.ingest(pending, nil, logged)
 		pending = pending[:0]
 		return err
 	}

@@ -48,6 +48,8 @@ import (
 type (
 	// Point is one operational record (timestamp, id, tag values).
 	Point = model.Point
+	// Frame is a decoded ingest frame and the bytes it came from.
+	Frame = tsstore.Frame
 	// SchemaType describes one class of data sources; it becomes a
 	// virtual table (id, timestamp, tags...).
 	SchemaType = model.SchemaType
@@ -647,6 +649,9 @@ func (w *Writer) WritePoint(source, ts int64, values ...float64) error {
 
 // WriteBatch ingests a slice of points.
 func (w *Writer) WriteBatch(points []Point) error { return w.h.ts.WriteBatch(points) }
+
+// WriteFrame is WriteBatch of a frame's points, logged as received.
+func (w *Writer) WriteFrame(f Frame) error { return w.h.ts.WriteFrame(f) }
 
 // WriteBatchParallel is WriteBatch. It remains only because the benchmark
 // harness calls it by this name — there is one ingest path, and this is
