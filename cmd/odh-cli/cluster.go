@@ -172,13 +172,13 @@ func runClusterSQL(c *cluster.Cluster, sql string) {
 	// A partial result is degraded but explicit: print what survived, then
 	// name the gap.
 	fmt.Println(strings.Join(res.Columns, " | "))
-	var line []byte
+	var out rowPrinter
 	for n, row := range res.Rows {
 		if n == 40 {
 			fmt.Printf("... (%d more rows)\n", len(res.Rows)-n)
 			break
 		}
-		line = printRow(line, row)
+		out.print(row)
 	}
 	fmt.Printf("(%d rows, %v, %d blob bytes read)\n", len(res.Rows), time.Since(start).Round(time.Microsecond), res.BlobBytes)
 	if err != nil {

@@ -271,7 +271,7 @@ func runSQL(h *odh.Historian, sql string) {
 	}
 	fmt.Println(strings.Join(res.Columns, " | "))
 	n := 0
-	var line []byte
+	var out rowPrinter
 	for {
 		row, ok, err := res.Next()
 		if err != nil {
@@ -283,7 +283,7 @@ func runSQL(h *odh.Historian, sql string) {
 		}
 		n++
 		if n <= 40 {
-			line = printRow(line, row)
+			out.print(row)
 		} else if n == 41 {
 			fmt.Println("... (display truncated; counting remaining rows)")
 		}
@@ -291,12 +291,15 @@ func runSQL(h *odh.Historian, sql string) {
 	fmt.Printf("(%d rows, %v, %d blob bytes read)\n", n, time.Since(start).Round(time.Microsecond), res.BlobBytes())
 }
 
-// printRow prints one result row as the shells show it, cells separated
-// by " | ", encoded into line (returned for reuse by the next row).
-func printRow(line []byte, row []odh.Value) []byte {
-	line = append(relational.AppendRow(line[:0], row, " | "), '\n')
-	os.Stdout.Write(line)
-	return line
+// rowPrinter prints a result's rows as the shells show them: " | " between cells.
+type rowPrinter struct {
+	rr   relational.RowRenderer
+	line []byte
+}
+
+func (p *rowPrinter) print(row []odh.Value) {
+	p.line = append(p.rr.AppendRow(p.line[:0], row, " | "), '\n')
+	os.Stdout.Write(p.line)
 }
 
 // remoteShell speaks the wire protocol to a running odh-server. When

@@ -241,6 +241,16 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			t2 := t1 + rng.Int63n(maxTS/2+1)
 			return fmt.Sprintf(`SELECT id, ts, a, b FROM %%s WHERE ts >= %d AND ts < %d`, t1, t2)
 		},
+		func() string { // id IN with a duplicate: each source once
+			a, b := sources[rng.Intn(len(sources))], sources[rng.Intn(len(sources))]
+			return fmt.Sprintf(`SELECT id, ts, a, b FROM %%s WHERE id IN (%d, %d, %d)`, a.id, b.id, a.id)
+		},
+		func() string { // fractional ts bounds: bracketed, so still filtered
+			src := sources[rng.Intn(len(sources))]
+			t1 := rng.Int63n(maxTS + 1)
+			t2 := t1 + rng.Int63n(maxTS)
+			return fmt.Sprintf(`SELECT id, ts, a FROM %%s WHERE id = %d AND ts > %d.5 AND ts <= %d.5`, src.id, t1, t2)
+		},
 		func() string { // tag predicate (zone-map path on the ODH side)
 			src := sources[rng.Intn(len(sources))]
 			lo := rng.Intn(6)

@@ -120,14 +120,38 @@ func (v Value) AppendText(dst []byte) []byte {
 	return append(dst, '?')
 }
 
-// AppendRow appends one result line's cells, rendered by AppendText and
-// separated by sep: the encoder the wire protocol and the shells share.
-func AppendRow(dst []byte, vals []Value, sep string) []byte {
+// RowRenderer encodes a result's lines for the wire and the shells: cells
+// are AppendText's bytes, a float rendered before copied from a memo, since
+// a result's values repeat and formatting is a row's dearest step.
+type RowRenderer struct {
+	// memo is direct-mapped by bits; n == 0 marks an empty entry. 24 bytes
+	// hold the longest text, such as -2.2250738585072014e-308.
+	memo [64]struct {
+		bits uint64
+		n    uint8
+		text [24]byte
+	}
+}
+
+// AppendRow appends one line's cells, separated by sep.
+func (r *RowRenderer) AppendRow(dst []byte, vals []Value, sep string) []byte {
 	for i, v := range vals {
 		if i > 0 {
 			dst = append(dst, sep...)
 		}
+		if v.Kind != KindFloat {
+			dst = v.AppendText(dst)
+			continue
+		}
+		bits := math.Float64bits(v.F)
+		e := &r.memo[(bits*0x9E3779B97F4A7C15)>>58]
+		if e.n > 0 && e.bits == bits {
+			dst = append(dst, e.text[:e.n]...)
+			continue
+		}
+		start := len(dst)
 		dst = v.AppendText(dst)
+		e.bits, e.n = bits, uint8(copy(e.text[:], dst[start:]))
 	}
 	return dst
 }

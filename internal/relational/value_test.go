@@ -2,6 +2,7 @@ package relational
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strconv"
 	"strings"
@@ -26,7 +27,8 @@ func displayText(v Value) string {
 
 // FuzzValueAppendText holds AppendText to String and to the historical
 // rendering for every kind (an out-of-range kind included), appended
-// behind an existing prefix, and AppendRow to strings.Join of the cells.
+// behind an existing prefix, and a row renderer's line to strings.Join of
+// the cells.
 func FuzzValueAppendText(f *testing.F) {
 	for _, v := range []Value{
 		Null, Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64),
@@ -57,7 +59,7 @@ func FuzzValueAppendText(f *testing.F) {
 		for k, c := range row {
 			cells[k] = displayText(c)
 		}
-		if got, want := AppendRow(nil, row, "\t"), strings.Join(cells, "\t"); string(got) != want {
+		if got, want := new(RowRenderer).AppendRow(nil, row, "\t"), strings.Join(cells, "\t"); string(got) != want {
 			t.Fatalf("AppendRow = %q, want %q", got, want)
 		}
 	})
@@ -68,8 +70,9 @@ func FuzzValueAppendText(f *testing.F) {
 func TestAppendTextAllocatesNothing(t *testing.T) {
 	row := []Value{Null, Int(-42), Time(1_384_732_800_000), Float(-2.5e-7), Float(math.Inf(1)), Str("acct_000042")}
 	buf := make([]byte, 0, 256)
-	if n := testing.AllocsPerRun(100, func() { buf = AppendRow(buf[:0], row, "\t") }); n != 0 {
-		t.Fatalf("AppendRow allocates %v times per row", n)
+	var rr RowRenderer
+	if n := testing.AllocsPerRun(100, func() { buf = rr.AppendRow(buf[:0], row, "\t") }); n != 0 {
+		t.Fatalf("RowRenderer.AppendRow allocates %v times per row", n)
 	}
 	if !bytes.Equal(buf, []byte("NULL\t-42\t1384732800000\t-2.5e-07\t+Inf\tacct_000042")) {
 		t.Fatalf("row = %q", buf)
@@ -80,4 +83,55 @@ func TestAppendTextAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { s = Float(-2.5e-7).String() }); n > 1 {
 		t.Fatalf("String allocates %v times (%q)", n, s)
 	}
+}
+
+// memoSlot is RowRenderer's slot function: the memo entry a float's bits map to.
+func memoSlot(f float64) uint64 { return (math.Float64bits(f) * 0x9E3779B97F4A7C15) >> 58 }
+
+// FuzzRowRenderer holds the memo to byte identity: a sequence of floats
+// (8 bytes of bits each) rendered through one renderer, line after line
+// and with the line rotated, must be the per-cell AppendText rendering
+// every time — repeats served from the memo, slot collisions evicting,
+// -0 apart from 0, NaN payloads, infinities, subnormals and 24-byte texts.
+func FuzzRowRenderer(f *testing.F) {
+	// Two values that share a memo slot, so one evicts the other.
+	a, b := 0.5, 0.75
+	for memoSlot(b) != memoSlot(a) {
+		b += 0.25
+	}
+	for _, seq := range [][]float64{
+		{4.99, 4.99, 9.99, 4.99, 0, 9.99, 4.99},
+		{a, b, a, b, b, a},
+		{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+		{math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000001), math.NaN()},
+		{math.Inf(1), math.Inf(-1), math.Inf(1), 1e21, 1e20, 1e21},
+		{5e-324, -5e-324, 2.2250738585072009e-308, 5e-324, 2.2250738585072009e-308},
+		{-2.2250738585072014e-308, -1.2345678901234567e-100, -2.2250738585072014e-308, -1.2345678901234567e-100},
+	} {
+		var data []byte
+		for _, v := range seq {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var row []Value
+		for ; len(data) >= 8; data = data[8:] {
+			row = append(row, Float(math.Float64frombits(binary.LittleEndian.Uint64(data))))
+		}
+		row = append(row, Null, Int(int64(len(row))))
+		var rr RowRenderer
+		var line []byte
+		for pass := 0; pass < 3; pass++ {
+			cells := make([]string, len(row))
+			for i, v := range row {
+				cells[i] = string(v.AppendText(nil))
+			}
+			line = rr.AppendRow(line[:0], row, " | ")
+			if want := strings.Join(cells, " | "); string(line) != want {
+				t.Fatalf("pass %d: memo rendering %q, per-cell %q", pass, line, want)
+			}
+			row = append(row[1:], row[0])
+		}
+	})
 }

@@ -369,6 +369,7 @@ func (s *Server) handleSQL(out io.Writer, sql string) {
 	fmt.Fprintln(out, strings.Join(res.Columns, "\t"))
 	n := 0
 	line := make([]byte, 0, 256)
+	var rr relational.RowRenderer
 	for {
 		row, ok, err := res.Next()
 		if err != nil {
@@ -379,7 +380,7 @@ func (s *Server) handleSQL(out io.Writer, sql string) {
 		if !ok {
 			break
 		}
-		line = append(relational.AppendRow(line[:0], row, "\t"), '\n')
+		line = append(rr.AppendRow(line[:0], row, "\t"), '\n')
 		out.Write(line)
 		n++
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"odh/internal/sqlparse"
@@ -22,7 +23,7 @@ func (pc *planContext) buildScan(acc *tableAccess) (Operator, error) {
 	default:
 		op = newRelIndexRange(acc.src.rel, acc.index, acc.src.binding(), acc.rangeLo, acc.rangeHi)
 	}
-	return pc.applyFilter(op, acc.conjuncts)
+	return pc.applyFilter(op, acc.rowFilter(false))
 }
 
 // applyFilter wraps op with the given conjuncts (no-op for none).
@@ -212,9 +213,8 @@ func (pc *planContext) buildFusedJoins(virtual *tableSource) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Virtual-side single-table predicates still apply (time bounds
-		// were pushed, but re-checking is exact and cheap).
-		return pc.applyFilter(newNLVirtualJoin(rel, pc.newVirtualScan(vAcc), outerOrd), vAcc.conjuncts)
+		// The join re-aims the selection, so an id conjunct stays a filter.
+		return pc.applyFilter(newNLVirtualJoin(rel, pc.newVirtualScan(vAcc), outerOrd), vAcc.rowFilter(true))
 	}
 
 	pc.planNote = fmt.Sprintf("plan=operational-first cost=%.0f (alternative relational-first=%.0f)", costOpFirst, costRelFirst)
@@ -370,7 +370,10 @@ func rewriteAggRefs(e sqlparse.Expr, cols []ColMeta) sqlparse.Expr {
 	return e
 }
 
-// buildProjection expands stars and binds select expressions.
+// buildProjection expands stars and binds select expressions. Only a star
+// keeps a column's binding, so a layout equal to the input's is every input
+// column once, in order (SELECT * over one table): the child's rows are the
+// result, and nothing is projected.
 func (pc *planContext) buildProjection(child Operator) (Operator, error) {
 	inCols := child.Columns()
 	var exprs []boundExpr
@@ -400,6 +403,9 @@ func (pc *planContext) buildProjection(child Operator) (Operator, error) {
 		}
 		exprs = append(exprs, b)
 		outCols = append(outCols, ColMeta{Name: name, Kind: exprKind(item.Expr, inCols)})
+	}
+	if slices.Equal(outCols, inCols) {
+		return child, nil
 	}
 	return &projectOp{child: child, exprs: exprs, cols: outCols}, nil
 }

@@ -202,7 +202,8 @@ type virtualScan struct {
 	zones    []tsstore.TagRange
 	ctx      context.Context // cancels the scan (threaded into ScanOptions.Ctx)
 	iter     tsstore.Iterator
-	row      Row // the lent row, reassembled by every next
+	row      Row // the lent row: a join's outer row (outer cells), then the point
+	outer    int
 }
 
 func (pc *planContext) newVirtualScan(acc *tableAccess) *virtualScan {
@@ -243,23 +244,21 @@ func (s *virtualScan) Next() (Row, bool, error) {
 			return nil, false, err
 		}
 	}
-	return s.next(nil)
+	return s.next()
 }
 
 // next assembles the open iterator's next point into the scan's row
-// buffer behind prefix (the outer row of a join; nil for a plain scan):
-// decoded columns become relational values — the VTI overhead the paper
-// measures at >80% of extraction time.
-func (s *virtualScan) next(prefix Row) (Row, bool, error) {
+// buffer behind its outer cells: decoded columns become relational values
+// — the VTI overhead the paper measures at >80% of extraction time.
+func (s *virtualScan) next() (Row, bool, error) {
 	p, ok := s.iter.Next()
 	if !ok {
 		return nil, false, s.iter.Err()
 	}
 	if s.row == nil {
-		s.row = make(Row, 0, len(prefix)+len(s.cols))
+		s.row = make(Row, 0, len(s.cols))
 	}
-	row := append(s.row[:0], prefix...)
-	row = append(row, relational.Int(p.Source), relational.Time(p.TS))
+	row := append(s.row[:s.outer], relational.Int(p.Source), relational.Time(p.TS))
 	for _, v := range p.Values {
 		if model.IsNull(v) {
 			row = append(row, relational.Null)
@@ -470,16 +469,15 @@ func (j *hashJoin) Describe(indent string) string {
 // nlVirtualJoin drives historical scans of the virtual table from outer
 // rows — the paper's "relational-first" plan: extract matching sensors,
 // then extract the operational records for each sensor id. The inner is
-// one virtualScan re-aimed at each driven source, assembling its rows
-// behind cur, the outer row in hand (valid while the outer child is not
-// advanced).
+// one virtualScan re-aimed at each driven source; opening it writes the
+// outer row into the head of its row buffer once, and each inner row
+// rewrites only the tail.
 type nlVirtualJoin struct {
 	outer     Operator
 	inner     *virtualScan
 	outerKey  int // ordinal of the join key (sensor id) in outer rows
 	cols      []ColMeta
-	cur       Row
-	blobBytes int64
+	blobBytes int64 // of the drained inner scans; BlobBytes adds the open one
 }
 
 func newNLVirtualJoin(outer Operator, inner *virtualScan, outerKey int) *nlVirtualJoin {
@@ -491,12 +489,12 @@ func newNLVirtualJoin(outer Operator, inner *virtualScan, outerKey int) *nlVirtu
 }
 
 func (j *nlVirtualJoin) Columns() []ColMeta { return j.cols }
-func (j *nlVirtualJoin) BlobBytes() int64   { return j.blobBytes }
+func (j *nlVirtualJoin) BlobBytes() int64   { return j.blobBytes + j.inner.BlobBytes() }
 
 func (j *nlVirtualJoin) Next() (Row, bool, error) {
 	for {
 		if j.inner.iter != nil {
-			row, ok, err := j.inner.next(j.cur)
+			row, ok, err := j.inner.next()
 			if ok || err != nil {
 				return row, ok, err
 			}
@@ -517,7 +515,7 @@ func (j *nlVirtualJoin) Next() (Row, bool, error) {
 			// as data sources contribute no rows (inner join semantics).
 			continue
 		}
-		j.cur = row
+		j.inner.row, j.inner.outer = append(j.inner.row[:0], row...), len(row)
 	}
 }
 

@@ -396,24 +396,36 @@ type virtualAccess struct {
 	// exact: every conjunct was absorbed losslessly into the fields above,
 	// so they may replace the filter (the aggregate pushdown's
 	// precondition). A conjunct absorbed inexactly only ever loosens them:
-	// row plans keep the filter, which re-checks every row.
+	// row plans keep it in the filter, which re-checks every row.
 	exact bool
-	cost  blobCost // the selection read as a row scan
+	how   []absorbed // per conjunct
+	cost  blobCost   // the selection read as a row scan
 
 	stats    model.SourceStats // the schema's persisted totals
 	nSources float64
 }
 
+// absorbed names the field that says exactly what a conjunct says, if any.
+type absorbed uint8
+
+const (
+	inexact   absorbed = iota // none: the conjunct only loosened them, or was not absorbed
+	exactTag                  // preds; a row scan applies only its zone hull
+	exactTime                 // the window [t1, t2)
+	exactSel                  // the source selection
+)
+
 // absorb folds one destructured conjunct into the descriptor and reports
-// whether that was lossless.
-func (va *virtualAccess) absorb(p colPred) bool {
+// which field, if any, now enforces it losslessly.
+func (va *virtualAccess) absorb(p colPred) absorbed {
 	schema := va.sel.schema
-	exact := p.whole
+	exact, how := p.whole, exactTag
 	switch {
 	case strings.EqualFold(p.col, schema.TSColumn()):
 		if p.in != nil {
-			return false
+			return inexact
 		}
+		how = exactTime
 		for _, c := range p.cmps {
 			// A fractional literal is bracketed by its floor and ceiling, which
 			// is as tight as integer timestamps allow and never tighter than
@@ -447,7 +459,7 @@ func (va *virtualAccess) absorb(p colPred) bool {
 			lits = []relational.Value{p.cmps[0].lit}
 		}
 		if lits == nil || va.sel.ids != nil {
-			return false
+			return inexact
 		}
 		// IN is a membership test: a duplicate literal must not scan (and
 		// return) its source twice.
@@ -455,17 +467,17 @@ func (va *virtualAccess) absorb(p colPred) bool {
 		for _, lit := range lits {
 			id, ok := intLit(lit)
 			if !ok {
-				return false
+				return inexact
 			}
 			if !slices.Contains(ids, id) {
 				ids = append(ids, id)
 			}
 		}
-		va.sel.ids, va.sel.one = ids, p.in == nil
+		va.sel.ids, va.sel.one, how = ids, p.in == nil, exactSel
 	default:
 		tag := schema.TagIndex(matchTagName(schema, p.col))
 		if tag < 0 || p.in != nil {
-			return false
+			return inexact
 		}
 		pred := tsstore.TagPred{Tag: tag, Lo: math.Inf(-1), Hi: math.Inf(1)}
 		for _, c := range p.cmps {
@@ -493,7 +505,22 @@ func (va *virtualAccess) absorb(p colPred) bool {
 			va.preds = append(va.preds, pred)
 		}
 	}
-	return exact
+	if !exact {
+		return inexact
+	}
+	return how
+}
+
+// rowFilter returns, in order, the conjuncts a row scan of the table does
+// not enforce: a virtual table's exact time and id conjuncts drop out, the
+// id's only while no join re-aims the selection at each outer key.
+func (acc *tableAccess) rowFilter(reaimed bool) (keep []sqlparse.Expr) {
+	for i, conj := range acc.conjuncts {
+		if acc.virt == nil || acc.virt.how[i] < exactTime || reaimed && acc.virt.how[i] == exactSel {
+			keep = append(keep, conj)
+		}
+	}
+	return keep
 }
 
 // zones derives the zone-map hulls of the tag predicates: a blob whose
@@ -609,9 +636,12 @@ func (pc *planContext) analyzeVirtual(acc *tableAccess) {
 	}
 	acc.virt = va
 	for _, conj := range acc.conjuncts {
-		if p, ok := destructure(conj); !ok || !va.absorb(p) {
-			va.exact = false
+		how := inexact
+		if p, ok := destructure(conj); ok {
+			how = va.absorb(p)
 		}
+		va.exact = va.exact && how != inexact
+		va.how = append(va.how, how)
 	}
 	frac := va.fraction()
 	if va.sel.ids != nil {

@@ -490,7 +490,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 	}
 	// Boundary: per-row resolution. A stub here fails loudly (its rows are
 	// gone), never under-counts.
-	batch, _, err := w.decode(rec, lo, hi)
+	batch, err := w.decode(rec, lo, hi)
 	if batch == nil {
 		return err
 	}

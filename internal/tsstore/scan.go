@@ -3,6 +3,7 @@ package tsstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"odh/internal/btree"
@@ -10,10 +11,10 @@ import (
 )
 
 // Iterator yields operational points. Implementations are not safe for
-// concurrent use; create one per query. The caller owns every Point it
-// receives: buffered points are cloned out of the ingest buffers, and
-// rows backed by the shared decoded-blob cache are copied on emission,
-// so mutating Point.Values never corrupts concurrent or future scans.
+// concurrent use; create one per query. A Point's Values are lent and
+// read-only: they may alias a decoded batch that the decoded-blob cache
+// shares with other scans, so a caller that changes or keeps them copies
+// them first.
 type Iterator interface {
 	// Next returns the next point; ok is false when exhausted.
 	Next() (p model.Point, ok bool)
@@ -165,19 +166,17 @@ func (it *scanIter) load(rec *walkRec) error {
 			it.w.s.zoneSkips.Add(1)
 			return nil
 		}
-		batch, shared, err := it.w.decode(rec, it.ch.lo, it.ch.hi)
+		batch, err := it.w.decode(rec, it.ch.lo, it.ch.hi)
 		if batch == nil {
 			return err
 		}
 		if rec.hit == nil {
 			it.bytesRead += int64(len(rec.blob))
 		}
-		// Callers own the Points they get: rows of a batch other readers
-		// can see are copied on emission, rows of a private one handed over.
+		// Rows are lent (see Iterator), whether the cache shares the batch or
+		// not; the queue grows once per record, not per row.
+		it.queue = slices.Grow(it.queue, len(batch.Timestamps))
 		it.w.eachRow(rec, batch, it.ch.lo, it.ch.hi, func(src, ts int64, vals []float64) {
-			if shared {
-				vals = append([]float64(nil), vals...)
-			}
 			it.queue = append(it.queue, model.Point{Source: src, TS: ts, Values: vals})
 		})
 	}

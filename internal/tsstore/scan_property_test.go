@@ -209,8 +209,9 @@ func pointsEqual(a, b []model.Point) bool {
 
 // valuesEqual compares rows cell-wise with NULL (NaN) equal to NULL —
 // unlike reflect.DeepEqual, which only accepts NaN cells when both rows
-// alias the same backing array (scans copy rows out of shared cache
-// batches, so aliasing never happens).
+// alias the same backing array. Scans lend rows of cached batches, so two
+// scans' rows may alias or not depending on the cache; the comparison must
+// not depend on which.
 func valuesEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

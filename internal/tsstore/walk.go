@@ -501,51 +501,50 @@ func (r *walkRec) lastTS() int64 {
 // decode returns the rows of a stored record handed out in a chunk with
 // window [lo, hi) — all of them when the window covers the record, else
 // the row range the window needs, and of an MG record in a walk of one
-// member that member's row alone (see blobHeader.decode). shared says the
-// batch is, or may become, visible to other readers through the cache, so
-// its rows must be copied before they are handed on; only a whole-record
-// decode is cached (blobHeader.whole), since a row range or one member's
-// row has no key that names it. A nil
+// member that member's row alone (see blobHeader.decode). The batch may
+// be, or become, visible to other readers through the cache and is never
+// mutated; only a whole-record decode is cached (blobHeader.whole), since
+// a row range or one member's row has no key that names it. A nil
 // batch with a nil error means the record contributes nothing: its span
 // misses the window (nothing behind the header is read, stub or not), or
 // it is quarantined in lenient mode. A stub with rows inside the window
 // fails with StubbedRangeError — dropped by tier policy, never silently
 // missing, and never quarantined: a stub is not a corrupt record.
-func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, shared bool, err error) {
+func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err error) {
 	rows, first, last, spanOK := r.hdr.span(r.ts)
 	if spanOK && (rows == 0 || last < lo || first >= hi) {
-		return nil, false, nil
+		return nil, nil
 	}
 	if r.hit != nil {
 		w.cache.noteSaved(r.hit.blobLen)
-		return r.hit.batch, true, nil
+		return r.hit.batch, nil
 	}
 	if err := ctxErr(w.ctx); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	switch {
 	case r.hdr.tier() != TierStub:
 		batch, err = r.hdr.decode(r.ts, w.wantTags, w.slot, lo, hi-1)
 	case spanOK:
-		return nil, false, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: first, LastTS: last}
+		return nil, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: first, LastTS: last}
 	default:
 		err = fmt.Errorf("tsstore: corrupt stub blob %s source=%d ts=%d", r.home.tree.Name(), r.home.id, r.ts)
 	}
 	if err != nil {
 		if w.s.lenient() {
 			w.s.noteCorruptBlob()
-			return nil, false, nil
+			return nil, nil
 		}
-		return nil, false, err
+		return nil, err
 	}
 	w.decoded++
 	w.decodedRows += len(batch.Rows)
 	w.s.decodedValues.Add(int64(batch.decoded))
-	if shared = w.cache != nil && r.hdr.whole(batch); shared {
+	if w.cache != nil && r.hdr.whole(batch) {
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
 			batch, r.hdr.detached(), int64(len(r.blob)))
 	}
-	return batch, shared, nil
+	return batch, nil
 }
 
 // eachRow calls fn for the rows of a decoded record that belong to the
