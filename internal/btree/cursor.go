@@ -23,6 +23,12 @@ import (
 // inside one shared hold, and rewriteLocked, the only writer, runs under
 // the exclusive hold.
 //
+// A Reset whose target lies within the snapshot's keys, on a tree no Put or
+// Delete has changed since the copy, is answered from the snapshot: no
+// descent, no copy. The snapshot is then byte for byte the leaf, and its
+// overflow references name the chains the leaf does — a chain changes only
+// by a mutation of its key.
+//
 // View lifetime: Key, and Value of a value stored inline, return views of
 // the snapshot. They are valid until the cursor moves (Next, Reset) and
 // must not be modified; a caller that keeps an entry past that copies it
@@ -43,6 +49,8 @@ type Cursor struct {
 	// right sibling, which the walk then reaches again; the bounds keep the
 	// cursor strictly ascending through that.
 	floor, last []byte
+	ver         uint64  // the tree's version when the snapshot was copied
+	chain       chainAt // how far AppendValuePart has read the current value
 }
 
 // Seek positions a new cursor at the first entry with key >= target.
@@ -58,10 +66,18 @@ func (t *Tree) First() *Cursor {
 }
 
 // Reset re-aims the cursor at the first entry of t with key >= target,
-// reusing the buffers of its earlier life. target must stay unmodified
-// while the cursor is in use.
+// reusing the buffers of its earlier life — and its leaf snapshot, when
+// the tree is unchanged and the snapshot holds keys on both sides of
+// target (see Cursor). target must stay unmodified while the cursor is in
+// use.
 func (c *Cursor) Reset(t *Tree, target []byte) {
-	c.t, c.floor, c.last, c.n, c.pos = t, target, c.last[:0], 0, 0
+	reuse := c.t == t && c.n > 0 && c.ver == t.version.Load()
+	c.t, c.floor, c.last, c.chain, c.err = t, target, c.last[:0], chainAt{}, nil
+	if n := (node{c.page}); reuse && bytes.Compare(n.cellKey(0), target) <= 0 && bytes.Compare(target, n.cellKey(c.n-1)) <= 0 {
+		c.pos, _ = n.search(target)
+		return
+	}
+	c.n, c.pos = 0, 0
 	// One lock hold from the descent to the leaf copy: a split in between
 	// would leave the copy without the keys the descent aimed at.
 	t.mu.RLock()
@@ -89,7 +105,7 @@ func (c *Cursor) loadLeaf(pid pagestore.PageID) error {
 	copy(c.page, fr.Data())
 	fr.Unpin()
 	n := node{c.page}
-	c.leaf, c.n = pid, n.ncells()
+	c.leaf, c.n, c.ver = pid, n.ncells(), c.t.version.Load()
 	c.pos, _ = n.search(c.floor)
 	if len(c.last) > 0 {
 		i, found := n.search(c.last)
@@ -152,36 +168,43 @@ func (c *Cursor) Value() ([]byte, error) {
 	if !ovf {
 		return val, nil
 	}
-	return c.appendValue(nil, -1)
+	return c.appendValue(nil, new(chainAt), -1)
 }
 
 // AppendValue appends the current entry's value to dst: the copying read,
 // into a buffer the caller owns and may reuse.
 func (c *Cursor) AppendValue(dst []byte) ([]byte, error) {
-	return c.appendValue(dst, -1)
+	return c.appendValue(dst, new(chainAt), -1)
 }
 
-// AppendHead appends up to limit leading bytes of the current entry's
-// value to dst, out of an inline value or out of the first page of an
-// overflow chain (so it can come back shorter than limit when the value is
-// longer). It reads at most that one page and allocates only to grow dst: a
-// caller after the front of a multi-page value (a ValueBlob header) does
-// not pay for the rest.
-func (c *Cursor) AppendHead(dst []byte, limit int) ([]byte, error) {
-	return c.appendValue(dst, limit)
+// AppendValuePart appends the next part of the current entry's value to
+// dst: its bytes from where the last part of this entry ended (its start,
+// once the cursor has moved) through byte end (end < 0 or past the value:
+// its end). An overflow chain is followed on from the page the last part
+// ended in, so a value read in parts reads each page once, the page a part
+// ends inside once more; a read through ChainChunk reads one page. A
+// caller after the front of a multi-page value (a ValueBlob's header and
+// the columns it wants) does not pay for the rest, and allocates only to
+// grow dst.
+func (c *Cursor) AppendValuePart(dst []byte, end int) ([]byte, error) {
+	return c.appendValue(dst, &c.chain, end)
 }
 
-func (c *Cursor) appendValue(dst []byte, head int) ([]byte, error) {
+func (c *Cursor) appendValue(dst []byte, at *chainAt, end int) ([]byte, error) {
 	_, val, ovf := node{c.page}.leafCell(c.pos)
 	if !ovf {
-		if head >= 0 {
-			val = val[:min(head, len(val))]
+		if end < 0 || end > len(val) {
+			end = len(val)
 		}
-		return append(dst, val...), nil
+		if at.read < end {
+			dst = append(dst, val[at.read:end]...)
+			at.read = end
+		}
+		return dst, nil
 	}
 	c.t.mu.RLock()
 	defer c.t.mu.RUnlock()
-	return c.t.appendOverflow(dst, val, head)
+	return c.t.appendOverflow(dst, val, at, end)
 }
 
 // ValueSize returns the stored size of the current value without fetching
@@ -203,6 +226,7 @@ func (c *Cursor) Next() {
 		return
 	}
 	c.pos++
+	c.chain = chainAt{}
 	if c.pos >= c.n {
 		c.advanceLeaf()
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -19,7 +20,8 @@ type cursorEntry struct{ key, val []byte }
 
 // walkFrom drains a cursor, reading each value the three ways the cursor
 // offers and checking they agree: Value (a view, or a fresh overflow read),
-// AppendValue (the copy) and AppendHead (a prefix).
+// AppendValue (the copy) and AppendValuePart (in parts: a prefix inside the
+// first page, the rest of that page, a cut inside the chain, the rest).
 func walkFrom(t *testing.T, c *Cursor) []cursorEntry {
 	t.Helper()
 	var out []cursorEntry
@@ -35,9 +37,15 @@ func walkFrom(t *testing.T, c *Cursor) []cursorEntry {
 		if c.ValueSize() != len(val) {
 			t.Fatalf("ValueSize of %q = %d, Value has %d", c.Key(), c.ValueSize(), len(val))
 		}
-		head, err := c.AppendHead(nil, 100)
-		if err != nil || !bytes.Equal(head, val[:min(100, len(val))]) {
-			t.Fatalf("AppendHead of %q = %d bytes, %v", c.Key(), len(head), err)
+		var parts []byte
+		for _, end := range []int{100, ChainChunk, 2 * len(val) / 3, -1, 7} {
+			want := len(val)
+			if end >= 0 {
+				want = max(len(parts), min(end, len(val)))
+			}
+			if parts, err = c.AppendValuePart(parts, end); err != nil || !bytes.Equal(parts, val[:want]) {
+				t.Fatalf("AppendValuePart of %q through %d = %d bytes, %v; want the value's first %d", c.Key(), end, len(parts), err, want)
+			}
 		}
 		out = append(out, cursorEntry{append([]byte(nil), c.Key()...), cp[1:]})
 	}
@@ -311,36 +319,50 @@ func patch(t *testing.T, s *pagestore.Store, pid pagestore.PageID, off int, b []
 // TestOverflowReadTrustsNothing: a reference that claims more bytes than the
 // store has pages for, a length the chain does not deliver, a page that
 // claims a chunk longer than a page and a chain bent into a loop all fail
-// with the package's corruption error — from Get, Value, AppendValue and
-// where it reaches the damage AppendHead — without panicking, spinning or
-// allocating what the reference claims.
+// with the package's corruption error — from Get, Value, AppendValue, a
+// read in parts resumed after the first page, and where it reaches the
+// damage a part read that stops early — without panicking, spinning or
+// allocating what the reference claims. A part read that stops before the
+// damage returns the value's bytes.
 func TestOverflowReadTrustsNothing(t *testing.T) {
 	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
 	const valLen = 3*ovfChunkSize + 100 // four chain pages
+	// The part reads: inside the first page, and a prefix into the second.
+	const head, prefix = 64, ChainChunk + 100
 	cases := []struct {
-		name    string
-		headOK  bool // the damage lies behind the first chain page
-		corrupt func(tr *Tree, leaf pagestore.PageID, refOff int, chain []pagestore.PageID)
+		name     string
+		headOK   bool // the damage lies behind the first 64 bytes
+		prefixOK bool // ... and behind the prefix, a hundred bytes into page two
+		corrupt  func(tr *Tree, leaf pagestore.PageID, refOff int, chain []pagestore.PageID)
 	}{
-		{"length of 4 GiB", false, func(tr *Tree, leaf pagestore.PageID, refOff int, _ []pagestore.PageID) {
+		{"length of 4 GiB", false, false, func(tr *Tree, leaf pagestore.PageID, refOff int, _ []pagestore.PageID) {
 			patch(t, tr.store, leaf, refOff, u32(0xFFFFFFFF))
 		}},
-		{"length the chain falls short of", true, func(tr *Tree, leaf pagestore.PageID, refOff int, _ []pagestore.PageID) {
+		{"length the chain falls short of", true, true, func(tr *Tree, leaf pagestore.PageID, refOff int, _ []pagestore.PageID) {
 			patch(t, tr.store, leaf, refOff, u32(valLen+20*ovfChunkSize))
 		}},
-		{"length the chain runs past", true, func(tr *Tree, leaf pagestore.PageID, refOff int, _ []pagestore.PageID) {
+		{"length the chain runs past", true, false, func(tr *Tree, leaf pagestore.PageID, refOff int, _ []pagestore.PageID) {
 			patch(t, tr.store, leaf, refOff, u32(valLen-2*ovfChunkSize))
 		}},
-		{"chunk longer than a page", false, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
+		{"chain that ends short", true, false, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
+			patch(t, tr.store, chain[0], 0, u32(uint32(pagestore.InvalidPage)))
+		}},
+		{"chunk longer than a page", false, false, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
 			patch(t, tr.store, chain[0], 4, []byte{0xFF, 0xFF})
 		}},
-		{"chunk longer than a page, second page", true, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
+		{"chunk longer than a page, second page", true, false, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
 			patch(t, tr.store, chain[1], 4, []byte{0xFF, 0xFF})
 		}},
-		{"looped chain", true, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
+		{"chunk longer than a page, last page", true, true, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
+			patch(t, tr.store, chain[3], 4, []byte{0xFF, 0xFF})
+		}},
+		{"looped chain", true, true, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
 			patch(t, tr.store, chain[len(chain)-1], 0, u32(uint32(chain[0])))
 		}},
-		{"self-looped first page", true, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
+		{"second page looped to the first", true, true, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
+			patch(t, tr.store, chain[1], 0, u32(uint32(chain[0])))
+		}},
+		{"self-looped first page", true, false, func(tr *Tree, _ pagestore.PageID, _ int, chain []pagestore.PageID) {
 			patch(t, tr.store, chain[0], 0, u32(uint32(chain[0])))
 		}},
 	}
@@ -388,23 +410,150 @@ func TestOverflowReadTrustsNothing(t *testing.T) {
 			}
 			_, valErr := c.Value()
 			_, appErr := c.AppendValue(nil)
-			head, headErr := c.AppendHead(nil, 64)
+			// In parts: the first page, then on from page two to the end.
+			_, firstErr := c.AppendValuePart(nil, ChainChunk)
+			_, restErr := c.AppendValuePart(nil, -1)
+			c.Reset(tr, key)
+			headPart, headErr := c.AppendValuePart(nil, head)
+			c.Reset(tr, key)
+			prefixPart, prefixErr := c.AppendValuePart(nil, prefix)
 			runtime.ReadMemStats(&after)
-			for name, err := range map[string]error{"Get": getErr, "Value": valErr, "AppendValue": appErr} {
+			resumedErr := firstErr
+			if resumedErr == nil {
+				resumedErr = restErr
+			}
+			for name, err := range map[string]error{"Get": getErr, "Value": valErr, "AppendValue": appErr, "AppendValuePart resumed after page one": resumedErr} {
 				if !errors.Is(err, errCorrupt) {
 					t.Errorf("%s: %v, want errCorrupt", name, err)
 				}
 			}
-			if tc.headOK {
-				if headErr != nil || !bytes.Equal(head, val[:64]) {
-					t.Errorf("AppendHead reads only the first page, which is sound: got %d bytes, %v", len(head), headErr)
+			for _, part := range []struct {
+				name string
+				ok   bool
+				got  []byte
+				err  error
+				want []byte
+			}{{"a head inside page one", tc.headOK, headPart, headErr, val[:head]}, {"a prefix into page two", tc.prefixOK, prefixPart, prefixErr, val[:prefix]}} {
+				if part.ok {
+					if part.err != nil || !bytes.Equal(part.got, part.want) {
+						t.Errorf("AppendValuePart, %s, stops before the damage: got %d bytes, %v", part.name, len(part.got), part.err)
+					}
+				} else if !errors.Is(part.err, errCorrupt) {
+					t.Errorf("AppendValuePart, %s: %v, want errCorrupt", part.name, part.err)
 				}
-			} else if !errors.Is(headErr, errCorrupt) {
-				t.Errorf("AppendHead: %v, want errCorrupt", headErr)
 			}
 			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
 				t.Errorf("reading a damaged reference allocated %d bytes, want < 1 MiB", grown)
 			}
 		})
+	}
+}
+
+// TestCursorSnapshotReuse: for every target in and around the keys of a
+// cursor's leaf snapshot, a Reset lands where a fresh Seek lands, and one
+// inside them is answered from the snapshot with no page lookup at all. A
+// Put or Delete between the snapshot and the Reset — an in-place
+// overwrite, one that frees an overflow chain, inserts that split the
+// leaf, a deletion — always forces a fresh descent.
+func TestCursorSnapshotReuse(t *testing.T) {
+	tr := newTree(t, "reuse")
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i*2)) }
+	for i := 0; i < 2000; i++ {
+		v := []byte(fmt.Sprintf("v%05d", i))
+		if i%9 == 0 {
+			v = bytes.Repeat(v, pagestore.PageSize/3) // a chain of two pages
+		}
+		if err := tr.Put(key(i), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookups := func() int64 { st := tr.store.Stats(); return st.Hits + st.Misses }
+	// same walks a few entries with both cursors: keys and values agree.
+	same := func(what string, c, fresh *Cursor) {
+		t.Helper()
+		for step := 0; step < 4; step++ {
+			if c.Valid() != fresh.Valid() {
+				t.Fatalf("%s, step %d: valid %v, a fresh Seek's %v", what, step, c.Valid(), fresh.Valid())
+			}
+			if !c.Valid() {
+				return
+			}
+			v, err := c.AppendValue(nil)
+			fv, ferr := fresh.AppendValue(nil)
+			if !bytes.Equal(c.Key(), fresh.Key()) || err != nil || ferr != nil || !bytes.Equal(v, fv) {
+				t.Fatalf("%s, step %d: at %q (%d bytes, %v), a fresh Seek at %q (%d bytes, %v)", what, step, c.Key(), len(v), err, fresh.Key(), len(fv), ferr)
+			}
+			c.Next()
+			fresh.Next()
+		}
+	}
+	var c Cursor
+	c.Reset(tr, key(1000))
+	snap := node{append([]byte(nil), c.page...)}
+	first, last := snap.cellKey(0), snap.cellKey(snap.ncells()-1)
+	if bytes.Equal(first, key(0)) || snap.ncells() < 3 {
+		t.Fatal("the test needs a leaf in the middle of the tree")
+	}
+	var targets [][]byte
+	for i := 0; i < snap.ncells(); i++ {
+		k := snap.cellKey(i)
+		targets = append(targets, k, append(slices.Clone(k), 0), k[:len(k)-1]) // the key, just after, just before
+	}
+	for _, target := range targets {
+		in := bytes.Compare(first, target) <= 0 && bytes.Compare(target, last) <= 0
+		c.Reset(tr, first) // the snapshot again, reused or not
+		before := lookups()
+		c.Reset(tr, target)
+		if got := lookups() - before; in != (got == 0) {
+			t.Fatalf("Reset(%q), inside the snapshot %v: %d page lookups", target, in, got)
+		}
+		same(fmt.Sprintf("Reset(%q)", target), &c, tr.Seek(target))
+	}
+
+	// A key of the snapshot with an inline value and one with an overflow
+	// value, both between its first and last.
+	var inline, ovf []byte
+	for i := 1; i < snap.ncells()-1; i++ {
+		if _, _, o := snap.leafCell(i); o && ovf == nil {
+			ovf = snap.cellKey(i)
+		} else if !o && inline == nil {
+			inline = snap.cellKey(i)
+		}
+	}
+	if inline == nil || ovf == nil {
+		t.Fatal("the snapshot lacks an inline or an overflow value between its ends")
+	}
+	mutations := []struct {
+		name string
+		at   []byte
+		do   func() error
+	}{
+		{"in-place overwrite", inline, func() error { return tr.Put(inline, []byte("w"+string(inline[1:]))) }},
+		{"overflow chain freed", ovf, func() error { return tr.Put(ovf, []byte("short")) }},
+		{"leaf split", inline, func() error {
+			for j := 0; j < 40; j++ {
+				if err := tr.Put(append(slices.Clone(inline), fmt.Sprintf(".%02d", j)...), make([]byte, 300)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"delete", inline, func() error { return tr.Delete(inline) }},
+	}
+	for _, m := range mutations {
+		c.Reset(tr, m.at)
+		leaf := c.leaf
+		if err := m.do(); err != nil {
+			t.Fatal(err)
+		}
+		before := lookups()
+		c.Reset(tr, m.at)
+		if lookups() == before {
+			t.Fatalf("%s: Reset answered from a snapshot the mutation outdated", m.name)
+		}
+		if n := (node{c.page}); m.name == "leaf split" && (c.leaf != leaf || bytes.Equal(n.cellKey(n.ncells()-1), last)) {
+			t.Fatalf("%s: the leaf did not split, or moved", m.name)
+		}
+		same(m.name, &c, tr.Seek(m.at))
 	}
 }

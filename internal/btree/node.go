@@ -47,6 +47,12 @@ const (
 	ovfHeaderSize = 6 // next page u32 + chunk len u16
 	ovfChunkSize  = pagestore.PageSize - ovfHeaderSize
 
+	// ChainChunk is how much of a value each page of its overflow chain
+	// holds, the last page the rest; an inline value is shorter. A read
+	// through it (Cursor.AppendValuePart) costs one page, and one through a
+	// multiple of it ends at a page's end.
+	ChainChunk = ovfChunkSize
+
 	overflowBit = 0x8000
 )
 

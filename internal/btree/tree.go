@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"odh/internal/pagestore"
 )
@@ -25,6 +26,11 @@ type Tree struct {
 	count     uint64
 	height    uint16
 	valueByte uint64
+
+	// version counts the mutations begun: Put and Delete bump it under mu
+	// before they touch a page, so a cursor's leaf snapshot taken at the
+	// same version is still byte for byte the leaf (Cursor.Reset).
+	version atomic.Uint64
 }
 
 // splitResult carries a completed child split up the insert recursion.
@@ -134,6 +140,7 @@ func (t *Tree) Put(key, val []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.version.Add(1)
 	// Every page write of a tree mutation happens inside one section of the
 	// store's writer gate, so a flush sees the mutation whole or not at all.
 	t.store.BeginWrite()
@@ -407,7 +414,7 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	}
 	_, val, ovf := n.leafCell(idx)
 	if ovf {
-		return t.appendOverflow(nil, val, -1)
+		return t.appendOverflow(nil, val, new(chainAt), -1)
 	}
 	out := make([]byte, len(val))
 	copy(out, val)
@@ -420,6 +427,7 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.version.Add(1)
 	t.store.BeginWrite()
 	defer t.store.EndWrite()
 	leafID, err := t.findLeaf(key)
@@ -557,48 +565,72 @@ func (t *Tree) writeOverflow(val []byte) ([]byte, error) {
 	return ref, nil
 }
 
-// appendOverflow appends the value behind ref to dst — or, with head >= 0,
-// only its first head bytes as far as the first chain page holds them —
-// trusting nothing it reads: the claimed length must fit in the pages the
-// store has, no page may claim a chunk larger than a page holds, and the
-// chain may neither end short of the length nor run past it (a cycle
-// does). Caller holds t.mu.
-func (t *Tree) appendOverflow(dst, ref []byte, head int) ([]byte, error) {
+// chainAt is where a read of one value stopped: bytes of it read so far
+// and, of an overflow value, the chain page holding the next byte with the
+// bytes and pages in front of that page. The zero chainAt is the start.
+type chainAt struct {
+	read      int
+	pid, prev pagestore.PageID // prev: the page that named pid
+	off       int              // bytes of the value in pages before pid
+	pages     int              // pages before pid
+}
+
+// appendOverflow appends bytes [at.read, end) of the value behind ref to
+// dst (end < 0 or past the value: its end) and advances at, following the
+// chain from the page at names — so a value read in steps reads each page
+// once, and the page a step stops inside once more. It trusts nothing it
+// reads: the claimed length must fit in the pages the store has, no page
+// may claim a chunk larger than a page holds or one reaching past the
+// length, nor name itself or the chain's first page as the next, and the
+// chain may neither end short of the length nor run past it (a longer
+// cycle does); a read that stops short of the end checks what it read.
+// Caller holds t.mu.
+func (t *Tree) appendOverflow(dst, ref []byte, at *chainAt, end int) ([]byte, error) {
 	if len(ref) < 8 {
 		return nil, errCorrupt
 	}
 	total := int(binary.LittleEndian.Uint32(ref))
-	pid := pagestore.PageID(binary.LittleEndian.Uint32(ref[4:]))
 	pages := (total + ovfChunkSize - 1) / ovfChunkSize
 	if pages >= int(t.store.NumPages()) {
 		return nil, fmt.Errorf("%w: overflow value of %d bytes in a store of %d pages", errCorrupt, total, t.store.NumPages())
 	}
-	if head >= 0 {
-		pages = min(pages, 1)
-	} else {
-		dst = slices.Grow(dst, total)
+	first := pagestore.PageID(binary.LittleEndian.Uint32(ref[4:]))
+	if at.pages == 0 && at.read == 0 {
+		at.pid = first
 	}
-	start := len(dst)
-	for ; pages > 0 && pid != pagestore.InvalidPage; pages-- {
-		fr, err := t.store.Get(pid)
+	if end < 0 || end > total {
+		end = total
+	}
+	if at.read < end {
+		dst = slices.Grow(dst, end-at.read)
+	}
+	for at.read < end {
+		if at.pages >= pages || at.pid == pagestore.InvalidPage {
+			return nil, fmt.Errorf("%w: overflow chain does not end with its %d-byte value (read %d)", errCorrupt, total, at.read)
+		}
+		if at.pages > 0 && (at.pid == at.prev || at.pid == first) {
+			return nil, fmt.Errorf("%w: overflow page %d loops back to page %d", errCorrupt, at.prev, at.pid)
+		}
+		fr, err := t.store.Get(at.pid)
 		if err != nil {
 			return nil, err
 		}
 		d := fr.Data()
 		chunk := int(binary.LittleEndian.Uint16(d[4:]))
-		if chunk > ovfChunkSize || len(dst)-start+chunk > total {
+		if chunk > ovfChunkSize || at.off+chunk > total || at.off+chunk < at.read {
 			fr.Unpin()
-			return nil, fmt.Errorf("%w: overflow page %d holds %d bytes of a %d-byte value", errCorrupt, pid, chunk, total)
+			return nil, fmt.Errorf("%w: overflow page %d holds %d bytes of a %d-byte value", errCorrupt, at.pid, chunk, total)
 		}
-		if head >= 0 {
-			chunk = min(chunk, head)
+		stop := min(end, at.off+chunk)
+		dst = append(dst, d[ovfHeaderSize+at.read-at.off:ovfHeaderSize+stop-at.off]...)
+		if at.read = stop; stop == at.off+chunk {
+			at.prev, at.pid, at.off = at.pid, pagestore.PageID(binary.LittleEndian.Uint32(d)), stop
+			at.pages++
 		}
-		dst = append(dst, d[ovfHeaderSize:ovfHeaderSize+chunk]...)
-		pid = pagestore.PageID(binary.LittleEndian.Uint32(d))
 		fr.Unpin()
 	}
-	if head < 0 && (len(dst)-start != total || pid != pagestore.InvalidPage) {
-		return nil, fmt.Errorf("%w: overflow chain does not end with its %d-byte value (read %d)", errCorrupt, total, len(dst)-start)
+	if at.read == total && at.pid != pagestore.InvalidPage {
+		return nil, fmt.Errorf("%w: overflow chain runs past its %d-byte value", errCorrupt, total)
 	}
 	return dst, nil
 }

@@ -317,10 +317,12 @@ func countBits(bm []byte, from, to int) int {
 // decodeColumns reconstructs rows [i0, i1) of the count rows in the layout
 // written by encodeColumns, and counts the values it decoded. wantTags
 // selects which tag indexes to decode (nil = all); unselected tags come
-// back NULL. A column is decoded from the segment holding row i0's value
-// only as far as row i1 reaches into it, and never further than its stripe
-// of the presence bitmap says it goes: the bitmap, whose length the blob's
-// own bytes bound, is what sizes every allocation here.
+// back NULL, and nothing behind the last selected column is read — b may
+// end there (blobHeader.wantedLen). A column is decoded from the segment
+// holding row i0's value only as far as row i1 reaches into it, and never
+// further than its stripe of the presence bitmap says it goes: the bitmap,
+// whose length the blob's own bytes bound, is what sizes every allocation
+// here.
 func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]float64, int, error) {
 	bmLen := bitmapLen(count * ntags)
 	if len(b) < bmLen {
@@ -338,6 +340,7 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 		rows[i] = backing[i*ntags : (i+1)*ntags : (i+1)*ntags]
 	}
 	want := make([]bool, ntags)
+	last := lastWanted(wantTags, ntags)
 	if wantTags == nil {
 		for i := range want {
 			want[i] = true
@@ -350,7 +353,7 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 		}
 	}
 	decoded := 0
-	for tag := 0; tag < ntags; tag++ {
+	for tag := 0; tag <= last; tag++ {
 		colLen, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b[n:])) < colLen {
 			return nil, 0, ErrCorruptBlob
@@ -379,6 +382,139 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 		}
 	}
 	return rows, decoded, nil
+}
+
+// lastWanted returns the last tag of ntags a decode of wantTags reads
+// (nil = all): -1 when it reads none.
+func lastWanted(wantTags []int, ntags int) int {
+	if wantTags == nil {
+		return ntags - 1
+	}
+	last := -1
+	for _, t := range wantTags {
+		if t >= 0 && t < ntags {
+			last = max(last, t)
+		}
+	}
+	return last
+}
+
+// wantedLen returns how many leading bytes of a record of size bytes a
+// decode of wantTags reads: the header, what the structure keeps in front
+// of its columns — an IRTS record's segmented timestamps, an MG record's
+// member bitmap and offsets — the presence bitmap, and the columns through
+// the last wanted tag, each column's length read off its own prefix. It
+// asks h.b only for the bytes in front of what it reaches: when they end
+// before it can tell, more is true and n lies past len(h.b) — read at
+// least through n and ask again. A decode of the last tag (every decode of
+// all tags, SELECT *), a stub, a header that did not parse, an unsegmented
+// IRTS record (whose timestamp stream is as long as decoding it says) and
+// bytes that do not parse read the whole record: size.
+func (h *blobHeader) wantedLen(wantTags []int, size int) (n int, more bool) {
+	last := lastWanted(wantTags, h.ntags)
+	if last == h.ntags-1 || h.payOff == 0 || h.tier() == TierStub {
+		return size, false
+	}
+	r := prefixReader{b: h.b, off: h.payOff}
+	rows := h.count
+	switch h.structure {
+	case blobIRTS:
+		// uvarint 0, three varints per segment, then the segments.
+		if rows <= segmentRows {
+			return size, false
+		}
+		if v := r.varint(); r.need == 0 && v != 0 {
+			return size, false
+		}
+		var body uint64
+		for s := 0; s < (rows+segmentRows-1)/segmentRows; s++ {
+			body += min(r.varint()>>1, uint64(size))
+			r.varint()
+			r.varint()
+		}
+		r.advance(body, size)
+	case blobMG:
+		// The member bitmap, the reported count, then the offsets (their
+		// count, which must be the reported one, and a varint each); the
+		// columns hold the reported rows.
+		r.advance(uint64(bitmapLen(rows)), size)
+		reported, n := r.varint(), r.varint()
+		if r.need == 0 && (n != reported || reported > uint64(rows)) {
+			return size, false
+		}
+		rows = int(min(reported, uint64(rows)))
+		r.varints(rows)
+	}
+	r.advance(uint64(bitmapLen(rows*h.ntags)), size)
+	for tag := 0; tag <= last; tag++ {
+		r.advance(r.varint(), size)
+	}
+	return r.end(size)
+}
+
+// prefixReader walks the varints and lengths in front of a record's
+// columns over the bytes read of it so far. It stops at the first varint
+// the bytes cannot answer: need is then how far they must reach first, or
+// the whole record when they already reach that far and do not parse.
+type prefixReader struct {
+	b    []byte
+	off  int
+	need int // 0 = every read so far was answered
+}
+
+func (r *prefixReader) varint() uint64 {
+	if r.need != 0 {
+		return 0
+	}
+	if r.off < len(r.b) {
+		if v, k := binary.Uvarint(r.b[r.off:]); k > 0 {
+			r.off += k
+			return v
+		}
+	}
+	r.need = r.off + binary.MaxVarintLen64
+	return 0
+}
+
+// varints steps over n varints, each ending at its first byte below 0x80,
+// without decoding them: what an MG record's offsets cost a walk that
+// decodes them later.
+func (r *prefixReader) varints(n int) {
+	for ; n > 0 && r.need == 0; n-- {
+		end := min(len(r.b), r.off+binary.MaxVarintLen64)
+		i := r.off
+		for i < end && r.b[i] >= 0x80 {
+			i++
+		}
+		if i == end {
+			r.need = r.off + binary.MaxVarintLen64
+			return
+		}
+		r.off = i + 1
+	}
+}
+
+// advance steps over n bytes; a step past the record asks for all of it.
+func (r *prefixReader) advance(n uint64, size int) {
+	if r.need == 0 {
+		if n > uint64(size-r.off) {
+			r.need = size
+		}
+		r.off += int(n)
+	}
+}
+
+// end returns where the walk ended: the prefix, or the bytes to read
+// before asking again (more) — the whole record when it ended past it, or
+// where the bytes read reach and still do not parse.
+func (r *prefixReader) end(size int) (int, bool) {
+	switch {
+	case r.need == 0:
+		return min(r.off, size), false
+	case r.need <= len(r.b) || r.need > size:
+		return size, false
+	}
+	return r.need, true
 }
 
 // EncodeRTS packs a run of regular points (identical intervals, contiguous
@@ -856,12 +992,6 @@ func (h *blobHeader) lacksMember(slot int) bool {
 	}
 	p := h.payload()
 	return slot/8 < len(p) && !getBit(p, slot)
-}
-
-// headLacksMember is lacksMember asked of the leading bytes of a blob.
-func headLacksMember(head []byte, slot int) bool {
-	h, _ := parseBlobHeader(head)
-	return h.lacksMember(slot)
 }
 
 // reencode encodes a decoded batch back into a blob of the structure and

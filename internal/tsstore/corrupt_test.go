@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"odh/internal/btree"
+	"odh/internal/catalog"
 	"odh/internal/keyenc"
 	"odh/internal/model"
+	"odh/internal/pagestore"
 )
 
 // writeRTSRun ingests n regular points for src starting at t0.
@@ -324,5 +326,115 @@ func TestWALPointDecodeRejectsHugeCount(t *testing.T) {
 	}
 	if _, err := DecodePointWAL(b); err == nil {
 		t.Fatal("huge count accepted")
+	}
+}
+
+// TestUnreadTailsStayUnread extends "a scan does not inspect what it
+// prunes" to the tail of a record it keeps: a walk reads a record only
+// through its last wanted column, so a page of the record's chain behind
+// that column, damaged on disk, fails no read that does not want it. A
+// projection of tag 0 returns exact rows and aggregates; SELECT * reads
+// the page and fails typed, naming it, in strict mode and quarantines the
+// record once in lenient mode; fsck names the page (VerifyPages) and the
+// record (VerifyBlobs).
+func TestUnreadTailsStayUnread(t *testing.T) {
+	const n = 512 // one RTS record: tag 0's column, then tag 1's, 4 KB each
+	file := pagestore.NewMemFile()
+	var f fixture
+	open := func(lenient bool) {
+		page, err := pagestore.Open(file, pagestore.Options{PoolPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := catalog.Open(page, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(page, cat, Config{BatchSize: n, DisableCompression: true, LenientScan: lenient})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f = fixture{store: st, cat: cat, page: page}
+	}
+	open(false)
+	src := f.source(t, f.schema(t, "pmu", 2).ID, true, 10)
+	writeRTSRun(t, &f, src, 0, n)
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := readRange(&home{tree: f.store.rts, id: src.ID}, math.MinInt64, math.MaxInt64)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("%d records, %v; want one", len(recs), err)
+	}
+	h, _ := parseBlobHeader(recs[0].blob)
+	prefix, _ := h.wantedLen([]int{0}, len(recs[0].blob))
+	chain := overflowChain(t, f.page, recs[0].blob)
+	tail := chain[len(chain)-1]
+	if (len(chain)-1)*btree.ChainChunk < prefix {
+		t.Fatalf("tag 0 ends %d bytes in, on the chain's last page: the test needs a page behind it", prefix)
+	}
+	if err := f.page.Close(); err != nil {
+		t.Fatal(err)
+	}
+	block := int64(tail) + 1 // blocks 0 and 1 are the meta slots; page id = block - 1
+	if _, err := file.WriteAt([]byte{0xA5}, block*pagestore.DiskPageSize+pagestore.PageHeaderSize+100); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, lenient := range []bool{false, true} {
+		open(lenient)
+		before := f.store.Stats()
+		it, err := f.store.HistoricalScan(src.ID, 0, math.MaxInt64, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collect(t, it)
+		if len(got) != n {
+			t.Fatalf("lenient=%v: a projection of tag 0 returns %d rows, want %d", lenient, len(got), n)
+		}
+		for i, p := range got {
+			if p.TS != int64(i)*10 || p.Values[0] != float64(i) || !model.IsNull(p.Values[1]) {
+				t.Fatalf("lenient=%v: row %d is %+v", lenient, i, p)
+			}
+		}
+		res, err := f.store.AggregateHistorical(src.ID, AggSpec{T1: 0, T2: math.MaxInt64, NTags: 2, WantTags: []int{0}})
+		if err != nil || len(res.Groups) != 1 || res.Groups[0].Rows != n || res.Groups[0].Sum[0] != n*(n-1)/2 {
+			t.Fatalf("lenient=%v: an aggregate of tag 0: %+v, %v", lenient, res, err)
+		}
+		after := f.store.Stats()
+		if after.CorruptBlobsSkipped != before.CorruptBlobsSkipped || after.BytesNotRead-before.BytesNotRead < 2*int64(len(recs[0].blob)-prefix) {
+			t.Fatalf("lenient=%v: reads of tag 0 quarantined %d records and left %d bytes unread, want none and twice %d", lenient,
+				after.CorruptBlobsSkipped-before.CorruptBlobsSkipped, after.BytesNotRead-before.BytesNotRead, len(recs[0].blob)-prefix)
+		}
+
+		it, err = f.store.HistoricalScan(src.ID, 0, math.MaxInt64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows int
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+			rows++
+		}
+		var bad *pagestore.ErrCorruptPage
+		if lenient {
+			if it.Err() != nil || rows != 0 || f.store.Stats().CorruptBlobsSkipped-after.CorruptBlobsSkipped != 1 {
+				t.Fatalf("lenient SELECT *: %d rows, %v, %d quarantined; want the record quarantined once", rows, it.Err(), f.store.Stats().CorruptBlobsSkipped-after.CorruptBlobsSkipped)
+			}
+		} else if !errors.As(it.Err(), &bad) || bad.PageNo != tail {
+			t.Fatalf("strict SELECT *: %v after %d rows, want the corrupt page %d", it.Err(), rows, tail)
+		}
+		if err := f.page.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	open(false)
+	_, pages, err := f.page.VerifyPages()
+	if err != nil || !slices.Equal(pages, []pagestore.PageID{tail}) {
+		t.Fatalf("VerifyPages: %v, %v; want page %d", pages, err, tail)
+	}
+	_, corrupt, _, err := f.store.VerifyBlobs()
+	if want := (BlobRef{Tree: "ts.rts", Source: src.ID, TS: 0}); err != nil || !slices.Equal(corrupt, []BlobRef{want}) {
+		t.Fatalf("VerifyBlobs: %v, %v; want %v", corrupt, err, want)
 	}
 }

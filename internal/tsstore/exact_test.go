@@ -64,13 +64,16 @@ func (fd *feed) snapshot(c map[int64]*atomic.Int64) map[int64]int64 {
 
 // check asserts got (rows of window [t1, t2), any sources) is a legal
 // dirty read given the acked counts before and the started counts after.
-func (fd *feed) check(got []model.Point, t1, t2 int64, ackedBefore, startedAfter map[int64]int64) error {
+// A read of tag 0 alone (projected) may return tag 1 NULL: a stored
+// record's rows do, buffered rows keep every value.
+func (fd *feed) check(got []model.Point, t1, t2 int64, ackedBefore, startedAfter map[int64]int64, projected bool) error {
 	seen := make(map[int64]map[int]bool)
 	for _, p := range got {
 		stream := fd.streams[p.Source]
 		i := int(p.Values[0])
 		switch {
-		case stream == nil || i < 0 || i >= len(stream) || stream[i].TS != p.TS || p.Values[1] != stream[i].Values[1]:
+		case stream == nil || i < 0 || i >= len(stream) || stream[i].TS != p.TS ||
+			p.Values[1] != stream[i].Values[1] && !(projected && model.IsNull(p.Values[1])):
 			return fmt.Errorf("invented row %+v", p)
 		case p.TS < t1 || p.TS >= t2:
 			return fmt.Errorf("row %+v outside [%d,%d)", p, t1, t2)
@@ -117,9 +120,14 @@ var readModes = []readMode{
 	{"workers4-nocache", ScanOptions{Workers: 4, NoCache: true}},
 }
 
-// readers runs the reader loop — {HistoricalScan, SliceScan,
-// AggregateHistorical COUNT/SUM} x readModes — against fd until stop
-// closes, reporting the first illegal read.
+// projectTag0 is what a projected read wants of the 2-tag schemas here:
+// tag 0 alone, so it reads each record only through tag 0's column.
+var projectTag0 = []int{0}
+
+// readers runs the reader loop — {HistoricalScan, SliceScan, each of all
+// tags and of tag 0 alone, AggregateHistorical COUNT/SUM, AggregateSlice
+// by id} x readModes — against fd until stop closes, reporting the first
+// illegal read.
 func (fd *feed) readers(t *testing.T, s *Store, schemaID int64, t1 int64, stop <-chan struct{}, wg *sync.WaitGroup) {
 	var srcs []int64
 	for src := range fd.streams {
@@ -136,17 +144,24 @@ func (fd *feed) readers(t *testing.T, s *Store, schemaID int64, t1 int64, stop <
 					return
 				default:
 				}
-				mode := readModes[(i/3)%len(readModes)]
-				src := srcs[(i/(3*len(readModes)))%len(srcs)]
+				const kinds = 6
+				mode := readModes[(i/kinds)%len(readModes)]
+				src := srcs[(i/(kinds*len(readModes)))%len(srcs)]
 				lo, hi := fd.bounds(i, t1)
 				var err error
-				switch i % 3 {
+				switch i % kinds {
 				case 0:
-					err = fd.readHistorical(s, src, lo, hi, mode.opts)
+					err = fd.readHistorical(s, src, lo, hi, nil, mode.opts)
 				case 1:
-					err = fd.readSlice(s, schemaID, lo, hi, mode.opts)
-				default:
+					err = fd.readSlice(s, schemaID, lo, hi, nil, mode.opts)
+				case 2:
 					err = fd.readAggregate(s, src, lo, hi, mode.opts)
+				case 3:
+					err = fd.readHistorical(s, src, lo, hi, projectTag0, mode.opts)
+				case 4:
+					err = fd.readSlice(s, schemaID, lo, hi, projectTag0, mode.opts)
+				default:
+					err = fd.readAggregateSlice(s, schemaID, lo, hi, mode.opts)
 				}
 				if err != nil {
 					t.Errorf("%s: %v", mode.name, err)
@@ -157,9 +172,9 @@ func (fd *feed) readers(t *testing.T, s *Store, schemaID int64, t1 int64, stop <
 	}
 }
 
-func (fd *feed) readHistorical(s *Store, src, t1, t2 int64, opts ScanOptions) error {
+func (fd *feed) readHistorical(s *Store, src, t1, t2 int64, wantTags []int, opts ScanOptions) error {
 	before := map[int64]int64{src: fd.acked[src].Load()}
-	it, err := s.HistoricalScanOpts(src, t1, t2, nil, opts)
+	it, err := s.HistoricalScanOpts(src, t1, t2, wantTags, opts)
 	if err != nil {
 		return err
 	}
@@ -172,15 +187,15 @@ func (fd *feed) readHistorical(s *Store, src, t1, t2 int64, opts ScanOptions) er
 			return fmt.Errorf("historical %d: timestamps regressed: %d after %d", src, got[i].TS, got[i-1].TS)
 		}
 	}
-	if err := fd.check(got, t1, t2, before, fd.snapshot(fd.started)); err != nil {
-		return fmt.Errorf("historical: %w", err)
+	if err := fd.check(got, t1, t2, before, fd.snapshot(fd.started), wantTags != nil); err != nil {
+		return fmt.Errorf("historical of tags %v: %w", wantTags, err)
 	}
 	return nil
 }
 
-func (fd *feed) readSlice(s *Store, schemaID, t1, t2 int64, opts ScanOptions) error {
+func (fd *feed) readSlice(s *Store, schemaID, t1, t2 int64, wantTags []int, opts ScanOptions) error {
 	before := fd.snapshot(fd.acked)
-	it, err := s.SliceScanOpts(schemaID, t1, t2, nil, opts)
+	it, err := s.SliceScanOpts(schemaID, t1, t2, wantTags, opts)
 	if err != nil {
 		return err
 	}
@@ -188,8 +203,8 @@ func (fd *feed) readSlice(s *Store, schemaID, t1, t2 int64, opts ScanOptions) er
 	if err != nil {
 		return fmt.Errorf("slice: %w", err)
 	}
-	if err := fd.check(got, t1, t2, before, fd.snapshot(fd.started)); err != nil {
-		return fmt.Errorf("slice: %w", err)
+	if err := fd.check(got, t1, t2, before, fd.snapshot(fd.started), wantTags != nil); err != nil {
+		return fmt.Errorf("slice of tags %v: %w", wantTags, err)
 	}
 	return nil
 }
@@ -219,6 +234,46 @@ func (fd *feed) readAggregate(s *Store, src, t1, t2 int64, opts ScanOptions) err
 	}
 	if gotRows != rows || gotSum != sum {
 		return fmt.Errorf("aggregate %d over [%d,%d): COUNT=%d SUM=%v, want %d and %v", src, t1, t2, gotRows, gotSum, rows, sum)
+	}
+	return nil
+}
+
+// readAggregateSlice checks a slice's COUNT and SUM by id exactly: the
+// window ends below every timestamp any source has not acked yet, so its
+// rows are fixed before the read starts.
+func (fd *feed) readAggregateSlice(s *Store, schemaID, t1, t2 int64, opts ScanOptions) error {
+	acked := fd.snapshot(fd.acked)
+	for src, n := range acked {
+		t2 = min(t2, fd.sufMin[src][n])
+	}
+	res, err := s.AggregateSlice(schemaID, AggSpec{T1: t1, T2: t2, NTags: 2, WantTags: projectTag0, ByID: true, Opts: opts})
+	if err != nil {
+		return fmt.Errorf("slice aggregate: %w", err)
+	}
+	got := map[int64]*AggGroup{}
+	for i := range res.Groups {
+		got[res.Groups[i].ID] = &res.Groups[i]
+	}
+	for src, n := range acked {
+		var rows int64
+		var sum float64
+		for i, p := range fd.streams[src][:n] {
+			if p.TS >= t1 && p.TS < t2 {
+				rows++
+				sum += float64(i)
+			}
+		}
+		g := got[src]
+		delete(got, src)
+		if rows == 0 && g == nil {
+			continue
+		}
+		if g == nil || g.Rows != rows || g.Sum[0] != sum {
+			return fmt.Errorf("slice aggregate over [%d,%d): source %d is %+v, want COUNT=%d SUM=%v", t1, t2, src, g, rows, sum)
+		}
+	}
+	for id := range got {
+		return fmt.Errorf("slice aggregate over [%d,%d): a group for source %d, which has no rows there", t1, t2, id)
 	}
 	return nil
 }
@@ -309,6 +364,32 @@ func TestReadersExactUnderMutation(t *testing.T) {
 		e.fd = newFeed(streams)
 		return e
 	}
+	// multi builds an env of six sources of one schema, regular and
+	// irregular, their writes interleaved: their small records share the
+	// leaves of two trees, so a slice's walkers seek inside one leaf
+	// snapshot after another while the mutator rewrites their records.
+	multi := func(t *testing.T) *env {
+		f := newFixture(t, Config{BatchSize: 16, BlobCacheBytes: 256 << 10}, 0)
+		s := f.schema(t, "exact", 2)
+		streams := map[int64][]model.Point{}
+		var ids []int64
+		for k := 0; k < 6; k++ {
+			ds := f.source(t, s.ID, k%2 == 0, 10)
+			ids = append(ids, ds.ID)
+			if k%2 == 0 {
+				streams[ds.ID] = regularStream(800, 10)
+			} else {
+				streams[ds.ID] = jitteredStream(800)
+			}
+		}
+		e := &env{f: f, schema: s.ID, fd: newFeed(streams)}
+		for i := 0; i < 800; i++ {
+			for _, id := range ids {
+				e.order = append(e.order, [2]int64{id, int64(i)})
+			}
+		}
+		return e
+	}
 	// latest is the newest timestamp acked so far on any source.
 	latest := func(e *env) int64 {
 		var ts int64
@@ -378,6 +459,18 @@ func TestReadersExactUnderMutation(t *testing.T) {
 				return err
 			}},
 		{"tier-cold", func(t *testing.T) *env { return single(t, true, regularStream(3000, 10)) }, 0, coldPass},
+		// Six sources: flushes, and cold passes that rewrite each source's
+		// records in turn while slices read them all.
+		{"multi-source-flush-tier-cold", multi, 0,
+			func(e *env, i int) error {
+				if i%41 == 0 {
+					if err := e.f.store.Flush(); err != nil {
+						return err
+					}
+				}
+				return coldPass(e, i)
+			}},
+		{"multi-source-tier-cold-short-windows", func(t *testing.T) *env { return short(multi(t), 50) }, 0, coldPass},
 		// Short windows over the widened lookback: records behind the window
 		// are pruned by span, the one across it decodes a row range.
 		{"tier-cold-short-windows-rts", func(t *testing.T) *env { return short(single(t, true, regularStream(3000, 10)), 50) }, 0, coldPass},
@@ -426,10 +519,15 @@ func TestReadersExactUnderMutation(t *testing.T) {
 			for src := range e.fd.streams {
 				for _, mode := range readModes {
 					for _, w := range windows {
-						if err := e.fd.readHistorical(e.f.store, src, w[0], w[1], mode.opts); err != nil {
-							t.Errorf("quiesced %s: %v", mode.name, err)
+						for _, wantTags := range [][]int{nil, projectTag0} {
+							if err := e.fd.readHistorical(e.f.store, src, w[0], w[1], wantTags, mode.opts); err != nil {
+								t.Errorf("quiesced %s: %v", mode.name, err)
+							}
 						}
 						if err := e.fd.readAggregate(e.f.store, src, w[0], w[1], mode.opts); err != nil {
+							t.Errorf("quiesced %s: %v", mode.name, err)
+						}
+						if err := e.fd.readAggregateSlice(e.f.store, e.schema, w[0], w[1], mode.opts); err != nil {
 							t.Errorf("quiesced %s: %v", mode.name, err)
 						}
 					}

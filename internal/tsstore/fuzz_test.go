@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -19,8 +21,12 @@ import (
 // the accessors agree with each other, a stub keeps exactly the header,
 // a re-encode (the upgrade path) decodes to the same rows, and a decode of
 // a window's row range, or of one MG member's row, yields the rows of the
-// full decode. A blob with the freed flag bit fails typed, and a stub
-// moves a millisecond aside (rekeyStub) or is refused, never panics. Seeds
+// full decode. The prefix a walk reads (wantedLen) of a tag subset drawn
+// from the blob's bytes decodes to the full decode of those tags, is found
+// the same when asked of the blob's bytes a part at a time, and is tight:
+// cut any shorter, the blob fails ErrCorruptBlob. A blob with the freed
+// flag bit fails typed, and a stub moves a millisecond aside (rekeyStub)
+// or is refused, never panics. Seeds
 // are the golden fixtures — every structure, tier and shape — each also
 // with the freed bit set and torn by its last byte, so mutations explore
 // deep paths, not just header rejection; and a pre-summary record, which
@@ -103,6 +109,12 @@ func FuzzValueBlobDecode(f *testing.F) {
 			}
 		}
 
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(blob))))
+		subset := randomTags(rng, h.ntags)
+		if n, more := h.wantedLen(subset, len(blob)); more || n < 0 || n > len(blob) {
+			t.Fatalf("wantedLen(%v) of the whole %d-byte blob = %d, more %v", subset, len(blob), n, more)
+		}
+
 		batch, err := DecodeBlob(blob, baseTS, nil)
 		if err != nil {
 			return
@@ -110,6 +122,7 @@ func FuzzValueBlobDecode(f *testing.F) {
 		if !parsed {
 			t.Fatal("decoded a blob whose header does not parse")
 		}
+		checkPrefixDecode(t, blob, &h, baseTS, subset, rng)
 		// Structural postconditions on anything that decodes cleanly.
 		if len(batch.Timestamps) != len(batch.Rows) {
 			t.Fatalf("%d timestamps for %d rows", len(batch.Timestamps), len(batch.Rows))
@@ -182,6 +195,85 @@ func FuzzValueBlobDecode(f *testing.F) {
 			t.Fatal("re-encoded blob fails fsck")
 		}
 	})
+}
+
+// randomTags draws a tag subset of ntags: nil (every tag) one time in
+// eight, else each tag with even odds, in random order, now and then with
+// a tag out of range.
+func randomTags(rng *rand.Rand, ntags int) []int {
+	if rng.Intn(8) == 0 {
+		return nil
+	}
+	tags := []int{}
+	for _, tag := range rng.Perm(ntags) {
+		if rng.Intn(2) == 0 {
+			tags = append(tags, tag)
+		}
+	}
+	if rng.Intn(8) == 0 {
+		tags = append(tags, ntags+rng.Intn(3), -1)
+	}
+	return tags
+}
+
+// checkPrefixDecode holds the prefix of a blob whose full decode succeeds
+// to its contract: the blob cut at wantedLen decodes to the full decode of
+// the subset; asked of the blob's leading bytes a part at a time, as a walk
+// reads it, wantedLen arrives at the same length; and a blob cut shorter
+// than a prefix that stops before its end fails ErrCorruptBlob.
+func checkPrefixDecode(t *testing.T, blob []byte, h *blobHeader, baseTS int64, subset []int, rng *rand.Rand) {
+	t.Helper()
+	n, _ := h.wantedLen(subset, len(blob))
+	full, err := h.decodeAll(baseTS, subset)
+	if err != nil {
+		t.Fatalf("tags %v: the full decode of every tag succeeded, of these failed: %v", subset, err)
+	}
+	cut, err := DecodeBlob(blob[:n], baseTS, subset)
+	if err != nil {
+		t.Fatalf("tags %v: the blob cut at its %d-byte prefix (of %d) does not decode: %v", subset, n, len(blob), err)
+	}
+	if !reflect.DeepEqual(cut.Timestamps, full.Timestamps) || !reflect.DeepEqual(cut.Slots, full.Slots) || len(cut.Rows) != len(full.Rows) {
+		t.Fatalf("tags %v: the prefix decodes other rows than the full decode", subset)
+	}
+	for i := range cut.Rows {
+		for tag, v := range cut.Rows[i] {
+			if math.Float64bits(v) != math.Float64bits(full.Rows[i][tag]) {
+				t.Fatalf("tags %v: row %d tag %d is %v from the prefix, %v from the whole blob", subset, i, tag, v, full.Rows[i][tag])
+			}
+		}
+	}
+	// A part at a time: the first bytes, then through wherever it asks.
+	part := *h
+	have := min(len(blob), h.payOff+rng.Intn(64))
+	for step := 0; ; step++ {
+		part.b = blob[:have]
+		m, more := part.wantedLen(subset, len(blob))
+		if !more {
+			if m != n {
+				t.Fatalf("tags %v: read in parts the prefix is %d bytes, of the whole blob %d", subset, m, n)
+			}
+			break
+		}
+		if m <= have || step > len(blob) {
+			t.Fatalf("tags %v: with %d bytes read wantedLen asks for %d more times over", subset, have, m)
+		}
+		have = min(len(blob), m+rng.Intn(16))
+	}
+	if n == len(blob) {
+		return
+	}
+	cuts := []int{n - 1, h.payOff, h.payOff - 1}
+	for i := 0; i < 6; i++ {
+		cuts = append(cuts, rng.Intn(n))
+	}
+	for _, c := range cuts {
+		if c < 0 || c >= n {
+			continue
+		}
+		if b, err := DecodeBlob(blob[:c], baseTS, subset); !errors.Is(err, ErrCorruptBlob) || b != nil {
+			t.Fatalf("tags %v: the blob cut at %d, short of its %d-byte prefix, decodes: %v", subset, c, n, err)
+		}
+	}
 }
 
 // hugeCountBlob is an eight-row, one-tag RTS record whose five-byte XOR

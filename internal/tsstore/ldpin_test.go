@@ -110,40 +110,64 @@ func TestLDIngestPinned(t *testing.T) {
 // stream costs. Each of the sensor's points sits in its own MG record, so
 // its history scan decodes exactly that many records and materialises one
 // row of each — not every member's row, ≈ 108 a record here — and drops
-// every record of the group without the sensor on its head: the buffer
-// pool's lookups are pinned too, and reading the dropped records' overflow
-// chains would add to them. With the cache on and off alike, since a
-// member's row is never cached under its group's record. A whole-group
-// scan over the same records through the same cache then returns every
-// row: were a member's row cached as the record, the group scan would be
-// served that one row and come back short with a nil error.
+// every record of the group without the sensor on its first page: the
+// buffer pool's lookups are pinned too, and reading the dropped records'
+// overflow chains would add to them. With the cache on and off alike,
+// since a member's row is never cached under its group's record. A
+// whole-group scan over the same records through the same cache then
+// returns every row: were a member's row cached as the record, the group
+// scan would be served that one row and come back short with a nil error.
+//
+// The lookups, re-derived: the walk takes three steps. The first seeks
+// the two-level MG tree — the root, the leaf it names and that leaf's copy
+// (3) — and the two later steps seek inside that copy of the unchanged
+// tree, which costs nothing; moving on to each of the next two leaves
+// reads the current leaf's next pointer and copies the next (2 + 2). Of
+// the 15 dropped records, the 14 that overflow cost their first page, the
+// one stored inline in its leaf nothing (14). Each of the 82 records kept
+// (4.1 to 5.7 KB) is read to its end for a scan of every tag, its first
+// page and then the second (2 each, 164): 185 in all. A scan of
+// AirTemperature alone (tag 1, what LQ2, LQ3 and agg_recent read) stops
+// each kept record at the end of that column, about 1.8 KB in, which the
+// first page holds (1 each, 82): 103.
 func TestLDMemberScanPinned(t *testing.T) {
 	const (
-		sensorIndex = 200 // slot 72 of the second group
-		wantPoints  = 82  // its points, each in its own MG record
-		wantDropped = 15  // the 13 of the group's 95 records without it, two met again by a later step's lookback
-		wantLookups = 273 // pool lookups: seeks, and of a dropped record its head page alone
+		sensorIndex     = 200 // slot 72 of the second group
+		wantPoints      = 82  // its points, each in its own MG record
+		wantDropped     = 15  // the 13 of the group's 95 records without it, two met again by a later step's lookback
+		wantLookups     = 185 // pool lookups of a scan of every tag: see above
+		wantLookupsTag1 = 103 // ... and of a scan of tag 1
 	)
 	ld := ldPinnedStore(t, tsstore.Config{BlobCacheBytes: 8 << 20})
 	sensor := ld.sensors[sensorIndex]
 	want := ld.truth[sensor]
-	for _, opts := range []tsstore.ScanOptions{{}, {NoCache: true}} {
-		before := ld.page.Stats()
-		it, err := ld.st.HistoricalScanOpts(sensor, math.MinInt64, math.MaxInt64, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, it)
-		if !samePoints(got, want) {
-			t.Fatalf("NoCache=%v: sensor %d scan returns %d rows, want its %d points", opts.NoCache, sensor, len(got), len(want))
-		}
-		after := ld.page.Stats()
-		lookups := after.Hits + after.Misses - before.Hits - before.Misses
-		c := tsstore.ScanWalkCounts(it)
-		t.Logf("NoCache=%v: %d points; %+v, %d pool lookups", opts.NoCache, len(want), c, lookups)
-		if len(want) != wantPoints || c.Decoded != wantPoints || c.DecodedRows != wantPoints || c.Dropped != wantDropped || lookups != wantLookups {
-			t.Errorf("NoCache=%v: %d points, walk %+v, %d pool lookups; pinned %d records decoded for %d rows, %d dropped, %d lookups",
-				opts.NoCache, len(want), c, lookups, wantPoints, wantPoints, wantDropped, wantLookups)
+	for _, scan := range []struct {
+		wantTags []int
+		lookups  int64
+	}{{nil, wantLookups}, {[]int{1}, wantLookupsTag1}} {
+		for _, opts := range []tsstore.ScanOptions{{}, {NoCache: true}} {
+			before := ld.page.Stats()
+			it, err := ld.st.HistoricalScanOpts(sensor, math.MinInt64, math.MaxInt64, scan.wantTags, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := drain(t, it)
+			if scan.wantTags == nil && !samePoints(got, want) || len(got) != len(want) {
+				t.Fatalf("NoCache=%v, tags %v: sensor %d scan returns %d rows, want its %d points", opts.NoCache, scan.wantTags, sensor, len(got), len(want))
+			}
+			for i, p := range got {
+				if p.TS != want[i].TS || math.Float64bits(p.Values[1]) != math.Float64bits(want[i].Values[1]) {
+					t.Fatalf("NoCache=%v, tags %v: row %d is %+v, want %+v", opts.NoCache, scan.wantTags, i, p, want[i])
+				}
+			}
+			after := ld.page.Stats()
+			lookups := after.Hits + after.Misses - before.Hits - before.Misses
+			c := tsstore.ScanWalkCounts(it)
+			t.Logf("NoCache=%v, tags %v: %d points; %+v, %d pool lookups", opts.NoCache, scan.wantTags, len(want), c, lookups)
+			if len(want) != wantPoints || c.Decoded != wantPoints || c.DecodedRows != wantPoints || c.Dropped != wantDropped || lookups != scan.lookups {
+				t.Errorf("NoCache=%v, tags %v: %d points, walk %+v, %d pool lookups; pinned %d records decoded for %d rows, %d dropped, %d lookups",
+					opts.NoCache, scan.wantTags, len(want), c, lookups, wantPoints, wantPoints, wantDropped, scan.lookups)
+			}
 		}
 	}
 	it, err := ld.st.SliceScanOpts(ld.schema.ID, math.MinInt64, math.MaxInt64, nil, tsstore.ScanOptions{})

@@ -100,9 +100,9 @@ func TestConcurrentParallelQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				ds := sources[(r+i)%len(sources)]
-				err := fd.readHistorical(f.store, ds.ID, t1, math.MaxInt64, ScanOptions{Workers: 4, NoCache: i%2 == 0})
+				err := fd.readHistorical(f.store, ds.ID, t1, math.MaxInt64, nil, ScanOptions{Workers: 4, NoCache: i%2 == 0})
 				if err == nil && i%8 == 0 {
-					err = fd.readSlice(f.store, s.ID, t1, math.MaxInt64, ScanOptions{Workers: 4})
+					err = fd.readSlice(f.store, s.ID, t1, math.MaxInt64, nil, ScanOptions{Workers: 4})
 				}
 				if err != nil {
 					t.Error(err)

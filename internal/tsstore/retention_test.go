@@ -194,7 +194,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func() {
 			for scan := 0; scan < 50; scan++ {
-				if err := fd.readHistorical(f.store, ids[scan%len(ids)], 0, math.MaxInt64, ScanOptions{}); err != nil {
+				if err := fd.readHistorical(f.store, ids[scan%len(ids)], 0, math.MaxInt64, nil, ScanOptions{}); err != nil {
 					done <- err
 					return
 				}
@@ -209,7 +209,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 	f.store.Flush()
 	for _, id := range ids {
-		if err := fd.readHistorical(f.store, id, 0, math.MaxInt64, ScanOptions{}); err != nil {
+		if err := fd.readHistorical(f.store, id, 0, math.MaxInt64, nil, ScanOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -171,7 +171,7 @@ func (it *scanIter) load(rec *walkRec) error {
 			return err
 		}
 		if rec.hit == nil {
-			it.bytesRead += int64(len(rec.blob))
+			it.bytesRead += rec.size()
 		}
 		// Rows are lent (see Iterator), whether the cache shares the batch or
 		// not; the queue grows once per record, not per row.

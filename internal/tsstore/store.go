@@ -102,6 +102,10 @@ type Stats struct {
 	// aggregate payload decodes materialised: a window's whole segments,
 	// not only its rows (cache hits decode nothing).
 	DecodedValues int64
+	// BytesNotRead totals the stored bytes of records scans and aggregates
+	// kept that lay past what their decode reads — behind the last wanted
+	// column — and so were never copied out of the page store.
+	BytesNotRead int64
 	// ColdCompactions counts hot records consumed by cold-tier passes;
 	// StubTransitions counts records truncated to summary-only stubs;
 	// TierBytesReclaimed is the net encoded bytes tier passes removed.
@@ -188,6 +192,7 @@ type Store struct {
 	subBucketFolds           atomic.Int64
 	subBucketBytesNotDecoded atomic.Int64
 	decodedValues            atomic.Int64 // see Stats.DecodedValues
+	bytesNotRead             atomic.Int64 // see Stats.BytesNotRead
 
 	// Tier lifecycle counters (cumulative; see tier.go).
 	coldCompactions    atomic.Int64
@@ -352,6 +357,7 @@ func (s *Store) Stats() Stats {
 		SubBucketFolds:           s.subBucketFolds.Load(),
 		SubBucketBytesNotDecoded: s.subBucketBytesNotDecoded.Load(),
 		DecodedValues:            s.decodedValues.Load(),
+		BytesNotRead:             s.bytesNotRead.Load(),
 		ColdCompactions:          s.coldCompactions.Load(),
 		StubTransitions:          s.stubTransitions.Load(),
 		TierBytesReclaimed:       s.tierBytesReclaimed.Load(),

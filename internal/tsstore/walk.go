@@ -33,6 +33,23 @@ import (
 // row's timestamp, so a walk racing them still hands out every row exactly
 // once. The latch is never held while the consumer runs, so a slow client
 // cannot stall ingest.
+//
+// What a step reads of a record: the first page once — an inline value
+// whole, else the first chunk of its overflow chain — which is where the
+// chunk's prune (rows that end before the window) and an MG member walk's
+// drop (a member bitmap without it) are decided, on a header parsed once;
+// of a record kept, then the rest of its prefix, following the chain on
+// from page two: the header, what the structure keeps in front of its
+// columns and the columns through the last tag the walk wants
+// (blobHeader.wantedLen). A walk of every tag, and a record whose prefix
+// its bytes cannot tell (an unsegmented IRTS timestamp stream), read
+// whole. Nothing behind the prefix is read, so damage there fails no walk
+// that does not want it; Stats.BytesNotRead counts those bytes. Costs
+// still count the stored length (Cursor.ValueSize): the planner's unit,
+// the cache's and the step budget do not depend on how much was read.
+// Successive seeks of one walk, and of the next walker of a slice that
+// picks up the same scratch, reuse the cursor's leaf snapshot while the
+// tree is unchanged (btree.Cursor.Reset).
 
 // stepBytes is the encoded record bytes after which a step looks for a
 // place to end, so long walks re-seek about once per this many bytes. A
@@ -44,11 +61,6 @@ const (
 	stepBytes    = 128 << 10
 	maxStepBytes = 8 * stepBytes
 )
-
-// headBytes is how much of a record take reads to decide whether the chunk
-// keeps it: enough for the header of a 60-tag record up to its span (16
-// bytes of zone map per tag in front of it). A wider record is read whole.
-const headBytes = 1024
 
 // home is one key range an owner's rows can live in: a prefix of one
 // batch tree.
@@ -115,8 +127,9 @@ func (w *walker) release() {
 // pseudo-record, the owner's buffered rows of the chunk window.
 type walkRec struct {
 	home     *home
-	ts       int64 // base timestamp (the key's time part); rows are >= ts
-	blob     []byte
+	ts       int64  // base timestamp (the key's time part); rows are >= ts
+	blob     []byte // the bytes read: the record through its prefix
+	stored   int64  // the record's stored length (Cursor.ValueSize)
 	hit      *cacheEntry
 	ver      uint64 // cache insert guard, read under the latch with the bytes
 	buffered []model.Point
@@ -389,32 +402,19 @@ func (w *walker) gather(ch *chunk) error {
 // step handed out, or one the lookback reached — and, in a walk of one MG
 // member, an MG record whose member bitmap lacks it are dropped on their
 // header's word, whatever the payload holds: no consumer ever sees them,
-// and of their bytes only the head is read (one page, copied nowhere that
-// outlives this call). A kept record's bytes go to the step's buffer.
+// and of their bytes only the first page is read (copied nowhere that
+// outlives this call). A kept record's bytes go to the step's buffer, as
+// far as the walk reads them.
 func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err error) {
 	if w.cache != nil {
 		rec.hit, rec.ver = w.cache.get(blobKey{tree: w.s.treeID(c.home.tree), source: c.home.id, ts: c.ts}, w.sig)
 	}
-	start := len(w.buf)
 	if rec.hit != nil {
-		rec.hdr = rec.hit.hdr
-	} else {
-		val, err := c.cur.AppendHead(w.buf, headBytes)
-		if err == nil {
-			w.buf = val[:start] // keeps what the head grew
-			head := val[start:]
-			if last, ok := headLastTS(head, rec.ts); ok && last < lo || w.slot != allMembers && headLacksMember(head, w.slot) {
-				w.dropped++
-				return false, nil
-			}
-			val, err = c.cur.AppendValue(w.buf)
-		}
-		if err != nil {
+		rec.hdr, rec.stored = rec.hit.hdr, rec.hit.blobLen
+	} else if keep, err := w.read(c, rec, lo); !keep || err != nil {
+		if err != nil && w.s.lenient() {
 			// An unreadable value is quarantined in lenient mode; a broken
 			// tree walk still aborts, since the cursor cannot pass it.
-			if !w.s.lenient() {
-				return false, err
-			}
 			// Counted once, by the step that first met the record: later
 			// steps look back over it again.
 			if !w.started || c.ts >= lo {
@@ -422,16 +422,68 @@ func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 			}
 			return false, nil
 		}
-		w.buf = val
-		rec.blob = val[start:len(val):len(val)]
-		rec.hdr, _ = parseBlobHeader(rec.blob)
+		return false, err
 	}
 	// The same rules on the whole header: a cache hit, or a header that
-	// reaches beyond the head.
+	// reaches beyond the first page.
 	if _, _, last, ok := rec.hdr.span(rec.ts); ok && last < lo || rec.hdr.lacksMember(w.slot) {
 		w.dropped++
-		w.buf = w.buf[:start]
+		w.buf = w.buf[:len(w.buf)-len(rec.blob)]
 		return false, nil
+	}
+	return true, nil
+}
+
+// read copies the record under the cursor to the end of the step's buffer:
+// its first page, and unless that drops it (keep false, nothing left in
+// the buffer), the rest of its prefix. The header is parsed once, off the
+// first page; one longer than that answers the prune from its prelude and
+// is read whole and parsed then.
+func (w *walker) read(c *recCursor, rec *walkRec, lo int64) (keep bool, err error) {
+	start := len(w.buf)
+	rec.stored = int64(c.cur.ValueSize())
+	buf, err := c.cur.AppendValuePart(w.buf, btree.ChainChunk)
+	if err != nil {
+		return false, err
+	}
+	hdr, parsed := parseBlobHeader(buf[start:])
+	_, _, last, spanOK := hdr.span(rec.ts)
+	if !parsed {
+		last, spanOK = headLastTS(buf[start:], rec.ts)
+	}
+	if spanOK && last < lo || hdr.lacksMember(w.slot) {
+		w.dropped++
+		w.buf = buf[:start] // keeps what the page grew
+		return false, nil
+	}
+	for {
+		end, more := int(rec.stored), false
+		if parsed {
+			end, more = hdr.wantedLen(w.wantTags, end)
+		}
+		if end <= len(buf)-start {
+			break
+		}
+		if more {
+			// Through the end of the page: the next part resumes on a new one.
+			end = min((end+btree.ChainChunk-1)/btree.ChainChunk*btree.ChainChunk, int(rec.stored))
+		}
+		if buf, err = c.cur.AppendValuePart(buf, end); err != nil {
+			return false, err
+		}
+		if !parsed {
+			hdr, _ = parseBlobHeader(buf[start:]) // the whole record
+			break
+		}
+		hdr.b = buf[start:]
+	}
+	w.buf = buf
+	rec.blob = buf[start:len(buf):len(buf)]
+	if rec.hdr = hdr; hdr.payOff != 0 {
+		rec.hdr.b = rec.blob
+	}
+	if n := rec.stored - int64(len(rec.blob)); n > 0 {
+		w.s.bytesNotRead.Add(n)
 	}
 	return true, nil
 }
@@ -478,13 +530,9 @@ func (w *walker) addBuffered(ch *chunk) {
 	ch.recs[i] = walkRec{home: &w.buffer, ts: out[0].TS, buffered: out}
 }
 
-// size is the record's encoded length.
-func (r *walkRec) size() int64 {
-	if r.hit != nil {
-		return r.hit.blobLen
-	}
-	return int64(len(r.blob))
-}
+// size is the record's stored length, however much of it was read: the
+// cost unit of plans, of the cache and of the step budget.
+func (r *walkRec) size() int64 { return r.stored }
 
 // lastTS bounds the record's newest row timestamp: exact from the
 // summary, else by the home's widest span.
@@ -542,7 +590,7 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err erro
 	w.s.decodedValues.Add(int64(batch.decoded))
 	if w.cache != nil && r.hdr.whole(batch) {
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
-			batch, r.hdr.detached(), int64(len(r.blob)))
+			batch, r.hdr.detached(), r.stored)
 	}
 	return batch, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"odh/internal/btree"
 	"odh/internal/compress"
 	"odh/internal/keyenc"
 	"odh/internal/model"
@@ -247,7 +248,7 @@ func TestMemberDecodeIsFullDecodeRestricted(t *testing.T) {
 			t.Fatalf("round %d: encoded blob does not parse", round)
 		}
 		cut, _ := parseBlobHeader(blob[:h.payOff+bitmapLen(members)])
-		head, _ := parseBlobHeader(blob[:min(len(blob), headBytes)])
+		head, _ := parseBlobHeader(blob[:min(len(blob), btree.ChainChunk)])
 		for _, wantTags := range [][]int{nil, {}, {rng.Intn(ntags)}, {3, 0}, {1, 9, -1}} {
 			full, err := h.decodeAll(base, wantTags)
 			if err != nil || len(full.Rows) != reported || !h.whole(full) {
