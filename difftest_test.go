@@ -26,7 +26,10 @@ import (
 // decoding on one pair and folding sub-buckets on the other. While each
 // reorganize, coalesce, cold, retention and stub pass executes, one reader
 // per configuration keeps comparing queries against the baseline, so the
-// passes interleave during scans, not just between them.
+// passes interleave during scans, not just between them. The schema's
+// last tag, c, is read by SELECT * alone: every other template projects
+// or filters a and b, so its scans hand the executor rows that stop short
+// of the schema's width.
 
 type diffConfig struct {
 	name string
@@ -64,7 +67,7 @@ type diffSource struct {
 	lastTS   int64 // irregular sources advance from here
 }
 
-const refDDL = `CREATE TABLE REF (id BIGINT, ts BIGINT, a DOUBLE, b DOUBLE)`
+const refDDL = `CREATE TABLE REF (id BIGINT, ts BIGINT, a DOUBLE, b DOUBLE, c DOUBLE)`
 
 // diffNorm renders a value for order-insensitive semantic comparison
 // (virtual timestamps are KindTime, the baseline's are KindInt — both
@@ -147,7 +150,7 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 	for i, h := range hs {
 		schema, err := h.CreateSchema(SchemaType{
 			Name: "env", IDName: "id", TSName: "ts",
-			Tags: []TagDef{{Name: "a"}, {Name: "b"}},
+			Tags: []TagDef{{Name: "a"}, {Name: "b"}, {Name: "c"}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -175,16 +178,21 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 	}
 
 	var maxTS int64 = 1
-	writeAll := func(src *diffSource, ts int64, a, b float64) {
+	// c comes from its own seeded generator: it takes no draw from rng.
+	crng := rand.New(rand.NewSource(20261017))
+	// writeAll writes a point to every historian and returns its REF row.
+	writeAll := func(src *diffSource, ts int64, a, b float64) string {
 		t.Helper()
+		c := float64(crng.Intn(1000)) / 4
 		for _, h := range hs {
-			if err := h.Writer().WritePoint(src.id, ts, a, b); err != nil {
+			if err := h.Writer().WritePoint(src.id, ts, a, b, c); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if ts > maxTS {
 			maxTS = ts
 		}
+		return fmt.Sprintf("(%d, %d, %g, %g, %g)", src.id, ts, a, b, c)
 	}
 
 	// Preload a dense burst on the RTS sources so aggregates clear the
@@ -197,16 +205,15 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			src.idx++
 			ts := src.idx * src.interval
 			a, b := float64(rng.Intn(8)), float64(rng.Intn(100))
-			writeAll(src, ts, a, b)
-			preload = append(preload, fmt.Sprintf("(%d, %d, %g, %g)", src.id, ts, a, b))
+			preload = append(preload, writeAll(src, ts, a, b))
 			if len(preload) == 256 {
-				mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b) VALUES `+strings.Join(preload, ", "))
+				mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b, c) VALUES `+strings.Join(preload, ", "))
 				preload = preload[:0]
 			}
 		}
 	}
 	if len(preload) > 0 {
-		mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b) VALUES `+strings.Join(preload, ", "))
+		mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b, c) VALUES `+strings.Join(preload, ", "))
 	}
 	for _, h := range hs {
 		if err := h.Flush(); err != nil {
@@ -221,7 +228,7 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		if len(pendingRef) == 0 {
 			return
 		}
-		mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b) VALUES `+strings.Join(pendingRef, ", "))
+		mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b, c) VALUES `+strings.Join(pendingRef, ", "))
 		pendingRef = pendingRef[:0]
 	}
 
@@ -231,6 +238,12 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			t1 := rng.Int63n(maxTS + 1)
 			t2 := t1 + rng.Int63n(maxTS)
 			return fmt.Sprintf(`SELECT id, ts, a, b FROM %%s WHERE id = %d AND ts >= %d AND ts < %d`, src.id, t1, t2)
+		},
+		func() string { // every tag of one source: the one template reading c
+			src := sources[rng.Intn(len(sources))]
+			t1 := rng.Int63n(maxTS + 1)
+			t2 := t1 + rng.Int63n(maxTS)
+			return fmt.Sprintf(`SELECT * FROM %%s WHERE id = %d AND ts >= %d AND ts < %d`, src.id, t1, t2)
 		},
 		func() string { // id IN
 			a, b, c := sources[rng.Intn(len(sources))], sources[rng.Intn(len(sources))], sources[rng.Intn(len(sources))]
@@ -384,7 +397,7 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		// Retention is batch-granular, so the surviving set is whatever the
 		// store kept; all configurations must keep the same rows, and
 		// the baseline is rebuilt from that agreed-on state.
-		full := `SELECT id, ts, a, b FROM D WHERE ts >= 0 AND ts < ` + strconv.FormatInt(maxTS+1, 10)
+		full := `SELECT * FROM D WHERE ts >= 0 AND ts < ` + strconv.FormatInt(maxTS+1, 10)
 		raw0, _ := diffFetch(t, hs[0], full)
 		for i := 1; i < len(hs); i++ {
 			raw, _ := diffFetch(t, hs[i], full)
@@ -416,14 +429,15 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			if len(batch) == 0 {
 				return
 			}
-			mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b) VALUES `+strings.Join(batch, ", "))
+			mustQuery(t, ref, `INSERT INTO REF (id, ts, a, b, c) VALUES `+strings.Join(batch, ", "))
 			batch = batch[:0]
 		}
 		for _, row := range rows {
-			batch = append(batch, fmt.Sprintf("(%d, %d, %s, %s)",
+			batch = append(batch, fmt.Sprintf("(%d, %d, %s, %s, %s)",
 				row[0].AsInt(), row[1].AsInt(),
 				strconv.FormatFloat(row[2].AsFloat(), 'g', -1, 64),
-				strconv.FormatFloat(row[3].AsFloat(), 'g', -1, 64)))
+				strconv.FormatFloat(row[3].AsFloat(), 'g', -1, 64),
+				strconv.FormatFloat(row[4].AsFloat(), 'g', -1, 64)))
 			if len(batch) == 256 {
 				flush()
 			}
@@ -444,8 +458,7 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 					ts = src.lastTS
 				}
 				a, b := float64(rng.Intn(8)), float64(rng.Intn(100))
-				writeAll(src, ts, a, b)
-				pendingRef = append(pendingRef, fmt.Sprintf("(%d, %d, %g, %g)", src.id, ts, a, b))
+				pendingRef = append(pendingRef, writeAll(src, ts, a, b))
 			}
 		}
 		flushRef()

@@ -266,6 +266,11 @@ func (s *virtualScan) next() (Row, bool, error) {
 			row = append(row, relational.Float(v))
 		}
 	}
+	// A point holds its tags only through the last one the scan asked for;
+	// the tags behind it are NULL.
+	for len(row) < s.outer+len(s.cols) {
+		row = append(row, relational.Null)
+	}
 	s.row = row
 	return row, true, nil
 }

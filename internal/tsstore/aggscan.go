@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,9 +52,9 @@ type AggSpec struct {
 	T1, T2 int64
 	// NTags is the schema's tag count (sizes per-group arrays).
 	NTags int
-	// WantTags selects the tags to aggregate (nil = all). Must include
-	// every tag named by Preds, like a scan's wantTags must cover the
-	// residual filter.
+	// WantTags selects the tags to aggregate (nil = all). The scan also
+	// decodes the tags Preds name, so a predicate on a tag outside
+	// WantTags filters exactly as it would with the tag selected.
 	WantTags []int
 	// Preds are conjunctive tag predicates applied to every row.
 	Preds []TagPred
@@ -131,11 +132,14 @@ func matchPreds(vals []float64, preds []TagPred) bool {
 
 // aggSpecEx is an AggSpec with derived scan state precomputed once.
 type aggSpecEx struct {
-	spec  *AggSpec
-	tags  []int      // tags to fold (sorted, deduped, in [0, NTags))
-	zones []TagRange // inclusive hull of Preds for zone-map skipping
-	ntags int
-	ctx   context.Context // from Opts.Ctx; observed between records
+	spec *AggSpec
+	tags []int // tags to fold (deduped, in [0, NTags))
+	// walkTags are the tags a boundary record decodes: the folded tags and
+	// the tags Preds name (nil = all).
+	walkTags []int
+	zones    []TagRange // inclusive hull of Preds for zone-map skipping
+	ntags    int
+	ctx      context.Context // from Opts.Ctx; observed between records
 }
 
 func prepAggSpec(spec *AggSpec) *aggSpecEx {
@@ -146,18 +150,21 @@ func prepAggSpec(spec *AggSpec) *aggSpecEx {
 			sp.tags[t] = t
 		}
 	} else {
-		seen := make(map[int]bool, len(spec.WantTags))
+		sp.tags = []int{} // a selection of no tag decodes none, unlike nil
 		for _, t := range spec.WantTags {
-			if t >= 0 && t < spec.NTags && !seen[t] {
-				seen[t] = true
+			if t >= 0 && t < spec.NTags && !slices.Contains(sp.tags, t) {
 				sp.tags = append(sp.tags, t)
 			}
 		}
+		sp.walkTags = append([]int{}, sp.tags...)
 	}
 	for _, p := range spec.Preds {
 		// Exclusive bounds loosen to inclusive: safe for skipping, never
 		// used to prove coverage (classifySummary keeps the strictness).
 		sp.zones = append(sp.zones, TagRange{Tag: p.Tag, Lo: p.Lo, Hi: p.Hi})
+		if sp.walkTags != nil && p.Tag >= 0 && p.Tag < spec.NTags && !slices.Contains(sp.walkTags, p.Tag) {
+			sp.walkTags = append(sp.walkTags, p.Tag)
+		}
 	}
 	return sp
 }
@@ -288,6 +295,13 @@ type aggPartial struct {
 	order  []aggKey
 	first  []aggOrder // parallel to order: each group's first contribution
 	at     aggOrder   // the contribution being folded
+	// lastKey and last are the group folded into most recently: a run of
+	// rows of one bucket costs one map lookup.
+	lastKey aggKey
+	last    *AggGroup
+	// sum is the summary of the record being classified, reused from one
+	// record to the next.
+	sum blobSummary
 
 	summaryHits              int64
 	bytesNotDecoded          int64
@@ -312,23 +326,29 @@ func (pt *aggPartial) keyFor(src, ts int64, sp *aggSpecEx) aggKey {
 }
 
 func (pt *aggPartial) group(k aggKey, sp *aggSpecEx) *AggGroup {
-	if g, ok := pt.groups[k]; ok {
-		return g
+	if pt.last != nil && k == pt.lastKey {
+		return pt.last
 	}
-	g := &AggGroup{
-		ID: k.id, Bucket: k.bucket,
-		NonNull: make([]int64, sp.ntags),
-		Sum:     make([]float64, sp.ntags),
-		Min:     make([]float64, sp.ntags),
-		Max:     make([]float64, sp.ntags),
+	g, ok := pt.groups[k]
+	if !ok {
+		n := sp.ntags
+		fl := make([]float64, 3*n)
+		g = &AggGroup{
+			ID: k.id, Bucket: k.bucket,
+			NonNull: make([]int64, n),
+			Sum:     fl[:n:n],
+			Min:     fl[n : 2*n : 2*n],
+			Max:     fl[2*n:],
+		}
+		for i := range g.Min {
+			g.Min[i] = math.Inf(1)
+			g.Max[i] = math.Inf(-1)
+		}
+		pt.groups[k] = g
+		pt.order = append(pt.order, k)
+		pt.first = append(pt.first, pt.at)
 	}
-	for i := range g.Min {
-		g.Min[i] = math.Inf(1)
-		g.Max[i] = math.Inf(-1)
-	}
-	pt.groups[k] = g
-	pt.order = append(pt.order, k)
-	pt.first = append(pt.first, pt.at)
+	pt.lastKey, pt.last = k, g
 	return g
 }
 
@@ -458,7 +478,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 	if mg {
 		src = 0
 	}
-	if sum := rec.hdr.summary(rec.ts); sum != nil {
+	if sum := &pt.sum; rec.hdr.summaryInto(rec.ts, sum) {
 		foldable := !mg || (w.slot == allMembers && !sp.spec.ByID && sum.members <= len(w.members))
 		switch classifySummary(sum, lo, hi, sp, foldable, !mg) {
 		case classExcluded:
@@ -566,7 +586,7 @@ func (s *Store) historicalAggParts(source int64, owner int, sp *aggSpecEx, worke
 	spec := sp.spec
 	var parts []aggPart
 	for _, r := range splitScanRange(spec.T1, spec.T2, s.cat.Stats(source), workers) {
-		parts = append(parts, s.aggWalkPart(s.sourceWalker(ds, r.t1, r.t2, spec.WantTags, spec.Opts), owner, sp))
+		parts = append(parts, s.aggWalkPart(s.sourceWalker(ds, r.t1, r.t2, sp.walkTags, spec.Opts), owner, sp))
 	}
 	return parts, nil
 }
@@ -695,7 +715,7 @@ func (s *Store) AggregateSlice(schemaID int64, spec AggSpec) (*AggResult, error)
 	sp := prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
 	var parts []aggPart
-	for i, w := range s.sliceWalkers(schemaID, spec.T1, spec.T2, spec.WantTags, spec.Opts) {
+	for i, w := range s.sliceWalkers(schemaID, spec.T1, spec.T2, sp.walkTags, spec.Opts) {
 		parts = append(parts, s.aggWalkPart(w, i, sp))
 	}
 	return s.runAggParts(parts, sp, workers)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"odh/internal/keyenc"
@@ -752,5 +753,79 @@ func TestOffGridAggregateMaterialisesNoBlock(t *testing.T) {
 	on, onBytes := aggregate(504, 616)
 	if on.SubBucketFolds != 1 || onBytes < blockBytes {
 		t.Fatalf("on-grid aggregate: %d sub-bucket folds, %d bytes allocated, want 1 and at least a block's %d", on.SubBucketFolds, onBytes, blockBytes)
+	}
+}
+
+// TestPredOutsideWantTagsFiltersExactly: a predicate on a tag the spec does
+// not aggregate filters the same rows whichever way a record folds. Ten
+// 16-row records hold tag 1 = 1 but one row of one record, where it is 0:
+// that record cannot be proven from its summary and decodes, the other nine
+// fold. The decode must read tag 1 although WantTags names tag 0 alone —
+// without it every row of the decoded record reads tag 1 as NULL and drops.
+func TestPredOutsideWantTagsFiltersExactly(t *testing.T) {
+	const batch, records = 16, 10
+	f := newFixture(t, Config{BatchSize: batch, BlobCacheBytes: 1 << 20}, 0)
+	s := f.schema(t, "pred", 3)
+	src := f.source(t, s.ID, true, 10)
+	pts := make([]model.Point, batch*records)
+	for i := range pts {
+		pts[i] = model.Point{Source: src.ID, TS: int64(i) * 10, Values: []float64{float64(i), 1, float64(i % 3)}}
+	}
+	pts[5*batch+3].Values[1] = 0
+	if err := f.store.WriteBatch(pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	preds := []TagPred{{Tag: 1, Lo: 0.5, Hi: math.Inf(1)}}
+	for _, opts := range []ScanOptions{{}, {NoCache: true}, {Workers: 4}} {
+		aggregate := func(wantTags []int, slice bool) *AggResult {
+			t.Helper()
+			spec := AggSpec{T1: math.MinInt64, T2: math.MaxInt64, NTags: 3, WantTags: wantTags, Preds: preds, Opts: opts}
+			res, err := f.store.AggregateHistorical(src.ID, spec)
+			if slice {
+				res, err = f.store.AggregateSlice(s.ID, spec)
+			}
+			if err != nil || len(res.Groups) != 1 {
+				t.Fatalf("opts %+v, want %v: %+v, %v", opts, wantTags, res, err)
+			}
+			return res
+		}
+		for _, slice := range []bool{false, true} {
+			full := aggregate(nil, slice)
+			if g := full.Groups[0]; g.Rows != int64(len(pts)-1) || g.NonNull[0] != g.Rows {
+				t.Fatalf("opts %+v: the full selection counts %d rows, want %d", opts, g.Rows, len(pts)-1)
+			}
+			for _, want := range [][]int{{0}, {0, 1}, {2, 0}} {
+				got := aggregate(want, slice)
+				g, w := got.Groups[0], full.Groups[0]
+				if g.Rows != w.Rows || g.NonNull[0] != w.NonNull[0] || g.Sum[0] != w.Sum[0] || g.Min[0] != w.Min[0] || g.Max[0] != w.Max[0] {
+					t.Fatalf("opts %+v, slice %v, want %v: %+v, the full selection %+v", opts, slice, want, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestAggWalkTags: an aggregate decodes the tags it folds and the tags its
+// predicates name, every tag for a nil selection, and no tag for an empty
+// one (COUNT(*)), which must not widen to every tag.
+func TestAggWalkTags(t *testing.T) {
+	pred := func(tag int) TagPred { return TagPred{Tag: tag, Lo: math.Inf(-1), Hi: math.Inf(1)} }
+	for _, tc := range []struct {
+		want  []int
+		preds []TagPred
+		walk  []int
+	}{
+		{nil, []TagPred{pred(1)}, nil},
+		{[]int{}, nil, []int{}},
+		{[]int{}, []TagPred{pred(2)}, []int{2}},
+		{[]int{0, 0, 5}, []TagPred{pred(1), pred(0), pred(7)}, []int{0, 1}},
+	} {
+		sp := prepAggSpec(&AggSpec{NTags: 3, WantTags: tc.want, Preds: tc.preds})
+		if (sp.walkTags == nil) != (tc.walk == nil) || !slices.Equal(sp.walkTags, tc.walk) {
+			t.Fatalf("WantTags %v, Preds %v: walks %v, want %v", tc.want, tc.preds, sp.walkTags, tc.walk)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 
 	"odh/internal/compress"
 	"odh/internal/model"
@@ -316,13 +317,14 @@ func countBits(bm []byte, from, to int) int {
 
 // decodeColumns reconstructs rows [i0, i1) of the count rows in the layout
 // written by encodeColumns, and counts the values it decoded. wantTags
-// selects which tag indexes to decode (nil = all); unselected tags come
-// back NULL, and nothing behind the last selected column is read — b may
-// end there (blobHeader.wantedLen). A column is decoded from the segment
-// holding row i0's value only as far as row i1 reaches into it, and never
-// further than its stripe of the presence bitmap says it goes: the bitmap,
-// whose length the blob's own bytes bound, is what sizes every allocation
-// here.
+// selects which tag indexes to decode (nil = all); a row is as wide as the
+// last selected tag — narrower than ntags when wantTags stops short of it —
+// and an unselected tag below that comes back NULL. Nothing behind the last
+// selected column is read — b may end there (blobHeader.wantedLen). A
+// column is decoded from the segment holding row i0's value only as far as
+// row i1 reaches into it, and never further than its stripe of the presence
+// bitmap says it goes: the bitmap, whose length the blob's own bytes bound,
+// is what sizes every allocation here.
 func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]float64, int, error) {
 	bmLen := bitmapLen(count * ntags)
 	if len(b) < bmLen {
@@ -330,27 +332,16 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 	}
 	bm := b[:bmLen]
 	b = b[bmLen:]
+	last := lastWanted(wantTags, ntags)
+	width := last + 1
 	rows := make([][]float64, i1-i0)
-	backing := make([]float64, len(rows)*ntags)
+	backing := make([]float64, len(rows)*width)
 	for i := range backing {
 		backing[i] = model.NullValue
 	}
 	for i := range rows {
 		// Capped, so that appending to one row cannot reach into the next.
-		rows[i] = backing[i*ntags : (i+1)*ntags : (i+1)*ntags]
-	}
-	want := make([]bool, ntags)
-	last := lastWanted(wantTags, ntags)
-	if wantTags == nil {
-		for i := range want {
-			want[i] = true
-		}
-	} else {
-		for _, t := range wantTags {
-			if t >= 0 && t < ntags {
-				want[t] = true
-			}
-		}
+		rows[i] = backing[i*width : (i+1)*width : (i+1)*width]
 	}
 	decoded := 0
 	for tag := 0; tag <= last; tag++ {
@@ -360,7 +351,7 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 		}
 		col := b[n : n+int(colLen)]
 		b = b[n+int(colLen):]
-		if !want[tag] || i0 == i1 {
+		if wantTags != nil && !slices.Contains(wantTags, tag) || i0 == i1 {
 			continue // the tag-oriented win: skip without decoding
 		}
 		// The column holds the present values only: the window's start at

@@ -306,7 +306,9 @@ func TestTagsSig(t *testing.T) {
 }
 
 // TestBlobCacheWantTagsVariants verifies a partial decode cached under
-// one selection is not served to a different selection.
+// one selection is not served to a different selection: a row holds its
+// tags through the last one selected, so a narrow entry served to a nil
+// or wider selection would show as a short row.
 func TestBlobCacheWantTagsVariants(t *testing.T) {
 	f := newFixture(t, Config{BatchSize: 16, BlobCacheBytes: 1 << 20}, 0)
 	s := f.schema(t, "variants", 3)
@@ -331,12 +333,26 @@ func TestBlobCacheWantTagsVariants(t *testing.T) {
 	}
 	full := scan(nil)
 	only0 := scan([]int{0})
+	if len(only0) != len(full) {
+		t.Fatalf("tag-0 scan = %d rows, full scan %d", len(only0), len(full))
+	}
 	for i := range only0 {
+		if len(only0[i].Values) != 1 {
+			t.Fatalf("row %d: tag-0 scan is %d wide, want 1", i, len(only0[i].Values))
+		}
 		if only0[i].Values[0] != full[i].Values[0] {
 			t.Fatalf("row %d tag0 mismatch", i)
 		}
-		if !model.IsNull(only0[i].Values[1]) {
-			t.Fatalf("row %d: unselected tag not NULL after variant caching", i)
+	}
+	// With the narrow entry cached, a nil and a wider selection each get
+	// their own full-width rows, never the narrow entry.
+	if again := scan(nil); !pointsEqual(full, again) {
+		t.Fatal("full decode after the narrow one diverged")
+	}
+	wider := scan([]int{0, 1})
+	for i := range wider {
+		if len(wider[i].Values) != 2 || wider[i].Values[0] != full[i].Values[0] || wider[i].Values[1] != full[i].Values[1] {
+			t.Fatalf("row %d of the {0, 1} scan = %v, want the first two tags of %v", i, wider[i].Values, full[i].Values)
 		}
 	}
 	// Same selections again — now served from cache — must agree.
@@ -346,5 +362,8 @@ func TestBlobCacheWantTagsVariants(t *testing.T) {
 	}
 	if !pointsEqual(only0, scan([]int{0})) {
 		t.Fatal("cached partial decode diverged")
+	}
+	if !pointsEqual(wider, scan([]int{1, 0})) {
+		t.Fatal("cached {0, 1} decode diverged")
 	}
 }

@@ -422,32 +422,52 @@ type blobSummary struct {
 }
 
 func newBlobSummary(ntags int) *blobSummary {
-	fl := make([]float64, 3*ntags)
-	return &blobSummary{
-		nonNull: make([]int64, ntags),
-		sum:     fl[:ntags:ntags], min: fl[ntags : 2*ntags : 2*ntags], max: fl[2*ntags:],
+	s := &blobSummary{}
+	s.reset(ntags)
+	return s
+}
+
+// reset sizes the per-tag arrays to ntags, reusing their backing when it
+// is large enough; their contents are the caller's to fill.
+func (s *blobSummary) reset(ntags int) {
+	if cap(s.nonNull) < ntags {
+		s.nonNull = make([]int64, ntags)
+		fl := make([]float64, 3*ntags)
+		s.sum, s.min, s.max = fl[:ntags:ntags], fl[ntags:2*ntags:2*ntags], fl[2*ntags:3*ntags:3*ntags]
 	}
+	s.nonNull, s.sum, s.min, s.max = s.nonNull[:ntags], s.sum[:ntags], s.min[:ntags], s.max[:ntags]
 }
 
 // summary materializes the header summary, or nil for a pre-summary blob:
 // callers then fall back to decoding.
 func (h *blobHeader) summary(baseTS int64) *blobSummary {
-	if !h.hasSummary() {
+	s := &blobSummary{}
+	if !h.summaryInto(baseTS, s) {
 		return nil
 	}
-	s := newBlobSummary(h.ntags)
-	s.rows, s.firstTS, s.lastTS, _ = h.span(baseTS)
-	r := blobReader{b: h.b, off: h.sumOff}
-	if h.structure == blobMG {
-		s.members = h.count
-	}
-	for tag := 0; tag < h.ntags; tag++ {
-		s.nonNull[tag] = int64(r.uvarint(math.MaxUint64))
-		s.sum[tag] = r.float()
-		z := h.zone(tag)
-		s.min[tag], s.max[tag] = z.min, z.max
-	}
 	return s
+}
+
+// summaryInto parses the header summary into dst, reusing its arrays; it
+// is false, leaving dst unspecified, for a pre-summary blob.
+func (h *blobHeader) summaryInto(baseTS int64, dst *blobSummary) bool {
+	if !h.hasSummary() {
+		return false
+	}
+	dst.reset(h.ntags)
+	dst.rows, dst.firstTS, dst.lastTS, _ = h.span(baseTS)
+	dst.members = 0
+	if h.structure == blobMG {
+		dst.members = h.count
+	}
+	r := blobReader{b: h.b, off: h.sumOff}
+	for tag := 0; tag < h.ntags; tag++ {
+		dst.nonNull[tag] = int64(r.uvarint(math.MaxUint64))
+		dst.sum[tag] = r.float()
+		z := h.zone(tag)
+		dst.min[tag], dst.max[tag] = z.min, z.max
+	}
+	return true
 }
 
 // subBucketStat holds one base bucket's mini-summary.

@@ -393,7 +393,7 @@ func TestUnreadTailsStayUnread(t *testing.T) {
 			t.Fatalf("lenient=%v: a projection of tag 0 returns %d rows, want %d", lenient, len(got), n)
 		}
 		for i, p := range got {
-			if p.TS != int64(i)*10 || p.Values[0] != float64(i) || !model.IsNull(p.Values[1]) {
+			if p.TS != int64(i)*10 || p.Values[0] != float64(i) || !model.IsNull(tagOf(p.Values, 1)) {
 				t.Fatalf("lenient=%v: row %d is %+v", lenient, i, p)
 			}
 		}

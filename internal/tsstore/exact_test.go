@@ -64,8 +64,8 @@ func (fd *feed) snapshot(c map[int64]*atomic.Int64) map[int64]int64 {
 
 // check asserts got (rows of window [t1, t2), any sources) is a legal
 // dirty read given the acked counts before and the started counts after.
-// A read of tag 0 alone (projected) may return tag 1 NULL: a stored
-// record's rows do, buffered rows keep every value.
+// A read of tag 0 alone (projected) may return tag 1 NULL or not at all:
+// a stored record's rows are one tag wide, buffered rows keep every value.
 func (fd *feed) check(got []model.Point, t1, t2 int64, ackedBefore, startedAfter map[int64]int64, projected bool) error {
 	seen := make(map[int64]map[int]bool)
 	for _, p := range got {
@@ -73,7 +73,7 @@ func (fd *feed) check(got []model.Point, t1, t2 int64, ackedBefore, startedAfter
 		i := int(p.Values[0])
 		switch {
 		case stream == nil || i < 0 || i >= len(stream) || stream[i].TS != p.TS ||
-			p.Values[1] != stream[i].Values[1] && !(projected && model.IsNull(p.Values[1])):
+			tagOf(p.Values, 1) != stream[i].Values[1] && !(projected && model.IsNull(tagOf(p.Values, 1))):
 			return fmt.Errorf("invented row %+v", p)
 		case p.TS < t1 || p.TS >= t2:
 			return fmt.Errorf("row %+v outside [%d,%d)", p, t1, t2)

@@ -236,6 +236,9 @@ func checkPrefixDecode(t *testing.T, blob []byte, h *blobHeader, baseTS int64, s
 		t.Fatalf("tags %v: the prefix decodes other rows than the full decode", subset)
 	}
 	for i := range cut.Rows {
+		if len(cut.Rows[i]) != lastWanted(subset, h.ntags)+1 {
+			t.Fatalf("tags %v: row %d is %d tags wide, not as wide as the last wanted tag", subset, i, len(cut.Rows[i]))
+		}
 		for tag, v := range cut.Rows[i] {
 			if math.Float64bits(v) != math.Float64bits(full.Rows[i][tag]) {
 				t.Fatalf("tags %v: row %d tag %d is %v from the prefix, %v from the whole blob", subset, i, tag, v, full.Rows[i][tag])

@@ -1,20 +1,24 @@
 package tsstore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"odh/internal/btree"
 	"odh/internal/model"
 )
 
 // Iterator yields operational points. Implementations are not safe for
-// concurrent use; create one per query. A Point's Values are lent and
-// read-only: they may alias a decoded batch that the decoded-blob cache
-// shares with other scans, so a caller that changes or keeps them copies
-// them first.
+// concurrent use; create one per query. A Point's Values hold at least the
+// tags through the last one the scan asked for (wantTags; every tag for a
+// nil selection), and a tag at or past len(Values) reads as NULL. A stored
+// record's row stops exactly there, its unselected tags NULL; a buffered
+// row (a dirty read) may be wider, with every tag's value. Values are lent
+// and read-only: they may alias a decoded batch that the decoded-blob
+// cache shares with other scans, so a caller that changes or keeps them
+// copies them first.
 type Iterator interface {
 	// Next returns the next point; ok is false when exhausted.
 	Next() (p model.Point, ok bool)
@@ -182,12 +186,14 @@ func (it *scanIter) load(rec *walkRec) error {
 	}
 	// Records rarely overlap; re-sort only when they do (or when MG rows,
 	// stored in slot order, are out of time order).
-	byTS := func(a, b int) bool { return it.queue[a].TS < it.queue[b].TS }
-	if !sort.SliceIsSorted(it.queue, byTS) {
-		sort.SliceStable(it.queue, byTS)
+	if !slices.IsSortedFunc(it.queue, byTS) {
+		slices.SortStableFunc(it.queue, byTS)
 	}
 	return nil
 }
+
+// byTS orders points by timestamp alone.
+func byTS(a, b model.Point) int { return cmp.Compare(a.TS, b.TS) }
 
 func (it *scanIter) Err() error       { return it.err }
 func (it *scanIter) BlobBytes() int64 { return it.bytesRead }

@@ -224,6 +224,15 @@ func valuesEqual(a, b []float64) bool {
 	return true
 }
 
+// tagOf reads one tag of a scan's row: a row holds the tags through the
+// last one its scan asked for, and a tag at or past its width is NULL.
+func tagOf(vals []float64, tag int) float64 {
+	if tag < len(vals) {
+		return vals[tag]
+	}
+	return model.NullValue
+}
+
 // TestSplitScanRangeProperty checks the range splitter partitions any
 // window exactly: contiguous, covering, and honoring the k bound.
 func TestSplitScanRangeProperty(t *testing.T) {

@@ -2,9 +2,11 @@ package tsstore
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -511,11 +513,8 @@ func (w *walker) addBuffered(ch *chunk) {
 				out = append(out, p.Clone())
 			}
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].TS != out[j].TS {
-				return out[i].TS < out[j].TS
-			}
-			return out[i].Source < out[j].Source
+		slices.SortFunc(out, func(a, b model.Point) int {
+			return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Source, b.Source))
 		})
 	}
 	if len(out) == 0 {
