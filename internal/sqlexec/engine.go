@@ -36,10 +36,12 @@ func New(rel *relational.DB, ts *tsstore.Store) *Engine {
 }
 
 // SetQueryWorkers caps the parallel degree a pushed-down aggregate may
-// use (row scans are always serial: their consumer pulls one row at a
-// time). The planner picks each aggregate's degree from its blob-bytes
-// cost estimate, never exceeding n; n <= 1 keeps aggregates serial. Safe
-// to call on a live engine; queries planned afterwards use the new cap.
+// use. The fan-out is across the aggregate's sources and MG groups, one
+// walk each: a one-source aggregate and every row scan stay serial. The
+// planner picks each aggregate's degree from its blob-bytes cost
+// estimate, never exceeding n or the IN list's length; n <= 1 keeps
+// aggregates serial. Safe to call on a live engine; queries planned
+// afterwards use the new cap.
 func (e *Engine) SetQueryWorkers(n int) { e.queryWorkers.Store(int64(n)) }
 
 // SetAggPushdown enables or disables rewriting aggregates over a virtual

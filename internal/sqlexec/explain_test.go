@@ -111,6 +111,7 @@ func TestExplainGolden(t *testing.T) {
 		{"agg_mg_by_id", `SELECT SensorId, COUNT(AirTemperature), COUNT(WindSpeed) FROM Observation GROUP BY SensorId`},
 		{"agg_parallel", `SELECT TIME_BUCKET(7000, timestamp), COUNT(*), MAX(v) FROM big_v GROUP BY TIME_BUCKET(7000, timestamp)`},
 		{"agg_parallel_one_source", `SELECT COUNT(*), MIN(v) FROM big_v WHERE id = 502 AND timestamp >= 1000 AND timestamp < 1999000`},
+		{"agg_one_source_boundary", `SELECT TIME_BUCKET(700, timestamp), COUNT(*), MAX(v) FROM big_v WHERE id = 503 GROUP BY TIME_BUCKET(700, timestamp)`},
 		{"agg_fused_fallback", `SELECT CA_NAME, COUNT(*) FROM TRADE t, ACCOUNT a WHERE a.CA_ID = t.T_CA_ID GROUP BY CA_NAME`},
 
 		// Shapes the pushdown must decline.

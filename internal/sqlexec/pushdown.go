@@ -79,10 +79,16 @@ func (pc *planContext) tryAggPushdown(sh *aggShape) (Operator, bool) {
 	}
 
 	// The parallel degree follows the decoded bytes, not the swept bytes —
-	// fanning out a fold-only scan buys nothing.
+	// fanning out a fold-only scan buys nothing — and never exceeds the
+	// owners there are to fan out over: one walk per source, so `id = n`
+	// is serial and an IN list takes at most one worker per id.
 	cost := va.folded(spec.BucketMs, pc.e.ts.SubBucketMs())
 	pc.planNote = "agg-pushdown " + cost.String()
-	spec.Opts = tsstore.ScanOptions{Workers: pc.e.parallelDegree(cost), Ctx: pc.ctx}
+	workers := pc.e.parallelDegree(cost)
+	if va.sel.ids != nil {
+		workers = min(workers, len(va.sel.ids))
+	}
+	spec.Opts = tsstore.ScanOptions{Workers: workers, Ctx: pc.ctx}
 	op.spec = spec
 	return op, true
 }

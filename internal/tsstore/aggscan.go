@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"odh/internal/model"
@@ -179,7 +178,7 @@ const (
 	classSubFoldable                     // fold per-sub-bucket summaries, skip decode
 )
 
-// classifySummary decides how a record folds within one part range
+// classifySummary decides how a record folds within one chunk window
 // [t1, t2). foldable gates summary folding entirely (false for MG records
 // whose rows need per-member attribution or filtering); allowSub
 // additionally gates the sub-bucket outcome (false for MG records, whose
@@ -266,35 +265,10 @@ func subFoldAligned(sum *blobSummary, t1, t2, base int64, sp *aggSpecEx) bool {
 // aggKey identifies one output group.
 type aggKey struct{ id, bucket int64 }
 
-// aggOrder places a contribution in the serial fold order: the part's
-// owner ordinal, then the contributing record's base timestamp and home
-// (the order a walker hands records out). Parts of one owner split the
-// window by row timestamp, so a record straddling two parts contributes
-// to both; ordering groups by their first contribution's aggOrder rather
-// than by part makes the emission order the serial one however the
-// window was split.
-type aggOrder struct {
-	owner int
-	ts    int64
-	home  int
-}
-
-func (a aggOrder) before(b aggOrder) bool {
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	return a.home < b.home
-}
-
-// aggPartial is one part's accumulation state; parts never share one.
+// aggPartial is one owner's accumulation state; owners never share one.
 type aggPartial struct {
 	groups map[aggKey]*AggGroup
-	order  []aggKey
-	first  []aggOrder // parallel to order: each group's first contribution
-	at     aggOrder   // the contribution being folded
+	order  []aggKey // first-contribution order
 	// lastKey and last are the group folded into most recently: a run of
 	// rows of one bucket costs one map lookup.
 	lastKey aggKey
@@ -346,14 +320,13 @@ func (pt *aggPartial) group(k aggKey, sp *aggSpecEx) *AggGroup {
 		}
 		pt.groups[k] = g
 		pt.order = append(pt.order, k)
-		pt.first = append(pt.first, pt.at)
 	}
 	pt.lastKey, pt.last = k, g
 	return g
 }
 
 // merge folds a partial aggregate over disjoint rows — a blob summary, one
-// of its sub-buckets, or another part's group — into g, for the given tags.
+// of its sub-buckets, or another owner's group — into g, for the given tags.
 func (g *AggGroup) merge(rows int64, nonNull []int64, sum, min, max []float64, tags []int) {
 	g.Rows += rows
 	for _, tag := range tags {
@@ -431,32 +404,26 @@ func (pt *aggPartial) foldRow(src, ts int64, vals []float64, sp *aggSpecEx) {
 	}
 }
 
-// aggPart is one independently runnable slice of an aggregate scan.
-type aggPart func(*aggPartial) error
-
-// aggWalkPart folds everything one walker hands out, classifying each
+// aggWalk folds everything one walker hands out into pt, classifying each
 // stored record against its summary within the chunk window. An MG record
 // may fold from its summary only when rows need no per-member
 // attribution: no source filter, no GROUP BY id, and every stored slot
 // maps to a known member (row folds drop unknown slots, so a summary fold
 // must too); MG rows are slot-ordered and never carry sub-summaries.
-func (s *Store) aggWalkPart(w *walker, owner int, sp *aggSpecEx) aggPart {
-	return func(pt *aggPartial) error {
-		defer w.release()
-		for !w.done {
-			ch, err := w.step()
-			if err != nil {
+func (s *Store) aggWalk(pt *aggPartial, w *walker, sp *aggSpecEx) error {
+	defer w.release()
+	for !w.done {
+		ch, err := w.step()
+		if err != nil {
+			return err
+		}
+		for i := range ch.recs {
+			if err := s.aggRecord(pt, w, &ch.recs[i], ch.lo, ch.hi, sp); err != nil {
 				return err
 			}
-			for i := range ch.recs {
-				pt.at = aggOrder{owner: owner, ts: ch.recs[i].ts, home: ch.recs[i].home.seq}
-				if err := s.aggRecord(pt, w, &ch.recs[i], ch.lo, ch.hi, sp); err != nil {
-					return err
-				}
-			}
 		}
-		return nil
 	}
+	return nil
 }
 
 func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64, sp *aggSpecEx) error {
@@ -464,7 +431,6 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		// Buffered points carry the same estimated cost as in scans.
 		for _, p := range rec.buffered {
 			pt.blobBytesRead += pointBlobBytes(len(p.Values))
-			pt.at.ts = p.TS // each buffered row is its own contribution
 			pt.foldRow(p.Source, p.TS, p.Values, sp)
 		}
 		return nil
@@ -534,145 +500,75 @@ func clampWorkers(n int) int {
 	return n
 }
 
-// scanRange is one ts-disjoint slice of a scan window.
-type scanRange struct{ t1, t2 int64 }
-
-// splitScanRange partitions [t1, t2) into up to k ts-disjoint sub-ranges
-// that cover exactly the same window. Boundaries are spread over the
-// source's recorded data range so the split lands where batches actually
-// are; a window (or data range) too small to split returns one range.
-// Because the sub-ranges partition by timestamp, concatenating their
-// scans yields exactly the rows of the full-range scan, in the same
-// order: equal-timestamp points always land in the same sub-range.
-func splitScanRange(t1, t2 int64, stats model.SourceStats, k int) []scanRange {
-	if k <= 1 || stats.PointCount == 0 {
-		return []scanRange{{t1, t2}}
-	}
-	lo, hi := stats.FirstTS, stats.LastTS
-	if hi < math.MaxInt64 {
-		hi++ // cover LastTS itself; ranges are half-open
-	}
-	if lo < t1 {
-		lo = t1
-	}
-	if hi > t2 {
-		hi = t2
-	}
-	if hi <= lo {
-		return []scanRange{{t1, t2}}
-	}
-	span := uint64(hi) - uint64(lo)
-	if span < uint64(k)*2 || span > 1<<62 {
-		return []scanRange{{t1, t2}}
-	}
-	step := span / uint64(k)
-	out := make([]scanRange, 0, k)
-	prev := t1
-	for i := 1; i < k; i++ {
-		b := lo + int64(step*uint64(i))
-		out = append(out, scanRange{prev, b})
-		prev = b
-	}
-	return append(out, scanRange{prev, t2})
-}
-
-// historicalAggParts decomposes one source's aggregate into one walk per
-// ts-disjoint range.
-func (s *Store) historicalAggParts(source int64, owner int, sp *aggSpecEx, workers int) ([]aggPart, error) {
-	ds, ok := s.cat.Source(source)
-	if !ok {
-		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
-	}
-	spec := sp.spec
-	var parts []aggPart
-	for _, r := range splitScanRange(spec.T1, spec.T2, s.cat.Stats(source), workers) {
-		parts = append(parts, s.aggWalkPart(s.sourceWalker(ds, r.t1, r.t2, sp.walkTags, spec.Opts), owner, sp))
-	}
-	return parts, nil
-}
-
-// runAggParts executes the parts (on the worker pool when allowed) and
-// merges their partials, emitting groups in first-contribution order (see
-// aggOrder), which is identical between serial and parallel runs.
-func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggResult, error) {
-	partials := make([]*aggPartial, len(parts))
+// runAggParts walks each owner into its own partial (on up to workers
+// goroutines when there is more than one owner) and merges the partials
+// in owner order. A group appears where its first contribution arrives in
+// the serial walk — owner by owner, record by record — and each group's
+// partials add up in owner order, so serial and parallel runs return the
+// same groups in the same order, bit for bit.
+func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResult, error) {
+	partials := make([]*aggPartial, len(ws))
 	for i := range partials {
 		partials[i] = newAggPartial()
 	}
-	if workers > 1 && len(parts) > 1 {
-		if workers > len(parts) {
-			workers = len(parts)
+	if workers > 1 && len(ws) > 1 {
+		if workers > len(ws) {
+			workers = len(ws)
 		}
 		sem := make(chan struct{}, workers)
-		errs := make([]error, len(parts))
+		errs := make([]error, len(ws))
 		var wg sync.WaitGroup
-		for i, p := range parts {
+		for i, w := range ws {
 			wg.Add(1)
-			go func(i int, p aggPart) {
+			go func(i int, w *walker) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				// Workers observe ctx between parts: a canceled query
+				// Workers observe ctx between owners: a canceled query
 				// stops folding instead of racing the pool to completion.
 				if err := ctxErr(sp.ctx); err != nil {
 					errs[i] = err
 					return
 				}
-				errs[i] = p(partials[i])
-			}(i, p)
+				errs[i] = s.aggWalk(partials[i], w, sp)
+			}(i, w)
 		}
 		wg.Wait()
 		s.parallelScans.Add(1)
-		s.parallelParts.Add(int64(len(parts)))
+		s.parallelParts.Add(int64(len(ws)))
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
 			}
 		}
 	} else {
-		for i, p := range parts {
+		for i, w := range ws {
 			if err := ctxErr(sp.ctx); err != nil {
 				return nil, err
 			}
-			if err := p(partials[i]); err != nil {
+			if err := s.aggWalk(partials[i], w, sp); err != nil {
 				return nil, err
 			}
 		}
 	}
 	res := &AggResult{}
 	idx := make(map[aggKey]int)
-	var first []aggOrder // parallel to res.Groups
 	for _, pt := range partials {
 		res.SummaryHits += pt.summaryHits
 		res.BytesNotDecoded += pt.bytesNotDecoded
 		res.SubBucketFolds += pt.subBucketFolds
 		res.SubBucketBytesNotDecoded += pt.subBucketBytesNotDecoded
 		res.BlobBytesRead += pt.blobBytesRead
-		for i, k := range pt.order {
+		for _, k := range pt.order {
 			g := pt.groups[k]
-			j, ok := idx[k]
-			if !ok {
-				idx[k] = len(res.Groups)
-				res.Groups = append(res.Groups, *g)
-				first = append(first, pt.first[i])
+			if j, ok := idx[k]; ok {
+				res.Groups[j].merge(g.Rows, g.NonNull, g.Sum, g.Min, g.Max, sp.tags)
 				continue
 			}
-			if pt.first[i].before(first[j]) {
-				first[j] = pt.first[i]
-			}
-			res.Groups[j].merge(g.Rows, g.NonNull, g.Sum, g.Min, g.Max, sp.tags)
+			idx[k] = len(res.Groups)
+			res.Groups = append(res.Groups, *g)
 		}
 	}
-	perm := make([]int, len(first))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return first[perm[a]].before(first[perm[b]]) })
-	groups := make([]AggGroup, len(perm))
-	for i, j := range perm {
-		groups[i] = res.Groups[j]
-	}
-	res.Groups = groups
 	s.summaryHits.Add(res.SummaryHits)
 	s.bytesNotDecoded.Add(res.BytesNotDecoded)
 	s.subBucketFolds.Add(res.SubBucketFolds)
@@ -681,42 +577,34 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 }
 
 // AggregateHistorical computes the aggregates of one source over
-// [spec.T1, spec.T2), the pushdown twin of HistoricalScanOpts.
+// [spec.T1, spec.T2), the pushdown twin of HistoricalScanOpts: one walk,
+// on the calling goroutine.
 func (s *Store) AggregateHistorical(source int64, spec AggSpec) (*AggResult, error) {
-	sp := prepAggSpec(&spec)
-	workers := clampWorkers(spec.Opts.Workers)
-	parts, err := s.historicalAggParts(source, 0, sp, workers)
-	if err != nil {
-		return nil, err
+	ds, ok := s.cat.Source(source)
+	if !ok {
+		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
 	}
-	return s.runAggParts(parts, sp, workers)
+	sp := prepAggSpec(&spec)
+	return s.runAggParts([]*walker{s.sourceWalker(ds, spec.T1, spec.T2, sp.walkTags, spec.Opts)}, sp, 1)
 }
 
 // AggregateMulti aggregates an explicit source list (the id IN (...)
-// pushdown). Each source stays serial inside; the fan-out is across
-// sources. Unknown ids contribute nothing.
+// pushdown), one walk per source, fanned out across sources. Unknown ids
+// contribute nothing.
 func (s *Store) AggregateMulti(sources []int64, spec AggSpec) (*AggResult, error) {
 	sp := prepAggSpec(&spec)
-	workers := clampWorkers(spec.Opts.Workers)
-	var parts []aggPart
-	for i, src := range sources {
-		p, err := s.historicalAggParts(src, i, sp, 1)
-		if err != nil {
-			continue
+	var ws []*walker
+	for _, src := range sources {
+		if ds, ok := s.cat.Source(src); ok {
+			ws = append(ws, s.sourceWalker(ds, spec.T1, spec.T2, sp.walkTags, spec.Opts))
 		}
-		parts = append(parts, p...)
 	}
-	return s.runAggParts(parts, sp, workers)
+	return s.runAggParts(ws, sp, clampWorkers(spec.Opts.Workers))
 }
 
 // AggregateSlice aggregates every source of a schema over the window, the
 // pushdown twin of SliceScanOpts.
 func (s *Store) AggregateSlice(schemaID int64, spec AggSpec) (*AggResult, error) {
 	sp := prepAggSpec(&spec)
-	workers := clampWorkers(spec.Opts.Workers)
-	var parts []aggPart
-	for i, w := range s.sliceWalkers(schemaID, spec.T1, spec.T2, sp.walkTags, spec.Opts) {
-		parts = append(parts, s.aggWalkPart(w, i, sp))
-	}
-	return s.runAggParts(parts, sp, workers)
+	return s.runAggParts(s.sliceWalkers(schemaID, spec.T1, spec.T2, sp.walkTags, spec.Opts), sp, clampWorkers(spec.Opts.Workers))
 }

@@ -325,6 +325,92 @@ func runAggTrial(t *testing.T, seed int64) {
 	}
 }
 
+// TestAggregateIgnoresWorkers pins that an aggregate's answer does not
+// depend on its worker count or on the cache, bit for bit and in group
+// order. Its values are not exact quarters, so float sums round: a
+// fan-out that split one source's rows into parts would add their
+// subtotals in another association and move the last bits. Each source
+// (RTS, IRTS, MG member) is one walk, and owners merge in owner order.
+func TestAggregateIgnoresWorkers(t *testing.T) {
+	f := newFixture(t, Config{BatchSize: 16, maxOpenMGRows: 3, BlobCacheBytes: 1 << 20}, 2)
+	schema := f.schema(t, "workers", 2)
+	srcs := []*model.DataSource{
+		f.source(t, schema.ID, true, 10),   // RTS
+		f.source(t, schema.ID, false, 25),  // IRTS
+		f.source(t, schema.ID, true, 5000), // MG
+		f.source(t, schema.ID, true, 5000), // MG, the same group
+	}
+	var ids []int64
+	for _, ds := range srcs {
+		ids = append(ids, ds.ID)
+	}
+	rng := rand.New(rand.NewSource(48))
+	const base, n = 1_000_000, 1250
+	for i := 0; i < n; i++ {
+		if i == n-40 {
+			// The rest stays buffered: dirty reads fold too.
+			if err := f.store.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ds := range srcs {
+			vals := []float64{rng.Float64() * 1e3, rng.Float64()*1e3 - 500}
+			if rng.Intn(7) == 0 {
+				vals[1] = model.NullValue
+			}
+			ts := base + int64(i)*ds.IntervalMs + int64(ds.GroupSlot)
+			if err := f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: vals}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Part of the MG history moves to its members' own records.
+	if _, err := f.store.Reorganize(schema.ID, base+n/3*5000); err != nil {
+		t.Fatal(err)
+	}
+	maxTS := int64(base + n*5000)
+
+	var cfgs []ScanOptions
+	for _, w := range []int{1, 2, 8} {
+		for _, noCache := range []bool{false, true} {
+			cfgs = append(cfgs, ScanOptions{Workers: w, NoCache: noCache})
+		}
+	}
+	run := func(label string, spec AggSpec, agg func(AggSpec) (*AggResult, error)) {
+		t.Helper()
+		var first *AggResult
+		for _, opts := range cfgs {
+			s := spec
+			s.Opts = opts
+			got, err := agg(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = got
+				continue
+			}
+			sameAggResult(t, fmt.Sprintf("%s %+v workers=%d nocache=%v", label, spec, opts.Workers, opts.NoCache), first, got)
+		}
+	}
+	for trial := 0; trial < 12; trial++ {
+		t1 := base + rng.Int63n(maxTS-base)
+		t2 := t1 + rng.Int63n(maxTS-t1+1)
+		if trial == 0 {
+			t1, t2 = math.MinInt64/2, math.MaxInt64/2
+		}
+		spec := AggSpec{T1: t1, T2: t2, NTags: 2,
+			BucketMs: []int64{0, 0, 7, 1000, 60_000}[rng.Intn(5)],
+			ByID:     rng.Intn(2) == 0,
+		}
+		for _, ds := range srcs {
+			run("historical", spec, func(s AggSpec) (*AggResult, error) { return f.store.AggregateHistorical(ds.ID, s) })
+		}
+		run("multi", spec, func(s AggSpec) (*AggResult, error) { return f.store.AggregateMulti(ids, s) })
+		run("slice", spec, func(s AggSpec) (*AggResult, error) { return f.store.AggregateSlice(schema.ID, s) })
+	}
+}
+
 // TestAggregateFoldsWithoutDecoding checks the whole point of the
 // summary path: a wide-window aggregate over flushed summary-format blobs
 // answers from headers, decoding (nearly) nothing.

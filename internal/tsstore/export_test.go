@@ -1,6 +1,11 @@
 package tsstore
 
-import "odh/internal/model"
+import (
+	"sync/atomic"
+	"testing"
+
+	"odh/internal/model"
+)
 
 // WalkCounts is what the walk behind one scan did: records take dropped on
 // their header's word, records decoded, and the rows those decodes
@@ -26,4 +31,16 @@ var (
 func EncodeFrames(points []model.Point, limit int) [][]byte {
 	var e frameEnc
 	return e.encodeFrames(points, limit)
+}
+
+// countFrameRefills wraps framePool.New until t ends: the count is how many
+// times a log frame's encoder scratch was built from nothing instead of
+// reused — under -race, whose sync.Pool drops items at random, far more
+// often than once.
+func countFrameRefills(t testing.TB) *atomic.Int64 {
+	n := new(atomic.Int64)
+	fresh := framePool.New
+	framePool.New = func() any { n.Add(1); return fresh() }
+	t.Cleanup(func() { framePool.New = fresh })
+	return n
 }

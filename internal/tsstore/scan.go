@@ -41,17 +41,19 @@ func pointBlobBytes(ntags int) int64 { return 8 + 8*int64(ntags) }
 // ScanOptions tunes one scan or aggregate; the zero value is the serial,
 // cached behavior of the plain scan methods.
 type ScanOptions struct {
-	// Workers bounds how many parts of an aggregate fold concurrently, each
-	// worker into its own partial; values <= 1 keep it on the calling
-	// goroutine. Row scans ignore it: their consumer pulls rows serially,
-	// so workers could only materialize parts ahead of it, which measured
-	// slower than not doing so (EXPERIMENTS.md, "Fast-path findings").
+	// Workers bounds how many owners (sources and MG groups) of a multi or
+	// slice aggregate fold concurrently, each owner in one walk into its
+	// own partial; values <= 1 keep it on the calling goroutine. A
+	// one-source aggregate is one walk whatever it says. Row scans ignore
+	// it: their consumer pulls rows serially, so workers could only
+	// materialize parts ahead of it, which measured slower than not doing
+	// so (EXPERIMENTS.md, "Fast-path findings").
 	Workers int
 	// NoCache bypasses the decoded-blob cache for this scan (reads and
 	// inserts); used to cross-check cached results and by verification.
 	NoCache bool
 	// Ctx, when non-nil, cancels the scan: iterators observe it before
-	// each walker step and blob decode, aggregate workers between parts
+	// each walker step and blob decode, aggregate workers between owners
 	// and records. A canceled scan stops decoding and reports ctx.Err()
 	// through Iterator.Err (or the aggregate call's error).
 	Ctx context.Context

@@ -233,39 +233,6 @@ func tagOf(vals []float64, tag int) float64 {
 	return model.NullValue
 }
 
-// TestSplitScanRangeProperty checks the range splitter partitions any
-// window exactly: contiguous, covering, and honoring the k bound.
-func TestSplitScanRangeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 500; round++ {
-		t1 := int64(rng.Intn(10_000)) - 5000
-		t2 := t1 + int64(rng.Intn(10_000))
-		stats := model.SourceStats{
-			PointCount: int64(rng.Intn(3)), // sometimes zero: no split
-			FirstTS:    t1 + int64(rng.Intn(2000)) - 1000,
-			LastTS:     t2 + int64(rng.Intn(2000)) - 1000,
-		}
-		k := 1 + rng.Intn(8)
-		ranges := splitScanRange(t1, t2, stats, k)
-		if len(ranges) < 1 || len(ranges) > k {
-			t.Fatalf("round %d: %d ranges for k=%d", round, len(ranges), k)
-		}
-		if ranges[0].t1 != t1 || ranges[len(ranges)-1].t2 != t2 {
-			t.Fatalf("round %d: ranges %v do not cover [%d,%d)", round, ranges, t1, t2)
-		}
-		for i := 1; i < len(ranges); i++ {
-			if ranges[i].t1 != ranges[i-1].t2 {
-				t.Fatalf("round %d: gap between %v and %v", round, ranges[i-1], ranges[i])
-			}
-		}
-	}
-	// Extreme bounds must not overflow.
-	full := splitScanRange(math.MinInt64, math.MaxInt64, model.SourceStats{PointCount: 10, FirstTS: 0, LastTS: 1 << 40}, 4)
-	if full[0].t1 != math.MinInt64 || full[len(full)-1].t2 != math.MaxInt64 {
-		t.Fatalf("extreme split lost coverage: %v", full)
-	}
-}
-
 // TestMultiAndSliceScanParallelEquivalence checks the multi-source and
 // slice paths return identical rows serial vs parallel vs cached,
 // including MG groups with a still-unreorganized stripe.

@@ -138,10 +138,11 @@ type Options struct {
 	// inject fault wrappers here); it wins over dir's WAL file and
 	// implies EnableRecoveryLog.
 	WALBacking walog.File
-	// QueryWorkers caps the parallel degree of pushed-down aggregates. The
-	// optimizer picks each aggregate's degree from its blob-bytes cost
-	// estimate, up to this cap. Zero (or 1) keeps them serial; row scans
-	// always are.
+	// QueryWorkers caps the parallel degree of pushed-down aggregates,
+	// which fan out across their sources and MG groups, one walk each (a
+	// one-source aggregate is one walk). The optimizer picks each
+	// aggregate's degree from its blob-bytes cost estimate, up to this cap.
+	// Zero (or 1) keeps them serial; row scans always are.
 	QueryWorkers int
 	// BlobCacheBytes budgets the decoded-ValueBlob cache shared by all
 	// scans (approximate decoded bytes held). Repeated queries over the
