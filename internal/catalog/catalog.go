@@ -482,6 +482,21 @@ func (c *Catalog) GroupMembers(group int64) []int64 {
 	return out
 }
 
+// GroupSources returns the ordered member ids of an MG group and, slot
+// for slot, their sources (nil where none is registered under the id), read
+// under one lock: a walk of the group asks the catalog once, not once per
+// member.
+func (c *Catalog) GroupSources(group int64) ([]int64, []*model.DataSource) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ids := slices.Clone(c.groupMembers[group])
+	srcs := make([]*model.DataSource, len(ids))
+	for i, id := range ids {
+		srcs[i] = c.srcCache[id]
+	}
+	return ids, srcs
+}
+
 // GroupsBySchema returns all MG group ids containing sources of schemaID.
 func (c *Catalog) GroupsBySchema(schemaID int64) []int64 {
 	c.mu.RLock()

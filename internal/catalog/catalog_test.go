@@ -116,6 +116,15 @@ func TestGroupAssignment(t *testing.T) {
 	if len(members) != 4 {
 		t.Fatalf("first group has %d members", len(members))
 	}
+	ids, srcs := c.GroupSources(groups[0])
+	if !slices.Equal(ids, members) || len(srcs) != len(ids) {
+		t.Fatalf("GroupSources = %v, %d sources; GroupMembers = %v", ids, len(srcs), members)
+	}
+	for slot, ds := range srcs {
+		if ds == nil || ds.ID != ids[slot] || ds.GroupSlot != slot {
+			t.Fatalf("slot %d: source %+v, want id %d", slot, ds, ids[slot])
+		}
+	}
 	if got := c.GroupsBySchema(s.ID); len(got) != 3 {
 		t.Fatalf("GroupsBySchema = %v", got)
 	}

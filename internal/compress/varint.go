@@ -56,21 +56,14 @@ func AppendDeltas(dst []byte, vals []int64) []byte {
 
 // Deltas decodes a slice written by AppendDeltas and returns the rest of b.
 func Deltas(b []byte) ([]int64, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return nil, nil, ErrCorrupt
-	}
-	b = b[k:]
-	// Every value takes at least one byte: a count the bytes cannot hold is
-	// rejected before anything is allocated for it.
-	if n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: implausible count %d", ErrCorrupt, n)
+	n, b, err := deltasLen(b)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := make([]int64, n)
 	if n == 0 {
 		return out, b, nil
 	}
-	var err error
 	out[0], b, err = Varint(b)
 	if err != nil {
 		return nil, nil, err
@@ -84,6 +77,49 @@ func Deltas(b []byte) ([]int64, []byte, error) {
 		out[i] = out[i-1] + d
 	}
 	return out, b, nil
+}
+
+// DeltaAt returns value i of a slice written by AppendDeltas — the sum of
+// its first i+1 varints — with the slice's length and the rest of b,
+// without materialising the other values: the varints behind value i are
+// stepped over, each checked to end inside b as Deltas checks it. An i
+// outside the slice is corrupt.
+func DeltaAt(b []byte, i int) (int64, int, []byte, error) {
+	n, b, err := deltasLen(b)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if i < 0 || i >= n {
+		return 0, 0, nil, ErrCorrupt
+	}
+	var v int64
+	for j := 0; j < n; j++ {
+		u, k := binary.Uvarint(b)
+		if k <= 0 {
+			return 0, 0, nil, ErrCorrupt
+		}
+		if j <= i {
+			v += Unzigzag(u)
+		}
+		b = b[k:]
+	}
+	return v, n, b, nil
+}
+
+// deltasLen reads the length of a slice written by AppendDeltas and returns
+// it with the bytes of its values. Every value takes at least one byte: a
+// length the bytes cannot hold is rejected before anything is allocated
+// for it.
+func deltasLen(b []byte) (int, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, nil, ErrCorrupt
+	}
+	b = b[k:]
+	if n > uint64(len(b)) {
+		return 0, nil, fmt.Errorf("%w: implausible count %d", ErrCorrupt, n)
+	}
+	return int(n), b, nil
 }
 
 // AppendDeltaOfDeltas encodes vals as first value, first delta, then

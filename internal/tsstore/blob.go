@@ -296,13 +296,17 @@ func subSummariesMatch(sub *subSummaries, batch *DecodedBatch, ntags int) bool {
 	return true
 }
 
-// countBits returns how many of the bits [from, to) of bm are set.
+// countBits returns how many of the bits [from, to) of bm are set, a
+// 64-bit word at a time where it can.
 func countBits(bm []byte, from, to int) int {
 	n := 0
 	for ; from < to && from%8 != 0; from++ {
 		if getBit(bm, from) {
 			n++
 		}
+	}
+	for ; from+64 <= to; from += 64 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(bm[from/8:]))
 	}
 	for ; from+8 <= to; from += 8 {
 		n += bits.OnesCount8(bm[from/8])
@@ -354,10 +358,16 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 		if wantTags != nil && !slices.Contains(wantTags, tag) || i0 == i1 {
 			continue // the tag-oriented win: skip without decoding
 		}
+		// A part of the record skips a tag it holds no value of, as it
+		// skips an unwanted one; a whole decode checks every column.
+		present := countBits(bm, tag*count+i0, tag*count+i1)
+		if present == 0 && i1-i0 < count {
+			continue
+		}
 		// The column holds the present values only: the window's start at
 		// the number present before row i0.
 		vi := countBits(bm, tag*count, tag*count+i0)
-		vals, start, err := compress.DecodeColumnN(col, vi, vi+countBits(bm, tag*count+i0, tag*count+i1))
+		vals, start, err := compress.DecodeColumnN(col, vi, vi+present)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -871,25 +881,41 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 		return nil, ErrCorruptBlob
 	}
 	reported := int(reportedU)
-	offsets, rest, err := compress.Deltas(b[n:])
-	if err != nil || len(offsets) != reported || countBits(memberBM, 0, memberCount) != reported {
+	if countBits(memberBM, 0, memberCount) != reported {
 		return nil, ErrCorruptBlob
 	}
-	// Rows are in slot order: the member's is the count of members before it.
+	// Rows are in slot order: the member's is the count of members before
+	// it. A member's decode sums the offsets through its own and steps over
+	// the rest; a whole decode materialises them all.
+	var ts []int64
+	var rest []byte
 	i0, i1 := 0, reported
 	if slot >= 0 {
 		i0 = countBits(memberBM, 0, slot)
-		if t := baseTS + offsets[i0]; t < lo || t > last {
+		off, m, r, err := compress.DeltaAt(b[n:], i0)
+		if err != nil || m != reported {
+			return nil, ErrCorruptBlob
+		}
+		if t := baseTS + off; t < lo || t > last {
 			return &DecodedBatch{Structure: model.MG}, nil
 		}
-		i1 = i0 + 1
+		ts, rest, i1 = []int64{baseTS + off}, r, i0+1
+	} else {
+		offsets, r, err := compress.Deltas(b[n:])
+		if err != nil || len(offsets) != reported {
+			return nil, ErrCorruptBlob
+		}
+		for i := range offsets {
+			offsets[i] += baseTS
+		}
+		ts, rest = offsets, r
 	}
 	rows, n, err := decodeColumns(rest, reported, h.ntags, wantTags, i0, i1)
 	if err != nil {
 		return nil, err
 	}
 	var slots []int
-	if i1-i0 < reported {
+	if slot >= 0 {
 		slots = []int{slot}
 	} else {
 		slots = make([]int, 0, reported)
@@ -899,11 +925,8 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 			}
 		}
 	}
-	ts := make([]int64, i1-i0)
-	for i := range ts {
-		ts[i] = baseTS + offsets[i0+i]
-	}
-	return &DecodedBatch{Structure: model.MG, Timestamps: ts, Rows: rows, Slots: slots, decoded: n + len(offsets)}, nil
+	// The offsets decoded: all of them, or a member's own and those before it.
+	return &DecodedBatch{Structure: model.MG, Timestamps: ts, Rows: rows, Slots: slots, decoded: n + i0 + len(ts)}, nil
 }
 
 // segmented reports whether every column of the record holding more than

@@ -35,8 +35,8 @@ func EncodeFrames(points []model.Point, limit int) [][]byte {
 
 // countFrameRefills wraps framePool.New until t ends: the count is how many
 // times a log frame's encoder scratch was built from nothing instead of
-// reused — under -race, whose sync.Pool drops items at random, far more
-// often than once.
+// reused — after a GC emptied the pool, and under -race, whose sync.Pool
+// drops items at random, far more often.
 func countFrameRefills(t testing.TB) *atomic.Int64 {
 	n := new(atomic.Int64)
 	fresh := framePool.New

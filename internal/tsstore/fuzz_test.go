@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"odh/internal/compress"
@@ -21,7 +22,8 @@ import (
 // the accessors agree with each other, a stub keeps exactly the header,
 // a re-encode (the upgrade path) decodes to the same rows, and a decode of
 // a window's row range, or of one MG member's row, yields the rows of the
-// full decode. The prefix a walk reads (wantedLen) of a tag subset drawn
+// full decode: every reported member's row alone, with every tag and with
+// the drawn subset, is its row of the full decode bit for bit. The prefix a walk reads (wantedLen) of a tag subset drawn
 // from the blob's bytes decodes to the full decode of those tags, is found
 // the same when asked of the blob's bytes a part at a time, and is tight:
 // cut any shorter, the blob fails ErrCorruptBlob. A blob with the freed
@@ -158,9 +160,12 @@ func FuzzValueBlobDecode(f *testing.F) {
 				}
 			}
 		}
-		// A member decode is the full decode, restricted to the member: the
-		// first, middle and last reported slots and one the bitmap lacks.
+		// A member decode is the full decode, restricted to the member:
+		// every reported slot alone, then the first, middle and last
+		// reported slots and one the bitmap lacks, over the whole record
+		// and a one-millisecond window.
 		if slots := batch.Slots; batch.Structure == model.MG {
+			checkMemberRows(t, &h, baseTS, batch, subset)
 			absent := 0
 			for _, s := range slots {
 				if s == absent {
@@ -195,6 +200,40 @@ func FuzzValueBlobDecode(f *testing.F) {
 			t.Fatal("re-encoded blob fails fsck")
 		}
 	})
+}
+
+// checkMemberRows decodes each reported slot of an MG record alone, with
+// every tag and with wantTags, and holds it to whole, the record's full
+// decode of every tag: one row, the slot's, at the slot's timestamp, as
+// wide as the last tag asked for, each tag asked for bit for bit the full
+// decode's cell of it — NULL where that is NULL — and the others NULL.
+func checkMemberRows(t *testing.T, h *blobHeader, baseTS int64, whole *DecodedBatch, wantTags []int) {
+	t.Helper()
+	for i, slot := range whole.Slots {
+		for _, tags := range [][]int{nil, wantTags} {
+			part, err := h.decode(baseTS, tags, slot, math.MinInt64, math.MaxInt64)
+			if err != nil {
+				t.Fatalf("slot %d tags %v: the full decode succeeded, the member's alone failed: %v", slot, tags, err)
+			}
+			if len(part.Rows) != 1 || len(part.Timestamps) != 1 || !slices.Equal(part.Slots, []int{slot}) || part.Timestamps[0] != whole.Timestamps[i] {
+				t.Fatalf("slot %d tags %v: member decode has timestamps %v, slots %v, %d rows; want the one row at %d",
+					slot, tags, part.Timestamps, part.Slots, len(part.Rows), whole.Timestamps[i])
+			}
+			row := part.Rows[0]
+			if len(row) != lastWanted(tags, h.ntags)+1 {
+				t.Fatalf("slot %d tags %v: the row is %d tags wide, not as wide as the last tag asked for", slot, tags, len(row))
+			}
+			for tag, v := range row {
+				want := model.NullValue
+				if tags == nil || slices.Contains(tags, tag) {
+					want = whole.Rows[i][tag]
+				}
+				if math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("slot %d tags %v: tag %d is %v alone, %v in the full decode", slot, tags, tag, v, want)
+				}
+			}
+		}
+	}
 }
 
 // randomTags draws a tag subset of ntags: nil (every tag) one time in

@@ -27,21 +27,43 @@ func TestIngestAllocatesPerFrameNotPerPoint(t *testing.T) {
 	t.Run("MG", testIngestAllocsMG)
 }
 
-// Under -race, sync.Pool drops items at random, and a frame whose log
-// encoder was dropped pays for a new one grown from nothing:
-// testing.AllocsPerRun of encodeFrames on a new frameEnc counts 33 and 53
-// allocations for the IRTS frames of 100 and 1,000 points, 36 and 56 for
-// the LD frames of 150 and 1,500. So under -race a large frame may exceed
-// a small one by at most refillAllocs per encoder refill it counted
-// (countFrameRefills); the rest of the pooled scratch — the log's append
-// request — is dropped as often for either size. A per-point allocation
+// A frame whose log encoder left the pool pays for a new one grown from
+// nothing: testing.AllocsPerRun of encodeFrames on a new frameEnc counts 33
+// and 53 allocations for the IRTS frames of 100 and 1,000 points, 36 and 56
+// for the LD frames of 150 and 1,500. A GC empties the pool now and then,
+// and under -race sync.Pool drops items at random besides. So a frame may
+// allocate refillAllocs more per encoder refill counted while it was
+// measured (countFrameRefills), and nothing more: a per-point allocation
 // would add 900 or 1,350 a frame.
 const refillAllocs = 56
 
-// raceAllowance is what the counted encoder refills of runs frames may add
-// to each frame's allocations.
-func raceAllowance(refills int64, runs int) float64 {
+// refillAllowance is what the counted encoder refills of runs frames may
+// add to each frame's allocations.
+func refillAllowance(refills int64, runs int) float64 {
 	return float64(refillAllocs*refills) / float64(runs)
+}
+
+// checkFrameAllocs holds the allocations per frame of a small and a large
+// frame, measured over runs frames each, to the pin: the same, and at most
+// maxAllocs, each allowed refillAllowance for the encoder refills counted
+// while it was measured — exact when nothing refilled. Under -race, whose
+// sync.Pool drops the rest of the pooled scratch too (the log's append
+// request) as often for either size, only the large frame's excess over
+// the small one is held to its refills.
+func checkFrameAllocs(t *testing.T, small, large float64, smallRefills, largeRefills int64, runs, maxAllocs int) {
+	t.Helper()
+	t.Logf("allocations per frame: %.0f small, %.0f large (encoder refills: %d and %d in %d frames)",
+		small, large, smallRefills, largeRefills, runs)
+	if large > small+refillAllowance(largeRefills, runs) {
+		t.Fatalf("ingest allocates per point: %.0f per small frame, %.0f per large frame, %d encoder refills in the large ones", small, large, largeRefills)
+	}
+	if raceEnabled {
+		return
+	}
+	if small > large+refillAllowance(smallRefills, runs) || large > float64(maxAllocs)+refillAllowance(largeRefills, runs) {
+		t.Fatalf("a small frame allocates %.0f times, a large frame %.0f (encoder refills: %d and %d in %d frames); want the same, at most %d",
+			small, large, smallRefills, largeRefills, runs, maxAllocs)
+	}
 }
 
 func testIngestAllocsIRTS(t *testing.T) {
@@ -81,20 +103,10 @@ func testIngestAllocsIRTS(t *testing.T) {
 	}
 	small, smallRefills := perFrame(100)
 	large, largeRefills := perFrame(1000)
-	t.Logf("allocations per frame: %.0f at 100 points, %.0f at 1,000 (encoder refills: %d and %d in %d frames)",
-		small, large, smallRefills, largeRefills, runs)
 	if st := f.store.Stats(); st.BatchesFlushed != 0 {
 		t.Fatalf("%d batches flushed: the buffers were meant to stay open", st.BatchesFlushed)
 	}
-	if raceEnabled {
-		if large > small+raceAllowance(largeRefills, runs) {
-			t.Fatalf("ingest allocates per point: %.0f per 100-point frame, %.0f per 1,000-point frame", small, large)
-		}
-		return
-	}
-	if small != large || large > maxAllocs {
-		t.Fatalf("a 100-point frame allocates %.0f times, a 1,000-point frame %.0f; want the same, at most %d", small, large, maxAllocs)
-	}
+	checkFrameAllocs(t, small, large, smallRefills, largeRefills, runs, maxAllocs)
 }
 
 // TestBufferedValuesOwnedByStore holds the buffers' value slabs to the
@@ -449,18 +461,8 @@ func testIngestAllocsMG(t *testing.T) {
 	}
 	small, smallRefills := perFrame(150)
 	large, largeRefills := perFrame(1500)
-	t.Logf("allocations per frame: %.0f at 150 points, %.0f at 1,500 (encoder refills: %d and %d in %d frames)",
-		small, large, smallRefills, largeRefills, runs)
 	if st := f.store.Stats(); st.BatchesFlushed != 0 {
 		t.Fatalf("%d rows flushed: they were meant to stay open", st.BatchesFlushed)
 	}
-	if raceEnabled {
-		if large > small+raceAllowance(largeRefills, runs) {
-			t.Fatalf("MG ingest allocates per point: %.0f per 150-point frame, %.0f per 1,500-point frame", small, large)
-		}
-		return
-	}
-	if small != large || large > maxAllocs {
-		t.Fatalf("a 150-point frame allocates %.0f times, a 1,500-point frame %.0f; want the same, at most %d", small, large, maxAllocs)
-	}
+	checkFrameAllocs(t, small, large, smallRefills, largeRefills, runs, maxAllocs)
 }

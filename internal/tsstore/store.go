@@ -525,13 +525,13 @@ func (s *Store) writeBuffered(sh *shard, ds *model.DataSource, schema *model.Sch
 func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaType, p model.Point) error {
 	gb, ok := sh.groups[ds.Group]
 	if !ok {
-		members := s.cat.GroupMembers(ds.Group)
+		members, srcs := s.cat.GroupSources(ds.Group)
 		gb = &groupBuffer{
 			group:    ds.Group,
 			schema:   schema,
 			members:  members,
 			slots:    make(map[int64]int, len(members)),
-			windowMs: s.groupWindow(ds.Group),
+			windowMs: memberWindow(srcs),
 		}
 		for slot, id := range members {
 			gb.slots[id] = slot

@@ -178,8 +178,9 @@ func (s *Store) sourceWalker(ds *model.DataSource, t1, t2 int64, wantTags []int,
 // on its head.
 func (s *Store) groupWalker(group, only int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
 	w := s.newWalker(group, t1, t2, wantTags, opts)
-	w.members = s.cat.GroupMembers(group)
-	w.window = s.groupWindow(group)
+	var srcs []*model.DataSource
+	w.members, srcs = s.cat.GroupSources(group)
+	w.window = memberWindow(srcs)
 	if only != 0 {
 		w.slot = math.MaxInt32 // not a member: a slot no record has
 	}
@@ -187,7 +188,7 @@ func (s *Store) groupWalker(group, only int64, t1, t2 int64, wantTags []int, opt
 		if src == only {
 			w.slot = slot
 		}
-		if ds, ok := s.cat.Source(src); ok && (only == 0 || src == only) {
+		if ds := srcs[slot]; ds != nil && (only == 0 || src == only) {
 			w.homes = append(w.homes, home{tree: s.treeFor(ds.HistoricalStructure()), id: src, seq: len(w.homes)})
 		}
 	}
@@ -214,15 +215,17 @@ func (s *Store) treeID(tree *btree.Tree) uint8 {
 // the group's first member, whose slot no later registration changes, so
 // the window never shrinks under records already written.
 func (s *Store) groupWindow(group int64) int64 {
-	members := s.cat.GroupMembers(group)
-	if len(members) == 0 {
+	_, srcs := s.cat.GroupSources(group)
+	return memberWindow(srcs)
+}
+
+// memberWindow is groupWindow of a group whose member sources, in slot
+// order, are srcs.
+func memberWindow(srcs []*model.DataSource) int64 {
+	if len(srcs) == 0 || srcs[0] == nil || srcs[0].IntervalMs <= 0 {
 		return 1
 	}
-	ds, ok := s.cat.Source(members[0])
-	if !ok || ds.IntervalMs <= 0 {
-		return 1
-	}
-	return ds.IntervalMs
+	return srcs[0].IntervalMs
 }
 
 // recCursor walks one home's records with base timestamp in [lo, hi).
