@@ -63,7 +63,7 @@ func decodeSegments(b []byte, from, to int) ([]float64, int, error) {
 	}
 	to = min(to, n)
 	if from >= to {
-		return nil, from, nil
+		return nil, 0, nil
 	}
 	first := max(from, 0) / SegmentValues
 	start := first * SegmentValues
