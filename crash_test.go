@@ -238,8 +238,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 }
 
 // TestKillMidGroupCommitRecovery crashes the recovery log in the middle
-// of a group commit carrying appends from many concurrent writers, then
-// reopens the historian over the same bytes. The WAL must replay a valid
+// of a write while many concurrent writers append, then reopens the
+// historian over the same bytes. The WAL must replay a valid
 // prefix — every recovered point was genuinely written, per-source order
 // intact, nothing fabricated — and the fsck suite must pass.
 func TestKillMidGroupCommitRecovery(t *testing.T) {
@@ -275,7 +275,7 @@ func TestKillMidGroupCommitRecovery(t *testing.T) {
 		}
 	}
 
-	// Arm the kill: the 3rd group-commit write from here tears 13 bytes
+	// Arm the kill: the 3rd log write from here tears 13 bytes
 	// in (mid record header), everything after fails. Concurrent writers
 	// hammer all sources until the WAL dies under them.
 	walFile.FailWritesAfter(2)
@@ -407,9 +407,9 @@ func TestCrashRecoveryKeepsRepeatedTimestamps(t *testing.T) {
 
 // TestCloseReleasesEverythingOnFlushFailure: a Close whose final flush
 // fails (here the page file's syncs are armed) used to return at the flush
-// error with the recovery log's writer goroutine still running and the page
-// store still open. It must report the error and release both anyway — a
-// cluster's KillNode relies on it — and a second Close must do nothing.
+// error with the recovery log and the page store still open. It must
+// report the error and release both anyway — a cluster's KillNode relies
+// on it — and a second Close must do nothing.
 func TestCloseReleasesEverythingOnFlushFailure(t *testing.T) {
 	pageF := fault.Wrap(pagestore.NewMemFile())
 	walF := fault.Wrap(pagestore.NewMemFile())
@@ -434,10 +434,9 @@ func TestCloseReleasesEverythingOnFlushFailure(t *testing.T) {
 	if err := h.Close(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Close over failing syncs = %v, want the injected fault", err)
 	}
-	// Log.Close returns only after its writer goroutine has exited, so a
-	// closed log is a stopped one.
+	// A closed log refuses appends.
 	if err := h.wal.Append([]byte("x")); !errors.Is(err, walog.ErrClosed) {
-		t.Fatalf("append after failed Close = %v, want walog.ErrClosed (the log's writer is still running)", err)
+		t.Fatalf("append after failed Close = %v, want walog.ErrClosed (the log is still open)", err)
 	}
 	if err := h.page.Flush(); !errors.Is(err, pagestore.ErrClosed) {
 		t.Fatalf("page flush after failed Close = %v, want pagestore.ErrClosed (the store is still open)", err)

@@ -218,9 +218,9 @@ func (c *Cluster) readable(cp *shardCopy) error {
 // KillNode simulates a crash of node i: every fault on its copies' files
 // is armed so in-flight I/O fails and nothing reaches the backing after
 // the crash point, then the historians are closed — their final flush
-// fails against the armed files, the recovery logs' writer goroutines stop
-// — and dropped. Data durability follows the single-node model: last
-// page-store checkpoint plus recovery-log replay.
+// fails against the armed files, the recovery logs close — and dropped.
+// Data durability follows the single-node model: last page-store
+// checkpoint plus recovery-log replay.
 func (c *Cluster) KillNode(i int) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("cluster: no node %d", i)

@@ -66,7 +66,22 @@ type deadlineConn interface {
 
 // writeDeadlineConn is the subset slow-client backpressure needs.
 type writeDeadlineConn interface {
+	io.Writer
 	SetWriteDeadline(t time.Time) error
+}
+
+// deadlineWriter gives every socket write a fresh WriteTimeout deadline,
+// so each flush of a long reply gets the whole timeout, not what is left
+// of one an earlier command set.
+type deadlineWriter struct {
+	writeDeadlineConn
+	timeout time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	// Only a closed transport refuses a deadline, and its Write fails.
+	_ = w.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.writeDeadlineConn.Write(p)
 }
 
 // serverConn is one client session: a reader goroutine (readLoop) that
@@ -75,8 +90,7 @@ type writeDeadlineConn interface {
 type serverConn struct {
 	s   *Server
 	c   io.ReadWriteCloser
-	dc  deadlineConn      // nil: transport has no read deadlines
-	wdc writeDeadlineConn // nil: transport has no write deadlines
+	dc  deadlineConn // nil: transport has no read deadlines
 	r   *bufio.Reader
 	out *bufio.Writer
 
@@ -100,16 +114,19 @@ func (sc *serverConn) forceClose() {
 func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	s.wg.Add(1)
 	defer s.wg.Done()
+	var out io.Writer = conn
+	if wdc, ok := conn.(writeDeadlineConn); ok && s.opts.WriteTimeout > 0 {
+		out = deadlineWriter{wdc, s.opts.WriteTimeout}
+	}
 	sc := &serverConn{
 		s:       s,
 		c:       conn,
 		r:       bufio.NewReaderSize(conn, 64*1024),
-		out:     bufio.NewWriterSize(conn, 64*1024),
+		out:     bufio.NewWriterSize(out, 64*1024),
 		work:    make(chan workItem, workQueueDepth),
 		version: ProtoVersionText,
 	}
 	sc.dc, _ = conn.(deadlineConn)
-	sc.wdc, _ = conn.(writeDeadlineConn)
 	if !s.track(sc) {
 		sc.forceClose()
 		return
@@ -267,17 +284,6 @@ func (sc *serverConn) readBatch(rest string) (workItem, bool) {
 	return workItem{kind: itemBatch, frame: f, reserved: charge}, false
 }
 
-// flush pushes buffered replies with slow-client backpressure: when the
-// transport supports write deadlines and WriteTimeout is set, a client
-// that stops reading for that long fails the flush and loses the session
-// instead of pinning server memory.
-func (sc *serverConn) flush() error {
-	if sc.wdc != nil && sc.s.opts.WriteTimeout > 0 {
-		_ = sc.wdc.SetWriteDeadline(time.Now().Add(sc.s.opts.WriteTimeout))
-	}
-	return sc.out.Flush()
-}
-
 // applyLoop executes work items in order and writes every reply. It is
 // the connection's only writer, so no reply interleaving is possible.
 func (sc *serverConn) applyLoop() {
@@ -288,7 +294,7 @@ func (sc *serverConn) applyLoop() {
 		case itemFatal:
 			sc.s.reportError(item.err)
 			fmt.Fprintf(sc.out, "ERR connection: %v\n", item.err)
-			sc.flush()
+			sc.out.Flush()
 			return
 		case itemReply:
 			fmt.Fprintln(sc.out, item.line)
@@ -307,7 +313,7 @@ func (sc *serverConn) applyLoop() {
 		case itemLine:
 			failed = sc.applyLine(w, item.line)
 		}
-		if failed || sc.flush() != nil {
+		if failed || sc.out.Flush() != nil {
 			return // ServeConn drains remaining reservations
 		}
 	}
@@ -339,7 +345,7 @@ func (sc *serverConn) applyLine(w *odh.Writer, line string) (quit bool) {
 		sc.s.writeStats(sc.out)
 	case "QUIT":
 		fmt.Fprintln(sc.out, "BYE")
-		sc.flush()
+		sc.out.Flush()
 		return true
 	default:
 		fmt.Fprintf(sc.out, "ERR unknown command %q\n", cmd)

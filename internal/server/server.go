@@ -63,10 +63,10 @@ type Options struct {
 	// complete command for this long (applied as a per-read deadline on
 	// connections that support deadlines; others are unaffected).
 	IdleTimeout time.Duration
-	// WriteTimeout, when > 0, bounds how long a reply flush may block on
-	// a client that stopped reading; on expiry the session is dropped
-	// (slow-client backpressure). Transports without write deadlines are
-	// unaffected.
+	// WriteTimeout, when > 0, bounds how long each socket write of a
+	// reply may block on a client that stopped reading; on expiry the
+	// session is dropped (slow-client backpressure). Transports without
+	// write deadlines are unaffected.
 	WriteTimeout time.Duration
 	// QueryTimeout, when > 0, bounds each SQL command; an expired query
 	// is answered with ERR and counted in Stats.QueriesTimedOut.

@@ -450,3 +450,41 @@ func TestManyConnSoak(t *testing.T) {
 		t.Errorf("ForcedCloses = %d after clean soak, want 0", fc)
 	}
 }
+
+// TestLongReplyAfterIdleGap: every socket write of a reply gets a fresh
+// WriteTimeout. A client idle for longer than the timeout that then asks
+// for a reply larger than the 64 KiB reply buffer must get all of it; the
+// buffer's flushes inside the query used to write under the deadline the
+// previous command's reply had set, long expired, and cut the session.
+func TestLongReplyAfterIdleGap(t *testing.T) {
+	const rows = 20_000
+	addr, _, h := startServerWith(t, 1, Options{WriteTimeout: 200 * time.Millisecond})
+	points := make([]odh.Point, rows)
+	for i := range points {
+		points[i] = odh.Point{Source: 1, TS: int64(i+1) * 1000, Values: []float64{float64(i % 100), 1.5}}
+	}
+	if err := h.Writer().WriteBatch(points); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, addr)
+	c.send(t, "PING")
+	if got := c.read(t); got != "PONG" {
+		t.Fatalf("PING -> %q", got)
+	}
+	time.Sleep(500 * time.Millisecond)
+	c.send(t, "SQL SELECT * FROM environ_data_v")
+	n := -1 // the header line
+	for {
+		line, err := c.r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %d rows: %v", n, err)
+		}
+		if strings.HasPrefix(line, "OK") || strings.HasPrefix(line, "ERR") {
+			if got, want := strings.TrimSpace(line), fmt.Sprintf("OK %d", rows); got != want || n != rows {
+				t.Fatalf("reply ended %q after %d rows, want %q after %d", got, n, want, rows)
+			}
+			return
+		}
+		n++
+	}
+}

@@ -10,8 +10,7 @@ import (
 	"odh/internal/pagestore"
 )
 
-// TestConcurrentAppendsAllReplayed hammers the group-commit writer from
-// many goroutines and checks that every record survives, intact and
+// TestConcurrentAppendsAllReplayed hammers the log from many goroutines and checks that every record survives, intact and
 // exactly once.
 func TestConcurrentAppendsAllReplayed(t *testing.T) {
 	l, _ := openLog(t)
@@ -52,56 +51,105 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 	}
 }
 
-// slowFile delays every write so that appends pile up behind an
-// in-flight commit; without it a single-core scheduler can drain the
-// request channel one append at a time and no group ever forms.
-type slowFile struct {
+// syncProbe records, as each fsync starts, how far the log had been
+// written, and makes every fsync slow so that appends pile up behind a
+// running one.
+type syncProbe struct {
 	File
-	delay time.Duration
+	mu      sync.Mutex
+	written int64 // end of the furthest completed write
+	covered int64 // the furthest 'written' a completed fsync began at
+	syncs   int64
 }
 
-func (f *slowFile) WriteAt(p []byte, off int64) (int, error) {
-	time.Sleep(f.delay)
-	return f.File.WriteAt(p, off)
+func (f *syncProbe) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.mu.Lock()
+	f.written = max(f.written, off+int64(n))
+	f.mu.Unlock()
+	return n, err
 }
 
-// TestGroupCommitCoalesces verifies that simultaneous appenders actually
-// share write syscalls: with N goroutines blocked behind one slow commit,
-// the commit count must come out below the record count.
-func TestGroupCommitCoalesces(t *testing.T) {
-	l, err := OpenFile(&slowFile{File: pagestore.NewMemFile(), delay: 200 * time.Microsecond}, Options{})
+func (f *syncProbe) Sync() error {
+	f.mu.Lock()
+	start := f.written
+	f.mu.Unlock()
+	time.Sleep(500 * time.Microsecond)
+	err := f.File.Sync()
+	f.mu.Lock()
+	f.syncs++
+	f.covered = max(f.covered, start)
+	f.mu.Unlock()
+	return err
+}
+
+func (f *syncProbe) coveredNow() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.covered
+}
+
+// TestSyncIsShared: under SyncOnAppend the fsync is the step concurrent
+// appenders share. Behind a slow fsync, 32 appenders issue fewer fsyncs
+// than appends, every record replays, and no append returns before an
+// fsync that began after its own bytes were written.
+func TestSyncIsShared(t *testing.T) {
+	f := &syncProbe{File: pagestore.NewMemFile()}
+	l, err := OpenFile(f, Options{SyncOnAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	const writers, perWriter = 32, 50
+	const writers, perWriter = 32, 20
+	coveredAtReturn := make([]int64, writers*perWriter)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			payload := fmt.Appendf(nil, "writer-%02d", w)
 			for i := 0; i < perWriter; i++ {
-				if err := l.Append(payload); err != nil {
+				if err := l.Append(fmt.Appendf(nil, "w%02d-%03d", w, i)); err != nil {
 					t.Error(err)
 					return
 				}
+				coveredAtReturn[w*perWriter+i] = f.coveredNow()
 			}
 		}(w)
 	}
 	wg.Wait()
+	seen := make(map[int]bool, writers*perWriter)
+	if err := l.Records(func(off int64, _ byte, p []byte) error {
+		var w, i int
+		if _, err := fmt.Sscanf(string(p), "w%02d-%03d", &w, &i); err != nil {
+			return fmt.Errorf("record %q: %v", p, err)
+		}
+		k := w*perWriter + i
+		if seen[k] {
+			return fmt.Errorf("duplicate record %q", p)
+		}
+		seen[k] = true
+		if end := off + recordHeader + int64(len(p)); coveredAtReturn[k] < end {
+			return fmt.Errorf("record %q ends at %d, but its Append returned when the fsyncs covered only %d", p, end, coveredAtReturn[k])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != writers*perWriter {
+		t.Fatalf("replayed %d distinct records, want %d", len(seen), writers*perWriter)
+	}
 	st := l.Stats()
-	if st.Records != writers*perWriter {
-		t.Fatalf("Records = %d, want %d", st.Records, writers*perWriter)
+	if st.Records != writers*perWriter || st.GroupCommits != st.Records {
+		t.Fatalf("Records=%d GroupCommits=%d, want %d of each (one write per append)", st.Records, st.GroupCommits, writers*perWriter)
 	}
-	if st.GroupCommits >= st.Records {
-		t.Fatalf("no coalescing: %d commits for %d records", st.GroupCommits, st.Records)
+	if st.Syncs != f.syncs || st.Syncs >= st.Records {
+		t.Fatalf("%d fsyncs (the file saw %d) for %d appends, want fewer fsyncs than appends", st.Syncs, f.syncs, st.Records)
 	}
-	t.Logf("coalescing factor: %.1f records/commit", float64(st.Records)/float64(st.GroupCommits))
+	t.Logf("%d appends shared %d fsyncs", st.Records, st.Syncs)
 }
 
-// TestAppendBatchSingleCommit checks that a batch lands in one group
-// commit and replays in order.
+// TestAppendBatchSingleCommit checks that a batch lands in one write and
+// replays in order.
 func TestAppendBatchSingleCommit(t *testing.T) {
 	l, _ := openLog(t)
 	batch := make([][]byte, 100)
@@ -175,9 +223,9 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
-// TestTornGroupCommitRecovered kills the backing file mid group-commit
-// write: concurrent appenders see the shared error, and reopening the
-// log replays exactly the records committed before the tear.
+// TestTornGroupCommitRecovered kills the backing file mid-write of a
+// many-record append: the append sees the error, and reopening the log
+// replays exactly the records written before the tear.
 func TestTornGroupCommitRecovered(t *testing.T) {
 	mem := pagestore.NewMemFile()
 	ff := fault.Wrap(mem)

@@ -6,14 +6,12 @@
 // flush. Records that fail their checksum (a torn final write) terminate
 // replay silently, matching the bounded-loss contract.
 //
-// Appends are group-committed: a single writer goroutine drains every
-// Append/AppendBatch waiting at that moment, seals all their records into
-// one scratch buffer, issues one write syscall (and, under SyncOnAppend /
-// SyncEvery, one fsync for the whole group), and wakes all waiters with
-// the shared result. Under concurrent ingest this turns N writes + N
-// fsyncs into 1 + 1 — the classic group-commit trade of a little latency
-// for a lot of throughput — while a lone appender still commits
-// immediately.
+// An append runs on its caller's goroutine: it seals its records into one
+// reused buffer and writes them with one WriteAt under the log's mutex.
+// What concurrent appenders share is the fsync. Under SyncOnAppend or
+// SyncEvery an append waits for an fsync that began after its bytes were
+// written (syncTo): appends that land while one fsync runs are all covered
+// by the next, so N concurrent appends cost N writes and far fewer fsyncs.
 package walog
 
 import (
@@ -24,7 +22,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // record framing: a u32 word holding the payload length in its low 24
@@ -41,12 +38,8 @@ const recordHeader = 8
 // length field.
 const MaxRecord = 1<<24 - 1
 
-// maxGroupReqs bounds how many waiting requests one group commit absorbs,
-// keeping worst-case commit latency and scratch growth bounded.
-const maxGroupReqs = 1024
-
-// maxScratch is the retained capacity of the group-commit scratch buffer;
-// a larger one-off batch is served but the buffer is released afterwards.
+// maxScratch is the retained capacity of the append scratch buffer; a
+// larger one-off batch is served but the buffer is released afterwards.
 const maxScratch = 4 << 20
 
 // ErrTooLarge reports an oversized append.
@@ -72,8 +65,8 @@ type File interface {
 // the last sync.
 type Options struct {
 	// SyncOnAppend forces every append to stable storage before Append
-	// returns — zero loss. Group commit amortizes the fsync across every
-	// append coalesced into the same batch.
+	// returns — zero loss. Concurrent appends share fsyncs: one covers
+	// every record written before it began.
 	SyncOnAppend bool
 	// SyncEvery, when > 0, syncs after every Nth record — an intermediate
 	// point on the durability/throughput curve: a crash loses at most the
@@ -83,43 +76,30 @@ type Options struct {
 	SyncEvery int
 }
 
-// Stats counts group-commit activity.
+// Stats counts append activity.
 type Stats struct {
 	// Records is the number of records appended.
 	Records int64
-	// GroupCommits is the number of write syscalls issued; Records /
-	// GroupCommits is the achieved coalescing factor.
+	// GroupCommits is the number of write syscalls issued, one per append
+	// call; Records / GroupCommits is the records an append carried.
 	GroupCommits int64
-	// Syncs is the number of fsyncs issued by the append path.
+	// Syncs is the number of fsyncs issued.
 	Syncs int64
-}
-
-// appendReq is one waiting append call.
-type appendReq struct {
-	kind  byte // record kind of every payload of the request
-	batch [][]byte
-	done  chan error
-}
-
-var reqPool = sync.Pool{
-	New: func() any { return &appendReq{done: make(chan error, 1)} },
 }
 
 // Log is an append-only record log. It is safe for concurrent appends.
 type Log struct {
-	mu       sync.Mutex // guards f, off, unsynced, scratch, stats
+	mu       sync.Mutex // guards f's writes, off, unsynced, scratch, stats, closed
 	f        File
 	off      int64
 	opts     Options
-	unsynced int    // records since the last sync
-	scratch  []byte // group-commit build buffer, owned by the writer
+	unsynced int    // records since the last sync began
+	scratch  []byte // append build buffer
+	stats    Stats
+	closed   bool
 
-	stats Stats
-
-	sendMu  sync.RWMutex // guards reqs against send-after-close
-	reqs    chan *appendReq
-	closed  atomic.Bool
-	stopped chan struct{} // closed when the writer goroutine exits
+	syncMu sync.Mutex // held across an fsync; guards synced
+	synced int64      // every byte before it is on stable storage
 }
 
 // Open opens or creates the log at path with the default (bounded-loss)
@@ -151,9 +131,6 @@ func OpenFile(f File, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("walog: truncate torn tail: %w", err)
 	}
 	l.off = end
-	l.reqs = make(chan *appendReq, maxGroupReqs)
-	l.stopped = make(chan struct{})
-	go l.writerLoop()
 	return l, nil
 }
 
@@ -175,72 +152,6 @@ func (l *Log) scanEnd() (int64, error) {
 			return off, nil
 		}
 		off += recordHeader + int64(length)
-	}
-}
-
-// writerLoop is the single group-commit writer: it blocks for one request,
-// drains every other request already waiting, and commits them as one
-// batch.
-func (l *Log) writerLoop() {
-	defer close(l.stopped)
-	group := make([]*appendReq, 0, 64)
-	for req := range l.reqs {
-		group = append(group[:0], req)
-	drain:
-		for len(group) < maxGroupReqs {
-			select {
-			case r, ok := <-l.reqs:
-				if !ok {
-					break drain
-				}
-				group = append(group, r)
-			default:
-				break drain
-			}
-		}
-		l.commitGroup(group)
-	}
-}
-
-// commitGroup seals every record of the group into the scratch buffer,
-// writes it with one syscall, applies the sync policy once, and wakes all
-// waiters with the shared result.
-func (l *Log) commitGroup(group []*appendReq) {
-	l.mu.Lock()
-	buf := l.scratch[:0]
-	records := 0
-	for _, r := range group {
-		for _, p := range r.batch {
-			buf = appendRecord(buf, r.kind, p)
-		}
-		records += len(r.batch)
-	}
-	l.scratch = buf
-	var err error
-	if len(buf) > 0 {
-		if _, werr := l.f.WriteAt(buf, l.off); werr != nil {
-			err = fmt.Errorf("walog: append: %w", werr)
-		} else {
-			l.off += int64(len(buf))
-			l.unsynced += records
-			l.stats.Records += int64(records)
-			l.stats.GroupCommits++
-			if l.opts.SyncOnAppend || (l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery) {
-				if serr := l.f.Sync(); serr != nil {
-					err = fmt.Errorf("walog: sync: %w", serr)
-				} else {
-					l.unsynced = 0
-					l.stats.Syncs++
-				}
-			}
-		}
-	}
-	if cap(l.scratch) > maxScratch {
-		l.scratch = nil
-	}
-	l.mu.Unlock()
-	for _, r := range group {
-		r.done <- err
 	}
 }
 
@@ -269,17 +180,16 @@ func checksum(kind byte, payload []byte) uint32 {
 
 // Append writes one record of kind 0 and applies the configured sync
 // policy. Under the default policy it does not sync; call Sync for
-// durability points. Concurrent appends are coalesced into one group
-// commit.
+// durability points.
 func (l *Log) Append(payload []byte) error { return l.AppendKind(0, [][]byte{payload}) }
 
 // AppendBatch is AppendKind for records of kind 0.
 func (l *Log) AppendBatch(payloads [][]byte) error { return l.AppendKind(0, payloads) }
 
-// AppendKind writes every payload as its own record of the given kind
-// through a single group commit (one write, at most one fsync). It returns
-// when all of them are committed; records from concurrent appenders may
-// interleave between batches but each batch's records stay in order.
+// AppendKind writes every payload as its own record of the given kind with
+// one write call and applies the sync policy once. It returns when all of
+// them are written (and, if the policy says so, synced); records from
+// concurrent appenders never interleave within one call's.
 func (l *Log) AppendKind(kind byte, payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
@@ -289,29 +199,64 @@ func (l *Log) AppendKind(kind byte, payloads [][]byte) error {
 			return ErrTooLarge
 		}
 	}
-	l.sendMu.RLock()
-	if l.closed.Load() {
-		l.sendMu.RUnlock()
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
 		return ErrClosed
 	}
-	req := reqPool.Get().(*appendReq)
-	req.kind, req.batch = kind, payloads
-	l.reqs <- req
-	l.sendMu.RUnlock()
-	err := <-req.done
-	req.batch = nil
-	reqPool.Put(req)
-	return err
+	buf := l.scratch[:0]
+	for _, p := range payloads {
+		buf = appendRecord(buf, kind, p)
+	}
+	_, err := l.f.WriteAt(buf, l.off)
+	if err == nil {
+		l.off += int64(len(buf))
+		l.unsynced += len(payloads)
+		l.stats.Records += int64(len(payloads))
+		l.stats.GroupCommits++
+	}
+	if cap(buf) > maxScratch {
+		buf = nil
+	}
+	l.scratch = buf
+	end := l.off
+	durable := l.opts.SyncOnAppend || (l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery)
+	l.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("walog: append: %w", err)
+	}
+	if !durable {
+		return nil
+	}
+	return l.syncTo(end)
 }
 
 // Sync flushes appended records to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.f.Sync(); err != nil {
-		return err
+func (l *Log) Sync() error { return l.syncTo(l.Size()) }
+
+// syncTo returns once an fsync that began after the log reached end has
+// succeeded. It waits for the one running, if any; when that one began too
+// early it issues the next, covering every record written up to its start.
+func (l *Log) syncTo(end int64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if l.synced >= end {
+		return nil
 	}
+	l.mu.Lock()
+	start, closed := l.off, l.closed
 	l.unsynced = 0
+	l.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("walog: sync: %w", err)
+	}
+	l.synced = start
+	l.mu.Lock()
+	l.stats.Syncs++
+	l.mu.Unlock()
 	return nil
 }
 
@@ -322,7 +267,7 @@ func (l *Log) Size() int64 {
 	return l.off
 }
 
-// Stats returns a snapshot of group-commit counters.
+// Stats returns a snapshot of the append counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -372,31 +317,30 @@ func (l *Log) Records(fn func(off int64, kind byte, payload []byte) error) error
 
 // Reset truncates the log to empty (after a successful batch flush the
 // buffered points are durable in the page store and the log can recycle).
-// Requests already queued behind the reset commit after it, at the start
-// of the recycled log.
+// Appends waiting behind the reset write after it, at the start of the
+// recycled log.
 func (l *Log) Reset() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("walog: reset: %w", err)
 	}
-	l.off = 0
-	l.unsynced = 0
+	l.off, l.unsynced, l.synced = 0, 0, 0
 	return nil
 }
 
-// Close stops the writer goroutine, fails subsequent appends with
-// ErrClosed, and closes the log file. Appends already queued commit first.
+// Close fails subsequent appends with ErrClosed and closes the log file,
+// after the append and the fsync running, if any.
 func (l *Log) Close() error {
-	l.sendMu.Lock()
-	if l.closed.Swap(true) {
-		l.sendMu.Unlock()
-		return nil
-	}
-	close(l.reqs)
-	l.sendMu.Unlock()
-	<-l.stopped
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.closed = true
 	return l.f.Close()
 }

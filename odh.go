@@ -130,8 +130,9 @@ type Options struct {
 	// so WALSyncEvery: N bounds a power loss to the last N acked calls.
 	// With neither set the log syncs only at checkpoints (Flush), and a
 	// power loss costs what the OS had not written out since the last
-	// one. Concurrent appends are group-committed, so the fsync cost
-	// amortizes across writers.
+	// one. Concurrent appends share fsyncs — one covers every append
+	// written before it began — so the fsync cost amortizes across
+	// writers.
 	WALSyncOnAppend bool
 	WALSyncEvery    int
 	// WALBacking overrides the recovery log's backing file (crash tests
@@ -304,7 +305,7 @@ func open(dir string, opts Options, checkFormat bool) (*Historian, error) {
 		page: page,
 	}
 	// A failed open releases what it acquired: the page file and the
-	// recovery log's writer goroutine.
+	// recovery log's file.
 	fail := func(err error) (*Historian, error) {
 		h.release()
 		return nil, err
@@ -369,8 +370,8 @@ func open(dir string, opts Options, checkFormat bool) (*Historian, error) {
 }
 
 // Close checkpoints (Flush) and releases the historian. A failed
-// checkpoint still stops the log's writer and closes both files; the
-// first error comes back and a second Close does nothing.
+// checkpoint still closes the log and the page store; the first error
+// comes back and a second Close does nothing.
 func (h *Historian) Close() error {
 	if h.closed.Swap(true) {
 		return nil
@@ -594,10 +595,10 @@ type HistorianStats struct {
 	PoolEvictions int64
 	PoolHitRate   float64
 	// WALRecords / WALGroupCommits count recovery-log records and the
-	// write syscalls that carried them. A record is the frame of one
-	// ingest call, not a point, so their ratio — the group-commit
-	// coalescing factor — counts calls of different writers that shared
-	// a write. Zero when no log is attached.
+	// write syscalls that carried them, one per append. A record is the
+	// frame of one ingest call, not a point, so their ratio is the
+	// records one call's append carried: 1 unless a call was split. Zero
+	// when no log is attached.
 	WALRecords      int64
 	WALGroupCommits int64
 }
