@@ -420,18 +420,20 @@ func (c *Catalog) Source(id int64) (*model.DataSource, bool) {
 }
 
 // Lookup is one entry of a batch lookup (Resolve): a source id in, the
-// source and its schema out.
+// source, its schema and its ingest structure out.
 type Lookup struct {
-	ID     int64
-	Source *model.DataSource // nil: no source has ID
-	Schema *model.SchemaType // nil: the source's schema is missing
+	ID        int64
+	Source    *model.DataSource // nil: no source has ID
+	Schema    *model.SchemaType // nil: the source's schema is missing
+	Structure model.Structure   // Source.IngestStructure(), when Source is set
 }
 
-// Resolve looks up each entry's source and that source's schema, in
-// order, under one read lock — an ingest frame's validation, which would
-// otherwise take the lock twice per point. It stops at the first entry
-// that does not resolve in full and returns its index, or len(ls) when
-// every entry resolved.
+// Resolve looks up each entry's source, that source's ingest structure and
+// its schema, in order, under one read lock — an ingest frame's
+// validation, which would otherwise take the lock twice per point, and its
+// routing, which then reads the structure from the entry while the source
+// is still at hand here. It stops at the first entry that does not resolve
+// in full and returns its index, or len(ls) when every entry resolved.
 func (c *Catalog) Resolve(ls []Lookup) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -441,6 +443,7 @@ func (c *Catalog) Resolve(ls []Lookup) int {
 		if l.Source == nil {
 			return i
 		}
+		l.Structure = l.Source.IngestStructure()
 		if l.Schema = c.bySchemaID[l.Source.SchemaID]; l.Schema == nil {
 			return i
 		}

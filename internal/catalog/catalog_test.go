@@ -363,7 +363,8 @@ func TestRouterLookup(t *testing.T) {
 
 // TestResolve covers the batch lookup behind ingest validation: every
 // entry found, an unknown source, and a source whose schema record was
-// lost (it still loads at reopen, without its schema). Resolve stops at
+// lost (it still loads at reopen, without its schema). Every resolved
+// entry carries its source's ingest structure. Resolve stops at
 // the first entry that does not resolve in full.
 func TestResolve(t *testing.T) {
 	f := pagestore.NewMemFile()
@@ -389,9 +390,12 @@ func TestResolve(t *testing.T) {
 	for i, l := range ls {
 		ds, _ := c.Source(l.ID)
 		schema, _ := c.SchemaByID(ds.SchemaID)
-		if l.Source != ds || l.Schema != schema {
-			t.Fatalf("entry %d: resolved (%v, %v), want (%v, %v)", i, l.Source, l.Schema, ds, schema)
+		if l.Source != ds || l.Schema != schema || l.Structure != ds.IngestStructure() {
+			t.Fatalf("entry %d: resolved (%v, %v, %v), want (%v, %v, %v)", i, l.Source, l.Schema, l.Structure, ds, schema, ds.IngestStructure())
 		}
+	}
+	if ls[0].Structure != model.RTS || ls[1].Structure != model.MG {
+		t.Fatalf("structures %v, %v: want RTS for a regular 100 Hz source, MG for a 15-minute one", ls[0].Structure, ls[1].Structure)
 	}
 
 	ls = []Lookup{{ID: a.ID}, {ID: 0xDEAD}, {ID: b.ID}}

@@ -3,59 +3,39 @@ package compress
 import "encoding/binary"
 
 // BitWriter packs integers of arbitrary bit width into a byte slice,
-// most-significant bit first. The quantization codec uses it to store
-// b-bit symbols.
+// most-significant bit first. Bits gather in a 64-bit accumulator that is
+// appended a whole word at a time; Bytes appends what is left of it, zero
+// padded to a byte. The column codecs write their streams through it.
 type BitWriter struct {
-	buf  []byte
-	cur  uint64 // bits accumulated, left-aligned in the low `n` bits
-	nCur uint   // number of valid bits in cur
+	buf []byte
+	acc uint64 // pending bits, left-aligned
+	n   uint   // number of pending bits, 0..63
 }
-
-// NewBitWriter returns a writer appending to buf (may be nil).
-func NewBitWriter(buf []byte) *BitWriter { return &BitWriter{buf: buf} }
 
 // WriteBits appends the low `width` bits of v. width must be 0..64.
 func (w *BitWriter) WriteBits(v uint64, width uint) {
-	if width == 0 {
-		return
-	}
-	if width > 32 {
-		// Split to keep the accumulator within 64 bits.
-		w.WriteBits(v>>32, width-32)
-		w.WriteBits(v&0xFFFFFFFF, 32)
-		return
-	}
 	if width < 64 {
-		v &= (1 << width) - 1
+		v &= 1<<width - 1
 	}
-	w.cur = w.cur<<width | v
-	w.nCur += width
-	for w.nCur >= 8 {
-		w.nCur -= 8
-		w.buf = append(w.buf, byte(w.cur>>w.nCur))
+	free := 64 - w.n
+	if width < free {
+		w.acc |= v << (free - width)
+		w.n += width
+		return
 	}
-	// Keep only the unflushed low bits to avoid overflow on the next shift.
-	if w.nCur > 0 {
-		w.cur &= (1 << w.nCur) - 1
-	} else {
-		w.cur = 0
-	}
+	// The word fills: append it, and keep the bits of v that did not fit
+	// (a shift by 64 leaves none).
+	over := width - free
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc|v>>over)
+	w.acc, w.n = v<<(64-over), over
 }
 
-// WriteBit appends a single bit.
-func (w *BitWriter) WriteBit(b bool) {
-	if b {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
-	}
-}
-
-// Bytes flushes any partial byte (zero padded) and returns the buffer.
+// Bytes appends the pending bits, zero padded to a byte, and returns the
+// buffer.
 func (w *BitWriter) Bytes() []byte {
-	if w.nCur > 0 {
-		w.buf = append(w.buf, byte(w.cur<<(8-w.nCur)))
-		w.cur, w.nCur = 0, 0
+	for ; w.n > 0; w.n -= min(w.n, 8) {
+		w.buf = append(w.buf, byte(w.acc>>56))
+		w.acc <<= 8
 	}
 	return w.buf
 }

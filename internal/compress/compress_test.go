@@ -175,7 +175,7 @@ func TestVarintCorruption(t *testing.T) {
 
 func TestBitpackRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	w := NewBitWriter(nil)
+	w := &BitWriter{}
 	type item struct {
 		v     uint64
 		width uint
@@ -594,5 +594,29 @@ func TestDecodersDoNotAllocateFromUntrustedCount(t *testing.T) {
 	run := CompressLinear([]byte{byte(CodecLinear)}, make([]float64, 1<<20), 0)
 	if got, _, err := DecodeColumnN(run, 0, 10); err != nil || len(got) != 10 {
 		t.Fatalf("constant run, limit 10: %d values, %v", len(got), err)
+	}
+}
+
+// TestColumnBound: no column outgrows ColumnBound, whatever the codec, the
+// policy or the length — random bit patterns, XOR's worst case, included.
+func TestColumnBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 2, 7, 127, 128, 129, 300, 1024} {
+		shapes := columnShapes(rng, n)
+		bits := make([]float64, n)
+		for i := range bits {
+			bits[i] = math.Float64frombits(rng.Uint64() &^ (1 << 62)) // finite: exponent never all ones
+		}
+		shapes["bits"] = bits
+		for name, vals := range shapes {
+			for _, pol := range []Policy{{}, {MaxDev: 0.01}, {MaxDev: 1e-9}, {Disable: true}} {
+				if got := len(EncodeColumn(nil, vals, pol)); got > ColumnBound(n) {
+					t.Errorf("%s, %d values, %+v: %d bytes, bound %d", name, n, pol, got, ColumnBound(n))
+				}
+			}
+			if got := len(EncodeColumnMaxEffort(nil, vals)); got > ColumnBound(n) {
+				t.Errorf("%s, %d values, max effort: %d bytes, bound %d", name, n, got, ColumnBound(n))
+			}
+		}
 	}
 }

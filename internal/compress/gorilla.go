@@ -16,44 +16,51 @@ import (
 // fit the previous leading/trailing window) and the window's bits, or a 1
 // bit and a new 5-bit leading-zero count, 6-bit bit length, and the bits.
 
-// CompressXOR losslessly encodes values.
+// CompressXOR losslessly encodes values. Each value is one WriteBits call:
+// its control bits and fields ride with the payload unless they would make
+// it wider than a word.
 func CompressXOR(dst []byte, values []float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(values)))
 	if len(values) == 0 {
 		return dst
 	}
-	w := NewBitWriter(dst)
-	first := math.Float64bits(values[0])
-	w.WriteBits(first, 64)
-	prev := first
+	w := BitWriter{buf: dst}
+	prev := math.Float64bits(values[0])
+	w.WriteBits(prev, 64)
 	prevLead, prevTrail := uint(65), uint(0)
 	for _, v := range values[1:] {
 		cur := math.Float64bits(v)
 		x := cur ^ prev
 		prev = cur
 		if x == 0 {
-			w.WriteBit(false)
+			w.WriteBits(0, 1)
 			continue
 		}
-		w.WriteBit(true)
 		lead := uint(bits.LeadingZeros64(x))
 		trail := uint(bits.TrailingZeros64(x))
 		if lead > 31 {
 			lead = 31
 		}
+		// 10: the meaningful bits fit the previous window. 11: a new
+		// window, its 5-bit leading-zero count and 6-bit length (1..64
+		// stored as 0..63).
+		var head uint64
+		var headWidth, width uint
 		if prevLead <= lead && trail >= prevTrail && prevLead != 65 {
-			// Fits inside the previous window.
-			w.WriteBit(false)
-			width := 64 - prevLead - prevTrail
-			w.WriteBits(x>>prevTrail, width)
-			continue
+			head, headWidth = 0b10, 2
+			width = 64 - prevLead - prevTrail
+		} else {
+			width = 64 - lead - trail
+			head, headWidth = 0b11<<11|uint64(lead)<<6|uint64(width-1), 13
+			prevLead, prevTrail = lead, trail
 		}
-		w.WriteBit(true)
-		width := 64 - lead - trail
-		w.WriteBits(uint64(lead), 5)
-		w.WriteBits(uint64(width-1), 6) // 1..64 stored as 0..63
-		w.WriteBits(x>>trail, width)
-		prevLead, prevTrail = lead, trail
+		payload := x >> prevTrail
+		if headWidth+width <= 64 {
+			w.WriteBits(head<<width|payload, headWidth+width)
+		} else {
+			w.WriteBits(head, headWidth)
+			w.WriteBits(payload, width)
+		}
 	}
 	return w.Bytes()
 }

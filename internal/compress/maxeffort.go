@@ -31,26 +31,23 @@ func appendIntDelta(dst []byte, ints []int64) []byte {
 	}
 	prevDelta := ints[1] - ints[0]
 	dst = AppendVarint(dst, prevDelta)
-	w := NewBitWriter(dst)
+	w := BitWriter{buf: dst}
 	prev := ints[1]
 	for _, v := range ints[2:] {
 		d := v - prev
-		dod := Zigzag(d - prevDelta)
-		switch {
+		// A control prefix, then the zigzagged delta-of-delta in the
+		// smallest bucket that holds it; 0 repeats the delta.
+		switch dod := Zigzag(d - prevDelta); {
 		case dod == 0:
-			w.WriteBit(false)
+			w.WriteBits(0, 1)
 		case dod < 1<<7:
-			w.WriteBits(0b10, 2)
-			w.WriteBits(dod, 7)
+			w.WriteBits(0b10<<7|dod, 2+7)
 		case dod < 1<<10:
-			w.WriteBits(0b110, 3)
-			w.WriteBits(dod, 10)
+			w.WriteBits(0b110<<10|dod, 3+10)
 		case dod < 1<<16:
-			w.WriteBits(0b1110, 4)
-			w.WriteBits(dod, 16)
+			w.WriteBits(0b1110<<16|dod, 4+16)
 		case dod < 1<<32:
-			w.WriteBits(0b11110, 5)
-			w.WriteBits(dod, 32)
+			w.WriteBits(0b11110<<32|dod, 5+32)
 		default:
 			w.WriteBits(0b11111, 5)
 			w.WriteBits(dod, 64)

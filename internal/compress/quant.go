@@ -38,7 +38,7 @@ func CompressQuant(dst []byte, values []float64, bits uint) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(lo))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(hi))
 	levels := uint64(1) << bits
-	w := NewBitWriter(dst)
+	w := BitWriter{buf: dst}
 	if hi == lo {
 		// Degenerate range: all symbols are zero; BitWriter still emits
 		// them so the layout stays uniform.

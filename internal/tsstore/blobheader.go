@@ -253,16 +253,16 @@ func headLastTS(head []byte, baseTS int64) (last int64, ok bool) {
 }
 
 // appendBlobHeader writes the header every encoder shares. count and
-// interval are the structure's own fields; stats and effRows come from
-// encodeColumns, so the zone maps, the summary and the sub-bucket block
-// describe exactly the values a decode returns. ts holds the timestamps a
-// decode will reconstruct relative to baseTS's clock (absolute for
-// RTS/IRTS, window offsets for MG, whose effRows is nil: its rows are in
-// slot order, not time order, so it never carries sub-buckets).
-func appendBlobHeader(dst []byte, structure byte, ntags, count int, interval int64, opts encodeOpts, stats []tagStat, baseTS int64, ts []int64, effRows [][]float64) []byte {
+// interval are the structure's own fields; stats come from encodeColumns and
+// sub from the rows it returns, so the zone maps, the summary and the
+// sub-bucket block describe exactly the values a decode returns. ts holds
+// the timestamps a decode will reconstruct relative to baseTS's clock
+// (absolute for RTS/IRTS, window offsets for MG, whose sub is nil: its rows
+// are in slot order, not time order, so it never carries sub-buckets).
+func appendBlobHeader(dst []byte, structure byte, ntags, count int, interval int64, cold bool, stats []tagStat, baseTS int64, ts []int64, sub *subSummaries) []byte {
 	flagAt := len(dst)
 	flags := structure | flagZoneMaps | flagSummaries
-	if opts.cold {
+	if cold {
 		flags |= flagCold
 	}
 	dst = append(dst, flags)
@@ -291,7 +291,6 @@ func appendBlobHeader(dst []byte, structure byte, ntags, count int, interval int
 		dst = binary.AppendUvarint(dst, uint64(stats[i].nonNull))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(stats[i].sum))
 	}
-	sub := subSummariesFromRows(ts, effRows, ntags, opts.subBucketMs, maxSubBucketsWrite)
 	if sub == nil {
 		return dst
 	}
@@ -311,6 +310,17 @@ func appendBlobHeader(dst []byte, structure byte, ntags, count int, interval int
 		}
 	}
 	return dst
+}
+
+// headerBound is the most bytes appendBlobHeader writes for ntags tags and
+// the sub-bucket block sub.
+func headerBound(ntags int, sub *subSummaries) int {
+	const v = binary.MaxVarintLen64
+	n := 1 + 6*v + ntags*(16+v+8)
+	if sub != nil {
+		n += 2*v + len(sub.buckets)*(v+ntags*(v+24))
+	}
+	return n
 }
 
 // tier reports the lifecycle stage (see BlobTier).

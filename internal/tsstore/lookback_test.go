@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"odh/internal/btree"
@@ -71,26 +72,21 @@ func lookups(page *pagestore.Store) int64 {
 	return st.Hits + st.Misses
 }
 
-// pinned reports whether a slice of walkers looked up the pinned number of
-// pages: exactly — but under -race, whose sync.Pool drops pooled items at
-// random, a later walker may not find the scratch an earlier one left,
-// and with it the leaf snapshot, and so seeks afresh (2 more in a one-leaf
-// tree).
-func pinned(got, want int64, walkers int) bool {
-	if raceEnabled {
-		return got >= want && got <= want+2*int64(walkers-1)
-	}
-	return got == want
-}
-
-// sameLookups reports whether two slices of walkers looked up as many
-// pages: exactly, or under -race within what either may have sought afresh
-// (see pinned).
-func sameLookups(a, b int64, walkers int) bool {
-	if raceEnabled {
-		return max(a-b, b-a) <= 2*int64(walkers-1)
-	}
-	return a == b
+// sliceLookups runs call, a slice of walkers over tree, and returns the
+// buffer pool's lookups as if each walker after the first had sought from
+// the leaf snapshot the walker before it left. call starts after
+// forgetSnapshots, with the scratch pool emptied, so its first walker seeks
+// afresh and builds its scratch. A later walker that builds one too — a GC
+// emptied the pool, or -race, whose sync.Pool drops items at random,
+// dropped it — seeks afresh: 2 lookups in these one-leaf trees (a descent
+// of one page and the leaf's copy), taken off for each such refill.
+func sliceLookups(t *testing.T, page *pagestore.Store, tree *btree.Tree, refills *atomic.Int64, call func()) int64 {
+	t.Helper()
+	forgetSnapshots(t, tree)
+	emptyScratchPool(refills)
+	r0, before := refills.Load(), lookups(page)
+	call()
+	return lookups(page) - before - 2*(refills.Load()-r0-1)
 }
 
 // forgetSnapshots makes the next seek into tree descend: a Put and a
@@ -169,6 +165,7 @@ func TestLookbackReadsOnlyHeads(t *testing.T) {
 			{"inside the last cold record", 1_000_000, 1_005_000, 0, 2 + nsrc*(0+9) + 1, 2 + nsrc*(0+5) + 1},
 		}},
 	}
+	refills := countScratchRefills(t)
 	for _, st := range stores {
 		f, s, truth := tieredRecords(t, Config{DisableCompression: true}, nsrc, st.coldPoints)
 		for _, win := range st.windows {
@@ -204,14 +201,16 @@ func TestLookbackReadsOnlyHeads(t *testing.T) {
 			}
 			want := inWindow(truth, win.t1, win.t2)
 
-			forgetSnapshots(t, f.store.irts)
-			before := lookups(f.page)
-			it, err := f.store.SliceScanOpts(s.ID, win.t1, win.t2, nil, ScanOptions{NoCache: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBySource(t, name+": slice", bySource(collect(t, it)), want)
-			if got := lookups(f.page) - before; !pinned(got, win.lookups, nsrc) {
+			var rows []model.Point
+			got := sliceLookups(t, f.page, f.store.irts, refills, func() {
+				it, err := f.store.SliceScanOpts(s.ID, win.t1, win.t2, nil, ScanOptions{NoCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = collect(t, it)
+			})
+			sameBySource(t, name+": slice", bySource(rows), want)
+			if got != win.lookups {
 				t.Errorf("%s: SliceScanOpts looked up %d pages, want %d", name, got, win.lookups)
 			}
 
@@ -219,13 +218,14 @@ func TestLookbackReadsOnlyHeads(t *testing.T) {
 				wantTags []int
 				lookups  int64
 			}{{nil, win.lookups}, {[]int{1}, win.projected}} {
-				forgetSnapshots(t, f.store.irts)
-				before = lookups(f.page)
-				res, err := f.store.AggregateSlice(s.ID, AggSpec{T1: win.t1, T2: win.t2, NTags: 4, ByID: true, WantTags: agg.wantTags, Opts: ScanOptions{NoCache: true}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := lookups(f.page) - before; !pinned(got, agg.lookups, nsrc) {
+				var res *AggResult
+				got := sliceLookups(t, f.page, f.store.irts, refills, func() {
+					var err error
+					if res, err = f.store.AggregateSlice(s.ID, AggSpec{T1: win.t1, T2: win.t2, NTags: 4, ByID: true, WantTags: agg.wantTags, Opts: ScanOptions{NoCache: true}}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got != agg.lookups {
 					t.Errorf("%s: AggregateSlice of tags %v looked up %d pages, want %d", name, agg.wantTags, got, agg.lookups)
 				}
 				if len(res.Groups) != len(want) {
