@@ -27,7 +27,8 @@ type linearSegment struct {
 // swinging-door trending under the given maximum deviation. The positions
 // are batch-local sample indexes; the caller stores timestamps separately.
 func CompressLinear(dst []byte, values []float64, maxDev float64) []byte {
-	segs := swingingDoor(values, maxDev)
+	var buf [8]linearSegment // a constant column's two spikes, without an allocation
+	segs := swingingDoor(buf[:0], values, maxDev)
 	dst = binary.AppendUvarint(dst, uint64(len(values)))
 	dst = binary.AppendUvarint(dst, uint64(len(segs)))
 	prevIdx := 0
@@ -113,22 +114,23 @@ func DecompressLinear(dst []float64, b []byte, limit int) ([]float64, []byte, er
 	return dst, b, nil
 }
 
-// swingingDoor returns the retained spike points for values under maxDev.
+// swingingDoor appends the retained spike points for values under maxDev to
+// segs.
 // Segment endpoints are placed on a slope consistent with every door
 // constraint collected since the anchor, which is what guarantees the
 // maxDev bound for all interior samples (emitting the raw data value
 // instead would break the bound). At maxDev == 0 the doors only stay open
 // for exactly collinear runs, so reconstruction is exact up to
 // floating-point rounding.
-func swingingDoor(values []float64, maxDev float64) []linearSegment {
+func swingingDoor(segs []linearSegment, values []float64, maxDev float64) []linearSegment {
 	n := len(values)
 	if n == 0 {
-		return nil
+		return segs
 	}
+	segs = append(segs, linearSegment{0, values[0]})
 	if n == 1 {
-		return []linearSegment{{0, values[0]}}
+		return segs
 	}
-	segs := []linearSegment{{0, values[0]}}
 	anchor := 0
 	anchorVal := values[0]
 	// Door slopes measured from the (possibly approximated) anchor point.
