@@ -435,7 +435,7 @@ func TestCloseReleasesEverythingOnFlushFailure(t *testing.T) {
 		t.Fatalf("Close over failing syncs = %v, want the injected fault", err)
 	}
 	// A closed log refuses appends.
-	if err := h.wal.Append([]byte("x")); !errors.Is(err, walog.ErrClosed) {
+	if err := h.wal.AppendBatch([][]byte{[]byte("x")}); !errors.Is(err, walog.ErrClosed) {
 		t.Fatalf("append after failed Close = %v, want walog.ErrClosed (the log is still open)", err)
 	}
 	if err := h.page.Flush(); !errors.Is(err, pagestore.ErrClosed) {

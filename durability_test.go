@@ -38,7 +38,7 @@ func TestEveryFlushIsTheCheckpoint(t *testing.T) {
 			client, serverEnd := net.Pipe()
 			done := make(chan struct{})
 			go func() {
-				server.New(h).ServeConn(serverEnd)
+				server.NewWith(h, server.Options{}).ServeConn(serverEnd)
 				close(done)
 			}()
 			if _, err := fmt.Fprintln(client, "FLUSH"); err != nil {

@@ -514,9 +514,6 @@ func (c *Catalog) GroupsBySchema(schemaID int64) []int64 {
 	return out
 }
 
-// GroupSize returns the configured MG group capacity.
-func (c *Catalog) GroupSize() int { return c.groupSize }
-
 // CreateVirtualTable exposes a schema type under a table name for SQL.
 func (c *Catalog) CreateVirtualTable(name string, schemaID int64) error {
 	c.mu.Lock()

@@ -494,8 +494,8 @@ func TestSchemasOrderedByID(t *testing.T) {
 	if len(list) != 2 || list[0].Name != "zzz" || list[1].Name != "aaa" {
 		t.Fatalf("Schemas() = %v (want creation order by id)", list)
 	}
-	if c.GroupSize() != DefaultGroupSize {
-		t.Fatalf("GroupSize = %d", c.GroupSize())
+	if c.groupSize != DefaultGroupSize {
+		t.Fatalf("group size = %d", c.groupSize)
 	}
 }
 

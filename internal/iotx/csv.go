@@ -10,9 +10,10 @@ import (
 )
 
 // The paper's data simulator "reads data from standard CSV files and
-// simulates real-time data insertion". These helpers export a generated
-// dataset to that CSV form and replay it back as a point stream, so
-// benchmark runs can be frozen, shared, and replayed byte-identically.
+// simulates real-time data insertion". ExportCSV writes a generated
+// dataset in that CSV form (cmd/iotx -export), so a dataset can be frozen
+// and shared; the experiments themselves insert straight from the
+// generators, which are deterministic per seed.
 //
 // Layout: header "timestamp,source,<tag1>,...,<tagN>"; one record per
 // operational point; NULL tag values are empty fields; floats use the
@@ -52,78 +53,4 @@ func ExportCSV(w io.Writer, stream pointStream, tagNames []string) (int64, error
 	}
 	cw.Flush()
 	return n, cw.Error()
-}
-
-// CSVStream replays an exported CSV as a point stream.
-type CSVStream struct {
-	cr    *csv.Reader
-	tags  []string
-	err   error
-	ntags int
-}
-
-// NewCSVStream opens a replay stream and returns it with the tag names
-// parsed from the header.
-func NewCSVStream(r io.Reader) (*CSVStream, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("iotx: csv header: %w", err)
-	}
-	if len(header) < 3 || header[0] != "timestamp" || header[1] != "source" {
-		return nil, fmt.Errorf("iotx: csv header %v is not an IoT-X export", header)
-	}
-	tags := append([]string(nil), header[2:]...)
-	return &CSVStream{cr: cr, tags: tags, ntags: len(tags)}, nil
-}
-
-// TagNames returns the value column labels from the header.
-func (s *CSVStream) TagNames() []string { return s.tags }
-
-// Err returns the first parse error (the stream ends early on error).
-func (s *CSVStream) Err() error { return s.err }
-
-// Next implements pointStream.
-func (s *CSVStream) Next() (model.Point, bool) {
-	if s.err != nil {
-		return model.Point{}, false
-	}
-	record, err := s.cr.Read()
-	if err == io.EOF {
-		return model.Point{}, false
-	}
-	if err != nil {
-		s.err = err
-		return model.Point{}, false
-	}
-	if len(record) != s.ntags+2 {
-		s.err = fmt.Errorf("iotx: csv record has %d fields, want %d", len(record), s.ntags+2)
-		return model.Point{}, false
-	}
-	ts, err := strconv.ParseInt(record[0], 10, 64)
-	if err != nil {
-		s.err = fmt.Errorf("iotx: csv timestamp: %w", err)
-		return model.Point{}, false
-	}
-	source, err := strconv.ParseInt(record[1], 10, 64)
-	if err != nil {
-		s.err = fmt.Errorf("iotx: csv source: %w", err)
-		return model.Point{}, false
-	}
-	values := make([]float64, s.ntags)
-	for i := 0; i < s.ntags; i++ {
-		f := record[2+i]
-		if f == "" {
-			values[i] = model.NullValue
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			s.err = fmt.Errorf("iotx: csv value %q: %w", f, err)
-			return model.Point{}, false
-		}
-		values[i] = v
-	}
-	return model.Point{Source: source, TS: ts, Values: values}, true
 }

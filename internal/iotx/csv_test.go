@@ -2,13 +2,57 @@ package iotx
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
-	"strings"
+	"strconv"
 	"testing"
 	"time"
 
 	"odh/internal/model"
 )
+
+// pointSlice is a pointStream over fixed points.
+type pointSlice []model.Point
+
+func (s *pointSlice) Next() (model.Point, bool) {
+	if len(*s) == 0 {
+		return model.Point{}, false
+	}
+	p := (*s)[0]
+	*s = (*s)[1:]
+	return p, true
+}
+
+// parseExport reads an exported CSV back: its tag names and its points,
+// an empty field read as NULL.
+func parseExport(t *testing.T, b []byte) (tags []string, pts []model.Point) {
+	t.Helper()
+	records, err := csv.NewReader(bytes.NewReader(b)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) == 0 || len(records[0]) < 3 || records[0][0] != "timestamp" || records[0][1] != "source" {
+		t.Fatalf("header %v is not an IoT-X export", records[0])
+	}
+	tags = records[0][2:]
+	for _, r := range records[1:] {
+		ts, err1 := strconv.ParseInt(r[0], 10, 64)
+		src, err2 := strconv.ParseInt(r[1], 10, 64)
+		if err1 != nil || err2 != nil || len(r) != len(tags)+2 {
+			t.Fatalf("record %v", r)
+		}
+		p := model.Point{Source: src, TS: ts, Values: make([]float64, len(tags))}
+		for i, f := range r[2:] {
+			if f == "" {
+				p.Values[i] = model.NullValue
+			} else if p.Values[i], err1 = strconv.ParseFloat(f, 64); err1 != nil {
+				t.Fatalf("record %v: %v", r, err1)
+			}
+		}
+		pts = append(pts, p)
+	}
+	return tags, pts
+}
 
 func TestCSVRoundtripTD(t *testing.T) {
 	cfg := TDConfig{I: 1, J: 1, AccountUnit: 5, FreqUnitHz: 5, Duration: 2 * time.Second, Seed: 3}
@@ -20,40 +64,28 @@ func TestCSVRoundtripTD(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing exported")
 	}
-	stream, err := NewCSVStream(&buf)
-	if err != nil {
-		t.Fatal(err)
+	tags, pts := parseExport(t, buf.Bytes())
+	if len(tags) != 4 || tags[0] != "T_TRADE_PRICE" {
+		t.Fatalf("tags: %v", tags)
 	}
-	if got := stream.TagNames(); len(got) != 4 || got[0] != "T_TRADE_PRICE" {
-		t.Fatalf("tags: %v", got)
+	if int64(len(pts)) != n {
+		t.Fatalf("%d records for %d exported points", len(pts), n)
 	}
-	// Replay must be bit-identical to a fresh generation.
+	// The export reads back bit-identical to a fresh generation.
 	ref := NewTDGen(cfg)
-	var replayed int64
-	for {
-		got, ok := stream.Next()
-		want, okRef := ref.Next()
-		if ok != okRef {
-			t.Fatalf("stream lengths diverge at %d", replayed)
-		}
-		if !ok {
-			break
-		}
+	for i, got := range pts {
+		want, _ := ref.Next()
 		if got.Source != want.Source || got.TS != want.TS {
-			t.Fatalf("point %d header: %+v vs %+v", replayed, got, want)
+			t.Fatalf("point %d header: %+v vs %+v", i, got, want)
 		}
-		for i := range want.Values {
-			if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
-				t.Fatalf("point %d value %d: %v vs %v", replayed, i, got.Values[i], want.Values[i])
+		for j := range want.Values {
+			if math.Float64bits(got.Values[j]) != math.Float64bits(want.Values[j]) {
+				t.Fatalf("point %d value %d: %v vs %v", i, j, got.Values[j], want.Values[j])
 			}
 		}
-		replayed++
 	}
-	if err := stream.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if replayed != n {
-		t.Fatalf("replayed %d of %d", replayed, n)
+	if _, more := ref.Next(); more {
+		t.Fatal("export stopped before the generator")
 	}
 }
 
@@ -63,16 +95,9 @@ func TestCSVRoundtripSparseLD(t *testing.T) {
 	if _, err := ExportCSV(&buf, NewLDGen(cfg), LDTagNames); err != nil {
 		t.Fatal(err)
 	}
-	stream, err := NewCSVStream(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pts := parseExport(t, buf.Bytes())
 	nulls, total := 0, 0
-	for {
-		p, ok := stream.Next()
-		if !ok {
-			break
-		}
+	for _, p := range pts {
 		for _, v := range p.Values {
 			total++
 			if model.IsNull(v) {
@@ -80,73 +105,36 @@ func TestCSVRoundtripSparseLD(t *testing.T) {
 			}
 		}
 	}
-	if err := stream.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if nulls == 0 || nulls == total {
 		t.Fatalf("sparseness lost: %d/%d nulls", nulls, total)
 	}
 }
 
-func TestCSVReplayDrivesWS1(t *testing.T) {
-	scale := tinyScale()
-	cfg := scale.TDConfigFor(1, 1)
+// TestCSVExportBytes pins the layout: the header, then per point its
+// timestamp, source and values, NULL as an empty field, floats in their
+// shortest round-tripping form.
+func TestCSVExportBytes(t *testing.T) {
+	pts := pointSlice{
+		{Source: 7, TS: -5, Values: []float64{1.5, model.NullValue}},
+		{Source: 12, TS: 1384732800000, Values: []float64{-2.5e-07, 0.1}},
+	}
 	var buf bytes.Buffer
-	if _, err := ExportCSV(&buf, NewTDGen(cfg), TDTagNames); err != nil {
-		t.Fatal(err)
+	if n, err := ExportCSV(&buf, &pts, []string{"a", "b c"}); err != nil || n != 2 {
+		t.Fatalf("ExportCSV = %d, %v", n, err)
 	}
-	sys, err := NewODH(scale.sysConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.SetupTD(NewTDGen(cfg)); err != nil {
-		t.Fatal(err)
-	}
-	stream, err := NewCSVStream(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunWS1(sys, "TD(1,1)-replay", stream, cfg.StartTS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Points != cfg.expectedExported(t) {
-		// expectedExported is just the regenerated count; compare directly.
-		t.Fatalf("replayed %d points", res.Points)
-	}
-}
-
-// expectedExported regenerates the stream and counts it.
-func (c TDConfig) expectedExported(t *testing.T) int64 {
-	t.Helper()
-	gen := NewTDGen(c)
-	var n int64
-	for {
-		if _, ok := gen.Next(); !ok {
-			return n
-		}
-		n++
+	want := "timestamp,source,a,b c\n-5,7,1.5,\n1384732800000,12,-2.5e-07,0.1\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("export:\n%q\nwant\n%q", got, want)
 	}
 }
 
 func TestCSVErrors(t *testing.T) {
-	if _, err := NewCSVStream(strings.NewReader("a,b\n")); err == nil {
-		t.Fatal("bad header accepted")
+	pts := pointSlice{
+		{Source: 1, TS: 100, Values: []float64{1}},
+		{Source: 1, TS: 200, Values: []float64{1, 2}},
 	}
-	stream, err := NewCSVStream(strings.NewReader("timestamp,source,v\n100,1,notanumber\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := stream.Next(); ok {
-		t.Fatal("bad value parsed")
-	}
-	if stream.Err() == nil {
-		t.Fatal("no error surfaced")
-	}
-	// Arity mismatch.
-	stream2, _ := NewCSVStream(strings.NewReader("timestamp,source,v\n100,1\n"))
-	if _, ok := stream2.Next(); ok || stream2.Err() == nil {
-		t.Fatal("short record accepted")
+	n, err := ExportCSV(new(bytes.Buffer), &pts, []string{"v"})
+	if err == nil || n != 1 {
+		t.Fatalf("a point wider than the header: %d exported, %v", n, err)
 	}
 }

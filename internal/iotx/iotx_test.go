@@ -63,7 +63,7 @@ func TestTDGeneratorProperties(t *testing.T) {
 		perSource[p.Source]++
 		n++
 	}
-	exp := cfg.ExpectedPoints()
+	exp := int64(float64(cfg.Accounts()) * cfg.FreqHz() * cfg.Duration.Seconds())
 	if n < exp/2 || n > exp*2 {
 		t.Fatalf("generated %d points, expected ~%d", n, exp)
 	}

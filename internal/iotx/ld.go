@@ -63,11 +63,6 @@ func (c LDConfig) withDefaults() LDConfig {
 // Sensors returns the number of weather stations.
 func (c LDConfig) Sensors() int { return c.I * c.SensorUnit }
 
-// ExpectedPoints estimates the number of observation records.
-func (c LDConfig) ExpectedPoints() int64 {
-	return int64(float64(c.Sensors()) * c.Duration.Seconds() * 1000 / float64(c.MeanIntervalMs))
-}
-
 // Label names the dataset like the paper: LD(i).
 func (c LDConfig) Label() string { return fmt.Sprintf("LD(%d)", c.I) }
 

@@ -70,11 +70,6 @@ func (c TDConfig) Customers() int {
 // FreqHz returns the per-account trade frequency.
 func (c TDConfig) FreqHz() float64 { return float64(c.J) * c.FreqUnitHz }
 
-// ExpectedPoints estimates the dataset's operational record count.
-func (c TDConfig) ExpectedPoints() int64 {
-	return int64(float64(c.Accounts()) * c.FreqHz() * c.Duration.Seconds())
-}
-
 // Label names the dataset like the paper: TD(i, j).
 func (c TDConfig) Label() string { return fmt.Sprintf("TD(%d,%d)", c.I, c.J) }
 

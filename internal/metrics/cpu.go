@@ -145,9 +145,6 @@ func (m *CPUMeter) AvgLoadSimulated(simulated time.Duration) float64 {
 // MaxLoad returns the highest windowed load observed via Sample calls.
 func (m *CPUMeter) MaxLoad() float64 { return m.maxLoad }
 
-// Supported reports whether CPU accounting is available on this platform.
-func (m *CPUMeter) Supported() bool { return m.ok }
-
 // Throughput measures points per second over a run.
 type Throughput struct {
 	start  time.Time
@@ -178,9 +175,6 @@ func (t *Throughput) Add(n int64) {
 		t.windowStart = time.Now()
 	}
 }
-
-// Total returns total points recorded.
-func (t *Throughput) Total() int64 { return t.points }
 
 // Avg returns the average points/second so far.
 func (t *Throughput) Avg() float64 {

@@ -27,7 +27,7 @@ func TestProcessCPUTime(t *testing.T) {
 
 func TestCPUMeterLoads(t *testing.T) {
 	m := NewCPUMeter()
-	if !m.Supported() {
+	if !m.ok {
 		t.Skip("no procfs")
 	}
 	x := 0.0
@@ -54,8 +54,8 @@ func TestThroughput(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tp.Add(1000)
 	}
-	if tp.Total() != 10000 {
-		t.Fatalf("Total = %d", tp.Total())
+	if tp.points != 10000 {
+		t.Fatalf("points = %d", tp.points)
 	}
 	if tp.Avg() <= 0 {
 		t.Fatal("Avg must be positive")
@@ -74,14 +74,14 @@ func TestThroughputWindowedMax(t *testing.T) {
 	if tp.Max() <= 0 {
 		t.Fatalf("Max = %v", tp.Max())
 	}
-	if tp.Total() != 10000 {
-		t.Fatalf("Total = %d", tp.Total())
+	if tp.points != 10000 {
+		t.Fatalf("points = %d", tp.points)
 	}
 }
 
 func TestSampleSimulatedTracksMax(t *testing.T) {
 	m := NewCPUMeter()
-	if !m.Supported() {
+	if !m.ok {
 		t.Skip("no procfs")
 	}
 	// Burn until the process clock has ticked past the meter's start: a

@@ -37,8 +37,8 @@ func TestConcurrentGetAcrossPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Partitions() != 8 {
-		t.Fatalf("Partitions() = %d, want 8", s.Partitions())
+	if len(s.parts) != 8 {
+		t.Fatalf("%d partitions, want 8", len(s.parts))
 	}
 	const nPages = 256
 	ids := make([]PageID, nPages)

@@ -261,9 +261,6 @@ func (s *Store) part(id PageID) *partition {
 	return s.parts[uint32(h>>32)&s.partMask]
 }
 
-// Partitions returns the buffer pool's latch partition count.
-func (s *Store) Partitions() int { return len(s.parts) }
-
 // pageChecksum computes the CRC32-C of a page slot: aux word, payload,
 // then the page number, so a valid page replayed at the wrong slot still
 // fails verification.
@@ -859,9 +856,6 @@ type Frame struct {
 	f        *frame
 	released bool
 }
-
-// ID returns the page id this frame holds.
-func (fr *Frame) ID() PageID { return fr.f.id }
 
 // Data returns the page bytes. Mutations happen inside a BeginWrite
 // section and must be followed by MarkDirty.

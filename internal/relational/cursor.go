@@ -61,14 +61,21 @@ type IndexCursor struct {
 // Cursor returns an IndexCursor over entries with first indexed column in
 // [lo, hi] (inclusive; pass Null for open bounds).
 func (i *Index) Cursor(lo, hi Value) *IndexCursor {
-	var loKey, hiKey []byte
+	loKey, hiKey := rangeKeys(lo, hi)
+	return &IndexCursor{idx: i, cur: i.tree.Seek(loKey), hi: hiKey}
+}
+
+// rangeKeys returns the key bounds of the entries whose first indexed
+// column lies in [lo, hi]: nil for a Null (open) side, and as hiKey the
+// first key past every entry equal to hi.
+func rangeKeys(lo, hi Value) (loKey, hiKey []byte) {
 	if !lo.IsNull() {
 		loKey = appendIndexKey(nil, lo)
 	}
 	if !hi.IsNull() {
 		hiKey = keyenc.PrefixSuccessor(appendIndexKey(nil, hi))
 	}
-	return &IndexCursor{idx: i, cur: i.tree.Seek(loKey), hi: hiKey}
+	return loKey, hiKey
 }
 
 // CursorPrefix returns an IndexCursor over entries whose indexed columns

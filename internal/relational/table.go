@@ -84,9 +84,6 @@ func Open(store *pagestore.Store, profile Profile) (*DB, error) {
 	return db, nil
 }
 
-// Profile returns the active product profile.
-func (db *DB) Profile() Profile { return db.profile }
-
 func (db *DB) openTable(tm tableMeta) (*Table, error) {
 	rows, err := btree.Open(db.store, "rel.t."+tm.Name)
 	if err != nil {
@@ -225,16 +222,27 @@ func (t *Table) CreateIndex(name string, columnNames ...string) (*Index, error) 
 		return nil, err
 	}
 	idx := &Index{table: t, name: name, columns: ords, tree: tree}
-	// Backfill.
-	err = t.scanRaw(func(rowid int64, vals []Value) bool {
-		err = idx.insert(rowid, vals)
-		return err == nil
-	})
-	if err != nil {
+	// Backfill. On a failure nothing is registered, so no index serves or
+	// persists part of the table.
+	cur := t.Cursor()
+	for {
+		rowid, vals, ok := cur.Next()
+		if !ok {
+			break
+		}
+		if err := idx.insert(rowid, vals); err != nil {
+			return nil, err
+		}
+	}
+	if err := cur.Err(); err != nil {
 		return nil, err
 	}
 	t.indexes = append(t.indexes, idx)
-	return idx, t.persistMeta()
+	if err := t.persistMeta(); err != nil {
+		t.indexes = t.indexes[:len(t.indexes)-1]
+		return nil, err
+	}
+	return idx, nil
 }
 
 func (t *Table) persistMeta() error {
@@ -243,16 +251,6 @@ func (t *Table) persistMeta() error {
 		tm.Indexes = append(tm.Indexes, indexMeta{Name: idx.name, Columns: idx.columns})
 	}
 	return t.db.saveMeta(tm)
-}
-
-// Index returns the named index.
-func (t *Table) Index(name string) (*Index, bool) {
-	for _, idx := range t.indexes {
-		if idx.name == name {
-			return idx, true
-		}
-	}
-	return nil, false
 }
 
 // Indexes returns all indexes.
@@ -300,32 +298,6 @@ func (t *Table) Get(rowid int64) ([]Value, error) {
 	return decodeRow(raw, len(t.columns))
 }
 
-// Scan iterates every row in rowid order.
-func (t *Table) Scan(fn func(rowid int64, vals []Value) bool) error {
-	return t.scanRaw(fn)
-}
-
-func (t *Table) scanRaw(fn func(rowid int64, vals []Value) bool) error {
-	var decodeErr error
-	err := t.rows.Scan(nil, nil, func(k, v []byte) bool {
-		rowid, _, err := keyenc.Int64(k)
-		if err != nil {
-			decodeErr = err
-			return false
-		}
-		vals, err := decodeRow(v, len(t.columns))
-		if err != nil {
-			decodeErr = err
-			return false
-		}
-		return fn(rowid, vals)
-	})
-	if decodeErr != nil {
-		return decodeErr
-	}
-	return err
-}
-
 // StorageBytes reports the payload bytes of the table and its indexes.
 func (t *Table) StorageBytes() int64 {
 	total := int64(t.rows.ValueBytes())
@@ -351,9 +323,6 @@ func (i *Index) Name() string { return i.name }
 // ColumnOrdinals returns the indexed column positions.
 func (i *Index) ColumnOrdinals() []int { return i.columns }
 
-// EntryCount returns the number of index entries.
-func (i *Index) EntryCount() uint64 { return i.tree.Count() }
-
 // insert adds an index entry for a row.
 func (i *Index) insert(rowid int64, vals []Value) error {
 	key := i.keyFor(vals)
@@ -374,65 +343,10 @@ func (i *Index) keyFor(vals []Value) []byte {
 	return key
 }
 
-// ScanPrefix iterates rows whose indexed columns equal the given prefix
-// values.
-func (i *Index) ScanPrefix(prefix []Value, fn func(rowid int64, vals []Value) bool) error {
-	var lo []byte
-	for _, v := range prefix {
-		lo = appendIndexKey(lo, v)
-	}
-	hi := keyenc.PrefixSuccessor(lo)
-	return i.scanKeys(lo, hi, fn)
-}
-
-// ScanRange iterates rows whose first indexed column lies in [lo, hi]
-// (inclusive bounds, matching SQL BETWEEN). Pass Null for an open bound.
-func (i *Index) ScanRange(lo, hi Value, fn func(rowid int64, vals []Value) bool) error {
-	var loKey, hiKey []byte
-	if !lo.IsNull() {
-		loKey = appendIndexKey(nil, lo)
-	}
-	if !hi.IsNull() {
-		hiKey = keyenc.PrefixSuccessor(appendIndexKey(nil, hi))
-	}
-	return i.scanKeys(loKey, hiKey, fn)
-}
-
-func (i *Index) scanKeys(lo, hi []byte, fn func(rowid int64, vals []Value) bool) error {
-	var innerErr error
-	err := i.tree.Scan(lo, hi, func(k, _ []byte) bool {
-		if len(k) < 8 {
-			return true
-		}
-		rowid, _, err := keyenc.Int64(k[len(k)-8:])
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		vals, err := i.table.Get(rowid)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return fn(rowid, vals)
-	})
-	if innerErr != nil {
-		return innerErr
-	}
-	return err
-}
-
 // CountRange estimates selectivity for the planner: entries with first
 // column in [lo, hi].
 func (i *Index) CountRange(lo, hi Value) (int, error) {
-	var loKey, hiKey []byte
-	if !lo.IsNull() {
-		loKey = appendIndexKey(nil, lo)
-	}
-	if !hi.IsNull() {
-		hiKey = keyenc.PrefixSuccessor(appendIndexKey(nil, hi))
-	}
-	n, _, err := i.tree.CountRange(loKey, hiKey)
+	n, _, err := i.tree.CountRange(rangeKeys(lo, hi))
 	return n, err
 }
 

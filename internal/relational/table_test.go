@@ -72,6 +72,28 @@ func TestCreateTableValidation(t *testing.T) {
 	}
 }
 
+// cursor is what RowCursor and IndexCursor share.
+type cursor interface {
+	Next() (rowid int64, vals []Value, ok bool)
+	Err() error
+}
+
+// drain returns the rowids and rows c yields, failing on its error.
+func drain(t testing.TB, c cursor) (rowids []int64, rows [][]Value) {
+	t.Helper()
+	for {
+		rowid, vals, ok := c.Next()
+		if !ok {
+			break
+		}
+		rowids, rows = append(rowids, rowid), append(rows, vals)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rowids, rows
+}
+
 func TestIndexScanPrefix(t *testing.T) {
 	db := newDB(t, ProfileRDB)
 	tbl := tradeTable(t, db)
@@ -82,20 +104,13 @@ func TestIndexScanPrefix(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tbl.Insert([]Value{Time(int64(i)), Int(int64(i % 10)), Float(float64(i)), Float(0.1)})
 	}
-	var got []float64
-	err = idx.ScanPrefix([]Value{Int(3)}, func(rowid int64, vals []Value) bool {
-		got = append(got, vals[2].F)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, got := drain(t, idx.CursorPrefix([]Value{Int(3)}))
 	if len(got) != 10 {
 		t.Fatalf("prefix scan hit %d rows, want 10", len(got))
 	}
-	for _, f := range got {
-		if int(f)%10 != 3 {
-			t.Fatalf("wrong row: %v", f)
+	for _, vals := range got {
+		if int(vals[2].F)%10 != 3 {
+			t.Fatalf("wrong row: %v", vals)
 		}
 	}
 }
@@ -107,22 +122,18 @@ func TestIndexScanRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tbl.Insert([]Value{Time(int64(i * 10)), Int(1), Float(0), Float(0)})
 	}
-	n := 0
-	idx.ScanRange(Time(200), Time(400), func(rowid int64, vals []Value) bool {
+	_, got := drain(t, idx.Cursor(Time(200), Time(400)))
+	for _, vals := range got {
 		if vals[0].I < 200 || vals[0].I > 400 {
 			t.Fatalf("out of range: %d", vals[0].I)
 		}
-		n++
-		return true
-	})
-	if n != 21 { // BETWEEN is inclusive: 200..400 step 10
-		t.Fatalf("range scan hit %d, want 21", n)
+	}
+	if len(got) != 21 { // BETWEEN is inclusive: 200..400 step 10
+		t.Fatalf("range scan hit %d, want 21", len(got))
 	}
 	// Open bounds.
-	n = 0
-	idx.ScanRange(Null, Time(50), func(int64, []Value) bool { n++; return true })
-	if n != 6 {
-		t.Fatalf("open-low range = %d, want 6", n)
+	if _, got = drain(t, idx.Cursor(Null, Time(50))); len(got) != 6 {
+		t.Fatalf("open-low range = %d, want 6", len(got))
 	}
 	cnt, err := idx.CountRange(Time(200), Time(400))
 	if err != nil || cnt != 21 {
@@ -140,16 +151,11 @@ func TestIndexBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.EntryCount() != 50 {
-		t.Fatalf("backfill indexed %d rows", idx.EntryCount())
+	if n := idx.tree.Count(); n != 50 {
+		t.Fatalf("backfill indexed %d rows", n)
 	}
-	found := false
-	idx.ScanPrefix([]Value{Int(25)}, func(rowid int64, vals []Value) bool {
-		found = true
-		return true
-	})
-	if !found {
-		t.Fatal("backfilled entry not found")
+	if _, got := drain(t, idx.CursorPrefix([]Value{Int(25)})); len(got) != 1 || got[0][1].I != 25 {
+		t.Fatalf("backfilled entry: %v", got)
 	}
 }
 
@@ -160,10 +166,8 @@ func TestDuplicateKeysInIndex(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tbl.Insert([]Value{Time(int64(i)), Int(5), Float(float64(i)), Float(0)})
 	}
-	n := 0
-	idx.ScanPrefix([]Value{Int(5)}, func(int64, []Value) bool { n++; return true })
-	if n != 20 {
-		t.Fatalf("duplicates collapsed: %d entries", n)
+	if _, got := drain(t, idx.CursorPrefix([]Value{Int(5)})); len(got) != 20 {
+		t.Fatalf("duplicates collapsed: %d entries", len(got))
 	}
 }
 
@@ -173,18 +177,14 @@ func TestScanAll(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		tbl.Insert([]Value{Time(int64(i)), Int(int64(i)), Float(0), Float(0)})
 	}
-	prev := int64(-1)
-	n := 0
-	tbl.Scan(func(rowid int64, vals []Value) bool {
-		if rowid <= prev {
+	rowids, _ := drain(t, tbl.Cursor())
+	for i := 1; i < len(rowids); i++ {
+		if rowids[i] <= rowids[i-1] {
 			t.Fatal("scan not in rowid order")
 		}
-		prev = rowid
-		n++
-		return true
-	})
-	if n != 30 {
-		t.Fatalf("scanned %d", n)
+	}
+	if len(rowids) != 30 {
+		t.Fatalf("scanned %d", len(rowids))
 	}
 }
 
@@ -215,8 +215,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if tbl2.RowCount() != 20 {
 		t.Fatalf("rows lost: %d", tbl2.RowCount())
 	}
-	idx, ok := tbl2.Index("by_name")
-	if !ok || idx.EntryCount() != 20 {
+	if idxs := tbl2.Indexes(); len(idxs) != 1 || idxs[0].Name() != "by_name" || idxs[0].tree.Count() != 20 {
 		t.Fatal("index lost")
 	}
 	// New inserts must not collide with old rowids.
@@ -292,16 +291,11 @@ func TestValueCompare(t *testing.T) {
 		{Null, Int(0), -1},
 		{Str("a"), Str("b"), -1},
 		{Int(5), Str("a"), -1}, // numbers rank before strings
+		{Int(3), Float(3), 0},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Fatalf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-	if Equal(Null, Null) {
-		t.Fatal("NULL = NULL must be false")
-	}
-	if !Equal(Int(3), Float(3)) {
-		t.Fatal("3 = 3.0 must hold")
 	}
 }

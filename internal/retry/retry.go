@@ -57,32 +57,3 @@ func (p Policy) Delay(i int, rng *rand.Rand) time.Duration {
 	}
 	return time.Duration(half + j)
 }
-
-// Do runs f up to p.MaxAttempts times, sleeping a jittered backoff
-// between attempts, until f returns nil or a non-retryable error.
-// retryable decides whether an error is worth another attempt (nil means
-// every error is). sleep substitutes for time.Sleep in tests; nil uses
-// the real clock. It returns the number of attempts made and the last
-// error.
-func Do(p Policy, rng *rand.Rand, sleep func(time.Duration), retryable func(error) bool, f func() error) (int, error) {
-	attempts := p.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	var err error
-	for i := 1; ; i++ {
-		err = f()
-		if err == nil || i >= attempts {
-			return i, err
-		}
-		if retryable != nil && !retryable(err) {
-			return i, err
-		}
-		if d := p.Delay(i, rng); d > 0 {
-			sleep(d)
-		}
-	}
-}

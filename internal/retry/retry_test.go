@@ -1,7 +1,6 @@
 package retry
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -39,46 +38,5 @@ func TestDelayJitterVaries(t *testing.T) {
 	}
 	if len(seen) < 10 {
 		t.Fatalf("50 jittered delays collapsed to %d distinct values — not jittered", len(seen))
-	}
-}
-
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	var slept []time.Duration
-	calls := 0
-	attempts, err := Do(p, rand.New(rand.NewSource(1)), func(d time.Duration) { slept = append(slept, d) }, nil, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || attempts != 3 || calls != 3 {
-		t.Fatalf("Do = (%d, %v), calls = %d; want (3, nil, 3)", attempts, err, calls)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2 (between the 3 attempts)", len(slept))
-	}
-}
-
-func TestDoStopsOnNonRetryable(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	fatal := errors.New("fatal")
-	calls := 0
-	attempts, err := Do(p, nil, func(time.Duration) {}, func(e error) bool { return !errors.Is(e, fatal) }, func() error {
-		calls++
-		return fatal
-	})
-	if !errors.Is(err, fatal) || attempts != 1 || calls != 1 {
-		t.Fatalf("Do = (%d, %v), calls = %d; want immediate stop", attempts, err, calls)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	boom := errors.New("still down")
-	attempts, err := Do(p, nil, func(time.Duration) {}, nil, func() error { return boom })
-	if !errors.Is(err, boom) || attempts != 3 {
-		t.Fatalf("Do = (%d, %v), want (3, still down)", attempts, err)
 	}
 }

@@ -538,7 +538,7 @@ func TestBatchIsTheLogRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(h)
+	srv := NewWith(h, Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -144,9 +144,6 @@ type Stats struct {
 	ForcedCloses int64
 }
 
-// New wraps a historian with default options.
-func New(h *odh.Historian) *Server { return NewWith(h, Options{}) }
-
 // NewWith wraps a historian with explicit options.
 func NewWith(h *odh.Historian, opts Options) *Server {
 	if opts.MaxInflightBytes <= 0 {

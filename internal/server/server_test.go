@@ -31,7 +31,7 @@ func startServer(t *testing.T) (addr string) {
 	if _, err := h.RegisterSource(odh.DataSource{ID: 1, SchemaID: schema.ID, Regular: true, IntervalMs: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(h)
+	srv := NewWith(h, Options{})
 	a, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

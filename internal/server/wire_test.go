@@ -71,7 +71,7 @@ func joinedRows(n int) string {
 // row, trailer — the same bytes.
 func TestWireRowsAreTheOldRendering(t *testing.T) {
 	h := wireFixture(t)
-	s := New(h)
+	s := NewWith(h, Options{})
 	for _, sql := range []string{
 		joinedRows(300),
 		`SELECT wind, temperature * 2, id FROM environ_data_v WHERE id = 2 AND temperature < 0`,
@@ -115,7 +115,7 @@ func TestWireRowsAreTheOldRendering(t *testing.T) {
 // allocations beyond draining the same Result do not grow with the rows.
 func TestWireAllocatesPerQueryNotPerRow(t *testing.T) {
 	h := wireFixture(t)
-	s := New(h)
+	s := NewWith(h, Options{})
 	var beyond [2]float64
 	for k, n := range []int{20, 200} {
 		sql := joinedRows(n)

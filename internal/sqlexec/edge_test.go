@@ -315,3 +315,32 @@ func TestOrderByAggregateExpression(t *testing.T) {
 		t.Fatal("not descending by aggregate")
 	}
 }
+
+// TestIndexRangeKeepsHugeDoubles: an index range scan over a DOUBLE column
+// returns the values at and beyond 2^63 that the filter over the whole
+// table returns; they once keyed below every other value.
+func TestIndexRangeKeepsHugeDoubles(t *testing.T) {
+	e := newEngine(t)
+	mustExec(t, e, `CREATE TABLE t (id BIGINT, x DOUBLE)`)
+	mustExec(t, e, `CREATE INDEX t_x ON t (x)`)
+	var vals []string
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d.25)", i, i%5))
+	}
+	mustExec(t, e, `INSERT INTO t VALUES `+strings.Join(vals, ", "))
+	mustExec(t, e, `INSERT INTO t VALUES (2000, 1e300), (2001, 20.5), (2002, 9223372036854775808.0)`)
+	for _, c := range []struct{ indexed, scanned string }{
+		{`x >= 10`, `x + 0 >= 10`},
+		{`x BETWEEN 10 AND 1e301`, `x + 0 BETWEEN 10 AND 1e301`},
+	} {
+		sql := `SELECT id FROM t WHERE ` + c.indexed + ` ORDER BY id`
+		if plan := planFor(t, e, sql); !strings.Contains(plan, "IndexScan(t.t_x") {
+			t.Fatalf("%s does not use the index:\n%s", sql, plan)
+		}
+		got, _ := fetchAll(t, e, sql)
+		want, _ := fetchAll(t, e, `SELECT id FROM t WHERE `+c.scanned+` ORDER BY id`)
+		if len(want) != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: %v, the full scan %v", c.indexed, got, want)
+		}
+	}
+}

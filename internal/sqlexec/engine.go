@@ -65,9 +65,6 @@ func (e *Engine) parallelDegree(c blobCost) int {
 	return min(int(c.decoded/parallelCostUnit), limit)
 }
 
-// TS exposes the batch store.
-func (e *Engine) TS() *tsstore.Store { return e.ts }
-
 // Result is the outcome of one statement.
 type Result struct {
 	// Columns names the output columns of a SELECT (nil for DDL/DML).

@@ -86,11 +86,6 @@ type GatherPlan struct {
 // opposed to concatenating and re-sorting complete rows).
 func (p *GatherPlan) Aggregate() bool { return p.aggregate }
 
-// Sorted reports whether the coordinator applies ORDER BY or LIMIT.
-func (p *GatherPlan) Sorted() bool {
-	return len(p.orderKeys) > 0 || len(p.orderItems) > 0 || p.limit >= 0
-}
-
 // PlanGather decides how sel composes across shards. A nil plan (with
 // nil error) means plain row concatenation is already correct. An error
 // means the shape does not compose and must be rejected — the message

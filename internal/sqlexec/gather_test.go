@@ -37,7 +37,7 @@ func TestPlanGatherShapes(t *testing.T) {
 	}
 
 	plan = mustPlan(t, `SELECT a, b FROM t ORDER BY b DESC LIMIT 3`)
-	if plan.Aggregate() || plan.ShardSQL != "" || !plan.Sorted() {
+	if plan.Aggregate() || plan.ShardSQL != "" || len(plan.orderItems) != 1 || plan.limit != 3 {
 		t.Fatalf("concat-resort plan wrong: %+v", plan)
 	}
 

@@ -125,7 +125,7 @@ func TestLentRowsHashJoinBuildRetains(t *testing.T) {
 			var want []Row
 			for _, l := range left {
 				for _, r := range right {
-					if relational.Equal(l[0], r[0]) {
+					if !l[0].IsNull() && relational.Compare(l[0], r[0]) == 0 { // SQL equality: NULL matches nothing
 						want = append(want, append(slices.Clone(l), r...))
 					}
 				}

@@ -70,7 +70,7 @@ func testIngestAllocsIRTS(t *testing.T) {
 	// Two per frame, the frame's catalog lookup table among them; a
 	// per-point allocation would add 900 at 1,000 points.
 	const maxAllocs = 2
-	l, err := walog.Open(t.TempDir() + "/ingest.wal")
+	l, err := walog.OpenPath(t.TempDir()+"/ingest.wal", walog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func testIngestAllocsMG(t *testing.T) {
 	// 1,350 at 1,500 points.
 	const maxAllocs = 5
 	const members, window = 1501, 60_000
-	l, err := walog.Open(t.TempDir() + "/ingest.wal")
+	l, err := walog.OpenPath(t.TempDir()+"/ingest.wal", walog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,7 +203,7 @@ func TestLegacyLogReplays(t *testing.T) {
 		return model.Point{Source: ds.ID, TS: int64(1000 + i), Values: []float64{float64(i), model.NullValue}}
 	}
 	for i := 0; i < 40; i++ { // what the previous build's ingest did, a record per point
-		if err := l.Append(EncodePointWAL(point(i))); err != nil {
+		if err := l.AppendBatch([][]byte{EncodePointWAL(point(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,25 +53,11 @@ type policy struct {
 
 var noMaintenance = policy{dropBefore: math.MinInt64, reorgBelow: math.MinInt64, coldBefore: math.MinInt64, stubBefore: math.MinInt64}
 
-// CoalesceSource rewrites a source's hot history so runs of undersized
-// batches merge into full ones, restoring the b points per record that the
-// data model's I/O amortization depends on after out-of-order ingest and
-// MG overflow. Only a hot record under BatchSize/2 points triggers it.
-func (s *Store) CoalesceSource(source int64) (res MaintenanceResult, err error) {
-	ds, ok := s.cat.Source(source)
-	if !ok {
-		return res, nil
-	}
-	pol, group := noMaintenance, int64(0)
-	pol.coalesce = true
-	if ds.IngestStructure() == model.MG {
-		group = ds.Group
-	}
-	err = s.maintain(group, []int64{source}, pol, &res)
-	return res, err
-}
-
-// Coalesce runs CoalesceSource over every source of a schema.
+// Coalesce rewrites the hot history of every source of a schema so runs
+// of undersized batches merge into full ones, restoring the b points per
+// record that the data model's I/O amortization depends on after
+// out-of-order ingest and MG overflow. Only a hot record under
+// BatchSize/2 points triggers a source's rewrite.
 func (s *Store) Coalesce(schemaID int64) (MaintenanceResult, error) {
 	pol := noMaintenance
 	pol.coalesce = true
@@ -108,19 +94,12 @@ func (s *Store) DropBefore(schemaID int64, cutoff int64) (MaintenanceResult, err
 	return s.run(pol, schemaID)
 }
 
-// ReorganizeGroup converts the MG records of a group keyed below upTo —
-// also late ones below an earlier call's upTo — into per-source RTS/IRTS
-// batches, in one rewrite under the group's latch, so ingest and queries
-// run throughout; slice queries keep reading the newer stripe from MG.
-func (s *Store) ReorganizeGroup(group int64, upTo int64) (res MaintenanceResult, err error) {
-	pol := noMaintenance
-	pol.reorgBelow = upTo
-	err = s.maintain(group, s.cat.GroupMembers(group), pol, &res)
-	return res, err
-}
-
-// Reorganize runs ReorganizeGroup over every group of a schema, typically
-// with upTo = now minus the window slice queries read.
+// Reorganize converts the MG records of every group of a schema keyed
+// below upTo — also late ones below an earlier call's upTo — into
+// per-source RTS/IRTS batches, typically with upTo = now minus the window
+// slice queries read. Each group is one rewrite under its latch, so ingest
+// and queries run throughout; slice queries keep reading the newer stripe
+// from MG.
 func (s *Store) Reorganize(schemaID int64, upTo int64) (MaintenanceResult, error) {
 	pol := noMaintenance
 	pol.reorgBelow = upTo

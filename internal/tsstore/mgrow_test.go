@@ -222,7 +222,7 @@ func TestReorganizeSortsMemberRows(t *testing.T) {
 	if err := f.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.store.ReorganizeGroup(a.Group, math.MaxInt64)
+	res, err := f.store.Reorganize(s.ID, math.MaxInt64)
 	if err != nil || res.RowsMoved == 0 {
 		t.Fatalf("reorganize: %+v, %v", res, err)
 	}

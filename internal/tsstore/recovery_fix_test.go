@@ -30,7 +30,7 @@ func crashFixture(t *testing.T, file pagestore.File, logPath string) (*fixture, 
 // replay of the log) returned.
 func openCrashed(t *testing.T, file pagestore.File, logPath string) (*fixture, *walog.Log, error) {
 	t.Helper()
-	l, err := walog.Open(logPath)
+	l, err := walog.OpenPath(logPath, walog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRecoveryKeepsRepeatedTimestamps(t *testing.T) {
 
 func testRecoveryKeepsRepeatedTimestamps(t *testing.T, oneCall bool) {
 	logPath := filepath.Join(t.TempDir(), "ingest.wal")
-	l, err := walog.Open(logPath)
+	l, err := walog.OpenPath(logPath, walog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func testRecoveryKeepsRepeatedTimestamps(t *testing.T, oneCall bool) {
 	l.Sync()
 	l.Close() // crash: nothing was flushed
 
-	l2, err := walog.Open(logPath)
+	l2, err := walog.OpenPath(logPath, walog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,11 @@ func TestMGRepeatAfterFullRowKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("replayed and flushed", f2.store)
-	if res, err := f2.store.ReorganizeGroup(a.Group, 10_000_000); err != nil || res.RowsMoved != 2 {
+	if res, err := f2.store.Reorganize(s.ID, 10_000_000); err != nil || res.RowsMoved != 2 {
 		t.Fatalf("reorganize = %+v, %v; want 2 rows moved", res, err)
 	}
 	check("reorganized", f2.store)
-	if again, err := f2.store.ReorganizeGroup(a.Group, 10_000_000); err != nil || again != (MaintenanceResult{}) {
+	if again, err := f2.store.Reorganize(s.ID, 10_000_000); err != nil || again != (MaintenanceResult{}) {
 		t.Fatalf("second reorganize = %+v, %v; want nothing read or written", again, err)
 	}
 	if err := f2.store.Flush(); err != nil {

@@ -232,7 +232,7 @@ func TestCoalesceMergesSmallBatches(t *testing.T) {
 		f.store.Write(model.Point{Source: ds.ID, TS: int64(i * 200), Values: []float64{float64(i) + 0.5}})
 	}
 	f.store.Flush()
-	res, err := f.store.CoalesceSource(ds.ID)
+	res, err := f.store.Coalesce(s.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCoalesceNoOpOnHealthyHistory(t *testing.T) {
 		f.store.Write(model.Point{Source: ds.ID, TS: int64(i * 10), Values: []float64{1}})
 	}
 	f.store.Flush()
-	res, err := f.store.CoalesceSource(ds.ID)
+	res, err := f.store.Coalesce(s.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

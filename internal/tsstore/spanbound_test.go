@@ -356,7 +356,7 @@ func spanBoundsRun(t *testing.T, seed int64) {
 		}},
 		{"reorganize", 8, func() pass {
 			upTo := oldest() - rng.Int63n(20_000)
-			return func() (MaintenanceResult, error) { return f.store.ReorganizeGroup(group, upTo) }
+			return func() (MaintenanceResult, error) { return f.store.Reorganize(s.ID, upTo) }
 		}},
 		{"upgrade", 8, func() pass { return f.store.UpgradeBlobs }},
 	}

@@ -331,9 +331,6 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 // Catalog returns the metadata catalog the store writes through.
 func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 
-// BatchSize returns the configured b.
-func (s *Store) BatchSize() int { return s.cfg.BatchSize }
-
 // Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
 	st := Stats{

@@ -528,19 +528,18 @@ func TestReorganizeConvertsLateRecords(t *testing.T) {
 		}
 	}
 	mgRecords := func() uint64 { _, _, mg := f.store.TreeSizes(); return mg }
-	group := members[0].Group
 	round(1_000_000)
 	round(3_000_000)
 	round(5_000_000)
-	if _, err := f.store.ReorganizeGroup(group, 4_000_000); err != nil || mgRecords() != 1 {
+	if _, err := f.store.Reorganize(s.ID, 4_000_000); err != nil || mgRecords() != 1 {
 		t.Fatalf("first reorganize: %v, %d MG records left, want 1", err, mgRecords())
 	}
 	round(2_000_000) // late, below the first call's upTo
-	res, err := f.store.ReorganizeGroup(group, 10_000_000)
+	res, err := f.store.Reorganize(s.ID, 10_000_000)
 	if err != nil || res.Deleted != 2 || res.RowsMoved != 4 || mgRecords() != 0 {
 		t.Fatalf("second reorganize = %+v, %v, %d MG records left; want the late record and the newest converted", res, err, mgRecords())
 	}
-	if again, err := f.store.ReorganizeGroup(group, 20_000_000); err != nil || again != (MaintenanceResult{}) {
+	if again, err := f.store.Reorganize(s.ID, 20_000_000); err != nil || again != (MaintenanceResult{}) {
 		t.Fatalf("third reorganize = %+v, %v; want nothing read or written", again, err)
 	}
 	it, err := f.store.SliceScanOpts(s.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{})

@@ -22,7 +22,7 @@ func newFaultLog(t *testing.T, opts Options) (*Log, *fault.File) {
 func TestDefaultPolicyNeverSyncsOnAppend(t *testing.T) {
 	l, ff := newFaultLog(t, Options{})
 	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte("p")); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte("p")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func TestDefaultPolicyNeverSyncsOnAppend(t *testing.T) {
 func TestSyncOnAppendPolicy(t *testing.T) {
 	l, ff := newFaultLog(t, Options{SyncOnAppend: true})
 	for i := 0; i < 5; i++ {
-		if err := l.Append([]byte("p")); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte("p")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestSyncOnAppendPolicy(t *testing.T) {
 	}
 	// A failing fsync must surface from Append, not be swallowed.
 	ff.FailSyncsAfter(0)
-	if err := l.Append([]byte("p")); !errors.Is(err, fault.ErrInjected) {
+	if err := l.AppendBatch([][]byte{[]byte("p")}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Append with failing sync = %v, want injected fault", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestSyncEveryPolicy(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		var err error
 		if i%2 == 0 {
-			err = l.Append([]byte("p"))
+			err = l.AppendBatch([][]byte{[]byte("p")})
 		} else {
 			err = l.AppendKind(1, [][]byte{frame})
 		}
@@ -79,7 +79,7 @@ func TestSyncEveryPolicy(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("p")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("p")}); err != nil {
 		t.Fatal(err)
 	}
 	if c := ff.Counters(); c.Syncs != 2+1 {
@@ -97,7 +97,7 @@ func TestSyncEveryPolicy(t *testing.T) {
 func TestTornAppendTruncatedOnReopen(t *testing.T) {
 	l, ff := newFaultLog(t, Options{})
 	for i := 0; i < 3; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte(fmt.Sprintf("record-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestTornAppendTruncatedOnReopen(t *testing.T) {
 	// The fourth append tears partway through its record.
 	ff.FailWritesAfter(0)
 	ff.SetTornWrite(10)
-	if err := l.Append([]byte("record-3-lost")); err == nil {
+	if err := l.AppendBatch([][]byte{[]byte("record-3-lost")}); err == nil {
 		t.Fatal("expected torn append to fail")
 	}
 	// "Crash" and reopen on the raw bytes: the torn tail must be trimmed
@@ -132,7 +132,7 @@ func TestTornAppendTruncatedOnReopen(t *testing.T) {
 		}
 	}
 	// The log must accept fresh appends after recovery.
-	if err := l2.Append([]byte("record-3-retry")); err != nil {
+	if err := l2.AppendBatch([][]byte{[]byte("record-3-retry")}); err != nil {
 		t.Fatal(err)
 	}
 }

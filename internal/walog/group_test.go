@@ -21,7 +21,7 @@ func TestConcurrentAppendsAllReplayed(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := l.Append(fmt.Appendf(nil, "w%02d-%04d", w, i)); err != nil {
+				if err := l.AppendBatch([][]byte{fmt.Appendf(nil, "w%02d-%04d", w, i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -108,7 +108,7 @@ func TestSyncIsShared(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := l.Append(fmt.Appendf(nil, "w%02d-%03d", w, i)); err != nil {
+				if err := l.AppendBatch([][]byte{fmt.Appendf(nil, "w%02d-%03d", w, i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -202,7 +202,7 @@ func TestAppendAfterClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := l.Append([]byte("racing")); err != nil {
+				if err := l.AppendBatch([][]byte{[]byte("racing")}); err != nil {
 					if err != ErrClosed {
 						t.Errorf("append during close: %v", err)
 					}
@@ -215,7 +215,7 @@ func TestAppendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if err := l.Append([]byte("late")); err != ErrClosed {
+	if err := l.AppendBatch([][]byte{[]byte("late")}); err != ErrClosed {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 	if err := l.AppendBatch([][]byte{[]byte("late")}); err != ErrClosed {
@@ -234,7 +234,7 @@ func TestTornGroupCommitRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := l.Append(fmt.Appendf(nil, "pre-%02d", i)); err != nil {
+		if err := l.AppendBatch([][]byte{fmt.Appendf(nil, "pre-%02d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

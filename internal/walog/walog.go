@@ -64,7 +64,7 @@ type File interface {
 // batch-flush boundaries), so a crash loses at most the tail written since
 // the last sync.
 type Options struct {
-	// SyncOnAppend forces every append to stable storage before Append
+	// SyncOnAppend forces every append to stable storage before the append
 	// returns — zero loss. Concurrent appends share fsyncs: one covers
 	// every record written before it began.
 	SyncOnAppend bool
@@ -100,12 +100,6 @@ type Log struct {
 
 	syncMu sync.Mutex // held across an fsync; guards synced
 	synced int64      // every byte before it is on stable storage
-}
-
-// Open opens or creates the log at path with the default (bounded-loss)
-// durability policy.
-func Open(path string) (*Log, error) {
-	return OpenPath(path, Options{})
 }
 
 // OpenPath opens or creates the log at path with the given policy.
@@ -177,11 +171,6 @@ func checksum(kind byte, payload []byte) uint32 {
 	}
 	return crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, payload)
 }
-
-// Append writes one record of kind 0 and applies the configured sync
-// policy. Under the default policy it does not sync; call Sync for
-// durability points.
-func (l *Log) Append(payload []byte) error { return l.AppendKind(0, [][]byte{payload}) }
 
 // AppendBatch is AppendKind for records of kind 0.
 func (l *Log) AppendBatch(payloads [][]byte) error { return l.AppendKind(0, payloads) }

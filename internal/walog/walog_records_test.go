@@ -27,7 +27,7 @@ func TestRecordsOffsets(t *testing.T) {
 	l := newMemLog(t, Options{})
 	payloads := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
 	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
+		if err := l.AppendBatch([][]byte{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,11 +67,11 @@ func TestRecordsOffsets(t *testing.T) {
 // follow one another in one file and survive a reopen.
 func TestRecordKinds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kinds.wal")
-	l, err := Open(path)
+	l, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("plain")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("plain")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendKind(1, [][]byte{[]byte("one"), {}}); err != nil {
@@ -84,7 +84,7 @@ func TestRecordKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	l, err = Open(path)
+	l, err = OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestKindZeroIsTheOldFormat(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte(nil), old...), old...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(path)
+	l, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestKindZeroIsTheOldFormat(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("read %d of 2 old records", n)
 	}
-	if err := l.Append(payload); err != nil {
+	if err := l.AppendBatch([][]byte{payload}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendKind(1, [][]byte{payload}); err != nil {
@@ -150,7 +150,7 @@ func TestKindZeroIsTheOldFormat(t *testing.T) {
 		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(path)
+		l, err := OpenPath(path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

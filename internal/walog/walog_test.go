@@ -11,7 +11,7 @@ import (
 func openLog(t *testing.T) (*Log, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ingest.wal")
-	l, err := Open(path)
+	l, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestAppendReplay(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := []byte(fmt.Sprintf("record-%03d", i))
 		want = append(want, p)
-		if err := l.Append(p); err != nil {
+		if err := l.AppendBatch([][]byte{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,17 +48,17 @@ func TestAppendReplay(t *testing.T) {
 
 func TestReplayAfterReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.wal")
-	l, err := Open(path)
+	l, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		l.Append([]byte{byte(i)})
+		l.AppendBatch([][]byte{[]byte{byte(i)}})
 	}
 	l.Sync()
 	l.Close()
 
-	l2, err := Open(path)
+	l2, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestReplayAfterReopen(t *testing.T) {
 		t.Fatalf("replayed %d, want 10", n)
 	}
 	// New appends land after the old ones.
-	l2.Append([]byte{99})
+	l2.AppendBatch([][]byte{[]byte{99}})
 	n = 0
 	var last byte
 	l2.Replay(func(_ byte, p []byte) error { n++; last = p[0]; return nil })
@@ -80,12 +80,12 @@ func TestReplayAfterReopen(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.wal")
-	l, err := Open(path)
+	l, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("good-1"))
-	l.Append([]byte("good-2"))
+	l.AppendBatch([][]byte{[]byte("good-1")})
+	l.AppendBatch([][]byte{[]byte("good-2")})
 	size := l.Size()
 	l.Close()
 
@@ -97,7 +97,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Write([]byte{0x10, 0x00, 0x00, 0x00, 0xde, 0xad})
 	f.Close()
 
-	l2, err := Open(path)
+	l2, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestCorruptMiddleStopsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corrupt.wal")
-	l, err := Open(path)
+	l, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("aaaa"))
-	l.Append([]byte("bbbb"))
+	l.AppendBatch([][]byte{[]byte("aaaa")})
+	l.AppendBatch([][]byte{[]byte("bbbb")})
 	l.Close()
 
 	// Flip a payload byte of the second record.
@@ -127,7 +127,7 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 	data[len(data)-1] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
 
-	l2, err := Open(path)
+	l2, err := OpenPath(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	l, _ := openLog(t)
-	l.Append([]byte("x"))
+	l.AppendBatch([][]byte{[]byte("x")})
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,15 +157,15 @@ func TestReset(t *testing.T) {
 
 func TestTooLarge(t *testing.T) {
 	l, _ := openLog(t)
-	if err := l.Append(make([]byte, MaxRecord+1)); err != ErrTooLarge {
+	if err := l.AppendBatch([][]byte{make([]byte, MaxRecord+1)}); err != ErrTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestReplayCallbackError(t *testing.T) {
 	l, _ := openLog(t)
-	l.Append([]byte("a"))
-	l.Append([]byte("b"))
+	l.AppendBatch([][]byte{[]byte("a")})
+	l.AppendBatch([][]byte{[]byte("b")})
 	wantErr := fmt.Errorf("stop")
 	err := l.Replay(func(_ byte, p []byte) error { return wantErr })
 	if err != wantErr {
