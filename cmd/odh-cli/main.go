@@ -32,8 +32,7 @@
 //
 // The remote shell maps .stats to the server's STATS command (every
 // counter, named as the local .stats names them), .flush to FLUSH, .ping
-// to PING, and sends the rest as SQL; a statement the server sheds with
-// "ERR busy" is resent up to -retries times with jittered backoff.
+// to PING, and sends the rest as SQL.
 //
 // The cluster shell adds failover-drill commands: .cluster (topology
 // and staleness), .kill/.restart/.stall/.heal for fault injection, and
@@ -47,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 	"strconv"
@@ -57,13 +55,11 @@ import (
 	"odh"
 	"odh/internal/metrics"
 	"odh/internal/relational"
-	"odh/internal/retry"
 )
 
 func main() {
 	dir := flag.String("dir", "", "historian directory (empty = in-memory scratch)")
 	connect := flag.String("connect", "", "odh-server address; when set, the shell runs remotely over the wire protocol")
-	retries := flag.Int("retries", 3, "with -connect: bounded resend attempts when the server sheds load (ERR busy)")
 	clusterNodes := flag.Int("cluster", 0, "run an in-process replicated cluster shell with this many nodes")
 	clusterReplicas := flag.Int("replicas", 2, "with -cluster: copies per shard")
 	clusterQuorum := flag.Int("quorum", 0, "with -cluster: write acks required (0 = majority of replicas)")
@@ -73,7 +69,7 @@ func main() {
 	flag.Parse()
 
 	if *connect != "" {
-		remoteShell(*connect, *retries)
+		remoteShell(*connect)
 		return
 	}
 	if *clusterNodes > 0 {
@@ -302,20 +298,14 @@ func (p *rowPrinter) print(row []odh.Value) {
 	os.Stdout.Write(p.line)
 }
 
-// remoteShell speaks the wire protocol to a running odh-server. When
-// the server sheds load ("ERR busy"), SQL statements are resent up to
-// maxRetries times with jittered exponential backoff instead of being
-// dumped on the operator; the retry count shows up in .stats.
-func remoteShell(addr string, maxRetries int) {
+// remoteShell speaks the wire protocol to a running odh-server.
+func remoteShell(addr string) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	policy := retry.Policy{MaxAttempts: maxRetries + 1, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	var clientRetries int64
 	reply := func() (string, bool) {
 		line, err := r.ReadString('\n')
 		if err != nil {
@@ -360,7 +350,6 @@ func remoteShell(addr string, maxRetries int) {
 				}
 				fmt.Println(l)
 			}
-			fmt.Printf("client_busy_retries %d\n", clientRetries)
 		case line == ".flush":
 			fmt.Fprintln(conn, "FLUSH")
 			if l, ok := reply(); ok {
@@ -379,44 +368,21 @@ func remoteShell(addr string, maxRetries int) {
 			fmt.Println("unknown command; try .help")
 		default:
 			start := time.Now()
-			for attempt := 0; ; attempt++ {
-				fmt.Fprintln(conn, "SQL "+line)
+			fmt.Fprintln(conn, "SQL "+line)
+			for {
 				l, ok := reply()
 				if !ok {
 					return
 				}
-				// Admission-control shedding is transient by definition:
-				// back off (jittered, bounded) and resend rather than
-				// surfacing it, up to the -retries budget.
-				if strings.HasPrefix(l, "ERR busy") && attempt < maxRetries {
-					clientRetries++
-					time.Sleep(policy.Delay(attempt, rng))
-					continue
-				}
-				done := false
-				for {
-					if strings.HasPrefix(l, "ERR") {
-						if attempt > 0 && strings.HasPrefix(l, "ERR busy") {
-							fmt.Printf("%s (after %d retries)\n", l, attempt)
-						} else {
-							fmt.Println(l)
-						}
-						done = true
-						break
-					}
-					if strings.HasPrefix(l, "OK") {
-						fmt.Printf("(%s rows, %v)\n", strings.TrimPrefix(l, "OK "), time.Since(start).Round(time.Microsecond))
-						done = true
-						break
-					}
+				if strings.HasPrefix(l, "ERR") {
 					fmt.Println(l)
-					if l, ok = reply(); !ok {
-						return
-					}
-				}
-				if done {
 					break
 				}
+				if strings.HasPrefix(l, "OK") {
+					fmt.Printf("(%s rows, %v)\n", strings.TrimPrefix(l, "OK "), time.Since(start).Round(time.Microsecond))
+					break
+				}
+				fmt.Println(l)
 			}
 		}
 	}

@@ -232,6 +232,20 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 		pendingRef = pendingRef[:0]
 	}
 
+	// ghost is an id no source has; ghostSel selects it the three ways the
+	// planner absorbs an id conjunct: alone, as a one-id IN list, and
+	// beside a registered id.
+	ghost := sources[len(sources)-1].id + 1000
+	ghostSel := func() string {
+		switch rng.Intn(3) {
+		case 0:
+			return fmt.Sprintf("id = %d", ghost)
+		case 1:
+			return fmt.Sprintf("id IN (%d)", ghost)
+		}
+		return fmt.Sprintf("id IN (%d, %d)", ghost, sources[rng.Intn(len(sources))].id)
+	}
+
 	templates := []func() string{
 		func() string { // point/range by id
 			src := sources[rng.Intn(len(sources))]
@@ -301,6 +315,13 @@ func TestDifferentialODHvsRelational(t *testing.T) {
 			src := sources[rng.Intn(len(sources))]
 			w := []int64{100, 1000, 20_000}[rng.Intn(3)]
 			return fmt.Sprintf(`SELECT TIME_BUCKET(%d, ts), COUNT(*), MIN(a) FROM %%s WHERE id = %d GROUP BY TIME_BUCKET(%d, ts)`, w, src.id, w)
+		},
+		func() string { // an unregistered id reads nothing
+			return fmt.Sprintf(`SELECT id, ts, a, b FROM %%s WHERE %s`, ghostSel())
+		},
+		func() string { // aggregates over an unregistered id: COUNT 0 and
+			// NULLs, or the registered id's alone
+			return fmt.Sprintf(`SELECT COUNT(*), SUM(a), MAX(b) FROM %%s WHERE %s`, ghostSel())
 		},
 		func() string { // unaligned-window TIME_BUCKET at sub-bucket base
 			// multiples: straddling blobs fold from sub-summaries on the

@@ -1,6 +1,5 @@
 // Package retry implements bounded, jittered exponential backoff — the
-// retry discipline shared by the cluster's shard failover and the CLI's
-// handling of the server's strictly-transient "ERR busy" shed. Jitter is
+// retry discipline of the cluster's shard failover (queryShard). Jitter is
 // the "full jitter over the top half" variant: the delay before retry i
 // is uniform in [d/2, d] where d = min(Base·2^(i-1), Max), which keeps a
 // floor under the backoff (retries never stampede immediately) while

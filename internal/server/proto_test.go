@@ -474,7 +474,8 @@ func wideNullFrame(t *testing.T, h *odh.Historian, n int) []odh.Point {
 
 // TestAdmissionChargesDecodedSize: a frame is admitted at the larger of
 // its payload and its decoded size. An all-NULL frame of ≈ 130 KB decodes
-// to ≈ 8 MiB: under a 4 MiB per-connection budget it can never fit and
+// to ≈ 8 MiB: under a 4 MiB budget — a connection's too, a quarter of it
+// being less than one maximum-size frame — it can never fit and
 // gets the deterministic too-large ERR, the stream in sync and nothing
 // held; under the default budget (16 MiB a connection) it is admitted,
 // applied, and its whole reservation released.
@@ -484,7 +485,7 @@ func TestAdmissionChargesDecodedSize(t *testing.T) {
 		opts  Options
 		reply func(n int) string
 	}{
-		{"4 MiB a connection", Options{ConnInflightBytes: 4 << 20}, func(int) string { return "ERR frame costing" }},
+		{"4 MiB a connection", Options{MaxInflightBytes: 4 << 20}, func(int) string { return "ERR frame costing" }},
 		{"default budget", Options{}, func(n int) string { return fmt.Sprintf("OK %d", n) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

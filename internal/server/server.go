@@ -80,12 +80,10 @@ type Options struct {
 	// charged the larger of its payload and its decoded size. A frame that
 	// would exceed it is discarded and answered "ERR busy"; one larger
 	// than the budget itself, which no retry could get admitted, gets a
-	// deterministic too-large ERR instead.
+	// deterministic too-large ERR instead. One connection may hold a
+	// quarter of it, or all of it when a quarter is less than one
+	// maximum-size frame, enforced the same way.
 	MaxInflightBytes int64
-	// ConnInflightBytes is the per-connection share of the admission
-	// budget (default MaxInflightBytes/4, floored at one max-size frame),
-	// enforced the same way.
-	ConnInflightBytes int64
 	// OnError, when non-nil, is invoked with every connection-level
 	// failure the protocol loop hits: read failures (oversized lines,
 	// torn connections), idle-timeout disconnects, and drain cutoffs.
@@ -149,11 +147,9 @@ func NewWith(h *odh.Historian, opts Options) *Server {
 	if opts.MaxInflightBytes <= 0 {
 		opts.MaxInflightBytes = DefaultMaxInflightBytes
 	}
-	if opts.ConnInflightBytes <= 0 {
-		opts.ConnInflightBytes = opts.MaxInflightBytes / 4
-		if opts.ConnInflightBytes < MaxBatchFrameBytes {
-			opts.ConnInflightBytes = opts.MaxInflightBytes
-		}
+	connBudget := opts.MaxInflightBytes / 4
+	if connBudget < MaxBatchFrameBytes {
+		connBudget = opts.MaxInflightBytes
 	}
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = DefaultDrainTimeout
@@ -162,7 +158,7 @@ func NewWith(h *odh.Historian, opts Options) *Server {
 		h:            h,
 		opts:         opts,
 		globalBudget: opts.MaxInflightBytes,
-		connBudget:   opts.ConnInflightBytes,
+		connBudget:   connBudget,
 		conns:        make(map[*serverConn]struct{}),
 		drainCh:      make(chan struct{}),
 	}

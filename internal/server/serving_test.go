@@ -209,7 +209,7 @@ func TestTornReadReportedAsERR(t *testing.T) {
 // "ERR busy" and is counted as shed; in both cases the bytes are never
 // held and the connection keeps working.
 func TestAdmissionShedsAndRecovers(t *testing.T) {
-	addr, srv, _ := startServerWith(t, 1, Options{MaxInflightBytes: 64, ConnInflightBytes: 64})
+	addr, srv, _ := startServerWith(t, 1, Options{MaxInflightBytes: 64})
 	c := dial(t, addr)
 	c.send(t, "HELLO 3")
 	if got := c.read(t); got != "HELLO 3" {

@@ -279,7 +279,7 @@ func TestResultDrainAllocatesPerQueryNotPerRow(t *testing.T) {
 				}
 			}
 			scan := func() {
-				it, err := e.ts.HistoricalScanOpts(1, base, t2+1, shape.wantTags, tsstore.ScanOptions{})
+				it, err := e.ts.MultiHistoricalScanOpts([]int64{1}, base, t2+1, shape.wantTags, tsstore.ScanOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -116,19 +116,18 @@ func (s *relIndexScan) Describe(indent string) string {
 
 // sourceSel names the sources one virtual-table access reads. It owns
 // every decision that hangs on that choice: the router lookup, which
-// store call serves a scan or an aggregate, and how EXPLAIN names it.
+// store call serves a scan or an aggregate, and how EXPLAIN names it. An
+// id the catalog does not know reads nothing, however it is selected.
 type sourceSel struct {
 	schema *model.SchemaType
 	ids    []int64 // nil = every source of the schema
-	// one: ids is the single source of an `id = n` conjunct — the
-	// historical path, which (unlike an IN list) rejects an unknown id.
-	one bool
 }
 
-// mode names the access path: Historical, Multi or Slice.
+// mode names the access path by the selection's length: Slice for the
+// whole schema, Historical for one id, Multi for more.
 func (s sourceSel) mode() string {
 	switch {
-	case s.one:
+	case len(s.ids) == 1:
 		return "Historical"
 	case s.ids != nil:
 		return "Multi"
@@ -139,7 +138,7 @@ func (s sourceSel) mode() string {
 // String names the target for EXPLAIN.
 func (s sourceSel) String() string {
 	switch {
-	case s.one:
+	case len(s.ids) == 1:
 		return fmt.Sprintf("%s, id=%d", s.schema.Name, s.ids[0])
 	case s.ids != nil:
 		return fmt.Sprintf("%s, %d ids", s.schema.Name, len(s.ids))
@@ -158,24 +157,18 @@ func (s sourceSel) lookup(store *tsstore.Store) {
 	store.Catalog().RouterLookup(ids)
 }
 
-func (s sourceSel) scan(store *tsstore.Store, t1, t2 int64, wantTags []int, opts tsstore.ScanOptions, zones []tsstore.TagRange) (tsstore.Iterator, error) {
-	switch {
-	case s.one:
-		return store.HistoricalScanOpts(s.ids[0], t1, t2, wantTags, opts, zones...)
-	case s.ids != nil:
-		return store.MultiHistoricalScanOpts(s.ids, t1, t2, wantTags, opts, zones...)
+func (s sourceSel) scan(store *tsstore.Store, t1, t2 int64, wantTags []int, opts tsstore.ScanOptions, preds []tsstore.TagPred) (tsstore.Iterator, error) {
+	if s.ids == nil {
+		return store.SliceScanOpts(s.schema.ID, t1, t2, wantTags, opts, preds...)
 	}
-	return store.SliceScanOpts(s.schema.ID, t1, t2, wantTags, opts, zones...)
+	return store.MultiHistoricalScanOpts(s.ids, t1, t2, wantTags, opts, preds...)
 }
 
 func (s sourceSel) aggregate(store *tsstore.Store, spec tsstore.AggSpec) (*tsstore.AggResult, error) {
-	switch {
-	case s.one:
-		return store.AggregateHistorical(s.ids[0], spec)
-	case s.ids != nil:
-		return store.AggregateMulti(s.ids, spec)
+	if s.ids == nil {
+		return store.AggregateSlice(s.schema.ID, spec)
 	}
-	return store.AggregateSlice(s.schema.ID, spec)
+	return store.AggregateMulti(s.ids, spec)
 }
 
 // virtualColumns lays a virtual table out as (id, timestamp, tags...).
@@ -199,8 +192,8 @@ type virtualScan struct {
 	cols     []ColMeta
 	wantTags []int // tag ordinals to decode; nil = all
 	t1, t2   int64
-	zones    []tsstore.TagRange
-	ctx      context.Context // cancels the scan (threaded into ScanOptions.Ctx)
+	preds    []tsstore.TagPred // zone-map skipping only; the filter checks rows
+	ctx      context.Context   // cancels the scan (threaded into ScanOptions.Ctx)
 	iter     tsstore.Iterator
 	row      Row // the lent row: a join's outer row (outer cells), then the point
 	outer    int
@@ -214,7 +207,7 @@ func (pc *planContext) newVirtualScan(acc *tableAccess) *virtualScan {
 		wantTags: pc.wantTags[acc.src.binding()],
 		t1:       acc.virt.t1,
 		t2:       acc.virt.t2,
-		zones:    acc.virt.zones(),
+		preds:    acc.virt.preds,
 		ctx:      pc.ctx,
 	}
 }
@@ -231,7 +224,7 @@ func (s *virtualScan) BlobBytes() int64 {
 // open runs the router lookup, then builds the underlying iterator.
 func (s *virtualScan) open() error {
 	s.sel.lookup(s.store)
-	iter, err := s.sel.scan(s.store, s.t1, s.t2, s.wantTags, tsstore.ScanOptions{Ctx: s.ctx}, s.zones)
+	iter, err := s.sel.scan(s.store, s.t1, s.t2, s.wantTags, tsstore.ScanOptions{Ctx: s.ctx}, s.preds)
 	if err == nil {
 		s.iter = iter
 	}
@@ -486,7 +479,6 @@ type nlVirtualJoin struct {
 }
 
 func newNLVirtualJoin(outer Operator, inner *virtualScan, outerKey int) *nlVirtualJoin {
-	inner.sel.one = true
 	return &nlVirtualJoin{
 		outer: outer, inner: inner, outerKey: outerKey,
 		cols: append(append([]ColMeta{}, outer.Columns()...), inner.cols...),
@@ -514,11 +506,11 @@ func (j *nlVirtualJoin) Next() (Row, bool, error) {
 		if key.IsNull() {
 			continue
 		}
+		// A sensor the relational table has but the catalog does not reads
+		// nothing, so it contributes no rows (inner join semantics).
 		j.inner.sel.ids = []int64{key.AsInt()}
-		if j.inner.open() != nil {
-			// Sensors present in the relational table but never registered
-			// as data sources contribute no rows (inner join semantics).
-			continue
+		if err := j.inner.open(); err != nil {
+			return nil, false, err
 		}
 		j.inner.row, j.inner.outer = append(j.inner.row[:0], row...), len(row)
 	}

@@ -410,7 +410,7 @@ type absorbed uint8
 
 const (
 	inexact   absorbed = iota // none: the conjunct only loosened them, or was not absorbed
-	exactTag                  // preds; a row scan applies only its zone hull
+	exactTag                  // preds; a row scan skips blobs by it, its filter checks rows
 	exactTime                 // the window [t1, t2)
 	exactSel                  // the source selection
 )
@@ -473,7 +473,7 @@ func (va *virtualAccess) absorb(p colPred) absorbed {
 				ids = append(ids, id)
 			}
 		}
-		va.sel.ids, va.sel.one, how = ids, p.in == nil, exactSel
+		va.sel.ids, how = ids, exactSel
 	default:
 		tag := schema.TagIndex(matchTagName(schema, p.col))
 		if tag < 0 || p.in != nil {
@@ -521,17 +521,6 @@ func (acc *tableAccess) rowFilter(reaimed bool) (keep []sqlparse.Expr) {
 		}
 	}
 	return keep
-}
-
-// zones derives the zone-map hulls of the tag predicates: a blob whose
-// per-tag min/max range misses one is skipped without decoding. Strict
-// bounds loosen to inclusive, which is safe for skipping.
-func (va *virtualAccess) zones() []tsstore.TagRange {
-	var out []tsstore.TagRange
-	for _, p := range va.preds {
-		out = append(out, tsstore.TagRange{Tag: p.Tag, Lo: p.Lo, Hi: p.Hi})
-	}
-	return out
 }
 
 // blobCost is the planner's one currency (paper §3): "the expected size,

@@ -114,3 +114,101 @@ func TestFusedBlobBytesCountsTheOpenScan(t *testing.T) {
 		t.Fatalf("LIMIT 1: %d rows, %d blob bytes; want 1 row and 1..%d", len(rows), one.BlobBytes(), all.BlobBytes())
 	}
 }
+
+// TestUnregisteredIDReadsNothing holds every form of a source selection
+// that names an id the catalog does not know to the same query spelled
+// `id + 0`, which nothing absorbs: the id reads nothing, whether it is the
+// one id of `=`, the one id of an IN list or beside a registered id, for
+// rows, COUNT(*), SUM and a TIME_BUCKET group-by, with the aggregate
+// pushdown on and off.
+func TestUnregisteredIDReadsNothing(t *testing.T) {
+	e := newEngine(t)
+	tdFixture(t, e) // registers accounts 1..10; 999 is no source
+	for _, sel := range []struct{ where, ref, scan string }{
+		{"T_CA_ID = 999", "T_CA_ID + 0 = 999", "VirtualHistoricalScan(trade, id=999"},
+		{"T_CA_ID IN (999)", "T_CA_ID + 0 IN (999)", "VirtualHistoricalScan(trade, id=999"},
+		{"T_CA_ID IN (999, 3)", "T_CA_ID + 0 IN (999, 3)", "VirtualMultiScan(trade, 2 ids"},
+	} {
+		plan, err := e.Plan(`SELECT * FROM TRADE WHERE ` + sel.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, sel.scan) {
+			t.Fatalf("%s: plan lacks %q:\n%s", sel.where, sel.scan, plan)
+		}
+		for _, shape := range []string{
+			`SELECT * FROM TRADE WHERE %s`,
+			`SELECT COUNT(*) FROM TRADE WHERE %s`,
+			`SELECT SUM(T_CHRG) FROM TRADE WHERE %s`,
+			`SELECT TIME_BUCKET(700, T_DTS), COUNT(*), SUM(T_CHRG) FROM TRADE WHERE %s GROUP BY TIME_BUCKET(700, T_DTS)`,
+		} {
+			for _, pushdown := range []bool{true, false} {
+				e.SetAggPushdown(pushdown)
+				sql, ref := fmt.Sprintf(shape, sel.where), fmt.Sprintf(shape, sel.ref)
+				res, err := e.Query(sql)
+				if err != nil {
+					t.Fatalf("pushdown %v: %s: %v", pushdown, sql, err)
+				}
+				got, err := res.FetchAll()
+				if err != nil {
+					t.Fatalf("pushdown %v: %s: %v", pushdown, sql, err)
+				}
+				want, _ := fetchAll(t, e, ref)
+				gk, wk := sortedKeys(got), sortedKeys(want)
+				if strings.Join(gk, "\n") != strings.Join(wk, "\n") {
+					t.Fatalf("pushdown %v: %s returned %v, the reference %v", pushdown, sql, gk, wk)
+				}
+			}
+		}
+	}
+	e.SetAggPushdown(true)
+	// The references answer what the rule says: nothing of 999.
+	if rows, _ := fetchAll(t, e, `SELECT COUNT(*), SUM(T_CHRG) FROM TRADE WHERE T_CA_ID + 0 = 999`); len(rows) != 1 || rows[0][0].AsInt() != 0 || !rows[0][1].IsNull() {
+		t.Fatalf("COUNT(*), SUM of an unregistered id = %v, want one row of 0 and NULL", rows)
+	}
+	if rows, _ := fetchAll(t, e, `SELECT * FROM TRADE WHERE T_CA_ID + 0 IN (999, 3)`); len(rows) != 50 {
+		t.Fatalf("IN (999, 3) read %d rows, want account 3's 50", len(rows))
+	}
+}
+
+// TestFusedJoinsSkipUnregisteredIDs holds both fused-join plan families to
+// inner-join semantics when the dimension table has ids no source has:
+// the relational-first join re-aims its inner scan at them and reads
+// nothing, the operational-first hash join finds no trade to match them.
+func TestFusedJoinsSkipUnregisteredIDs(t *testing.T) {
+	e := newEngine(t)
+	tdFixture(t, e)
+	mustExec(t, e, `INSERT INTO ACCOUNT VALUES (999, 1, 'acct_3', 0), (1000, 1, 'ghost', 0)`)
+	for _, tc := range []struct{ name, sql, ref, plan string }{
+		{
+			name: "relational-first",
+			sql:  `SELECT T_CA_ID, T_DTS, T_CHRG FROM TRADE t, ACCOUNT a WHERE a.CA_ID = t.T_CA_ID AND a.CA_NAME = 'acct_3'`,
+			ref:  `SELECT T_CA_ID, T_DTS, T_CHRG FROM TRADE WHERE T_CA_ID + 0 = 3`,
+			plan: "NLJoin->VirtualHistorical",
+		},
+		{
+			name: "operational-first",
+			sql:  `SELECT T_CA_ID, T_DTS, T_CHRG FROM TRADE t, ACCOUNT a WHERE a.CA_ID = t.T_CA_ID AND T_DTS BETWEEN 1000500 AND 1001500`,
+			ref:  `SELECT T_CA_ID, T_DTS, T_CHRG FROM TRADE WHERE T_DTS + 0 BETWEEN 1000500 AND 1001500`,
+			plan: "HashJoin",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := e.Plan(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(plan, tc.plan) {
+				t.Fatalf("plan lacks %q:\n%s", tc.plan, plan)
+			}
+			got, _ := fetchAll(t, e, tc.sql)
+			want, _ := fetchAll(t, e, tc.ref)
+			if len(want) == 0 {
+				t.Fatal("the reference is empty; the fixture does not exercise it")
+			}
+			if gk, wk := sortedKeys(got), sortedKeys(want); strings.Join(gk, "\n") != strings.Join(wk, "\n") {
+				t.Fatalf("%d rows, reference %d\nplan:\n%s", len(gk), len(wk), plan)
+			}
+		})
+	}
+}

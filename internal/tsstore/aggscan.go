@@ -2,7 +2,6 @@ package tsstore
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -35,15 +34,6 @@ import (
 // A blob written before its header carried a summary (or a sub-bucket
 // block) takes the boundary path every time; UpgradeBlobs rewrites such
 // records at the current format.
-
-// TagPred is one pushed-down predicate bound on a tag, kept exact
-// (strictness preserved) so full coverage can be proven from a summary.
-// Rows where the tag is NULL never match. Use ±Inf for open sides.
-type TagPred struct {
-	Tag                int
-	Lo, Hi             float64
-	LoStrict, HiStrict bool // true = exclusive bound
-}
 
 // AggSpec describes one aggregate scan.
 type AggSpec struct {
@@ -136,7 +126,6 @@ type aggSpecEx struct {
 	// walkTags are the tags a boundary record decodes: the folded tags and
 	// the tags Preds name (nil = all).
 	walkTags []int
-	zones    []TagRange // inclusive hull of Preds for zone-map skipping
 	ntags    int
 	ctx      context.Context // from Opts.Ctx; observed between records
 }
@@ -158,9 +147,6 @@ func prepAggSpec(spec *AggSpec) *aggSpecEx {
 		sp.walkTags = append([]int{}, sp.tags...)
 	}
 	for _, p := range spec.Preds {
-		// Exclusive bounds loosen to inclusive: safe for skipping, never
-		// used to prove coverage (classifySummary keeps the strictness).
-		sp.zones = append(sp.zones, TagRange{Tag: p.Tag, Lo: p.Lo, Hi: p.Hi})
 		if sp.walkTags != nil && p.Tag >= 0 && p.Tag < spec.NTags && !slices.Contains(sp.walkTags, p.Tag) {
 			sp.walkTags = append(sp.walkTags, p.Tag)
 		}
@@ -435,7 +421,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		}
 		return nil
 	}
-	if !rec.hdr.overlaps(sp.zones) {
+	if !rec.hdr.overlaps(sp.spec.Preds) {
 		s.zoneSkips.Add(1)
 		return nil
 	}
@@ -577,29 +563,20 @@ func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResul
 }
 
 // AggregateHistorical computes the aggregates of one source over
-// [spec.T1, spec.T2), the pushdown twin of HistoricalScanOpts: one walk,
-// on the calling goroutine.
+// [spec.T1, spec.T2): one walk, on the calling goroutine. It stays because
+// the benchmark harness calls it by this name — it is AggregateMulti of
+// one id, not a second aggregate path.
 func (s *Store) AggregateHistorical(source int64, spec AggSpec) (*AggResult, error) {
-	ds, ok := s.cat.Source(source)
-	if !ok {
-		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
-	}
-	sp := prepAggSpec(&spec)
-	return s.runAggParts([]*walker{s.sourceWalker(ds, spec.T1, spec.T2, sp.walkTags, spec.Opts)}, sp, 1)
+	return s.AggregateMulti([]int64{source}, spec)
 }
 
-// AggregateMulti aggregates an explicit source list (the id IN (...)
-// pushdown), one walk per source, fanned out across sources. Unknown ids
-// contribute nothing.
+// AggregateMulti aggregates an explicit source list (`id = n` and the
+// id IN (...) pushdown), the pushdown twin of MultiHistoricalScanOpts: one
+// walk per source, fanned out across sources. An id the catalog does not
+// know contributes nothing.
 func (s *Store) AggregateMulti(sources []int64, spec AggSpec) (*AggResult, error) {
 	sp := prepAggSpec(&spec)
-	var ws []*walker
-	for _, src := range sources {
-		if ds, ok := s.cat.Source(src); ok {
-			ws = append(ws, s.sourceWalker(ds, spec.T1, spec.T2, sp.walkTags, spec.Opts))
-		}
-	}
-	return s.runAggParts(ws, sp, clampWorkers(spec.Opts.Workers))
+	return s.runAggParts(s.sourceWalkers(sources, spec.T1, spec.T2, sp.walkTags, spec.Opts), sp, clampWorkers(spec.Opts.Workers))
 }
 
 // AggregateSlice aggregates every source of a schema over the window, the

@@ -915,3 +915,52 @@ func TestAggWalkTags(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateMeetsBufferedRowsInTimeOrder: an MG row a member has not
+// completed stays buffered while the later, complete rows are stored, so
+// the group's buffer holds rows on both sides of its stored records. An
+// aggregate meets its groups in the order a scan hands their rows out —
+// time order — so where a walk cuts its steps, which moves with the stored
+// records' sizes, cannot reorder them. The buffered rows used to fold as
+// one record at the first of them: the last bucket came second.
+func TestAggregateMeetsBufferedRowsInTimeOrder(t *testing.T) {
+	const step = 10_000 // a low rate: the sources ingest through MG
+	f := newFixture(t, Config{BatchSize: 8}, 2)
+	s := f.schema(t, "lag", 1)
+	a, b := f.source(t, s.ID, true, step), f.source(t, s.ID, true, step)
+	if a.Group == 0 || a.Group != b.Group {
+		t.Fatalf("sources %+v and %+v share no MG group", a, b)
+	}
+	write := func(ds *model.DataSource, ts int64) {
+		t.Helper()
+		if err := f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: []float64{float64(ts)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []int64
+	for ts := int64(step); ts <= 11*step; ts += step {
+		want = append(want, ts)
+		write(a, ts)
+		if ts > step && ts < 11*step {
+			write(b, ts) // complete: stored at once
+		}
+	}
+	for _, buffered := range []bool{true, false} {
+		if !buffered {
+			if err := f.store.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := f.store.AggregateSlice(s.ID, AggSpec{T1: 0, T2: 100 * step, NTags: 1, BucketMs: step})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		for _, g := range res.Groups {
+			got = append(got, g.Bucket)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("buffered %v: groups in order %v, want %v", buffered, got, want)
+		}
+	}
+}

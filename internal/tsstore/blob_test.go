@@ -144,9 +144,9 @@ func TestBlobRoundtripQuick(t *testing.T) {
 
 // blobOverlaps is the zone-map skip decision for raw bytes: peek at the
 // header only, no column decode.
-func blobOverlaps(b []byte, ranges []TagRange) bool {
+func blobOverlaps(b []byte, preds []TagPred) bool {
 	h, _ := parseBlobHeader(b)
-	return h.overlaps(ranges)
+	return h.overlaps(preds)
 }
 
 func TestBlobOverlapsZoneMaps(t *testing.T) {
@@ -155,29 +155,30 @@ func TestBlobOverlapsZoneMaps(t *testing.T) {
 	blob := EncodeRTS(mkPoints(1, 0, 10, vals), 2, 10, encodeOpts{})
 
 	cases := []struct {
-		ranges []TagRange
-		want   bool
+		preds []TagPred
+		want  bool
 	}{
 		{nil, true},
-		{[]TagRange{{Tag: 0, Lo: 2, Hi: 3}}, true},    // inside
-		{[]TagRange{{Tag: 0, Lo: 5, Hi: 9}}, false},   // above max
-		{[]TagRange{{Tag: 0, Lo: -9, Hi: 0}}, false},  // below min
-		{[]TagRange{{Tag: 0, Lo: 4, Hi: 99}}, true},   // touches max
-		{[]TagRange{{Tag: 1, Lo: 0, Hi: 100}}, false}, // all-NULL column never matches
-		{[]TagRange{{Tag: 9, Lo: 0, Hi: 1}}, true},    // out-of-range tag: no skip
+		{[]TagPred{{Tag: 0, Lo: 2, Hi: 3}}, true},                  // inside
+		{[]TagPred{{Tag: 0, Lo: 5, Hi: 9}}, false},                 // above max
+		{[]TagPred{{Tag: 0, Lo: -9, Hi: 0}}, false},                // below min
+		{[]TagPred{{Tag: 0, Lo: 4, Hi: 99}}, true},                 // touches max
+		{[]TagPred{{Tag: 0, Lo: 4, Hi: 99, LoStrict: true}}, true}, // bounds read inclusively
+		{[]TagPred{{Tag: 1, Lo: 0, Hi: 100}}, false},               // all-NULL column never matches
+		{[]TagPred{{Tag: 9, Lo: 0, Hi: 1}}, true},                  // out-of-range tag: no skip
 	}
 	for i, c := range cases {
-		if got := blobOverlaps(blob, c.ranges); got != c.want {
+		if got := blobOverlaps(blob, c.preds); got != c.want {
 			t.Fatalf("case %d: overlaps = %v, want %v", i, got, c.want)
 		}
 	}
 	// IRTS and MG headers must be peekable too.
 	irts := EncodeIRTS(mkPoints(1, 0, 10, vals), 2, encodeOpts{})
-	if blobOverlaps(irts, []TagRange{{Tag: 0, Lo: 50, Hi: 60}}) {
+	if blobOverlaps(irts, []TagPred{{Tag: 0, Lo: 50, Hi: 60}}) {
 		t.Fatal("IRTS zone map not consulted")
 	}
 	mg := EncodeMG([]bool{true, true}, vals, []int64{0, 5}, 2, encodeOpts{})
-	if blobOverlaps(mg, []TagRange{{Tag: 0, Lo: 50, Hi: 60}}) {
+	if blobOverlaps(mg, []TagPred{{Tag: 0, Lo: 50, Hi: 60}}) {
 		t.Fatal("MG zone map not consulted")
 	}
 }
@@ -193,7 +194,7 @@ func TestZoneMapSkipInScan(t *testing.T) {
 	f.store.Flush()
 	// A range matching only batch 7's values must skip the other 9 blobs.
 	before := f.store.Stats().ZoneSkips
-	it, err := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil, TagRange{Tag: 0, Lo: 700, Hi: 709})
+	it, err := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil, TagPred{Tag: 0, Lo: 700, Hi: 709})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestZoneMapLossyBoundsStillSafe(t *testing.T) {
 		page.store.Write(model.Point{Source: ds.ID, TS: int64(i * 10), Values: []float64{float64(i)}})
 	}
 	page.store.Flush()
-	it, err := page.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil, TagRange{Tag: 0, Lo: 10, Hi: 20})
+	it, err := page.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil, TagPred{Tag: 0, Lo: 10, Hi: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

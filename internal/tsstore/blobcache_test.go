@@ -26,9 +26,9 @@ func fillSource(t *testing.T, f *fixture, ds *model.DataSource, n int) []model.P
 	return truth
 }
 
-func scanAll(t *testing.T, s *Store, source int64, opts ScanOptions, ranges ...TagRange) []model.Point {
+func scanAll(t *testing.T, s *Store, source int64, opts ScanOptions, preds ...TagPred) []model.Point {
 	t.Helper()
-	it, err := s.HistoricalScanOpts(source, math.MinInt64, math.MaxInt64, nil, opts, ranges...)
+	it, err := s.MultiHistoricalScanOpts([]int64{source}, math.MinInt64, math.MaxInt64, nil, opts, preds...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
 
 	// The reader's first step copies every record (and reads their cache
 	// versions) now — before the overwrite below; records decode lazily.
-	stale := &scanIter{w: f.store.groupWalker(group, 0, math.MinInt64, math.MaxInt64, nil, ScanOptions{})}
+	stale := &scanIter{ws: []*walker{f.store.groupWalker(group, 0, math.MinInt64, math.MaxInt64, nil, ScanOptions{})}}
 	if _, ok := stale.Next(); !ok {
 		t.Fatal(stale.Err())
 	}
@@ -270,7 +270,7 @@ func TestBlobCacheBytesSavedExcludesZoneSkips(t *testing.T) {
 	base := f.store.Stats()
 
 	// Every hit is excluded by the pushed tag range, so nothing is saved.
-	out := scanAll(t, f.store, ds.ID, ScanOptions{}, TagRange{Tag: 0, Lo: 1000, Hi: 2000})
+	out := scanAll(t, f.store, ds.ID, ScanOptions{}, TagPred{Tag: 0, Lo: 1000, Hi: 2000})
 	st := f.store.Stats()
 	if len(out) != 0 {
 		t.Fatalf("range [1000,2000] matched %d rows", len(out))

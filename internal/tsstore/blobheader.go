@@ -379,29 +379,21 @@ func (h *blobHeader) zone(tag int) zoneMap {
 	}
 }
 
-// TagRange is a pushed-down predicate bound on one tag: rows outside
-// [Lo, Hi] cannot match. Zone maps let scans skip whole blobs whose
-// per-tag min/max ranges do not overlap — the paper's future-work item
-// "adding proper indexing to reduce BLOB scanning for queries on
-// attribute values".
-type TagRange struct {
-	Tag    int
-	Lo, Hi float64
-}
-
 // overlaps reports whether the blob could contain a row satisfying every
-// range: true (cannot skip) without zone maps or with an unparsed header.
-// An empty-column sentinel never overlaps (all values are NULL, and NULL
-// fails any comparison).
-func (h *blobHeader) overlaps(ranges []TagRange) bool {
+// predicate, each bound read inclusively: true (cannot skip) without zone
+// maps or with an unparsed header. An empty-column sentinel never overlaps
+// (all values are NULL, and NULL fails any comparison). The zone maps are
+// the paper's future-work item "adding proper indexing to reduce BLOB
+// scanning for queries on attribute values".
+func (h *blobHeader) overlaps(preds []TagPred) bool {
 	if h.zoneOff == 0 {
 		return true
 	}
-	for _, r := range ranges {
-		if r.Tag < 0 || r.Tag >= h.ntags {
+	for _, p := range preds {
+		if p.Tag < 0 || p.Tag >= h.ntags {
 			continue
 		}
-		if z := h.zone(r.Tag); z.min > z.max || z.max < r.Lo || z.min > r.Hi {
+		if z := h.zone(p.Tag); z.min > z.max || z.max < p.Lo || z.min > p.Hi {
 			return false
 		}
 	}

@@ -17,7 +17,7 @@ func TestScanCtxCancelSerial(t *testing.T) {
 	fillSource(t, f, ds, 2000)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	it, err := f.store.HistoricalScanOpts(ds.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{Ctx: ctx})
+	it, err := f.store.MultiHistoricalScanOpts([]int64{ds.ID}, math.MinInt64, math.MaxInt64, nil, ScanOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestScanCtxCancelParallel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	it, err := f.store.HistoricalScanOpts(ds.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{Workers: 8, Ctx: ctx})
+	it, err := f.store.MultiHistoricalScanOpts([]int64{ds.ID}, math.MinInt64, math.MaxInt64, nil, ScanOptions{Workers: 8, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func (fd *feed) readers(t *testing.T, s *Store, schemaID int64, t1 int64, stop <
 
 func (fd *feed) readHistorical(s *Store, src, t1, t2 int64, wantTags []int, opts ScanOptions) error {
 	before := map[int64]int64{src: fd.acked[src].Load()}
-	it, err := s.HistoricalScanOpts(src, t1, t2, wantTags, opts)
+	it, err := s.MultiHistoricalScanOpts([]int64{src}, t1, t2, wantTags, opts)
 	if err != nil {
 		return err
 	}

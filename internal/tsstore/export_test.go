@@ -12,11 +12,16 @@ import (
 // materialised.
 type WalkCounts struct{ Dropped, Decoded, DecodedRows int }
 
-// ScanWalkCounts reports what the walk behind an iterator of
-// HistoricalScanOpts did so far.
+// ScanWalkCounts reports what the walks behind a scan iterator did so far,
+// summed over its walker list.
 func ScanWalkCounts(it Iterator) WalkCounts {
-	w := it.(*scanIter).w
-	return WalkCounts{Dropped: w.dropped, Decoded: w.decoded, DecodedRows: w.decodedRows}
+	var c WalkCounts
+	for _, w := range it.(*scanIter).ws {
+		c.Dropped += w.dropped
+		c.Decoded += w.decoded
+		c.DecodedRows += w.decodedRows
+	}
+	return c
 }
 
 // RandomFrame and SamePoints are the frame codec's test helpers

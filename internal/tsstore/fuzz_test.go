@@ -72,7 +72,7 @@ func FuzzValueBlobDecode(f *testing.F) {
 			}
 		}
 		// Every accessor answers — absent or present — on any header.
-		_ = h.overlaps([]TagRange{{Tag: 0, Lo: -1, Hi: 1}})
+		_ = h.overlaps([]TagPred{{Tag: 0, Lo: -1, Hi: 1}})
 		sum := h.summary(baseTS)
 		sub := h.subSummaries(sum)
 		rows, first, last, spanOK := h.span(baseTS)

@@ -158,7 +158,7 @@ func TestLDMemberScanPinned(t *testing.T) {
 	}{{nil, wantLookups, wantDecoded}, {[]int{1}, wantLookupsTag1, wantDecodedTag1}} {
 		for _, opts := range []tsstore.ScanOptions{{}, {NoCache: true}} {
 			before, was := ld.page.Stats(), ld.st.Stats().DecodedValues
-			it, err := ld.st.HistoricalScanOpts(sensor, math.MinInt64, math.MaxInt64, scan.wantTags, opts)
+			it, err := ld.st.MultiHistoricalScanOpts([]int64{sensor}, math.MinInt64, math.MaxInt64, scan.wantTags, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,7 +65,7 @@ func windowsExact(t *testing.T, f *fixture, schemaID int64, sources []*model.Dat
 		}
 		rows, sums := map[int64]int64{}, map[int64]float64{}
 		for _, ds := range sources {
-			it, err := f.store.HistoricalScanOpts(ds.ID, lo, hi, nil, opts)
+			it, err := f.store.MultiHistoricalScanOpts([]int64{ds.ID}, lo, hi, nil, opts)
 			if got, want := drain(what+" historical", it, err), filter(ds.ID, lo, hi); !pointsEqual(got, want) {
 				t.Fatalf("%s: historical scan of %d returns %v, want %v", what, ds.ID, got, want)
 			}

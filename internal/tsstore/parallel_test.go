@@ -188,12 +188,12 @@ func TestBlobCacheSurvivesFailedMaintenance(t *testing.T) {
 		// Whatever state the failed pass left behind, cached and raw
 		// scans of it must be identical.
 		for _, src := range append([]*model.DataSource{ds}, mgs...) {
-			it, err := st.HistoricalScanOpts(src.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{})
+			it, err := st.MultiHistoricalScanOpts([]int64{src.ID}, math.MinInt64, math.MaxInt64, nil, ScanOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			cached, cachedErr := drainPoints(it)
-			it, err = st.HistoricalScanOpts(src.ID, math.MinInt64, math.MaxInt64, nil, ScanOptions{NoCache: true})
+			it, err = st.MultiHistoricalScanOpts([]int64{src.ID}, math.MinInt64, math.MaxInt64, nil, ScanOptions{NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"odh/internal/catalog"
@@ -93,6 +94,29 @@ func TestRecoveryDoesNotReappend(t *testing.T) {
 	f3, _ := crashFixture(t, file, logPath)
 	if got := scanCount(t, f3.store, ds.ID); got != 30 {
 		t.Fatalf("post-second-crash scan = %d points, want 30", got)
+	}
+}
+
+// TestRecoveryRefusesUnregisteredSource holds recovery to refusing a log
+// that names a source the catalog does not know. The replay's count of
+// what the store holds at the point's key reads nothing there, as any scan
+// of an unknown id does, and ingest's validation fails the open.
+func TestRecoveryRefusesUnregisteredSource(t *testing.T) {
+	file := pagestore.NewMemFile()
+	logPath := filepath.Join(t.TempDir(), "ingest.wal")
+	f, l := crashFixture(t, file, logPath)
+	ds := f.source(t, f.schema(t, "w", 1).ID, true, 10)
+	if err := f.store.Flush(); err != nil { // the catalog is committed, the log empty
+		t.Fatal(err)
+	}
+	// A frame the store would refuse, logged behind its back.
+	if err := LogFrame(l, []model.Point{{Source: ds.ID, TS: 10, Values: []float64{1}}, {Source: 4242, TS: 10, Values: []float64{2}}}); err != nil {
+		t.Fatal(err)
+	}
+	l.Sync()
+	l.Close()
+	if _, _, err := openCrashed(t, file, logPath); err == nil || !strings.Contains(err.Error(), "tsstore: unknown data source 4242") {
+		t.Fatalf("recovery over a log naming source 4242: %v, want the unknown-source error", err)
 	}
 }
 

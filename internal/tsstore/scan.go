@@ -3,7 +3,6 @@ package tsstore
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"slices"
 
 	"odh/internal/btree"
@@ -59,6 +58,17 @@ type ScanOptions struct {
 	Ctx context.Context
 }
 
+// TagPred is one pushed-down predicate bound on a tag, the one form scans
+// and aggregates take. Rows where the tag is NULL never match. Use ±Inf for
+// open sides. A blob's zone maps read the bounds inclusively, which is safe
+// for skipping; the aggregate keeps the strictness to prove from a summary
+// that every row matches.
+type TagPred struct {
+	Tag                int
+	Lo, Hi             float64
+	LoStrict, HiStrict bool // true = exclusive bound
+}
+
 // ctxErr is a nil-safe ctx.Err for the scan paths (nil ctx = no
 // cancellation, the historical behavior).
 func ctxErr(ctx context.Context) error {
@@ -76,58 +86,21 @@ func (s *Store) scanCache(opts ScanOptions) *blobCache {
 	return s.cache
 }
 
-// emptyIter yields nothing; zero blob bytes is its true cost.
-type emptyIter struct{}
-
-func (emptyIter) Next() (model.Point, bool) { return model.Point{}, false }
-func (emptyIter) Err() error                { return nil }
-func (emptyIter) BlobBytes() int64          { return 0 }
-
-// concatIter drains each input in turn.
-type concatIter struct {
-	iters []Iterator
-	i     int
-	err   error
-}
-
-func (it *concatIter) Next() (model.Point, bool) {
-	for it.i < len(it.iters) {
-		p, ok := it.iters[it.i].Next()
-		if ok {
-			return p, true
-		}
-		if err := it.iters[it.i].Err(); err != nil && it.err == nil {
-			it.err = err
-			return model.Point{}, false
-		}
-		it.i++
-	}
-	return model.Point{}, false
-}
-
-func (it *concatIter) Err() error { return it.err }
-
-func (it *concatIter) BlobBytes() int64 {
-	var total int64
-	for _, sub := range it.iters {
-		total += sub.BlobBytes()
-	}
-	return total
-}
-
-// scanIter yields the rows of one walker in timestamp order. Records are
-// keyed by their first timestamp but may overlap (out-of-order ingest
-// splits a batch, and an owner's homes interleave); the iterator decodes
-// a chunk's records lazily, in key order, and holds rows back until no
-// undecoded record of the chunk could still precede them.
+// scanIter yields the rows of a walker list, owner by owner, each owner's
+// in timestamp order. Records are keyed by their first timestamp but may
+// overlap (out-of-order ingest splits a batch, and an owner's homes
+// interleave); the iterator decodes a chunk's records lazily, in key
+// order, and holds rows back until no undecoded record of the chunk could
+// still precede them.
 type scanIter struct {
-	w         *walker
-	tagRanges []TagRange
-	ch        chunk
-	ri        int           // next record of ch to decode
-	queue     []model.Point // pending rows of ch, sorted by ts
-	qi        int
-	err       error
+	ws    []*walker
+	wi    int // the walker walking; the ones before it are released
+	preds []TagPred
+	ch    chunk
+	ri    int           // next record of ch to decode
+	queue []model.Point // pending rows of ch, sorted by ts
+	qi    int
+	err   error
 	// bytesRead accumulates decoded blob sizes plus the estimate for
 	// buffered rows; the executor reports it as the query's I/O cost,
 	// matching the paper's cost unit. Cache hits do not add to it —
@@ -144,12 +117,16 @@ func (it *scanIter) Next() (model.Point, bool) {
 				return p, true
 			}
 		} else if it.ri >= len(it.ch.recs) {
-			if it.w.done {
-				it.w.release()
+			if it.wi == len(it.ws) {
 				break
 			}
-			it.ch, it.err = it.w.step()
-			it.ri = 0
+			if w := it.ws[it.wi]; w.done {
+				w.release()
+				it.wi++
+			} else {
+				it.ch, it.err = w.step()
+				it.ri = 0
+			}
 			continue
 		}
 		it.err = it.load(&it.ch.recs[it.ri])
@@ -160,6 +137,7 @@ func (it *scanIter) Next() (model.Point, bool) {
 
 // load decodes one record of the current chunk into the queue.
 func (it *scanIter) load(rec *walkRec) error {
+	w := it.ws[it.wi]
 	it.queue = append(it.queue[:0], it.queue[it.qi:]...)
 	it.qi = 0
 	if rec.buffered != nil {
@@ -168,11 +146,11 @@ func (it *scanIter) load(rec *walkRec) error {
 		}
 		it.queue = append(it.queue, rec.buffered...)
 	} else {
-		if !rec.hdr.overlaps(it.tagRanges) {
-			it.w.s.zoneSkips.Add(1)
+		if !rec.hdr.overlaps(it.preds) {
+			w.s.zoneSkips.Add(1)
 			return nil
 		}
-		batch, err := it.w.decode(rec, it.ch.lo, it.ch.hi)
+		batch, err := w.decode(rec, it.ch.lo, it.ch.hi)
 		if batch == nil {
 			return err
 		}
@@ -182,7 +160,7 @@ func (it *scanIter) load(rec *walkRec) error {
 		// Rows are lent (see Iterator), whether the cache shares the batch or
 		// not; the queue grows once per record, not per row.
 		it.queue = slices.Grow(it.queue, len(batch.Timestamps))
-		it.w.eachRow(rec, batch, it.ch.lo, it.ch.hi, func(src, ts int64, vals []float64) {
+		w.eachRow(rec, batch, it.ch.lo, it.ch.hi, func(src, ts int64, vals []float64) {
 			it.queue = append(it.queue, model.Point{Source: src, TS: ts, Values: vals})
 		})
 	}
@@ -200,32 +178,21 @@ func byTS(a, b model.Point) int { return cmp.Compare(a.TS, b.TS) }
 func (it *scanIter) Err() error       { return it.err }
 func (it *scanIter) BlobBytes() int64 { return it.bytesRead }
 
-// concat yields the parts one after another on the caller's goroutine.
-func concat(parts []Iterator) Iterator {
-	switch len(parts) {
-	case 0:
-		return emptyIter{}
-	case 1:
-		return parts[0]
-	}
-	return &concatIter{iters: parts}
-}
-
 // HistoricalScan returns the points of one source with t1 <= ts < t2, in
-// timestamp order, decoding only wantTags (nil = all). It merges persisted
-// batches, still-unreorganized MG records, and the in-memory ingest buffer
-// (dirty read).
-func (s *Store) HistoricalScan(source, t1, t2 int64, wantTags []int, tagRanges ...TagRange) (Iterator, error) {
-	return s.HistoricalScanOpts(source, t1, t2, wantTags, ScanOptions{}, tagRanges...)
+// timestamp order, decoding only wantTags (nil = all): persisted batches,
+// still-unreorganized MG records and the in-memory ingest buffer (dirty
+// read). It stays because the benchmark harness and the recovery replay
+// call it by this name — it is MultiHistoricalScanOpts of one id, not a
+// second scan path.
+func (s *Store) HistoricalScan(source, t1, t2 int64, wantTags []int, preds ...TagPred) (Iterator, error) {
+	return s.MultiHistoricalScanOpts([]int64{source}, t1, t2, wantTags, ScanOptions{}, preds...)
 }
 
-// HistoricalScanOpts is HistoricalScan with scan tuning.
-func (s *Store) HistoricalScanOpts(source, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	ds, ok := s.cat.Source(source)
-	if !ok {
-		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
-	}
-	return &scanIter{w: s.sourceWalker(ds, t1, t2, wantTags, opts), tagRanges: tagRanges}, nil
+// MultiHistoricalScanOpts returns the points of an explicit list of sources
+// in [t1, t2) (`id = n` and the id IN (...) pushdown), source by source,
+// each in timestamp order. An id the catalog does not know reads nothing.
+func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags []int, opts ScanOptions, preds ...TagPred) (Iterator, error) {
+	return &scanIter{ws: s.sourceWalkers(sources, t1, t2, wantTags, opts), preds: preds}, nil
 }
 
 // SliceScanOpts returns points of every source of a schema in [t1, t2) —
@@ -233,12 +200,20 @@ func (s *Store) HistoricalScanOpts(source, t1, t2 int64, wantTags []int, opts Sc
 // short time window"). MG groups serve slices directly from their
 // time-keyed records; RTS/IRTS sources are visited per source. Output is
 // grouped per source/group, not globally time-sorted.
-func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	var parts []Iterator
-	for _, w := range s.sliceWalkers(schemaID, t1, t2, wantTags, opts) {
-		parts = append(parts, &scanIter{w: w, tagRanges: tagRanges})
+func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions, preds ...TagPred) (Iterator, error) {
+	return &scanIter{ws: s.sliceWalkers(schemaID, t1, t2, wantTags, opts), preds: preds}, nil
+}
+
+// sourceWalkers returns one walker per source of the list, in list order;
+// an id the catalog does not know contributes none.
+func (s *Store) sourceWalkers(sources []int64, t1, t2 int64, wantTags []int, opts ScanOptions) []*walker {
+	ws := make([]*walker, 0, len(sources))
+	for _, src := range sources {
+		if ds, ok := s.cat.Source(src); ok {
+			ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))
+		}
 	}
-	return concat(parts), nil
+	return ws
 }
 
 // sliceWalkers returns one walker per owner of a schema's rows: MG groups
@@ -252,19 +227,6 @@ func (s *Store) sliceWalkers(schemaID int64, t1, t2 int64, wantTags []int, opts 
 		ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))
 	}
 	return ws
-}
-
-// MultiHistoricalScanOpts concatenates historical scans for an explicit list
-// of sources (the id IN (...) pushdown). Output is grouped per source.
-func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	parts := make([]Iterator, 0, len(sources))
-	for _, src := range sources {
-		// Unknown ids in the IN list simply contribute no rows.
-		if it, err := s.HistoricalScanOpts(src, t1, t2, wantTags, opts, tagRanges...); err == nil {
-			parts = append(parts, it)
-		}
-	}
-	return concat(parts), nil
 }
 
 func (s *Store) treeFor(st model.Structure) *btree.Tree {

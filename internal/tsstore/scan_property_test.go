@@ -3,93 +3,83 @@ package tsstore
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
 	"odh/internal/model"
 )
 
-// Property tests for the scan pipeline: concatIter, scanIter, the
+// Property tests for the scan pipeline: the walker list, scanIter, the
 // parallel scheduler, and the blob-bytes accounting over generated
 // inputs. The invariants are ordering, no-dup, no-loss, and that every
 // configuration — serial, split, parallel, cached — yields identical
 // rows.
 
-// genSortedPoints builds n ts-sorted points for one source.
-func genSortedPoints(rng *rand.Rand, source int64, n int) []model.Point {
-	pts := make([]model.Point, n)
-	ts := int64(rng.Intn(50))
-	for i := range pts {
-		ts += int64(rng.Intn(20)) // duplicates allowed (step 0)
-		pts[i] = model.Point{Source: source, TS: ts, Values: []float64{float64(i), float64(source)}}
-	}
-	return pts
-}
-
-// sliceIterAdapter iterates a materialized point slice, accruing the
-// estimated blob bytes of each point it serves.
-type sliceIterAdapter struct {
-	points   []model.Point
-	i        int
-	perPoint int64
-	accrued  int64
-}
-
-// newSliceIter wraps buffered points, sizing the per-point byte estimate
-// from the row width.
-func newSliceIter(points []model.Point) *sliceIterAdapter {
-	it := &sliceIterAdapter{points: points}
-	if len(points) > 0 {
-		it.perPoint = pointBlobBytes(len(points[0].Values))
-	}
-	return it
-}
-
-func (it *sliceIterAdapter) Next() (model.Point, bool) {
-	if it.i >= len(it.points) {
-		return model.Point{}, false
-	}
-	p := it.points[it.i]
-	it.i++
-	it.accrued += it.perPoint
-	return p, true
-}
-
-func (it *sliceIterAdapter) Err() error       { return nil }
-func (it *sliceIterAdapter) BlobBytes() int64 { return it.accrued }
-
-// TestConcatIterProperty checks concatenation order and byte accounting,
-// including that buffered-point adapters now report non-zero estimates
-// (the sliceIterAdapter fix) and that an empty scan's cost is truly zero.
-func TestConcatIterProperty(t *testing.T) {
+// TestWalkerListProperty checks that a scan of an id list is the scans of
+// its ids one after another, in list order and at the sum of their costs,
+// and that an id the catalog does not know reads nothing at no cost —
+// alone, in a list, or with no list at all.
+func TestWalkerListProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	f := newFixture(t, Config{BatchSize: 8}, 0)
+	s := f.schema(t, "list", 2)
+	var ids []int64
+	for i := 0; i < 5; i++ {
+		ds := f.source(t, s.ID, i%2 == 0, 10)
+		ids = append(ids, ds.ID)
+		ts := int64(0)
+		for j := rng.Intn(60); j > 0; j-- {
+			ts += 10 * int64(1+rng.Intn(3))
+			if err := f.store.Write(model.Point{Source: ds.ID, TS: ts, Values: []float64{float64(j), float64(i)}}); err != nil {
+				t.Fatal(err)
+			}
+			// Stored records and buffered rows both feed the walks.
+			if rng.Intn(30) == 0 {
+				if err := f.store.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	const unknown = 1 << 40
+	opts := ScanOptions{NoCache: true} // every walk decodes, so costs add
+	scan := func(list []int64) Iterator {
+		it, err := f.store.MultiHistoricalScanOpts(list, math.MinInt64, math.MaxInt64, nil, opts)
+		if err != nil {
+			t.Fatalf("scan of %v: %v", list, err)
+		}
+		return it
+	}
 	for round := 0; round < 100; round++ {
-		k := 1 + rng.Intn(5)
-		var inputs []Iterator
+		var list []int64
 		var want []model.Point
 		var wantBytes int64
-		for i := 0; i < k; i++ {
-			pts := genSortedPoints(rng, int64(i+1), rng.Intn(20))
-			want = append(want, pts...)
-			it := newSliceIter(pts)
-			if len(pts) > 0 && it.perPoint == 0 {
-				t.Fatal("sliceIterAdapter must carry a non-zero per-point estimate")
+		for n := rng.Intn(6); n > 0; n-- {
+			if rng.Intn(4) == 0 {
+				list = append(list, unknown+int64(rng.Intn(3)))
+				continue
 			}
-			wantBytes += it.perPoint * int64(len(pts))
-			inputs = append(inputs, it)
+			id := ids[rng.Intn(len(ids))]
+			one := scan([]int64{id})
+			want = append(want, collect(t, one)...)
+			wantBytes += one.BlobBytes()
+			list = append(list, id)
 		}
-		c := &concatIter{iters: inputs}
-		got := collect(t, c)
-		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-			t.Fatalf("round %d: concat diverged (%d vs %d rows)", round, len(got), len(want))
+		it := scan(list)
+		if got := collect(t, it); !pointsEqual(got, want) {
+			t.Fatalf("round %d: scan of %v returned %d rows, its ids one by one %d", round, list, len(got), len(want))
 		}
-		if c.BlobBytes() != wantBytes {
-			t.Fatalf("round %d: BlobBytes = %d, want %d", round, c.BlobBytes(), wantBytes)
+		if it.BlobBytes() != wantBytes {
+			t.Fatalf("round %d: scan of %v cost %d bytes, its ids one by one %d", round, list, it.BlobBytes(), wantBytes)
 		}
 	}
-	if (emptyIter{}).BlobBytes() != 0 {
-		t.Fatal("emptyIter serves nothing; its cost must be zero")
+	it, err := f.store.HistoricalScan(unknown, math.MinInt64, math.MaxInt64, nil)
+	if err != nil || len(collect(t, it)) != 0 || it.BlobBytes() != 0 {
+		t.Fatalf("scan of an unregistered source: err %v, want no rows at no cost", err)
+	}
+	res, err := f.store.AggregateHistorical(unknown, AggSpec{T1: math.MinInt64, T2: math.MaxInt64, NTags: 2})
+	if err != nil || len(res.Groups) != 0 || res.BlobBytesRead != 0 {
+		t.Fatalf("aggregate of an unregistered source = %+v, %v; want no groups", res, err)
 	}
 }
 
@@ -188,7 +178,7 @@ func TestBatchIterProperty(t *testing.T) {
 
 func scanWindow(t *testing.T, s *Store, source, t1, t2 int64, opts ScanOptions) []model.Point {
 	t.Helper()
-	it, err := s.HistoricalScanOpts(source, t1, t2, nil, opts)
+	it, err := s.MultiHistoricalScanOpts([]int64{source}, t1, t2, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +316,10 @@ func TestZoneSkipParityWithCache(t *testing.T) {
 	if err := f.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ranges := []TagRange{{Tag: 0, Lo: 1000, Hi: 2000}}
+	preds := []TagPred{{Tag: 0, Lo: 1000, Hi: 2000}}
 	scan := func(opts ScanOptions) ([]model.Point, int64) {
 		before := f.store.Stats().ZoneSkips
-		it, err := f.store.HistoricalScanOpts(ds.ID, math.MinInt64, math.MaxInt64, nil, opts, ranges...)
+		it, err := f.store.MultiHistoricalScanOpts([]int64{ds.ID}, math.MinInt64, math.MaxInt64, nil, opts, preds...)
 		if err != nil {
 			t.Fatal(err)
 		}

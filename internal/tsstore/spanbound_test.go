@@ -424,7 +424,7 @@ func spanBoundsRun(t *testing.T, seed int64) {
 				t.Fatalf("%s: slice scan returns %d rows %v, want %d rows %v", what, len(got), got, len(want), want)
 			}
 			src := streams[rng.Intn(len(streams))].ds.ID
-			it, err = f.store.HistoricalScanOpts(src, lo, hi, nil, opts)
+			it, err = f.store.MultiHistoricalScanOpts([]int64{src}, lo, hi, nil, opts)
 			if got, want := scan(what+" historical", it, err), filter(full, src, lo, hi); !pointsEqual(got, want) {
 				t.Fatalf("%s: historical scan of %d returns %d rows %v, want %d rows %v", what, src, len(got), got, len(want), want)
 			}

@@ -714,6 +714,9 @@ func (s *Store) Replay(l *walog.Log) (applied, skipped int, err error) {
 // there — the replay has written none yet — and only that many of the
 // log's points at that key are skipped. Nothing but the replay may write
 // to the store until it returns. Returns the points applied and skipped.
+// A source the catalog does not know counts nothing, as any scan of it
+// reads nothing, so its point reaches ingest, whose validation fails the
+// replay with the unknown-source error.
 //
 // The survivors are ingested in batches, a record's together and those of
 // small records (a hint log is one-point frames) gathered up to

@@ -523,13 +523,40 @@ func (w *walker) addBuffered(ch *chunk) {
 	if len(out) == 0 {
 		return
 	}
-	// After every stored record that starts at or before the first row, so
-	// equal timestamps keep persisted-before-buffered order.
-	i := sort.Search(len(ch.recs), func(i int) bool { return ch.recs[i].ts > out[0].TS })
-	ch.recs = append(ch.recs, walkRec{})
-	copy(ch.recs[i+1:], ch.recs[i:])
+	// A buffered row goes after every stored record that starts at or
+	// before it, so equal timestamps keep persisted-before-buffered order,
+	// and a run of rows ends where the next record starts. The rows then
+	// sit among the records in time order, wherever the walk cut its
+	// steps: an aggregate meets its groups in the same order whatever the
+	// stored records' sizes put the cuts.
+	recs := ch.recs
+	n, runs := len(recs), 0
+	for i, j := 0, 0; j < len(out); runs++ {
+		for i < n && recs[i].ts <= out[j].TS {
+			i++
+		}
+		for j < len(out) && (i == n || out[j].TS < recs[i].ts) {
+			j++
+		}
+	}
 	w.buffer.seq = len(w.homes)
-	ch.recs[i] = walkRec{home: &w.buffer, ts: out[0].TS, buffered: out}
+	// Fill from the back: the records behind each run move up past it.
+	recs = slices.Grow(recs, runs)[:n+runs]
+	for i, j, d := n, len(out), n+runs; j > 0; {
+		p := sort.Search(i, func(k int) bool { return recs[k].ts > out[j-1].TS })
+		for ; i > p; i-- {
+			d--
+			recs[d] = recs[i-1]
+		}
+		s := j - 1
+		for s > 0 && (p == 0 || out[s-1].TS >= recs[p-1].ts) {
+			s--
+		}
+		d--
+		recs[d] = walkRec{home: &w.buffer, ts: out[s].TS, buffered: out[s:j:j]}
+		j = s
+	}
+	ch.recs = recs
 }
 
 // size is the record's stored length, however much of it was read: the

@@ -540,7 +540,7 @@ func TestWindowDecodeBounded(t *testing.T) {
 	scan := func(t1, t2 int64, wantTags []int) (rows int, decoded int64) {
 		t.Helper()
 		was := f.store.Stats().DecodedValues
-		it, err := f.store.HistoricalScanOpts(ds.ID, t1, t2, wantTags, ScanOptions{NoCache: true})
+		it, err := f.store.MultiHistoricalScanOpts([]int64{ds.ID}, t1, t2, wantTags, ScanOptions{NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
