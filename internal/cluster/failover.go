@@ -9,8 +9,8 @@
 // Aggregation composes through a sqlexec.GatherPlan: each shard runs a
 // partial-aggregate rewrite (AVG decomposed into SUM+COUNT) that still
 // rides the storage-level summary pushdown, and the coordinator re-folds
-// the partials, applies HAVING over the folded groups, and runs ORDER
-// BY/LIMIT through a bounded top-k merge. Cancellation and deadlines
+// the partials and runs HAVING, ORDER BY and LIMIT over the folded groups
+// through the single-node engine's operators. Cancellation and deadlines
 // flow from QueryContext through every shard sub-query.
 package cluster
 

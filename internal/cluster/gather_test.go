@@ -92,6 +92,16 @@ func renderSorted(rows []sqlexec.Row) string {
 	return strings.Join(lines, "\n")
 }
 
+// renderFor renders the answer to q for comparison: in order when q has an
+// ORDER BY — every ORDER BY in the gather suites is a total order, so the
+// cluster and the single node must agree row for row — else as a set.
+func renderFor(q string) func([]sqlexec.Row) string {
+	if strings.Contains(q, "ORDER BY") {
+		return renderRows
+	}
+	return renderSorted
+}
+
 // TestTotalStatsSumsEveryLiveCopy: the cluster roll-up is, counter by
 // counter, the sum of every live copy's TotalStats — the store counters
 // HistorianStats embeds included — with PoolHitRate recomputed from the
@@ -146,8 +156,9 @@ func TestTotalStatsSumsEveryLiveCopy(t *testing.T) {
 // TestAggGatherComposesVsSingleNode is the deterministic gather suite:
 // every composable shape — AVG with zero-row shards, HAVING that
 // eliminates every group, ORDER BY on the aggregate with LIMIT under
-// and over the group count, single- and multi-bucket TIME_BUCKET —
-// answered by an R=2 cluster must match the single-node answer.
+// and over the group count, single- and multi-bucket TIME_BUCKET, a row
+// query's ORDER BY and LIMIT — answered by an R=2 cluster must match the
+// single-node answer, row for row in order under ORDER BY.
 func TestAggGatherComposesVsSingleNode(t *testing.T) {
 	c := newReplicatedCluster(t, 3, 2, 1)
 	ref := refNode(t)
@@ -177,14 +188,17 @@ func TestAggGatherComposesVsSingleNode(t *testing.T) {
 		`SELECT COUNT(*), SUM(speed) FROM vehicle_v GROUP BY id ORDER BY COUNT(*) DESC LIMIT 2`,
 		// MIN/MAX fold plus HAVING on a key-ordered subset.
 		`SELECT id, MIN(speed), MAX(speed) FROM vehicle_v GROUP BY id HAVING MIN(speed) > 3 ORDER BY id`,
+		// A row query: the shards' rows concatenate, then re-sort and cut.
+		`SELECT id, timestamp, speed FROM vehicle_v WHERE id >= 3 ORDER BY speed DESC, id, timestamp LIMIT 7`,
 	}
 	for _, q := range queries {
-		want := refFetch(t, ref, q)
+		render := renderFor(q)
+		want := render(refFetch(t, ref, q))
 		res, err := c.Query(q)
 		if err != nil {
 			t.Fatalf("cluster %q: %v", q, err)
 		}
-		if got := renderSorted(res.Rows); got != want {
+		if got := render(res.Rows); got != want {
 			t.Fatalf("gather differs for %q\ncluster:\n%s\nsingle node:\n%s", q, got, want)
 		}
 	}
@@ -200,7 +214,7 @@ func TestAggGatherComposesVsSingleNode(t *testing.T) {
 	}
 }
 
-func refFetch(t *testing.T, ref *odh.Historian, q string) string {
+func refFetch(t *testing.T, ref *odh.Historian, q string) []sqlexec.Row {
 	t.Helper()
 	res, err := ref.Query(q)
 	if err != nil {
@@ -210,7 +224,7 @@ func refFetch(t *testing.T, ref *odh.Historian, q string) string {
 	if err != nil {
 		t.Fatalf("single node fetch %q: %v", q, err)
 	}
-	return renderSorted(rows)
+	return rows
 }
 
 // TestAggGatherSurvivesKillRecover runs the composable shapes through a
@@ -231,8 +245,8 @@ func TestAggGatherSurvivesKillRecover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("healthy %q: %v", q, err)
 		}
-		healthy[i] = renderSorted(res.Rows)
-		if want := refFetch(t, ref, q); healthy[i] != want {
+		healthy[i] = renderFor(q)(res.Rows)
+		if want := renderFor(q)(refFetch(t, ref, q)); healthy[i] != want {
 			t.Fatalf("healthy gather differs for %q\ncluster:\n%s\nsingle:\n%s", q, healthy[i], want)
 		}
 	}
@@ -254,7 +268,7 @@ func TestAggGatherSurvivesKillRecover(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %q: %v", stage, q, err)
 			}
-			if got := renderSorted(res.Rows); got != healthy[i] {
+			if got := renderFor(q)(res.Rows); got != healthy[i] {
 				t.Fatalf("%s gather differs for %q\ngot:\n%s\nwant:\n%s", stage, q, got, healthy[i])
 			}
 		}

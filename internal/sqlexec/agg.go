@@ -185,12 +185,15 @@ func (t *aggGroups) all(grandTotal bool) []*aggGroup {
 	return t.order
 }
 
-// aggregateOp hash-groups its input and emits one row per group.
+// aggregateOp hash-groups its input and emits one row per group. In a
+// cluster gather its input is the shards' partial rows, and merge, per
+// item, says where each aggregate's partial sits in them.
 type aggregateOp struct {
 	child Operator
 	shape *aggShape
 	keys  []boundExpr // group-by key expressions
 	args  []boundExpr // per item: the bound aggregate argument, or nil
+	merge []finalItem // set in a gather: merge partials instead of adding args
 	cols  []ColMeta
 	done  bool
 	out   []Row
@@ -223,6 +226,10 @@ func (a *aggregateOp) run() error {
 		g := groups.group(keyVals)
 		for i, item := range a.shape.items {
 			if item.key >= 0 {
+				continue
+			}
+			if a.merge != nil {
+				g.states[i].merge(a.merge[i].partial(row))
 				continue
 			}
 			v := relational.Null // COUNT(*) counts the row itself

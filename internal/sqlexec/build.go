@@ -297,17 +297,6 @@ func (e *Engine) buildSelectCtx(ctx context.Context, stmt *sqlparse.SelectStmt) 
 				return nil, nil, err
 			}
 		}
-		if stmt.Having != nil {
-			// HAVING (and ORDER BY below) may name aggregate expressions;
-			// rewrite matching subexpressions into references to the
-			// aggregate's output columns.
-			having := rewriteAggRefs(stmt.Having, root.Columns())
-			bound, err := bind(having, root.Columns())
-			if err != nil {
-				return nil, nil, err
-			}
-			root = &filterOp{child: root, pred: bound, desc: "HAVING " + stmt.Having.String()}
-		}
 	} else if stmt.Having != nil {
 		return nil, nil, fmt.Errorf("sqlexec: HAVING requires aggregation")
 	} else {
@@ -316,20 +305,39 @@ func (e *Engine) buildSelectCtx(ctx context.Context, stmt *sqlparse.SelectStmt) 
 			return nil, nil, err
 		}
 	}
+	if root, err = selectTail(root, stmt, aggregated); err != nil {
+		return nil, nil, err
+	}
+	return root, pc, nil
+}
 
+// selectTail stacks a SELECT's HAVING, ORDER BY and LIMIT on root, whose
+// columns are the query's output: the aggregate's items, or the
+// projection. The single-node plan and the cluster gather both end here, so
+// they bind and run these clauses alike. In an aggregated query, HAVING and
+// ORDER BY may name aggregate expressions; matching subexpressions become
+// references to the aggregate's output columns.
+func selectTail(root Operator, stmt *sqlparse.SelectStmt, aggregated bool) (Operator, error) {
+	bindOut := func(e sqlparse.Expr) (boundExpr, error) {
+		if aggregated {
+			e = rewriteAggRefs(e, root.Columns())
+		}
+		return bind(e, root.Columns())
+	}
+	if aggregated && stmt.Having != nil {
+		bound, err := bindOut(stmt.Having)
+		if err != nil {
+			return nil, err
+		}
+		root = &filterOp{child: root, pred: bound, desc: "HAVING " + stmt.Having.String()}
+	}
 	if len(stmt.OrderBy) > 0 {
 		keys := make([]boundExpr, len(stmt.OrderBy))
 		desc := make([]bool, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
-			// ORDER BY may reference output aliases, aggregate
-			// expressions, or input columns; try output first.
-			expr := o.Expr
-			if aggregated {
-				expr = rewriteAggRefs(expr, root.Columns())
-			}
-			b, err := bind(expr, root.Columns())
+			b, err := bindOut(o.Expr)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			keys[i] = b
 			desc[i] = o.Desc
@@ -339,7 +347,7 @@ func (e *Engine) buildSelectCtx(ctx context.Context, stmt *sqlparse.SelectStmt) 
 	if stmt.Limit >= 0 {
 		root = &limitOp{child: root, n: stmt.Limit}
 	}
-	return root, pc, nil
+	return root, nil
 }
 
 // rewriteAggRefs replaces subexpressions whose rendering matches an

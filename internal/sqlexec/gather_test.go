@@ -37,7 +37,7 @@ func TestPlanGatherShapes(t *testing.T) {
 	}
 
 	plan = mustPlan(t, `SELECT a, b FROM t ORDER BY b DESC LIMIT 3`)
-	if plan.Aggregate() || plan.ShardSQL != "" || len(plan.orderItems) != 1 || plan.limit != 3 {
+	if plan.Aggregate() || plan.ShardSQL != "" || len(plan.sel.OrderBy) != 1 || plan.sel.Limit != 3 {
 		t.Fatalf("concat-resort plan wrong: %+v", plan)
 	}
 
@@ -62,8 +62,8 @@ func TestPlanGatherShapes(t *testing.T) {
 	if want := `SELECT COUNT(*), id FROM t GROUP BY id`; plan.ShardSQL != want {
 		t.Fatalf("hidden-key shard SQL = %q, want %q", plan.ShardSQL, want)
 	}
-	if len(plan.Columns) != 1 || plan.visible != 1 || len(plan.finals) != 2 {
-		t.Fatalf("hidden-key plan: cols=%v visible=%d finals=%d", plan.Columns, plan.visible, len(plan.finals))
+	if len(plan.Columns) != 1 || len(plan.finals) != 2 {
+		t.Fatalf("hidden-key plan: cols=%v finals=%d", plan.Columns, len(plan.finals))
 	}
 
 	// Shapes the single-node engine rejects are rejected at plan time
@@ -504,9 +504,9 @@ func FuzzGatherFold(f *testing.F) {
 		if plan == nil || !plan.Aggregate() {
 			t.Fatalf("PlanGather(%q): not an aggregate plan", sql)
 		}
-		if len(plan.kinds) != sc.scatterWidth() {
+		if len(plan.scatter) != sc.scatterWidth() {
 			t.Fatalf("scatter layout drifted: plan has %d columns, scenario %d (%q)",
-				len(plan.kinds), sc.scatterWidth(), sql)
+				len(plan.scatter), sc.scatterWidth(), sql)
 		}
 		if _, err := sqlparse.Parse(plan.ShardSQL); err != nil {
 			t.Fatalf("shard SQL %q does not re-parse: %v", plan.ShardSQL, err)

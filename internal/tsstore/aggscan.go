@@ -395,9 +395,10 @@ func (pt *aggPartial) foldRow(src, ts int64, vals []float64, sp *aggSpecEx) {
 // may fold from its summary only when rows need no per-member
 // attribution: no source filter, no GROUP BY id, and every stored slot
 // maps to a known member (row folds drop unknown slots, so a summary fold
-// must too); MG rows are slot-ordered and never carry sub-summaries.
-func (s *Store) aggWalk(pt *aggPartial, w *walker, sp *aggSpecEx) error {
-	defer w.release()
+// must too); MG rows are slot-ordered and never carry sub-summaries. The
+// walker's scratch then goes to next (nil: the pool).
+func (s *Store) aggWalk(pt *aggPartial, w *walker, sp *aggSpecEx, next *walker) error {
+	defer w.release(next)
 	for !w.done {
 		ch, err := w.step()
 		if err != nil {
@@ -516,7 +517,7 @@ func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResul
 					errs[i] = err
 					return
 				}
-				errs[i] = s.aggWalk(partials[i], w, sp)
+				errs[i] = s.aggWalk(partials[i], w, sp, nil)
 			}(i, w)
 		}
 		wg.Wait()
@@ -532,7 +533,7 @@ func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResul
 			if err := ctxErr(sp.ctx); err != nil {
 				return nil, err
 			}
-			if err := s.aggWalk(partials[i], w, sp); err != nil {
+			if err := s.aggWalk(partials[i], w, sp, after(ws, i)); err != nil {
 				return nil, err
 			}
 		}

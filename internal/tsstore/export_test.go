@@ -49,24 +49,3 @@ func countFrameRefills(t testing.TB) *atomic.Int64 {
 	t.Cleanup(func() { framePool.New = fresh })
 	return n
 }
-
-// countScratchRefills wraps scratchPool.New until t ends, as
-// countFrameRefills does framePool's: the count is how many walkers built
-// their scratch — and with it their cursors' leaf snapshots — from nothing
-// instead of taking the one an earlier walker left.
-func countScratchRefills(t testing.TB) *atomic.Int64 {
-	n := new(atomic.Int64)
-	fresh := scratchPool.New
-	scratchPool.New = func() any { n.Add(1); return fresh() }
-	t.Cleanup(func() { scratchPool.New = fresh })
-	return n
-}
-
-// emptyScratchPool takes scratch from the pool until it has to build one,
-// which refills — counted by countScratchRefills — reports: the next walker
-// then builds its own.
-func emptyScratchPool(refills *atomic.Int64) {
-	for n := refills.Load(); refills.Load() == n; {
-		scratchPool.Get()
-	}
-}

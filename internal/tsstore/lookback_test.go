@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"odh/internal/btree"
@@ -73,20 +72,15 @@ func lookups(page *pagestore.Store) int64 {
 }
 
 // sliceLookups runs call, a slice of walkers over tree, and returns the
-// buffer pool's lookups as if each walker after the first had sought from
-// the leaf snapshot the walker before it left. call starts after
-// forgetSnapshots, with the scratch pool emptied, so its first walker seeks
-// afresh and builds its scratch. A later walker that builds one too — a GC
-// emptied the pool, or -race, whose sync.Pool drops items at random,
-// dropped it — seeks afresh: 2 lookups in these one-leaf trees (a descent
-// of one page and the leaf's copy), taken off for each such refill.
-func sliceLookups(t *testing.T, page *pagestore.Store, tree *btree.Tree, refills *atomic.Int64, call func()) int64 {
+// buffer pool's lookups it made. call starts after forgetSnapshots, so its
+// first walker seeks afresh; each later walker takes the scratch, and with
+// it the leaf snapshot, the walker before it leaves.
+func sliceLookups(t *testing.T, page *pagestore.Store, tree *btree.Tree, call func()) int64 {
 	t.Helper()
 	forgetSnapshots(t, tree)
-	emptyScratchPool(refills)
-	r0, before := refills.Load(), lookups(page)
+	before := lookups(page)
 	call()
-	return lookups(page) - before - 2*(refills.Load()-r0-1)
+	return lookups(page) - before
 }
 
 // forgetSnapshots makes the next seek into tree descend: a Put and a
@@ -165,7 +159,6 @@ func TestLookbackReadsOnlyHeads(t *testing.T) {
 			{"inside the last cold record", 1_000_000, 1_005_000, 0, 2 + nsrc*(0+9) + 1, 2 + nsrc*(0+5) + 1},
 		}},
 	}
-	refills := countScratchRefills(t)
 	for _, st := range stores {
 		f, s, truth := tieredRecords(t, Config{DisableCompression: true}, nsrc, st.coldPoints)
 		for _, win := range st.windows {
@@ -202,7 +195,7 @@ func TestLookbackReadsOnlyHeads(t *testing.T) {
 			want := inWindow(truth, win.t1, win.t2)
 
 			var rows []model.Point
-			got := sliceLookups(t, f.page, f.store.irts, refills, func() {
+			got := sliceLookups(t, f.page, f.store.irts, func() {
 				it, err := f.store.SliceScanOpts(s.ID, win.t1, win.t2, nil, ScanOptions{NoCache: true})
 				if err != nil {
 					t.Fatal(err)
@@ -219,7 +212,7 @@ func TestLookbackReadsOnlyHeads(t *testing.T) {
 				lookups  int64
 			}{{nil, win.lookups}, {[]int{1}, win.projected}} {
 				var res *AggResult
-				got := sliceLookups(t, f.page, f.store.irts, refills, func() {
+				got := sliceLookups(t, f.page, f.store.irts, func() {
 					var err error
 					if res, err = f.store.AggregateSlice(s.ID, AggSpec{T1: win.t1, T2: win.t2, NTags: 4, ByID: true, WantTags: agg.wantTags, Opts: ScanOptions{NoCache: true}}); err != nil {
 						t.Fatal(err)

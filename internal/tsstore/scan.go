@@ -121,7 +121,7 @@ func (it *scanIter) Next() (model.Point, bool) {
 				break
 			}
 			if w := it.ws[it.wi]; w.done {
-				w.release()
+				w.release(after(it.ws, it.wi))
 				it.wi++
 			} else {
 				it.ch, it.err = w.step()

@@ -174,11 +174,10 @@ func TestUpgradeRederivesStatistics(t *testing.T) {
 		victim = max(victim, id)
 	}
 	const t1, t2 = 1_000_000, 1_005_000
-	refills := countScratchRefills(t)
 	slice := func() (map[int64][]model.Point, int64) {
 		t.Helper()
 		var rows []model.Point
-		n := sliceLookups(t, f.page, f.store.irts, refills, func() {
+		n := sliceLookups(t, f.page, f.store.irts, func() {
 			it, err := f.store.SliceScanOpts(s.ID, t1, t2, nil, ScanOptions{NoCache: true})
 			if err != nil {
 				t.Fatal(err)

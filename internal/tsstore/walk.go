@@ -49,9 +49,9 @@ import (
 // that does not want it; Stats.BytesNotRead counts those bytes. Costs
 // still count the stored length (Cursor.ValueSize): the planner's unit,
 // the cache's and the step budget do not depend on how much was read.
-// Successive seeks of one walk, and of the next walker of a slice that
-// picks up the same scratch, reuse the cursor's leaf snapshot while the
-// tree is unchanged (btree.Cursor.Reset).
+// Successive seeks of one walk, and of the next walker of a list, which
+// the walker before it hands its scratch, reuse the cursor's leaf snapshot
+// while the tree is unchanged (btree.Cursor.Reset).
 
 // stepBytes is the encoded record bytes after which a step looks for a
 // place to end, so long walks re-seek about once per this many bytes. A
@@ -105,7 +105,9 @@ type walker struct {
 // next step, and its backing, the bytes of its records and the cursors
 // (leaf snapshots, seek keys) that gathered it are the next chunk's. A
 // walker is short-lived — a slice opens one per source — so the scratch
-// outlives it: release hands it to the next walker.
+// outlives it: release hands it to the next walker of the list, and the
+// list's last walker (or one of a parallel aggregate's goroutines) to the
+// pool, for the next query.
 type walkScratch struct {
 	recs []walkRec // chunk backing
 	buf  []byte    // the bytes of the chunk's records
@@ -114,14 +116,29 @@ type walkScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
-// release gives the scratch up. The consumer calls it when it is through
-// with the last chunk; nothing a chunk handed out is valid after it.
-func (w *walker) release() {
-	if w.walkScratch != nil {
-		clear(w.recs[:cap(w.recs)]) // cache entries, buffered rows
-		scratchPool.Put(w.walkScratch)
-		w.walkScratch = nil
+// release gives the scratch up: to next, the walker after this one in a
+// list walked in turn, or with next nil to the pool. The consumer calls it
+// when it is through with the last chunk; nothing a chunk handed out is
+// valid after it.
+func (w *walker) release(next *walker) {
+	if w.walkScratch == nil {
+		return
 	}
+	clear(w.recs[:cap(w.recs)]) // cache entries, buffered rows
+	if next != nil {
+		next.walkScratch = w.walkScratch
+	} else {
+		scratchPool.Put(w.walkScratch)
+	}
+	w.walkScratch = nil
+}
+
+// after returns the walker after ws[i], or nil for the last.
+func after(ws []*walker, i int) *walker {
+	if i+1 < len(ws) {
+		return ws[i+1]
+	}
+	return nil
 }
 
 // walkRec is one record a step handed out: the cached decode when the
