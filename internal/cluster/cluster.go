@@ -147,7 +147,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats counts replication and failover activity since the cluster was
-// built.
+// built. A Cluster holds one Stats as its live counters, allocated on its
+// own so every field is 8-byte aligned: writers bump a field with
+// atomic.AddInt64, and Cluster.Stats reads them all through
+// metrics.Snapshot.
 type Stats struct {
 	WritesAcked         int64 // writes that reached quorum
 	WriteQuorumFailures int64 // writes that did not
@@ -164,14 +167,6 @@ type Stats struct {
 	Restarts            int64
 }
 
-type statsCounters struct {
-	writesAcked, writeQuorumFailures, replicaWriteErrors atomic.Int64
-	hintsQueued, hintsReplayed, hintsDeduped             atomic.Int64
-	failovers, backoffs                                  atomic.Int64
-	queries, partialQueries, aggGathers                  atomic.Int64
-	kills, restarts                                      atomic.Int64
-}
-
 // Cluster is a set of shard copies with a source-hash router.
 type Cluster struct {
 	opts Options
@@ -182,7 +177,7 @@ type Cluster struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	stats statsCounters
+	stats *Stats
 }
 
 // nodeState is the liveness view of one data server.
@@ -197,7 +192,7 @@ func NewReplicated(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
 	opts = opts.withDefaults()
-	c := &Cluster{opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	c := &Cluster{opts: opts, rng: rand.New(rand.NewSource(opts.Seed)), stats: new(Stats)}
 	for i := 0; i < opts.Nodes; i++ {
 		c.nodes = append(c.nodes, &nodeState{})
 	}
@@ -331,7 +326,7 @@ func (c *Cluster) Write(p model.Point) error {
 	var errs []error
 	for _, cp := range copies {
 		if err := c.writeCopy(cp, p); err != nil {
-			c.stats.replicaWriteErrors.Add(1)
+			atomic.AddInt64(&c.stats.ReplicaWriteErrors, 1)
 			errs = append(errs, &NodeError{Node: cp.host, Err: err})
 			c.hint(cp, p)
 			continue
@@ -339,10 +334,10 @@ func (c *Cluster) Write(p model.Point) error {
 		acks++
 	}
 	if acks >= c.opts.WriteQuorum {
-		c.stats.writesAcked.Add(1)
+		atomic.AddInt64(&c.stats.WritesAcked, 1)
 		return nil
 	}
-	c.stats.writeQuorumFailures.Add(1)
+	atomic.AddInt64(&c.stats.WriteQuorumFailures, 1)
 	return fmt.Errorf("%w: %d/%d acks: %w", ErrNoQuorum, acks, c.opts.WriteQuorum, joinNodeErrors(errs))
 }
 
@@ -383,23 +378,7 @@ func (c *Cluster) ExecAll(sql string) error {
 }
 
 // Stats returns a snapshot of replication and failover counters.
-func (c *Cluster) Stats() Stats {
-	return Stats{
-		WritesAcked:         c.stats.writesAcked.Load(),
-		WriteQuorumFailures: c.stats.writeQuorumFailures.Load(),
-		ReplicaWriteErrors:  c.stats.replicaWriteErrors.Load(),
-		HintsQueued:         c.stats.hintsQueued.Load(),
-		HintsReplayed:       c.stats.hintsReplayed.Load(),
-		HintsDeduped:        c.stats.hintsDeduped.Load(),
-		Failovers:           c.stats.failovers.Load(),
-		Backoffs:            c.stats.backoffs.Load(),
-		Queries:             c.stats.queries.Load(),
-		PartialQueries:      c.stats.partialQueries.Load(),
-		AggGathers:          c.stats.aggGathers.Load(),
-		Kills:               c.stats.kills.Load(),
-		Restarts:            c.stats.restarts.Load(),
-	}
-}
+func (c *Cluster) Stats() Stats { return metrics.Snapshot(c.stats) }
 
 // TotalStats sums every live copy's Historian.TotalStats — the
 // cluster-wide view of ingest volume and of the summary-level aggregate

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"odh/internal/sqlexec"
@@ -71,7 +72,7 @@ func (c *Cluster) Query(sql string) (*QueryResult, error) {
 // When ctx carries no deadline and Options.QueryTimeout is set, the
 // scatter runs under that timeout.
 func (c *Cluster) QueryContext(ctx context.Context, sql string) (*QueryResult, error) {
-	c.stats.queries.Add(1)
+	atomic.AddInt64(&c.stats.Queries, 1)
 	if d := c.opts.QueryTimeout; d > 0 {
 		if _, ok := ctx.Deadline(); !ok {
 			var cancel context.CancelFunc
@@ -93,7 +94,7 @@ func (c *Cluster) QueryContext(ctx context.Context, sql string) (*QueryResult, e
 	if plan != nil && plan.gather != nil {
 		acc = sqlexec.NewGatherAccum(plan.gather)
 		if plan.gather.Aggregate() {
-			c.stats.aggGathers.Add(1)
+			atomic.AddInt64(&c.stats.AggGathers, 1)
 			shardSQL = plan.gather.ShardSQL
 			out.Columns = plan.gather.Columns
 		}
@@ -139,7 +140,7 @@ func (c *Cluster) QueryContext(ctx context.Context, sql string) (*QueryResult, e
 	if len(unavailable) > 0 {
 		sort.Ints(unavailable)
 		out.Unavailable = unavailable
-		c.stats.partialQueries.Add(1)
+		atomic.AddInt64(&c.stats.PartialQueries, 1)
 		if plan != nil && plan.gather != nil && plan.gather.Aggregate() {
 			// A fold missing a shard's partials is a plausible-looking
 			// wrong answer, not a partial one. Withhold it.
@@ -192,7 +193,7 @@ func (c *Cluster) queryShard(ctx context.Context, s int, sql string) (*copyResul
 			c.rngMu.Lock()
 			d := c.opts.Retry.Delay(round, c.rng)
 			c.rngMu.Unlock()
-			c.stats.backoffs.Add(1)
+			atomic.AddInt64(&c.stats.Backoffs, 1)
 			if err := sleepCtx(ctx, d); err != nil {
 				return nil, err
 			}
@@ -208,7 +209,7 @@ func (c *Cluster) queryShard(ctx context.Context, s int, sql string) (*copyResul
 			res, err := c.execOnCopy(ctx, cp, sql)
 			if err == nil {
 				if k > 0 || round > 0 {
-					c.stats.failovers.Add(1)
+					atomic.AddInt64(&c.stats.Failovers, 1)
 				}
 				return res, nil
 			}

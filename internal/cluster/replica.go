@@ -194,7 +194,7 @@ func (c *Cluster) hint(cp *shardCopy, p model.Point) {
 		return
 	}
 	cp.pendingHints.Add(1)
-	c.stats.hintsQueued.Add(1)
+	atomic.AddInt64(&c.stats.HintsQueued, 1)
 }
 
 // stale reports whether a copy may be missing acked writes.
@@ -229,7 +229,7 @@ func (c *Cluster) KillNode(i int) error {
 	if ns.down.Swap(true) {
 		return nil // already down
 	}
-	c.stats.kills.Add(1)
+	atomic.AddInt64(&c.stats.Kills, 1)
 	c.forEachCopy(func(cp *shardCopy) error {
 		if cp.host != i {
 			return nil
@@ -285,7 +285,7 @@ func (c *Cluster) RestartNode(i int) error {
 		return firstErr
 	}
 	ns.down.Store(false)
-	c.stats.restarts.Add(1)
+	atomic.AddInt64(&c.stats.Restarts, 1)
 	return nil
 }
 
@@ -357,8 +357,8 @@ func (c *Cluster) catchUpCopy(cp *shardCopy) error {
 	// Replay through the normal write path so replayed hints are
 	// themselves protected by the copy's recovery log.
 	replayed, deduped, err := h.ReplayLog(cp.hints)
-	c.stats.hintsReplayed.Add(int64(replayed))
-	c.stats.hintsDeduped.Add(int64(deduped))
+	atomic.AddInt64(&c.stats.HintsReplayed, int64(replayed))
+	atomic.AddInt64(&c.stats.HintsDeduped, int64(deduped))
 	if err != nil {
 		return err // copy stays stale; CatchUp can be retried
 	}

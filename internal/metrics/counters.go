@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 )
 
 // Walk calls fn with the name and value of every counter of v: each
 // exported int64 or float64 field of the struct v (or *v), in declaration
 // order, an embedded struct's counters in place of the embedding field.
 // A layer declares its counters once, in its own Stats struct that outer
-// layers embed, and Walk and Add are all that list them. value is an
-// int64 or a float64, so fmt prints integers as integers. The name is the
-// field name in snake_case with acronyms kept whole: IOBytesRead is
-// io_bytes_read, WALRecords is wal_records.
+// layers embed, and Walk, Add and Snapshot are all that list them. value
+// is an int64 or a float64, so fmt prints integers as integers. The name
+// is the field name in snake_case with acronyms kept whole: IOBytesRead
+// is io_bytes_read, WALRecords is wal_records.
 func Walk(v any, fn func(name string, value any)) {
 	rv := reflect.Indirect(reflect.ValueOf(v))
 	counters(rv.Type(), nil, func(path []int, f reflect.StructField) {
@@ -39,6 +40,23 @@ func Add(dst, src any) {
 			x.SetInt(x.Int() + s.FieldByIndex(path).Int())
 		}
 	})
+}
+
+// Snapshot returns a copy of the live counter struct *live in which each
+// int64 counter, embedded structs' included, is read with
+// atomic.LoadInt64; every other field keeps its zero value, so a rate is
+// recomputed by the caller. A layer's writers bump the fields of its one
+// live Stats with atomic.AddInt64 and Snapshot is how it is read: a plain
+// copy of the live struct would race with them.
+func Snapshot[T any](live *T) T {
+	var out T
+	s, d := reflect.ValueOf(live).Elem(), reflect.ValueOf(&out).Elem()
+	counters(s.Type(), nil, func(path []int, f reflect.StructField) {
+		if x := s.FieldByIndex(path); x.CanInt() {
+			d.FieldByIndex(path).SetInt(atomic.LoadInt64((*int64)(x.Addr().UnsafePointer())))
+		}
+	})
+	return out
 }
 
 // counters calls fn with the field index path and the field of every

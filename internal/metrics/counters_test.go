@@ -79,3 +79,14 @@ func TestAddSumsEmbeddedCounters(t *testing.T) {
 	}()
 	Add(&total, inner{})
 }
+
+// TestSnapshotCopiesEveryCounter: Snapshot copies every int64 counter,
+// those promoted from an embedded struct too, and leaves rates and
+// non-counters at zero.
+func TestSnapshotCopiesEveryCounter(t *testing.T) {
+	live := &outer{First: 1, inner: inner{HitsIO: 2, Rate: 0.5}, Label: "x", hidden: 9, Count: 9, Last: 1 << 40}
+	want := outer{First: 1, inner: inner{HitsIO: 2}, Last: 1 << 40}
+	if got := Snapshot(live); got != want {
+		t.Fatalf("snapshot %+v, want %+v", got, want)
+	}
+}

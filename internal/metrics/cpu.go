@@ -2,7 +2,7 @@
 // reports: process CPU time (for the paper's "Avg/Max CPU Load" columns),
 // windowed throughput meters, and storage accounting helpers — and the
 // one walk over counter structs behind STATS, odh-cli and the cluster
-// roll-up (Walk, Add).
+// roll-up (Walk, Add, Snapshot).
 package metrics
 
 import (

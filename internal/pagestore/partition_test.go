@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"odh/internal/metrics"
 )
 
 // TestPartitionCountPolicy pins the partition sizing rules: tiny pools
@@ -82,7 +84,7 @@ func TestConcurrentGetAcrossPartitions(t *testing.T) {
 	}
 	var perPart Stats
 	for _, ps := range s.PartitionStats() {
-		perPart.add(ps)
+		metrics.Add(&perPart, ps)
 	}
 	if perPart.Hits != st.Hits || perPart.Misses != st.Misses {
 		t.Fatalf("partition stats (%d/%d) disagree with aggregate (%d/%d)",

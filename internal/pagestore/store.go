@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"odh/internal/metrics"
 )
 
 // Magic bytes identifying a pagestore file (format 2: checksummed pages,
@@ -100,19 +102,6 @@ func (st Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(st.Hits) / float64(total)
-}
-
-// add accumulates other into st.
-func (st *Stats) add(other Stats) {
-	st.Hits += other.Hits
-	st.Misses += other.Misses
-	st.Evictions += other.Evictions
-	st.PageReads += other.PageReads
-	st.PageWrites += other.PageWrites
-	st.BytesRead += other.BytesRead
-	st.BytesWritten += other.BytesWritten
-	st.Allocs += other.Allocs
-	st.Frees += other.Frees
 }
 
 // Options configures a Store.
@@ -815,7 +804,7 @@ func (s *Store) VerifyPages() (checked int, corrupt []PageID, err error) {
 		}
 	}
 	s.metaMu.Lock()
-	s.metaIO.stats.add(scratch.stats)
+	metrics.Add(&s.metaIO.stats, &scratch.stats)
 	s.metaMu.Unlock()
 	return checked, corrupt, nil
 }
@@ -828,7 +817,7 @@ func (s *Store) Stats() Stats {
 	s.metaMu.Unlock()
 	for _, p := range s.parts {
 		p.mu.Lock()
-		st.add(p.io.stats)
+		metrics.Add(&st, &p.io.stats)
 		p.mu.Unlock()
 	}
 	return st

@@ -1,6 +1,9 @@
 package server
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Admission control bounds the memory held by ingest frames read off the
 // wire but not yet applied. A BATCH frame reserves its payload size against
@@ -20,14 +23,14 @@ func (s *Server) admit(sc *serverConn, more, total int64) error {
 	}
 	if sc.queued.Add(more) > s.connBudget {
 		sc.queued.Add(-more)
-	} else if s.queuedBytes.Add(more) > s.globalBudget {
-		s.queuedBytes.Add(-more)
+	} else if atomic.AddInt64(&s.stats.QueuedBytes, more) > s.globalBudget {
+		atomic.AddInt64(&s.stats.QueuedBytes, -more)
 		sc.queued.Add(-more)
 	} else {
 		return nil
 	}
-	s.batchesShed.Add(1)
-	s.shedBytes.Add(total)
+	atomic.AddInt64(&s.stats.BatchesShed, 1)
+	atomic.AddInt64(&s.stats.ShedBytes, total)
 	return errBusy
 }
 
@@ -36,6 +39,6 @@ func (s *Server) release(sc *serverConn, n int64) {
 	if n <= 0 {
 		return
 	}
-	s.queuedBytes.Add(-n)
+	atomic.AddInt64(&s.stats.QueuedBytes, -n)
 	sc.queued.Add(-n)
 }

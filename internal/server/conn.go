@@ -133,9 +133,9 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	}
 	defer s.untrack(sc)
 	defer sc.forceClose()
-	s.connsAccepted.Add(1)
-	s.connsActive.Add(1)
-	defer s.connsActive.Add(-1)
+	atomic.AddInt64(&s.stats.ConnsAccepted, 1)
+	atomic.AddInt64(&s.stats.ConnsActive, 1)
+	defer atomic.AddInt64(&s.stats.ConnsActive, -1)
 
 	go sc.readLoop()
 	sc.applyLoop()
@@ -306,8 +306,8 @@ func (sc *serverConn) applyLoop() {
 			if n := len(item.frame.Points()); err != nil {
 				fmt.Fprintf(sc.out, "ERR %v\n", err)
 			} else {
-				sc.s.framesIngested.Add(1)
-				sc.s.pointsIngested.Add(int64(n))
+				atomic.AddInt64(&sc.s.stats.FramesIngested, 1)
+				atomic.AddInt64(&sc.s.stats.PointsIngested, int64(n))
 				fmt.Fprintf(sc.out, "OK %d\n", n)
 			}
 		case itemLine:
@@ -336,7 +336,7 @@ func (sc *serverConn) applyLine(w *odh.Writer, line string) (quit bool) {
 		if err := sc.s.handleWrite(w, rest); err != nil {
 			fmt.Fprintf(sc.out, "ERR %v\n", err)
 		} else {
-			sc.s.pointsIngested.Add(1)
+			atomic.AddInt64(&sc.s.stats.PointsIngested, 1)
 			fmt.Fprintln(sc.out, "OK")
 		}
 	case "SQL":

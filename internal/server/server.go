@@ -107,20 +107,17 @@ type Server struct {
 
 	drainCh chan struct{} // closed when Close begins draining
 
-	// Counters behind Stats; all atomics so the hot paths stay lock-free.
-	queuedBytes     atomic.Int64
-	connsAccepted   atomic.Int64
-	connsActive     atomic.Int64
-	framesIngested  atomic.Int64
-	pointsIngested  atomic.Int64
-	batchesShed     atomic.Int64
-	shedBytes       atomic.Int64
-	queriesTimedOut atomic.Int64
-	forcedCloses    atomic.Int64
+	// stats is the live record of the serving layer's counters, bumped
+	// with atomic.AddInt64 so the hot paths stay lock-free (see Stats).
+	stats *Stats
 }
 
-// Stats is a snapshot of the serving layer's counters, the first lines of
-// the STATS reply.
+// Stats is the serving layer's counters, the first lines of the STATS
+// reply. A Server holds one Stats as its live counters, allocated on its
+// own so every field is 8-byte aligned: writers bump a field with
+// atomic.AddInt64 (admission checks its budget against the QueuedBytes
+// that add returns), and Server.Stats reads them all through
+// metrics.Snapshot.
 type Stats struct {
 	// ConnsAccepted counts sessions ever started; ConnsActive counts
 	// sessions currently open.
@@ -161,23 +158,12 @@ func NewWith(h *odh.Historian, opts Options) *Server {
 		connBudget:   connBudget,
 		conns:        make(map[*serverConn]struct{}),
 		drainCh:      make(chan struct{}),
+		stats:        new(Stats),
 	}
 }
 
 // Stats snapshots the serving-layer counters.
-func (s *Server) Stats() Stats {
-	return Stats{
-		ConnsAccepted:   s.connsAccepted.Load(),
-		ConnsActive:     s.connsActive.Load(),
-		FramesIngested:  s.framesIngested.Load(),
-		PointsIngested:  s.pointsIngested.Load(),
-		BatchesShed:     s.batchesShed.Load(),
-		ShedBytes:       s.shedBytes.Load(),
-		QueuedBytes:     s.queuedBytes.Load(),
-		QueriesTimedOut: s.queriesTimedOut.Load(),
-		ForcedCloses:    s.forcedCloses.Load(),
-	}
-}
+func (s *Server) Stats() Stats { return metrics.Snapshot(s.stats) }
 
 // writeStats renders the STATS reply: the serving layer's counters, then
 // the historian's, one "<name> <value>" line each (metrics.Walk).
@@ -287,7 +273,7 @@ func (s *Server) Close() error {
 	case <-time.After(s.opts.DrainTimeout):
 		s.mu.Lock()
 		for sc := range s.conns {
-			s.forcedCloses.Add(1)
+			atomic.AddInt64(&s.stats.ForcedCloses, 1)
 			sc.forceClose()
 		}
 		s.mu.Unlock()
@@ -383,6 +369,6 @@ func (s *Server) handleSQL(out io.Writer, sql string) {
 // noteQueryErr counts timeout-caused query failures.
 func (s *Server) noteQueryErr(err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		s.queriesTimedOut.Add(1)
+		atomic.AddInt64(&s.stats.QueriesTimedOut, 1)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"odh"
 	"odh/internal/fault"
+	"odh/internal/metrics"
 )
 
 // startServerWith spins up a historian with nSources registered sources
@@ -486,5 +488,122 @@ func TestLongReplyAfterIdleGap(t *testing.T) {
 			return
 		}
 		n++
+	}
+}
+
+// TestStatsSnapshotsUnderLoad reads both counter surfaces, the server's
+// Stats and the historian's TotalStats, in a loop while clients ingest
+// frames and query on their own goroutines: under -race each snapshot is
+// an atomic read of the live counters, no counter ever goes down (the
+// gauges aside), and once the clients are done PointsWritten and
+// PointsIngested equal the points the server acked.
+func TestStatsSnapshotsUnderLoad(t *testing.T) {
+	const clients, rounds, frame = 4, 30, 50
+	addr, srv, h := startServerWith(t, clients, Options{})
+	gauges := map[string]bool{"conns_active": true, "queued_bytes": true, "blob_cache_size_bytes": true, "blob_cache_entries": true}
+	snapshot := func() map[string]int64 {
+		m := map[string]int64{}
+		for _, st := range []any{srv.Stats(), h.TotalStats()} {
+			metrics.Walk(st, func(name string, v any) {
+				if n, ok := v.(int64); ok && !gauges[name] {
+					m[name] = n
+				}
+			})
+		}
+		return m
+	}
+	done := make(chan struct{})
+	reader := make(chan int)
+	go func() {
+		prev, reads := snapshot(), 0
+		for {
+			select {
+			case <-done:
+				reader <- reads
+				return
+			default:
+			}
+			cur := snapshot()
+			for name, n := range cur {
+				if n < prev[name] {
+					t.Errorf("%s went down: %d after %d", name, n, prev[name])
+				}
+			}
+			prev = cur
+			reads++
+		}
+	}()
+	var wg sync.WaitGroup
+	acked := make([]int64, clients)
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			r := bufio.NewReader(c)
+			line := func() string {
+				s, err := r.ReadString('\n')
+				if err != nil {
+					t.Errorf("client %d: %v", g, err)
+				}
+				return strings.TrimSpace(s)
+			}
+			fmt.Fprintln(c, "HELLO 3")
+			if got := line(); got != "HELLO 3" {
+				t.Errorf("client %d: HELLO -> %q", g, got)
+				return
+			}
+			src, ts := int64(g+1), int64(0)
+			for round := 0; round < rounds; round++ {
+				batch := make([]odh.Point, frame)
+				for i := range batch {
+					ts += 1000
+					batch[i] = odh.Point{Source: src, TS: ts, Values: []float64{float64(i), 1}}
+				}
+				if err := WriteBatchFrame(c, batch); err != nil {
+					t.Errorf("client %d: %v", g, err)
+					return
+				}
+				var n int64
+				if got := line(); !strings.HasPrefix(got, "OK ") {
+					t.Errorf("client %d: BATCH -> %q", g, got)
+					return
+				} else if n, err = strconv.ParseInt(got[3:], 10, 64); err != nil {
+					t.Errorf("client %d: BATCH -> %q", g, got)
+					return
+				}
+				acked[g] += n
+				fmt.Fprintf(c, "SQL SELECT id, COUNT(*), MIN(temperature) FROM environ_data_v WHERE id = %d GROUP BY id\n", src)
+				for got := line(); !strings.HasPrefix(got, "OK"); got = line() {
+					if strings.HasPrefix(got, "ERR") || got == "" {
+						t.Errorf("client %d: SQL -> %q", g, got)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	if reads := <-reader; reads == 0 {
+		t.Fatal("no snapshot was taken while the clients ran")
+	}
+	var want int64
+	for _, n := range acked {
+		want += n
+	}
+	if want != clients*rounds*frame {
+		t.Fatalf("acked %d points, want %d", want, clients*rounds*frame)
+	}
+	if got := h.TotalStats().PointsWritten; got != want {
+		t.Errorf("PointsWritten = %d, want the %d points acked", got, want)
+	}
+	if got := srv.Stats().PointsIngested; got != want {
+		t.Errorf("PointsIngested = %d, want the %d points acked", got, want)
 	}
 }

@@ -277,32 +277,14 @@ func (a *aggregateOp) Describe(indent string) string {
 
 // hasAggregates reports whether any select item contains an aggregate call.
 func hasAggregates(items []sqlparse.SelectItem) bool {
+	found := false
 	for _, item := range items {
-		if item.Expr != nil && containsAgg(item.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsAgg(e sqlparse.Expr) bool {
-	switch x := e.(type) {
-	case *sqlparse.FuncExpr:
-		if x.IsAggregate() {
-			return true
-		}
-		for _, a := range x.Args {
-			if containsAgg(a) {
-				return true
+		sqlparse.Inspect(item.Expr, func(e sqlparse.Expr) bool {
+			if f, ok := e.(*sqlparse.FuncExpr); ok && f.IsAggregate() {
+				found = true
 			}
-		}
-		return false
-	case *sqlparse.BinaryExpr:
-		return containsAgg(x.L) || containsAgg(x.R)
-	case *sqlparse.BetweenExpr:
-		return containsAgg(x.Target) || containsAgg(x.Lo) || containsAgg(x.Hi)
-	case *sqlparse.NotExpr:
-		return containsAgg(x.Inner)
+			return !found
+		})
 	}
-	return false
+	return found
 }

@@ -320,7 +320,7 @@ func (e *Engine) buildSelectCtx(ctx context.Context, stmt *sqlparse.SelectStmt) 
 func selectTail(root Operator, stmt *sqlparse.SelectStmt, aggregated bool) (Operator, error) {
 	bindOut := func(e sqlparse.Expr) (boundExpr, error) {
 		if aggregated {
-			e = rewriteAggRefs(e, root.Columns())
+			e = aggOutputRefs(e, root.Columns())
 		}
 		return bind(e, root.Columns())
 	}
@@ -350,32 +350,19 @@ func selectTail(root Operator, stmt *sqlparse.SelectStmt, aggregated bool) (Oper
 	return root, nil
 }
 
-// rewriteAggRefs replaces subexpressions whose rendering matches an
+// aggOutputRefs replaces subexpressions whose rendering matches an
 // output column's name with a reference to that column, so HAVING
 // COUNT(*) > 5 and ORDER BY AVG(x) resolve against the aggregate output.
-func rewriteAggRefs(e sqlparse.Expr, cols []ColMeta) sqlparse.Expr {
-	if e == nil {
-		return nil
-	}
-	str := strings.ToUpper(e.String())
-	for _, c := range cols {
-		if strings.ToUpper(c.Name) == str {
-			return &sqlparse.ColumnRef{Name: c.Name}
+func aggOutputRefs(e sqlparse.Expr, cols []ColMeta) sqlparse.Expr {
+	return sqlparse.Rewrite(e, func(x sqlparse.Expr) sqlparse.Expr {
+		str := x.String()
+		for _, c := range cols {
+			if strings.EqualFold(c.Name, str) {
+				return &sqlparse.ColumnRef{Name: c.Name}
+			}
 		}
-	}
-	switch x := e.(type) {
-	case *sqlparse.BinaryExpr:
-		return &sqlparse.BinaryExpr{Op: x.Op, L: rewriteAggRefs(x.L, cols), R: rewriteAggRefs(x.R, cols)}
-	case *sqlparse.BetweenExpr:
-		return &sqlparse.BetweenExpr{
-			Target: rewriteAggRefs(x.Target, cols),
-			Lo:     rewriteAggRefs(x.Lo, cols),
-			Hi:     rewriteAggRefs(x.Hi, cols),
-		}
-	case *sqlparse.NotExpr:
-		return &sqlparse.NotExpr{Inner: rewriteAggRefs(x.Inner, cols)}
-	}
-	return e
+		return x
+	})
 }
 
 // buildProjection expands stars and binds select expressions. Only a star

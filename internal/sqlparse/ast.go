@@ -224,6 +224,68 @@ func (e *InExpr) String() string {
 	return fmt.Sprintf("(%s IN (%s))", e.Target, strings.Join(parts, ", "))
 }
 
+// Inspect walks e in pre-order, calling fn with each node; a false return
+// skips that node's children. With Rewrite it is the one place that knows
+// each node's children.
+func Inspect(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *BinaryExpr:
+		Inspect(x.L, fn)
+		Inspect(x.R, fn)
+	case *BetweenExpr:
+		Inspect(x.Target, fn)
+		Inspect(x.Lo, fn)
+		Inspect(x.Hi, fn)
+	case *NotExpr:
+		Inspect(x.Inner, fn)
+	case *IsNullExpr:
+		Inspect(x.Target, fn)
+	case *FuncExpr:
+		for _, a := range x.Args {
+			Inspect(a, fn)
+		}
+	case *InExpr:
+		Inspect(x.Target, fn)
+		for _, v := range x.List {
+			Inspect(v, fn)
+		}
+	}
+}
+
+// Rewrite rebuilds e bottom-up: an inner node is copied with its children
+// rewritten, and each node, leaves included, is replaced by what fn
+// returns for it. e is never modified.
+func Rewrite(e Expr, fn func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case nil:
+		return nil
+	case *BinaryExpr:
+		e = &BinaryExpr{Op: x.Op, L: Rewrite(x.L, fn), R: Rewrite(x.R, fn)}
+	case *BetweenExpr:
+		e = &BetweenExpr{Target: Rewrite(x.Target, fn), Lo: Rewrite(x.Lo, fn), Hi: Rewrite(x.Hi, fn)}
+	case *NotExpr:
+		e = &NotExpr{Inner: Rewrite(x.Inner, fn)}
+	case *IsNullExpr:
+		e = &IsNullExpr{Target: Rewrite(x.Target, fn), Negate: x.Negate}
+	case *FuncExpr:
+		e = &FuncExpr{Name: x.Name, Star: x.Star, Args: rewriteList(x.Args, fn)}
+	case *InExpr:
+		e = &InExpr{Target: Rewrite(x.Target, fn), List: rewriteList(x.List, fn)}
+	}
+	return fn(e)
+}
+
+func rewriteList(list []Expr, fn func(Expr) Expr) []Expr {
+	out := make([]Expr, len(list))
+	for i, x := range list {
+		out[i] = Rewrite(x, fn)
+	}
+	return out
+}
+
 // SplitConjuncts flattens nested ANDs into a conjunct list.
 func SplitConjuncts(e Expr) []Expr {
 	if e == nil {

@@ -317,3 +317,43 @@ func TestLexerTolerance(t *testing.T) {
 		Parse(full[:i])
 	}
 }
+
+// TestInspectAndRewriteReachEveryChild: the walk visits every node of
+// every expression kind in pre-order, a false return skips a node's
+// children, and a rewrite replaces nodes at any depth without touching
+// the original.
+func TestInspectAndRewriteReachEveryChild(t *testing.T) {
+	sel := parseSelect(t, `SELECT a FROM t WHERE NOT (ABS(b) IN (c, 1) AND d BETWEEN e AND f + 2) OR g IS NOT NULL`)
+	var cols []string
+	Inspect(sel.Where, func(e Expr) bool {
+		if c, ok := e.(*ColumnRef); ok {
+			cols = append(cols, c.Name)
+		}
+		return true
+	})
+	if got := strings.Join(cols, ","); got != "b,c,d,e,f,g" {
+		t.Fatalf("Inspect visited columns %s, want b,c,d,e,f,g", got)
+	}
+	nodes := 0
+	Inspect(sel.Where, func(e Expr) bool {
+		nodes++
+		_, isNot := e.(*NotExpr)
+		return !isNot
+	})
+	if nodes != 4 { // OR, NOT (children skipped), IS NOT NULL, g
+		t.Fatalf("Inspect with NOT's children skipped visited %d nodes, want 4", nodes)
+	}
+	before := sel.Where.String()
+	got := Rewrite(sel.Where, func(e Expr) Expr {
+		if c, ok := e.(*ColumnRef); ok {
+			return &ColumnRef{Name: strings.ToUpper(c.Name)}
+		}
+		return e
+	})
+	if want := strings.ToUpper(before); !strings.EqualFold(got.String(), want) || strings.ContainsAny(got.String(), "bcdefg") {
+		t.Fatalf("Rewrite gave %s, want every column upper-cased in %s", got, before)
+	}
+	if sel.Where.String() != before {
+		t.Fatalf("Rewrite changed its input: %s, was %s", sel.Where, before)
+	}
+}

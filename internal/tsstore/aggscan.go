@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"odh/internal/model"
 )
@@ -423,7 +424,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		return nil
 	}
 	if !rec.hdr.overlaps(sp.spec.Preds) {
-		s.zoneSkips.Add(1)
+		atomic.AddInt64(&s.stats.ZoneSkips, 1)
 		return nil
 	}
 	mg := rec.home.tree == s.mg
@@ -521,8 +522,8 @@ func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResul
 			}(i, w)
 		}
 		wg.Wait()
-		s.parallelScans.Add(1)
-		s.parallelParts.Add(int64(len(ws)))
+		atomic.AddInt64(&s.stats.ParallelScans, 1)
+		atomic.AddInt64(&s.stats.ParallelParts, int64(len(ws)))
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -556,10 +557,10 @@ func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResul
 			res.Groups = append(res.Groups, *g)
 		}
 	}
-	s.summaryHits.Add(res.SummaryHits)
-	s.bytesNotDecoded.Add(res.BytesNotDecoded)
-	s.subBucketFolds.Add(res.SubBucketFolds)
-	s.subBucketBytesNotDecoded.Add(res.SubBucketBytesNotDecoded)
+	atomic.AddInt64(&s.stats.SummaryHits, res.SummaryHits)
+	atomic.AddInt64(&s.stats.BytesNotDecoded, res.BytesNotDecoded)
+	atomic.AddInt64(&s.stats.SubBucketFolds, res.SubBucketFolds)
+	atomic.AddInt64(&s.stats.SubBucketBytesNotDecoded, res.SubBucketBytesNotDecoded)
 	return res, nil
 }
 

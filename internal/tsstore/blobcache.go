@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // The decoded-ValueBlob cache sits between the scan iterators and the
@@ -81,7 +82,9 @@ type cacheEntry struct {
 
 // blobCache is a byte-budgeted LRU over decoded blobs. All methods are
 // safe for concurrent use; the mutex is only ever held alone, so it has
-// no ordering relationship with shard latches or tree locks.
+// no ordering relationship with shard latches or tree locks. It counts
+// into the store's live Stats (its BlobCache* fields); only the two
+// gauges, curBytes and the LRU's length, live here, under mu.
 type blobCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -96,11 +99,12 @@ type blobCache struct {
 	// a decode of the old blob can never be cached over the new one.
 	vers [cacheVerSlots]uint64
 
-	hits, misses, bytesSaved, evictions, invalidations int64
+	stats *Stats
 }
 
-func newBlobCache(maxBytes int64) *blobCache {
+func newBlobCache(maxBytes int64, stats *Stats) *blobCache {
 	return &blobCache{
+		stats:    stats,
 		maxBytes: maxBytes,
 		lru:      list.New(),
 		entries:  make(map[blobKey]map[string]*cacheEntry),
@@ -118,10 +122,10 @@ func (c *blobCache) get(bk blobKey, sig string) (*cacheEntry, uint64) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[bk][sig]
 	if !ok {
-		c.misses++
+		atomic.AddInt64(&c.stats.BlobCacheMisses, 1)
 		return nil, c.vers[bk.slot()]
 	}
-	c.hits++
+	atomic.AddInt64(&c.stats.BlobCacheHits, 1)
 	c.lru.MoveToFront(e.elem)
 	return e, 0
 }
@@ -129,9 +133,7 @@ func (c *blobCache) get(bk blobKey, sig string) (*cacheEntry, uint64) {
 // noteSaved credits the encoded bytes a served hit avoided re-reading.
 // Called after the hit survived the zone-map skip check.
 func (c *blobCache) noteSaved(n int64) {
-	c.mu.Lock()
-	c.bytesSaved += n
-	c.mu.Unlock()
+	atomic.AddInt64(&c.stats.BlobCacheBytesSaved, n)
 }
 
 // put caches a decoded blob unless the key was invalidated since get
@@ -165,7 +167,7 @@ func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch,
 		}
 		victim := back.Value.(*cacheEntry)
 		c.removeLocked(victim)
-		c.evictions++
+		atomic.AddInt64(&c.stats.BlobCacheEvictions, 1)
 	}
 }
 
@@ -175,7 +177,7 @@ func (c *blobCache) invalidateKey(bk blobKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.vers[bk.slot()]++
-	c.invalidations++
+	atomic.AddInt64(&c.stats.BlobCacheInvalidations, 1)
 	if variants, ok := c.entries[bk]; ok {
 		for _, e := range variants {
 			c.removeLocked(e)

@@ -169,7 +169,7 @@ func TestBlobCacheEviction(t *testing.T) {
 // directly: an insert whose version was read (by the missing get) before
 // an invalidation must be dropped.
 func TestBlobCacheStaleInsertDropped(t *testing.T) {
-	c := newBlobCache(1 << 20)
+	c := newBlobCache(1<<20, new(Stats))
 	bk := blobKey{tree: cacheTreeRTS, source: 7, ts: 100}
 	batch := &DecodedBatch{Timestamps: []int64{100}, Rows: [][]float64{{1}}}
 

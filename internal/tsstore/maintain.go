@@ -3,6 +3,7 @@ package tsstore
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"odh/internal/model"
 )
@@ -45,8 +46,7 @@ type policy struct {
 	dropBefore int64 // retention (an MG record must end a group window earlier)
 	reorgBelow int64 // MG records keyed below it move to their members' ranges
 	coalesce   bool  // re-split the hot history when a hot record is under b/2 rows
-	coldBefore int64 // recompact hot records, coldPoints rows each, split at stubBefore
-	coldPoints int
+	coldBefore int64 // recompact hot records into cold ones, split at stubBefore
 	stubBefore int64
 	upgrade    bool // re-encode at the current format, then re-derive statistics
 }
@@ -76,11 +76,8 @@ func (s *Store) TierSchema(schemaID int64, pol TierPolicy, now int64) (Maintenan
 	if pol.StubAfterMs > 0 {
 		p.stubBefore = now - pol.StubAfterMs
 	}
-	if p.coldPoints = pol.ColdBatchPoints; p.coldPoints <= 0 {
-		p.coldPoints = ColdBatchFactor * s.cfg.BatchSize
-	}
 	res, err := s.run(p, schemaID)
-	s.tierBytesReclaimed.Add(res.BytesBefore - res.BytesAfter)
+	atomic.AddInt64(&s.stats.TierBytesReclaimed, res.BytesBefore-res.BytesAfter)
 	return res, err
 }
 
@@ -262,17 +259,17 @@ func (p *rangePlan) age(pol policy, window int64, res *MaintenanceResult) (err e
 	// a hot record holds fewer than BatchSize/2 rows (a source's hot history
 	// fits the maintenance window by assumption; huge ones drop or tier
 	// first). The cold step recompacts the hot records ending before its
-	// cutoff into cold records of coldPoints rows at maximum codec effort,
-	// split at the stub cutoff so none straddles it (the stub step would keep
-	// its rows forever); values round-trip bit-exactly, since the inputs are
-	// what a scan returned and the cold codecs are verified lossless. No
-	// policy asks for both at once.
+	// cutoff into cold records of ColdBatchFactor × BatchSize rows at
+	// maximum codec effort, split at the stub cutoff so none straddles it
+	// (the stub step would keep its rows forever); values round-trip
+	// bit-exactly, since the inputs are what a scan returned and the cold
+	// codecs are verified lossless. No policy asks for both at once.
 	if pol.coalesce && small && len(hot) > 1 {
 		_, err = p.recompact(hot, p.s.encodeOptsFor(p.schema), p.s.cfg.BatchSize, math.MinInt64)
 	} else if len(aged) > 0 {
 		var n int
-		n, err = p.recompact(aged, p.s.coldOpts(p.schema), pol.coldPoints, pol.stubBefore)
-		p.s.coldCompactions.Add(int64(n))
+		n, err = p.recompact(aged, p.s.coldOpts(p.schema), ColdBatchFactor*p.s.cfg.BatchSize, pol.stubBefore)
+		atomic.AddInt64(&p.s.stats.ColdCompactions, int64(n))
 	}
 	if src && pol.stubBefore > math.MinInt64 {
 		p.stub(pol.stubBefore, res)
@@ -317,7 +314,7 @@ func (p *rangePlan) stub(before int64, res *MaintenanceResult) {
 		if stub, ok := makeStubBlob(r.blob); ok {
 			p.now[r.ts] = stub
 			res.Stubbed++
-			p.s.stubTransitions.Add(1)
+			atomic.AddInt64(&p.s.stats.StubTransitions, 1)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"sync/atomic"
 
 	"odh/internal/btree"
 	"odh/internal/model"
@@ -147,7 +148,7 @@ func (it *scanIter) load(rec *walkRec) error {
 		it.queue = append(it.queue, rec.buffered...)
 	} else {
 		if !rec.hdr.overlaps(it.preds) {
-			w.s.zoneSkips.Add(1)
+			atomic.AddInt64(&w.s.stats.ZoneSkips, 1)
 			return nil
 		}
 		batch, err := w.decode(rec, it.ch.lo, it.ch.hi)

@@ -342,14 +342,14 @@ func spanBoundsRun(t *testing.T, seed int64) {
 		{"flush", 8, func() pass { return func() (MaintenanceResult, error) { return MaintenanceResult{}, f.store.Flush() } }},
 		{"coalesce", 8, func() pass { return func() (MaintenanceResult, error) { return f.store.Coalesce(s.ID) } }},
 		{"cold", 8, func() pass {
-			pol, now := TierPolicy{ColdAfterMs: 1 + rng.Int63n(20_000), ColdBatchPoints: 64}, oldest()
+			pol, now := TierPolicy{ColdAfterMs: 1 + rng.Int63n(20_000)}, oldest()
 			return func() (MaintenanceResult, error) { return f.store.TierSchema(s.ID, pol, now) }
 		}},
 		// No write lands more than 6 s behind its stream's newest, so nothing
 		// is ever written below a stub cutoff.
 		{"cold+stub", 5, func() pass {
 			now, after := oldest(), 10_000+rng.Int63n(20_000)
-			pol := TierPolicy{ColdAfterMs: after / 2, StubAfterMs: after, ColdBatchPoints: 64}
+			pol := TierPolicy{ColdAfterMs: after / 2, StubAfterMs: after}
 			floor = max(floor, now-after)
 			return func() (MaintenanceResult, error) { return f.store.TierSchema(s.ID, pol, now) }
 		}},

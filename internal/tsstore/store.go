@@ -11,6 +11,7 @@ import (
 	"odh/internal/catalog"
 	"odh/internal/compress"
 	"odh/internal/keyenc"
+	"odh/internal/metrics"
 	"odh/internal/model"
 	"odh/internal/pagestore"
 	"odh/internal/walog"
@@ -71,7 +72,10 @@ func (c Config) withDefaults() Config {
 
 // Stats counts store activity. It is the store's share of the
 // historian's counters: odh.HistorianStats embeds it, and metrics.Walk
-// names each field on STATS and in odh-cli.
+// names each field on STATS and in odh-cli. A Store holds one Stats as its
+// live counters, allocated on its own so every field is 8-byte aligned:
+// writers bump a field with atomic.AddInt64, and Store.Stats reads them
+// all through metrics.Snapshot.
 type Stats struct {
 	PointsWritten  int64
 	BatchesFlushed int64
@@ -167,37 +171,14 @@ type Store struct {
 	// had not yet reached a buffer — an acked write lost without any crash.
 	logMu sync.RWMutex
 
-	// The activity counters (Stats), kept outside the shards: scans count
-	// without knowing (or locking) a shard, and Stats locks none.
-	pointsWritten  atomic.Int64
-	batchesFlushed atomic.Int64
-	mgPartialRows  atomic.Int64
-	corruptBlobs   atomic.Int64
-	zoneSkips      atomic.Int64
+	// stats is the live record of the activity counters, kept outside the
+	// shards: scans count without knowing (or locking) a shard, and Stats
+	// locks none. See Stats for how it is written and read.
+	stats *Stats
 
 	// cache holds decoded ValueBlobs for the read path; nil when
 	// Config.BlobCacheBytes is zero.
 	cache *blobCache
-
-	// parallelScans/parallelParts count worker-pool dispatches.
-	parallelScans atomic.Int64
-	parallelParts atomic.Int64
-
-	// summaryHits/bytesNotDecoded count aggregate-pushdown folds that
-	// skipped a blob decode and the encoded bytes they avoided;
-	// subBucketFolds/subBucketBytesNotDecoded count the same for blobs
-	// folded at sub-bucket granularity.
-	summaryHits              atomic.Int64
-	bytesNotDecoded          atomic.Int64
-	subBucketFolds           atomic.Int64
-	subBucketBytesNotDecoded atomic.Int64
-	decodedValues            atomic.Int64 // see Stats.DecodedValues
-	bytesNotRead             atomic.Int64 // see Stats.BytesNotRead
-
-	// Tier lifecycle counters (cumulative; see tier.go).
-	coldCompactions    atomic.Int64
-	stubTransitions    atomic.Int64
-	tierBytesReclaimed atomic.Int64
 }
 
 // shardCount picks the latch shard count: maxShards, or the override
@@ -291,9 +272,10 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 		return nil, fmt.Errorf("tsstore: Config.SubBucketMs = %d: a sub-bucket base width must be positive (0 picks the default)", cfg.SubBucketMs)
 	}
 	s := &Store{
-		cfg:  cfg.withDefaults(),
-		page: store,
-		cat:  cat,
+		cfg:   cfg.withDefaults(),
+		page:  store,
+		cat:   cat,
+		stats: new(Stats),
 	}
 	n := shardCount(s.cfg.shards)
 	s.shards = make([]*shard, n)
@@ -315,7 +297,7 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 		return nil, err
 	}
 	if s.cfg.BlobCacheBytes > 0 {
-		s.cache = newBlobCache(s.cfg.BlobCacheBytes)
+		s.cache = newBlobCache(s.cfg.BlobCacheBytes, s.stats)
 	}
 	if s.cfg.Log != nil {
 		// Unlogged: the records are in the log already, and appending them
@@ -331,30 +313,12 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 // Catalog returns the metadata catalog the store writes through.
 func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 
-// Stats returns a snapshot of the activity counters.
+// Stats returns a snapshot of the activity counters. The cache's two
+// gauges are read under its lock.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		PointsWritten:            s.pointsWritten.Load(),
-		BatchesFlushed:           s.batchesFlushed.Load(),
-		MGPartialRows:            s.mgPartialRows.Load(),
-		CorruptBlobsSkipped:      s.corruptBlobs.Load(),
-		ZoneSkips:                s.zoneSkips.Load(),
-		ParallelScans:            s.parallelScans.Load(),
-		ParallelParts:            s.parallelParts.Load(),
-		SummaryHits:              s.summaryHits.Load(),
-		BytesNotDecoded:          s.bytesNotDecoded.Load(),
-		SubBucketFolds:           s.subBucketFolds.Load(),
-		SubBucketBytesNotDecoded: s.subBucketBytesNotDecoded.Load(),
-		DecodedValues:            s.decodedValues.Load(),
-		BytesNotRead:             s.bytesNotRead.Load(),
-		ColdCompactions:          s.coldCompactions.Load(),
-		StubTransitions:          s.stubTransitions.Load(),
-		TierBytesReclaimed:       s.tierBytesReclaimed.Load(),
-	}
+	st := metrics.Snapshot(s.stats)
 	if c := s.cache; c != nil {
 		c.mu.Lock()
-		st.BlobCacheHits, st.BlobCacheMisses, st.BlobCacheBytesSaved = c.hits, c.misses, c.bytesSaved
-		st.BlobCacheEvictions, st.BlobCacheInvalidations = c.evictions, c.invalidations
 		st.BlobCacheSizeBytes, st.BlobCacheEntries = c.curBytes, int64(c.lru.Len())
 		c.mu.Unlock()
 	}
@@ -463,7 +427,7 @@ func (s *Store) ingest(points []model.Point, raw []byte, logged bool) error {
 			return err
 		}
 	}
-	s.pointsWritten.Add(int64(len(points)))
+	atomic.AddInt64(&s.stats.PointsWritten, int64(len(points)))
 	for i, p := range points {
 		if err := s.writeResolved(&ls[i], p); err != nil {
 			return err
@@ -574,7 +538,7 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 		return s.flushMGRowLocked(gb, row)
 	}
 	if len(gb.rows) > s.cfg.maxOpenMGRows {
-		s.mgPartialRows.Add(1)
+		atomic.AddInt64(&s.stats.MGPartialRows, 1)
 		return s.flushMGRowLocked(gb, gb.rows[0])
 	}
 	return nil
@@ -589,7 +553,7 @@ func (s *Store) flushSourceLocked(buf *sourceBuffer) error {
 	if err := s.putRunLocked(buf.ds, buf.schema, buf.points); err != nil {
 		return err
 	}
-	s.batchesFlushed.Add(1)
+	atomic.AddInt64(&s.stats.BatchesFlushed, 1)
 	buf.points, buf.vals = buf.points[:0], buf.vals[:0]
 	return nil
 }
@@ -636,7 +600,7 @@ func (s *Store) flushMGRowLocked(gb *groupBuffer, row *mgRow) error {
 		return err
 	}
 	gb.rows = slices.DeleteFunc(gb.rows, func(r *mgRow) bool { return r == row })
-	s.batchesFlushed.Add(1)
+	atomic.AddInt64(&s.stats.BatchesFlushed, 1)
 	return nil
 }
 
@@ -785,7 +749,7 @@ func (s *Store) lenient() bool { return s.cfg.LenientScan }
 
 // noteCorruptBlob counts one quarantined record.
 func (s *Store) noteCorruptBlob() {
-	s.corruptBlobs.Add(1)
+	atomic.AddInt64(&s.stats.CorruptBlobsSkipped, 1)
 }
 
 // BlobRef identifies one batch record for integrity reporting.

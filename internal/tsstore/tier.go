@@ -11,13 +11,13 @@ import (
 // batch records age through three tiers, driven by per-schema age
 // policies. Hot records are written by ingest and reorganization at
 // BatchSize granularity with the paper's variability-aware (possibly
-// lossy) codecs; cold ones are aged records coalesced ColdBatchPoints wide
-// and re-encoded at maximum codec effort, lossless and bit-exact against a
-// decode of the hot ones; a stub is a record truncated to its header (zone
-// maps, summary, sub-buckets), which keeps answering aggregates and covered
-// TIME_BUCKET roll-ups while raw-row scans over it fail with
-// StubbedRangeError. Only per-source ranges tier: MG history enters the
-// lifecycle through the reorganizer.
+// lossy) codecs; cold ones are aged records coalesced ColdBatchFactor ×
+// BatchSize rows wide and re-encoded at maximum codec effort, lossless and
+// bit-exact against a decode of the hot ones; a stub is a record truncated
+// to its header (zone maps, summary, sub-buckets), which keeps answering
+// aggregates and covered TIME_BUCKET roll-ups while raw-row scans over it
+// fail with StubbedRangeError. Only per-source ranges tier: MG history
+// enters the lifecycle through the reorganizer.
 
 // TierPolicy ages one schema's batch records. Cutoffs are relative to the
 // "now" passed to TierSchema; zero disables that transition.
@@ -29,13 +29,10 @@ type TierPolicy struct {
 	// summary-only stubs. Usually >= ColdAfterMs so records compact
 	// before their rows are dropped, but a stub-only policy is valid.
 	StubAfterMs int64
-	// ColdBatchPoints is the cold-tier batch granularity; <= 0 means
-	// ColdBatchFactor * Config.BatchSize.
-	ColdBatchPoints int
 }
 
-// ColdBatchFactor is the default multiple of the hot batch size used for
-// cold-tier batches, amortizing per-record key and header overhead.
+// ColdBatchFactor is the multiple of the hot batch size that cold-tier
+// records hold, amortizing per-record key and header overhead.
 const ColdBatchFactor = 8
 
 // TierStats is an on-demand census of the three batch trees by tier.
@@ -73,25 +70,29 @@ func (s *Store) coldOpts(schema *model.SchemaType) encodeOpts {
 
 // TierStats walks the three batch trees and counts records per tier from
 // their format bytes — the census odh-cli's .stats prints after the counters.
+// It reads each record's flag byte and stored size, so one page a record,
+// not its overflow chain.
 func (s *Store) TierStats() (TierStats, error) {
 	var st TierStats
+	var flag []byte
 	for _, tr := range []*btree.Tree{s.rts, s.irts, s.mg} {
 		cur := tr.First()
 		for cur.Valid() {
-			v, err := cur.Value()
-			if err != nil {
+			var err error
+			if flag, err = cur.AppendValuePart(flag[:0], 1); err != nil {
 				return st, err
 			}
-			switch BlobTier(v) {
+			n := int64(cur.ValueSize())
+			switch BlobTier(flag) {
 			case TierStub:
 				st.StubBlobs++
-				st.StubBytes += int64(len(v))
+				st.StubBytes += n
 			case TierCold:
 				st.ColdBlobs++
-				st.ColdBytes += int64(len(v))
+				st.ColdBytes += n
 			default:
 				st.HotBlobs++
-				st.HotBytes += int64(len(v))
+				st.HotBytes += n
 			}
 			cur.Next()
 		}

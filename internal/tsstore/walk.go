@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"odh/internal/btree"
 	"odh/internal/keyenc"
@@ -505,7 +506,7 @@ func (w *walker) read(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 		rec.hdr.b = rec.blob
 	}
 	if n := rec.stored - int64(len(rec.blob)); n > 0 {
-		w.s.bytesNotRead.Add(n)
+		atomic.AddInt64(&w.s.stats.BytesNotRead, n)
 	}
 	return true, nil
 }
@@ -633,7 +634,7 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err erro
 	}
 	w.decoded++
 	w.decodedRows += len(batch.Rows)
-	w.s.decodedValues.Add(int64(batch.decoded))
+	atomic.AddInt64(&w.s.stats.DecodedValues, int64(batch.decoded))
 	if w.cache != nil && r.hdr.whole(batch) {
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
 			batch, r.hdr.detached(), r.stored)

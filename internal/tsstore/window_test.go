@@ -534,7 +534,7 @@ func TestWindowDecodeBounded(t *testing.T) {
 	if err := f.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1, ColdBatchPoints: n}, ts[n-1]+2); err != nil || res.Rewritten != 1 {
+	if res, err := f.store.TierSchema(s.ID, TierPolicy{ColdAfterMs: 1}, ts[n-1]+2); err != nil || res.Rewritten != 1 {
 		t.Fatalf("cold pass: %+v, %v; want one 1,024-row cold record", res, err)
 	}
 	scan := func(t1, t2 int64, wantTags []int) (rows int, decoded int64) {
