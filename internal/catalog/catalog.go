@@ -46,16 +46,17 @@ type Catalog struct {
 	// (source id, or negated group id). Reads are served from it; an update
 	// writes the tree first, so it never runs ahead of a failed Put.
 	statsMem     map[int64]model.SourceStats
-	groupMembers map[int64][]int64 // group id -> ordered member source ids
-	openGroup    map[int64]int64   // schema id -> group currently filling
+	groupMembers map[int64][]int64 // group id -> member source ids in slot order
 	vtableCache  map[string]int64
 	schemaAgg    map[int64]model.SourceStats // aggregated stats per schema
-	// schemaSources lists each schema's source ids, and schemaOwn its
-	// sources that ingest into their own records (RTS/IRTS, not MG), both
-	// in ascending id order: a slice query reads them without a pass over
-	// every source of every schema.
+	// schemaSources lists each schema's source ids, schemaOwn its sources
+	// that ingest into their own records (RTS/IRTS, not MG) and
+	// schemaGroups its MG groups, all in ascending id order: a slice query
+	// reads them without a pass over every source or group of every schema.
+	// A schema fills its newest group.
 	schemaSources map[int64][]int64
 	schemaOwn     map[int64][]*model.DataSource
+	schemaGroups  map[int64][]int64
 }
 
 // CorruptStatsError reports a statistics entry that does not decode. ID is
@@ -94,11 +95,11 @@ func open(store *pagestore.Store, groupSize int, lenient bool) (*Catalog, error)
 		srcCache:      make(map[int64]*model.DataSource),
 		statsMem:      make(map[int64]model.SourceStats),
 		groupMembers:  make(map[int64][]int64),
-		openGroup:     make(map[int64]int64),
 		vtableCache:   make(map[string]int64),
 		schemaAgg:     make(map[int64]model.SourceStats),
 		schemaSources: make(map[int64][]int64),
 		schemaOwn:     make(map[int64][]*model.DataSource),
+		schemaGroups:  make(map[int64][]int64),
 	}
 	var err error
 	if c.schemas, err = btree.Open(store, "cat.schemas"); err != nil {
@@ -166,24 +167,9 @@ func (c *Catalog) load(lenient bool) error {
 		}
 		c.srcCache[ds.ID] = ds
 		c.indexSource(ds)
-		if ds.Group != 0 {
-			c.groupMembers[ds.Group] = append(c.groupMembers[ds.Group], ds.ID)
-		}
 		return true
 	}); err != nil {
 		return err
-	}
-	// Group member lists must be in slot order; sources were scanned in id
-	// order which may differ.
-	for g, members := range c.groupMembers {
-		sort.Slice(members, func(i, j int) bool {
-			return c.srcCache[members[i]].GroupSlot < c.srcCache[members[j]].GroupSlot
-		})
-		c.groupMembers[g] = members
-		// Reopen the group for filling if it has free slots.
-		if len(members) < c.groupSize {
-			c.openGroup[c.srcCache[members[0]].SchemaID] = g
-		}
 	}
 	if err := c.vtables.Scan(nil, nil, func(k, v []byte) bool {
 		name, _, err := keyenc.String(k)
@@ -357,13 +343,15 @@ func (c *Catalog) RegisterSources(list []model.DataSource) ([]*model.DataSource,
 		if _, dup := c.srcCache[ds.ID]; dup {
 			return nil, fmt.Errorf("catalog: source %d already registered", ds.ID)
 		}
+		ds.Group, ds.GroupSlot = 0, 0
 		if ds.IngestStructure() == model.MG {
-			if err := c.assignGroup(&ds); err != nil {
+			var err error
+			if ds.Group, ds.GroupSlot, err = c.groupFor(ds.SchemaID); err != nil {
 				return nil, err
 			}
-		} else {
-			ds.Group, ds.GroupSlot = 0, 0
 		}
+		// The source joins its group, and a new group its schema, only
+		// once the record is stored: a failed Put leaves no member behind.
 		stored := ds
 		if err := c.sources.Put(keyenc.AppendInt64(nil, ds.ID), encodeSource(&stored)); err != nil {
 			return nil, err
@@ -375,40 +363,48 @@ func (c *Catalog) RegisterSources(list []model.DataSource) ([]*model.DataSource,
 	return out, nil
 }
 
-// indexSource files a source under its schema, keeping the schema's lists
-// in ascending id order (registration order is usually ascending, which
-// makes the insert an append). Caller holds c.mu for writing.
+// indexSource files a stored source under its schema, keeping the schema's
+// lists in ascending id order, and an MG member in its group, in slot
+// order (registration order is usually ascending in both, which makes
+// each insert an append). A group joins its schema's list with its first
+// member. Caller holds c.mu for writing.
 func (c *Catalog) indexSource(ds *model.DataSource) {
-	ids := c.schemaSources[ds.SchemaID]
-	i, _ := slices.BinarySearch(ids, ds.ID)
-	c.schemaSources[ds.SchemaID] = slices.Insert(ids, i, ds.ID)
-	if ds.IngestStructure() == model.MG {
+	insertID(c.schemaSources, ds.SchemaID, ds.ID)
+	if ds.IngestStructure() != model.MG {
+		own := c.schemaOwn[ds.SchemaID]
+		i, _ := slices.BinarySearchFunc(own, ds.ID, func(o *model.DataSource, id int64) int { return cmp.Compare(o.ID, id) })
+		c.schemaOwn[ds.SchemaID] = slices.Insert(own, i, ds)
 		return
 	}
-	own := c.schemaOwn[ds.SchemaID]
-	i, _ = slices.BinarySearchFunc(own, ds.ID, func(o *model.DataSource, id int64) int { return cmp.Compare(o.ID, id) })
-	c.schemaOwn[ds.SchemaID] = slices.Insert(own, i, ds)
+	members := c.groupMembers[ds.Group]
+	if len(members) == 0 {
+		insertID(c.schemaGroups, ds.SchemaID, ds.Group)
+	}
+	i, _ := slices.BinarySearchFunc(members, ds.GroupSlot, func(id int64, slot int) int { return cmp.Compare(c.srcCache[id].GroupSlot, slot) })
+	c.groupMembers[ds.Group] = slices.Insert(members, i, ds.ID)
 }
 
-// assignGroup places ds into the schema's currently filling MG group,
-// opening a new group when full. Caller holds c.mu.
-func (c *Catalog) assignGroup(ds *model.DataSource) error {
-	g, ok := c.openGroup[ds.SchemaID]
-	if ok && len(c.groupMembers[g]) >= c.groupSize {
-		ok = false
-	}
-	if !ok {
-		id, err := c.nextID("group")
-		if err != nil {
-			return err
+// insertID files id in the ascending list m[key].
+func insertID(m map[int64][]int64, key, id int64) {
+	ids := m[key]
+	i, _ := slices.BinarySearch(ids, id)
+	m[key] = slices.Insert(ids, i, id)
+}
+
+// groupFor returns the MG group and slot a schema's next member takes: the
+// next slot of the schema's newest group while it has room, else slot 0 of
+// a new group. It changes no list, so a registration that fails after it
+// leaves nothing behind (a new group's id is spent either way). Caller
+// holds c.mu for writing.
+func (c *Catalog) groupFor(schemaID int64) (int64, int, error) {
+	if groups := c.schemaGroups[schemaID]; len(groups) > 0 {
+		g := groups[len(groups)-1]
+		if n := len(c.groupMembers[g]); n < c.groupSize {
+			return g, n, nil
 		}
-		g = id
-		c.openGroup[ds.SchemaID] = g
 	}
-	ds.Group = g
-	ds.GroupSlot = len(c.groupMembers[g])
-	c.groupMembers[g] = append(c.groupMembers[g], ds.ID)
-	return nil
+	g, err := c.nextID("group")
+	return g, 0, err
 }
 
 // Source looks up a data source.
@@ -475,18 +471,8 @@ func (c *Catalog) SourceCount(schemaID int64) int64 {
 	return int64(len(c.schemaSources[schemaID]))
 }
 
-// GroupMembers returns the ordered member sources of an MG group.
-func (c *Catalog) GroupMembers(group int64) []int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	members := c.groupMembers[group]
-	out := make([]int64, len(members))
-	copy(out, members)
-	return out
-}
-
-// GroupSources returns the ordered member ids of an MG group and, slot
-// for slot, their sources (nil where none is registered under the id), read
+// GroupSources returns the member ids of an MG group in slot order and,
+// slot for slot, their sources (a member is always a stored source), read
 // under one lock: a walk of the group asks the catalog once, not once per
 // member.
 func (c *Catalog) GroupSources(group int64) ([]int64, []*model.DataSource) {
@@ -500,18 +486,12 @@ func (c *Catalog) GroupSources(group int64) ([]int64, []*model.DataSource) {
 	return ids, srcs
 }
 
-// GroupsBySchema returns all MG group ids containing sources of schemaID.
+// GroupsBySchema returns the ids of a schema type's MG groups, in
+// ascending order (a copy the caller owns).
 func (c *Catalog) GroupsBySchema(schemaID int64) []int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []int64
-	for g, members := range c.groupMembers {
-		if len(members) > 0 && c.srcCache[members[0]].SchemaID == schemaID {
-			out = append(out, g)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(c.schemaGroups[schemaID])
 }
 
 // CreateVirtualTable exposes a schema type under a table name for SQL.
@@ -635,20 +615,6 @@ func (c *Catalog) SchemaStats(schemaID int64) model.SourceStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.schemaAgg[schemaID]
-}
-
-// RouterLookup models the paper's data-router metadata access: every ODH
-// query resolves its sources' placement through catalog reads before data
-// access ("for each query, the data router looks up the metadata to locate
-// the required data ... currently completed by SQL statements"). The
-// paper's router pays a query per lookup; statistics here are resident, so
-// the probe is a memory read per source.
-func (c *Catalog) RouterLookup(sources []int64) []model.SourceStats {
-	out := make([]model.SourceStats, 0, len(sources))
-	for _, id := range sources {
-		out = append(out, c.Stats(id))
-	}
-	return out
 }
 
 // --- binary codecs ---

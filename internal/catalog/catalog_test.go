@@ -112,13 +112,9 @@ func TestGroupAssignment(t *testing.T) {
 	if len(distinct) != 3 {
 		t.Fatalf("got %d groups, want 3", len(distinct))
 	}
-	members := c.GroupMembers(groups[0])
-	if len(members) != 4 {
-		t.Fatalf("first group has %d members", len(members))
-	}
 	ids, srcs := c.GroupSources(groups[0])
-	if !slices.Equal(ids, members) || len(srcs) != len(ids) {
-		t.Fatalf("GroupSources = %v, %d sources; GroupMembers = %v", ids, len(srcs), members)
+	if len(ids) != 4 || len(srcs) != len(ids) {
+		t.Fatalf("first group: GroupSources = %v, %d sources; want 4 members", ids, len(srcs))
 	}
 	for slot, ds := range srcs {
 		if ds == nil || ds.ID != ids[slot] || ds.GroupSlot != slot {
@@ -261,17 +257,20 @@ func TestSourcesBySchema(t *testing.T) {
 }
 
 // TestSchemaSourceLists holds the per-schema lists to what a pass over
-// every source computes — ascending ids whatever the registration order,
-// the own-record sources being the non-MG ones — before and after a
-// reopen, and checks callers get copies.
+// every source or group computes — ascending ids whatever the registration
+// order, the own-record sources being the non-MG ones, the groups those
+// whose members are the schema's — before and after a reopen, and checks
+// callers get copies. A reopen with a larger group size fills the schema's
+// newest group, every time.
 func TestSchemaSourceLists(t *testing.T) {
 	f := pagestore.NewMemFile()
+	groupSize := 4
 	open := func() (*Catalog, *pagestore.Store) {
 		store, err := pagestore.Open(f, pagestore.Options{PoolPages: 2048})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Open(store, 4)
+		c, err := Open(store, groupSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,11 +326,28 @@ func TestSchemaSourceLists(t *testing.T) {
 			if got := c.SourceCount(s.ID); got != int64(len(wantIDs)) {
 				t.Fatalf("schema %s: SourceCount = %d, want %d", s.Name, got, len(wantIDs))
 			}
+			var wantGroups []int64
+			for g, members := range c.groupMembers {
+				for _, id := range members {
+					if ds := c.srcCache[id]; ds == nil || ds.SchemaID != c.srcCache[members[0]].SchemaID {
+						t.Fatalf("group %d mixes schemas or lost a source: %v", g, members)
+					}
+				}
+				if c.srcCache[members[0]].SchemaID == s.ID {
+					wantGroups = append(wantGroups, g)
+				}
+			}
+			slices.Sort(wantGroups)
+			if got := c.GroupsBySchema(s.ID); !slices.Equal(got, wantGroups) {
+				t.Fatalf("schema %s: GroupsBySchema = %v, want %v", s.Name, got, wantGroups)
+			}
 		}
-		ids := c.SourcesBySchema(a.ID)
-		ids[0] = -1
-		if c.SourcesBySchema(a.ID)[0] == -1 {
-			t.Fatal("SourcesBySchema hands out the catalog's own list")
+		for _, hand := range []func(int64) []int64{c.SourcesBySchema, c.GroupsBySchema} {
+			ids := hand(a.ID)
+			ids[0] = -1
+			if hand(a.ID)[0] == -1 {
+				t.Fatal("a per-schema list is handed out as the catalog's own")
+			}
 		}
 	}
 	check(c)
@@ -339,26 +355,28 @@ func TestSchemaSourceLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, store = open()
+	check(c)
+	groups := c.GroupsBySchema(a.ID)
+	newest := groups[len(groups)-1]
+	if _, srcs := c.GroupSources(newest); len(srcs) >= groupSize {
+		t.Fatalf("newest group %d is full: the case below tests nothing", newest)
+	}
+	for i := 0; i < 20; i++ {
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		groupSize++
+		c, store = open()
+		ds, err := c.RegisterSource(model.DataSource{ID: int64(1000 + i), SchemaID: a.ID, Regular: true, IntervalMs: 900000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Group != newest {
+			t.Fatalf("reopen %d at group size %d: the next MG source joined group %d, want the newest group %d", i+1, groupSize, ds.Group, newest)
+		}
+	}
 	defer store.Close()
 	check(c)
-}
-
-func TestRouterLookup(t *testing.T) {
-	c, _ := openCatalog(t, 0)
-	s, _ := c.CreateSchemaType("t", envTags())
-	var ids []int64
-	for i := 0; i < 10; i++ {
-		ds, _ := c.RegisterSource(model.DataSource{SchemaID: s.ID, IntervalMs: 10})
-		c.UpdateStats(ds.ID, model.SourceStats{PointCount: int64(i)})
-		ids = append(ids, ds.ID)
-	}
-	stats := c.RouterLookup(ids)
-	if len(stats) != 10 {
-		t.Fatalf("lookup returned %d rows", len(stats))
-	}
-	if stats[3].PointCount != 3 {
-		t.Fatalf("router stats wrong: %+v", stats[3])
-	}
 }
 
 // TestResolve covers the batch lookup behind ingest validation: every
@@ -653,6 +671,94 @@ func TestStatsCodec(t *testing.T) {
 			if _, err := decodeStats(enc[:n]); n != len(legacy) && err == nil {
 				t.Fatalf("%+v cut to %d of %d bytes decoded", st, n, len(enc))
 			}
+		}
+	}
+}
+
+// TestFailedRegistrationLeavesNoMember: a registration whose Put fails
+// leaves nothing in an MG group — no member without a source, so every
+// member's list position stays its stored slot across a reopen, and a
+// retry of the failed id registers it once. Every registration runs with
+// the next page write failing, over a pool far smaller than the source
+// tree, so Puts fail wherever an eviction falls, a new group's first
+// member included.
+func TestFailedRegistrationLeavesNoMember(t *testing.T) {
+	file := fault.Wrap(pagestore.NewMemFile())
+	open := func() (*Catalog, *pagestore.Store) {
+		store, err := pagestore.Open(file, pagestore.Options{PoolPages: 8, PoolPartitions: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(store, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, store
+	}
+	c, store := open()
+	s, _ := c.CreateSchemaType("meter", envTags())
+	// check requires each MG source to sit in exactly one group, at the
+	// position of its stored slot, and every member to have a source.
+	check := func(c *Catalog, when string) map[int64]int {
+		t.Helper()
+		pos := map[int64]int{}
+		for _, g := range c.GroupsBySchema(s.ID) {
+			ids, srcs := c.GroupSources(g)
+			for slot, ds := range srcs {
+				if ds == nil {
+					t.Fatalf("%s: group %d slot %d: member %d has no source", when, g, slot, ids[slot])
+				}
+				if ds.Group != g || ds.GroupSlot != slot {
+					t.Fatalf("%s: group %d position %d holds source %d stored at group %d slot %d", when, g, slot, ds.ID, ds.Group, ds.GroupSlot)
+				}
+				if _, dup := pos[ds.ID]; dup {
+					t.Fatalf("%s: source %d is a member twice", when, ds.ID)
+				}
+				pos[ds.ID] = slot
+			}
+		}
+		if got := c.SourceCount(s.ID); got != int64(len(pos)) {
+			t.Fatalf("%s: %d sources, %d group members", when, got, len(pos))
+		}
+		return pos
+	}
+	var failed, firsts int
+	for id := int64(1); id <= 1500; id++ {
+		ds := model.DataSource{ID: id, SchemaID: s.ID, Regular: true, IntervalMs: 900000}
+		file.FailWritesAfter(0)
+		_, err := c.RegisterSource(ds)
+		file.FailWritesAfter(fault.Unlimited)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatal(err)
+		}
+		failed++
+		if _, ok := c.Source(id); ok {
+			t.Fatalf("source %d is registered although its registration failed", id)
+		}
+		check(c, fmt.Sprintf("after source %d failed", id))
+		if int(c.SourceCount(s.ID))%64 == 0 {
+			firsts++ // the failed source would have opened a group
+		}
+		if _, err := c.RegisterSource(ds); err != nil {
+			t.Fatalf("retry of source %d: %v", id, err)
+		}
+	}
+	if failed == 0 || firsts == 0 {
+		t.Fatalf("%d registrations failed, %d of them a group's first member: the injection missed", failed, firsts)
+	}
+	before := check(c, "after the retries")
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, store = open()
+	defer store.Close()
+	after := check(c, "after a reopen")
+	for id, slot := range before {
+		if after[id] != slot {
+			t.Fatalf("source %d moved from slot %d to %d across a reopen", id, slot, after[id])
 		}
 	}
 }

@@ -115,9 +115,11 @@ func (s *relIndexScan) Describe(indent string) string {
 // --- virtual table scan (the VTI role) ---
 
 // sourceSel names the sources one virtual-table access reads. It owns
-// every decision that hangs on that choice: the router lookup, which
-// store call serves a scan or an aggregate, and how EXPLAIN names it. An
-// id the catalog does not know reads nothing, however it is selected.
+// every decision that hangs on that choice: which store call serves a scan
+// or an aggregate, and how EXPLAIN names it. The data router's metadata
+// lookup is that call's walker list, which reads each owner's sources from
+// the catalog before it touches data. An id the catalog does not know reads
+// nothing, however it is selected.
 type sourceSel struct {
 	schema *model.SchemaType
 	ids    []int64 // nil = every source of the schema
@@ -144,17 +146,6 @@ func (s sourceSel) String() string {
 		return fmt.Sprintf("%s, %d ids", s.schema.Name, len(s.ids))
 	}
 	return s.schema.Name
-}
-
-// lookup runs the data router's metadata probe: the router resolves the
-// placement of every source the access will touch by reading catalog
-// metadata, the per-query overhead the paper profiles on LQ1.
-func (s sourceSel) lookup(store *tsstore.Store) {
-	ids := s.ids
-	if ids == nil {
-		ids = store.Catalog().SourcesBySchema(s.schema.ID)
-	}
-	store.Catalog().RouterLookup(ids)
 }
 
 func (s sourceSel) scan(store *tsstore.Store, t1, t2 int64, wantTags []int, opts tsstore.ScanOptions, preds []tsstore.TagPred) (tsstore.Iterator, error) {
@@ -221,9 +212,8 @@ func (s *virtualScan) BlobBytes() int64 {
 	return s.iter.BlobBytes()
 }
 
-// open runs the router lookup, then builds the underlying iterator.
+// open builds the underlying iterator.
 func (s *virtualScan) open() error {
-	s.sel.lookup(s.store)
 	iter, err := s.sel.scan(s.store, s.t1, s.t2, s.wantTags, tsstore.ScanOptions{Ctx: s.ctx}, s.preds)
 	if err == nil {
 		s.iter = iter

@@ -19,8 +19,8 @@ import (
 const (
 	// costPerSeek charges one page per per-source seek (B-tree descent).
 	costPerSeek = 4096.0
-	// costPerRouterLookup charges the catalog metadata probe the data
-	// router performs per source.
+	// costPerRouterLookup prices the data router's metadata lookup per
+	// source: the catalog reads a walker list makes for its owners.
 	costPerRouterLookup = 256.0
 	// defaultSelectivity estimates un-indexed predicate selectivity.
 	defaultSelectivity = 0.1
@@ -501,7 +501,7 @@ type blobCost struct {
 	swept   float64 // blob bytes inside the window that the access walks over
 	decoded float64 // of swept, the bytes column-decoded: all of them for a row scan, boundary blobs only for a summary fold
 	seeks   float64 // B-tree descents, costPerSeek bytes each
-	lookups float64 // data-router metadata probes, costPerRouterLookup bytes each
+	lookups float64 // sources the data router looks up, costPerRouterLookup bytes each
 	subBase int64   // > 0: a TIME_BUCKET grid folds from sub-bucket summaries of this width
 }
 

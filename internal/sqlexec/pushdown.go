@@ -138,8 +138,6 @@ func (a *aggPushdownOp) BlobBytes() int64 {
 }
 
 func (a *aggPushdownOp) run() error {
-	// Router metadata lookups mirror the scan path it replaces.
-	a.sel.lookup(a.store)
 	var err error
 	if a.res, err = a.sel.aggregate(a.store, a.spec); err != nil {
 		return err

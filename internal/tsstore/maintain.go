@@ -129,15 +129,14 @@ func (s *Store) UpgradeBlobs() (MaintenanceResult, error) {
 func (s *Store) run(pol policy, schemaIDs ...int64) (MaintenanceResult, error) {
 	var res MaintenanceResult
 	for _, id := range schemaIDs {
-		for _, src := range s.cat.SourcesBySchema(id) {
-			if ds, ok := s.cat.Source(src); ok && ds.IngestStructure() != model.MG {
-				if err := s.maintain(0, []int64{src}, pol, &res); err != nil {
-					return res, err
-				}
+		for _, ds := range s.cat.OwnRecordSources(id) {
+			if err := s.maintain(0, []int64{ds.ID}, pol, &res); err != nil {
+				return res, err
 			}
 		}
 		for _, g := range s.cat.GroupsBySchema(id) {
-			if err := s.maintain(g, s.cat.GroupMembers(g), pol, &res); err != nil {
+			members, _ := s.cat.GroupSources(g)
+			if err := s.maintain(g, members, pol, &res); err != nil {
 				return res, err
 			}
 		}
@@ -202,7 +201,7 @@ func (s *Store) maintain(group int64, sources []int64, pol policy, res *Maintena
 // collision rule, and the records go. An unreadable record stays for fsck.
 func (s *Store) reorganize(plans []*rangePlan, upTo int64, res *MaintenanceResult) error {
 	mg := plans[len(plans)-1]
-	members := s.cat.GroupMembers(mg.id)
+	members, _ := s.cat.GroupSources(mg.id)
 	if len(members) == 0 {
 		return nil // rows with nowhere to go stay
 	}

@@ -499,7 +499,7 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 	if !ok {
 		// The group grew since this buffer was built (new member
 		// registered); rebuild the membership view.
-		gb.members = s.cat.GroupMembers(ds.Group)
+		gb.members, _ = s.cat.GroupSources(ds.Group)
 		for sl, id := range gb.members {
 			gb.slots[id] = sl
 		}

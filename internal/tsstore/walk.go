@@ -206,8 +206,8 @@ func (s *Store) groupWalker(group, only int64, t1, t2 int64, wantTags []int, opt
 		if src == only {
 			w.slot = slot
 		}
-		if ds := srcs[slot]; ds != nil && (only == 0 || src == only) {
-			w.homes = append(w.homes, home{tree: s.treeFor(ds.HistoricalStructure()), id: src, seq: len(w.homes)})
+		if only == 0 || src == only {
+			w.homes = append(w.homes, home{tree: s.treeFor(srcs[slot].HistoricalStructure()), id: src, seq: len(w.homes)})
 		}
 	}
 	w.homes = append(w.homes, home{tree: s.mg, id: group, seq: len(w.homes)})
@@ -240,7 +240,7 @@ func (s *Store) groupWindow(group int64) int64 {
 // memberWindow is groupWindow of a group whose member sources, in slot
 // order, are srcs.
 func memberWindow(srcs []*model.DataSource) int64 {
-	if len(srcs) == 0 || srcs[0] == nil || srcs[0].IntervalMs <= 0 {
+	if len(srcs) == 0 || srcs[0].IntervalMs <= 0 {
 		return 1
 	}
 	return srcs[0].IntervalMs
