@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"odh/internal/btree"
@@ -27,6 +28,11 @@ import (
 // configured batch size b, mirroring "the MG structure packs b operational
 // points by timestamp from a group of data sources").
 const DefaultGroupSize = 64
+
+// maxGroupSlots caps an MG group's member table: a larger group size is
+// cut to it, and a stored slot outside [0, maxGroupSlots) is a damaged
+// record, so no slot read from disk can size a table.
+const maxGroupSlots = 1 << 16
 
 // Catalog is the metadata store. All methods are safe for concurrent use.
 type Catalog struct {
@@ -45,10 +51,10 @@ type Catalog struct {
 	// statsMem holds every record of the stats tree, keyed like the tree
 	// (source id, or negated group id). Reads are served from it; an update
 	// writes the tree first, so it never runs ahead of a failed Put.
-	statsMem     map[int64]model.SourceStats
-	groupMembers map[int64][]int64 // group id -> member source ids in slot order
-	vtableCache  map[string]int64
-	schemaAgg    map[int64]model.SourceStats // aggregated stats per schema
+	statsMem    map[int64]model.SourceStats
+	groups      map[int64]*Group
+	vtableCache map[string]int64
+	schemaAgg   map[int64]model.SourceStats // aggregated stats per schema
 	// schemaSources lists each schema's source ids, schemaOwn its sources
 	// that ingest into their own records (RTS/IRTS, not MG) and
 	// schemaGroups its MG groups, all in ascending id order: a slice query
@@ -57,6 +63,35 @@ type Catalog struct {
 	schemaSources map[int64][]int64
 	schemaOwn     map[int64][]*model.DataSource
 	schemaGroups  map[int64][]int64
+	// skipped holds the records a lenient load left out, for fsck.
+	skipped []*CorruptRecordError
+}
+
+// Group is an MG group as the catalog keeps it. A member's slot is its
+// stored GroupSlot and nothing else: Members is indexed by it, and a slot
+// no stored source holds — a registration an older build lost, a record a
+// lenient open skipped — is a hole (nil), which no later member takes.
+type Group struct {
+	SchemaID int64
+	// WindowMs is how far an MG record's rows reach past its key: the
+	// sampling interval of the member at the lowest stored slot (1 when
+	// that is not positive), so it never shrinks under written records.
+	// The writer spans rows over it, the walker looks back by it and
+	// maintenance ages records by it.
+	WindowMs int64
+	// Members maps slot to stored source, nil at a hole. New members are
+	// appended, so a table handed out is never written: it is shared.
+	Members []*model.DataSource
+	Live    int // the members that are not holes
+}
+
+// Member returns the stored source at slot: nil at a hole or past the
+// table, where a row belongs to no source.
+func (g Group) Member(slot int) *model.DataSource {
+	if slot < 0 || slot >= len(g.Members) {
+		return nil
+	}
+	return g.Members[slot]
 }
 
 // CorruptStatsError reports a statistics entry that does not decode. ID is
@@ -71,15 +106,33 @@ func (e *CorruptStatsError) Error() string {
 // Unwrap ties the error to the corruption sentinel for errors.Is.
 func (e *CorruptStatsError) Unwrap() error { return pagestore.ErrCorrupt }
 
+// CorruptRecordError reports a schema, source or virtual-table record that
+// does not load: it does not decode, or it is an MG source whose stored
+// slot is out of range or held by another source. Tree and Key name the
+// record. It unwraps to pagestore.ErrCorrupt.
+type CorruptRecordError struct {
+	Tree, Key, Reason string
+}
+
+func (e *CorruptRecordError) Error() string {
+	return fmt.Sprintf("catalog: %s record %s: %s (open in recovery mode to skip it)", e.Tree, e.Key, e.Reason)
+}
+
+// Unwrap ties the error to the corruption sentinel for errors.Is.
+func (e *CorruptRecordError) Unwrap() error { return pagestore.ErrCorrupt }
+
 // Open loads (or initializes) the catalog inside store. A statistics entry
 // that does not decode fails it with a CorruptStatsError: scans eliminate
-// sources and bound their lookback by those statistics.
+// sources and bound their lookback by those statistics. Any other record
+// that does not load fails it with a CorruptRecordError.
 func Open(store *pagestore.Store, groupSize int) (*Catalog, error) {
 	return open(store, groupSize, false)
 }
 
 // OpenLenient is Open for recovery: an undecodable statistics entry is
-// kept as Unknown, which makes scans of its source trust nothing.
+// kept as Unknown, which makes scans of its source trust nothing, and any
+// other record that does not load is skipped (Skipped names it); a skipped
+// MG member's slot stays a hole.
 func OpenLenient(store *pagestore.Store, groupSize int) (*Catalog, error) {
 	return open(store, groupSize, true)
 }
@@ -89,12 +142,12 @@ func open(store *pagestore.Store, groupSize int, lenient bool) (*Catalog, error)
 		groupSize = DefaultGroupSize
 	}
 	c := &Catalog{
-		groupSize:     groupSize,
+		groupSize:     min(groupSize, maxGroupSlots),
 		bySchemaName:  make(map[string]*model.SchemaType),
 		bySchemaID:    make(map[int64]*model.SchemaType),
 		srcCache:      make(map[int64]*model.DataSource),
 		statsMem:      make(map[int64]model.SourceStats),
-		groupMembers:  make(map[int64][]int64),
+		groups:        make(map[int64]*Group),
 		vtableCache:   make(map[string]int64),
 		schemaAgg:     make(map[int64]model.SourceStats),
 		schemaSources: make(map[int64][]int64),
@@ -148,37 +201,36 @@ func (c *Catalog) MarkFormat(v uint64) error {
 	return c.counters.Put(formatKey, binary.LittleEndian.AppendUint64(nil, v))
 }
 
-// load rebuilds the in-memory caches from the persistent trees.
+// load rebuilds the in-memory caches from the persistent trees. A record
+// that does not load fails a strict load and is skipped by a lenient one.
 func (c *Catalog) load(lenient bool) error {
-	if err := c.schemas.Scan(nil, nil, func(k, v []byte) bool {
-		var s model.SchemaType
-		if json.Unmarshal(v, &s) == nil {
-			c.bySchemaID[s.ID] = &s
-			c.bySchemaName[s.Name] = &s
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if err := c.sources.Scan(nil, nil, func(k, v []byte) bool {
-		ds, err := decodeSource(v)
-		if err != nil {
+	for _, t := range []struct {
+		tree *btree.Tree
+		load func(k, v []byte) string // why the record does not load; "" when it did
+	}{{c.schemas, c.loadSchema}, {c.sources, c.loadSource}, {c.vtables, c.loadVTable}} {
+		var bad error
+		err := t.tree.Scan(nil, nil, func(k, v []byte) bool {
+			why := t.load(k, v)
+			if why == "" {
+				return true
+			}
+			key := fmt.Sprintf("%x", k)
+			if name, _, err := keyenc.String(k); err == nil && t.tree == c.vtables {
+				key = strconv.Quote(name)
+			} else if id, _, err := keyenc.Int64(k); err == nil && t.tree != c.vtables {
+				key = strconv.FormatInt(id, 10)
+			}
+			e := &CorruptRecordError{Tree: t.tree.Name(), Key: key, Reason: why}
+			if !lenient {
+				bad = e
+				return false
+			}
+			c.skipped = append(c.skipped, e)
 			return true
+		})
+		if err = cmp.Or(err, bad); err != nil {
+			return err
 		}
-		c.srcCache[ds.ID] = ds
-		c.indexSource(ds)
-		return true
-	}); err != nil {
-		return err
-	}
-	if err := c.vtables.Scan(nil, nil, func(k, v []byte) bool {
-		name, _, err := keyenc.String(k)
-		if err == nil && len(v) == 8 {
-			c.vtableCache[name] = int64(binary.LittleEndian.Uint64(v))
-		}
-		return true
-	}); err != nil {
-		return err
 	}
 	var corrupt error
 	err := c.stats.Scan(nil, nil, func(k, v []byte) bool {
@@ -198,27 +250,64 @@ func (c *Catalog) load(lenient bool) error {
 		c.mergeAgg(id, st)
 		return true
 	})
-	if err == nil {
-		err = corrupt
-	}
-	return err
+	return cmp.Or(err, corrupt)
 }
+
+// loadSchema, loadSource and loadVTable load one record of their tree and
+// return why it does not load, or "" when it did.
+func (c *Catalog) loadSchema(_, v []byte) string {
+	var s model.SchemaType
+	if json.Unmarshal(v, &s) != nil {
+		return "does not decode"
+	}
+	c.bySchemaID[s.ID], c.bySchemaName[s.Name] = &s, &s
+	return ""
+}
+
+func (c *Catalog) loadSource(_, v []byte) string {
+	ds, err := decodeSource(v)
+	switch {
+	case err != nil:
+		return "does not decode"
+	case ds.IngestStructure() != model.MG:
+	case ds.GroupSlot < 0 || ds.GroupSlot >= maxGroupSlots:
+		return fmt.Sprintf("MG slot %d is out of range", ds.GroupSlot)
+	default:
+		if g := c.groups[ds.Group]; g != nil && ds.GroupSlot < len(g.Members) && g.Members[ds.GroupSlot] != nil {
+			return fmt.Sprintf("slot %d of MG group %d is held by source %d", ds.GroupSlot, ds.Group, g.Members[ds.GroupSlot].ID)
+		}
+	}
+	c.srcCache[ds.ID] = ds
+	c.indexSource(ds)
+	return ""
+}
+
+func (c *Catalog) loadVTable(k, v []byte) string {
+	name, _, err := keyenc.String(k)
+	if err != nil || len(v) != 8 {
+		return "does not decode"
+	}
+	c.vtableCache[name] = int64(binary.LittleEndian.Uint64(v))
+	return ""
+}
+
+// Skipped returns the records a lenient open left out: fsck names them.
+func (c *Catalog) Skipped() []*CorruptRecordError { return c.skipped }
 
 // mergeAgg folds delta into the aggregate of the schema that the stats key
 // (source id, or negated group id) belongs to. Caller holds c.mu.
 func (c *Catalog) mergeAgg(key int64, delta model.SourceStats) {
-	if key < 0 {
-		members := c.groupMembers[-key]
-		if len(members) == 0 {
-			return
-		}
-		key = members[0]
+	var schemaID int64
+	if g := c.groups[-key]; g != nil {
+		schemaID = g.SchemaID // group ids are positive: key < 0
+	} else if ds := c.srcCache[key]; ds != nil {
+		schemaID = ds.SchemaID
+	} else {
+		return
 	}
-	if ds, ok := c.srcCache[key]; ok {
-		agg := c.schemaAgg[ds.SchemaID]
-		agg.Merge(delta)
-		c.schemaAgg[ds.SchemaID] = agg
-	}
+	agg := c.schemaAgg[schemaID]
+	agg.Merge(delta)
+	c.schemaAgg[schemaID] = agg
 }
 
 // nextID allocates a monotonically increasing id for the named counter.
@@ -364,10 +453,10 @@ func (c *Catalog) RegisterSources(list []model.DataSource) ([]*model.DataSource,
 }
 
 // indexSource files a stored source under its schema, keeping the schema's
-// lists in ascending id order, and an MG member in its group, in slot
-// order (registration order is usually ascending in both, which makes
-// each insert an append). A group joins its schema's list with its first
-// member. Caller holds c.mu for writing.
+// lists in ascending id order, and an MG member in its group's table at its
+// stored slot. A group joins its schema's list with its first stored
+// member, and takes its window from its lowest stored slot. Caller holds
+// c.mu for writing.
 func (c *Catalog) indexSource(ds *model.DataSource) {
 	insertID(c.schemaSources, ds.SchemaID, ds.ID)
 	if ds.IngestStructure() != model.MG {
@@ -376,12 +465,20 @@ func (c *Catalog) indexSource(ds *model.DataSource) {
 		c.schemaOwn[ds.SchemaID] = slices.Insert(own, i, ds)
 		return
 	}
-	members := c.groupMembers[ds.Group]
-	if len(members) == 0 {
+	g := c.groups[ds.Group]
+	if g == nil {
+		g = &Group{SchemaID: ds.SchemaID}
+		c.groups[ds.Group] = g
 		insertID(c.schemaGroups, ds.SchemaID, ds.Group)
 	}
-	i, _ := slices.BinarySearchFunc(members, ds.GroupSlot, func(id int64, slot int) int { return cmp.Compare(c.srcCache[id].GroupSlot, slot) })
-	c.groupMembers[ds.Group] = slices.Insert(members, i, ds.ID)
+	if n := ds.GroupSlot + 1; n > len(g.Members) {
+		g.Members = append(g.Members, make([]*model.DataSource, n-len(g.Members))...)
+	}
+	g.Members[ds.GroupSlot] = ds
+	g.Live++
+	if slices.IndexFunc(g.Members, func(m *model.DataSource) bool { return m != nil }) == ds.GroupSlot {
+		g.WindowMs = max(ds.IntervalMs, 1)
+	}
 }
 
 // insertID files id in the ascending list m[key].
@@ -392,14 +489,15 @@ func insertID(m map[int64][]int64, key, id int64) {
 }
 
 // groupFor returns the MG group and slot a schema's next member takes: the
-// next slot of the schema's newest group while it has room, else slot 0 of
-// a new group. It changes no list, so a registration that fails after it
-// leaves nothing behind (a new group's id is spent either way). Caller
-// holds c.mu for writing.
+// next unused slot of the schema's newest group while it has room — past
+// every stored slot, holes included — else slot 0 of a new group. It
+// changes no table, so a registration that fails after it leaves nothing
+// behind (a new group's id is spent either way). Caller holds c.mu for
+// writing.
 func (c *Catalog) groupFor(schemaID int64) (int64, int, error) {
 	if groups := c.schemaGroups[schemaID]; len(groups) > 0 {
 		g := groups[len(groups)-1]
-		if n := len(c.groupMembers[g]); n < c.groupSize {
+		if n := len(c.groups[g].Members); n < c.groupSize {
 			return g, n, nil
 		}
 	}
@@ -471,19 +569,15 @@ func (c *Catalog) SourceCount(schemaID int64) int64 {
 	return int64(len(c.schemaSources[schemaID]))
 }
 
-// GroupSources returns the member ids of an MG group in slot order and,
-// slot for slot, their sources (a member is always a stored source), read
-// under one lock: a walk of the group asks the catalog once, not once per
-// member.
-func (c *Catalog) GroupSources(group int64) ([]int64, []*model.DataSource) {
+// Group returns an MG group with its member table shared (see Group); the
+// zero Group when no stored source is a member of one with this id.
+func (c *Catalog) Group(id int64) Group {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ids := slices.Clone(c.groupMembers[group])
-	srcs := make([]*model.DataSource, len(ids))
-	for i, id := range ids {
-		srcs[i] = c.srcCache[id]
+	if g := c.groups[id]; g != nil {
+		return *g
 	}
-	return ids, srcs
+	return Group{}
 }
 
 // GroupsBySchema returns the ids of a schema type's MG groups, in
@@ -636,40 +730,31 @@ func encodeSource(ds *model.DataSource) []byte {
 
 func decodeSource(b []byte) (*model.DataSource, error) {
 	var ds model.DataSource
-	var n int
-	if ds.ID, n = binary.Varint(b); n <= 0 {
-		return nil, fmt.Errorf("catalog: corrupt source record")
+	var slot int64
+	ok := varints(&b, &ds.ID, &ds.SchemaID) && len(b) > 0
+	if ok {
+		ds.Regular, b = b[0] == 1, b[1:]
+		ok = varints(&b, &ds.IntervalMs, &ds.Group, &slot)
 	}
-	b = b[n:]
-	if ds.SchemaID, n = binary.Varint(b); n <= 0 {
-		return nil, fmt.Errorf("catalog: corrupt source record")
-	}
-	b = b[n:]
-	if len(b) < 1 {
-		return nil, fmt.Errorf("catalog: corrupt source record")
-	}
-	ds.Regular = b[0] == 1
-	b = b[1:]
-	if ds.IntervalMs, n = binary.Varint(b); n <= 0 {
-		return nil, fmt.Errorf("catalog: corrupt source record")
-	}
-	b = b[n:]
-	if ds.Group, n = binary.Varint(b); n <= 0 {
-		return nil, fmt.Errorf("catalog: corrupt source record")
-	}
-	b = b[n:]
-	slot, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("catalog: corrupt source record")
-	}
-	ds.GroupSlot = int(slot)
-	b = b[n:]
 	nameLen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) < nameLen {
+	if !ok || n <= 0 || uint64(len(b[n:])) < nameLen {
 		return nil, fmt.Errorf("catalog: corrupt source record")
 	}
-	ds.Name = string(b[n : n+int(nameLen)])
+	ds.GroupSlot, ds.Name = int(slot), string(b[n:n+int(nameLen)])
 	return &ds, nil
+}
+
+// varints decodes varints off the front of *b into dsts, in order, and
+// reports whether all of them decoded.
+func varints(b *[]byte, dsts ...*int64) bool {
+	for _, dst := range dsts {
+		v, n := binary.Varint(*b)
+		if n <= 0 {
+			return false
+		}
+		*dst, *b = v, (*b)[n:]
+	}
+	return true
 }
 
 // A stats record is six varints, then (since the per-tier span bounds) a
@@ -701,21 +786,16 @@ func encodeStats(st model.SourceStats) []byte {
 
 func decodeStats(b []byte) (model.SourceStats, error) {
 	var st model.SourceStats
-	varints := func(dsts ...*int64) error {
-		for _, dst := range dsts {
-			v, n := binary.Varint(b)
-			if n <= 0 {
-				return fmt.Errorf("catalog: corrupt stats record")
-			}
-			*dst, b = v, b[n:]
-		}
-		return nil
-	}
-	if err := varints(&st.BatchCount, &st.PointCount, &st.BlobBytes, &st.FirstTS, &st.LastTS, &st.MaxSpanMs); err != nil || len(b) == 0 {
+	ok := varints(&b, &st.BatchCount, &st.PointCount, &st.BlobBytes, &st.FirstTS, &st.LastTS, &st.MaxSpanMs)
+	if ok && len(b) > 0 {
+		st.HasCold, st.Unknown = b[0]&statsHasCold != 0, b[0]&statsUnknown != 0
+		b = b[1:]
+		ok = varints(&b, &st.HotSpanMs, &st.ColdLastTS)
+	} else {
 		st.HotSpanMs, st.HasCold, st.ColdLastTS = st.MaxSpanMs, true, math.MaxInt64
-		return st, err
 	}
-	st.HasCold, st.Unknown = b[0]&statsHasCold != 0, b[0]&statsUnknown != 0
-	b = b[1:]
-	return st, varints(&st.HotSpanMs, &st.ColdLastTS)
+	if !ok {
+		return st, fmt.Errorf("catalog: corrupt stats record")
+	}
+	return st, nil
 }

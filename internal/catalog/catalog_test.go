@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"odh/internal/btree"
 	"odh/internal/fault"
 	"odh/internal/keyenc"
 	"odh/internal/model"
@@ -112,13 +113,13 @@ func TestGroupAssignment(t *testing.T) {
 	if len(distinct) != 3 {
 		t.Fatalf("got %d groups, want 3", len(distinct))
 	}
-	ids, srcs := c.GroupSources(groups[0])
-	if len(ids) != 4 || len(srcs) != len(ids) {
-		t.Fatalf("first group: GroupSources = %v, %d sources; want 4 members", ids, len(srcs))
+	g := c.Group(groups[0])
+	if len(g.Members) != 4 || g.Live != 4 || g.SchemaID != s.ID || g.WindowMs != 900000 {
+		t.Fatalf("first group: %+v; want 4 members of schema %d, window 900000", g, s.ID)
 	}
-	for slot, ds := range srcs {
-		if ds == nil || ds.ID != ids[slot] || ds.GroupSlot != slot {
-			t.Fatalf("slot %d: source %+v, want id %d", slot, ds, ids[slot])
+	for slot, ds := range g.Members {
+		if ds == nil || ds.Group != groups[0] || ds.GroupSlot != slot {
+			t.Fatalf("slot %d: source %+v", slot, ds)
 		}
 	}
 	if got := c.GroupsBySchema(s.ID); len(got) != 3 {
@@ -327,14 +328,14 @@ func TestSchemaSourceLists(t *testing.T) {
 				t.Fatalf("schema %s: SourceCount = %d, want %d", s.Name, got, len(wantIDs))
 			}
 			var wantGroups []int64
-			for g, members := range c.groupMembers {
-				for _, id := range members {
-					if ds := c.srcCache[id]; ds == nil || ds.SchemaID != c.srcCache[members[0]].SchemaID {
-						t.Fatalf("group %d mixes schemas or lost a source: %v", g, members)
+			for id, g := range c.groups {
+				for _, ds := range g.Members {
+					if ds == nil || ds.SchemaID != g.SchemaID || c.srcCache[ds.ID] != ds {
+						t.Fatalf("group %d mixes schemas or lost a source: %v", id, g.Members)
 					}
 				}
-				if c.srcCache[members[0]].SchemaID == s.ID {
-					wantGroups = append(wantGroups, g)
+				if g.SchemaID == s.ID {
+					wantGroups = append(wantGroups, id)
 				}
 			}
 			slices.Sort(wantGroups)
@@ -358,7 +359,7 @@ func TestSchemaSourceLists(t *testing.T) {
 	check(c)
 	groups := c.GroupsBySchema(a.ID)
 	newest := groups[len(groups)-1]
-	if _, srcs := c.GroupSources(newest); len(srcs) >= groupSize {
+	if len(c.Group(newest).Members) >= groupSize {
 		t.Fatalf("newest group %d is full: the case below tests nothing", newest)
 	}
 	for i := 0; i < 20; i++ {
@@ -677,7 +678,7 @@ func TestStatsCodec(t *testing.T) {
 
 // TestFailedRegistrationLeavesNoMember: a registration whose Put fails
 // leaves nothing in an MG group — no member without a source, so every
-// member's list position stays its stored slot across a reopen, and a
+// member's table index stays its stored slot across a reopen, and a
 // retry of the failed id registers it once. Every registration runs with
 // the next page write failing, over a pool far smaller than the source
 // tree, so Puts fail wherever an eviction falls, a new group's first
@@ -698,18 +699,17 @@ func TestFailedRegistrationLeavesNoMember(t *testing.T) {
 	c, store := open()
 	s, _ := c.CreateSchemaType("meter", envTags())
 	// check requires each MG source to sit in exactly one group, at the
-	// position of its stored slot, and every member to have a source.
+	// index of its stored slot, and every member to have a source.
 	check := func(c *Catalog, when string) map[int64]int {
 		t.Helper()
 		pos := map[int64]int{}
 		for _, g := range c.GroupsBySchema(s.ID) {
-			ids, srcs := c.GroupSources(g)
-			for slot, ds := range srcs {
+			for slot, ds := range c.Group(g).Members {
 				if ds == nil {
-					t.Fatalf("%s: group %d slot %d: member %d has no source", when, g, slot, ids[slot])
+					t.Fatalf("%s: group %d slot %d has no source", when, g, slot)
 				}
 				if ds.Group != g || ds.GroupSlot != slot {
-					t.Fatalf("%s: group %d position %d holds source %d stored at group %d slot %d", when, g, slot, ds.ID, ds.Group, ds.GroupSlot)
+					t.Fatalf("%s: group %d slot %d holds source %d stored at group %d slot %d", when, g, slot, ds.ID, ds.Group, ds.GroupSlot)
 				}
 				if _, dup := pos[ds.ID]; dup {
 					t.Fatalf("%s: source %d is a member twice", when, ds.ID)
@@ -760,5 +760,184 @@ func TestFailedRegistrationLeavesNoMember(t *testing.T) {
 		if after[id] != slot {
 			t.Fatalf("source %d moved from slot %d to %d across a reopen", id, slot, after[id])
 		}
+	}
+}
+
+// TestBadRecordsFailStrictLoad: a schema, source or virtual-table record
+// that does not load — one that does not decode, an MG source whose slot
+// is out of range or held by another stored source — fails a strict open
+// with a CorruptRecordError naming its tree and key, and is skipped by a
+// lenient one, which lists it in Skipped. A skipped member's slot stays a
+// hole that no later registration takes, and a group whose slot 0 is a
+// hole takes its window from its lowest stored slot.
+func TestBadRecordsFailStrictLoad(t *testing.T) {
+	healthy := pagestore.NewMemFile()
+	reopen := func(f *pagestore.MemFile, lenient bool) (*Catalog, *pagestore.Store, error) {
+		t.Helper()
+		store, err := pagestore.Open(f, pagestore.Options{PoolPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		c, err := open(store, 4, lenient)
+		return c, store, err
+	}
+	c, store, err := reopen(healthy, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := c.CreateSchemaType("meter", envTags())
+	var members []*model.DataSource
+	for i := 0; i < 3; i++ {
+		ds, err := c.RegisterSource(model.DataSource{SchemaID: s.ID, Regular: true, IntervalMs: 60_000 * int64(i+1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, ds)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	size, _ := healthy.Size()
+	image := make([]byte, size)
+	if _, err := healthy.ReadAt(image, 0); err != nil {
+		t.Fatal(err)
+	}
+	first := *members[0]
+	clash, far := first, first
+	clash.ID, far.ID, far.GroupSlot = 90, 91, maxGroupSlots
+	for _, tc := range []struct {
+		tree, key string
+		k, v      []byte
+	}{
+		{"cat.sources", fmt.Sprint(first.ID), keyenc.AppendInt64(nil, first.ID), []byte{0x80}},
+		{"cat.sources", "90", keyenc.AppendInt64(nil, 90), encodeSource(&clash)},
+		{"cat.sources", "91", keyenc.AppendInt64(nil, 91), encodeSource(&far)},
+		{"cat.schemas", fmt.Sprint(s.ID + 1), keyenc.AppendInt64(nil, s.ID+1), []byte("{")},
+		{"cat.vtables", `"N"`, keyenc.AppendString(nil, "N"), []byte{1}},
+	} {
+		f := pagestore.NewMemFile()
+		if _, err := f.WriteAt(image, 0); err != nil {
+			t.Fatal(err)
+		}
+		c, store, err := reopen(f, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := map[string]*btree.Tree{"cat.sources": c.sources, "cat.schemas": c.schemas, "cat.vtables": c.vtables}[tc.tree]
+		if err := tree.Put(tc.k, tc.v); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = reopen(f, false)
+		var cre *CorruptRecordError
+		if !errors.As(err, &cre) || cre.Tree != tc.tree || cre.Key != tc.key || !errors.Is(err, pagestore.ErrCorrupt) {
+			t.Fatalf("strict open over a bad %s record %s: %v", tc.tree, tc.key, err)
+		}
+		if c, _, err = reopen(f, true); err != nil {
+			t.Fatal(err)
+		}
+		if sk := c.Skipped(); len(sk) != 1 || *sk[0] != *cre {
+			t.Fatalf("lenient open over a bad %s record %s skipped %v", tc.tree, tc.key, sk)
+		}
+		g, want := c.Group(first.Group), members
+		if tc.key == fmt.Sprint(first.ID) {
+			want = []*model.DataSource{nil, members[1], members[2]}
+		}
+		for slot, ds := range g.Members {
+			if (ds == nil) != (want[slot] == nil) || ds != nil && *ds != *want[slot] {
+				t.Fatalf("slot %d holds %+v, want %+v", slot, ds, want[slot])
+			}
+		}
+		if w := slices.IndexFunc(want, func(ds *model.DataSource) bool { return ds != nil }); len(g.Members) != 3 || g.WindowMs != want[w].IntervalMs {
+			t.Fatalf("group %d: %+v, want 3 slots and the window of slot %d", first.Group, g, w)
+		}
+		ds, err := c.RegisterSource(model.DataSource{SchemaID: s.ID, Regular: true, IntervalMs: 60_000})
+		if err != nil || ds.Group != first.Group || ds.GroupSlot != 3 {
+			t.Fatalf("registration beside a bad record: %+v, %v; want slot 3 of group %d", ds, err, first.Group)
+		}
+	}
+}
+
+// TestSlotsStayUniqueUnderRandomFailures: MG registrations whose page
+// writes fail after a random count, over a pool far smaller than the
+// source tree,
+// with reopens between rounds at several group sizes, leave every stored
+// source at a slot of its own in its group's table, at the slot it stored,
+// which no reopen moves; Live counts the table's members.
+func TestSlotsStayUniqueUnderRandomFailures(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	file := fault.Wrap(pagestore.NewMemFile())
+	var c *Catalog
+	var store *pagestore.Store
+	reopen := func(groupSize int) {
+		t.Helper()
+		if store != nil {
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if store, err = pagestore.Open(file, pagestore.Options{PoolPages: 8, PoolPartitions: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = Open(store, groupSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen(4)
+	defer func() { store.Close() }()
+	s, _ := c.CreateSchemaType("meter", envTags())
+	at := map[int64][2]int64{} // source -> (group, slot), as first seen
+	check := func(when string) {
+		t.Helper()
+		held := map[[2]int64]bool{}
+		for _, g := range c.GroupsBySchema(s.ID) {
+			group := c.Group(g)
+			live := 0
+			for slot, ds := range group.Members {
+				if ds == nil {
+					continue
+				}
+				live++
+				here := [2]int64{g, int64(slot)}
+				if ds.Group != g || ds.GroupSlot != slot || held[here] {
+					t.Fatalf("%s: group %d slot %d holds source %d stored at group %d slot %d (held twice: %v)", when, g, slot, ds.ID, ds.Group, ds.GroupSlot, held[here])
+				}
+				held[here] = true
+				if was, ok := at[ds.ID]; ok && was != here {
+					t.Fatalf("%s: source %d moved from %v to %v", when, ds.ID, was, here)
+				}
+				at[ds.ID] = here
+			}
+			if live != group.Live {
+				t.Fatalf("%s: group %d counts %d live members, its table holds %d", when, g, group.Live, live)
+			}
+		}
+		if n := c.SourceCount(s.ID); int(n) != len(held) {
+			t.Fatalf("%s: %d sources, %d group members", when, n, len(held))
+		}
+	}
+	failed := 0
+	for round, groupSize := range []int{1, 7, 64, 3, 16, 4} {
+		for i := 1; i <= 500; i++ {
+			file.FailWritesAfter(rng.Intn(4))
+			_, err := c.RegisterSource(model.DataSource{ID: int64(round*1000 + i), SchemaID: s.ID, Regular: true, IntervalMs: 900000})
+			file.FailWritesAfter(fault.Unlimited)
+			if err != nil && !errors.Is(err, fault.ErrInjected) {
+				t.Fatal(err)
+			}
+			if err != nil {
+				failed++
+			}
+		}
+		check(fmt.Sprintf("round %d", round))
+		reopen(groupSize)
+		check(fmt.Sprintf("reopened at group size %d", groupSize))
+	}
+	if failed == 0 {
+		t.Fatal("no registration failed: the injection reached nothing")
 	}
 }

@@ -95,25 +95,7 @@ type AggResult struct {
 // matchPreds applies the conjunctive predicates to one row's tag values.
 func matchPreds(vals []float64, preds []TagPred) bool {
 	for _, p := range preds {
-		if p.Tag < 0 || p.Tag >= len(vals) {
-			return false
-		}
-		v := vals[p.Tag]
-		if model.IsNull(v) {
-			return false
-		}
-		if p.LoStrict {
-			if !(v > p.Lo) {
-				return false
-			}
-		} else if !(v >= p.Lo) {
-			return false
-		}
-		if p.HiStrict {
-			if !(v < p.Hi) {
-				return false
-			}
-		} else if !(v <= p.Hi) {
+		if p.Tag < 0 || p.Tag >= len(vals) || model.IsNull(vals[p.Tag]) || !p.holds(vals[p.Tag], vals[p.Tag]) {
 			return false
 		}
 	}
@@ -189,30 +171,10 @@ func classifySummary(sum *blobSummary, t1, t2 int64, sp *aggSpecEx, foldable, al
 		}
 	}
 	// Predicates hold for every row only when the tag is never NULL and
-	// the blob's min/max sit strictly inside the (exact) bounds.
+	// the blob's min/max sit inside the (exact) bounds.
 	for _, p := range sp.spec.Preds {
-		if p.Tag < 0 || p.Tag >= len(sum.nonNull) {
-			return classBoundary
-		}
-		if sum.nonNull[p.Tag] != sum.rows {
-			return classBoundary
-		}
-		mn, mx := sum.min[p.Tag], sum.max[p.Tag]
-		if mn > mx {
-			return classBoundary
-		}
-		if p.LoStrict {
-			if !(mn > p.Lo) {
-				return classBoundary
-			}
-		} else if !(mn >= p.Lo) {
-			return classBoundary
-		}
-		if p.HiStrict {
-			if !(mx < p.Hi) {
-				return classBoundary
-			}
-		} else if !(mx <= p.Hi) {
+		if p.Tag < 0 || p.Tag >= len(sum.nonNull) || sum.nonNull[p.Tag] != sum.rows ||
+			sum.min[p.Tag] > sum.max[p.Tag] || !p.holds(sum.min[p.Tag], sum.max[p.Tag]) {
 			return classBoundary
 		}
 	}
@@ -394,9 +356,10 @@ func (pt *aggPartial) foldRow(src, ts int64, vals []float64, sp *aggSpecEx) {
 // aggWalk folds everything one walker hands out into pt, classifying each
 // stored record against its summary within the chunk window. An MG record
 // may fold from its summary only when rows need no per-member
-// attribution: no source filter, no GROUP BY id, and every stored slot
-// maps to a known member (row folds drop unknown slots, so a summary fold
-// must too); MG rows are slot-ordered and never carry sub-summaries. The
+// attribution: no source filter, no GROUP BY id, and no slot of the record
+// reaches a hole of the group's table (row folds drop rows at a hole or
+// past the table, so a summary fold must decline them); MG rows are
+// slot-ordered and never carry sub-summaries. The
 // walker's scratch then goes to next (nil: the pool).
 func (s *Store) aggWalk(pt *aggPartial, w *walker, sp *aggSpecEx, next *walker) error {
 	defer w.release(next)
@@ -433,17 +396,17 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		src = 0
 	}
 	if sum := &pt.sum; rec.hdr.summaryInto(rec.ts, sum) {
-		foldable := !mg || (w.slot == allMembers && !sp.spec.ByID && sum.members <= len(w.members))
+		foldable := !mg || (w.slot == allMembers && !sp.spec.ByID && sum.members <= w.covered)
 		switch classifySummary(sum, lo, hi, sp, foldable, !mg) {
 		case classExcluded:
 			if rec.hit == nil {
 				pt.summaryHits++
-				pt.bytesNotDecoded += rec.size()
+				pt.bytesNotDecoded += rec.stored
 			}
 			return nil
 		case classCovered:
 			pt.summaryHits++
-			pt.bytesNotDecoded += rec.size()
+			pt.bytesNotDecoded += rec.stored
 			pt.foldSummary(src, sum, sp)
 			return nil
 		case classSubFoldable:
@@ -456,7 +419,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 			}
 			if sub := rec.hdr.subSummaries(sum); sub != nil {
 				pt.subBucketFolds++
-				pt.subBucketBytesNotDecoded += rec.size()
+				pt.subBucketBytesNotDecoded += rec.stored
 				pt.foldSubSummaries(src, sum, sub, lo, hi, sp)
 				return nil
 			}
@@ -469,7 +432,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 		return err
 	}
 	if rec.hit == nil {
-		pt.blobBytesRead += rec.size()
+		pt.blobBytesRead += rec.stored
 	}
 	w.eachRow(rec, batch, lo, hi, func(src, ts int64, vals []float64) { pt.foldRow(src, ts, vals, sp) })
 	return nil

@@ -222,7 +222,7 @@ func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
 
 	// The reader's first step copies every record (and reads their cache
 	// versions) now — before the overwrite below; records decode lazily.
-	stale := &scanIter{ws: []*walker{f.store.groupWalker(group, 0, math.MinInt64, math.MaxInt64, nil, ScanOptions{})}}
+	stale := &scanIter{ws: []*walker{f.store.groupWalker(group, nil, math.MinInt64, math.MaxInt64, nil, ScanOptions{})}}
 	if _, ok := stale.Next(); !ok {
 		t.Fatal(stale.Err())
 	}

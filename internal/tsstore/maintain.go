@@ -2,9 +2,11 @@ package tsstore
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
+	"odh/internal/catalog"
 	"odh/internal/model"
 )
 
@@ -130,13 +132,12 @@ func (s *Store) run(pol policy, schemaIDs ...int64) (MaintenanceResult, error) {
 	var res MaintenanceResult
 	for _, id := range schemaIDs {
 		for _, ds := range s.cat.OwnRecordSources(id) {
-			if err := s.maintain(0, []int64{ds.ID}, pol, &res); err != nil {
+			if err := s.maintain(0, catalog.Group{Members: []*model.DataSource{ds}}, pol, &res); err != nil {
 				return res, err
 			}
 		}
 		for _, g := range s.cat.GroupsBySchema(id) {
-			members, _ := s.cat.GroupSources(g)
-			if err := s.maintain(g, members, pol, &res); err != nil {
+			if err := s.maintain(g, s.cat.Group(g), pol, &res); err != nil {
 				return res, err
 			}
 		}
@@ -144,22 +145,24 @@ func (s *Store) run(pol policy, schemaIDs ...int64) (MaintenanceResult, error) {
 	return res, nil
 }
 
-// maintain runs pol over one home: the per-source ranges of sources and,
+// maintain runs pol over one home: the per-source ranges of the members
+// of g — one source that ingests on its own, or an MG group's — and,
 // unless group is 0, the group's MG range, whose latch they share.
-func (s *Store) maintain(group int64, sources []int64, pol policy, res *MaintenanceResult) error {
+func (s *Store) maintain(group int64, g catalog.Group, pol policy, res *MaintenanceResult) error {
 	var plans []*rangePlan // the per-source ranges, then the MG range
-	for _, src := range sources {
-		if ds, ok := s.cat.Source(src); ok {
-			if schema, ok := s.cat.SchemaByID(ds.SchemaID); ok {
-				plans = append(plans, s.newPlan(s.treeFor(ds.HistoricalStructure()), src, ds, schema))
-			}
+	for _, ds := range g.Members {
+		if ds == nil {
+			continue
+		}
+		if schema, ok := s.cat.SchemaByID(ds.SchemaID); ok {
+			plans = append(plans, s.newPlan(s.treeFor(ds.HistoricalStructure()), ds.ID, ds, schema))
 		}
 	}
-	owner, window := group, s.groupWindow(group)
+	owner, window := group, g.WindowMs
 	if group != 0 {
 		plans = append(plans, s.newPlan(s.mg, group, nil, nil))
 	} else {
-		owner = sources[0]
+		owner = g.Members[0].ID
 	}
 	sh := s.shardFor(owner)
 	sh.mu.Lock()
@@ -183,7 +186,7 @@ func (s *Store) maintain(group int64, sources []int64, pol policy, res *Maintena
 		}
 	}
 	if group != 0 && pol.reorgBelow > math.MinInt64 {
-		if err := s.reorganize(plans, pol.reorgBelow, res); err != nil {
+		if err := s.reorganize(plans, g, pol.reorgBelow, res); err != nil {
 			return err
 		}
 	}
@@ -196,29 +199,25 @@ func (s *Store) maintain(group int64, sources []int64, pol policy, res *Maintena
 }
 
 // reorganize plans the group's MG records keyed below upTo (plans ends in
-// the group's range) into its members' per-source ranges: each member's
-// rows become runs of its range (putRuns sorts them), put under the
-// collision rule, and the records go. An unreadable record stays for fsck.
-func (s *Store) reorganize(plans []*rangePlan, upTo int64, res *MaintenanceResult) error {
+// the group's range) into its members' per-source ranges: each row goes to
+// the member its slot holds in g's table, as runs of the member's range
+// (putRuns sorts them) put under the collision rule, and the records go. A
+// record holding rows at a hole, or past the table, stays whole — its rows
+// have no source to move to — and so does an unreadable one, for fsck.
+func (s *Store) reorganize(plans []*rangePlan, g catalog.Group, upTo int64, res *MaintenanceResult) error {
 	mg := plans[len(plans)-1]
-	members, _ := s.cat.GroupSources(mg.id)
-	if len(members) == 0 {
-		return nil // rows with nowhere to go stay
-	}
-	rows := make(map[int64][]model.Point, len(members))
+	rows := make(map[int64][]model.Point, g.Live)
 	for _, r := range mg.records() {
 		if r.ts >= upTo {
 			break
 		}
 		batch, err := DecodeBlob(r.blob, r.ts, nil)
-		if err != nil {
+		if err != nil || slices.ContainsFunc(batch.Slots, func(slot int) bool { return g.Member(slot) == nil }) {
 			continue
 		}
 		for i, slot := range batch.Slots {
-			if slot < len(members) {
-				src := members[slot]
-				rows[src] = append(rows[src], model.Point{Source: src, TS: batch.Timestamps[i], Values: batch.Rows[i]})
-			}
+			src := g.Members[slot].ID
+			rows[src] = append(rows[src], model.Point{Source: src, TS: batch.Timestamps[i], Values: batch.Rows[i]})
 		}
 		mg.now[r.ts] = nil
 	}

@@ -130,7 +130,7 @@ func reopenableFixture(t *testing.T, cfg Config, groupSize int) (*fixture, func(
 // first member's. With a at 1 s in slot 0 and b at 10 s writing first, a's
 // sample at 18000 joined a record keyed 10000, 8 s behind it, and every
 // windowed scan over [15000, 20000) came back empty with a nil error. The
-// writer spans rows over groupWindow too, so every record is within the
+// writer spans rows over the group's window too, so every record is within the
 // reader's lookback: buffered, flushed and after a reopen.
 func TestMGWindowIsTheGroups(t *testing.T) {
 	f, reopen := reopenableFixture(t, Config{BatchSize: 8}, 4)
@@ -154,7 +154,7 @@ func TestMGWindowIsTheGroups(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		windowsExact(t, f, s.ID, sources, truth, windows, when)
-		if got := f.store.groupWindow(a.Group); got != 1000 {
+		if got := f.cat.Group(a.Group).WindowMs; got != 1000 {
 			t.Fatalf("%s: group window %d, want slot 0's interval 1000", when, got)
 		}
 	}

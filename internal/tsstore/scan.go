@@ -50,7 +50,8 @@ type ScanOptions struct {
 	// so (EXPERIMENTS.md, "Fast-path findings").
 	Workers int
 	// NoCache bypasses the decoded-blob cache for this scan (reads and
-	// inserts); used to cross-check cached results and by verification.
+	// inserts); tests use it to cross-check cached results. VerifyBlobs
+	// reads the trees directly and never meets the cache.
 	NoCache bool
 	// Ctx, when non-nil, cancels the scan: iterators observe it before
 	// each walker step and blob decode, aggregate workers between owners
@@ -68,6 +69,11 @@ type TagPred struct {
 	Tag                int
 	Lo, Hi             float64
 	LoStrict, HiStrict bool // true = exclusive bound
+}
+
+// holds reports whether every value in [lo, hi] lies within p's bounds.
+func (p TagPred) holds(lo, hi float64) bool {
+	return (lo > p.Lo || !p.LoStrict && lo >= p.Lo) && (hi < p.Hi || !p.HiStrict && hi <= p.Hi)
 }
 
 // ctxErr is a nil-safe ctx.Err for the scan paths (nil ctx = no
@@ -156,7 +162,7 @@ func (it *scanIter) load(rec *walkRec) error {
 			return err
 		}
 		if rec.hit == nil {
-			it.bytesRead += rec.size()
+			it.bytesRead += rec.stored
 		}
 		// Rows are lent (see Iterator), whether the cache shares the batch or
 		// not; the queue grows once per record, not per row.
@@ -222,7 +228,7 @@ func (s *Store) sourceWalkers(sources []int64, t1, t2 int64, wantTags []int, opt
 func (s *Store) sliceWalkers(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions) []*walker {
 	var ws []*walker
 	for _, g := range s.cat.GroupsBySchema(schemaID) {
-		ws = append(ws, s.groupWalker(g, 0, t1, t2, wantTags, opts))
+		ws = append(ws, s.groupWalker(g, nil, t1, t2, wantTags, opts))
 	}
 	for _, ds := range s.cat.OwnRecordSources(schemaID) {
 		ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))

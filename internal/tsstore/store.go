@@ -228,20 +228,22 @@ type sourceBuffer struct {
 }
 
 // groupBuffer holds the open rows of one MG group. A row opens at its first
-// sample, is keyed at that timestamp and spans one group window
-// (groupWindow): a sample joins the oldest open row that spans it and does
-// not hold its member yet, else opens a row of its own. So a jittered
+// sample, is keyed at that timestamp and spans the group's window
+// (catalog.Group): a sample joins the oldest open row that spans it and
+// does not hold its member yet, else opens a row of its own. So a jittered
 // low-frequency member that samples twice inside one window fills the next
 // row, and every row stays within [key, key+window) — the reach a reader's
 // lookback assumes. Each member's exact timestamp is kept as an offset
-// from the key.
+// from the key. A sample takes its source's stored slot. slots and live
+// are the length of the group's member table and its members that are not
+// holes, as of the newest slot the buffer has met; a row is complete once
+// live members have reported.
 type groupBuffer struct {
-	group    int64
-	schema   *model.SchemaType
-	members  []int64       // slot -> source id
-	slots    map[int64]int // source id -> slot
-	windowMs int64
-	rows     []*mgRow // open rows, oldest first
+	group       int64
+	schema      *model.SchemaType
+	slots, live int
+	windowMs    int64
+	rows        []*mgRow // open rows, oldest first
 }
 
 type mgRow struct {
@@ -482,31 +484,17 @@ func (s *Store) writeBuffered(sh *shard, l *catalog.Lookup, p model.Point) error
 func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaType, p model.Point) error {
 	gb, ok := sh.groups[ds.Group]
 	if !ok {
-		members, srcs := s.cat.GroupSources(ds.Group)
-		gb = &groupBuffer{
-			group:    ds.Group,
-			schema:   schema,
-			members:  members,
-			slots:    make(map[int64]int, len(members)),
-			windowMs: memberWindow(srcs),
-		}
-		for slot, id := range members {
-			gb.slots[id] = slot
-		}
+		gb = &groupBuffer{group: ds.Group, schema: schema}
 		sh.groups[ds.Group] = gb
 	}
-	slot, ok := gb.slots[ds.ID]
-	if !ok {
-		// The group grew since this buffer was built (new member
-		// registered); rebuild the membership view.
-		gb.members, _ = s.cat.GroupSources(ds.Group)
-		for sl, id := range gb.members {
-			gb.slots[id] = sl
-		}
-		slot, ok = gb.slots[ds.ID]
-		if !ok {
+	slot := ds.GroupSlot
+	if slot >= gb.slots {
+		// A member registered after the buffer last read the table.
+		g := s.cat.Group(ds.Group)
+		if slot >= len(g.Members) {
 			return fmt.Errorf("tsstore: source %d not in group %d", ds.ID, ds.Group)
 		}
+		gb.slots, gb.live, gb.windowMs = len(g.Members), g.Live, g.WindowMs
 	}
 	var row *mgRow
 	for _, r := range gb.rows {
@@ -526,15 +514,15 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 				return s.putRunLocked(ds, schema, []model.Point{p})
 			}
 		}
-		row = &mgRow{key: p.TS, vals: make([]float64, 0, len(gb.members)*len(schema.Tags))}
+		row = &mgRow{key: p.TS, vals: make([]float64, 0, gb.live*len(schema.Tags))}
 		gb.rows = append(gb.rows, row)
 	}
-	row.fit(len(gb.members))
+	row.fit(gb.slots)
 	row.reported++
 	n := len(row.vals)
 	row.vals = append(row.vals, p.Values...)
 	row.samples[slot] = model.Point{Source: p.Source, TS: p.TS, Values: row.vals[n:len(row.vals):len(row.vals)]}
-	if row.reported >= len(gb.members) {
+	if row.reported >= gb.live {
 		return s.flushMGRowLocked(gb, row)
 	}
 	if len(gb.rows) > s.cfg.maxOpenMGRows {
@@ -744,14 +732,6 @@ func (s *Store) replay(l *walog.Log, logged bool) (applied, skipped int, err err
 	return applied, skipped, err
 }
 
-// lenient reports whether scans quarantine corrupt blobs.
-func (s *Store) lenient() bool { return s.cfg.LenientScan }
-
-// noteCorruptBlob counts one quarantined record.
-func (s *Store) noteCorruptBlob() {
-	atomic.AddInt64(&s.stats.CorruptBlobsSkipped, 1)
-}
-
 // BlobRef identifies one batch record for integrity reporting.
 type BlobRef struct {
 	Tree   string // "ts.rts", "ts.irts", or "ts.mg"
@@ -802,6 +782,34 @@ func (s *Store) VerifyBlobs() (checked int, corrupt, stale []BlobRef, err error)
 		}
 	}
 	return checked, corrupt, stale, nil
+}
+
+// HoleRows names, once per MG group, the first record holding rows at a
+// slot no stored source holds — a hole of the group's member table, or
+// past its end: rows every read drops. A record that does not read is
+// VerifyBlobs' to name.
+func (s *Store) HoleRows() ([]BlobRef, error) {
+	var holes []BlobRef
+	cur := s.mg.First()
+	for ; cur.Valid(); cur.Next() {
+		group, ts, err := keyenc.DecodeSourceTime(cur.Key())
+		if err != nil || len(holes) > 0 && holes[len(holes)-1].Source == group {
+			continue
+		}
+		blob, err := cur.Value()
+		if err != nil {
+			continue
+		}
+		h, _ := parseBlobHeader(blob)
+		g := s.cat.Group(group)
+		for slot := range h.count {
+			if g.Member(slot) == nil && !h.lacksMember(slot) {
+				holes = append(holes, BlobRef{Tree: "ts.mg", Source: group, TS: ts})
+				break
+			}
+		}
+	}
+	return holes, cur.Err()
 }
 
 // blobIntact is the per-record check of VerifyBlobs. Every record of a

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"odh/internal/btree"
+	"odh/internal/catalog"
 	"odh/internal/keyenc"
 	"odh/internal/model"
 )
@@ -81,10 +82,10 @@ type walker struct {
 	sh      *shard // the owner's latch
 	owner   int64
 	homes   []home
-	buffer  home    // the pseudo-home of buffered rows
-	members []int64 // MG owners: slot -> source id
-	slot    int     // MG owners: restrict MG and buffered rows to this member's slot, or allMembers
-	window  int64   // MG owners: the group's window (groupWindow)
+	buffer  home          // the pseudo-home of buffered rows
+	group   catalog.Group // MG owners: the group's window and member table
+	covered int           // MG owners: every slot below it holds a member
+	slot    int           // MG owners: restrict MG and buffered rows to this member's slot, or allMembers
 	t2      int64
 	from    int64 // resume point; rows in [from, t2) remain
 	started bool  // a step has run: records keyed below from were met before
@@ -149,7 +150,7 @@ type walkRec struct {
 	home     *home
 	ts       int64  // base timestamp (the key's time part); rows are >= ts
 	blob     []byte // the bytes read: the record through its prefix
-	stored   int64  // the record's stored length (Cursor.ValueSize)
+	stored   int64  // the record's stored length (Cursor.ValueSize): the cost unit, however much was read
 	hit      *cacheEntry
 	ver      uint64 // cache insert guard, read under the latch with the bytes
 	buffered []model.Point
@@ -181,33 +182,33 @@ func (s *Store) newWalker(owner int64, t1, t2 int64, wantTags []int, opts ScanOp
 // sourceWalker walks every home of one source's rows.
 func (s *Store) sourceWalker(ds *model.DataSource, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
 	if ds.IngestStructure() == model.MG {
-		return s.groupWalker(ds.Group, ds.ID, t1, t2, wantTags, opts)
+		return s.groupWalker(ds.Group, ds, t1, t2, wantTags, opts)
 	}
 	w := s.newWalker(ds.ID, t1, t2, wantTags, opts)
 	w.homes = []home{{tree: s.treeFor(ds.IngestStructure()), id: ds.ID}}
 	return w
 }
 
-// groupWalker walks an MG group's rows, all members' or only one's:
-// reorganized history and the repeats of a timestamp a member has open in
-// the buffer (see writeMG) live per source in RTS/IRTS, the rest in the
-// group's MG records and buffer. A walk of one member decodes its row of an
-// MG record and nothing else of it, and drops a record without the member
-// on its head.
-func (s *Store) groupWalker(group, only int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
+// groupWalker walks an MG group's rows, all members' or, unless only is
+// nil, only that member's: reorganized history and the repeats of a
+// timestamp a member has open in the buffer (see writeMG) live per source
+// in RTS/IRTS, the rest in the group's MG records and buffer. A walk of one
+// member decodes its row of an MG record and nothing else of it, and drops
+// a record without the member on its head.
+func (s *Store) groupWalker(group int64, only *model.DataSource, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
 	w := s.newWalker(group, t1, t2, wantTags, opts)
-	var srcs []*model.DataSource
-	w.members, srcs = s.cat.GroupSources(group)
-	w.window = memberWindow(srcs)
-	if only != 0 {
-		w.slot = math.MaxInt32 // not a member: a slot no record has
+	w.group = s.cat.Group(group)
+	if w.covered = slices.Index(w.group.Members, nil); w.covered < 0 {
+		w.covered = len(w.group.Members)
 	}
-	for slot, src := range w.members {
-		if src == only {
-			w.slot = slot
-		}
-		if only == 0 || src == only {
-			w.homes = append(w.homes, home{tree: s.treeFor(srcs[slot].HistoricalStructure()), id: src, seq: len(w.homes)})
+	if only != nil {
+		w.slot = only.GroupSlot
+		w.homes = []home{{tree: s.treeFor(only.HistoricalStructure()), id: only.ID}}
+	} else {
+		for _, m := range w.group.Members {
+			if m != nil {
+				w.homes = append(w.homes, home{tree: s.treeFor(m.HistoricalStructure()), id: m.ID, seq: len(w.homes)})
+			}
 		}
 	}
 	w.homes = append(w.homes, home{tree: s.mg, id: group, seq: len(w.homes)})
@@ -224,26 +225,6 @@ func (s *Store) treeID(tree *btree.Tree) uint8 {
 	default:
 		return cacheTreeMG
 	}
-}
-
-// groupWindow returns the window of an MG group: how far an MG record's
-// rows reach past its key. The writer spans each row over it, the walker
-// looks back by it, the maintenance planner ages records by it — one
-// function, so the three cannot disagree. It is the sampling interval of
-// the group's first member, whose slot no later registration changes, so
-// the window never shrinks under records already written.
-func (s *Store) groupWindow(group int64) int64 {
-	_, srcs := s.cat.GroupSources(group)
-	return memberWindow(srcs)
-}
-
-// memberWindow is groupWindow of a group whose member sources, in slot
-// order, are srcs.
-func memberWindow(srcs []*model.DataSource) int64 {
-	if len(srcs) == 0 || srcs[0].IntervalMs <= 0 {
-		return 1
-	}
-	return srcs[0].IntervalMs
 }
 
 // recCursor walks one home's records with base timestamp in [lo, hi).
@@ -349,7 +330,7 @@ func (w *walker) gather(ch *chunk) error {
 		// only when keyed at or after lo-HotSpanMs. Statistics the catalog
 		// could not read eliminate nothing and bound nothing. The seek starts
 		// a millisecond before either bound.
-		lookback := w.window
+		lookback := w.group.WindowMs
 		if h.tree != w.s.mg {
 			st := w.s.cat.Stats(h.id)
 			switch {
@@ -410,7 +391,7 @@ func (w *walker) gather(ch *chunk) error {
 			return err
 		}
 		if keep {
-			taken += rec.size()
+			taken += rec.stored
 		} else {
 			ch.recs = ch.recs[:len(ch.recs)-1]
 		}
@@ -435,13 +416,13 @@ func (w *walker) take(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 	if rec.hit != nil {
 		rec.hdr, rec.stored = rec.hit.hdr, rec.hit.blobLen
 	} else if keep, err := w.read(c, rec, lo); !keep || err != nil {
-		if err != nil && w.s.lenient() {
+		if err != nil && w.s.cfg.LenientScan {
 			// An unreadable value is quarantined in lenient mode; a broken
 			// tree walk still aborts, since the cursor cannot pass it.
 			// Counted once, by the step that first met the record: later
 			// steps look back over it again.
 			if !w.started || c.ts >= lo {
-				w.s.noteCorruptBlob()
+				atomic.AddInt64(&w.s.stats.CorruptBlobsSkipped, 1)
 			}
 			return false, nil
 		}
@@ -517,7 +498,7 @@ func (w *walker) read(c *recCursor, rec *walkRec, lo int64) (keep bool, err erro
 // insertions"). Caller holds the latch.
 func (w *walker) addBuffered(ch *chunk) {
 	var out []model.Point
-	if w.members == nil {
+	if w.group.Members == nil {
 		if buf, ok := w.sh.buffers[w.owner]; ok {
 			for _, p := range buf.points {
 				if p.TS >= ch.lo && p.TS < ch.hi {
@@ -577,10 +558,6 @@ func (w *walker) addBuffered(ch *chunk) {
 	ch.recs = recs
 }
 
-// size is the record's stored length, however much of it was read: the
-// cost unit of plans, of the cache and of the step budget.
-func (r *walkRec) size() int64 { return r.stored }
-
 // lastTS bounds the record's newest row timestamp: exact from the
 // summary, else by the home's widest span.
 func (r *walkRec) lastTS() int64 {
@@ -626,8 +603,8 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err erro
 		err = fmt.Errorf("tsstore: corrupt stub blob %s source=%d ts=%d", r.home.tree.Name(), r.home.id, r.ts)
 	}
 	if err != nil {
-		if w.s.lenient() {
-			w.s.noteCorruptBlob()
+		if w.s.cfg.LenientScan {
+			atomic.AddInt64(&w.s.stats.CorruptBlobsSkipped, 1)
 			return nil, nil
 		}
 		return nil, err
@@ -643,17 +620,18 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err erro
 }
 
 // eachRow calls fn for the rows of a decoded record that belong to the
-// walk within [lo, hi): MG rows are attributed to their member by slot
-// (unknown slots dropped) and filtered to the walker's member, if any.
+// walk within [lo, hi): MG rows are attributed to the member their slot
+// holds in the group's table (rows at a hole, or past the table, dropped)
+// and filtered to the walker's member, if any.
 func (w *walker) eachRow(r *walkRec, batch *DecodedBatch, lo, hi int64, fn func(src, ts int64, vals []float64)) {
 	for i, ts := range batch.Timestamps {
 		src := r.home.id
 		if batch.Structure == model.MG {
-			slot := batch.Slots[i]
-			if slot >= len(w.members) || w.slot != allMembers && slot != w.slot {
+			m := w.group.Member(batch.Slots[i])
+			if m == nil || w.slot != allMembers && batch.Slots[i] != w.slot {
 				continue
 			}
-			src = w.members[slot]
+			src = m.ID
 		}
 		if ts >= lo && ts < hi {
 			fn(src, ts, batch.Rows[i])

@@ -22,8 +22,8 @@ import (
 func windowRows(batch *DecodedBatch, lo, hi int64) []model.Point {
 	w := &walker{slot: allMembers}
 	for _, slot := range batch.Slots { // MG: every slot is a known member
-		for slot >= len(w.members) {
-			w.members = append(w.members, int64(len(w.members)+1))
+		for slot >= len(w.group.Members) {
+			w.group.Members = append(w.group.Members, &model.DataSource{ID: int64(len(w.group.Members) + 1)})
 		}
 	}
 	var out []model.Point

@@ -50,11 +50,16 @@ type IntegrityReport struct {
 	// at open): a scan's lookback trusts those bounds, so a short window
 	// could miss the record's rows. Historian.UpgradeBlobs re-derives them.
 	StaleStats []string
+	// Membership names each MG group holding rows at a slot no stored
+	// source holds (rows every read drops), and each catalog record a
+	// recovery-mode open skipped: one that does not decode, or an MG
+	// source whose slot is out of range or claimed by another source.
+	Membership []string
 }
 
 // OK reports whether every layer verified clean.
 func (r *IntegrityReport) OK() bool {
-	return len(r.CorruptPages) == 0 && len(r.CorruptTrees) == 0 && len(r.CorruptBlobs) == 0 && len(r.StaleStats) == 0
+	return len(r.CorruptPages) == 0 && len(r.CorruptTrees) == 0 && len(r.CorruptBlobs) == 0 && len(r.StaleStats) == 0 && len(r.Membership) == 0
 }
 
 // String renders the fsck-style summary.
@@ -74,6 +79,9 @@ func (r *IntegrityReport) String() string {
 	}
 	for _, s := range r.StaleStats {
 		fmt.Fprintf(&b, "  statistics do not bound %s (run upgrade)\n", s)
+	}
+	for _, s := range r.Membership {
+		fmt.Fprintf(&b, "  membership: %s\n", s)
 	}
 	if r.OK() {
 		b.WriteString("integrity: OK")
@@ -126,10 +134,21 @@ func (h *Historian) VerifyIntegrity() (*IntegrityReport, error) {
 	for _, ref := range stale {
 		rep.StaleStats = append(rep.StaleStats, ref.String())
 	}
+	for _, e := range h.cat.Skipped() {
+		rep.Membership = append(rep.Membership, fmt.Sprintf("skipped %s record %s: %s", e.Tree, e.Key, e.Reason))
+	}
 	if err != nil {
 		// The blob walk itself broke (structural damage below the blobs);
 		// record it rather than failing the whole fsck.
 		rep.CorruptTrees = append(rep.CorruptTrees, fmt.Sprintf("blob walk: %v", err))
+	} else {
+		holes, err := h.ts.HoleRows()
+		for _, ref := range holes {
+			rep.Membership = append(rep.Membership, fmt.Sprintf("MG group %d holds rows at a slot no stored source holds, from %s", ref.Source, ref))
+		}
+		if err != nil {
+			rep.CorruptTrees = append(rep.CorruptTrees, fmt.Sprintf("MG walk: %v", err))
+		}
 	}
 	return rep, nil
 }
