@@ -191,8 +191,8 @@ func (t *aggGroups) all(grandTotal bool) []*aggGroup {
 type aggregateOp struct {
 	child Operator
 	shape *aggShape
-	keys  []boundExpr // group-by key expressions
-	args  []boundExpr // per item: the bound aggregate argument, or nil
+	keys  picks       // the group-by keys
+	args  picks       // per item: the aggregate argument; NULL for COUNT(*) and a key
 	merge []finalItem // set in a gather: merge partials instead of adding args
 	cols  []ColMeta
 	done  bool
@@ -209,7 +209,8 @@ func (a *aggregateOp) run() error {
 		proto[i] = aggState{fn: item.fn, star: item.star}
 	}
 	groups := newAggGroups(proto)
-	keyVals := make([]relational.Value, len(a.keys))
+	keyVals := make(Row, len(a.keys.ords))
+	argVals := make(Row, len(a.args.ords))
 	for {
 		row, ok, err := a.child.Next()
 		if err != nil {
@@ -218,30 +219,26 @@ func (a *aggregateOp) run() error {
 		if !ok {
 			break
 		}
-		for i, k := range a.keys {
-			if keyVals[i], err = k.eval(row); err != nil {
+		if err := a.keys.fill(keyVals, row); err != nil {
+			return err
+		}
+		g := groups.group(keyVals)
+		if a.merge == nil {
+			if err := a.args.fill(argVals, row); err != nil {
 				return err
 			}
 		}
-		g := groups.group(keyVals)
 		for i, item := range a.shape.items {
-			if item.key >= 0 {
-				continue
-			}
-			if a.merge != nil {
+			switch {
+			case item.key >= 0:
+			case a.merge != nil:
 				g.states[i].merge(a.merge[i].partial(row))
-				continue
+			default:
+				g.states[i].add(argVals[i]) // COUNT(*) counts the row itself
 			}
-			v := relational.Null // COUNT(*) counts the row itself
-			if a.args[i] != nil {
-				if v, err = a.args[i].eval(row); err != nil {
-					return err
-				}
-			}
-			g.states[i].add(v)
 		}
 	}
-	for _, g := range groups.all(len(a.keys) == 0) {
+	for _, g := range groups.all(len(a.keys.ords) == 0) {
 		row := make(Row, len(a.shape.items))
 		for i, item := range a.shape.items {
 			if item.key >= 0 {
@@ -272,7 +269,7 @@ func (a *aggregateOp) Next() (Row, bool, error) {
 
 func (a *aggregateOp) Describe(indent string) string {
 	return fmt.Sprintf("%sAggregate(%d keys, %d columns)\n%s",
-		indent, len(a.keys), len(a.shape.items), a.child.Describe(indent+"  "))
+		indent, len(a.keys.ords), len(a.shape.items), a.child.Describe(indent+"  "))
 }
 
 // hasAggregates reports whether any select item contains an aggregate call.

@@ -332,17 +332,16 @@ func selectTail(root Operator, stmt *sqlparse.SelectStmt, aggregated bool) (Oper
 		root = &filterOp{child: root, pred: bound, desc: "HAVING " + stmt.Having.String()}
 	}
 	if len(stmt.OrderBy) > 0 {
-		keys := make([]boundExpr, len(stmt.OrderBy))
-		desc := make([]bool, len(stmt.OrderBy))
-		for i, o := range stmt.OrderBy {
+		sorted := &sortOp{child: root}
+		for _, o := range stmt.OrderBy {
 			b, err := bindOut(o.Expr)
 			if err != nil {
 				return nil, err
 			}
-			keys[i] = b
-			desc[i] = o.Desc
+			sorted.keys.add(b)
+			sorted.desc = append(sorted.desc, o.Desc)
 		}
-		root = &sortOp{child: root, keys: keys, desc: desc}
+		root = sorted
 	}
 	if stmt.Limit >= 0 {
 		root = &limitOp{child: root, n: stmt.Limit}
@@ -365,13 +364,14 @@ func aggOutputRefs(e sqlparse.Expr, cols []ColMeta) sqlparse.Expr {
 	})
 }
 
-// buildProjection expands stars and binds select expressions. Only a star
-// keeps a column's binding, so a layout equal to the input's is every input
-// column once, in order (SELECT * over one table): the child's rows are the
-// result, and nothing is projected.
+// buildProjection expands stars and binds select expressions; a star's
+// columns and a plain column reference bind to their input ordinals. Only a
+// star keeps a column's binding, so a layout equal to the input's is every
+// input column once, in order (SELECT * over one table): the child's rows
+// are the result, and nothing is projected.
 func (pc *planContext) buildProjection(child Operator) (Operator, error) {
 	inCols := child.Columns()
-	var exprs []boundExpr
+	var items picks
 	var outCols []ColMeta
 	for _, item := range pc.stmt.Items {
 		if item.Star {
@@ -379,7 +379,7 @@ func (pc *planContext) buildProjection(child Operator) (Operator, error) {
 				if item.StarTable != "" && !strings.EqualFold(c.Table, item.StarTable) {
 					continue
 				}
-				exprs = append(exprs, boundCol{ord})
+				items.add(boundCol{ord})
 				outCols = append(outCols, c)
 			}
 			continue
@@ -396,35 +396,36 @@ func (pc *planContext) buildProjection(child Operator) (Operator, error) {
 				name = item.Expr.String()
 			}
 		}
-		exprs = append(exprs, b)
+		items.add(b)
 		outCols = append(outCols, ColMeta{Name: name, Kind: exprKind(item.Expr, inCols)})
 	}
 	if slices.Equal(outCols, inCols) {
 		return child, nil
 	}
-	return &projectOp{child: child, exprs: exprs, cols: outCols}, nil
+	return &projectOp{child: child, items: items, cols: outCols}, nil
 }
 
 // buildAggregate binds the classified select list and GROUP BY to the
 // child's columns.
 func (pc *planContext) buildAggregate(child Operator, shape *aggShape) (Operator, error) {
 	inCols := child.Columns()
-	agg := &aggregateOp{child: child, shape: shape, args: make([]boundExpr, len(shape.items))}
+	agg := &aggregateOp{child: child, shape: shape}
 	for _, g := range shape.keys {
 		b, err := bind(g, inCols)
 		if err != nil {
 			return nil, err
 		}
-		agg.keys = append(agg.keys, b)
+		agg.keys.add(b)
 	}
-	for i, item := range shape.items {
+	for _, item := range shape.items {
+		var b boundExpr
 		if item.arg != nil {
-			b, err := bind(item.arg, inCols)
-			if err != nil {
+			var err error
+			if b, err = bind(item.arg, inCols); err != nil {
 				return nil, err
 			}
-			agg.args[i] = b
 		}
+		agg.args.add(b)
 		agg.cols = append(agg.cols, ColMeta{Name: item.name, Kind: exprKind(item.expr, inCols)})
 	}
 	return agg, nil

@@ -42,6 +42,43 @@ type boundCol struct{ ord int }
 
 func (b boundCol) eval(row Row) (relational.Value, error) { return row[b.ord], nil }
 
+// picks reads a list of bound expressions out of each row for the
+// operators that read per row: the projection, the aggregate's keys and
+// arguments, and the sort keys. A plain column reference is bound to its
+// ordinal once, when the plan is built, and read by copying its cell; only
+// a computed expression is called per row.
+type picks struct {
+	ords  []int       // per item: the column's ordinal, or -1 when computed
+	exprs []boundExpr // per item: the computed expression, nil for a column
+}
+
+// add appends one item. A nil expression (COUNT(*)'s argument, a group
+// key's slot among the aggregate arguments) reads NULL.
+func (p *picks) add(b boundExpr) {
+	ord := -1
+	if c, ok := b.(boundCol); ok {
+		ord, b = c.ord, nil
+	}
+	p.ords = append(p.ords, ord)
+	p.exprs = append(p.exprs, b)
+}
+
+// fill writes each item's value in row to dst, one cell per item.
+func (p *picks) fill(dst, row Row) (err error) {
+	for i, ord := range p.ords {
+		if ord >= 0 {
+			dst[i] = row[ord]
+			continue
+		}
+		if e := p.exprs[i]; e == nil {
+			dst[i] = relational.Null
+		} else if dst[i], err = e.eval(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 type boundLit struct{ v relational.Value }
 
 func (b boundLit) eval(Row) (relational.Value, error) { return b.v, nil }

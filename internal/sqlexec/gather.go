@@ -69,7 +69,7 @@ type GatherPlan struct {
 	scatter []ColMeta
 	shape   *aggShape
 	finals  []finalItem
-	keys    []boundExpr
+	keys    []int // -1 until an item ships the key
 }
 
 // Aggregate reports whether the plan re-folds partial aggregates (as
@@ -95,14 +95,17 @@ func PlanGather(sel *sqlparse.SelectStmt) (*GatherPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &GatherPlan{sel: sel, shape: &aggShape{keys: sh.keys}, keys: make([]boundExpr, len(sh.keys))}
+	p := &GatherPlan{sel: sel, shape: &aggShape{keys: sh.keys}, keys: make([]int, len(sh.keys))}
+	for i := range p.keys {
+		p.keys[i] = -1
+	}
 	addScatter := func(item string) int {
 		p.scatter = append(p.scatter, ColMeta{Name: item})
 		return len(p.scatter) - 1
 	}
 	addItem := func(it aggItem, fi finalItem) {
-		if it.key >= 0 && p.keys[it.key] == nil {
-			p.keys[it.key] = boundCol{fi.src}
+		if it.key >= 0 && p.keys[it.key] < 0 {
+			p.keys[it.key] = fi.src
 		}
 		p.shape.items = append(p.shape.items, it)
 		p.finals = append(p.finals, fi)
@@ -122,7 +125,7 @@ func PlanGather(sel *sqlparse.SelectStmt) (*GatherPlan, error) {
 	// them as hidden scatter columns so the fold keeps distinct groups
 	// distinct, then project them away at the end.
 	for i, g := range sh.keys {
-		if p.keys[i] == nil {
+		if p.keys[i] < 0 {
 			addItem(aggItem{name: g.String(), expr: g, key: i}, finalItem{src: addScatter(g.String())})
 		}
 	}
@@ -144,17 +147,17 @@ func PlanGather(sel *sqlparse.SelectStmt) (*GatherPlan, error) {
 // key, whatever order the shards answered in — and a projection drops the
 // hidden keys.
 func (p *GatherPlan) fold(shardRows Operator) Operator {
-	agg := &aggregateOp{child: shardRows, shape: p.shape, keys: p.keys, merge: p.finals}
+	agg := &aggregateOp{child: shardRows, shape: p.shape, keys: picks{ords: p.keys}, merge: p.finals}
 	byKey := &sortOp{child: agg}
 	visible := &projectOp{child: byKey}
 	for i, it := range p.shape.items {
 		agg.cols = append(agg.cols, ColMeta{Name: it.name})
 		if it.key >= 0 {
-			byKey.keys = append(byKey.keys, boundCol{i})
+			byKey.keys.add(boundCol{i})
 			byKey.desc = append(byKey.desc, false)
 		}
 		if i < len(p.Columns) {
-			visible.exprs = append(visible.exprs, boundCol{i})
+			visible.items.add(boundCol{i})
 		}
 	}
 	visible.cols = agg.cols[:len(p.Columns)]

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"odh/internal/model"
 	"odh/internal/relational"
@@ -187,7 +186,8 @@ type virtualScan struct {
 	ctx      context.Context   // cancels the scan (threaded into ScanOptions.Ctx)
 	iter     tsstore.Iterator
 	row      Row // the lent row: a join's outer row (outer cells), then the point
-	outer    int
+	outer    int // the outer cells' count, set by the join that drives the scan
+	wrote    int // tag cells the previous point wrote
 }
 
 func (pc *planContext) newVirtualScan(acc *tableAccess) *virtualScan {
@@ -212,8 +212,12 @@ func (s *virtualScan) BlobBytes() int64 {
 	return s.iter.BlobBytes()
 }
 
-// open builds the underlying iterator.
+// open builds the underlying iterator. The row buffer is sized once, at
+// the outer cells plus every column, all NULL.
 func (s *virtualScan) open() error {
+	if s.row == nil {
+		s.row = make(Row, s.outer+len(s.cols))
+	}
 	iter, err := s.sel.scan(s.store, s.t1, s.t2, s.wantTags, tsstore.ScanOptions{Ctx: s.ctx}, s.preds)
 	if err == nil {
 		s.iter = iter
@@ -230,32 +234,32 @@ func (s *virtualScan) Next() (Row, bool, error) {
 	return s.next()
 }
 
-// next assembles the open iterator's next point into the scan's row
-// buffer behind its outer cells: decoded columns become relational values
-// — the VTI overhead the paper measures at >80% of extraction time.
+// next writes the open iterator's next point into the scan's row buffer
+// behind its outer cells, each cell once: decoded columns become relational
+// values — the VTI overhead the paper measures at >80% of extraction time.
 func (s *virtualScan) next() (Row, bool, error) {
 	p, ok := s.iter.Next()
 	if !ok {
 		return nil, false, s.iter.Err()
 	}
-	if s.row == nil {
-		s.row = make(Row, 0, len(s.cols))
-	}
-	row := append(s.row[:s.outer], relational.Int(p.Source), relational.Time(p.TS))
-	for _, v := range p.Values {
+	point := s.row[s.outer:]
+	point[0], point[1] = relational.Int(p.Source), relational.Time(p.TS)
+	tags := point[2 : 2+len(p.Values)]
+	for i, v := range p.Values {
 		if model.IsNull(v) {
-			row = append(row, relational.Null)
+			tags[i] = relational.Null
 		} else {
-			row = append(row, relational.Float(v))
+			tags[i] = relational.Float(v)
 		}
 	}
-	// A point holds its tags only through the last one the scan asked for;
-	// the tags behind it are NULL.
-	for len(row) < s.outer+len(s.cols) {
-		row = append(row, relational.Null)
+	// A point holds its tags only through the last one the scan asked for
+	// (a buffered point holds every tag); the tags behind it are NULL, so
+	// only the cells the previous point wrote there are cleared.
+	if n := len(p.Values); n < s.wrote {
+		clear(point[2+n : 2+s.wrote])
 	}
-	s.row = row
-	return row, true, nil
+	s.wrote = len(p.Values)
+	return s.row, true, nil
 }
 
 func (s *virtualScan) Describe(indent string) string {
@@ -295,11 +299,13 @@ func (f *filterOp) Describe(indent string) string {
 
 // --- projection ---
 
+// projectOp writes one cell per item: a column item copies its input cell,
+// and only a computed item is evaluated.
 type projectOp struct {
 	child Operator
-	exprs []boundExpr
+	items picks
 	cols  []ColMeta
-	out   Row // the lent row, one cell per expression
+	out   Row // the lent row, one cell per item
 }
 
 func (p *projectOp) Columns() []ColMeta { return p.cols }
@@ -311,13 +317,10 @@ func (p *projectOp) Next() (Row, bool, error) {
 		return nil, false, err
 	}
 	if p.out == nil {
-		p.out = make(Row, len(p.exprs))
+		p.out = make(Row, len(p.cols))
 	}
-	for i, e := range p.exprs {
-		p.out[i], err = e.eval(row)
-		if err != nil {
-			return nil, false, err
-		}
+	if err := p.items.fill(p.out, row); err != nil {
+		return nil, false, err
 	}
 	return p.out, true, nil
 }
@@ -457,7 +460,7 @@ func (j *hashJoin) Describe(indent string) string {
 // nlVirtualJoin drives historical scans of the virtual table from outer
 // rows — the paper's "relational-first" plan: extract matching sensors,
 // then extract the operational records for each sensor id. The inner is
-// one virtualScan re-aimed at each driven source; opening it writes the
+// one virtualScan re-aimed at each driven source; opening it copies the
 // outer row into the head of its row buffer once, and each inner row
 // rewrites only the tail.
 type nlVirtualJoin struct {
@@ -469,6 +472,7 @@ type nlVirtualJoin struct {
 }
 
 func newNLVirtualJoin(outer Operator, inner *virtualScan, outerKey int) *nlVirtualJoin {
+	inner.outer = len(outer.Columns())
 	return &nlVirtualJoin{
 		outer: outer, inner: inner, outerKey: outerKey,
 		cols: append(append([]ColMeta{}, outer.Columns()...), inner.cols...),
@@ -502,7 +506,7 @@ func (j *nlVirtualJoin) Next() (Row, bool, error) {
 		if err := j.inner.open(); err != nil {
 			return nil, false, err
 		}
-		j.inner.row, j.inner.outer = append(j.inner.row[:0], row...), len(row)
+		copy(j.inner.row, row)
 	}
 }
 
@@ -569,13 +573,14 @@ func (j *nlRelJoin) Describe(indent string) string {
 
 // --- sort ---
 
-// sortOp materialises its input, copying each lent row, and emits the
-// copies in order.
+// sortOp materialises its input and emits it in order. Each lent row is
+// copied once, behind its sort keys, which are computed as it comes in, so
+// a comparison only compares cells.
 type sortOp struct {
 	child Operator
-	keys  []boundExpr
+	keys  picks
 	desc  []bool
-	rows  []Row
+	rows  []Row // per row: its keys, then the row
 	done  bool
 	i     int
 }
@@ -584,6 +589,7 @@ func (s *sortOp) Columns() []ColMeta { return s.child.Columns() }
 func (s *sortOp) BlobBytes() int64   { return s.child.BlobBytes() }
 
 func (s *sortOp) Next() (Row, bool, error) {
+	nk := len(s.desc)
 	if !s.done {
 		for {
 			row, ok, err := s.child.Next()
@@ -593,45 +599,34 @@ func (s *sortOp) Next() (Row, bool, error) {
 			if !ok {
 				break
 			}
-			s.rows = append(s.rows, slices.Clone(row))
-		}
-		var evalErr error
-		sort.SliceStable(s.rows, func(a, b int) bool {
-			for k, key := range s.keys {
-				va, err := key.eval(s.rows[a])
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				vb, err := key.eval(s.rows[b])
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				cmp := compareCoerced(va, vb)
-				if cmp == 0 {
-					continue
-				}
-				if s.desc[k] {
-					return cmp > 0
-				}
-				return cmp < 0
+			r := make(Row, nk+len(row))
+			if err := s.keys.fill(r, row); err != nil {
+				return nil, false, err
 			}
-			return false
-		})
-		if evalErr != nil {
-			return nil, false, evalErr
+			copy(r[nk:], row)
+			s.rows = append(s.rows, r)
 		}
+		slices.SortStableFunc(s.rows, func(a, b Row) int {
+			for k, desc := range s.desc {
+				if cmp := compareCoerced(a[k], b[k]); cmp != 0 {
+					if desc {
+						return -cmp
+					}
+					return cmp
+				}
+			}
+			return 0
+		})
 		s.done = true
 	}
 	if s.i >= len(s.rows) {
 		return nil, false, nil
 	}
-	row := s.rows[s.i]
+	row := s.rows[s.i][nk:]
 	s.i++
 	return row, true, nil
 }
 
 func (s *sortOp) Describe(indent string) string {
-	return fmt.Sprintf("%sSort(%d keys)\n%s", indent, len(s.keys), s.child.Describe(indent+"  "))
+	return fmt.Sprintf("%sSort(%d keys)\n%s", indent, len(s.desc), s.child.Describe(indent+"  "))
 }
