@@ -139,3 +139,103 @@ func rootFree(t *testing.T, tr *Tree) int {
 	defer fr.Unpin()
 	return node{fr.Data()}.freeTotal()
 }
+
+// TestFailedPutLeavesTreeAsItWas: a Put that splits a leaf, and one that
+// splits a leaf and the internal node above it, fail at every write a
+// Put can meet — the pool holds only dirty frames besides the tree's, so
+// every page it reads or allocates evicts one — and each failed Put leaves
+// the entry count, the value bytes, the structure and every old key's
+// value as they were, until the writes the Put needs succeed.
+func TestFailedPutLeavesTreeAsItWas(t *testing.T) {
+	const pool = 8
+	for _, tc := range []struct {
+		name   string
+		keyPad int // key bytes beyond "k%04d": long keys fill an internal node with few leaves
+		val    int
+		height int // of the tree the failing Put grows
+	}{
+		{"root leaf splits", 0, 100, 2},
+		{"leaf and internal root split", 300, 8, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := func(i int) []byte { return fmt.Appendf(nil, "k%04d%s", i, bytes.Repeat([]byte{'p'}, tc.keyPad)) }
+			val := bytes.Repeat([]byte{'v'}, tc.val)
+			// build puts ascending keys into a new tree until the next Put,
+			// of key n, splits the rightmost leaf and every node above it:
+			// the tree grows to tc.height. Put is deterministic, so the
+			// first build, with no fault, finds n for the others.
+			n := -1
+			var build func() (*fault.File, *pagestore.Store, *Tree)
+			build = func() (*fault.File, *pagestore.Store, *Tree) {
+				ff := fault.Wrap(pagestore.NewMemFile())
+				store, err := pagestore.Open(ff, pagestore.Options{PoolPages: pool})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := Open(store, "t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; n < 0 || i < n; i++ {
+					if err := tr.Put(key(i), val); err != nil {
+						t.Fatal(err)
+					}
+					if n < 0 && tr.Height() == tc.height {
+						n = i
+						store.Close()
+						return build()
+					}
+				}
+				return ff, store, tr
+			}
+			for fails := 0; ; fails++ {
+				ff, store, tr := build()
+				count, vbytes := tr.Count(), tr.ValueBytes()
+				for range pool {
+					_, fr, err := store.Allocate()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fr.MarkDirty()
+					fr.Unpin()
+				}
+				ff.FailWritesAfter(fails)
+				err := tr.Put(key(n), val)
+				ff.FailWritesAfter(fault.Unlimited)
+				if err == nil {
+					if fails == 0 || tr.Height() != tc.height {
+						t.Fatalf("after %d failing runs the Put succeeded at height %d, want %d", fails, tr.Height(), tc.height)
+					}
+					if err := tr.Check(); err != nil {
+						t.Fatal(err)
+					}
+					store.Close()
+					return
+				}
+				if !errors.Is(err, fault.ErrInjected) {
+					t.Fatalf("writes failing after %d: Put = %v, want the injected fault", fails, err)
+				}
+				if got := tr.Count(); got != count {
+					t.Errorf("writes failing after %d: Count = %d, want %d", fails, got, count)
+				}
+				if got := tr.ValueBytes(); got != vbytes {
+					t.Errorf("writes failing after %d: ValueBytes = %d, want %d", fails, got, vbytes)
+				}
+				if err := tr.Check(); err != nil {
+					t.Errorf("writes failing after %d: Check: %v", fails, err)
+				}
+				for i := 0; i <= n; i++ {
+					got, err := tr.Get(key(i))
+					if i == n {
+						if !errors.Is(err, ErrNotFound) {
+							t.Errorf("writes failing after %d: the failed Put's key reads %v", fails, err)
+						}
+					} else if err != nil || !bytes.Equal(got, val) {
+						t.Fatalf("writes failing after %d: key %d of %d reads %d bytes, %v", fails, i, n, len(got), err)
+					}
+				}
+				store.Close()
+			}
+		})
+	}
+}

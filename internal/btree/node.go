@@ -140,6 +140,15 @@ func (n node) setChild(i int, p pagestore.PageID) {
 	binary.LittleEndian.PutUint32(n.data[off+2:], uint32(p))
 }
 
+// longestKey returns the length of the node's longest key.
+func (n node) longestKey() int {
+	l := 0
+	for i := range n.ncells() {
+		l = max(l, len(n.cellKey(i)))
+	}
+	return l
+}
+
 // cellSize returns the stored size of cell i.
 func (n node) cellSize(i int) int {
 	off := n.slotOffset(i)

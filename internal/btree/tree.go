@@ -31,6 +31,8 @@ type Tree struct {
 	// stale is the overflow reference of the value a Put replaced, which Put
 	// frees once the tree is whole and no page names it.
 	stale []byte
+	// put is what the Put under way holds, its memory reused by the next.
+	put putPath
 
 	// version counts the mutations begun: Put and Delete bump it under mu
 	// before they touch a page, so a cursor's leaf snapshot taken at the
@@ -38,7 +40,23 @@ type Tree struct {
 	version atomic.Uint64
 }
 
-// splitResult carries a completed child split up the insert recursion.
+// putPath is what a Put holds before it changes a page: the descriptor's
+// frame and the frames from the root down to the leaf, pinned and kept by
+// value (a frame handle kept by pointer would be allocated), the index the
+// key descends by at each internal node, and the spare pages its splits
+// take instead of allocating.
+type putPath struct {
+	frames []pagestore.Frame // the descriptor's, then the path's
+	idx    []int
+	spares []spare
+}
+
+type spare struct {
+	id pagestore.PageID
+	fr pagestore.Frame
+}
+
+// splitResult carries a completed child split up to its parent.
 type splitResult struct {
 	sep   []byte
 	right pagestore.PageID
@@ -100,14 +118,19 @@ func (t *Tree) saveDesc() error {
 	if err != nil {
 		return err
 	}
+	t.writeDesc(fr)
+	fr.Unpin()
+	return nil
+}
+
+// writeDesc writes the descriptor into its pinned frame.
+func (t *Tree) writeDesc(fr *pagestore.Frame) {
 	d := fr.Data()
 	binary.LittleEndian.PutUint32(d, uint32(t.root))
 	binary.LittleEndian.PutUint64(d[4:], t.count)
 	binary.LittleEndian.PutUint16(d[12:], t.height)
 	binary.LittleEndian.PutUint64(d[14:], t.valueByte)
 	fr.MarkDirty()
-	fr.Unpin()
-	return nil
 }
 
 // Name returns the tree's name.
@@ -135,7 +158,11 @@ func (t *Tree) ValueBytes() uint64 {
 	return t.valueByte
 }
 
-// Put inserts or replaces the value for key.
+// Put inserts or replaces the value for key. Every page it touches or
+// allocates is had before it changes the first one — a new value's
+// overflow chain; the path from the root to the leaf and the descriptor,
+// pinned; a spare page for each node the insert may split and for a new
+// root — so a Put that fails for want of a page leaves the tree as it was.
 func (t *Tree) Put(key, val []byte) error {
 	if len(key) > MaxKeyLen {
 		return ErrKeyTooLong
@@ -150,30 +177,27 @@ func (t *Tree) Put(key, val []byte) error {
 	// store's writer gate, so a flush sees the mutation whole or not at all.
 	t.store.BeginWrite()
 	defer t.store.EndWrite()
-	split, err := t.insert(t.root, key, val)
-	stale := t.stale
-	t.stale = nil
-	if err != nil {
-		return err
-	}
-	if split != nil {
-		// Grow a new root above the old one.
-		newRootID, fr, err := t.store.Allocate()
+	inline, ovf := val, false
+	if len(val) > maxInlineValue {
+		ref, err := t.writeOverflow(val)
 		if err != nil {
 			return err
 		}
-		n := initNode(fr.Data(), typeInternal)
-		if err := n.insertCellAt(0, makeInternalCell(split.sep, t.root)); err != nil {
-			fr.Unpin()
-			return err
-		}
-		n.setNext(split.right)
-		fr.MarkDirty()
-		fr.Unpin()
-		t.root = newRootID
-		t.height++
+		inline, ovf = ref, true
 	}
-	if err := t.saveDesc(); err != nil {
+	cell := makeLeafCell(key, inline, ovf)
+	pinErr := t.pinPut(key, cell)
+	err := pinErr
+	if err == nil {
+		err = t.insert(key, cell, uint64(len(val)))
+	}
+	stale := t.stale
+	t.stale = nil
+	err = errors.Join(err, t.unpinPut())
+	if pinErr != nil && ovf {
+		err = errors.Join(err, t.freeOverflow(inline))
+	}
+	if err != nil {
 		return err
 	}
 	if stale != nil {
@@ -182,42 +206,124 @@ func (t *Tree) Put(key, val []byte) error {
 	return nil
 }
 
-// insert descends from page pid; returns a non-nil splitResult when pid was
-// split and the parent must add a separator.
-func (t *Tree) insert(pid pagestore.PageID, key, val []byte) (*splitResult, error) {
-	fr, err := t.store.Get(pid)
+// pinPut pins what a Put of cell under key holds (see putPath) and
+// allocates the spare pages its splits may take.
+func (t *Tree) pinPut(key, cell []byte) error {
+	p := &t.put
+	fr, err := t.store.Get(t.desc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := node{fr.Data()}
-	if n.isLeaf() {
-		res, err := t.insertLeaf(fr, n, key, val)
-		fr.Unpin()
-		return res, err
+	p.frames = append(p.frames, *fr)
+	for pid := t.root; ; {
+		fr, err := t.store.Get(pid)
+		if err != nil {
+			return err
+		}
+		p.frames = append(p.frames, *fr)
+		n := node{fr.Data()}
+		if n.isLeaf() {
+			break
+		}
+		idx := n.descend(key)
+		p.idx = append(p.idx, idx)
+		if idx < n.ncells() {
+			pid = n.child(idx)
+		} else {
+			pid = n.next()
+		}
 	}
-	// Internal: pick the child to descend into.
-	idx := n.descend(key)
-	var childID pagestore.PageID
-	if idx < n.ncells() {
-		childID = n.child(idx)
-	} else {
-		childID = n.next()
+	for range t.sparesFor(key, cell) {
+		id, fr, err := t.store.Allocate()
+		if err != nil {
+			return err
+		}
+		p.spares = append(p.spares, spare{id, *fr})
 	}
-	// Drop the pin during recursion; the single-writer lock makes this safe
-	// and keeps pin pressure bounded by one frame per level at most.
-	fr.Unpin()
-	split, err := t.insert(childID, key, val)
-	if err != nil || split == nil {
-		return nil, err
+	return nil
+}
+
+// sparesFor counts the pages an insert of cell along the pinned path may
+// allocate: none when the leaf takes the cell; else one for the leaf, one
+// for each ancestor that might not take the separator coming up — no
+// longer than the longest key beneath it — and one for a new root when the
+// root might split.
+func (t *Tree) sparesFor(key, cell []byte) int {
+	path := t.put.frames[1:]
+	leaf := node{path[len(path)-1].Data()}
+	if planLeaf(leaf, key, len(cell)).fits {
+		return 0
 	}
-	fr, err = t.store.Get(pid)
+	sep := max(len(key), leaf.longestKey())
+	for level := len(path) - 2; level >= 0; level-- {
+		n := node{path[level].Data()}
+		if n.freeTotal() >= 6+sep+slotSize {
+			return len(path) - 1 - level
+		}
+		sep = max(sep, n.longestKey())
+	}
+	return len(path) + 1
+}
+
+// unpinPut lets go of what the Put held and frees the spares no split took.
+func (t *Tree) unpinPut() error {
+	p := &t.put
+	for i := range p.frames {
+		p.frames[i].Unpin()
+	}
+	var err error
+	for i := range p.spares {
+		p.spares[i].fr.Unpin()
+		err = errors.Join(err, t.store.Free(p.spares[i].id))
+	}
+	clear(p.frames)
+	clear(p.spares)
+	*p = putPath{frames: p.frames[:0], idx: p.idx[:0], spares: p.spares[:0]}
+	return err
+}
+
+// spare hands a split one of the pages its Put allocated up front.
+func (t *Tree) spare() (pagestore.PageID, pagestore.Frame, error) {
+	p := &t.put
+	if len(p.spares) == 0 {
+		return pagestore.InvalidPage, pagestore.Frame{}, errors.New("btree: a split found no spare page")
+	}
+	sp := p.spares[len(p.spares)-1]
+	p.spares = p.spares[:len(p.spares)-1]
+	return sp.id, sp.fr, nil
+}
+
+// insert puts cell into the pinned leaf, carries a split up through the
+// pinned ancestors, grows a new root above a root that split, and writes
+// the descriptor.
+func (t *Tree) insert(key, cell []byte, valLen uint64) error {
+	path := t.put.frames[1:]
+	leaf := &path[len(path)-1]
+	split, err := t.insertLeaf(leaf, node{leaf.Data()}, key, cell, valLen)
+	for level := len(path) - 2; err == nil && split != nil && level >= 0; level-- {
+		split, err = t.insertSeparator(&path[level], node{path[level].Data()}, t.put.idx[level], split)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer fr.Unpin()
-	n = node{fr.Data()}
-	res, err := t.insertSeparator(fr, n, idx, split)
-	return res, err
+	if split != nil {
+		// Grow a new root above the old one.
+		newRootID, fr, err := t.spare()
+		if err != nil {
+			return err
+		}
+		defer fr.Unpin()
+		n := initNode(fr.Data(), typeInternal)
+		if err := n.insertCellAt(0, makeInternalCell(split.sep, t.root)); err != nil {
+			return err
+		}
+		n.setNext(split.right)
+		fr.MarkDirty()
+		t.root = newRootID
+		t.height++
+	}
+	t.writeDesc(&t.put.frames[0])
+	return nil
 }
 
 // insertSeparator adds (split.sep -> old child stays left, split.right goes
@@ -248,7 +354,8 @@ func (t *Tree) insertSeparator(fr *pagestore.Frame, n node, idx int, split *spli
 }
 
 // splitInternal splits internal node n, inserting pending cell at logical
-// index idx as part of the split. Returns the separator for the parent.
+// index idx as part of the split, its right page a spare of the Put.
+// Returns the separator for the parent.
 func (t *Tree) splitInternal(fr *pagestore.Frame, n node, idx int, pending []byte) (*splitResult, error) {
 	nc := n.ncells()
 	// Gather all cells (with the pending one spliced in) as raw bytes.
@@ -271,7 +378,7 @@ func (t *Tree) splitInternal(fr *pagestore.Frame, n node, idx int, pending []byt
 	copy(sep, cells[mid][6:6+midKeyLen])
 	midChild := pagestore.PageID(binary.LittleEndian.Uint32(cells[mid][2:]))
 
-	rightID, rightFr, err := t.store.Allocate()
+	rightID, rightFr, err := t.spare()
 	if err != nil {
 		return nil, err
 	}
@@ -297,73 +404,77 @@ func (t *Tree) splitInternal(fr *pagestore.Frame, n node, idx int, pending []byt
 	return &splitResult{sep: sep, right: rightID}, nil
 }
 
-// insertLeaf performs the leaf-level upsert, splitting when full. The tree
-// changes only once the leaf can take the cell: a split that fails leaves
-// the leaf, the counts and a replaced value's overflow chain as they were,
-// and frees the chain written for the new value. A replaced value's chain
-// is left in t.stale for Put to free.
-func (t *Tree) insertLeaf(fr *pagestore.Frame, n node, key, val []byte) (*splitResult, error) {
-	inline := val
-	ovf := false
-	if len(val) > maxInlineValue {
-		ref, err := t.writeOverflow(val)
-		if err != nil {
-			return nil, err
-		}
-		inline, ovf = ref, true
-	}
-	cell := makeLeafCell(key, inline, ovf)
+// leafPlan is where and how a cell goes into a leaf: at idx, replacing the
+// cell there when found — in place when it fits the old one's footprint
+// (oldSize) — and without a split when fits.
+type leafPlan struct {
+	idx                  int
+	found, inPlace, fits bool
+	oldSize              int
+}
 
-	idx, found := n.search(key)
+func planLeaf(n node, key []byte, cellLen int) leafPlan {
+	var p leafPlan
+	p.idx, p.found = n.search(key)
+	free := n.freeTotal()
+	if p.found {
+		p.oldSize = n.cellSize(p.idx)
+		p.inPlace = cellLen <= p.oldSize
+		free += p.oldSize + slotSize // what removing the replaced cell frees
+	}
+	p.fits = p.inPlace || free >= cellLen+slotSize
+	return p
+}
+
+// insertLeaf performs the leaf-level upsert of cell, a value of valLen
+// bytes, splitting when full. A replaced value's overflow chain is left in
+// t.stale for Put to free.
+func (t *Tree) insertLeaf(fr *pagestore.Frame, n node, key, cell []byte, valLen uint64) (*splitResult, error) {
+	plan := planLeaf(n, key, len(cell))
 	var oldRef []byte // the replaced value's overflow reference, copied out
-	oldBytes, oldSize, free := uint64(0), 0, n.freeTotal()
-	if found {
-		_, oldVal, oldOvf := n.leafCell(idx)
+	oldBytes := uint64(0)
+	if plan.found {
+		_, oldVal, oldOvf := n.leafCell(plan.idx)
 		if oldOvf {
 			oldRef = slices.Clone(oldVal)
 			oldBytes = uint64(binary.LittleEndian.Uint32(oldVal))
 		} else {
 			oldBytes = uint64(len(oldVal))
 		}
-		oldSize = n.cellSize(idx)
-		free += oldSize + slotSize // what removing the replaced cell frees
 	}
 	var split *splitResult
 	switch {
-	case found && len(cell) <= oldSize:
+	case plan.inPlace:
 		// Fast path: overwrite in place when the new cell fits the old
 		// cell's footprint (replace-heavy workloads would otherwise pay a
 		// page compaction per update).
-		copy(n.data[n.slotOffset(idx):], cell)
-		n.setFragBytes(n.fragBytes() + oldSize - len(cell))
-	case free >= len(cell)+slotSize:
-		if found {
-			n.removeCellAt(idx)
+		copy(n.data[n.slotOffset(plan.idx):], cell)
+		n.setFragBytes(n.fragBytes() + plan.oldSize - len(cell))
+	case plan.fits:
+		if plan.found {
+			n.removeCellAt(plan.idx)
 		}
-		if err := n.insertCellAt(idx, cell); err != nil {
+		if err := n.insertCellAt(plan.idx, cell); err != nil {
 			return nil, err
 		}
 	default:
 		var err error
-		if split, err = t.splitLeaf(fr, n, idx, found, cell); err != nil {
-			if ovf {
-				err = errors.Join(err, t.freeOverflow(inline))
-			}
+		if split, err = t.splitLeaf(fr, n, plan.idx, plan.found, cell); err != nil {
 			return nil, err
 		}
 	}
 	fr.MarkDirty()
-	if !found {
+	if !plan.found {
 		t.count++
 	}
-	t.valueByte += uint64(len(val)) - oldBytes
+	t.valueByte += valLen - oldBytes
 	t.stale = oldRef
 	return split, nil
 }
 
 // splitLeaf splits leaf n, inserting pending cell at logical index idx, or
-// replacing the cell there when replace is set. It changes n only after the
-// right page is allocated.
+// replacing the cell there when replace is set. The right page is a spare
+// its Put allocated before changing anything.
 func (t *Tree) splitLeaf(fr *pagestore.Frame, n node, idx int, replace bool, pending []byte) (*splitResult, error) {
 	nc := n.ncells()
 	cells := make([][]byte, 0, nc+1)
@@ -397,7 +508,7 @@ func (t *Tree) splitLeaf(fr *pagestore.Frame, n node, idx int, replace bool, pen
 		mid = 1
 	}
 
-	rightID, rightFr, err := t.store.Allocate()
+	rightID, rightFr, err := t.spare()
 	if err != nil {
 		return nil, err
 	}

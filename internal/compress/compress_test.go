@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -29,8 +30,14 @@ func TestZigzagRoundtrip(t *testing.T) {
 func TestDeltasRoundtrip(t *testing.T) {
 	if err := quick.Check(func(vals []int64) bool {
 		enc := AppendDeltas(nil, vals)
-		dec, rest, err := Deltas(enc)
+		dec, rest, err := Deltas(nil, enc)
 		if err != nil || len(rest) != 0 {
+			return false
+		}
+		// Into a destination that holds other values and has room: the
+		// same values, in its array.
+		dst := make([]int64, 1, len(vals)+1)
+		if into, _, err := Deltas(dst, enc); err != nil || !slices.Equal(into, dec) || len(into) > 0 && &into[0] != &dst[0] {
 			return false
 		}
 		if len(dec) != len(vals) {
@@ -53,7 +60,7 @@ func TestDeltasRoundtrip(t *testing.T) {
 func TestDeltaAtIsDeltasIndexed(t *testing.T) {
 	if err := quick.Check(func(vals []int64, tail []byte) bool {
 		enc := append(AppendDeltas(nil, vals), tail...)
-		dec, rest, err := Deltas(enc)
+		dec, rest, err := Deltas(nil, enc)
 		if err != nil {
 			return false
 		}
@@ -82,7 +89,7 @@ func TestDeltaAtIsDeltasIndexed(t *testing.T) {
 		} else {
 			enc[rng.Intn(len(enc))] |= 0x80
 		}
-		_, _, want := Deltas(enc)
+		_, _, want := Deltas(nil, enc)
 		for i := 0; i < len(vals); i++ {
 			if _, _, _, err := DeltaAt(enc, i); (err == nil) != (want == nil) {
 				t.Fatalf("round %d value %d: DeltaAt err %v, Deltas err %v", round, i, err, want)
@@ -101,7 +108,7 @@ func TestDecodeColumnNEmptyRange(t *testing.T) {
 		for _, col := range segmentedColumns(rng, n) {
 			seen[Codec(col[0])] = true
 			for _, k := range []int{0, 1, n / 2, n - 1, n, n + 3} {
-				got, start, err := DecodeColumnN(col, k, k)
+				got, start, err := DecodeColumnN(nil, col, k, k)
 				if err != nil || len(got) != 0 || start > min(k, n) {
 					t.Fatalf("%v n=%d: [%d,%d) returned %d values from %d, %v", ColumnCodec(col), n, k, k, len(got), start, err)
 				}
@@ -125,9 +132,13 @@ func TestDeltaOfDeltasRoundtrip(t *testing.T) {
 	}
 	for _, vals := range cases {
 		enc := AppendDeltaOfDeltas(nil, vals)
-		dec, rest, err := DeltaOfDeltas(enc)
+		dec, rest, err := DeltaOfDeltas(nil, enc)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%v: %v", vals, err)
+		}
+		dst := []int64{7, 7, 7, 7, 7, 7, 7}
+		if into, _, err := DeltaOfDeltas(dst, enc); err != nil || !slices.Equal(into, dec) || len(into) > 0 && &into[0] != &dst[0] {
+			t.Fatalf("%v: into a destination with room: %v, %v", vals, into, err)
 		}
 		if len(dec) != len(vals) {
 			t.Fatalf("%v: len %d", vals, len(dec))
@@ -161,14 +172,14 @@ func TestVarintCorruption(t *testing.T) {
 	if _, _, err := Varint(nil); err == nil {
 		t.Fatal("empty varint accepted")
 	}
-	if _, _, err := Deltas([]byte{0xFF}); err == nil {
+	if _, _, err := Deltas(nil, []byte{0xFF}); err == nil {
 		t.Fatal("truncated deltas accepted")
 	}
 	// Implausible count is rejected rather than allocating gigabytes.
 	huge := AppendVarint(nil, 0)
 	huge[0] = 0xFF
 	big := append([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, 0)
-	if _, _, err := Deltas(big); err == nil {
+	if _, _, err := Deltas(nil, big); err == nil {
 		t.Fatal("implausible count accepted")
 	}
 }
@@ -528,7 +539,7 @@ func TestDecodeColumnNIsAPrefix(t *testing.T) {
 					if limit < 0 {
 						continue
 					}
-					got, start, err := DecodeColumnN(col, 0, limit)
+					got, start, err := DecodeColumnN(nil, col, 0, limit)
 					if err != nil || start != 0 {
 						t.Fatalf("%s/%d n=%d limit=%d: start %d, %v", name, ci, n, limit, start, err)
 					}
@@ -536,6 +547,16 @@ func TestDecodeColumnNIsAPrefix(t *testing.T) {
 					if len(got) != len(want) {
 						t.Fatalf("%s/%d n=%d limit=%d: %d values, want %d", name, ci, n, limit, len(got), len(want))
 					}
+					// Into a destination that holds other values and has
+					// room: the same values, in its array.
+					dst := make([]float64, 1, limit+3)
+					dst[0] = -7
+					into, _, err := DecodeColumnN(dst, col, 0, limit)
+					if err != nil || len(into) != len(want) || len(into) > 0 && &into[0] != &dst[0] {
+						t.Fatalf("%s/%d n=%d limit=%d: into a destination with room: %d values, %v", name, ci, n, limit, len(into), err)
+					}
+					got = append(got, into...)
+					want = append(want[:len(want):len(want)], want...)
 					for i := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 							t.Fatalf("%s/%d (%v) n=%d limit=%d: value %d = %v, want %v", name, ci, ColumnCodec(col), n, limit, i, got[i], want[i])
@@ -574,8 +595,8 @@ func TestDecodersDoNotAllocateFromUntrustedCount(t *testing.T) {
 			_, err := DecodeColumn(append(col, seg...))
 			return err
 		},
-		"deltas": func() error { _, _, err := Deltas(huge); return err },
-		"dod":    func() error { _, _, err := DeltaOfDeltas(huge); return err },
+		"deltas": func() error { _, _, err := Deltas(nil, huge); return err },
+		"dod":    func() error { _, _, err := DeltaOfDeltas(nil, huge); return err },
 	}
 	for name, decode := range cases {
 		var before, after runtime.MemStats
@@ -592,7 +613,7 @@ func TestDecodersDoNotAllocateFromUntrustedCount(t *testing.T) {
 	// A linear column's value count is bounded by the caller's limit alone:
 	// a constant run of any length is legitimately one nine-byte segment.
 	run := CompressLinear([]byte{byte(CodecLinear)}, make([]float64, 1<<20), 0)
-	if got, _, err := DecodeColumnN(run, 0, 10); err != nil || len(got) != 10 {
+	if got, _, err := DecodeColumnN(nil, run, 0, 10); err != nil || len(got) != 10 {
 		t.Fatalf("constant run, limit 10: %d values, %v", len(got), err)
 	}
 }

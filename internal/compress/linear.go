@@ -59,37 +59,23 @@ func DecompressLinear(dst []float64, b []byte, limit int) ([]float64, []byte, er
 		return nil, nil, ErrCorrupt
 	}
 	b = b[k:]
-	segs := make([]linearSegment, nseg)
-	prevIdx := 0
-	for i := range segs {
-		d, k := binary.Uvarint(b)
-		if k <= 0 {
-			return nil, nil, ErrCorrupt
-		}
-		b = b[k:]
-		if i == 0 {
-			segs[i].idx = int(d)
-		} else {
-			segs[i].idx = prevIdx + int(d)
-		}
-		prevIdx = segs[i].idx
-		if len(b) < 8 {
-			return nil, nil, ErrCorrupt
-		}
-		segs[i].val = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
 	n := min(int(full), max(limit, 0))
 	dst, out := grow(dst, n)
-	if full == 0 {
-		return dst, b, nil
-	}
-	if len(segs) == 0 {
-		return nil, nil, ErrCorrupt
-	}
-	// Interpolate between consecutive spike points.
-	for s := 0; s+1 < len(segs); s++ {
-		a, c := segs[s], segs[s+1]
+	// The spike points are read in turn, each interpolated from the one
+	// before it, so a decode allocates nothing for them.
+	var a linearSegment
+	for s := range int(nseg) {
+		d, k := binary.Uvarint(b)
+		if k <= 0 || len(b) < k+8 {
+			return nil, nil, ErrCorrupt
+		}
+		c := linearSegment{int(d), math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))}
+		b = b[k+8:]
+		if s == 0 {
+			a = c
+			continue
+		}
+		c.idx += a.idx
 		if a.idx < 0 || c.idx >= int(full) || c.idx <= a.idx {
 			return nil, nil, ErrCorrupt
 		}
@@ -104,11 +90,17 @@ func DecompressLinear(dst []float64, b []byte, limit int) ([]float64, []byte, er
 		if c.idx < n {
 			out[c.idx] = c.val
 		}
+		a = c
 	}
-	// A single segment means a constant run.
-	if len(segs) == 1 {
+	if full == 0 {
+		return dst, b, nil
+	}
+	switch nseg {
+	case 0:
+		return nil, nil, ErrCorrupt
+	case 1: // a constant run
 		for i := range out {
-			out[i] = segs[0].val
+			out[i] = a.val
 		}
 	}
 	return dst, b, nil

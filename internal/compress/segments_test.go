@@ -61,7 +61,7 @@ func checkColumnRanges(t *testing.T, col []byte, ranges [][2]int) {
 		return
 	}
 	for _, r := range ranges {
-		got, start, err := DecodeColumnN(col, r[0], r[1])
+		got, start, err := DecodeColumnN(nil, col, r[0], r[1])
 		from, to := max(r[0], 0), r[1]
 		if err != nil {
 			t.Fatalf("[%d,%d): full decode of %d values succeeded, range decode failed: %v", from, to, len(full), err)
@@ -106,7 +106,7 @@ func FuzzSegmentedColumn(f *testing.F) {
 			return
 		}
 		if int(from) < int(to) && int(from) < n {
-			got, start, _ := DecodeColumnN(col, int(from), int(to))
+			got, start, _ := DecodeColumnN(nil, col, int(from), int(to))
 			if start < int(from)-int(from)%SegmentValues || len(got) > min(int(to), n)-start {
 				t.Fatalf("[%d,%d): decoded [%d,%d), past from's segment", from, to, start, start+len(got))
 			}
@@ -143,7 +143,7 @@ func TestSegmentedColumnLayout(t *testing.T) {
 			if !ok {
 				continue
 			}
-			got, start, err := DecodeColumnN(col, 300, 310)
+			got, start, err := DecodeColumnN(nil, col, 300, 310)
 			if n == 1024 && (err != nil || start != 256 || len(got) != 310-256) {
 				t.Fatalf("n=%d: values [300,310) decoded as [%d,%d), %v", n, start, start+len(got), err)
 			}

@@ -147,15 +147,16 @@ func AppendColumnValues(dst []float64, b []byte) ([]float64, error) {
 // decodes only the segments spanning [from, to). An empty range — from
 // past the column's end included — returns no values and start 0, whatever
 // the codec: only the column's header or segment table is checked. Bytes
-// behind the last value it returns are not inspected.
-func DecodeColumnN(b []byte, from, to int) ([]float64, int, error) {
+// behind the last value it returns are not inspected. The values go into
+// dst's array when it has room for them, else into a new one.
+func DecodeColumnN(dst []float64, b []byte, from, to int) ([]float64, int, error) {
 	if len(b) > 0 && Codec(b[0]) == CodecSegments {
-		return decodeSegments(nil, b[1:], from, to)
+		return decodeSegments(dst[:0], b[1:], from, to)
 	}
 	if from >= to {
 		to = 0
 	}
-	vals, err := decodeSegment(nil, b, to)
+	vals, err := decodeSegment(dst[:0], b, to)
 	return vals, 0, err
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCorrupt reports undecodable compressed data.
@@ -54,13 +55,14 @@ func AppendDeltas(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// Deltas decodes a slice written by AppendDeltas and returns the rest of b.
-func Deltas(b []byte) ([]int64, []byte, error) {
+// Deltas decodes a slice written by AppendDeltas into dst's array, or a
+// new one when it is too short, and returns the rest of b.
+func Deltas(dst []int64, b []byte) ([]int64, []byte, error) {
 	n, b, err := deltasLen(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]int64, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	if n == 0 {
 		return out, b, nil
 	}
@@ -68,7 +70,7 @@ func Deltas(b []byte) ([]int64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := 1; i < int(n); i++ {
+	for i := 1; i < n; i++ {
 		var d int64
 		d, b, err = Varint(b)
 		if err != nil {
@@ -106,7 +108,8 @@ func DeltaAt(b []byte, i int) (int64, int, []byte, error) {
 	return v, n, b, nil
 }
 
-// deltasLen reads the length of a slice written by AppendDeltas and returns
+// deltasLen reads the length of a slice written by AppendDeltas or
+// AppendDeltaOfDeltas and returns
 // it with the bytes of its values. Every value takes at least one byte: a
 // length the bytes cannot hold is rejected before anything is allocated
 // for it.
@@ -146,23 +149,17 @@ func AppendDeltaOfDeltas(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// DeltaOfDeltas decodes a slice written by AppendDeltaOfDeltas.
-func DeltaOfDeltas(b []byte) ([]int64, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return nil, nil, ErrCorrupt
+// DeltaOfDeltas decodes a slice written by AppendDeltaOfDeltas into dst's
+// array, as Deltas does.
+func DeltaOfDeltas(dst []int64, b []byte) ([]int64, []byte, error) {
+	n, b, err := deltasLen(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	b = b[k:]
-	// Every value takes at least one byte: a count the bytes cannot hold is
-	// rejected before anything is allocated for it.
-	if n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: implausible count %d", ErrCorrupt, n)
-	}
-	out := make([]int64, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	if n == 0 {
 		return out, b, nil
 	}
-	var err error
 	out[0], b, err = Varint(b)
 	if err != nil {
 		return nil, nil, err
@@ -175,7 +172,7 @@ func DeltaOfDeltas(b []byte) ([]int64, []byte, error) {
 		return nil, nil, err
 	}
 	out[1] = out[0] + delta
-	for i := 2; i < int(n); i++ {
+	for i := 2; i < n; i++ {
 		var dd int64
 		dd, b, err = Varint(b)
 		if err != nil {

@@ -214,10 +214,11 @@ func subFoldAligned(sum *blobSummary, t1, t2, base int64, sp *aggSpecEx) bool {
 // aggKey identifies one output group.
 type aggKey struct{ id, bucket int64 }
 
-// aggPartial is one owner's accumulation state; owners never share one.
+// aggPartial is the accumulation state of a walk: one owner's in a
+// parallel aggregate, each owner's in turn in a serial one (runAggParts).
 type aggPartial struct {
-	groups map[aggKey]*AggGroup
-	order  []aggKey // first-contribution order
+	index  map[aggKey]int // into groups
+	groups []AggGroup     // first-contribution order
 	// lastKey and last are the group folded into most recently: a run of
 	// rows of one bucket costs one map lookup.
 	lastKey aggKey
@@ -225,6 +226,11 @@ type aggPartial struct {
 	// sum is the summary of the record being classified, reused from one
 	// record to the next.
 	sum blobSummary
+	// ints and floats are what is left of the chunks the groups' arrays
+	// are cut from; carved counts the groups cut.
+	ints   []int64
+	floats []float64
+	carved int
 
 	summaryHits              int64
 	bytesNotDecoded          int64
@@ -234,7 +240,14 @@ type aggPartial struct {
 }
 
 func newAggPartial() *aggPartial {
-	return &aggPartial{groups: make(map[aggKey]*AggGroup)}
+	return &aggPartial{index: make(map[aggKey]int)}
+}
+
+// reset empties the partial for the next owner, keeping its memory; the
+// arrays of the groups it held are the result's now.
+func (pt *aggPartial) reset() {
+	clear(pt.index)
+	*pt = aggPartial{index: pt.index, groups: pt.groups[:0], sum: pt.sum, ints: pt.ints, floats: pt.floats, carved: pt.carved}
 }
 
 func (pt *aggPartial) keyFor(src, ts int64, sp *aggSpecEx) aggKey {
@@ -252,26 +265,36 @@ func (pt *aggPartial) group(k aggKey, sp *aggSpecEx) *AggGroup {
 	if pt.last != nil && k == pt.lastKey {
 		return pt.last
 	}
-	g, ok := pt.groups[k]
+	i, ok := pt.index[k]
 	if !ok {
 		n := sp.ntags
-		fl := make([]float64, 3*n)
-		g = &AggGroup{
+		if len(pt.ints) < n {
+			// A group's arrays are cut from chunks that double, so a query's
+			// groups cost a few allocations, not two each; nothing cut is
+			// cut again.
+			c := max(pt.carved, 1) * n
+			pt.ints, pt.floats = make([]int64, c), make([]float64, 3*c)
+		}
+		pt.carved++
+		fl := pt.floats[: 3*n : 3*n]
+		i = len(pt.groups)
+		pt.groups = append(pt.groups, AggGroup{
 			ID: k.id, Bucket: k.bucket,
-			NonNull: make([]int64, n),
+			NonNull: pt.ints[:n:n],
 			Sum:     fl[:n:n],
 			Min:     fl[n : 2*n : 2*n],
 			Max:     fl[2*n:],
+		})
+		pt.ints, pt.floats = pt.ints[n:], pt.floats[3*n:]
+		g := &pt.groups[i]
+		for j := range g.Min {
+			g.Min[j] = math.Inf(1)
+			g.Max[j] = math.Inf(-1)
 		}
-		for i := range g.Min {
-			g.Min[i] = math.Inf(1)
-			g.Max[i] = math.Inf(-1)
-		}
-		pt.groups[k] = g
-		pt.order = append(pt.order, k)
+		pt.index[k] = i
 	}
-	pt.lastKey, pt.last = k, g
-	return g
+	pt.lastKey, pt.last = k, &pt.groups[i]
+	return pt.last
 }
 
 // merge folds a partial aggregate over disjoint rows — a blob summary, one
@@ -427,7 +450,7 @@ func (s *Store) aggRecord(pt *aggPartial, w *walker, rec *walkRec, lo, hi int64,
 	}
 	// Boundary: per-row resolution. A stub here fails loudly (its rows are
 	// gone), never under-counts.
-	batch, err := w.decode(rec, lo, hi)
+	batch, err := w.decode(rec, lo, hi, &w.batch)
 	if batch == nil {
 		return err
 	}
@@ -451,25 +474,44 @@ func clampWorkers(n int) int {
 	return n
 }
 
-// runAggParts walks each owner into its own partial (on up to workers
-// goroutines when there is more than one owner) and merges the partials
-// in owner order. A group appears where its first contribution arrives in
-// the serial walk — owner by owner, record by record — and each group's
-// partials add up in owner order, so serial and parallel runs return the
-// same groups in the same order, bit for bit.
+// runAggParts walks the owners and merges what each one's walk folded into
+// the result in owner order. A serial run folds every owner into one
+// partial, merging and clearing it as each walk ends; a parallel one (up
+// to workers goroutines when there is more than one owner) folds each
+// owner into its own and merges them when all are done. A group appears
+// where its first contribution arrives in the serial walk — owner by owner,
+// record by record — and each group's partials add up in owner order, so
+// serial and parallel runs return the same groups in the same order, bit
+// for bit.
 func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResult, error) {
-	partials := make([]*aggPartial, len(ws))
-	for i := range partials {
-		partials[i] = newAggPartial()
+	res := &AggResult{}
+	idx := make(map[aggKey]int)
+	merge := func(pt *aggPartial) {
+		res.SummaryHits += pt.summaryHits
+		res.BytesNotDecoded += pt.bytesNotDecoded
+		res.SubBucketFolds += pt.subBucketFolds
+		res.SubBucketBytesNotDecoded += pt.subBucketBytesNotDecoded
+		res.BlobBytesRead += pt.blobBytesRead
+		for _, g := range pt.groups {
+			k := aggKey{g.ID, g.Bucket}
+			if j, ok := idx[k]; ok {
+				res.Groups[j].merge(g.Rows, g.NonNull, g.Sum, g.Min, g.Max, sp.tags)
+				continue
+			}
+			idx[k] = len(res.Groups)
+			res.Groups = append(res.Groups, g)
+		}
 	}
 	if workers > 1 && len(ws) > 1 {
 		if workers > len(ws) {
 			workers = len(ws)
 		}
+		partials := make([]*aggPartial, len(ws))
 		sem := make(chan struct{}, workers)
 		errs := make([]error, len(ws))
 		var wg sync.WaitGroup
 		for i, w := range ws {
+			partials[i] = newAggPartial()
 			wg.Add(1)
 			go func(i int, w *walker) {
 				defer wg.Done()
@@ -492,32 +534,20 @@ func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResul
 				return nil, err
 			}
 		}
+		for _, pt := range partials {
+			merge(pt)
+		}
 	} else {
+		pt := newAggPartial()
 		for i, w := range ws {
 			if err := ctxErr(sp.ctx); err != nil {
 				return nil, err
 			}
-			if err := s.aggWalk(partials[i], w, sp, after(ws, i)); err != nil {
+			if err := s.aggWalk(pt, w, sp, after(ws, i)); err != nil {
 				return nil, err
 			}
-		}
-	}
-	res := &AggResult{}
-	idx := make(map[aggKey]int)
-	for _, pt := range partials {
-		res.SummaryHits += pt.summaryHits
-		res.BytesNotDecoded += pt.bytesNotDecoded
-		res.SubBucketFolds += pt.subBucketFolds
-		res.SubBucketBytesNotDecoded += pt.subBucketBytesNotDecoded
-		res.BlobBytesRead += pt.blobBytesRead
-		for _, k := range pt.order {
-			g := pt.groups[k]
-			if j, ok := idx[k]; ok {
-				res.Groups[j].merge(g.Rows, g.NonNull, g.Sum, g.Min, g.Max, sp.tags)
-				continue
-			}
-			idx[k] = len(res.Groups)
-			res.Groups = append(res.Groups, *g)
+			merge(pt)
+			pt.reset()
 		}
 	}
 	atomic.AddInt64(&s.stats.SummaryHits, res.SummaryHits)

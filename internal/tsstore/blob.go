@@ -325,7 +325,8 @@ func countBits(bm []byte, from, to int) int {
 }
 
 // decodeColumns reconstructs rows [i0, i1) of the count rows in the layout
-// written by encodeColumns, and counts the values it decoded. wantTags
+// written by encodeColumns into dst.Rows, reusing dst's arrays, and counts
+// the values it decoded into dst.decoded. wantTags
 // selects which tag indexes to decode (nil = all); a row is as wide as the
 // last selected tag — narrower than ntags when wantTags stops short of it —
 // and an unselected tag below that comes back NULL. Nothing behind the last
@@ -334,29 +335,29 @@ func countBits(bm []byte, from, to int) int {
 // row i1 reaches into it, and never further than its stripe of the presence
 // bitmap says it goes: the bitmap, whose length the blob's own bytes bound,
 // is what sizes every allocation here.
-func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]float64, int, error) {
+func decodeColumns(dst *DecodedBatch, b []byte, count, ntags int, wantTags []int, i0, i1 int) error {
 	bmLen := bitmapLen(count * ntags)
 	if len(b) < bmLen {
-		return nil, 0, ErrCorruptBlob
+		return ErrCorruptBlob
 	}
 	bm := b[:bmLen]
 	b = b[bmLen:]
 	last := lastWanted(wantTags, ntags)
 	width := last + 1
-	rows := make([][]float64, i1-i0)
-	backing := make([]float64, len(rows)*width)
-	for i := range backing {
-		backing[i] = model.NullValue
+	dst.backing = sized(dst.backing, (i1-i0)*width)
+	for i := range dst.backing {
+		dst.backing[i] = model.NullValue
 	}
+	rows := sized(dst.Rows, i1-i0)
 	for i := range rows {
 		// Capped, so that appending to one row cannot reach into the next.
-		rows[i] = backing[i*width : (i+1)*width : (i+1)*width]
+		rows[i] = dst.backing[i*width : (i+1)*width : (i+1)*width]
 	}
-	decoded := 0
+	dst.Rows = rows
 	for tag := 0; tag <= last; tag++ {
 		colLen, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b[n:])) < colLen {
-			return nil, 0, ErrCorruptBlob
+			return ErrCorruptBlob
 		}
 		col := b[n : n+int(colLen)]
 		b = b[n+int(colLen):]
@@ -372,22 +373,23 @@ func decodeColumns(b []byte, count, ntags int, wantTags []int, i0, i1 int) ([][]
 		// The column holds the present values only: the window's start at
 		// the number present before row i0.
 		vi := countBits(bm, tag*count, tag*count+i0)
-		vals, start, err := compress.DecodeColumnN(col, vi, vi+present)
+		vals, start, err := compress.DecodeColumnN(dst.col, col, vi, vi+present)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		decoded += len(vals)
+		dst.col = vals
+		dst.decoded += len(vals)
 		for row := i0; row < i1; row++ {
 			if getBit(bm, tag*count+row) {
 				if vi-start >= len(vals) {
-					return nil, 0, ErrCorruptBlob
+					return ErrCorruptBlob
 				}
 				rows[row-i0][tag] = vals[vi-start]
 				vi++
 			}
 		}
 	}
-	return rows, decoded, nil
+	return nil
 }
 
 // lastWanted returns the last tag of ntags a decode of wantTags reads
@@ -674,10 +676,10 @@ func timestampsBound(n int) int {
 // up to its first row past last when it is sorted; none when no segment
 // meets it. Every row decoded must lie in its segment's bounds, in order
 // when the segment says it is sorted, so the bounds a full decode accepts
-// are the truth a window relies on.
-func decodeTimestamps(b []byte, count int, lo, last int64) (ts []int64, from int, rest []byte, err error) {
+// are the truth a window relies on. They go into dst's array if it fits.
+func decodeTimestamps(dst []int64, b []byte, count int, lo, last int64) (ts []int64, from int, rest []byte, err error) {
 	if n, k := binary.Uvarint(b); k <= 0 || n != 0 || count <= segmentRows {
-		ts, rest, err := compress.DeltaOfDeltas(b)
+		ts, rest, err := compress.DeltaOfDeltas(dst, b)
 		if err != nil || len(ts) != count {
 			return nil, 0, nil, ErrCorruptBlob
 		}
@@ -715,7 +717,7 @@ func decodeTimestamps(b []byte, count int, lo, last int64) (ts []int64, from int
 	}
 	r.off, segMin = firstEntry, firstMin
 	off := firstOff
-	ts = make([]int64, 0, (lastSeg-first+1)*segmentRows)
+	ts = sized(dst, (lastSeg-first+1)*segmentRows)[:0]
 	for s := first; s <= lastSeg; s++ {
 		lenSorted := r.uvarint(math.MaxUint64)
 		if d := r.varint(); s > first {
@@ -786,6 +788,9 @@ type DecodedBatch struct {
 	// decoded counts the timestamps and tag values the decode materialised
 	// (Stats.DecodedValues), the rows a window's segments hold around it too.
 	decoded int
+	// backing holds the cells of Rows, col the column a decode scatters
+	// from (dropped when cached); a decode into the batch reuses both.
+	backing, col []float64
 }
 
 // DecodeBlob decodes a ValueBlob of any structure. baseTS is the timestamp
@@ -797,9 +802,18 @@ func DecodeBlob(b []byte, baseTS int64, wantTags []int) (*DecodedBatch, error) {
 	return h.decodeAll(baseTS, wantTags)
 }
 
-// decodeAll decodes every row of the record.
+// sized returns s resliced to n, or a new slice of n when its array is too
+// short; slices.Grow of an empty one allocates twice under -race.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// decodeAll decodes every row of the record into a fresh batch.
 func (h *blobHeader) decodeAll(baseTS int64, wantTags []int) (*DecodedBatch, error) {
-	return h.decode(baseTS, wantTags, allMembers, math.MinInt64, math.MaxInt64)
+	return h.decode(nil, baseTS, wantTags, allMembers, math.MinInt64, math.MaxInt64)
 }
 
 // allMembers is the member selection of a decode that wants every row.
@@ -855,7 +869,12 @@ func rowRange(ts []int64, lo, last int64) (int, int) {
 // when the member bitmap has the slot and its timestamp lies in [lo, last],
 // and no row — decoding nothing — when not. A record the window covers
 // decodes whole: whole tells which a result is.
-func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int64) (*DecodedBatch, error) {
+// The rows go into dst, reusing its arrays, valid until its next decode;
+// a nil dst decodes into a fresh batch, which a caller may keep or share.
+func (h *blobHeader) decode(dst *DecodedBatch, baseTS int64, wantTags []int, slot int, lo, last int64) (*DecodedBatch, error) {
+	if dst == nil {
+		dst = new(DecodedBatch)
+	}
 	if h.tier() == TierStub {
 		// The payload is gone by design, not by damage: surface the typed
 		// error so scans can distinguish tier degradation from corruption
@@ -865,31 +884,36 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 	if h.payOff == 0 {
 		return nil, ErrCorruptBlob
 	}
+	*dst = DecodedBatch{Timestamps: dst.Timestamps[:0], Rows: dst.Rows[:0], Slots: dst.Slots[:0], backing: dst.backing, col: dst.col}
 	b := h.payload()
 	switch h.structure {
 	case blobRTS:
+		dst.Structure = model.RTS
 		i0, i1 := rtsRowRange(baseTS, h.interval, h.count, lo, last)
-		rows, n, err := decodeColumns(b, h.count, h.ntags, wantTags, i0, i1)
-		if err != nil {
+		if err := decodeColumns(dst, b, h.count, h.ntags, wantTags, i0, i1); err != nil {
 			return nil, err
 		}
-		ts := make([]int64, i1-i0)
-		for i := range ts {
-			ts[i] = baseTS + int64(i0+i)*h.interval
+		dst.Timestamps = sized(dst.Timestamps, i1-i0)
+		for i := range dst.Timestamps {
+			dst.Timestamps[i] = baseTS + int64(i0+i)*h.interval
 		}
-		return &DecodedBatch{Structure: model.RTS, Timestamps: ts, Rows: rows, decoded: n + len(ts)}, nil
+		dst.decoded += i1 - i0
+		return dst, nil
 	case blobIRTS:
-		ts, from, rest, err := decodeTimestamps(b, h.count, lo, last)
+		dst.Structure = model.IRTS
+		ts, from, rest, err := decodeTimestamps(dst.Timestamps, b, h.count, lo, last)
 		if err != nil {
 			return nil, err
 		}
 		i0, i1 := rowRange(ts, lo, last)
-		rows, n, err := decodeColumns(rest, h.count, h.ntags, wantTags, from+i0, from+i1)
-		if err != nil {
+		if err := decodeColumns(dst, rest, h.count, h.ntags, wantTags, from+i0, from+i1); err != nil {
 			return nil, err
 		}
-		return &DecodedBatch{Structure: model.IRTS, Timestamps: ts[i0:i1], Rows: rows, decoded: n + len(ts)}, nil
+		dst.Timestamps = ts[:copy(ts, ts[i0:i1])]
+		dst.decoded += len(ts)
+		return dst, nil
 	}
+	dst.Structure = model.MG
 	memberCount := h.count
 	bmLen := bitmapLen(memberCount)
 	if len(b) < bmLen {
@@ -898,7 +922,7 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 	memberBM := b[:bmLen]
 	b = b[bmLen:]
 	if slot >= 0 && (slot >= memberCount || !getBit(memberBM, slot)) {
-		return &DecodedBatch{Structure: model.MG}, nil
+		return dst, nil
 	}
 	reportedU, n := binary.Uvarint(b)
 	if n <= 0 || reportedU > uint64(memberCount) {
@@ -911,7 +935,6 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 	// Rows are in slot order: the member's is the count of members before
 	// it. A member's decode sums the offsets through its own and steps over
 	// the rest; a whole decode materialises them all.
-	var ts []int64
 	var rest []byte
 	i0, i1 := 0, reported
 	if slot >= 0 {
@@ -921,36 +944,32 @@ func (h *blobHeader) decode(baseTS int64, wantTags []int, slot int, lo, last int
 			return nil, ErrCorruptBlob
 		}
 		if t := baseTS + off; t < lo || t > last {
-			return &DecodedBatch{Structure: model.MG}, nil
+			return dst, nil
 		}
-		ts, rest, i1 = []int64{baseTS + off}, r, i0+1
+		dst.Timestamps, dst.Slots = append(dst.Timestamps, baseTS+off), append(dst.Slots, slot)
+		rest, i1 = r, i0+1
 	} else {
-		offsets, r, err := compress.Deltas(b[n:])
+		offsets, r, err := compress.Deltas(dst.Timestamps, b[n:])
 		if err != nil || len(offsets) != reported {
 			return nil, ErrCorruptBlob
 		}
 		for i := range offsets {
 			offsets[i] += baseTS
 		}
-		ts, rest = offsets, r
-	}
-	rows, n, err := decodeColumns(rest, reported, h.ntags, wantTags, i0, i1)
-	if err != nil {
-		return nil, err
-	}
-	var slots []int
-	if slot >= 0 {
-		slots = []int{slot}
-	} else {
-		slots = make([]int, 0, reported)
+		dst.Timestamps, rest = offsets, r
+		dst.Slots = sized(dst.Slots, reported)[:0]
 		for s := 0; s < memberCount; s++ {
 			if getBit(memberBM, s) {
-				slots = append(slots, s)
+				dst.Slots = append(dst.Slots, s)
 			}
 		}
 	}
+	if err := decodeColumns(dst, rest, reported, h.ntags, wantTags, i0, i1); err != nil {
+		return nil, err
+	}
 	// The offsets decoded: all of them, or a member's own and those before it.
-	return &DecodedBatch{Structure: model.MG, Timestamps: ts, Rows: rows, Slots: slots, decoded: n + i0 + len(ts)}, nil
+	dst.decoded += i0 + len(dst.Timestamps)
+	return dst, nil
 }
 
 // segmented reports whether every column of the record holding more than
@@ -981,7 +1000,7 @@ func (h *blobHeader) segmented() bool {
 			return true
 		}
 		var err error
-		if _, b, err = compress.Deltas(b[bmLen+n:]); err != nil {
+		if _, b, err = compress.Deltas(nil, b[bmLen+n:]); err != nil {
 			return true
 		}
 	}
@@ -1015,6 +1034,17 @@ func (h *blobHeader) whole(batch *DecodedBatch) bool {
 		rows = countBits(h.payload(), 0, h.count)
 	}
 	return len(batch.Timestamps) == rows
+}
+
+// covers reports, before a decode, whether one of [lo, last] for slot
+// will hold every row, as whole would find after it: an MG record's for
+// every member, an RTS or IRTS record's whose span the window covers.
+func (h *blobHeader) covers(baseTS int64, slot int, lo, last int64) bool {
+	if h.structure == blobMG {
+		return slot == allMembers
+	}
+	_, first, end, ok := h.span(baseTS)
+	return ok && first >= lo && end <= last
 }
 
 // lacksMember reports whether an MG record's member bitmap says slot has no

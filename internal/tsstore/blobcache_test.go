@@ -222,7 +222,9 @@ func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
 
 	// The reader's first step copies every record (and reads their cache
 	// versions) now — before the overwrite below; records decode lazily.
-	stale := &scanIter{ws: []*walker{f.store.groupWalker(group, nil, math.MinInt64, math.MaxInt64, nil, ScanOptions{})}}
+	l := f.store.newWalkerList(1, math.MinInt64, math.MaxInt64, nil, ScanOptions{})
+	l.groupWalker(group, nil)
+	stale := &scanIter{ws: l.ws}
 	if _, ok := stale.Next(); !ok {
 		t.Fatal(stale.Err())
 	}

@@ -211,7 +211,7 @@ func checkMemberRows(t *testing.T, h *blobHeader, baseTS int64, whole *DecodedBa
 	t.Helper()
 	for i, slot := range whole.Slots {
 		for _, tags := range [][]int{nil, wantTags} {
-			part, err := h.decode(baseTS, tags, slot, math.MinInt64, math.MaxInt64)
+			part, err := h.decode(nil, baseTS, tags, slot, math.MinInt64, math.MaxInt64)
 			if err != nil {
 				t.Fatalf("slot %d tags %v: the full decode succeeded, the member's alone failed: %v", slot, tags, err)
 			}

@@ -262,7 +262,7 @@ func TestPrunedTakeAllocatesNothing(t *testing.T) {
 	for id := range truth {
 		ds, _ := f.cat.Source(id)
 		const lo = 1_000_000
-		w := f.store.sourceWalker(ds, lo, lo+5_000, nil, ScanOptions{NoCache: true})
+		w := f.store.sourceWalkers([]int64{ds.ID}, lo, lo+5_000, nil, ScanOptions{NoCache: true})[0]
 		w.walkScratch = new(walkScratch)
 		var c recCursor
 		if err := c.open(&w.homes[0], 600_000, lo); err != nil || !c.ok {

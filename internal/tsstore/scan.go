@@ -157,7 +157,7 @@ func (it *scanIter) load(rec *walkRec) error {
 			atomic.AddInt64(&w.s.stats.ZoneSkips, 1)
 			return nil
 		}
-		batch, err := w.decode(rec, it.ch.lo, it.ch.hi)
+		batch, err := w.decode(rec, it.ch.lo, it.ch.hi, nil)
 		if batch == nil {
 			return err
 		}
@@ -214,26 +214,27 @@ func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts
 // sourceWalkers returns one walker per source of the list, in list order;
 // an id the catalog does not know contributes none.
 func (s *Store) sourceWalkers(sources []int64, t1, t2 int64, wantTags []int, opts ScanOptions) []*walker {
-	ws := make([]*walker, 0, len(sources))
+	l := s.newWalkerList(len(sources), t1, t2, wantTags, opts)
 	for _, src := range sources {
 		if ds, ok := s.cat.Source(src); ok {
-			ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))
+			l.sourceWalker(ds)
 		}
 	}
-	return ws
+	return l.ws
 }
 
 // sliceWalkers returns one walker per owner of a schema's rows: MG groups
 // first (each record covers groupSize sources), then the RTS/IRTS sources.
 func (s *Store) sliceWalkers(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions) []*walker {
-	var ws []*walker
-	for _, g := range s.cat.GroupsBySchema(schemaID) {
-		ws = append(ws, s.groupWalker(g, nil, t1, t2, wantTags, opts))
+	groups, sources := s.cat.GroupsBySchema(schemaID), s.cat.OwnRecordSources(schemaID)
+	l := s.newWalkerList(len(groups)+len(sources), t1, t2, wantTags, opts)
+	for _, g := range groups {
+		l.groupWalker(g, nil)
 	}
-	for _, ds := range s.cat.OwnRecordSources(schemaID) {
-		ws = append(ws, s.sourceWalker(ds, t1, t2, wantTags, opts))
+	for _, ds := range sources {
+		l.sourceWalker(ds)
 	}
-	return ws
+	return l.ws
 }
 
 func (s *Store) treeFor(st model.Structure) *btree.Tree {

@@ -111,9 +111,10 @@ type walker struct {
 // list's last walker (or one of a parallel aggregate's goroutines) to the
 // pool, for the next query.
 type walkScratch struct {
-	recs []walkRec // chunk backing
-	buf  []byte    // the bytes of the chunk's records
-	curs []recCursor
+	recs  []walkRec // chunk backing
+	buf   []byte    // the bytes of the chunk's records
+	curs  []recCursor
+	batch DecodedBatch // an aggregate's decodes, each folded before the next
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
@@ -167,36 +168,57 @@ type chunk struct {
 	recs   []walkRec
 }
 
-func (s *Store) newWalker(owner int64, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
-	w := &walker{
-		s: s, sh: s.shardFor(owner), owner: owner, slot: allMembers,
-		from: t1, t2: t2, done: t1 >= t2,
-		ctx: opts.Ctx, cache: s.scanCache(opts), wantTags: wantTags,
+// walkerList builds the walkers of one list in one allocation, each a copy
+// of the list's template — the window, the tags, the cache and the cache
+// signature of the tags, computed once for the list — that newWalker
+// stamps with its owner. A source walker's home comes from the list too.
+type walkerList struct {
+	tmpl  walker
+	arr   []walker
+	homes []home
+	ws    []*walker
+}
+
+// newWalkerList readies a list of at most n walkers, at most n of them of
+// one home.
+func (s *Store) newWalkerList(n int, t1, t2 int64, wantTags []int, opts ScanOptions) *walkerList {
+	l := &walkerList{arr: make([]walker, 0, n), homes: make([]home, 0, n), ws: make([]*walker, 0, n),
+		tmpl: walker{s: s, slot: allMembers, from: t1, t2: t2, done: t1 >= t2,
+			ctx: opts.Ctx, cache: s.scanCache(opts), wantTags: wantTags}}
+	if l.tmpl.cache != nil {
+		l.tmpl.sig = tagsSig(wantTags)
 	}
-	if w.cache != nil {
-		w.sig = tagsSig(wantTags)
-	}
+	return l
+}
+
+func (l *walkerList) newWalker(owner int64) *walker {
+	l.arr = append(l.arr, l.tmpl)
+	w := &l.arr[len(l.arr)-1]
+	w.sh, w.owner = l.tmpl.s.shardFor(owner), owner
+	l.ws = append(l.ws, w)
 	return w
 }
 
-// sourceWalker walks every home of one source's rows.
-func (s *Store) sourceWalker(ds *model.DataSource, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
+// sourceWalker adds a walker of every home of one source's rows.
+func (l *walkerList) sourceWalker(ds *model.DataSource) {
 	if ds.IngestStructure() == model.MG {
-		return s.groupWalker(ds.Group, ds, t1, t2, wantTags, opts)
+		l.groupWalker(ds.Group, ds)
+		return
 	}
-	w := s.newWalker(ds.ID, t1, t2, wantTags, opts)
-	w.homes = []home{{tree: s.treeFor(ds.IngestStructure()), id: ds.ID}}
-	return w
+	w := l.newWalker(ds.ID)
+	l.homes = append(l.homes, home{tree: l.tmpl.s.treeFor(ds.IngestStructure()), id: ds.ID})
+	w.homes = l.homes[len(l.homes)-1:]
 }
 
-// groupWalker walks an MG group's rows, all members' or, unless only is
-// nil, only that member's: reorganized history and the repeats of a
-// timestamp a member has open in the buffer (see writeMG) live per source
-// in RTS/IRTS, the rest in the group's MG records and buffer. A walk of one
-// member decodes its row of an MG record and nothing else of it, and drops
-// a record without the member on its head.
-func (s *Store) groupWalker(group int64, only *model.DataSource, t1, t2 int64, wantTags []int, opts ScanOptions) *walker {
-	w := s.newWalker(group, t1, t2, wantTags, opts)
+// groupWalker adds a walker of an MG group's rows, all members' or, unless
+// only is nil, only that member's: reorganized history and the repeats of
+// a timestamp a member has open in the buffer (see writeMG) live per
+// source in RTS/IRTS, the rest in the group's MG records and buffer. A walk
+// of one member decodes its row of an MG record and nothing else of it,
+// and drops a record without the member on its head.
+func (l *walkerList) groupWalker(group int64, only *model.DataSource) {
+	s := l.tmpl.s
+	w := l.newWalker(group)
 	w.group = s.cat.Group(group)
 	if w.covered = slices.Index(w.group.Members, nil); w.covered < 0 {
 		w.covered = len(w.group.Members)
@@ -212,7 +234,6 @@ func (s *Store) groupWalker(group int64, only *model.DataSource, t1, t2 int64, w
 		}
 	}
 	w.homes = append(w.homes, home{tree: s.mg, id: group, seq: len(w.homes)})
-	return w
 }
 
 // treeID maps a batch tree to its cache namespace.
@@ -573,16 +594,18 @@ func (r *walkRec) lastTS() int64 {
 // decode returns the rows of a stored record handed out in a chunk with
 // window [lo, hi) — all of them when the window covers the record, else
 // the row range the window needs, and of an MG record in a walk of one
-// member that member's row alone (see blobHeader.decode). The batch may
-// be, or become, visible to other readers through the cache and is never
-// mutated; only a whole-record decode is cached (blobHeader.whole), since
-// a row range or one member's row has no key that names it. A nil
+// member that member's row alone (see blobHeader.decode). Only a
+// whole-record decode is cached (blobHeader.whole): a row range or one
+// member's row has no key that names it. The header decides the batch's
+// owner first: a decode it says covers the record goes, with the cache on,
+// into fresh memory the cache may share, never mutated; any other into dst
+// (the walker's scratch) or, for a nil dst, a fresh batch. A nil
 // batch with a nil error means the record contributes nothing: its span
 // misses the window (nothing behind the header is read, stub or not), or
 // it is quarantined in lenient mode. A stub with rows inside the window
 // fails with StubbedRangeError — dropped by tier policy, never silently
 // missing, and never quarantined: a stub is not a corrupt record.
-func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err error) {
+func (w *walker) decode(r *walkRec, lo, hi int64, dst *DecodedBatch) (batch *DecodedBatch, err error) {
 	rows, first, last, spanOK := r.hdr.span(r.ts)
 	if spanOK && (rows == 0 || last < lo || first >= hi) {
 		return nil, nil
@@ -594,9 +617,13 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err erro
 	if err := ctxErr(w.ctx); err != nil {
 		return nil, err
 	}
+	cached := w.cache != nil && r.hdr.covers(r.ts, w.slot, lo, hi-1)
+	if cached {
+		dst = nil
+	}
 	switch {
 	case r.hdr.tier() != TierStub:
-		batch, err = r.hdr.decode(r.ts, w.wantTags, w.slot, lo, hi-1)
+		batch, err = r.hdr.decode(dst, r.ts, w.wantTags, w.slot, lo, hi-1)
 	case spanOK:
 		return nil, &StubbedRangeError{Tree: r.home.tree.Name(), Source: r.home.id, TS: r.ts, FirstTS: first, LastTS: last}
 	default:
@@ -612,7 +639,8 @@ func (w *walker) decode(r *walkRec, lo, hi int64) (batch *DecodedBatch, err erro
 	w.decoded++
 	w.decodedRows += len(batch.Rows)
 	atomic.AddInt64(&w.s.stats.DecodedValues, int64(batch.decoded))
-	if w.cache != nil && r.hdr.whole(batch) {
+	if cached && r.hdr.whole(batch) {
+		batch.col = nil
 		w.cache.put(blobKey{tree: w.s.treeID(r.home.tree), source: r.home.id, ts: r.ts}, w.sig, r.ver,
 			batch, r.hdr.detached(), r.stored)
 	}

@@ -3,6 +3,7 @@ package tsstore
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"odh/internal/btree"
@@ -37,10 +38,11 @@ func windowRows(batch *DecodedBatch, lo, hi int64) []model.Point {
 // window [lo, hi) hands a consumer exactly the rows a full decode does.
 func checkWindowedDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int, full *DecodedBatch, lo, hi int64) {
 	t.Helper()
-	part, err := h.decode(baseTS, wantTags, allMembers, lo, hi-1)
+	part, err := h.decode(nil, baseTS, wantTags, allMembers, lo, hi-1)
 	if err != nil {
 		t.Fatalf("window [%d,%d) wantTags %v: full decode succeeded, range decode failed: %v", lo, hi, wantTags, err)
 	}
+	checkScratchDecode(t, h, baseTS, wantTags, allMembers, lo, hi, part)
 	if len(part.Timestamps) != len(part.Rows) || len(part.Rows) > len(full.Rows) {
 		t.Fatalf("window [%d,%d): range decode has %d timestamps, %d rows; the record has %d", lo, hi, len(part.Timestamps), len(part.Rows), len(full.Rows))
 	}
@@ -49,6 +51,40 @@ func checkWindowedDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []i
 	}
 	if lo == math.MinInt64 && hi == math.MaxInt64 && !h.whole(part) {
 		t.Fatalf("a decode of every row does not count as whole (%d of %d rows)", len(part.Rows), len(full.Rows))
+	}
+}
+
+// checkScratchDecode fails unless a decode for slot and [lo, hi) into a
+// destination a decode of every row and every tag has filled first yields
+// fresh, the same decode into fresh memory, bit for bit; and unless a
+// decode covers says holds every row does. A decode whole finds complete
+// but covers did not foresee is only an unsorted record's row range.
+func checkScratchDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int, slot int, lo, hi int64, fresh *DecodedBatch) {
+	t.Helper()
+	var scratch DecodedBatch
+	if _, err := h.decode(&scratch, baseTS, nil, allMembers, math.MinInt64, math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	// The span is stored against the record's key, an IRTS record's first
+	// timestamp, which these tests' base need not be.
+	key := baseTS
+	if h.structure == blobIRTS && len(scratch.Timestamps) > 0 {
+		key = scratch.Timestamps[0]
+	}
+	got, err := h.decode(&scratch, baseTS, wantTags, slot, lo, hi-1)
+	if err != nil || got != &scratch {
+		t.Fatalf("slot %d window [%d,%d) wantTags %v: the fresh decode succeeded, the one into scratch failed: %v", slot, lo, hi, wantTags, err)
+	}
+	same := got.Structure == fresh.Structure && got.decoded == fresh.decoded && slices.Equal(got.Timestamps, fresh.Timestamps) &&
+		slices.Equal(got.Slots, fresh.Slots) && len(got.Rows) == len(fresh.Rows)
+	for i := 0; same && i < len(got.Rows); i++ {
+		same = slices.EqualFunc(got.Rows[i], fresh.Rows[i], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+	}
+	if !same {
+		t.Fatalf("slot %d window [%d,%d) wantTags %v: a decode into scratch differs from the fresh one:\n got %+v\nwant %+v", slot, lo, hi, wantTags, got, fresh)
+	}
+	if h.covers(key, slot, lo, hi-1) && !h.whole(fresh) {
+		t.Fatalf("slot %d window [%d,%d): covers foresaw a whole decode, the decode holds %d rows", slot, lo, hi, len(fresh.Rows))
 	}
 }
 
@@ -140,7 +176,7 @@ func TestWindowedDecodeIsFullDecodeRestricted(t *testing.T) {
 					hi = math.MaxInt64
 				}
 				checkWindowedDecode(t, &h, base, wantTags, full, lo, hi)
-				if part, _ := h.decode(base, wantTags, allMembers, lo, hi-1); !h.whole(part) {
+				if part, _ := h.decode(nil, base, wantTags, allMembers, lo, hi-1); !h.whole(part) {
 					partial++
 				}
 			}
@@ -169,10 +205,11 @@ func memberRows(batch *DecodedBatch, slot int, lo, hi int64) []model.Point {
 // it holds every row the record reports.
 func checkMemberDecode(t testing.TB, h *blobHeader, baseTS int64, wantTags []int, full *DecodedBatch, slot int, lo, hi int64) {
 	t.Helper()
-	part, err := h.decode(baseTS, wantTags, slot, lo, hi-1)
+	part, err := h.decode(nil, baseTS, wantTags, slot, lo, hi-1)
 	if err != nil {
 		t.Fatalf("slot %d window [%d,%d) wantTags %v: full decode succeeded, member decode failed: %v", slot, lo, hi, wantTags, err)
 	}
+	checkScratchDecode(t, h, baseTS, wantTags, slot, lo, hi, part)
 	if len(part.Timestamps) != len(part.Rows) || len(part.Slots) != len(part.Rows) {
 		t.Fatalf("slot %d: member decode has %d timestamps, %d slots, %d rows", slot, len(part.Timestamps), len(part.Slots), len(part.Rows))
 	}
@@ -260,7 +297,7 @@ func TestMemberDecodeIsFullDecodeRestricted(t *testing.T) {
 					t.Fatalf("round %d slot %d: lacksMember says %v, the record %v", round, slot, h.lacksMember(slot), lacks)
 				}
 				if lacks {
-					if none, err := cut.decode(base, wantTags, slot, math.MinInt64, math.MaxInt64); err != nil || len(none.Rows) != 0 {
+					if none, err := cut.decode(nil, base, wantTags, slot, math.MinInt64, math.MaxInt64); err != nil || len(none.Rows) != 0 {
 						t.Fatalf("round %d slot %d: a slot the bitmap lacks read past the bitmap: %d rows, %v", round, slot, len(none.Rows), err)
 					}
 				}
@@ -271,7 +308,7 @@ func TestMemberDecodeIsFullDecodeRestricted(t *testing.T) {
 					checkMemberDecode(t, &h, base, wantTags, full, slot, lo, hi)
 				}
 				if !lacks {
-					part, _ := h.decode(base, wantTags, slot, math.MinInt64, math.MaxInt64)
+					part, _ := h.decode(nil, base, wantTags, slot, math.MinInt64, math.MaxInt64)
 					if len(part.Rows) == 1 {
 						one++
 					}
