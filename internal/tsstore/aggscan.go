@@ -484,8 +484,10 @@ func clampWorkers(n int) int {
 // serial and parallel runs return the same groups in the same order, bit
 // for bit.
 func (s *Store) runAggParts(ws []*walker, sp *aggSpecEx, workers int) (*AggResult, error) {
-	res := &AggResult{}
-	idx := make(map[aggKey]int)
+	res, idx := &AggResult{}, map[aggKey]int{}
+	if sp.spec.ByID && sp.spec.BucketMs <= 0 && len(ws) > 0 { // about a group per owner
+		res.Groups, idx = make([]AggGroup, 0, len(ws)), make(map[aggKey]int, len(ws))
+	}
 	merge := func(pt *aggPartial) {
 		res.SummaryHits += pt.summaryHits
 		res.BytesNotDecoded += pt.bytesNotDecoded

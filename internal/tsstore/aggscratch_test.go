@@ -41,9 +41,9 @@ func cutFixture(t testing.TB, f *fixture, name string, n, batch int) (schema int
 // TestAggregateAllocatesPerQueryNotPerSource pins what a grouped aggregate
 // whose window cuts every record allocates for one more source: the
 // decodes land in the walker's scratch, the serial walk folds into one
-// partial whose groups take their arrays from one slab, and the walker
-// list is one allocation — so a source adds its result group's growth and
-// little else.
+// partial whose groups take their arrays from one slab, the walker list
+// is one allocation, and a GROUP BY id result is sized once from the owner
+// count — so twice the sources allocate at most 2 more times.
 func TestAggregateAllocatesPerQueryNotPerSource(t *testing.T) {
 	const n, batch = 40, 32
 	f := newFixture(t, Config{BatchSize: batch, BlobCacheBytes: 1 << 20}, 0)
@@ -63,10 +63,15 @@ func TestAggregateAllocatesPerQueryNotPerSource(t *testing.T) {
 	if f.store.Stats().DecodedValues == decoded {
 		t.Fatal("the window decoded nothing: it does not cut the records")
 	}
-	per := (b - a) / n
-	t.Logf("allocations per aggregate: %.0f over %d sources, %.0f over %d: %.2f a source", a, n, b, 2*n, per)
-	if per > 3 {
-		t.Fatalf("a source adds %.2f allocations to an aggregate, want at most 3", per)
+	t.Logf("allocations per aggregate: %.0f over %d sources, %.0f over %d", a, n, b, 2*n)
+	// Under the race detector sync.Pool drops pooled walk scratch at
+	// random, which moves either count by a few; a per-source allocation
+	// adds 40.
+	if raceEnabled && b <= a+8 {
+		return
+	}
+	if b > a+2 {
+		t.Fatalf("%d more sources add %.0f allocations to an aggregate, want at most 2", n, b-a)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tsstore
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -48,4 +49,24 @@ func countFrameRefills(t testing.TB) *atomic.Int64 {
 	framePool.New = func() any { n.Add(1); return fresh() }
 	t.Cleanup(func() { framePool.New = fresh })
 	return n
+}
+
+// bufferedBytes sums, over every source buffer, the capacity in bytes of
+// each slice the buffer holds — whatever its fields are, so a per-point or
+// scratch array added to it counts too.
+func (s *Store) bufferedBytes() int {
+	total := 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, b := range sh.buffers {
+			v := reflect.ValueOf(b).Elem()
+			for i := range v.NumField() {
+				if f := v.Field(i); f.Kind() == reflect.Slice {
+					total += f.Cap() * int(f.Type().Elem().Size())
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return total
 }

@@ -208,23 +208,26 @@ func (s *Store) shardFor(owner int64) *shard {
 	return s.shards[ownerHash(owner)&s.shardMask]
 }
 
-// sourceBuffer accumulates points for one RTS/IRTS source. Their values
-// live in vals, one slab of BatchSize × tags allocated with the buffer (at
-// the source's first point) and reused by every batch after it: a buffered
-// point's Values is a capacity-limited window of the slab, so buffering a
-// point allocates nothing. Two invariants make the reuse safe. Nothing
-// keeps a buffered point past the flush that empties the buffer: planRun
-// and rangePlan.put encode the run before they return. And the dirty read
-// (walker.addBuffered) copies the points it takes while it holds the
-// latch. An append that outgrows the slab (a buffer a failed flush left
-// full) moves it; the points before still refer to the old array, which
-// stays valid.
+// sourceBuffer accumulates points for one RTS/IRTS source in two arrays
+// allocated at its first point and reused by every batch after it: ts holds
+// the timestamps, vals the values, row i at vals[i×tags:(i+1)×tags]. A
+// buffered point costs its timestamp and values and no pointer. Nothing
+// keeps a window into vals past the call that made it — the flush encodes
+// its run and the dirty read (walker.addBuffered) copies its rows under the
+// latch — so a buffer a failed flush left full may outgrow its arrays.
 type sourceBuffer struct {
 	ds     *model.DataSource
 	schema *model.SchemaType
-	points []model.Point
+	ts     []int64
 	vals   []float64
-	last   int64 // the last buffered point's TS, kept here to spare a read of points per write
+	last   int64 // the last buffered point's TS, kept here to spare a read of ts per write
+}
+
+// row returns buffered row i's values, a capacity-limited window of the
+// slab valid until the buffer next changes.
+func (b *sourceBuffer) row(i int) []float64 {
+	n := len(b.schema.Tags)
+	return b.vals[i*n : (i+1)*n : (i+1)*n]
 }
 
 // groupBuffer holds the open rows of one MG group. A row opens at its first
@@ -249,7 +252,7 @@ type groupBuffer struct {
 type mgRow struct {
 	key      int64         // the first sample's timestamp
 	samples  []model.Point // per slot: the member's sample; nil Values when it has none
-	vals     []float64     // the samples' values: one slab a row (see sourceBuffer)
+	vals     []float64     // the samples' values, one slab a row; a sample's Values is a window of it
 	reported int
 }
 
@@ -445,36 +448,23 @@ func (s *Store) writeBuffered(sh *shard, l *catalog.Lookup, p model.Point) error
 		buf = &sourceBuffer{
 			ds:     l.Source,
 			schema: l.Schema,
-			points: make([]model.Point, 0, s.cfg.BatchSize),
+			ts:     make([]int64, 0, s.cfg.BatchSize),
 			vals:   make([]float64, 0, s.cfg.BatchSize*len(l.Schema.Tags)),
 		}
 		sh.buffers[l.ID] = buf
 	}
-	if last := buf.last; len(buf.points) > 0 {
-		switch l.Structure {
-		case model.RTS:
-			// A gap or drift breaks the implicit-timestamp contract; close
-			// the batch and start a new run.
-			if p.TS != last+l.Source.IntervalMs {
-				if err := s.flushSourceLocked(buf); err != nil {
-					return err
-				}
-			}
-		case model.IRTS:
-			if p.TS < last {
-				// Out-of-order point: close the batch so each blob's
-				// timestamps stay monotonic.
-				if err := s.flushSourceLocked(buf); err != nil {
-					return err
-				}
-			}
+	// A gap or drift breaks an RTS run's implicit timestamps, and an
+	// out-of-order point an IRTS blob's monotonic ones: either closes the
+	// batch, and the point starts a new run.
+	if len(buf.ts) > 0 && (l.Structure == model.RTS && p.TS != buf.last+l.Source.IntervalMs || l.Structure == model.IRTS && p.TS < buf.last) {
+		if err := s.flushSourceLocked(buf); err != nil {
+			return err
 		}
 	}
-	n := len(buf.vals)
+	buf.ts = append(buf.ts, p.TS)
 	buf.vals = append(buf.vals, p.Values...)
-	buf.points = append(buf.points, model.Point{Source: p.Source, TS: p.TS, Values: buf.vals[n:len(buf.vals):len(buf.vals)]})
 	buf.last = p.TS
-	if len(buf.points) >= s.cfg.BatchSize {
+	if len(buf.ts) >= s.cfg.BatchSize {
 		return s.flushSourceLocked(buf)
 	}
 	return nil
@@ -532,17 +522,21 @@ func (s *Store) writeMG(sh *shard, ds *model.DataSource, schema *model.SchemaTyp
 	return nil
 }
 
-// flushSourceLocked persists and clears one source buffer. Caller holds
-// the buffer's shard lock.
+// flushSourceLocked persists and clears one source buffer, its run built
+// in a slice no buffer keeps. Caller holds the buffer's shard lock.
 func (s *Store) flushSourceLocked(buf *sourceBuffer) error {
-	if len(buf.points) == 0 {
+	if len(buf.ts) == 0 {
 		return nil
 	}
-	if err := s.putRunLocked(buf.ds, buf.schema, buf.points); err != nil {
+	run := make([]model.Point, len(buf.ts))
+	for i, ts := range buf.ts {
+		run[i] = model.Point{Source: buf.ds.ID, TS: ts, Values: buf.row(i)}
+	}
+	if err := s.putRunLocked(buf.ds, buf.schema, run); err != nil {
 		return err
 	}
 	atomic.AddInt64(&s.stats.BatchesFlushed, 1)
-	buf.points, buf.vals = buf.points[:0], buf.vals[:0]
+	buf.ts, buf.vals = buf.ts[:0], buf.vals[:0]
 	return nil
 }
 

@@ -521,9 +521,9 @@ func (w *walker) addBuffered(ch *chunk) {
 	var out []model.Point
 	if w.group.Members == nil {
 		if buf, ok := w.sh.buffers[w.owner]; ok {
-			for _, p := range buf.points {
-				if p.TS >= ch.lo && p.TS < ch.hi {
-					out = append(out, p.Clone())
+			for i, ts := range buf.ts {
+				if ts >= ch.lo && ts < ch.hi {
+					out = append(out, model.Point{Source: w.owner, TS: ts, Values: buf.row(i)}.Clone())
 				}
 			}
 		}
