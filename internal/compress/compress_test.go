@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -96,6 +98,40 @@ func TestDeltaAtIsDeltasIndexed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// skipUvarintsRef is SkipUvarints byte by byte: a binary.Uvarint loop.
+func skipUvarintsRef(b []byte, n int) (int, bool) {
+	off := 0
+	for ; n > 0; n-- {
+		_, k := binary.Uvarint(b[off:])
+		if k <= 0 {
+			return off, false
+		}
+		off += k
+	}
+	return off, true
+}
+
+// FuzzSkipUvarints holds SkipUvarints to the byte-wise loop: the same
+// offset and verdict for every count, wherever the bytes end, a uvarint
+// runs past ten bytes or overflows in its tenth.
+func FuzzSkipUvarints(f *testing.F) {
+	long := binary.AppendUvarint(nil, math.MaxUint64)
+	f.Add(AppendDeltas(nil, []int64{1, 1 << 20, -5, 0, 1 << 62, 7, 300, 2, 2, 2, 2, 2, 2, 2, 2}), uint8(15))
+	f.Add(append(bytes.Repeat([]byte{1}, 13), long...), uint8(14))
+	f.Add(append(bytes.Repeat([]byte{0x80}, 9), 2, 0), uint8(2))
+	f.Add(append(bytes.Repeat([]byte{0x80}, 10), 0), uint8(1))
+	f.Add(append(bytes.Repeat([]byte{0}, 7), long[:9]...), uint8(8))
+	f.Fuzz(func(t *testing.T, b []byte, n uint8) {
+		for k := range int(n) + 2 {
+			off, ok := SkipUvarints(b, k)
+			wantOff, wantOK := skipUvarintsRef(b, k)
+			if off != wantOff || ok != wantOK {
+				t.Fatalf("%x, %d uvarints: (%d, %v), want (%d, %v)", b, k, off, ok, wantOff, wantOK)
+			}
+		}
+	})
 }
 
 // TestDecodeColumnNEmptyRange: an empty range [k, k) decodes no values and

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -95,17 +96,49 @@ func DeltaAt(b []byte, i int) (int64, int, []byte, error) {
 		return 0, 0, nil, ErrCorrupt
 	}
 	var v int64
-	for j := 0; j < n; j++ {
+	for j := 0; j <= i; j++ {
 		u, k := binary.Uvarint(b)
 		if k <= 0 {
 			return 0, 0, nil, ErrCorrupt
 		}
-		if j <= i {
-			v += Unzigzag(u)
-		}
+		v += Unzigzag(u)
 		b = b[k:]
 	}
-	return v, n, b, nil
+	k, ok := SkipUvarints(b, n-i-1)
+	if !ok {
+		return 0, 0, nil, ErrCorrupt
+	}
+	return v, n, b[k:], nil
+}
+
+// SkipUvarints returns how many bytes of b its first n uvarints take,
+// stepping over them eight bytes at a time without decoding them. When one
+// does not parse — b ends inside it, or it runs past
+// binary.MaxVarintLen64 bytes or past 64 bits in its last — ok is false
+// and off is where it starts, the place a binary.Uvarint loop fails.
+func SkipUvarints(b []byte, n int) (off int, ok bool) {
+	start := 0 // where the uvarint being stepped over starts
+	for n > 0 && off+8 <= len(b) {
+		if ends := ^binary.LittleEndian.Uint64(b[off:]) & 0x8080808080808080; ends != 0 {
+			// The byte loop judges the last few uvarints, and the first one
+			// ending in this word when it may be too long.
+			k := bits.OnesCount64(ends)
+			if k >= n || off+bits.TrailingZeros64(ends)/8+1-start >= binary.MaxVarintLen64 {
+				break
+			}
+			n -= k
+			start = off + (63-bits.LeadingZeros64(ends))/8 + 1
+		}
+		off += 8
+	}
+	for off = start; n > 0; n-- {
+		_, k := binary.Uvarint(b[off:])
+		if k <= 0 {
+			return off, false
+		}
+		off += k
+	}
+	return off, true
 }
 
 // deltasLen reads the length of a slice written by AppendDeltas or

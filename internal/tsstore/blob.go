@@ -484,21 +484,15 @@ func (r *prefixReader) varint() uint64 {
 	return 0
 }
 
-// varints steps over n varints, each ending at its first byte below 0x80,
-// without decoding them: what an MG record's offsets cost a walk that
+// varints steps over n varints without decoding them, a word at a time
+// (compress.SkipUvarints): what an MG record's offsets cost a walk that
 // decodes them later.
 func (r *prefixReader) varints(n int) {
-	for ; n > 0 && r.need == 0; n-- {
-		end := min(len(r.b), r.off+binary.MaxVarintLen64)
-		i := r.off
-		for i < end && r.b[i] >= 0x80 {
-			i++
-		}
-		if i == end {
+	if r.need == 0 {
+		k, ok := compress.SkipUvarints(r.b[min(r.off, len(r.b)):], n)
+		if r.off += k; !ok {
 			r.need = r.off + binary.MaxVarintLen64
-			return
 		}
-		r.off = i + 1
 	}
 }
 

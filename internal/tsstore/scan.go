@@ -10,8 +10,10 @@ import (
 	"odh/internal/model"
 )
 
-// Iterator yields operational points. Implementations are not safe for
-// concurrent use; create one per query. A Point's Values hold at least the
+// Iterator yields operational points, owner by owner: one source's (or MG
+// member's) in timestamp order, a slice's MG group's as its records store
+// them (see SliceScanOpts). Implementations are not safe for concurrent
+// use; create one per query. A Point's Values hold at least the
 // tags through the last one the scan asked for (wantTags; every tag for a
 // nil selection), and a tag at or past len(Values) reads as NULL. A stored
 // record's row stops exactly there, its unselected tags NULL; a buffered
@@ -93,20 +95,21 @@ func (s *Store) scanCache(opts ScanOptions) *blobCache {
 	return s.cache
 }
 
-// scanIter yields the rows of a walker list, owner by owner, each owner's
-// in timestamp order. Records are keyed by their first timestamp but may
+// scanIter yields the rows of a walker list, owner by owner, in the order
+// Iterator states. Records are keyed by their first timestamp but may
 // overlap (out-of-order ingest splits a batch, and an owner's homes
 // interleave); the iterator decodes a chunk's records lazily, in key
-// order, and holds rows back until no undecoded record of the chunk could
-// still precede them.
+// order, and in a walk of one source holds rows back until no undecoded
+// record of the chunk could still precede them.
 type scanIter struct {
 	ws    []*walker
 	wi    int // the walker walking; the ones before it are released
 	preds []TagPred
 	ch    chunk
 	ri    int           // next record of ch to decode
-	queue []model.Point // pending rows of ch, sorted by ts
+	queue []model.Point // pending rows of ch, in hand-out order
 	qi    int
+	asIs  bool // a whole MG group's walk: rows leave as stored, neither sorted nor held back
 	err   error
 	// bytesRead accumulates decoded blob sizes plus the estimate for
 	// buffered rows; the executor reports it as the query's I/O cost,
@@ -118,7 +121,7 @@ type scanIter struct {
 func (it *scanIter) Next() (model.Point, bool) {
 	for it.err == nil {
 		if it.qi < len(it.queue) {
-			if it.ri >= len(it.ch.recs) || it.queue[it.qi].TS < it.ch.recs[it.ri].ts {
+			if it.asIs || it.ri >= len(it.ch.recs) || it.queue[it.qi].TS < it.ch.recs[it.ri].ts {
 				p := it.queue[it.qi]
 				it.qi++
 				return p, true
@@ -132,7 +135,7 @@ func (it *scanIter) Next() (model.Point, bool) {
 				it.wi++
 			} else {
 				it.ch, it.err = w.step()
-				it.ri = 0
+				it.ri, it.asIs = 0, w.group.Members != nil && w.slot == allMembers
 			}
 			continue
 		}
@@ -171,9 +174,9 @@ func (it *scanIter) load(rec *walkRec) error {
 			it.queue = append(it.queue, model.Point{Source: src, TS: ts, Values: vals})
 		})
 	}
-	// Records rarely overlap; re-sort only when they do (or when MG rows,
-	// stored in slot order, are out of time order).
-	if !slices.IsSortedFunc(it.queue, byTS) {
+	// Records of one source rarely overlap; re-sort only when they do (or
+	// when a member's MG rows, stored in slot order, are out of time order).
+	if !it.asIs && !slices.IsSortedFunc(it.queue, byTS) {
 		slices.SortStableFunc(it.queue, byTS)
 	}
 	return nil
@@ -204,9 +207,12 @@ func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags 
 
 // SliceScanOpts returns points of every source of a schema in [t1, t2) —
 // the paper's slice query ("data generated by multiple data sources for a
-// short time window"). MG groups serve slices directly from their
-// time-keyed records; RTS/IRTS sources are visited per source. Output is
-// grouped per source/group, not globally time-sorted.
+// short time window"): each RTS/IRTS source's in timestamp order, each MG
+// group's records — its MG records and its members' reorganized ones — in
+// key order, a record's rows as stored (an MG record's in slot order) and a
+// buffered row after every record keyed at or before it. The order is the
+// store's, whatever the cache or Workers; no consumer needs more (ORDER BY
+// sorts for itself).
 func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions, preds ...TagPred) (Iterator, error) {
 	return &scanIter{ws: s.sliceWalkers(schemaID, t1, t2, wantTags, opts), preds: preds}, nil
 }
